@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Fast correctness gate: tier-1 test suite + the fault-tolerance smoke sweep.
-# Runs in well under a minute; use before pushing.
+# Runs in under a minute; use before pushing.
 #
 #   scripts/check.sh          full gate (all tests + smoke sweeps + fuzz lane)
 #   scripts/check.sh --fast   unit tests only, skipping slow property/
@@ -26,6 +26,10 @@ fi
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo
+echo "== perf benchmark harness (expected.json digests + harness contract) =="
+python -m pytest benchmarks/perf -q
 
 echo
 echo "== fault-tolerance smoke sweep =="

@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable
 
+from repro.utils.hashing import stable_digest
+
 _UID_COUNTER = itertools.count()
 
 
@@ -87,8 +89,6 @@ class DataRecord:
         Deterministic uids make the cross-mode bit-identical contract hold
         structurally.
         """
-        from repro.utils.hashing import stable_digest
-
         dropped = set(drop)
         fields = {
             name: value for name, value in self.fields.items() if name not in dropped
@@ -113,8 +113,6 @@ class DataRecord:
         As with :meth:`derive`, the merged uid is a pure function of the
         parent uids so join outputs are identical across execution modes.
         """
-        from repro.utils.hashing import stable_digest
-
         fields = dict(left.fields)
         fields.update(right.fields)
         annotations = dict(left.annotations)

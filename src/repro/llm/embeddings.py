@@ -22,6 +22,27 @@ DEFAULT_DIM = 256
 #: arrays of inputs; one request amortizes the per-call overhead).
 DEFAULT_EMBED_BATCH = 64
 
+#: Distinct tokens whose hashes are kept; the table is dropped whole when full.
+_TOKEN_TABLE_CAP = 1 << 16
+
+#: token -> (bucket hash, sign).  Both are pure functions of the token and the
+#: bucket is ``hash % dim`` at use, so one table serves every
+#: :class:`EmbeddingModel` in the process whatever its ``dim`` — the runtimes
+#: of one process share a vocabulary, and a table per model would store it
+#: once each.
+_TOKEN_TABLE: dict[str, tuple[int, float]] = {}
+
+
+def _token_entry(token: str) -> tuple[int, float]:
+    """Hash ``token`` (two SHA-256 digests) and remember the result."""
+    if len(_TOKEN_TABLE) >= _TOKEN_TABLE_CAP:
+        _TOKEN_TABLE.clear()
+    entry = _TOKEN_TABLE[token] = (
+        stable_hash("emb-bucket", token),
+        1.0 if stable_hash("emb-sign", token) % 2 == 0 else -1.0,
+    )
+    return entry
+
 
 class EmbeddingModel:
     """Feature-hashing embedding model with a fixed dimensionality."""
@@ -43,9 +64,8 @@ class EmbeddingModel:
                 continue
             counts[token] = counts.get(token, 0) + 1
         for token, count in counts.items():
-            bucket = stable_hash("emb-bucket", token) % self.dim
-            sign = 1.0 if stable_hash("emb-sign", token) % 2 == 0 else -1.0
-            vector[bucket] += sign * (1.0 + math.log(count))
+            bucket_hash, sign = _TOKEN_TABLE.get(token) or _token_entry(token)
+            vector[bucket_hash % self.dim] += sign * (1.0 + math.log(count))
         norm = float(np.linalg.norm(vector))
         if norm > 0:
             vector /= norm

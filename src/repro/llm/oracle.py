@@ -22,6 +22,10 @@ from repro.utils.text import jaccard_similarity, tokenize
 #: Annotation key prefix for per-intent difficulty scores in [0, 1].
 DIFFICULTY_PREFIX = "_difficulty:"
 
+#: Distinct instructions an :class:`IntentRegistry` remembers the resolution
+#: of; the memo is dropped whole when full (a plan has a handful).
+_RESOLVE_MEMO_CAP = 1024
+
 
 @runtime_checkable
 class AnnotatedRecord(Protocol):
@@ -61,6 +65,10 @@ class IntentRegistry:
 
     def __init__(self) -> None:
         self._intents: dict[str, Intent] = {}
+        #: instruction -> resolved intent (``None`` = unresolved).  Resolution
+        #: is a pure function of the instruction and the registered intents,
+        #: so ``register`` and ``merge`` clear it.
+        self._resolved: dict[str, Intent | None] = {}
 
     def register(self, key: str, keywords: Iterable[str], description: str = "") -> Intent:
         """Register (or overwrite) an intent under ``key``."""
@@ -70,11 +78,13 @@ class IntentRegistry:
             description=description,
         )
         self._intents[key] = intent
+        self._resolved.clear()
         return intent
 
     def merge(self, other: "IntentRegistry") -> None:
         """Add all intents from ``other`` (later registrations win)."""
         self._intents.update(other._intents)
+        self._resolved.clear()
 
     def get(self, key: str) -> Intent | None:
         return self._intents.get(key)
@@ -85,6 +95,10 @@ class IntentRegistry:
         Scoring is keyword-match fraction; ties break toward intents with
         more keywords (more specific), then lexicographic key for stability.
         """
+        try:
+            return self._resolved[instruction]
+        except KeyError:
+            pass
         tokens = set(tokenize(instruction))
         best: Intent | None = None
         best_rank: tuple[float, int, str] | None = None
@@ -99,6 +113,9 @@ class IntentRegistry:
                 (rank[0], rank[1]) == (best_rank[0], best_rank[1]) and rank[2] < best_rank[2]
             ):
                 best, best_rank = intent, rank
+        if len(self._resolved) >= _RESOLVE_MEMO_CAP:
+            self._resolved.clear()
+        self._resolved[instruction] = best
         return best
 
     def __len__(self) -> int:

@@ -56,6 +56,10 @@ JUDGMENT_OUTPUT_TOKENS = 5
 #: Distractor annotation prefix: datasets may store a plausible wrong answer.
 DISTRACTOR_PREFIX = "_distractor:"
 
+#: Distinct instructions a :class:`SimulatedLLM` keeps per-instruction facts
+#: for; the memo is dropped whole when full (a plan has a handful).
+_INSTRUCTION_MEMO_CAP = 1024
+
 
 class MeasuredTime:
     """Mutable holder filled in when a :meth:`SimulatedLLM.measure` block exits."""
@@ -121,6 +125,9 @@ class SimulatedLLM:
         self._measure_depth = 0
         #: Monotonic per-call counter: namespaces the backoff-jitter stream.
         self._call_sequence = 0
+        #: instruction -> (normalized text, token count); see
+        #: :meth:`_instruction_facts`.
+        self._instruction_memo: dict[str, tuple[str, int]] = {}
 
     # ------------------------------------------------------------------
     # Accounting
@@ -445,7 +452,8 @@ class SimulatedLLM:
     ) -> FilterJudgment:
         """Answer "does ``record`` satisfy ``instruction``?" as ``model`` would."""
         card = get_model(model)
-        cache_key = self._cache_key(model, "filter", normalize_text(instruction), record.uid)
+        normalized, instruction_tokens = self._instruction_facts(instruction)
+        cache_key = self._cache_key(model, "filter", normalized, record.uid)
         if self.use_cache:
             hit, value = self.cache.get(cache_key)
             if hit:
@@ -454,11 +462,11 @@ class SimulatedLLM:
                 return FilterJudgment(answer, resolved, intent_key, event)
 
         judgment = self.oracle.judge_filter(instruction, record)
-        noise_key = judgment.intent_key or normalize_text(instruction)
+        noise_key = judgment.intent_key or normalized
         erred = self._errs(card, "filter", noise_key, record.uid, judgment.difficulty)
         answer = bool(judgment.truth) != erred
 
-        input_tokens = self._prompt_tokens(instruction, record)
+        input_tokens = self._prompt_tokens(instruction_tokens, record)
         event = self._charge(card, input_tokens, JUDGMENT_OUTPUT_TOKENS, tag)
         if self.use_cache:
             self.cache.put(cache_key, (answer, judgment.resolved, judgment.intent_key))
@@ -474,9 +482,8 @@ class SimulatedLLM:
     ) -> FilterJudgment:
         """Answer "do ``left`` and ``right`` jointly satisfy ``instruction``?"."""
         card = get_model(model)
-        cache_key = self._cache_key(
-            model, "join", normalize_text(instruction), left.uid, right.uid
-        )
+        normalized, instruction_tokens = self._instruction_facts(instruction)
+        cache_key = self._cache_key(model, "join", normalized, left.uid, right.uid)
         if self.use_cache:
             hit, value = self.cache.get(cache_key)
             if hit:
@@ -485,7 +492,7 @@ class SimulatedLLM:
                 return FilterJudgment(answer, resolved, intent_key, event)
 
         judgment = self.oracle.judge_join(instruction, left, right)
-        noise_key = judgment.intent_key or normalize_text(instruction)
+        noise_key = judgment.intent_key or normalized
         erred = self._errs(
             card, "filter", noise_key, f"{left.uid}|{right.uid}", judgment.difficulty
         )
@@ -493,7 +500,7 @@ class SimulatedLLM:
 
         input_tokens = (
             SYSTEM_PROMPT_TOKENS
-            + approx_token_count(instruction)
+            + instruction_tokens
             + approx_token_count(left.as_text())
             + approx_token_count(right.as_text())
         )
@@ -511,7 +518,8 @@ class SimulatedLLM:
     ) -> ExtractionResult:
         """Extract the value ``instruction`` asks for from ``record``."""
         card = get_model(model)
-        cache_key = self._cache_key(model, "extract", normalize_text(instruction), record.uid)
+        normalized, instruction_tokens = self._instruction_facts(instruction)
+        cache_key = self._cache_key(model, "extract", normalized, record.uid)
         if self.use_cache:
             hit, value = self.cache.get(cache_key)
             if hit:
@@ -527,7 +535,7 @@ class SimulatedLLM:
             )
             if erred:
                 value = self._corrupt(judgment.truth, judgment.intent_key, record)
-        input_tokens = self._prompt_tokens(instruction, record)
+        input_tokens = self._prompt_tokens(instruction_tokens, record)
         output_tokens = max(8, approx_token_count(str(value)))
         event = self._charge(card, input_tokens, output_tokens, tag)
         if self.use_cache:
@@ -556,7 +564,8 @@ class SimulatedLLM:
             alternatives = [option for option in options if option != truth]
             pick = stable_hash(self.seed, "classify-pick", record.uid) % len(alternatives)
             value = alternatives[pick]
-        input_tokens = self._prompt_tokens(instruction, record) + approx_token_count(
+        _, instruction_tokens = self._instruction_facts(instruction)
+        input_tokens = self._prompt_tokens(instruction_tokens, record) + approx_token_count(
             " ".join(options)
         )
         event = self._charge(card, input_tokens, JUDGMENT_OUTPUT_TOKENS, tag)
@@ -672,12 +681,24 @@ class SimulatedLLM:
         draw = stable_uniform(self.seed, "llm-noise", card.name, task_kind, noise_key, record_uid)
         return draw < probability
 
-    def _prompt_tokens(self, instruction: str, record: AnnotatedRecord) -> int:
-        return (
-            SYSTEM_PROMPT_TOKENS
-            + approx_token_count(instruction)
-            + approx_token_count(record.as_text())
-        )
+    def _instruction_facts(self, instruction: str) -> tuple[str, int]:
+        """``(normalize_text, approx_token_count)`` of ``instruction``, computed once.
+
+        An operator sends one instruction with every record, and both are
+        pure functions of the instruction alone.
+        """
+        facts = self._instruction_memo.get(instruction)
+        if facts is None:
+            if len(self._instruction_memo) >= _INSTRUCTION_MEMO_CAP:
+                self._instruction_memo.clear()
+            facts = self._instruction_memo[instruction] = (
+                normalize_text(instruction),
+                approx_token_count(instruction),
+            )
+        return facts
+
+    def _prompt_tokens(self, instruction_tokens: int, record: AnnotatedRecord) -> int:
+        return SYSTEM_PROMPT_TOKENS + instruction_tokens + approx_token_count(record.as_text())
 
     def _corrupt(self, truth: Any, intent_key: str, record: AnnotatedRecord) -> Any:
         """Produce a plausible wrong answer for an extraction error.

@@ -52,6 +52,14 @@ class UsageEvent:
     error: str = ""
 
 
+def _accumulate(usage: Usage, event: UsageEvent) -> None:
+    """Add one call's tokens and dollars to ``usage`` in place."""
+    usage.input_tokens += event.input_tokens
+    usage.output_tokens += event.output_tokens
+    usage.cost_usd += event.cost_usd
+    usage.calls += 1
+
+
 class UsageTracker:
     """Accumulates :class:`UsageEvent` records with optional budget limits."""
 
@@ -80,14 +88,7 @@ class UsageTracker:
         for event in self.events:
             if tag_prefix is not None and not event.tag.startswith(tag_prefix):
                 continue
-            usage.add(
-                Usage(
-                    input_tokens=event.input_tokens,
-                    output_tokens=event.output_tokens,
-                    cost_usd=event.cost_usd,
-                    calls=1,
-                )
-            )
+            _accumulate(usage, event)
         return usage
 
     def by_model(self) -> dict[str, Usage]:
@@ -95,14 +96,7 @@ class UsageTracker:
         result: dict[str, Usage] = {}
         for event in self.events:
             usage = result.setdefault(event.model, Usage())
-            usage.add(
-                Usage(
-                    input_tokens=event.input_tokens,
-                    output_tokens=event.output_tokens,
-                    cost_usd=event.cost_usd,
-                    calls=1,
-                )
-            )
+            _accumulate(usage, event)
         return result
 
     def failed_calls(self, checkpoint: int = 0) -> int:
@@ -117,14 +111,7 @@ class UsageTracker:
         """Aggregate usage recorded after ``checkpoint``."""
         usage = Usage()
         for event in self.events[checkpoint:]:
-            usage.add(
-                Usage(
-                    input_tokens=event.input_tokens,
-                    output_tokens=event.output_tokens,
-                    cost_usd=event.cost_usd,
-                    calls=1,
-                )
-            )
+            _accumulate(usage, event)
         return usage
 
     def reset(self) -> None:
@@ -147,14 +134,7 @@ class UsageTracker:
         for event in self.events:
             prefix = event.tag.split(":")[0] if event.tag else "(untagged)"
             usage = by_prefix.setdefault(prefix, Usage())
-            usage.add(
-                Usage(
-                    input_tokens=event.input_tokens,
-                    output_tokens=event.output_tokens,
-                    cost_usd=event.cost_usd,
-                    calls=1,
-                )
-            )
+            _accumulate(usage, event)
         for prefix, usage in sorted(by_prefix.items()):
             lines.append(f"  [{prefix}] {usage.calls} calls, ${usage.cost_usd:.4f}")
         cached = sum(1 for event in self.events if event.cached)

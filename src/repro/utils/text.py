@@ -24,7 +24,7 @@ STOPWORDS = frozenset(
 
 def tokenize(text: str) -> list[str]:
     """Split ``text`` into lowercase word tokens."""
-    return [match.group(0).lower() for match in _WORD_RE.finditer(text)]
+    return [word.lower() for word in _WORD_RE.findall(text)]
 
 
 def normalize_text(text: str) -> str:

@@ -1,15 +1,20 @@
 """Tests for deterministic embeddings."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.llm import embeddings
 from repro.llm.embeddings import (
     EmbeddingModel,
     cosine_similarity,
     top_k_similar,
 )
+from repro.utils.hashing import stable_hash
+from repro.utils.text import STOPWORDS, tokenize
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +105,44 @@ def test_cosine_bounded(a, b):
     model = EmbeddingModel()
     similarity = cosine_similarity(model.embed(a), model.embed(b))
     assert -1.0 - 1e-6 <= similarity <= 1.0 + 1e-6
+
+
+def _reference_embed(text: str, dim: int) -> np.ndarray:
+    """The hashing trick written out, hashing every token on the spot."""
+    counts: dict[str, int] = {}
+    for token in tokenize(text):
+        if token not in STOPWORDS:
+            counts[token] = counts.get(token, 0) + 1
+    vector = np.zeros(dim, dtype=np.float64)
+    for token, count in counts.items():
+        bucket = stable_hash("emb-bucket", token) % dim
+        sign = 1.0 if stable_hash("emb-sign", token) % 2 == 0 else -1.0
+        vector[bucket] += sign * (1.0 + math.log(count))
+    norm = float(np.linalg.norm(vector))
+    if norm > 0:
+        vector /= norm
+    return vector.astype(np.float32)
+
+
+@given(st.text(max_size=200), st.sampled_from([8, 64, 256]))
+def test_embed_equals_direct_hash_reference(text, dim):
+    assert np.array_equal(EmbeddingModel(dim).embed(text), _reference_embed(text, dim))
+
+
+@given(st.lists(st.text(max_size=60), max_size=8))
+def test_models_of_different_dim_share_one_token_table(texts):
+    small, large = EmbeddingModel(8), EmbeddingModel(256)
+    for text in texts:
+        assert np.array_equal(small.embed(text), _reference_embed(text, 8))
+        assert np.array_equal(large.embed(text), _reference_embed(text, 256))
+        assert np.array_equal(small.embed(text), _reference_embed(text, 8))
+
+
+def test_token_table_stays_within_cap(monkeypatch):
+    monkeypatch.setattr(embeddings, "_TOKEN_TABLE_CAP", 16)
+    embeddings._TOKEN_TABLE.clear()
+    model = EmbeddingModel(64)
+    for start in range(0, 100, 5):
+        text = " ".join(f"tok{i}" for i in range(start, start + 5))
+        assert np.array_equal(model.embed(text), _reference_embed(text, 64))
+        assert 0 < len(embeddings._TOKEN_TABLE) <= 16

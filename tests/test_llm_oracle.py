@@ -45,6 +45,34 @@ def test_merge_registries():
     assert set(a.keys()) == {"k.a", "k.b"}
 
 
+def test_resolve_sees_better_intent_registered_after_first_resolution():
+    registry = IntentRegistry()
+    registry.register("x.short", ["identity", "theft"])
+    instruction = "identity theft reports for 2001 and 2024"
+    assert registry.resolve(instruction).key == "x.short"
+    registry.register("x.long", ["identity", "theft", "2001", "2024"])
+    assert registry.resolve(instruction).key == "x.long"
+
+
+def test_resolve_sees_intent_merged_after_first_resolution():
+    a, b = IntentRegistry(), IntentRegistry()
+    a.register("x.short", ["identity", "theft"])
+    b.register("x.long", ["identity", "theft", "2001", "2024"])
+    instruction = "identity theft reports for 2001 and 2024"
+    assert a.resolve(instruction).key == "x.short"
+    a.merge(b)
+    assert a.resolve(instruction).key == "x.long"
+
+
+def test_unresolved_instruction_resolves_once_intent_is_registered():
+    registry = IntentRegistry()
+    registry.register("x.a", ["alpha", "beta", "gamma", "delta"])
+    assert registry.resolve("only alpha here") is None
+    assert registry.resolve("only alpha here") is None
+    registry.register("x.b", ["alpha"])
+    assert registry.resolve("only alpha here").key == "x.b"
+
+
 def test_judge_filter_resolved_truth():
     registry = IntentRegistry()
     registry.register("x.flag", ["special", "flag"])

@@ -223,3 +223,33 @@ def test_distractor_annotation_steers_corruption(make_toy_llm):
         )
         value = llm.extract("extract the number of widgets", record).value
         assert value in (100, 777)
+
+
+_ENDPOINT_CALLS = {
+    "filter": lambda llm, rec: llm.judge_filter("  Has the SPECIAL  flag? ", rec),
+    "join": lambda llm, rec: llm.judge_join("same special flag", rec, rec),
+    "extract": lambda llm, rec: llm.extract("extract the number of widgets", rec),
+    "classify": lambda llm, rec: llm.classify("the number of widgets", ["41", "42"], rec),
+}
+
+
+@pytest.mark.parametrize("cache_scope", ["", "tenant-a"])
+@pytest.mark.parametrize("endpoint", sorted(_ENDPOINT_CALLS))
+def test_instruction_seen_first_and_nth_time_is_charged_alike(
+    make_toy_llm, toy_record, endpoint, cache_scope
+):
+    call = _ENDPOINT_CALLS[endpoint]
+
+    def observe(llm, uid):
+        llm.cache_scope = cache_scope
+        result = call(llm, toy_record(difficulty=0.9, uid=uid))
+        answer = result.answer if endpoint in ("filter", "join") else result.value
+        return answer, result.event.input_tokens, result.event.cost_usd
+
+    uids = [f"u{i}" for i in range(6)]
+    # A fresh LLM per record sees the instruction for the first time.
+    first = [observe(make_toy_llm(seed=3), uid) for uid in uids]
+    shared = make_toy_llm(seed=3)
+    nth = [observe(shared, uid) for uid in uids]
+    assert nth == first
+    assert all(tokens > 0 and cost > 0 for _, tokens, cost in nth)

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.text import (
+    _WORD_RE,
     approx_token_count,
     extract_keywords,
     jaccard_similarity,
@@ -23,6 +24,17 @@ def test_tokenize_keeps_numbers_and_underscores():
 
 def test_tokenize_empty():
     assert tokenize("") == []
+
+
+@given(st.text(max_size=200))
+def test_tokenize_equals_match_by_match_formula(text):
+    assert tokenize(text) == [m.group(0).lower() for m in _WORD_RE.finditer(text)]
+
+
+def test_tokenize_matches_before_lowercasing():
+    # U+212A KELVIN SIGN lower-cases to ASCII "k"; it is not a word character
+    # of the pattern, so it must split tokens, not join them.
+    assert tokenize("a\u212ab") == ["a", "b"]
 
 
 def test_normalize_text_collapses_whitespace():
