@@ -156,7 +156,7 @@ def _run_seed(bundle, seed: int) -> dict:
     source.update(victim.uid, {"body": victim.fields["body"] + "\n[amended]"})
     update_ticks = manager.pump()
     assert len(update_ticks) == 1 and update_ticks[0].fired == "update"
-    update_scratch = _full_run(bundle, seen, seed)
+    update_scratch = _full_run(bundle, source.records(), seed)
     update_identical = _normalized(query.records) == update_scratch["records"]
     update_fold_identical = _normalized(query.folded()) == _normalized(
         query.records

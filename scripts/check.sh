@@ -20,6 +20,9 @@ if [[ "${1:-}" == "--fast" ]]; then
     echo "== fast lane: standing-query smoke =="
     python benchmarks/bench_streaming.py --smoke
     echo
+    echo "== fast lane: standing-tick perf smoke (fold == view == from-scratch, ledger stable) =="
+    python3 -m benchmarks.perf bench --workload standing_ticks --smoke
+    echo
     echo "check.sh --fast: all green"
     exit 0
 fi

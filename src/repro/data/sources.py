@@ -71,6 +71,10 @@ class DataSource(abc.ABC):
         """Number of records, or None if unknown without scanning."""
         return None
 
+    def uids(self) -> tuple[str, ...]:
+        """The uids of :meth:`iterate`'s records, in order."""
+        return tuple(record.uid for record in self.iterate())
+
     def subscribe(self, callback: Callable[[SourceEvent], None]) -> None:
         """Register a listener invoked synchronously on every mutation."""
         self._subscribers.append(callback)
@@ -99,12 +103,17 @@ class MemorySource(DataSource):
         for record in self._records:
             if not record.source_id:
                 record.source_id = source_id
+        # Extended by ``append``; ``update`` keeps uids.
+        self._uids = tuple(record.uid for record in self._records)
 
     def iterate(self) -> Iterator[DataRecord]:
         return iter(self._records)
 
     def cardinality(self) -> int:
         return len(self._records)
+
+    def uids(self) -> tuple[str, ...]:
+        return self._uids
 
     def records(self) -> list[DataRecord]:
         return list(self._records)
@@ -125,13 +134,15 @@ class MemorySource(DataSource):
         for record in appended:
             if not record.source_id:
                 record.source_id = self.source_id
+        uids = tuple(record.uid for record in appended)
         self._records.extend(appended)
+        self._uids += uids
         self.version += 1
         return self._publish(
             SourceEvent(
                 kind="append",
                 source_id=self.source_id,
-                uids=tuple(record.uid for record in appended),
+                uids=uids,
                 version=self.version,
                 content_version=self.content_version,
                 event_time_s=event_time_s,
@@ -144,15 +155,25 @@ class MemorySource(DataSource):
         fields: dict,
         event_time_s: float | None = None,
     ) -> SourceEvent:
-        """Mutate an existing record's fields in place and publish the event.
+        """Replace an existing record's fields and publish the event.
+
+        Copy-on-write: the slot gets a new :class:`DataRecord` (same uid,
+        merged fields), so a record already handed out — to a standing view,
+        a changelog entry, a materialized entry — never changes content.
 
         Updates keep the record's uid, so prefix-matching alone cannot see
         them — the bumped ``content_version`` is what invalidates
         materialized entries built on the old contents.
         """
-        for record in self._records:
+        for index, record in enumerate(self._records):
             if record.uid == uid:
-                record.fields.update(fields)
+                self._records[index] = DataRecord(
+                    {**record.fields, **fields},
+                    uid=uid,
+                    annotations=record.annotations,
+                    source_id=record.source_id,
+                    parent_uids=record.parent_uids,
+                )
                 break
         else:
             raise DataSourceError(

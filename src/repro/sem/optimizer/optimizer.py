@@ -440,7 +440,7 @@ class Optimizer:
         store.metrics = config.llm.metrics if config.llm.metrics.enabled else None
         if source_records is None:
             source_records = list(chain[0].source.iterate())
-        source_uids = tuple(record.uid for record in source_records)
+        source_uids = chain[0].source.uids()
         source_id = chain[0].source.source_id
         content_version = getattr(chain[0].source, "content_version", 0)
         models = [self._resolved_model(op, chosen) for op in chain]

@@ -177,7 +177,29 @@ def _record_key(record: DataRecord) -> tuple[str, str]:
 def diff_records(
     before: list[DataRecord], after: list[DataRecord], tick: int
 ) -> list[ChangeEntry]:
-    """Minimal insert/retract sequence edit turning ``before`` into ``after``."""
+    """Minimal insert/retract sequence edit turning ``before`` into ``after``.
+
+    A replayed view hands back the same record objects, whose content
+    never changes (sources update copy-on-write).  When the common identity
+    prefix is one whole side, the other side's tail is what the matcher
+    would return — its longest block is that whole side, anchored at (0, 0)
+    by the earliest-position tie-break — so nothing is rendered.
+    """
+    shared = 0
+    for old, new in zip(before, after):
+        if old is not new:
+            break
+        shared += 1
+    if shared == len(before):
+        return [
+            ChangeEntry("insert", tick, position, after[position])
+            for position in range(shared, len(after))
+        ]
+    if shared == len(after):
+        return [
+            ChangeEntry("retract", tick, position, before[position])
+            for position in range(shared, len(before))
+        ]
     matcher = difflib.SequenceMatcher(
         a=[_record_key(record) for record in before],
         b=[_record_key(record) for record in after],
@@ -414,6 +436,11 @@ class StandingQueryManager:
             raise StreamingError(
                 "register() needs a QueryProcessorConfig (default runner) "
                 "or an explicit runner"
+            )
+        if config is None and None in (self.clock, self.tracer, self.metrics):
+            raise StreamingError(
+                "a runner-only registration (config=None) needs clock, "
+                "tracer and metrics on the StandingQueryManager"
             )
         if config is not None:
             if (
@@ -707,8 +734,8 @@ class StandingQueryManager:
 
             changelog = diff_records(query.records, records, tick_index)
             tick.changelog = changelog
-            tick.inserts = sum(1 for e in changelog if e.kind == "insert")
-            tick.retracts = sum(1 for e in changelog if e.kind == "retract")
+            tick.inserts = sum(entry.kind == "insert" for entry in changelog)
+            tick.retracts = len(changelog) - tick.inserts
             tick.cost_usd = cost_usd
             tick.time_s = time_s
             if report is not None:

@@ -10,6 +10,8 @@ tick.  Triggers (count / interval / watermark / governor) only decide
 
 from __future__ import annotations
 
+import difflib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +34,8 @@ from repro.sem import (
     fold_changelog,
 )
 from repro.sem.materialize import MaterializationStore
-from repro.sem.streaming import diff_records
+from repro.sem import streaming
+from repro.sem.streaming import ChangeEntry, diff_records
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +144,63 @@ def test_changelog_entries_carry_lineage():
     assert entries[0].lineage == ("p",)
 
 
+def _reference_diff(before, after, tick):
+    """The full-sequence matcher ``diff_records`` must stay equal to."""
+    key = streaming._record_key
+    matcher = difflib.SequenceMatcher(
+        a=[key(record) for record in before],
+        b=[key(record) for record in after],
+        autojunk=False,
+    )
+    entries = []
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag in ("delete", "replace"):
+            entries.extend(
+                ChangeEntry("retract", tick, position, before[position])
+                for position in range(i1, i2)
+            )
+        if tag in ("insert", "replace"):
+            entries.extend(
+                ChangeEntry("insert", tick, position, after[position])
+                for position in range(j1, j2)
+            )
+    return entries
+
+
+#: Two objects per (uid, value) so a draw mixes same-object and
+#: equal-but-distinct-object records; repeated picks give duplicate keys.
+_POOL = [
+    DataRecord({"v": value}, uid=uid)
+    for uid in "abc"
+    for value in (0, 1)
+    for _copy in range(2)
+]
+_picks = st.lists(st.sampled_from(_POOL), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    before=_picks,
+    tail=_picks,
+    cut=st.integers(min_value=0, max_value=10),
+    shape=st.sampled_from(["append", "truncate", "edit", "unrelated"]),
+)
+def test_property_diff_records_matches_the_full_matcher(before, tail, cut, shape):
+    cut = min(cut, len(before))
+    after = {
+        "append": before + tail,
+        "truncate": before[:cut],
+        "edit": before[:cut] + tail + before[cut + 1 :],
+        "unrelated": tail,
+    }[shape]
+    got = diff_records(before, after, tick=7)
+    want = _reference_diff(before, after, tick=7)
+    assert [(e.kind, e.tick, e.position) for e in got] == [
+        (e.kind, e.tick, e.position) for e in want
+    ]
+    assert all(g.record is w.record for g, w in zip(got, want))
+
+
 # ---------------------------------------------------------------------------
 # Registration
 # ---------------------------------------------------------------------------
@@ -160,6 +220,24 @@ def test_register_requires_config_or_runner(qa_bundle):
     manager = StandingQueryManager()
     with pytest.raises(StreamingError, match="needs a QueryProcessorConfig"):
         manager.register("bare", Dataset.from_source(source))
+
+
+def test_runner_only_registration_needs_manager_substrate(qa_bundle):
+    source = MemorySource(qa_bundle.records()[:4], qa_bundle.schema)
+
+    def runner(query, tag):
+        return source.records(), 0.0, 0.0, None
+
+    with pytest.raises(StreamingError, match="clock, tracer and metrics"):
+        StandingQueryManager().register(
+            "bare", Dataset.from_source(source), runner=runner
+        )
+    llm = _config(qa_bundle).llm
+    manager = StandingQueryManager(
+        clock=llm.clock, tracer=llm.tracer, metrics=llm.metrics
+    )
+    query = manager.register("bare", Dataset.from_source(source), runner=runner)
+    assert [r.uid for r in query.records] == list(source.uids())
 
 
 def test_register_rejects_duplicate_names(qa_bundle):
@@ -223,6 +301,38 @@ def test_ticks_take_the_delta_reuse_path(qa_bundle):
     assert _normalized(query.records) == _normalized(
         _full_run(qa_bundle, records[:12])
     )
+
+
+def _count_record_keys(monkeypatch) -> list:
+    """Count ``_record_key`` renderings: the cost of the full matcher."""
+    calls = []
+    real = streaming._record_key
+
+    def counting(record):
+        calls.append(record.uid)
+        return real(record)
+
+    monkeypatch.setattr(streaming, "_record_key", counting)
+    return calls
+
+
+def test_append_tick_renders_no_record_update_tick_does(qa_bundle, monkeypatch):
+    records = qa_bundle.records()
+    manager, query, source = _standing(
+        qa_bundle, records[:10], store=MaterializationStore()
+    )
+    assert query.records  # a non-empty view the matcher would have to render
+    calls = _count_record_keys(monkeypatch)
+    source.append(records[10:14])
+    (tick,) = manager.pump()
+    assert tick.reuse_kind == "delta"
+    assert calls == []  # replayed view + tail: identity prefix only
+    assert tick.inserts and not tick.retracts
+    assert _normalized(query.folded()) == _normalized(query.records)
+    victim = query.records[0].parent_uids[0]
+    source.update(victim, {"priority": 9})
+    manager.pump()
+    assert calls  # recomputed view: new objects, the matcher runs
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +531,36 @@ def test_update_event_invalidates_and_converges(qa_bundle):
         _full_run_current(qa_bundle, source)
     )
     assert _normalized(query.folded()) == _normalized(query.records)
+
+
+def test_update_on_pass_through_plan_reaches_the_changelog(qa_bundle):
+    """A filter-only view aliases source records: an amended record must
+    show up as retract(old) + insert(new), never rewrite emitted entries."""
+    records = qa_bundle.records()
+    source = MemorySource(records[:10], qa_bundle.schema, source_id=qa_bundle.name)
+    manager = StandingQueryManager(store=MaterializationStore())
+    query = manager.register(
+        "live",
+        Dataset.from_source(source).sem_filter(instruction_for("qa.flag_urgent")),
+        _config(qa_bundle),
+    )
+    position, victim = 0, query.records[0]
+    old_priority = victim.fields["priority"]
+    source.update(victim.uid, {"priority": old_priority + 100})
+    (tick,) = manager.pump()
+    assert query.records[position].uid == victim.uid  # stayed in the view
+    assert [(e.kind, e.position, e.uid) for e in tick.changelog] == [
+        ("retract", position, victim.uid),
+        ("insert", position, victim.uid),
+    ]
+    retract, insert = tick.changelog
+    assert retract.record.fields["priority"] == old_priority
+    assert insert.record.fields["priority"] == old_priority + 100
+    # Tick 0's entry still shows what was emitted then.
+    assert query.changelog[position].record.fields["priority"] == old_priority
+    assert _normalized(fold_changelog([], query.changelog)) == _normalized(
+        query.records
+    )
 
 
 def _full_run_current(bundle, source):

@@ -418,6 +418,27 @@ def test_standing_query_refreshes_through_serving_layer(qa_bundle):
     )
 
 
+def test_served_append_tick_diffs_by_identity(qa_bundle, monkeypatch):
+    """An append tick through ``pump_standing`` replays the stored view as
+    the same objects, so the changelog costs no record rendering."""
+    from repro.sem import streaming
+
+    runtime = make_runtime(qa_bundle)
+    serving = runtime.serving(tenants=[TenantSpec("live")])
+    records, source, dataset = _live_feed(qa_bundle, 8)
+    query = serving.register_standing("live", "feed", dataset)
+    assert query.records
+    calls = []
+    monkeypatch.setattr(
+        streaming, "_record_key", lambda record: calls.append(record) or record.uid
+    )
+    source.append(records[8:12])
+    (tick,) = serving.pump_standing()
+    assert not tick.deferred
+    assert calls == []
+    assert query.folded() == query.records
+
+
 def test_standing_tick_deferred_by_tenant_quota(qa_bundle):
     runtime = make_runtime(qa_bundle)
     serving = runtime.serving(
