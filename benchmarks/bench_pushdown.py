@@ -1,4 +1,4 @@
-"""SQL pushdown vs row-at-a-time: records pruned before the first LLM call.
+"""SQL pushdown vs plan order: records pruned before the first LLM call.
 
 The optimizer's pushdown pass hoists structured predicates across
 commuting semantic filters, compiles the scan-adjacent structured prefix
@@ -8,10 +8,9 @@ structured engine is token-free, every record it prunes is an LLM call
 hybrid structured/semantic plans in one sentence.
 
 This bench runs a filter -> where -> map plan over the QA ticket corpus
-with pushdown off and on (in both row-at-a-time and columnar batch
-modes), asserts >= 3x fewer records reach the first LLM operator and a
->= 1.5x end-to-end cost *and* latency win with bit-identical records
-across all modes, and emits ``BENCH_pushdown.json``.
+with pushdown off and on, asserts >= 3x fewer records reach the first
+LLM operator and a >= 1.5x end-to-end cost *and* latency win with
+bit-identical records either way, and emits ``BENCH_pushdown.json``.
 
 Run standalone for a quick check::
 
@@ -46,16 +45,11 @@ MIN_COST_RATIO = 1.5
 MIN_SPEEDUP = 1.5
 JSON_NAME = "BENCH_pushdown.json"
 
-#: (variant name, pushdown enabled, columnar batches enabled).
-VARIANTS = (
-    ("off-row", False, False),
-    ("off-col", False, True),
-    ("on-row", True, False),
-    ("on-col", True, True),
-)
+#: (variant name, pushdown enabled).
+VARIANTS = (("off", False), ("on", True))
 
 
-def _run(bundle, seed: int, pushdown: bool, columnar: bool) -> dict:
+def _run(bundle, seed: int, pushdown: bool) -> dict:
     # Derived-record uids seed the simulated noise; reset the global
     # counter so every variant replays the identical uid sequence.
     reset_uid_counter()
@@ -66,7 +60,6 @@ def _run(bundle, seed: int, pushdown: bool, columnar: bool) -> dict:
         parallelism=PARALLELISM,
         seed=seed,
         pushdown=pushdown,
-        columnar=columnar,
     )
     # Written order puts the semantic filter first: without pushdown every
     # record is billed through it; with pushdown the hoisted WHERE prunes
@@ -96,10 +89,9 @@ def _sweep(seeds) -> dict:
     for seed in seeds:
         bundle = build_corpus(CorpusSpec(seed=seed, n_records=N_RECORDS))
         variants = {
-            name: _run(bundle, seed, pushdown, columnar)
-            for name, pushdown, columnar in VARIANTS
+            name: _run(bundle, seed, pushdown) for name, pushdown in VARIANTS
         }
-        off, on = variants["off-row"], variants["on-col"]
+        off, on = variants["off"], variants["on"]
         reference = off["records"]
         results[seed] = {
             "variants": variants,
@@ -127,8 +119,8 @@ def _render(results) -> str:
     ]
     rows = []
     for seed, entry in sorted(results.items()):
-        off = entry["variants"]["off-row"]
-        on = entry["variants"]["on-col"]
+        off = entry["variants"]["off"]
+        on = entry["variants"]["on"]
         rows.append(
             [
                 str(seed),
@@ -233,7 +225,7 @@ def main(argv: list[str]) -> int:
     worst = min(entry["prune_ratio"] for entry in results.values())
     print(
         f"\npushdown prunes >= {worst:.2f}x of the records before the first "
-        f"LLM operator with bit-identical results in every mode — contract holds"
+        f"LLM operator with bit-identical results either way — contract holds"
     )
     return 0
 

@@ -63,6 +63,10 @@ echo "== sharded-execution smoke sweep =="
 python benchmarks/bench_sharding.py --smoke
 
 echo
+echo "== hybrid-sharded perf smoke (shards=4 digests == shards=1 re-run: global order restored) =="
+python3 -m benchmarks.perf bench --workload hybrid_sharded --smoke
+
+echo
 echo "== standing-query smoke sweep =="
 python benchmarks/bench_streaming.py --smoke
 

@@ -92,7 +92,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         for index in range(args.n):
             case = fuzzer.case(index)
             violations = evaluate(run_case(case, mutation=mutation))
-            if any(v.oracle == mutation.expected_oracle for v in violations):
+            wanted = {mutation.expected_oracle, *mutation.also_killed_by}
+            if wanted <= {v.oracle for v in violations}:
                 caught = (case, violations)
                 break
         if caught is None:

@@ -5,8 +5,9 @@ matrix builder groups specs into *answer classes* — sets of configurations
 the runtime promises produce the same answer:
 
 - ``exec`` — same plan, same models, different execution mechanics
-  (pipeline on/off, batch size, parallelism, embedding batching, adaptive
-  wave control).  Contract: bit-identical records and dollar cost.
+  (pipeline on/off, batch size down to single-row batches, parallelism,
+  embedding batching, adaptive wave control).  Contract: bit-identical
+  records and dollar cost.
 - ``opt`` — the optimizer with the max-quality policy against the naive
   plan.  Filter reordering within commuting runs and champion-model
   selection must not change the answer; sampling spend means cost may
@@ -30,10 +31,10 @@ the runtime promises produce the same answer:
   tenants' records are bit-identical to the baseline's — the cross-query
   schedule and tenant-scoped caches must never change an answer.
 - ``pushdown`` — structured-prefix SQL compilation disabled.  The
-  baseline runs with pushdown (and columnar batches) on; the pushdown
-  spec turns both off.  Contract: bit-identical records, and the
-  pushed-down baseline never costs more than the row-at-a-time run —
-  pushdown prunes records before LLM operators, it never adds calls.
+  baseline runs with pushdown on; the pushdown spec turns it off.
+  Contract: bit-identical records, and the pushed-down baseline never
+  costs more than the plan-order run — pushdown prunes records before
+  LLM operators, it never adds calls.
 - ``sharded`` — the plan executed across N simulated workers via the
   scale-out exchange planner (``repro.sem.shard``), sweeping shard count
   and partitioner.  Contract: bit-identical records at every shard
@@ -91,8 +92,6 @@ class ConfigSpec:
     #: Compile structured filter/project/agg prefixes to SQL before LLM
     #: operators (pushdown class disables this to prove equivalence).
     pushdown: bool = True
-    #: Thread columnar RecordBatches through fused pipelined sections.
-    columnar: bool = True
     #: Spend cap as a fraction of the measured baseline cost (budget class).
     budget_fraction: float | None = None
     #: Fault schedule for the substrate (``FaultConfig.to_dict`` form).
@@ -127,7 +126,6 @@ class ConfigSpec:
             "serve": self.serve,
             "streaming": self.streaming,
             "pushdown": self.pushdown,
-            "columnar": self.columnar,
             "budget_fraction": self.budget_fraction,
             "fault": self.fault,
             "retry": self.retry,
@@ -185,7 +183,6 @@ class ConfigSpec:
             batch_size=self.batch_size,
             adaptive_parallelism=self.adaptive,
             pushdown=self.pushdown,
-            columnar=self.columnar,
             shards=self.shards,
             partitioner=self.partitioner,
             **kwargs,
@@ -208,27 +205,17 @@ def config_matrix(plan, case_seed: int = 0) -> list[ConfigSpec]:
     # exec class: execution mechanics must not change the answer.
     specs.append(replace(BASELINE, name="barrier", pipeline=False))
     specs.append(replace(BASELINE, name="small-batch", batch_size=4))
+    # Single-row batches put every batch kernel on its edge case.
+    specs.append(replace(BASELINE, name="row-batch", batch_size=1))
     specs.append(replace(BASELINE, name="serial", parallelism=1, batch_size=6))
     specs.append(replace(BASELINE, name="tight-embed", embed_batch_size=2))
     specs.append(replace(BASELINE, name="no-adaptive", adaptive=False))
 
-    # pushdown class: SQL compilation of structured prefixes (and the
-    # columnar fast path) must preserve the answer and never cost more.
+    # pushdown class: SQL compilation of structured prefixes must
+    # preserve the answer and never cost more.
     specs.append(
         replace(
-            BASELINE,
-            name="no-pushdown",
-            answer_class="pushdown",
-            pushdown=False,
-            columnar=False,
-        )
-    )
-    specs.append(
-        replace(
-            BASELINE,
-            name="row-mode",
-            answer_class="pushdown",
-            columnar=False,
+            BASELINE, name="no-pushdown", answer_class="pushdown", pushdown=False
         )
     )
 

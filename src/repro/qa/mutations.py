@@ -23,6 +23,8 @@ class Mutation:
     #: Which oracle family is expected to catch this defect.
     expected_oracle: str
     _apply: Callable
+    #: Oracle families that must *also* fire on the catching case.
+    also_killed_by: tuple[str, ...] = ()
 
     @contextlib.contextmanager
     def applied(self) -> Iterator[None]:
@@ -45,23 +47,26 @@ def _drop_budget_check() -> Iterator[None]:
 
 @contextlib.contextmanager
 def _scramble_cell_order() -> Iterator[None]:
-    """Reverse each pipelined cell's emitted records (an ordering bug)."""
+    """Reverse each cell's emitted records (an ordering bug).
+
+    Patches the one cell runner, so pipelined sections emit reversed
+    batches and shard workers file records under the wrong global
+    positions (the positions sidecar is left as emitted).
+    """
     from repro.sem.batch import RecordBatch
     from repro.sem.execution import Engine
 
-    original = Engine._run_cell
+    original = Engine.run_cell
 
-    def scrambled(self, operator, batch, state, account):
-        records, seconds = original(self, operator, batch, state, account)
-        if isinstance(records, RecordBatch):
-            return RecordBatch(list(reversed(records.records))), seconds
-        return list(reversed(records)), seconds
+    def scrambled(self, operator, batch, state, stats):
+        out, seconds, truncated = original(self, operator, batch, state, stats)
+        return RecordBatch(out.records[::-1], out.positions), seconds, truncated
 
-    Engine._run_cell = scrambled
+    Engine.run_cell = scrambled
     try:
         yield
     finally:
-        Engine._run_cell = original
+        Engine.run_cell = original
 
 
 MUTATIONS: dict[str, Mutation] = {
@@ -75,9 +80,12 @@ MUTATIONS: dict[str, Mutation] = {
         ),
         Mutation(
             name="scramble-cell-order",
-            description="pipelined cells emit records in reversed order",
+            description="cells emit records in reversed order",
             expected_oracle="exec-equivalence",
             _apply=_scramble_cell_order,
+            # Shard workers run the same cell runner, so the sharded class
+            # must see the defect too.
+            also_killed_by=("shard-equivalence",),
         ),
     )
 }

@@ -314,14 +314,14 @@ def check_serve_equivalence(run) -> list[Violation]:
 
 
 def check_pushdown_equivalence(run) -> list[Violation]:
-    """SQL pushdown and columnar batches change cost, never answers.
+    """SQL pushdown changes cost, never answers.
 
     The pushdown class re-runs the baseline spec with structured-prefix
-    SQL compilation and/or columnar batches disabled.  The baseline runs
-    with both on, so the contract is two-sided: records are bit-identical
-    either way, and the pushed-down baseline never costs more than the
-    row-at-a-time run — pruning records before the first LLM operator can
-    only ever *remove* billed calls.
+    SQL compilation disabled.  The baseline runs with it on, so the
+    contract is two-sided: records are bit-identical either way, and the
+    pushed-down baseline never costs more than the plan-order run —
+    pruning records before the first LLM operator can only ever *remove*
+    billed calls.
     """
     violations = []
     baseline = run.first("baseline")

@@ -1,19 +1,23 @@
-"""Columnar record batches for the streaming executor's hot path.
+"""Columnar record batches: the unit every streamable operator consumes.
 
 A :class:`RecordBatch` is a struct-of-arrays view over a list of
 :class:`~repro.data.records.DataRecord`: per-field value arrays plus
 validity (non-NULL presence) masks, built lazily and cached.  The original
 record objects ride along untouched, so any operator that only *selects*
-rows (filters, limits) emits the identical objects row mode would — the
-bit-identity contract costs nothing.
+rows (filters, limits) emits the identical input objects — the
+bit-identity contract costs nothing.  An optional ``positions`` sidecar
+names, per row, the caller-tracked input row it descends from; every batch
+transform carries it, which is how the sharded executor re-places shard
+outputs at their global positions.
 
 Vectorized predicate evaluation (:func:`struct_filter_mask`) mirrors the
 ``repro.sql`` executor's three-valued logic exactly.  Internally a boolean
 expression is a pair of masks ``(true, false)`` with NULL = neither;
 comparisons against numeric literals ride numpy float arrays when that is
 provably lossless, and every other leaf falls back to the executor's own
-scalar helpers looped once per batch — so row mode and columnar mode can
-only ever disagree by raising the same error from a different row.
+scalar helpers looped once per batch — so the vector path and the scalar
+definition can only ever disagree by raising the same error from a
+different row.
 """
 
 from __future__ import annotations
@@ -46,10 +50,14 @@ _EXACT_FLOAT_INT = 2**53
 class RecordBatch:
     """A struct-of-arrays view over a run of records."""
 
-    __slots__ = ("records", "_columns", "_validity")
+    __slots__ = ("records", "positions", "_columns", "_validity")
 
-    def __init__(self, records: list[DataRecord]) -> None:
+    def __init__(
+        self, records: list[DataRecord], positions: list[int] | None = None
+    ) -> None:
         self.records = records
+        #: Row provenance, aligned with ``records`` (None = untracked).
+        self.positions = positions
         self._columns: dict[str, np.ndarray] = {}
         self._validity: dict[str, np.ndarray] = {}
 
@@ -83,7 +91,27 @@ class RecordBatch:
     def take(self, mask: np.ndarray) -> "RecordBatch":
         """Rows where ``mask`` is True, as a new batch (records shared)."""
         kept = [record for record, keep in zip(self.records, mask) if keep]
-        return RecordBatch(kept)
+        positions = self.positions
+        if positions is not None:
+            positions = [at for at, keep in zip(positions, mask) if keep]
+        return RecordBatch(kept, positions)
+
+    def head(self, n: int) -> "RecordBatch":
+        """The first ``n`` rows, as a new batch (records shared)."""
+        positions = self.positions
+        return RecordBatch(
+            self.records[:n], None if positions is None else positions[:n]
+        )
+
+    def expand(self, emitted: list[list[DataRecord]]) -> "RecordBatch":
+        """Flatten per-row emit lists (``emitted[i]`` descends from row ``i``)."""
+        records = [record for row in emitted for record in row]
+        positions = self.positions
+        if positions is not None:
+            positions = [
+                at for at, row in zip(positions, emitted) for _ in row
+            ]
+        return RecordBatch(records, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +127,8 @@ class RecordBatch:
 # owned dict per output record, and the output batch's column/validity
 # caches pre-seeded array-at-a-time (shared with the input where the
 # operator provably does not touch the field).  The uid digest stays the
-# per-row ``derive`` formula, so outputs are bit-identical to row mode;
-# ``process_record`` remains the row-mode escape hatch.
+# per-row ``derive`` formula, so outputs are bit-identical to deriving each
+# record on its own.
 
 
 def _fast_child(
@@ -144,7 +172,7 @@ def project_batch(batch: RecordBatch, fields: "list[str] | tuple[str, ...]") -> 
         output.append(
             _fast_child(record, {name: values[name] for name in kept}, suffix)
         )
-    out = RecordBatch(output)
+    out = RecordBatch(output, batch.positions)
     for name in fields:
         out._columns[name] = batch.column(name)
         out._validity[name] = batch.validity(name)
@@ -182,7 +210,7 @@ def py_map_batch(batch: RecordBatch, fn: Callable[[DataRecord], dict]) -> Record
         fields.update(new_fields)
         suffix = stable_digest(record.uid, added, ())[:6]
         output.append(_fast_child(record, fields, suffix))
-    out = RecordBatch(output)
+    out = RecordBatch(output, batch.positions)
     touched = set()
     for new_fields in news:
         touched.update(new_fields)

@@ -88,14 +88,9 @@ class QueryProcessorConfig:
     #: Compile structured predicates/projections/pre-aggregations adjacent
     #: to the scan into ``repro.sql`` execution (a ``SqlScan`` leaf) so the
     #: SQL engine prunes records before any LLM operator runs.  Off =
-    #: structured operators run row-at-a-time in plan order; records are
-    #: bit-identical either way.
+    #: structured operators run in plan order; records are bit-identical
+    #: either way.
     pushdown: bool = True
-    #: Thread struct-of-arrays :class:`~repro.sem.batch.RecordBatch`es
-    #: through the pipelined executor's free operators (vectorized
-    #: predicate evaluation).  Off = the row-at-a-time escape hatch;
-    #: records and cost are bit-identical either way.
-    columnar: bool = True
     #: Learned per-operator priors: a shared
     #: :class:`~repro.obs.stats.StatisticsStore` that finished runs feed
     #: (observed selectivity/cost/latency per operator+model+dataset) and

@@ -287,7 +287,6 @@ class Dataset:
                 pipeline=config.pipeline,
                 batch_size=config.resolved_batch_size(),
                 capture=report.capture,
-                columnar=config.columnar and config.pipeline,
                 replanner=report.replanner,
                 stats_plan=report.stats_plan,
                 shard_plan=report.shard_plan,
@@ -296,7 +295,7 @@ class Dataset:
             result.optimization_cost_usd = report.sampling_cost_usd
             result.optimization_time_s = report.sampling_time_s
             result.plan_explain = "\n".join(report.final_order) or plan.explain()
-            stats_store = getattr(config, "stats_store", None)
+            stats_store = config.stats_store
             if (
                 stats_store is not None
                 and report.stats_plan

@@ -2,40 +2,46 @@
 
 The engine executes a list of bound physical operators leaves-first and
 measures, per operator: records in/out, LLM calls, dollars, and simulated
-seconds.
+seconds.  Three pieces exist exactly once:
 
-Two execution modes:
-
-- **Barrier** (``pipeline=False``): operators run one at a time with a full
-  materialization barrier between them, exactly the original semantics —
-  total time is the sum of per-operator makespans.
-- **Pipelined** (the default): maximal runs of streamable operators are
-  fused into sections; fixed-size record batches stream through the fused
-  stages, so batch *b* can occupy stage *s* while batch *b+1* is still in
-  stage *s-1*.  Each (batch, stage) cell is measured via
-  :meth:`SimulatedLLM.measure` and fed to a
-  :class:`~repro.utils.clock.PipelineSchedule`; the clock is advanced
+- **The driver loop** (:meth:`Engine.drive`) walks the plan a *step* at a
+  time and owns the spend-cap check, truncation, boundary capture,
+  re-planning and result assembly.  A step is one whole-input *operator*
+  (a barrier: the clock is charged as the operator spends), a *pipelined
+  section* (a maximal run of streamable operators, fused when
+  ``pipeline=True``), or — supplied by :mod:`repro.sem.shard` — an
+  *exchange segment* across simulated workers.
+- **The measured step** (:func:`measured_step`) attributes everything a
+  piece of work spent — dollars, calls, tokens, cache hits, retries,
+  degraded records, seconds, a budget cut — to an :class:`OperatorStats`.
+- **The cell runner** (:meth:`Engine.run_cell`) puts one record batch
+  through one streamable operator's ``process_batch`` inside a measured
+  step.  In a pipelined section fixed-size batches stream through the
+  fused stages, so batch *b* can occupy stage *s* while batch *b+1* is
+  still in stage *s-1*: each (batch, stage) cell's seconds are captured
+  via :meth:`SimulatedLLM.measure` and fed to a
+  :class:`~repro.utils.clock.PipelineSchedule`, and the clock is advanced
   online by the growth of the section's critical-path makespan, so the
   charged time is the pipeline's makespan, not the stage sum.  A sated
-  downstream limit stops upstream batches (early-exit pushdown), the spend
-  cap truncates mid-batch, and an :class:`AdaptiveParallelism` controller
-  narrows waves on rate-limit faults — resubmitting the throttled records
-  once at the reduced width — and widens again on success.
+  downstream limit stops upstream batches (early-exit pushdown) and the
+  spend cap truncates mid-batch.
 
 Answers from the simulated LLM are a pure function of the input, never of
-call order, so both modes produce bit-identical records and dollar cost on
-a fault-free run; only the time accounting differs.
+call order, so barrier, pipelined and sharded runs produce bit-identical
+records and dollar cost on a fault-free run; only the time accounting
+differs.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.data.records import DataRecord
 from repro.errors import BudgetExceededError
-from repro.llm.usage import UsageTracker
 from repro.sem.batch import RecordBatch
-from repro.sem.physical import ExecutionContext, PhysicalOperator
+from repro.sem.physical import ExecutionContext, PhysicalOperator, StreamingOperator
 from repro.utils.clock import PipelineSchedule
 from repro.utils.formatting import format_table
 
@@ -52,12 +58,12 @@ class OperatorStats:
 
     label: str
     model: str | None
-    records_in: int
-    records_out: int
-    cost_usd: float
-    time_s: float
-    llm_calls: int
-    cached_calls: int
+    records_in: int = 0
+    records_out: int = 0
+    cost_usd: float = 0.0
+    time_s: float = 0.0
+    llm_calls: int = 0
+    cached_calls: int = 0
     #: Attempts that faulted and were retried (or gave up) in this operator.
     retried_calls: int = 0
     #: Records degraded (skipped/flagged) after exhausting the retry policy.
@@ -74,6 +80,17 @@ class OperatorStats:
     records_scanned: int = 0
     #: Simulated workers this operator ran across (1 = coordinator-only).
     shards: int = 1
+
+    @classmethod
+    def start(cls, operator: PhysicalOperator, shards: int = 1) -> "OperatorStats":
+        """Zeroed stats for ``operator``, ready to accumulate measured steps."""
+        return cls(
+            label=operator.label(),
+            model=operator.model,
+            reused=operator.reused,
+            sql_pushdown=operator.pushed_down,
+            shards=shards,
+        )
 
     @property
     def selectivity(self) -> float:
@@ -249,40 +266,57 @@ def _stats_attrs(stats: OperatorStats) -> dict:
     return attrs
 
 
-class _StageAccount:
-    """Running per-stage totals for one pipelined section."""
+@dataclass
+class StepOutcome:
+    """What one :func:`measured_step` observed (filled when the block exits)."""
 
-    def __init__(self, operator: PhysicalOperator) -> None:
-        self.operator = operator
-        self.records_in = 0
-        self.records_out = 0
-        self.cost_usd = 0.0
-        self.time_s = 0.0
-        self.llm_calls = 0
-        self.cached_calls = 0
-        self.retried_calls = 0
-        self.failed_records = 0
-        self.input_tokens = 0
-        self.output_tokens = 0
+    seconds: float = 0.0
+    #: The body was cut short by the spend cap (its spend is still counted).
+    truncated: bool = False
 
-    def to_stats(self) -> OperatorStats:
-        return OperatorStats(
-            label=self.operator.label(),
-            model=self.operator.model,
-            reused=getattr(self.operator, "reused", False),
-            sql_pushdown=getattr(self.operator, "pushed_down", False),
-            records_scanned=getattr(self.operator, "scanned", 0),
-            records_in=self.records_in,
-            records_out=self.records_out,
-            cost_usd=self.cost_usd,
-            time_s=self.time_s,
-            llm_calls=self.llm_calls,
-            cached_calls=self.cached_calls,
-            retried_calls=self.retried_calls,
-            failed_records=self.failed_records,
-            input_tokens=self.input_tokens,
-            output_tokens=self.output_tokens,
-        )
+
+@contextlib.contextmanager
+def measured_step(
+    ctx: ExecutionContext, stats: OperatorStats, cell: bool = True
+) -> Iterator[StepOutcome]:
+    """Run the block as one measured unit of work, accumulated into ``stats``.
+
+    The single place usage is attributed to an operator: dollars, calls,
+    tokens, cache hits, faulted attempts and degraded records since the
+    block began are added to ``stats``, along with its seconds.  With
+    ``cell=True`` the seconds are *captured* (:meth:`SimulatedLLM.measure`)
+    for the caller to place on a schedule — pipelined and shard cells;
+    with ``cell=False`` the block spends time on the clock as it goes and
+    the elapsed delta is read back — barrier operators and coordinator-side
+    work.  A :class:`BudgetExceededError` from the block is absorbed: what
+    it burned before the cut is accounted, and the outcome says
+    ``truncated`` so the caller can still schedule the partial seconds.
+    """
+    llm = ctx.llm
+    tracker = llm.tracker
+    checkpoint = tracker.checkpoint()
+    failures_before = len(ctx.failures)
+    time_before = llm.clock.elapsed
+    outcome = StepOutcome()
+    with (llm.measure() if cell else contextlib.nullcontext()) as measured:
+        try:
+            yield outcome
+        except BudgetExceededError:
+            outcome.truncated = True
+    usage = tracker.since(checkpoint)
+    stats.cost_usd += usage.cost_usd
+    stats.llm_calls += usage.calls
+    stats.input_tokens += usage.input_tokens
+    stats.output_tokens += usage.output_tokens
+    stats.cached_calls += sum(
+        1 for event in tracker.events[checkpoint:] if event.cached
+    )
+    stats.retried_calls += tracker.failed_calls(checkpoint)
+    stats.failed_records += len(ctx.failures) - failures_before
+    outcome.seconds = (
+        measured.seconds if cell else llm.clock.elapsed - time_before
+    )
+    stats.time_s += outcome.seconds
 
 
 class Engine:
@@ -295,7 +329,6 @@ class Engine:
         pipeline: bool = True,
         batch_size: int | None = None,
         capture=None,
-        columnar: bool = False,
         replanner=None,
         stats_plan=None,
         shard_plan=None,
@@ -309,160 +342,100 @@ class Engine:
         #: Optional :class:`repro.sem.materialize.CapturePlan`: operator
         #: boundaries to materialize into the store after they complete.
         self.capture = capture
-        #: Columnar hot path: vectorized (token-free) stages consume whole
-        #: :class:`~repro.sem.batch.RecordBatch`es instead of looping the
-        #: per-record protocol, and adjacent vectorized stages hand the
-        #: batch along without re-wrapping.  Off = row-at-a-time escape
-        #: hatch; records and dollars are bit-identical either way.
-        self.columnar = columnar
         #: Optional :class:`repro.sem.optimizer.replan.Replanner` consulted
-        #: at every operator/section boundary with the observed cardinality;
-        #: when it accepts, the remaining operators are swapped in place.
+        #: at every step boundary with the observed cardinality; when it
+        #: accepts, the remaining operators are swapped in place.
         self.replanner = replanner
         #: Position-aligned statistics-key metadata from the optimizer
         #: (None entries = unkeyable); attached to operator spans so traces
         #: can be re-ingested into a StatisticsStore offline.
         self.stats_plan = stats_plan
-        #: Optional :class:`repro.sem.shard.ShardPlan`: when set, execution
-        #: is handed to the scale-out :class:`repro.sem.shard.ShardedExecutor`
-        #: (``shards=1`` never builds a plan, so this path stays untouched).
+        #: Optional :class:`repro.sem.shard.ShardPlan`: when set, the
+        #: scale-out :class:`repro.sem.shard.ShardedExecutor` supplies the
+        #: steps (``shards=1`` never builds a plan).
         self.shard_plan = shard_plan
+        #: Tracker state when the current run began (see :meth:`drive`).
+        self.run_start_cost = 0.0
+        self.run_start_time = 0.0
+        self.run_checkpoint = 0
 
     def execute(self, operators: list[PhysicalOperator]) -> ExecutionResult:
         if self.shard_plan is not None:
             from repro.sem.shard import ShardedExecutor
 
             return ShardedExecutor(self, self.shard_plan).execute(operators)
+        return self.drive(operators, self._step_at)
+
+    def drive(
+        self,
+        operators: list[PhysicalOperator],
+        step_at,
+        index: int = 0,
+        records: list[DataRecord] | None = None,
+        stats: list[OperatorStats] | None = None,
+    ) -> ExecutionResult:
+        """The one driver loop: run ``operators[index:]`` a step at a time.
+
+        ``step_at(operators, index)`` names the step starting at ``index``
+        as ``(end, run)``; ``run(operators, index, end, records)`` executes
+        ``operators[index:end]`` and returns ``(records, stats, truncated)``
+        — on a budget cut, the records worth keeping (the step's input, or
+        whatever a pipelined section salvaged).  ``records``/``stats`` seed
+        the loop when a prefix was replayed instead of run.
+        """
         llm = self.ctx.llm
-        tracer = llm.tracer
-        metrics = llm.metrics
-        records: list[DataRecord] = []
-        stats: list[OperatorStats] = []
-        run_start_cost = llm.tracker.spent_usd
-        run_start_time = llm.clock.elapsed
-        run_checkpoint = llm.tracker.checkpoint()
+        records = records if records is not None else []
+        stats = stats if stats is not None else []
+        self.run_start_cost = llm.tracker.spent_usd
+        self.run_start_time = llm.clock.elapsed
+        self.run_checkpoint = llm.tracker.checkpoint()
         # Thread the spend cap into the context so operators can truncate
         # mid-batch instead of overshooting to the next operator boundary.
-        self.ctx.cost_baseline_usd = run_start_cost
+        self.ctx.cost_baseline_usd = self.run_start_cost
         if self.max_cost_usd is not None and self.ctx.max_cost_usd is None:
             self.ctx.max_cost_usd = self.max_cost_usd
         truncated = False
 
-        index = 0
         while index < len(operators):
-            spent = llm.tracker.spent_usd - run_start_cost
+            spent = llm.tracker.spent_usd - self.run_start_cost
             if self.max_cost_usd is not None and spent >= self.max_cost_usd:
                 truncated = True
                 break
-
-            section = self._section_at(operators, index)
-            if len(section) >= 2:
-                label = " | ".join(op.label() for op in section)
-                with tracer.span(
-                    f"pipeline[{label}]", kind="pipeline-section",
-                    stages=len(section),
-                ) as section_span:
-                    records, section_stats, truncated = self._execute_section(
-                        section, records, section_span
-                    )
-                stats.extend(section_stats)
-                if tracer.enabled and self.stats_plan:
-                    stage_stats = []
-                    for offset, stage in enumerate(section_stats):
-                        entry = self._stats_entry(index + offset)
-                        if entry is not None:
-                            stage_stats.append(
-                                {
-                                    "stats": dict(entry),
-                                    "time_s": stage.time_s,
-                                    **_stats_attrs(stage),
-                                }
-                            )
-                    if stage_stats:
-                        section_span.attributes["stage_stats"] = stage_stats
-                if metrics.enabled:
-                    metrics.histogram("engine.section_makespan_s").observe(
-                        section_span.duration_s
-                    )
-                if truncated:
-                    break
-                self._maybe_capture(
-                    index + len(section) - 1, records, llm,
-                    run_start_cost, run_start_time, run_checkpoint,
-                )
-                replanned = self._maybe_replan(
-                    operators, index + len(section), len(records)
-                )
-                if replanned is not None:
-                    operators = replanned
-                index += len(section)
-                continue
-
-            operator = operators[index]
-            checkpoint = llm.tracker.checkpoint()
-            time_before = llm.clock.elapsed
-            failures_before = len(self.ctx.failures)
-            n_in = len(records)
-            with tracer.span(operator.label(), kind="operator") as op_span:
-                try:
-                    records = operator.execute(records, self.ctx)
-                    n_out = len(records)
-                except BudgetExceededError:
-                    # Mid-operator truncation: the partial output is discarded
-                    # (records keeps the last finished operator's output), but
-                    # the spend and calls the operator burned are accounted.
-                    truncated = True
-                    n_out = 0
-            usage = llm.tracker.since(checkpoint)
-            cached = sum(
-                1 for event in llm.tracker.events[checkpoint:] if event.cached
-            )
-            op_stats = OperatorStats(
-                label=operator.label(),
-                model=operator.model,
-                reused=getattr(operator, "reused", False),
-                sql_pushdown=getattr(operator, "pushed_down", False),
-                records_scanned=getattr(operator, "scanned", 0),
-                records_in=n_in,
-                records_out=n_out,
-                cost_usd=usage.cost_usd,
-                time_s=llm.clock.elapsed - time_before,
-                llm_calls=usage.calls,
-                cached_calls=cached,
-                retried_calls=llm.tracker.failed_calls(checkpoint),
-                failed_records=len(self.ctx.failures) - failures_before,
-                input_tokens=usage.input_tokens,
-                output_tokens=usage.output_tokens,
-            )
-            stats.append(op_stats)
-            if tracer.enabled:
-                op_span.attributes.update(_stats_attrs(op_stats))
-                entry = self._stats_entry(index)
-                if entry is not None:
-                    op_span.attributes["stats"] = dict(entry)
-            if metrics.enabled:
-                metrics.histogram("engine.operator_s").observe(op_stats.time_s)
+            end, run = step_at(operators, index)
+            records, step_stats, truncated = run(operators, index, end, records)
+            stats.extend(step_stats)
             if truncated:
                 break
-            self._maybe_capture(
-                index, records, llm, run_start_cost, run_start_time, run_checkpoint
-            )
-            replanned = self._maybe_replan(operators, index + 1, len(records))
-            if replanned is not None:
-                operators = replanned
-            index += 1
+            self._maybe_capture(end - 1, records)
+            operators = self._maybe_replan(operators, end, len(records))
+            index = end
 
-        if metrics.enabled and truncated:
-            metrics.counter("engine.truncations").inc()
+        if llm.metrics.enabled and truncated:
+            llm.metrics.counter("engine.truncations").inc()
         return ExecutionResult(
             records=records,
             operator_stats=stats,
-            total_cost_usd=llm.tracker.spent_usd - run_start_cost,
-            total_time_s=llm.clock.elapsed - run_start_time,
+            total_cost_usd=llm.tracker.spent_usd - self.run_start_cost,
+            total_time_s=llm.clock.elapsed - self.run_start_time,
             truncated=truncated,
             retried_calls=sum(s.retried_calls for s in stats),
             failed_records=sum(s.failed_records for s in stats),
         )
+
+    def _step_at(self, operators: list[PhysicalOperator], index: int):
+        """Unsharded steps: a fused pipelined section, else one operator.
+
+        A section is a maximal run of streamable operators; a run of one
+        gains nothing from pipelining and runs as an operator step
+        (identical wave structure either way).
+        """
+        end = index
+        if self.pipeline:
+            while end < len(operators) and operators[end].streamable:
+                end += 1
+        if end - index >= 2:
+            return end, self._section_step
+        return index + 1, self.operator_step
 
     def _stats_entry(self, position: int):
         plan = self.stats_plan
@@ -475,7 +448,7 @@ class Engine:
         operators: list[PhysicalOperator],
         boundary: int,
         observed_rows: int,
-    ) -> list[PhysicalOperator] | None:
+    ) -> list[PhysicalOperator]:
         """Consult the re-planner at ``boundary``; splice its new suffix in.
 
         The re-planner owns the decision (divergence threshold, learned
@@ -485,21 +458,13 @@ class Engine:
         consistent with what actually ran.
         """
         if self.replanner is None or boundary >= len(operators):
-            return None
+            return operators
         new_suffix = self.replanner.consider(boundary, observed_rows, operators)
         if new_suffix is None:
-            return None
+            return operators
         return operators[:boundary] + new_suffix
 
-    def _maybe_capture(
-        self,
-        position: int,
-        records: list[DataRecord],
-        llm,
-        run_start_cost: float,
-        run_start_time: float,
-        run_checkpoint: int,
-    ) -> None:
+    def _maybe_capture(self, position: int, records: list[DataRecord]) -> None:
         """Materialize the boundary after operator ``position`` if eligible.
 
         Capture is skipped on tainted runs: degraded records (``skip``) or
@@ -515,42 +480,104 @@ class Engine:
         fingerprint = plan.fingerprints[position]
         if fingerprint is None:
             return
-        if self.ctx.failures or llm.tracker.failed_calls(run_checkpoint):
+        llm = self.ctx.llm
+        if self.ctx.failures or llm.tracker.failed_calls(self.run_checkpoint):
             return
         plan.store.put(
             fingerprint,
             records,
             source_uids=plan.source_uids,
             source_id=plan.source_id,
-            cost_usd=plan.carried_cost_usd + (llm.tracker.spent_usd - run_start_cost),
-            time_s=plan.carried_time_s + (llm.clock.elapsed - run_start_time),
+            cost_usd=plan.carried_cost_usd
+            + (llm.tracker.spent_usd - self.run_start_cost),
+            time_s=plan.carried_time_s + (llm.clock.elapsed - self.run_start_time),
             content_version=plan.content_version,
         )
 
-    def _section_at(
-        self, operators: list[PhysicalOperator], index: int
-    ) -> list[PhysicalOperator]:
-        """Maximal run of streamable operators starting at ``index``.
+    # ------------------------------------------------------------------
+    # Operator steps
+    # ------------------------------------------------------------------
 
-        Sections of one operator gain nothing from pipelining and fall back
-        to the barrier path (identical wave structure either way).
+    def operator_step(
+        self,
+        operators: list[PhysicalOperator],
+        index: int,
+        end: int,
+        records: list[DataRecord],
+    ) -> tuple[list[DataRecord], list[OperatorStats], bool]:
+        """One operator over its whole input, charging the clock as it goes.
+
+        On a mid-operator budget cut the partial output is discarded (the
+        input — the last finished operator's output — is what the run
+        keeps), but the spend and calls the operator burned are accounted.
         """
-        if not self.pipeline:
-            return operators[index : index + 1]
-        end = index
-        while end < len(operators) and operators[end].streamable:
-            end += 1
-        return operators[index : max(end, index + 1)]
+        operator = operators[index]
+        tracer = self.ctx.llm.tracer
+        metrics = self.ctx.llm.metrics
+        op_stats = OperatorStats.start(operator)
+        op_stats.records_in = len(records)
+        output = records
+        with tracer.span(operator.label(), kind="operator") as op_span:
+            with measured_step(self.ctx, op_stats, cell=False) as step:
+                output = operator.execute(records, self.ctx)
+                op_stats.records_out = len(output)
+        op_stats.records_scanned = operator.scanned
+        if tracer.enabled:
+            op_span.attributes.update(_stats_attrs(op_stats))
+            entry = self._stats_entry(index)
+            if entry is not None:
+                op_span.attributes["stats"] = dict(entry)
+        if metrics.enabled:
+            metrics.histogram("engine.operator_s").observe(op_stats.time_s)
+        return output, [op_stats], step.truncated
 
     # ------------------------------------------------------------------
     # Pipelined sections
     # ------------------------------------------------------------------
 
-    def _execute_section(
+    def _section_step(
         self,
-        section: list[PhysicalOperator],
+        operators: list[PhysicalOperator],
+        index: int,
+        end: int,
+        records: list[DataRecord],
+    ) -> tuple[list[DataRecord], list[OperatorStats], bool]:
+        """``operators[index:end]`` fused into one pipelined section."""
+        section = operators[index:end]
+        tracer = self.ctx.llm.tracer
+        metrics = self.ctx.llm.metrics
+        label = " | ".join(op.label() for op in section)
+        with tracer.span(
+            f"pipeline[{label}]", kind="pipeline-section", stages=len(section)
+        ) as section_span:
+            outputs, section_stats, truncated = self._run_section(
+                section, records, section_span
+            )
+        if tracer.enabled and self.stats_plan:
+            stage_stats = []
+            for offset, stage in enumerate(section_stats):
+                entry = self._stats_entry(index + offset)
+                if entry is not None:
+                    stage_stats.append(
+                        {
+                            "stats": dict(entry),
+                            "time_s": stage.time_s,
+                            **_stats_attrs(stage),
+                        }
+                    )
+            if stage_stats:
+                section_span.attributes["stage_stats"] = stage_stats
+        if metrics.enabled:
+            metrics.histogram("engine.section_makespan_s").observe(
+                section_span.duration_s
+            )
+        return outputs, section_stats, truncated
+
+    def _run_section(
+        self,
+        section: list[StreamingOperator],
         input_records: list[DataRecord],
-        section_span=None,
+        section_span,
     ) -> tuple[list[DataRecord], list[OperatorStats], bool]:
         """Stream ``input_records`` through fused stages in record batches.
 
@@ -563,68 +590,42 @@ class Engine:
         """
         ctx = self.ctx
         tracer = ctx.llm.tracer
-        metrics = ctx.llm.metrics
         origin = ctx.llm.clock.elapsed
         states = [operator.new_state(ctx) for operator in section]
-        accounts = [_StageAccount(operator) for operator in section]
+        stats = [OperatorStats.start(operator) for operator in section]
         schedule = PipelineSchedule()
         charged = 0.0
         outputs: list[DataRecord] = []
         truncated = False
         batch_no = 0
 
-        def charge_progress() -> float:
-            nonlocal charged
-            if schedule.makespan > charged:
-                ctx.llm.clock.advance(schedule.makespan - charged)
-                charged = schedule.makespan
-            return charged
-
-        def emit_cell(stage: int, n_records: int) -> None:
-            start, end = schedule.last_cell
-            tracer.add_span(
-                f"{section[stage].label()} b{batch_no}", "cell",
-                origin + start, origin + end,
-                track=f"stage {stage}", parent=section_span,
-                batch=batch_no, stage=stage, records=n_records,
-            )
-
-        def run_stages(batch: list[DataRecord], first_stage: int) -> list[DataRecord]:
-            """One batch through stages ``first_stage``.. — returns survivors.
-
-            In columnar mode ``current`` may be a
-            :class:`~repro.sem.batch.RecordBatch` between vectorized
-            stages; it is unwrapped back to records at the section exit.
-            """
-            nonlocal truncated, batch_no
+        def run_stages(batch: RecordBatch, first_stage: int) -> list[DataRecord]:
+            """One batch through stages ``first_stage``.. — returns survivors."""
+            nonlocal truncated, batch_no, charged
             batch_no += 1
             schedule.start_batch()
-            current = batch
             for stage in range(first_stage, len(section)):
-                if not len(current):
+                if not len(batch):
                     break
-                n_records = len(current)
-                try:
-                    current, seconds = self._run_cell(
-                        section[stage], current, states[stage], accounts[stage]
-                    )
-                except BudgetExceededError as exc:
-                    truncated = True
-                    seconds = exc.cell_seconds if hasattr(exc, "cell_seconds") else 0.0
-                    schedule.record(stage, seconds)
-                    if tracer.enabled:
-                        emit_cell(stage, n_records)
-                    charge_progress()
-                    return []
+                n_records = len(batch)
+                batch, seconds, truncated = self.run_cell(
+                    section[stage], batch, states[stage], stats[stage]
+                )
                 schedule.record(stage, seconds)
                 if tracer.enabled:
-                    emit_cell(stage, n_records)
-                if metrics.enabled:
-                    metrics.histogram("engine.cell_s").observe(seconds)
-                charge_progress()
-            if isinstance(current, RecordBatch):
-                return current.records
-            return current
+                    start, end = schedule.last_cell
+                    tracer.add_span(
+                        f"{section[stage].label()} b{batch_no}", "cell",
+                        origin + start, origin + end,
+                        track=f"stage {stage}", parent=section_span,
+                        batch=batch_no, stage=stage, records=n_records,
+                    )
+                if schedule.makespan > charged:
+                    ctx.llm.clock.advance(schedule.makespan - charged)
+                    charged = schedule.makespan
+                if truncated:
+                    return []
+            return batch.records
 
         for start in range(0, len(input_records), self.batch_size):
             if truncated:
@@ -633,8 +634,8 @@ class Engine:
             # further input batch can change the output — stop scanning.
             if any(op.sated(state) for op, state in zip(section, states)):
                 break
-            survivors = run_stages(input_records[start : start + self.batch_size], 0)
-            outputs.extend(survivors)
+            batch = RecordBatch(input_records[start : start + self.batch_size])
+            outputs.extend(run_stages(batch, 0))
 
         # Flush held-back records (e.g. top-k winners) downstream, in stage
         # order so later holdbacks see everything emitted before them.
@@ -643,126 +644,41 @@ class Engine:
                 held = operator.finalize(ctx, states[stage])
                 if not held:
                     continue
-                accounts[stage].records_out += len(held)
-                survivors = run_stages(held, stage + 1)
-                outputs.extend(survivors)
+                stats[stage].records_out += len(held)
+                outputs.extend(run_stages(RecordBatch(held), stage + 1))
                 if truncated:
                     break
 
-        section_stats = [account.to_stats() for account in accounts]
-        if tracer.enabled and section_span is not None:
+        if tracer.enabled:
             section_span.attributes.update(
                 batches=batch_no,
                 makespan_s=schedule.makespan,
                 records_in=len(input_records),
                 records_out=len(outputs),
-                cost_usd=round(sum(s.cost_usd for s in section_stats), 6),
+                cost_usd=round(sum(s.cost_usd for s in stats), 6),
             )
-        return outputs, section_stats, truncated
+        return outputs, stats, truncated
 
-    def _run_cell(
+    def run_cell(
         self,
-        operator: PhysicalOperator,
-        batch: list[DataRecord],
+        operator: StreamingOperator,
+        batch: RecordBatch,
         state: dict,
-        account: _StageAccount,
-    ) -> tuple[list[DataRecord], float]:
-        """One batch through one stage: measured, width-adaptive, guarded.
+        stats: OperatorStats,
+    ) -> tuple[RecordBatch, float, bool]:
+        """One batch through one stage, measured: the only cell runner.
 
-        Returns (emitted records, cell seconds).  When the wave drew
-        rate-limit faults and the adaptive controller narrowed the width,
-        records whose calls exhausted their retries are resubmitted once at
-        the reduced width (their failure flags are withdrawn; a second
-        exhaustion re-flags them).  On a budget cut the measured seconds
-        ride along on the raised error so the caller can still charge them.
+        Returns (emitted batch, cell seconds, truncated); pipelined
+        sections and shard workers both schedule cells from here.  On a
+        budget cut the emitted batch is empty and the seconds are what the
+        cell burned before the cut.
         """
-        ctx = self.ctx
-        tracker: UsageTracker = ctx.llm.tracker
-        checkpoint = tracker.checkpoint()
-        failures_before = len(ctx.failures)
-        account.records_in += len(batch)
-        columnar = self.columnar and operator.vectorized
-        rows = batch.records if isinstance(batch, RecordBatch) else batch
-        emitted: dict[int, list[DataRecord]] = {}
-        batch_result: RecordBatch | None = None
-        budget_error: BudgetExceededError | None = None
-
-        with ctx.llm.measure() as measured:
-            try:
-                if columnar:
-                    # Vectorized (token-free) stage: one whole-batch step,
-                    # no wave machinery.  The RecordBatch flows on to the
-                    # next stage without re-wrapping.
-                    columns = (
-                        batch if isinstance(batch, RecordBatch) else RecordBatch(rows)
-                    )
-                    operator.prepare_batch(columns.records, ctx, state)
-                    batch_result = operator.process_batch(columns, ctx, state)
-                else:
-                    operator.prepare_batch(rows, ctx, state)
-                    pending = list(enumerate(rows))
-                    for attempt in range(2):
-                        width = ctx.wave_width()
-                        if ctx.llm.metrics.enabled:
-                            ctx.llm.metrics.histogram("engine.wave_width").observe(width)
-                        wave_checkpoint = tracker.checkpoint()
-                        wave_failures = len(ctx.failures)
-                        with ctx.llm.parallel(width):
-                            for position, record in pending:
-                                emitted[position] = operator.process_record(
-                                    record, ctx, state
-                                )
-                        rate_limited = any(
-                            event.failed and event.error == "rate_limit"
-                            for event in tracker.events[wave_checkpoint:]
-                        )
-                        if ctx.adaptive is not None:
-                            ctx.adaptive.observe(rate_limited)
-                        throttled_uids = {
-                            uid
-                            for uid, error in ctx.failures[wave_failures:]
-                            if error == "RateLimitError"
-                        }
-                        if (
-                            attempt > 0
-                            or not throttled_uids
-                            or ctx.adaptive is None
-                            or ctx.adaptive.width >= width
-                        ):
-                            break
-                        # Withdraw the throttled records' failure flags and
-                        # give them one more pass at the narrowed width.
-                        ctx.failures[wave_failures:] = [
-                            entry
-                            for entry in ctx.failures[wave_failures:]
-                            if entry[0] not in throttled_uids
-                        ]
-                        pending = [
-                            (position, record)
-                            for position, record in pending
-                            if record.uid in throttled_uids
-                        ]
-            except BudgetExceededError as exc:
-                budget_error = exc
-
-        usage = tracker.since(checkpoint)
-        account.cost_usd += usage.cost_usd
-        account.llm_calls += usage.calls
-        account.input_tokens += usage.input_tokens
-        account.output_tokens += usage.output_tokens
-        account.cached_calls += sum(
-            1 for event in tracker.events[checkpoint:] if event.cached
-        )
-        account.retried_calls += tracker.failed_calls(checkpoint)
-        account.failed_records += len(ctx.failures) - failures_before
-        account.time_s += measured.seconds
-
-        if budget_error is not None:
-            budget_error.cell_seconds = measured.seconds
-            raise budget_error
-        if batch_result is not None:
-            account.records_out += len(batch_result)
-            return batch_result, measured.seconds
-        results = [record for position in sorted(emitted) for record in emitted[position]]
-        account.records_out += len(results)
-        return results, measured.seconds
+        metrics = self.ctx.llm.metrics
+        stats.records_in += len(batch)
+        output = RecordBatch([])
+        with measured_step(self.ctx, stats) as step:
+            output = operator.process_batch(batch, self.ctx, state)
+            stats.records_out += len(output)
+        if metrics.enabled and not step.truncated:
+            metrics.histogram("engine.cell_s").observe(step.seconds)
+        return output, step.seconds, step.truncated

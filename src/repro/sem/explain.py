@@ -9,7 +9,10 @@ and cost, so optimizer misestimates are visible at a glance.
 from __future__ import annotations
 
 from repro.sem.execution import ExecutionResult, pushdown_footer
-from repro.sem.optimizer.optimizer import OptimizationReport
+from repro.sem.optimizer.optimizer import (
+    REPLAN_DISABLED_SHARDED,
+    OptimizationReport,
+)
 from repro.utils.formatting import format_table
 
 
@@ -128,6 +131,8 @@ def explain_analyze(result: ExecutionResult, report: OptimizationReport) -> str:
             f"(est ${decision['est_cost_before_usd']:.4f} -> "
             f"${decision['est_cost_after_usd']:.4f} for the suffix)"
         )
+    if REPLAN_DISABLED_SHARDED in report.note:
+        footer += f"\nNOTE: {REPLAN_DISABLED_SHARDED}"
     if result.truncated:
         footer += "\nNOTE: execution truncated by the spend cap"
     return table + footer

@@ -103,6 +103,11 @@ class OptimizationReport:
     shard_plan: object | None = field(default=None, repr=False)
 
 
+#: ``OptimizationReport.note`` / EXPLAIN footer when ``replan=True`` meets
+#: ``shards > 1`` (the knob is honoured by saying it cannot apply).
+REPLAN_DISABLED_SHARDED = "replan disabled: sharded plans have no replan boundary"
+
+
 class Optimizer:
     """Optimizes and binds a logical plan under a configuration."""
 
@@ -111,7 +116,7 @@ class Optimizer:
 
     def optimize(self, plan: L.LogicalPlan) -> tuple[list[P.PhysicalOperator], OptimizationReport]:
         bound, report = self._optimize(plan)
-        shards = getattr(self.config, "shards", 1)
+        shards = self.config.shards
         if shards > 1:
             # The sharding pass runs last, over the bound operators, so the
             # exchange segments line up with whatever rewrites and model
@@ -119,9 +124,7 @@ class Optimizer:
             # report.shard_plan stays None and the engine path is untouched.
             from repro.sem.shard import plan_shards
 
-            report.shard_plan = plan_shards(
-                bound, shards, getattr(self.config, "partitioner", "hash")
-            )
+            report.shard_plan = plan_shards(bound, shards, self.config.partitioner)
         return bound, report
 
     def _optimize(self, plan: L.LogicalPlan) -> tuple[list[P.PhysicalOperator], OptimizationReport]:
@@ -149,7 +152,7 @@ class Optimizer:
         Runs independently of cost-based optimization: pushdown is a
         semantics-preserving rewrite gated only by ``config.pushdown``.
         """
-        if not getattr(self.config, "pushdown", True):
+        if not self.config.pushdown:
             return chain
         chain, sql_scan = push_structured_prefix(chain)
         if sql_scan is not None:
@@ -254,7 +257,7 @@ class Optimizer:
         new_chain = prune_noop_projects(new_chain)
         new_chain = merge_adjacent_limits(new_chain)
         sql_scan = None
-        if getattr(config, "pushdown", True):
+        if config.pushdown:
             new_chain, sql_scan = push_structured_prefix(new_chain)
 
         chosen_profiles: dict[int, OperatorProfile] = {}
@@ -324,12 +327,12 @@ class Optimizer:
         this reproduces the historical plan estimate exactly.
         """
         config = self.config
-        store = getattr(config, "stats_store", None)
+        store = config.stats_store
         models = [self._resolved_model(op, chosen) for op in chain]
         report.final_chain = list(chain)
         report.resolved_models = models
-        scope = getattr(config, "stats_scope", "")
-        llm_seed = getattr(config.llm, "seed", 0)
+        scope = config.stats_scope
+        llm_seed = config.llm.seed
         dataset = ""
         if isinstance(chain[0], (L.ScanOp, L.SqlScanOp)) and chain[0].source is not None:
             dataset = chain[0].source.source_id
@@ -358,7 +361,7 @@ class Optimizer:
         ]
         if store is not None:
             store.metrics = config.llm.metrics if config.llm.metrics.enabled else None
-            if getattr(config, "stats_estimates", True):
+            if config.stats_estimates:
                 for position, entry in enumerate(stats_plan):
                     if entry is None:
                         continue
@@ -401,15 +404,15 @@ class Optimizer:
         operators the engine runs.
         """
         config = self.config
-        if not getattr(config, "replan", False):
-            return
-        if getattr(config, "stats_store", None) is None:
+        if not config.replan or config.stats_store is None:
             return
         if not report.final_chain or report.reused_prefix:
             return
-        if getattr(config, "shards", 1) > 1:
-            # The sharded executor runs exchange segments, not the engine's
-            # section walk, so it never reaches a replan boundary.
+        if config.shards > 1:
+            # A replanned suffix would desync the exchange segments from
+            # the bound operators, so sharded plans stay on their plan —
+            # and say so instead of silently ignoring the knob.
+            report.note = "; ".join(filter(None, [report.note, REPLAN_DISABLED_SHARDED]))
             return
         report.replanner = Replanner(self, chosen, report)
 
@@ -433,7 +436,7 @@ class Optimizer:
         config = self.config
         self._annotate_stats(chain, chosen, report, source_records, chosen_profiles)
         bound = self._bind_chain(chain, chosen)
-        store = getattr(config, "materialization_store", None)
+        store = config.materialization_store
         if store is None or not isinstance(chain[0], (L.ScanOp, L.SqlScanOp)):
             self._arm_replanner(chosen, report)
             return bound
@@ -447,8 +450,8 @@ class Optimizer:
         fingerprints = prefix_fingerprints(
             chain,
             models,
-            getattr(config.llm, "seed", 0),
-            scope=getattr(config, "materialization_scope", ""),
+            config.llm.seed,
+            scope=config.materialization_scope,
         )
         capture = CapturePlan(
             store=store,
@@ -459,11 +462,12 @@ class Optimizer:
         )
         report.capture = capture
 
-        if getattr(config, "shards", 1) > 1:
+        if config.shards > 1:
             # Reuse for sharded runs happens inside the sharded executor
             # (whole-boundary replay + per-shard exact/delta probes keyed by
             # shard fingerprints); splicing a PhysMaterializedScan here would
             # desync the exchange segments from the capture fingerprints.
+            self._arm_replanner(chosen, report)
             return bound
 
         safe = incremental_safe_prefix(chain)
@@ -617,7 +621,7 @@ class Optimizer:
             return P.PhysSemGroupBy(op, model)
         if isinstance(op, L.SemJoinOp):
             right_ops = self._bind_spine(op.right, chosen)
-            if getattr(self.config, "join_method", "nested") == "blocked":
+            if self.config.join_method == "blocked":
                 return P.PhysSemJoinBlocked(op, right_ops, model)
             return P.PhysSemJoin(op, right_ops, model)
         if isinstance(op, L.SemAggOp):
@@ -633,9 +637,7 @@ class Optimizer:
         if isinstance(op, L.StructAggOp):
             return P.PhysStructAgg(op)
         if isinstance(op, L.SqlScanOp):
-            return P.PhysSqlScan(
-                op, columnar=getattr(self.config, "columnar", False)
-            )
+            return P.PhysSqlScan(op)
         if isinstance(op, L.ProjectOp):
             return P.PhysProject(op)
         if isinstance(op, L.LimitOp):

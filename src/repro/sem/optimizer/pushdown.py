@@ -15,9 +15,9 @@ Soundness:
   run preserves the run's output exactly — filters are pure per-record
   predicates that only remove records and preserve order, so any
   interleaving yields the same survivors.
-- The SqlScan applies the pushed operators in order through the same
-  ``repro.sql`` evaluator row mode uses (see
-  :func:`repro.sem.physical.apply_structured`), so surviving records are
+- The SqlScan applies the pushed operators in order as the same physical
+  operators they would run as above the scan (see
+  :class:`repro.sem.physical.PhysSqlScan`), so surviving records are
   bit-identical, uids included.
 
 The pass runs whether or not cost-based optimization is enabled; it is

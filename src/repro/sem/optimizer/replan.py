@@ -263,8 +263,8 @@ class Replanner:
                 prefix_fingerprints(
                     new_chain,
                     new_models,
-                    getattr(config.llm, "seed", 0),
-                    scope=getattr(config, "materialization_scope", ""),
+                    config.llm.seed,
+                    scope=config.materialization_scope,
                 )
             )
 

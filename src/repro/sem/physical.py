@@ -1,18 +1,22 @@
 """Physical operators.
 
-Each physical operator executes one logical operator against a materialized
-batch of records, charging the simulated LLM for every semantic call.  The
-engine (see :mod:`repro.sem.execution`) wires operators together and
-collects statistics.
+Each physical operator executes one logical operator over records,
+charging the simulated LLM for every semantic call.  The engine (see
+:mod:`repro.sem.execution`) wires operators together and collects
+statistics.
 
-Operators marked ``streamable`` additionally implement a record-at-a-time
-protocol (:meth:`PhysicalOperator.new_state` / ``prepare_batch`` /
-``process_record`` / ``finalize``) so the engine can fuse adjacent
-streamable operators into one pipelined section: record batches flow
-through the fused stages and the virtual clock is charged the section's
-critical-path makespan instead of the per-operator sum.  The classic
-``execute`` entry point remains the barrier path (``pipeline=False``) and
-preserves the original materialize-everything semantics exactly.
+There is one definition per operator.  Whole-input operators (scans,
+retrieve, group-by, joins, aggregations) implement ``execute``.
+*Streamable* operators (:class:`StreamingOperator`) implement exactly one
+of two methods and never ``execute``: LLM operators implement
+``process_record`` and the base class lifts it to a batch once — the
+executor's only wave loop, with the adaptive width and throttled-record
+resubmission — while token-free operators implement ``process_batch``
+directly over a :class:`~repro.sem.batch.RecordBatch`.
+Executors call ``process_batch`` (plus ``new_state`` / ``finalize`` /
+``sated``); ``execute`` on a streamable operator is derived — one
+all-records batch, then ``finalize`` — so barrier steps and fused
+pipelined sections run the same code.
 """
 
 from __future__ import annotations
@@ -32,11 +36,7 @@ from repro.sem.batch import (
     py_map_batch,
     struct_filter_mask,
 )
-from repro.sem.structql import (
-    compile_predicate,
-    evaluate_predicate,
-    run_aggregation,
-)
+from repro.sem.structql import compile_predicate, run_aggregation
 from repro.utils.hashing import stable_digest
 
 import numpy as np
@@ -183,16 +183,9 @@ def _embed_texts(texts: list[str], ctx: ExecutionContext, tag: str) -> list[np.n
 class PhysicalOperator(abc.ABC):
     """Executes one logical operator over a batch of records."""
 
-    #: Streamable operators implement the record-at-a-time protocol below
-    #: and can be fused into pipelined sections by the engine.
+    #: Streamable operators (:class:`StreamingOperator`) consume record
+    #: batches and can be fused into pipelined sections by the engine.
     streamable = False
-
-    #: Vectorized operators additionally implement :meth:`process_batch`
-    #: over a columnar :class:`~repro.sem.batch.RecordBatch`; the engine
-    #: uses it in place of the per-record loop when columnar mode is on.
-    #: Only token-free operators qualify — LLM operators need the
-    #: per-record wave machinery (retries, adaptive width, budget cuts).
-    vectorized = False
 
     #: How the sharded executor (:mod:`repro.sem.shard`) may place this
     #: operator: "source" leaves run once at the coordinator; "scatter"
@@ -205,6 +198,13 @@ class PhysicalOperator(abc.ABC):
     #: to plan around such an operator instead of guessing.
     exchange: str | None = None
 
+    #: Surfaced in per-operator stats: a replayed materialized prefix
+    #: (EXPLAIN "Reused"), a pushed-down SQL section (EXPLAIN "SQL"), and
+    #: the source records a pushed-down scan saw before pruning.
+    reused = False
+    pushed_down = False
+    scanned = 0
+
     def __init__(self, logical_op: L.LogicalOperator, model: str | None = None) -> None:
         self.logical_op = logical_op
         self.model = model
@@ -213,10 +213,29 @@ class PhysicalOperator(abc.ABC):
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
         """Transform ``records``; must not mutate the input list."""
 
-    # -- streaming protocol (streamable operators only) -----------------
+    def label(self) -> str:
+        suffix = f" [{self.model}]" if self.model else ""
+        return self.logical_op.label() + suffix
+
+
+class StreamingOperator(PhysicalOperator):
+    """Batch-at-a-time operator the engine can fuse into pipelined sections.
+
+    Subclasses define exactly one of :meth:`process_record` (LLM
+    operators) or :meth:`process_batch` (token-free operators) and never
+    :meth:`execute` — ``tests/test_sem_physical.py`` enforces it.
+    """
+
+    streamable = True
+
+    def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
+        """Whole-input entry point, derived: one all-records batch + flush."""
+        state = self.new_state(ctx)
+        output = self.process_batch(RecordBatch(records), ctx, state)
+        return output.records + self.finalize(ctx, state)
 
     def new_state(self, ctx: ExecutionContext) -> dict:
-        """Fresh per-execution mutable state for the streaming protocol."""
+        """Fresh per-execution mutable state."""
         return {}
 
     def prepare_batch(
@@ -227,8 +246,67 @@ class PhysicalOperator(abc.ABC):
     def process_record(
         self, record: DataRecord, ctx: ExecutionContext, state: dict
     ) -> list[DataRecord]:
-        """Stream one record through; may emit zero or more records."""
-        raise ExecutionError(f"{self.label()} is not streamable")
+        """One record through an LLM operator; may emit zero or more records."""
+        raise ExecutionError(
+            f"{self.label()} defines neither process_record nor process_batch"
+        )
+
+    def process_batch(
+        self, batch: RecordBatch, ctx: ExecutionContext, state: dict
+    ) -> RecordBatch:
+        """One batch through the operator: :meth:`process_record`, lifted.
+
+        The only wave loop in the executor.  The wave is issued at
+        ``ctx.wave_width()``; when it drew rate-limit faults and the
+        adaptive controller narrowed the width, records whose calls
+        exhausted their retries are resubmitted once at the reduced width
+        (their failure flags are withdrawn; a second exhaustion re-flags
+        them).  Token-free operators override this with a whole-batch
+        kernel and must not open a ``parallel`` section.
+        """
+        rows = batch.records
+        tracker = ctx.llm.tracker
+        metrics = ctx.llm.metrics
+        self.prepare_batch(rows, ctx, state)
+        emitted: list[list[DataRecord]] = [[] for _ in rows]
+        pending = list(enumerate(rows))
+        for attempt in range(2):
+            width = ctx.wave_width()
+            if metrics.enabled:
+                metrics.histogram("engine.wave_width").observe(width)
+            wave_checkpoint = tracker.checkpoint()
+            wave_failures = len(ctx.failures)
+            with ctx.llm.parallel(width):
+                for row, record in pending:
+                    emitted[row] = self.process_record(record, ctx, state)
+            if ctx.adaptive is None:
+                break
+            ctx.adaptive.observe(
+                any(
+                    event.failed and event.error == "rate_limit"
+                    for event in tracker.events[wave_checkpoint:]
+                )
+            )
+            throttled_uids = {
+                uid
+                for uid, error in ctx.failures[wave_failures:]
+                if error == "RateLimitError"
+            }
+            if attempt > 0 or not throttled_uids or ctx.adaptive.width >= width:
+                break
+            # Withdraw the throttled records' failure flags and give them
+            # one more pass at the narrowed width.
+            ctx.failures[wave_failures:] = [
+                entry
+                for entry in ctx.failures[wave_failures:]
+                if entry[0] not in throttled_uids
+            ]
+            pending = [
+                (row, record)
+                for row, record in pending
+                if record.uid in throttled_uids
+            ]
+        return batch.expand(emitted)
 
     def finalize(self, ctx: ExecutionContext, state: dict) -> list[DataRecord]:
         """Records held back until the stream ends (e.g. top-k winners)."""
@@ -237,48 +315,6 @@ class PhysicalOperator(abc.ABC):
     def sated(self, state: dict) -> bool:
         """True once this operator can never emit more records (early exit)."""
         return False
-
-    def process_batch(
-        self, batch: "RecordBatch", ctx: ExecutionContext, state: dict
-    ) -> "RecordBatch":
-        """Vectorized whole-batch step (``vectorized`` operators only).
-
-        Must be observationally identical to streaming the batch's records
-        through :meth:`process_record` one at a time.
-        """
-        raise ExecutionError(f"{self.label()} is not vectorized")
-
-    def label(self) -> str:
-        suffix = f" [{self.model}]" if self.model else ""
-        return self.logical_op.label() + suffix
-
-
-class StreamingOperator(PhysicalOperator):
-    """Record-at-a-time operator.
-
-    The default :meth:`execute` reproduces the legacy barrier semantics
-    exactly — one parallel section over all records — by driving the
-    streaming protocol itself, so barrier and pipelined modes share one
-    per-record implementation.
-    """
-
-    streamable = True
-
-    def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
-        state = self.new_state(ctx)
-        self.prepare_batch(records, ctx, state)
-        output: list[DataRecord] = []
-        with ctx.llm.parallel(ctx.parallelism):
-            for record in records:
-                output.extend(self.process_record(record, ctx, state))
-        output.extend(self.finalize(ctx, state))
-        return output
-
-    @abc.abstractmethod
-    def process_record(
-        self, record: DataRecord, ctx: ExecutionContext, state: dict
-    ) -> list[DataRecord]:
-        ...
 
 
 class PhysScan(PhysicalOperator):
@@ -303,7 +339,6 @@ class PhysMaterializedScan(PhysicalOperator):
     appended source records sit at the tail of the scan order.
     """
 
-    #: Surfaced in per-operator stats and the EXPLAIN "Reused" column.
     reused = True
 
     logical_op: L.MaterializedScanOp
@@ -785,46 +820,18 @@ class PhysSemTopK(StreamingOperator):
 
 class PhysPyFilter(StreamingOperator):
     logical_op: L.PyFilterOp
-    vectorized = True
     exchange = "scatter"
-
-    def process_record(
-        self, record: DataRecord, ctx: ExecutionContext, state: dict
-    ) -> list[DataRecord]:
-        return [record] if self.logical_op.fn(record) else []
-
-    def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
-        return [record for record in records if self.logical_op.fn(record)]
 
     def process_batch(
         self, batch: RecordBatch, ctx: ExecutionContext, state: dict
     ) -> RecordBatch:
         fn = self.logical_op.fn
-        return RecordBatch([record for record in batch.records if fn(record)])
+        return batch.take([fn(record) for record in batch.records])
 
 
 class PhysPyMap(StreamingOperator):
     logical_op: L.PyMapOp
     exchange = "scatter"
-
-    def process_record(
-        self, record: DataRecord, ctx: ExecutionContext, state: dict
-    ) -> list[DataRecord]:
-        new_fields = self.logical_op.fn(record)
-        if not isinstance(new_fields, dict):
-            raise ExecutionError(
-                f"PyMap function must return a dict of new fields, "
-                f"got {type(new_fields).__name__}"
-            )
-        return [record.derive(new_fields)]
-
-    def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
-        output = []
-        for record in records:
-            output.extend(self.process_record(record, ctx, {}))
-        return output
-
-    vectorized = True
 
     def process_batch(
         self, batch: RecordBatch, ctx: ExecutionContext, state: dict
@@ -834,21 +841,7 @@ class PhysPyMap(StreamingOperator):
 
 class PhysProject(StreamingOperator):
     logical_op: L.ProjectOp
-    vectorized = True
     exchange = "scatter"
-
-    def process_record(
-        self, record: DataRecord, ctx: ExecutionContext, state: dict
-    ) -> list[DataRecord]:
-        wanted = set(self.logical_op.fields)
-        drop = [name for name in record.fields if name not in wanted]
-        return [record.derive({}, drop=drop)]
-
-    def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
-        output = []
-        for record in records:
-            output.extend(self.process_record(record, ctx, {}))
-        return output
 
     def process_batch(
         self, batch: RecordBatch, ctx: ExecutionContext, state: dict
@@ -866,59 +859,33 @@ class PhysLimit(StreamingOperator):
     def new_state(self, ctx: ExecutionContext) -> dict:
         return {"remaining": self.logical_op.n}
 
-    def process_record(
-        self, record: DataRecord, ctx: ExecutionContext, state: dict
-    ) -> list[DataRecord]:
-        if state["remaining"] <= 0:
-            return []
-        state["remaining"] -= 1
-        return [record]
-
     def sated(self, state: dict) -> bool:
         return state["remaining"] <= 0
-
-    def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
-        return records[: self.logical_op.n]
-
-    vectorized = True
 
     def process_batch(
         self, batch: RecordBatch, ctx: ExecutionContext, state: dict
     ) -> RecordBatch:
         take = max(0, min(state["remaining"], len(batch)))
         state["remaining"] -= take
-        return RecordBatch(batch.records[:take])
+        return batch.head(take)
 
 
 class PhysStructFilter(StreamingOperator):
     """SQL predicate over record fields: keep rows where it is TRUE.
 
-    Row mode evaluates the compiled expression per record through the
-    ``repro.sql`` executor; columnar mode evaluates it once per batch with
-    vectorized masks (:func:`repro.sem.batch.struct_filter_mask`).  Both
-    only *select* rows, so the surviving record objects — and their uids —
-    are untouched.
+    The compiled expression is evaluated once per batch with vectorized
+    masks (:func:`repro.sem.batch.struct_filter_mask`, which falls back to
+    the ``repro.sql`` executor per row wherever a vector path is not
+    provably exact).  It only *selects* rows, so the surviving record
+    objects — and their uids — are untouched.
     """
 
     logical_op: L.StructFilterOp
-    vectorized = True
     exchange = "scatter"
 
     def __init__(self, logical_op: L.StructFilterOp, model: str | None = None) -> None:
         super().__init__(logical_op, model)
         self._expr = compile_predicate(logical_op.condition)
-
-    def process_record(
-        self, record: DataRecord, ctx: ExecutionContext, state: dict
-    ) -> list[DataRecord]:
-        return [record] if evaluate_predicate(self._expr, record.fields) is True else []
-
-    def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
-        return [
-            record
-            for record in records
-            if evaluate_predicate(self._expr, record.fields) is True
-        ]
 
     def process_batch(
         self, batch: RecordBatch, ctx: ExecutionContext, state: dict
@@ -926,100 +893,74 @@ class PhysStructFilter(StreamingOperator):
         return batch.take(struct_filter_mask(self._expr, batch))
 
 
-def _struct_agg_records(
-    records: list[DataRecord], op: L.StructAggOp
-) -> list[DataRecord]:
-    """Shared struct-agg body: one fresh record per SQL result row.
-
-    Uids are a pure function of the input lineage and the group key, so
-    row mode, columnar mode, and the pushed-down SqlScan all mint
-    identical records.
-    """
-    rows = run_aggregation(
-        [record.fields for record in records], op.group_by, op.aggregates
-    )
-    input_uids = tuple(record.uid for record in records)
-    output = []
-    for row in rows:
-        group_values = tuple(row[name] for name in op.group_by)
-        output.append(
-            DataRecord(
-                fields=dict(row),
-                uid=f"structagg:{stable_digest(input_uids, group_values)[:6]}",
-                parent_uids=input_uids,
-            )
-        )
-    return output
-
-
 class PhysStructAgg(PhysicalOperator):
-    """Structured GROUP BY / aggregation via the SQL engine (token-free)."""
+    """Structured GROUP BY / aggregation via the SQL engine (token-free).
+
+    One fresh record per SQL result row; uids are a pure function of the
+    input lineage and the group key, so the operator mints identical
+    records standalone and inside a pushed-down SqlScan.
+    """
 
     logical_op: L.StructAggOp
     exchange = "gather"
 
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
-        return _struct_agg_records(records, self.logical_op)
-
-
-def apply_structured(
-    op: L.LogicalOperator, records: list[DataRecord], columnar: bool = False
-) -> list[DataRecord]:
-    """Run one pushed-down structured operator over materialized records.
-
-    This is the SqlScan interpretation loop — and also how delta records
-    replay through a pushed prefix.  Each case matches its row-mode
-    physical operator exactly (same evaluator, same ``derive`` calls).
-    """
-    if isinstance(op, L.StructFilterOp):
-        expr = compile_predicate(op.condition)
-        if columnar:
-            batch = RecordBatch(records)
-            return batch.take(struct_filter_mask(expr, batch)).records
-        return [
-            record
-            for record in records
-            if evaluate_predicate(expr, record.fields) is True
-        ]
-    if isinstance(op, L.ProjectOp):
-        wanted = set(op.fields)
+        op = self.logical_op
+        rows = run_aggregation(
+            [record.fields for record in records], op.group_by, op.aggregates
+        )
+        input_uids = tuple(record.uid for record in records)
         output = []
-        for record in records:
-            drop = [name for name in record.fields if name not in wanted]
-            output.append(record.derive({}, drop=drop))
+        for row in rows:
+            group_values = tuple(row[name] for name in op.group_by)
+            output.append(
+                DataRecord(
+                    fields=dict(row),
+                    uid=f"structagg:{stable_digest(input_uids, group_values)[:6]}",
+                    parent_uids=input_uids,
+                )
+            )
         return output
-    if isinstance(op, L.LimitOp):
-        return records[: op.n]
-    if isinstance(op, L.StructAggOp):
-        return _struct_agg_records(records, op)
-    raise ExecutionError(f"operator {op.label()} cannot run inside a SqlScan")
+
+
+#: The physical operator each pushed-down structured operator runs as.
+_PUSHABLE = {
+    L.StructFilterOp: PhysStructFilter,
+    L.ProjectOp: PhysProject,
+    L.LimitOp: PhysLimit,
+    L.StructAggOp: PhysStructAgg,
+}
 
 
 class PhysSqlScan(PhysicalOperator):
     """Leaf: scan a source and run its pushed-down structured prefix.
 
-    The SQL engine prunes/projects/pre-aggregates the record set before
-    any LLM operator runs.  ``scanned`` records how many source records
-    the scan saw, so EXPLAIN can report what was pruned ahead of the first
-    LLM operator.
+    The pushed operators are bound to the same physical classes they
+    would run as above the scan (so they cannot drift) and prune/project/
+    pre-aggregate the record set before any LLM operator runs.
+    ``scanned`` records how many source records the scan saw, so EXPLAIN
+    can report what was pruned ahead of the first LLM operator.
     """
 
     logical_op: L.SqlScanOp
     exchange = "source"
-
-    #: Surfaced in per-operator stats and the EXPLAIN "SQL" column.
     pushed_down = True
 
-    def __init__(self, logical_op: L.SqlScanOp, columnar: bool = False) -> None:
+    def __init__(self, logical_op: L.SqlScanOp) -> None:
         super().__init__(logical_op, None)
-        self.columnar = columnar
-        self.scanned = 0
+        self.pushed: list[PhysicalOperator] = []
+        for op in logical_op.pushed:
+            if type(op) not in _PUSHABLE:
+                raise ExecutionError(
+                    f"operator {op.label()} cannot run inside a SqlScan"
+                )
+            self.pushed.append(_PUSHABLE[type(op)](op))
 
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
         if records:
             raise ExecutionError("sql scan is a leaf; it takes no input records")
         current = list(self.logical_op.source.iterate())
         self.scanned = len(current)
-        for op in self.logical_op.pushed:
-            current = apply_structured(op, current, self.columnar)
+        for operator in self.pushed:
+            current = operator.execute(current, ctx)
         return current

@@ -19,8 +19,18 @@ and groups the chain into exchange segments:
 - **global** — sources and whole-input aggregations run once at the
   coordinator, exactly as in unsharded execution.
 
-Workers are *simulated*: each shard's work runs in a
-:meth:`~repro.llm.simulated.SimulatedLLM.measure` block on its own
+The executor is a *step provider* for the engine's one driver loop
+(:meth:`~repro.sem.execution.Engine.drive`): global segments are the
+engine's own operator step, the other kinds are exchange steps defined
+here, and budget checks, truncation, boundary capture and result assembly
+stay in the loop.  Shard workers put batches through the engine's one
+cell runner (:meth:`~repro.sem.execution.Engine.run_cell`), so a sharded
+cell is the same vectorized kernel or adaptive-width wave as an unsharded
+one; each batch carries its rows' global positions in the
+``RecordBatch.positions`` sidecar.
+
+Workers are *simulated*: each shard's cells are measured steps (seconds
+captured, not spent) on its own
 :class:`~repro.utils.clock.PipelineSchedule`, so no virtual time passes
 while a shard runs; after all shards of a segment finish, the clock is
 charged ``max(shard makespans)`` — N workers in parallel — and the gap
@@ -52,8 +62,7 @@ tail; range/round-robin assignments shift on append and their stale
 entries are invalidated by the store's source-uid prefix check.
 
 ``shards=1`` never constructs any of this — the config gates the pass,
-so the unsharded engine path is byte-identical to the pre-sharding
-engine in cost, latency, spans, and records.
+so an unsharded run walks only the engine's own steps.
 """
 
 from __future__ import annotations
@@ -61,8 +70,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.data.records import DataRecord
-from repro.errors import BudgetExceededError, OptimizationError
-from repro.sem.execution import OperatorStats, _StageAccount
+from repro.errors import OptimizationError
+from repro.sem.batch import RecordBatch
+from repro.sem.execution import OperatorStats, measured_step
 from repro.sem.materialize import shard_fingerprint
 from repro.sem.physical import (
     PhysicalOperator,
@@ -309,78 +319,43 @@ def exchange_footer(plan: ShardPlan) -> str:
 
 
 class ShardedExecutor:
-    """Drives one plan across N simulated workers for the engine.
+    """Runs one plan's exchange segments across N simulated workers.
 
     Constructed (and dispatched to) by :meth:`Engine.execute` when a
-    :class:`ShardPlan` is attached; shares the engine's context, budget,
-    capture plan, and batch size so everything except worker placement
-    behaves identically.
+    :class:`ShardPlan` is attached.  It only supplies steps to the
+    engine's driver loop and runs its cells through the engine's cell
+    runner, so everything except worker placement behaves identically.
     """
 
     def __init__(self, engine, plan: ShardPlan) -> None:
         self.engine = engine
         self.plan = plan
         self.ctx = engine.ctx
-        self.run_checkpoint = 0
+        self._segment_at = {segment.start: segment for segment in plan.segments}
 
     # ------------------------------------------------------------------
     # Top level
     # ------------------------------------------------------------------
 
     def execute(self, operators: list[PhysicalOperator]):
-        from repro.sem.execution import ExecutionResult
+        start, records, stats = self._replay_prefix(operators)
+        return self.engine.drive(operators, self._step_at, start, records, stats)
 
-        ctx = self.ctx
-        llm = ctx.llm
-        engine = self.engine
-        metrics = llm.metrics
-        run_start_cost = llm.tracker.spent_usd
-        run_start_time = llm.clock.elapsed
-        self.run_checkpoint = llm.tracker.checkpoint()
-        ctx.cost_baseline_usd = run_start_cost
-        if engine.max_cost_usd is not None and ctx.max_cost_usd is None:
-            ctx.max_cost_usd = engine.max_cost_usd
-        truncated = False
-
-        stats: list[OperatorStats] = []
-        start_segment, records = self._replay_prefix(operators, stats)
-
-        for segment in self.plan.segments[start_segment:]:
-            spent = llm.tracker.spent_usd - run_start_cost
-            if engine.max_cost_usd is not None and spent >= engine.max_cost_usd:
-                truncated = True
-                break
-            new_records, segment_stats, segment_truncated = self._run_segment(
-                segment, operators, records
-            )
-            stats.extend(segment_stats)
-            if segment_truncated:
-                truncated = True
-                break
-            records = new_records
-            engine._maybe_capture(
-                segment.end - 1, records, llm,
-                run_start_cost, run_start_time, self.run_checkpoint,
-            )
-
-        if metrics.enabled and truncated:
-            metrics.counter("engine.truncations").inc()
-        return ExecutionResult(
-            records=records,
-            operator_stats=stats,
-            total_cost_usd=llm.tracker.spent_usd - run_start_cost,
-            total_time_s=llm.clock.elapsed - run_start_time,
-            truncated=truncated,
-            retried_calls=sum(s.retried_calls for s in stats),
-            failed_records=sum(s.failed_records for s in stats),
-        )
+    def _step_at(self, operators: list[PhysicalOperator], index: int):
+        """Sharded steps: one per exchange segment of the plan."""
+        segment = self._segment_at[index]
+        if segment.kind == "global":
+            return segment.end, self.engine.operator_step
+        return segment.end, self._exchange_step
 
     def _replay_prefix(
-        self, operators: list[PhysicalOperator], stats: list[OperatorStats]
-    ) -> tuple[int, list[DataRecord]]:
+        self, operators: list[PhysicalOperator]
+    ) -> tuple[int, list[DataRecord], list[OperatorStats]]:
         """Swap the longest exact-hit segment boundary for a replay.
 
-        The sharded counterpart of the optimizer's reuse splice (which is
+        Returns (operator index to resume at, records crossing it, stats
+        of the replayed operators).  The
+        sharded counterpart of the optimizer's reuse splice (which is
         skipped when ``shards > 1`` so segment indices stay aligned with
         the bound operator list).  Only exact matches replay here; delta
         execution happens per shard inside scatter segments.
@@ -388,10 +363,9 @@ class ShardedExecutor:
         capture = self.engine.capture
         plan = self.plan
         if capture is None:
-            return 0, []
+            return 0, [], []
         tracer = self.ctx.llm.tracer
-        for index in range(len(plan.segments) - 1, -1, -1):
-            segment = plan.segments[index]
+        for segment in reversed(plan.segments):
             position = segment.end - 1
             if position >= len(capture.fingerprints):
                 continue
@@ -408,20 +382,9 @@ class ShardedExecutor:
             capture.carried_time_s += entry.time_s
             plan.reused_prefix = segment.end
             plan.reused_any = True
-            for operator in operators[: segment.end]:
-                stats.append(
-                    OperatorStats(
-                        label=operator.label(),
-                        model=operator.model,
-                        records_in=0,
-                        records_out=0,
-                        cost_usd=0.0,
-                        time_s=0.0,
-                        llm_calls=0,
-                        cached_calls=0,
-                        reused=True,
-                    )
-                )
+            stats = [OperatorStats.start(op) for op in operators[: segment.end]]
+            for replayed in stats:
+                replayed.reused = True
             stats[-1].records_out = len(entry.records)
             if tracer.enabled:
                 with tracer.span(
@@ -433,26 +396,24 @@ class ShardedExecutor:
                     delta_records=0,
                 ):
                     pass
-            return index + 1, list(entry.records)
+            return segment.end, list(entry.records), stats
         capture.store.note_miss()
-        return 0, []
+        return 0, [], []
 
     # ------------------------------------------------------------------
-    # Segment dispatch
+    # Exchange steps
     # ------------------------------------------------------------------
 
-    def _run_segment(
+    def _exchange_step(
         self,
-        segment: ShardSegment,
         operators: list[PhysicalOperator],
+        index: int,
+        end: int,
         records: list[DataRecord],
     ):
+        segment = self._segment_at[index]
         tracer = self.ctx.llm.tracer
-        if segment.kind == "global":
-            return self._run_global(operators[segment.start], records)
-        label = " | ".join(
-            op.label() for op in operators[segment.start : segment.end]
-        )
+        label = " | ".join(op.label() for op in operators[index:end])
         with tracer.span(
             f"exchange[{label}]", kind="exchange",
             strategy=segment.strategy, shards=self.plan.n_shards,
@@ -462,11 +423,11 @@ class ShardedExecutor:
                 out = self._run_scatter(segment, operators, records, segment_span)
             elif segment.kind == "shuffle":
                 out = self._run_shuffle(
-                    segment, operators[segment.start], records, segment_span
+                    segment, operators[index], records, segment_span
                 )
             else:
                 out = self._run_broadcast(
-                    segment, operators[segment.start], records, segment_span
+                    segment, operators[index], records, segment_span
                 )
             merged, segment_stats, truncated = out
             if tracer.enabled:
@@ -480,50 +441,9 @@ class ShardedExecutor:
                     straggler_gap_s=round(segment.straggler_gap_s, 3),
                     moved_records=segment.moved_records,
                 )
-        return merged, segment_stats, truncated
-
-    def _run_global(self, operator: PhysicalOperator, records: list[DataRecord]):
-        """One coordinator-side operator, exactly the engine's barrier path."""
-        from repro.sem.execution import _stats_attrs
-
-        ctx = self.ctx
-        llm = ctx.llm
-        tracer = llm.tracer
-        checkpoint = llm.tracker.checkpoint()
-        time_before = llm.clock.elapsed
-        failures_before = len(ctx.failures)
-        n_in = len(records)
-        truncated = False
-        with tracer.span(operator.label(), kind="operator") as op_span:
-            try:
-                records = operator.execute(records, ctx)
-                n_out = len(records)
-            except BudgetExceededError:
-                truncated = True
-                n_out = 0
-                records = []
-        usage = llm.tracker.since(checkpoint)
-        cached = sum(1 for event in llm.tracker.events[checkpoint:] if event.cached)
-        op_stats = OperatorStats(
-            label=operator.label(),
-            model=operator.model,
-            reused=getattr(operator, "reused", False),
-            sql_pushdown=getattr(operator, "pushed_down", False),
-            records_scanned=getattr(operator, "scanned", 0),
-            records_in=n_in,
-            records_out=n_out,
-            cost_usd=usage.cost_usd,
-            time_s=llm.clock.elapsed - time_before,
-            llm_calls=usage.calls,
-            cached_calls=cached,
-            retried_calls=llm.tracker.failed_calls(checkpoint),
-            failed_records=len(ctx.failures) - failures_before,
-            input_tokens=usage.input_tokens,
-            output_tokens=usage.output_tokens,
-        )
-        if tracer.enabled:
-            op_span.attributes.update(_stats_attrs(op_stats))
-        return records, [op_stats], truncated
+        # A cut segment's partial output is discarded: the run keeps the
+        # records that entered it.
+        return (records if truncated else merged), segment_stats, truncated
 
     # ------------------------------------------------------------------
     # Scatter segments (with optional merge finisher)
@@ -542,9 +462,8 @@ class ShardedExecutor:
         plan = self.plan
         n = plan.n_shards
         section = operators[segment.start : segment.end]
-        accounts = [_StageAccount(op) for op in section]
-        finisher = operators[segment.finisher] if segment.finisher is not None else None
-        stages = section[:-1] if finisher is not None else section
+        stats = [OperatorStats.start(op, shards=n) for op in section]
+        finisher = section[-1] if segment.finisher is not None else None
 
         items = list(enumerate(records))
         shards = partition_records(items, n, plan.partitioner)
@@ -568,14 +487,13 @@ class ShardedExecutor:
         segment.delta_shards = 0
 
         for shard_index in range(n):
-            seconds, shard_truncated = self._run_one_shard(
-                shard_index, shards[shard_index], stages, finisher,
-                accounts, segment, out_by_pos, topk_candidates,
+            seconds, truncated = self._run_one_shard(
+                shard_index, shards[shard_index], section, finisher,
+                stats, segment, out_by_pos, topk_candidates,
                 base_fingerprint, cells,
             )
             shard_seconds.append(seconds)
-            if shard_truncated:
-                truncated = True
+            if truncated:
                 break
 
         self._charge(shard_seconds)
@@ -587,10 +505,9 @@ class ShardedExecutor:
         segment.moved_records = len(items)
 
         if tracer.enabled and llm.serve_sink is None:
-            ops_by_stage = stages + ([finisher] if finisher is not None else [])
             for shard_index, stage, start_s, end_s, batch_no, n_records in cells:
                 tracer.add_span(
-                    f"{ops_by_stage[stage].label()} s{shard_index}b{batch_no}",
+                    f"{section[stage].label()} s{shard_index}b{batch_no}",
                     "cell",
                     origin + start_s,
                     origin + end_s,
@@ -600,56 +517,40 @@ class ShardedExecutor:
                     batch=batch_no, records=n_records,
                 )
 
+        if segment.replayed_shards == n:
+            for op_stats in stats:
+                op_stats.reused = True
         if truncated:
-            return [], self._finish_stats(accounts, segment, None), True
+            return [], stats, True
 
         merged = [
             record for position in sorted(out_by_pos)
             for record in out_by_pos[position]
         ]
+        if isinstance(finisher, PhysLimit):
+            merged = merged[: finisher.logical_op.n]
+        elif isinstance(finisher, PhysSemTopK):
+            # Global rerank of the per-shard partial top-k: position
+            # reproduces the unsharded arrival order; the lineage uid
+            # breaks (impossible-by-construction) residual ties.
+            topk_candidates.sort(
+                key=lambda item: (-item[0], -item[1], item[2], item[3])
+            )
+            merged = [
+                record
+                for _, _, _, _, record in topk_candidates[: finisher.logical_op.k]
+            ]
         if finisher is not None:
-            if isinstance(finisher, PhysLimit):
-                merged = merged[: finisher.logical_op.n]
-            elif isinstance(finisher, PhysSemTopK):
-                # Global rerank of the per-shard partial top-k: position
-                # reproduces the unsharded arrival order; the lineage uid
-                # breaks (impossible-by-construction) residual ties.
-                topk_candidates.sort(
-                    key=lambda item: (-item[0], -item[1], item[2], item[3])
-                )
-                merged = [
-                    record
-                    for _, _, _, _, record in topk_candidates[: finisher.logical_op.k]
-                ]
-        return merged, self._finish_stats(accounts, segment, len(merged)), False
-
-    def _finish_stats(
-        self,
-        accounts: list[_StageAccount],
-        segment: ShardSegment,
-        merged_count: int | None,
-    ) -> list[OperatorStats]:
-        stats = []
-        for account in accounts:
-            op_stats = account.to_stats()
-            op_stats.shards = self.plan.n_shards
-            if (
-                segment.replayed_shards
-                and segment.replayed_shards == self.plan.n_shards
-            ):
-                op_stats.reused = True
-            stats.append(op_stats)
-        if segment.finisher is not None and merged_count is not None:
-            stats[-1].records_out = merged_count
-        return stats
+            stats[-1].records_out = len(merged)
+        return merged, stats, False
 
     def _run_one_shard(
         self,
         shard_index: int,
         items: list[tuple[int, DataRecord]],
-        stages: list[PhysicalOperator],
+        section: list[PhysicalOperator],
         finisher: PhysicalOperator | None,
-        accounts: list[_StageAccount],
+        stats: list[OperatorStats],
         segment: ShardSegment,
         out_by_pos: dict[int, list[DataRecord]],
         topk_candidates: list[tuple],
@@ -702,55 +603,53 @@ class ShardedExecutor:
                 segment.delta_shards += 1
 
         schedule = PipelineSchedule()
-        states = [op.new_state(ctx) for op in stages]
-        finisher_state = finisher.new_state(ctx) if finisher is not None else None
-        all_ops = stages + ([finisher] if finisher is not None else [])
-        all_states = states + ([finisher_state] if finisher is not None else [])
+        states = [op.new_state(ctx) for op in section]
+        positions = [position for position, _ in live_items]
+        rows = [record for _, record in live_items]
         position_of: dict[str, int] = {}
-        checkpoint = llm.tracker.checkpoint()
-        batch_size = (
-            engine.batch_size if engine.pipeline else max(len(live_items), 1)
-        )
+        batch_size = engine.batch_size if engine.pipeline else max(len(rows), 1)
         batch_no = 0
         truncated = False
-        stage = 0
+        # The shard's own spend, for its store entry (stage stats span shards).
+        shard_total = OperatorStats(label=f"shard {shard_index}", model=None)
 
-        try:
-            for start in range(0, len(live_items), batch_size):
-                if any(op.sated(st) for op, st in zip(all_ops, all_states)):
+        with measured_step(ctx, shard_total, cell=False):
+            for start in range(0, len(rows), batch_size):
+                if truncated or any(
+                    op.sated(state) for op, state in zip(section, states)
+                ):
                     break
-                current = live_items[start : start + batch_size]
+                batch = RecordBatch(
+                    rows[start : start + batch_size],
+                    positions[start : start + batch_size],
+                )
                 schedule.start_batch()
                 batch_no += 1
-                for stage, operator in enumerate(all_ops):
-                    if not current:
+                for stage, operator in enumerate(section):
+                    if truncated or not len(batch):
                         break
-                    n_records = len(current)
+                    n_records = len(batch)
                     if operator is finisher:
-                        for position, record in current:
-                            position_of[record.uid] = position
-                    current, seconds = self._cell(
-                        operator, current, all_states[stage], accounts[stage]
+                        position_of.update(
+                            (record.uid, position)
+                            for position, record in zip(batch.positions, batch.records)
+                        )
+                    batch, seconds, truncated = engine.run_cell(
+                        operator, batch, states[stage], stats[stage]
                     )
                     schedule.record(stage, seconds)
                     cells.append(
                         (shard_index, stage, *schedule.last_cell, batch_no, n_records)
                     )
-                for position, record in current:
-                    out_by_pos.setdefault(position, []).append(record)
-        except BudgetExceededError as exc:
-            seconds = getattr(exc, "cell_seconds", 0.0)
-            schedule.record(stage, seconds)
-            cells.append(
-                (shard_index, stage, *schedule.last_cell, batch_no, 0)
-            )
-            truncated = True
+                if not truncated:
+                    for position, record in zip(batch.positions, batch.records):
+                        out_by_pos.setdefault(position, []).append(record)
 
-        if not truncated and finisher is not None and isinstance(finisher, PhysSemTopK):
+        if not truncated and isinstance(finisher, PhysSemTopK):
             entries = [
                 (relevant, similarity, position_of[uid], uid, record)
                 for uid, (relevant, similarity, _arrival, record)
-                in finisher_state["scored"].items()
+                in states[-1]["scored"].items()
             ]
             entries.sort(key=lambda item: (-item[0], -item[1], item[2], item[3]))
             topk_candidates.extend(entries[: finisher.logical_op.k])
@@ -758,7 +657,9 @@ class ShardedExecutor:
         if (
             not truncated
             and fingerprint is not None
-            and not (ctx.failures or llm.tracker.failed_calls(self.run_checkpoint))
+            and not (
+                ctx.failures or llm.tracker.failed_calls(engine.run_checkpoint)
+            )
         ):
             emit_counts = tuple(
                 len(out_by_pos.get(position, ())) for position, _ in items
@@ -768,13 +669,12 @@ class ShardedExecutor:
                 for position, _ in items
                 for record in out_by_pos.get(position, ())
             ]
-            usage = llm.tracker.since(checkpoint)
             capture.store.put(
                 fingerprint,
                 shard_records,
                 source_uids=input_uids,
                 source_id=capture.source_id,
-                cost_usd=carried_cost + usage.cost_usd,
+                cost_usd=carried_cost + shard_total.cost_usd,
                 time_s=carried_time + schedule.makespan,
                 emit_counts=emit_counts,
                 content_version=capture.content_version,
@@ -796,75 +696,6 @@ class ShardedExecutor:
                 )
             cursor += count
 
-    def _cell(
-        self,
-        operator: PhysicalOperator,
-        items: list[tuple[int, DataRecord]],
-        state: dict,
-        account: _StageAccount,
-    ) -> tuple[list[tuple[int, DataRecord]], float]:
-        """One shard-local (batch, stage) cell: measured, position-tagged.
-
-        The single wave runs at the configured width; the adaptive
-        controller and its throttled-record resubmission are deliberately
-        not consulted here — fault specs are per-query, not per-shard,
-        and fault-free runs never diverge from the static width anyway.
-        """
-        ctx = self.ctx
-        tracker = ctx.llm.tracker
-        checkpoint = tracker.checkpoint()
-        failures_before = len(ctx.failures)
-        account.records_in += len(items)
-        emitted: dict[int, list[DataRecord]] = {}
-        budget_error: BudgetExceededError | None = None
-
-        with ctx.llm.measure() as measured:
-            try:
-                operator.prepare_batch(
-                    [record for _, record in items], ctx, state
-                )
-                with ctx.llm.parallel(ctx.wave_width()):
-                    for position, record in items:
-                        emitted[position] = operator.process_record(
-                            record, ctx, state
-                        )
-            except BudgetExceededError as exc:
-                budget_error = exc
-
-        self._account_usage(account, checkpoint, failures_before, measured.seconds)
-        if ctx.llm.metrics.enabled:
-            ctx.llm.metrics.histogram("engine.cell_s").observe(measured.seconds)
-        if budget_error is not None:
-            budget_error.cell_seconds = measured.seconds
-            raise budget_error
-        results = [
-            (position, record)
-            for position in sorted(emitted)
-            for record in emitted[position]
-        ]
-        account.records_out += len(results)
-        return results, measured.seconds
-
-    def _account_usage(
-        self,
-        account: _StageAccount,
-        checkpoint: int,
-        failures_before: int,
-        seconds: float,
-    ) -> None:
-        tracker = self.ctx.llm.tracker
-        usage = tracker.since(checkpoint)
-        account.cost_usd += usage.cost_usd
-        account.llm_calls += usage.calls
-        account.input_tokens += usage.input_tokens
-        account.output_tokens += usage.output_tokens
-        account.cached_calls += sum(
-            1 for event in tracker.events[checkpoint:] if event.cached
-        )
-        account.retried_calls += tracker.failed_calls(checkpoint)
-        account.failed_records += len(self.ctx.failures) - failures_before
-        account.time_s += seconds
-
     def _charge(self, shard_seconds: list[float]) -> None:
         """Advance time as if the shards had run on N parallel workers.
 
@@ -883,6 +714,25 @@ class ShardedExecutor:
         else:
             llm.clock.advance(max(shard_seconds))
 
+    def _emit_phase_cells(
+        self, name: str, stage: int, origin: float, seconds: list[float],
+        rows: list[int], segment_span,
+    ) -> None:
+        """One cell span per busy shard of a shuffle/broadcast phase."""
+        llm = self.ctx.llm
+        if not llm.tracer.enabled or llm.serve_sink is not None:
+            return
+        for shard_index, shard_seconds in enumerate(seconds):
+            if shard_seconds > 0:
+                llm.tracer.add_span(
+                    f"{name} s{shard_index}", "cell",
+                    origin, origin + shard_seconds,
+                    track=f"shard {shard_index} stage {stage}",
+                    parent=segment_span,
+                    shard=shard_index, stage=stage,
+                    records=rows[shard_index],
+                )
+
     # ------------------------------------------------------------------
     # Shuffle segments (semantic group-by)
     # ------------------------------------------------------------------
@@ -896,10 +746,9 @@ class ShardedExecutor:
     ):
         ctx = self.ctx
         llm = ctx.llm
-        tracer = llm.tracer
         plan = self.plan
         n = plan.n_shards
-        account = _StageAccount(operator)
+        stats = OperatorStats.start(operator, shards=n)
         items = list(enumerate(records))
         shards = partition_records(items, n, plan.partitioner)
         origin = llm.clock.elapsed
@@ -907,57 +756,30 @@ class ShardedExecutor:
         # Phase A: classify shard-parallel (scatter by the partitioner).
         labeled: dict[int, tuple[str, DataRecord]] = {}
         classify_seconds: list[float] = []
-        truncated = False
-        for shard_index in range(n):
-            shard_items = shards[shard_index]
-            checkpoint = llm.tracker.checkpoint()
-            failures_before = len(ctx.failures)
-            account.records_in += len(shard_items)
-            budget_error = None
-            with llm.measure() as measured:
-                try:
-                    with llm.parallel(ctx.wave_width()):
-                        for position, record in shard_items:
-                            label = operator.classify_label(record, ctx)
-                            if label is not None:
-                                labeled[position] = (label, record)
-                except BudgetExceededError as exc:
-                    budget_error = exc
-            self._account_usage(
-                account, checkpoint, failures_before, measured.seconds
-            )
-            classify_seconds.append(measured.seconds)
-            if budget_error is not None:
-                truncated = True
+        for shard_items in shards:
+            stats.records_in += len(shard_items)
+            with measured_step(ctx, stats) as step:
+                with llm.parallel(ctx.wave_width()):
+                    for position, record in shard_items:
+                        label = operator.classify_label(record, ctx)
+                        if label is not None:
+                            labeled[position] = (label, record)
+            classify_seconds.append(step.seconds)
+            if step.truncated:
                 break
         self._charge(classify_seconds)
-        if tracer.enabled and llm.serve_sink is None:
-            for shard_index, seconds in enumerate(classify_seconds):
-                if seconds > 0:
-                    tracer.add_span(
-                        f"classify s{shard_index}", "cell",
-                        origin, origin + seconds,
-                        track=f"shard {shard_index} stage 0",
-                        parent=segment_span,
-                        shard=shard_index, stage=0,
-                        records=len(shards[shard_index]),
-                    )
-        if truncated:
-            stats = account.to_stats()
-            stats.shards = n
+        self._emit_phase_cells(
+            "classify", 0, origin, classify_seconds,
+            [len(shard) for shard in shards], segment_span,
+        )
+        if step.truncated:
             return [], [stats], True
 
         # Shuffle: repartition by group label to each label's owner shard.
-        owners: list[dict[str, list[tuple[int, DataRecord]]]] = [
-            {} for _ in range(n)
-        ]
-        moved = 0
+        owners: list[dict[str, list[DataRecord]]] = [{} for _ in range(n)]
         for position in sorted(labeled):
             label, record = labeled[position]
-            owners[key_shard(label, n)].setdefault(label, []).append(
-                (position, record)
-            )
-            moved += 1
+            owners[key_shard(label, n)].setdefault(label, []).append(record)
 
         # Phase B: each owner shard builds its labels' group records.
         #: Members arrive sorted by global position, so membership — and
@@ -966,75 +788,37 @@ class ShardedExecutor:
         build_origin = llm.clock.elapsed
         build_seconds: list[float] = []
         built: dict[str, DataRecord] = {}
-        for shard_index in range(n):
-            shard_labels = owners[shard_index]
-            if not shard_labels:
-                build_seconds.append(0.0)
-                continue
-            checkpoint = llm.tracker.checkpoint()
-            failures_before = len(ctx.failures)
-            budget_error = None
-            with llm.measure() as measured:
-                try:
-                    for label in sorted(shard_labels):
-                        members = [
-                            record for _, record in shard_labels[label]
-                        ]
-                        built[label] = operator.build_group(label, members, ctx)
-                except BudgetExceededError as exc:
-                    budget_error = exc
-            self._account_usage(
-                account, checkpoint, failures_before, measured.seconds
-            )
-            build_seconds.append(measured.seconds)
-            if budget_error is not None:
-                truncated = True
+        for shard_labels in owners:
+            with measured_step(ctx, stats) as step:
+                for label in sorted(shard_labels):
+                    built[label] = operator.build_group(
+                        label, shard_labels[label], ctx
+                    )
+            build_seconds.append(step.seconds)
+            if step.truncated:
                 break
         self._charge(build_seconds)
-        if tracer.enabled and llm.serve_sink is None:
-            for shard_index, seconds in enumerate(build_seconds):
-                if seconds > 0:
-                    tracer.add_span(
-                        f"build s{shard_index}", "cell",
-                        build_origin, build_origin + seconds,
-                        track=f"shard {shard_index} stage 1",
-                        parent=segment_span,
-                        shard=shard_index, stage=1,
-                        records=len(owners[shard_index]),
-                    )
+        self._emit_phase_cells(
+            "build", 1, build_origin, build_seconds,
+            [len(shard_labels) for shard_labels in owners], segment_span,
+        )
 
-        makespans = []
-        for shard_index in range(n):
-            classify = (
-                classify_seconds[shard_index]
-                if shard_index < len(classify_seconds) else 0.0
-            )
-            build = (
-                build_seconds[shard_index]
-                if shard_index < len(build_seconds) else 0.0
-            )
-            makespans.append(classify + build)
+        build_seconds += [0.0] * (n - len(build_seconds))
+        makespans = [a + b for a, b in zip(classify_seconds, build_seconds)]
         segment.shard_makespans = makespans
         segment.shard_rows = [len(shard) for shard in shards]
-        segment.straggler_gap_s = (
-            max(makespans) - min(makespans) if makespans else 0.0
-        )
-        segment.moved_records = len(items) + moved
+        segment.straggler_gap_s = max(makespans) - min(makespans)
+        segment.moved_records = len(items) + len(labeled)
         segment.cost_alternative = n * len(items)
 
-        if truncated:
-            stats = account.to_stats()
-            stats.shards = n
+        if step.truncated:
             return [], [stats], True
-
         output = [
             built[group]
             for group in operator.logical_op.groups
             if group in built
         ]
-        account.records_out = len(output)
-        stats = account.to_stats()
-        stats.shards = n
+        stats.records_out = len(output)
         return output, [stats], False
 
     # ------------------------------------------------------------------
@@ -1050,30 +834,23 @@ class ShardedExecutor:
     ):
         ctx = self.ctx
         llm = ctx.llm
-        tracer = llm.tracer
         plan = self.plan
         n = plan.n_shards
-        account = _StageAccount(operator)
-        account.records_in = len(records)
+        stats = OperatorStats.start(operator, shards=n)
+        stats.records_in = len(records)
         blocked = isinstance(operator, PhysSemJoinBlocked)
 
         # Coordinator side: run (and for the blocked join, embed) the right
         # subplan once; the result is broadcast to every shard by reference.
-        checkpoint = llm.tracker.checkpoint()
-        failures_before = len(ctx.failures)
-        time_before = llm.clock.elapsed
-        right_state = operator.prepare_right(ctx, have_left=bool(records))
-        self._account_usage(
-            account, checkpoint, failures_before,
-            llm.clock.elapsed - time_before,
-        )
+        with measured_step(ctx, stats, cell=False) as step:
+            right_state = operator.prepare_right(ctx, have_left=bool(records))
+        if step.truncated:
+            return [], [stats], True
         right_count = len(right_state["right_records"])
         segment.moved_records = n * right_count
         segment.cost_alternative = len(records) + right_count
 
         if blocked and (not records or not right_count):
-            stats = account.to_stats()
-            stats.shards = n
             return [], [stats], False
 
         items = list(enumerate(records))
@@ -1081,65 +858,33 @@ class ShardedExecutor:
         out_by_pos: dict[int, list[DataRecord]] = {}
         shard_seconds: list[float] = []
         origin = llm.clock.elapsed
-        truncated = False
         tag = f"{ctx.tag}:join"
-        for shard_index in range(n):
-            shard_items = shards[shard_index]
-            shard_checkpoint = llm.tracker.checkpoint()
-            shard_failures = len(ctx.failures)
-            budget_error = None
-            with llm.measure() as measured:
-                try:
-                    left_vectors = None
-                    if blocked and ctx.embed_batch_size > 1 and shard_items:
-                        left_vectors = _embed_texts(
-                            [record.as_text() for _, record in shard_items],
-                            ctx, tag,
+        for shard_items in shards:
+            with measured_step(ctx, stats) as step:
+                vectors = None
+                if blocked and ctx.embed_batch_size > 1 and shard_items:
+                    vectors = _embed_texts(
+                        [record.as_text() for _, record in shard_items],
+                        ctx, tag,
+                    )
+                with llm.parallel(ctx.wave_width()):
+                    for index, (position, left) in enumerate(shard_items):
+                        probe = {} if vectors is None else {"left_vec": vectors[index]}
+                        out_by_pos[position] = operator.join_left(
+                            left, ctx, right_state, **probe
                         )
-                    with llm.parallel(ctx.wave_width()):
-                        for index, (position, left) in enumerate(shard_items):
-                            if blocked:
-                                out_by_pos[position] = operator.join_left(
-                                    left, ctx, right_state,
-                                    left_vec=(
-                                        left_vectors[index]
-                                        if left_vectors is not None else None
-                                    ),
-                                )
-                            else:
-                                out_by_pos[position] = operator.join_left(
-                                    left, ctx, right_state
-                                )
-                except BudgetExceededError as exc:
-                    budget_error = exc
-            self._account_usage(
-                account, shard_checkpoint, shard_failures, measured.seconds
-            )
-            shard_seconds.append(measured.seconds)
-            if budget_error is not None:
-                truncated = True
+            shard_seconds.append(step.seconds)
+            if step.truncated:
                 break
         self._charge(shard_seconds)
         segment.shard_makespans = list(shard_seconds)
         segment.shard_rows = [len(shard) for shard in shards]
-        segment.straggler_gap_s = (
-            max(shard_seconds) - min(shard_seconds) if shard_seconds else 0.0
+        segment.straggler_gap_s = max(shard_seconds) - min(shard_seconds)
+        self._emit_phase_cells(
+            "join", 0, origin, shard_seconds, segment.shard_rows, segment_span
         )
-        if tracer.enabled and llm.serve_sink is None:
-            for shard_index, seconds in enumerate(shard_seconds):
-                if seconds > 0:
-                    tracer.add_span(
-                        f"join s{shard_index}", "cell",
-                        origin, origin + seconds,
-                        track=f"shard {shard_index} stage 0",
-                        parent=segment_span,
-                        shard=shard_index, stage=0,
-                        records=len(shards[shard_index]),
-                    )
 
-        stats = account.to_stats()
-        stats.shards = n
-        if truncated:
+        if step.truncated:
             return [], [stats], True
         merged = [
             record

@@ -83,7 +83,12 @@ def test_config_specs_serde_round_trip():
 def test_matrix_always_contains_the_exec_class_core():
     _, specs = _matrix_for(seed=0)
     names = {spec.name for spec in specs}
-    assert {"baseline", "barrier", "small-batch", "serial"} <= names
+    assert {"baseline", "barrier", "small-batch", "row-batch", "serial"} <= names
+    row_batch = next(spec for spec in specs if spec.name == "row-batch")
+    assert row_batch.batch_size == 1 and row_batch.answer_class == "exec"
+    pushdown = [spec for spec in specs if spec.answer_class == "pushdown"]
+    assert [spec.name for spec in pushdown] == ["no-pushdown"]
+    assert not pushdown[0].pushdown
     assert sum(1 for spec in specs if spec.name == "baseline") == 1
 
 
@@ -206,6 +211,19 @@ def test_mutation_registry_and_lookup():
     assert mutation_by_name("drop-budget-check").expected_oracle == "budget-cap"
     with pytest.raises(ValueError):
         mutation_by_name("no-such-mutation")
+
+
+def test_scramble_mutation_reaches_shard_cells():
+    # One cell runner: the ordering defect must corrupt the sharded run
+    # itself, not merely the unsharded baseline it is compared against.
+    mutation = mutation_by_name("scramble-cell-order")
+    assert "shard-equivalence" in mutation.also_killed_by
+    case = PlanFuzzer(seed=0).case(0)
+    spec = next(s for s in config_matrix(case.plan) if s.name == "sharded-4")
+    clean = run_spec(case, spec)
+    broken = run_spec(case, spec, mutation=mutation)
+    assert clean.error is None and broken.error is None
+    assert broken.records != clean.records
 
 
 @pytest.mark.slow

@@ -11,18 +11,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data.records import DataRecord, reset_uid_counter
+from repro.data.records import DataRecord
 from repro.llm.oracle import SemanticOracle
 from repro.llm.simulated import SimulatedLLM
-from repro.qa.corpus import CorpusSpec, build_corpus, instruction_for
+from repro.qa.corpus import CorpusSpec, build_corpus
+from repro.sem import logical as L
+from repro.sem import physical as P
 from repro.sem.batch import (
     RecordBatch,
     _exact_float_column,
     struct_filter_mask,
 )
-from repro.sem.config import QueryProcessorConfig
-from repro.sem.dataset import Dataset
-from repro.sem.structql import compile_predicate, predicate_holds
+from repro.sem.structql import compile_predicate, evaluate_predicate, predicate_holds
 
 
 def _records(rows: list[dict]) -> list[DataRecord]:
@@ -164,36 +164,104 @@ class TestExactFloatColumn:
 
 
 # ---------------------------------------------------------------------------
-# Columnar engine mode is an invisible fast path
+# Token-free operators: ``process_batch`` against its scalar definition
 # ---------------------------------------------------------------------------
+#
+# Each token-free operator has exactly one body — a whole-batch kernel.
+# Its *definition* is the scalar rule below (evaluate / derive / call /
+# slice one record at a time); the references live here, in the test, and
+# the kernels must reproduce them bit for bit on the QA corpus at every
+# batch split, carrying the positions sidecar row for row.
 
 
-def _run_qa_plan(columnar: bool):
-    reset_uid_counter()
+def _ref_py_filter(op, records):
+    return [(i, r) for i, r in enumerate(records) if op.logical_op.fn(r)]
+
+
+def _ref_py_map(op, records):
+    return [(i, r.derive(op.logical_op.fn(r))) for i, r in enumerate(records)]
+
+
+def _ref_project(op, records):
+    wanted = set(op.logical_op.fields)
+    return [
+        (i, r.derive({}, drop=[name for name in r.fields if name not in wanted]))
+        for i, r in enumerate(records)
+    ]
+
+
+def _ref_limit(op, records):
+    return list(enumerate(records))[: op.logical_op.n]
+
+
+def _ref_struct_filter(op, records):
+    expr = compile_predicate(op.logical_op.condition)
+    return [
+        (i, r)
+        for i, r in enumerate(records)
+        if evaluate_predicate(expr, r.fields) is True
+    ]
+
+
+TOKEN_FREE = {
+    "py_filter": (
+        lambda: P.PhysPyFilter(
+            L.PyFilterOp(child=None, fn=lambda r: r.get("priority", 0) <= 3)
+        ),
+        _ref_py_filter,
+    ),
+    "py_map": (
+        lambda: P.PhysPyMap(
+            L.PyMapOp(
+                child=None,
+                fn=lambda r: {"double": r.get("priority", 0) * 2, "title": "x"},
+            )
+        ),
+        _ref_py_map,
+    ),
+    "project": (
+        lambda: P.PhysProject(L.ProjectOp(child=None, fields=("title", "priority"))),
+        _ref_project,
+    ),
+    "limit": (lambda: P.PhysLimit(L.LimitOp(child=None, n=7)), _ref_limit),
+    "struct_filter": (
+        lambda: P.PhysStructFilter(
+            L.StructFilterOp(child=None, condition="priority >= 2 AND title <> ''")
+        ),
+        _ref_struct_filter,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOKEN_FREE))
+@pytest.mark.parametrize("batch_size", [1, 3, 20])
+def test_process_batch_matches_scalar_definition(name, batch_size):
+    build, reference = TOKEN_FREE[name]
     bundle = build_corpus(CorpusSpec(seed=9, n_records=20))
+    records = list(bundle.source().iterate())
     llm = SimulatedLLM(oracle=SemanticOracle(bundle.registry), seed=9)
-    config = QueryProcessorConfig(
-        llm=llm, optimize=False, seed=9, columnar=columnar
-    )
-    result = (
-        Dataset.from_source(bundle.source())
-        .where("priority >= 2")
-        .sem_filter(instruction_for("qa.flag_urgent"))
-        .filter(lambda r: r.get("priority", 0) <= 3, description="le3")
-        .limit(5)
-        .run(config)
-    )
-    return [(r.uid, tuple(sorted(r.fields.items()))) for r in result.records], (
-        result.total_cost_usd,
-        result.total_time_s,
-    )
+    ctx = P.ExecutionContext(llm=llm)
+    operator = build()
+    expected = reference(operator, records)
+    assert 0 < len(expected) <= len(records)  # non-degenerate
 
-
-def test_columnar_escape_hatch_is_bit_identical():
-    columnar_records, columnar_totals = _run_qa_plan(columnar=True)
-    row_records, row_totals = _run_qa_plan(columnar=False)
-    assert columnar_records == row_records
-    assert columnar_totals == row_totals
+    state = operator.new_state(ctx)
+    got = []
+    for start in range(0, len(records), batch_size):
+        chunk = records[start : start + batch_size]
+        out = operator.process_batch(
+            RecordBatch(chunk, list(range(start, start + len(chunk)))), ctx, state
+        )
+        got.extend(zip(out.positions, out.records))
+    assert [position for position, _ in got] == [i for i, _ in expected]
+    for (_, record), (_, wanted) in zip(got, expected):
+        assert _identical(record, wanted)
+    # Token-free means token-free: no calls, no virtual time.
+    assert llm.tracker.events == [] and llm.clock.elapsed == 0.0
+    # The derived whole-input entry point is the same kernel, one batch.
+    whole = build().execute(records, ctx)
+    assert len(whole) == len(expected)
+    assert all(_identical(a, b) for a, (_, b) in zip(whole, expected))
 
 
 # ---------------------------------------------------------------------------

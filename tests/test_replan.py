@@ -449,6 +449,52 @@ class TestConfigValidation:
 
 
 # ---------------------------------------------------------------------------
+# Interplay with sharding: disarmed, and says so
+# ---------------------------------------------------------------------------
+
+
+class TestReplanUnderSharding:
+    NOTE = "replan disabled: sharded plans have no replan boundary"
+
+    @pytest.mark.parametrize("with_materialization", [False, True])
+    def test_sharded_replan_is_disarmed_and_reported(
+        self, rp_bundle, with_materialization
+    ):
+        from repro.sem.explain import explain_analyze
+        from repro.sem.materialize import MaterializationStore
+
+        store = _warm_store(rp_bundle)
+        baseline, _ = _run(rp_bundle, _misestimate_plan)
+        kwargs = {}
+        if with_materialization:
+            kwargs["materialization_store"] = MaterializationStore()
+        result, report = _run(
+            rp_bundle,
+            _misestimate_plan,
+            stats_store=store,
+            stats_estimates=False,
+            replan=True,
+            shards=4,
+            **kwargs,
+        )
+        assert report.replanner is None and report.replans == []
+        assert self.NOTE in report.note
+        assert f"NOTE: {self.NOTE}" in explain_analyze(result, report)
+        assert _normalized(result) == _normalized(baseline)
+
+    def test_note_is_absent_when_replan_can_apply_or_is_off(self, rp_bundle):
+        from repro.sem.explain import explain_analyze
+
+        store = _warm_store(rp_bundle)
+        for kwargs in (dict(replan=True), dict(replan=False, shards=4)):
+            result, report = _run(
+                rp_bundle, _misestimate_plan, stats_store=store, **kwargs
+            )
+            assert self.NOTE not in report.note
+            assert self.NOTE not in explain_analyze(result, report)
+
+
+# ---------------------------------------------------------------------------
 # Interplay with materialization
 # ---------------------------------------------------------------------------
 

@@ -1,8 +1,12 @@
 """Tests for physical operators over a small annotated dataset."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.data.records import DataRecord
+from repro.errors import ExecutionError
 from repro.data.schemas import Field, Schema
 from repro.data.sources import MemorySource
 from repro.llm.oracle import DIFFICULTY_PREFIX, IntentRegistry, SemanticOracle
@@ -178,3 +182,69 @@ def test_retrieve_fallback_embeds(ctx):
     op = L.RetrieveOp(child=_scan_op(), query="gadgets", k=2)
     output = P.PhysRetrieve(op).execute(_records(), ctx)
     assert len(output) == 2
+
+
+# ---------------------------------------------------------------------------
+# Structural guards: one definition per operator, one loop per executor
+# ---------------------------------------------------------------------------
+
+
+def _streamable_operator_classes():
+    return [
+        cls
+        for cls in vars(P).values()
+        if inspect.isclass(cls)
+        and issubclass(cls, P.StreamingOperator)
+        and cls is not P.StreamingOperator
+    ]
+
+
+def test_streamable_operators_define_exactly_one_entry_point():
+    classes = _streamable_operator_classes()
+    assert len(classes) >= 9
+    for cls in classes:
+        defined = {"process_record", "process_batch"} & set(vars(cls))
+        assert len(defined) == 1, f"{cls.__name__} defines {sorted(defined)}"
+        assert "execute" not in vars(cls), f"{cls.__name__} overrides execute"
+        assert cls.streamable
+
+
+def test_executors_only_call_the_batch_entry_point():
+    from repro.sem import execution, shard
+
+    for module in (execution, shard):
+        assert "process_record" not in inspect.getsource(module), module.__name__
+
+
+def test_config_field_count_only_ratchets_down():
+    # Lower this when a knob dies; never raise it to merge.
+    from repro.sem.config import QueryProcessorConfig
+
+    assert len(dataclasses.fields(QueryProcessorConfig)) <= 31
+
+
+def test_sql_scan_runs_pushed_ops_as_their_physical_classes(ctx):
+    scan = _scan_op()
+    pushed = (
+        L.StructFilterOp(child=None, condition="topic = 'gadgets'"),
+        L.ProjectOp(child=None, fields=("name",)),
+        L.LimitOp(child=None, n=2),
+    )
+    sql_scan = P.PhysSqlScan(
+        L.SqlScanOp(child=None, source=scan.source, pushed=pushed, sql="")
+    )
+    assert [type(op) for op in sql_scan.pushed] == [
+        P.PhysStructFilter, P.PhysProject, P.PhysLimit,
+    ]
+    output = sql_scan.execute([], ctx)
+    assert sql_scan.scanned == 6
+    assert [record.fields for record in output] == [
+        {"name": "item0"}, {"name": "item2"},
+    ]
+    with pytest.raises(ExecutionError, match="cannot run inside a SqlScan"):
+        P.PhysSqlScan(
+            L.SqlScanOp(
+                child=None, source=scan.source, sql="",
+                pushed=(L.PyFilterOp(child=None, fn=bool),),
+            )
+        )

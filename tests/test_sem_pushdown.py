@@ -1,8 +1,8 @@
 """SQL pushdown: rewrite rules, compiled SQL, and end-to-end equivalence.
 
-The tentpole contract: enabling pushdown (and/or columnar batches) may
-change *where* structured work runs — a SqlScan leaf before any LLM
-operator instead of interleaved row-mode operators — but never the
+The tentpole contract: enabling pushdown may change *where* structured
+work runs — a SqlScan leaf before any LLM operator instead of operators
+interleaved in plan order — but never the
 records, their order, or their uids.  Cost can only go down, because the
 pushed prefix is token-free and prunes LLM inputs.
 """
@@ -230,18 +230,11 @@ class TestCompiledSql:
 
 
 def _run_modes(qa_bundle, build_plan, *, optimize=False):
-    """Run a plan under all four pushdown/columnar modes; return results."""
+    """Run a plan with pushdown off and on; return results."""
     outcomes = {}
-    for name, pushdown, columnar in (
-        ("off-row", False, False),
-        ("off-col", False, True),
-        ("on-row", True, False),
-        ("on-col", True, True),
-    ):
+    for name, pushdown in (("off", False), ("on", True)):
         reset_uid_counter()
-        config = _config(
-            qa_bundle, optimize=optimize, pushdown=pushdown, columnar=columnar
-        )
+        config = _config(qa_bundle, optimize=optimize, pushdown=pushdown)
         result, report = build_plan(qa_bundle).run_with_report(config)
         outcomes[name] = (result, report)
     return outcomes
@@ -264,7 +257,7 @@ def _filter_where_map_plan(bundle):
 class TestEndToEndEquivalence:
     def test_bit_identical_records_across_all_modes(self, qa_bundle):
         outcomes = _run_modes(qa_bundle, _filter_where_map_plan)
-        reference = _normalized(outcomes["off-row"][0])
+        reference = _normalized(outcomes["off"][0])
         assert reference  # non-degenerate
         for name, (result, _report) in outcomes.items():
             assert _normalized(result) == reference, name
@@ -272,26 +265,21 @@ class TestEndToEndEquivalence:
     def test_pushdown_never_costs_more(self, qa_bundle):
         outcomes = _run_modes(qa_bundle, _filter_where_map_plan)
         assert (
-            outcomes["on-row"][0].total_cost_usd
-            <= outcomes["off-row"][0].total_cost_usd + 1e-9
-        )
-        # Columnar mode is free either way.
-        assert (
-            outcomes["on-col"][0].total_cost_usd
-            == outcomes["on-row"][0].total_cost_usd
+            outcomes["on"][0].total_cost_usd
+            <= outcomes["off"][0].total_cost_usd + 1e-9
         )
 
     def test_pushdown_report_only_when_enabled(self, qa_bundle):
         outcomes = _run_modes(qa_bundle, _filter_where_map_plan)
-        assert outcomes["on-row"][1].pushdown_ops == 1
-        assert "WHERE priority >= 3" in outcomes["on-row"][1].pushdown_sql
-        assert outcomes["off-row"][1].pushdown_ops == 0
-        assert outcomes["off-row"][1].pushdown_sql == ""
+        assert outcomes["on"][1].pushdown_ops == 1
+        assert "WHERE priority >= 3" in outcomes["on"][1].pushdown_sql
+        assert outcomes["off"][1].pushdown_ops == 0
+        assert outcomes["off"][1].pushdown_sql == ""
 
     def test_equivalence_holds_under_optimization(self, qa_bundle):
         plain = _run_modes(qa_bundle, _filter_where_map_plan)
         optimized = _run_modes(qa_bundle, _filter_where_map_plan, optimize=True)
-        reference = _normalized(plain["off-row"][0])
+        reference = _normalized(plain["off"][0])
         for name, (result, _report) in optimized.items():
             assert _normalized(result) == reference, name
 
@@ -305,10 +293,10 @@ class TestEndToEndEquivalence:
             )
 
         outcomes = _run_modes(qa_bundle, build)
-        reference = _normalized(outcomes["off-row"][0])
+        reference = _normalized(outcomes["off"][0])
         for name, (result, _report) in outcomes.items():
             assert _normalized(result) == reference, name
-        assert outcomes["on-row"][1].pushdown_ops == 2
+        assert outcomes["on"][1].pushdown_ops == 2
 
     def test_struct_agg_end_to_end(self, qa_bundle):
         def build(bundle):
@@ -322,7 +310,7 @@ class TestEndToEndEquivalence:
             )
 
         outcomes = _run_modes(qa_bundle, build)
-        reference = _normalized(outcomes["off-row"][0])
+        reference = _normalized(outcomes["off"][0])
         assert len(reference) == 1
         fields = dict(reference[0][1])
         assert fields["n"] > 0 and fields["worst"] == 4
@@ -337,7 +325,7 @@ class TestEndToEndEquivalence:
             )
 
         outcomes = _run_modes(qa_bundle, build)
-        reference = _normalized(outcomes["off-row"][0])
+        reference = _normalized(outcomes["off"][0])
         assert len(reference) > 1
         for name, (result, _report) in outcomes.items():
             assert _normalized(result) == reference, name
@@ -382,11 +370,10 @@ def test_explain_analyze_has_no_pushdown_footer_when_disabled(qa_bundle):
 def test_pushdown_composes_with_materialized_reuse(qa_bundle):
     store = MaterializationStore()
 
-    # Cold pass: row mode primes the store with the structured prefix.
+    # Cold pass: the plan-order run primes the store with the structured prefix.
     reset_uid_counter()
     cold_config = _config(
-        qa_bundle, optimize=False, pushdown=False, columnar=False,
-        materialization_store=store,
+        qa_bundle, optimize=False, pushdown=False, materialization_store=store,
     )
     cold, _ = _filter_where_map_plan(qa_bundle).run_with_report(cold_config)
 
@@ -394,8 +381,7 @@ def test_pushdown_composes_with_materialized_reuse(qa_bundle):
     # prefix, so it must land on the same fingerprint and replay.
     reset_uid_counter()
     warm_config = _config(
-        qa_bundle, optimize=False, pushdown=True, columnar=True,
-        materialization_store=store,
+        qa_bundle, optimize=False, pushdown=True, materialization_store=store,
     )
     warm, warm_report = _filter_where_map_plan(qa_bundle).run_with_report(warm_config)
 

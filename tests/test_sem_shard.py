@@ -20,9 +20,10 @@ from repro.core.runtime import AnalyticsRuntime
 from repro.data.records import DataRecord, reset_uid_counter
 from repro.data.schemas import Field, Schema
 from repro.errors import ConfigurationError, OptimizationError
+from repro.llm.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.llm.oracle import SemanticOracle
 from repro.llm.simulated import SimulatedLLM
-from repro.obs import Tracer, validate_spans
+from repro.obs import MetricsRegistry, Tracer, validate_spans
 from repro.qa.corpus import CorpusSpec, build_corpus, instruction_for
 from repro.sem import physical as P
 from repro.sem.config import QueryProcessorConfig
@@ -246,7 +247,7 @@ class TestPlanShards:
             for name, cls in vars(P).items()
             if inspect.isclass(cls)
             and issubclass(cls, P.PhysicalOperator)
-            and not inspect.isabstract(cls)
+            and cls not in (P.PhysicalOperator, P.StreamingOperator)
             and cls.exchange not in valid
         ]
         assert not missing, f"operators without exchange declarations: {missing}"
@@ -469,6 +470,67 @@ class TestShardsOneNoOp:
         assert gated.total_cost_usd == plain.total_cost_usd
         assert gated.total_time_s == plain.total_time_s
         assert gated_spans == plain_spans
+
+
+# ---------------------------------------------------------------------------
+# Faults x shards: shard cells are the engine's cells
+# ---------------------------------------------------------------------------
+
+PARALLELISM = 8
+#: A throttle that outlasts the run: waves wider than 2 are bounced.
+STORM = FaultConfig(
+    rate_limit_storms=((0.0, 1e9),), storm_rate=1.0, storm_safe_parallelism=2
+)
+
+
+def _run_stormy(bundle, *, adaptive=True, storm=True, shards=4):
+    reset_uid_counter()
+    metrics = MetricsRegistry()
+    llm = SimulatedLLM(
+        oracle=SemanticOracle(bundle.registry),
+        seed=13,
+        faults=FaultInjector(STORM, seed=13) if storm else None,
+        retry=RetryPolicy(max_attempts=2, base_backoff_s=0.5),
+        metrics=metrics,
+    )
+    config = QueryProcessorConfig(
+        llm=llm, seed=13, optimize=False, parallelism=PARALLELISM,
+        shards=shards, adaptive_parallelism=adaptive,
+    )
+    return _filter_map(bundle).run(config), metrics.histogram("engine.wave_width")
+
+
+class TestFaultsUnderSharding:
+    def test_storm_narrows_sharded_waves_and_rescues_records(self, qa_bundle):
+        adaptive, widths = _run_stormy(qa_bundle, adaptive=True)
+        static, static_widths = _run_stormy(qa_bundle, adaptive=False)
+        assert adaptive.retried_calls > 0  # the storm really hit
+        assert widths.min < PARALLELISM
+        assert static_widths.min == PARALLELISM
+        assert static.failed_records > 0
+        assert adaptive.failed_records <= static.failed_records
+        assert len(adaptive.records) >= len(static.records)
+
+    def test_storm_degrades_no_more_records_sharded_than_unsharded(self, qa_bundle):
+        sharded, _ = _run_stormy(qa_bundle, shards=4)
+        unsharded, _ = _run_stormy(qa_bundle, shards=1)
+        assert sharded.failed_records <= unsharded.failed_records
+
+    def test_stormy_sharded_run_is_deterministic(self, qa_bundle):
+        first, _ = _run_stormy(qa_bundle)
+        second, _ = _run_stormy(qa_bundle)
+        assert first.fingerprint() == second.fingerprint()
+        assert first.failed_records == second.failed_records
+        assert first.total_time_s == second.total_time_s
+
+    def test_fault_free_sharded_width_never_leaves_the_cap(self, qa_bundle):
+        result, widths = _run_stormy(qa_bundle, storm=False)
+        assert widths.count > 0
+        assert widths.min == widths.max == PARALLELISM
+        assert result.retried_calls == 0 and result.failed_records == 0
+        baseline, _ = _run_stormy(qa_bundle, storm=False, shards=1)
+        assert _normalized(result) == _normalized(baseline)
+        assert result.total_cost_usd == pytest.approx(baseline.total_cost_usd)
 
 
 # ---------------------------------------------------------------------------
