@@ -67,6 +67,10 @@ echo "== hybrid-sharded perf smoke (shards=4 digests == shards=1 re-run: global 
 python3 -m benchmarks.perf bench --workload hybrid_sharded --smoke
 
 echo
+echo "== serve-mix perf smoke (every submit crosses statistics annotation + the replay splice; ~5 in 6 replay) =="
+python3 -m benchmarks.perf bench --workload serve_mix --smoke
+
+echo
 echo "== standing-query smoke sweep =="
 python benchmarks/bench_streaming.py --smoke
 

@@ -221,21 +221,18 @@ class StatisticsStore:
 
     # -- ingestion ------------------------------------------------------
 
-    def ingest_run(self, operator_stats, stats_plan, tracer=None) -> int:
+    def ingest_run(self, operator_stats, tracer=None) -> int:
         """Ingest one finished run's measured per-operator statistics.
 
         ``operator_stats`` is the engine's per-operator measurement list;
-        ``stats_plan`` the position-aligned list of key-metadata dicts the
-        optimizer produced (None = position not stat-keyed).  Positions
-        whose operator label no longer matches the plan entry are skipped —
-        alignment bugs must never poison priors.  Emits a zero-duration
-        ``stats.ingest`` span on an enabled tracer.
+        each row carries the key-metadata dict of the operator it measured
+        as ``stats_entry`` (None = not stat-keyed, skipped).  Emits a
+        zero-duration ``stats.ingest`` span on an enabled tracer.
         """
         ingested = 0
-        for stats, entry in zip(operator_stats, stats_plan):
+        for stats in operator_stats:
+            entry = stats.stats_entry
             if entry is None:
-                continue
-            if entry.get("label") != stats.label.split(" [")[0]:
                 continue
             if self._observe_entry(
                 entry,

@@ -147,8 +147,7 @@ def check_policy_cost(run) -> list[Violation]:
     for observation in run.by_class("probe"):
         if observation.error or not observation.optimized:
             continue
-        for label, chosen in observation.chosen_models.items():
-            profiles = observation.profiles.get(label, {})
+        for label, chosen, profiles in observation.model_choices:
             champion = profiles.get(observation.champion_model)
             picked = profiles.get(chosen)
             if champion is None or picked is None:

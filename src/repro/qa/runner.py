@@ -49,8 +49,8 @@ class Observation:
     max_attempts: int = 1
     #: Optimizer report extracts (opt/probe classes).
     optimized: bool = False
-    chosen_models: dict = field(default_factory=dict)
-    profiles: dict = field(default_factory=dict)
+    #: Per profiled operator: (label, chosen model, candidate profiles).
+    model_choices: list = field(default_factory=list)
     champion_model: str = ""
     estimate_cost_usd: float | None = None
     estimate_time_s: float | None = None
@@ -230,8 +230,11 @@ def run_spec(
     )
     observation.max_attempts = llm.retry.max_attempts
     observation.optimized = report.optimized
-    observation.chosen_models = dict(report.chosen_models)
-    observation.profiles = report.profiles
+    observation.model_choices = [
+        (op.logical_op.label(), op.model, op.estimate.candidates)
+        for op in report.planned
+        if op.model and op.estimate is not None
+    ]
     observation.champion_model = config.champion_model
     if report.estimate is not None:
         observation.estimate_cost_usd = report.estimate.cost_usd

@@ -288,17 +288,21 @@ class Dataset:
                 batch_size=config.resolved_batch_size(),
                 capture=report.capture,
                 replanner=report.replanner,
-                stats_plan=report.stats_plan,
                 shard_plan=report.shard_plan,
             )
             result = engine.execute(operators)
             result.optimization_cost_usd = report.sampling_cost_usd
             result.optimization_time_s = report.sampling_time_s
-            result.plan_explain = "\n".join(report.final_order) or plan.explain()
+            # Join plans bind only their left spine (no statistics entries,
+            # nothing to ingest); the logical tree is their honest rendering.
+            linear = plan.is_linear()
+            result.plan_explain = (
+                "\n".join(report.final_order) if linear else plan.explain()
+            )
             stats_store = config.stats_store
             if (
                 stats_store is not None
-                and report.stats_plan
+                and linear
                 and not result.truncated
                 and not report.reused_prefix
                 and not (
@@ -307,11 +311,10 @@ class Dataset:
                 )
             ):
                 # Feed learned priors only with full, honestly measured
-                # runs: truncated executions under-count selectivity and a
-                # replayed prefix reports zero spend for its operators.
-                stats_store.ingest_run(
-                    result.operator_stats, report.stats_plan, tracer=tracer
-                )
+                # runs: truncated executions under-count selectivity, replayed
+                # shards report zero spend for their operators, and a run
+                # behind a replayed prefix measures only its suffix.
+                stats_store.ingest_run(result.operator_stats, tracer=tracer)
         if tracer.enabled:
             query_span.attributes.update(
                 records=len(result.records),

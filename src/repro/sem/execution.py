@@ -80,6 +80,11 @@ class OperatorStats:
     records_scanned: int = 0
     #: Simulated workers this operator ran across (1 = coordinator-only).
     shards: int = 1
+    #: The operator's statistics-key entry (None = not keyable) and plan
+    #: estimate record, so ingestion, span export and EXPLAIN read the
+    #: measured row alone — no list to keep aligned with it.
+    stats_entry: dict | None = field(default=None, repr=False)
+    estimate: object | None = field(default=None, repr=False)
 
     @classmethod
     def start(cls, operator: PhysicalOperator, shards: int = 1) -> "OperatorStats":
@@ -90,6 +95,8 @@ class OperatorStats:
             reused=operator.reused,
             sql_pushdown=operator.pushed_down,
             shards=shards,
+            stats_entry=operator.stats_entry,
+            estimate=operator.estimate,
         )
 
     @property
@@ -263,6 +270,8 @@ def _stats_attrs(stats: OperatorStats) -> dict:
         attrs["records_scanned"] = stats.records_scanned
     if stats.shards > 1:
         attrs["shards"] = stats.shards
+    if stats.stats_entry is not None:
+        attrs["stats"] = dict(stats.stats_entry)
     return attrs
 
 
@@ -330,7 +339,6 @@ class Engine:
         batch_size: int | None = None,
         capture=None,
         replanner=None,
-        stats_plan=None,
         shard_plan=None,
     ) -> None:
         self.ctx = ctx
@@ -339,17 +347,14 @@ class Engine:
         self.batch_size = batch_size if batch_size is not None else max(2 * ctx.parallelism, 16)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        #: Optional :class:`repro.sem.materialize.CapturePlan`: operator
-        #: boundaries to materialize into the store after they complete.
+        #: Optional :class:`repro.sem.materialize.CapturePlan`: the store
+        #: that boundaries of operators carrying a ``fingerprint`` are
+        #: materialized into after they complete.
         self.capture = capture
         #: Optional :class:`repro.sem.optimizer.replan.Replanner` consulted
         #: at every step boundary with the observed cardinality; when it
-        #: accepts, the remaining operators are swapped in place.
+        #: accepts, the remaining operators are permuted in place.
         self.replanner = replanner
-        #: Position-aligned statistics-key metadata from the optimizer
-        #: (None entries = unkeyable); attached to operator spans so traces
-        #: can be re-ingested into a StatisticsStore offline.
-        self.stats_plan = stats_plan
         #: Optional :class:`repro.sem.shard.ShardPlan`: when set, the
         #: scale-out :class:`repro.sem.shard.ShardedExecutor` supplies the
         #: steps (``shards=1`` never builds a plan).
@@ -366,26 +371,19 @@ class Engine:
             return ShardedExecutor(self, self.shard_plan).execute(operators)
         return self.drive(operators, self._step_at)
 
-    def drive(
-        self,
-        operators: list[PhysicalOperator],
-        step_at,
-        index: int = 0,
-        records: list[DataRecord] | None = None,
-        stats: list[OperatorStats] | None = None,
-    ) -> ExecutionResult:
-        """The one driver loop: run ``operators[index:]`` a step at a time.
+    def drive(self, operators: list[PhysicalOperator], step_at) -> ExecutionResult:
+        """The one driver loop: run ``operators`` a step at a time.
 
         ``step_at(operators, index)`` names the step starting at ``index``
         as ``(end, run)``; ``run(operators, index, end, records)`` executes
         ``operators[index:end]`` and returns ``(records, stats, truncated)``
         — on a budget cut, the records worth keeping (the step's input, or
-        whatever a pipelined section salvaged).  ``records``/``stats`` seed
-        the loop when a prefix was replayed instead of run.
+        whatever a pipelined section salvaged).
         """
         llm = self.ctx.llm
-        records = records if records is not None else []
-        stats = stats if stats is not None else []
+        index = 0
+        records: list[DataRecord] = []
+        stats: list[OperatorStats] = []
         self.run_start_cost = llm.tracker.spent_usd
         self.run_start_time = llm.clock.elapsed
         self.run_checkpoint = llm.tracker.checkpoint()
@@ -406,8 +404,13 @@ class Engine:
             stats.extend(step_stats)
             if truncated:
                 break
-            self._maybe_capture(end - 1, records)
-            operators = self._maybe_replan(operators, end, len(records))
+            self._maybe_capture(operators[end - 1], records)
+            if self.replanner is not None:
+                # The re-planner owns the decision (divergence threshold,
+                # learned priors, strict cost improvement) and permutes
+                # ``operators[end:]`` in place; every plan fact rides on
+                # the operators, so ingestion and EXPLAIN follow along.
+                self.replanner.consider(end, len(records), operators)
             index = end
 
         if llm.metrics.enabled and truncated:
@@ -437,35 +440,10 @@ class Engine:
             return end, self._section_step
         return index + 1, self.operator_step
 
-    def _stats_entry(self, position: int):
-        plan = self.stats_plan
-        if not plan or position >= len(plan):
-            return None
-        return plan[position]
-
-    def _maybe_replan(
-        self,
-        operators: list[PhysicalOperator],
-        boundary: int,
-        observed_rows: int,
-    ) -> list[PhysicalOperator]:
-        """Consult the re-planner at ``boundary``; splice its new suffix in.
-
-        The re-planner owns the decision (divergence threshold, learned
-        priors, strict cost improvement) and mutates the optimizer report's
-        chain-aligned views — including ``stats_plan``, which this engine
-        shares by reference — so post-run ingestion and EXPLAIN stay
-        consistent with what actually ran.
-        """
-        if self.replanner is None or boundary >= len(operators):
-            return operators
-        new_suffix = self.replanner.consider(boundary, observed_rows, operators)
-        if new_suffix is None:
-            return operators
-        return operators[:boundary] + new_suffix
-
-    def _maybe_capture(self, position: int, records: list[DataRecord]) -> None:
-        """Materialize the boundary after operator ``position`` if eligible.
+    def _maybe_capture(
+        self, operator: PhysicalOperator, records: list[DataRecord]
+    ) -> None:
+        """Materialize the boundary after ``operator`` if eligible.
 
         Capture is skipped on tainted runs: degraded records (``skip``) or
         fault-driven fallback answers would poison later reuse, and a
@@ -475,10 +453,8 @@ class Engine:
         replayed entry, i.e. an honest full-recompute estimate.
         """
         plan = self.capture
-        if plan is None or position >= len(plan.fingerprints):
-            return
-        fingerprint = plan.fingerprints[position]
-        if fingerprint is None:
+        fingerprint = operator.fingerprint
+        if plan is None or fingerprint is None:
             return
         llm = self.ctx.llm
         if self.ctx.failures or llm.tracker.failed_calls(self.run_checkpoint):
@@ -524,9 +500,6 @@ class Engine:
         op_stats.records_scanned = operator.scanned
         if tracer.enabled:
             op_span.attributes.update(_stats_attrs(op_stats))
-            entry = self._stats_entry(index)
-            if entry is not None:
-                op_span.attributes["stats"] = dict(entry)
         if metrics.enabled:
             metrics.histogram("engine.operator_s").observe(op_stats.time_s)
         return output, [op_stats], step.truncated
@@ -553,18 +526,12 @@ class Engine:
             outputs, section_stats, truncated = self._run_section(
                 section, records, section_span
             )
-        if tracer.enabled and self.stats_plan:
-            stage_stats = []
-            for offset, stage in enumerate(section_stats):
-                entry = self._stats_entry(index + offset)
-                if entry is not None:
-                    stage_stats.append(
-                        {
-                            "stats": dict(entry),
-                            "time_s": stage.time_s,
-                            **_stats_attrs(stage),
-                        }
-                    )
+        if tracer.enabled:
+            stage_stats = [
+                {"time_s": stage.time_s, **_stats_attrs(stage)}
+                for stage in section_stats
+                if stage.stats_entry is not None
+            ]
             if stage_stats:
                 section_span.attributes["stage_stats"] = stage_stats
         if metrics.enabled:
@@ -599,11 +566,14 @@ class Engine:
         truncated = False
         batch_no = 0
 
-        def run_stages(batch: RecordBatch, first_stage: int) -> list[DataRecord]:
-            """One batch through stages ``first_stage``.. — returns survivors."""
+        def run_stages(
+            batch: RecordBatch, first_stage: int, ready: float = 0.0
+        ) -> list[DataRecord]:
+            """One batch, available at ``ready``, through stages
+            ``first_stage``.. — returns survivors."""
             nonlocal truncated, batch_no, charged
             batch_no += 1
-            schedule.start_batch()
+            schedule.start_batch(ready)
             for stage in range(first_stage, len(section)):
                 if not len(batch):
                     break
@@ -638,14 +608,20 @@ class Engine:
             outputs.extend(run_stages(batch, 0))
 
         # Flush held-back records (e.g. top-k winners) downstream, in stage
-        # order so later holdbacks see everything emitted before them.
+        # order so later holdbacks see everything emitted before them.  A
+        # holdback exists only once its stage has seen its last cell, so
+        # that is when the flushed batch becomes ready.
         if not truncated:
             for stage, operator in enumerate(section):
                 held = operator.finalize(ctx, states[stage])
                 if not held:
                     continue
                 stats[stage].records_out += len(held)
-                outputs.extend(run_stages(RecordBatch(held), stage + 1))
+                outputs.extend(
+                    run_stages(
+                        RecordBatch(held), stage + 1, schedule.stage_finish(stage)
+                    )
+                )
                 if truncated:
                     break
 

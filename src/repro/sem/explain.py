@@ -19,28 +19,19 @@ from repro.utils.formatting import format_table
 def explain_analyze(result: ExecutionResult, report: OptimizationReport) -> str:
     """Render measured operator stats with the optimizer's expectations.
 
-    The "Est src" column names where each operator's plan estimate came
-    from (learned ``prior`` vs ``sampled`` profile vs ``static`` formula)
-    and "Drift" is the observed/estimated cardinality ratio — the signal
-    the mid-query re-planner keys on.  Both render "-" when the executed
-    operators no longer align position-for-position with the planned
-    chain (e.g. a replayed materialization prefix).
+    Every estimate column reads the row's own estimate record (the one its
+    operator carried when it started): "Est. out" / "Est. $" scale the
+    profile the plan estimate used by the measured input, "Est src" names
+    where that profile came from (learned ``prior`` vs ``sampled`` profile
+    vs ``static`` formula) and "Drift" is the observed/estimated
+    cardinality ratio — the signal the mid-query re-planner keys on.  Rows
+    the optimizer never estimated (a replayed materialization, join
+    plans) render "-".
     """
-    aligned = (
-        not report.reused_prefix
-        and len(report.est_rows) == len(result.operator_stats)
-        and len(report.est_sources) == len(result.operator_stats)
-    )
     rows = []
-    for position, stats in enumerate(result.operator_stats):
-        base_label = stats.label.split(" [")[0]
-        profile = None
-        if base_label in report.profiles:
-            model_profiles = report.profiles[base_label]
-            chosen = report.chosen_models.get(base_label)
-            profile = model_profiles.get(chosen) if chosen else None
-            if profile is None and model_profiles:
-                profile = next(iter(model_profiles.values()))
+    for stats in result.operator_stats:
+        estimate = stats.estimate
+        profile = estimate.profile if estimate is not None else None
         est_out = (
             f"{stats.records_in * profile.selectivity:.0f}"
             if profile is not None and stats.records_in
@@ -51,12 +42,10 @@ def explain_analyze(result: ExecutionResult, report: OptimizationReport) -> str:
             if profile is not None
             else "-"
         )
-        est_source = report.est_sources[position] if aligned else "-"
+        est_source = estimate.source if estimate is not None else "-"
         drift = "-"
-        if aligned:
-            est_rows = report.est_rows[position]
-            if est_rows > 0:
-                drift = f"{stats.records_out / est_rows:.2f}x"
+        if estimate is not None and estimate.rows > 0:
+            drift = f"{stats.records_out / estimate.rows:.2f}x"
         rows.append(
             [
                 stats.label,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.data.records import DataRecord
@@ -230,6 +230,18 @@ def prefix_fingerprints(
     return fingerprints
 
 
+def stamp_fingerprints(operators: list, llm_seed: int, scope: str = "") -> None:
+    """Set each bound operator's ``fingerprint`` to its boundary's digest."""
+    fingerprints = prefix_fingerprints(
+        [operator.logical_op for operator in operators],
+        [operator.model for operator in operators],
+        llm_seed,
+        scope=scope,
+    )
+    for operator, fingerprint in zip(operators, fingerprints):
+        operator.fingerprint = fingerprint
+
+
 def shard_fingerprint(
     base_fingerprint: str, partitioner: str, n_shards: int, shard_index: int
 ) -> str:
@@ -298,11 +310,12 @@ class MaterializedEntry:
 
 @dataclass
 class CapturePlan:
-    """Where (and how) the engine should capture this run's boundaries.
+    """How the engine should capture this run's boundaries.
 
-    ``fingerprints`` is aligned with the *bound* operator list: position
-    ``i`` names the boundary after operator ``i`` (None = don't capture).
-    When the run itself replays a materialized prefix, the carried cost is
+    *Where* lives on the bound operators: each carries the ``fingerprint``
+    of the boundary after it (None = don't capture), so a splice or a
+    re-planned reorder moves the fingerprints with the operators.  When
+    the run itself replays a materialized prefix, the carried cost is
     folded into re-captures so updated entries keep honest full-recompute
     cost estimates.
     """
@@ -310,7 +323,6 @@ class CapturePlan:
     store: "MaterializationStore"
     source_id: str
     source_uids: tuple[str, ...]
-    fingerprints: list[str | None] = field(default_factory=list)
     carried_cost_usd: float = 0.0
     carried_time_s: float = 0.0
     #: Source update-generation this run executed against (stamped onto

@@ -17,7 +17,7 @@ defaults it reproduces the original sequential-sum estimate exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.sem import logical as L
 from repro.sem.optimizer.sampler import OperatorProfile
@@ -52,6 +52,25 @@ class PlanEstimate:
             self.time_s + other.time_s,
             other.cardinality,
         )
+
+
+@dataclass
+class OperatorEstimate:
+    """What the plan believes about one bound operator (its EXPLAIN row).
+
+    The binder sets one on every ``PhysicalOperator.estimate``; the
+    re-planner replaces it when it re-costs a moved suffix.
+    """
+
+    #: Profile the estimate was computed from (None = static formula).
+    profile: OperatorProfile | None = None
+    #: Where ``profile`` came from: "prior" | "sampled" | "static".
+    source: str = "static"
+    #: Estimated output cardinality and spend of this operator.
+    rows: float = 0.0
+    cost_usd: float = 0.0
+    #: Every candidate model profiled for this operator (sampling only).
+    candidates: dict[str, OperatorProfile] = field(default_factory=dict)
 
 
 def estimate_operator(

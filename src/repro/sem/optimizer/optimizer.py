@@ -8,7 +8,13 @@ For linear plans the optimizer:
 3. lets the configured policy choose each operator's physical model;
 4. reorders commuting filters by cost/selectivity rank and pushes free
    Python filters first;
-5. binds logical operators to physical operators.
+5. binds logical operators to physical operators and hangs every
+   per-position plan fact on them — statistics-key entry, estimate record,
+   boundary fingerprint — so the bound list is the plan's only
+   position-indexed table and a splice or reorder moves the facts along;
+6. swaps the longest fingerprint-matched prefix for a materialized replay
+   — the one whole-boundary replay decision, at every shard count (the
+   sharding pass runs after it, over the spliced list).
 
 Plans containing joins are bound without sampling (the champion model runs
 every semantic operator) — mirroring the prototype status of join
@@ -29,9 +35,10 @@ if TYPE_CHECKING:
 from repro.sem.materialize import (
     CapturePlan,
     incremental_safe_prefix,
-    prefix_fingerprints,
+    stamp_fingerprints,
 )
 from repro.sem.optimizer.cost_model import (
+    OperatorEstimate,
     PlanEstimate,
     estimate_chain_steps,
     filter_rank,
@@ -56,11 +63,8 @@ class OptimizationReport:
     """What the optimizer decided and what deciding cost."""
 
     optimized: bool
-    chosen_models: dict[str, str] = field(default_factory=dict)
-    final_order: list[str] = field(default_factory=list)
     sampling_cost_usd: float = 0.0
     sampling_time_s: float = 0.0
-    profiles: dict[str, dict[str, OperatorProfile]] = field(default_factory=dict)
     estimate: PlanEstimate | None = None
     note: str = ""
     #: Sub-plan reuse decision (0 = no materialized prefix was reused).
@@ -78,21 +82,10 @@ class OptimizationReport:
     pushdown_ops: int = 0
     #: Display-form SELECT the pushed prefix compiles to.
     pushdown_sql: str = ""
-    #: The bound logical chain (leaves first) — kept aligned with the
-    #: engine's physical operators, including across mid-query replans.
-    final_chain: list = field(default_factory=list, repr=False)
-    #: Resolved physical model per chain position (None for free ops).
-    resolved_models: list = field(default_factory=list, repr=False)
-    #: Statistics-key metadata per chain position (None = not keyable);
-    #: what post-run ingestion and the re-planner look priors up with.
-    stats_plan: list = field(default_factory=list, repr=False)
-    #: Estimated output cardinality / cost per chain position.
-    est_rows: list = field(default_factory=list)
-    est_costs: list = field(default_factory=list)
-    #: Where each position's estimate came from: "prior" | "sampled" | "static".
-    est_sources: list = field(default_factory=list)
-    #: The profile actually used per position (prior-derived or sampled).
-    est_profiles: dict = field(default_factory=dict, repr=False)
+    #: The bound physical operators (leaves first) — the very list the
+    #: engine runs, so a mid-query replan's permutation shows up here.  Each
+    #: carries its own model, statistics entry, estimate and fingerprint.
+    bound: list = field(default_factory=list, repr=False)
     #: Accepted mid-query replan decisions (cause, before/after plans).
     replans: list = field(default_factory=list)
     #: Armed re-planner the engine consults at boundaries (None = off).
@@ -102,9 +95,46 @@ class OptimizationReport:
     #: runtime diagnostics in place, so EXPLAIN footers see them.
     shard_plan: object | None = field(default=None, repr=False)
 
+    @property
+    def final_order(self) -> list[str]:
+        """Logical labels of the bound plan, leaves first."""
+        return [op.logical_op.label() for op in self.bound]
 
-#: ``OptimizationReport.note`` / EXPLAIN footer when ``replan=True`` meets
-#: ``shards > 1`` (the knob is honoured by saying it cannot apply).
+    @property
+    def planned(self) -> list:
+        """``bound`` with a replay expanded into the prefix it stands in for."""
+        return [
+            planned
+            for op in self.bound
+            for planned in getattr(op, "prefix", None) or [op]
+        ]
+
+    @property
+    def profiles(self) -> dict[str, dict[str, OperatorProfile]]:
+        """Label-keyed view of every profiled operator's candidates.
+
+        A convenience for reports and tests: labels truncate instructions,
+        so operators that collide share one entry — per-operator readers
+        use ``bound[i].estimate``.
+        """
+        return {
+            op.logical_op.label(): op.estimate.candidates
+            for op in self.planned
+            if op.estimate is not None and op.estimate.candidates
+        }
+
+    @property
+    def chosen_models(self) -> dict[str, str]:
+        """Label-keyed view of the model chosen per profiled operator."""
+        return {
+            op.logical_op.label(): op.model
+            for op in self.planned
+            if op.model and op.estimate is not None and op.estimate.candidates
+        }
+
+
+#: ``OptimizationReport.note`` / EXPLAIN footer when ``replan=True`` meets a
+#: sharded plan (the knob is honoured by saying it cannot apply).
 REPLAN_DISABLED_SHARDED = "replan disabled: sharded plans have no replan boundary"
 
 
@@ -116,12 +146,14 @@ class Optimizer:
 
     def optimize(self, plan: L.LogicalPlan) -> tuple[list[P.PhysicalOperator], OptimizationReport]:
         bound, report = self._optimize(plan)
+        report.bound = bound
         shards = self.config.shards
         if shards > 1:
             # The sharding pass runs last, over the bound operators, so the
-            # exchange segments line up with whatever rewrites and model
-            # choices were made above.  shards=1 never reaches this —
-            # report.shard_plan stays None and the engine path is untouched.
+            # exchange segments line up with whatever rewrites, model
+            # choices and replay splice were made above.  shards=1 never
+            # reaches this — report.shard_plan stays None and the engine
+            # path is untouched.
             from repro.sem.shard import plan_shards
 
             report.shard_plan = plan_shards(bound, shards, self.config.partitioner)
@@ -158,7 +190,6 @@ class Optimizer:
         if sql_scan is not None:
             report.pushdown_ops = len(sql_scan.pushed)
             report.pushdown_sql = sql_scan.sql
-            report.final_order = [op.label() for op in chain]
         return chain
 
     # ------------------------------------------------------------------
@@ -251,170 +282,32 @@ class Optimizer:
 
         new_chain = push_py_filters(chain)
         if config.reorder_filters:
-            new_chain = reorder_filters(
-                new_chain, lambda _pos, op: self._rank(op, profiles, chosen)
-            )
+
+            def rank(_position: int, op: L.LogicalOperator) -> float:
+                profile = _chosen_profile(profiles.get(id(op), {}), chosen.get(id(op)))
+                return filter_rank(profile) if profile is not None else 0.0
+
+            new_chain = reorder_filters(new_chain, rank)
         new_chain = prune_noop_projects(new_chain)
         new_chain = merge_adjacent_limits(new_chain)
         sql_scan = None
         if config.pushdown:
             new_chain, sql_scan = push_structured_prefix(new_chain)
 
-        chosen_profiles: dict[int, OperatorProfile] = {}
-        for position, op in enumerate(new_chain):
-            model = chosen.get(id(op))
-            op_profiles = profiles.get(id(op), {})
-            profile = op_profiles.get(model) if model else None
-            if profile is None and op_profiles:
-                profile = next(iter(op_profiles.values()))
-            if profile is not None:
-                chosen_profiles[position] = profile
-
         report = OptimizationReport(
             optimized=True,
-            chosen_models={op.label(): chosen[id(op)] for op in chain if id(op) in chosen},
-            final_order=[op.label() for op in new_chain],
             sampling_cost_usd=sampling_usage.cost_usd,
             sampling_time_s=sampling_time,
-            profiles={
-                op.label(): profiles[id(op)] for op in chain if id(op) in profiles
-            },
             pushdown_ops=len(sql_scan.pushed) if sql_scan is not None else 0,
             pushdown_sql=sql_scan.sql if sql_scan is not None else "",
         )
         return self._reuse_and_bind(
-            new_chain,
-            chosen,
-            report,
-            source_records=source_records,
-            chosen_profiles=chosen_profiles,
+            new_chain, chosen, report, source_records, profiles
         ), report
 
-    def _rank(
-        self,
-        op: L.LogicalOperator,
-        profiles: dict[int, dict[str, OperatorProfile]],
-        chosen: dict[int, str],
-    ) -> float:
-        op_profiles = profiles.get(id(op))
-        if not op_profiles:
-            return 0.0
-        model = chosen.get(id(op))
-        profile = op_profiles.get(model) if model else None
-        if profile is None:
-            profile = next(iter(op_profiles.values()))
-        return filter_rank(profile)
-
     # ------------------------------------------------------------------
-    # Sub-plan reuse (materialization)
+    # Plan facts, sub-plan reuse (materialization), re-plan arming
     # ------------------------------------------------------------------
-
-    def _annotate_stats(
-        self,
-        chain: list[L.LogicalOperator],
-        chosen: dict[int, str],
-        report: OptimizationReport,
-        source_records: list | None,
-        chosen_profiles: dict[int, OperatorProfile] | None,
-    ) -> None:
-        """Attach statistics keys and per-position estimates to the report.
-
-        Builds the position-aligned ``stats_plan`` (what ingestion and the
-        re-planner key priors with), resolves each position's estimate
-        source — learned prior beats sampled profile beats static formula —
-        and records per-operator estimated cardinality/cost plus the plan
-        total.  With a cold store and ``chosen_profiles`` from sampling
-        this reproduces the historical plan estimate exactly.
-        """
-        config = self.config
-        store = config.stats_store
-        models = [self._resolved_model(op, chosen) for op in chain]
-        report.final_chain = list(chain)
-        report.resolved_models = models
-        scope = config.stats_scope
-        llm_seed = config.llm.seed
-        dataset = ""
-        if isinstance(chain[0], (L.ScanOp, L.SqlScanOp)) and chain[0].source is not None:
-            dataset = chain[0].source.source_id
-        stats_plan: list = []
-        for position, op in enumerate(chain):
-            key = stats_key(op, models[position], dataset, scope, llm_seed)
-            if key is None:
-                stats_plan.append(None)
-            else:
-                stats_plan.append(
-                    {
-                        "key": key,
-                        "kind": type(op).__name__,
-                        "model": models[position] or "",
-                        "dataset": dataset,
-                        "scope": scope,
-                        "label": op.label(),
-                    }
-                )
-        report.stats_plan = stats_plan
-
-        est_profiles: dict[int, OperatorProfile] = dict(chosen_profiles or {})
-        est_sources = [
-            "sampled" if position in est_profiles else "static"
-            for position in range(len(chain))
-        ]
-        if store is not None:
-            store.metrics = config.llm.metrics if config.llm.metrics.enabled else None
-            if config.stats_estimates:
-                for position, entry in enumerate(stats_plan):
-                    if entry is None:
-                        continue
-                    prior = store.usable_prior(entry["key"])
-                    if prior is not None:
-                        est_profiles[position] = profile_from_prior(prior)
-                        est_sources[position] = "prior"
-        report.est_profiles = est_profiles
-        report.est_sources = est_sources
-
-        input_cardinality = (
-            float(len(source_records)) if source_records is not None else None
-        )
-        if (
-            input_cardinality is None
-            and isinstance(chain[0], (L.ScanOp, L.SqlScanOp))
-            and chain[0].source is not None
-        ):
-            size = chain[0].source.cardinality()
-            input_cardinality = float(size) if size is not None else None
-        total, steps = estimate_chain_steps(
-            chain,
-            est_profiles,
-            input_cardinality=input_cardinality,
-            parallelism=config.parallelism,
-            pipeline=config.pipeline,
-            batch_size=config.resolved_batch_size(),
-        )
-        report.est_rows = [step.cardinality for step in steps]
-        report.est_costs = [step.cost_usd for step in steps]
-        report.estimate = total
-
-    def _arm_replanner(
-        self, chosen: dict[int, str], report: OptimizationReport
-    ) -> None:
-        """Attach a re-planner when config + store allow it.
-
-        Reuse-bearing plans are excluded: a replayed prefix breaks the
-        position alignment between the logical chain and the physical
-        operators the engine runs.
-        """
-        config = self.config
-        if not config.replan or config.stats_store is None:
-            return
-        if not report.final_chain or report.reused_prefix:
-            return
-        if config.shards > 1:
-            # A replanned suffix would desync the exchange segments from
-            # the bound operators, so sharded plans stay on their plan —
-            # and say so instead of silently ignoring the knob.
-            report.note = "; ".join(filter(None, [report.note, REPLAN_DISABLED_SHARDED]))
-            return
-        report.replanner = Replanner(self, chosen, report)
 
     def _reuse_and_bind(
         self,
@@ -422,84 +315,154 @@ class Optimizer:
         chosen: dict[int, str],
         report: OptimizationReport,
         source_records: list | None = None,
-        chosen_profiles: dict[int, OperatorProfile] | None = None,
+        profiles: dict[int, dict[str, OperatorProfile]] | None = None,
     ) -> list[P.PhysicalOperator]:
-        """Bind ``chain``, swapping a fingerprint-matched prefix for a replay.
+        """Bind ``chain``, annotate it, and swap a matched prefix for a replay."""
+        bound = self._bind_chain(chain, chosen)
+        self._annotate(bound, report, source_records, profiles or {})
+        self._splice_replay(bound, report, source_records)
+        self._arm_replanner(report)
+        return bound
 
-        Enumerates reuse-aware plans longest-prefix first and costs
-        "replay prefix (+ run the appended delta through it) + run suffix"
-        against full recompute using the store's measured per-entry spend;
-        replay wins whenever its estimated cost is no higher.  Also leaves a
-        :class:`CapturePlan` on the report so the engine materializes this
-        run's own fingerprintable boundaries.
+    def _annotate(
+        self,
+        bound: list[P.PhysicalOperator],
+        report: OptimizationReport,
+        source_records: list | None,
+        profiles: dict[int, dict[str, OperatorProfile]],
+    ) -> None:
+        """Hang the statistics entry and estimate record on each operator.
+
+        The entry is what ingestion and the re-planner key priors with;
+        the estimate resolves its source — learned prior beats sampled
+        profile beats static formula — and records the operator's
+        estimated cardinality/cost; the plan total lands on the report.
+        With a cold store and sampled ``profiles`` this reproduces the
+        historical plan estimate exactly.
         """
         config = self.config
-        self._annotate_stats(chain, chosen, report, source_records, chosen_profiles)
-        bound = self._bind_chain(chain, chosen)
+        store = config.stats_store
+        if store is not None:
+            store.metrics = config.llm.metrics if config.llm.metrics.enabled else None
+        scope = config.stats_scope
+        chain = [op.logical_op for op in bound]
+        leaf = chain[0]
+        has_source = isinstance(leaf, (L.ScanOp, L.SqlScanOp)) and leaf.source is not None
+        dataset = leaf.source.source_id if has_source else ""
+        for op in bound:
+            key = stats_key(op.logical_op, op.model, dataset, scope, config.llm.seed)
+            if key is not None:
+                op.stats_entry = {
+                    "key": key,
+                    "kind": type(op.logical_op).__name__,
+                    "model": op.model or "",
+                    "dataset": dataset,
+                    "scope": scope,
+                }
+            candidates = profiles.get(id(op.logical_op), {})
+            profile = _chosen_profile(candidates, op.model)
+            source = "sampled" if profile is not None else "static"
+            if key is not None and store is not None and config.stats_estimates:
+                prior = store.usable_prior(key)
+                if prior is not None:
+                    profile, source = profile_from_prior(prior), "prior"
+            op.estimate = OperatorEstimate(profile, source, candidates=candidates)
+
+        input_cardinality = (
+            float(len(source_records)) if source_records is not None else None
+        )
+        if input_cardinality is None and has_source:
+            size = leaf.source.cardinality()
+            input_cardinality = float(size) if size is not None else None
+        report.estimate, steps = estimate_chain_steps(
+            chain,
+            {
+                position: op.estimate.profile
+                for position, op in enumerate(bound)
+                if op.estimate.profile is not None
+            },
+            input_cardinality=input_cardinality,
+            parallelism=config.parallelism,
+            pipeline=config.pipeline,
+            batch_size=config.resolved_batch_size(),
+        )
+        for op, step in zip(bound, steps):
+            op.estimate.rows = step.cardinality
+            op.estimate.cost_usd = step.cost_usd
+
+    def _arm_replanner(self, report: OptimizationReport) -> None:
+        """Attach a re-planner when config + store allow it.
+
+        Nothing positional excludes a reuse-bearing or a sharded plan any
+        more (every fact moves with its operator, and a commuting run never
+        straddles an exchange segment); both stay excluded because replan x
+        warm-reuse and replan x shards are untested compositions, which the
+        pairwise matrix of ROADMAP item 3 owns.  The sharded case says so in
+        the report note instead of silently ignoring the knob.
+        """
+        config = self.config
+        if not config.replan or config.stats_store is None or report.reused_prefix:
+            return
+        if config.shards > 1:
+            report.note = "; ".join(filter(None, [report.note, REPLAN_DISABLED_SHARDED]))
+            return
+        report.replanner = Replanner(config, report)
+
+    def _splice_replay(
+        self,
+        bound: list[P.PhysicalOperator],
+        report: OptimizationReport,
+        source_records: list | None,
+    ) -> None:
+        """Swap the longest fingerprint-matched prefix of ``bound`` for a replay.
+
+        Stamps every operator with its boundary fingerprint and leaves a
+        :class:`CapturePlan` on the report so the engine materializes this
+        run's own boundaries, then probes the store longest-prefix first.
+        An exact hit replays for free; a delta hit also runs the appended
+        records through the replaced prefix, which can never cost more
+        than recomputing (the delta is a subset of the source).  ``bound``
+        is edited in place — the sharding pass sees the spliced list.
+        """
+        config = self.config
         store = config.materialization_store
-        if store is None or not isinstance(chain[0], (L.ScanOp, L.SqlScanOp)):
-            self._arm_replanner(chosen, report)
-            return bound
+        leaf = bound[0].logical_op
+        if store is None or not isinstance(leaf, (L.ScanOp, L.SqlScanOp)):
+            return
         store.metrics = config.llm.metrics if config.llm.metrics.enabled else None
         if source_records is None:
-            source_records = list(chain[0].source.iterate())
-        source_uids = chain[0].source.uids()
-        source_id = chain[0].source.source_id
-        content_version = getattr(chain[0].source, "content_version", 0)
-        models = [self._resolved_model(op, chosen) for op in chain]
-        fingerprints = prefix_fingerprints(
-            chain,
-            models,
-            config.llm.seed,
-            scope=config.materialization_scope,
-        )
+            source_records = list(leaf.source.iterate())
+        source_uids = leaf.source.uids()
+        source_id = leaf.source.source_id
+        content_version = getattr(leaf.source, "content_version", 0)
+        stamp_fingerprints(bound, config.llm.seed, config.materialization_scope)
         capture = CapturePlan(
             store=store,
             source_id=source_id,
             source_uids=source_uids,
-            fingerprints=list(fingerprints),
             content_version=content_version,
         )
         report.capture = capture
 
-        if config.shards > 1:
-            # Reuse for sharded runs happens inside the sharded executor
-            # (whole-boundary replay + per-shard exact/delta probes keyed by
-            # shard fingerprints); splicing a PhysMaterializedScan here would
-            # desync the exchange segments from the capture fingerprints.
-            self._arm_replanner(chosen, report)
-            return bound
-
-        safe = incremental_safe_prefix(chain)
-        reuse = None
-        for length in range(len(chain), 1, -1):
-            fingerprint = fingerprints[length - 1]
+        safe = incremental_safe_prefix([op.logical_op for op in bound])
+        for length in range(len(bound), 1, -1):
+            fingerprint = bound[length - 1].fingerprint
             if fingerprint is None:
                 continue
             kind, entry = store.match(fingerprint, source_uids, content_version)
             if kind == "exact":
-                reuse = (length, kind, entry, [])
+                delta = []
                 break
-            if kind == "delta" and safe[length - 1]:
+            # Whole-boundary delta stays unsharded: a sharded run's delta
+            # mechanism is per shard, inside its scatter segments.
+            if kind == "delta" and safe[length - 1] and config.shards == 1:
                 delta = source_records[len(entry.source_uids):]
-                reuse = (length, kind, entry, delta)
                 break
-        if reuse is None:
+        else:
             store.note_miss()
-            self._arm_replanner(chosen, report)
-            return bound
-
-        length, kind, entry, delta = reuse
-        base_cardinality = max(1, len(entry.source_uids))
-        recompute_est = entry.cost_usd * (len(source_records) / base_cardinality)
-        reuse_est = entry.cost_usd * (len(delta) / base_cardinality)
-        if reuse_est > recompute_est:
-            store.note_miss()
-            self._arm_replanner(chosen, report)
-            return bound
+            return
         store.note_hit(entry, kind, delta_records=len(delta))
 
-        fingerprint = fingerprints[length - 1]
         materialized = L.MaterializedScanOp(
             child=None,
             source_id=source_id,
@@ -507,41 +470,27 @@ class Optimizer:
             base_records=len(entry.records),
             delta_records=len(delta),
         )
-        delta_ops: list[P.PhysicalOperator] = []
-        if delta:
-            if isinstance(chain[0], L.SqlScanOp):
-                # Raw delta source records must pass through the pushed
-                # structured prefix before the rest of the reused chain
-                # (delta reuse is only offered when every pushed op is
-                # incremental-safe, so these all bind to per-record ops).
-                delta_ops.extend(
-                    self._bind_one(op, chain, 0, chosen)
-                    for op in chain[0].pushed
-                )
-            delta_ops.extend(
-                self._bind_one(op, chain, position, chosen)
-                for position, op in enumerate(chain[1:length], start=1)
-            )
         replay = P.PhysMaterializedScan(
-            materialized, entry=entry, delta_ops=delta_ops, delta_records=delta
+            materialized, entry=entry, prefix=bound[:length], delta_records=delta
         )
         # The replay boundary keeps the prefix fingerprint: a fault-free run
         # re-puts the (possibly delta-merged) records, carrying the entry's
         # measured cost so the updated entry stays an honest recompute
         # estimate.
-        capture.fingerprints = [fingerprint] + fingerprints[length:]
+        replay.fingerprint = fingerprint
+        bound[:length] = [replay]
         capture.carried_cost_usd = entry.cost_usd
         capture.carried_time_s = entry.time_s
 
+        base_cardinality = max(1, len(entry.source_uids))
+        recompute_est = entry.cost_usd * (len(source_records) / base_cardinality)
+        reuse_est = entry.cost_usd * (len(delta) / base_cardinality)
         report.reused_prefix = length
         report.reuse_kind = kind
         report.reuse_fingerprint = fingerprint
         report.reuse_delta_records = len(delta)
         report.reuse_saved_est_usd = max(0.0, recompute_est - reuse_est)
         report.reuse_store_hits = store.hits
-        report.final_order = [materialized.label()] + [
-            op.label() for op in chain[length:]
-        ]
         tracer = config.llm.tracer
         if tracer.enabled:
             with tracer.span(
@@ -554,18 +503,6 @@ class Optimizer:
                 saved_est_usd=round(report.reuse_saved_est_usd, 6),
             ):
                 pass
-        return [replay] + bound[length:]
-
-    def _resolved_model(
-        self, op: L.LogicalOperator, chosen: dict[int, str]
-    ) -> str | None:
-        """The model ``_bind_one`` would give ``op`` (None for free ops)."""
-        if not isinstance(op, (
-            L.SemFilterOp, L.SemMapOp, L.SemClassifyOp, L.SemGroupByOp,
-            L.SemAggOp, L.SemTopKOp,
-        )):
-            return None
-        return chosen.get(id(op)) or getattr(op, "model", None) or self.config.champion_model
 
     # ------------------------------------------------------------------
     # Binding
@@ -643,6 +580,16 @@ class Optimizer:
         if isinstance(op, L.LimitOp):
             return P.PhysLimit(op)
         raise OptimizationError(f"no physical implementation for {op.label()}")
+
+
+def _chosen_profile(
+    candidates: dict[str, OperatorProfile], model: str | None
+) -> OperatorProfile | None:
+    """The chosen model's profile, else the operator's only one (free ops)."""
+    profile = candidates.get(model) if model else None
+    if profile is None and candidates:
+        profile = next(iter(candidates.values()))
+    return profile
 
 
 def _python_filter_profile(op: L.PyFilterOp, sample: list) -> OperatorProfile:

@@ -13,13 +13,16 @@ Two halves, one feedback loop:
 - **Re-planning.** The :class:`Replanner` is armed by the optimizer and
   consulted by the engine at operator/section boundaries: when observed
   cardinality diverges from the plan estimate past the configured
-  threshold, it re-costs the remaining suffix under learned priors,
-  reorders its commuting filters (the only rewrite that is bit-identity
-  safe mid-flight: filters commute, so records are unchanged), and — only
-  on a strict estimated-cost improvement — hands the engine freshly bound
-  physical operators for the suffix.  Every accepted decision is recorded
-  on the report and emitted as a zero-duration ``replan`` span carrying
-  the trigger cause and before/after plan fingerprints.
+  threshold, it re-costs the remaining suffix under learned priors and —
+  only on a strict estimated-cost improvement — *permutes the bound
+  suffix in place*: the only rewrite that is bit-identity safe mid-flight
+  is reordering commuting filters (records are unchanged), and their
+  physical operators are position-independent, so nothing is re-bound.
+  Every plan fact (model, statistics entry) rides on the operator and
+  moves with it; estimates and boundary fingerprints are reassigned in
+  one pass.  Every accepted decision is recorded on the report and
+  emitted as a zero-duration ``replan`` span carrying the trigger cause
+  and before/after plan fingerprints.
 """
 
 from __future__ import annotations
@@ -27,18 +30,20 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.sem import logical as L
-from repro.sem.materialize import op_token, prefix_fingerprints
+from repro.sem.materialize import op_token, stamp_fingerprints
 from repro.sem.optimizer.cost_model import (
+    OperatorEstimate,
     estimate_chain_steps,
     filter_rank,
     profile_from_prior,
 )
-from repro.sem.optimizer.rules import reorder_filters
+from repro.sem.optimizer.rules import filter_order
 from repro.utils.hashing import stable_digest
 
 if TYPE_CHECKING:
     from repro.sem import physical as P
-    from repro.sem.optimizer.optimizer import OptimizationReport, Optimizer
+    from repro.sem.config import QueryProcessorConfig
+    from repro.sem.optimizer.optimizer import OptimizationReport
 
 #: Bump when the key grammar changes (stale persisted priors must miss).
 STATS_KEY_VERSION = 1
@@ -94,22 +99,12 @@ def plan_fingerprint(
 
 
 class Replanner:
-    """Mid-query suffix re-optimizer, consulted at execution boundaries.
-
-    Holds the optimizer (for re-binding), the model choices, and the
-    report whose ``final_chain`` / ``stats_plan`` / ``est_*`` views it
-    keeps aligned with what the engine is actually running.
-    """
+    """Mid-query suffix re-optimizer, consulted at execution boundaries."""
 
     def __init__(
-        self,
-        optimizer: "Optimizer",
-        chosen: "dict[int, str]",
-        report: "OptimizationReport",
+        self, config: "QueryProcessorConfig", report: "OptimizationReport"
     ) -> None:
-        self.optimizer = optimizer
-        self.config = optimizer.config
-        self.chosen = chosen
+        self.config = config
         self.report = report
         self.replans_used = 0
 
@@ -118,174 +113,117 @@ class Replanner:
         boundary: int,
         observed_rows: int,
         operators: "list[P.PhysicalOperator]",
-    ) -> "list[P.PhysicalOperator] | None":
-        """Maybe re-plan the suffix past ``boundary``.
+    ) -> bool:
+        """Maybe re-plan ``operators[boundary:]``, in place.
 
         ``observed_rows`` is the record count flowing across the boundary;
-        ``operators`` the engine's current physical list (used only as an
-        alignment check).  Returns freshly bound physical operators for
-        the suffix, or None to keep the current plan.
+        ``operators`` the bound list the engine is running (the report's
+        ``bound``).  Returns whether the suffix was reordered.
         """
         config = self.config
-        report = self.report
         if config.replan_limit and self.replans_used >= config.replan_limit:
-            return None
+            return False
         if observed_rows < config.replan_min_rows:
-            return None
-        chain = report.final_chain
-        if not chain or len(chain) != len(operators):
-            return None
-        if boundary <= 0 or boundary >= len(chain):
-            return None
-        if len(report.est_rows) != len(chain):
-            return None
+            return False
+        if boundary <= 0 or boundary >= len(operators):
+            return False
 
-        est = report.est_rows[boundary - 1]
+        est = operators[boundary - 1].estimate.rows
         divergence = max(
             (observed_rows + 1e-9) / (est + 1e-9),
             (est + 1e-9) / (observed_rows + 1e-9),
         )
         if divergence < config.replan_threshold:
-            return None
+            return False
         metrics = config.llm.metrics
         if metrics.enabled:
             metrics.counter("replan.triggers").inc()
 
         store = config.stats_store
-        suffix = chain[boundary:]
-        models = report.resolved_models
+        suffix = operators[boundary:]
+        chain = [op.logical_op for op in suffix]
         # What do we now believe about the suffix?  Learned priors beat
-        # plan-time profiles; positions with neither stay unknown.
-        knowledge: dict[int, object] = {}
-        sources: dict[int, str] = {}
+        # plan-time profiles; operators with neither stay unknown.
+        beliefs: list[tuple] = []
         filter_priors = 0
-        for offset, op in enumerate(suffix):
-            position = boundary + offset
-            entry = (
-                report.stats_plan[position]
-                if position < len(report.stats_plan)
-                else None
-            )
+        for op in suffix:
+            entry = op.stats_entry
             prior = store.usable_prior(entry["key"]) if entry else None
             if prior is not None:
-                knowledge[offset] = profile_from_prior(prior)
-                sources[offset] = "prior"
-                if isinstance(op, _COMMUTING):
-                    filter_priors += 1
+                beliefs.append((profile_from_prior(prior), "prior"))
+                filter_priors += isinstance(op.logical_op, _COMMUTING)
             else:
-                profile = report.est_profiles.get(position)
-                if profile is not None:
-                    knowledge[offset] = profile
-                    sources[offset] = (
-                        report.est_sources[position]
-                        if position < len(report.est_sources)
-                        else "static"
-                    )
+                beliefs.append((op.estimate.profile, op.estimate.source))
         if filter_priors == 0:
             # Nothing learned about any movable filter — a reorder would
             # be driven by the same estimates the plan already used.
-            return None
+            return False
 
-        def rank(offset: int, op: L.LogicalOperator) -> float:
-            profile = knowledge.get(offset)
-            if profile is None:
-                return float("inf")
-            return filter_rank(profile)
+        def rank(offset: int, _op: L.LogicalOperator) -> float:
+            profile = beliefs[offset][0]
+            return filter_rank(profile) if profile is not None else float("inf")
 
-        new_suffix = reorder_filters(list(suffix), rank)
-        if [id(op) for op in new_suffix] == [id(op) for op in suffix]:
-            return None
+        written = list(range(len(suffix)))
+        order = filter_order(chain, rank)
+        if order == written:
+            return False
 
-        observed = float(observed_rows)
-        estimate_args = dict(
-            input_cardinality=observed,
-            parallelism=config.parallelism,
-            pipeline=config.pipeline,
-            batch_size=config.resolved_batch_size(),
-        )
-        old_total, _ = estimate_chain_steps(suffix, knowledge, **estimate_args)
-        profile_by_id = {
-            id(op): knowledge.get(offset) for offset, op in enumerate(suffix)
-        }
-        new_profiles = {
-            offset: profile_by_id[id(op)]
-            for offset, op in enumerate(new_suffix)
-            if profile_by_id.get(id(op)) is not None
-        }
-        new_total, new_steps = estimate_chain_steps(
-            new_suffix, new_profiles, **estimate_args
-        )
+        def estimate(offsets: list[int]):
+            return estimate_chain_steps(
+                [chain[offset] for offset in offsets],
+                {
+                    position: beliefs[offset][0]
+                    for position, offset in enumerate(offsets)
+                    if beliefs[offset][0] is not None
+                },
+                input_cardinality=float(observed_rows),
+                parallelism=config.parallelism,
+                pipeline=config.pipeline,
+                batch_size=config.resolved_batch_size(),
+            )
+
+        old_total, _ = estimate(written)
+        new_total, new_steps = estimate(order)
         improves_cost = new_total.cost_usd < old_total.cost_usd - 1e-12
         ties_cost = abs(new_total.cost_usd - old_total.cost_usd) <= 1e-12
         improves_time = new_total.time_s < old_total.time_s - 1e-12
         if not (improves_cost or (ties_cost and improves_time)):
-            return None
+            return False
 
-        # Accept: rebuild every chain-aligned view on the report so
-        # EXPLAIN, ingestion, and any later boundary see the new plan.
-        before_fp = plan_fingerprint(chain, models)
-        entry_by_id = {
-            id(op): report.stats_plan[boundary + offset]
-            for offset, op in enumerate(suffix)
-        }
-        model_by_id = {
-            id(op): models[boundary + offset]
-            for offset, op in enumerate(suffix)
-        }
-        source_by_offset = {
-            id(op): sources.get(offset) for offset, op in enumerate(suffix)
-        }
-        new_chain = chain[:boundary] + new_suffix
-        new_models = models[:boundary] + [model_by_id[id(op)] for op in new_suffix]
-        after_fp = plan_fingerprint(new_chain, new_models)
-
-        report.final_chain = new_chain
-        report.resolved_models = new_models
-        report.final_order = [op.label() for op in new_chain]
-        report.stats_plan[boundary:] = [entry_by_id[id(op)] for op in new_suffix]
-        new_est_profiles = {
-            position: profile
-            for position, profile in report.est_profiles.items()
-            if position < boundary
-        }
-        new_est_sources = report.est_sources[:boundary]
-        for offset, op in enumerate(new_suffix):
-            profile = profile_by_id.get(id(op))
-            if profile is not None:
-                new_est_profiles[boundary + offset] = profile
-            new_est_sources.append(source_by_offset.get(id(op)) or "static")
-        report.est_profiles = new_est_profiles
-        report.est_sources = new_est_sources
-        report.est_rows[boundary:] = [step.cardinality for step in new_steps]
-        report.est_costs[boundary:] = [step.cost_usd for step in new_steps]
-        if report.capture is not None:
-            report.capture.fingerprints = list(
-                prefix_fingerprints(
-                    new_chain,
-                    new_models,
-                    config.llm.seed,
-                    scope=config.materialization_scope,
-                )
+        # Accept: permute the suffix and re-estimate it, so EXPLAIN,
+        # ingestion, capture and any later boundary see the new plan.
+        before_fp = _bound_fingerprint(operators)
+        for position, (offset, step) in enumerate(zip(order, new_steps), boundary):
+            op = suffix[offset]
+            profile, source = beliefs[offset]
+            op.estimate = OperatorEstimate(
+                profile, source, step.cardinality, step.cost_usd,
+                op.estimate.candidates,
+            )
+            operators[position] = op
+        if self.report.capture is not None:
+            stamp_fingerprints(
+                operators, config.llm.seed, config.materialization_scope
             )
 
         decision = {
             "boundary": boundary,
             "cause": (
                 f"cardinality divergence {divergence:.2f}x after "
-                f"{chain[boundary - 1].label()} "
+                f"{operators[boundary - 1].logical_op.label()} "
                 f"(est {est:.1f}, observed {observed_rows})"
             ),
             "divergence": round(divergence, 4),
             "est_rows": round(est, 2),
             "observed_rows": observed_rows,
             "before_plan": before_fp,
-            "after_plan": after_fp,
-            "before_order": [op.label() for op in suffix],
-            "after_order": [op.label() for op in new_suffix],
+            "after_plan": _bound_fingerprint(operators),
+            "before_order": [op.label() for op in chain],
+            "after_order": [chain[offset].label() for offset in order],
             "est_cost_before_usd": round(old_total.cost_usd, 6),
             "est_cost_after_usd": round(new_total.cost_usd, 6),
         }
-        report.replans.append(decision)
+        self.report.replans.append(decision)
         self.replans_used += 1
         tracer = config.llm.tracer
         if tracer.enabled:
@@ -293,7 +231,10 @@ class Replanner:
                 pass
         if metrics.enabled:
             metrics.counter("replan.reorders").inc()
-        return [
-            self.optimizer._bind_one(op, new_chain, boundary + offset, self.chosen)
-            for offset, op in enumerate(new_suffix)
-        ]
+        return True
+
+
+def _bound_fingerprint(operators: "list[P.PhysicalOperator]") -> str:
+    return plan_fingerprint(
+        [op.logical_op for op in operators], [op.model for op in operators]
+    )

@@ -51,20 +51,31 @@ def push_py_filters(chain: list[L.LogicalOperator]) -> list[L.LogicalOperator]:
     return result
 
 
+def filter_order(
+    chain: list[L.LogicalOperator],
+    rank_of: Callable[[int, L.LogicalOperator], float],
+) -> list[int]:
+    """Positions of ``chain`` with each commuting run sorted by rank.
+
+    ``rank_of(original_position, op)`` keys the sort, which is stable, so
+    equal-rank filters keep their written order.  Returning the
+    permutation (not the operators) lets a caller move anything it keeps
+    aligned with ``chain`` — the re-planner permutes bound operators.
+    """
+    order = list(range(len(chain)))
+    for start, end in commuting_runs(chain):
+        order[start:end] = sorted(
+            range(start, end), key=lambda position: rank_of(position, chain[position])
+        )
+    return order
+
+
 def reorder_filters(
     chain: list[L.LogicalOperator],
     rank_of: Callable[[int, L.LogicalOperator], float],
 ) -> list[L.LogicalOperator]:
-    """Sort each commuting run by ``rank_of(original_position, op)``.
-
-    The sort is stable, so equal-rank filters keep their written order.
-    """
-    result = list(chain)
-    for start, end in commuting_runs(result):
-        indexed = list(enumerate(result[start:end], start=start))
-        indexed.sort(key=lambda pair: rank_of(pair[0], pair[1]))
-        result[start:end] = [op for _, op in indexed]
-    return result
+    """Sort each commuting run by ``rank_of(original_position, op)``."""
+    return [chain[position] for position in filter_order(chain, rank_of)]
 
 
 def prune_noop_projects(chain: list[L.LogicalOperator]) -> list[L.LogicalOperator]:

@@ -205,6 +205,15 @@ class PhysicalOperator(abc.ABC):
     pushed_down = False
     scanned = 0
 
+    #: Plan facts the optimizer's binder hangs on each bound operator —
+    #: the bound list is the plan's only position-indexed table: the
+    #: statistics-key entry (None = not keyable), the fingerprint of the
+    #: boundary after this operator (None = don't capture), and the
+    #: :class:`~repro.sem.optimizer.cost_model.OperatorEstimate`.
+    stats_entry: dict | None = None
+    fingerprint: str | None = None
+    estimate = None
+
     def __init__(self, logical_op: L.LogicalOperator, model: str | None = None) -> None:
         self.logical_op = logical_op
         self.model = model
@@ -332,11 +341,12 @@ class PhysMaterializedScan(PhysicalOperator):
 
     The stored records are returned as-is (zero LLM cost).  When the source
     grew since materialization, only the appended ``delta_records`` run
-    through ``delta_ops`` — the bound prefix operators, scan excluded — and
-    the survivors are appended.  This matches a full recompute exactly
-    because delta merging is only offered for order-preserving record-local
-    prefixes (see :data:`repro.sem.materialize.INCREMENTAL_SAFE_OPS`) and
-    appended source records sit at the tail of the scan order.
+    through ``prefix`` — the bound operators this replay stands in for,
+    the leaf's scan excluded — and the survivors are appended.  This
+    matches a full recompute exactly because delta merging is only offered
+    for order-preserving record-local prefixes (see
+    :data:`repro.sem.materialize.INCREMENTAL_SAFE_OPS`) and appended source
+    records sit at the tail of the scan order.
     """
 
     reused = True
@@ -348,12 +358,12 @@ class PhysMaterializedScan(PhysicalOperator):
         self,
         logical_op: L.MaterializedScanOp,
         entry,
-        delta_ops=(),
+        prefix=(),
         delta_records=(),
     ) -> None:
         super().__init__(logical_op, None)
         self.entry = entry
-        self.delta_ops = list(delta_ops)
+        self.prefix = list(prefix)
         self.delta_records = list(delta_records)
 
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
@@ -362,7 +372,12 @@ class PhysMaterializedScan(PhysicalOperator):
         output = list(self.entry.records)
         if self.delta_records:
             delta = list(self.delta_records)
-            for op in self.delta_ops:
+            leaf, *rest = self.prefix
+            # Raw delta source records must pass through a SqlScan leaf's
+            # pushed structured prefix before the rest of the reused chain
+            # (delta reuse is only offered when every pushed op is
+            # incremental-safe, so these are all per-record ops).
+            for op in [*getattr(leaf, "pushed", ()), *rest]:
                 delta = op.execute(delta, ctx)
             output.extend(delta)
         return output

@@ -23,11 +23,14 @@ The executor is a *step provider* for the engine's one driver loop
 (:meth:`~repro.sem.execution.Engine.drive`): global segments are the
 engine's own operator step, the other kinds are exchange steps defined
 here, and budget checks, truncation, boundary capture and result assembly
-stay in the loop.  Shard workers put batches through the engine's one
-cell runner (:meth:`~repro.sem.execution.Engine.run_cell`), so a sharded
-cell is the same vectorized kernel or adaptive-width wave as an unsharded
-one; each batch carries its rows' global positions in the
-``RecordBatch.positions`` sidecar.
+stay in the loop.  Whole-boundary replay is not here either: the
+optimizer splices a materialized prefix in before the sharding pass, so
+the segments are planned over the list that actually runs.  Shard
+workers put batches through the engine's one cell runner
+(:meth:`~repro.sem.execution.Engine.run_cell`), so a sharded cell is the
+same vectorized kernel or adaptive-width wave as an unsharded one; each
+batch carries its rows' global positions in the ``RecordBatch.positions``
+sidecar.
 
 Workers are *simulated*: each shard's cells are measured steps (seconds
 captured, not spent) on its own
@@ -53,9 +56,11 @@ different records.
 
 Materialization composes with partitioning through per-shard
 fingerprints (:func:`~repro.sem.materialize.shard_fingerprint`): pure
-scatter segments capture one store entry per shard keyed by (boundary,
-partitioner, shard count, shard index), with per-input emit counts so a
-replay can re-place records at their global positions.  Hash
+scatter segments capture one store entry per shard keyed by (the
+fingerprint their last operator carries, partitioner, shard count, shard
+index), with per-input emit counts so a replay can re-place records at
+their global positions; these per-shard entries are the sharded *delta*
+mechanism and are probed by the workers themselves.  Hash
 partitioning keeps shard assignments stable under append-only source
 growth, so per-shard *delta* execution runs only each shard's appended
 tail; range/round-robin assignments shift on append and their stale
@@ -189,12 +194,15 @@ class ShardPlan:
     n_shards: int
     partitioner: str
     segments: list[ShardSegment] = field(default_factory=list)
-    #: Operators skipped by the executor's whole-boundary replay (the
-    #: sharded counterpart of the optimizer's reuse splice).
-    reused_prefix: int = 0
-    #: True when *any* materialized replay (global or per-shard) fed this
-    #: run — gates statistics ingestion like ``report.reused_prefix``.
-    reused_any: bool = False
+
+    @property
+    def reused_any(self) -> bool:
+        """True when a per-shard replay (exact or delta) fed this run —
+        gates statistics ingestion like ``report.reused_prefix``."""
+        return any(
+            segment.replayed_shards or segment.delta_shards
+            for segment in self.segments
+        )
 
     def describe(self) -> str:
         parts = []
@@ -310,11 +318,6 @@ def exchange_footer(plan: ShardPlan) -> str:
                 f"{segment.delta_shards} delta"
             )
         lines.append(line)
-    if plan.reused_prefix:
-        lines.append(
-            f"\nshard reuse: {plan.reused_prefix}-operator prefix replayed "
-            "from a materialized boundary"
-        )
     return "".join(lines)
 
 
@@ -338,8 +341,7 @@ class ShardedExecutor:
     # ------------------------------------------------------------------
 
     def execute(self, operators: list[PhysicalOperator]):
-        start, records, stats = self._replay_prefix(operators)
-        return self.engine.drive(operators, self._step_at, start, records, stats)
+        return self.engine.drive(operators, self._step_at)
 
     def _step_at(self, operators: list[PhysicalOperator], index: int):
         """Sharded steps: one per exchange segment of the plan."""
@@ -347,58 +349,6 @@ class ShardedExecutor:
         if segment.kind == "global":
             return segment.end, self.engine.operator_step
         return segment.end, self._exchange_step
-
-    def _replay_prefix(
-        self, operators: list[PhysicalOperator]
-    ) -> tuple[int, list[DataRecord], list[OperatorStats]]:
-        """Swap the longest exact-hit segment boundary for a replay.
-
-        Returns (operator index to resume at, records crossing it, stats
-        of the replayed operators).  The
-        sharded counterpart of the optimizer's reuse splice (which is
-        skipped when ``shards > 1`` so segment indices stay aligned with
-        the bound operator list).  Only exact matches replay here; delta
-        execution happens per shard inside scatter segments.
-        """
-        capture = self.engine.capture
-        plan = self.plan
-        if capture is None:
-            return 0, [], []
-        tracer = self.ctx.llm.tracer
-        for segment in reversed(plan.segments):
-            position = segment.end - 1
-            if position >= len(capture.fingerprints):
-                continue
-            fingerprint = capture.fingerprints[position]
-            if fingerprint is None:
-                continue
-            kind, entry = capture.store.match(
-                fingerprint, capture.source_uids, capture.content_version
-            )
-            if kind != "exact":
-                continue
-            capture.store.note_hit(entry, "exact")
-            capture.carried_cost_usd += entry.cost_usd
-            capture.carried_time_s += entry.time_s
-            plan.reused_prefix = segment.end
-            plan.reused_any = True
-            stats = [OperatorStats.start(op) for op in operators[: segment.end]]
-            for replayed in stats:
-                replayed.reused = True
-            stats[-1].records_out = len(entry.records)
-            if tracer.enabled:
-                with tracer.span(
-                    "materialization-reuse",
-                    kind="reuse",
-                    fingerprint=fingerprint[:12],
-                    prefix=segment.end,
-                    match="exact",
-                    delta_records=0,
-                ):
-                    pass
-            return segment.end, list(entry.records), stats
-        capture.store.note_miss()
-        return 0, [], []
 
     # ------------------------------------------------------------------
     # Exchange steps
@@ -468,14 +418,9 @@ class ShardedExecutor:
         items = list(enumerate(records))
         shards = partition_records(items, n, plan.partitioner)
 
-        capture = self.engine.capture
         base_fingerprint = None
-        if (
-            finisher is None
-            and capture is not None
-            and segment.end - 1 < len(capture.fingerprints)
-        ):
-            base_fingerprint = capture.fingerprints[segment.end - 1]
+        if finisher is None and self.engine.capture is not None:
+            base_fingerprint = section[-1].fingerprint
 
         out_by_pos: dict[int, list[DataRecord]] = {}
         topk_candidates: list[tuple] = []
@@ -587,7 +532,6 @@ class ShardedExecutor:
             if kind == "exact" and entry.emit_counts is not None:
                 capture.store.note_hit(entry, "exact")
                 self._place_replayed(items, entry, out_by_pos)
-                plan.reused_any = True
                 segment.replayed_shards += 1
                 return 0.0, False
             if kind == "delta" and entry.emit_counts is not None:
@@ -599,7 +543,6 @@ class ShardedExecutor:
                 live_items = items[base:]
                 carried_cost = entry.cost_usd
                 carried_time = entry.time_s
-                plan.reused_any = True
                 segment.delta_shards += 1
 
         schedule = PipelineSchedule()

@@ -303,7 +303,6 @@ class StandingQuery:
         # Last completed run's artifacts (refresh provenance + governor).
         self.last_result = None
         self.last_report = None
-        self.last_stats_plan = None
 
     @property
     def watermark_s(self) -> float | None:
@@ -649,12 +648,15 @@ class StandingQueryManager:
         stats_store = self.stats_store
         if stats_store is None and query.config is not None:
             stats_store = getattr(query.config, "stats_store", None)
-        if stats_store is None or not query.last_stats_plan:
+        if stats_store is None or query.last_report is None:
             return None
         rows = float(pending_rows)
         total = 0.0
         informed = False
-        for entry in query.last_stats_plan:
+        # ``planned``, not ``bound``: the pending delta runs through the
+        # prefix a replay stands in for, so those operators price it.
+        for operator in query.last_report.planned:
+            entry = operator.stats_entry
             if entry is None:
                 continue
             prior = stats_store.usable_prior(entry.get("key"))
@@ -743,7 +745,6 @@ class StandingQueryManager:
                 tick.reuse_kind = report.reuse_kind
                 tick.delta_records = report.reuse_delta_records
                 query.last_report = report
-                query.last_stats_plan = report.stats_plan
             query.records = list(records)
             query.changelog.extend(changelog)
             query.cumulative_cost_usd += cost_usd

@@ -18,8 +18,7 @@ clock supports two overlap models:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -27,7 +26,6 @@ class VirtualClock:
     """Accumulates simulated elapsed seconds."""
 
     elapsed: float = 0.0
-    _marks: dict[str, float] = field(default_factory=dict)
 
     def advance(self, seconds: float) -> None:
         """Advance the clock by ``seconds`` (sequential work)."""
@@ -35,52 +33,8 @@ class VirtualClock:
             raise ValueError(f"cannot advance clock by negative time: {seconds}")
         self.elapsed += seconds
 
-    def advance_parallel(self, per_item_seconds: list[float], parallelism: int) -> float:
-        """Advance by the makespan of items executed with bounded parallelism.
-
-        Items are processed in waves of size ``parallelism``; each wave costs
-        its slowest item.  Returns the total seconds charged.
-        """
-        if parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-        total = 0.0
-        for start in range(0, len(per_item_seconds), parallelism):
-            wave = per_item_seconds[start : start + parallelism]
-            total += max(wave)
-        self.advance(total)
-        return total
-
-    def advance_pipeline(self, cells: list[list[float]]) -> float:
-        """Advance by the pipelined makespan of a batch-major duration grid.
-
-        ``cells[b][s]`` is the seconds batch ``b`` spends in stage ``s``.
-        Rows may be ragged (a batch that died at a filter, or early exit,
-        simply has fewer cells).  Returns the seconds charged.
-        """
-        makespan = pipeline_makespan(cells)
-        self.advance(makespan)
-        return makespan
-
-    def mark(self, name: str) -> None:
-        """Record the current time under ``name`` for later interval reads."""
-        self._marks[name] = self.elapsed
-
-    def since(self, name: str) -> float:
-        """Return seconds elapsed since :meth:`mark` was called with ``name``."""
-        if name not in self._marks:
-            raise KeyError(f"no clock mark named {name!r}")
-        return self.elapsed - self._marks[name]
-
     def reset(self) -> None:
         self.elapsed = 0.0
-        self._marks.clear()
-
-
-def waves(n_items: int, parallelism: int) -> int:
-    """Number of sequential waves needed to process ``n_items`` items."""
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    return math.ceil(n_items / parallelism)
 
 
 class PipelineSchedule:
@@ -105,9 +59,18 @@ class PipelineSchedule:
         #: section-relative seconds, read by the tracer to place cell spans.
         self.last_cell: tuple[float, float] = (0.0, 0.0)
 
-    def start_batch(self) -> None:
-        """Begin a new batch; it is available to stage 0 immediately."""
-        self._batch_ready = 0.0
+    def start_batch(self, ready: float = 0.0) -> None:
+        """Begin a new batch, available to its first stage at ``ready``.
+
+        Input batches exist from the start (0.0); a batch of held-back
+        records exists only once its holding stage finished
+        (:meth:`stage_finish`).
+        """
+        self._batch_ready = ready
+
+    def stage_finish(self, stage: int) -> float:
+        """When ``stage`` finished its most recent cell (0.0 = never ran)."""
+        return self._stage_free[stage] if stage < len(self._stage_free) else 0.0
 
     def record(self, stage: int, seconds: float) -> float:
         """Schedule ``seconds`` of stage work for the current batch.

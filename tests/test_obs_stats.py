@@ -158,8 +158,9 @@ class TestLookup:
 
 
 class _FakeStats:
-    def __init__(self, label, records_in=10, records_out=5):
+    def __init__(self, label, stats_entry=None, records_in=10, records_out=5):
         self.label = label
+        self.stats_entry = stats_entry
         self.records_in = records_in
         self.records_out = records_out
         self.cost_usd = 0.1
@@ -172,38 +173,32 @@ class _FakeStats:
         self.output_tokens = 20
 
 
-def _entry(key, label):
+def _entry(key):
     return {
         "key": key,
         "kind": "SemFilterOp",
         "model": "gpt-mini",
         "dataset": "corpus-1",
         "scope": "",
-        "label": label,
     }
 
 
 class TestIngestRun:
     def test_ingests_aligned_positions(self):
+        # Each measured row carries its own entry; unkeyed rows are skipped.
         store = StatisticsStore()
-        stats = [_FakeStats("SemFilter(a) [gpt-mini]"), _FakeStats("SemMap(b)")]
-        plan = [_entry("k1", "SemFilter(a)"), None]
-        assert store.ingest_run(stats, plan) == 1
+        stats = [
+            _FakeStats("SemFilter(a) [gpt-mini]", _entry("k1")),
+            _FakeStats("SemMap(b)"),
+        ]
+        assert store.ingest_run(stats) == 1
         assert store.prior("k1").selectivity == pytest.approx(0.5)
-
-    def test_label_mismatch_is_skipped(self):
-        store = StatisticsStore()
-        stats = [_FakeStats("SemFilter(other)")]
-        plan = [_entry("k1", "SemFilter(a)")]
-        assert store.ingest_run(stats, plan) == 0
-        assert len(store) == 0
 
     def test_emits_stats_ingest_span_on_enabled_tracer(self):
         store = StatisticsStore()
         tracer = Tracer()
-        stats = [_FakeStats("SemFilter(a)")]
-        plan = [_entry("k1", "SemFilter(a)")]
-        store.ingest_run(stats, plan, tracer=tracer)
+        stats = [_FakeStats("SemFilter(a)", _entry("k1"))]
+        store.ingest_run(stats, tracer=tracer)
         spans = tracer.by_kind("stats.ingest")
         assert len(spans) == 1
         assert spans[0].attributes["observations"] == 1
@@ -220,7 +215,7 @@ class TestIngestSpans:
         with tracer.span(
             "SemFilter(a)",
             kind="operator",
-            stats=_entry("k1", "SemFilter(a)"),
+            stats=_entry("k1"),
             records_in=10,
             records_out=3,
             cost_usd=0.2,
@@ -241,13 +236,13 @@ class TestIngestSpans:
             kind="pipeline-section",
             stage_stats=[
                 {
-                    "stats": _entry("k1", "SemFilter(a)"),
+                    "stats": _entry("k1"),
                     "records_in": 8,
                     "records_out": 2,
                     "time_s": 1.0,
                 },
                 {
-                    "stats": _entry("k2", "SemFilter(b)"),
+                    "stats": _entry("k2"),
                     "records_in": 2,
                     "records_out": 2,
                     "time_s": 0.5,

@@ -16,6 +16,7 @@ from repro.data.schemas import Field
 from repro.llm.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.llm.models import EMBEDDING_MODEL
 from repro.llm.simulated import SimulatedLLM
+from repro.obs import Tracer
 from repro.sem.config import QueryProcessorConfig
 from repro.sem.dataset import Dataset
 from repro.sem.physical import AdaptiveParallelism
@@ -184,6 +185,39 @@ def test_limit_short_circuits_upstream_waves(make_llm, enron_bundle):
     assert filter_stats.records_in < 250
     assert pipelined.total_cost_usd < barrier.total_cost_usd
     assert pipelined.total_time_s < barrier.total_time_s
+
+
+# ---------------------------------------------------------------------------
+# Held-back records are causal: ready when their stage finishes
+# ---------------------------------------------------------------------------
+
+
+def test_flushed_topk_winners_are_scheduled_after_the_topk(make_llm, enron_bundle):
+    reset_uid_counter()
+    tracer = Tracer()
+    config = QueryProcessorConfig(
+        llm=make_llm(enron_bundle, tracer=tracer), optimize=False, parallelism=4
+    )
+    result = (
+        Dataset.from_records(
+            enron_bundle.records()[:64], enron_bundle.schema, source_id="flush"
+        )
+        .sem_topk("most relevant to suspicious deals", k=16, method="llm")
+        .sem_map(Field("summary", str), en.MAP_SUMMARY)
+        .run(config)
+    )
+    (section,) = tracer.by_kind("pipeline-section")
+    cells = tracer.by_kind("cell")
+    holder_finish = max(c.end_s for c in cells if c.attributes["stage"] == 0)
+    # The 16 winners flush as one batch: one downstream cell, which cannot
+    # start before the top-k has seen its last input batch.
+    (map_cell,) = [c for c in cells if c.attributes["stage"] == 1]
+    assert map_cell.attributes["records"] == 16 and map_cell.duration_s > 1.0
+    assert map_cell.start_s >= holder_finish - 1e-9
+    assert section.attributes["makespan_s"] >= (
+        holder_finish - section.start_s + map_cell.duration_s - 1e-9
+    )
+    assert result.total_time_s == pytest.approx(section.attributes["makespan_s"])
 
 
 # ---------------------------------------------------------------------------

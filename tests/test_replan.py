@@ -141,6 +141,10 @@ def _warm_store(bundle, plan_fn=_misestimate_plan, **store_kwargs) -> Statistics
     return store
 
 
+def _est_sources(report) -> list[str]:
+    return [op.estimate.source for op in report.bound]
+
+
 def _run(bundle, plan_fn, **kwargs):
     reset_uid_counter()
     config = _config(bundle, **kwargs)
@@ -192,12 +196,12 @@ class TestEstimateSources:
         _result, report = _run(
             rp_bundle, _misestimate_plan, stats_store=StatisticsStore()
         )
-        assert set(report.est_sources) == {"static"}
+        assert set(_est_sources(report)) == {"static"}
 
     def test_warm_store_estimates_come_from_priors(self, rp_bundle):
         store = _warm_store(rp_bundle)
         _result, report = _run(rp_bundle, _misestimate_plan, stats_store=store)
-        assert "prior" in report.est_sources
+        assert "prior" in _est_sources(report)
 
     def test_stats_estimates_off_keeps_static_sources(self, rp_bundle):
         store = _warm_store(rp_bundle)
@@ -207,7 +211,7 @@ class TestEstimateSources:
             stats_store=store,
             stats_estimates=False,
         )
-        assert "prior" not in report.est_sources
+        assert "prior" not in _est_sources(report)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +295,7 @@ class TestReplanTrigger:
             stats_store=store,
             replan=True,
         )
-        assert "prior" in report.est_sources
+        assert "prior" in _est_sources(report)
         assert report.replans == []
 
     def test_high_threshold_suppresses_replanning(self, rp_bundle):
@@ -306,6 +310,58 @@ class TestReplanTrigger:
         )
         assert report.replans == []
 
+    def test_plan_facts_move_with_their_operators(self, rp_bundle):
+        """An accepted replan is a permutation: every bound operator keeps
+        the statistics entry and model it was bound with, its estimate
+        source only changes when a learned prior re-costed it, and the
+        fingerprints are those of a fresh optimize of the reordered plan."""
+        from repro.sem.materialize import MaterializationStore
+        from repro.sem.optimizer.optimizer import Optimizer
+
+        def optimize(plan_fn):
+            reset_uid_counter()
+            config = _config(
+                rp_bundle,
+                stats_store=_warm_store(rp_bundle),
+                stats_estimates=False,
+                replan=True,
+                materialization_store=MaterializationStore(),
+            )
+            return Optimizer(config).optimize(plan_fn(rp_bundle).plan())
+
+        bound, report = optimize(_misestimate_plan)
+        assert bound is report.bound
+        before = list(bound)
+        facts = {id(op): (op.stats_entry, op.model) for op in bound}
+        sources = {id(op): op.estimate.source for op in bound}
+        # Every record passes the pushed where(): 2x the static estimate.
+        assert report.replanner.consider(1, len(rp_bundle.records()), bound)
+
+        assert [id(op) for op in bound] != [id(op) for op in before]
+        assert sorted(map(id, bound)) == sorted(map(id, before))
+        store = report.replanner.config.stats_store
+        for op in bound:
+            assert (op.stats_entry, op.model) == facts[id(op)]
+            learned = op in bound[1:] and (
+                store.usable_prior(op.stats_entry["key"]) is not None
+            )
+            assert op.estimate.source == ("prior" if learned else sources[id(op)])
+        assert report.final_order == [op.logical_op.label() for op in bound]
+
+        def reordered_plan(bundle):
+            return (
+                Dataset.from_source(bundle.source())
+                .where("priority >= 1")
+                .sem_filter(RARE)
+                .sem_filter(COMMON)
+                .sem_map(Field("declared_value", float, "declared value"), AMOUNT)
+            )
+
+        fresh, _ = optimize(reordered_plan)
+        assert [op.label() for op in fresh] == [op.label() for op in bound]
+        assert all(op.fingerprint for op in bound[1:])
+        assert [op.fingerprint for op in fresh] == [op.fingerprint for op in bound]
+
     def test_report_views_stay_chain_aligned_after_replan(self, rp_bundle):
         store = _warm_store(rp_bundle)
         result, report = _run(
@@ -315,14 +371,13 @@ class TestReplanTrigger:
             stats_estimates=False,
             replan=True,
         )
-        n = len(report.final_chain)
-        assert len(result.operator_stats) == n
-        assert len(report.stats_plan) == n
-        assert len(report.est_rows) == n
-        assert len(report.est_sources) == n
-        # Executed labels match the replanned chain, position for position.
-        for stats, op in zip(result.operator_stats, report.final_chain):
-            assert stats.label.split(" [")[0] == op.label()
+        assert len(report.replans) == 1
+        assert [stats.label for stats in result.operator_stats] == [
+            op.label() for op in report.bound
+        ]
+        assert [stats.stats_entry for stats in result.operator_stats] == [
+            op.stats_entry for op in report.bound
+        ]
 
 
 # ---------------------------------------------------------------------------

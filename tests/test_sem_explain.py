@@ -66,3 +66,40 @@ def test_truncated_run_flagged(enron_bundle):
         .run_with_report(config)
     )
     assert "truncated" in explain_analyze(result, report)
+
+
+def test_colliding_labels_keep_their_own_estimates():
+    """Labels truncate filter instructions to 40 characters and name maps
+    by output field only, so distinct operators can share one — every
+    EXPLAIN row must still show the estimate of the operator it measured."""
+    from repro.data.schemas import Field
+    from repro.qa.corpus import CorpusSpec, build_corpus
+
+    bundle = build_corpus(CorpusSpec(seed=13, n_records=24))
+    prefix = "After reading the whole message closely: "
+    assert len(prefix) >= 40
+    llm = SimulatedLLM(oracle=SemanticOracle(bundle.registry), seed=13)
+    result, report = (
+        Dataset.from_source(bundle.source())
+        .sem_filter(prefix + "the ticket is marked urgent.")
+        .sem_filter(prefix + "it requests a refund of a payment.")
+        .sem_map(Field("value", str), "Extract the name of the account holder.")
+        .sem_map(Field("value", str), "Extract the total invoice amount in dollars.")
+        .run_with_report(QueryProcessorConfig(llm=llm, seed=13))
+    )
+    measured = [s for s in result.operator_stats if s.llm_calls]
+    assert len(measured) == 4
+    assert len(report.profiles) == 2  # the label-keyed views do collide
+    lines = [
+        line
+        for line in explain_analyze(result, report).splitlines()
+        if line.startswith("| Sem")
+    ]
+    estimates = set()
+    for stats, line in zip(measured, lines, strict=True):
+        profile = stats.estimate.profile
+        cells = [cell.strip() for cell in line.split("|")]
+        assert cells[3] == f"{stats.records_in * profile.selectivity:.0f}"
+        assert cells[5] == f"{stats.records_in * profile.cost_per_record:.4f}"
+        estimates.add((profile.selectivity, profile.cost_per_record))
+    assert len(estimates) == 4

@@ -271,3 +271,40 @@ def test_py_filter_profiled_for_selectivity():
     profile = report.profiles["PyFilter(small)"]["python"]
     assert profile.selectivity == pytest.approx(0.3)
     assert profile.cost_per_record == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Structural guards: one bound plan, one replay, one driver loop
+# ---------------------------------------------------------------------------
+
+
+def test_report_has_no_position_aligned_side_tables():
+    import dataclasses
+
+    from repro.sem.materialize import CapturePlan
+    from repro.sem.optimizer.optimizer import OptimizationReport
+
+    # A ratchet: per-position plan facts live on ``report.bound``'s
+    # operators, never in parallel lists on the report or the capture plan.
+    assert len(dataclasses.fields(OptimizationReport)) <= 21
+    assert "fingerprints" not in {f.name for f in dataclasses.fields(CapturePlan)}
+
+
+def test_driver_loop_takes_no_replayed_prefix_seed():
+    import inspect
+
+    from repro.sem.execution import Engine
+
+    # Whole-boundary replay is spliced into the operators by the optimizer.
+    assert list(inspect.signature(Engine.drive).parameters) == [
+        "self", "operators", "step_at",
+    ]
+
+
+def test_replanner_permutes_without_the_optimizer():
+    import inspect
+
+    from repro.sem.optimizer import replan
+
+    source = inspect.getsource(replan)
+    assert "Optimizer" not in source and "_bind_one" not in source

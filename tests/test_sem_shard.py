@@ -568,7 +568,8 @@ class TestObservability:
         assert "(rejected broadcast: 48 transfers)" in text
 
     def test_exchange_footer_reports_reuse(self):
-        plan = ShardPlan(n_shards=2, partitioner="hash", reused_prefix=2)
+        plan = ShardPlan(n_shards=2, partitioner="hash")
+        assert not plan.reused_any
         plan.segments = [
             ShardSegment(
                 "scatter", 0, 2, strategy="scatter",
@@ -577,7 +578,7 @@ class TestObservability:
         ]
         text = exchange_footer(plan)
         assert "1 shard(s) replayed, 1 delta" in text
-        assert "2-operator prefix replayed" in text
+        assert plan.reused_any  # derived from the segments
 
     def test_sharded_trace_validates_with_exchange_spans(self, qa_bundle):
         tracer = Tracer()
@@ -628,8 +629,9 @@ class TestReuseComposition:
         )
         assert _normalized(warm) == _normalized(cold)
         assert warm.total_cost_usd == 0.0
-        assert report.shard_plan.reused_any
-        assert report.shard_plan.reused_prefix > 0
+        # The whole-boundary replay is the optimizer's, at any shard count.
+        assert report.reused_prefix > 0 and report.reuse_kind == "exact"
+        assert warm.operator_stats[0].reused
 
     def test_unsharded_capture_replays_under_sharding(self, qa_bundle):
         store = MaterializationStore()
@@ -641,7 +643,39 @@ class TestReuseComposition:
         )
         assert _normalized(warm) == _normalized(cold)
         assert warm.total_cost_usd == 0.0
-        assert report.shard_plan.reused_any
+        assert report.reused_prefix > 0 and report.reuse_kind == "exact"
+
+    def test_unsharded_barrier_capture_replays_mid_segment(self, qa_bundle):
+        # A barrier run captures after every operator, so a sharded query
+        # sharing only where+filter replays a boundary that sits inside
+        # its own scatter segment; the sharding pass plans what is left.
+        def plan(map_intent):
+            return (
+                Dataset.from_source(qa_bundle.source())
+                .where("priority >= 1")
+                .sem_filter(instruction_for("qa.flag_urgent"))
+                .sem_map(
+                    Field("extracted", str, "extracted value"),
+                    instruction_for(map_intent),
+                )
+            )
+
+        store = MaterializationStore()
+        plan("qa.customer").run(
+            _config(qa_bundle, pipeline=False, materialization_store=store)
+        )
+        warm, report = plan("qa.amount").run_with_report(
+            _config(qa_bundle, shards=4, materialization_store=store)
+        )
+        fresh = plan("qa.amount").run(_config(qa_bundle))
+        assert report.reused_prefix == 2 and report.reuse_kind == "exact"
+        assert [s.kind for s in report.shard_plan.segments] == ["global", "scatter"]
+        assert [s.label for s in warm.operator_stats][0].startswith("MaterializedScan")
+        assert _normalized(warm) == _normalized(fresh)
+        assert 0.0 < warm.total_cost_usd < fresh.total_cost_usd
+        from repro.sem.explain import explain_analyze
+
+        assert "reuse: 2-operator prefix" in explain_analyze(warm, report)
 
     def test_appended_source_runs_only_per_shard_deltas(self):
         # Hash partitioning keeps shard assignments stable under append,
@@ -669,6 +703,8 @@ class TestReuseComposition:
             s for s in report.shard_plan.segments if s.kind == "scatter"
         )
         assert scatter.delta_shards > 0
+        assert report.shard_plan.reused_any
+        assert report.reused_prefix == 0  # whole-boundary delta stays unsharded
 
 
 # ---------------------------------------------------------------------------

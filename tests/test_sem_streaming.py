@@ -11,6 +11,7 @@ tick.  Triggers (count / interval / watermark / governor) only decide
 from __future__ import annotations
 
 import difflib
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -448,6 +449,11 @@ class _FakeStats:
         return 0
 
 
+def _report_keyed(key):
+    """Stand-in for a last report whose one planned operator is stat-keyed."""
+    return SimpleNamespace(planned=[SimpleNamespace(stats_entry={"key": key})])
+
+
 def test_governor_defers_until_the_batch_is_worth_it(qa_bundle):
     records = qa_bundle.records()
     stats = _FakeStats({"op": _Prior(cost_per_record=0.01, selectivity=1.0)})
@@ -457,7 +463,7 @@ def test_governor_defers_until_the_batch_is_worth_it(qa_bundle):
         policy=RefreshPolicy(trigger="governor", min_batch_usd=0.03),
         stats_store=stats,
     )
-    query.last_stats_plan = [{"key": "op"}]
+    query.last_report = _report_keyed("op")
     source.append(records[8:10])  # estimate 2 * 0.01 = 0.02 < 0.03
     assert manager.pump() == []
     assert query.governor_deferrals == 1
@@ -468,6 +474,28 @@ def test_governor_defers_until_the_batch_is_worth_it(qa_bundle):
     assert _normalized(query.records) == _normalized(
         _full_run(qa_bundle, records[:11])
     )
+
+
+def test_governor_estimate_prices_the_prefix_behind_a_replay(qa_bundle):
+    # After a delta tick the bound plan starts with a MaterializedScan, but
+    # pending records still run through the operators it stands in for:
+    # the estimate must keep composing their priors.
+    records = qa_bundle.records()
+    stats = StatisticsStore(min_observations=1)
+    manager, query, source = _standing(
+        qa_bundle,
+        records[:8],
+        policy=RefreshPolicy(trigger="count", count=1),
+        store=MaterializationStore(),
+        stats_store=stats,
+    )
+    assert query.last_report.reused_prefix == 0  # the register run was full
+    full_plan = manager._estimate_refresh_cost(query, 4)
+    source.append(records[8:10])
+    (tick,) = manager.pump()
+    assert tick.reuse_kind == "delta" and query.last_report.reused_prefix > 1
+    assert full_plan is not None and full_plan > 0
+    assert manager._estimate_refresh_cost(query, 4) == pytest.approx(full_plan)
 
 
 def test_governor_without_priors_refreshes_immediately(qa_bundle):
@@ -495,7 +523,7 @@ def test_governor_staleness_floor_forces_a_refresh(qa_bundle):
         ),
         stats_store=stats,
     )
-    query.last_stats_plan = [{"key": "op"}]
+    query.last_report = _report_keyed("op")
     source.append(records[8:9])
     assert manager.pump(now_s=query.last_refresh_s + 5.0) == []
     (tick,) = manager.pump(now_s=query.last_refresh_s + 20.0)

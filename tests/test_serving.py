@@ -279,6 +279,20 @@ def test_same_tenant_reuses_own_work(qa_bundle):
     assert normalized_records(second.records) == normalized_records(first.records)
 
 
+def test_same_tenant_reuse_holds_when_served_queries_are_sharded(qa_bundle):
+    runtime = make_runtime(qa_bundle)
+    serving = runtime.serving(shards=4)
+    first = serving.submit("alice", filter_query(qa_bundle))
+    second = serving.submit("alice", filter_query(qa_bundle))
+    # One replay decision at every shard count: the optimizer splices the
+    # tenant's materialized boundary in before the sharding pass.
+    assert first.materialization_hits == 0
+    assert second.materialization_hits == 1
+    assert second.raw_cost_usd == 0.0
+    assert runtime.llm.clock.elapsed == 0.0  # submit never moves time
+    assert normalized_records(second.records) == normalized_records(first.records)
+
+
 def test_scoped_fingerprints_are_namespaced(qa_bundle):
     scan = L.ScanOp(child=None, source=qa_bundle.source())
     flt = L.SemFilterOp(

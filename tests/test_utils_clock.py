@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.clock import PipelineSchedule, VirtualClock, pipeline_makespan, waves
+from repro.utils.clock import PipelineSchedule, VirtualClock, pipeline_makespan
 
 
 def test_advance_accumulates():
@@ -19,77 +19,11 @@ def test_advance_rejects_negative():
         VirtualClock().advance(-1.0)
 
 
-def test_parallel_makespan_single_wave():
-    clock = VirtualClock()
-    charged = clock.advance_parallel([1.0, 2.0, 3.0], parallelism=3)
-    assert charged == pytest.approx(3.0)
-    assert clock.elapsed == pytest.approx(3.0)
-
-
-def test_parallel_makespan_multiple_waves():
-    clock = VirtualClock()
-    # Waves: [1,2] -> 2s, [3,4] -> 4s, [5] -> 5s.
-    charged = clock.advance_parallel([1, 2, 3, 4, 5], parallelism=2)
-    assert charged == pytest.approx(11.0)
-
-
-def test_parallel_with_parallelism_one_is_sum():
-    clock = VirtualClock()
-    clock.advance_parallel([1.0, 2.0, 3.0], parallelism=1)
-    assert clock.elapsed == pytest.approx(6.0)
-
-
-def test_parallel_rejects_bad_parallelism():
-    with pytest.raises(ValueError):
-        VirtualClock().advance_parallel([1.0], parallelism=0)
-
-
-def test_marks_and_since():
-    clock = VirtualClock()
-    clock.advance(3.0)
-    clock.mark("start")
-    clock.advance(2.0)
-    assert clock.since("start") == pytest.approx(2.0)
-
-
-def test_since_unknown_mark_raises():
-    with pytest.raises(KeyError):
-        VirtualClock().since("missing")
-
-
 def test_reset_clears_everything():
     clock = VirtualClock()
     clock.advance(5.0)
-    clock.mark("m")
     clock.reset()
     assert clock.elapsed == 0.0
-    with pytest.raises(KeyError):
-        clock.since("m")
-
-
-def test_waves_helper():
-    assert waves(0, 4) == 0
-    assert waves(1, 4) == 1
-    assert waves(4, 4) == 1
-    assert waves(5, 4) == 2
-    with pytest.raises(ValueError):
-        waves(3, 0)
-
-
-def test_parallel_empty_latency_list_charges_nothing():
-    clock = VirtualClock()
-    charged = clock.advance_parallel([], parallelism=4)
-    assert charged == 0.0
-    assert clock.elapsed == 0.0
-
-
-def test_parallel_wider_than_item_count_is_one_wave():
-    clock = VirtualClock()
-    # parallelism far exceeds n_items: everything fits in a single wave,
-    # charged at the slowest item.
-    charged = clock.advance_parallel([1.0, 4.0, 2.0], parallelism=100)
-    assert charged == pytest.approx(4.0)
-    assert clock.elapsed == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,21 +86,28 @@ def test_pipeline_schedule_rejects_bad_cells():
 
 def test_pipeline_of_parallel_wave_makespans_composes():
     # Nested accounting: each pipeline cell is itself the makespan of a
-    # parallel section.  The outer grid charges the critical path of the
-    # inner wave makespans.
-    clock = VirtualClock()
-    inner = VirtualClock()
-    cells = []
-    for batch_latencies in ([1.0, 2.0, 3.0, 4.0], [2.0, 2.0], [5.0]):
-        stage0 = inner.advance_parallel(list(batch_latencies), parallelism=2)
-        stage1 = inner.advance_parallel([0.5] * len(batch_latencies), parallelism=2)
-        cells.append([stage0, stage1])
-    charged = clock.advance_pipeline(cells)
-    # Stage-0 cells: [max(1,2)+max(3,4), max(2,2), max(5)] = [6, 2, 5];
-    # stage-1 cells: [1.0, 0.5, 0.5].  Stage 0 serializes to 13, then the
-    # last batch's stage-1 wave lands on top.
-    assert charged == pytest.approx(13.5)
-    assert clock.elapsed == pytest.approx(13.5)
+    # parallel section.  Width-2 waves over first-stage latencies
+    # [1, 2, 3, 4], [2, 2], [5] cost [max(1,2)+max(3,4), max(2,2), max(5)]
+    # = [6, 2, 5]; 0.5 s second-stage calls cost [1.0, 0.5, 0.5].
+    cells = [[6.0, 1.0], [2.0, 0.5], [5.0, 0.5]]
+    # Stage 0 serializes to 13, then the last batch's stage-1 wave lands
+    # on top.
+    assert pipeline_makespan(cells) == pytest.approx(13.5)
+
+
+def test_start_batch_ready_time_delays_the_batch():
+    # A batch of held-back records exists only once its holding stage has
+    # finished: downstream work must start no earlier than that.
+    schedule = PipelineSchedule()
+    for seconds in (3.0, 4.0):
+        schedule.start_batch()
+        schedule.record(0, seconds)
+    assert schedule.stage_finish(0) == pytest.approx(7.0)
+    assert schedule.stage_finish(1) == 0.0  # never ran
+    schedule.start_batch(schedule.stage_finish(0))
+    schedule.record(1, 2.0)
+    assert schedule.last_cell == (pytest.approx(7.0), pytest.approx(9.0))
+    assert schedule.makespan == pytest.approx(9.0)
 
 
 # ---------------------------------------------------------------------------
