@@ -142,7 +142,6 @@ def _run(bundle, seed: int, plan_fn, *, store=None, tracer=None, **kwargs):
         llm=llm,
         seed=seed,
         optimize=False,
-        pipeline=False,
         stats_store=store,
         **kwargs,
     )

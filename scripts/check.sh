@@ -85,6 +85,40 @@ fi
 echo "all BENCH_*.json artifacts under benchmarks/results/"
 
 echo
+echo "== execution-mechanics guard (no pipeline=/pushdown=/embed_batch_size=/adaptive_parallelism= config keyword) =="
+python - <<'PY'
+import ast
+import pathlib
+import sys
+
+MECHANICS = {"pipeline", "pushdown", "embed_batch_size", "adaptive_parallelism"}
+CONFIGS = {"QueryProcessorConfig", "AnalyticsRuntime", "ConfigSpec", "for_bundle"}
+files = [
+    path
+    for root in ("src", "tests", "examples")
+    for path in pathlib.Path(root).rglob("*.py")
+] + list(pathlib.Path("benchmarks").glob("*.py"))
+offenders = []
+for path in files:
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if callee in CONFIGS:
+            offenders += [
+                f"{path}:{node.lineno}: {callee}({keyword.arg}=...)"
+                for keyword in node.keywords
+                if keyword.arg in MECHANICS
+            ]
+if offenders:
+    print("execution mechanics are derived, not configured "
+          "(a baseline mode belongs in repro.qa.reference):")
+    print("\n".join(offenders))
+    sys.exit(1)
+print(f"{len(files)} files: no mechanics keyword on a config constructor")
+PY
+
+echo
 echo "== differential-testing fuzz lane =="
 python -m repro.qa fuzz --n 15 --seed 0
 python -m repro.qa selftest --n 10

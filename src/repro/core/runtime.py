@@ -137,10 +137,6 @@ class AnalyticsRuntime:
         retry_policy: RetryPolicy | None = None,
         on_failure: str = "skip",
         fallback_model: str | None = None,
-        pipeline: bool = True,
-        batch_size: int | None = None,
-        embed_batch_size: int | None = None,
-        adaptive_parallelism: bool = True,
         tracer: Any = None,
         metrics: Any = None,
         answer_cache_size: int = 128,
@@ -165,10 +161,6 @@ class AnalyticsRuntime:
         self.seed = seed
         self.on_failure = on_failure
         self.fallback_model = fallback_model
-        self.pipeline = pipeline
-        self.batch_size = batch_size
-        self.embed_batch_size = embed_batch_size
-        self.adaptive_parallelism = adaptive_parallelism
         self.policy = policy or Balanced(quality_floor=0.95)
         self.sample_size = sample_size
         self.parallelism = parallelism
@@ -285,12 +277,10 @@ class AnalyticsRuntime:
     # ------------------------------------------------------------------
 
     def program_config(self, tag: str = "program") -> QueryProcessorConfig:
-        kwargs = {}
-        if self.embed_batch_size is not None:
-            kwargs["embed_batch_size"] = self.embed_batch_size
-        if self.reuse_contexts:
-            kwargs["materialization_store"] = self.materialization_store
         return QueryProcessorConfig(
+            materialization_store=(
+                self.materialization_store if self.reuse_contexts else None
+            ),
             stats_store=self.stats_store,
             replan=self.replan,
             replan_threshold=self.replan_threshold,
@@ -303,12 +293,8 @@ class AnalyticsRuntime:
             tag=tag,
             on_failure=self.on_failure,
             fallback_model=self.fallback_model,
-            pipeline=self.pipeline,
-            batch_size=self.batch_size,
-            adaptive_parallelism=self.adaptive_parallelism,
             shards=self.shards,
             partitioner=self.partitioner,
-            **kwargs,
         )
 
     def cheapest_model(self) -> str:

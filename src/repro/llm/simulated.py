@@ -129,6 +129,21 @@ class SimulatedLLM:
         #: :meth:`_instruction_facts`.
         self._instruction_memo: dict[str, tuple[str, int]] = {}
 
+    @property
+    def sink_owns_time(self) -> bool:
+        """The engine's one unfused case, decided here and nowhere else.
+
+        A serving sink (:attr:`serve_sink`, see :mod:`repro.serve`) collects
+        a query's calls as precedence steps and replays them on its own
+        cross-query schedule, so the engine must neither schedule cells on
+        the clock nor merge calls the sink wants to see one by one: it runs
+        operator steps (capturing every operator boundary), per-text embeds
+        and static wave width.  Everywhere else the engine fuses streamable
+        runs into sections, batches embeds and adapts the wave width.
+        Nothing else selects between the two — there is no option.
+        """
+        return self.serve_sink is not None
+
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.qa.corpus import CorpusSpec, build_corpus
 from repro.qa.fuzzer import FuzzCase, PlanFuzzer
 from repro.qa.oracles import Violation, evaluate
 from repro.qa.plans import PlanSpec, normalized_records
+from repro.qa.reference import ReferenceInterpreter, ReferenceResult
 from repro.qa.runner import CaseRun, Observation, run_case, run_spec
 from repro.qa.shrinker import ShrinkResult, shrink
 
@@ -30,6 +31,8 @@ __all__ = [
     "Observation",
     "PlanFuzzer",
     "PlanSpec",
+    "ReferenceInterpreter",
+    "ReferenceResult",
     "ReplayBundle",
     "ShrinkResult",
     "Violation",

@@ -2,12 +2,20 @@
 
 A :class:`ConfigSpec` is the JSON form of one way to run a plan.  The
 matrix builder groups specs into *answer classes* — sets of configurations
-the runtime promises produce the same answer:
+the runtime promises produce the same answer.  "The same answer" always
+means the ``reference`` observation's: the plan evaluated by
+:mod:`repro.qa.reference`, which shares no operator body, executor or
+optimizer code with the engine (only the logical plan, the LLM substrate
+and ``sem.structql``) — never "the same engine with a knob flipped", which
+cannot see a bug every engine mode shares.
 
-- ``exec`` — same plan, same models, different execution mechanics
-  (pipeline on/off, batch size down to single-row batches, parallelism,
-  embedding batching, adaptive wave control).  Contract: bit-identical
-  records and dollar cost.
+- ``reference`` — the reference interpreter (operator-at-a-time in plan
+  order, no pushdown, no fusion, one worker).  Every class below diffs
+  records against it and, where cost is a contract, is bounded by its
+  cost: fusion, pushdown and early exit only ever remove calls.
+- ``exec`` — same plan, same models, different execution mechanics (batch
+  size down to single-row batches, parallelism).  Contract: records
+  bit-identical to the reference's, dollar cost never above it.
 - ``opt`` — the optimizer with the max-quality policy against the naive
   plan.  Filter reordering within commuting runs and champion-model
   selection must not change the answer; sampling spend means cost may
@@ -24,26 +32,23 @@ the runtime promises produce the same answer:
 - ``reuse`` — the same spec run twice against a shared
   :class:`~repro.sem.materialize.MaterializationStore` (fresh substrate
   each time).  Contract: the warm run's records are bit-identical to the
-  cold run's (and to the baseline's), and the warm run never costs more
+  cold run's (and to the reference's), and the warm run never costs more
   than the cold run.
 - ``serve`` — the plan submitted by two tenant sessions through the
-  multi-tenant serving layer (cross-query batching on).  Contract: both
-  tenants' records are bit-identical to the baseline's — the cross-query
-  schedule and tenant-scoped caches must never change an answer.
-- ``pushdown`` — structured-prefix SQL compilation disabled.  The
-  baseline runs with pushdown on; the pushdown spec turns it off.
-  Contract: bit-identical records, and the pushed-down baseline never
-  costs more than the plan-order run — pushdown prunes records before
-  LLM operators, it never adds calls.
+  multi-tenant serving layer (cross-query batching on; the serve sink
+  makes the engine run operator steps).  Contract: both tenants' records
+  are bit-identical to the reference's — the cross-query schedule and
+  tenant-scoped caches must never change an answer.
 - ``sharded`` — the plan executed across N simulated workers via the
   scale-out exchange planner (``repro.sem.shard``), sweeping shard count
   and partitioner.  Contract: bit-identical records at every shard
-  count/partitioner — only makespan (and, on limit-bearing plans, the
-  per-shard overfetch cost) may change.
+  count/partitioner; cost may exceed the *unsharded engine's* on
+  limit-bearing plans (per-shard overfetch) but never the reference's,
+  which takes no early exit at all.
 - ``streaming`` — the plan registered as a standing query over a prefix
   of the corpus, with the remainder appended in chunks and each append
   refreshed incrementally (``repro.sem.streaming``).  Contract: the final
-  standing view is bit-identical to the baseline's one-shot run over the
+  standing view is bit-identical to the reference's one-shot run over the
   full corpus, and the changelog folded from empty reproduces the live
   view at every tick.
 """
@@ -66,15 +71,12 @@ class ConfigSpec:
     name: str
     #: Which equivalence contract this spec participates in (see module doc).
     answer_class: str = "exec"
-    pipeline: bool = True
     optimize: bool = False
     policy: str = "max-quality"
     select_models: bool = True
     reorder_filters: bool = True
     parallelism: int = 4
     batch_size: int | None = None
-    embed_batch_size: int | None = None
-    adaptive: bool = True
     join_method: str = "nested"
     on_failure: str = "skip"
     sample_size: int = 6
@@ -89,9 +91,6 @@ class ConfigSpec:
     #: Register as a standing query over a corpus prefix and append the
     #: rest in chunks, refreshing incrementally (streaming class).
     streaming: bool = False
-    #: Compile structured filter/project/agg prefixes to SQL before LLM
-    #: operators (pushdown class disables this to prove equivalence).
-    pushdown: bool = True
     #: Spend cap as a fraction of the measured baseline cost (budget class).
     budget_fraction: float | None = None
     #: Fault schedule for the substrate (``FaultConfig.to_dict`` form).
@@ -109,15 +108,12 @@ class ConfigSpec:
         payload = {
             "name": self.name,
             "answer_class": self.answer_class,
-            "pipeline": self.pipeline,
             "optimize": self.optimize,
             "policy": self.policy,
             "select_models": self.select_models,
             "reorder_filters": self.reorder_filters,
             "parallelism": self.parallelism,
             "batch_size": self.batch_size,
-            "embed_batch_size": self.embed_batch_size,
-            "adaptive": self.adaptive,
             "join_method": self.join_method,
             "on_failure": self.on_failure,
             "sample_size": self.sample_size,
@@ -125,7 +121,6 @@ class ConfigSpec:
             "reuse": self.reuse,
             "serve": self.serve,
             "streaming": self.streaming,
-            "pushdown": self.pushdown,
             "budget_fraction": self.budget_fraction,
             "fault": self.fault,
             "retry": self.retry,
@@ -163,9 +158,6 @@ class ConfigSpec:
         self, llm: SimulatedLLM, max_cost_usd: float | None = None
     ) -> QueryProcessorConfig:
         """Materialize the query-processor config around a substrate."""
-        kwargs = {}
-        if self.embed_batch_size is not None:
-            kwargs["embed_batch_size"] = self.embed_batch_size
         return QueryProcessorConfig(
             llm=llm,
             policy=policy_by_name(self.policy),
@@ -179,18 +171,17 @@ class ConfigSpec:
             join_method=self.join_method,
             max_cost_usd=max_cost_usd,
             on_failure=self.on_failure,
-            pipeline=self.pipeline,
             batch_size=self.batch_size,
-            adaptive_parallelism=self.adaptive,
-            pushdown=self.pushdown,
             shards=self.shards,
             partitioner=self.partitioner,
-            **kwargs,
         )
 
 
-#: The baseline every differential comparison anchors on.
+#: The engine's default configuration (twice per case: determinism + trace).
 BASELINE = ConfigSpec(name="baseline", answer_class="exec")
+#: What every differential comparison anchors on: the plan evaluated by
+#: :mod:`repro.qa.reference` at the baseline's parallelism and seed.
+REFERENCE = ConfigSpec(name="reference", answer_class="reference")
 
 
 def config_matrix(plan, case_seed: int = 0) -> list[ConfigSpec]:
@@ -200,24 +191,13 @@ def config_matrix(plan, case_seed: int = 0) -> list[ConfigSpec]:
     classes (the optimizer binds them without sampling, making ``opt``
     trivially identical and the probes uninteresting).
     """
-    specs: list[ConfigSpec] = [BASELINE]
+    specs: list[ConfigSpec] = [REFERENCE, BASELINE]
 
     # exec class: execution mechanics must not change the answer.
-    specs.append(replace(BASELINE, name="barrier", pipeline=False))
     specs.append(replace(BASELINE, name="small-batch", batch_size=4))
     # Single-row batches put every batch kernel on its edge case.
     specs.append(replace(BASELINE, name="row-batch", batch_size=1))
     specs.append(replace(BASELINE, name="serial", parallelism=1, batch_size=6))
-    specs.append(replace(BASELINE, name="tight-embed", embed_batch_size=2))
-    specs.append(replace(BASELINE, name="no-adaptive", adaptive=False))
-
-    # pushdown class: SQL compilation of structured prefixes must
-    # preserve the answer and never cost more.
-    specs.append(
-        replace(
-            BASELINE, name="no-pushdown", answer_class="pushdown", pushdown=False
-        )
-    )
 
     # sharded class: scale-out execution over simulated workers must be
     # answer-invariant for every shard count and partitioner (joins run
@@ -249,24 +229,18 @@ def config_matrix(plan, case_seed: int = 0) -> list[ConfigSpec]:
             )
         )
         # reuse class: warm-vs-cold identity against a shared
-        # materialization store (baseline execution semantics).
+        # materialization store (baseline execution mechanics).
         specs.append(
             replace(BASELINE, name="warm-reuse", answer_class="reuse", reuse=True)
         )
         # serve class: the plan submitted by two tenants through the
-        # serving layer (cross-query batching on, barrier execution) must
-        # reproduce the baseline answer for both tenants.
+        # serving layer (cross-query batching on, operator steps) must
+        # reproduce the reference answer for both tenants.
         specs.append(
-            replace(
-                BASELINE,
-                name="served",
-                answer_class="serve",
-                serve=True,
-                pipeline=False,
-            )
+            replace(BASELINE, name="served", answer_class="serve", serve=True)
         )
         # streaming class: incremental standing-query maintenance over
-        # chunked appends must converge on the one-shot baseline answer.
+        # chunked appends must converge on the one-shot reference answer.
         specs.append(
             replace(
                 BASELINE,

@@ -25,6 +25,9 @@ class Mutation:
     _apply: Callable
     #: Oracle families that must *also* fire on the catching case.
     also_killed_by: tuple[str, ...] = ()
+    #: Every engine cell shares the defect: the catching case must come
+    #: back clean once its ``reference`` observation is withheld.
+    only_via_reference: bool = False
 
     @contextlib.contextmanager
     def applied(self) -> Iterator[None]:
@@ -69,6 +72,31 @@ def _scramble_cell_order() -> Iterator[None]:
         Engine.run_cell = original
 
 
+@contextlib.contextmanager
+def _filter_drops_kept() -> Iterator[None]:
+    """Silently drop about half of the records a semantic filter keeps.
+
+    The drop is a pure function of the record uid, so every engine mode —
+    fused, operator-step, sharded, served, warm, standing — drops the same
+    records and agrees with every other: only an oracle that does not run
+    ``PhysSemFilter`` (the reference interpreter) can see the defect.
+    """
+    from repro.sem.physical import PhysSemFilter
+    from repro.utils.hashing import stable_hash
+
+    original = PhysSemFilter.process_record
+
+    def lossy(self, record, ctx, state):
+        kept = original(self, record, ctx, state)
+        return [r for r in kept if stable_hash("drop-kept", r.uid) % 2]
+
+    PhysSemFilter.process_record = lossy
+    try:
+        yield
+    finally:
+        PhysSemFilter.process_record = original
+
+
 MUTATIONS: dict[str, Mutation] = {
     mutation.name: mutation
     for mutation in (
@@ -86,6 +114,14 @@ MUTATIONS: dict[str, Mutation] = {
             # Shard workers run the same cell runner, so the sharded class
             # must see the defect too.
             also_killed_by=("shard-equivalence",),
+        ),
+        Mutation(
+            name="filter-drops-kept",
+            description="semantic filter drops half of its kept records in every mode",
+            expected_oracle="exec-equivalence",
+            _apply=_filter_drops_kept,
+            also_killed_by=("shard-equivalence", "serve-equivalence"),
+            only_via_reference=True,
         ),
     )
 }

@@ -74,66 +74,71 @@ def check_determinism(run) -> list[Violation]:
     return violations
 
 
-def check_exec_equivalence(run) -> list[Violation]:
-    """Execution mechanics must not change the answer.
+def _reference(run):
+    """The reference observation (None when it is missing or blew up)."""
+    reference = run.first("reference")
+    return None if reference is None or reference.error else reference
 
-    Records (uids and fields, in order) are bit-identical across the exec
-    class.  Cost is compared against the barrier run as an upper bound:
-    pipelined early-exit pushdown may only ever *save* calls.
+
+def _against_reference(
+    run, answer_class: str, oracle: str, bound_cost: bool = True
+) -> list[Violation]:
+    """Every ``answer_class`` cell against the reference interpreter's answer.
+
+    Records (uids and fields, in order) must be bit-identical; an uncapped
+    run must not truncate; and with ``bound_cost`` the cell may not spend
+    more than the reference did — the reference runs every operator over
+    its whole input in plan order, and fusion, early exit, pushdown,
+    sharding and replay only ever *remove* calls from that.  Virtual time is
+    deliberately not compared: batches round up to whole waves, so a fused
+    makespan can legally exceed the operator-at-a-time sum (see
+    ``QueryProcessorConfig.resolved_batch_size``); cost has no such rounding.
     """
+    reference = _reference(run)
+    if reference is None:
+        return []
     violations = []
-    baseline = run.first("baseline")
-    if baseline is None or baseline.error:
-        return violations
-    barrier = run.first("barrier")
-    for observation in run.by_class("exec"):
+    for observation in run.by_class(answer_class):
         name = observation.spec.name
-        if name == "baseline" or observation.error:
-            continue
-        if observation.records != baseline.records:
-            detail = _first_diff(baseline.records, observation.records)
+        if observation.error:
+            continue  # no-errors already flags these
+        if observation.records != reference.records:
+            detail = _first_diff(reference.records, observation.records)
             violations.append(
-                Violation("exec-equivalence", name, f"records differ: {detail}")
+                Violation(oracle, name, f"records differ from the reference: {detail}")
             )
         if observation.truncated:
+            violations.append(Violation(oracle, name, "truncated without a cap"))
+        if bound_cost and (
+            observation.total_cost_usd > reference.total_cost_usd + COST_EPS
+        ):
             violations.append(
-                Violation("exec-equivalence", name, "truncated without a cap")
-            )
-        if barrier is not None and not barrier.error:
-            if observation.total_cost_usd > barrier.total_cost_usd + COST_EPS:
-                violations.append(
-                    Violation(
-                        "exec-equivalence", name,
-                        f"cost {observation.total_cost_usd} exceeds barrier "
-                        f"cost {barrier.total_cost_usd}",
-                    )
+                Violation(
+                    oracle, name,
+                    f"cost {observation.total_cost_usd} exceeds the reference's "
+                    f"{reference.total_cost_usd}",
                 )
-    # Note: wall-time is deliberately NOT compared across modes.  Batches
-    # round up to whole waves, so an upstream filter that thins a batch can
-    # legally make the pipelined makespan exceed the barrier stage-sum
-    # (see ``QueryProcessorConfig.resolved_batch_size``).  Cost has no wave
-    # rounding, so the dollar bound above is a real contract.
+            )
     return violations
+
+
+def check_exec_equivalence(run) -> list[Violation]:
+    """Execution mechanics must not change the answer, or add spend.
+
+    Covers the default configuration itself (``baseline``) and the batch /
+    parallelism sweep.  The cost bound is also the pushdown contract: the
+    reference never pushes a structured prefix down, so a pushed-down run
+    costing more than it would mean pushdown *added* calls.
+    """
+    return _against_reference(run, "exec", "exec-equivalence")
 
 
 def check_opt_equivalence(run) -> list[Violation]:
-    """The max-quality optimizer must preserve the naive plan's answer."""
-    violations = []
-    baseline = run.first("baseline")
-    if baseline is None or baseline.error:
-        return violations
-    for observation in run.by_class("opt"):
-        if observation.error:
-            continue
-        if observation.records != baseline.records:
-            detail = _first_diff(baseline.records, observation.records)
-            violations.append(
-                Violation(
-                    "opt-equivalence", observation.spec.name,
-                    f"optimized records differ from naive: {detail}",
-                )
-            )
-    return violations
+    """The max-quality optimizer must preserve the plan's answer.
+
+    Sampling spend is legitimately extra, so cost is not bounded.
+    """
+    return _against_reference(run, "opt", "opt-equivalence", bound_cost=False)
 
 
 def check_policy_cost(run) -> list[Violation]:
@@ -231,12 +236,10 @@ def check_reuse_equivalence(run) -> list[Violation]:
     The reuse class runs the same spec cold then warm with a shared store
     and a fresh substrate per pass, so any difference is attributable to
     materialization replay.  Contract: the warm records are bit-identical
-    to the cold records (and to the baseline's, since the spec shares the
-    baseline's execution semantics), and replaying a materialized prefix
-    can only ever save money.
+    to the cold records and to the reference's, and replaying a
+    materialized prefix can only ever save money.
     """
-    violations = []
-    baseline = run.first("baseline")
+    violations = _against_reference(run, "reuse", "reuse-equivalence")
     for observation in run.by_class("reuse"):
         name = observation.spec.name
         if observation.error or observation.reuse_cold_records is None:
@@ -249,10 +252,6 @@ def check_reuse_equivalence(run) -> list[Violation]:
                     f"warm records differ from cold: {detail}",
                 )
             )
-        if observation.truncated:
-            violations.append(
-                Violation("reuse-equivalence", name, "truncated without a cap")
-            )
         cold_cost = observation.reuse_cold_cost_usd or 0.0
         if observation.total_cost_usd > cold_cost + COST_EPS:
             violations.append(
@@ -262,15 +261,6 @@ def check_reuse_equivalence(run) -> list[Violation]:
                     f"cost {cold_cost}",
                 )
             )
-        if baseline is not None and not baseline.error:
-            if observation.records != baseline.records:
-                detail = _first_diff(baseline.records, observation.records)
-                violations.append(
-                    Violation(
-                        "reuse-equivalence", name,
-                        f"warm records differ from baseline: {detail}",
-                    )
-                )
     return violations
 
 
@@ -279,75 +269,20 @@ def check_serve_equivalence(run) -> list[Violation]:
 
     The serve class submits the same plan as two tenant sessions on one
     shared substrate with cross-query batching on.  Contract: the first
-    tenant's records are bit-identical to the baseline's, and the peer
+    tenant's records are bit-identical to the reference's, and the peer
     tenant's records are bit-identical to the first tenant's — neither the
     cross-query schedule nor tenant-scoped caching may leak into answers.
     """
-    violations = []
-    baseline = run.first("baseline")
+    violations = _against_reference(run, "serve", "serve-equivalence")
     for observation in run.by_class("serve"):
-        name = observation.spec.name
-        if observation.error:
+        if observation.error or observation.serve_peer_records is None:
             continue
-        if baseline is not None and not baseline.error:
-            if observation.records != baseline.records:
-                detail = _first_diff(baseline.records, observation.records)
-                violations.append(
-                    Violation(
-                        "serve-equivalence", name,
-                        f"served records differ from baseline: {detail}",
-                    )
-                )
-        if observation.serve_peer_records is not None:
-            if observation.serve_peer_records != observation.records:
-                detail = _first_diff(
-                    observation.records, observation.serve_peer_records
-                )
-                violations.append(
-                    Violation(
-                        "serve-equivalence", name,
-                        f"peer tenant records differ: {detail}",
-                    )
-                )
-    return violations
-
-
-def check_pushdown_equivalence(run) -> list[Violation]:
-    """SQL pushdown changes cost, never answers.
-
-    The pushdown class re-runs the baseline spec with structured-prefix
-    SQL compilation disabled.  The baseline runs with it on, so the
-    contract is two-sided: records are bit-identical either way, and the
-    pushed-down baseline never costs more than the plan-order run —
-    pruning records before the first LLM operator can only ever *remove*
-    billed calls.
-    """
-    violations = []
-    baseline = run.first("baseline")
-    if baseline is None or baseline.error:
-        return violations
-    for observation in run.by_class("pushdown"):
-        name = observation.spec.name
-        if observation.error:
-            continue
-        if observation.records != baseline.records:
-            detail = _first_diff(baseline.records, observation.records)
+        if observation.serve_peer_records != observation.records:
+            detail = _first_diff(observation.records, observation.serve_peer_records)
             violations.append(
                 Violation(
-                    "pushdown-equivalence", name,
-                    f"records differ from pushed-down baseline: {detail}",
-                )
-            )
-        if observation.truncated:
-            violations.append(
-                Violation("pushdown-equivalence", name, "truncated without a cap")
-            )
-        if baseline.total_cost_usd > observation.total_cost_usd + COST_EPS:
-            violations.append(
-                Violation(
-                    "pushdown-equivalence", name,
-                    f"pushdown cost {baseline.total_cost_usd} exceeds "
-                    f"{name} cost {observation.total_cost_usd}",
+                    "serve-equivalence", observation.spec.name,
+                    f"peer tenant records differ: {detail}",
                 )
             )
     return violations
@@ -358,33 +293,13 @@ def check_shard_equivalence(run) -> list[Violation]:
 
     The sharded class re-runs the baseline spec across N simulated
     workers, sweeping shard count and partitioner.  Contract:
-    bit-identical records at every point of the sweep.  Cost is
-    deliberately *not* asserted here: on limit-bearing plans each shard
-    may legally overfetch up to the limit before the global merge
-    truncates (the classic distributed limit-pushdown overfetch), so only
-    the answer itself is a cross-shard contract.
+    bit-identical records at every point of the sweep.  On limit-bearing
+    plans each shard may overfetch up to the limit before the global merge
+    truncates (the classic distributed limit-pushdown overfetch), so a
+    sharded run may outspend the *unsharded engine* — but never the
+    reference, which takes no early exit at all.
     """
-    violations = []
-    baseline = run.first("baseline")
-    if baseline is None or baseline.error:
-        return violations
-    for observation in run.by_class("sharded"):
-        name = observation.spec.name
-        if observation.error:
-            continue
-        if observation.records != baseline.records:
-            detail = _first_diff(baseline.records, observation.records)
-            violations.append(
-                Violation(
-                    "shard-equivalence", name,
-                    f"sharded records differ from shards=1 baseline: {detail}",
-                )
-            )
-        if observation.truncated:
-            violations.append(
-                Violation("shard-equivalence", name, "truncated without a cap")
-            )
-    return violations
+    return _against_reference(run, "sharded", "shard-equivalence")
 
 
 def check_streaming_equivalence(run) -> list[Violation]:
@@ -393,28 +308,19 @@ def check_streaming_equivalence(run) -> list[Violation]:
     The streaming class registers the plan as a standing query over a
     prefix of the corpus and appends the remainder in chunks, refreshing
     incrementally off the materialization store.  Contract: after the last
-    append the standing view is bit-identical to the baseline's one-shot
+    append the standing view is bit-identical to the reference's one-shot
     run over the full corpus, and the changelog folded from empty
     reproduced the live view at every tick.  Cost is deliberately not
     asserted: plans with incremental-unsafe operators (group-by, top-k,
     limit) legally recompute each tick.
     """
-    violations = []
-    baseline = run.first("baseline")
+    violations = _against_reference(
+        run, "streaming", "streaming-equivalence", bound_cost=False
+    )
     for observation in run.by_class("streaming"):
         name = observation.spec.name
         if observation.error:
             continue
-        if baseline is not None and not baseline.error:
-            if observation.records != baseline.records:
-                detail = _first_diff(baseline.records, observation.records)
-                violations.append(
-                    Violation(
-                        "streaming-equivalence", name,
-                        f"standing view differs from one-shot baseline: "
-                        f"{detail}",
-                    )
-                )
         if observation.streaming_fold_identical is False:
             violations.append(
                 Violation(
@@ -461,7 +367,6 @@ ORACLES = (
     check_budget,
     check_reuse_equivalence,
     check_serve_equivalence,
-    check_pushdown_equivalence,
     check_shard_equivalence,
     check_streaming_equivalence,
     check_trace,

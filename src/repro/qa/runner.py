@@ -8,7 +8,8 @@ holding the live objects.
 
 Run order per case:
 
-1. ``baseline`` twice (same-config determinism), the second time traced.
+1. ``reference`` — the plan through :mod:`repro.qa.reference` — then
+   ``baseline`` twice (same-config determinism), the second time traced.
 2. Every other non-budget spec once (``fault`` specs twice, for their own
    determinism check).
 3. Budget specs, whose spend caps are fractions of the measured baseline
@@ -26,6 +27,7 @@ from repro.qa.configs import ConfigSpec, config_matrix
 from repro.qa.corpus import build_corpus
 from repro.qa.fuzzer import FuzzCase
 from repro.qa.plans import normalized_records
+from repro.qa.reference import ReferenceInterpreter
 from repro.sem.materialize import MaterializationStore
 
 
@@ -116,6 +118,18 @@ def run_spec(
         dataset = case.plan.build(bundle)
         guard = mutation.applied() if mutation is not None else contextlib.nullcontext()
         with guard:
+            if spec.answer_class == "reference":
+                # Same substrate seed, parallelism and champion model as the
+                # baseline, none of the engine: no optimizer report to read.
+                reference = ReferenceInterpreter(
+                    llm,
+                    parallelism=spec.parallelism,
+                    model=config.champion_model,
+                ).run(dataset.plan())
+                observation.records = normalized_records(reference.records)
+                observation.total_cost_usd = reference.total_cost_usd
+                observation.total_time_s = reference.total_time_s
+                return observation
             if spec.streaming:
                 # Standing query over the first two-thirds of the corpus;
                 # the rest arrives as three append chunks, each refreshed

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.llm.embeddings import DEFAULT_EMBED_BATCH
 from repro.llm.models import DEFAULT_MODEL, completion_models_by_cost
 from repro.llm.simulated import SimulatedLLM
 from repro.sem.materialize import MaterializationStore
@@ -26,7 +25,12 @@ class QueryProcessorConfig:
     """Everything a :meth:`Dataset.run` call needs.
 
     Defaults mirror Palimpzest's: optimization on, champion model GPT-4o,
-    sequential (iterator-semantics) execution.
+    sequential (iterator-semantics) execution.  Execution *mechanics* are
+    not fields: structured prefixes are always pushed into the scan, and
+    whether streamable runs fuse (with batched embeds and adaptive wave
+    width) is derived by ``SimulatedLLM.sink_owns_time``.  A mode that
+    exists to be diffed against lives in :mod:`repro.qa.reference`, never
+    here.
     """
 
     llm: SimulatedLLM
@@ -62,19 +66,8 @@ class QueryProcessorConfig:
     #: Cheaper tier used by ``on_failure="fallback"`` (None = auto: the
     #: cheapest chat model in the catalog).
     fallback_model: str | None = None
-    #: Pipelined streaming execution: fuse adjacent record-at-a-time
-    #: operators into stages and charge the critical-path makespan instead
-    #: of the per-operator sum.  False restores the old materialize-
-    #: everything barrier semantics (the A/B escape hatch).
-    pipeline: bool = True
     #: Records per streamed batch (None = ``max(2 * parallelism, 16)``).
     batch_size: int | None = None
-    #: Texts per batched embedding request on the pipelined path.
-    embed_batch_size: int = DEFAULT_EMBED_BATCH
-    #: Adapt wave width at runtime: back off on rate-limit bursts, widen
-    #: again on success, capped at ``parallelism``.  Fault-free runs stay
-    #: at the cap, so this is a no-op without an injector.
-    adaptive_parallelism: bool = True
     #: Cross-query sub-plan reuse: a shared
     #: :class:`~repro.sem.materialize.MaterializationStore` makes the
     #: optimizer replay fingerprint-matched plan prefixes (and run appended
@@ -85,12 +78,6 @@ class QueryProcessorConfig:
     #: store: scoped runs only match entries captured under the same scope.
     #: Empty (the default) keeps the historical single-tenant digests.
     materialization_scope: str = ""
-    #: Compile structured predicates/projections/pre-aggregations adjacent
-    #: to the scan into ``repro.sql`` execution (a ``SqlScan`` leaf) so the
-    #: SQL engine prunes records before any LLM operator runs.  Off =
-    #: structured operators run in plan order; records are bit-identical
-    #: either way.
-    pushdown: bool = True
     #: Learned per-operator priors: a shared
     #: :class:`~repro.obs.stats.StatisticsStore` that finished runs feed
     #: (observed selectivity/cost/latency per operator+model+dataset) and
@@ -156,10 +143,6 @@ class QueryProcessorConfig:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
-        if self.embed_batch_size < 1:
-            raise ConfigurationError(
-                f"embed_batch_size must be >= 1, got {self.embed_batch_size}"
-            )
         if self.replan_threshold <= 1.0:
             raise ConfigurationError(
                 f"replan_threshold must be > 1.0, got {self.replan_threshold}"
@@ -194,6 +177,14 @@ class QueryProcessorConfig:
         if self.batch_size is not None:
             return self.batch_size
         return max(2 * self.parallelism, 16)
+
+    def fused_batch_size(self) -> int | None:
+        """The batch size fused sections stream at, None when nothing fuses.
+
+        What the cost model prices time with: a pipelined makespan while
+        the engine fuses, the operator-at-a-time sum under a serve sink.
+        """
+        return None if self.llm.sink_owns_time else self.resolved_batch_size()
 
     def candidate_models(self) -> list[str]:
         if self.available_models is not None:

@@ -24,6 +24,7 @@ from repro.data.records import DataRecord
 from repro.data.schemas import Field, Schema
 from repro.data.sources import DataSource, MemorySource
 from repro.errors import PlanError
+from repro.llm.embeddings import DEFAULT_EMBED_BATCH
 from repro.sem import logical as L
 from repro.sem.config import QueryProcessorConfig
 from repro.sem.execution import Engine, ExecutionResult
@@ -261,15 +262,14 @@ class Dataset:
         """Like :meth:`run` but also returns the optimizer's report."""
         plan = self.plan()
         tracer = config.llm.tracer
+        # Mechanics are derived, never configured: batched embeds and the
+        # adaptive wave width ride with fusion, which only a serve sink
+        # turns off (it wants every call as its own timeline step).
+        fused = not config.llm.sink_owns_time
         with tracer.span(
-            f"query:{config.tag}", kind="query", pipeline=config.pipeline
+            f"query:{config.tag}", kind="query", pipeline=fused
         ) as query_span:
             operators, report = Optimizer(config).optimize(plan)
-            adaptive = (
-                AdaptiveParallelism(cap=config.parallelism)
-                if config.pipeline and config.adaptive_parallelism
-                else None
-            )
             engine = Engine(
                 ExecutionContext(
                     llm=config.llm,
@@ -278,14 +278,15 @@ class Dataset:
                     on_failure=config.on_failure,
                     fallback_model=config.resolved_fallback_model(),
                     max_cost_usd=config.max_cost_usd,
-                    # Batched embeddings ride the pipelined path; barrier mode
-                    # keeps per-record calls (the legacy-exact escape hatch).
-                    embed_batch_size=config.embed_batch_size if config.pipeline else 1,
-                    adaptive=adaptive,
+                    embed_batch_size=DEFAULT_EMBED_BATCH if fused else 1,
+                    adaptive=(
+                        AdaptiveParallelism(cap=config.parallelism)
+                        if fused
+                        else None
+                    ),
                 ),
-                max_cost_usd=config.max_cost_usd,
-                pipeline=config.pipeline,
                 batch_size=config.resolved_batch_size(),
+                max_cost_usd=config.max_cost_usd,
                 capture=report.capture,
                 replanner=report.replanner,
                 shard_plan=report.shard_plan,

@@ -8,9 +8,10 @@ seconds.  Three pieces exist exactly once:
   time and owns the spend-cap check, truncation, boundary capture,
   re-planning and result assembly.  A step is one whole-input *operator*
   (a barrier: the clock is charged as the operator spends), a *pipelined
-  section* (a maximal run of streamable operators, fused when
-  ``pipeline=True``), or — supplied by :mod:`repro.sem.shard` — an
-  *exchange segment* across simulated workers.
+  section* (a maximal run of streamable operators, fused unless a serve
+  sink owns time — ``SimulatedLLM.sink_owns_time``), or —
+  supplied by :mod:`repro.sem.shard` — an *exchange segment* across
+  simulated workers.
 - **The measured step** (:func:`measured_step`) attributes everything a
   piece of work spent — dollars, calls, tokens, cache hits, retries,
   degraded records, seconds, a budget cut — to an :class:`OperatorStats`.
@@ -27,9 +28,9 @@ seconds.  Three pieces exist exactly once:
   spend cap truncates mid-batch.
 
 Answers from the simulated LLM are a pure function of the input, never of
-call order, so barrier, pipelined and sharded runs produce bit-identical
-records and dollar cost on a fault-free run; only the time accounting
-differs.
+call order, so operator-step, fused and sharded runs produce
+bit-identical records and dollar cost on a fault-free run; only the time
+accounting differs.
 """
 
 from __future__ import annotations
@@ -41,7 +42,11 @@ from typing import Iterator
 from repro.data.records import DataRecord
 from repro.errors import BudgetExceededError
 from repro.sem.batch import RecordBatch
-from repro.sem.physical import ExecutionContext, PhysicalOperator, StreamingOperator
+from repro.sem.physical import (
+    ExecutionContext,
+    PhysicalOperator,
+    StreamingOperator,
+)
 from repro.utils.clock import PipelineSchedule
 from repro.utils.formatting import format_table
 
@@ -131,9 +136,9 @@ class ExecutionResult:
     optimization_time_s: float = 0.0
     plan_explain: str = ""
     #: True when a spend cap stopped execution before the plan completed;
-    #: ``records`` then holds everything produced up to the cut (pipelined
-    #: mode salvages fully-processed batches; barrier mode returns the
-    #: output of the last finished operator).
+    #: ``records`` then holds everything produced up to the cut (a fused
+    #: section salvages fully-processed batches; an operator step returns
+    #: the output of the last finished operator).
     truncated: bool = False
     #: Faulted-and-retried attempts across all operators.
     retried_calls: int = 0
@@ -296,7 +301,7 @@ def measured_step(
     ``cell=True`` the seconds are *captured* (:meth:`SimulatedLLM.measure`)
     for the caller to place on a schedule — pipelined and shard cells;
     with ``cell=False`` the block spends time on the clock as it goes and
-    the elapsed delta is read back — barrier operators and coordinator-side
+    the elapsed delta is read back — operator steps and coordinator-side
     work.  A :class:`BudgetExceededError` from the block is absorbed: what
     it burned before the cut is accounted, and the outcome says
     ``truncated`` so the caller can still schedule the partial seconds.
@@ -334,17 +339,17 @@ class Engine:
     def __init__(
         self,
         ctx: ExecutionContext,
+        batch_size: int,
         max_cost_usd: float | None = None,
-        pipeline: bool = True,
-        batch_size: int | None = None,
         capture=None,
         replanner=None,
         shard_plan=None,
     ) -> None:
         self.ctx = ctx
         self.max_cost_usd = max_cost_usd
-        self.pipeline = pipeline
-        self.batch_size = batch_size if batch_size is not None else max(2 * ctx.parallelism, 16)
+        #: Records per streamed batch of a fused section or shard worker
+        #: (``QueryProcessorConfig.resolved_batch_size``).
+        self.batch_size = batch_size
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         #: Optional :class:`repro.sem.materialize.CapturePlan`: the store
@@ -430,10 +435,12 @@ class Engine:
 
         A section is a maximal run of streamable operators; a run of one
         gains nothing from pipelining and runs as an operator step
-        (identical wave structure either way).
+        (identical wave structure either way).  Under a serve sink every
+        step is an operator step: the sink schedules the calls, and every
+        operator boundary is captured for later replay.
         """
         end = index
-        if self.pipeline:
+        if not self.ctx.llm.sink_owns_time:
             while end < len(operators) and operators[end].streamable:
                 end += 1
         if end - index >= 2:

@@ -9,10 +9,7 @@ and cost, so optimizer misestimates are visible at a glance.
 from __future__ import annotations
 
 from repro.sem.execution import ExecutionResult, pushdown_footer
-from repro.sem.optimizer.optimizer import (
-    REPLAN_DISABLED_SHARDED,
-    OptimizationReport,
-)
+from repro.sem.optimizer.optimizer import REPLAN_DISABLED, OptimizationReport
 from repro.utils.formatting import format_table
 
 
@@ -120,8 +117,9 @@ def explain_analyze(result: ExecutionResult, report: OptimizationReport) -> str:
             f"(est ${decision['est_cost_before_usd']:.4f} -> "
             f"${decision['est_cost_after_usd']:.4f} for the suffix)"
         )
-    if REPLAN_DISABLED_SHARDED in report.note:
-        footer += f"\nNOTE: {REPLAN_DISABLED_SHARDED}"
+    for cause in REPLAN_DISABLED:
+        if cause in report.note:
+            footer += f"\nNOTE: {cause}"
     if result.truncated:
         footer += "\nNOTE: execution truncated by the spend cap"
     return table + footer

@@ -105,9 +105,18 @@ class SemJoinOp(LogicalOperator):
         return f"SemJoin({self.instruction[:40]!r})"
 
 
+#: Character budget for the concatenated record text a semantic
+#: aggregation (or a group summary) places in one prompt.
+AGG_TEXT_BUDGET = 24_000
+
+
 @dataclass(frozen=True)
 class SemAggOp(LogicalOperator):
-    """Aggregate all records into a single synthesized answer."""
+    """Aggregate all records into a single synthesized answer.
+
+    Record texts are concatenated in input order until the next one would
+    overflow :data:`AGG_TEXT_BUDGET`.
+    """
 
     instruction: str = ""
     output_field: str = "answer"

@@ -126,7 +126,7 @@ def op_token(op: L.LogicalOperator, model: str | None) -> tuple | None:
         from repro.sem.structql import normalized_condition
 
         # The parsed AST's repr, so `priority>=2` and `priority >= 2`
-        # share a token — and pushed-down vs row-mode plans compose.
+        # share a token — inside a SqlScan or above the scan.
         return ("struct_filter", normalized_condition(op.condition))
     if isinstance(op, L.StructAggOp):
         return ("struct_agg", tuple(op.group_by), tuple(op.aggregates))
@@ -180,10 +180,11 @@ def prefix_fingerprints(
     A :class:`~repro.sem.logical.SqlScanOp` leaf is fingerprinted by
     *expansion*: its token sequence is the plain scan token followed by the
     embedded operators' tokens, and the expanded virtual chain feeds the
-    commuting-run canonicalization.  A pushed-down plan therefore shares
-    every boundary fingerprint at or after the end of the scan-adjacent
-    filter run with its row-mode equivalent — pushdown composes with reuse
-    instead of fragmenting the store.
+    commuting-run canonicalization.  A plan therefore shares every boundary
+    fingerprint at or after the end of the scan-adjacent filter run with
+    every plan that pushes a different number of the same operators (a
+    hoisted ``where``, a longer structured prefix) — pushdown composes
+    with reuse instead of fragmenting the store.
     """
     virtual_chain: list[L.LogicalOperator] = []
     virtual_tokens: list[tuple | None] = []

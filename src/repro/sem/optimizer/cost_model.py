@@ -6,12 +6,12 @@ surviving records.  This is what makes filter reordering and pushdown
 worthwhile — exactly the effect the paper credits for ``PZ compute``'s
 savings over ``CodeAgent+``.
 
-When the executor runs pipelined (the default), the time estimate must
-predict the *critical-path makespan* of fused streamable sections — not
-the per-operator sum — or plan choice regresses toward plans that only
-look good under barrier semantics.  ``estimate_chain`` therefore accepts
-the executor's ``parallelism``/``pipeline``/``batch_size`` knobs; with the
-defaults it reproduces the original sequential-sum estimate exactly.
+When the engine fuses streamable runs (always, unless a serve sink owns
+time), the time estimate must predict the *critical-path makespan* of the
+fused sections — not the per-operator sum — or plan choice regresses
+toward plans that only look good operator-at-a-time.  ``estimate_chain``
+therefore accepts the engine's ``parallelism`` and the resolved
+``fused_batch_size``; with the defaults it is the sequential-sum estimate.
 """
 
 from __future__ import annotations
@@ -139,14 +139,15 @@ def estimate_chain_steps(
     profiles: dict[int, OperatorProfile],
     input_cardinality: float | None = None,
     parallelism: int = 1,
-    pipeline: bool = False,
-    batch_size: int | None = None,
+    fused_batch_size: int | None = None,
 ) -> tuple[PlanEstimate, list[PlanEstimate]]:
     """Like :func:`estimate_chain` but also returns the per-operator steps.
 
     ``steps[i].cardinality`` is the estimated *output* cardinality of
     ``chain[i]`` — what EXPLAIN's drift column and the mid-query
     re-planner compare against observed row counts.
+    ``fused_batch_size`` is the engine's resolved records-per-batch when
+    it fuses streamable runs, None when it runs operator steps.
     """
     cardinality = input_cardinality if input_cardinality is not None else 0.0
     total = PlanEstimate(0.0, 0.0, cardinality)
@@ -157,7 +158,7 @@ def estimate_chain_steps(
             step = PlanEstimate(step.cost_usd, step.time_s / parallelism, step.cardinality)
         steps.append(step)
         total = total + step
-    if not pipeline or parallelism < 1:
+    if fused_batch_size is None:
         return total, steps
 
     time_s = 0.0
@@ -172,8 +173,7 @@ def estimate_chain_steps(
             end += 1
         section = steps[index:end]
         section_input = steps[index - 1].cardinality if index > 0 else cardinality
-        resolved_batch = batch_size if batch_size is not None else max(2 * parallelism, 16)
-        n_batches = max(1, math.ceil(section_input / resolved_batch))
+        n_batches = max(1, math.ceil(section_input / fused_batch_size))
         stage_times = [step.time_s for step in section]
         if len(section) < 2:
             time_s += sum(stage_times)
@@ -190,15 +190,14 @@ def estimate_chain(
     profiles: dict[int, OperatorProfile],
     input_cardinality: float | None = None,
     parallelism: int = 1,
-    pipeline: bool = False,
-    batch_size: int | None = None,
+    fused_batch_size: int | None = None,
 ) -> PlanEstimate:
     """Estimate a leaves-first operator chain.
 
     ``profiles`` maps chain positions to the profile of the model *chosen*
     for that operator.  Cost and cardinality are mode-independent;
-    ``parallelism`` divides per-operator latency into wave time, and
-    ``pipeline=True`` replaces the per-operator time sum of each fused
+    ``parallelism`` divides per-operator latency into wave time, and a
+    ``fused_batch_size`` replaces the per-operator time sum of each fused
     streamable section with its pipelined makespan:
     ``fill + (B - 1) * bottleneck`` for ``B`` batches — the first batch
     crosses every stage, then the slowest stage paces the rest.
@@ -208,8 +207,7 @@ def estimate_chain(
         profiles,
         input_cardinality=input_cardinality,
         parallelism=parallelism,
-        pipeline=pipeline,
-        batch_size=batch_size,
+        fused_batch_size=fused_batch_size,
     )
     return total
 

@@ -133,9 +133,17 @@ class OptimizationReport:
         }
 
 
-#: ``OptimizationReport.note`` / EXPLAIN footer when ``replan=True`` meets a
-#: sharded plan (the knob is honoured by saying it cannot apply).
+#: Why ``replan=True`` could not arm, one line per cause.  Each lands in
+#: ``OptimizationReport.note`` and as an EXPLAIN ANALYZE ``NOTE:`` line, so
+#: the knob is honoured by saying it cannot apply — never silently dropped.
+REPLAN_DISABLED_NO_STATS = "replan disabled: no stats_store to re-plan from"
+REPLAN_DISABLED_REUSED = "replan disabled: the plan replays a materialized prefix"
 REPLAN_DISABLED_SHARDED = "replan disabled: sharded plans have no replan boundary"
+REPLAN_DISABLED = (
+    REPLAN_DISABLED_NO_STATS,
+    REPLAN_DISABLED_REUSED,
+    REPLAN_DISABLED_SHARDED,
+)
 
 
 class Optimizer:
@@ -172,20 +180,19 @@ class Optimizer:
             )
         if not self.config.optimize:
             report = OptimizationReport(optimized=False, note="optimization disabled")
-            chain = self._maybe_pushdown(plan.operators(), report)
+            chain = self._push_down(plan.operators(), report)
             return self._reuse_and_bind(chain, {}, report), report
         return self._optimize_linear(plan)
 
-    def _maybe_pushdown(
-        self, chain: list[L.LogicalOperator], report: OptimizationReport
+    @staticmethod
+    def _push_down(
+        chain: list[L.LogicalOperator], report: OptimizationReport
     ) -> list[L.LogicalOperator]:
-        """Compile the structured prefix into a SqlScan when enabled.
+        """Compile the structured prefix into a SqlScan leaf.
 
-        Runs independently of cost-based optimization: pushdown is a
-        semantics-preserving rewrite gated only by ``config.pushdown``.
+        Always runs, independently of cost-based optimization: pushdown is
+        a semantics-preserving rewrite that only ever removes LLM calls.
         """
-        if not self.config.pushdown:
-            return chain
         chain, sql_scan = push_structured_prefix(chain)
         if sql_scan is not None:
             report.pushdown_ops = len(sql_scan.pushed)
@@ -290,17 +297,13 @@ class Optimizer:
             new_chain = reorder_filters(new_chain, rank)
         new_chain = prune_noop_projects(new_chain)
         new_chain = merge_adjacent_limits(new_chain)
-        sql_scan = None
-        if config.pushdown:
-            new_chain, sql_scan = push_structured_prefix(new_chain)
 
         report = OptimizationReport(
             optimized=True,
             sampling_cost_usd=sampling_usage.cost_usd,
             sampling_time_s=sampling_time,
-            pushdown_ops=len(sql_scan.pushed) if sql_scan is not None else 0,
-            pushdown_sql=sql_scan.sql if sql_scan is not None else "",
         )
+        new_chain = self._push_down(new_chain, report)
         return self._reuse_and_bind(
             new_chain, chosen, report, source_records, profiles
         ), report
@@ -383,28 +386,35 @@ class Optimizer:
             },
             input_cardinality=input_cardinality,
             parallelism=config.parallelism,
-            pipeline=config.pipeline,
-            batch_size=config.resolved_batch_size(),
+            fused_batch_size=config.fused_batch_size(),
         )
         for op, step in zip(bound, steps):
             op.estimate.rows = step.cardinality
             op.estimate.cost_usd = step.cost_usd
 
     def _arm_replanner(self, report: OptimizationReport) -> None:
-        """Attach a re-planner when config + store allow it.
+        """Attach a re-planner when config + store allow it, else say why not.
 
         Nothing positional excludes a reuse-bearing or a sharded plan any
         more (every fact moves with its operator, and a commuting run never
         straddles an exchange segment); both stay excluded because replan x
         warm-reuse and replan x shards are untested compositions, which the
-        pairwise matrix of ROADMAP item 3 owns.  The sharded case says so in
-        the report note instead of silently ignoring the knob.
+        pairwise matrix of ROADMAP item 2 owns.
         """
         config = self.config
-        if not config.replan or config.stats_store is None or report.reused_prefix:
+        if not config.replan:
             return
-        if config.shards > 1:
-            report.note = "; ".join(filter(None, [report.note, REPLAN_DISABLED_SHARDED]))
+        causes = [
+            cause
+            for cause, applies in (
+                (REPLAN_DISABLED_NO_STATS, config.stats_store is None),
+                (REPLAN_DISABLED_REUSED, bool(report.reused_prefix)),
+                (REPLAN_DISABLED_SHARDED, config.shards > 1),
+            )
+            if applies
+        ]
+        if causes:
+            report.note = "; ".join(filter(None, [report.note, *causes]))
             return
         report.replanner = Replanner(config, report)
 

@@ -20,8 +20,9 @@ Soundness:
   :class:`repro.sem.physical.PhysSqlScan`), so surviving records are
   bit-identical, uids included.
 
-The pass runs whether or not cost-based optimization is enabled; it is
-gated only by ``QueryProcessorConfig.pushdown``.
+The pass always runs, whether or not cost-based optimization is enabled;
+the plan-order semantics it must preserve are the reference interpreter's
+(:mod:`repro.qa.reference`), which never pushes anything down.
 """
 
 from __future__ import annotations

@@ -178,8 +178,7 @@ class Replanner:
                 },
                 input_cardinality=float(observed_rows),
                 parallelism=config.parallelism,
-                pipeline=config.pipeline,
-                batch_size=config.resolved_batch_size(),
+                fused_batch_size=config.fused_batch_size(),
             )
 
         old_total, _ = estimate(written)

@@ -15,8 +15,8 @@ resubmission — while token-free operators implement ``process_batch``
 directly over a :class:`~repro.sem.batch.RecordBatch`.
 Executors call ``process_batch`` (plus ``new_state`` / ``finalize`` /
 ``sated``); ``execute`` on a streamable operator is derived — one
-all-records batch, then ``finalize`` — so barrier steps and fused
-pipelined sections run the same code.
+all-records batch, then ``finalize`` — so operator steps and fused
+sections run the same code.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.errors import BudgetExceededError, ExecutionError, TransientLLMError
 from repro.llm.embeddings import cosine_similarity, top_k_similar
 from repro.llm.simulated import SimulatedLLM
 from repro.sem import logical as L
+from repro.sem.logical import AGG_TEXT_BUDGET
 from repro.sem.batch import (
     RecordBatch,
     project_batch,
@@ -125,7 +126,7 @@ class ExecutionContext:
     #: Spend already on the tracker when this execution began; the cap
     #: applies to the delta.
     cost_baseline_usd: float = 0.0
-    #: Texts per batched embedding request; 1 = legacy per-record calls.
+    #: Texts per batched embedding request; 1 = one call per text.
     embed_batch_size: int = 1
     #: Live wave-width controller (None = static ``parallelism``).
     adaptive: AdaptiveParallelism | None = None
@@ -172,8 +173,9 @@ class ExecutionContext:
 def _embed_texts(texts: list[str], ctx: ExecutionContext, tag: str) -> list[np.ndarray]:
     """Embed ``texts`` one batched request per chunk, or one call per text.
 
-    ``ctx.embed_batch_size > 1`` selects the vectorized path (the pipelined
-    executor); 1 keeps the legacy per-record calls and their exact timing.
+    ``ctx.embed_batch_size > 1`` selects the batched path (fused
+    execution); 1 issues one call per text, each its own step on a serving
+    timeline.
     """
     if ctx.embed_batch_size > 1:
         return ctx.llm.embed_batch(texts, tag=tag, batch_size=ctx.embed_batch_size)
@@ -729,10 +731,6 @@ class PhysSemJoin(PhysicalOperator):
             for left in records:
                 joined.extend(self.join_left(left, ctx, right_state))
         return joined
-
-
-#: Character budget for the concatenated input of a semantic aggregation.
-AGG_TEXT_BUDGET = 24_000
 
 
 class PhysSemAgg(PhysicalOperator):

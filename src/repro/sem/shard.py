@@ -38,9 +38,10 @@ captured, not spent) on its own
 while a shard runs; after all shards of a segment finish, the clock is
 charged ``max(shard makespans)`` — N workers in parallel — and the gap
 ``max - min`` is the segment's measurable straggler cost.  Under a
-serving sink the same charge is routed through
-``serve_sink.end_step(width, busy)`` so the shared clock is never touched
-directly (the serving invariant).
+serving sink (``SimulatedLLM.sink_owns_time``) each worker runs
+its partition as one batch per stage, and the same charge is routed
+through ``serve_sink.end_step(width, busy)`` so the shared clock is never
+touched directly (the serving invariant).
 
 Determinism and bit-identity: partitioners are pure functions of record
 uid / position; simulated answers are pure functions of (seed, model,
@@ -449,7 +450,7 @@ class ShardedExecutor:
         )
         segment.moved_records = len(items)
 
-        if tracer.enabled and llm.serve_sink is None:
+        if tracer.enabled and not llm.sink_owns_time:
             for shard_index, stage, start_s, end_s, batch_no, n_records in cells:
                 tracer.add_span(
                     f"{section[stage].label()} s{shard_index}b{batch_no}",
@@ -550,7 +551,8 @@ class ShardedExecutor:
         positions = [position for position, _ in live_items]
         rows = [record for _, record in live_items]
         position_of: dict[str, int] = {}
-        batch_size = engine.batch_size if engine.pipeline else max(len(rows), 1)
+        # Under a serve sink a worker is one operator-at-a-time pass.
+        batch_size = max(len(rows), 1) if llm.sink_owns_time else engine.batch_size
         batch_no = 0
         truncated = False
         # The shard's own spend, for its store entry (stage stats span shards).
@@ -652,7 +654,7 @@ class ShardedExecutor:
         busy = [seconds for seconds in shard_seconds if seconds > 0]
         if not busy:
             return
-        if llm.serve_sink is not None:
+        if llm.sink_owns_time:
             llm.serve_sink.end_step(len(busy), busy)
         else:
             llm.clock.advance(max(shard_seconds))
@@ -663,7 +665,7 @@ class ShardedExecutor:
     ) -> None:
         """One cell span per busy shard of a shuffle/broadcast phase."""
         llm = self.ctx.llm
-        if not llm.tracer.enabled or llm.serve_sink is not None:
+        if not llm.tracer.enabled or llm.sink_owns_time:
             return
         for shard_index, shard_seconds in enumerate(seconds):
             if shard_seconds > 0:

@@ -1,10 +1,11 @@
-"""Structured-predicate evaluation shared by row mode and SQL pushdown.
+"""Structured-predicate evaluation shared by every place a predicate runs.
 
 The pushdown pass (``sem/optimizer/pushdown.py``) compiles structured
 predicates, projections, and pre-aggregations into ``repro.sql`` execution
-that runs before any LLM operator.  The row-mode escape hatch
-(``PhysStructFilter`` / ``PhysStructAgg``) must agree with the pushed-down
-path bit-for-bit — including SQL three-valued NULL logic — so both paths
+that runs before any LLM operator.  Structured operators left above the
+scan (``PhysStructFilter`` / ``PhysStructAgg``) and the reference
+interpreter (:mod:`repro.qa.reference`) must agree with the pushed-down
+path bit-for-bit — including SQL three-valued NULL logic — so all of them
 funnel through this module: one parse (``repro.sql.parser``), one
 evaluator (``repro.sql.executor``), one semantics.
 
@@ -137,8 +138,8 @@ def normalized_condition(condition: str) -> str:
 
     Two spellings of the same predicate (``priority>=2`` vs
     ``priority >= 2``) parse to the same AST; its repr is the canonical
-    token.  Materialization fingerprints use this so pushed-down and
-    row-mode plans compose with reuse.
+    token.  Materialization fingerprints use this so a filter inside a
+    SqlScan and the same filter left above the scan share a token.
     """
     return repr(compile_predicate(condition))
 

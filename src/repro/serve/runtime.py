@@ -192,9 +192,6 @@ class ServingRuntime:
             parallelism=self.parallelism,
             seed=self.runtime.seed,
             tag=tag,
-            # Barrier mode: the pipelined engine advances the clock itself
-            # (cell schedules); serving owns cross-query overlap instead.
-            pipeline=False,
             materialization_store=store,
             materialization_scope=tenant,
             stats_store=getattr(self.runtime, "stats_store", None),
@@ -210,6 +207,10 @@ class ServingRuntime:
         cache_hits = llm.cache.hits
         cache_misses = llm.cache.misses
         mat_hits = store.hits
+        # Installing the sink is what makes the engine run operator steps
+        # (SimulatedLLM.sink_owns_time): a fused section would advance
+        # the clock from its own cell schedule, and serving owns
+        # cross-query overlap instead.
         llm.serve_sink = timeline
         llm.cache_scope = tenant
         try:

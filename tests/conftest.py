@@ -42,6 +42,37 @@ def make_llm():
     return factory
 
 
+@pytest.fixture
+def run_static_width():
+    """Run ``dataset`` under ``config`` as the engine would, minus the
+    adaptive wave-width controller.
+
+    No option turns the controller off, so the static-width side of the
+    storm comparisons is the same optimizer and engine over an
+    ``ExecutionContext`` built without one.
+    """
+    from repro.llm.embeddings import DEFAULT_EMBED_BATCH
+    from repro.sem.execution import Engine
+    from repro.sem.optimizer.optimizer import Optimizer
+    from repro.sem.physical import ExecutionContext
+
+    def run(dataset, config):
+        operators, report = Optimizer(config).optimize(dataset.plan())
+        ctx = ExecutionContext(
+            llm=config.llm,
+            parallelism=config.parallelism,
+            tag=config.tag,
+            embed_batch_size=DEFAULT_EMBED_BATCH,
+            adaptive=None,
+        )
+        engine = Engine(
+            ctx, batch_size=config.resolved_batch_size(), shard_plan=report.shard_plan
+        )
+        return engine.execute(operators)
+
+    return run
+
+
 # ---------------------------------------------------------------------------
 # Toy world: one hand-annotated record shape for substrate-level tests
 # ---------------------------------------------------------------------------

@@ -37,12 +37,21 @@ def _traced_llm(bundle, seed=2):
 
 
 def _two_filter_query(bundle, llm, **config_kwargs):
+    """Two adjacent streamable operators: the engine fuses them."""
     config = QueryProcessorConfig(llm=llm, seed=2, **config_kwargs)
     dataset = (
         Dataset.from_source(bundle.source())
         .sem_filter(en.FILTER_MENTIONS)
         .sem_filter(en.FILTER_FIRSTHAND)
     )
+    return dataset.run_with_report(config)
+
+
+def _one_filter_query(bundle, llm, **config_kwargs):
+    """A streamable run of one has nothing to fuse: every step is an
+    operator step (a barrier), with per-call spans."""
+    config = QueryProcessorConfig(llm=llm, seed=2, **config_kwargs)
+    dataset = Dataset.from_source(bundle.source()).sem_filter(en.FILTER_MENTIONS)
     return dataset.run_with_report(config)
 
 
@@ -186,11 +195,10 @@ def test_null_metrics_is_inert():
 
 def test_barrier_execution_span_tree(enron_bundle):
     llm, tracer, metrics = _traced_llm(enron_bundle)
-    result, _report = _two_filter_query(
-        enron_bundle, llm, pipeline=False, parallelism=4
-    )
+    result, _report = _one_filter_query(enron_bundle, llm, parallelism=4)
     validate_spans(tracer.spans)
     assert not tracer.open_spans()
+    assert not tracer.by_kind("pipeline-section")
 
     query = tracer.by_kind("query")[0]
     assert query.end_s == pytest.approx(llm.clock.elapsed)
@@ -201,7 +209,7 @@ def test_barrier_execution_span_tree(enron_bundle):
 
     # Every per-call span sits inside its operator (or optimize) span.
     calls = tracer.by_kind("llm-call")
-    assert calls, "barrier mode records per-call spans"
+    assert calls, "operator steps record per-call spans"
     by_id = {span.span_id: span for span in tracer.spans}
     for call in calls:
         parent = by_id[call.parent_id]
@@ -214,7 +222,7 @@ def test_barrier_execution_span_tree(enron_bundle):
 
 def test_pipelined_sections_agree_with_schedule_makespan(enron_bundle):
     llm, tracer, _metrics = _traced_llm(enron_bundle)
-    _two_filter_query(enron_bundle, llm, pipeline=True, parallelism=4)
+    _two_filter_query(enron_bundle, llm, parallelism=4)
     validate_spans(tracer.spans)
 
     sections = tracer.by_kind("pipeline-section")
@@ -240,7 +248,7 @@ def test_wave_positioned_call_spans_overlap(enron_bundle):
     """With parallelism k>1, calls within one wave share a start time and
     occupy distinct slot tracks."""
     llm, tracer, _metrics = _traced_llm(enron_bundle)
-    _two_filter_query(enron_bundle, llm, pipeline=False, parallelism=4)
+    _one_filter_query(enron_bundle, llm, parallelism=4)
     slot_calls = [
         span for span in tracer.by_kind("llm-call")
         if span.track and span.track.startswith("llm slot")
@@ -291,7 +299,7 @@ def test_untagged_calls_inherit_the_current_span_name(enron_bundle):
 
 def test_real_runs_leave_no_untagged_usage_events(enron_bundle):
     llm, tracer, _metrics = _traced_llm(enron_bundle)
-    _two_filter_query(enron_bundle, llm, pipeline=True, parallelism=2)
+    _two_filter_query(enron_bundle, llm, parallelism=2)
     assert all(event.tag for event in llm.tracker.events)
 
 

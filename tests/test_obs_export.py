@@ -134,7 +134,7 @@ def test_traced_query_exports_a_valid_trace(tmp_path, enron_bundle):
         tracer=tracer,
         metrics=metrics,
     )
-    config = QueryProcessorConfig(llm=llm, seed=2, pipeline=True, parallelism=4)
+    config = QueryProcessorConfig(llm=llm, seed=2, parallelism=4)
     (
         Dataset.from_source(enron_bundle.source())
         .sem_filter(en.FILTER_MENTIONS)

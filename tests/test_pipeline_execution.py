@@ -1,9 +1,10 @@
 """Tests for the pipelined, vectorized executor.
 
-Covers the streaming engine's contract against the barrier escape hatch
-(``pipeline=False``): bit-identical records and cost at lower makespan,
-batched embedding calls, limit early-exit pushdown, and the adaptive
-wave-width controller recovering from rate-limit bursts.
+Covers the streaming engine's contract against the barrier reference
+(``repro.qa.reference``: operator-at-a-time, whole input, per-text
+embeds): bit-identical records and cost at lower makespan, batched
+embedding calls, limit early-exit pushdown, and the adaptive wave-width
+controller recovering from rate-limit bursts.
 """
 
 import math
@@ -17,6 +18,7 @@ from repro.llm.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.llm.models import EMBEDDING_MODEL
 from repro.llm.simulated import SimulatedLLM
 from repro.obs import Tracer
+from repro.qa.reference import ReferenceInterpreter
 from repro.sem.config import QueryProcessorConfig
 from repro.sem.dataset import Dataset
 from repro.sem.physical import AdaptiveParallelism
@@ -35,12 +37,16 @@ def _three_stage(bundle):
 
 
 def _run_three_stage(make_llm, bundle, pipeline, seed=0, llm=None):
+    """The engine (``pipeline=True``) or the barrier reference interpreter."""
     # Source-record uids come from a process-global counter and seed the
-    # simulated noise; reset so both modes see identical uid sequences.
+    # simulated noise; reset so both runs see identical uid sequences.
     reset_uid_counter()
     llm = llm or make_llm(bundle, seed=seed)
+    if not pipeline:
+        reference = ReferenceInterpreter(llm, parallelism=PARALLELISM)
+        return reference.run(_three_stage(bundle).plan()), llm
     config = QueryProcessorConfig(
-        llm=llm, optimize=False, parallelism=PARALLELISM, seed=seed, pipeline=pipeline
+        llm=llm, optimize=False, parallelism=PARALLELISM, seed=seed
     )
     return _three_stage(bundle).run(config), llm
 
@@ -69,22 +75,22 @@ def test_operator_stats_exact_across_modes(make_llm, enron_bundle, seed):
     barrier, _ = _run_three_stage(make_llm, enron_bundle, pipeline=False, seed=seed)
     pipelined, _ = _run_three_stage(make_llm, enron_bundle, pipeline=True, seed=seed)
 
-    assert len(barrier.operator_stats) == len(pipelined.operator_stats)
-    for b, p in zip(barrier.operator_stats, pipelined.operator_stats):
-        assert (b.label, b.records_in, b.records_out) == (
-            p.label,
-            p.records_in,
-            p.records_out,
-        )
+    assert len(barrier.steps) == len(pipelined.operator_stats)
+    for (label, records_in, records_out, usage), p in zip(
+        barrier.steps, pipelined.operator_stats
+    ):
+        # Engine labels append the bound model to the logical label.
+        assert p.label.startswith(label)
+        assert (records_in, records_out) == (p.records_in, p.records_out)
         # llm_calls counts usage events, and batched embeddings merge many
         # per-record embed events into one — so it legitimately shrinks.
-        assert b.llm_calls >= p.llm_calls
-        assert b.cost_usd == pytest.approx(p.cost_usd, abs=1e-9)
+        assert usage.calls >= p.llm_calls
+        assert usage.cost_usd == pytest.approx(p.cost_usd, abs=1e-9)
 
 
 def test_escape_hatch_runs_single_parallel_sections(make_llm, enron_bundle):
-    # pipeline=False must reproduce the legacy call shape: one per-record
-    # embed call per topk input instead of batched embeds.
+    # The reference keeps the unbatched call shape: one per-record embed
+    # call per topk input instead of batched embeds.
     _, llm = _run_three_stage(make_llm, enron_bundle, pipeline=False)
     embed_events = [e for e in llm.tracker.events if e.model == EMBEDDING_MODEL]
     topk_inputs = 84  # FILTER_MENTIONS survivors at seed 0
@@ -158,16 +164,18 @@ def test_limit_short_circuits_upstream_waves(make_llm, enron_bundle):
     def run(pipeline):
         reset_uid_counter()
         llm = make_llm(enron_bundle)
-        config = QueryProcessorConfig(
-            llm=llm, optimize=False, parallelism=PARALLELISM, pipeline=pipeline
-        )
-        result = (
+        dataset = (
             Dataset.from_source(enron_bundle.source())
             .sem_filter(en.FILTER_MENTIONS)
             .limit(12)
-            .run(config)
         )
-        return result, llm
+        if not pipeline:
+            reference = ReferenceInterpreter(llm, parallelism=PARALLELISM)
+            return reference.run(dataset.plan()), llm
+        config = QueryProcessorConfig(
+            llm=llm, optimize=False, parallelism=PARALLELISM
+        )
+        return dataset.run(config), llm
 
     barrier, _ = run(False)
     pipelined, pipelined_llm = run(True)
@@ -228,7 +236,8 @@ def test_flushed_topk_winners_are_scheduled_after_the_topk(make_llm, enron_bundl
 STORMS = ((0.0, 2.5), (8.0, 10.0))
 
 
-def _run_bursty(make_llm, bundle, storms, adaptive, seed=0):
+def _run_bursty(make_llm, bundle, storms, run_static_width=None, seed=0):
+    """Storm run; ``run_static_width`` (the fixture) drops the controller."""
     reset_uid_counter()
     faults = None
     if storms:
@@ -245,12 +254,7 @@ def _run_bursty(make_llm, bundle, storms, adaptive, seed=0):
         retry=RetryPolicy(max_attempts=1, base_backoff_s=0.5),
     )
     config = QueryProcessorConfig(
-        llm=llm,
-        optimize=False,
-        parallelism=PARALLELISM,
-        seed=seed,
-        pipeline=True,
-        adaptive_parallelism=adaptive,
+        llm=llm, optimize=False, parallelism=PARALLELISM, seed=seed
     )
     plan = (
         Dataset.from_source(bundle.source())
@@ -263,12 +267,14 @@ def _run_bursty(make_llm, bundle, storms, adaptive, seed=0):
             ]
         )
     )
-    return plan.run(config), llm
+    if run_static_width is None:
+        return plan.run(config), llm
+    return run_static_width(plan, config), llm
 
 
 def test_adaptive_parallelism_recovers_within_ten_percent(make_llm, enron_bundle):
-    fault_free, _ = _run_bursty(make_llm, enron_bundle, (), adaptive=True)
-    stormy, _ = _run_bursty(make_llm, enron_bundle, STORMS, adaptive=True)
+    fault_free, _ = _run_bursty(make_llm, enron_bundle, ())
+    stormy, _ = _run_bursty(make_llm, enron_bundle, STORMS)
 
     # Backing off rescued every record: output is bit-identical to the
     # fault-free run, and the makespan lands within 10% of it.
@@ -278,9 +284,9 @@ def test_adaptive_parallelism_recovers_within_ten_percent(make_llm, enron_bundle
     assert stormy.total_time_s <= 1.1 * fault_free.total_time_s
 
 
-def test_static_width_degrades_under_bursts(make_llm, enron_bundle):
-    fault_free, _ = _run_bursty(make_llm, enron_bundle, (), adaptive=False)
-    stormy, _ = _run_bursty(make_llm, enron_bundle, STORMS, adaptive=False)
+def test_static_width_degrades_under_bursts(make_llm, enron_bundle, run_static_width):
+    fault_free, _ = _run_bursty(make_llm, enron_bundle, (), run_static_width)
+    stormy, _ = _run_bursty(make_llm, enron_bundle, STORMS, run_static_width)
 
     # Without the controller, waves stay at the cap, keep drawing 429s,
     # and records are dropped after retry exhaustion.

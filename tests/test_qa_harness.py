@@ -83,12 +83,13 @@ def test_config_specs_serde_round_trip():
 def test_matrix_always_contains_the_exec_class_core():
     _, specs = _matrix_for(seed=0)
     names = {spec.name for spec in specs}
-    assert {"baseline", "barrier", "small-batch", "row-batch", "serial"} <= names
+    assert {"reference", "baseline", "small-batch", "row-batch", "serial"} <= names
     row_batch = next(spec for spec in specs if spec.name == "row-batch")
     assert row_batch.batch_size == 1 and row_batch.answer_class == "exec"
-    pushdown = [spec for spec in specs if spec.answer_class == "pushdown"]
-    assert [spec.name for spec in pushdown] == ["no-pushdown"]
-    assert not pushdown[0].pushdown
+    # The knob-flipped baselines are gone: one reference observation, run
+    # by the interpreter, is what every class is diffed against.
+    assert not names & {"barrier", "no-pushdown", "tight-embed", "no-adaptive"}
+    assert [s.name for s in specs if s.answer_class == "reference"] == ["reference"]
     assert sum(1 for spec in specs if spec.name == "baseline") == 1
 
 
@@ -167,12 +168,31 @@ def test_check_exec_equivalence_flags_record_mismatch():
     run = CaseRun(
         case=None,
         observations={
-            "baseline": [_obs("baseline", "exec", records=[("a", ())])],
-            "barrier": [_obs("barrier", "exec", records=[("z", ())])],
+            "reference": [_obs("reference", "reference", records=[("a", ())])],
+            "baseline": [_obs("baseline", "exec", records=[("z", ())])],
+            "row-batch": [_obs("row-batch", "exec", records=[("a", ())])],
         },
     )
-    fired = {v.oracle for v in check_exec_equivalence(run)}
-    assert fired == {"exec-equivalence"}
+    violations = check_exec_equivalence(run)
+    assert [(v.oracle, v.spec) for v in violations] == [
+        ("exec-equivalence", "baseline")
+    ]
+
+
+def test_check_exec_equivalence_bounds_cost_by_the_reference():
+    # The folded-in pushdown contract: no engine cell may outspend the
+    # plan-order, no-pushdown reference run.
+    run = CaseRun(
+        case=None,
+        observations={
+            "reference": [_obs("reference", "reference", total_cost_usd=1.0)],
+            "baseline": [_obs("baseline", "exec", total_cost_usd=0.4)],
+            "serial": [_obs("serial", "exec", total_cost_usd=1.5)],
+        },
+    )
+    violations = check_exec_equivalence(run)
+    assert [v.spec for v in violations] == ["serial"]
+    assert "exceeds the reference" in violations[0].message
 
 
 def test_check_budget_flags_overshoot_beyond_the_saga_allowance():
@@ -206,8 +226,9 @@ def test_check_budget_flags_overshoot_beyond_the_saga_allowance():
 
 
 def test_mutation_registry_and_lookup():
-    assert "drop-budget-check" in MUTATIONS
-    assert "scramble-cell-order" in MUTATIONS
+    assert set(MUTATIONS) == {
+        "drop-budget-check", "scramble-cell-order", "filter-drops-kept",
+    }
     assert mutation_by_name("drop-budget-check").expected_oracle == "budget-cap"
     with pytest.raises(ValueError):
         mutation_by_name("no-such-mutation")
@@ -224,6 +245,26 @@ def test_scramble_mutation_reaches_shard_cells():
     broken = run_spec(case, spec, mutation=mutation)
     assert clean.error is None and broken.error is None
     assert broken.records != clean.records
+
+
+def test_shared_operator_bug_is_killed_only_through_the_reference():
+    # Every engine cell runs the one PhysSemFilter body, so a defect in it
+    # is invisible to engine-vs-engine comparisons (it survived the whole
+    # matrix when the baselines were "same engine, knob flipped").
+    mutation = mutation_by_name("filter-drops-kept")
+    assert mutation.only_via_reference
+    case = next(
+        case
+        for case in PlanFuzzer(seed=0).cases(10)
+        if any(op["op"] == "sem_filter" for op in case.plan.ops)
+        and not case.plan.has_join()
+    )
+    run = run_case(case, mutation=mutation)
+    fired = {v.oracle for v in evaluate(run)}
+    assert {"exec-equivalence", "shard-equivalence", "serve-equivalence"} <= fired
+    assert any(v.spec == "baseline" for v in evaluate(run))
+    del run.observations["reference"]
+    assert evaluate(run) == []
 
 
 @pytest.mark.slow

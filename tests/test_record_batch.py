@@ -15,6 +15,7 @@ from repro.data.records import DataRecord
 from repro.llm.oracle import SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 from repro.qa.corpus import CorpusSpec, build_corpus
+from repro.qa.reference import ReferenceInterpreter
 from repro.sem import logical as L
 from repro.sem import physical as P
 from repro.sem.batch import (
@@ -22,7 +23,7 @@ from repro.sem.batch import (
     _exact_float_column,
     struct_filter_mask,
 )
-from repro.sem.structql import compile_predicate, evaluate_predicate, predicate_holds
+from repro.sem.structql import compile_predicate, predicate_holds
 
 
 def _records(rows: list[dict]) -> list[DataRecord]:
@@ -168,67 +169,42 @@ class TestExactFloatColumn:
 # ---------------------------------------------------------------------------
 #
 # Each token-free operator has exactly one body — a whole-batch kernel.
-# Its *definition* is the scalar rule below (evaluate / derive / call /
-# slice one record at a time); the references live here, in the test, and
-# the kernels must reproduce them bit for bit on the QA corpus at every
-# batch split, carrying the positions sidecar row for row.
+# Its *definition* is the scalar rule of the reference interpreter
+# (``repro.qa.reference``: evaluate / derive / call / slice one record at
+# a time); the kernels must reproduce it bit for bit on the QA corpus at
+# every batch split, carrying the positions sidecar row for row.
 
 
-def _ref_py_filter(op, records):
-    return [(i, r) for i, r in enumerate(records) if op.logical_op.fn(r)]
-
-
-def _ref_py_map(op, records):
-    return [(i, r.derive(op.logical_op.fn(r))) for i, r in enumerate(records)]
-
-
-def _ref_project(op, records):
-    wanted = set(op.logical_op.fields)
+def _reference_rows(operator, records, llm):
+    """``(input position, expected record)`` per output of the reference."""
+    output = ReferenceInterpreter(llm).apply(operator.logical_op, records)
+    position = {record.uid: index for index, record in enumerate(records)}
+    # Selected rows are the input objects; derived rows name their parent.
     return [
-        (i, r.derive({}, drop=[name for name in r.fields if name not in wanted]))
-        for i, r in enumerate(records)
-    ]
-
-
-def _ref_limit(op, records):
-    return list(enumerate(records))[: op.logical_op.n]
-
-
-def _ref_struct_filter(op, records):
-    expr = compile_predicate(op.logical_op.condition)
-    return [
-        (i, r)
-        for i, r in enumerate(records)
-        if evaluate_predicate(expr, r.fields) is True
+        (
+            position[r.uid] if r.uid in position else position[r.parent_uids[0]],
+            r,
+        )
+        for r in output
     ]
 
 
 TOKEN_FREE = {
-    "py_filter": (
-        lambda: P.PhysPyFilter(
-            L.PyFilterOp(child=None, fn=lambda r: r.get("priority", 0) <= 3)
-        ),
-        _ref_py_filter,
+    "py_filter": lambda: P.PhysPyFilter(
+        L.PyFilterOp(child=None, fn=lambda r: r.get("priority", 0) <= 3)
     ),
-    "py_map": (
-        lambda: P.PhysPyMap(
-            L.PyMapOp(
-                child=None,
-                fn=lambda r: {"double": r.get("priority", 0) * 2, "title": "x"},
-            )
-        ),
-        _ref_py_map,
+    "py_map": lambda: P.PhysPyMap(
+        L.PyMapOp(
+            child=None,
+            fn=lambda r: {"double": r.get("priority", 0) * 2, "title": "x"},
+        )
     ),
-    "project": (
-        lambda: P.PhysProject(L.ProjectOp(child=None, fields=("title", "priority"))),
-        _ref_project,
+    "project": lambda: P.PhysProject(
+        L.ProjectOp(child=None, fields=("title", "priority"))
     ),
-    "limit": (lambda: P.PhysLimit(L.LimitOp(child=None, n=7)), _ref_limit),
-    "struct_filter": (
-        lambda: P.PhysStructFilter(
-            L.StructFilterOp(child=None, condition="priority >= 2 AND title <> ''")
-        ),
-        _ref_struct_filter,
+    "limit": lambda: P.PhysLimit(L.LimitOp(child=None, n=7)),
+    "struct_filter": lambda: P.PhysStructFilter(
+        L.StructFilterOp(child=None, condition="priority >= 2 AND title <> ''")
     ),
 }
 
@@ -236,13 +212,13 @@ TOKEN_FREE = {
 @pytest.mark.parametrize("name", sorted(TOKEN_FREE))
 @pytest.mark.parametrize("batch_size", [1, 3, 20])
 def test_process_batch_matches_scalar_definition(name, batch_size):
-    build, reference = TOKEN_FREE[name]
+    build = TOKEN_FREE[name]
     bundle = build_corpus(CorpusSpec(seed=9, n_records=20))
     records = list(bundle.source().iterate())
     llm = SimulatedLLM(oracle=SemanticOracle(bundle.registry), seed=9)
     ctx = P.ExecutionContext(llm=llm)
     operator = build()
-    expected = reference(operator, records)
+    expected = _reference_rows(operator, records, llm)
     assert 0 < len(expected) <= len(records)  # non-degenerate
 
     state = operator.new_state(ctx)

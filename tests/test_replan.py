@@ -102,7 +102,7 @@ def _config(bundle, *, seed: int = 7, tracer=None, **kwargs) -> QueryProcessorCo
         seed=seed,
         tracer=tracer if tracer is not None else None,
     )
-    defaults = dict(pipeline=False, optimize=False)
+    defaults = dict(optimize=False)
     defaults.update(kwargs)
     return QueryProcessorConfig(llm=llm, seed=seed, **defaults)
 
@@ -471,7 +471,6 @@ class TestReplanObservability:
         config = QueryProcessorConfig(
             llm=llm,
             seed=7,
-            pipeline=False,
             optimize=False,
             stats_store=store,
             stats_estimates=False,
@@ -547,6 +546,53 @@ class TestReplanUnderSharding:
             )
             assert self.NOTE not in report.note
             assert self.NOTE not in explain_analyze(result, report)
+
+
+class TestReplanThatCannotArm:
+    """``replan=True`` is never dropped silently: every cause has its note."""
+
+    def _assert_noted(self, result, report, note):
+        from repro.sem.explain import explain_analyze
+
+        assert report.replanner is None and report.replans == []
+        assert note in report.note
+        assert f"NOTE: {note}" in explain_analyze(result, report)
+
+    def test_missing_stats_store_is_reported(self, rp_bundle):
+        result, report = _run(rp_bundle, _misestimate_plan, replan=True)
+        self._assert_noted(
+            result, report, "replan disabled: no stats_store to re-plan from"
+        )
+
+    def test_replayed_prefix_is_reported(self, rp_bundle):
+        from repro.sem.materialize import MaterializationStore
+
+        kwargs = dict(
+            stats_store=_warm_store(rp_bundle),
+            replan=True,
+            materialization_store=MaterializationStore(),
+        )
+        _cold, cold_report = _run(rp_bundle, _misestimate_plan, **kwargs)
+        assert "replan disabled" not in cold_report.note
+        warm, warm_report = _run(rp_bundle, _misestimate_plan, **kwargs)
+        assert warm_report.reused_prefix > 0
+        self._assert_noted(
+            warm,
+            warm_report,
+            "replan disabled: the plan replays a materialized prefix",
+        )
+
+    def test_every_applicable_cause_is_listed(self, rp_bundle):
+        result, report = _run(rp_bundle, _misestimate_plan, replan=True, shards=4)
+        for note in (
+            "replan disabled: no stats_store to re-plan from",
+            TestReplanUnderSharding.NOTE,
+        ):
+            self._assert_noted(result, report, note)
+
+    def test_replan_off_never_notes(self, rp_bundle):
+        _result, report = _run(rp_bundle, _misestimate_plan, shards=4)
+        assert "replan disabled" not in report.note
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for physical operators over a small annotated dataset."""
 
+import ast
 import dataclasses
 import inspect
 
@@ -220,7 +221,47 @@ def test_config_field_count_only_ratchets_down():
     # Lower this when a knob dies; never raise it to merge.
     from repro.sem.config import QueryProcessorConfig
 
-    assert len(dataclasses.fields(QueryProcessorConfig)) <= 31
+    assert len(dataclasses.fields(QueryProcessorConfig)) <= 27
+
+
+MECHANICS = ("pipeline", "pushdown", "embed_batch_size", "adaptive_parallelism")
+
+
+def test_execution_mechanics_are_not_options():
+    # Fusion, batched embeds, adaptive width and pushdown are derived
+    # (SimulatedLLM.sink_owns_time) or unconditional; a mode that
+    # exists to be diffed against lives in repro.qa.reference.
+    from repro.core.runtime import AnalyticsRuntime
+    from repro.qa.configs import ConfigSpec
+    from repro.sem.config import QueryProcessorConfig
+    from repro.sem.execution import Engine
+
+    for name in MECHANICS:
+        assert not hasattr(QueryProcessorConfig, name), name
+        assert name not in {f.name for f in dataclasses.fields(ConfigSpec)}, name
+        assert name not in inspect.signature(AnalyticsRuntime.__init__).parameters
+        assert name not in inspect.signature(Engine.__init__).parameters
+    assert "batch_size" not in inspect.signature(AnalyticsRuntime.__init__).parameters
+
+
+def test_reference_interpreter_stays_small_and_independent():
+    from repro.qa import reference
+
+    source = inspect.getsource(reference)
+    assert len(source.splitlines()) <= 200
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    for module in ("physical", "execution", "shard", "batch", "optimizer"):
+        engine_module = f"repro.sem.{module}"
+        assert not any(
+            name == engine_module or name.startswith(engine_module + ".")
+            for name in imported
+        ), module
 
 
 def test_sql_scan_runs_pushed_ops_as_their_physical_classes(ctx):

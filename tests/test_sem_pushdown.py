@@ -1,10 +1,12 @@
 """SQL pushdown: rewrite rules, compiled SQL, and end-to-end equivalence.
 
-The tentpole contract: enabling pushdown may change *where* structured
+The tentpole contract: pushdown (always on) changes *where* structured
 work runs — a SqlScan leaf before any LLM operator instead of operators
-interleaved in plan order — but never the
-records, their order, or their uids.  Cost can only go down, because the
-pushed prefix is token-free and prunes LLM inputs.
+interleaved in plan order — but never the records, their order, or their
+uids.  The plan-order side of every comparison is the reference
+interpreter (``repro.qa.reference``), which never pushes anything down.
+Cost can only go down, because the pushed prefix is token-free and prunes
+LLM inputs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from repro.errors import PlanError
 from repro.llm.oracle import SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 from repro.qa.corpus import CorpusSpec, build_corpus, instruction_for
+from repro.qa.reference import ReferenceInterpreter
 from repro.sem import logical as L
 from repro.sem.config import QueryProcessorConfig
 from repro.sem.dataset import Dataset
@@ -230,14 +233,33 @@ class TestCompiledSql:
 
 
 def _run_modes(qa_bundle, build_plan, *, optimize=False):
-    """Run a plan with pushdown off and on; return results."""
-    outcomes = {}
-    for name, pushdown in (("off", False), ("on", True)):
-        reset_uid_counter()
-        config = _config(qa_bundle, optimize=optimize, pushdown=pushdown)
-        result, report = build_plan(qa_bundle).run_with_report(config)
-        outcomes[name] = (result, report)
-    return outcomes
+    """Run a plan in plan order ("off": the reference interpreter, no
+    optimizer report) and through the engine ("on"); return results."""
+    reset_uid_counter()
+    config = _config(qa_bundle)
+    reference = ReferenceInterpreter(config.llm).run(build_plan(qa_bundle).plan())
+    reset_uid_counter()
+    config = _config(qa_bundle, optimize=optimize)
+    return {
+        "off": (reference, None),
+        "on": build_plan(qa_bundle).run_with_report(config),
+    }
+
+
+def _opaque_filter_plan(bundle):
+    """``_filter_where_map_plan`` with the predicate hidden in a lambda:
+    nothing structured for the pushdown pass to see."""
+    from repro.data.schemas import Field
+
+    return (
+        Dataset.from_source(bundle.source())
+        .sem_filter(instruction_for("qa.flag_urgent"))
+        .filter(lambda record: record.get("priority", 0) >= 3)
+        .sem_map(
+            Field("amount", float, "extracted amount"),
+            instruction_for("qa.amount"),
+        )
+    )
 
 
 def _filter_where_map_plan(bundle):
@@ -270,11 +292,14 @@ class TestEndToEndEquivalence:
         )
 
     def test_pushdown_report_only_when_enabled(self, qa_bundle):
+        # "Enabled" is a property of the plan: a structured prefix exists.
         outcomes = _run_modes(qa_bundle, _filter_where_map_plan)
         assert outcomes["on"][1].pushdown_ops == 1
         assert "WHERE priority >= 3" in outcomes["on"][1].pushdown_sql
-        assert outcomes["off"][1].pushdown_ops == 0
-        assert outcomes["off"][1].pushdown_sql == ""
+        opaque = _run_modes(qa_bundle, _opaque_filter_plan)
+        assert opaque["on"][1].pushdown_ops == 0
+        assert opaque["on"][1].pushdown_sql == ""
+        assert _normalized(opaque["on"][0]) == _normalized(outcomes["on"][0])
 
     def test_equivalence_holds_under_optimization(self, qa_bundle):
         plain = _run_modes(qa_bundle, _filter_where_map_plan)
@@ -355,9 +380,11 @@ def test_explain_analyze_surfaces_pushed_section(qa_bundle):
 
 
 def test_explain_analyze_has_no_pushdown_footer_when_disabled(qa_bundle):
+    # Nothing disables pushdown but the plan itself: an opaque predicate
+    # leaves no structured prefix to compile.
     reset_uid_counter()
-    config = _config(qa_bundle, optimize=False, pushdown=False)
-    text = _filter_where_map_plan(qa_bundle).explain(analyze=True, config=config)
+    config = _config(qa_bundle, optimize=False)
+    text = _opaque_filter_plan(qa_bundle).explain(analyze=True, config=config)
     assert "compiled to SQL" not in text
     assert "first LLM operator" not in text
 
@@ -368,21 +395,30 @@ def test_explain_analyze_has_no_pushdown_footer_when_disabled(qa_bundle):
 
 
 def test_pushdown_composes_with_materialized_reuse(qa_bundle):
+    from repro.data.schemas import Field
+
     store = MaterializationStore()
 
-    # Cold pass: the plan-order run primes the store with the structured prefix.
+    # Cold pass: the plan written with the structured filter already first
+    # (nothing to hoist) primes the store.
     reset_uid_counter()
-    cold_config = _config(
-        qa_bundle, optimize=False, pushdown=False, materialization_store=store,
+    cold_config = _config(qa_bundle, optimize=False, materialization_store=store)
+    cold = (
+        Dataset.from_source(qa_bundle.source())
+        .where("priority >= 3")
+        .sem_filter(instruction_for("qa.flag_urgent"))
+        .sem_map(
+            Field("amount", float, "extracted amount"),
+            instruction_for("qa.amount"),
+        )
+        .run(cold_config)
     )
-    cold, _ = _filter_where_map_plan(qa_bundle).run_with_report(cold_config)
 
-    # Warm pass: the pushed-down plan canonicalizes over the rewritten
-    # prefix, so it must land on the same fingerprint and replay.
+    # Warm pass: the plan written filter-first is hoisted and pushed down;
+    # fingerprints canonicalize over the rewritten prefix, so it must land
+    # on the same fingerprint and replay.
     reset_uid_counter()
-    warm_config = _config(
-        qa_bundle, optimize=False, pushdown=True, materialization_store=store,
-    )
+    warm_config = _config(qa_bundle, optimize=False, materialization_store=store)
     warm, warm_report = _filter_where_map_plan(qa_bundle).run_with_report(warm_config)
 
     assert _normalized(warm) == _normalized(cold)

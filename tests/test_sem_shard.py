@@ -483,7 +483,8 @@ STORM = FaultConfig(
 )
 
 
-def _run_stormy(bundle, *, adaptive=True, storm=True, shards=4):
+def _run_stormy(bundle, *, run_static_width=None, storm=True, shards=4):
+    """Storm run; ``run_static_width`` (the fixture) drops the controller."""
     reset_uid_counter()
     metrics = MetricsRegistry()
     llm = SimulatedLLM(
@@ -494,16 +495,22 @@ def _run_stormy(bundle, *, adaptive=True, storm=True, shards=4):
         metrics=metrics,
     )
     config = QueryProcessorConfig(
-        llm=llm, seed=13, optimize=False, parallelism=PARALLELISM,
-        shards=shards, adaptive_parallelism=adaptive,
+        llm=llm, seed=13, optimize=False, parallelism=PARALLELISM, shards=shards
     )
-    return _filter_map(bundle).run(config), metrics.histogram("engine.wave_width")
+    widths = metrics.histogram("engine.wave_width")
+    if run_static_width is None:
+        return _filter_map(bundle).run(config), widths
+    return run_static_width(_filter_map(bundle), config), widths
 
 
 class TestFaultsUnderSharding:
-    def test_storm_narrows_sharded_waves_and_rescues_records(self, qa_bundle):
-        adaptive, widths = _run_stormy(qa_bundle, adaptive=True)
-        static, static_widths = _run_stormy(qa_bundle, adaptive=False)
+    def test_storm_narrows_sharded_waves_and_rescues_records(
+        self, qa_bundle, run_static_width
+    ):
+        adaptive, widths = _run_stormy(qa_bundle)
+        static, static_widths = _run_stormy(
+            qa_bundle, run_static_width=run_static_width
+        )
         assert adaptive.retried_calls > 0  # the storm really hit
         assert widths.min < PARALLELISM
         assert static_widths.min == PARALLELISM
@@ -646,9 +653,10 @@ class TestReuseComposition:
         assert report.reused_prefix > 0 and report.reuse_kind == "exact"
 
     def test_unsharded_barrier_capture_replays_mid_segment(self, qa_bundle):
-        # A barrier run captures after every operator, so a sharded query
-        # sharing only where+filter replays a boundary that sits inside
-        # its own scatter segment; the sharding pass plans what is left.
+        # A served run is operator steps, so it captures after every
+        # operator, and a sharded query sharing only where+filter replays a
+        # boundary that sits inside its own scatter segment; the sharding
+        # pass plans what is left.
         def plan(map_intent):
             return (
                 Dataset.from_source(qa_bundle.source())
@@ -660,12 +668,17 @@ class TestReuseComposition:
                 )
             )
 
-        store = MaterializationStore()
-        plan("qa.customer").run(
-            _config(qa_bundle, pipeline=False, materialization_store=store)
+        runtime = AnalyticsRuntime(
+            llm=SimulatedLLM(oracle=SemanticOracle(qa_bundle.registry), seed=13),
+            seed=13,
         )
+        runtime.serving().submit("tenant", plan("qa.customer"))
+        store = runtime.materialization_store
         warm, report = plan("qa.amount").run_with_report(
-            _config(qa_bundle, shards=4, materialization_store=store)
+            _config(
+                qa_bundle, shards=4,
+                materialization_store=store, materialization_scope="tenant",
+            )
         )
         fresh = plan("qa.amount").run(_config(qa_bundle))
         assert report.reused_prefix == 2 and report.reuse_kind == "exact"

@@ -76,6 +76,46 @@ def test_submit_captures_timeline_without_advancing_clock(qa_bundle):
     )
 
 
+def test_serve_sink_alone_selects_operator_steps(qa_bundle):
+    """The engine's one unfused case is derived, never configured: a
+    submit leaves the clock untouched, runs no fused section and captures
+    every operator boundary; the same plan off the sink fuses."""
+    from repro.data.schemas import Field
+    from repro.sem.config import QueryProcessorConfig
+
+    def three_stage():
+        return (
+            filter_query(qa_bundle)
+            .sem_map(Field("amount", float, "amount"), instruction_for("qa.amount"))
+            .sem_map(Field("customer", str, "name"), instruction_for("qa.customer"))
+        )
+
+    tracer = Tracer()
+    runtime = make_runtime(qa_bundle, tracer=tracer)
+    job = runtime.serving().submit("alice", three_stage())
+    assert runtime.llm.clock.elapsed == 0.0
+    assert tracer.by_kind("pipeline-section") == []
+    assert len(tracer.by_kind("operator")) == 4  # scan + three operator steps
+    assert tracer.by_kind("query")[0].attributes["pipeline"] is False
+    # One store entry per costly boundary: what serve_mix replays from.
+    assert len(runtime.materialization_store) == 3
+
+    tracer = Tracer()
+    direct = make_runtime(qa_bundle, tracer=tracer)
+    result = three_stage().run(
+        QueryProcessorConfig(
+            llm=direct.llm, seed=7, optimize=False, parallelism=4,
+            materialization_store=direct.materialization_store,
+        )
+    )
+    assert normalized_records(result.records) == normalized_records(job.records)
+    assert len(tracer.by_kind("pipeline-section")) == 1
+    assert tracer.by_kind("query")[0].attributes["pipeline"] is True
+    assert direct.llm.clock.elapsed == pytest.approx(result.total_time_s)
+    assert result.total_time_s > 0.0
+    assert len(direct.materialization_store) == 1  # the section's last boundary
+
+
 def test_submit_resets_sink_and_scope(qa_bundle):
     runtime = make_runtime(qa_bundle)
     serving = runtime.serving()
