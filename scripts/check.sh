@@ -23,6 +23,9 @@ if [[ "${1:-}" == "--fast" ]]; then
     echo "== fast lane: standing-tick perf smoke (fold == view == from-scratch, ledger stable) =="
     python3 -m benchmarks.perf bench --workload standing_ticks --smoke
     echo
+    echo "== fast lane: warm re-scan perf smoke (warm digest == cold fill's, \$0 and 0 virtual s per warm pass: the key written on a miss is the key probed on a hit) =="
+    python3 -m benchmarks.perf bench --workload rescan_warm --smoke
+    echo
     echo "check.sh --fast: all green"
     exit 0
 fi

@@ -15,9 +15,21 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable
 
-from repro.utils.hashing import stable_digest
+from repro.utils.hashing import (
+    PART_SEPARATOR,
+    digest_serialized,
+    serialize_parts,
+    stable_digest,
+)
 
 _UID_COUNTER = itertools.count()
+
+#: (added field names, dropped names) as passed -> (the part of a derived
+#: uid's digest payload that follows the parent uid, the dropped names as a
+#: set); see :meth:`DataRecord.derive`.  An operator derives every record
+#: with one shape, so a plan has a handful; dropped whole when full.
+_SHAPES: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[str, frozenset[str]]] = {}
+_SHAPES_CAP = 1024
 
 
 def reset_uid_counter() -> None:
@@ -51,6 +63,24 @@ class DataRecord:
         self.annotations = dict(annotations or {})
         self.source_id = source_id
         self.parent_uids = tuple(parent_uids)
+
+    @classmethod
+    def _owning(
+        cls,
+        fields: dict[str, Any],
+        uid: str,
+        annotations: dict[str, Any],
+        source_id: str,
+        parent_uids: tuple[str, ...],
+    ) -> "DataRecord":
+        """A record that takes ownership of freshly built dicts (no copies)."""
+        record = cls.__new__(cls)
+        record.uid = uid
+        record.fields = fields
+        record.annotations = annotations
+        record.source_id = source_id
+        record.parent_uids = parent_uids
+        return record
 
     def __getitem__(self, name: str) -> Any:
         try:
@@ -88,22 +118,41 @@ class DataRecord:
         silently disagreed on plans with two or more deriving operators.
         Deterministic uids make the cross-mode bit-identical contract hold
         structurally.
+
+        The uid suffix is ``stable_digest(uid, sorted added names, sorted
+        dropped names)[:6]``.  The shape's share of that payload is
+        serialised once per shape (:data:`_SHAPES`); per record only
+        ``repr(uid)`` is put in front of it and the whole hashed.
         """
-        dropped = set(drop)
-        fields = {
-            name: value for name, value in self.fields.items() if name not in dropped
-        }
+        shape = (tuple(new_fields) if new_fields else (), tuple(drop))
+        memo = _SHAPES.get(shape)
+        if memo is None:
+            if len(_SHAPES) >= _SHAPES_CAP:
+                _SHAPES.clear()
+            added, dropped = shape[0], frozenset(shape[1])
+            memo = _SHAPES[shape] = (
+                PART_SEPARATOR
+                + serialize_parts(tuple(sorted(added)), tuple(sorted(dropped))),
+                dropped,
+            )
+        tail, dropped = memo
+        if dropped:
+            fields = {
+                name: value
+                for name, value in self.fields.items()
+                if name not in dropped
+            }
+        else:
+            fields = self.fields.copy()
         if new_fields:
             fields.update(new_fields)
-        suffix = stable_digest(
-            self.uid, tuple(sorted(new_fields or ())), tuple(sorted(dropped))
-        )[:6]
-        return DataRecord(
-            fields=fields,
-            uid=f"{self.uid}.{suffix}",
-            annotations=self.annotations,
-            source_id=self.source_id,
-            parent_uids=(self.uid,),
+        uid = self.uid
+        return DataRecord._owning(
+            fields,
+            f"{uid}.{digest_serialized(repr(uid) + tail)[:6]}",
+            self.annotations.copy(),
+            self.source_id,
+            (uid,),
         )
 
     @staticmethod
@@ -117,12 +166,12 @@ class DataRecord:
         fields.update(right.fields)
         annotations = dict(left.annotations)
         annotations.update(right.annotations)
-        return DataRecord(
-            fields=fields,
-            uid=f"{left.uid}*{stable_digest(left.uid, right.uid)[:6]}",
-            annotations=annotations,
-            source_id=left.source_id or right.source_id,
-            parent_uids=(left.uid, right.uid),
+        return DataRecord._owning(
+            fields,
+            f"{left.uid}*{stable_digest(left.uid, right.uid)[:6]}",
+            annotations,
+            left.source_id or right.source_id,
+            (left.uid, right.uid),
         )
 
     def as_text(self) -> str:

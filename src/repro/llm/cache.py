@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any
 
-from repro.utils.hashing import stable_digest
+from repro.utils.hashing import StablePrefix, stable_digest
 
 
 class GenerationCache:
@@ -43,6 +43,16 @@ class GenerationCache:
     @staticmethod
     def key(model: str, *payload: Any) -> str:
         return stable_digest("gen-cache", model, *payload)
+
+    @staticmethod
+    def key_prefix(model: str, *payload: Any) -> StablePrefix:
+        """:meth:`key` with its leading payload hashed once.
+
+        ``key_prefix(model, *head).digest(*tail) == key(model, *head, *tail)``:
+        a caller whose keys differ only in their last parts (a record uid, a
+        text) keeps the prefix and digests the rest per call.
+        """
+        return StablePrefix("gen-cache", model, *payload)
 
     def get(self, key: str) -> tuple[bool, Any]:
         """Return ``(hit, value)``; moves the entry to most-recently-used."""

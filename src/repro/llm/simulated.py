@@ -44,7 +44,7 @@ from repro.llm.usage import UsageEvent, UsageTracker
 from repro.obs.metrics import MetricsRegistry, NullMetrics, get_default_metrics
 from repro.obs.tracer import NoopTracer, Tracer, get_default_tracer
 from repro.utils.clock import VirtualClock
-from repro.utils.hashing import stable_hash, stable_uniform
+from repro.utils.hashing import StablePrefix, stable_hash
 from repro.utils.text import approx_token_count, extract_keywords, normalize_text
 
 #: Tokens charged for the fixed system/instruction scaffolding of each call.
@@ -56,9 +56,19 @@ JUDGMENT_OUTPUT_TOKENS = 5
 #: Distractor annotation prefix: datasets may store a plausible wrong answer.
 DISTRACTOR_PREFIX = "_distractor:"
 
-#: Distinct instructions a :class:`SimulatedLLM` keeps per-instruction facts
-#: for; the memo is dropped whole when full (a plan has a handful).
-_INSTRUCTION_MEMO_CAP = 1024
+#: Entries a :class:`SimulatedLLM` keeps in each of its two per-plan memos
+#: (prepared calls, shared cache-hit events); a memo is dropped whole when
+#: full (a plan has a handful of either).
+_CALL_MEMO_CAP = 1024
+
+#: Task kind whose error rate and noise stream each endpoint kind draws on
+#: (a join judgment errs like a filter judgment; embeddings never err).
+_NOISE_KIND = {
+    "filter": "filter",
+    "join": "filter",
+    "extract": "extract",
+    "classify": "classify",
+}
 
 
 class MeasuredTime:
@@ -68,6 +78,51 @@ class MeasuredTime:
 
     def __init__(self) -> None:
         self.seconds = 0.0
+
+
+class _PreparedCall:
+    """What ``(endpoint kind, instruction, model, cache scope, seed)`` fixes.
+
+    An operator sends one instruction to one model with every record, so
+    everything here is computed for the first record and read for the
+    rest: the model card, the normalised instruction and its token count,
+    the generation-cache key with all but its per-record parts hashed
+    (:meth:`GenerationCache.key_prefix`), and the noise draw likewise.
+    Nothing here changes an answer, a key, a draw or a charge — each is
+    the value the per-call computation would produce.
+    """
+
+    __slots__ = (
+        "card", "normalized", "instruction_tokens", "key", "task_kind", "noise",
+        "options", "options_tokens",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        instruction: str | None,
+        model: str,
+        scope: str,
+        seed: int,
+    ) -> None:
+        self.card = get_model(model)
+        payload: tuple[str, ...] = (kind,)
+        self.normalized = ""
+        self.instruction_tokens = 0
+        if instruction is not None:  # None: an embedding, the text is the request
+            self.normalized = normalize_text(instruction)
+            self.instruction_tokens = approx_token_count(instruction)
+            payload = (kind, self.normalized)
+        # Empty scope preserves historical key digests exactly.
+        scoped = ("scope", scope) if scope else ()
+        #: ``key.digest(uid, ...)`` is the call's generation-cache key.
+        self.key = GenerationCache.key_prefix(model, *scoped, *payload)
+        self.task_kind = _NOISE_KIND.get(kind, "")
+        #: ``noise.uniform(noise_key, uid)`` is the call's error draw.
+        self.noise = StablePrefix(seed, "llm-noise", self.card.name, self.task_kind)
+        #: ``classify`` only: the last option list seen and its token count.
+        self.options: list[str] = []
+        self.options_tokens = 0
 
 
 class SimulatedLLM:
@@ -125,9 +180,10 @@ class SimulatedLLM:
         self._measure_depth = 0
         #: Monotonic per-call counter: namespaces the backoff-jitter stream.
         self._call_sequence = 0
-        #: instruction -> (normalized text, token count); see
-        #: :meth:`_instruction_facts`.
-        self._instruction_memo: dict[str, tuple[str, int]] = {}
+        #: (kind, instruction, model, scope, seed) -> :class:`_PreparedCall`.
+        self._prepared_calls: dict[tuple, _PreparedCall] = {}
+        #: (model, resolved tag) -> the one zero-cost event its cache hits share.
+        self._hit_events: dict[tuple[str, str], UsageEvent] = {}
 
     @property
     def sink_owns_time(self) -> bool:
@@ -209,11 +265,19 @@ class SimulatedLLM:
         else:
             self.clock.advance(seconds)
 
-    def _cache_key(self, model: str, *payload: Any) -> str:
-        """Generation-cache key, namespaced by :attr:`cache_scope` when set."""
-        if self.cache_scope:
-            return GenerationCache.key(model, "scope", self.cache_scope, *payload)
-        return GenerationCache.key(model, *payload)
+    def _prepared(self, kind: str, instruction: str | None, model: str) -> _PreparedCall:
+        """The :class:`_PreparedCall` of this endpoint call, built once.
+
+        :attr:`cache_scope` and :attr:`seed` are part of the memo key, so
+        flipping either between calls never reuses the other's hashers.
+        """
+        memo_key = (kind, instruction, model, self.cache_scope, self.seed)
+        call = self._prepared_calls.get(memo_key)
+        if call is None:
+            if len(self._prepared_calls) >= _CALL_MEMO_CAP:
+                self._prepared_calls.clear()
+            call = self._prepared_calls[memo_key] = _PreparedCall(*memo_key)
+        return call
 
     def _breaker(self, model: str) -> CircuitBreaker | None:
         if self.retry.breaker_threshold <= 0:
@@ -251,15 +315,21 @@ class SimulatedLLM:
             if current is not None:
                 tag = current.name
         if cached:
-            event = UsageEvent(
-                model=card.name,
-                input_tokens=0,
-                output_tokens=0,
-                cost_usd=0.0,
-                latency_s=0.0,
-                tag=tag,
-                cached=True,
-            )
+            # Every field of a hit's event is fixed by (model, tag) and the
+            # event is frozen, so all such hits record the same object.
+            event = self._hit_events.get((card.name, tag))
+            if event is None:
+                if len(self._hit_events) >= _CALL_MEMO_CAP:
+                    self._hit_events.clear()
+                event = self._hit_events[card.name, tag] = UsageEvent(
+                    model=card.name,
+                    input_tokens=0,
+                    output_tokens=0,
+                    cost_usd=0.0,
+                    latency_s=0.0,
+                    tag=tag,
+                    cached=True,
+                )
             self.tracker.record(event)
             if metrics.enabled:
                 metrics.counter("llm.calls").inc()
@@ -466,9 +536,9 @@ class SimulatedLLM:
         tag: str = "",
     ) -> FilterJudgment:
         """Answer "does ``record`` satisfy ``instruction``?" as ``model`` would."""
-        card = get_model(model)
-        normalized, instruction_tokens = self._instruction_facts(instruction)
-        cache_key = self._cache_key(model, "filter", normalized, record.uid)
+        call = self._prepared("filter", instruction, model)
+        card = call.card
+        cache_key = call.key.digest(record.uid)
         if self.use_cache:
             hit, value = self.cache.get(cache_key)
             if hit:
@@ -477,11 +547,11 @@ class SimulatedLLM:
                 return FilterJudgment(answer, resolved, intent_key, event)
 
         judgment = self.oracle.judge_filter(instruction, record)
-        noise_key = judgment.intent_key or normalized
-        erred = self._errs(card, "filter", noise_key, record.uid, judgment.difficulty)
+        noise_key = judgment.intent_key or call.normalized
+        erred = self._errs(call, noise_key, record.uid, judgment.difficulty)
         answer = bool(judgment.truth) != erred
 
-        input_tokens = self._prompt_tokens(instruction_tokens, record)
+        input_tokens = self._prompt_tokens(call.instruction_tokens, record)
         event = self._charge(card, input_tokens, JUDGMENT_OUTPUT_TOKENS, tag)
         if self.use_cache:
             self.cache.put(cache_key, (answer, judgment.resolved, judgment.intent_key))
@@ -496,9 +566,9 @@ class SimulatedLLM:
         tag: str = "",
     ) -> FilterJudgment:
         """Answer "do ``left`` and ``right`` jointly satisfy ``instruction``?"."""
-        card = get_model(model)
-        normalized, instruction_tokens = self._instruction_facts(instruction)
-        cache_key = self._cache_key(model, "join", normalized, left.uid, right.uid)
+        call = self._prepared("join", instruction, model)
+        card = call.card
+        cache_key = call.key.digest(left.uid, right.uid)
         if self.use_cache:
             hit, value = self.cache.get(cache_key)
             if hit:
@@ -507,15 +577,15 @@ class SimulatedLLM:
                 return FilterJudgment(answer, resolved, intent_key, event)
 
         judgment = self.oracle.judge_join(instruction, left, right)
-        noise_key = judgment.intent_key or normalized
+        noise_key = judgment.intent_key or call.normalized
         erred = self._errs(
-            card, "filter", noise_key, f"{left.uid}|{right.uid}", judgment.difficulty
+            call, noise_key, f"{left.uid}|{right.uid}", judgment.difficulty
         )
         answer = bool(judgment.truth) != erred
 
         input_tokens = (
             SYSTEM_PROMPT_TOKENS
-            + instruction_tokens
+            + call.instruction_tokens
             + approx_token_count(left.as_text())
             + approx_token_count(right.as_text())
         )
@@ -532,9 +602,9 @@ class SimulatedLLM:
         tag: str = "",
     ) -> ExtractionResult:
         """Extract the value ``instruction`` asks for from ``record``."""
-        card = get_model(model)
-        normalized, instruction_tokens = self._instruction_facts(instruction)
-        cache_key = self._cache_key(model, "extract", normalized, record.uid)
+        call = self._prepared("extract", instruction, model)
+        card = call.card
+        cache_key = call.key.digest(record.uid)
         if self.use_cache:
             hit, value = self.cache.get(cache_key)
             if hit:
@@ -546,11 +616,11 @@ class SimulatedLLM:
         value = judgment.truth
         if judgment.resolved:
             erred = self._errs(
-                card, "extract", judgment.intent_key, record.uid, judgment.difficulty
+                call, judgment.intent_key, record.uid, judgment.difficulty
             )
             if erred:
                 value = self._corrupt(judgment.truth, judgment.intent_key, record)
-        input_tokens = self._prompt_tokens(instruction_tokens, record)
+        input_tokens = self._prompt_tokens(call.instruction_tokens, record)
         output_tokens = max(8, approx_token_count(str(value)))
         event = self._charge(card, input_tokens, output_tokens, tag)
         if self.use_cache:
@@ -568,22 +638,25 @@ class SimulatedLLM:
         """Pick one of ``options`` for ``record`` according to ``instruction``."""
         if not options:
             raise ValueError("classify requires at least one option")
-        card = get_model(model)
+        call = self._prepared("classify", instruction, model)
         judgment = self.oracle.extract_value(instruction, record)
         truth = judgment.truth if judgment.truth in options else options[0]
         erred = judgment.resolved and self._errs(
-            card, "classify", judgment.intent_key, record.uid, judgment.difficulty
+            call, judgment.intent_key, record.uid, judgment.difficulty
         )
         value = truth
         if erred and len(options) > 1:
             alternatives = [option for option in options if option != truth]
             pick = stable_hash(self.seed, "classify-pick", record.uid) % len(alternatives)
             value = alternatives[pick]
-        _, instruction_tokens = self._instruction_facts(instruction)
-        input_tokens = self._prompt_tokens(instruction_tokens, record) + approx_token_count(
-            " ".join(options)
+        if call.options != options:
+            # An operator passes one option list with every record.
+            call.options = list(options)
+            call.options_tokens = approx_token_count(" ".join(options))
+        input_tokens = (
+            self._prompt_tokens(call.instruction_tokens, record) + call.options_tokens
         )
-        event = self._charge(card, input_tokens, JUDGMENT_OUTPUT_TOKENS, tag)
+        event = self._charge(call.card, input_tokens, JUDGMENT_OUTPUT_TOKENS, tag)
         return ExtractionResult(value, judgment.resolved, judgment.intent_key, event)
 
     def complete(
@@ -613,8 +686,9 @@ class SimulatedLLM:
 
     def embed(self, text: str, tag: str = "") -> np.ndarray:
         """Embed ``text``, charging the embedding model's price and latency."""
-        card = get_model(EMBEDDING_MODEL)
-        cache_key = self._cache_key(EMBEDDING_MODEL, "embed", text)
+        call = self._prepared("embed", None, EMBEDDING_MODEL)
+        card = call.card
+        cache_key = call.key.digest(text)
         if self.use_cache:
             hit, value = self.cache.get(cache_key)
             if hit:
@@ -644,27 +718,33 @@ class SimulatedLLM:
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        card = get_model(EMBEDDING_MODEL)
+        call = self._prepared("embed", None, EMBEDDING_MODEL)
+        card = call.card
         vectors: dict[str, np.ndarray] = {}
-        misses: list[str] = []
+        # Unique uncached texts in first-seen order -> cache key: one digest
+        # per unique text, shared by the probe and the put.
+        misses: dict[str, str] = {}
         for text in texts:
             if text in vectors or text in misses:
                 continue
+            cache_key = ""
             if self.use_cache:
-                hit, value = self.cache.get(self._cache_key(EMBEDDING_MODEL, "embed", text))
+                cache_key = call.key.digest(text)
+                hit, value = self.cache.get(cache_key)
                 if hit:
                     self._charge(card, 0, 0, tag, cached=True)
                     vectors[text] = value
                     continue
-            misses.append(text)
-        for start in range(0, len(misses), batch_size):
-            chunk = misses[start : start + batch_size]
+            misses[text] = cache_key
+        pending = list(misses)
+        for start in range(0, len(pending), batch_size):
+            chunk = pending[start : start + batch_size]
             self._charge(card, sum(approx_token_count(text) for text in chunk), 0, tag)
             for text in chunk:
                 vector = self.embedding_model.embed(text)
                 vectors[text] = vector
                 if self.use_cache:
-                    self.cache.put(self._cache_key(EMBEDDING_MODEL, "embed", text), vector)
+                    self.cache.put(misses[text], vector)
         return [vectors[text] for text in texts]
 
     # ------------------------------------------------------------------
@@ -673,13 +753,12 @@ class SimulatedLLM:
 
     def _errs(
         self,
-        card: ModelCard,
-        task_kind: str,
+        call: _PreparedCall,
         noise_key: str,
         record_uid: str,
         difficulty: float,
     ) -> bool:
-        """Deterministically decide whether ``card`` errs on this input.
+        """Deterministically decide whether ``call``'s model errs on this input.
 
         Error probability scales superlinearly with difficulty
         (``base * 2 * d^2``): easy records (d ~ 0.1) are answered almost
@@ -690,27 +769,11 @@ class SimulatedLLM:
         reproducing the paper's observation that two of three
         semantic-operator trials admitted an errant file.
         """
-        base = card.error_rate(task_kind)
+        base = call.card.error_rate(call.task_kind)
         ambiguity_boost = max(0.0, difficulty - 0.7)
         probability = min(0.95, base * 2.0 * difficulty * difficulty + ambiguity_boost)
-        draw = stable_uniform(self.seed, "llm-noise", card.name, task_kind, noise_key, record_uid)
-        return draw < probability
-
-    def _instruction_facts(self, instruction: str) -> tuple[str, int]:
-        """``(normalize_text, approx_token_count)`` of ``instruction``, computed once.
-
-        An operator sends one instruction with every record, and both are
-        pure functions of the instruction alone.
-        """
-        facts = self._instruction_memo.get(instruction)
-        if facts is None:
-            if len(self._instruction_memo) >= _INSTRUCTION_MEMO_CAP:
-                self._instruction_memo.clear()
-            facts = self._instruction_memo[instruction] = (
-                normalize_text(instruction),
-                approx_token_count(instruction),
-            )
-        return facts
+        # stable_uniform(seed, "llm-noise", model, task kind, noise_key, uid)
+        return call.noise.uniform(noise_key, record_uid) < probability
 
     def _prompt_tokens(self, instruction_tokens: int, record: AnnotatedRecord) -> int:
         return SYSTEM_PROMPT_TOKENS + instruction_tokens + approx_token_count(record.as_text())

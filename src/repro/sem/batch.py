@@ -29,7 +29,6 @@ import numpy as np
 from repro.data.records import DataRecord
 from repro.errors import ExecutionError
 from repro.sem.structql import evaluate_predicate
-from repro.utils.hashing import stable_digest
 from repro.sql.ast_nodes import (
     Between,
     BinaryOp,
@@ -118,60 +117,36 @@ class RecordBatch:
 # Vectorized field writes (projection / py-map)
 # ---------------------------------------------------------------------------
 #
-# Deriving operators used to funnel every batch through the per-row
-# ``DataRecord.derive`` path: one full dict rebuild per record plus a second
-# defensive copy inside ``DataRecord.__init__``, and downstream columnar
-# consumers then re-scanned the fresh records per field to rebuild column
-# caches.  The helpers below produce the same records with the copies
-# amortized batch-wide — per-shape drop/sort tuples computed once, a single
-# owned dict per output record, and the output batch's column/validity
-# caches pre-seeded array-at-a-time (shared with the input where the
-# operator provably does not touch the field).  The uid digest stays the
-# per-row ``derive`` formula, so outputs are bit-identical to deriving each
-# record on its own.
-
-
-def _fast_child(
-    parent: DataRecord, fields: dict[str, Any], suffix: str
-) -> DataRecord:
-    """Construct a derived record from an owned fields dict, skipping the
-    constructor's defensive copy.  Must mirror :meth:`DataRecord.derive`."""
-    child = DataRecord.__new__(DataRecord)
-    child.uid = f"{parent.uid}.{suffix}"
-    child.fields = fields
-    child.annotations = dict(parent.annotations)
-    child.source_id = parent.source_id
-    child.parent_uids = (parent.uid,)
-    return child
+# Every output record is ``DataRecord.derive`` of its input (which
+# serialises a field-name shape once and builds one owned dict per child),
+# so outputs are the records deriving each row on its own produces.  What
+# the helpers below add is batch-wide: downstream columnar consumers would
+# re-scan the fresh records per field to rebuild column caches, so the
+# output batch's column/validity caches are pre-seeded array-at-a-time
+# (shared with the input where the operator provably does not touch the
+# field).
 
 
 def project_batch(batch: RecordBatch, fields: "list[str] | tuple[str, ...]") -> RecordBatch:
     """Project each record onto ``fields``, batch-at-a-time.
 
-    The kept/dropped name split is computed once per distinct input field
-    shape (homogeneous batches pay it once), and since projection never
+    The dropped names are computed once per distinct input field shape
+    (homogeneous batches pay it once), and since projection never
     rewrites a value, the output batch *shares* the input's column and
     validity arrays for every projected field — downstream vectorized
     predicates get their columns for free.
     """
     wanted = set(fields)
-    shapes: dict[tuple[str, ...], tuple[tuple[str, ...], tuple[str, ...]]] = {}
+    shapes: dict[tuple[str, ...], tuple[str, ...]] = {}
     output = []
     for record in batch.records:
         names = tuple(record.fields)
-        shape = shapes.get(names)
-        if shape is None:
-            shape = (
-                tuple(name for name in names if name in wanted),
-                tuple(sorted(name for name in names if name not in wanted)),
+        dropped = shapes.get(names)
+        if dropped is None:
+            dropped = shapes[names] = tuple(
+                name for name in names if name not in wanted
             )
-            shapes[names] = shape
-        kept, dropped = shape
-        values = record.fields
-        suffix = stable_digest(record.uid, (), dropped)[:6]
-        output.append(
-            _fast_child(record, {name: values[name] for name in kept}, suffix)
-        )
+        output.append(record.derive(drop=dropped))
     out = RecordBatch(output, batch.positions)
     for name in fields:
         out._columns[name] = batch.column(name)
@@ -183,10 +158,9 @@ def py_map_batch(batch: RecordBatch, fn: Callable[[DataRecord], dict]) -> Record
     """Apply a python map ``fn`` to each record, batch-at-a-time.
 
     The function itself is inherently per-row; everything around it is
-    amortized: sorted new-field-name tuples are cached per shape, output
-    records are built from one owned dict each, new-field columns are
-    materialized array-at-a-time from the map outputs, and columns for
-    fields no map output touches are shared with the input batch.
+    amortized: new-field columns are materialized array-at-a-time from the
+    map outputs, and columns for fields no map output touches are shared
+    with the input batch.
     """
     size = len(batch.records)
     news: list[dict] = []
@@ -198,18 +172,9 @@ def py_map_batch(batch: RecordBatch, fn: Callable[[DataRecord], dict]) -> Record
                 f"got {type(new_fields).__name__}"
             )
         news.append(new_fields)
-    sorted_names: dict[tuple[str, ...], tuple[str, ...]] = {}
-    output = []
-    for record, new_fields in zip(batch.records, news):
-        names = tuple(new_fields)
-        added = sorted_names.get(names)
-        if added is None:
-            added = tuple(sorted(names))
-            sorted_names[names] = added
-        fields = dict(record.fields)
-        fields.update(new_fields)
-        suffix = stable_digest(record.uid, added, ())[:6]
-        output.append(_fast_child(record, fields, suffix))
+    output = [
+        record.derive(new_fields) for record, new_fields in zip(batch.records, news)
+    ]
     out = RecordBatch(output, batch.positions)
     touched = set()
     for new_fields in news:

@@ -19,6 +19,11 @@ if TYPE_CHECKING:
 #: hard-coded at each use site; this is the single source of truth now.
 DEFAULT_FALLBACK_MODEL = DEFAULT_MODEL
 
+#: Valid ``on_failure`` modes: what an operator does with a record whose
+#: call failed even after the LLM substrate's retries (see
+#: ``ExecutionContext.guarded``).
+FAILURE_MODES = ("skip", "fallback", "raise")
+
 
 @dataclass
 class QueryProcessorConfig:
@@ -134,9 +139,9 @@ class QueryProcessorConfig:
             raise ConfigurationError(
                 f"max_cost_usd must be positive, got {self.max_cost_usd}"
             )
-        if self.on_failure not in ("skip", "fallback", "raise"):
+        if self.on_failure not in FAILURE_MODES:
             raise ConfigurationError(
-                f"on_failure must be 'skip', 'fallback', or 'raise', "
+                f"on_failure must be one of {FAILURE_MODES}, "
                 f"got {self.on_failure!r}"
             )
         if self.batch_size is not None and self.batch_size < 1:

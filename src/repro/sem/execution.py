@@ -317,15 +317,26 @@ def measured_step(
             yield outcome
         except BudgetExceededError:
             outcome.truncated = True
-    usage = tracker.since(checkpoint)
-    stats.cost_usd += usage.cost_usd
-    stats.llm_calls += usage.calls
-    stats.input_tokens += usage.input_tokens
-    stats.output_tokens += usage.output_tokens
-    stats.cached_calls += sum(
-        1 for event in tracker.events[checkpoint:] if event.cached
-    )
-    stats.retried_calls += tracker.failed_calls(checkpoint)
+    # One walk of the block's events.  Dollars are summed left to right
+    # from 0.0 and only then added to ``stats`` — the float result of
+    # ``tracker.since(checkpoint).cost_usd``, bit for bit.
+    events = tracker.events[checkpoint:]
+    cost_usd = 0.0
+    input_tokens = output_tokens = cached = failed = 0
+    for event in events:
+        cost_usd += event.cost_usd
+        input_tokens += event.input_tokens
+        output_tokens += event.output_tokens
+        if event.cached:
+            cached += 1
+        if event.failed:
+            failed += 1
+    stats.cost_usd += cost_usd
+    stats.llm_calls += len(events)
+    stats.input_tokens += input_tokens
+    stats.output_tokens += output_tokens
+    stats.cached_calls += cached
+    stats.retried_calls += failed
     stats.failed_records += len(ctx.failures) - failures_before
     outcome.seconds = (
         measured.seconds if cell else llm.clock.elapsed - time_before

@@ -44,9 +44,6 @@ import numpy as np
 
 T = TypeVar("T")
 
-#: Valid per-record degradation modes when a call exhausts its retries.
-FAILURE_MODES = ("skip", "fallback", "raise")
-
 
 @dataclass
 class AdaptiveParallelism:
@@ -130,6 +127,9 @@ class ExecutionContext:
     embed_batch_size: int = 1
     #: Live wave-width controller (None = static ``parallelism``).
     adaptive: AdaptiveParallelism | None = None
+    #: kind -> ``f"{tag}:{kind}"``, the usage tag of each kind of guarded
+    #: call, built when the first call of that kind is made.
+    _tags: dict[str, str] = field(default_factory=dict, init=False, repr=False)
 
     def wave_width(self) -> int:
         """Concurrency the next wave should be issued at."""
@@ -148,12 +148,25 @@ class ExecutionContext:
             )
 
     def guarded(
-        self, uid: str, model: str, call: Callable[[str], T]
+        self, uid: str, model: str, kind: str, call: Callable[..., T], *args
     ) -> T | None:
-        """Run ``call(model)`` under the failure policy; None means degraded."""
-        self.check_budget()
+        """Run one tagged endpoint call under the failure policy.
+
+        ``call`` is a bound :class:`SimulatedLLM` endpoint and ``args`` its
+        leading positional arguments: it runs as ``call(*args, model=model,
+        tag="<ctx tag>:<kind>")`` — per record the caller builds no closure
+        and no tag.  ``on_failure`` (one of
+        :data:`repro.sem.config.FAILURE_MODES`) decides what a call that
+        failed even after the substrate's retries does; None means the
+        record was degraded and flagged in :attr:`failures`.
+        """
+        if self.max_cost_usd is not None:
+            self.check_budget()
+        tag = self._tags.get(kind)
+        if tag is None:
+            tag = self._tags[kind] = f"{self.tag}:{kind}"
         try:
-            return call(model)
+            return call(*args, model=model, tag=tag)
         except TransientLLMError as exc:
             if self.on_failure == "raise":
                 raise
@@ -163,7 +176,7 @@ class ExecutionContext:
                 and self.fallback_model != model
             ):
                 try:
-                    return call(self.fallback_model)
+                    return call(*args, model=self.fallback_model, tag=tag)
                 except TransientLLMError as fallback_exc:
                     exc = fallback_exc
             self.failures.append((uid, type(exc).__name__))
@@ -433,11 +446,7 @@ class PhysSemFilter(StreamingOperator):
         op = self.logical_op
         model = self.model or op.model
         judgment = ctx.guarded(
-            record.uid,
-            model,
-            lambda m: ctx.llm.judge_filter(
-                op.instruction, record, model=m, tag=f"{ctx.tag}:filter"
-            ),
+            record.uid, model, "filter", ctx.llm.judge_filter, op.instruction, record
         )
         if judgment is not None and judgment.answer:
             return [record]
@@ -456,11 +465,7 @@ class PhysSemMap(StreamingOperator):
         new_fields = {}
         for schema_field, instruction in op.outputs:
             extraction = ctx.guarded(
-                record.uid,
-                model,
-                lambda m, instruction=instruction: ctx.llm.extract(
-                    instruction, record, model=m, tag=f"{ctx.tag}:map"
-                ),
+                record.uid, model, "map", ctx.llm.extract, instruction, record
             )
             # Degraded extractions surface as None (flagged in ctx.failures),
             # keeping the record and its other fields.
@@ -482,12 +487,8 @@ class PhysSemClassify(StreamingOperator):
         op = self.logical_op
         model = self.model or op.model
         result = ctx.guarded(
-            record.uid,
-            model,
-            lambda m: ctx.llm.classify(
-                op.instruction, list(op.options), record,
-                model=m, tag=f"{ctx.tag}:classify",
-            ),
+            record.uid, model, "classify", ctx.llm.classify,
+            op.instruction, list(op.options), record,
         )
         value = result.value if result is not None else None
         return [record.derive({op.output_field: value})]
@@ -513,12 +514,8 @@ class PhysSemGroupBy(PhysicalOperator):
         op = self.logical_op
         model = self.model or op.model
         result = ctx.guarded(
-            record.uid,
-            model,
-            lambda m: ctx.llm.classify(
-                op.instruction, list(op.groups), record,
-                model=m, tag=f"{ctx.tag}:groupby",
-            ),
+            record.uid, model, "groupby", ctx.llm.classify,
+            op.instruction, list(op.groups), record,
         )
         if result is None:
             return None
@@ -540,12 +537,10 @@ class PhysSemGroupBy(PhysicalOperator):
             completion = ctx.guarded(
                 f"group:{group}",
                 model or DEFAULT_FALLBACK_MODEL,
-                lambda m, group=group, joined_text=joined_text: ctx.llm.complete(
-                    f"Summarize the records in group {group!r}: "
-                    f"{op.instruction}\n\n{joined_text}",
-                    model=m,
-                    tag=f"{ctx.tag}:groupby",
-                ),
+                "groupby",
+                ctx.llm.complete,
+                f"Summarize the records in group {group!r}: "
+                f"{op.instruction}\n\n{joined_text}",
             )
             fields["summary"] = completion.text if completion is not None else None
         member_uids = tuple(member.uid for member in members)
@@ -635,9 +630,8 @@ class PhysSemJoinBlocked(PhysicalOperator):
         right_records = right_state["right_records"]
         right_matrix = right_state["right_matrix"]
         model = self.model or self.logical_op.model
-        tag = f"{ctx.tag}:join"
         if left_vec is None:
-            left_vec = ctx.llm.embed(left.as_text(), tag=tag)
+            left_vec = ctx.llm.embed(left.as_text(), tag=f"{ctx.tag}:join")
         hits = top_k_similar(left_vec, right_matrix, self.max_candidates_per_left)
         joined: list[DataRecord] = []
         for index, similarity in hits:
@@ -645,11 +639,8 @@ class PhysSemJoinBlocked(PhysicalOperator):
                 break  # hits are sorted descending
             right = right_records[index]
             judgment = ctx.guarded(
-                f"{left.uid}|{right.uid}",
-                model,
-                lambda m, left=left, right=right: ctx.llm.judge_join(
-                    self.logical_op.instruction, left, right, model=m, tag=tag
-                ),
+                f"{left.uid}|{right.uid}", model, "join", ctx.llm.judge_join,
+                self.logical_op.instruction, left, right,
             )
             if judgment is not None and judgment.answer:
                 joined.append(DataRecord.merge(left, right))
@@ -713,12 +704,8 @@ class PhysSemJoin(PhysicalOperator):
         joined: list[DataRecord] = []
         for right in right_state["right_records"]:
             judgment = ctx.guarded(
-                f"{left.uid}|{right.uid}",
-                model,
-                lambda m, left=left, right=right: ctx.llm.judge_join(
-                    self.logical_op.instruction, left, right,
-                    model=m, tag=f"{ctx.tag}:join",
-                ),
+                f"{left.uid}|{right.uid}", model, "join", ctx.llm.judge_join,
+                self.logical_op.instruction, left, right,
             )
             if judgment is not None and judgment.answer:
                 joined.append(DataRecord.merge(left, right))
@@ -752,9 +739,7 @@ class PhysSemAgg(PhysicalOperator):
             used += len(text)
         prompt = op.instruction + "\n\n" + "\n---\n".join(chunks)
         completion = ctx.guarded(
-            "agg",
-            model or DEFAULT_FALLBACK_MODEL,
-            lambda m: ctx.llm.complete(prompt, model=m, tag=f"{ctx.tag}:agg"),
+            "agg", model or DEFAULT_FALLBACK_MODEL, "agg", ctx.llm.complete, prompt
         )
         input_uids = tuple(record.uid for record in records)
         result = DataRecord(
@@ -778,7 +763,12 @@ class PhysSemTopK(StreamingOperator):
     exchange = "merge"
 
     def new_state(self, ctx: ExecutionContext) -> dict:
-        return {"scored": {}, "sims": {}, "arrivals": 0}
+        return {
+            "scored": {},
+            "sims": {},
+            "arrivals": 0,
+            "ask": f"The record is relevant to: {self.logical_op.query}",
+        }
 
     def prepare_batch(
         self, records: list[DataRecord], ctx: ExecutionContext, state: dict
@@ -810,14 +800,7 @@ class PhysSemTopK(StreamingOperator):
         if op.method == "llm":
             model = self.model or op.model
             judgment = ctx.guarded(
-                record.uid,
-                model,
-                lambda m: ctx.llm.judge_filter(
-                    f"The record is relevant to: {op.query}",
-                    record,
-                    model=m,
-                    tag=f"{ctx.tag}:topk",
-                ),
+                record.uid, model, "topk", ctx.llm.judge_filter, state["ask"], record
             )
             # A degraded judgment falls back to the embedding score.
             relevant = 1 if (judgment is not None and judgment.answer) else 0

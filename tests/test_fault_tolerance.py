@@ -289,6 +289,98 @@ def test_config_rejects_unknown_failure_mode(make_config, enron_bundle):
         make_config(enron_bundle, on_failure="explode")
 
 
+def test_failure_modes_have_one_definition_the_config_validates_against():
+    from repro.errors import ConfigurationError
+    from repro.sem import config as sem_config
+    from repro.sem import physical
+
+    assert sem_config.FAILURE_MODES == ("skip", "fallback", "raise")
+    assert not hasattr(physical, "FAILURE_MODES")
+    with pytest.raises(ConfigurationError, match="explode"):
+        QueryProcessorConfig(llm=SimulatedLLM(), on_failure="explode")
+
+
+def test_guarded_passes_the_endpoint_its_arguments_model_and_tag():
+    """``guarded(uid, model, kind, call, *args)``: no closure, no tag per record."""
+    from repro.sem.physical import ExecutionContext
+
+    calls = []
+
+    def endpoint(*args, model, tag):
+        calls.append((args, model, tag))
+        if model == "gpt-4o":
+            raise TransientAPIError("down")
+        return "answer"
+
+    ctx = ExecutionContext(
+        llm=SimulatedLLM(), tag="q", on_failure="fallback", fallback_model="gpt-4o-mini"
+    )
+    assert ctx.guarded("u1", "gpt-4o", "filter", endpoint, "instr", "rec") == "answer"
+    assert calls == [
+        (("instr", "rec"), "gpt-4o", "q:filter"),
+        (("instr", "rec"), "gpt-4o-mini", "q:filter"),
+    ]
+    assert ctx.failures == []
+    # The fallback model failing too degrades the record, flagged with the
+    # fallback's error; "skip" never re-asks; "raise" propagates.
+    assert ctx.guarded("u2", "gpt-4o", "map", endpoint) == "answer"
+    assert calls[-1] == ((), "gpt-4o-mini", "q:map")
+    ctx.fallback_model = "gpt-4o"
+    assert ctx.guarded("u3", "gpt-4o", "filter", endpoint) is None
+    ctx.on_failure = "skip"
+    assert ctx.guarded("u4", "gpt-4o", "filter", endpoint) is None
+    assert ctx.failures == [("u3", "TransientAPIError"), ("u4", "TransientAPIError")]
+    ctx.on_failure = "raise"
+    with pytest.raises(TransientAPIError):
+        ctx.guarded("u5", "gpt-4o", "filter", endpoint)
+
+
+def test_fallback_run_degrades_the_records_it_always_did(make_llm, enron_bundle):
+    """Pinned from the closure-based ``guarded``: a run where the champion
+    *and* the fallback tier fault degrades the same records, in the same
+    order, with the same errors, spend and answer."""
+    from repro.data.schemas import Field
+    from repro.sem.execution import Engine
+    from repro.sem.optimizer.optimizer import Optimizer
+    from repro.sem.physical import ExecutionContext
+    from repro.utils.hashing import stable_digest
+
+    llm = make_llm(
+        enron_bundle,
+        seed=5,
+        faults=FaultInjector(FaultConfig(rate=0.35), seed=5),
+        retry=NO_RETRY,
+    )
+    config = QueryProcessorConfig(
+        llm=llm, policy=MaxQuality(), seed=5, optimize=False, parallelism=4,
+        on_failure="fallback", fallback_model="gpt-4o-mini",
+    )
+    plan = (
+        Dataset.from_source(enron_bundle.source())
+        .sem_filter(en.FILTER_RELEVANT)
+        .sem_map(Field("sender_name", str, "who sent it"), "extract the name of the sender")
+        .plan()
+    )
+    operators, _report = Optimizer(config).optimize(plan)
+    ctx = ExecutionContext(
+        llm=llm, parallelism=4, tag=config.tag,
+        on_failure="fallback", fallback_model=config.resolved_fallback_model(),
+    )
+    result = Engine(ctx, batch_size=config.resolved_batch_size()).execute(operators)
+
+    assert ctx.failures[:3] == [
+        ("enron:email_007.txt", "RateLimitError"),
+        ("enron:email_009.txt", "TransientAPIError"),
+        ("enron:email_010.txt", "TransientAPIError"),
+    ]
+    assert len(ctx.failures) == result.failed_records == 46
+    assert stable_digest(ctx.failures) == "94e4b5184cccb7cd"
+    assert (len(result.records), result.retried_calls) == (30, 148)
+    assert round(result.total_cost_usd, 9) == 0.2047145
+    assert result.fingerprint() == "c668760bbce13394"
+    assert {event.tag for event in llm.tracker.events} == {"query:filter", "query:map"}
+
+
 # ---------------------------------------------------------------------------
 # CodeAgent: recovery turns, timeouts, aborts
 # ---------------------------------------------------------------------------
