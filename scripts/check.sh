@@ -23,6 +23,9 @@ if [[ "${1:-}" == "--fast" ]]; then
     echo "== fast lane: standing-tick perf smoke (fold == view == from-scratch, ledger stable) =="
     python3 -m benchmarks.perf bench --workload standing_ticks --smoke
     echo
+    echo "== fast lane: hybrid-sharded perf smoke (shard workers run the engine's one section loop: shards=4 digests == shards=1 re-run) =="
+    python3 -m benchmarks.perf bench --workload hybrid_sharded --smoke
+    echo
     echo "== fast lane: warm re-scan perf smoke (warm digest == cold fill's, \$0 and 0 virtual s per warm pass: the key written on a miss is the key probed on a hit) =="
     python3 -m benchmarks.perf bench --workload rescan_warm --smoke
     echo
@@ -119,6 +122,47 @@ if offenders:
     print("\n".join(offenders))
     sys.exit(1)
 print(f"{len(files)} files: no mechanics keyword on a config constructor")
+PY
+
+echo
+echo "== one-reuse-decision guard (only the optimizer probes a materialization store, only the engine's capture writes one) =="
+python - <<'PY'
+import ast
+import pathlib
+import sys
+
+OPTIMIZER = "src/repro/sem/optimizer/optimizer.py"
+ALLOWED = {
+    "match": {OPTIMIZER},
+    "note_hit": {OPTIMIZER},
+    "note_miss": {OPTIMIZER},
+    # materialize.py: MaterializationStore.load re-puts what it reads.
+    "put": {"src/repro/sem/execution.py", "src/repro/sem/materialize.py"},
+}
+offenders = []
+files = sorted(pathlib.Path("src/repro").rglob("*.py"))
+for path in files:
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        call = node.func.attr
+        if call not in ALLOWED:
+            continue
+        receiver = node.func.value
+        name = getattr(receiver, "attr", getattr(receiver, "id", ""))
+        on_store = (
+            name.endswith("store")
+            or call.startswith("note_")
+            or (name == "self" and path.name == "materialize.py")
+        )
+        if on_store and path.as_posix() not in ALLOWED[call]:
+            offenders.append(f"{path}:{node.lineno}: {name}.{call}(...)")
+if offenders:
+    print("reuse is one optimizer decision and capture one engine step "
+          "(executors never probe or write the store):")
+    print("\n".join(offenders))
+    sys.exit(1)
+print(f"{len(files)} files: store probes only in the optimizer, writes only in Engine._maybe_capture")
 PY
 
 echo

@@ -94,7 +94,12 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             run = run_case(case, mutation=mutation)
             violations = evaluate(run)
             wanted = {mutation.expected_oracle, *mutation.also_killed_by}
-            if wanted <= {v.oracle for v in violations}:
+            killed_in = {
+                v.spec for v in violations if v.oracle == mutation.expected_oracle
+            }
+            if wanted <= {v.oracle for v in violations} and (
+                set(mutation.killed_in_specs) <= killed_in
+            ):
                 caught = (case, run)
                 break
         if caught is None:

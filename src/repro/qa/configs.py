@@ -49,8 +49,11 @@ cannot see a bug every engine mode shares.
   of the corpus, with the remainder appended in chunks and each append
   refreshed incrementally (``repro.sem.streaming``).  Contract: the final
   standing view is bit-identical to the reference's one-shot run over the
-  full corpus, and the changelog folded from empty reproduces the live
-  view at every tick.
+  full corpus, the changelog folded from empty reproduces the live
+  view at every tick, and a plan whose whole chain is incremental-safe
+  takes the delta path (a silent fall-back to full recompute is a bug the
+  records cannot show).  Swept unsharded and sharded: the optimizer's one
+  reuse decision must serve a scattered delta the same way.
 """
 
 from __future__ import annotations
@@ -241,12 +244,15 @@ def config_matrix(plan, case_seed: int = 0) -> list[ConfigSpec]:
         )
         # streaming class: incremental standing-query maintenance over
         # chunked appends must converge on the one-shot reference answer.
+        standing = replace(
+            BASELINE, name="standing", answer_class="streaming", streaming=True
+        )
+        specs.append(standing)
+        specs.append(replace(standing, name="standing-sharded-4", shards=4))
         specs.append(
             replace(
-                BASELINE,
-                name="standing",
-                answer_class="streaming",
-                streaming=True,
+                standing, name="standing-sharded-3-range",
+                shards=3, partitioner="range",
             )
         )
         # probes: answer-changing policies, weak oracles only.

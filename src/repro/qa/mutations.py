@@ -28,6 +28,9 @@ class Mutation:
     #: Every engine cell shares the defect: the catching case must come
     #: back clean once its ``reference`` observation is withheld.
     only_via_reference: bool = False
+    #: Specs whose cells must *each* report ``expected_oracle`` on the
+    #: catching case (the defect sits on a path several shapes share).
+    killed_in_specs: tuple[str, ...] = ()
 
     @contextlib.contextmanager
     def applied(self) -> Iterator[None]:
@@ -97,6 +100,31 @@ def _filter_drops_kept() -> Iterator[None]:
         PhysSemFilter.process_record = original
 
 
+@contextlib.contextmanager
+def _replay_after_delta() -> Iterator[None]:
+    """Put a replayed prefix's stored records *after* the delta survivors.
+
+    Only incremental execution can show it: an exact replay has no delta,
+    so rotating it is the identity, while a standing tick's view comes out
+    in the wrong order — in the compact (unsharded) and the expanded
+    (sharded) replay shape alike.
+    """
+    from repro.sem.physical import PhysMaterializedScan
+
+    original = PhysMaterializedScan.execute
+
+    def misplaced(self, records, ctx):
+        output = original(self, records, ctx)
+        base = len(self.entry.records)
+        return output[base:] + output[:base]
+
+    PhysMaterializedScan.execute = misplaced
+    try:
+        yield
+    finally:
+        PhysMaterializedScan.execute = original
+
+
 MUTATIONS: dict[str, Mutation] = {
     mutation.name: mutation
     for mutation in (
@@ -122,6 +150,13 @@ MUTATIONS: dict[str, Mutation] = {
             _apply=_filter_drops_kept,
             also_killed_by=("shard-equivalence", "serve-equivalence"),
             only_via_reference=True,
+        ),
+        Mutation(
+            name="replay-after-delta",
+            description="materialized replay appends its base after the delta",
+            expected_oracle="streaming-equivalence",
+            _apply=_replay_after_delta,
+            killed_in_specs=("standing", "standing-sharded-4"),
         ),
     )
 }

@@ -312,7 +312,9 @@ def check_streaming_equivalence(run) -> list[Violation]:
     run over the full corpus, and the changelog folded from empty
     reproduced the live view at every tick.  Cost is deliberately not
     asserted: plans with incremental-unsafe operators (group-by, top-k,
-    limit) legally recompute each tick.
+    limit) legally recompute each tick.  A plan whose whole chain *is*
+    incremental-safe owes at least one delta tick, though: falling back to
+    a full recompute there is a bug the records cannot show.
     """
     violations = _against_reference(
         run, "streaming", "streaming-equivalence", bound_cost=False
@@ -333,6 +335,14 @@ def check_streaming_equivalence(run) -> list[Violation]:
                 Violation(
                     "streaming-equivalence", name,
                     "standing query never evaluated a refresh tick",
+                )
+            )
+        if observation.streaming_delta_owed and not observation.streaming_delta_ticks:
+            violations.append(
+                Violation(
+                    "streaming-equivalence", name,
+                    "incremental-safe plan recomputed every append "
+                    "(no delta tick)",
                 )
             )
     return violations

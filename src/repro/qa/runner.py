@@ -28,7 +28,7 @@ from repro.qa.corpus import build_corpus
 from repro.qa.fuzzer import FuzzCase
 from repro.qa.plans import normalized_records
 from repro.qa.reference import ReferenceInterpreter
-from repro.sem.materialize import MaterializationStore
+from repro.sem.materialize import MaterializationStore, incremental_safe_prefix
 
 
 @dataclass
@@ -73,6 +73,9 @@ class Observation:
     #: delta-reuse path.
     streaming_ticks: int = 0
     streaming_delta_ticks: int = 0
+    #: Streaming class: appends were refreshed over a plan whose whole chain
+    #: is fingerprinted and incremental-safe, so a delta tick is owed.
+    streaming_delta_owed: bool = False
     #: Materialization reuse achieved by the warm run (0 = no reuse).
     reused_prefix: int = 0
     reuse_kind: str = ""
@@ -158,6 +161,13 @@ def run_spec(
                 fold_identical = normalized_records(
                     query.folded()
                 ) == normalized_records(query.records)
+                primed = query.last_report.bound
+                observation.streaming_delta_owed = bool(rest) and (
+                    primed[-1].fingerprint is not None
+                    and incremental_safe_prefix(
+                        [operator.logical_op for operator in primed]
+                    )[-1]
+                )
                 chunk = max(1, (len(rest) + 2) // 3)
                 for start in range(0, len(rest), chunk):
                     source.append(rest[start : start + chunk])

@@ -95,12 +95,17 @@ class RecordBatch:
             positions = [at for at, keep in zip(positions, mask) if keep]
         return RecordBatch(kept, positions)
 
-    def head(self, n: int) -> "RecordBatch":
-        """The first ``n`` rows, as a new batch (records shared)."""
+    def slice(self, start: int, stop: int) -> "RecordBatch":
+        """Rows ``start:stop``, as a new batch (records shared)."""
         positions = self.positions
         return RecordBatch(
-            self.records[:n], None if positions is None else positions[:n]
+            self.records[start:stop],
+            None if positions is None else positions[start:stop],
         )
+
+    def head(self, n: int) -> "RecordBatch":
+        """The first ``n`` rows, as a new batch (records shared)."""
+        return self.slice(0, n)
 
     def expand(self, emitted: list[list[DataRecord]]) -> "RecordBatch":
         """Flatten per-row emit lists (``emitted[i]`` descends from row ``i``)."""

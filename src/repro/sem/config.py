@@ -119,11 +119,10 @@ class QueryProcessorConfig:
     #: default) never constructs any sharding machinery and is byte-
     #: identical to the unsharded engine.
     shards: int = 1
-    #: How records are assigned to shards: "hash" keys on the lineage uid
-    #: (the only strategy stable under append-only source growth, so the
-    #: one that composes with per-shard delta execution), "range" cuts
-    #: contiguous position chunks, "round_robin" deals positions out
-    #: cyclically.
+    #: How records are assigned to shards: "hash" keys on the lineage
+    #: uid, "range" cuts contiguous position chunks, "round_robin" deals
+    #: positions out cyclically.  Reuse does not depend on the choice: an
+    #: appended-source delta scatters only the appended tail.
     partitioner: str = "hash"
 
     def __post_init__(self) -> None:

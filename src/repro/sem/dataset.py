@@ -306,15 +306,10 @@ class Dataset:
                 and linear
                 and not result.truncated
                 and not report.reused_prefix
-                and not (
-                    report.shard_plan is not None
-                    and report.shard_plan.reused_any
-                )
             ):
                 # Feed learned priors only with full, honestly measured
-                # runs: truncated executions under-count selectivity, replayed
-                # shards report zero spend for their operators, and a run
-                # behind a replayed prefix measures only its suffix.
+                # runs: truncated executions under-count selectivity, and a
+                # run behind a replayed prefix measures only its suffix.
                 stats_store.ingest_run(result.operator_stats, tracer=tracer)
         if tracer.enabled:
             query_span.attributes.update(

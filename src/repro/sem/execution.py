@@ -2,7 +2,7 @@
 
 The engine executes a list of bound physical operators leaves-first and
 measures, per operator: records in/out, LLM calls, dollars, and simulated
-seconds.  Three pieces exist exactly once:
+seconds.  Four pieces exist exactly once:
 
 - **The driver loop** (:meth:`Engine.drive`) walks the plan a *step* at a
   time and owns the spend-cap check, truncation, boundary capture,
@@ -17,15 +17,19 @@ seconds.  Three pieces exist exactly once:
   degraded records, seconds, a budget cut — to an :class:`OperatorStats`.
 - **The cell runner** (:meth:`Engine.run_cell`) puts one record batch
   through one streamable operator's ``process_batch`` inside a measured
-  step.  In a pipelined section fixed-size batches stream through the
-  fused stages, so batch *b* can occupy stage *s* while batch *b+1* is
-  still in stage *s-1*: each (batch, stage) cell's seconds are captured
-  via :meth:`SimulatedLLM.measure` and fed to a
-  :class:`~repro.utils.clock.PipelineSchedule`, and the clock is advanced
-  online by the growth of the section's critical-path makespan, so the
-  charged time is the pipeline's makespan, not the stage sum.  A sated
-  downstream limit stops upstream batches (early-exit pushdown) and the
-  spend cap truncates mid-batch.
+  step.
+- **The section loop** (:meth:`Engine.run_section`) streams fixed-size
+  batches through fused stages, so batch *b* can occupy stage *s* while
+  batch *b+1* is still in stage *s-1*: each (batch, stage) cell's seconds
+  are captured via :meth:`SimulatedLLM.measure` and fed to a
+  :class:`~repro.utils.clock.PipelineSchedule`, and a per-cell callback
+  says what the schedule means to the caller.  A pipelined section
+  advances the clock online by the growth of its critical-path makespan,
+  so the charged time is the pipeline's makespan, not the stage sum; a
+  shard worker (:mod:`repro.sem.shard`) only files its cells, and its
+  segment charges the slowest worker.  A sated downstream limit stops
+  upstream batches (early-exit pushdown), the spend cap truncates
+  mid-batch, and held-back records (top-k winners) flush at stream end.
 
 Answers from the simulated LLM are a pure function of the input, never of
 call order, so operator-step, fused and sharded runs produce
@@ -533,21 +537,57 @@ class Engine:
         end: int,
         records: list[DataRecord],
     ) -> tuple[list[DataRecord], list[OperatorStats], bool]:
-        """``operators[index:end]`` fused into one pipelined section."""
+        """``operators[index:end]`` fused into one pipelined section.
+
+        The clock advances online by the growth of the section's pipelined
+        makespan after every cell, and each cell is exported as a span at
+        its *scheduled* position (section origin + the
+        :class:`PipelineSchedule` placement) on a per-stage track, so a
+        trace shows the overlap the makespan accounting charges for.
+        """
         section = operators[index:end]
-        tracer = self.ctx.llm.tracer
-        metrics = self.ctx.llm.metrics
-        label = " | ".join(op.label() for op in section)
-        with tracer.span(
-            f"pipeline[{label}]", kind="pipeline-section", stages=len(section)
-        ) as section_span:
-            outputs, section_stats, truncated = self._run_section(
-                section, records, section_span
-            )
+        ctx = self.ctx
+        clock = ctx.llm.clock
+        tracer = ctx.llm.tracer
+        metrics = ctx.llm.metrics
+        name = ""
         if tracer.enabled:
+            name = f"pipeline[{' | '.join(op.label() for op in section)}]"
+        states = [operator.new_state(ctx) for operator in section]
+        stats = [OperatorStats.start(operator) for operator in section]
+        origin = clock.elapsed
+        charged = 0.0
+
+        def on_cell(stage: int, n_records: int, schedule: PipelineSchedule) -> None:
+            nonlocal charged
+            if tracer.enabled:
+                self.cell_span(
+                    f"{section[stage].label()} b{schedule.batches}", stage,
+                    origin, schedule.last_cell, section_span,
+                    batch=schedule.batches, records=n_records,
+                )
+            if schedule.makespan > charged:
+                clock.advance(schedule.makespan - charged)
+                charged = schedule.makespan
+
+        with tracer.span(
+            name, kind="pipeline-section", stages=len(section)
+        ) as section_span:
+            emitted, schedule, truncated = self.run_section(
+                section, states, stats, RecordBatch(records), self.batch_size, on_cell
+            )
+        outputs = [record for batch in emitted for record in batch.records]
+        if tracer.enabled:
+            section_span.attributes.update(
+                batches=schedule.batches,
+                makespan_s=schedule.makespan,
+                records_in=len(records),
+                records_out=len(outputs),
+                cost_usd=round(sum(s.cost_usd for s in stats), 6),
+            )
             stage_stats = [
                 {"time_s": stage.time_s, **_stats_attrs(stage)}
-                for stage in section_stats
+                for stage in stats
                 if stage.stats_entry is not None
             ]
             if stage_stats:
@@ -556,41 +596,63 @@ class Engine:
             metrics.histogram("engine.section_makespan_s").observe(
                 section_span.duration_s
             )
-        return outputs, section_stats, truncated
+        return outputs, stats, truncated
 
-    def _run_section(
+    def cell_span(
+        self,
+        name: str,
+        stage: int,
+        origin: float,
+        placement: tuple[float, float],
+        parent,
+        shard: int | None = None,
+        **attributes,
+    ) -> None:
+        """Export one scheduled cell: the only place cell spans are made.
+
+        ``placement`` is the cell's (start, end) relative to ``origin``; a
+        section's cells sit on ``stage k`` tracks, a shard worker's on
+        ``shard i stage k``.  Callers check ``tracer.enabled`` first.
+        """
+        track = f"stage {stage}"
+        attributes = {"stage": stage, **attributes}
+        if shard is not None:
+            track = f"shard {shard} {track}"
+            attributes = {"shard": shard, **attributes}
+        self.ctx.llm.tracer.add_span(
+            name, "cell", origin + placement[0], origin + placement[1],
+            track=track, parent=parent, **attributes,
+        )
+
+    def run_section(
         self,
         section: list[StreamingOperator],
-        input_records: list[DataRecord],
-        section_span,
-    ) -> tuple[list[DataRecord], list[OperatorStats], bool]:
-        """Stream ``input_records`` through fused stages in record batches.
+        states: list[dict],
+        stats: list[OperatorStats],
+        batch: RecordBatch,
+        batch_size: int,
+        on_cell,
+    ) -> tuple[list[RecordBatch], PipelineSchedule, bool]:
+        """The one input-batch loop: stream ``batch`` through fused stages.
 
-        Returns (output records, per-stage stats, truncated).  Cells run
-        depth-first per batch; the clock advances online by the growth of
-        the section's pipelined makespan after every cell.  Each cell is
-        also exported as a span at its *scheduled* position (section origin
-        + the :class:`PipelineSchedule` placement) on a per-stage track, so
-        a trace shows the overlap the makespan accounting charges for.
+        ``batch`` is cut into ``batch_size``-row batches (its ``positions``
+        sidecar, if any, rides along) and cells run depth-first per batch
+        on a fresh :class:`PipelineSchedule`; after every cell
+        ``on_cell(stage, records_in, schedule)`` lets the caller place it —
+        a fused section advances the clock and draws the span, a shard
+        worker files it for its segment's ``max(makespans)`` charge.
+        Returns (emitted batches in order, the schedule, truncated); on a
+        budget cut the batch in flight is dropped and the rest kept.
         """
         ctx = self.ctx
-        tracer = ctx.llm.tracer
-        origin = ctx.llm.clock.elapsed
-        states = [operator.new_state(ctx) for operator in section]
-        stats = [OperatorStats.start(operator) for operator in section]
         schedule = PipelineSchedule()
-        charged = 0.0
-        outputs: list[DataRecord] = []
+        emitted: list[RecordBatch] = []
         truncated = False
-        batch_no = 0
 
-        def run_stages(
-            batch: RecordBatch, first_stage: int, ready: float = 0.0
-        ) -> list[DataRecord]:
+        def run_stages(batch: RecordBatch, first_stage: int, ready: float = 0.0) -> None:
             """One batch, available at ``ready``, through stages
-            ``first_stage``.. — returns survivors."""
-            nonlocal truncated, batch_no, charged
-            batch_no += 1
+            ``first_stage``.. — emits the survivors."""
+            nonlocal truncated
             schedule.start_batch(ready)
             for stage in range(first_stage, len(section)):
                 if not len(batch):
@@ -600,30 +662,19 @@ class Engine:
                     section[stage], batch, states[stage], stats[stage]
                 )
                 schedule.record(stage, seconds)
-                if tracer.enabled:
-                    start, end = schedule.last_cell
-                    tracer.add_span(
-                        f"{section[stage].label()} b{batch_no}", "cell",
-                        origin + start, origin + end,
-                        track=f"stage {stage}", parent=section_span,
-                        batch=batch_no, stage=stage, records=n_records,
-                    )
-                if schedule.makespan > charged:
-                    ctx.llm.clock.advance(schedule.makespan - charged)
-                    charged = schedule.makespan
+                on_cell(stage, n_records, schedule)
                 if truncated:
-                    return []
-            return batch.records
+                    return
+            emitted.append(batch)
 
-        for start in range(0, len(input_records), self.batch_size):
-            if truncated:
-                break
+        for start in range(0, len(batch), batch_size):
             # Early-exit pushdown: a sated stage (a filled limit) means no
             # further input batch can change the output — stop scanning.
-            if any(op.sated(state) for op, state in zip(section, states)):
+            if truncated or any(
+                op.sated(state) for op, state in zip(section, states)
+            ):
                 break
-            batch = RecordBatch(input_records[start : start + self.batch_size])
-            outputs.extend(run_stages(batch, 0))
+            run_stages(batch.slice(start, start + batch_size), 0)
 
         # Flush held-back records (e.g. top-k winners) downstream, in stage
         # order so later holdbacks see everything emitted before them.  A
@@ -635,23 +686,10 @@ class Engine:
                 if not held:
                     continue
                 stats[stage].records_out += len(held)
-                outputs.extend(
-                    run_stages(
-                        RecordBatch(held), stage + 1, schedule.stage_finish(stage)
-                    )
-                )
+                run_stages(RecordBatch(held), stage + 1, schedule.stage_finish(stage))
                 if truncated:
                     break
-
-        if tracer.enabled:
-            section_span.attributes.update(
-                batches=batch_no,
-                makespan_s=schedule.makespan,
-                records_in=len(input_records),
-                records_out=len(outputs),
-                cost_usd=round(sum(s.cost_usd for s in stats), 6),
-            )
-        return outputs, stats, truncated
+        return emitted, schedule, truncated
 
     def run_cell(
         self,

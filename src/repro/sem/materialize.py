@@ -243,26 +243,6 @@ def stamp_fingerprints(operators: list, llm_seed: int, scope: str = "") -> None:
         operator.fingerprint = fingerprint
 
 
-def shard_fingerprint(
-    base_fingerprint: str, partitioner: str, n_shards: int, shard_index: int
-) -> str:
-    """Namespace a boundary fingerprint to one shard of a partitioning.
-
-    Per-shard entries are keyed by (boundary, partitioner, shard count,
-    shard index): a shard's output is only replayable by a run that
-    partitions the identical segment input the identical way.  Input
-    *content* drift is still caught by the store's source-uid prefix check
-    — e.g. a range-partitioned source that grew reassigns positions, the
-    stored uids stop being a prefix of the probe's, and the entry goes
-    stale — so no partitioner is unsound, hash is just the only one whose
-    assignments survive appends (and therefore the only one that ever
-    produces per-shard *delta* hits).
-    """
-    return stable_digest(
-        "shard-fp", base_fingerprint, partitioner, n_shards, shard_index
-    )
-
-
 def incremental_safe_prefix(chain: list[L.LogicalOperator]) -> list[bool]:
     """Whether ``chain[:p]`` can merge an appended delta, indexed ``p - 1``.
 
@@ -303,10 +283,6 @@ class MaterializedEntry:
     time_s: float = 0.0
     hits: int = 0
     delta_hits: int = 0
-    #: Records emitted per input, aligned with ``source_uids`` (None =
-    #: unknown).  Per-shard entries need this to re-place replayed records
-    #: at their global positions; whole-plan entries never use it.
-    emit_counts: tuple[int, ...] | None = None
 
 
 @dataclass
@@ -369,7 +345,6 @@ class MaterializationStore:
         source_id: str,
         cost_usd: float,
         time_s: float,
-        emit_counts: tuple[int, ...] | None = None,
         content_version: int = 0,
     ) -> MaterializedEntry:
         previous = self._entries.pop(fingerprint, None)
@@ -383,7 +358,6 @@ class MaterializationStore:
             time_s=time_s,
             hits=previous.hits if previous else 0,
             delta_hits=previous.delta_hits if previous else 0,
-            emit_counts=tuple(emit_counts) if emit_counts is not None else None,
         )
         self._entries[fingerprint] = entry
         self.stores += 1
@@ -516,18 +490,17 @@ class MaterializationStore:
                 json.dumps(records)
             except (TypeError, ValueError):
                 continue
-            item = {
-                "fingerprint": entry.fingerprint,
-                "records": records,
-                "source_uids": list(entry.source_uids),
-                "source_id": entry.source_id,
-                "content_version": entry.content_version,
-                "cost_usd": entry.cost_usd,
-                "time_s": entry.time_s,
-            }
-            if entry.emit_counts is not None:
-                item["emit_counts"] = list(entry.emit_counts)
-            payload.append(item)
+            payload.append(
+                {
+                    "fingerprint": entry.fingerprint,
+                    "records": records,
+                    "source_uids": list(entry.source_uids),
+                    "source_id": entry.source_id,
+                    "content_version": entry.content_version,
+                    "cost_usd": entry.cost_usd,
+                    "time_s": entry.time_s,
+                }
+            )
         Path(path).write_text(
             json.dumps({"version": FINGERPRINT_VERSION, "entries": payload}),
             encoding="utf-8",
@@ -542,18 +515,22 @@ class MaterializationStore:
         (save order = LRU order, last entry most recent) is dropped on the
         floor and counted as evictions — the bound is never exceeded, even
         transiently, and doomed records are never deserialized.
+
+        Files written before reuse became one optimizer decision also hold
+        per-shard entries (marked by an ``emit_counts`` key) that no probe
+        can match any more; they are dropped here, counted as evictions.
         """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if payload.get("version") != FINGERPRINT_VERSION:
             return 0
-        entries = payload.get("entries", [])
-        overflow = max(0, len(entries) - self.max_entries)
-        if overflow:
-            self.evictions += overflow
-            self._count("materialization.evictions", overflow)
-        loaded = 0
-        for raw in entries[overflow:]:
-            emit_counts = raw.get("emit_counts")
+        saved = payload.get("entries", [])
+        entries = [raw for raw in saved if "emit_counts" not in raw]
+        entries = entries[max(0, len(entries) - self.max_entries) :]
+        dropped = len(saved) - len(entries)
+        if dropped:
+            self.evictions += dropped
+            self._count("materialization.evictions", dropped)
+        for raw in entries:
             self.put(
                 raw["fingerprint"],
                 [_record_from_dict(item) for item in raw["records"]],
@@ -561,11 +538,9 @@ class MaterializationStore:
                 raw["source_id"],
                 cost_usd=raw["cost_usd"],
                 time_s=raw["time_s"],
-                emit_counts=tuple(emit_counts) if emit_counts is not None else None,
                 content_version=raw.get("content_version", 0),
             )
-            loaded += 1
-        return loaded
+        return len(entries)
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None and amount:

@@ -426,13 +426,19 @@ class Optimizer:
     ) -> None:
         """Swap the longest fingerprint-matched prefix of ``bound`` for a replay.
 
-        Stamps every operator with its boundary fingerprint and leaves a
-        :class:`CapturePlan` on the report so the engine materializes this
-        run's own boundaries, then probes the store longest-prefix first.
-        An exact hit replays for free; a delta hit also runs the appended
-        records through the replaced prefix, which can never cost more
-        than recomputing (the delta is a subset of the source).  ``bound``
-        is edited in place — the sharding pass sees the spliced list.
+        The one reuse decision, at every shard count and partitioner: no
+        executor probes the store.  Stamps every operator with its
+        boundary fingerprint and leaves a :class:`CapturePlan` on the
+        report so the engine materializes this run's own boundaries, then
+        probes the store longest-prefix first.  An exact hit replays for
+        free; a delta hit also runs the appended records through the
+        matched prefix, which can never cost more than recomputing (the
+        delta is a subset of the source).  ``bound`` is edited in place —
+        the sharding pass sees the spliced list — in one of the two shapes
+        :class:`~repro.sem.physical.PhysMaterializedScan` documents: the
+        compact replay leaf, or, for a delta that will be sharded, the
+        prefix kept in the plan over the appended tail with the replay
+        gathering behind it.
         """
         config = self.config
         store = config.materialization_store
@@ -463,9 +469,7 @@ class Optimizer:
             if kind == "exact":
                 delta = []
                 break
-            # Whole-boundary delta stays unsharded: a sharded run's delta
-            # mechanism is per shard, inside its scatter segments.
-            if kind == "delta" and safe[length - 1] and config.shards == 1:
+            if kind == "delta" and safe[length - 1]:
                 delta = source_records[len(entry.source_uids):]
                 break
         else:
@@ -480,15 +484,26 @@ class Optimizer:
             base_records=len(entry.records),
             delta_records=len(delta),
         )
-        replay = P.PhysMaterializedScan(
-            materialized, entry=entry, prefix=bound[:length], delta_records=delta
-        )
+        if delta and config.shards > 1:
+            # Expanded: the prefix scans only the appended tail, which the
+            # sharding pass scatters like any other input; its own
+            # boundaries now carry delta-only records, so none may capture.
+            replay = P.PhysMaterializedScan(materialized, entry=entry)
+            replay.exchange = "gather"
+            bound[0].skip = len(entry.source_uids)
+            for operator in bound[:length]:
+                operator.fingerprint = None
+            bound.insert(length, replay)
+        else:
+            replay = P.PhysMaterializedScan(
+                materialized, entry=entry, prefix=bound[:length], delta_records=delta
+            )
+            bound[:length] = [replay]
         # The replay boundary keeps the prefix fingerprint: a fault-free run
         # re-puts the (possibly delta-merged) records, carrying the entry's
         # measured cost so the updated entry stays an honest recompute
         # estimate.
         replay.fingerprint = fingerprint
-        bound[:length] = [replay]
         capture.carried_cost_usd = entry.cost_usd
         capture.carried_time_s = entry.time_s
 

@@ -6,7 +6,9 @@ charging the simulated LLM for every semantic call.  The engine (see
 statistics.
 
 There is one definition per operator.  Whole-input operators (scans,
-retrieve, group-by, joins, aggregations) implement ``execute``.
+retrieve, group-by, joins, aggregations) implement ``execute``; the ones
+the sharded executor spreads over workers (group-by, joins) write it as
+their per-partition phases applied to the one whole-input partition.
 *Streamable* operators (:class:`StreamingOperator`) implement exactly one
 of two methods and never ``execute``: LLM operators implement
 ``process_record`` and the base class lifts it to a batch once — the
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, TypeVar
 
 from repro.data.records import DataRecord
@@ -263,7 +266,7 @@ class StreamingOperator(PhysicalOperator):
         return {}
 
     def prepare_batch(
-        self, records: list[DataRecord], ctx: ExecutionContext, state: dict
+        self, batch: RecordBatch, ctx: ExecutionContext, state: dict
     ) -> None:
         """Batch-level vectorized work (e.g. one embedding request per batch)."""
 
@@ -291,7 +294,7 @@ class StreamingOperator(PhysicalOperator):
         rows = batch.records
         tracker = ctx.llm.tracker
         metrics = ctx.llm.metrics
-        self.prepare_batch(rows, ctx, state)
+        self.prepare_batch(batch, ctx, state)
         emitted: list[list[DataRecord]] = [[] for _ in rows]
         pending = list(enumerate(rows))
         for attempt in range(2):
@@ -340,28 +343,52 @@ class StreamingOperator(PhysicalOperator):
         """True once this operator can never emit more records (early exit)."""
         return False
 
+    def partial(self, emitted: RecordBatch, state: dict) -> list[tuple]:
+        """What a shard worker hands back when this is its last stage: each
+        emitted record under a merge key — by default its global position."""
+        return list(zip(emitted.positions, emitted.records))
+
+    def merge(self, partials: list[tuple]) -> list[DataRecord]:
+        """Every worker's :meth:`partial` pairs -> the whole-input output:
+        ascending key order (``exchange = "merge"`` operators then cut)."""
+        return [record for _, record in sorted(partials, key=itemgetter(0))]
+
 
 class PhysScan(PhysicalOperator):
     logical_op: L.ScanOp
     exchange = "source"
 
+    #: Leading source records to leave out: an expanded delta replay (see
+    #: :class:`PhysMaterializedScan`) scans only the appended tail.
+    skip = 0
+
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
         if records:
             raise ExecutionError("scan is a leaf; it takes no input records")
-        return list(self.logical_op.source.iterate())
+        return list(self.logical_op.source.iterate())[self.skip :]
 
 
 class PhysMaterializedScan(PhysicalOperator):
     """Replay a materialized prefix; merge an appended source delta.
 
-    The stored records are returned as-is (zero LLM cost).  When the source
-    grew since materialization, only the appended ``delta_records`` run
-    through ``prefix`` — the bound operators this replay stands in for,
-    the leaf's scan excluded — and the survivors are appended.  This
-    matches a full recompute exactly because delta merging is only offered
-    for order-preserving record-local prefixes (see
-    :data:`repro.sem.materialize.INCREMENTAL_SAFE_OPS`) and appended source
-    records sit at the tail of the scan order.
+    The stored records come first, as-is (zero LLM cost), and the appended
+    delta's survivors follow.  This matches a full recompute exactly
+    because delta merging is only offered for order-preserving record-local
+    prefixes (see :data:`repro.sem.materialize.INCREMENTAL_SAFE_OPS`) and
+    appended source records sit at the tail of the scan order.  The
+    optimizer binds it in one of two shapes:
+
+    - *compact* (every exact hit, and an unsharded delta): a leaf standing
+      in for the whole prefix; ``delta_records`` run through ``prefix`` —
+      the bound operators it replaced, the leaf's scan excluded — right
+      here.  The unsharded engine keeps it because a standing tick is too
+      small to pay for extra cells (``standing_ticks`` ``op_ms_p50`` +19 %
+      when expanded).
+    - *expanded* (a sharded delta): the prefix stays in the plan ahead of
+      it, its leaf scanning only the appended tail (``skip``), so the
+      sharding pass scatters the delta like any other input and this
+      operator — ``exchange = "gather"`` on the instance — prepends the
+      stored records to whatever arrives.
     """
 
     reused = True
@@ -382,8 +409,6 @@ class PhysMaterializedScan(PhysicalOperator):
         self.delta_records = list(delta_records)
 
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
-        if records:
-            raise ExecutionError("materialized scan is a leaf; it takes no input records")
         output = list(self.entry.records)
         if self.delta_records:
             delta = list(self.delta_records)
@@ -395,6 +420,7 @@ class PhysMaterializedScan(PhysicalOperator):
             for op in [*getattr(leaf, "pushed", ()), *rest]:
                 delta = op.execute(delta, ctx)
             output.extend(delta)
+        output.extend(records)
         return output
 
 
@@ -497,185 +523,88 @@ class PhysSemClassify(StreamingOperator):
 class PhysSemGroupBy(PhysicalOperator):
     """Classify-then-partition implementation of the semantic group-by.
 
-    Split into two independently-callable phases so the sharded executor
-    can scatter :meth:`classify_label` across partitions and shuffle each
-    label's members to an owner shard for :meth:`build_group`; both phases
-    are pure functions of (record, substrate), so the split changes
-    nothing about the answers.
+    Two per-partition phases, both pure functions of (records, substrate):
+    :meth:`classify_partition` labels any partition of the input and
+    :meth:`build_groups` mints the records of any set of groups whose
+    members are complete and in input order.  ``execute`` is the two over
+    the one whole-input partition; the sharded executor scatters the first
+    and runs the second once per owner shard, so the split changes nothing
+    about the answers.
     """
 
     logical_op: L.SemGroupByOp
     exchange = "shuffle"
 
-    def classify_label(
-        self, record: DataRecord, ctx: ExecutionContext
-    ) -> str | None:
-        """Assign ``record`` its group label; None means degraded."""
+    def classify_partition(
+        self, records: list[DataRecord], ctx: ExecutionContext
+    ) -> list[str | None]:
+        """One label per record of a partition; None means degraded (the
+        record is flagged and stays ungrouped)."""
         op = self.logical_op
         model = self.model or op.model
-        result = ctx.guarded(
-            record.uid, model, "groupby", ctx.llm.classify,
-            op.instruction, list(op.groups), record,
-        )
-        if result is None:
-            return None
-        return str(result.value)
+        labels: list[str | None] = []
+        with ctx.llm.parallel(ctx.wave_width()):
+            for record in records:
+                result = ctx.guarded(
+                    record.uid, model, "groupby", ctx.llm.classify,
+                    op.instruction, list(op.groups), record,
+                )
+                labels.append(None if result is None else str(result.value))
+        return labels
 
-    def build_group(
-        self, group: str, members: list[DataRecord], ctx: ExecutionContext
-    ) -> DataRecord:
-        """Mint the output record for one non-empty group."""
+    def build_groups(
+        self, members: dict[str, list[DataRecord]], ctx: ExecutionContext
+    ) -> dict[str, DataRecord]:
+        """One output record per non-empty group, in declared group order."""
         from repro.sem.config import DEFAULT_FALLBACK_MODEL
 
         op = self.logical_op
         model = self.model or op.model
-        fields: dict = {"group": group, "count": len(members)}
-        if op.summarize:
-            joined_text = "\n---\n".join(
-                member.as_text() for member in members
-            )[:AGG_TEXT_BUDGET]
-            completion = ctx.guarded(
-                f"group:{group}",
-                model or DEFAULT_FALLBACK_MODEL,
-                "groupby",
-                ctx.llm.complete,
-                f"Summarize the records in group {group!r}: "
-                f"{op.instruction}\n\n{joined_text}",
-            )
-            fields["summary"] = completion.text if completion is not None else None
-        member_uids = tuple(member.uid for member in members)
-        return DataRecord(
-            fields=fields,
-            # Deterministic group-record uid: pure function of the
-            # label and membership, identical across execution modes.
-            uid=f"group:{group}:{stable_digest(member_uids)[:6]}",
-            parent_uids=member_uids,
-        )
-
-    def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
-        op = self.logical_op
-        groups: dict[str, list[DataRecord]] = {}
-        with ctx.llm.parallel(ctx.parallelism):
-            for record in records:
-                label = self.classify_label(record, ctx)
-                if label is None:
-                    continue  # degraded: record is flagged and ungrouped
-                groups.setdefault(label, []).append(record)
-
-        output: list[DataRecord] = []
+        built: dict[str, DataRecord] = {}
         for group in op.groups:
-            members = groups.get(group, [])
-            if not members:
+            rows = members.get(group)
+            if not rows:
                 continue
-            output.append(self.build_group(group, members, ctx))
-        return output
-
-
-class PhysSemJoinBlocked(PhysicalOperator):
-    """Embedding-blocked semantic join.
-
-    Classic blocking applied to LLM joins: pairs are pre-screened by
-    embedding similarity and only the most promising candidates are sent
-    to the model for judgment.  Cuts the O(n*m) judgment cost at a small
-    recall risk (pairs below the similarity floor are never judged).
-    """
-
-    logical_op: L.SemJoinOp
-    exchange = "broadcast"
-
-    def __init__(
-        self,
-        logical_op: L.SemJoinOp,
-        right_ops: "list[PhysicalOperator]",
-        model: str | None = None,
-        similarity_floor: float = 0.10,
-        max_candidates_per_left: int = 8,
-    ) -> None:
-        super().__init__(logical_op, model)
-        self.right_ops = right_ops
-        self.similarity_floor = similarity_floor
-        self.max_candidates_per_left = max_candidates_per_left
-
-    def label(self) -> str:
-        return super().label() + " (blocked)"
-
-    def prepare_right(self, ctx: ExecutionContext, have_left: bool = True) -> dict:
-        """Run the right subplan once; embed it when a probe side exists.
-
-        Coordinator-side in sharded mode: the right records (and their
-        embedding matrix) are broadcast to every shard rather than
-        recomputed per shard.
-        """
-        right_records: list[DataRecord] = []
-        for op in self.right_ops:
-            right_records = op.execute(right_records, ctx)
-        state: dict = {"right_records": right_records, "right_matrix": None}
-        if have_left and right_records:
-            state["right_matrix"] = np.stack(
-                _embed_texts(
-                    [record.as_text() for record in right_records],
-                    ctx, f"{ctx.tag}:join",
+            fields: dict = {"group": group, "count": len(rows)}
+            if op.summarize:
+                joined_text = "\n---\n".join(
+                    member.as_text() for member in rows
+                )[:AGG_TEXT_BUDGET]
+                completion = ctx.guarded(
+                    f"group:{group}",
+                    model or DEFAULT_FALLBACK_MODEL,
+                    "groupby",
+                    ctx.llm.complete,
+                    f"Summarize the records in group {group!r}: "
+                    f"{op.instruction}\n\n{joined_text}",
                 )
+                fields["summary"] = completion.text if completion is not None else None
+            member_uids = tuple(member.uid for member in rows)
+            built[group] = DataRecord(
+                fields=fields,
+                # Deterministic group-record uid: pure function of the
+                # label and membership, identical across execution modes.
+                uid=f"group:{group}:{stable_digest(member_uids)[:6]}",
+                parent_uids=member_uids,
             )
-        return state
-
-    def join_left(
-        self,
-        left: DataRecord,
-        ctx: ExecutionContext,
-        right_state: dict,
-        left_vec=None,
-    ) -> list[DataRecord]:
-        """Judge one left record against its blocked candidates."""
-        right_records = right_state["right_records"]
-        right_matrix = right_state["right_matrix"]
-        model = self.model or self.logical_op.model
-        if left_vec is None:
-            left_vec = ctx.llm.embed(left.as_text(), tag=f"{ctx.tag}:join")
-        hits = top_k_similar(left_vec, right_matrix, self.max_candidates_per_left)
-        joined: list[DataRecord] = []
-        for index, similarity in hits:
-            if similarity < self.similarity_floor:
-                break  # hits are sorted descending
-            right = right_records[index]
-            judgment = ctx.guarded(
-                f"{left.uid}|{right.uid}", model, "join", ctx.llm.judge_join,
-                self.logical_op.instruction, left, right,
-            )
-            if judgment is not None and judgment.answer:
-                joined.append(DataRecord.merge(left, right))
-        return joined
+        return built
 
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
-        right_state = self.prepare_right(ctx, have_left=bool(records))
-        if not records or not right_state["right_records"]:
-            return []
-        tag = f"{ctx.tag}:join"
-        # Vectorized path: one batched request for every left vector before
-        # the judgment waves, instead of one embed call inside each slot.
-        left_vectors = (
-            _embed_texts([left.as_text() for left in records], ctx, tag)
-            if ctx.embed_batch_size > 1
-            else None
-        )
-        joined: list[DataRecord] = []
-        with ctx.llm.parallel(ctx.parallelism):
-            for position, left in enumerate(records):
-                joined.extend(
-                    self.join_left(
-                        left, ctx, right_state,
-                        left_vec=(
-                            left_vectors[position]
-                            if left_vectors is not None
-                            else None
-                        ),
-                    )
-                )
-        return joined
+        members: dict[str, list[DataRecord]] = {}
+        for label, record in zip(self.classify_partition(records, ctx), records):
+            if label is not None:
+                members.setdefault(label, []).append(record)
+        return list(self.build_groups(members, ctx).values())
 
 
 class PhysSemJoin(PhysicalOperator):
-    """Nested-loop semantic join: one judgment per candidate pair."""
+    """Nested-loop semantic join: one judgment per candidate pair.
+
+    ``execute`` is :meth:`probe_partition` over the whole left input
+    against :meth:`prepare_right`; the sharded executor prepares once at
+    the coordinator (the broadcast side) and probes one partition per
+    shard.
+    """
 
     logical_op: L.SemJoinOp
     exchange = "broadcast"
@@ -696,13 +625,13 @@ class PhysSemJoin(PhysicalOperator):
             right_records = op.execute(right_records, ctx)
         return {"right_records": right_records}
 
-    def join_left(
-        self, left: DataRecord, ctx: ExecutionContext, right_state: dict
+    def judge_pairs(
+        self, left: DataRecord, rights: list[DataRecord], ctx: ExecutionContext
     ) -> list[DataRecord]:
-        """Judge one left record against every right record."""
+        """One judgment per (left, right) candidate; the pairs that join."""
         model = self.model or self.logical_op.model
         joined: list[DataRecord] = []
-        for right in right_state["right_records"]:
+        for right in rights:
             judgment = ctx.guarded(
                 f"{left.uid}|{right.uid}", model, "join", ctx.llm.judge_join,
                 self.logical_op.instruction, left, right,
@@ -711,13 +640,110 @@ class PhysSemJoin(PhysicalOperator):
                 joined.append(DataRecord.merge(left, right))
         return joined
 
+    def probe_partition(
+        self, records: list[DataRecord], ctx: ExecutionContext, right_state: dict
+    ) -> list[list[DataRecord]]:
+        """Join a partition of left records against a prepared right side.
+
+        Returns one emit list per left record, so a caller that scattered
+        the left side can restore its order.
+        """
+        rights = right_state["right_records"]
+        with ctx.llm.parallel(ctx.wave_width()):
+            return [self.judge_pairs(left, rights, ctx) for left in records]
+
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
-        right_state = self.prepare_right(ctx)
-        joined: list[DataRecord] = []
-        with ctx.llm.parallel(ctx.parallelism):
-            for left in records:
-                joined.extend(self.join_left(left, ctx, right_state))
-        return joined
+        right_state = self.prepare_right(ctx, have_left=bool(records))
+        return [
+            record
+            for joined in self.probe_partition(records, ctx, right_state)
+            for record in joined
+        ]
+
+
+class PhysSemJoinBlocked(PhysSemJoin):
+    """Embedding-blocked semantic join.
+
+    Classic blocking applied to LLM joins: pairs are pre-screened by
+    embedding similarity and only the most promising candidates are sent
+    to the model for judgment.  Cuts the O(n*m) judgment cost at a small
+    recall risk (pairs below the similarity floor are never judged).
+    """
+
+    def __init__(
+        self,
+        logical_op: L.SemJoinOp,
+        right_ops: "list[PhysicalOperator]",
+        model: str | None = None,
+        similarity_floor: float = 0.10,
+        max_candidates_per_left: int = 8,
+    ) -> None:
+        super().__init__(logical_op, right_ops, model)
+        self.similarity_floor = similarity_floor
+        self.max_candidates_per_left = max_candidates_per_left
+
+    def label(self) -> str:
+        return super().label() + " (blocked)"
+
+    def prepare_right(self, ctx: ExecutionContext, have_left: bool = True) -> dict:
+        """Run the right subplan once; embed it when a probe side exists.
+
+        Coordinator-side in sharded mode: the right records (and their
+        embedding matrix) are broadcast to every shard rather than
+        recomputed per shard.
+        """
+        state = super().prepare_right(ctx)
+        right_records = state["right_records"]
+        state["right_matrix"] = None
+        if have_left and right_records:
+            state["right_matrix"] = np.stack(
+                _embed_texts(
+                    [record.as_text() for record in right_records],
+                    ctx, f"{ctx.tag}:join",
+                )
+            )
+        return state
+
+    def join_left(
+        self,
+        left: DataRecord,
+        ctx: ExecutionContext,
+        right_state: dict,
+        left_vec=None,
+    ) -> list[DataRecord]:
+        """Judge one left record against its blocked candidates."""
+        right_records = right_state["right_records"]
+        if left_vec is None:
+            left_vec = ctx.llm.embed(left.as_text(), tag=f"{ctx.tag}:join")
+        hits = top_k_similar(
+            left_vec, right_state["right_matrix"], self.max_candidates_per_left
+        )
+        candidates = [
+            right_records[index]
+            for index, similarity in hits
+            if similarity >= self.similarity_floor
+        ]
+        return self.judge_pairs(left, candidates, ctx)
+
+    def probe_partition(
+        self, records: list[DataRecord], ctx: ExecutionContext, right_state: dict
+    ) -> list[list[DataRecord]]:
+        if not records or right_state["right_matrix"] is None:
+            return [[] for _ in records]
+        # Vectorized path: one batched request for every left vector before
+        # the judgment waves, instead of one embed call inside each slot.
+        left_vectors = (
+            _embed_texts(
+                [left.as_text() for left in records], ctx, f"{ctx.tag}:join"
+            )
+            if ctx.embed_batch_size > 1
+            else [None] * len(records)
+        )
+        with ctx.llm.parallel(ctx.wave_width()):
+            return [
+                self.join_left(left, ctx, right_state, left_vec)
+                for left, left_vec in zip(records, left_vectors)
+            ]
 
 
 class PhysSemAgg(PhysicalOperator):
@@ -756,7 +782,9 @@ class PhysSemTopK(StreamingOperator):
     Streams: every record is scored (and, for ``method="llm"``, judged) as
     it arrives, held back, and the top ``k`` are emitted at stream end.
     The relevance judgment partitions candidates; the embedding score
-    breaks ties within each partition, then arrival order.
+    breaks ties within each partition, then input position (:meth:`_rank`).
+    Sharded, each worker keeps its own top ``k`` and the coordinator
+    re-ranks the union by the same key.
     """
 
     logical_op: L.SemTopKOp
@@ -765,22 +793,31 @@ class PhysSemTopK(StreamingOperator):
     def new_state(self, ctx: ExecutionContext) -> dict:
         return {
             "scored": {},
-            "sims": {},
+            "pending": {},
             "arrivals": 0,
             "ask": f"The record is relevant to: {self.logical_op.query}",
         }
 
     def prepare_batch(
-        self, records: list[DataRecord], ctx: ExecutionContext, state: dict
+        self, batch: RecordBatch, ctx: ExecutionContext, state: dict
     ) -> None:
+        records = batch.records
         if not records:
             return
         tag = f"{ctx.tag}:topk"
         if "query_vec" not in state:
             state["query_vec"] = ctx.llm.embed(self.logical_op.query, tag=tag)
         vectors = _embed_texts([record.as_text() for record in records], ctx, tag)
-        for record, vector in zip(records, vectors):
-            state["sims"][record.uid] = cosine_similarity(state["query_vec"], vector)
+        # A record's place in the input: its tracked (global) position when
+        # the batch carries one, else its arrival slot.
+        positions = batch.positions
+        if positions is None:
+            positions = range(state["arrivals"], state["arrivals"] + len(records))
+        state["arrivals"] += len(records)
+        for record, vector, position in zip(records, vectors, positions):
+            state["pending"][record.uid] = (
+                cosine_similarity(state["query_vec"], vector), position,
+            )
 
     def process_record(
         self, record: DataRecord, ctx: ExecutionContext, state: dict
@@ -788,14 +825,12 @@ class PhysSemTopK(StreamingOperator):
         op = self.logical_op
         previous = state["scored"].get(record.uid)
         if previous is None:
-            similarity = state["sims"].pop(record.uid)
-            arrival = state["arrivals"]
-            state["arrivals"] += 1
+            similarity, position = state["pending"].pop(record.uid)
         else:
             # Resubmission after a withdrawn rate-limit failure: replace the
-            # degraded judgment, keeping the original score and arrival slot
-            # so the ranking matches a fault-free run.
-            _, similarity, arrival, _ = previous
+            # degraded judgment, keeping the original score and position so
+            # the ranking matches a fault-free run.
+            _, similarity, position, _ = previous
         relevant = 1
         if op.method == "llm":
             model = self.model or op.model
@@ -804,14 +839,29 @@ class PhysSemTopK(StreamingOperator):
             )
             # A degraded judgment falls back to the embedding score.
             relevant = 1 if (judgment is not None and judgment.answer) else 0
-        state["scored"][record.uid] = (relevant, similarity, arrival, record)
+        state["scored"][record.uid] = (relevant, similarity, position, record)
         return []
 
+    @staticmethod
+    def _rank(scored: tuple) -> tuple:
+        """The ranking key, written once: ascending order is best first.
+
+        The lineage uid breaks (impossible-by-construction) residual ties
+        between records sharing a position.
+        """
+        relevant, similarity, position, record = scored
+        return (-relevant, -similarity, position, record.uid)
+
     def finalize(self, ctx: ExecutionContext, state: dict) -> list[DataRecord]:
-        ranked = sorted(
-            state["scored"].values(), key=lambda item: (-item[0], -item[1], item[2])
-        )
-        return [record for _, _, _, record in ranked[: self.logical_op.k]]
+        ranked = sorted(state["scored"].values(), key=self._rank)
+        return [record for *_, record in ranked[: self.logical_op.k]]
+
+    def partial(self, emitted: RecordBatch, state: dict) -> list[tuple]:
+        scored = state["scored"]
+        return [(self._rank(scored[record.uid]), record) for record in emitted.records]
+
+    def merge(self, partials: list[tuple]) -> list[DataRecord]:
+        return super().merge(partials)[: self.logical_op.k]
 
 
 class PhysPyFilter(StreamingOperator):
@@ -864,6 +914,10 @@ class PhysLimit(StreamingOperator):
         take = max(0, min(state["remaining"], len(batch)))
         state["remaining"] -= take
         return batch.head(take)
+
+    def merge(self, partials: list[tuple]) -> list[DataRecord]:
+        # Each worker over-fetched up to its own limit: head-n by position.
+        return super().merge(partials)[: self.logical_op.n]
 
 
 class PhysStructFilter(StreamingOperator):
@@ -941,6 +995,8 @@ class PhysSqlScan(PhysicalOperator):
     logical_op: L.SqlScanOp
     exchange = "source"
     pushed_down = True
+    #: As :attr:`PhysScan.skip`; ``scanned`` then counts the tail only.
+    skip = 0
 
     def __init__(self, logical_op: L.SqlScanOp) -> None:
         super().__init__(logical_op, None)
@@ -955,7 +1011,7 @@ class PhysSqlScan(PhysicalOperator):
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
         if records:
             raise ExecutionError("sql scan is a leaf; it takes no input records")
-        current = list(self.logical_op.source.iterate())
+        current = list(self.logical_op.source.iterate())[self.skip :]
         self.scanned = len(current)
         for operator in self.pushed:
             current = operator.execute(current, ctx)

@@ -23,14 +23,18 @@ The executor is a *step provider* for the engine's one driver loop
 (:meth:`~repro.sem.execution.Engine.drive`): global segments are the
 engine's own operator step, the other kinds are exchange steps defined
 here, and budget checks, truncation, boundary capture and result assembly
-stay in the loop.  Whole-boundary replay is not here either: the
-optimizer splices a materialized prefix in before the sharding pass, so
-the segments are planned over the list that actually runs.  Shard
-workers put batches through the engine's one cell runner
-(:meth:`~repro.sem.execution.Engine.run_cell`), so a sharded cell is the
-same vectorized kernel or adaptive-width wave as an unsharded one; each
-batch carries its rows' global positions in the ``RecordBatch.positions``
-sidecar.
+stay in the loop.  It only *places, measures and charges*: what runs on a
+shard is the operator's own code.  A scatter worker is the engine's one
+section loop (:meth:`~repro.sem.execution.Engine.run_section`) over its
+partition — the same vectorized kernels, adaptive-width waves, sated
+check and holdback flush as an unsharded section, each batch carrying its
+rows' global positions in the ``RecordBatch.positions`` sidecar — and the
+last stage says what the worker hands back and how the coordinator
+combines it (``partial`` / ``merge``: by position, head-n for a limit,
+re-ranked for a top-k).  Shuffle and broadcast run the group-by's and the
+joins' own per-partition phases (``classify_partition`` / ``build_groups``,
+``prepare_right`` / ``probe_partition``), the very methods their
+``execute`` is made of.
 
 Workers are *simulated*: each shard's cells are measured steps (seconds
 captured, not spent) on its own
@@ -55,17 +59,14 @@ before the global truncation (the classic distributed limit-pushdown
 overfetch), so such plans may spend more when sharded — never produce
 different records.
 
-Materialization composes with partitioning through per-shard
-fingerprints (:func:`~repro.sem.materialize.shard_fingerprint`): pure
-scatter segments capture one store entry per shard keyed by (the
-fingerprint their last operator carries, partitioner, shard count, shard
-index), with per-input emit counts so a replay can re-place records at
-their global positions; these per-shard entries are the sharded *delta*
-mechanism and are probed by the workers themselves.  Hash
-partitioning keeps shard assignments stable under append-only source
-growth, so per-shard *delta* execution runs only each shard's appended
-tail; range/round-robin assignments shift on append and their stale
-entries are invalidated by the store's source-uid prefix check.
+Materialization is not this module's business: the optimizer decides
+reuse once, before the sharding pass, and executors never probe the
+store.  An exact hit arrives as a replay leaf (a global segment); an
+appended-source delta arrives *expanded* — the prefix operators still in
+the plan, their leaf scanning only the appended tail, followed by a
+gather-side replay that prepends the stored records — so the tail is
+scattered like any other input, under every partitioner, and the
+engine's driver loop captures the merged boundary whole.
 
 ``shards=1`` never constructs any of this — the config gates the pass,
 so an unsharded run walks only the engine's own steps.
@@ -74,20 +75,14 @@ so an unsharded run walks only the engine's own steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
+from operator import itemgetter
 
 from repro.data.records import DataRecord
 from repro.errors import OptimizationError
 from repro.sem.batch import RecordBatch
 from repro.sem.execution import OperatorStats, measured_step
-from repro.sem.materialize import shard_fingerprint
-from repro.sem.physical import (
-    PhysicalOperator,
-    PhysLimit,
-    PhysSemJoinBlocked,
-    PhysSemTopK,
-    _embed_texts,
-)
-from repro.utils.clock import PipelineSchedule
+from repro.sem.physical import PhysicalOperator
 from repro.utils.hashing import stable_hash
 
 #: Supported partitioning strategies for scatter/shuffle exchanges.
@@ -99,9 +94,9 @@ def shard_of(
 ) -> int:
     """Which shard one record lands on under ``partitioner``.
 
-    ``hash`` keys on the record uid (the only assignment stable under
-    append-only source growth); ``range`` cuts the input into contiguous
-    position chunks; ``round_robin`` deals positions out cyclically.
+    ``hash`` keys on the record uid alone, whatever its position;
+    ``range`` cuts the input into contiguous position chunks;
+    ``round_robin`` deals positions out cyclically.
     """
     if partitioner == "hash":
         return stable_hash("shard", uid) % n_shards
@@ -182,10 +177,6 @@ class ShardSegment:
     moved_records: int = 0
     #: Record transfers the rejected alternative would have performed.
     cost_alternative: int = 0
-    #: Shards served entirely from per-shard materialized entries.
-    replayed_shards: int = 0
-    #: Shards that ran only their appended delta tail.
-    delta_shards: int = 0
 
 
 @dataclass
@@ -195,15 +186,6 @@ class ShardPlan:
     n_shards: int
     partitioner: str
     segments: list[ShardSegment] = field(default_factory=list)
-
-    @property
-    def reused_any(self) -> bool:
-        """True when a per-shard replay (exact or delta) fed this run —
-        gates statistics ingestion like ``report.reused_prefix``."""
-        return any(
-            segment.replayed_shards or segment.delta_shards
-            for segment in self.segments
-        )
 
     def describe(self) -> str:
         parts = []
@@ -313,11 +295,6 @@ def exchange_footer(plan: ShardPlan) -> str:
                 f" (rejected {segment.alternative}: "
                 f"{segment.cost_alternative} transfers)"
             )
-        if segment.replayed_shards or segment.delta_shards:
-            line += (
-                f"; reuse: {segment.replayed_shards} shard(s) replayed, "
-                f"{segment.delta_shards} delta"
-            )
         lines.append(line)
     return "".join(lines)
 
@@ -327,8 +304,9 @@ class ShardedExecutor:
 
     Constructed (and dispatched to) by :meth:`Engine.execute` when a
     :class:`ShardPlan` is attached.  It only supplies steps to the
-    engine's driver loop and runs its cells through the engine's cell
-    runner, so everything except worker placement behaves identically.
+    engine's driver loop, and every step only places records on shards,
+    measures what the operators' own methods spend there and charges the
+    clock for N parallel workers.
     """
 
     def __init__(self, engine, plan: ShardPlan) -> None:
@@ -351,10 +329,6 @@ class ShardedExecutor:
             return segment.end, self.engine.operator_step
         return segment.end, self._exchange_step
 
-    # ------------------------------------------------------------------
-    # Exchange steps
-    # ------------------------------------------------------------------
-
     def _exchange_step(
         self,
         operators: list[PhysicalOperator],
@@ -363,24 +337,21 @@ class ShardedExecutor:
         records: list[DataRecord],
     ):
         segment = self._segment_at[index]
+        section = operators[index:end]
         tracer = self.ctx.llm.tracer
-        label = " | ".join(op.label() for op in operators[index:end])
+        name = ""
+        if tracer.enabled:
+            name = f"exchange[{' | '.join(op.label() for op in section)}]"
         with tracer.span(
-            f"exchange[{label}]", kind="exchange",
+            name, kind="exchange",
             strategy=segment.strategy, shards=self.plan.n_shards,
             partitioner=self.plan.partitioner,
         ) as segment_span:
-            if segment.kind == "scatter":
-                out = self._run_scatter(segment, operators, records, segment_span)
-            elif segment.kind == "shuffle":
-                out = self._run_shuffle(
-                    segment, operators[index], records, segment_span
-                )
-            else:
-                out = self._run_broadcast(
-                    segment, operators[index], records, segment_span
-                )
-            merged, segment_stats, truncated = out
+            # _run_scatter / _run_shuffle / _run_broadcast
+            run = getattr(self, f"_run_{segment.kind}")
+            merged, segment_stats, truncated = run(
+                segment, section, records, segment_span
+            )
             if tracer.enabled:
                 segment_span.attributes.update(
                     records_in=len(records),
@@ -397,259 +368,47 @@ class ShardedExecutor:
         return (records if truncated else merged), segment_stats, truncated
 
     # ------------------------------------------------------------------
-    # Scatter segments (with optional merge finisher)
+    # Placing, measuring, charging
     # ------------------------------------------------------------------
 
-    def _run_scatter(
-        self,
-        segment: ShardSegment,
-        operators: list[PhysicalOperator],
-        records: list[DataRecord],
-        segment_span,
-    ):
-        ctx = self.ctx
-        llm = ctx.llm
-        tracer = llm.tracer
-        plan = self.plan
-        n = plan.n_shards
-        section = operators[segment.start : segment.end]
-        stats = [OperatorStats.start(op, shards=n) for op in section]
-        finisher = section[-1] if segment.finisher is not None else None
-
-        items = list(enumerate(records))
-        shards = partition_records(items, n, plan.partitioner)
-
-        base_fingerprint = None
-        if finisher is None and self.engine.capture is not None:
-            base_fingerprint = section[-1].fingerprint
-
-        out_by_pos: dict[int, list[DataRecord]] = {}
-        topk_candidates: list[tuple] = []
-        shard_seconds: list[float] = []
-        cells: list[tuple] = []
-        origin = llm.clock.elapsed
-        truncated = False
-        segment.replayed_shards = 0
-        segment.delta_shards = 0
-
-        for shard_index in range(n):
-            seconds, truncated = self._run_one_shard(
-                shard_index, shards[shard_index], section, finisher,
-                stats, segment, out_by_pos, topk_candidates,
-                base_fingerprint, cells,
-            )
-            shard_seconds.append(seconds)
-            if truncated:
-                break
-
-        self._charge(shard_seconds)
-        segment.shard_makespans = list(shard_seconds)
-        segment.shard_rows = [len(shard) for shard in shards]
-        segment.straggler_gap_s = (
-            max(shard_seconds) - min(shard_seconds) if shard_seconds else 0.0
+    def _place(
+        self, segment: ShardSegment, records: list[DataRecord]
+    ) -> list[RecordBatch]:
+        """One batch per shard, each row tagged with its global position."""
+        parts = partition_records(
+            list(enumerate(records)), self.plan.n_shards, self.plan.partitioner
         )
-        segment.moved_records = len(items)
-
-        if tracer.enabled and not llm.sink_owns_time:
-            for shard_index, stage, start_s, end_s, batch_no, n_records in cells:
-                tracer.add_span(
-                    f"{section[stage].label()} s{shard_index}b{batch_no}",
-                    "cell",
-                    origin + start_s,
-                    origin + end_s,
-                    track=f"shard {shard_index} stage {stage}",
-                    parent=segment_span,
-                    shard=shard_index, stage=stage,
-                    batch=batch_no, records=n_records,
-                )
-
-        if segment.replayed_shards == n:
-            for op_stats in stats:
-                op_stats.reused = True
-        if truncated:
-            return [], stats, True
-
-        merged = [
-            record for position in sorted(out_by_pos)
-            for record in out_by_pos[position]
+        segment.shard_rows = [len(part) for part in parts]
+        segment.shard_makespans = []
+        return [
+            RecordBatch([record for _, record in part], [at for at, _ in part])
+            for part in parts
         ]
-        if isinstance(finisher, PhysLimit):
-            merged = merged[: finisher.logical_op.n]
-        elif isinstance(finisher, PhysSemTopK):
-            # Global rerank of the per-shard partial top-k: position
-            # reproduces the unsharded arrival order; the lineage uid
-            # breaks (impossible-by-construction) residual ties.
-            topk_candidates.sort(
-                key=lambda item: (-item[0], -item[1], item[2], item[3])
-            )
-            merged = [
-                record
-                for _, _, _, _, record in topk_candidates[: finisher.logical_op.k]
-            ]
-        if finisher is not None:
-            stats[-1].records_out = len(merged)
-        return merged, stats, False
 
-    def _run_one_shard(
-        self,
-        shard_index: int,
-        items: list[tuple[int, DataRecord]],
-        section: list[PhysicalOperator],
-        finisher: PhysicalOperator | None,
-        stats: list[OperatorStats],
-        segment: ShardSegment,
-        out_by_pos: dict[int, list[DataRecord]],
-        topk_candidates: list[tuple],
-        base_fingerprint: str | None,
-        cells: list[tuple],
-    ) -> tuple[float, bool]:
-        """One simulated worker: its partition through the segment's stages.
+    @staticmethod
+    def _in_input_order(parts: list[RecordBatch], results: list[list]) -> list[tuple]:
+        """Every shard's ``(position, record, result)`` rows, back in global
+        input order (``results[i]`` is aligned with ``parts[i]``)."""
+        rows = (
+            row
+            for part, part_results in zip(parts, results)
+            for row in zip(part.positions, part.records, part_results)
+        )
+        return sorted(rows, key=itemgetter(0))
 
-        Returns (shard makespan, truncated).  Emitted records land in
-        ``out_by_pos`` under their global positions; a top-k finisher's
-        per-shard winners land in ``topk_candidates``.  When the segment
-        boundary is fingerprintable, an exact per-shard store hit replays
-        the whole shard for free, a delta hit runs only the shard's
-        appended tail, and a fault-free run captures the shard's output.
-        """
-        ctx = self.ctx
-        llm = ctx.llm
-        engine = self.engine
-        plan = self.plan
-        capture = engine.capture
-        input_uids = tuple(record.uid for _, record in items)
-
-        live_items = items
-        carried_cost = 0.0
-        carried_time = 0.0
-        fingerprint = None
-        if base_fingerprint is not None:
-            fingerprint = shard_fingerprint(
-                base_fingerprint, plan.partitioner, plan.n_shards, shard_index
-            )
-            kind, entry = capture.store.match(
-                fingerprint, input_uids, capture.content_version
-            )
-            if kind == "exact" and entry.emit_counts is not None:
-                capture.store.note_hit(entry, "exact")
-                self._place_replayed(items, entry, out_by_pos)
-                segment.replayed_shards += 1
-                return 0.0, False
-            if kind == "delta" and entry.emit_counts is not None:
-                base = len(entry.source_uids)
-                capture.store.note_hit(
-                    entry, "delta", delta_records=len(items) - base
-                )
-                self._place_replayed(items[:base], entry, out_by_pos)
-                live_items = items[base:]
-                carried_cost = entry.cost_usd
-                carried_time = entry.time_s
-                segment.delta_shards += 1
-
-        schedule = PipelineSchedule()
-        states = [op.new_state(ctx) for op in section]
-        positions = [position for position, _ in live_items]
-        rows = [record for _, record in live_items]
-        position_of: dict[str, int] = {}
-        # Under a serve sink a worker is one operator-at-a-time pass.
-        batch_size = max(len(rows), 1) if llm.sink_owns_time else engine.batch_size
-        batch_no = 0
-        truncated = False
-        # The shard's own spend, for its store entry (stage stats span shards).
-        shard_total = OperatorStats(label=f"shard {shard_index}", model=None)
-
-        with measured_step(ctx, shard_total, cell=False):
-            for start in range(0, len(rows), batch_size):
-                if truncated or any(
-                    op.sated(state) for op, state in zip(section, states)
-                ):
-                    break
-                batch = RecordBatch(
-                    rows[start : start + batch_size],
-                    positions[start : start + batch_size],
-                )
-                schedule.start_batch()
-                batch_no += 1
-                for stage, operator in enumerate(section):
-                    if truncated or not len(batch):
-                        break
-                    n_records = len(batch)
-                    if operator is finisher:
-                        position_of.update(
-                            (record.uid, position)
-                            for position, record in zip(batch.positions, batch.records)
-                        )
-                    batch, seconds, truncated = engine.run_cell(
-                        operator, batch, states[stage], stats[stage]
-                    )
-                    schedule.record(stage, seconds)
-                    cells.append(
-                        (shard_index, stage, *schedule.last_cell, batch_no, n_records)
-                    )
-                if not truncated:
-                    for position, record in zip(batch.positions, batch.records):
-                        out_by_pos.setdefault(position, []).append(record)
-
-        if not truncated and isinstance(finisher, PhysSemTopK):
-            entries = [
-                (relevant, similarity, position_of[uid], uid, record)
-                for uid, (relevant, similarity, _arrival, record)
-                in states[-1]["scored"].items()
-            ]
-            entries.sort(key=lambda item: (-item[0], -item[1], item[2], item[3]))
-            topk_candidates.extend(entries[: finisher.logical_op.k])
-
-        if (
-            not truncated
-            and fingerprint is not None
-            and not (
-                ctx.failures or llm.tracker.failed_calls(engine.run_checkpoint)
-            )
-        ):
-            emit_counts = tuple(
-                len(out_by_pos.get(position, ())) for position, _ in items
-            )
-            shard_records = [
-                record
-                for position, _ in items
-                for record in out_by_pos.get(position, ())
-            ]
-            capture.store.put(
-                fingerprint,
-                shard_records,
-                source_uids=input_uids,
-                source_id=capture.source_id,
-                cost_usd=carried_cost + shard_total.cost_usd,
-                time_s=carried_time + schedule.makespan,
-                emit_counts=emit_counts,
-                content_version=capture.content_version,
-            )
-        return schedule.makespan, truncated
-
-    def _place_replayed(
-        self,
-        items: list[tuple[int, DataRecord]],
-        entry,
-        out_by_pos: dict[int, list[DataRecord]],
-    ) -> None:
-        """Re-place a shard entry's records at their global positions."""
-        cursor = 0
-        for (position, _), count in zip(items, entry.emit_counts):
-            if count:
-                out_by_pos.setdefault(position, []).extend(
-                    entry.records[cursor : cursor + count]
-                )
-            cursor += count
-
-    def _charge(self, shard_seconds: list[float]) -> None:
+    def _charge(self, segment: ShardSegment, shard_seconds: list[float]) -> None:
         """Advance time as if the shards had run on N parallel workers.
 
         Off serving, the clock moves by the slowest shard's makespan.
         Under a serving sink the busy shards' makespans are handed to
         ``end_step`` as one wave (its standalone makespan is the same
         max), so the shared clock is never advanced during body execution
-        — the serving invariant the runtime asserts.
+        — the serving invariant the runtime asserts.  The seconds are also
+        booked on the segment, shard by shard across its phases.
         """
+        booked = zip_longest(segment.shard_makespans, shard_seconds, fillvalue=0.0)
+        segment.shard_makespans = makespans = [a + b for a, b in booked]
+        segment.straggler_gap_s = max(makespans) - min(makespans)
         llm = self.ctx.llm
         busy = [seconds for seconds in shard_seconds if seconds > 0]
         if not busy:
@@ -659,24 +418,91 @@ class ShardedExecutor:
         else:
             llm.clock.advance(max(shard_seconds))
 
-    def _emit_phase_cells(
-        self, name: str, stage: int, origin: float, seconds: list[float],
-        rows: list[int], segment_span,
-    ) -> None:
-        """One cell span per busy shard of a shuffle/broadcast phase."""
+    def _run_phase(
+        self, segment: ShardSegment, name: str, stage: int, parts: list, work,
+        stats: OperatorStats, segment_span,
+    ) -> tuple[list, bool]:
+        """One shard-parallel phase of a whole-input operator.
+
+        ``work(part)`` runs once per shard as a measured cell; the phase
+        stops at a budget cut, charges the clock for N parallel workers
+        and exports one cell span per busy shard.  Returns (per-shard
+        results, truncated).
+        """
         llm = self.ctx.llm
-        if not llm.tracer.enabled or llm.sink_owns_time:
-            return
-        for shard_index, shard_seconds in enumerate(seconds):
-            if shard_seconds > 0:
-                llm.tracer.add_span(
-                    f"{name} s{shard_index}", "cell",
-                    origin, origin + shard_seconds,
-                    track=f"shard {shard_index} stage {stage}",
-                    parent=segment_span,
-                    shard=shard_index, stage=stage,
-                    records=rows[shard_index],
+        origin = llm.clock.elapsed
+        results: list = []
+        seconds: list[float] = []
+        for part in parts:
+            with measured_step(self.ctx, stats) as step:
+                results.append(work(part))
+            seconds.append(step.seconds)
+            if step.truncated:
+                break
+        self._charge(segment, seconds)
+        if llm.tracer.enabled and not llm.sink_owns_time:
+            for shard, busy in enumerate(seconds):
+                if busy > 0:
+                    self.engine.cell_span(
+                        f"{name} s{shard}", stage, origin, (0.0, busy),
+                        segment_span, shard=shard, records=len(parts[shard]),
+                    )
+        return results, step.truncated
+
+    # ------------------------------------------------------------------
+    # Scatter segments (record-local stages, optional merge finisher)
+    # ------------------------------------------------------------------
+
+    def _run_scatter(
+        self,
+        segment: ShardSegment,
+        section: list[PhysicalOperator],
+        records: list[DataRecord],
+        segment_span,
+    ):
+        ctx = self.ctx
+        llm = ctx.llm
+        engine = self.engine
+        stats = [OperatorStats.start(op, shards=self.plan.n_shards) for op in section]
+        last = section[-1]
+        parts = self._place(segment, records)
+        segment.moved_records = len(records)
+        # Workers are measured, never spent: the clock stands at ``origin``
+        # until the segment is charged, so cells can be drawn as they run.
+        origin = llm.clock.elapsed
+        draw_cells = llm.tracer.enabled and not llm.sink_owns_time
+
+        def on_cell(stage, n_records, schedule):
+            if draw_cells:  # ``shard``: the worker running right now
+                engine.cell_span(
+                    f"{section[stage].label()} s{shard}b{schedule.batches}",
+                    stage, origin, schedule.last_cell, segment_span,
+                    shard=shard, batch=schedule.batches, records=n_records,
                 )
+
+        partials: list[tuple] = []
+        shard_seconds: list[float] = []
+        truncated = False
+        for shard, part in enumerate(parts):
+            states = [op.new_state(ctx) for op in section]
+            emitted, schedule, truncated = engine.run_section(
+                section, states, stats, part,
+                # Under a serve sink a worker is one operator-at-a-time pass.
+                max(len(part), 1) if llm.sink_owns_time else engine.batch_size,
+                on_cell,
+            )
+            shard_seconds.append(schedule.makespan)
+            if truncated:
+                break
+            for batch in emitted:
+                partials.extend(last.partial(batch, states[-1]))
+
+        self._charge(segment, shard_seconds)
+        if truncated:
+            return [], stats, True
+        merged = last.merge(partials)
+        stats[-1].records_out = len(merged)
+        return merged, stats, False
 
     # ------------------------------------------------------------------
     # Shuffle segments (semantic group-by)
@@ -685,83 +511,55 @@ class ShardedExecutor:
     def _run_shuffle(
         self,
         segment: ShardSegment,
-        operator,
+        section: list[PhysicalOperator],
         records: list[DataRecord],
         segment_span,
     ):
         ctx = self.ctx
-        llm = ctx.llm
-        plan = self.plan
-        n = plan.n_shards
+        (operator,) = section
+        n = self.plan.n_shards
         stats = OperatorStats.start(operator, shards=n)
-        items = list(enumerate(records))
-        shards = partition_records(items, n, plan.partitioner)
-        origin = llm.clock.elapsed
+        stats.records_in = len(records)
+        parts = self._place(segment, records)
 
         # Phase A: classify shard-parallel (scatter by the partitioner).
-        labeled: dict[int, tuple[str, DataRecord]] = {}
-        classify_seconds: list[float] = []
-        for shard_items in shards:
-            stats.records_in += len(shard_items)
-            with measured_step(ctx, stats) as step:
-                with llm.parallel(ctx.wave_width()):
-                    for position, record in shard_items:
-                        label = operator.classify_label(record, ctx)
-                        if label is not None:
-                            labeled[position] = (label, record)
-            classify_seconds.append(step.seconds)
-            if step.truncated:
-                break
-        self._charge(classify_seconds)
-        self._emit_phase_cells(
-            "classify", 0, origin, classify_seconds,
-            [len(shard) for shard in shards], segment_span,
+        labels, truncated = self._run_phase(
+            segment, "classify", 0, parts,
+            lambda part: operator.classify_partition(part.records, ctx),
+            stats, segment_span,
         )
-        if step.truncated:
+        if truncated:
             return [], [stats], True
 
         # Shuffle: repartition by group label to each label's owner shard.
-        owners: list[dict[str, list[DataRecord]]] = [{} for _ in range(n)]
-        for position in sorted(labeled):
-            label, record = labeled[position]
-            owners[key_shard(label, n)].setdefault(label, []).append(record)
-
-        # Phase B: each owner shard builds its labels' group records.
         #: Members arrive sorted by global position, so membership — and
         #: therefore the lineage-deterministic group uid and the summary
         #: prompt — matches the unsharded grouping exactly.
-        build_origin = llm.clock.elapsed
-        build_seconds: list[float] = []
-        built: dict[str, DataRecord] = {}
-        for shard_labels in owners:
-            with measured_step(ctx, stats) as step:
-                for label in sorted(shard_labels):
-                    built[label] = operator.build_group(
-                        label, shard_labels[label], ctx
-                    )
-            build_seconds.append(step.seconds)
-            if step.truncated:
-                break
-        self._charge(build_seconds)
-        self._emit_phase_cells(
-            "build", 1, build_origin, build_seconds,
-            [len(shard_labels) for shard_labels in owners], segment_span,
+        labeled = [
+            (label, record)
+            for _, record, label in self._in_input_order(parts, labels)
+            if label is not None
+        ]
+        owners: list[dict[str, list[DataRecord]]] = [{} for _ in range(n)]
+        for label, record in labeled:
+            owners[key_shard(label, n)].setdefault(label, []).append(record)
+
+        # Phase B: each owner shard builds its labels' group records.
+        built, truncated = self._run_phase(
+            segment, "build", 1, owners,
+            lambda members: operator.build_groups(members, ctx),
+            stats, segment_span,
         )
-
-        build_seconds += [0.0] * (n - len(build_seconds))
-        makespans = [a + b for a, b in zip(classify_seconds, build_seconds)]
-        segment.shard_makespans = makespans
-        segment.shard_rows = [len(shard) for shard in shards]
-        segment.straggler_gap_s = max(makespans) - min(makespans)
-        segment.moved_records = len(items) + len(labeled)
-        segment.cost_alternative = n * len(items)
-
-        if step.truncated:
+        segment.moved_records = len(records) + len(labeled)
+        segment.cost_alternative = n * len(records)
+        if truncated:
             return [], [stats], True
+
+        groups = {
+            group: record for owner in built for group, record in owner.items()
+        }
         output = [
-            built[group]
-            for group in operator.logical_op.groups
-            if group in built
+            groups[group] for group in operator.logical_op.groups if group in groups
         ]
         stats.records_out = len(output)
         return output, [stats], False
@@ -773,17 +571,15 @@ class ShardedExecutor:
     def _run_broadcast(
         self,
         segment: ShardSegment,
-        operator,
+        section: list[PhysicalOperator],
         records: list[DataRecord],
         segment_span,
     ):
         ctx = self.ctx
-        llm = ctx.llm
-        plan = self.plan
-        n = plan.n_shards
+        (operator,) = section
+        n = self.plan.n_shards
         stats = OperatorStats.start(operator, shards=n)
         stats.records_in = len(records)
-        blocked = isinstance(operator, PhysSemJoinBlocked)
 
         # Coordinator side: run (and for the blocked join, embed) the right
         # subplan once; the result is broadcast to every shard by reference.
@@ -795,46 +591,18 @@ class ShardedExecutor:
         segment.moved_records = n * right_count
         segment.cost_alternative = len(records) + right_count
 
-        if blocked and (not records or not right_count):
-            return [], [stats], False
-
-        items = list(enumerate(records))
-        shards = partition_records(items, n, plan.partitioner)
-        out_by_pos: dict[int, list[DataRecord]] = {}
-        shard_seconds: list[float] = []
-        origin = llm.clock.elapsed
-        tag = f"{ctx.tag}:join"
-        for shard_items in shards:
-            with measured_step(ctx, stats) as step:
-                vectors = None
-                if blocked and ctx.embed_batch_size > 1 and shard_items:
-                    vectors = _embed_texts(
-                        [record.as_text() for _, record in shard_items],
-                        ctx, tag,
-                    )
-                with llm.parallel(ctx.wave_width()):
-                    for index, (position, left) in enumerate(shard_items):
-                        probe = {} if vectors is None else {"left_vec": vectors[index]}
-                        out_by_pos[position] = operator.join_left(
-                            left, ctx, right_state, **probe
-                        )
-            shard_seconds.append(step.seconds)
-            if step.truncated:
-                break
-        self._charge(shard_seconds)
-        segment.shard_makespans = list(shard_seconds)
-        segment.shard_rows = [len(shard) for shard in shards]
-        segment.straggler_gap_s = max(shard_seconds) - min(shard_seconds)
-        self._emit_phase_cells(
-            "join", 0, origin, shard_seconds, segment.shard_rows, segment_span
+        parts = self._place(segment, records)
+        joined, truncated = self._run_phase(
+            segment, "join", 0, parts,
+            lambda part: operator.probe_partition(part.records, ctx, right_state),
+            stats, segment_span,
         )
-
-        if step.truncated:
+        if truncated:
             return [], [stats], True
         merged = [
             record
-            for position in sorted(out_by_pos)
-            for record in out_by_pos[position]
+            for _, _, emitted in self._in_input_order(parts, joined)
+            for record in emitted
         ]
         stats.records_out = len(merged)
         return merged, [stats], False

@@ -55,6 +55,8 @@ class PipelineSchedule:
         #: When the current batch left its most recent stage.
         self._batch_ready: float = 0.0
         self.makespan: float = 0.0
+        #: Batches started so far (the current batch's 1-based number).
+        self.batches: int = 0
         #: Scheduled (start, end) of the most recently recorded cell —
         #: section-relative seconds, read by the tracer to place cell spans.
         self.last_cell: tuple[float, float] = (0.0, 0.0)
@@ -67,6 +69,7 @@ class PipelineSchedule:
         (:meth:`stage_finish`).
         """
         self._batch_ready = ready
+        self.batches += 1
 
     def stage_finish(self, stage: int) -> float:
         """When ``stage`` finished its most recent cell (0.0 = never ran)."""

@@ -228,6 +228,7 @@ def test_check_budget_flags_overshoot_beyond_the_saga_allowance():
 def test_mutation_registry_and_lookup():
     assert set(MUTATIONS) == {
         "drop-budget-check", "scramble-cell-order", "filter-drops-kept",
+        "replay-after-delta",
     }
     assert mutation_by_name("drop-budget-check").expected_oracle == "budget-cap"
     with pytest.raises(ValueError):
@@ -265,6 +266,46 @@ def test_shared_operator_bug_is_killed_only_through_the_reference():
     assert any(v.spec == "baseline" for v in evaluate(run))
     del run.observations["reference"]
     assert evaluate(run) == []
+
+
+def test_replay_order_bug_is_killed_in_both_standing_shapes():
+    # The compact (unsharded) and the expanded (sharded) delta replay are
+    # two shapes of one operator; the standing specs must each see a defect
+    # in it, and nothing but incremental execution can (an exact replay has
+    # no delta to misplace).
+    mutation = mutation_by_name("replay-after-delta")
+    assert mutation.killed_in_specs == ("standing", "standing-sharded-4")
+    case = PlanFuzzer(seed=0).case(0)
+    specs = {s.name: s for s in config_matrix(case.plan)}
+    assert specs["standing-sharded-4"].shards == 4
+    assert specs["standing-sharded-3-range"].partitioner == "range"
+    violations = evaluate(run_case(case, mutation=mutation))
+    assert {v.oracle for v in violations} == {"streaming-equivalence"}
+    assert {v.spec for v in violations} == {
+        "standing", "standing-sharded-4", "standing-sharded-3-range",
+    }
+    assert evaluate(run_case(case)) == []
+
+
+def test_streaming_oracle_flags_a_silent_full_recompute():
+    # Records cannot show a standing query that quietly recomputes every
+    # tick; the delta-tick count can.
+    from repro.qa.oracles import check_streaming_equivalence
+
+    def observed(delta_ticks, owed):
+        spec = ConfigSpec(name="standing", answer_class="streaming", streaming=True)
+        observation = Observation(
+            spec=spec, streaming_fold_identical=True, streaming_ticks=4,
+            streaming_delta_ticks=delta_ticks, streaming_delta_owed=owed,
+        )
+        return CaseRun(case=None, observations={"standing": [observation]})
+
+    (violation,) = check_streaming_equivalence(observed(0, owed=True))
+    assert violation.oracle == "streaming-equivalence"
+    assert "no delta tick" in violation.message
+    assert check_streaming_equivalence(observed(3, owed=True)) == []
+    # A plan past an unsafe boundary (group-by, limit) legally recomputes.
+    assert check_streaming_equivalence(observed(0, owed=False)) == []
 
 
 @pytest.mark.slow

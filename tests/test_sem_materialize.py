@@ -270,6 +270,79 @@ def test_store_load_rejects_version_mismatch(tmp_path):
     assert MaterializationStore().load(path) == 0
 
 
+#: ``MaterializationStore.save`` output of a ``shards=4`` cold run of
+#: ``sem_filter(FILTER_A)`` over four records, written by the commit before
+#: per-shard entries were retired: four per-shard entries (``emit_counts``,
+#: two of them for empty shards) and the whole boundary.
+LEGACY_SHARDED_STORE = """
+{"version": 1, "entries": [
+ {"fingerprint": "68b17fa59dc52086", "records": [], "source_uids": [],
+  "source_id": "legacy-src", "content_version": 0, "cost_usd": 0.0,
+  "time_s": 0.0, "emit_counts": []},
+ {"fingerprint": "4d5595cdca9cac1f",
+  "records": [{"uid": "p2", "fields": {"text": "text number 2"},
+               "annotations": {}, "source_id": "legacy-src", "parent_uids": []}],
+  "source_uids": ["p2"], "source_id": "legacy-src", "content_version": 0,
+  "cost_usd": 0.000235, "time_s": 0.7195999999999999, "emit_counts": [1]},
+ {"fingerprint": "e523a3e2c6d5793e", "records": [], "source_uids": [],
+  "source_id": "legacy-src", "content_version": 0, "cost_usd": 0.0,
+  "time_s": 0.0, "emit_counts": []},
+ {"fingerprint": "cef176cb1a146820",
+  "records": [{"uid": "p0", "fields": {"text": "text number 0"},
+               "annotations": {}, "source_id": "legacy-src", "parent_uids": []},
+              {"uid": "p3", "fields": {"text": "text number 3"},
+               "annotations": {}, "source_id": "legacy-src", "parent_uids": []}],
+  "source_uids": ["p0", "p1", "p3"], "source_id": "legacy-src",
+  "content_version": 0, "cost_usd": 0.000705, "time_s": 2.1588,
+  "emit_counts": [1, 0, 1]},
+ {"fingerprint": "d90d539408720705",
+  "records": [{"uid": "p0", "fields": {"text": "text number 0"},
+               "annotations": {}, "source_id": "legacy-src", "parent_uids": []},
+              {"uid": "p2", "fields": {"text": "text number 2"},
+               "annotations": {}, "source_id": "legacy-src", "parent_uids": []},
+              {"uid": "p3", "fields": {"text": "text number 3"},
+               "annotations": {}, "source_id": "legacy-src", "parent_uids": []}],
+  "source_uids": ["p0", "p1", "p2", "p3"], "source_id": "legacy-src",
+  "content_version": 0, "cost_usd": 0.00094, "time_s": 2.1588}
+]}
+"""
+
+
+def test_store_load_drops_legacy_per_shard_entries(tmp_path):
+    path = tmp_path / "store.json"
+    path.write_text(LEGACY_SHARDED_STORE, encoding="utf-8")
+    metrics = MetricsRegistry()
+    store = MaterializationStore()
+    store.metrics = metrics
+    # Only the whole boundary survives; the leftovers count as evictions.
+    assert store.load(path) == 1
+    assert store.evictions == 4
+    assert metrics.snapshot()["counters"]["materialization.evictions"] == 4
+    (entry,) = store.entries()
+    assert entry.fingerprint == "d90d539408720705"
+    assert not hasattr(entry, "emit_counts")
+
+    # The file still serves what it was written for, at any shard count.
+    def plan():
+        return _dataset(_records(4, prefix="p"), "legacy-src").sem_filter(FILTER_A)
+
+    for shards in (1, 4):
+        warm, report = plan().run_with_report(_config(store, shards=shards))
+        assert report.reuse_kind == "exact" and warm.total_cost_usd == 0.0
+        assert [record.uid for record in warm.records] == ["p0", "p2", "p3"]
+    # A re-save writes the current format: nothing per-shard comes back.
+    store.save(path)
+    assert "emit_counts" not in path.read_text(encoding="utf-8")
+
+    # Capacity applies to what survives the drop, oldest first.
+    payload = json.loads(LEGACY_SHARDED_STORE)
+    payload["entries"].append({**payload["entries"][-1], "fingerprint": "newer"})
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    tiny = MaterializationStore(max_entries=1)
+    assert tiny.load(path) == 1 and tiny.evictions == 5
+    assert tiny.entries()[0].fingerprint == "newer"
+
+
 def test_store_validates_capacity():
     with pytest.raises(ValueError):
         MaterializationStore(max_entries=0)

@@ -217,6 +217,41 @@ def test_executors_only_call_the_batch_entry_point():
         assert "process_record" not in inspect.getsource(module), module.__name__
 
 
+def _sem_call_sites(attr: str) -> list[str]:
+    """``module:line`` of every ``<expr>.<attr>(...)`` call under repro/sem."""
+    import pathlib
+
+    import repro.sem
+
+    sites = []
+    for path in sorted(pathlib.Path(repro.sem.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == attr
+            ):
+                sites.append(f"{path.name}:{node.lineno}")
+    return sites
+
+
+def test_one_section_loop():
+    # Cells are scheduled, the early exit is checked and input batches are
+    # cut in one place: Engine.run_section.  A shard worker is that loop
+    # with another per-cell callback, not a copy of it.
+    from repro.sem.execution import Engine
+
+    source = inspect.getsource(Engine.run_section)
+    for attr in ("record", "sated", "start_batch"):
+        sites = _sem_call_sites(attr)
+        assert len(sites) == 1 and sites[0].startswith("execution.py"), (attr, sites)
+        assert f".{attr}(" in source, attr
+    # finalize: the loop's flush and the derived whole-input entry point.
+    assert [site.split(":")[0] for site in _sem_call_sites("finalize")] == [
+        "execution.py", "physical.py",
+    ]
+
+
 def test_config_field_count_only_ratchets_down():
     # Lower this when a knob dies; never raise it to merge.
     from repro.sem.config import QueryProcessorConfig

@@ -35,6 +35,7 @@ from repro.sem import (
     fold_changelog,
 )
 from repro.sem.materialize import MaterializationStore
+from repro.sem.shard import PARTITIONERS
 from repro.sem import streaming
 from repro.sem.streaming import ChangeEntry, diff_records
 
@@ -73,10 +74,10 @@ def _full_run(bundle, records, *, seed: int = 19):
     return _sem_plan(source).run(_config(bundle, seed=seed)).records
 
 
-def _standing(bundle, base, *, policy=None, store=None, **manager_kwargs):
+def _standing(bundle, base, *, policy=None, store=None, config=None, **manager_kwargs):
     """A registered standing query over ``base`` plus its live source."""
     source = MemorySource(base, bundle.schema, source_id=bundle.name)
-    config = _config(bundle)
+    config = config or _config(bundle)
     if store is not None:
         config.materialization_store = store
     manager = StandingQueryManager(store=store, **manager_kwargs)
@@ -774,6 +775,59 @@ def test_property_folded_state_matches_full_recompute(split, chunks, update_at):
         assert _normalized(query.folded()) == _normalized(query.records)
     assert _normalized(query.records) == _normalized(
         _full_run_from(bundle, source)
+    )
+
+
+@pytest.mark.slow
+@settings(max_examples=15, deadline=None)
+@given(
+    split=st.integers(min_value=1, max_value=10),
+    chunks=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
+    shards=st.sampled_from([1, 2, 4]),
+    partitioner=st.sampled_from(PARTITIONERS),
+)
+def test_property_standing_view_is_shard_count_independent(
+    split, chunks, shards, partitioner
+):
+    """Append schedules x shard count x partitioner: one reuse decision.
+
+    The standing view equals the unsharded one and a from-scratch run, the
+    folded changelog equals the view at every tick, and — the plan being
+    incremental-safe — every append tick is a delta tick with the same
+    provenance and spend, however the tail is scattered.
+    """
+    reset_uid_counter()
+    bundle = build_corpus(CorpusSpec(seed=29, n_records=16))
+    records = bundle.records()
+
+    def standing(**sharding):
+        return _standing(
+            bundle, records[:split], store=MaterializationStore(),
+            config=_config(bundle, **sharding),
+        )
+
+    manager, query, source = standing(shards=shards, partitioner=partitioner)
+    plain_manager, plain, plain_source = standing()
+    cursor = split
+    for chunk in chunks:
+        batch = records[cursor : cursor + chunk]
+        cursor += len(batch)
+        if not batch:
+            break
+        for live_source, live_manager in ((source, manager), (plain_source, plain_manager)):
+            live_source.append(batch)
+            live_manager.pump()
+        tick, plain_tick = query.ticks[-1], plain.ticks[-1]
+        assert tick.reuse_kind == "delta" and tick.delta_records == len(batch)
+        assert (tick.reuse_kind, tick.reused_prefix, tick.delta_records) == (
+            plain_tick.reuse_kind, plain_tick.reused_prefix, plain_tick.delta_records
+        )
+        assert tick.cost_usd == pytest.approx(plain_tick.cost_usd, abs=1e-12)
+        assert _normalized(query.folded()) == _normalized(query.records)
+        assert _normalized(query.records) == _normalized(plain.records)
+    assert _normalized(query.records) == _normalized(_full_run_from(bundle, source))
+    assert query.config.materialization_store.stats() == (
+        plain.config.materialization_store.stats()
     )
 
 
