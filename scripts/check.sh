@@ -91,13 +91,17 @@ fi
 echo "all BENCH_*.json artifacts under benchmarks/results/"
 
 echo
-echo "== execution-mechanics guard (no pipeline=/pushdown=/embed_batch_size=/adaptive_parallelism= config keyword) =="
+echo "== retired-option guard (no pipeline=/pushdown=/embed_batch_size=/adaptive_parallelism=/replan_threshold=/replan_min_rows=/replan_limit= config keyword) =="
 python - <<'PY'
 import ast
 import pathlib
 import sys
 
-MECHANICS = {"pipeline", "pushdown", "embed_batch_size", "adaptive_parallelism"}
+MECHANICS = {
+    "pipeline", "pushdown", "embed_batch_size", "adaptive_parallelism",
+    # Replan gates are constants in sem/optimizer/replan.py.
+    "replan_threshold", "replan_min_rows", "replan_limit",
+}
 CONFIGS = {"QueryProcessorConfig", "AnalyticsRuntime", "ConfigSpec", "for_bundle"}
 files = [
     path
@@ -163,6 +167,34 @@ if offenders:
     print("\n".join(offenders))
     sys.exit(1)
 print(f"{len(files)} files: store probes only in the optimizer, writes only in Engine._maybe_capture")
+PY
+
+echo
+echo "== one-estimator guard (believe() is the only reader of learned priors under sem/, the sampler runs bound operators and names none) =="
+python - <<'PY'
+import ast
+import pathlib
+import sys
+
+BELIEVE = "src/repro/sem/optimizer/cost_model.py"
+SAMPLER = "src/repro/sem/optimizer/sampler.py"
+offenders = []
+files = sorted(pathlib.Path("src/repro/sem").rglob("*.py"))
+for path in files:
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if callee == "usable_prior" and path.as_posix() != BELIEVE:
+            offenders.append(f"{path}:{node.lineno}: usable_prior(...) outside believe()")
+        if callee == "isinstance" and path.as_posix() == SAMPLER:
+            offenders.append(f"{path}:{node.lineno}: isinstance(...) in the sampler")
+if offenders:
+    print("one belief rule (cost_model.believe) and one sampling path "
+          "(the bound operator's own per-record entry point):")
+    print("\n".join(offenders))
+    sys.exit(1)
+print(f"{len(files)} files: priors read only in believe(), no per-operator dispatch in the sampler")
 PY
 
 echo

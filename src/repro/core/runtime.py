@@ -142,7 +142,6 @@ class AnalyticsRuntime:
         answer_cache_size: int = 128,
         stats_store: "StatisticsStore | None" = None,
         replan: bool = False,
-        replan_threshold: float = 1.5,
         shards: int = 1,
         partitioner: str = "hash",
     ) -> None:
@@ -180,7 +179,6 @@ class AnalyticsRuntime:
         #: runtimes or warm from a saved JSON file.
         self.stats_store = stats_store if stats_store is not None else StatisticsStore()
         self.replan = replan
-        self.replan_threshold = replan_threshold
         #: Simulated scale-out workers for semantic programs (1 = the
         #: unsharded engine; see :mod:`repro.sem.shard`).
         self.shards = shards
@@ -283,7 +281,6 @@ class AnalyticsRuntime:
             ),
             stats_store=self.stats_store,
             replan=self.replan,
-            replan_threshold=self.replan_threshold,
             llm=self.llm,
             policy=self.policy,
             sample_size=self.sample_size,

@@ -1,13 +1,15 @@
 """Trace-fed statistics store: learned per-operator priors.
 
 The observability layer records what every operator *actually did* — rows
-in/out, dollars, tokens, latency, retries, cache hits — on every run.  The
-:class:`StatisticsStore` closes the loop the paper's runtime vision calls
-for: it aggregates those observations into per-(operator, model, dataset)
-**priors** that the cost model consults on later queries, replacing static
-guesses (selectivity 0.5, cost 0) with learned values, and that the
-engine's mid-query re-planner consults when observed cardinality diverges
-from the plan.
+in/out, dollars, latency — on every run.  The :class:`StatisticsStore`
+closes the loop the paper's runtime vision calls for: it aggregates those
+observations into per-(operator, model, dataset) **priors** that the cost
+model consults on later queries, replacing static guesses (selectivity
+0.5, cost 0) with learned values, and that the engine's mid-query
+re-planner consults when observed cardinality diverges from the plan.  A
+prior keeps the three per-record numbers an estimate reads (selectivity,
+cost, latency) and the evidence behind them (observations, mean input
+cardinality) — nothing else.
 
 Two ingestion paths feed the same accumulator:
 
@@ -41,8 +43,9 @@ learned on no longer exists).
 from __future__ import annotations
 
 import json
+import os
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 #: Bump when the prior schema or key grammar changes; keeps persisted
@@ -53,14 +56,8 @@ STATS_VERSION = 1
 _BLENDED_FIELDS = (
     "selectivity",
     "rows_in",
-    "rows_out",
-    "tokens_per_record",
     "cost_per_record",
     "latency_per_record",
-    "latency_per_call",
-    "retry_rate",
-    "failure_rate",
-    "cache_hit_ratio",
 )
 
 
@@ -76,25 +73,21 @@ class OperatorPrior:
     observations: int = 0
     #: Output/input row ratio (output cardinality = input * selectivity).
     selectivity: float = 1.0
-    #: Decayed mean input/output cardinalities (absolute row counts).
+    #: Decayed mean input cardinality (absolute row count).
     rows_in: float = 0.0
-    rows_out: float = 0.0
-    tokens_per_record: float = 0.0
     cost_per_record: float = 0.0
     latency_per_record: float = 0.0
-    latency_per_call: float = 0.0
-    #: Fraction of LLM calls that faulted and were retried.
-    retry_rate: float = 0.0
-    #: Fraction of input records degraded under the failure policy.
-    failure_rate: float = 0.0
-    cache_hit_ratio: float = 0.0
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "OperatorPrior":
-        return cls(**payload)
+        """Rebuild a saved prior; keys this version does not keep are dropped."""
+        return cls(**{name: payload[name] for name in _PRIOR_FIELDS if name in payload})
+
+
+_PRIOR_FIELDS = tuple(field.name for field in fields(OperatorPrior))
 
 
 class StatisticsStore:
@@ -131,6 +124,8 @@ class StatisticsStore:
         self.evictions = 0
         self.dataset_decays = 0
         self.dataset_invalidations = 0
+        #: Files :meth:`load` could not parse (each loaded as empty).
+        self.load_errors = 0
         #: Optional :class:`repro.obs.metrics.MetricsRegistry` mirror.
         self.metrics = None
 
@@ -148,11 +143,6 @@ class StatisticsStore:
         records_out: int,
         cost_usd: float = 0.0,
         time_s: float = 0.0,
-        llm_calls: int = 0,
-        cached_calls: int = 0,
-        retried_calls: int = 0,
-        failed_records: int = 0,
-        tokens: int = 0,
     ) -> "OperatorPrior | None":
         """Fold one measured operator execution into the prior for ``key``.
 
@@ -171,14 +161,8 @@ class StatisticsStore:
         observed = {
             "selectivity": records_out / records_in,
             "rows_in": float(records_in),
-            "rows_out": float(records_out),
-            "tokens_per_record": tokens / records_in,
             "cost_per_record": cost_usd / records_in,
             "latency_per_record": time_s / records_in,
-            "latency_per_call": time_s / llm_calls if llm_calls else 0.0,
-            "retry_rate": retried_calls / llm_calls if llm_calls else 0.0,
-            "failure_rate": failed_records / records_in,
-            "cache_hit_ratio": cached_calls / llm_calls if llm_calls else 0.0,
         }
         if prior.observations == 0:
             for name in _BLENDED_FIELDS:
@@ -240,11 +224,6 @@ class StatisticsStore:
                 records_out=stats.records_out,
                 cost_usd=stats.cost_usd,
                 time_s=stats.time_s,
-                llm_calls=stats.llm_calls,
-                cached_calls=stats.cached_calls,
-                retried_calls=stats.retried_calls,
-                failed_records=stats.failed_records,
-                tokens=stats.input_tokens + stats.output_tokens,
             ):
                 ingested += 1
         if tracer is not None and tracer.enabled:
@@ -271,34 +250,23 @@ class StatisticsStore:
                 duration = (
                     (span.end_s - span.start_s) if span.end_s is not None else 0.0
                 )
+                measured = [(attrs, duration)]
+            elif span.kind == "pipeline-section":
+                measured = [
+                    (stage, stage.get("time_s", 0.0))
+                    for stage in attrs.get("stage_stats", ())
+                ]
+            else:
+                continue
+            for row, time_s in measured:
                 if self._observe_entry(
-                    attrs["stats"],
-                    records_in=attrs.get("records_in", 0),
-                    records_out=attrs.get("records_out", 0),
-                    cost_usd=attrs.get("cost_usd", 0.0),
-                    time_s=duration,
-                    llm_calls=attrs.get("llm_calls", 0),
-                    cached_calls=attrs.get("cached_calls", 0),
-                    retried_calls=attrs.get("retried_calls", 0),
-                    failed_records=attrs.get("failed_records", 0),
-                    tokens=attrs.get("tokens", 0),
+                    row["stats"],
+                    records_in=row.get("records_in", 0),
+                    records_out=row.get("records_out", 0),
+                    cost_usd=row.get("cost_usd", 0.0),
+                    time_s=time_s,
                 ):
                     ingested += 1
-            elif span.kind == "pipeline-section":
-                for stage in attrs.get("stage_stats", ()):
-                    if self._observe_entry(
-                        stage["stats"],
-                        records_in=stage.get("records_in", 0),
-                        records_out=stage.get("records_out", 0),
-                        cost_usd=stage.get("cost_usd", 0.0),
-                        time_s=stage.get("time_s", 0.0),
-                        llm_calls=stage.get("llm_calls", 0),
-                        cached_calls=stage.get("cached_calls", 0),
-                        retried_calls=stage.get("retried_calls", 0),
-                        failed_records=stage.get("failed_records", 0),
-                        tokens=stage.get("tokens", 0),
-                    ):
-                        ingested += 1
         return ingested
 
     def _observe_entry(self, entry: dict, **measured) -> "OperatorPrior | None":
@@ -383,29 +351,46 @@ class StatisticsStore:
             "evictions": self.evictions,
             "dataset_decays": self.dataset_decays,
             "dataset_invalidations": self.dataset_invalidations,
+            "load_errors": self.load_errors,
         }
 
     # -- persistence ----------------------------------------------------
 
     def save(self, path: "str | Path") -> int:
-        """Persist all priors as JSON; returns how many were saved."""
+        """Persist all priors as JSON; returns how many were saved.
+
+        Atomic: the payload goes to a sibling temp file that then replaces
+        ``path``, so a crash mid-save leaves the previous file readable.
+        """
         payload = {
             "version": STATS_VERSION,
             "decay": self.decay,
             "priors": [prior.to_dict() for prior in self._priors.values()],
         }
-        Path(path).write_text(json.dumps(payload), encoding="utf-8")
+        path = Path(path)
+        scratch = path.with_name(path.name + ".tmp")
+        scratch.write_text(json.dumps(payload), encoding="utf-8")
+        os.replace(scratch, path)
         return len(self._priors)
 
     def load(self, path: "str | Path") -> int:
         """Load priors saved by :meth:`save`; returns how many were loaded.
 
         A version mismatch loads nothing (stale key grammars must never
-        feed estimates).  ``max_entries`` is enforced before insertion:
-        oldest overflow (save order = LRU order) is dropped and counted as
-        evictions.
+        feed estimates), and so does a truncated or non-JSON file, counted
+        in ``load_errors`` — a corrupt statistics file costs the learned
+        priors, never the query.  ``max_entries`` is enforced before
+        insertion: oldest overflow (save order = LRU order) is dropped and
+        counted as evictions.
         """
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError:
+            payload = None
+        if not isinstance(payload, dict):
+            self.load_errors += 1
+            self._count("stats.load_errors")
+            return 0
         if payload.get("version") != STATS_VERSION:
             return 0
         priors = payload.get("priors", [])

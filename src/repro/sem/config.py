@@ -98,19 +98,12 @@ class QueryProcessorConfig:
     #: lever the replan bench uses.
     stats_estimates: bool = True
     #: Adaptive mid-query re-optimization: at operator/section boundaries
-    #: compare observed cardinality with the plan estimate and, past
-    #: ``replan_threshold`` divergence, re-plan the remaining suffix using
-    #: learned priors.  Requires ``stats_store``; never changes records
-    #: (only commuting reorderings are applied).
+    #: compare observed cardinality with the plan estimate and, past the
+    #: divergence threshold, re-plan the remaining suffix using learned
+    #: priors (the gates are constants in
+    #: :mod:`repro.sem.optimizer.replan`).  Requires ``stats_store``;
+    #: never changes records (only commuting reorderings are applied).
     replan: bool = False
-    #: Divergence ratio (max of observed/estimated and its inverse) that
-    #: triggers a replan consideration.
-    replan_threshold: float = 1.5
-    #: Minimum observed rows at a boundary before replanning — tiny
-    #: cardinalities make ratios noisy and savings negligible.
-    replan_min_rows: int = 4
-    #: Maximum replans per query (0 = unlimited).
-    replan_limit: int = 1
     #: Simulated workers for scale-out execution (see
     #: :mod:`repro.sem.shard`): the sharding pass partitions sources and
     #: inserts scatter/shuffle/merge/broadcast exchanges, and the engine
@@ -146,18 +139,6 @@ class QueryProcessorConfig:
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        if self.replan_threshold <= 1.0:
-            raise ConfigurationError(
-                f"replan_threshold must be > 1.0, got {self.replan_threshold}"
-            )
-        if self.replan_min_rows < 0:
-            raise ConfigurationError(
-                f"replan_min_rows must be >= 0, got {self.replan_min_rows}"
-            )
-        if self.replan_limit < 0:
-            raise ConfigurationError(
-                f"replan_limit must be >= 0, got {self.replan_limit}"
             )
         if self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")

@@ -515,7 +515,7 @@ class Engine:
         op_stats = OperatorStats.start(operator)
         op_stats.records_in = len(records)
         output = records
-        with tracer.span(operator.label(), kind="operator") as op_span:
+        with tracer.span(op_stats.label, kind="operator") as op_span:
             with measured_step(self.ctx, op_stats, cell=False) as step:
                 output = operator.execute(records, self.ctx)
                 op_stats.records_out = len(output)

@@ -18,25 +18,25 @@ def explain_analyze(result: ExecutionResult, report: OptimizationReport) -> str:
 
     Every estimate column reads the row's own estimate record (the one its
     operator carried when it started): "Est. out" / "Est. $" scale the
-    profile the plan estimate used by the measured input, "Est src" names
-    where that profile came from (learned ``prior`` vs ``sampled`` profile
-    vs ``static`` formula) and "Drift" is the observed/estimated
-    cardinality ratio — the signal the mid-query re-planner keys on.  Rows
-    the optimizer never estimated (a replayed materialization, join
-    plans) render "-".
+    per-record numbers the plan estimate used by the measured input,
+    "Est src" names where they came from (learned ``prior`` vs ``sampled``
+    profile vs ``static`` formula, which renders no numbers) and "Drift"
+    is the observed/estimated cardinality ratio — the signal the mid-query
+    re-planner keys on.  Rows the optimizer never estimated (a replayed
+    materialization, join plans) render "-".
     """
     rows = []
     for stats in result.operator_stats:
         estimate = stats.estimate
-        profile = estimate.profile if estimate is not None else None
+        informed = estimate is not None and estimate.source != "static"
         est_out = (
-            f"{stats.records_in * profile.selectivity:.0f}"
-            if profile is not None and stats.records_in
+            f"{stats.records_in * estimate.selectivity:.0f}"
+            if informed and stats.records_in
             else "-"
         )
         est_cost = (
-            f"{stats.records_in * profile.cost_per_record:.4f}"
-            if profile is not None
+            f"{stats.records_in * estimate.cost_per_record:.4f}"
+            if informed
             else "-"
         )
         est_source = estimate.source if estimate is not None else "-"

@@ -179,6 +179,13 @@ class StructFilterOp(LogicalOperator):
         return f"StructFilter({self.condition!r})"
 
 
+#: The record filters: adjacent runs of these commute with each other
+#: (each only selects records, so any order keeps the same set) — what
+#: filter reordering, hoisting to the scan, fingerprint canonicalization
+#: and the mid-query re-planner are all allowed to permute.
+COMMUTING_FILTERS = (SemFilterOp, PyFilterOp, StructFilterOp)
+
+
 @dataclass(frozen=True)
 class StructAggOp(LogicalOperator):
     """Structured (non-semantic) aggregation via the SQL engine.

@@ -69,9 +69,6 @@ COSTLY_OPS = (
     L.RetrieveOp,
 )
 
-#: Adjacent runs of these commute (mirrors ``rules._COMMUTING``).
-_COMMUTING = (L.SemFilterOp, L.PyFilterOp, L.StructFilterOp)
-
 
 def op_token(op: L.LogicalOperator, model: str | None) -> tuple | None:
     """Canonical token for one operator, or None if unfingerprintable.
@@ -149,11 +146,11 @@ def _canonical_tokens(
     canonical = list(tokens)
     index = 0
     while index < len(chain):
-        if not isinstance(chain[index], _COMMUTING):
+        if not isinstance(chain[index], L.COMMUTING_FILTERS):
             index += 1
             continue
         end = index
-        while end < len(chain) and isinstance(chain[end], _COMMUTING):
+        while end < len(chain) and isinstance(chain[end], L.COMMUTING_FILTERS):
             end += 1
         if end - index > 1:
             canonical[index:end] = sorted(canonical[index:end], key=repr)

@@ -6,7 +6,7 @@ candidate models), logical rewrites (filter pushdown and reordering by
 cost/selectivity), and policy-driven physical model selection.
 """
 
-from repro.sem.optimizer.cost_model import PlanEstimate, estimate_chain
+from repro.sem.optimizer.cost_model import PlanEstimate
 from repro.sem.optimizer.optimizer import OptimizationReport, Optimizer
 from repro.sem.optimizer.policies import Balanced, MaxQuality, MinCost, OptimizationPolicy
 from repro.sem.optimizer.sampler import OperatorProfile, Sampler
@@ -21,5 +21,4 @@ __all__ = [
     "Optimizer",
     "PlanEstimate",
     "Sampler",
-    "estimate_chain",
 ]

@@ -1,41 +1,40 @@
-"""Plan cost estimation from sampled operator profiles.
+"""Plan cost estimation: one belief per operator, one pricing loop.
 
-Chains per-operator estimates: a filter shrinks the estimated cardinality
-by its sampled selectivity; downstream operators are charged only for the
-surviving records.  This is what makes filter reordering and pushdown
+What the plan believes about an operator is three per-record numbers —
+selectivity, cost, latency — and where they came from.  :func:`believe`
+is the only rule that resolves them (a usable learned prior, else what the
+operator already carries from sampling, else the static formula) and
+:func:`estimate_chain_steps` the only loop that prices a chain with them;
+the optimizer's binder, the mid-query re-planner, the standing-query
+governor and EXPLAIN all read the same record.
+
+The loop chains per-operator estimates: a filter shrinks the estimated
+cardinality by its selectivity; downstream operators are charged only for
+the surviving records.  This is what makes filter reordering and pushdown
 worthwhile — exactly the effect the paper credits for ``PZ compute``'s
 savings over ``CodeAgent+``.
 
 When the engine fuses streamable runs (always, unless a serve sink owns
 time), the time estimate must predict the *critical-path makespan* of the
 fused sections — not the per-operator sum — or plan choice regresses
-toward plans that only look good operator-at-a-time.  ``estimate_chain``
-therefore accepts the engine's ``parallelism`` and the resolved
-``fused_batch_size``; with the defaults it is the sequential-sum estimate.
+toward plans that only look good operator-at-a-time.
+``estimate_chain_steps`` therefore accepts the engine's ``parallelism``
+and the resolved ``fused_batch_size``; with the defaults it is the
+sequential-sum estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.sem import logical as L
-from repro.sem.optimizer.sampler import OperatorProfile
 
-#: Logical operators whose physical implementations stream record batches
-#: (mirrors ``PhysicalOperator.streamable``); adjacent runs of these fuse
-#: into one pipelined section.
-STREAMABLE_OPS = (
-    L.SemFilterOp,
-    L.SemMapOp,
-    L.SemClassifyOp,
-    L.SemTopKOp,
-    L.PyFilterOp,
-    L.PyMapOp,
-    L.StructFilterOp,
-    L.ProjectOp,
-    L.LimitOp,
-)
+if TYPE_CHECKING:
+    from repro.obs.stats import StatisticsStore
+    from repro.sem.optimizer.sampler import OperatorProfile
+    from repro.sem.physical import PhysicalOperator
 
 
 @dataclass(frozen=True)
@@ -59,29 +58,61 @@ class OperatorEstimate:
     """What the plan believes about one bound operator (its EXPLAIN row).
 
     The binder sets one on every ``PhysicalOperator.estimate``; the
-    re-planner replaces it when it re-costs a moved suffix.
+    re-planner replaces it when it re-costs a moved suffix.  The defaults
+    are the static formula: a filter nothing is known about keeps half its
+    input, and no spend is predicted.
     """
 
-    #: Profile the estimate was computed from (None = static formula).
-    profile: OperatorProfile | None = None
-    #: Where ``profile`` came from: "prior" | "sampled" | "static".
+    #: Emitted records per input record (read for filters only).
+    selectivity: float = 0.5
+    cost_per_record: float = 0.0
+    latency_per_record: float = 0.0
+    #: Where the three numbers came from: "prior" | "sampled" | "static".
     source: str = "static"
     #: Estimated output cardinality and spend of this operator.
     rows: float = 0.0
     cost_usd: float = 0.0
     #: Every candidate model profiled for this operator (sampling only).
-    candidates: dict[str, OperatorProfile] = field(default_factory=dict)
+    candidates: "dict[str | None, OperatorProfile]" = field(default_factory=dict)
+
+
+def believe(
+    operator: "PhysicalOperator",
+    store: "StatisticsStore | None",
+    use_priors: bool = True,
+) -> OperatorEstimate:
+    """What to believe about ``operator`` now — the one precedence rule.
+
+    A usable learned prior beats what the operator already carries (its
+    sampled profile, or an earlier belief) beats the static formula.  The
+    prior is *snapshotted*: the store keeps blending observations into the
+    live object, and EXPLAIN ANALYZE reads the estimate after ingestion.
+    """
+    carried = operator.estimate
+    entry = operator.stats_entry
+    if use_priors and store is not None and entry is not None:
+        prior = store.usable_prior(entry["key"])
+        if prior is not None:
+            return OperatorEstimate(
+                prior.selectivity,
+                prior.cost_per_record,
+                prior.latency_per_record,
+                "prior",
+                candidates=carried.candidates if carried is not None else {},
+            )
+    return carried if carried is not None else OperatorEstimate()
 
 
 def estimate_operator(
     op: L.LogicalOperator,
     cardinality: float,
-    profile: OperatorProfile | None,
+    belief: OperatorEstimate,
 ) -> PlanEstimate:
     """Estimate one operator given its input cardinality."""
+    cost_usd = cardinality * belief.cost_per_record
+    time_s = cardinality * belief.latency_per_record
     if isinstance(op, (L.PyFilterOp, L.StructFilterOp)):
-        selectivity = profile.selectivity if profile else 0.5
-        return PlanEstimate(0.0, 0.0, cardinality * selectivity)
+        return PlanEstimate(0.0, 0.0, cardinality * belief.selectivity)
     if isinstance(op, (L.PyMapOp, L.ProjectOp)):
         return PlanEstimate(0.0, 0.0, cardinality)
     if isinstance(op, L.LimitOp):
@@ -97,36 +128,19 @@ def estimate_operator(
         pushed_cardinality = float(size) if size is not None else cardinality
         for pushed in op.pushed:
             pushed_cardinality = estimate_operator(
-                pushed, pushed_cardinality, None
+                pushed, pushed_cardinality, OperatorEstimate()
             ).cardinality
         return PlanEstimate(0.0, 0.0, pushed_cardinality)
-    if isinstance(op, L.RetrieveOp):
+    if isinstance(op, (L.RetrieveOp, L.SemTopKOp)):
         return PlanEstimate(0.0, 0.0, min(cardinality, op.k))
     if isinstance(op, L.SemFilterOp):
-        cost_per = profile.cost_per_record if profile else 0.0
-        latency_per = profile.latency_per_record if profile else 0.0
-        selectivity = profile.selectivity if profile else 0.5
-        return PlanEstimate(
-            cardinality * cost_per, cardinality * latency_per, cardinality * selectivity
-        )
+        return PlanEstimate(cost_usd, time_s, cardinality * belief.selectivity)
     if isinstance(op, (L.SemMapOp, L.SemClassifyOp)):
-        cost_per = profile.cost_per_record if profile else 0.0
-        latency_per = profile.latency_per_record if profile else 0.0
-        return PlanEstimate(cardinality * cost_per, cardinality * latency_per, cardinality)
+        return PlanEstimate(cost_usd, time_s, cardinality)
     if isinstance(op, L.SemGroupByOp):
-        cost_per = profile.cost_per_record if profile else 0.0
-        latency_per = profile.latency_per_record if profile else 0.0
-        return PlanEstimate(
-            cardinality * cost_per,
-            cardinality * latency_per,
-            min(cardinality, float(len(op.groups))),
-        )
-    if isinstance(op, L.SemTopKOp):
-        return PlanEstimate(0.0, 0.0, min(cardinality, op.k))
+        return PlanEstimate(cost_usd, time_s, min(cardinality, float(len(op.groups))))
     if isinstance(op, L.SemAggOp):
-        cost_per = profile.cost_per_record if profile else 0.0
-        latency_per = profile.latency_per_record if profile else 0.0
-        return PlanEstimate(cost_per, latency_per, 1.0)
+        return PlanEstimate(belief.cost_per_record, belief.latency_per_record, 1.0)
     if isinstance(op, L.ScanOp):
         size = op.source.cardinality() if op.source is not None else None
         return PlanEstimate(0.0, 0.0, float(size) if size is not None else cardinality)
@@ -135,25 +149,35 @@ def estimate_operator(
 
 
 def estimate_chain_steps(
-    chain: list[L.LogicalOperator],
-    profiles: dict[int, OperatorProfile],
+    operators: "list[PhysicalOperator]",
+    beliefs: list[OperatorEstimate],
     input_cardinality: float | None = None,
     parallelism: int = 1,
     fused_batch_size: int | None = None,
 ) -> tuple[PlanEstimate, list[PlanEstimate]]:
-    """Like :func:`estimate_chain` but also returns the per-operator steps.
+    """Price a leaves-first chain of bound operators under ``beliefs``.
 
-    ``steps[i].cardinality`` is the estimated *output* cardinality of
-    ``chain[i]`` — what EXPLAIN's drift column and the mid-query
-    re-planner compare against observed row counts.
-    ``fused_batch_size`` is the engine's resolved records-per-batch when
-    it fuses streamable runs, None when it runs operator steps.
+    ``beliefs[i]`` is what to believe about ``operators[i]`` — passed
+    beside the operators, not read off them, so a caller can price a
+    hypothetical (the re-planner's candidate order, the governor's pending
+    delta) without touching the plan.  Returns the plan total and the
+    per-operator steps: ``steps[i].cardinality`` is the estimated *output*
+    cardinality of ``operators[i]`` — what EXPLAIN's drift column and the
+    mid-query re-planner compare against observed row counts.
+
+    Cost and cardinality are mode-independent; ``parallelism`` divides
+    per-operator latency into wave time, and ``fused_batch_size`` — the
+    engine's resolved records-per-batch when it fuses streamable runs,
+    None when it runs operator steps — replaces the per-operator time sum
+    of each fused streamable section with its pipelined makespan:
+    ``fill + (B - 1) * bottleneck`` for ``B`` batches — the first batch
+    crosses every stage, then the slowest stage paces the rest.
     """
     cardinality = input_cardinality if input_cardinality is not None else 0.0
     total = PlanEstimate(0.0, 0.0, cardinality)
     steps: list[PlanEstimate] = []
-    for position, op in enumerate(chain):
-        step = estimate_operator(op, total.cardinality, profiles.get(position))
+    for operator, belief in zip(operators, beliefs):
+        step = estimate_operator(operator.logical_op, total.cardinality, belief)
         if parallelism > 1:
             step = PlanEstimate(step.cost_usd, step.time_s / parallelism, step.cardinality)
         steps.append(step)
@@ -163,13 +187,13 @@ def estimate_chain_steps(
 
     time_s = 0.0
     index = 0
-    while index < len(chain):
-        if not isinstance(chain[index], STREAMABLE_OPS):
+    while index < len(operators):
+        if not operators[index].streamable:
             time_s += steps[index].time_s
             index += 1
             continue
         end = index
-        while end < len(chain) and isinstance(chain[end], STREAMABLE_OPS):
+        while end < len(operators) and operators[end].streamable:
             end += 1
         section = steps[index:end]
         section_input = steps[index - 1].cardinality if index > 0 else cardinality
@@ -185,58 +209,12 @@ def estimate_chain_steps(
     return PlanEstimate(total.cost_usd, time_s, total.cardinality), steps
 
 
-def estimate_chain(
-    chain: list[L.LogicalOperator],
-    profiles: dict[int, OperatorProfile],
-    input_cardinality: float | None = None,
-    parallelism: int = 1,
-    fused_batch_size: int | None = None,
-) -> PlanEstimate:
-    """Estimate a leaves-first operator chain.
-
-    ``profiles`` maps chain positions to the profile of the model *chosen*
-    for that operator.  Cost and cardinality are mode-independent;
-    ``parallelism`` divides per-operator latency into wave time, and a
-    ``fused_batch_size`` replaces the per-operator time sum of each fused
-    streamable section with its pipelined makespan:
-    ``fill + (B - 1) * bottleneck`` for ``B`` batches — the first batch
-    crosses every stage, then the slowest stage paces the rest.
-    """
-    total, _ = estimate_chain_steps(
-        chain,
-        profiles,
-        input_cardinality=input_cardinality,
-        parallelism=parallelism,
-        fused_batch_size=fused_batch_size,
-    )
-    return total
-
-
-def profile_from_prior(prior) -> OperatorProfile:
-    """Adapt a learned :class:`~repro.obs.stats.OperatorPrior` to the
-    :class:`OperatorProfile` shape the estimators consume.
-
-    Duck-typed on purpose: the obs layer must not import sem, and the
-    cost model only needs the prior's selectivity/cost/latency surface.
-    Agreement is pinned to 1.0 — priors describe the model the plan
-    already chose, not a candidate being auditioned.
-    """
-    return OperatorProfile(
-        model=prior.model or "prior",
-        agreement=1.0,
-        selectivity=prior.selectivity,
-        cost_per_record=prior.cost_per_record,
-        latency_per_record=prior.latency_per_record,
-        sample_size=max(1, round(prior.rows_in)),
-    )
-
-
-def filter_rank(profile: OperatorProfile) -> float:
+def filter_rank(belief: "OperatorEstimate | OperatorProfile") -> float:
     """Ordering key for commuting filters: cheap, selective filters first.
 
     Classic predicate ordering: rank = cost / (1 - selectivity).  A free
     filter ranks first regardless of selectivity; a filter that drops
     nothing ranks last regardless of cost.
     """
-    reduction = max(1e-6, 1.0 - profile.selectivity)
-    return profile.cost_per_record / reduction
+    reduction = max(1e-6, 1.0 - belief.selectivity)
+    return belief.cost_per_record / reduction

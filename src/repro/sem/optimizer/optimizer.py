@@ -4,7 +4,9 @@ For linear plans the optimizer:
 
 1. materializes the scan's records and draws a profiling sample;
 2. profiles every semantic operator across candidate models with the
-   successive-halving :class:`~repro.sem.optimizer.sampler.Sampler`;
+   successive-halving :class:`~repro.sem.optimizer.sampler.Sampler`,
+   which auditions a model by running the operator *as bound under that
+   model* on the sample;
 3. lets the configured policy choose each operator's physical model;
 4. reorders commuting filters by cost/selectivity rank and pushes free
    Python filters first;
@@ -40,9 +42,9 @@ from repro.sem.materialize import (
 from repro.sem.optimizer.cost_model import (
     OperatorEstimate,
     PlanEstimate,
+    believe,
     estimate_chain_steps,
     filter_rank,
-    profile_from_prior,
 )
 from repro.sem.optimizer.pushdown import push_structured_prefix
 from repro.sem.optimizer.replan import Replanner, stats_key
@@ -55,7 +57,10 @@ from repro.sem.optimizer.rules import (
 from repro.sem.optimizer.sampler import OperatorProfile, Sampler
 from repro.utils.seeding import SeededRng
 
+#: Operators whose model is chosen from sampled profiles, and the free
+#: filters sampled (as their own only candidate) for selectivity alone.
 _PROFILED_OPS = (L.SemFilterOp, L.SemMapOp, L.SemClassifyOp, L.SemGroupByOp)
+_FREE_FILTERS = (L.PyFilterOp, L.StructFilterOp)
 
 
 @dataclass
@@ -215,56 +220,53 @@ class Optimizer:
             )
         source_records = list(scans[0].source.iterate())
 
-        sampler = Sampler(config.llm, SeededRng(config.seed), tag=f"{config.tag}:optimize")
+        sampler = Sampler(SeededRng(config.seed))
         sample = sampler.sample_records(source_records, config.sample_size)
         candidates = config.candidate_models()
+        # Sampled calls run the bound operator itself; a call lost to
+        # faults must surface to the sampler, one record at a time.
+        sampling_ctx = P.ExecutionContext(
+            llm=config.llm,
+            parallelism=1,
+            tag=f"{config.tag}:optimize",
+            on_failure="raise",
+        )
 
         checkpoint = config.llm.tracker.checkpoint()
         time_before = config.llm.clock.elapsed
 
-        def candidate_models(op: L.LogicalOperator) -> list[str]:
-            # Profiling non-champion tiers only pays off if the policy may
-            # pick them; with model selection off (or a pinned model) the
-            # sampler just measures the champion's selectivity/cost.
-            if getattr(op, "model", None) is not None:
-                return [op.model]
-            if not config.select_models:
-                return [config.champion_model]
-            return candidates
-
         tracer = config.llm.tracer
-        profiles: dict[int, dict[str, OperatorProfile]] = {}
+        profiles: dict[int, dict[str | None, OperatorProfile]] = {}
+        chosen: dict[int, str] = {}
         with tracer.span(
             "optimize", kind="optimize", sample_size=len(sample)
         ) as optimize_span:
-            for op in chain:
-                if not isinstance(op, _PROFILED_OPS + (L.PyFilterOp, L.StructFilterOp)):
+            for position, op in enumerate(chain):
+                if isinstance(op, _PROFILED_OPS):
+                    champion = config.champion_model
+                    # A pinned model, or the champion with model selection
+                    # off, is already decided and the sampler just measures
+                    # its selectivity/cost: profiling other tiers only pays
+                    # off if the policy may pick them.
+                    decided = op.model or (None if config.select_models else champion)
+                    models = [decided] if decided else candidates
+                elif isinstance(op, _FREE_FILTERS):
+                    champion = decided = None
+                    models = [None]
+                else:
                     continue
+
+                def bind(model: str | None) -> P.PhysicalOperator:
+                    return self._bind_one(op, chain, position, {id(op): model})
+
                 with tracer.span(f"profile:{op.label()}", kind="profile"):
-                    if isinstance(op, L.SemFilterOp):
-                        profiles[id(op)] = sampler.profile_filter(
-                            op.instruction, sample, candidate_models(op),
-                            config.champion_model,
-                        )
-                    elif isinstance(op, L.SemMapOp):
-                        profiles[id(op)] = sampler.profile_map(
-                            op.outputs, sample, candidate_models(op),
-                            config.champion_model,
-                        )
-                    elif isinstance(op, L.SemClassifyOp):
-                        profiles[id(op)] = sampler.profile_classify(
-                            op.instruction, list(op.options), sample,
-                            candidate_models(op), config.champion_model,
-                        )
-                    elif isinstance(op, L.SemGroupByOp):
-                        profiles[id(op)] = sampler.profile_classify(
-                            op.instruction, list(op.groups), sample,
-                            candidate_models(op), config.champion_model,
-                        )
-                    elif isinstance(op, L.PyFilterOp):
-                        profiles[id(op)] = {"python": _python_filter_profile(op, sample)}
-                    elif isinstance(op, L.StructFilterOp):
-                        profiles[id(op)] = {"sql": _struct_filter_profile(op, sample)}
+                    profiles[id(op)] = sampler.profile(
+                        bind, models, champion, sample, sampling_ctx
+                    )
+                if champion is not None:
+                    chosen[id(op)] = decided or config.policy.choose_model(
+                        profiles[id(op)], champion
+                    )
 
         sampling_usage = config.llm.tracker.since(checkpoint)
         sampling_time = config.llm.clock.elapsed - time_before
@@ -274,24 +276,11 @@ class Optimizer:
                 sampling_time_s=sampling_time,
             )
 
-        chosen: dict[int, str] = {}
-        for op in chain:
-            if not isinstance(op, _PROFILED_OPS):
-                continue
-            if op.model is not None:
-                chosen[id(op)] = op.model
-            elif config.select_models:
-                chosen[id(op)] = config.policy.choose_model(
-                    profiles[id(op)], config.champion_model
-                )
-            else:
-                chosen[id(op)] = config.champion_model
-
         new_chain = push_py_filters(chain)
         if config.reorder_filters:
 
             def rank(_position: int, op: L.LogicalOperator) -> float:
-                profile = _chosen_profile(profiles.get(id(op), {}), chosen.get(id(op)))
+                profile = profiles.get(id(op), {}).get(chosen.get(id(op)))
                 return filter_rank(profile) if profile is not None else 0.0
 
             new_chain = reorder_filters(new_chain, rank)
@@ -336,12 +325,11 @@ class Optimizer:
     ) -> None:
         """Hang the statistics entry and estimate record on each operator.
 
-        The entry is what ingestion and the re-planner key priors with;
-        the estimate resolves its source — learned prior beats sampled
-        profile beats static formula — and records the operator's
-        estimated cardinality/cost; the plan total lands on the report.
-        With a cold store and sampled ``profiles`` this reproduces the
-        historical plan estimate exactly.
+        The entry is what ingestion and :func:`believe` key priors with;
+        the estimate is what ``believe`` makes of the chosen model's
+        sampled profile, plus the operator's estimated cardinality/cost;
+        the plan total lands on the report.  With a cold store and sampled
+        ``profiles`` this reproduces the historical plan estimate exactly.
         """
         config = self.config
         store = config.stats_store
@@ -363,13 +351,16 @@ class Optimizer:
                     "scope": scope,
                 }
             candidates = profiles.get(id(op.logical_op), {})
-            profile = _chosen_profile(candidates, op.model)
-            source = "sampled" if profile is not None else "static"
-            if key is not None and store is not None and config.stats_estimates:
-                prior = store.usable_prior(key)
-                if prior is not None:
-                    profile, source = profile_from_prior(prior), "prior"
-            op.estimate = OperatorEstimate(profile, source, candidates=candidates)
+            profile = candidates.get(op.model)
+            if profile is not None:
+                op.estimate = OperatorEstimate(
+                    profile.selectivity,
+                    profile.cost_per_record,
+                    profile.latency_per_record,
+                    "sampled",
+                    candidates=candidates,
+                )
+            op.estimate = believe(op, store, config.stats_estimates)
 
         input_cardinality = (
             float(len(source_records)) if source_records is not None else None
@@ -378,12 +369,8 @@ class Optimizer:
             size = leaf.source.cardinality()
             input_cardinality = float(size) if size is not None else None
         report.estimate, steps = estimate_chain_steps(
-            chain,
-            {
-                position: op.estimate.profile
-                for position, op in enumerate(bound)
-                if op.estimate.profile is not None
-            },
+            bound,
+            [op.estimate for op in bound],
             input_cardinality=input_cardinality,
             parallelism=config.parallelism,
             fused_batch_size=config.fused_batch_size(),
@@ -605,61 +592,3 @@ class Optimizer:
         if isinstance(op, L.LimitOp):
             return P.PhysLimit(op)
         raise OptimizationError(f"no physical implementation for {op.label()}")
-
-
-def _chosen_profile(
-    candidates: dict[str, OperatorProfile], model: str | None
-) -> OperatorProfile | None:
-    """The chosen model's profile, else the operator's only one (free ops)."""
-    profile = candidates.get(model) if model else None
-    if profile is None and candidates:
-        profile = next(iter(candidates.values()))
-    return profile
-
-
-def _python_filter_profile(op: L.PyFilterOp, sample: list) -> OperatorProfile:
-    """Selectivity of a free Python filter, measured by running it.
-
-    Filters that crash on raw source records (they may read fields created
-    upstream) fall back to the uninformative default of 0.5.
-    """
-    passed = 0
-    seen = 0
-    for record in sample:
-        try:
-            result = bool(op.fn(record))
-        except Exception:
-            continue
-        seen += 1
-        passed += int(result)
-    selectivity = passed / seen if seen else 0.5
-    return OperatorProfile(
-        model="python",
-        agreement=1.0,
-        selectivity=selectivity,
-        cost_per_record=0.0,
-        latency_per_record=0.0,
-        sample_size=seen,
-    )
-
-
-def _struct_filter_profile(op: L.StructFilterOp, sample: list) -> OperatorProfile:
-    """Selectivity of a structured SQL filter, measured by evaluating it.
-
-    Never crashes on raw source records: a referenced-but-missing field
-    reads as NULL, which simply fails the predicate.
-    """
-    from repro.sem.structql import predicate_holds
-
-    passed = sum(
-        1 for record in sample if predicate_holds(op.condition, record.fields)
-    )
-    selectivity = passed / len(sample) if sample else 0.5
-    return OperatorProfile(
-        model="sql",
-        agreement=1.0,
-        selectivity=selectivity,
-        cost_per_record=0.0,
-        latency_per_record=0.0,
-        sample_size=len(sample),
-    )

@@ -36,36 +36,15 @@ class MaxQuality(OptimizationPolicy):
         return champion
 
 
-class MinCost(OptimizationPolicy):
-    """Use the cheapest profiled model meeting a loose quality floor."""
+class _CheapestAboveFloor(OptimizationPolicy):
+    """Cheapest profiled model whose sampled agreement clears a floor."""
 
-    name = "min-cost"
+    #: Floor used when the constructor is given none.
+    default_floor: float
 
-    def __init__(self, quality_floor: float = 0.5) -> None:
-        self.quality_floor = quality_floor
-
-    def choose_model(self, profiles: dict[str, "OperatorProfile"], champion: str) -> str:
-        candidates = [
-            profile
-            for profile in profiles.values()
-            if profile.agreement >= self.quality_floor
-        ]
-        if not candidates:
-            return champion
-        return min(candidates, key=lambda p: (p.cost_per_record, p.model)).model
-
-
-class Balanced(OptimizationPolicy):
-    """Cheapest model whose sampled agreement clears a strict floor.
-
-    This is the policy that yields the paper's observation that the
-    optimizer "was able to use cheaper models for some of the semantic
-    operators": easy operators downgrade, hard ones stay on the champion.
-    """
-
-    name = "balanced"
-
-    def __init__(self, quality_floor: float = 0.92) -> None:
+    def __init__(self, quality_floor: float | None = None) -> None:
+        if quality_floor is None:
+            quality_floor = self.default_floor
         if not 0.0 <= quality_floor <= 1.0:
             raise ValueError(f"quality_floor must be in [0, 1], got {quality_floor}")
         self.quality_floor = quality_floor
@@ -79,6 +58,25 @@ class Balanced(OptimizationPolicy):
         if not candidates:
             return champion
         return min(candidates, key=lambda p: (p.cost_per_record, p.model)).model
+
+
+class MinCost(_CheapestAboveFloor):
+    """Use the cheapest profiled model meeting a loose quality floor."""
+
+    name = "min-cost"
+    default_floor = 0.5
+
+
+class Balanced(_CheapestAboveFloor):
+    """Cheapest model whose sampled agreement clears a strict floor.
+
+    This is the policy that yields the paper's observation that the
+    optimizer "was able to use cheaper models for some of the semantic
+    operators": easy operators downgrade, hard ones stay on the champion.
+    """
+
+    name = "balanced"
+    default_floor = 0.92
 
 
 #: Name -> class for every built-in policy (keys match ``Policy.name``).

@@ -33,10 +33,6 @@ from repro.sem.structql import aggregation_sql
 #: Operators a SqlScan can absorb (StructAgg only as the terminal op).
 _PUSHABLE = (L.StructFilterOp, L.ProjectOp, L.LimitOp)
 
-#: Filter types a structured filter may hoist across (mirrors
-#: ``rules._COMMUTING``; imported lazily there to avoid a cycle).
-_HOISTABLE_ACROSS = (L.SemFilterOp, L.PyFilterOp)
-
 
 def push_structured_prefix(
     chain: list[L.LogicalOperator],
@@ -89,9 +85,7 @@ def hoist_struct_filters(chain: list[L.LogicalOperator]) -> list[L.LogicalOperat
     if not chain or not isinstance(chain[0], L.ScanOp):
         return chain
     end = 1
-    while end < len(chain) and isinstance(
-        chain[end], (L.StructFilterOp,) + _HOISTABLE_ACROSS
-    ):
+    while end < len(chain) and isinstance(chain[end], L.COMMUTING_FILTERS):
         end += 1
     run = chain[1:end]
     structured = [op for op in run if isinstance(op, L.StructFilterOp)]

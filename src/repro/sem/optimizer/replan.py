@@ -12,8 +12,9 @@ Two halves, one feedback loop:
 
 - **Re-planning.** The :class:`Replanner` is armed by the optimizer and
   consulted by the engine at operator/section boundaries: when observed
-  cardinality diverges from the plan estimate past the configured
-  threshold, it re-costs the remaining suffix under learned priors and —
+  cardinality diverges from the plan estimate past
+  :data:`REPLAN_THRESHOLD`, it re-costs the remaining suffix under what
+  :func:`~repro.sem.optimizer.cost_model.believe` now believes and —
   only on a strict estimated-cost improvement — *permutes the bound
   suffix in place*: the only rewrite that is bit-identity safe mid-flight
   is reordering commuting filters (records are unchanged), and their
@@ -27,15 +28,15 @@ Two halves, one feedback loop:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.sem import logical as L
 from repro.sem.materialize import op_token, stamp_fingerprints
 from repro.sem.optimizer.cost_model import (
-    OperatorEstimate,
+    believe,
     estimate_chain_steps,
     filter_rank,
-    profile_from_prior,
 )
 from repro.sem.optimizer.rules import filter_order
 from repro.utils.hashing import stable_digest
@@ -48,8 +49,16 @@ if TYPE_CHECKING:
 #: Bump when the key grammar changes (stale persisted priors must miss).
 STATS_KEY_VERSION = 1
 
-#: Filters that commute — the only operators the re-planner may move.
-_COMMUTING = (L.SemFilterOp, L.PyFilterOp, L.StructFilterOp)
+#: Divergence ratio (max of observed/estimated and its inverse) that
+#: triggers a replan consideration.
+REPLAN_THRESHOLD = 1.5
+
+#: Minimum observed rows at a boundary before replanning — tiny
+#: cardinalities make ratios noisy and savings negligible.
+REPLAN_MIN_ROWS = 4
+
+#: Maximum replans per query (0 = unlimited).
+REPLAN_LIMIT = 1
 
 
 def stats_token(op: L.LogicalOperator, model: "str | None") -> "tuple | None":
@@ -107,6 +116,9 @@ class Replanner:
         self.config = config
         self.report = report
         self.replans_used = 0
+        self.threshold = REPLAN_THRESHOLD
+        self.min_rows = REPLAN_MIN_ROWS
+        self.limit = REPLAN_LIMIT
 
     def consider(
         self,
@@ -121,9 +133,9 @@ class Replanner:
         ``bound``).  Returns whether the suffix was reordered.
         """
         config = self.config
-        if config.replan_limit and self.replans_used >= config.replan_limit:
+        if self.limit and self.replans_used >= self.limit:
             return False
-        if observed_rows < config.replan_min_rows:
+        if observed_rows < self.min_rows:
             return False
         if boundary <= 0 or boundary >= len(operators):
             return False
@@ -133,35 +145,28 @@ class Replanner:
             (observed_rows + 1e-9) / (est + 1e-9),
             (est + 1e-9) / (observed_rows + 1e-9),
         )
-        if divergence < config.replan_threshold:
+        if divergence < self.threshold:
             return False
         metrics = config.llm.metrics
         if metrics.enabled:
             metrics.counter("replan.triggers").inc()
 
-        store = config.stats_store
         suffix = operators[boundary:]
         chain = [op.logical_op for op in suffix]
         # What do we now believe about the suffix?  Learned priors beat
         # plan-time profiles; operators with neither stay unknown.
-        beliefs: list[tuple] = []
-        filter_priors = 0
-        for op in suffix:
-            entry = op.stats_entry
-            prior = store.usable_prior(entry["key"]) if entry else None
-            if prior is not None:
-                beliefs.append((profile_from_prior(prior), "prior"))
-                filter_priors += isinstance(op.logical_op, _COMMUTING)
-            else:
-                beliefs.append((op.estimate.profile, op.estimate.source))
-        if filter_priors == 0:
+        beliefs = [believe(op, config.stats_store) for op in suffix]
+        if not any(
+            belief.source == "prior" and isinstance(op, L.COMMUTING_FILTERS)
+            for belief, op in zip(beliefs, chain)
+        ):
             # Nothing learned about any movable filter — a reorder would
             # be driven by the same estimates the plan already used.
             return False
 
         def rank(offset: int, _op: L.LogicalOperator) -> float:
-            profile = beliefs[offset][0]
-            return filter_rank(profile) if profile is not None else float("inf")
+            belief = beliefs[offset]
+            return filter_rank(belief) if belief.source != "static" else float("inf")
 
         written = list(range(len(suffix)))
         order = filter_order(chain, rank)
@@ -170,12 +175,8 @@ class Replanner:
 
         def estimate(offsets: list[int]):
             return estimate_chain_steps(
-                [chain[offset] for offset in offsets],
-                {
-                    position: beliefs[offset][0]
-                    for position, offset in enumerate(offsets)
-                    if beliefs[offset][0] is not None
-                },
+                [suffix[offset] for offset in offsets],
+                [beliefs[offset] for offset in offsets],
                 input_cardinality=float(observed_rows),
                 parallelism=config.parallelism,
                 fused_batch_size=config.fused_batch_size(),
@@ -194,10 +195,8 @@ class Replanner:
         before_fp = _bound_fingerprint(operators)
         for position, (offset, step) in enumerate(zip(order, new_steps), boundary):
             op = suffix[offset]
-            profile, source = beliefs[offset]
-            op.estimate = OperatorEstimate(
-                profile, source, step.cardinality, step.cost_usd,
-                op.estimate.candidates,
+            op.estimate = replace(
+                beliefs[offset], rows=step.cardinality, cost_usd=step.cost_usd
             )
             operators[position] = op
         if self.report.capture is not None:

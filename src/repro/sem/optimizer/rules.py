@@ -11,16 +11,13 @@ from typing import Callable
 
 from repro.sem import logical as L
 
-#: Operator types that commute with each other (all are record filters).
-_COMMUTING = (L.SemFilterOp, L.PyFilterOp, L.StructFilterOp)
-
 
 def commuting_runs(chain: list[L.LogicalOperator]) -> list[tuple[int, int]]:
     """Return [start, end) index ranges of maximal commuting-filter runs."""
     runs: list[tuple[int, int]] = []
     start = None
     for index, op in enumerate(chain):
-        if isinstance(op, _COMMUTING):
+        if isinstance(op, L.COMMUTING_FILTERS):
             if start is None:
                 start = index
         else:

@@ -1,11 +1,14 @@
 """Sampling-based operator profiling (Abacus-style bandit).
 
 For each semantic operator the optimizer must estimate, per candidate
-model: quality (agreement with the champion), selectivity (for filters),
-and per-record cost/latency.  Profiling runs the operator on a small sample
-of input records through the real LLM client — sampling costs real
-(simulated) dollars, exactly as in Palimpzest/Abacus, and thanks to the
-generation cache the sampled judgments are free to reuse at execution time.
+model: quality (agreement with the champion), selectivity, and per-record
+cost/latency.  A sample *is* the operator, run on the sample: the sampler
+is handed a binder (model -> bound physical operator) and calls that
+operator's own per-record entry point on a small sample of input records
+through the real LLM client, so no operator body is re-implemented here.
+Sampling costs real (simulated) dollars, exactly as in Palimpzest/Abacus,
+and thanks to the generation cache the sampled judgments are free to reuse
+at execution time.
 
 Model elimination uses successive halving: every candidate sees a small
 first round; models that clearly disagree with the champion are dropped
@@ -15,12 +18,14 @@ before the (larger) second round.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 from repro.data.records import DataRecord
-from repro.data.schemas import Field as SchemaField
 from repro.errors import TransientLLMError
-from repro.llm.simulated import SimulatedLLM
 from repro.utils.seeding import SeededRng
+
+if TYPE_CHECKING:
+    from repro.sem.physical import ExecutionContext, PhysicalOperator
 
 #: Sentinel answer for a sampled call that failed even after retries.  It
 #: never equals a real answer, so it reads as disagreement with the champion.
@@ -37,10 +42,11 @@ ELIMINATION_FLOOR = 0.7
 class OperatorProfile:
     """Sampled statistics for (operator, model)."""
 
-    model: str
+    #: None for a token-free operator, which is its own only candidate.
+    model: str | None
     #: Fraction of sampled records where this model matched the champion.
     agreement: float
-    #: Champion pass-rate on the sample (filters; 1.0 otherwise).
+    #: Records the champion emitted per sampled record (a filter's pass rate).
     selectivity: float
     cost_per_record: float
     latency_per_record: float
@@ -48,12 +54,10 @@ class OperatorProfile:
 
 
 class Sampler:
-    """Profiles semantic operators on record samples."""
+    """Profiles bound operators on record samples."""
 
-    def __init__(self, llm: SimulatedLLM, rng: SeededRng, tag: str = "optimize") -> None:
-        self.llm = llm
+    def __init__(self, rng: SeededRng) -> None:
         self.rng = rng
-        self.tag = tag
 
     def sample_records(self, records: list[DataRecord], n: int) -> list[DataRecord]:
         """Draw a deterministic uniform sample of up to ``n`` records."""
@@ -61,140 +65,108 @@ class Sampler:
             return list(records)
         return self.rng.child("sample").sample(records, n)
 
-    # ------------------------------------------------------------------
-    # Filters
-    # ------------------------------------------------------------------
-
-    def profile_filter(
+    def profile(
         self,
-        instruction: str,
+        bind: Callable[[str | None], PhysicalOperator],
+        models: list[str | None],
+        champion: str | None,
         sample: list[DataRecord],
-        models: list[str],
-        champion: str,
-    ) -> dict[str, OperatorProfile]:
-        """Profile a semantic filter across candidate models."""
+        ctx: ExecutionContext,
+    ) -> dict[str | None, OperatorProfile]:
+        """Audition ``models`` for one operator on ``sample``.
 
-        def judge(model: str, record: DataRecord) -> bool:
-            judgment = self.llm.judge_filter(
-                instruction, record, model=model, tag=f"{self.tag}:filter"
-            )
-            return judgment.answer
-
-        return self._profile(sample, models, champion, judge)
-
-    # ------------------------------------------------------------------
-    # Maps
-    # ------------------------------------------------------------------
-
-    def profile_map(
-        self,
-        outputs: tuple[tuple[SchemaField, str], ...],
-        sample: list[DataRecord],
-        models: list[str],
-        champion: str,
-    ) -> dict[str, OperatorProfile]:
-        """Profile a semantic map; agreement requires all fields to match."""
-
-        def extract_all(model: str, record: DataRecord) -> tuple:
-            values = []
-            for schema_field, instruction in outputs:
-                result = self.llm.extract(
-                    instruction, record, model=model, tag=f"{self.tag}:map"
-                )
-                values.append(schema_field.coerce(result.value))
-            return tuple(values)
-
-        return self._profile(sample, models, champion, extract_all)
-
-    def profile_classify(
-        self,
-        instruction: str,
-        options: list[str],
-        sample: list[DataRecord],
-        models: list[str],
-        champion: str,
-    ) -> dict[str, OperatorProfile]:
-        def classify(model: str, record: DataRecord):
-            result = self.llm.classify(
-                instruction, options, record, model=model, tag=f"{self.tag}:classify"
-            )
-            return result.value
-
-        return self._profile(sample, models, champion, classify)
-
-    # ------------------------------------------------------------------
-    # Core bandit loop
-    # ------------------------------------------------------------------
-
-    def _profile(
-        self,
-        sample: list[DataRecord],
-        models: list[str],
-        champion: str,
-        run_one,
-    ) -> dict[str, OperatorProfile]:
+        ``bind(model)`` is the operator as the plan would run it under
+        ``model``; ``ctx`` is the sampling context (``on_failure="raise"``,
+        so a call lost to faults surfaces here).  Agreement is "emitted the
+        same fields as the champion", selectivity the champion's mean
+        emitted-per-record.  When the champion answered nothing — an empty
+        sample, or a free filter that crashed on every raw record because
+        it reads a field created upstream — there is nothing to believe
+        and no profile is returned.
+        """
         if champion not in models:
             models = [champion] + list(models)
-        if not sample:
-            return {
-                model: OperatorProfile(model, 1.0, 1.0, 0.0, 0.0, 0)
-                for model in models
-            }
+        first, rest = sample[:FIRST_ROUND], sample[FIRST_ROUND:]
 
-        first = sample[: min(FIRST_ROUND, len(sample))]
-        rest = sample[len(first):]
+        ask = {model: _entry_point(bind(model), ctx) for model in models}
+        answers: dict = {model: [] for model in models}
+        costs: dict = {model: 0.0 for model in models}
+        latencies: dict = {model: 0.0 for model in models}
+        events = ctx.llm.tracker.events
 
-        answers: dict[str, list] = {model: [] for model in models}
-        costs: dict[str, float] = {model: 0.0 for model in models}
-        latencies: dict[str, float] = {model: 0.0 for model in models}
-
-        def run_round(round_models: list[str], records: list[DataRecord]) -> None:
+        def run_round(round_models: list, records: list[DataRecord]) -> None:
             for model in round_models:
+                ask_model, model_answers = ask[model], answers[model]
                 for record in records:
-                    checkpoint = self.llm.tracker.checkpoint()
+                    checkpoint = len(events)
                     try:
-                        answers[model].append(run_one(model, record))
+                        answer = ask_model(record)
                     except TransientLLMError:
                         # A sample lost to faults counts as disagreement; the
                         # optimizer must keep profiling, not crash.
-                        answers[model].append(FAILED_SAMPLE)
+                        answer = FAILED_SAMPLE
+                    except Exception:
+                        # Only user code may crash on a raw record: a free
+                        # filter reading a field an upstream operator creates.
+                        if model is not None:
+                            raise
+                        answer = FAILED_SAMPLE
+                    model_answers.append(answer)
                     # Profile the *clean* per-call price: failed attempts and
                     # backoff waits are a property of the fault schedule, not
                     # of the model, and including them would let transient
                     # faults flip plan choices (breaking per-seed determinism
                     # of answer quality under fault injection).
-                    clean = [
-                        event
-                        for event in self.llm.tracker.events[checkpoint:]
-                        if not event.failed
-                    ]
-                    costs[model] += sum(event.cost_usd for event in clean)
-                    latencies[model] += sum(event.latency_s for event in clean)
+                    cost = latency = 0.0
+                    for event in events[checkpoint:]:
+                        if not event.failed:
+                            cost += event.cost_usd
+                            latency += event.latency_s
+                    costs[model] += cost
+                    latencies[model] += latency
 
         run_round(models, first)
-        survivors = []
         champion_first = answers[champion]
-        for model in models:
-            agreement = _agreement(answers[model], champion_first)
-            if model == champion or agreement >= ELIMINATION_FLOOR:
-                survivors.append(model)
+        survivors = [
+            model
+            for model in models
+            if model == champion
+            or _agreement(answers[model], champion_first) >= ELIMINATION_FLOOR
+        ]
         run_round(survivors, rest)
 
         champion_answers = answers[champion]
-        champion_pass_rate = _pass_rate(champion_answers)
-        profiles: dict[str, OperatorProfile] = {}
+        emitted = [len(a) for a in champion_answers if a is not FAILED_SAMPLE]
+        if not emitted:
+            return {}
+        selectivity = sum(emitted) / len(emitted)
+        profiles: dict = {}
         for model in models:
             n_seen = len(answers[model])
-            agreement = _agreement(answers[model], champion_answers[:n_seen])
             profiles[model] = OperatorProfile(
                 model=model,
-                agreement=agreement,
-                selectivity=champion_pass_rate,
-                cost_per_record=costs[model] / n_seen if n_seen else 0.0,
-                latency_per_record=latencies[model] / n_seen if n_seen else 0.0,
+                agreement=_agreement(answers[model], champion_answers[:n_seen]),
+                selectivity=selectivity,
+                cost_per_record=costs[model] / n_seen,
+                latency_per_record=latencies[model] / n_seen,
                 sample_size=n_seen,
             )
         return profiles
+
+
+def _entry_point(
+    operator: PhysicalOperator, ctx: ExecutionContext
+) -> Callable[[DataRecord], list]:
+    """``operator``'s own per-record entry point: record -> what it emits.
+
+    A streamable operator answers with the fields of the records
+    ``process_record`` emits; the group-by, which is not streamable, with
+    the label ``classify_partition`` gives a partition of one.
+    """
+    if not operator.streamable:
+        return lambda record: operator.classify_partition([record], ctx)
+    process, state = operator.process_record, operator.new_state(ctx)
+    return lambda record: [out.fields for out in process(record, ctx, state)]
 
 
 def _agreement(answers: list, reference: list) -> float:
@@ -202,10 +174,3 @@ def _agreement(answers: list, reference: list) -> float:
         return 0.0
     matches = sum(1 for a, b in zip(answers, reference) if a == b)
     return matches / len(answers)
-
-
-def _pass_rate(answers: list) -> float:
-    booleans = [answer for answer in answers if isinstance(answer, bool)]
-    if not booleans:
-        return 1.0
-    return sum(booleans) / len(booleans)

@@ -273,10 +273,17 @@ class StreamingOperator(PhysicalOperator):
     def process_record(
         self, record: DataRecord, ctx: ExecutionContext, state: dict
     ) -> list[DataRecord]:
-        """One record through an LLM operator; may emit zero or more records."""
-        raise ExecutionError(
-            f"{self.label()} defines neither process_record nor process_batch"
-        )
+        """One record through the operator; may emit zero or more records.
+
+        LLM operators override this.  A token-free operator's is derived:
+        its batch kernel on a batch of one — what the optimizer's sampler
+        calls, so a sampled answer is the operator's own.
+        """
+        if type(self).process_batch is StreamingOperator.process_batch:
+            raise ExecutionError(
+                f"{self.label()} defines neither process_record nor process_batch"
+            )
+        return self.process_batch(RecordBatch([record]), ctx, state).records
 
     def process_batch(
         self, batch: RecordBatch, ctx: ExecutionContext, state: dict

@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.data.records import DataRecord
 from repro.data.sources import DataSource, SourceEvent
 from repro.errors import QuotaExceededError, StreamingError
+from repro.sem.optimizer.cost_model import believe, estimate_chain_steps
 
 if TYPE_CHECKING:
     from repro.sem.config import QueryProcessorConfig
@@ -639,33 +640,29 @@ class StandingQueryManager:
     def _estimate_refresh_cost(
         self, query: StandingQuery, pending_rows: int
     ) -> float | None:
-        """Prior-based spend estimate for refreshing the pending delta.
+        """Spend estimate for refreshing the pending delta.
 
-        Composes learned per-operator cost-per-record and selectivity down
-        the plan's statistics keys; None (no usable priors yet) means the
-        governor cannot justify deferring and refreshes immediately.
+        The cost model's price (:func:`estimate_chain_steps`) of the
+        pending rows through the plan above its leaf — the leaf only
+        admits the appended rows — under what :func:`believe` believes
+        now; None (no usable priors yet) means the governor cannot
+        justify deferring and refreshes immediately.
         """
         stats_store = self.stats_store
         if stats_store is None and query.config is not None:
             stats_store = getattr(query.config, "stats_store", None)
         if stats_store is None or query.last_report is None:
             return None
-        rows = float(pending_rows)
-        total = 0.0
-        informed = False
         # ``planned``, not ``bound``: the pending delta runs through the
         # prefix a replay stands in for, so those operators price it.
-        for operator in query.last_report.planned:
-            entry = operator.stats_entry
-            if entry is None:
-                continue
-            prior = stats_store.usable_prior(entry.get("key"))
-            if prior is None:
-                continue
-            informed = True
-            total += rows * prior.cost_per_record
-            rows *= prior.selectivity
-        return total if informed else None
+        operators = query.last_report.planned[1:]
+        beliefs = [believe(operator, stats_store) for operator in operators]
+        if not any(belief.source == "prior" for belief in beliefs):
+            return None
+        total, _ = estimate_chain_steps(
+            operators, beliefs, input_cardinality=float(pending_rows)
+        )
+        return total.cost_usd
 
     # -- refresh execution ----------------------------------------------
 

@@ -56,23 +56,12 @@ class TestObserve:
             records_out=4,
             cost_usd=0.5,
             time_s=2.0,
-            llm_calls=10,
-            cached_calls=5,
-            retried_calls=2,
-            failed_records=1,
-            tokens=300,
         )
         assert prior.observations == 1
         assert prior.selectivity == pytest.approx(0.4)
         assert prior.rows_in == 10.0
-        assert prior.rows_out == 4.0
-        assert prior.tokens_per_record == pytest.approx(30.0)
         assert prior.cost_per_record == pytest.approx(0.05)
         assert prior.latency_per_record == pytest.approx(0.2)
-        assert prior.latency_per_call == pytest.approx(0.2)
-        assert prior.retry_rate == pytest.approx(0.2)
-        assert prior.failure_rate == pytest.approx(0.1)
-        assert prior.cache_hit_ratio == pytest.approx(0.5)
 
     def test_second_observation_blends_with_decay(self):
         store = StatisticsStore(decay=0.3)
@@ -88,12 +77,24 @@ class TestObserve:
         assert len(store) == 0
         assert store.observations == 0
 
-    def test_no_llm_calls_means_zero_call_rates(self):
-        store = StatisticsStore()
-        prior = _observe(store, records_in=5, records_out=5, llm_calls=0)
-        assert prior.latency_per_call == 0.0
-        assert prior.retry_rate == 0.0
-        assert prior.cache_hit_ratio == 0.0
+    def test_a_prior_keeps_four_statistics(self):
+        # Ratchet: the three per-record numbers an estimate reads plus the
+        # mean input cardinality; a statistic earns a field when read.
+        import dataclasses
+        import inspect
+
+        assert {f.name for f in dataclasses.fields(OperatorPrior)} == {
+            "key", "kind", "model", "dataset", "scope", "observations",
+            "selectivity", "rows_in", "cost_per_record", "latency_per_record",
+        }
+        measured = [
+            name
+            for name, parameter in inspect.signature(
+                StatisticsStore.observe
+            ).parameters.items()
+            if parameter.kind is parameter.KEYWORD_ONLY
+        ]
+        assert measured == ["records_in", "records_out", "cost_usd", "time_s"]
 
     def test_lru_eviction_drops_least_recently_used(self):
         store = StatisticsStore(max_entries=2)
@@ -308,6 +309,105 @@ class TestPersistence:
         # Save order is LRU order: the newest two survive.
         assert [p.key for p in small.priors()] == ["k3", "k4"]
         assert small.evictions == 3
+
+    def test_file_saved_by_the_previous_schema_still_loads(self, tmp_path):
+        # Literal payload as the parent commit wrote it: sixteen keys per
+        # prior, six of them statistics nothing ever read.
+        path = tmp_path / "stats.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "decay": 0.3,
+                    "priors": [
+                        {
+                            "key": "k1",
+                            "kind": "SemFilterOp",
+                            "model": "gpt-mini",
+                            "dataset": "corpus-1",
+                            "scope": "tenant-a",
+                            "observations": 3,
+                            "selectivity": 0.25,
+                            "rows_in": 12.0,
+                            "rows_out": 3.0,
+                            "tokens_per_record": 41.5,
+                            "cost_per_record": 0.002,
+                            "latency_per_record": 0.4,
+                            "latency_per_call": 0.4,
+                            "retry_rate": 0.1,
+                            "failure_rate": 0.0,
+                            "cache_hit_ratio": 0.5,
+                        }
+                    ],
+                }
+            ),
+            encoding="utf-8",
+        )
+        store = StatisticsStore()
+        assert store.load(path) == 1
+        assert store.load_errors == 0
+        assert store.usable_prior("k1") == OperatorPrior(
+            key="k1",
+            kind="SemFilterOp",
+            model="gpt-mini",
+            dataset="corpus-1",
+            scope="tenant-a",
+            observations=3,
+            selectivity=0.25,
+            rows_in=12.0,
+            cost_per_record=0.002,
+            latency_per_record=0.4,
+        )
+
+    def test_kill_during_save_leaves_the_previous_file_readable(
+        self, tmp_path, monkeypatch
+    ):
+        from pathlib import Path
+
+        path = tmp_path / "stats.json"
+        store = StatisticsStore()
+        _observe(store, key="k1")
+        store.save(path)
+        before = path.read_bytes()
+        _observe(store, key="k2")
+        write_text = Path.write_text
+
+        def killed(self, data, **kwargs):
+            write_text(self, data[: len(data) // 2], **kwargs)
+            raise KeyboardInterrupt("killed halfway through the write")
+
+        monkeypatch.setattr(Path, "write_text", killed)
+        with pytest.raises(KeyboardInterrupt):
+            store.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        fresh = StatisticsStore()
+        assert fresh.load(path) == 1
+        # The next save goes through and leaves no temp file behind.
+        assert store.save(path) == 2
+        assert [entry.name for entry in tmp_path.iterdir()] == ["stats.json"]
+
+    @pytest.mark.parametrize("damage", ["truncated", "not-json", "not-an-object"])
+    def test_corrupt_file_loads_as_empty_and_is_counted(self, tmp_path, damage):
+        path = tmp_path / "stats.json"
+        store = StatisticsStore()
+        _observe(store, key="k1")
+        store.save(path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(
+            {
+                "truncated": text[: len(text) // 2],
+                "not-json": "priors: none",
+                "not-an-object": "[1, 2]",
+            }[damage],
+            encoding="utf-8",
+        )
+        fresh = StatisticsStore()
+        fresh.metrics = MetricsRegistry()
+        assert fresh.load(path) == 0
+        assert len(fresh) == 0
+        assert fresh.load_errors == 1 and fresh.stats()["load_errors"] == 1
+        assert fresh.metrics.snapshot()["counters"]["stats.load_errors"] == 1
 
     def test_clear_empties_the_store(self):
         store = StatisticsStore()

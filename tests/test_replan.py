@@ -15,7 +15,6 @@ from repro.data.datasets.base import DatasetBundle
 from repro.data.corpus import FileCorpus
 from repro.data.records import DataRecord, reset_uid_counter
 from repro.data.schemas import Field, Schema
-from repro.errors import ConfigurationError
 from repro.llm.oracle import DIFFICULTY_PREFIX, IntentRegistry
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.oracle import SemanticOracle
@@ -151,6 +150,26 @@ def _run(bundle, plan_fn, **kwargs):
     return plan_fn(bundle).run_with_report(config)
 
 
+def _armed(bundle, **gates):
+    """The misestimate plan, optimized against a warm store; the armed
+    re-planner's gates (constants, not configuration) overridden on the
+    instance.  Boundary 1 sees every record: 2x the static estimate."""
+    from repro.sem.optimizer.optimizer import Optimizer
+
+    reset_uid_counter()
+    config = _config(
+        bundle,
+        stats_store=_warm_store(bundle),
+        stats_estimates=False,
+        replan=True,
+    )
+    bound, report = Optimizer(config).optimize(_misestimate_plan(bundle).plan())
+    for name, value in gates.items():
+        assert hasattr(report.replanner, name), name
+        setattr(report.replanner, name, value)
+    return bound, report.replanner
+
+
 # ---------------------------------------------------------------------------
 # Statistics keys
 # ---------------------------------------------------------------------------
@@ -262,30 +281,26 @@ class TestReplanTrigger:
         assert _normalized(replanned) == _normalized(baseline)
 
     def test_replan_respects_the_limit(self, rp_bundle):
-        store = _warm_store(rp_bundle)
-        _result, report = _run(
-            rp_bundle,
-            _misestimate_plan,
-            stats_store=store,
-            stats_estimates=False,
-            replan=True,
-            replan_limit=0,  # unlimited
-        )
+        from repro.sem.optimizer.replan import REPLAN_LIMIT
+
+        n_rows = len(rp_bundle.records())
+        bound, replanner = _armed(rp_bundle)
+        assert replanner.limit == REPLAN_LIMIT == 1
+        replanner.replans_used = replanner.limit  # the allowance is spent
+        assert not replanner.consider(1, n_rows, bound)
+        replanner.limit = 0  # unlimited
+        assert replanner.consider(1, n_rows, bound)
         # One reorder exhausts the improvement; later boundaries find
         # nothing cheaper, so even "unlimited" stays at one.
-        assert len(report.replans) == 1
+        assert not replanner.consider(1, n_rows, bound)
+        assert len(replanner.report.replans) == 1
 
     def test_min_rows_floor_suppresses_replanning(self, rp_bundle):
-        store = _warm_store(rp_bundle)
-        _result, report = _run(
-            rp_bundle,
-            _misestimate_plan,
-            stats_store=store,
-            stats_estimates=False,
-            replan=True,
-            replan_min_rows=1000,
-        )
-        assert report.replans == []
+        n_rows = len(rp_bundle.records())
+        bound, replanner = _armed(rp_bundle, min_rows=1000)
+        assert not replanner.consider(1, n_rows, bound)
+        replanner.min_rows = n_rows
+        assert replanner.consider(1, n_rows, bound)
 
     def test_accurate_estimates_do_not_trigger(self, rp_bundle):
         store = _warm_store(rp_bundle, plan_fn=_plain_plan)
@@ -299,16 +314,11 @@ class TestReplanTrigger:
         assert report.replans == []
 
     def test_high_threshold_suppresses_replanning(self, rp_bundle):
-        store = _warm_store(rp_bundle)
-        _result, report = _run(
-            rp_bundle,
-            _misestimate_plan,
-            stats_store=store,
-            stats_estimates=False,
-            replan=True,
-            replan_threshold=10.0,
-        )
-        assert report.replans == []
+        n_rows = len(rp_bundle.records())
+        bound, replanner = _armed(rp_bundle, threshold=10.0)
+        assert not replanner.consider(1, n_rows, bound)
+        replanner.threshold = 1.9  # just under the 2.0x divergence
+        assert replanner.consider(1, n_rows, bound)
 
     def test_plan_facts_move_with_their_operators(self, rp_bundle):
         """An accepted replan is a permutation: every bound operator keeps
@@ -484,22 +494,20 @@ class TestReplanObservability:
 
 
 # ---------------------------------------------------------------------------
-# Config validation
+# The gates are constants, not configuration
 # ---------------------------------------------------------------------------
 
 
-class TestConfigValidation:
-    def test_threshold_must_exceed_one(self, rp_bundle):
-        with pytest.raises(ConfigurationError, match="replan_threshold"):
-            _config(rp_bundle, replan_threshold=1.0)
+def test_replan_gates_are_not_config_fields():
+    import dataclasses
+    import inspect
 
-    def test_min_rows_must_be_non_negative(self, rp_bundle):
-        with pytest.raises(ConfigurationError, match="replan_min_rows"):
-            _config(rp_bundle, replan_min_rows=-1)
+    from repro.core.runtime import AnalyticsRuntime
 
-    def test_limit_must_be_non_negative(self, rp_bundle):
-        with pytest.raises(ConfigurationError, match="replan_limit"):
-            _config(rp_bundle, replan_limit=-1)
+    retired = {"replan_threshold", "replan_min_rows", "replan_limit"}
+    assert not retired & {f.name for f in dataclasses.fields(QueryProcessorConfig)}
+    assert not retired & set(inspect.signature(AnalyticsRuntime.__init__).parameters)
+    assert "replan" in {f.name for f in dataclasses.fields(QueryProcessorConfig)}
 
 
 # ---------------------------------------------------------------------------

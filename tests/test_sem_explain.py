@@ -97,9 +97,9 @@ def test_colliding_labels_keep_their_own_estimates():
     ]
     estimates = set()
     for stats, line in zip(measured, lines, strict=True):
-        profile = stats.estimate.profile
+        estimate = stats.estimate
         cells = [cell.strip() for cell in line.split("|")]
-        assert cells[3] == f"{stats.records_in * profile.selectivity:.0f}"
-        assert cells[5] == f"{stats.records_in * profile.cost_per_record:.4f}"
-        estimates.add((profile.selectivity, profile.cost_per_record))
+        assert cells[3] == f"{stats.records_in * estimate.selectivity:.0f}"
+        assert cells[5] == f"{stats.records_in * estimate.cost_per_record:.4f}"
+        estimates.add((estimate.selectivity, estimate.cost_per_record))
     assert len(estimates) == 4

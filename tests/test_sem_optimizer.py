@@ -11,7 +11,13 @@ from repro.llm.simulated import SimulatedLLM
 from repro.sem import logical as L
 from repro.sem.config import QueryProcessorConfig
 from repro.sem.dataset import Dataset
-from repro.sem.optimizer.cost_model import PlanEstimate, estimate_chain, filter_rank
+from repro.sem import physical as P
+from repro.sem.optimizer.cost_model import (
+    OperatorEstimate,
+    PlanEstimate,
+    estimate_chain_steps,
+    filter_rank,
+)
 from repro.sem.optimizer.optimizer import Optimizer
 from repro.sem.optimizer.policies import Balanced, MaxQuality, MinCost
 from repro.sem.optimizer.rules import (
@@ -62,6 +68,13 @@ def test_balanced_falls_back_to_champion():
 def test_balanced_rejects_bad_floor():
     with pytest.raises(ValueError):
         Balanced(1.5)
+    # One implementation behind both names: the validation covers MinCost,
+    # each keeps its own default floor, and neither is the other.
+    with pytest.raises(ValueError):
+        MinCost(-0.1)
+    assert (MinCost().quality_floor, Balanced().quality_floor) == (0.5, 0.92)
+    assert MinCost.choose_model is Balanced.choose_model
+    assert not isinstance(Balanced(), MinCost)
 
 
 def test_min_cost_picks_cheapest():
@@ -124,25 +137,55 @@ def test_merge_adjacent_limits():
 # ---------------------------------------------------------------------------
 
 
+def _bound_filters(*instructions):
+    scan = P.PhysScan(L.ScanOp(child=None, source=None))
+    return [scan] + [
+        P.PhysSemFilter(L.SemFilterOp(child=None, instruction=text), "m")
+        for text in instructions
+    ]
+
+
+def _belief(selectivity, cost):
+    return OperatorEstimate(selectivity, cost, 0.5, "sampled")
+
+
 def test_estimate_chain_shrinks_cardinality():
-    scan = L.ScanOp(child=None, source=None)
-    sem = L.SemFilterOp(child=None, instruction="x")
-    chain = [scan, sem]
-    estimate = estimate_chain(
-        chain, {1: _profile(selectivity=0.25, cost=0.002)}, input_cardinality=100
+    estimate, steps = estimate_chain_steps(
+        _bound_filters("x"),
+        [OperatorEstimate(), _belief(0.25, 0.002)],
+        input_cardinality=100,
     )
     assert estimate.cardinality == pytest.approx(25)
     assert estimate.cost_usd == pytest.approx(0.2)
+    assert [step.cardinality for step in steps] == pytest.approx([100, 25])
 
 
 def test_estimate_downstream_charged_on_survivors():
-    scan = L.ScanOp(child=None, source=None)
-    sem1 = L.SemFilterOp(child=None, instruction="a")
-    sem2 = L.SemFilterOp(child=None, instruction="b")
-    chain = [scan, sem1, sem2]
-    profiles = {1: _profile(selectivity=0.1, cost=0.001), 2: _profile(selectivity=0.5, cost=0.001)}
-    estimate = estimate_chain(chain, profiles, input_cardinality=100)
+    estimate, _steps = estimate_chain_steps(
+        _bound_filters("a", "b"),
+        [OperatorEstimate(), _belief(0.1, 0.001), _belief(0.5, 0.001)],
+        input_cardinality=100,
+    )
     assert estimate.cost_usd == pytest.approx(0.1 + 0.01)
+
+
+def test_estimate_fuses_what_the_bound_operators_say_streams():
+    # Fusion is read off ``operator.streamable`` — no mirrored type table.
+    # Two streamable filters pipeline (fill + (B - 1) * bottleneck over
+    # 100 / 25 = 4 batches); as one-operator sections they add up.
+    beliefs = [OperatorEstimate(), _belief(1.0, 0.0), _belief(1.0, 0.0)]
+    operators = _bound_filters("a", "b")
+    fused, _ = estimate_chain_steps(
+        operators, beliefs, input_cardinality=100, fused_batch_size=25
+    )
+    summed, _ = estimate_chain_steps(operators, beliefs, input_cardinality=100)
+    assert summed.time_s == pytest.approx(100.0)
+    assert fused.time_s == pytest.approx(100.0 / 4 + 3 * 50.0 / 4)
+    operators[2].streamable = False  # e.g. a whole-input operator
+    unfused, _ = estimate_chain_steps(
+        operators, beliefs, input_cardinality=100, fused_batch_size=25
+    )
+    assert unfused.time_s == pytest.approx(summed.time_s)
 
 
 def test_filter_rank_prefers_cheap_selective():
@@ -161,12 +204,20 @@ def test_plan_estimate_addition():
 # ---------------------------------------------------------------------------
 
 
+def _profile_filter(llm, instruction, sample, models, champion):
+    """Audition ``models`` for a semantic filter the way the optimizer does."""
+    op = L.SemFilterOp(child=None, instruction=instruction)
+    ctx = P.ExecutionContext(llm=llm, tag="query:optimize", on_failure="raise")
+    return Sampler(SeededRng(0)).profile(
+        lambda model: P.PhysSemFilter(op, model), models, champion, sample, ctx
+    )
+
+
 def test_sampler_profiles_models(enron_bundle):
     llm = SimulatedLLM(oracle=SemanticOracle(enron_bundle.registry), seed=0)
-    sampler = Sampler(llm, SeededRng(0))
-    sample = sampler.sample_records(enron_bundle.records(), 12)
-    profiles = sampler.profile_filter(
-        en.FILTER_RELEVANT, sample, ["gpt-4o", "gpt-4o-mini"], "gpt-4o"
+    sample = Sampler(SeededRng(0)).sample_records(enron_bundle.records(), 12)
+    profiles = _profile_filter(
+        llm, en.FILTER_RELEVANT, sample, ["gpt-4o", "gpt-4o-mini"], "gpt-4o"
     )
     assert profiles["gpt-4o"].agreement == 1.0  # champion agrees with itself
     assert 0 <= profiles["gpt-4o-mini"].agreement <= 1.0
@@ -174,11 +225,12 @@ def test_sampler_profiles_models(enron_bundle):
     assert 0.0 <= profiles["gpt-4o"].selectivity <= 1.0
 
 
-def test_sampler_empty_sample_neutral_profiles():
+def test_sampler_empty_sample_yields_no_profile():
+    # Nothing seen, nothing believed: the cost model's static formula is
+    # the only default (there is no "neutral" profile to mistake for data).
     llm = SimulatedLLM(seed=0)
-    sampler = Sampler(llm, SeededRng(0))
-    profiles = sampler.profile_filter("anything", [], ["gpt-4o"], "gpt-4o")
-    assert profiles["gpt-4o"].sample_size == 0
+    assert _profile_filter(llm, "anything", [], ["gpt-4o"], "gpt-4o") == {}
+    assert llm.tracker.total().calls == 0
 
 
 def test_sampler_eliminates_bad_models():
@@ -197,18 +249,16 @@ def test_sampler_eliminates_bad_models():
         for i in range(16)
     ]
     llm = SimulatedLLM(oracle=SemanticOracle(registry), seed=3)
-    sampler = Sampler(llm, SeededRng(0))
-    profiles = sampler.profile_filter(
-        "special flag", records, ["gpt-4o", "gpt-3.5-turbo"], "gpt-4o"
+    profiles = _profile_filter(
+        llm, "special flag", records, ["gpt-4o", "gpt-3.5-turbo"], "gpt-4o"
     )
     assert profiles["gpt-4o"].sample_size == 16
     assert profiles["gpt-3.5-turbo"].sample_size <= 16
 
 
 def test_sample_records_deterministic(enron_bundle):
-    llm = SimulatedLLM(seed=0)
-    a = Sampler(llm, SeededRng(1)).sample_records(enron_bundle.records(), 5)
-    b = Sampler(llm, SeededRng(1)).sample_records(enron_bundle.records(), 5)
+    a = Sampler(SeededRng(1)).sample_records(enron_bundle.records(), 5)
+    b = Sampler(SeededRng(1)).sample_records(enron_bundle.records(), 5)
     assert [r.uid for r in a] == [r.uid for r in b]
 
 
@@ -268,7 +318,9 @@ def test_py_filter_profiled_for_selectivity():
         lambda record: record["i"] < 3, description="small"
     )
     _ops, report = Optimizer(config).optimize(dataset.plan())
-    profile = report.profiles["PyFilter(small)"]["python"]
+    # A token-free operator is its own only candidate: model None.
+    (profile,) = report.profiles["PyFilter(small)"].values()
+    assert profile.model is None
     assert profile.selectivity == pytest.approx(0.3)
     assert profile.cost_per_record == 0.0
 

@@ -11,7 +11,6 @@ tick.  Triggers (count / interval / watermark / governor) only decide
 from __future__ import annotations
 
 import difflib
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -428,47 +427,38 @@ def test_watermark_treats_unstamped_events_as_ripe(qa_bundle):
 # ---------------------------------------------------------------------------
 
 
-class _Prior:
-    def __init__(self, cost_per_record, selectivity):
-        self.cost_per_record = cost_per_record
-        self.selectivity = selectivity
-
-
-class _FakeStats:
-    """Minimal stand-in for StatisticsStore.usable_prior."""
-
-    def __init__(self, priors):
-        self.priors = priors
-
-    def usable_prior(self, key):
-        return self.priors.get(key)
-
-    def note_dataset_version(self, dataset, version, change="append"):
-        pass
-
-    def ingest_run(self, *args, **kwargs):
-        return 0
-
-
-def _report_keyed(key):
-    """Stand-in for a last report whose one planned operator is stat-keyed."""
-    return SimpleNamespace(planned=[SimpleNamespace(stats_entry={"key": key})])
+def _seed_priors(stats, query, per_operator):
+    """Replace what the register run taught ``stats`` with chosen priors,
+    observed on the statistics keys of the real plan above its leaf:
+    one ``(cost_per_record, selectivity)`` per operator."""
+    operators = query.last_report.planned[1:]
+    assert len(operators) == len(per_operator)
+    stats.clear()
+    for operator, (cost_per_record, selectivity) in zip(operators, per_operator):
+        entry = operator.stats_entry
+        stats.observe(
+            entry["key"], entry["kind"], entry["model"], entry["dataset"],
+            entry["scope"],
+            records_in=100,
+            records_out=round(100 * selectivity),
+            cost_usd=100 * cost_per_record,
+        )
 
 
 def test_governor_defers_until_the_batch_is_worth_it(qa_bundle):
     records = qa_bundle.records()
-    stats = _FakeStats({"op": _Prior(cost_per_record=0.01, selectivity=1.0)})
+    stats = StatisticsStore()
     manager, query, source = _standing(
         qa_bundle,
         records[:8],
-        policy=RefreshPolicy(trigger="governor", min_batch_usd=0.03),
+        policy=RefreshPolicy(trigger="governor", min_batch_usd=0.025),
         stats_store=stats,
     )
-    query.last_report = _report_keyed("op")
-    source.append(records[8:10])  # estimate 2 * 0.01 = 0.02 < 0.03
+    _seed_priors(stats, query, [(0.01, 1.0), (0.0, 1.0)])  # filter, map
+    source.append(records[8:10])  # estimate 2 * 0.01 = 0.02 < 0.025
     assert manager.pump() == []
     assert query.governor_deferrals == 1
-    source.append(records[10:11])  # estimate 3 * 0.01 = 0.03 >= 0.03
+    source.append(records[10:11])  # estimate 3 * 0.01 = 0.03 >= 0.025
     (tick,) = manager.pump()
     assert tick.fired == "governor"
     assert tick.est_cost_usd == pytest.approx(0.03)
@@ -499,6 +489,80 @@ def test_governor_estimate_prices_the_prefix_behind_a_replay(qa_bundle):
     assert manager._estimate_refresh_cost(query, 4) == pytest.approx(full_plan)
 
 
+def _governed(bundle, plan_fn, per_operator):
+    """A standing query over ``plan_fn(source)`` with seeded priors."""
+    source = MemorySource(bundle.records()[:8], bundle.schema, source_id=bundle.name)
+    stats = StatisticsStore()
+    manager = StandingQueryManager(stats_store=stats)
+    query = manager.register(
+        "live",
+        plan_fn(source),
+        _config(bundle),
+        policy=RefreshPolicy(trigger="governor", min_batch_usd=100.0),
+    )
+    _seed_priors(stats, query, per_operator)
+    return manager, query, stats
+
+
+def _cost_model_price(query, stats, pending_rows):
+    from repro.sem.optimizer.cost_model import believe, estimate_chain_steps
+
+    operators = query.last_report.planned[1:]
+    beliefs = [believe(operator, stats) for operator in operators]
+    assert {belief.source for belief in beliefs} == {"prior"}
+    total, _ = estimate_chain_steps(
+        operators, beliefs, input_cardinality=float(pending_rows)
+    )
+    return total.cost_usd
+
+
+def test_governor_price_is_the_cost_models_price(qa_bundle):
+    def plan(source):
+        return (
+            Dataset.from_source(source)
+            .sem_filter(instruction_for("qa.flag_urgent"))
+            .sem_filter(instruction_for("qa.flag_refund"))
+            .sem_map(
+                Field("customer", str, "customer name"),
+                instruction_for("qa.customer"),
+            )
+        )
+
+    priors = [(0.00031, 0.37), (0.00047, 0.59), (0.00113, 1.0)]
+    manager, query, stats = _governed(qa_bundle, plan, priors)
+    price = manager._estimate_refresh_cost(query, 20)
+    assert price == _cost_model_price(query, stats, 20)
+    # ...which on an all-LLM plan is the closed form the governor used to
+    # compute on its own, bit for bit: sum of rows-in times cost-per-record.
+    rows, closed_form = 20.0, 0.0
+    for operator in query.last_report.planned[1:]:
+        prior = stats.usable_prior(operator.stats_entry["key"])
+        closed_form += rows * prior.cost_per_record
+        rows *= prior.selectivity
+    assert price == closed_form
+
+
+def test_governor_price_respects_a_limit(qa_bundle):
+    # The governor's own loop ignored the cap the cost model applies: it
+    # let the learned 0.25 ratio of a limit(2) scale 20 pending rows to 5.
+    def plan(source):
+        return (
+            Dataset.from_source(source)
+            .sem_filter(instruction_for("qa.flag_urgent"))
+            .limit(2)
+            .sem_map(
+                Field("customer", str, "customer name"),
+                instruction_for("qa.customer"),
+            )
+        )
+
+    priors = [(0.0003, 0.5), (0.0, 0.25), (0.001, 1.0)]
+    manager, query, stats = _governed(qa_bundle, plan, priors)
+    price = manager._estimate_refresh_cost(query, 20)
+    assert price == _cost_model_price(query, stats, 20)
+    assert price == 20 * 0.0003 + 2 * 0.001  # 2 rows reach the map, not 2.5
+
+
 def test_governor_without_priors_refreshes_immediately(qa_bundle):
     records = qa_bundle.records()
     manager, query, source = _standing(
@@ -515,7 +579,7 @@ def test_governor_without_priors_refreshes_immediately(qa_bundle):
 
 def test_governor_staleness_floor_forces_a_refresh(qa_bundle):
     records = qa_bundle.records()
-    stats = _FakeStats({"op": _Prior(cost_per_record=0.001, selectivity=1.0)})
+    stats = StatisticsStore()
     manager, query, source = _standing(
         qa_bundle,
         records[:8],
@@ -524,7 +588,7 @@ def test_governor_staleness_floor_forces_a_refresh(qa_bundle):
         ),
         stats_store=stats,
     )
-    query.last_report = _report_keyed("op")
+    _seed_priors(stats, query, [(0.001, 1.0), (0.0, 1.0)])
     source.append(records[8:9])
     assert manager.pump(now_s=query.last_refresh_s + 5.0) == []
     (tick,) = manager.pump(now_s=query.last_refresh_s + 20.0)
