@@ -39,6 +39,7 @@ from repro.core.program_tool import build_program_tool
 from repro.core.runtime import AnalyticsRuntime
 from repro.data.datasets import enron as en
 from repro.data.schemas import Field
+from repro.llm.models import DEFAULT_MODEL
 from repro.llm.oracle import SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 from repro.sem.config import QueryProcessorConfig
@@ -109,15 +110,15 @@ def _run_materialized(bundle, records, store, seed: int) -> dict:
 
     The optimizer is on (filter reordering exercises fingerprint
     canonicalization; sampling keeps the warm spend non-zero so ratios
-    stay finite) but model selection is off, pinning every operator to the
-    champion so cold and warm runs answer identically by construction.
+    stay finite) but the only candidate model is the champion, pinning every
+    operator so cold and warm runs answer identically by construction.
     """
     llm = SimulatedLLM(oracle=SemanticOracle(bundle.registry), seed=seed)
     config = QueryProcessorConfig(
         llm=llm,
         seed=seed,
         optimize=True,
-        select_models=False,
+        available_models=[DEFAULT_MODEL],
         materialization_store=store,
         tag="bench-reuse",
     )

@@ -18,6 +18,7 @@ from conftest import save_report
 from repro.bench.metrics import set_metrics
 from repro.data.datasets import enron as en
 from repro.data.schemas import Field
+from repro.llm.models import DEFAULT_MODEL
 from repro.llm.oracle import SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 from repro.sem.config import QueryProcessorConfig
@@ -49,7 +50,7 @@ def _run(bundle, optimize: bool, reorder: bool, select_models: bool) -> dict:
         policy=Balanced(quality_floor=0.95),
         optimize=optimize,
         reorder_filters=reorder,
-        select_models=select_models,
+        available_models=None if select_models else [DEFAULT_MODEL],
         seed=SEED,
     )
     result = _program(bundle).run(config)

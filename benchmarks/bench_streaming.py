@@ -75,7 +75,7 @@ def _full_run(bundle, records, seed: int) -> dict:
     source = MemorySource(list(records), schema=bundle.schema, source_id="enron")
     llm = SimulatedLLM(oracle=SemanticOracle(bundle.registry), seed=seed)
     config = QueryProcessorConfig(
-        llm=llm, optimize=False, select_models=False, seed=seed, tag="scratch"
+        llm=llm, optimize=False, seed=seed, tag="scratch"
     )
     result = _plan(source).run(config)
     return {
@@ -106,7 +106,6 @@ def _run_seed(bundle, seed: int) -> dict:
     config = QueryProcessorConfig(
         llm=llm,
         optimize=False,
-        select_models=False,
         seed=seed,
         materialization_store=store,
     )

@@ -91,18 +91,25 @@ fi
 echo "all BENCH_*.json artifacts under benchmarks/results/"
 
 echo
-echo "== retired-option guard (no pipeline=/pushdown=/embed_batch_size=/adaptive_parallelism=/replan_threshold=/replan_min_rows=/replan_limit= config keyword) =="
+echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= config keyword; no optimize= / replan= / shards= / partitioner= on serving) =="
 python - <<'PY'
 import ast
 import pathlib
 import sys
 
-MECHANICS = {
-    "pipeline", "pushdown", "embed_batch_size", "adaptive_parallelism",
-    # Replan gates are constants in sem/optimizer/replan.py.
-    "replan_threshold", "replan_min_rows", "replan_limit",
-}
 CONFIGS = {"QueryProcessorConfig", "AnalyticsRuntime", "ConfigSpec", "for_bundle"}
+SERVING = {"serving", "ServingRuntime"}
+RETIRED = {
+    **dict.fromkeys(CONFIGS, {
+        "pipeline", "pushdown", "embed_batch_size", "adaptive_parallelism",
+        # Replan gates are constants in sem/optimizer/replan.py.
+        "replan_threshold", "replan_min_rows", "replan_limit",
+        # Pin with available_models=[champion_model]; one scope= names the tenant.
+        "select_models", "materialization_scope", "stats_scope",
+    }),
+    # Served queries inherit these from the runtime's config.
+    **dict.fromkeys(SERVING, {"optimize", "replan", "shards", "partitioner"}),
+}
 files = [
     path
     for root in ("src", "tests", "examples")
@@ -114,18 +121,46 @@ for path in files:
         if not isinstance(node, ast.Call):
             continue
         callee = getattr(node.func, "attr", getattr(node.func, "id", None))
-        if callee in CONFIGS:
-            offenders += [
-                f"{path}:{node.lineno}: {callee}({keyword.arg}=...)"
-                for keyword in node.keywords
-                if keyword.arg in MECHANICS
-            ]
+        offenders += [
+            f"{path}:{node.lineno}: {callee}({keyword.arg}=...)"
+            for keyword in node.keywords
+            if keyword.arg in RETIRED.get(callee, ())
+        ]
 if offenders:
-    print("execution mechanics are derived, not configured "
-          "(a baseline mode belongs in repro.qa.reference):")
+    print("retired options: execution mechanics are derived (a baseline mode "
+          "belongs in repro.qa.reference), and a query option is declared "
+          "once, on QueryProcessorConfig:")
     print("\n".join(offenders))
     sys.exit(1)
-print(f"{len(files)} files: no mechanics keyword on a config constructor")
+print(f"{len(files)} files: no retired keyword on a config or serving constructor")
+PY
+
+echo
+echo "== one-config-derivation guard (the runtime's template is the only QueryProcessorConfig( under core/, serve/ and sem/streaming.py) =="
+python - <<'PY'
+import ast
+import pathlib
+import sys
+
+TEMPLATE = "src/repro/core/runtime.py"
+files = sorted(
+    [*pathlib.Path("src/repro/core").rglob("*.py"),
+     *pathlib.Path("src/repro/serve").rglob("*.py"),
+     pathlib.Path("src/repro/sem/streaming.py")]
+)
+calls = [
+    f"{path.as_posix()}:{node.lineno}"
+    for path in files
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    if isinstance(node, ast.Call)
+    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "QueryProcessorConfig"
+]
+if len(calls) != 1 or not calls[0].startswith(TEMPLATE + ":"):
+    print("runtime-bound configs are runtime.program_config(...) derivations "
+          f"of the one template in {TEMPLATE}; found:")
+    print("\n".join(calls) or "(none)")
+    sys.exit(1)
+print(f"{len(files)} files: one QueryProcessorConfig( call, {calls[0]}")
 PY
 
 echo

@@ -31,7 +31,7 @@ from repro.llm.oracle import SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 from repro.sem.config import QueryProcessorConfig
 from repro.sem.dataset import Dataset
-from repro.sem.optimizer.policies import MaxQuality, OptimizationPolicy
+from repro.sem.optimizer.policies import MaxQuality
 
 System = Callable[[int], TrialOutcome]
 
@@ -141,7 +141,6 @@ def kramabench_codeagent_system(
 
 def kramabench_compute_system(
     bundle: DatasetBundle,
-    policy: OptimizationPolicy | None = None,
     fault_config: FaultConfig | None = None,
     retry_policy: RetryPolicy | None = None,
 ) -> System:
@@ -152,7 +151,6 @@ def kramabench_compute_system(
         runtime = AnalyticsRuntime.for_bundle(
             bundle,
             seed=seed,
-            policy=policy,
             fault_config=fault_config,
             retry_policy=retry_policy,
         )
@@ -263,7 +261,6 @@ def enron_codeagent_plus_system(
 
 def enron_compute_system(
     bundle: DatasetBundle,
-    policy: OptimizationPolicy | None = None,
     fault_config: FaultConfig | None = None,
     retry_policy: RetryPolicy | None = None,
 ) -> System:
@@ -273,7 +270,6 @@ def enron_compute_system(
         runtime = AnalyticsRuntime.for_bundle(
             bundle,
             seed=seed,
-            policy=policy,
             fault_config=fault_config,
             retry_policy=retry_policy,
         )

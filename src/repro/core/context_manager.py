@@ -24,6 +24,7 @@ from repro.core.context import Context
 from repro.llm.simulated import SimulatedLLM
 
 if TYPE_CHECKING:
+    from repro.core.runtime import AnswerCache
     from repro.sem.materialize import MaterializationStore
 
 
@@ -60,6 +61,9 @@ class ContextManager:
         #: into it so plan prefixes built on a refreshed Context are dropped
         #: together with the cached Contexts themselves.
         self.materialization_store: "MaterializationStore | None" = None
+        #: Optional whole-query answer cache (``AnalyticsRuntime.answers``);
+        #: ``invalidate`` evicts the answers computed over a stale root.
+        self.answers: "AnswerCache | None" = None
 
     def register(self, context: Context, instruction: str) -> CachedContext:
         """Index a freshly materialized Context under its instruction.
@@ -124,8 +128,9 @@ class ContextManager:
         The eviction cascades into the attached
         :class:`~repro.sem.materialize.MaterializationStore` (when one is
         wired up): sub-plan prefixes materialized from the base Context or
-        from any evicted derived Context are dropped too.  Returns the
-        number of evicted ContextManager entries.
+        from any evicted derived Context are dropped too — and into the
+        attached answer cache, whose entries are keyed by root Context
+        name.  Returns the number of evicted ContextManager entries.
         """
         base_name = base if isinstance(base, str) else base.name
         stale_sources = {base_name}
@@ -146,4 +151,6 @@ class ContextManager:
         self._entries = kept
         if self.materialization_store is not None:
             self.materialization_store.invalidate_sources(stale_sources)
+        if self.answers is not None:
+            self.answers.evict_roots(stale_sources)
         return evicted

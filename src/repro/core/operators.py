@@ -93,8 +93,8 @@ def compile_operator(
     plan with the champion model (their per-step cost is small relative to
     the programs they launch).
     """
-    model = runtime.champion_model
-    if isinstance(runtime.policy, MinCost):
+    model = runtime.config.champion_model
+    if isinstance(runtime.config.policy, MinCost):
         model = runtime.cheapest_model()
     return CompiledAgentOp(logical=logical, agent_model=model, max_steps=max_steps)
 

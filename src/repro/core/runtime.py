@@ -17,6 +17,7 @@ Typical use::
 
 from __future__ import annotations
 
+import dataclasses
 from collections import OrderedDict
 from typing import Any, Sequence
 
@@ -27,14 +28,14 @@ from repro.data.datasets.base import DatasetBundle
 from repro.data.records import DataRecord
 from repro.data.schemas import Schema
 from repro.llm.faults import FaultConfig, FaultInjector, RetryPolicy
-from repro.llm.models import DEFAULT_MODEL, completion_models_by_cost
+from repro.llm.models import completion_models_by_cost
 from repro.llm.oracle import IntentRegistry, SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.usage import Usage
 from repro.obs.stats import StatisticsStore
 from repro.sem.config import QueryProcessorConfig
 from repro.sem.materialize import MaterializationStore
-from repro.sem.optimizer.policies import Balanced, OptimizationPolicy
+from repro.sem.optimizer.policies import Balanced
 from repro.sql.database import Database
 from repro.sql.executor import ResultSet
 
@@ -93,6 +94,17 @@ class AnswerCache:
             self.evictions += 1
             self._count("answers.evictions")
 
+    def evict_roots(self, root_names: "set[str]") -> int:
+        """Drop every answer computed over one of ``root_names``."""
+        doomed = [
+            key for key, entry in self._entries.items() if entry[0] in root_names
+        ]
+        for key in doomed:
+            del self._entries[key]
+        self.evictions += len(doomed)
+        self._count("answers.evictions", len(doomed))
+        return len(doomed)
+
     def clear(self) -> None:
         self.clears += 1
         self.cleared_entries += len(self._entries)
@@ -127,23 +139,13 @@ class AnalyticsRuntime:
         llm: SimulatedLLM | None = None,
         registry: IntentRegistry | None = None,
         seed: int = 0,
-        policy: OptimizationPolicy | None = None,
-        sample_size: int = 16,
-        parallelism: int = 1,
-        champion_model: str = DEFAULT_MODEL,
         reuse_contexts: bool = False,
-        context_threshold: float = ContextManager.DEFAULT_THRESHOLD,
         fault_config: FaultConfig | None = None,
         retry_policy: RetryPolicy | None = None,
-        on_failure: str = "skip",
-        fallback_model: str | None = None,
         tracer: Any = None,
         metrics: Any = None,
         answer_cache_size: int = 128,
-        stats_store: "StatisticsStore | None" = None,
-        replan: bool = False,
-        shards: int = 1,
-        partitioner: str = "hash",
+        **query_options: Any,
     ) -> None:
         if llm is None:
             self.llm = SimulatedLLM(
@@ -158,39 +160,42 @@ class AnalyticsRuntime:
             self.llm = llm
             _wire_explicit_llm(llm, fault_config, retry_policy, tracer, metrics)
         self.seed = seed
-        self.on_failure = on_failure
-        self.fallback_model = fallback_model
-        self.policy = policy or Balanced(quality_floor=0.95)
-        self.sample_size = sample_size
-        self.parallelism = parallelism
-        self.champion_model = champion_model
         self.reuse_contexts = reuse_contexts
-        self.context_manager = ContextManager(self.llm, threshold=context_threshold)
+        self.context_manager = ContextManager(self.llm)
         #: Runtime-wide sub-plan materialization store.  Semantic programs
         #: launched by compute/search agents share it (when
         #: ``reuse_contexts`` is on), so fingerprint-matched plan prefixes
         #: replay across queries; ContextManager.invalidate cascades into it.
         self.materialization_store = MaterializationStore()
         self.context_manager.materialization_store = self.materialization_store
-        #: Runtime-wide learned-statistics store: every finished semantic
-        #: program feeds per-operator priors into it, and later programs'
-        #: estimates (and, with ``replan=True``, mid-query re-planning)
-        #: consult them.  Pass an existing store to share priors across
-        #: runtimes or warm from a saved JSON file.
-        self.stats_store = stats_store if stats_store is not None else StatisticsStore()
-        self.replan = replan
-        #: Simulated scale-out workers for semantic programs (1 = the
-        #: unsharded engine; see :mod:`repro.sem.shard`).
-        self.shards = shards
-        self.partitioner = partitioner
+        #: The one query-processor template: every semantic program, served
+        #: query and standing tick on this runtime runs a
+        #: :meth:`program_config` derivation of it.  ``query_options`` are
+        #: :class:`~repro.sem.config.QueryProcessorConfig` fields (an unknown
+        #: name is the dataclass's ``TypeError``).  The learned-statistics
+        #: store is runtime-wide; pass ``stats_store=`` to share priors
+        #: across runtimes or warm from a saved JSON file.
+        query_options.setdefault("policy", Balanced(quality_floor=0.95))
+        query_options.setdefault("sample_size", 16)
+        query_options.setdefault("stats_store", StatisticsStore())
+        self.config = QueryProcessorConfig(
+            llm=self.llm,
+            seed=seed,
+            materialization_store=(
+                self.materialization_store if reuse_contexts else None
+            ),
+            **query_options,
+        )
         self.db = Database()
         #: Execution result of the most recent optimized program (debugging).
         self.last_program_result = None
         #: Whole-query answer cache (LRU-bounded; see :class:`AnswerCache`).
         self.answers = AnswerCache(max_entries=answer_cache_size)
+        self.context_manager.answers = self.answers
         if self.llm.metrics.enabled:
             self.answers.metrics = self.llm.metrics
-            self.stats_store.metrics = self.llm.metrics
+            if self.config.stats_store is not None:
+                self.config.stats_store.metrics = self.llm.metrics
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -255,8 +260,6 @@ class AnalyticsRuntime:
         capacity pressure, :meth:`clear_answers`, or when the base Context
         is invalidated in the ContextManager.
         """
-        import dataclasses
-
         root_name = context.lineage()[-1].name
         query_vec = self.llm.embed(instruction, tag="answer-cache")
         cached = self.answers.lookup(root_name, query_vec, similarity_floor)
@@ -274,25 +277,11 @@ class AnalyticsRuntime:
     # Optimizer configuration for semantic programs
     # ------------------------------------------------------------------
 
-    def program_config(self, tag: str = "program") -> QueryProcessorConfig:
-        return QueryProcessorConfig(
-            materialization_store=(
-                self.materialization_store if self.reuse_contexts else None
-            ),
-            stats_store=self.stats_store,
-            replan=self.replan,
-            llm=self.llm,
-            policy=self.policy,
-            sample_size=self.sample_size,
-            champion_model=self.champion_model,
-            parallelism=self.parallelism,
-            seed=self.seed,
-            tag=tag,
-            on_failure=self.on_failure,
-            fallback_model=self.fallback_model,
-            shards=self.shards,
-            partitioner=self.partitioner,
-        )
+    def program_config(
+        self, tag: str = "program", **overrides: Any
+    ) -> QueryProcessorConfig:
+        """The runtime's template under ``tag``, with ``overrides`` applied."""
+        return dataclasses.replace(self.config, tag=tag, **overrides)
 
     def cheapest_model(self) -> str:
         return completion_models_by_cost()[0].name
@@ -377,23 +366,25 @@ class AnalyticsRuntime:
     # Standing queries
     # ------------------------------------------------------------------
 
-    def standing(self, **kwargs: Any) -> Any:
+    def standing(self) -> Any:
         """A :class:`~repro.sem.streaming.StandingQueryManager` on this runtime.
 
         Standing queries registered through it share this runtime's clock,
         tracer, metrics, materialization store (delta reuse across ticks),
         statistics store (governor estimates + version-aware prior decay),
-        and context manager (update-event invalidation cascade).
+        and context manager (update-event invalidation cascade, which also
+        evicts cached :meth:`answer` results).
         """
         from repro.sem.streaming import StandingQueryManager
 
-        kwargs.setdefault("clock", self.llm.clock)
-        kwargs.setdefault("tracer", self.llm.tracer)
-        kwargs.setdefault("metrics", self.llm.metrics)
-        kwargs.setdefault("store", self.materialization_store)
-        kwargs.setdefault("stats_store", self.stats_store)
-        kwargs.setdefault("context_manager", self.context_manager)
-        return StandingQueryManager(**kwargs)
+        return StandingQueryManager(
+            clock=self.llm.clock,
+            tracer=self.llm.tracer,
+            metrics=self.llm.metrics,
+            store=self.materialization_store,
+            stats_store=self.config.stats_store,
+            context_manager=self.context_manager,
+        )
 
 
 def _wire_explicit_llm(

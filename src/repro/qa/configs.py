@@ -58,7 +58,7 @@ cannot see a bug every engine mode shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from repro.llm.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.llm.oracle import SemanticOracle
@@ -76,7 +76,6 @@ class ConfigSpec:
     answer_class: str = "exec"
     optimize: bool = False
     policy: str = "max-quality"
-    select_models: bool = True
     reorder_filters: bool = True
     parallelism: int = 4
     batch_size: int | None = None
@@ -108,29 +107,7 @@ class ConfigSpec:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> dict:
-        payload = {
-            "name": self.name,
-            "answer_class": self.answer_class,
-            "optimize": self.optimize,
-            "policy": self.policy,
-            "select_models": self.select_models,
-            "reorder_filters": self.reorder_filters,
-            "parallelism": self.parallelism,
-            "batch_size": self.batch_size,
-            "join_method": self.join_method,
-            "on_failure": self.on_failure,
-            "sample_size": self.sample_size,
-            "llm_seed": self.llm_seed,
-            "reuse": self.reuse,
-            "serve": self.serve,
-            "streaming": self.streaming,
-            "budget_fraction": self.budget_fraction,
-            "fault": self.fault,
-            "retry": self.retry,
-            "shards": self.shards,
-            "partitioner": self.partitioner,
-        }
-        return payload
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ConfigSpec":
@@ -164,21 +141,21 @@ class ConfigSpec:
         return QueryProcessorConfig(
             llm=llm,
             policy=policy_by_name(self.policy),
-            optimize=self.optimize,
-            reorder_filters=self.reorder_filters,
-            select_models=self.select_models,
-            sample_size=self.sample_size,
-            parallelism=self.parallelism,
             seed=self.llm_seed,
             tag=f"qa:{self.name}",
-            join_method=self.join_method,
             max_cost_usd=max_cost_usd,
-            on_failure=self.on_failure,
-            batch_size=self.batch_size,
-            shards=self.shards,
-            partitioner=self.partitioner,
+            **{name: getattr(self, name) for name in _SHARED_OPTIONS},
         )
 
+
+#: ConfigSpec fields that are :class:`QueryProcessorConfig` options verbatim
+#: (``policy`` shares the name but is serialized by policy name).
+_SHARED_OPTIONS = tuple(
+    f.name
+    for f in fields(ConfigSpec)
+    if f.name != "policy"
+    and f.name in {option.name for option in fields(QueryProcessorConfig)}
+)
 
 #: The engine's default configuration (twice per case: determinism + trace).
 BASELINE = ConfigSpec(name="baseline", answer_class="exec")

@@ -148,10 +148,7 @@ def run_spec(
                     base, bundle.schema, source_id=bundle.name
                 )
                 dataset = case.plan.build(bundle, source=source)
-                config.materialization_store = MaterializationStore()
-                manager = StandingQueryManager(
-                    store=config.materialization_store
-                )
+                manager = StandingQueryManager(store=MaterializationStore())
                 query = manager.register(
                     f"qa:{spec.name}",
                     dataset,

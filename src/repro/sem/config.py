@@ -44,13 +44,12 @@ class QueryProcessorConfig:
     optimize: bool = True
     #: Reorder commuting filters by sampled cost/selectivity.
     reorder_filters: bool = True
-    #: Choose cheaper models per operator when quality allows.
-    select_models: bool = True
     #: Records sampled per operator when profiling models.
     sample_size: int = 12
     #: Reference model for agreement-based quality estimation.
     champion_model: str = DEFAULT_MODEL
-    #: Candidate models for selection (None = all chat models, by cost).
+    #: Candidate models for selection (None = all chat models, by cost);
+    #: ``[champion_model]`` pins every operator and turns selection off.
     available_models: list[str] | None = None
     #: Concurrent LLM calls per operator (1 = strict iterator semantics).
     parallelism: int = 1
@@ -79,19 +78,17 @@ class QueryProcessorConfig:
     #: source deltas through them) instead of recomputing.  None disables
     #: materialization entirely.
     materialization_store: "MaterializationStore | None" = None
-    #: Tenant namespace for materialization fingerprints on a *shared*
-    #: store: scoped runs only match entries captured under the same scope.
+    #: Tenant namespace on *shared* stores: scoped runs only match
+    #: materialization entries captured under the same scope, and one
+    #: tenant's observed selectivities never steer another's plans.
     #: Empty (the default) keeps the historical single-tenant digests.
-    materialization_scope: str = ""
+    scope: str = ""
     #: Learned per-operator priors: a shared
     #: :class:`~repro.obs.stats.StatisticsStore` that finished runs feed
     #: (observed selectivity/cost/latency per operator+model+dataset) and
     #: that estimates and mid-query re-planning consult.  None disables
     #: both ingestion and consultation.
     stats_store: "StatisticsStore | None" = None
-    #: Tenant namespace for statistics keys on a *shared* store — one
-    #: tenant's observed selectivities must not steer another's plans.
-    stats_scope: str = ""
     #: Let plan estimates use learned priors when available (falling back
     #: to sampled profiles / static formulas).  Off = priors are still
     #: collected but estimates stay static — the misestimate-injection

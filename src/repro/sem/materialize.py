@@ -32,6 +32,7 @@ fingerprints.
 from __future__ import annotations
 
 import json
+import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -329,6 +330,8 @@ class MaterializationStore:
         #: (content_version drift); a subset of ``invalidations``.
         self.update_invalidations = 0
         self.delta_records = 0
+        #: Truncated / non-JSON files :meth:`load` refused (loaded as empty).
+        self.load_errors = 0
         #: Optional :class:`repro.obs.metrics.MetricsRegistry` mirror.
         self.metrics = None
 
@@ -479,6 +482,9 @@ class MaterializationStore:
         Entries whose field values don't survive a JSON round-trip (live
         objects, numpy scalars) are skipped — reuse must never replay
         records that differ from what a recompute would produce.
+
+        Atomic: the payload goes to a sibling temp file that then replaces
+        ``path``, so a crash mid-save leaves the previous file readable.
         """
         payload = []
         for entry in self._entries.values():
@@ -498,10 +504,13 @@ class MaterializationStore:
                     "time_s": entry.time_s,
                 }
             )
-        Path(path).write_text(
+        path = Path(path)
+        scratch = path.with_name(path.name + ".tmp")
+        scratch.write_text(
             json.dumps({"version": FINGERPRINT_VERSION, "entries": payload}),
             encoding="utf-8",
         )
+        os.replace(scratch, path)
         return len(payload)
 
     def load(self, path: str | Path) -> int:
@@ -516,8 +525,19 @@ class MaterializationStore:
         Files written before reuse became one optimizer decision also hold
         per-shard entries (marked by an ``emit_counts`` key) that no probe
         can match any more; they are dropped here, counted as evictions.
+
+        A truncated or non-JSON file loads nothing and is counted in
+        ``load_errors`` — a corrupt store file costs the saved work, never
+        the query.
         """
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError:
+            payload = None
+        if not isinstance(payload, dict):
+            self.load_errors += 1
+            self._count("materialization.load_errors")
+            return 0
         if payload.get("version") != FINGERPRINT_VERSION:
             return 0
         saved = payload.get("entries", [])

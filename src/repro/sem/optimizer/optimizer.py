@@ -244,11 +244,10 @@ class Optimizer:
             for position, op in enumerate(chain):
                 if isinstance(op, _PROFILED_OPS):
                     champion = config.champion_model
-                    # A pinned model, or the champion with model selection
-                    # off, is already decided and the sampler just measures
-                    # its selectivity/cost: profiling other tiers only pays
-                    # off if the policy may pick them.
-                    decided = op.model or (None if config.select_models else champion)
+                    # A pinned model is already decided and the sampler
+                    # just measures its selectivity/cost: profiling other
+                    # tiers only pays off if the policy may pick them.
+                    decided = op.model
                     models = [decided] if decided else candidates
                 elif isinstance(op, _FREE_FILTERS):
                     champion = decided = None
@@ -335,7 +334,7 @@ class Optimizer:
         store = config.stats_store
         if store is not None:
             store.metrics = config.llm.metrics if config.llm.metrics.enabled else None
-        scope = config.stats_scope
+        scope = config.scope
         chain = [op.logical_op for op in bound]
         leaf = chain[0]
         has_source = isinstance(leaf, (L.ScanOp, L.SqlScanOp)) and leaf.source is not None
@@ -438,7 +437,7 @@ class Optimizer:
         source_uids = leaf.source.uids()
         source_id = leaf.source.source_id
         content_version = getattr(leaf.source, "content_version", 0)
-        stamp_fingerprints(bound, config.llm.seed, config.materialization_scope)
+        stamp_fingerprints(bound, config.llm.seed, config.scope)
         capture = CapturePlan(
             store=store,
             source_id=source_id,

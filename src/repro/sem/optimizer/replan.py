@@ -200,9 +200,7 @@ class Replanner:
             )
             operators[position] = op
         if self.report.capture is not None:
-            stamp_fingerprints(
-                operators, config.llm.seed, config.materialization_scope
-            )
+            stamp_fingerprints(operators, config.llm.seed, config.scope)
 
         decision = {
             "boundary": boundary,

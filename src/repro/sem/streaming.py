@@ -46,7 +46,7 @@ refresh-provenance footer to the usual EXPLAIN ANALYZE rendering.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import groupby
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -386,12 +386,13 @@ class StandingQueryManager:
     One manager watches many queries over shared substrate components; all
     of ``clock``/``tracer``/``metrics`` default per query to the
     registered config's LLM.  ``store`` (a shared
-    :class:`~repro.sem.materialize.MaterializationStore`) is attached to
-    registered configs that lack one, so delta reuse works out of the box;
-    ``context_manager`` receives the invalidation cascade on update
-    events; ``stats_store`` feeds the governor's estimates and is told
-    about source-version changes so selectivity priors decay instead of
-    serving stale cardinalities.
+    :class:`~repro.sem.materialize.MaterializationStore`) and
+    ``stats_store`` fill in for a registered config that lacks one — on a
+    derived copy, the caller's object is never written — so delta reuse
+    works out of the box; ``context_manager`` receives the invalidation
+    cascade on update events; ``stats_store`` feeds the governor's
+    estimates and is told about source-version changes so selectivity
+    priors decay instead of serving stale cardinalities.
     """
 
     def __init__(
@@ -443,20 +444,16 @@ class StandingQueryManager:
                 "tracer and metrics on the StandingQueryManager"
             )
         if config is not None:
-            if (
-                getattr(config, "materialization_store", None) is None
-                and self.store is not None
-            ):
-                config.materialization_store = self.store
-            if (
-                getattr(config, "stats_store", None) is None
-                and self.stats_store is not None
-            ):
-                config.stats_store = self.stats_store
+            store, stats_store = config.materialization_store, config.stats_store
+            config = replace(
+                config,
+                materialization_store=self.store if store is None else store,
+                stats_store=self.stats_store if stats_store is None else stats_store,
+            )
         sources = [
             op.source
             for op in dataset.plan().source_ops()
-            if op.source is not None and hasattr(op.source, "subscribe")
+            if op.source is not None
         ]
         if not sources:
             raise StreamingError(
@@ -517,9 +514,7 @@ class StandingQueryManager:
         seen: dict[str, StandingQuery] = {}
         for query in watchers:
             seen.setdefault(query.name, query)
-        if self.stats_store is not None and hasattr(
-            self.stats_store, "note_dataset_version"
-        ):
+        if self.stats_store is not None:
             self.stats_store.note_dataset_version(
                 event.source_id, event.version, change=event.kind
             )
@@ -557,24 +552,16 @@ class StandingQueryManager:
         (through :meth:`ContextManager.invalidate` when wired) keeps the
         shared stores honest for *other* consumers between pumps.
         """
-        stores = []
-        if self.store is not None:
-            stores.append(self.store)
+        stores = [self.store]
         if self.context_manager is not None:
-            attached = getattr(
-                self.context_manager, "materialization_store", None
-            )
-            if attached is not None:
-                stores.append(attached)
-        for query in queries:
-            store = getattr(query.config, "materialization_store", None)
-            if store is not None:
-                stores.append(store)
-        handled = set()
-        for store in stores:
-            if id(store) in handled:
-                continue
-            handled.add(id(store))
+            stores.append(self.context_manager.materialization_store)
+        stores += [
+            query.config.materialization_store
+            for query in queries
+            if query.config is not None
+        ]
+        distinct = {id(store): store for store in stores if store is not None}
+        for store in distinct.values():
             store.invalidate_sources([event.source_id], kind="update")
         # Context-level cascade after the stores: evicted contexts built on
         # the source go stale too (their own store pass is then a no-op).
@@ -648,9 +635,10 @@ class StandingQueryManager:
         now; None (no usable priors yet) means the governor cannot
         justify deferring and refreshes immediately.
         """
-        stats_store = self.stats_store
-        if stats_store is None and query.config is not None:
-            stats_store = getattr(query.config, "stats_store", None)
+        # register() already gave a config the manager's store to fall back on.
+        stats_store = (
+            self.stats_store if query.config is None else query.config.stats_store
+        )
         if stats_store is None or query.last_report is None:
             return None
         # ``planned``, not ``bound``: the pending delta runs through the
@@ -785,16 +773,10 @@ class StandingQueryManager:
 
 def _default_runner(query: StandingQuery, tag: str) -> tuple:
     """Run the plan directly on the registered config's substrate."""
-    config = query.config
-    llm = config.llm
-    previous_tag = config.tag
+    llm = query.config.llm
     checkpoint = llm.tracker.checkpoint()
     time_before = llm.clock.elapsed
-    config.tag = tag
-    try:
-        result, report = query.dataset.run_with_report(config)
-    finally:
-        config.tag = previous_tag
+    result, report = query.dataset.run_with_report(replace(query.config, tag=tag))
     query.last_result = result
     usage = llm.tracker.since(checkpoint)
     return result.records, usage.cost_usd, llm.clock.elapsed - time_before, report

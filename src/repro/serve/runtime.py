@@ -16,10 +16,12 @@ The lifecycle per drain window:
    schedule makespan, emit serving spans and per-tenant metrics.
 
 Isolation: each tenant session runs with ``cache_scope`` set on the LLM
-(tenant-namespaced generation-cache keys) and ``materialization_scope`` on
-the query config (tenant-namespaced sub-plan fingerprints), so tenants
+(tenant-namespaced generation-cache keys) and ``scope`` on the query config
+(tenant-namespaced sub-plan fingerprints and statistics keys), so tenants
 never observe — or get billed against — each other's cached work, while
-still sharing one bounded store.
+still sharing one bounded store.  Every other query option is the shared
+runtime's: a served query runs ``runtime.program_config(...)``, so a sharded
+or re-planning serving layer is ``AnalyticsRuntime(shards=4).serving()``.
 
 Admission decisions depend only on arrival times and previously admitted
 spend, never on the schedule, so the admitted set — and therefore every
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import QuotaExceededError, ServingError
-from repro.sem.config import QueryProcessorConfig
 from repro.serve.scheduler import CrossQueryScheduler, QueryJob, ServingReport
 from repro.serve.timeline import CallTimeline
 
@@ -92,28 +93,12 @@ class ServingRuntime:
         provider_width: int = 16,
         batching: bool = True,
         parallelism: int = 4,
-        optimize: bool = False,
-        replan: bool = False,
-        shards: int = 1,
-        partitioner: str = "hash",
     ) -> None:
         self.runtime = runtime
         self.llm = runtime.llm
         self.provider_width = provider_width
         self.batching = batching
         self.parallelism = parallelism
-        self.optimize = optimize
-        #: Adaptive mid-query re-planning for served queries.  Statistics
-        #: are tenant-scoped either way: one tenant's observed
-        #: selectivities never steer another tenant's plans.
-        self.replan = replan
-        #: Simulated scale-out workers each served query spreads across
-        #: (see :mod:`repro.sem.shard`).  Shard time is routed through the
-        #: serving sink as parallel waves, so per-tenant attribution and
-        #: the shared-clock invariant survive; sharded queries do forfeit
-        #: overlap rebates (their call notes are charged as whole waves).
-        self.shards = shards
-        self.partitioner = partitioner
         self.tenants: dict[str, TenantState] = {}
         for spec in tenants or ():
             self.tenants[spec.name] = TenantState(spec=spec)
@@ -178,6 +163,14 @@ class ServingRuntime:
         :class:`~repro.errors.QuotaExceededError` on rejection — rejected
         queries never touch the shared substrate.
         """
+        return self._submit(tenant, dataset, arrival_s, tag)[0]
+
+    def _submit(self, tenant: str, dataset: "Dataset", arrival_s: float, tag: str):
+        """:meth:`submit`, also handing back the result and optimizer report.
+
+        Jobs outlive their drain window in callers' hands, so the report
+        (bound operators, capture plan) rides beside the job, not on it.
+        """
         state = self.tenant(tenant)
         self._admit(state, arrival_s)
 
@@ -186,19 +179,15 @@ class ServingRuntime:
         self._next_query_id += 1
         tag = tag or f"serve:{tenant}:q{query_id}"
         store = self.runtime.materialization_store
-        config = QueryProcessorConfig(
-            llm=llm,
-            optimize=self.optimize,
+        # Sharded queries route shard time through the sink as parallel
+        # waves, so per-tenant attribution and the shared-clock invariant
+        # survive; they forfeit overlap rebates (whole-wave call notes).
+        config = self.runtime.program_config(
+            tag,
+            optimize=False,
             parallelism=self.parallelism,
-            seed=self.runtime.seed,
-            tag=tag,
+            scope=tenant,
             materialization_store=store,
-            materialization_scope=tenant,
-            stats_store=getattr(self.runtime, "stats_store", None),
-            stats_scope=tenant,
-            replan=self.replan,
-            shards=self.shards,
-            partitioner=self.partitioner,
         )
 
         timeline = CallTimeline()
@@ -214,7 +203,7 @@ class ServingRuntime:
         llm.serve_sink = timeline
         llm.cache_scope = tenant
         try:
-            result = dataset.run(config)
+            result, report = dataset.run_with_report(config)
         finally:
             llm.serve_sink = None
             llm.cache_scope = ""
@@ -251,7 +240,7 @@ class ServingRuntime:
             f"serving.tenant.{tenant}.materialization_hits",
             job.materialization_hits,
         )
-        return job
+        return job, result, report
 
     # -- standing queries -----------------------------------------------
 
@@ -263,17 +252,7 @@ class ServingRuntime:
         standing-query ticks hit the same caches tenants do.
         """
         if self._standing is None:
-            from repro.sem.streaming import StandingQueryManager
-
-            runtime = self.runtime
-            self._standing = StandingQueryManager(
-                clock=self.llm.clock,
-                tracer=self.llm.tracer,
-                metrics=self.llm.metrics,
-                store=runtime.materialization_store,
-                stats_store=getattr(runtime, "stats_store", None),
-                context_manager=getattr(runtime, "context_manager", None),
-            )
+            self._standing = self.runtime.standing()
         return self._standing
 
     def register_standing(
@@ -294,10 +273,10 @@ class ServingRuntime:
         """
 
         def runner(query, tag):
-            job = self.submit(
-                tenant, query.dataset, arrival_s=query.clock.elapsed, tag=tag
+            job, query.last_result, report = self._submit(
+                tenant, query.dataset, query.clock.elapsed, tag
             )
-            return job.records, job.raw_cost_usd, 0.0, None
+            return job.records, job.raw_cost_usd, 0.0, report
 
         return self.standing_manager().register(
             f"{tenant}:{name}",

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.runtime import AnalyticsRuntime
 from repro.data.datasets import kramabench as kb
+from repro.obs.metrics import MetricsRegistry
+from repro.sem.dataset import Dataset
 
 
 @pytest.fixture
@@ -63,3 +65,41 @@ def test_clear_answers_evicts(runtime_ctx):
     runtime.clear_answers()
     result = runtime.answer(context, kb.QUERY_RATIO)
     assert not result.reused
+
+
+def test_invalidating_the_base_context_evicts_its_answers(legal_bundle):
+    runtime = AnalyticsRuntime.for_bundle(
+        legal_bundle, seed=55, metrics=MetricsRegistry()
+    )
+    context = runtime.make_context(legal_bundle)
+    runtime.answer(context, kb.QUERY_RATIO)
+    runtime.answer(context, kb.QUERY_TOP_STATE)
+    other = runtime.make_context(
+        legal_bundle.records()[:10],
+        schema=legal_bundle.schema,
+        desc="a different lake",
+        name="other-lake",
+    )
+    runtime.answer(other, kb.QUERY_RATIO)
+
+    runtime.context_manager.invalidate(context)
+
+    assert not runtime.answer(context, kb.QUERY_RATIO).reused
+    assert runtime.answer(other, kb.QUERY_RATIO).reused  # another root's survive
+    assert runtime.answers.evictions == 2
+    assert runtime.metrics.snapshot()["counters"]["answers.evictions"] == 2
+
+
+def test_source_update_seen_by_a_standing_query_evicts_answers(runtime_ctx):
+    runtime, context = runtime_ctx
+    runtime.answer(context, kb.QUERY_RATIO)
+    source = context.source()
+    runtime.standing().register(
+        "watch",
+        Dataset.from_source(source),
+        runtime.program_config("watch"),
+        prime=False,
+    )
+    source.update(source.uids()[0], {"note": "amended"})
+    assert runtime.answers.evictions == 1
+    assert not runtime.answer(context, kb.QUERY_RATIO).reused

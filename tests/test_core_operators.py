@@ -79,13 +79,13 @@ def test_search_then_compute_chain(legal_runtime, legal_bundle):
     assert result.answer["ratio"] == pytest.approx(truth, rel=0.02)
 
 
-def test_compile_operator_model_selection(legal_runtime):
+def test_compile_operator_model_selection(legal_runtime, legal_bundle):
     runtime, _context = legal_runtime
     logical = LogicalAgentOp("compute", "instruction", "ctx")
     compiled = compile_operator(logical, runtime, max_steps=5)
-    assert compiled.agent_model == runtime.champion_model
+    assert compiled.agent_model == runtime.config.champion_model
 
-    runtime.policy = MinCost()
+    runtime = AnalyticsRuntime.for_bundle(legal_bundle, policy=MinCost())
     compiled_cheap = compile_operator(logical, runtime, max_steps=5)
     assert compiled_cheap.agent_model == runtime.cheapest_model()
 

@@ -90,3 +90,41 @@ def test_compute_and_search_methods_delegate(legal_bundle):
     assert found.output_context is not context
     result = runtime.compute(context, kb.QUERY_RATIO)
     assert result.answer is not None
+
+
+def test_query_options_are_declared_once():
+    """The runtime and the serving layer forward query options, never
+    re-declare them: one dataclass owns every name."""
+    import inspect
+    from dataclasses import fields
+
+    from repro.sem.config import QueryProcessorConfig
+    from repro.serve import ServingRuntime
+
+    # ``llm`` is the substrate the config is built around, not an option.
+    options = {option.name for option in fields(QueryProcessorConfig)} - {"llm"}
+
+    def declared(cls):
+        parameters = inspect.signature(cls.__init__).parameters.values()
+        named = {p.name for p in parameters if p.kind is p.POSITIONAL_OR_KEYWORD}
+        return named - {"self"}
+
+    assert declared(AnalyticsRuntime) & options == {"seed"}
+    assert len(declared(AnalyticsRuntime)) <= 10
+    assert declared(ServingRuntime) & options == {"parallelism"}
+    assert len(declared(ServingRuntime) - {"runtime"}) == 4
+
+
+def test_unknown_query_option_is_a_type_error():
+    with pytest.raises(TypeError, match="foo"):
+        AnalyticsRuntime(foo=1)
+
+
+def test_program_config_derives_without_touching_the_template(legal_bundle):
+    runtime = AnalyticsRuntime.for_bundle(legal_bundle, on_failure="raise", shards=2)
+    derived = runtime.program_config("served", parallelism=3, scope="tenant")
+    assert (derived.tag, derived.parallelism, derived.scope) == ("served", 3, "tenant")
+    assert (derived.on_failure, derived.shards) == ("raise", 2)
+    template = runtime.config
+    assert (template.tag, template.parallelism, template.scope) == ("query", 1, "")
+    assert derived.stats_store is template.stats_store

@@ -9,7 +9,8 @@ from repro.sem.config import QueryProcessorConfig
 
 def test_defaults_are_sane(make_llm):
     config = QueryProcessorConfig(llm=make_llm())
-    assert config.optimize and config.reorder_filters and config.select_models
+    assert config.optimize and config.reorder_filters
+    assert config.available_models is None  # model selection over the catalog
     assert config.champion_model == DEFAULT_MODEL
     assert config.parallelism == 1  # iterator semantics by default
     assert config.join_method == "nested"

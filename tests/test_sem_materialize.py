@@ -1,11 +1,13 @@
 """Tests for sub-plan materialization: fingerprints, store, and reuse."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.data.records import DataRecord
 from repro.data.schemas import Field, Schema
+from repro.llm.models import DEFAULT_MODEL
 from repro.llm.simulated import SimulatedLLM
 from repro.obs.metrics import MetricsRegistry
 from repro.sem.config import QueryProcessorConfig
@@ -270,6 +272,55 @@ def test_store_load_rejects_version_mismatch(tmp_path):
     assert MaterializationStore().load(path) == 0
 
 
+def test_store_kill_during_save_leaves_the_previous_file_readable(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "store.json"
+    store = MaterializationStore()
+    store.put("fp1", _records(1), ("u0",), "src", cost_usd=0.0, time_s=0.0)
+    store.save(path)
+    before = path.read_bytes()
+    store.put("fp2", _records(2), ("u0", "u1"), "src", cost_usd=0.0, time_s=0.0)
+    write_text = Path.write_text
+
+    def killed(self, data, **kwargs):
+        write_text(self, data[: len(data) // 2], **kwargs)
+        raise KeyboardInterrupt("killed halfway through the write")
+
+    monkeypatch.setattr(Path, "write_text", killed)
+    with pytest.raises(KeyboardInterrupt):
+        store.save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert MaterializationStore().load(path) == 1
+    # The next save goes through and leaves no temp file behind.
+    assert store.save(path) == 2
+    assert [entry.name for entry in tmp_path.iterdir()] == ["store.json"]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not-json", "not-an-object"])
+def test_store_corrupt_file_loads_as_empty_and_is_counted(tmp_path, damage):
+    path = tmp_path / "store.json"
+    store = MaterializationStore()
+    store.put("fp", _records(1), ("u0",), "src", cost_usd=0.0, time_s=0.0)
+    store.save(path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(
+        {
+            "truncated": text[: len(text) // 2],
+            "not-json": "entries: none",
+            "not-an-object": "[1, 2]",
+        }[damage],
+        encoding="utf-8",
+    )
+    fresh = MaterializationStore()
+    fresh.metrics = MetricsRegistry()
+    assert fresh.load(path) == 0
+    assert len(fresh) == 0 and fresh.load_errors == 1
+    counters = fresh.metrics.snapshot()["counters"]
+    assert counters["materialization.load_errors"] == 1
+
+
 #: ``MaterializationStore.save`` output of a ``shards=4`` cold run of
 #: ``sem_filter(FILTER_A)`` over four records, written by the commit before
 #: per-shard entries were retired: four per-shard entries (``emit_counts``,
@@ -427,7 +478,7 @@ def test_reuse_works_with_optimizer_on():
             llm=SimulatedLLM(seed=0),
             seed=0,
             optimize=True,
-            select_models=False,
+            available_models=[DEFAULT_MODEL],
             materialization_store=store,
         )
 

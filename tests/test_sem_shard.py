@@ -769,7 +769,7 @@ class TestReuseComposition:
         warm, report = plan("qa.amount").run_with_report(
             _config(
                 qa_bundle, shards=4,
-                materialization_store=store, materialization_scope="tenant",
+                materialization_store=store, scope="tenant",
             )
         )
         fresh = plan("qa.amount").run(_config(qa_bundle))
@@ -851,8 +851,8 @@ class TestReuseComposition:
 
 class TestServing:
     def test_sharded_query_respects_serving_clock_invariant(self, qa_bundle):
-        runtime = AnalyticsRuntime.for_bundle(qa_bundle, seed=13)
-        serving = runtime.serving(shards=4)
+        runtime = AnalyticsRuntime.for_bundle(qa_bundle, seed=13, shards=4)
+        serving = runtime.serving()
         job = serving.submit(
             "tenant-a",
             Dataset.from_source(qa_bundle.source()).sem_filter(
@@ -870,8 +870,8 @@ class TestServing:
             .sem_filter(instruction_for("qa.flag_urgent"))
             .run(_config(qa_bundle))
         )
-        runtime = AnalyticsRuntime.for_bundle(qa_bundle, seed=13)
-        serving = runtime.serving(shards=4)
+        runtime = AnalyticsRuntime.for_bundle(qa_bundle, seed=13, shards=4)
+        serving = runtime.serving()
         job = serving.submit(
             "tenant-a",
             Dataset.from_source(qa_bundle.source()).sem_filter(

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.context import Context
+from repro.core.context_manager import ContextManager
 from repro.data.records import DataRecord, reset_uid_counter
 from repro.data.schemas import Field
 from repro.data.sources import MemorySource
@@ -47,7 +49,6 @@ def qa_bundle():
 def _config(bundle, *, seed: int = 19, **kwargs) -> QueryProcessorConfig:
     llm = SimulatedLLM(oracle=SemanticOracle(bundle.registry), seed=seed)
     kwargs.setdefault("optimize", False)
-    kwargs.setdefault("select_models", False)
     return QueryProcessorConfig(llm=llm, seed=seed, **kwargs)
 
 
@@ -76,12 +77,9 @@ def _full_run(bundle, records, *, seed: int = 19):
 def _standing(bundle, base, *, policy=None, store=None, config=None, **manager_kwargs):
     """A registered standing query over ``base`` plus its live source."""
     source = MemorySource(base, bundle.schema, source_id=bundle.name)
-    config = config or _config(bundle)
-    if store is not None:
-        config.materialization_store = store
     manager = StandingQueryManager(store=store, **manager_kwargs)
     query = manager.register(
-        "live", _sem_plan(source), config, policy=policy
+        "live", _sem_plan(source), config or _config(bundle), policy=policy
     )
     return manager, query, source
 
@@ -257,6 +255,27 @@ def test_register_primes_a_base_view(qa_bundle):
     assert _normalized(query.records) == _normalized(
         _full_run(qa_bundle, records[:8])
     )
+
+
+def test_register_leaves_the_callers_config_untouched(qa_bundle):
+    """The manager's stores and each tick's tag land on derived copies."""
+    records = qa_bundle.records()
+    config = _config(qa_bundle, tag="mine")
+    before = dict(vars(config))
+    manager, query, source = _standing(
+        qa_bundle,
+        records[:8],
+        config=config,
+        store=MaterializationStore(),
+        stats_store=StatisticsStore(),
+    )
+    source.append(records[8:10])
+    (tick,) = manager.pump()
+    assert tick.reuse_kind == "delta"  # the derived config did get the store
+    assert vars(config) == before
+    assert query.config is not config
+    assert query.config.materialization_store is manager.store
+    assert query.config.stats_store is manager.stats_store
 
 
 # ---------------------------------------------------------------------------
@@ -662,20 +681,16 @@ def _full_run_current(bundle, source):
 
 
 def test_update_event_cascades_to_context_manager(qa_bundle):
-    class _Recorder:
-        def __init__(self):
-            self.invalidated = []
-
-        def invalidate(self, source_id):
-            self.invalidated.append(source_id)
-
-    recorder = _Recorder()
     records = qa_bundle.records()
+    config = _config(qa_bundle)
+    contexts = ContextManager(config.llm)
+    feed = Context(records[:6], qa_bundle.schema, desc="feed", name=qa_bundle.name)
+    contexts.register(feed.derived("urgent tickets", records[:2]), "find urgent")
     _manager, query, source = _standing(
-        qa_bundle, records[:6], context_manager=recorder
+        qa_bundle, records[:6], config=config, context_manager=contexts
     )
     source.update(records[0].uid, {"priority": 4})
-    assert recorder.invalidated == [source.source_id]
+    assert len(contexts) == 0  # the view derived from the source went stale
     assert query.pending_updates == 1
 
 
@@ -747,7 +762,7 @@ def test_standing_spans_validate_and_carry_tick_attributes(qa_bundle):
         oracle=SemanticOracle(qa_bundle.registry), seed=19, tracer=tracer
     )
     config = QueryProcessorConfig(
-        llm=llm, seed=19, optimize=False, select_models=False
+        llm=llm, seed=19, optimize=False
     )
     manager = StandingQueryManager(tracer=tracer)
     manager.register("traced", _sem_plan(source), config)

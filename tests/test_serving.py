@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.runtime import AnalyticsRuntime
-from repro.errors import QuotaExceededError, ServingError
+from repro.data.schemas import Field
+from repro.errors import QuotaExceededError, ServingError, TransientLLMError
+from repro.llm.faults import FaultConfig, RetryPolicy
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.qa.corpus import CorpusSpec, build_corpus, instruction_for
@@ -13,6 +15,7 @@ from repro.qa.plans import normalized_records
 from repro.sem import logical as L
 from repro.sem.dataset import Dataset
 from repro.sem.materialize import prefix_fingerprints
+from repro.sem.streaming import RefreshPolicy
 from repro.serve import (
     CallTimeline,
     ServingRuntime,
@@ -320,8 +323,8 @@ def test_same_tenant_reuses_own_work(qa_bundle):
 
 
 def test_same_tenant_reuse_holds_when_served_queries_are_sharded(qa_bundle):
-    runtime = make_runtime(qa_bundle)
-    serving = runtime.serving(shards=4)
+    runtime = make_runtime(qa_bundle, shards=4)
+    serving = runtime.serving()
     first = serving.submit("alice", filter_query(qa_bundle))
     second = serving.submit("alice", filter_query(qa_bundle))
     # One replay decision at every shard count: the optimizer splices the
@@ -507,3 +510,70 @@ def test_standing_tick_deferred_by_tenant_quota(qa_bundle):
     assert tick.deferred is True
     # The pending delta survives the rejection for the next pump.
     assert query.pending_appends == 2
+
+
+def test_served_query_runs_under_the_runtimes_options(qa_bundle):
+    """A served query is a derivation of the runtime's config: the runtime's
+    ``on_failure`` reaches it (a second, from-scratch config ran ``skip``)."""
+    runtime = make_runtime(
+        qa_bundle,
+        on_failure="raise",
+        fault_config=FaultConfig(rate=1.0),
+        retry_policy=RetryPolicy(enabled=False),
+    )
+    with pytest.raises(TransientLLMError):
+        runtime.serving().submit("alice", filter_query(qa_bundle))
+
+
+def _standing_feed(qa_bundle, n_base: int):
+    records, source, dataset = _live_feed(qa_bundle, n_base)
+    return records, source, dataset.sem_map(
+        Field("customer", str, "customer name"), instruction_for("qa.customer")
+    )
+
+
+def test_served_standing_tick_reports_its_reuse(qa_bundle):
+    """The served runner hands the optimizer report back, so a served tick
+    reads like the same query on ``runtime.standing()``."""
+    runtime = make_runtime(qa_bundle)
+    serving = runtime.serving()
+    records, source, dataset = _standing_feed(qa_bundle, 6)
+    query = serving.register_standing("live", "feed", dataset)
+    source.append(records[6:11])
+    (served,) = serving.pump_standing()
+
+    direct_runtime = make_runtime(qa_bundle)
+    manager = direct_runtime.standing()
+    _records, direct_source, direct_dataset = _standing_feed(qa_bundle, 6)
+    manager.register(
+        "feed", direct_dataset, direct_runtime.program_config("feed", optimize=False)
+    )
+    direct_source.append(records[6:11])
+    (direct,) = manager.pump()
+
+    def reuse(tick):
+        return tick.reuse_kind, tick.delta_records, tick.reused_prefix
+
+    assert reuse(served) == reuse(direct) == ("delta", 5, 3)
+    assert query.last_report is not None
+    assert "MaterializedScan" in query.explain()
+
+
+def test_served_governor_prices_the_pending_delta(qa_bundle):
+    """With the report in hand the governor can estimate a served refresh:
+    a batch worth far less than ``min_batch_usd`` is deferred, not fired
+    blind (``est_cost_usd=None``) on every append."""
+    runtime = make_runtime(qa_bundle)
+    serving = runtime.serving()
+    records, source, dataset = _standing_feed(qa_bundle, 6)
+    query = serving.register_standing(
+        "live",
+        "feed",
+        dataset,
+        policy=RefreshPolicy(trigger="governor", min_batch_usd=1.0),
+    )
+    source.append(records[6:11])
+    assert serving.pump_standing() == []
+    assert query.governor_deferrals == 1
+    tick = serving.standing_manager().refresh("live:feed")
+    assert tick.est_cost_usd is not None and 0.0 < tick.est_cost_usd < 1.0
