@@ -91,7 +91,7 @@ fi
 echo "all BENCH_*.json artifacts under benchmarks/results/"
 
 echo
-echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= config keyword; no optimize= / replan= / shards= / partitioner= on serving) =="
+echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= / answer_cache_size= config keyword; no optimize= / replan= / shards= / partitioner= on serving; no similarity_floor= on answer, no threshold= on the catalog) =="
 python - <<'PY'
 import ast
 import pathlib
@@ -106,9 +106,14 @@ RETIRED = {
         "replan_threshold", "replan_min_rows", "replan_limit",
         # Pin with available_models=[champion_model]; one scope= names the tenant.
         "select_models", "materialization_scope", "stats_scope",
+        # The similarity catalog's bound and floors are ContextManager constants.
+        "answer_cache_size",
     }),
     # Served queries inherit these from the runtime's config.
     **dict.fromkeys(SERVING, {"optimize", "replan", "shards", "partitioner"}),
+    "answer": {"similarity_floor"},
+    "ContextManager": {"threshold"},
+    "find_similar": {"threshold"},
 }
 files = [
     path
@@ -128,8 +133,9 @@ for path in files:
         ]
 if offenders:
     print("retired options: execution mechanics are derived (a baseline mode "
-          "belongs in repro.qa.reference), and a query option is declared "
-          "once, on QueryProcessorConfig:")
+          "belongs in repro.qa.reference), a query option is declared "
+          "once, on QueryProcessorConfig, and the similarity catalog's bound "
+          "and floors are ContextManager constants:")
     print("\n".join(offenders))
     sys.exit(1)
 print(f"{len(files)} files: no retired keyword on a config or serving constructor")
@@ -164,7 +170,7 @@ print(f"{len(files)} files: one QueryProcessorConfig( call, {calls[0]}")
 PY
 
 echo
-echo "== one-reuse-decision guard (only the optimizer probes a materialization store, only the engine's capture writes one) =="
+echo "== one-reuse-decision guard (only the optimizer probes a materialization store, only the engine's capture writes one; only ContextManager.narrow looks a Context up, only AnalyticsRuntime.answer an answer) =="
 python - <<'PY'
 import ast
 import pathlib
@@ -178,6 +184,11 @@ ALLOWED = {
     # materialize.py: MaterializationStore.load re-puts what it reads.
     "put": {"src/repro/sem/execution.py", "src/repro/sem/materialize.py"},
 }
+# The similarity catalog: whatever the receiver is called.
+CATALOG = {
+    "find_similar": "src/repro/core/context_manager.py",
+    "find_answer": "src/repro/core/runtime.py",
+}
 offenders = []
 files = sorted(pathlib.Path("src/repro").rglob("*.py"))
 for path in files:
@@ -185,6 +196,8 @@ for path in files:
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         call = node.func.attr
+        if call in CATALOG and path.as_posix() != CATALOG[call]:
+            offenders.append(f"{path}:{node.lineno}: {call}(...) outside {CATALOG[call]}")
         if call not in ALLOWED:
             continue
         receiver = node.func.value
@@ -198,7 +211,8 @@ for path in files:
             offenders.append(f"{path}:{node.lineno}: {name}.{call}(...)")
 if offenders:
     print("reuse is one optimizer decision and capture one engine step "
-          "(executors never probe or write the store):")
+          "(executors never probe or write the store); Context reuse is "
+          "ContextManager.narrow, answer reuse AnalyticsRuntime.answer:")
     print("\n".join(offenders))
     sys.exit(1)
 print(f"{len(files)} files: store probes only in the optimizer, writes only in Engine._maybe_capture")
@@ -231,6 +245,11 @@ if offenders:
     sys.exit(1)
 print(f"{len(files)} files: priors read only in believe(), no per-operator dispatch in the sampler")
 PY
+
+echo
+echo "== paper tables are generated, not transcribed (regenerate table1/table2, fail on drift) =="
+python -m pytest -q benchmarks/bench_table1.py benchmarks/bench_table2.py
+git diff --exit-code -- benchmarks/results/table1.txt benchmarks/results/table2.txt
 
 echo
 echo "== differential-testing fuzz lane =="

@@ -121,27 +121,15 @@ def _run_agent_op(
 def _seed_context(
     context: Context, instruction: str, runtime: "AnalyticsRuntime"
 ) -> tuple[Context, str]:
-    """Swap in a previously materialized Context for a near-miss instruction.
+    """Ask :meth:`ContextManager.narrow` before the agent episode starts.
 
-    When ``reuse_contexts`` is on, the ContextManager's similarity index is
-    consulted before the agent episode starts; a cached Context materialized
-    for a similar instruction, derived from the *same* base data (root
-    lineage guard) and strictly narrower than the input, seeds the operator
-    instead.  The agent then reads the already-filtered view rather than
-    re-deriving it.  Returns ``(context, note)`` where the note documents
-    the substitution in the output Context's description.
+    Returns ``(context, note)``; the note documents a substitution in the
+    output Context's description.
     """
     if not runtime.reuse_contexts:
         return context, ""
-    entry, score = runtime.context_manager.find_similar(instruction)
-    if entry is None or len(entry.context) == 0:
-        return context, ""
-    if entry.context.lineage()[-1].name != context.lineage()[-1].name:
-        return context, ""  # different base data; not a view of this input
-    if len(entry.context) >= len(context):
-        return context, ""  # no narrowing: seeding would not save work
-    note = f"\nSeeded from cached context {entry.context.name} (similarity {score:.2f})"
-    return entry.context, note
+    context, note = runtime.context_manager.narrow(context, instruction)
+    return context, f"\nSeeded from cached {note}" if note else ""
 
 
 def compute(

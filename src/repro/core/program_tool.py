@@ -43,17 +43,11 @@ def build_program_tool(
         if not spec.filters and not spec.extracts:
             raise ToolError(f"could not synthesize a program from {instruction!r}")
 
-        base: Context = context
-        reuse_note = ""
+        base, reuse_note = context, ""
         if runtime.reuse_contexts:
-            entry, score = runtime.context_manager.find_similar(instruction)
-            if entry is not None and len(entry.context) > 0:
-                # Physical optimization (paper §3): narrow the input to a
-                # previously materialized Context with a similar purpose.
-                base = entry.context
-                reuse_note = (
-                    f" (reused context {entry.context.name} at similarity {score:.2f})"
-                )
+            # Physical optimization (paper §3): read a narrower cached Context.
+            base, note = runtime.context_manager.narrow(context, instruction)
+            reuse_note = f" (reused {note})" if note else ""
 
         dataset: Dataset = Dataset.from_source(base.source())
         if spec.retrieve_query:

@@ -18,7 +18,6 @@ Typical use::
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
 from typing import Any, Sequence
 
 from repro.core.context import Context
@@ -40,97 +39,6 @@ from repro.sql.database import Database
 from repro.sql.executor import ResultSet
 
 
-class AnswerCache:
-    """LRU-bounded whole-query answer cache with eviction accounting.
-
-    Entries are ``(root context name, query embedding, ComputeResult)``;
-    lookup is similarity-based (a linear scan in recency order, bounded by
-    ``max_entries``), so keys are opaque insertion ids rather than content
-    digests.  Counters mirror into an attached
-    :class:`~repro.obs.metrics.MetricsRegistry` as ``answers.*``, matching
-    the :class:`~repro.llm.cache.GenerationCache` /
-    :class:`~repro.sem.materialize.MaterializationStore` accounting idiom.
-    """
-
-    def __init__(self, max_entries: int = 128) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[int, tuple[str, Any, ComputeResult]]" = OrderedDict()
-        self._next_id = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.stores = 0
-        self.clears = 0
-        self.cleared_entries = 0
-        #: Optional :class:`repro.obs.metrics.MetricsRegistry` mirror.
-        self.metrics = None
-
-    def lookup(
-        self, root_name: str, query_vec: Any, similarity_floor: float
-    ) -> "ComputeResult | None":
-        from repro.llm.embeddings import cosine_similarity
-
-        for key, (cached_root, cached_vec, cached_result) in self._entries.items():
-            if cached_root != root_name:
-                continue
-            if cosine_similarity(query_vec, cached_vec) >= similarity_floor:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                self._count("answers.hits")
-                return cached_result
-        self.misses += 1
-        self._count("answers.misses")
-        return None
-
-    def put(self, root_name: str, query_vec: Any, result: "ComputeResult") -> None:
-        self._entries[self._next_id] = (root_name, query_vec, result)
-        self._next_id += 1
-        self.stores += 1
-        self._count("answers.stores")
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            self._count("answers.evictions")
-
-    def evict_roots(self, root_names: "set[str]") -> int:
-        """Drop every answer computed over one of ``root_names``."""
-        doomed = [
-            key for key, entry in self._entries.items() if entry[0] in root_names
-        ]
-        for key in doomed:
-            del self._entries[key]
-        self.evictions += len(doomed)
-        self._count("answers.evictions", len(doomed))
-        return len(doomed)
-
-    def clear(self) -> None:
-        self.clears += 1
-        self.cleared_entries += len(self._entries)
-        self._count("answers.clears")
-        self._count("answers.cleared_entries", len(self._entries))
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "clears": self.clears,
-            "cleared_entries": self.cleared_entries,
-        }
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None and amount:
-            self.metrics.counter(name).inc(amount)
-
-
 class AnalyticsRuntime:
     """One user-facing runtime instance (paper's envisioned system)."""
 
@@ -144,7 +52,6 @@ class AnalyticsRuntime:
         retry_policy: RetryPolicy | None = None,
         tracer: Any = None,
         metrics: Any = None,
-        answer_cache_size: int = 128,
         **query_options: Any,
     ) -> None:
         if llm is None:
@@ -161,13 +68,13 @@ class AnalyticsRuntime:
             _wire_explicit_llm(llm, fault_config, retry_policy, tracer, metrics)
         self.seed = seed
         self.reuse_contexts = reuse_contexts
-        self.context_manager = ContextManager(self.llm)
         #: Runtime-wide sub-plan materialization store.  Semantic programs
         #: launched by compute/search agents share it (when
         #: ``reuse_contexts`` is on), so fingerprint-matched plan prefixes
         #: replay across queries; ContextManager.invalidate cascades into it.
         self.materialization_store = MaterializationStore()
-        self.context_manager.materialization_store = self.materialization_store
+        #: The one similarity catalog: Contexts, and answers computed into them.
+        self.context_manager = ContextManager(self.llm, self.materialization_store)
         #: The one query-processor template: every semantic program, served
         #: query and standing tick on this runtime runs a
         #: :meth:`program_config` derivation of it.  ``query_options`` are
@@ -189,13 +96,8 @@ class AnalyticsRuntime:
         self.db = Database()
         #: Execution result of the most recent optimized program (debugging).
         self.last_program_result = None
-        #: Whole-query answer cache (LRU-bounded; see :class:`AnswerCache`).
-        self.answers = AnswerCache(max_entries=answer_cache_size)
-        self.context_manager.answers = self.answers
-        if self.llm.metrics.enabled:
-            self.answers.metrics = self.llm.metrics
-            if self.config.stats_store is not None:
-                self.config.stats_store.metrics = self.llm.metrics
+        if self.llm.metrics.enabled and self.config.stats_store is not None:
+            self.config.stats_store.metrics = self.llm.metrics
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -243,35 +145,29 @@ class AnalyticsRuntime:
     def search(self, context: Context, instruction: str, **kwargs: Any) -> SearchResult:
         return search(context, instruction, self, **kwargs)
 
-    def answer(
-        self,
-        context: Context,
-        instruction: str,
-        similarity_floor: float = 0.92,
-        **kwargs: Any,
-    ) -> ComputeResult:
+    def answer(self, context: Context, instruction: str, **kwargs: Any) -> ComputeResult:
         """Compute with whole-query answer caching.
 
         If a near-identical instruction (embedding similarity >=
-        ``similarity_floor``) was already answered against the same base
-        Context, the cached result is returned at zero marginal LLM cost —
-        the coarsest form of the paper's reuse-past-work vision.  Answers
-        live in an LRU-bounded :class:`AnswerCache` and are evicted by
-        capacity pressure, :meth:`clear_answers`, or when the base Context
-        is invalidated in the ContextManager.
+        ``ContextManager.ANSWER_FLOOR``) was already answered against the
+        same base Context, the cached result is returned at zero marginal
+        LLM cost — the coarsest form of the paper's reuse-past-work vision.
+        An answer rides on the catalog entry ``compute`` registered for its
+        output Context and goes when that entry does: capacity pressure,
+        :meth:`clear_answers`, or invalidation of a Context it derives from.
         """
         root_name = context.lineage()[-1].name
         query_vec = self.llm.embed(instruction, tag="answer-cache")
-        cached = self.answers.lookup(root_name, query_vec, similarity_floor)
+        cached = self.context_manager.find_answer(root_name, query_vec)
         if cached is not None:
             return dataclasses.replace(cached, reused=True, cost_usd=0.0, time_s=0.0)
 
         result = compute(context, instruction, self, **kwargs)
-        self.answers.put(root_name, query_vec, result)
+        self.context_manager.store_answer(result.output_context, query_vec, result)
         return result
 
     def clear_answers(self) -> None:
-        self.answers.clear()
+        self.context_manager.clear_answers()
 
     # ------------------------------------------------------------------
     # Optimizer configuration for semantic programs

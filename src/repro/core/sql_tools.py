@@ -6,8 +6,8 @@ query using SQL."  These tools give compute/search agents that capability:
 
 - ``materialize_table(filename, table)`` parses a CSV file (or the tables
   of an HTML report) from the Context into the runtime's SQL database;
-- ``sql(query)`` runs SQL over materialized tables, costing zero LLM
-  tokens.
+- ``sql(query)`` runs a ``SELECT`` over materialized tables, costing zero
+  LLM tokens (read-only: the database also holds the user's tables).
 
 Registered on a Context via :func:`add_sql_tools`, they appear in the
 agents' sandboxes alongside the standard Context tools.
@@ -22,6 +22,8 @@ from repro.agents.tools import Tool
 from repro.core.context import Context
 from repro.data.tabular import parse_html_tables
 from repro.errors import ToolError
+from repro.sql.ast_nodes import Select
+from repro.sql.parser import parse_sql
 
 if TYPE_CHECKING:
     from repro.core.runtime import AnalyticsRuntime
@@ -113,8 +115,10 @@ def add_sql_tools(context: Context, runtime: "AnalyticsRuntime") -> Context:
         )
 
     def sql(query: str) -> list[dict]:
-        """Run a SQL query over previously materialized tables."""
-        return runtime.db.execute(query).to_dicts()
+        """Run a SELECT over previously materialized tables (read-only)."""
+        if not isinstance(parse_sql(query), Select):
+            raise ToolError("sql is read-only (SELECT only); materialize_table writes")
+        return runtime.db.query(query)
 
     context.add_tool(
         Tool(

@@ -14,7 +14,6 @@ evaluation depends on:
 """
 
 from repro.llm.cache import GenerationCache
-from repro.llm.client import LLMClient
 from repro.llm.embeddings import EmbeddingModel, cosine_similarity
 from repro.llm.faults import (
     FAULT_KINDS,
@@ -46,7 +45,6 @@ __all__ = [
     "GenerationCache",
     "RetryPolicy",
     "IntentRegistry",
-    "LLMClient",
     "MODEL_CATALOG",
     "ModelCard",
     "SemanticOracle",

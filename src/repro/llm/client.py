@@ -1,21 +1,16 @@
-"""Client-facing protocol for LLM services.
+"""Result types of the LLM service's calls.
 
-The rest of the library programs against this protocol so a real API-backed
-client could be dropped in without touching operators, agents, or the
-optimizer.  :class:`repro.llm.simulated.SimulatedLLM` is the only
-implementation shipped (the sandbox has no network access).
+:class:`repro.llm.simulated.SimulatedLLM` is the only implementation
+shipped (the sandbox has no network access); a real API-backed client
+would return these same records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
-import numpy as np
-
-from repro.llm.oracle import AnnotatedRecord
-from repro.llm.usage import UsageEvent, UsageTracker
-from repro.utils.clock import VirtualClock
+from repro.llm.usage import UsageEvent
 
 
 @dataclass(frozen=True)
@@ -45,47 +40,3 @@ class ExtractionResult:
     resolved: bool
     intent_key: str
     event: UsageEvent
-
-
-@runtime_checkable
-class LLMClient(Protocol):
-    """Minimal surface the library needs from an LLM service."""
-
-    tracker: UsageTracker
-    clock: VirtualClock
-
-    def complete(
-        self,
-        prompt: str,
-        model: str = ...,
-        max_output_tokens: int = ...,
-        tag: str = "",
-        expected_output: str | None = None,
-    ) -> CompletionResult: ...
-
-    def judge_filter(
-        self,
-        instruction: str,
-        record: AnnotatedRecord,
-        model: str = ...,
-        tag: str = "",
-    ) -> FilterJudgment: ...
-
-    def extract(
-        self,
-        instruction: str,
-        record: AnnotatedRecord,
-        model: str = ...,
-        tag: str = "",
-    ) -> ExtractionResult: ...
-
-    def classify(
-        self,
-        instruction: str,
-        options: list[str],
-        record: AnnotatedRecord,
-        model: str = ...,
-        tag: str = "",
-    ) -> ExtractionResult: ...
-
-    def embed(self, text: str, tag: str = "") -> np.ndarray: ...

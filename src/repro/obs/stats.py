@@ -42,11 +42,11 @@ learned on no longer exists).
 
 from __future__ import annotations
 
-import json
-import os
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+from repro.utils.persist import load_json, save_json
 
 #: Bump when the prior schema or key grammar changes; keeps persisted
 #: stores honest across versions (a mismatched file loads as empty).
@@ -359,35 +359,29 @@ class StatisticsStore:
     def save(self, path: "str | Path") -> int:
         """Persist all priors as JSON; returns how many were saved.
 
-        Atomic: the payload goes to a sibling temp file that then replaces
-        ``path``, so a crash mid-save leaves the previous file readable.
+        Atomic and checksummed (:func:`repro.utils.persist.save_json`): a
+        crash mid-save leaves the previous file readable.
         """
         payload = {
             "version": STATS_VERSION,
             "decay": self.decay,
             "priors": [prior.to_dict() for prior in self._priors.values()],
         }
-        path = Path(path)
-        scratch = path.with_name(path.name + ".tmp")
-        scratch.write_text(json.dumps(payload), encoding="utf-8")
-        os.replace(scratch, path)
+        save_json(path, payload)
         return len(self._priors)
 
     def load(self, path: "str | Path") -> int:
         """Load priors saved by :meth:`save`; returns how many were loaded.
 
         A version mismatch loads nothing (stale key grammars must never
-        feed estimates), and so does a truncated or non-JSON file, counted
-        in ``load_errors`` — a corrupt statistics file costs the learned
-        priors, never the query.  ``max_entries`` is enforced before
-        insertion: oldest overflow (save order = LRU order) is dropped and
-        counted as evictions.
+        feed estimates), and so does a truncated, non-JSON or
+        checksum-failing file, counted in ``load_errors`` — a corrupt
+        statistics file costs the learned priors, never the query.
+        ``max_entries`` is enforced before insertion: oldest overflow (save
+        order = LRU order) is dropped and counted as evictions.
         """
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError:
-            payload = None
-        if not isinstance(payload, dict):
+        payload = load_json(path)
+        if payload is None:
             self.load_errors += 1
             self._count("stats.load_errors")
             return 0

@@ -32,7 +32,6 @@ fingerprints.
 from __future__ import annotations
 
 import json
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +39,7 @@ from pathlib import Path
 from repro.data.records import DataRecord
 from repro.sem import logical as L
 from repro.utils.hashing import stable_digest
+from repro.utils.persist import load_json, save_json
 from repro.utils.text import normalize_text
 
 #: Bump when the token grammar changes; keeps persisted stores honest.
@@ -483,8 +483,8 @@ class MaterializationStore:
         objects, numpy scalars) are skipped — reuse must never replay
         records that differ from what a recompute would produce.
 
-        Atomic: the payload goes to a sibling temp file that then replaces
-        ``path``, so a crash mid-save leaves the previous file readable.
+        Atomic and checksummed (:func:`repro.utils.persist.save_json`): a
+        crash mid-save leaves the previous file readable.
         """
         payload = []
         for entry in self._entries.values():
@@ -504,13 +504,7 @@ class MaterializationStore:
                     "time_s": entry.time_s,
                 }
             )
-        path = Path(path)
-        scratch = path.with_name(path.name + ".tmp")
-        scratch.write_text(
-            json.dumps({"version": FINGERPRINT_VERSION, "entries": payload}),
-            encoding="utf-8",
-        )
-        os.replace(scratch, path)
+        save_json(path, {"version": FINGERPRINT_VERSION, "entries": payload})
         return len(payload)
 
     def load(self, path: str | Path) -> int:
@@ -526,15 +520,12 @@ class MaterializationStore:
         per-shard entries (marked by an ``emit_counts`` key) that no probe
         can match any more; they are dropped here, counted as evictions.
 
-        A truncated or non-JSON file loads nothing and is counted in
-        ``load_errors`` — a corrupt store file costs the saved work, never
-        the query.
+        A truncated, non-JSON or checksum-failing file loads nothing and is
+        counted in ``load_errors`` — a corrupt store file costs the saved
+        work, never the query.
         """
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError:
-            payload = None
-        if not isinstance(payload, dict):
+        payload = load_json(path)
+        if payload is None:
             self.load_errors += 1
             self._count("materialization.load_errors")
             return 0

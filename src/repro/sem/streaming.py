@@ -552,10 +552,7 @@ class StandingQueryManager:
         (through :meth:`ContextManager.invalidate` when wired) keeps the
         shared stores honest for *other* consumers between pumps.
         """
-        stores = [self.store]
-        if self.context_manager is not None:
-            stores.append(self.context_manager.materialization_store)
-        stores += [
+        stores = [self.store] + [
             query.config.materialization_store
             for query in queries
             if query.config is not None
@@ -564,9 +561,9 @@ class StandingQueryManager:
         for store in distinct.values():
             store.invalidate_sources([event.source_id], kind="update")
         # Context-level cascade after the stores: evicted contexts built on
-        # the source go stale too (their own store pass is then a no-op).
+        # the source go stale too, and take the catalog's own store with them.
         if self.context_manager is not None:
-            self.context_manager.invalidate(event.source_id)
+            self.context_manager.invalidate(event.source_id, kind="update")
 
     # -- trigger evaluation ---------------------------------------------
 
@@ -695,26 +692,20 @@ class StandingQueryManager:
 
         tag = f"standing:{query.name}:t{tick_index}"
         tracer = query.tracer
-        span_ctx = (
-            tracer.span(
-                f"standing:{query.name}:tick{tick_index}",
-                kind="standing-tick",
-                fired=cause,
-                pending_appends=pending_appends,
-                pending_updates=pending_updates,
-            )
-            if tracer.enabled
-            else _null_span()
-        )
-        with span_ctx as tick_span:
+        with tracer.span(
+            f"standing:{query.name}:tick{tick_index}",
+            kind="standing-tick",
+            fired=cause,
+            pending_appends=pending_appends,
+            pending_updates=pending_updates,
+        ) as tick_span:
             try:
                 records, cost_usd, time_s, report = query.runner(query, tag)
             except QuotaExceededError:
                 tick.deferred = True
                 query.tick_count += 1
                 query.ticks.append(tick)
-                if tick_span is not None:
-                    tick_span.attributes["deferred"] = True
+                tick_span.attributes["deferred"] = True
                 self._count(query, "streaming.ticks")
                 self._count(query, "streaming.deferred")
                 return tick
@@ -739,23 +730,22 @@ class StandingQueryManager:
             query.pending_updates = 0
             query.pending_event_times = []
             query.last_refresh_s = query.clock.elapsed
-            if tick_span is not None:
-                tick_span.attributes.update(
-                    cost_usd=round(cost_usd, 6),
-                    inserts=tick.inserts,
-                    retracts=tick.retracts,
-                    reused_prefix=tick.reused_prefix,
-                    reuse_kind=tick.reuse_kind,
-                    records=len(records),
-                )
-                with tracer.span(
-                    f"standing:{query.name}:changelog",
-                    kind="changelog",
-                    tick=tick_index,
-                    inserts=tick.inserts,
-                    retracts=tick.retracts,
-                ):
-                    pass
+            tick_span.attributes.update(
+                cost_usd=round(cost_usd, 6),
+                inserts=tick.inserts,
+                retracts=tick.retracts,
+                reused_prefix=tick.reused_prefix,
+                reuse_kind=tick.reuse_kind,
+                records=len(records),
+            )
+            with tracer.span(
+                f"standing:{query.name}:changelog",
+                kind="changelog",
+                tick=tick_index,
+                inserts=tick.inserts,
+                retracts=tick.retracts,
+            ):
+                pass
         self._count(query, "streaming.ticks")
         self._count(query, "streaming.refreshes")
         self._count(query, "streaming.inserts", tick.inserts)
@@ -780,13 +770,3 @@ def _default_runner(query: StandingQuery, tag: str) -> tuple:
     query.last_result = result
     usage = llm.tracker.since(checkpoint)
     return result.records, usage.cost_usd, llm.clock.elapsed - time_before, report
-
-
-class _null_span:
-    """Minimal no-op context manager for disabled tracers."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc_info):
-        return False

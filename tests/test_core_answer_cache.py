@@ -86,7 +86,7 @@ def test_invalidating_the_base_context_evicts_its_answers(legal_bundle):
 
     assert not runtime.answer(context, kb.QUERY_RATIO).reused
     assert runtime.answer(other, kb.QUERY_RATIO).reused  # another root's survive
-    assert runtime.answers.evictions == 2
+    assert runtime.context_manager.stats()["answers"]["evictions"] == 2
     assert runtime.metrics.snapshot()["counters"]["answers.evictions"] == 2
 
 
@@ -101,5 +101,30 @@ def test_source_update_seen_by_a_standing_query_evicts_answers(runtime_ctx):
         prime=False,
     )
     source.update(source.uids()[0], {"note": "amended"})
-    assert runtime.answers.evictions == 1
+    assert runtime.context_manager.stats()["answers"]["evictions"] == 1
+    assert not runtime.answer(context, kb.QUERY_RATIO).reused
+
+
+def test_source_update_reaches_the_store_as_an_update_through_the_one_walk(legal_bundle):
+    runtime = AnalyticsRuntime.for_bundle(
+        legal_bundle, seed=55, metrics=MetricsRegistry()
+    )
+    context = runtime.make_context(legal_bundle)
+    result = runtime.answer(context, kb.QUERY_RATIO)
+    # A sub-plan materialized over the *derived* Context: only the catalog's
+    # lineage walk knows it is built on the updated source.
+    runtime.materialization_store.put(
+        "fp", [], (), result.output_context.name, cost_usd=0.0, time_s=0.0
+    )
+    source = context.source()
+    runtime.standing().register(
+        "watch",
+        Dataset.from_source(source),
+        runtime.program_config("watch"),
+        prime=False,
+    )
+    source.update(source.uids()[0], {"note": "amended"})
+    assert len(runtime.materialization_store) == 0
+    assert runtime.materialization_store.stats()["update_invalidations"] == 1
+    assert runtime.metrics.snapshot()["counters"]["answers.evictions"] == 1
     assert not runtime.answer(context, kb.QUERY_RATIO).reused

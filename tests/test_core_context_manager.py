@@ -15,8 +15,8 @@ def _context(desc):
     return Context([DataRecord({"name": "r"})], SCHEMA, desc=desc)
 
 
-def _manager(threshold=0.6):
-    return ContextManager(SimulatedLLM(seed=0), threshold=threshold)
+def _manager():
+    return ContextManager(SimulatedLLM(seed=0))
 
 
 def test_register_and_find_similar():
@@ -47,27 +47,13 @@ def test_empty_manager_returns_none():
 
 
 def test_best_of_multiple_entries_wins():
-    manager = _manager(threshold=0.2)
+    manager = _manager()
     manager.register(_context("fraud losses by payment method"), "fraud losses by payment method")
     target = manager.register(
         _context("identity theft reports by year"), "identity theft reports by year"
     )
-    entry, _score = manager.find_similar("yearly identity theft report counts by year")
+    entry, _score = manager.find_similar("identity theft reports by year, yearly")
     assert entry is target
-
-
-def test_threshold_validation():
-    with pytest.raises(ValueError):
-        ContextManager(SimulatedLLM(seed=0), threshold=1.5)
-
-
-def test_custom_threshold_override_per_query():
-    manager = _manager(threshold=0.99)
-    manager.register(_context("identity theft stats"), "identity theft statistics 2001")
-    entry, _ = manager.find_similar("identity theft statistics 2024")
-    assert entry is None  # default threshold too strict
-    entry, _ = manager.find_similar("identity theft statistics 2024", threshold=0.3)
-    assert entry is not None
 
 
 def test_clear_and_len():
@@ -104,3 +90,43 @@ def test_lazy_entries_embedded_before_scoring():
     entry, score = manager.find_similar("identity theft statistics 2024")
     assert entry is not None and score >= 0.6
     assert entry.embedding is not None
+
+
+def test_catalog_is_fifo_bounded_with_an_eviction_counter():
+    manager = _manager()
+    total = ContextManager.MAX_ENTRIES + 3
+    entries = [
+        manager.register(_context(f"alpha{i} beta{i}"), f"gamma{i} delta{i}")
+        for i in range(total)
+    ]
+    assert len(manager) == ContextManager.MAX_ENTRIES
+    assert manager.stats()["evictions"] == 3
+    assert manager.stats()["stores"] == total
+    # The three oldest went; everything younger is still found.
+    assert manager.entries()[0] is entries[3]
+    gone, _ = manager.find_similar("gamma0 delta0 alpha0 beta0")
+    assert gone is None
+    kept, score = manager.find_similar(f"gamma{total - 1} delta{total - 1}")
+    assert kept is entries[-1] and score >= ContextManager.THRESHOLD
+
+
+def test_narrow_substitutes_only_a_strictly_narrower_view_of_the_same_root():
+    manager = _manager()
+    records = [DataRecord({"name": f"r{i}"}) for i in range(4)]
+    lake = Context(records, SCHEMA, desc="the lake", name="lake")
+    view = lake.derived(description="identity theft statistics", records=records[:2])
+    manager.register(view, "identity theft statistics 2001")
+
+    narrowed, note = manager.narrow(lake, "identity theft statistics 2024")
+    assert narrowed is view
+    assert note.startswith(f"context {view.name} at similarity 0.")
+
+    # Same root but no narrower than the input: the caller keeps its own.
+    same_size = lake.derived(description="half the lake", records=records[:2])
+    assert manager.narrow(same_size, "identity theft statistics 2024") == (same_size, "")
+    # A different root is not a view of this input at all.
+    other = Context(records, SCHEMA, desc="another lake", name="other-lake")
+    assert manager.narrow(other, "identity theft statistics 2024") == (other, "")
+    # Nothing similar: no substitution either.
+    assert manager.narrow(lake, "sourdough bread recipes") == (lake, "")
+

@@ -42,8 +42,8 @@ def test_invalidate_cascades_to_materialization_store():
     from repro.data.records import DataRecord as Record
     from repro.sem.materialize import MaterializationStore
 
-    manager = ContextManager(SimulatedLLM(seed=0))
-    manager.materialization_store = store = MaterializationStore()
+    store = MaterializationStore()
+    manager = ContextManager(SimulatedLLM(seed=0), store)
     base = _context("lake")
     derived = base.derived("materialized view", name="view-1")
     manager.register(derived, "first query")
@@ -60,18 +60,20 @@ def test_invalidate_cascades_to_materialization_store():
             time_s=0.0,
         )
 
-    assert manager.invalidate(base) == 1
+    assert manager.invalidate(base, kind="update") == 1
     assert store.get("fp-lake") is None
     assert store.get("fp-view-1") is None
     assert store.get("fp-other") is not None
+    # The cause rides the one walk into the store's provenance counters.
+    assert store.update_invalidations == 2
 
 
 def test_invalidate_by_name_cascades_without_cached_entries():
     from repro.data.records import DataRecord as Record
     from repro.sem.materialize import MaterializationStore
 
-    manager = ContextManager(SimulatedLLM(seed=0))
-    manager.materialization_store = store = MaterializationStore()
+    store = MaterializationStore()
+    manager = ContextManager(SimulatedLLM(seed=0), store)
     store.put(
         "fp", [Record({"name": "r"}, uid="u0")], ("u0",), "lake",
         cost_usd=0.0, time_s=0.0,

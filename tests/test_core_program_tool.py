@@ -117,3 +117,51 @@ def test_reuse_narrows_input(legal_bundle):
     marginal_off = runtime_off.usage().cost_usd - cost_mark_off
 
     assert marginal < 0.5 * marginal_off
+
+
+_STATS_2001 = (
+    "Find the files which report national identity theft statistics "
+    "for the year 2001 and extract the number of identity theft "
+    "reports in the year 2001."
+)
+
+
+def test_program_never_reads_a_context_materialized_from_another_lake(legal_bundle):
+    runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=9, reuse_contexts=True)
+    legal = runtime.make_context(legal_bundle)
+    build_program_tool(legal, runtime)(_STATS_2001)
+    (cached,) = runtime.context_manager.entries()
+    assert len(cached.context) > 0
+
+    other = runtime.make_context(
+        legal_bundle.records()[40:],
+        schema=legal_bundle.schema,
+        desc="a different lake",
+        name="other-lake",
+    )
+    rows = build_program_tool(other, runtime)(_STATS_2001.replace("2001", "2024"))
+    derived = runtime.context_manager.entries()[-1].context
+    assert "reused context" not in derived.desc
+    # It scanned its own input: nothing it returns comes from the legal view.
+    own = {record.get("filename") for record in other.records()}
+    assert {row["filename"] for row in rows} <= own
+    scan = runtime.last_program_result.operator_stats[0]
+    assert scan.label == "Scan(other-lake)" and scan.records_out == len(other)
+
+
+def test_program_keeps_its_input_when_the_similar_context_is_no_narrower(legal_bundle):
+    runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=9, reuse_contexts=True)
+    legal = runtime.make_context(legal_bundle)
+    build_program_tool(legal, runtime)(_STATS_2001)
+    view = runtime.context_manager.entries()[0].context
+
+    # Same root, same size as the cached view: substituting saves nothing.
+    same_size = legal.derived(
+        description="an arbitrary slice", records=legal.records()[: len(view)]
+    )
+    build_program_tool(same_size, runtime)(_STATS_2001.replace("2001", "2024"))
+    derived = runtime.context_manager.entries()[-1].context
+    assert "reused context" not in derived.desc
+    scan = runtime.last_program_result.operator_stats[0]
+    assert scan.label == f"Scan({same_size.name})"
+    assert scan.records_out == len(same_size)

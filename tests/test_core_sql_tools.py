@@ -97,3 +97,36 @@ def test_sql_costs_no_llm_tokens(legal_bundle):
     cost_before = runtime.usage().cost_usd
     context.tools.get("sql")("SELECT COUNT(*) AS n FROM reports")
     assert runtime.usage().cost_usd == cost_before
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "DROP TABLE answers",
+        "DELETE FROM answers",
+        "UPDATE answers SET ratio = 0",
+        "INSERT INTO answers VALUES (0)",
+        "CREATE TABLE scratch (x INTEGER)",
+    ],
+)
+def test_sql_tool_is_read_only(legal_bundle, statement):
+    runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=0)
+    runtime.materialize_rows("answers", [{"ratio": 13.2}])
+    sql = add_sql_tools(runtime.make_context(legal_bundle), runtime).tools.get("sql")
+    with pytest.raises(ToolError, match="read-only"):
+        sql(statement)
+    # The user's table is untouched, and reading it still works.
+    assert runtime.db.table_names() == ["answers"]
+    assert sql("SELECT ratio FROM answers") == [{"ratio": 13.2}]
+
+
+def test_sql_tool_refuses_writes_from_inside_a_sandboxed_episode(legal_bundle):
+    from repro.agents.sandbox import Sandbox
+
+    runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=0)
+    runtime.materialize_rows("answers", [{"ratio": 13.2}])
+    context = add_sql_tools(runtime.make_context(legal_bundle), runtime)
+    tools = build_context_tools(context, runtime)
+    result = Sandbox(tools=tools.as_namespace()).execute('sql("DROP TABLE answers")')
+    assert result.error is not None and "read-only" in result.error
+    assert runtime.db.has_table("answers")

@@ -409,6 +409,20 @@ class TestPersistence:
         assert fresh.load_errors == 1 and fresh.stats()["load_errors"] == 1
         assert fresh.metrics.snapshot()["counters"]["stats.load_errors"] == 1
 
+    def test_flipped_byte_in_a_prior_fails_the_checksum(self, tmp_path):
+        path = tmp_path / "stats.json"
+        store = StatisticsStore()
+        _observe(store, key="k1")
+        store.save(path)
+        text = path.read_text(encoding="utf-8")
+        assert '"gpt-mini"' in text
+        # Still valid JSON, still the right shape: only the checksum can tell.
+        path.write_text(text.replace('"gpt-mini"', '"gpt-nini"'), encoding="utf-8")
+        json.loads(path.read_text(encoding="utf-8"))
+        fresh = StatisticsStore()
+        assert fresh.load(path) == 0
+        assert len(fresh) == 0 and fresh.load_errors == 1
+
     def test_clear_empties_the_store(self):
         store = StatisticsStore()
         _observe(store, key="k1")

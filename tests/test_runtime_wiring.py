@@ -3,16 +3,18 @@
 ``AnalyticsRuntime(llm=...)`` historically dropped ``fault_config`` /
 ``retry_policy`` / ``tracer`` / ``metrics`` on the floor; the runtime now
 wires them onto the provided client when the client has nothing configured
-there, and raises on genuine conflicts.  Alongside: the answer cache is
-LRU-bounded with eviction counters, and ``MaterializationStore.load``
-enforces ``max_entries`` before materializing anything.
+there, and raises on genuine conflicts.  Alongside: the similarity
+catalog's counters mirror into the metrics registry, and
+``MaterializationStore.load`` enforces ``max_entries`` before materializing
+anything.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.runtime import AnalyticsRuntime, AnswerCache
+from repro.core.runtime import AnalyticsRuntime
+from repro.data.datasets import kramabench as kb
 from repro.data.records import DataRecord
 from repro.llm.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.obs.metrics import MetricsRegistry
@@ -39,7 +41,7 @@ def test_metrics_wired_onto_explicit_llm(make_toy_llm):
     runtime = AnalyticsRuntime(llm=llm, metrics=metrics)
     assert llm.metrics is metrics
     assert llm.cache.metrics is metrics
-    assert runtime.answers.metrics is metrics
+    assert runtime.context_manager.llm.metrics is metrics
 
 
 def test_retry_policy_wired_when_default(make_toy_llm):
@@ -99,64 +101,38 @@ def test_conflicting_metrics_raises(make_toy_llm):
 
 
 # ---------------------------------------------------------------------------
-# AnswerCache: LRU bound + eviction accounting
+# The similarity catalog: one counter set, mirrored as contexts.* / answers.*
 # ---------------------------------------------------------------------------
 
 
-def _vec(x: float, y: float) -> list[float]:
-    return [x, y]
-
-
-def test_answer_cache_enforces_lru_bound():
-    cache = AnswerCache(max_entries=2)
-    cache.put("ctx", _vec(1, 0), "a")
-    cache.put("ctx", _vec(0, 1), "b")
-    # Touch the oldest entry so it becomes most-recent.
-    assert cache.lookup("ctx", _vec(1, 0), 0.99) == "a"
-    cache.put("ctx", _vec(-1, 0), "c")
-    assert len(cache) == 2
-    assert cache.evictions == 1
-    # "b" (least recently used) was evicted; "a" survived the touch.
-    assert cache.lookup("ctx", _vec(1, 0), 0.99) == "a"
-    assert cache.lookup("ctx", _vec(0, 1), 0.99) is None
-
-
-def test_answer_cache_stats_and_metrics_mirror():
+def test_answer_cache_stats_and_metrics_mirror(legal_bundle):
     metrics = MetricsRegistry()
-    cache = AnswerCache(max_entries=1)
-    cache.metrics = metrics
-    cache.put("ctx", _vec(1, 0), "a")
-    cache.put("ctx", _vec(0, 1), "b")
-    cache.lookup("ctx", _vec(0, 1), 0.99)
-    cache.lookup("ctx", _vec(1, 0), 0.99)
-    cache.clear()
-    stats = cache.stats()
+    runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=55, metrics=metrics)
+    catalog = runtime.context_manager
+    context = runtime.make_context(legal_bundle)
+    catalog.find_similar(kb.QUERY_RATIO)  # a miss on the empty catalog
+    runtime.answer(context, kb.QUERY_RATIO)  # answer miss, then a store
+    assert runtime.answer(context, kb.QUERY_RATIO).reused  # answer hit
+    entry, _ = catalog.find_similar(kb.QUERY_RATIO)  # a context hit
+    assert entry is not None
+    assert sum(cached.answer is not None for cached in catalog.entries()) == 1
+    registered = len(catalog)
+    assert catalog.invalidate(context) == registered
+
+    stats = catalog.stats()
+    answers = stats.pop("answers")
     assert stats == {
         "entries": 0,
+        "stores": registered,
         "hits": 1,
         "misses": 1,
-        "stores": 2,
-        "evictions": 1,
-        "clears": 1,
-        "cleared_entries": 1,
+        "evictions": registered,
     }
+    assert answers == {"stores": 1, "hits": 1, "misses": 1, "evictions": 1}
     counters = metrics.snapshot()["counters"]
-    assert counters["answers.stores"] == 2
-    assert counters["answers.evictions"] == 1
-    assert counters["answers.hits"] == 1
-    assert counters["answers.misses"] == 1
-    assert counters["answers.clears"] == 1
-    assert counters["answers.cleared_entries"] == 1
-
-
-def test_answer_cache_rejects_zero_capacity():
-    with pytest.raises(ValueError):
-        AnswerCache(max_entries=0)
-
-
-def test_runtime_answer_cache_size_plumbs_through(legal_bundle):
-    runtime = AnalyticsRuntime.for_bundle(legal_bundle, answer_cache_size=3)
-    assert runtime.answers.max_entries == 3
+    for kind, counts in (("contexts", stats), ("answers", answers)):
+        for event in ("stores", "hits", "misses", "evictions"):
+            assert counters[f"{kind}.{event}"] == counts[event]
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,21 @@ def test_store_corrupt_file_loads_as_empty_and_is_counted(tmp_path, damage):
     assert counters["materialization.load_errors"] == 1
 
 
+def test_store_flipped_byte_in_a_record_fails_the_checksum(tmp_path):
+    path = tmp_path / "store.json"
+    store = MaterializationStore()
+    store.put("fp", _records(1), ("u0",), "src", cost_usd=0.0, time_s=0.0)
+    store.save(path)
+    text = path.read_text(encoding="utf-8")
+    assert "text number 0" in text
+    # Still valid JSON, still the right shape: only the checksum can tell.
+    path.write_text(text.replace("text number 0", "text number 1"), encoding="utf-8")
+    json.loads(path.read_text(encoding="utf-8"))
+    fresh = MaterializationStore()
+    assert fresh.load(path) == 0
+    assert len(fresh) == 0 and fresh.load_errors == 1
+
+
 #: ``MaterializationStore.save`` output of a ``shards=4`` cold run of
 #: ``sem_filter(FILTER_A)`` over four records, written by the commit before
 #: per-shard entries were retired: four per-shard entries (``emit_counts``,
@@ -526,7 +541,7 @@ def test_runtime_wires_store_only_when_reuse_enabled():
 
     on = AnalyticsRuntime(seed=0, reuse_contexts=True)
     assert on.program_config().materialization_store is on.materialization_store
-    assert on.context_manager.materialization_store is on.materialization_store
+    assert on.context_manager.store is on.materialization_store
 
     off = AnalyticsRuntime(seed=0, reuse_contexts=False)
     assert off.program_config().materialization_store is None
