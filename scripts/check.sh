@@ -104,8 +104,9 @@ RETIRED = {
         "pipeline", "pushdown", "embed_batch_size", "adaptive_parallelism",
         # Replan gates are constants in sem/optimizer/replan.py.
         "replan_threshold", "replan_min_rows", "replan_limit",
-        # Pin with available_models=[champion_model]; one scope= names the tenant.
-        "select_models", "materialization_scope", "stats_scope",
+        # Pin with available_models=[DEFAULT_FALLBACK_MODEL]; one scope= names
+        # the tenant; the champion is that constant, not an option.
+        "select_models", "materialization_scope", "stats_scope", "champion_model",
         # The similarity catalog's bound and floors are ContextManager constants.
         "answer_cache_size",
     }),
@@ -245,6 +246,54 @@ if offenders:
     sys.exit(1)
 print(f"{len(files)} files: priors read only in believe(), no per-operator dispatch in the sampler")
 PY
+
+echo
+echo "== one-operator-declaration guard (per-operator facts live on the classes in sem/logical.py + sem/physical.py; no other sem module names an operator class it does not construct) =="
+python - <<'PY'
+import ast
+import pathlib
+import sys
+
+from repro.sem import logical as L
+
+OPS = {cls.__name__ for cls in L.LogicalOperator.__subclasses__()}
+SEM = pathlib.Path("src/repro/sem")
+# Who may name a concrete operator class: where they are declared, the
+# fluent API that writes them, and rewrites for the classes they construct
+# or match (everything else reads an attribute or calls a method).
+ALLOWED = {
+    "logical.py": OPS,
+    "physical.py": OPS,
+    "dataset.py": OPS,
+    "optimizer/optimizer.py": {"ScanOp", "SqlScanOp", "MaterializedScanOp"},
+    "optimizer/pushdown.py": {
+        "ScanOp", "SqlScanOp",
+        # compiled_sql renders these four as SQL clauses.
+        "StructFilterOp", "ProjectOp", "LimitOp", "StructAggOp",
+    },
+    "optimizer/rules.py": {"ProjectOp", "LimitOp"},
+}
+offenders = []
+files = sorted(SEM.rglob("*.py"))
+for path in files:
+    allowed = ALLOWED.get(path.relative_to(SEM).as_posix(), set())
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        name = getattr(node, "attr", getattr(node, "id", None))
+        if name in OPS and name not in allowed:
+            offenders.append(f"{path}:{node.lineno}: {name}")
+if offenders:
+    print("an operator is declared once: read the attribute / call the method "
+          "on the logical class instead of naming it:")
+    print("\n".join(offenders))
+    sys.exit(1)
+print(f"{len(files)} files: operator classes named only where declared or constructed")
+PY
+retired='op_token|estimate_operator\b.*isinstance|COSTLY_OPS|INCREMENTAL_SAFE_OPS|_PROFILED_OPS|_FREE_FILTERS|_PUSHABLE|COMMUTING_FILTERS|champion_model'
+if grep -rnE --include='*.py' "$retired" src/; then
+    echo "retired per-operator ladders / tuples (see the guard above) are back under src/"
+    exit 1
+fi
+echo "no retired ladder, tuple or champion_model under src/"
 
 echo
 echo "== paper tables are generated, not transcribed (regenerate table1/table2, fail on drift) =="

@@ -121,7 +121,7 @@ class CodeAgent:
         if metrics.enabled:
             metrics.counter("agent.episodes").inc()
 
-        start_cost = self.llm.tracker.total().cost_usd
+        start_cost = self.llm.tracker.spent_usd
         start_time = self.llm.clock.elapsed
 
         answer = None
@@ -215,14 +215,14 @@ class CodeAgent:
                 steps=len(trace),
                 finished=finished,
                 aborted=aborted,
-                cost_usd=round(self.llm.tracker.total().cost_usd - start_cost, 6),
+                cost_usd=round(self.llm.tracker.spent_usd - start_cost, 6),
             )
         return AgentResult(
             answer=answer,
             trace=trace,
             finished=finished,
             steps_used=len(trace),
-            cost_usd=self.llm.tracker.total().cost_usd - start_cost,
+            cost_usd=self.llm.tracker.spent_usd - start_cost,
             time_s=self.llm.clock.elapsed - start_time,
             llm_failures=llm_failures,
             tool_errors=tool_errors,

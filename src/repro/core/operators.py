@@ -29,6 +29,7 @@ from repro.core.agent_policies import ComputeAgentPolicy, SearchAgentPolicy
 from repro.core.context import Context
 from repro.core.program_tool import build_context_tools
 from repro.data.records import DataRecord
+from repro.sem.config import DEFAULT_FALLBACK_MODEL
 from repro.sem.optimizer.policies import MinCost
 from repro.utils.seeding import derive_seed
 from repro.utils.text import snippet
@@ -93,7 +94,7 @@ def compile_operator(
     plan with the champion model (their per-step cost is small relative to
     the programs they launch).
     """
-    model = runtime.config.champion_model
+    model = DEFAULT_FALLBACK_MODEL
     if isinstance(runtime.config.policy, MinCost):
         model = runtime.cheapest_model()
     return CompiledAgentOp(logical=logical, agent_model=model, max_steps=max_steps)

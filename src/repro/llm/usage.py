@@ -69,6 +69,8 @@ class UsageTracker:
         #: Running sum of event costs — O(1) spend checks for budget guards
         #: that fire on every call (the pipelined executor checks mid-batch).
         self.spent_usd: float = 0.0
+        #: Running ``failed_calls()``: a run reads deltas at every boundary.
+        self.failed_attempts: int = 0
 
     def record(self, event: UsageEvent) -> None:
         """Record ``event``, enforcing the spend budget if one is set."""
@@ -81,6 +83,8 @@ class UsageTracker:
                 )
         self.events.append(event)
         self.spent_usd += event.cost_usd
+        if event.failed:
+            self.failed_attempts += 1
 
     def total(self, tag_prefix: str | None = None) -> Usage:
         """Aggregate usage, optionally restricted to events whose tag matches."""
@@ -117,6 +121,7 @@ class UsageTracker:
     def reset(self) -> None:
         self.events.clear()
         self.spent_usd = 0.0
+        self.failed_attempts = 0
 
     def render_report(self, title: str = "LLM usage") -> str:
         """Human-readable spend breakdown by model and by tag prefix."""

@@ -11,15 +11,11 @@ prior keeps the three per-record numbers an estimate reads (selectivity,
 cost, latency) and the evidence behind them (observations, mean input
 cardinality) — nothing else.
 
-Two ingestion paths feed the same accumulator:
-
-- :meth:`ingest_run` — called by the query processor after each completed
-  run with the engine's measured per-operator stats, aligned position by
-  position with the plan's statistics keys.  Emits a zero-duration
-  ``stats.ingest`` span so ingestion is visible in traces.
-- :meth:`ingest_spans` — offline: walk a finished span tree (e.g. loaded
-  from a JSONL export) and re-ingest the per-operator observations the
-  engine attached to ``operator`` / ``pipeline-section`` spans.
+One ingestion path feeds the accumulator: :meth:`ingest_run`, called by
+the query processor after each completed run with the engine's measured
+per-operator stats, each row carrying its operator's statistics key.  It
+emits a zero-duration ``stats.ingest`` span so ingestion is visible in
+traces.
 
 Keys are opaque stable digests computed by the optimizer layer (see
 ``repro.sem.optimizer.replan``); this module never imports from
@@ -210,7 +206,8 @@ class StatisticsStore:
 
         ``operator_stats`` is the engine's per-operator measurement list;
         each row carries the key-metadata dict of the operator it measured
-        as ``stats_entry`` (None = not stat-keyed, skipped).  Emits a
+        (:meth:`observe`'s ``key, kind, model, dataset, scope``) as
+        ``stats_entry`` (None = not stat-keyed, skipped).  Emits a
         zero-duration ``stats.ingest`` span on an enabled tracer.
         """
         ingested = 0
@@ -218,8 +215,8 @@ class StatisticsStore:
             entry = stats.stats_entry
             if entry is None:
                 continue
-            if self._observe_entry(
-                entry,
+            if self.observe(
+                **entry,
                 records_in=stats.records_in,
                 records_out=stats.records_out,
                 cost_usd=stats.cost_usd,
@@ -235,49 +232,6 @@ class StatisticsStore:
             ):
                 pass
         return ingested
-
-    def ingest_spans(self, spans) -> int:
-        """Re-ingest observations from a finished span tree (offline path).
-
-        Reads the ``stats`` entry the engine attaches to ``operator``
-        spans (numeric attributes + span duration) and the ``stage_stats``
-        list it attaches to ``pipeline-section`` spans.
-        """
-        ingested = 0
-        for span in spans:
-            attrs = span.attributes
-            if span.kind == "operator" and "stats" in attrs:
-                duration = (
-                    (span.end_s - span.start_s) if span.end_s is not None else 0.0
-                )
-                measured = [(attrs, duration)]
-            elif span.kind == "pipeline-section":
-                measured = [
-                    (stage, stage.get("time_s", 0.0))
-                    for stage in attrs.get("stage_stats", ())
-                ]
-            else:
-                continue
-            for row, time_s in measured:
-                if self._observe_entry(
-                    row["stats"],
-                    records_in=row.get("records_in", 0),
-                    records_out=row.get("records_out", 0),
-                    cost_usd=row.get("cost_usd", 0.0),
-                    time_s=time_s,
-                ):
-                    ingested += 1
-        return ingested
-
-    def _observe_entry(self, entry: dict, **measured) -> "OperatorPrior | None":
-        return self.observe(
-            entry["key"],
-            entry.get("kind", ""),
-            entry.get("model", ""),
-            entry.get("dataset", ""),
-            entry.get("scope", ""),
-            **measured,
-        )
 
     # -- dataset versioning ---------------------------------------------
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 
+from repro.sem.config import DEFAULT_FALLBACK_MODEL
+
 #: Slack for float comparisons on dollar totals.
 COST_EPS = 1e-9
 #: Slack for virtual-time comparisons.
@@ -153,7 +155,7 @@ def check_policy_cost(run) -> list[Violation]:
         if observation.error or not observation.optimized:
             continue
         for label, chosen, profiles in observation.model_choices:
-            champion = profiles.get(observation.champion_model)
+            champion = profiles.get(DEFAULT_FALLBACK_MODEL)
             picked = profiles.get(chosen)
             if champion is None or picked is None:
                 continue

@@ -28,6 +28,7 @@ from repro.qa.corpus import build_corpus
 from repro.qa.fuzzer import FuzzCase
 from repro.qa.plans import normalized_records
 from repro.qa.reference import ReferenceInterpreter
+from repro.sem.config import DEFAULT_FALLBACK_MODEL
 from repro.sem.materialize import MaterializationStore, incremental_safe_prefix
 
 
@@ -53,7 +54,6 @@ class Observation:
     optimized: bool = False
     #: Per profiled operator: (label, chosen model, candidate profiles).
     model_choices: list = field(default_factory=list)
-    champion_model: str = ""
     estimate_cost_usd: float | None = None
     estimate_time_s: float | None = None
     estimate_cardinality: float | None = None
@@ -127,7 +127,7 @@ def run_spec(
                 reference = ReferenceInterpreter(
                     llm,
                     parallelism=spec.parallelism,
-                    model=config.champion_model,
+                    model=DEFAULT_FALLBACK_MODEL,
                 ).run(dataset.plan())
                 observation.records = normalized_records(reference.records)
                 observation.total_cost_usd = reference.total_cost_usd
@@ -256,7 +256,6 @@ def run_spec(
         for op in report.planned
         if op.model and op.estimate is not None
     ]
-    observation.champion_model = config.champion_model
     if report.estimate is not None:
         observation.estimate_cost_usd = report.estimate.cost_usd
         observation.estimate_time_s = report.estimate.time_s

@@ -14,9 +14,9 @@ from repro.sem.optimizer.policies import MaxQuality, OptimizationPolicy
 if TYPE_CHECKING:
     from repro.obs.stats import StatisticsStore
 
-#: Model used when an operator is bound without an explicit model choice
-#: (unoptimized runs, unsampled operators).  Historically ``"gpt-4o"`` was
-#: hard-coded at each use site; this is the single source of truth now.
+#: The champion: the reference model for agreement-based quality estimation,
+#: and the model an operator is bound to without an explicit choice
+#: (unoptimized runs, unsampled operators, agents).
 DEFAULT_FALLBACK_MODEL = DEFAULT_MODEL
 
 #: Valid ``on_failure`` modes: what an operator does with a record whose
@@ -46,10 +46,8 @@ class QueryProcessorConfig:
     reorder_filters: bool = True
     #: Records sampled per operator when profiling models.
     sample_size: int = 12
-    #: Reference model for agreement-based quality estimation.
-    champion_model: str = DEFAULT_MODEL
     #: Candidate models for selection (None = all chat models, by cost);
-    #: ``[champion_model]`` pins every operator and turns selection off.
+    #: ``[DEFAULT_FALLBACK_MODEL]`` pins every operator and turns selection off.
     available_models: list[str] | None = None
     #: Concurrent LLM calls per operator (1 = strict iterator semantics).
     parallelism: int = 1

@@ -286,7 +286,6 @@ class Dataset:
                     ),
                 ),
                 batch_size=config.resolved_batch_size(),
-                max_cost_usd=config.max_cost_usd,
                 capture=report.capture,
                 replanner=report.replanner,
                 shard_plan=report.shard_plan,
@@ -294,16 +293,12 @@ class Dataset:
             result = engine.execute(operators)
             result.optimization_cost_usd = report.sampling_cost_usd
             result.optimization_time_s = report.sampling_time_s
-            # Join plans bind only their left spine (no statistics entries,
-            # nothing to ingest); the logical tree is their honest rendering.
-            linear = plan.is_linear()
-            result.plan_explain = (
-                "\n".join(report.final_order) if linear else plan.explain()
-            )
             stats_store = config.stats_store
             if (
                 stats_store is not None
-                and linear
+                # Join plans bind only their left spine: no statistics
+                # entries, nothing to ingest.
+                and plan.is_linear()
                 and not result.truncated
                 and not report.reused_prefix
             ):

@@ -138,7 +138,6 @@ class ExecutionResult:
     #: Extra spend attributed to the optimizer's sampling phase.
     optimization_cost_usd: float = 0.0
     optimization_time_s: float = 0.0
-    plan_explain: str = ""
     #: True when a spend cap stopped execution before the plan completed;
     #: ``records`` then holds everything produced up to the cut (a fused
     #: section salvages fully-processed batches; an operator step returns
@@ -279,8 +278,6 @@ def _stats_attrs(stats: OperatorStats) -> dict:
         attrs["records_scanned"] = stats.records_scanned
     if stats.shards > 1:
         attrs["shards"] = stats.shards
-    if stats.stats_entry is not None:
-        attrs["stats"] = dict(stats.stats_entry)
     return attrs
 
 
@@ -355,13 +352,11 @@ class Engine:
         self,
         ctx: ExecutionContext,
         batch_size: int,
-        max_cost_usd: float | None = None,
         capture=None,
         replanner=None,
         shard_plan=None,
     ) -> None:
         self.ctx = ctx
-        self.max_cost_usd = max_cost_usd
         #: Records per streamed batch of a fused section or shard worker
         #: (``QueryProcessorConfig.resolved_batch_size``).
         self.batch_size = batch_size
@@ -382,7 +377,7 @@ class Engine:
         #: Tracker state when the current run began (see :meth:`drive`).
         self.run_start_cost = 0.0
         self.run_start_time = 0.0
-        self.run_checkpoint = 0
+        self.run_start_failed = 0
 
     def execute(self, operators: list[PhysicalOperator]) -> ExecutionResult:
         if self.shard_plan is not None:
@@ -406,17 +401,16 @@ class Engine:
         stats: list[OperatorStats] = []
         self.run_start_cost = llm.tracker.spent_usd
         self.run_start_time = llm.clock.elapsed
-        self.run_checkpoint = llm.tracker.checkpoint()
-        # Thread the spend cap into the context so operators can truncate
-        # mid-batch instead of overshooting to the next operator boundary.
+        self.run_start_failed = llm.tracker.failed_attempts
+        # The context's spend cap applies to this run's delta: operators
+        # truncate mid-batch instead of overshooting to the next boundary.
         self.ctx.cost_baseline_usd = self.run_start_cost
-        if self.max_cost_usd is not None and self.ctx.max_cost_usd is None:
-            self.ctx.max_cost_usd = self.max_cost_usd
+        max_cost_usd = self.ctx.max_cost_usd
         truncated = False
 
         while index < len(operators):
             spent = llm.tracker.spent_usd - self.run_start_cost
-            if self.max_cost_usd is not None and spent >= self.max_cost_usd:
+            if max_cost_usd is not None and spent >= max_cost_usd:
                 truncated = True
                 break
             end, run = step_at(operators, index)
@@ -479,7 +473,7 @@ class Engine:
         if plan is None or fingerprint is None:
             return
         llm = self.ctx.llm
-        if self.ctx.failures or llm.tracker.failed_calls(self.run_checkpoint):
+        if self.ctx.failures or llm.tracker.failed_attempts > self.run_start_failed:
             return
         plan.store.put(
             fingerprint,
@@ -585,13 +579,6 @@ class Engine:
                 records_out=len(outputs),
                 cost_usd=round(sum(s.cost_usd for s in stats), 6),
             )
-            stage_stats = [
-                {"time_s": stage.time_s, **_stats_attrs(stage)}
-                for stage in stats
-                if stage.stats_entry is not None
-            ]
-            if stage_stats:
-                section_span.attributes["stage_stats"] = stage_stats
         if metrics.enabled:
             metrics.histogram("engine.section_makespan_s").observe(
                 section_span.duration_s

@@ -4,9 +4,10 @@ The cross-query counterpart of the generation cache.  Where the
 :class:`~repro.llm.cache.GenerationCache` reuses single LLM *calls*, the
 :class:`MaterializationStore` reuses whole operator-boundary record sets:
 every prefix of a linear plan gets a canonical **fingerprint** — a stable
-digest of the operator subtree (kinds + normalized instructions + resolved
-models + source lineage + the substrate seed) — and the engine stores the
-records flowing across each fingerprintable boundary.  A later query whose
+digest of its operators' tokens (each class declares its own:
+:meth:`~repro.sem.logical.LogicalOperator.token`), the source lineage and
+the substrate seed — and the engine stores the records flowing across each
+fingerprintable boundary.  A later query whose
 prefix hashes to the same fingerprint replays the stored records instead of
 recomputing them; if the source has *appended* records since, only the
 delta runs through the prefix (incremental execution).
@@ -16,13 +17,12 @@ Soundness rests on three facts established by earlier PRs:
 - simulated answers are a pure function of (seed, model, instruction,
   record uid) — never of call order — so a fingerprint match implies the
   recomputation would produce byte-identical records;
-- instructions enter the noise key through
-  :func:`~repro.utils.text.normalize_text`, so fingerprints normalize the
-  same way (semantically identical whitespace/case variants share entries);
+- tokens normalize instructions the way the noise key does, so
+  semantically identical whitespace/case variants share entries;
 - derived-record uids are lineage-deterministic, so records computed from
   an appended delta are identical to the ones a full recompute would make.
 
-Commuting filter runs (see :func:`repro.sem.optimizer.rules.commuting_runs`)
+Commuting filter runs (see :func:`repro.sem.logical.commuting_runs`)
 are canonicalized by sorting their tokens: filters only remove records and
 preserve order, so any permutation — even a prefix that cuts a run in half
 — yields the same record set, and semantically identical reorderings share
@@ -40,123 +40,9 @@ from repro.data.records import DataRecord
 from repro.sem import logical as L
 from repro.utils.hashing import stable_digest
 from repro.utils.persist import load_json, save_json
-from repro.utils.text import normalize_text
 
 #: Bump when the token grammar changes; keeps persisted stores honest.
 FINGERPRINT_VERSION = 1
-
-#: Ops whose output on an appended delta equals the tail of a full
-#: recompute: record-local, order-preserving, no whole-input dependence.
-#: Limit/TopK/GroupBy/Agg/Retrieve depend on the entire input (or its
-#: count) and are therefore exact-reuse only.
-INCREMENTAL_SAFE_OPS = (
-    L.SemFilterOp,
-    L.SemMapOp,
-    L.SemClassifyOp,
-    L.PyFilterOp,
-    L.PyMapOp,
-    L.StructFilterOp,
-    L.ProjectOp,
-)
-
-#: Ops worth materializing behind: they spend LLM calls or embeddings.
-COSTLY_OPS = (
-    L.SemFilterOp,
-    L.SemMapOp,
-    L.SemClassifyOp,
-    L.SemGroupByOp,
-    L.SemAggOp,
-    L.SemTopKOp,
-    L.RetrieveOp,
-)
-
-
-def op_token(op: L.LogicalOperator, model: str | None) -> tuple | None:
-    """Canonical token for one operator, or None if unfingerprintable.
-
-    ``model`` is the *resolved* physical model (reuse matching happens
-    after the optimizer's model choice, so a hit implies the current run
-    would bind the same models).  Python ops are fingerprintable only via
-    their declared ``description`` — bare lambdas are not process-stable.
-    """
-    if isinstance(op, L.ScanOp):
-        return ("scan", op.source.source_id)
-    if isinstance(op, L.SemFilterOp):
-        return ("sem_filter", normalize_text(op.instruction), model)
-    if isinstance(op, L.SemMapOp):
-        outputs = tuple(
-            (
-                field_.name,
-                getattr(field_.type, "__name__", repr(field_.type)),
-                field_.desc,
-                normalize_text(instruction),
-            )
-            for field_, instruction in op.outputs
-        )
-        return ("sem_map", outputs, model)
-    if isinstance(op, L.SemClassifyOp):
-        return (
-            "sem_classify",
-            op.output_field,
-            tuple(op.options),
-            normalize_text(op.instruction),
-            model,
-        )
-    if isinstance(op, L.SemGroupByOp):
-        return (
-            "sem_groupby",
-            tuple(op.groups),
-            normalize_text(op.instruction),
-            op.summarize,
-            model,
-        )
-    if isinstance(op, L.SemAggOp):
-        return ("sem_agg", op.output_field, normalize_text(op.instruction), model)
-    if isinstance(op, L.SemTopKOp):
-        return ("sem_topk", normalize_text(op.query), op.k, op.method, model)
-    if isinstance(op, L.RetrieveOp):
-        return ("retrieve", normalize_text(op.query), op.k)
-    if isinstance(op, L.PyFilterOp):
-        return ("py_filter", op.description) if op.description else None
-    if isinstance(op, L.PyMapOp):
-        return ("py_map", op.description) if op.description else None
-    if isinstance(op, L.StructFilterOp):
-        from repro.sem.structql import normalized_condition
-
-        # The parsed AST's repr, so `priority>=2` and `priority >= 2`
-        # share a token — inside a SqlScan or above the scan.
-        return ("struct_filter", normalized_condition(op.condition))
-    if isinstance(op, L.StructAggOp):
-        return ("struct_agg", tuple(op.group_by), tuple(op.aggregates))
-    if isinstance(op, L.ProjectOp):
-        return ("project", tuple(op.fields))
-    if isinstance(op, L.LimitOp):
-        return ("limit", op.n)
-    return None
-
-
-def _canonical_tokens(
-    chain: list[L.LogicalOperator], tokens: list[tuple]
-) -> list[tuple]:
-    """Sort tokens within maximal adjacent commuting-filter runs.
-
-    Sound even when a prefix boundary cuts a run: filters preserve record
-    identity and order, so applying any subset of a commuting run in any
-    order produces the same record set.
-    """
-    canonical = list(tokens)
-    index = 0
-    while index < len(chain):
-        if not isinstance(chain[index], L.COMMUTING_FILTERS):
-            index += 1
-            continue
-        end = index
-        while end < len(chain) and isinstance(chain[end], L.COMMUTING_FILTERS):
-            end += 1
-        if end - index > 1:
-            canonical[index:end] = sorted(canonical[index:end], key=repr)
-        index = end
-    return canonical
 
 
 def prefix_fingerprints(
@@ -175,28 +61,20 @@ def prefix_fingerprints(
     scoped queries can only ever match entries captured under the same
     scope.  The empty scope keeps historical digests unchanged.
 
-    A :class:`~repro.sem.logical.SqlScanOp` leaf is fingerprinted by
-    *expansion*: its token sequence is the plain scan token followed by the
-    embedded operators' tokens, and the expanded virtual chain feeds the
-    commuting-run canonicalization.  A plan therefore shares every boundary
-    fingerprint at or after the end of the scan-adjacent filter run with
-    every plan that pushes a different number of the same operators (a
-    hoisted ``where``, a longer structured prefix) — pushdown composes
-    with reuse instead of fragmenting the store.
+    Each operator is tokenized through its :meth:`expanded` form — a
+    pushed-down leaf as the plain scan followed by its embedded operators —
+    so a plan shares every boundary fingerprint at or after the end of the
+    scan-adjacent filter run with every plan that pushes a different number
+    of the same operators (a hoisted ``where``, a longer structured
+    prefix): pushdown composes with reuse instead of fragmenting the store.
     """
     virtual_chain: list[L.LogicalOperator] = []
     virtual_tokens: list[tuple | None] = []
     boundaries: list[int] = []
     for op, model in zip(chain, models):
-        if isinstance(op, L.SqlScanOp):
-            virtual_chain.append(L.ScanOp(child=None, source=op.source))
-            virtual_tokens.append(("scan", op.source.source_id))
-            for pushed in op.pushed:
-                virtual_chain.append(pushed)
-                virtual_tokens.append(op_token(pushed, None))
-        else:
-            virtual_chain.append(op)
-            virtual_tokens.append(op_token(op, model))
+        for inner in op.expanded():
+            virtual_chain.append(inner)
+            virtual_tokens.append(inner.token(model if inner is op else None))
         boundaries.append(len(virtual_chain))
 
     scope_tokens = ("scope", scope) if scope else ()
@@ -208,15 +86,18 @@ def prefix_fingerprints(
         for position in range(consumed, boundary):
             if virtual_tokens[position] is None:
                 poisoned = True
-            if isinstance(virtual_chain[position], COSTLY_OPS):
+            if virtual_chain[position].costly:
                 costly = True
         consumed = boundary
         if poisoned or not costly:
             fingerprints.append(None)
             continue
-        canonical = _canonical_tokens(
-            virtual_chain[:boundary], virtual_tokens[:boundary]
-        )
+        # Sort tokens within commuting runs — sound even when the boundary
+        # cuts a run: filters preserve record identity and order, so any
+        # subset of a run, in any order, produces the same record set.
+        canonical = virtual_tokens[:boundary]
+        for start, end in L.commuting_runs(virtual_chain[:boundary]):
+            canonical[start:end] = sorted(canonical[start:end], key=repr)
         fingerprints.append(
             stable_digest(
                 "materialize-fp",
@@ -244,20 +125,15 @@ def stamp_fingerprints(operators: list, llm_seed: int, scope: str = "") -> None:
 def incremental_safe_prefix(chain: list[L.LogicalOperator]) -> list[bool]:
     """Whether ``chain[:p]`` can merge an appended delta, indexed ``p - 1``.
 
-    Position 0 (the scan) is trivially safe; above it every operator must
-    be record-local and order-preserving.  A pushed-down
-    :class:`~repro.sem.logical.SqlScanOp` leaf is safe only when every
-    embedded operator is (a pushed limit or aggregation depends on the
-    whole input, so those prefixes are exact-reuse only).
+    Every operator must be record-local and order-preserving
+    (``incremental_safe``): a scan trivially is, a pushed-down leaf only
+    when every embedded operator is (a pushed limit or aggregation depends
+    on the whole input).
     """
     safe: list[bool] = []
     all_safe = True
-    for position, op in enumerate(chain):
-        if isinstance(op, L.SqlScanOp):
-            if not all(isinstance(p, INCREMENTAL_SAFE_OPS) for p in op.pushed):
-                all_safe = False
-        elif position > 0 and not isinstance(op, INCREMENTAL_SAFE_OPS):
-            all_safe = False
+    for op in chain:
+        all_safe = all_safe and all(inner.incremental_safe for inner in op.expanded())
         safe.append(all_safe)
     return safe
 

@@ -8,11 +8,12 @@ operator already carries from sampling, else the static formula) and
 the optimizer's binder, the mid-query re-planner, the standing-query
 governor and EXPLAIN all read the same record.
 
-The loop chains per-operator estimates: a filter shrinks the estimated
-cardinality by its selectivity; downstream operators are charged only for
-the surviving records.  This is what makes filter reordering and pushdown
-worthwhile — exactly the effect the paper credits for ``PZ compute``'s
-savings over ``CodeAgent+``.
+The loop chains per-operator estimates — each operator class declares its
+own rule (``charges`` and ``rows_out`` in :mod:`repro.sem.logical`): a
+filter shrinks the estimated cardinality by its selectivity; downstream
+operators are charged only for the surviving records.  This is what makes
+filter reordering and pushdown worthwhile — exactly the effect the paper
+credits for ``PZ compute``'s savings over ``CodeAgent+``.
 
 When the engine fuses streamable runs (always, unless a serve sink owns
 time), the time estimate must predict the *critical-path makespan* of the
@@ -64,7 +65,7 @@ class OperatorEstimate:
     """
 
     #: Emitted records per input record (read for filters only).
-    selectivity: float = 0.5
+    selectivity: float = L.STATIC_SELECTIVITY
     cost_per_record: float = 0.0
     latency_per_record: float = 0.0
     #: Where the three numbers came from: "prior" | "sampled" | "static".
@@ -103,51 +104,6 @@ def believe(
     return carried if carried is not None else OperatorEstimate()
 
 
-def estimate_operator(
-    op: L.LogicalOperator,
-    cardinality: float,
-    belief: OperatorEstimate,
-) -> PlanEstimate:
-    """Estimate one operator given its input cardinality."""
-    cost_usd = cardinality * belief.cost_per_record
-    time_s = cardinality * belief.latency_per_record
-    if isinstance(op, (L.PyFilterOp, L.StructFilterOp)):
-        return PlanEstimate(0.0, 0.0, cardinality * belief.selectivity)
-    if isinstance(op, (L.PyMapOp, L.ProjectOp)):
-        return PlanEstimate(0.0, 0.0, cardinality)
-    if isinstance(op, L.LimitOp):
-        return PlanEstimate(0.0, 0.0, min(cardinality, op.n))
-    if isinstance(op, L.StructAggOp):
-        # Token-free; a global aggregate collapses to one row, a grouped
-        # one to at most the input's distinct keys (unknown — pass through).
-        return PlanEstimate(0.0, 0.0, 1.0 if not op.group_by else cardinality)
-    if isinstance(op, L.SqlScanOp):
-        # Pushed sections are token-free by construction: chain the
-        # embedded structured operators' estimates from the source size.
-        size = op.source.cardinality() if op.source is not None else None
-        pushed_cardinality = float(size) if size is not None else cardinality
-        for pushed in op.pushed:
-            pushed_cardinality = estimate_operator(
-                pushed, pushed_cardinality, OperatorEstimate()
-            ).cardinality
-        return PlanEstimate(0.0, 0.0, pushed_cardinality)
-    if isinstance(op, (L.RetrieveOp, L.SemTopKOp)):
-        return PlanEstimate(0.0, 0.0, min(cardinality, op.k))
-    if isinstance(op, L.SemFilterOp):
-        return PlanEstimate(cost_usd, time_s, cardinality * belief.selectivity)
-    if isinstance(op, (L.SemMapOp, L.SemClassifyOp)):
-        return PlanEstimate(cost_usd, time_s, cardinality)
-    if isinstance(op, L.SemGroupByOp):
-        return PlanEstimate(cost_usd, time_s, min(cardinality, float(len(op.groups))))
-    if isinstance(op, L.SemAggOp):
-        return PlanEstimate(belief.cost_per_record, belief.latency_per_record, 1.0)
-    if isinstance(op, L.ScanOp):
-        size = op.source.cardinality() if op.source is not None else None
-        return PlanEstimate(0.0, 0.0, float(size) if size is not None else cardinality)
-    # Joins and unknown operators: pass cardinality through unpriced.
-    return PlanEstimate(0.0, 0.0, cardinality)
-
-
 def estimate_chain_steps(
     operators: "list[PhysicalOperator]",
     beliefs: list[OperatorEstimate],
@@ -177,9 +133,15 @@ def estimate_chain_steps(
     total = PlanEstimate(0.0, 0.0, cardinality)
     steps: list[PlanEstimate] = []
     for operator, belief in zip(operators, beliefs):
-        step = estimate_operator(operator.logical_op, total.cardinality, belief)
-        if parallelism > 1:
-            step = PlanEstimate(step.cost_usd, step.time_s / parallelism, step.cardinality)
+        # The class declares the rule (charges, rows out); the belief
+        # supplies the numbers; parallelism divides latency into wave time.
+        op = operator.logical_op
+        charged = op.charged(total.cardinality)
+        step = PlanEstimate(
+            charged * belief.cost_per_record,
+            charged * belief.latency_per_record / parallelism,
+            op.rows_out(total.cardinality, belief.selectivity),
+        )
         steps.append(step)
         total = total + step
     if fused_batch_size is None:

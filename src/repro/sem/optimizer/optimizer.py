@@ -57,11 +57,6 @@ from repro.sem.optimizer.rules import (
 from repro.sem.optimizer.sampler import OperatorProfile, Sampler
 from repro.utils.seeding import SeededRng
 
-#: Operators whose model is chosen from sampled profiles, and the free
-#: filters sampled (as their own only candidate) for selectivity alone.
-_PROFILED_OPS = (L.SemFilterOp, L.SemMapOp, L.SemClassifyOp, L.SemGroupByOp)
-_FREE_FILTERS = (L.PyFilterOp, L.StructFilterOp)
-
 
 @dataclass
 class OptimizationReport:
@@ -99,11 +94,6 @@ class OptimizationReport:
     #: the unsharded engine path).  The executor updates the segments'
     #: runtime diagnostics in place, so EXPLAIN footers see them.
     shard_plan: object | None = field(default=None, repr=False)
-
-    @property
-    def final_order(self) -> list[str]:
-        """Logical labels of the bound plan, leaves first."""
-        return [op.logical_op.label() for op in self.bound]
 
     @property
     def planned(self) -> list:
@@ -155,7 +145,11 @@ class Optimizer:
     """Optimizes and binds a logical plan under a configuration."""
 
     def __init__(self, config: "QueryProcessorConfig") -> None:
+        from repro.sem.config import DEFAULT_FALLBACK_MODEL
+
         self.config = config
+        #: The agreement reference, and what runs when nothing chose a model.
+        self.champion = DEFAULT_FALLBACK_MODEL
 
     def optimize(self, plan: L.LogicalPlan) -> tuple[list[P.PhysicalOperator], OptimizationReport]:
         bound, report = self._optimize(plan)
@@ -242,14 +236,14 @@ class Optimizer:
             "optimize", kind="optimize", sample_size=len(sample)
         ) as optimize_span:
             for position, op in enumerate(chain):
-                if isinstance(op, _PROFILED_OPS):
-                    champion = config.champion_model
+                if op.profiled == "model":
+                    champion = self.champion
                     # A pinned model is already decided and the sampler
                     # just measures its selectivity/cost: profiling other
                     # tiers only pays off if the policy may pick them.
                     decided = op.model
                     models = [decided] if decided else candidates
-                elif isinstance(op, _FREE_FILTERS):
+                elif op.profiled == "selectivity":
                     champion = decided = None
                     models = [None]
                 else:
@@ -337,7 +331,7 @@ class Optimizer:
         scope = config.scope
         chain = [op.logical_op for op in bound]
         leaf = chain[0]
-        has_source = isinstance(leaf, (L.ScanOp, L.SqlScanOp)) and leaf.source is not None
+        has_source = getattr(leaf, "source", None) is not None
         dataset = leaf.source.source_id if has_source else ""
         for op in bound:
             key = stats_key(op.logical_op, op.model, dataset, scope, config.llm.seed)
@@ -429,7 +423,7 @@ class Optimizer:
         config = self.config
         store = config.materialization_store
         leaf = bound[0].logical_op
-        if store is None or not isinstance(leaf, (L.ScanOp, L.SqlScanOp)):
+        if store is None or getattr(leaf, "source", None) is None:
             return
         store.metrics = config.llm.metrics if config.llm.metrics.enabled else None
         if source_records is None:
@@ -551,43 +545,19 @@ class Optimizer:
         position: int,
         chosen: dict[int, str],
     ) -> P.PhysicalOperator:
-        model = chosen.get(id(op)) or getattr(op, "model", None) or self.config.champion_model
-        if isinstance(op, L.ScanOp):
-            return P.PhysScan(op)
-        if isinstance(op, L.RetrieveOp):
+        """Bind through :data:`~repro.sem.physical.IMPLEMENTATIONS`; the two
+        constructors that take more than ``(op, model)`` stay explicit."""
+        physical = P.implementation(op)
+        model = None
+        if hasattr(op, "model"):
+            model = chosen.get(id(op)) or op.model or self.champion
+        if physical is P.PhysSemJoin:
+            if self.config.join_method == "blocked":
+                physical = P.PhysSemJoinBlocked
+            return physical(op, self._bind_spine(op.right, chosen), model)
+        if physical is P.PhysRetrieve:
             source = None
             if position > 0 and isinstance(chain[position - 1], L.ScanOp):
                 source = chain[position - 1].source
-            return P.PhysRetrieve(op, source=source)
-        if isinstance(op, L.SemFilterOp):
-            return P.PhysSemFilter(op, model)
-        if isinstance(op, L.SemMapOp):
-            return P.PhysSemMap(op, model)
-        if isinstance(op, L.SemClassifyOp):
-            return P.PhysSemClassify(op, model)
-        if isinstance(op, L.SemGroupByOp):
-            return P.PhysSemGroupBy(op, model)
-        if isinstance(op, L.SemJoinOp):
-            right_ops = self._bind_spine(op.right, chosen)
-            if self.config.join_method == "blocked":
-                return P.PhysSemJoinBlocked(op, right_ops, model)
-            return P.PhysSemJoin(op, right_ops, model)
-        if isinstance(op, L.SemAggOp):
-            return P.PhysSemAgg(op, model)
-        if isinstance(op, L.SemTopKOp):
-            return P.PhysSemTopK(op, model)
-        if isinstance(op, L.PyFilterOp):
-            return P.PhysPyFilter(op)
-        if isinstance(op, L.PyMapOp):
-            return P.PhysPyMap(op)
-        if isinstance(op, L.StructFilterOp):
-            return P.PhysStructFilter(op)
-        if isinstance(op, L.StructAggOp):
-            return P.PhysStructAgg(op)
-        if isinstance(op, L.SqlScanOp):
-            return P.PhysSqlScan(op)
-        if isinstance(op, L.ProjectOp):
-            return P.PhysProject(op)
-        if isinstance(op, L.LimitOp):
-            return P.PhysLimit(op)
-        raise OptimizationError(f"no physical implementation for {op.label()}")
+            return physical(op, source=source)
+        return physical(op, model)

@@ -30,9 +30,6 @@ from __future__ import annotations
 from repro.sem import logical as L
 from repro.sem.structql import aggregation_sql
 
-#: Operators a SqlScan can absorb (StructAgg only as the terminal op).
-_PUSHABLE = (L.StructFilterOp, L.ProjectOp, L.LimitOp)
-
 
 def push_structured_prefix(
     chain: list[L.LogicalOperator],
@@ -51,16 +48,14 @@ def push_structured_prefix(
     index = 1
     while index < len(chain):
         op = chain[index]
-        if isinstance(op, _PUSHABLE):
-            pushed.append(op)
-            index += 1
-            continue
-        if isinstance(op, L.StructAggOp):
-            # Terminal: an aggregation re-keys the record stream, so
-            # nothing structured after it can join this scan.
-            pushed.append(op)
-            index += 1
-        break
+        if op.pushable is None:
+            break
+        pushed.append(op)
+        index += 1
+        if op.pushable == "terminal":
+            # An aggregation re-keys the record stream, so nothing
+            # structured after it can join this scan.
+            break
     if not any(isinstance(op, (L.StructFilterOp, L.StructAggOp)) for op in pushed):
         return chain, None
     scan: L.ScanOp = chain[0]
@@ -85,13 +80,13 @@ def hoist_struct_filters(chain: list[L.LogicalOperator]) -> list[L.LogicalOperat
     if not chain or not isinstance(chain[0], L.ScanOp):
         return chain
     end = 1
-    while end < len(chain) and isinstance(chain[end], L.COMMUTING_FILTERS):
+    while end < len(chain) and chain[end].commuting:
         end += 1
     run = chain[1:end]
-    structured = [op for op in run if isinstance(op, L.StructFilterOp)]
+    structured = [op for op in run if op.pushable]
     if not structured or run[: len(structured)] == structured:
         return chain
-    rest = [op for op in run if not isinstance(op, L.StructFilterOp)]
+    rest = [op for op in run if not op.pushable]
     return [chain[0]] + structured + rest + chain[end:]
 
 

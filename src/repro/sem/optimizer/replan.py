@@ -4,11 +4,10 @@ Two halves, one feedback loop:
 
 - **Keys.** :func:`stats_key` names the unit the
   :class:`~repro.obs.stats.StatisticsStore` learns over: a stable digest
-  of (operator token, resolved model, dataset, tenant scope, substrate
-  seed).  The token grammar is :func:`~repro.sem.materialize.op_token`'s —
-  the same normalization that makes materialization fingerprints stable
-  makes statistics keys stable — so semantically identical operators
-  accumulate into one prior across queries.
+  of (the operator's own canonical token — the one materialization
+  fingerprints are built from — dataset, tenant scope, substrate seed), so
+  semantically identical operators accumulate into one prior across
+  queries.
 
 - **Re-planning.** The :class:`Replanner` is armed by the optimizer and
   consulted by the engine at operator/section boundaries: when observed
@@ -32,7 +31,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.sem import logical as L
-from repro.sem.materialize import op_token, stamp_fingerprints
+from repro.sem.materialize import stamp_fingerprints
 from repro.sem.optimizer.cost_model import (
     believe,
     estimate_chain_steps,
@@ -61,22 +60,6 @@ REPLAN_MIN_ROWS = 4
 REPLAN_LIMIT = 1
 
 
-def stats_token(op: L.LogicalOperator, model: "str | None") -> "tuple | None":
-    """Canonical statistics token for one operator (None = unkeyable).
-
-    Same grammar as materialization's :func:`op_token`, plus a SqlScan
-    case: a pushed-down leaf is keyed by its source and embedded operator
-    tokens, so its learned selectivity survives re-optimization of the
-    surrounding plan.
-    """
-    if isinstance(op, L.SqlScanOp):
-        pushed = tuple(op_token(inner, None) for inner in op.pushed)
-        if any(token is None for token in pushed):
-            return None
-        return ("sql_scan", op.source.source_id, pushed)
-    return op_token(op, model)
-
-
 def stats_key(
     op: L.LogicalOperator,
     model: "str | None",
@@ -90,7 +73,7 @@ def stats_key(
     priors honest across simulated worlds (different seeds are different
     populations).
     """
-    token = stats_token(op, model)
+    token = op.token(model)
     if token is None or not dataset:
         return None
     return stable_digest(
@@ -157,7 +140,7 @@ class Replanner:
         # plan-time profiles; operators with neither stay unknown.
         beliefs = [believe(op, config.stats_store) for op in suffix]
         if not any(
-            belief.source == "prior" and isinstance(op, L.COMMUTING_FILTERS)
+            belief.source == "prior" and op.commuting
             for belief, op in zip(beliefs, chain)
         ):
             # Nothing learned about any movable filter — a reorder would

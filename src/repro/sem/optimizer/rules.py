@@ -10,23 +10,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.sem import logical as L
-
-
-def commuting_runs(chain: list[L.LogicalOperator]) -> list[tuple[int, int]]:
-    """Return [start, end) index ranges of maximal commuting-filter runs."""
-    runs: list[tuple[int, int]] = []
-    start = None
-    for index, op in enumerate(chain):
-        if isinstance(op, L.COMMUTING_FILTERS):
-            if start is None:
-                start = index
-        else:
-            if start is not None:
-                runs.append((start, index))
-                start = None
-    if start is not None:
-        runs.append((start, len(chain)))
-    return runs
+from repro.sem.logical import commuting_runs
 
 
 def push_py_filters(chain: list[L.LogicalOperator]) -> list[L.LogicalOperator]:
@@ -40,11 +24,11 @@ def push_py_filters(chain: list[L.LogicalOperator]) -> list[L.LogicalOperator]:
     """
     result = list(chain)
     for start, end in commuting_runs(result):
-        run = result[start:end]
-        struct_filters = [op for op in run if isinstance(op, L.StructFilterOp)]
-        py_filters = [op for op in run if isinstance(op, L.PyFilterOp)]
-        sem_filters = [op for op in run if isinstance(op, L.SemFilterOp)]
-        result[start:end] = struct_filters + py_filters + sem_filters
+        # Stable: free before charged, pushable first among the free.
+        result[start:end] = sorted(
+            result[start:end],
+            key=lambda op: (op.charges != "free", op.pushable is None),
+        )
     return result
 
 

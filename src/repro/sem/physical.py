@@ -29,7 +29,13 @@ from operator import itemgetter
 from typing import Callable, TypeVar
 
 from repro.data.records import DataRecord
-from repro.errors import BudgetExceededError, ExecutionError, TransientLLMError
+from repro.errors import (
+    BudgetExceededError,
+    ExecutionError,
+    OptimizationError,
+    PlanError,
+    TransientLLMError,
+)
 from repro.llm.embeddings import cosine_similarity, top_k_similar
 from repro.llm.simulated import SimulatedLLM
 from repro.sem import logical as L
@@ -120,8 +126,8 @@ class ExecutionContext:
     fallback_model: str | None = None
     #: (record uid, error class name) for every degraded record, in order.
     failures: list[tuple[str, str]] = field(default_factory=list)
-    #: Hard spend cap threaded down from the engine so the budget truncates
-    #: the run mid-batch instead of overshooting by a whole operator's cost.
+    #: The run's one spend cap: the engine stops between steps once it is
+    #: reached, and operators truncate mid-batch instead of overshooting.
     max_cost_usd: float | None = None
     #: Spend already on the tracker when this execution began; the cap
     #: applies to the delta.
@@ -198,8 +204,41 @@ def _embed_texts(texts: list[str], ctx: ExecutionContext, tag: str) -> list[np.n
     return [ctx.llm.embed(text, tag=tag) for text in texts]
 
 
+#: Logical class -> the physical class that runs it: the one table the
+#: optimizer's binder and :class:`PhysSqlScan` bind through, filled as
+#: physical classes declare ``implements``.
+IMPLEMENTATIONS: "dict[type[L.LogicalOperator], type[PhysicalOperator]]" = {}
+
+
+def implementation(op: L.LogicalOperator) -> "type[PhysicalOperator]":
+    """The physical class registered for ``op``'s logical class."""
+    physical = IMPLEMENTATIONS.get(type(op))
+    if physical is None:
+        raise OptimizationError(
+            f"no physical implementation for {op.label()}: no PhysicalOperator "
+            f"subclass declares `implements = {type(op).__name__}`"
+        )
+    return physical
+
+
 class PhysicalOperator(abc.ABC):
     """Executes one logical operator over a batch of records."""
+
+    #: The logical class this operator runs; declaring it registers the
+    #: class.  A variant (the blocked join) inherits its parent's and is
+    #: chosen by the binder.
+    implements: "type[L.LogicalOperator] | None" = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        logical = cls.__dict__.get("implements")
+        if logical in IMPLEMENTATIONS:
+            raise PlanError(
+                f"{cls.__name__} and {IMPLEMENTATIONS[logical].__name__} both "
+                f"declare `implements = {logical.__name__}`"
+            )
+        if logical is not None:
+            IMPLEMENTATIONS[logical] = cls
 
     #: Streamable operators (:class:`StreamingOperator`) consume record
     #: batches and can be fused into pipelined sections by the engine.
@@ -362,7 +401,7 @@ class StreamingOperator(PhysicalOperator):
 
 
 class PhysScan(PhysicalOperator):
-    logical_op: L.ScanOp
+    implements = L.ScanOp
     exchange = "source"
 
     #: Leading source records to leave out: an expanded delta replay (see
@@ -381,7 +420,7 @@ class PhysMaterializedScan(PhysicalOperator):
     The stored records come first, as-is (zero LLM cost), and the appended
     delta's survivors follow.  This matches a full recompute exactly
     because delta merging is only offered for order-preserving record-local
-    prefixes (see :data:`repro.sem.materialize.INCREMENTAL_SAFE_OPS`) and
+    prefixes (``LogicalOperator.incremental_safe``) and
     appended source records sit at the tail of the scan order.  The
     optimizer binds it in one of two shapes:
 
@@ -441,7 +480,7 @@ class PhysRetrieve(PhysicalOperator):
     vectorized path.
     """
 
-    logical_op: L.RetrieveOp
+    implements = L.RetrieveOp
     exchange = "gather"
 
     def __init__(
@@ -470,7 +509,7 @@ class PhysRetrieve(PhysicalOperator):
 
 
 class PhysSemFilter(StreamingOperator):
-    logical_op: L.SemFilterOp
+    implements = L.SemFilterOp
     exchange = "scatter"
 
     def process_record(
@@ -487,7 +526,7 @@ class PhysSemFilter(StreamingOperator):
 
 
 class PhysSemMap(StreamingOperator):
-    logical_op: L.SemMapOp
+    implements = L.SemMapOp
     exchange = "scatter"
 
     def process_record(
@@ -511,7 +550,7 @@ class PhysSemMap(StreamingOperator):
 
 
 class PhysSemClassify(StreamingOperator):
-    logical_op: L.SemClassifyOp
+    implements = L.SemClassifyOp
     exchange = "scatter"
 
     def process_record(
@@ -539,7 +578,7 @@ class PhysSemGroupBy(PhysicalOperator):
     about the answers.
     """
 
-    logical_op: L.SemGroupByOp
+    implements = L.SemGroupByOp
     exchange = "shuffle"
 
     def classify_partition(
@@ -613,7 +652,7 @@ class PhysSemJoin(PhysicalOperator):
     shard.
     """
 
-    logical_op: L.SemJoinOp
+    implements = L.SemJoinOp
     exchange = "broadcast"
 
     def __init__(
@@ -754,7 +793,7 @@ class PhysSemJoinBlocked(PhysSemJoin):
 
 
 class PhysSemAgg(PhysicalOperator):
-    logical_op: L.SemAggOp
+    implements = L.SemAggOp
     exchange = "gather"
 
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
@@ -794,7 +833,7 @@ class PhysSemTopK(StreamingOperator):
     re-ranks the union by the same key.
     """
 
-    logical_op: L.SemTopKOp
+    implements = L.SemTopKOp
     exchange = "merge"
 
     def new_state(self, ctx: ExecutionContext) -> dict:
@@ -872,7 +911,7 @@ class PhysSemTopK(StreamingOperator):
 
 
 class PhysPyFilter(StreamingOperator):
-    logical_op: L.PyFilterOp
+    implements = L.PyFilterOp
     exchange = "scatter"
 
     def process_batch(
@@ -883,7 +922,7 @@ class PhysPyFilter(StreamingOperator):
 
 
 class PhysPyMap(StreamingOperator):
-    logical_op: L.PyMapOp
+    implements = L.PyMapOp
     exchange = "scatter"
 
     def process_batch(
@@ -893,7 +932,7 @@ class PhysPyMap(StreamingOperator):
 
 
 class PhysProject(StreamingOperator):
-    logical_op: L.ProjectOp
+    implements = L.ProjectOp
     exchange = "scatter"
 
     def process_batch(
@@ -906,7 +945,7 @@ class PhysLimit(StreamingOperator):
     """Limit with early-exit pushdown: once sated, the engine stops pulling
     batches from upstream stages instead of truncating after the fact."""
 
-    logical_op: L.LimitOp
+    implements = L.LimitOp
     exchange = "merge"
 
     def new_state(self, ctx: ExecutionContext) -> dict:
@@ -937,7 +976,7 @@ class PhysStructFilter(StreamingOperator):
     objects — and their uids — are untouched.
     """
 
-    logical_op: L.StructFilterOp
+    implements = L.StructFilterOp
     exchange = "scatter"
 
     def __init__(self, logical_op: L.StructFilterOp, model: str | None = None) -> None:
@@ -958,7 +997,7 @@ class PhysStructAgg(PhysicalOperator):
     records standalone and inside a pushed-down SqlScan.
     """
 
-    logical_op: L.StructAggOp
+    implements = L.StructAggOp
     exchange = "gather"
 
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
@@ -980,15 +1019,6 @@ class PhysStructAgg(PhysicalOperator):
         return output
 
 
-#: The physical operator each pushed-down structured operator runs as.
-_PUSHABLE = {
-    L.StructFilterOp: PhysStructFilter,
-    L.ProjectOp: PhysProject,
-    L.LimitOp: PhysLimit,
-    L.StructAggOp: PhysStructAgg,
-}
-
-
 class PhysSqlScan(PhysicalOperator):
     """Leaf: scan a source and run its pushed-down structured prefix.
 
@@ -999,21 +1029,21 @@ class PhysSqlScan(PhysicalOperator):
     can report what was pruned ahead of the first LLM operator.
     """
 
-    logical_op: L.SqlScanOp
+    implements = L.SqlScanOp
     exchange = "source"
     pushed_down = True
     #: As :attr:`PhysScan.skip`; ``scanned`` then counts the tail only.
     skip = 0
 
-    def __init__(self, logical_op: L.SqlScanOp) -> None:
-        super().__init__(logical_op, None)
+    def __init__(self, logical_op: L.SqlScanOp, model: str | None = None) -> None:
+        super().__init__(logical_op, model)
         self.pushed: list[PhysicalOperator] = []
         for op in logical_op.pushed:
-            if type(op) not in _PUSHABLE:
+            if op.pushable is None:
                 raise ExecutionError(
                     f"operator {op.label()} cannot run inside a SqlScan"
                 )
-            self.pushed.append(_PUSHABLE[type(op)](op))
+            self.pushed.append(implementation(op)(op))
 
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
         if records:

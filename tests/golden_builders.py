@@ -92,6 +92,151 @@ def build_explain_pushdown_golden() -> str:
     return dataset.explain(analyze=True, config=config)
 
 
+def operator_digest_plans() -> dict:
+    """name -> leaves-first logical chain; together they use every logical
+    operator class (``SqlScanOp`` through the pushed variants)."""
+    from repro.data.records import DataRecord
+    from repro.data.schemas import Field, Schema
+    from repro.sem import logical as L
+    from repro.sem.dataset import Dataset
+
+    schema = Schema([Field("text", str), Field("priority", int), Field("region", str)])
+
+    def scan(source_id: str = "golden-src") -> Dataset:
+        records = [
+            DataRecord(
+                {"text": f"text {i}", "priority": i % 4, "region": "ab"[i % 2]},
+                uid=f"g{i}",
+            )
+            for i in range(6)
+        ]
+        return Dataset.from_records(records, schema, source_id=source_id)
+
+    urgent = "The text   describes an URGENT matter."
+    firsthand = "The text is a firsthand account."
+    datasets = {
+        "filters": scan()
+        .sem_filter(urgent)
+        .filter(lambda record: len(record["text"]) < 9, description="short text")
+        .where("priority>=2")
+        .sem_filter(firsthand, model="gpt-4o"),
+        "record_local": scan()
+        .sem_map(Field("summary", str, "one line"), "Summarize the text.")
+        .sem_classify("label", ["x", "y"], "Pick the better label.")
+        .map(lambda record: {"n": len(record["text"])}, description="text length")
+        .project(["text", "label", "n"])
+        .limit(3),
+        "groupby": scan().sem_filter(urgent).sem_groupby(
+            "Group the text by topic.", ["alpha", "beta"], summarize=True
+        ),
+        "topk_agg": scan().sem_topk("urgent matters", 3, method="llm").sem_agg(
+            "Summarize everything.", output_field="digest"
+        ),
+        "retrieve": scan().retrieve("urgent matters", 4).sem_filter(urgent),
+        "structured": scan()
+        .where("priority >= 2")
+        .project(["text", "region"])
+        .limit(5)
+        .sem_filter(urgent)
+        .struct_agg([("n", "count(*)")], group_by=["region"]),
+        "hoisted": scan()
+        .sem_filter(urgent)
+        .where("priority >= 1")
+        .struct_agg([("worst", "max(priority)")])
+        .sem_map(Field("note", str, "a note"), "Explain the number."),
+        "terminal_agg": scan()
+        .where("priority >= 1")
+        .struct_agg([("n", "count(*)")], group_by=["region"])
+        .limit(1)
+        .sem_map(Field("note", str, "a note"), "Explain the number."),
+        "join": scan()
+        .sem_join(scan("golden-right").sem_filter(firsthand), "The texts match.")
+        .sem_filter(urgent),
+        "undescribed": scan()
+        .filter(lambda record: True)
+        .sem_filter(urgent)
+        .map(lambda record: {}),
+    }
+    chains = {}
+    for name, dataset in datasets.items():
+        # The left spine: what the binder walks (a join's right input is
+        # bound inside the join).
+        spine, node = [], dataset.plan().root
+        while node is not None:
+            spine.append(node)
+            node = node.child
+        chains[name] = spine[::-1]
+    chains["materialized"] = [
+        L.MaterializedScanOp(child=None, source_id="golden-src", fingerprint="ab" * 8),
+        L.SemFilterOp(child=None, instruction=urgent),
+    ]
+    return chains
+
+
+def saved_store_dataset():
+    """The plan ``goldens/materialization_store_pr22.json`` was captured from
+    (by the code of the commit before operators declared their own tokens:
+    ``_config`` below, one run, ``store.save``).  Not in
+    :data:`GOLDEN_BUILDERS` on purpose — it must stay what *that* code wrote."""
+    from repro.data.records import DataRecord
+    from repro.data.schemas import Field, Schema
+    from repro.sem.dataset import Dataset
+
+    schema = Schema([Field("text", str), Field("priority", int)])
+    records = [
+        DataRecord({"text": f"memo {i}", "priority": i % 3}, uid=f"s{i}")
+        for i in range(8)
+    ]
+    return (
+        Dataset.from_records(records, schema, source_id="saved-src")
+        .where("priority >= 1")
+        .sem_filter("The memo is urgent.")
+        .sem_map(Field("gist", str, "the gist"), "State the gist.")
+    )
+
+
+def saved_store_config(store):
+    from repro.llm.simulated import SimulatedLLM
+    from repro.sem.config import QueryProcessorConfig
+
+    return QueryProcessorConfig(
+        llm=SimulatedLLM(seed=3), seed=3, optimize=False, materialization_store=store
+    )
+
+
+def build_operator_digests_golden() -> dict:
+    """Boundary fingerprints and statistics keys of :func:`operator_digest_plans`.
+
+    Per plan: as written and with the structured prefix pushed into a
+    SqlScan leaf, unscoped and under a tenant scope.  None marks what is
+    not keyable (joins, replay leaves, undescribed Python operators, and —
+    for fingerprints — every boundary before the first costly operator).
+    The persisted stores are only as good as these digests are stable.
+    """
+    from repro.sem.materialize import prefix_fingerprints
+    from repro.sem.optimizer.pushdown import push_structured_prefix
+    from repro.sem.optimizer.replan import stats_key
+
+    payload = {}
+    for name, chain in operator_digest_plans().items():
+        pushed, sql_scan = push_structured_prefix(chain)
+        variants = {"written": chain}
+        if sql_scan is not None:
+            variants["pushed"] = pushed
+        for variant, ops in variants.items():
+            models = ["gpt-4o-mini" if hasattr(op, "model") else None for op in ops]
+            for scope in ("", "tenant-a"):
+                payload[f"{name}/{variant}/{scope or 'unscoped'}"] = {
+                    "operators": [type(op).__name__ for op in ops],
+                    "fingerprints": prefix_fingerprints(ops, models, 7, scope=scope),
+                    "stats_keys": [
+                        stats_key(op, model, "golden-src", scope, 7)
+                        for op, model in zip(ops, models)
+                    ],
+                }
+    return payload
+
+
 def render_golden(payload) -> str:
     """Serialize a golden payload exactly as stored on disk.
 
@@ -108,4 +253,5 @@ def render_golden(payload) -> str:
 GOLDEN_BUILDERS = {
     "chrome_trace_golden.json": build_chrome_trace_golden,
     "explain_pushdown_golden.txt": build_explain_pushdown_golden,
+    "operator_digests_golden.json": build_operator_digests_golden,
 }

@@ -11,6 +11,7 @@ from repro.core.operators import (
 from repro.core.runtime import AnalyticsRuntime
 from repro.data.datasets import enron as en
 from repro.data.datasets import kramabench as kb
+from repro.sem.config import DEFAULT_FALLBACK_MODEL
 from repro.sem.optimizer.policies import MinCost
 
 
@@ -83,7 +84,7 @@ def test_compile_operator_model_selection(legal_runtime, legal_bundle):
     runtime, _context = legal_runtime
     logical = LogicalAgentOp("compute", "instruction", "ctx")
     compiled = compile_operator(logical, runtime, max_steps=5)
-    assert compiled.agent_model == runtime.config.champion_model
+    assert compiled.agent_model == DEFAULT_FALLBACK_MODEL
 
     runtime = AnalyticsRuntime.for_bundle(legal_bundle, policy=MinCost())
     compiled_cheap = compile_operator(logical, runtime, max_steps=5)

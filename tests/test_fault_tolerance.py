@@ -476,3 +476,40 @@ def test_agent_faulty_run_is_deterministic():
         return (result.answer, result.cost_usd, result.time_s, result.llm_failures)
 
     assert run() == run()
+
+
+def test_running_counters_are_the_walked_values_on_a_faulty_run(
+    make_faulty_llm, toy_record
+):
+    # CodeAgent.run and Engine._maybe_capture read the tracker's running
+    # counters instead of walking every event since the runtime was built;
+    # both must stay the left-to-right walks they replaced, bit for bit.
+    from repro.data.schemas import Field, Schema
+    from repro.sem.materialize import MaterializationStore
+
+    llm = make_faulty_llm(rate=0.4, seed=9)
+    tracker = llm.tracker
+    for episode in range(2):
+        walked_start = tracker.total().cost_usd
+        result = CodeAgent(llm, ToolRegistry(), _TwoStep()).run("compute four")
+        assert result.cost_usd == tracker.total().cost_usd - walked_start
+        assert result.cost_usd > 0
+    assert tracker.spent_usd == tracker.total().cost_usd
+
+    checkpoint = tracker.checkpoint()
+    failed_before = tracker.failed_attempts
+    assert failed_before == tracker.failed_calls() > 0
+    store = MaterializationStore()
+    dataset = Dataset.from_records(
+        [toy_record(difficulty=1.0, uid=f"u{i}") for i in range(20)],
+        Schema([Field("body", str)]),
+    ).sem_filter("special flag").sem_filter("number of widgets")
+    config = QueryProcessorConfig(
+        llm=llm, optimize=False, parallelism=4, materialization_store=store
+    )
+    dataset.run(config)
+    assert tracker.failed_attempts - failed_before == tracker.failed_calls(checkpoint) > 0
+    assert tracker.failed_attempts == tracker.failed_calls()
+    assert tracker.spent_usd == tracker.total().cost_usd
+    # A faulted call since the run began vetoes every capture.
+    assert store.stores == 0

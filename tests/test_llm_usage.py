@@ -77,5 +77,8 @@ def test_usage_add():
 def test_reset_clears_events():
     tracker = UsageTracker()
     tracker.record(_event())
+    tracker.record(UsageEvent("gpt-4o", 100, 0, 0.001, 0.5, failed=True, error="api"))
+    assert (tracker.failed_attempts, tracker.failed_calls()) == (1, 1)
     tracker.reset()
     assert tracker.total().calls == 0
+    assert (tracker.spent_usd, tracker.failed_attempts) == (0.0, 0)

@@ -207,64 +207,6 @@ class TestIngestRun:
         assert spans[0].end_s == spans[0].start_s  # zero-duration marker
 
 
-class TestIngestSpans:
-    def test_reingests_operator_spans(self):
-        from repro.utils.clock import VirtualClock
-
-        clock = VirtualClock()
-        tracer = Tracer(clock)
-        with tracer.span(
-            "SemFilter(a)",
-            kind="operator",
-            stats=_entry("k1"),
-            records_in=10,
-            records_out=3,
-            cost_usd=0.2,
-            llm_calls=10,
-            tokens=500,
-        ):
-            clock.advance(4.0)
-        store = StatisticsStore()
-        assert store.ingest_spans(tracer.spans) == 1
-        prior = store.prior("k1")
-        assert prior.selectivity == pytest.approx(0.3)
-        assert prior.latency_per_record == pytest.approx(0.4)
-
-    def test_reingests_pipeline_section_stage_stats(self):
-        tracer = Tracer()
-        with tracer.span(
-            "section",
-            kind="pipeline-section",
-            stage_stats=[
-                {
-                    "stats": _entry("k1"),
-                    "records_in": 8,
-                    "records_out": 2,
-                    "time_s": 1.0,
-                },
-                {
-                    "stats": _entry("k2"),
-                    "records_in": 2,
-                    "records_out": 2,
-                    "time_s": 0.5,
-                },
-            ],
-        ):
-            pass
-        store = StatisticsStore()
-        assert store.ingest_spans(tracer.spans) == 2
-        assert store.prior("k1").selectivity == pytest.approx(0.25)
-        assert store.prior("k2").selectivity == pytest.approx(1.0)
-
-    def test_ignores_unrelated_spans(self):
-        tracer = Tracer()
-        with tracer.span("query", kind="query"):
-            with tracer.span("SemFilter(a)", kind="operator"):  # no stats attr
-                pass
-        store = StatisticsStore()
-        assert store.ingest_spans(tracer.spans) == 0
-
-
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------

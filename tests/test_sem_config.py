@@ -4,14 +4,14 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.llm.models import DEFAULT_MODEL
-from repro.sem.config import QueryProcessorConfig
+from repro.sem.config import DEFAULT_FALLBACK_MODEL, QueryProcessorConfig
 
 
 def test_defaults_are_sane(make_llm):
     config = QueryProcessorConfig(llm=make_llm())
     assert config.optimize and config.reorder_filters
     assert config.available_models is None  # model selection over the catalog
-    assert config.champion_model == DEFAULT_MODEL
+    assert DEFAULT_FALLBACK_MODEL == DEFAULT_MODEL  # the champion is a constant
     assert config.parallelism == 1  # iterator semantics by default
     assert config.join_method == "nested"
     assert config.max_cost_usd is None

@@ -30,7 +30,7 @@ from repro.obs.stats import StatisticsStore
 from repro.qa.corpus import DEPARTMENTS, REGIONS, CorpusSpec, build_corpus, instruction_for
 from repro.sem import logical as L
 from repro.sem import physical as P
-from repro.sem.config import QueryProcessorConfig
+from repro.sem.config import DEFAULT_FALLBACK_MODEL, QueryProcessorConfig
 from repro.sem.dataset import Dataset
 from repro.sem.explain import explain_analyze
 from repro.sem.optimizer.cost_model import OperatorEstimate, believe
@@ -269,7 +269,7 @@ def _optimize(dataset: Dataset, **kwargs):
 
 def _only_filter(report):
     (op,) = [
-        op for op in report.bound if isinstance(op.logical_op, L.COMMUTING_FILTERS)
+        op for op in report.bound if op.logical_op.commuting
     ]
     return op
 
@@ -351,7 +351,7 @@ def test_empty_source_yields_no_profile_and_the_champion():
     assert report.profiles == {}
     assert {op.estimate.source for op in report.bound} == {"static"}
     # Nothing was auditioned, so nothing can undercut the champion.
-    assert report.bound[-1].model == config.champion_model
+    assert report.bound[-1].model == DEFAULT_FALLBACK_MODEL
     assert config.llm.tracker.total().calls == 0
 
 

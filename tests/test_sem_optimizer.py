@@ -276,7 +276,8 @@ def test_optimizer_reorders_more_selective_filter_first(enron_bundle):
         .sem_filter(en.FILTER_FIRSTHAND)    # ~16% selective
     )
     _ops, report = Optimizer(config).optimize(dataset.plan())
-    order = [label for label in report.final_order if "SemFilter" in label]
+    labels = [op.logical_op.label() for op in report.bound]
+    order = [label for label in labels if "SemFilter" in label]
     assert "firsthand" in order[0]
 
 
