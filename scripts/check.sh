@@ -20,6 +20,12 @@ if [[ "${1:-}" == "--fast" ]]; then
     echo "== fast lane: standing-query smoke =="
     python benchmarks/bench_streaming.py --smoke
     echo
+    echo "== fast lane: composition tests (replan under shards and behind replays; a served standing tick == a direct one) =="
+    python -m pytest -q \
+        tests/test_replan.py::TestReplanUnderSharding \
+        tests/test_replan.py::TestReplanBehindAReplay \
+        tests/test_serving.py::test_served_and_direct_standing_ticks_agree
+    echo
     echo "== fast lane: standing-tick perf smoke (fold == view == from-scratch, ledger stable) =="
     python3 -m benchmarks.perf bench --workload standing_ticks --smoke
     echo
@@ -91,7 +97,7 @@ fi
 echo "all BENCH_*.json artifacts under benchmarks/results/"
 
 echo
-echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= / answer_cache_size= config keyword; no optimize= / replan= / shards= / partitioner= on serving; no similarity_floor= on answer, no threshold= on the catalog) =="
+echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= / answer_cache_size= config keyword; no optimize= / replan= / shards= / partitioner= on serving; no clock= / tracer= / metrics= on StandingQueryManager; no threshold= on the catalog; no similarity_floor= / max_candidates_per_left= / reset_stats= anywhere) =="
 python - <<'PY'
 import ast
 import pathlib
@@ -112,10 +118,14 @@ RETIRED = {
     }),
     # Served queries inherit these from the runtime's config.
     **dict.fromkeys(SERVING, {"optimize", "replan", "shards", "partitioner"}),
-    "answer": {"similarity_floor"},
+    # A standing query's clock, tracer and metrics are its config's LLM's.
+    "StandingQueryManager": {"clock", "tracer", "metrics"},
     "ContextManager": {"threshold"},
     "find_similar": {"threshold"},
 }
+# Class constants (similarity floors, the blocked join's fan-out) and
+# lifetime-only counters: no call takes these.
+ANYWHERE = {"similarity_floor", "max_candidates_per_left", "reset_stats"}
 files = [
     path
     for root in ("src", "tests", "examples")
@@ -130,17 +140,25 @@ for path in files:
         offenders += [
             f"{path}:{node.lineno}: {callee}({keyword.arg}=...)"
             for keyword in node.keywords
-            if keyword.arg in RETIRED.get(callee, ())
+            if keyword.arg in RETIRED.get(callee, ()) or keyword.arg in ANYWHERE
         ]
 if offenders:
     print("retired options: execution mechanics are derived (a baseline mode "
           "belongs in repro.qa.reference), a query option is declared "
-          "once, on QueryProcessorConfig, and the similarity catalog's bound "
-          "and floors are ContextManager constants:")
+          "once, on QueryProcessorConfig, a standing query runs on its "
+          "config's substrate, and floors and bounds are class constants:")
     print("\n".join(offenders))
     sys.exit(1)
-print(f"{len(files)} files: no retired keyword on a config or serving constructor")
+print(f"{len(files)} files: no retired keyword on a config, serving or standing constructor")
 PY
+
+echo
+echo "== composition guard (replan arms under shards and behind replays: no exclusion cause under src/) =="
+if grep -rnE --include='*.py' 'REPLAN_DISABLED_(SHARDED|REUSED)' src/; then
+    echo "replan x shards and replan x reuse are compositions with tests, not exclusions"
+    exit 1
+fi
+echo "no replan exclusion cause under src/"
 
 echo
 echo "== one-config-derivation guard (the runtime's template is the only QueryProcessorConfig( under core/, serve/ and sem/streaming.py) =="

@@ -265,18 +265,16 @@ class AnalyticsRuntime:
     def standing(self) -> Any:
         """A :class:`~repro.sem.streaming.StandingQueryManager` on this runtime.
 
-        Standing queries registered through it share this runtime's clock,
-        tracer, metrics, materialization store (delta reuse across ticks),
-        statistics store (governor estimates + version-aware prior decay),
-        and context manager (update-event invalidation cascade, which also
-        evicts cached :meth:`answer` results).
+        Standing queries registered through it (on :meth:`program_config`
+        derivations, whose LLM is this runtime's) share this runtime's
+        materialization store (delta reuse across ticks), statistics store
+        (governor estimates + version-aware prior decay), and context
+        manager (update-event invalidation cascade, which also evicts cached
+        :meth:`answer` results).
         """
         from repro.sem.streaming import StandingQueryManager
 
         return StandingQueryManager(
-            clock=self.llm.clock,
-            tracer=self.llm.tracer,
-            metrics=self.llm.metrics,
             store=self.materialization_store,
             stats_store=self.config.stats_store,
             context_manager=self.context_manager,

@@ -6,8 +6,9 @@ cardinality when known; the optimizer uses cardinalities for cost estimates.
 Sources are also the *change feed* for standing queries (see
 :mod:`repro.sem.streaming`): every mutation — an append of new records or
 an in-place update of an existing one — bumps the source's version
-counters, is logged as a :class:`SourceEvent`, and is pushed to any
-subscribed listeners.  Two counters make the distinction the
+counters and is pushed to any subscribed listeners as a
+:class:`SourceEvent`; the source keeps no log of them.  Two counters make
+the distinction the
 materialization layer needs:
 
 - ``version`` counts *every* mutation (appends and updates);
@@ -32,7 +33,7 @@ from repro.errors import DataSourceError
 
 @dataclass(frozen=True)
 class SourceEvent:
-    """One logged mutation of a :class:`DataSource`.
+    """One published mutation of a :class:`DataSource`.
 
     ``event_time_s`` is the *event time* the producer stamped on the
     change (watermark triggers compare it against allowed lateness); None
@@ -59,8 +60,6 @@ class DataSource(abc.ABC):
         self.version = 0
         #: Monotonic in-place-update counter (see module docstring).
         self.content_version = 0
-        #: Append/update event log, oldest first.
-        self.events: list[SourceEvent] = []
         self._subscribers: list[Callable[[SourceEvent], None]] = []
 
     @abc.abstractmethod
@@ -80,7 +79,6 @@ class DataSource(abc.ABC):
         self._subscribers.append(callback)
 
     def _publish(self, event: SourceEvent) -> SourceEvent:
-        self.events.append(event)
         for callback in self._subscribers:
             callback(event)
         return event

@@ -32,9 +32,6 @@ class GenerationCache:
         #: eviction (no capacity pressure), so it gets its own counters.
         self.clears = 0
         self.cleared_entries = 0
-        #: Window counters archived by ``clear(reset_stats=True)`` — the
-        #: lifetime totals survive any number of clears.
-        self._lifetime = {"hits": 0, "misses": 0, "evictions": 0, "updates": 0}
         #: Optional :class:`repro.obs.metrics.MetricsRegistry`; when attached
         #: (by an observability-enabled ``SimulatedLLM``) the counters above
         #: are mirrored into the shared registry.
@@ -83,15 +80,12 @@ class GenerationCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def clear(self, reset_stats: bool = True) -> None:
-        """Drop all entries; pass ``reset_stats=False`` to keep the counters.
+    def clear(self) -> None:
+        """Drop all entries.
 
-        Clearing entries does not count as eviction — stats resetting is an
-        explicit choice, not a side effect.  Either way the window counters
-        are archived into the lifetime totals (``reset_stats=True`` then
-        zeroes the window), so accounting is never silently lost: the
-        mirrored ``MetricsRegistry`` counters and :meth:`lifetime_stats`
-        both survive any number of clears.
+        Clearing is neither eviction nor a reset: it has its own counters,
+        and every other counter keeps its lifetime total, exactly as the
+        mirrored ``MetricsRegistry`` counters do.
         """
         self.clears += 1
         self.cleared_entries += len(self._entries)
@@ -99,20 +93,9 @@ class GenerationCache:
             self.metrics.counter("cache.clears").inc()
             self.metrics.counter("cache.cleared_entries").inc(len(self._entries))
         self._entries.clear()
-        if reset_stats:
-            for name in self._lifetime:
-                self._lifetime[name] += getattr(self, name)
-                setattr(self, name, 0)
-
-    def lifetime_stats(self) -> dict:
-        """Counters accumulated across clears (archived + current window)."""
-        return {
-            name: archived + getattr(self, name)
-            for name, archived in self._lifetime.items()
-        }
 
     def stats(self) -> dict:
-        """Snapshot of the window counters plus lifetime totals."""
+        """Snapshot of the (lifetime) counters."""
         return {
             "entries": len(self._entries),
             "hits": self.hits,
@@ -121,5 +104,4 @@ class GenerationCache:
             "updates": self.updates,
             "clears": self.clears,
             "cleared_entries": self.cleared_entries,
-            "lifetime": self.lifetime_stats(),
         }

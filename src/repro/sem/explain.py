@@ -9,7 +9,7 @@ and cost, so optimizer misestimates are visible at a glance.
 from __future__ import annotations
 
 from repro.sem.execution import ExecutionResult, pushdown_footer
-from repro.sem.optimizer.optimizer import REPLAN_DISABLED, OptimizationReport
+from repro.sem.optimizer.optimizer import REPLAN_DISABLED_NO_STATS, OptimizationReport
 from repro.utils.formatting import format_table
 
 
@@ -22,8 +22,8 @@ def explain_analyze(result: ExecutionResult, report: OptimizationReport) -> str:
     "Est src" names where they came from (learned ``prior`` vs ``sampled``
     profile vs ``static`` formula, which renders no numbers) and "Drift"
     is the observed/estimated cardinality ratio — the signal the mid-query
-    re-planner keys on.  Rows the optimizer never estimated (a replayed
-    materialization, join plans) render "-".
+    re-planner keys on.  A replay reads its prefix's estimate; rows the
+    optimizer never estimated (join plans) render "-".
     """
     rows = []
     for stats in result.operator_stats:
@@ -117,9 +117,8 @@ def explain_analyze(result: ExecutionResult, report: OptimizationReport) -> str:
             f"(est ${decision['est_cost_before_usd']:.4f} -> "
             f"${decision['est_cost_after_usd']:.4f} for the suffix)"
         )
-    for cause in REPLAN_DISABLED:
-        if cause in report.note:
-            footer += f"\nNOTE: {cause}"
+    if REPLAN_DISABLED_NO_STATS in report.note:
+        footer += f"\nNOTE: {REPLAN_DISABLED_NO_STATS}"
     if result.truncated:
         footer += "\nNOTE: execution truncated by the spend cap"
     return table + footer

@@ -111,15 +111,31 @@ def prefix_fingerprints(
 
 
 def stamp_fingerprints(operators: list, llm_seed: int, scope: str = "") -> None:
-    """Set each bound operator's ``fingerprint`` to its boundary's digest."""
+    """Set each bound operator's ``fingerprint`` to its boundary's digest.
+
+    A replay's boundary is that of the prefix it stands for, in either shape
+    :class:`~repro.sem.physical.PhysMaterializedScan` documents: compact, the
+    prefix rides on it; expanded, the prefix is the operators bound ahead of
+    it, which scan only an appended tail and so capture nothing.
+    """
+    planned, owners = [], []
+    for operator in operators:
+        operator.fingerprint = None
+        if operator.reused:
+            planned += operator.prefix
+            owners = [None] * (len(planned) - 1) + [operator]
+        else:
+            planned.append(operator)
+            owners.append(operator)
     fingerprints = prefix_fingerprints(
-        [operator.logical_op for operator in operators],
-        [operator.model for operator in operators],
+        [operator.logical_op for operator in planned],
+        [operator.model for operator in planned],
         llm_seed,
         scope=scope,
     )
-    for operator, fingerprint in zip(operators, fingerprints):
-        operator.fingerprint = fingerprint
+    for owner, fingerprint in zip(owners, fingerprints):
+        if owner is not None:
+            owner.fingerprint = fingerprint
 
 
 def incremental_safe_prefix(chain: list[L.LogicalOperator]) -> list[bool]:

@@ -128,17 +128,10 @@ class OptimizationReport:
         }
 
 
-#: Why ``replan=True`` could not arm, one line per cause.  Each lands in
-#: ``OptimizationReport.note`` and as an EXPLAIN ANALYZE ``NOTE:`` line, so
-#: the knob is honoured by saying it cannot apply — never silently dropped.
+#: Why ``replan=True`` could not arm.  It lands in ``OptimizationReport.note``
+#: and as an EXPLAIN ANALYZE ``NOTE:`` line, so the knob is honoured by
+#: saying it cannot apply — never silently dropped.
 REPLAN_DISABLED_NO_STATS = "replan disabled: no stats_store to re-plan from"
-REPLAN_DISABLED_REUSED = "replan disabled: the plan replays a materialized prefix"
-REPLAN_DISABLED_SHARDED = "replan disabled: sharded plans have no replan boundary"
-REPLAN_DISABLED = (
-    REPLAN_DISABLED_NO_STATS,
-    REPLAN_DISABLED_REUSED,
-    REPLAN_DISABLED_SHARDED,
-)
 
 
 class Optimizer:
@@ -375,26 +368,17 @@ class Optimizer:
     def _arm_replanner(self, report: OptimizationReport) -> None:
         """Attach a re-planner when config + store allow it, else say why not.
 
-        Nothing positional excludes a reuse-bearing or a sharded plan any
-        more (every fact moves with its operator, and a commuting run never
-        straddles an exchange segment); both stay excluded because replan x
-        warm-reuse and replan x shards are untested compositions, which the
-        pairwise matrix of ROADMAP item 2 owns.
+        Any plan can carry one: every fact moves with its operator, a replay
+        carries the estimate of the prefix it stands for, and a commuting
+        run never straddles an exchange segment.
         """
         config = self.config
         if not config.replan:
             return
-        causes = [
-            cause
-            for cause, applies in (
-                (REPLAN_DISABLED_NO_STATS, config.stats_store is None),
-                (REPLAN_DISABLED_REUSED, bool(report.reused_prefix)),
-                (REPLAN_DISABLED_SHARDED, config.shards > 1),
+        if config.stats_store is None:
+            report.note = "; ".join(
+                filter(None, [report.note, REPLAN_DISABLED_NO_STATS])
             )
-            if applies
-        ]
-        if causes:
-            report.note = "; ".join(filter(None, [report.note, *causes]))
             return
         report.replanner = Replanner(config, report)
 
@@ -464,6 +448,7 @@ class Optimizer:
             base_records=len(entry.records),
             delta_records=len(delta),
         )
+        replaced = bound[length - 1]
         if delta and config.shards > 1:
             # Expanded: the prefix scans only the appended tail, which the
             # sharding pass scatters like any other input; its own
@@ -479,11 +464,13 @@ class Optimizer:
                 materialized, entry=entry, prefix=bound[:length], delta_records=delta
             )
             bound[:length] = [replay]
-        # The replay boundary keeps the prefix fingerprint: a fault-free run
-        # re-puts the (possibly delta-merged) records, carrying the entry's
-        # measured cost so the updated entry stays an honest recompute
-        # estimate.
+        # The replay boundary keeps the prefix's fingerprint and estimate: a
+        # fault-free run re-puts the (possibly delta-merged) records, carrying
+        # the entry's measured cost so the updated entry stays an honest
+        # recompute estimate, and a re-planner compares what crosses it with
+        # what the prefix was expected to emit.
         replay.fingerprint = fingerprint
+        replay.estimate = replaced.estimate
         capture.carried_cost_usd = entry.cost_usd
         capture.carried_time_s = entry.time_s
 

@@ -716,17 +716,10 @@ class PhysSemJoinBlocked(PhysSemJoin):
     recall risk (pairs below the similarity floor are never judged).
     """
 
-    def __init__(
-        self,
-        logical_op: L.SemJoinOp,
-        right_ops: "list[PhysicalOperator]",
-        model: str | None = None,
-        similarity_floor: float = 0.10,
-        max_candidates_per_left: int = 8,
-    ) -> None:
-        super().__init__(logical_op, right_ops, model)
-        self.similarity_floor = similarity_floor
-        self.max_candidates_per_left = max_candidates_per_left
+    #: Cosine similarity a candidate pair needs to be judged at all.
+    SIMILARITY_FLOOR = 0.10
+    #: Most similar right records judged per left record.
+    MAX_CANDIDATES_PER_LEFT = 8
 
     def label(self) -> str:
         return super().label() + " (blocked)"
@@ -762,12 +755,12 @@ class PhysSemJoinBlocked(PhysSemJoin):
         if left_vec is None:
             left_vec = ctx.llm.embed(left.as_text(), tag=f"{ctx.tag}:join")
         hits = top_k_similar(
-            left_vec, right_state["right_matrix"], self.max_candidates_per_left
+            left_vec, right_state["right_matrix"], self.MAX_CANDIDATES_PER_LEFT
         )
         candidates = [
             right_records[index]
             for index, similarity in hits
-            if similarity >= self.similarity_floor
+            if similarity >= self.SIMILARITY_FLOOR
         ]
         return self.judge_pairs(left, candidates, ctx)
 

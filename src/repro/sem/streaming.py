@@ -61,9 +61,11 @@ if TYPE_CHECKING:
 
 _TRIGGERS = ("count", "interval", "watermark", "governor")
 
-#: A pluggable refresh executor: ``(query, tag) -> (records, cost_usd,
-#: time_s, report_or_None)``.  The default runs the plan directly; the
-#: serving layer substitutes admission-controlled submission.
+#: How a refresh executes: ``(query, tag) -> (result, report)``, the
+#: :class:`~repro.sem.execution.ExecutionResult` and its optimizer report.
+#: The default runs the plan on the query's config; the serving layer
+#: substitutes admission-controlled submission.  The manager measures the
+#: tick's spend and time around it either way.
 RefreshRunner = Callable[["StandingQuery", str], tuple]
 
 
@@ -268,23 +270,19 @@ class StandingQuery:
         self,
         name: str,
         dataset: "Dataset",
-        config: "QueryProcessorConfig | None",
+        config: "QueryProcessorConfig",
         policy: RefreshPolicy,
         sources: list[DataSource],
         runner: RefreshRunner,
-        clock: Any,
-        tracer: Any,
-        metrics: Any,
     ) -> None:
         self.name = name
         self.dataset = dataset
+        #: What every refresh runs under; its LLM's clock, tracer and
+        #: metrics are the query's.
         self.config = config
         self.policy = policy
         self.sources = sources
         self.runner = runner
-        self.clock = clock
-        self.tracer = tracer
-        self.metrics = metrics
         #: The current standing view (last refresh's result records).
         self.records: list[DataRecord] = []
         #: Full changelog across all ticks, in emission order.
@@ -383,35 +381,29 @@ class StandingQuery:
 class StandingQueryManager:
     """Registers standing queries and drives their incremental refreshes.
 
-    One manager watches many queries over shared substrate components; all
-    of ``clock``/``tracer``/``metrics`` default per query to the
-    registered config's LLM.  ``store`` (a shared
+    One manager watches many queries, each on its own config: a query's
+    clock, tracer and metrics are its config's LLM's.  ``store`` (a shared
     :class:`~repro.sem.materialize.MaterializationStore`) and
     ``stats_store`` fill in for a registered config that lacks one — on a
     derived copy, the caller's object is never written — so delta reuse
     works out of the box; ``context_manager`` receives the invalidation
-    cascade on update events; ``stats_store`` feeds the governor's
-    estimates and is told about source-version changes so selectivity
-    priors decay instead of serving stale cardinalities.
+    cascade on update events; ``stats_store`` is told about source-version
+    changes so selectivity priors decay instead of serving stale
+    cardinalities.
     """
 
     def __init__(
         self,
-        clock: Any = None,
-        tracer: Any = None,
-        metrics: Any = None,
         store: Any = None,
         stats_store: Any = None,
         context_manager: Any = None,
     ) -> None:
-        self.clock = clock
-        self.tracer = tracer
-        self.metrics = metrics
         self.store = store
         self.stats_store = stats_store
         self.context_manager = context_manager
         self.queries: dict[str, StandingQuery] = {}
-        self._watchers: dict[int, list[StandingQuery]] = {}
+        #: Queries by the ``source_id`` they read, each listed once.
+        self._watchers: dict[str, list[StandingQuery]] = {}
         self._subscribed: set[int] = set()
 
     # -- registration ---------------------------------------------------
@@ -420,7 +412,7 @@ class StandingQueryManager:
         self,
         name: str,
         dataset: "Dataset",
-        config: "QueryProcessorConfig | None" = None,
+        config: "QueryProcessorConfig",
         policy: RefreshPolicy | None = None,
         runner: RefreshRunner | None = None,
         prime: bool = True,
@@ -433,23 +425,12 @@ class StandingQueryManager:
         """
         if name in self.queries:
             raise StreamingError(f"standing query {name!r} already registered")
-        if config is None and runner is None:
-            raise StreamingError(
-                "register() needs a QueryProcessorConfig (default runner) "
-                "or an explicit runner"
-            )
-        if config is None and None in (self.clock, self.tracer, self.metrics):
-            raise StreamingError(
-                "a runner-only registration (config=None) needs clock, "
-                "tracer and metrics on the StandingQueryManager"
-            )
-        if config is not None:
-            store, stats_store = config.materialization_store, config.stats_store
-            config = replace(
-                config,
-                materialization_store=self.store if store is None else store,
-                stats_store=self.stats_store if stats_store is None else stats_store,
-            )
+        store, stats_store = config.materialization_store, config.stats_store
+        config = replace(
+            config,
+            materialization_store=self.store if store is None else store,
+            stats_store=self.stats_store if stats_store is None else stats_store,
+        )
         sources = [
             op.source
             for op in dataset.plan().source_ops()
@@ -461,11 +442,6 @@ class StandingQueryManager:
                 "standing queries need an event-publishing source "
                 "(e.g. MemorySource)"
             )
-        clock = self.clock if self.clock is not None else config.llm.clock
-        tracer = self.tracer if self.tracer is not None else config.llm.tracer
-        metrics = (
-            self.metrics if self.metrics is not None else config.llm.metrics
-        )
         query = StandingQuery(
             name=name,
             dataset=dataset,
@@ -473,14 +449,13 @@ class StandingQueryManager:
             policy=policy or RefreshPolicy(),
             sources=sources,
             runner=runner or _default_runner,
-            clock=clock,
-            tracer=tracer,
-            metrics=metrics,
         )
+        clock, tracer = config.llm.clock, config.llm.tracer
         query.last_refresh_s = clock.elapsed
         self.queries[name] = query
+        for source_id in dict.fromkeys(source.source_id for source in sources):
+            self._watchers.setdefault(source_id, []).append(query)
         for source in sources:
-            self._watchers.setdefault(id(source), []).append(query)
             if id(source) not in self._subscribed:
                 self._subscribed.add(id(source))
                 source.subscribe(self._on_event)
@@ -501,26 +476,14 @@ class StandingQueryManager:
 
     def _on_event(self, event: SourceEvent) -> None:
         """Source callback: accumulate pending work, cascade invalidation."""
-        watchers = [
-            query
-            for queries in self._watchers.values()
-            for query in queries
-            if any(
-                source.source_id == event.source_id for source in query.sources
-            )
-        ]
-        # id()-keyed watcher lists can alias one query twice only if it
-        # reads the same source object twice; dedupe by name.
-        seen: dict[str, StandingQuery] = {}
-        for query in watchers:
-            seen.setdefault(query.name, query)
+        watchers = self._watchers.get(event.source_id, [])
         if self.stats_store is not None:
             self.stats_store.note_dataset_version(
                 event.source_id, event.version, change=event.kind
             )
         if event.kind == "update":
-            self._invalidate_for_update(event, seen.values())
-        for query in seen.values():
+            self._invalidate_for_update(event, watchers)
+        for query in watchers:
             if event.kind == "append":
                 rows = len(event.uids)
                 query.pending_appends += rows
@@ -553,9 +516,7 @@ class StandingQueryManager:
         shared stores honest for *other* consumers between pumps.
         """
         stores = [self.store] + [
-            query.config.materialization_store
-            for query in queries
-            if query.config is not None
+            query.config.materialization_store for query in queries
         ]
         distinct = {id(store): store for store in stores if store is not None}
         for store in distinct.values():
@@ -571,7 +532,7 @@ class StandingQueryManager:
         """Evaluate every query's trigger; run the due refreshes."""
         results = []
         for query in list(self.queries.values()):
-            now = now_s if now_s is not None else query.clock.elapsed
+            now = now_s if now_s is not None else query.config.llm.clock.elapsed
             cause = self._due(query, now)
             if cause is None:
                 continue
@@ -583,7 +544,7 @@ class StandingQueryManager:
         query = self.queries.get(name)
         if query is None:
             raise StreamingError(f"no standing query named {name!r}")
-        return self._refresh(query, cause, query.clock.elapsed)
+        return self._refresh(query, cause, query.config.llm.clock.elapsed)
 
     def _due(self, query: StandingQuery, now: float) -> str | None:
         """The cause firing ``query`` now, or None to keep batching."""
@@ -632,10 +593,8 @@ class StandingQueryManager:
         now; None (no usable priors yet) means the governor cannot
         justify deferring and refreshes immediately.
         """
-        # register() already gave a config the manager's store to fall back on.
-        stats_store = (
-            self.stats_store if query.config is None else query.config.stats_store
-        )
+        # register() already gave the config the manager's store to fall back on.
+        stats_store = query.config.stats_store
         if stats_store is None or query.last_report is None:
             return None
         # ``planned``, not ``bound``: the pending delta runs through the
@@ -678,8 +637,9 @@ class StandingQueryManager:
             query.tick_count += 1
             query.ticks.append(tick)
             query.last_refresh_s = now
-            if query.tracer.enabled:
-                with query.tracer.span(
+            tracer = query.config.llm.tracer
+            if tracer.enabled:
+                with tracer.span(
                     f"standing:{query.name}:tick{tick_index}",
                     kind="standing-tick",
                     fired=cause,
@@ -691,16 +651,18 @@ class StandingQueryManager:
             return tick
 
         tag = f"standing:{query.name}:t{tick_index}"
-        tracer = query.tracer
-        with tracer.span(
+        llm = query.config.llm
+        with llm.tracer.span(
             f"standing:{query.name}:tick{tick_index}",
             kind="standing-tick",
             fired=cause,
             pending_appends=pending_appends,
             pending_updates=pending_updates,
         ) as tick_span:
+            checkpoint = llm.tracker.checkpoint()
+            time_before = llm.clock.elapsed
             try:
-                records, cost_usd, time_s, report = query.runner(query, tag)
+                result, report = query.runner(query, tag)
             except QuotaExceededError:
                 tick.deferred = True
                 query.tick_count += 1
@@ -710,17 +672,19 @@ class StandingQueryManager:
                 self._count(query, "streaming.deferred")
                 return tick
 
+            cost_usd = llm.tracker.since(checkpoint).cost_usd
+            tick.time_s = llm.clock.elapsed - time_before
+            records = result.records
             changelog = diff_records(query.records, records, tick_index)
             tick.changelog = changelog
             tick.inserts = sum(entry.kind == "insert" for entry in changelog)
             tick.retracts = len(changelog) - tick.inserts
             tick.cost_usd = cost_usd
-            tick.time_s = time_s
-            if report is not None:
-                tick.reused_prefix = report.reused_prefix
-                tick.reuse_kind = report.reuse_kind
-                tick.delta_records = report.reuse_delta_records
-                query.last_report = report
+            tick.reused_prefix = report.reused_prefix
+            tick.reuse_kind = report.reuse_kind
+            tick.delta_records = report.reuse_delta_records
+            query.last_result = result
+            query.last_report = report
             query.records = list(records)
             query.changelog.extend(changelog)
             query.cumulative_cost_usd += cost_usd
@@ -729,7 +693,7 @@ class StandingQueryManager:
             query.pending_appends = 0
             query.pending_updates = 0
             query.pending_event_times = []
-            query.last_refresh_s = query.clock.elapsed
+            query.last_refresh_s = llm.clock.elapsed
             tick_span.attributes.update(
                 cost_usd=round(cost_usd, 6),
                 inserts=tick.inserts,
@@ -738,7 +702,7 @@ class StandingQueryManager:
                 reuse_kind=tick.reuse_kind,
                 records=len(records),
             )
-            with tracer.span(
+            with llm.tracer.span(
                 f"standing:{query.name}:changelog",
                 kind="changelog",
                 tick=tick_index,
@@ -756,17 +720,11 @@ class StandingQueryManager:
     # -- internals ------------------------------------------------------
 
     def _count(self, query: StandingQuery, name: str, amount: float = 1) -> None:
-        metrics = query.metrics if query is not None else self.metrics
-        if metrics is not None and metrics.enabled and amount:
+        metrics = query.config.llm.metrics
+        if metrics.enabled and amount:
             metrics.counter(name).inc(amount)
 
 
 def _default_runner(query: StandingQuery, tag: str) -> tuple:
-    """Run the plan directly on the registered config's substrate."""
-    llm = query.config.llm
-    checkpoint = llm.tracker.checkpoint()
-    time_before = llm.clock.elapsed
-    result, report = query.dataset.run_with_report(replace(query.config, tag=tag))
-    query.last_result = result
-    usage = llm.tracker.since(checkpoint)
-    return result.records, usage.cost_usd, llm.clock.elapsed - time_before, report
+    """Run the plan directly on the registered config."""
+    return query.dataset.run_with_report(replace(query.config, tag=tag))

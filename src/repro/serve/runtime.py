@@ -179,16 +179,7 @@ class ServingRuntime:
         self._next_query_id += 1
         tag = tag or f"serve:{tenant}:q{query_id}"
         store = self.runtime.materialization_store
-        # Sharded queries route shard time through the sink as parallel
-        # waves, so per-tenant attribution and the shared-clock invariant
-        # survive; they forfeit overlap rebates (whole-wave call notes).
-        config = self.runtime.program_config(
-            tag,
-            optimize=False,
-            parallelism=self.parallelism,
-            scope=tenant,
-            materialization_store=store,
-        )
+        config = self._tenant_config(tenant, tag)
 
         timeline = CallTimeline()
         checkpoint = llm.tracker.checkpoint()
@@ -242,14 +233,24 @@ class ServingRuntime:
         )
         return job, result, report
 
+    def _tenant_config(self, tenant: str, tag: str):
+        """The runtime's template as ``tenant``'s served queries run it."""
+        # Sharded queries route shard time through the sink as parallel
+        # waves, so per-tenant attribution and the shared-clock invariant
+        # survive; they forfeit overlap rebates (whole-wave call notes).
+        return self.runtime.program_config(
+            tag, optimize=False, parallelism=self.parallelism, scope=tenant,
+            materialization_store=self.runtime.materialization_store,
+        )
+
     # -- standing queries -----------------------------------------------
 
     def standing_manager(self):
         """The lazily built standing-query manager over this serving layer.
 
-        Shares the serving runtime's substrate (clock, tracer, metrics,
-        materialization store, statistics store, context manager) so
-        standing-query ticks hit the same caches tenants do.
+        Shares the serving runtime's materialization store, statistics
+        store and context manager, so standing-query ticks hit the same
+        caches tenants do.
         """
         if self._standing is None:
             self._standing = self.runtime.standing()
@@ -269,18 +270,16 @@ class ServingRuntime:
         control applies (a quota rejection defers the tick, keeping the
         pending delta queued for the next pump) and the tick's calls join
         the pending drain window for cross-query batching.  The query is
-        namespaced ``tenant:name``.
+        namespaced ``tenant:name`` and registered on the tenant's config.
         """
 
         def runner(query, tag):
-            job, query.last_result, report = self._submit(
-                tenant, query.dataset, query.clock.elapsed, tag
-            )
-            return job.records, job.raw_cost_usd, 0.0, report
+            return self._submit(tenant, query.dataset, self.llm.clock.elapsed, tag)[1:]
 
         return self.standing_manager().register(
             f"{tenant}:{name}",
             dataset,
+            self._tenant_config(tenant, f"standing:{tenant}:{name}"),
             policy=policy,
             runner=runner,
             prime=prime,

@@ -39,15 +39,6 @@ def test_put_same_key_overwrites():
     assert len(cache) == 1
 
 
-def test_clear_resets_counters():
-    cache = GenerationCache()
-    cache.put("k", 1)
-    cache.get("k")
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.hits == 0 and cache.misses == 0
-
-
 def test_rejects_nonpositive_capacity():
     with pytest.raises(ValueError):
         GenerationCache(max_entries=0)
@@ -89,7 +80,7 @@ def test_clear_can_preserve_stats():
     cache.put("k1", 1)
     cache.put("k2", 2)  # evicts k1
     cache.get("k2")
-    cache.clear(reset_stats=False)
+    cache.clear()
     assert len(cache) == 0
     assert cache.hits == 1
     assert cache.misses == 0
@@ -102,28 +93,27 @@ def test_lifetime_stats_survive_clears():
     cache.put("k1", 1)
     cache.get("k1")
     cache.get("absent")
-    cache.clear()  # window counters reset...
-    assert cache.hits == 0 and cache.misses == 0
-    lifetime = cache.lifetime_stats()
-    assert lifetime["hits"] == 1 and lifetime["misses"] == 1
+    cache.clear()
+    assert len(cache) == 0
+    assert cache.hits == 1 and cache.misses == 1
     cache.put("k2", 2)
     cache.get("k2")
-    # ...and the lifetime view keeps accumulating across windows.
-    assert cache.lifetime_stats()["hits"] == 2
+    # The counters are the lifetime totals: they keep accumulating.
+    assert cache.stats()["hits"] == 2
 
 
 def test_clear_accounting_and_stats_snapshot():
     cache = GenerationCache()
     cache.put("k1", 1)
     cache.put("k2", 2)
-    cache.clear(reset_stats=False)
+    cache.clear()
     cache.put("k3", 3)
     cache.clear()
     stats = cache.stats()
     assert stats["clears"] == 2
     assert stats["cleared_entries"] == 3
     assert stats["entries"] == 0
-    assert stats["lifetime"]["misses"] == 0
+    assert stats["misses"] == 0
 
 
 def test_clear_counters_mirror_into_metrics():
@@ -137,6 +127,6 @@ def test_clear_counters_mirror_into_metrics():
     counters = metrics.snapshot()["counters"]
     assert counters["cache.clears"] == 1
     assert counters["cache.cleared_entries"] == 1
-    # The registry's view is lifetime by construction: clearing the cache
-    # never rewinds the mirrored counters.
-    assert counters["cache.hits"] == 1
+    # Both views are lifetime by construction: clearing the cache rewinds
+    # neither, so they cannot disagree.
+    assert counters["cache.hits"] == cache.stats()["hits"] == 1

@@ -106,11 +106,11 @@ def _config(bundle, *, seed: int = 7, tracer=None, **kwargs) -> QueryProcessorCo
     return QueryProcessorConfig(llm=llm, seed=seed, **defaults)
 
 
-def _misestimate_plan(bundle):
+def _misestimate_plan(bundle, source=None):
     """where() collapses into a SqlScan whose static estimate halves the
     cardinality — every record passes, so divergence is a free 2.0x."""
     return (
-        Dataset.from_source(bundle.source())
+        Dataset.from_source(source or bundle.source())
         .where("priority >= 1")
         .sem_filter(COMMON)
         .sem_filter(RARE)
@@ -510,53 +510,150 @@ def test_replan_gates_are_not_config_fields():
 
 
 # ---------------------------------------------------------------------------
-# Interplay with sharding: disarmed, and says so
+# Composition: replan under shards and behind a replay
 # ---------------------------------------------------------------------------
 
 
-class TestReplanUnderSharding:
-    NOTE = "replan disabled: sharded plans have no replan boundary"
+def _reference(bundle, plan_fn, source=None):
+    """The plan's records as the reference interpreter evaluates them."""
+    from repro.qa.reference import ReferenceInterpreter
 
-    @pytest.mark.parametrize("with_materialization", [False, True])
-    def test_sharded_replan_is_disarmed_and_reported(
-        self, rp_bundle, with_materialization
+    reset_uid_counter()
+    llm = SimulatedLLM(oracle=SemanticOracle(bundle.registry), seed=7)
+    return ReferenceInterpreter(llm).run(plan_fn(bundle, source).plan())
+
+
+def _replanning(bundle, **kwargs):
+    """Options of an armed re-planner over a store warmed on the
+    misestimate plan (whose priors key every operator of these plans)."""
+    return dict(
+        stats_store=_warm_store(bundle),
+        stats_estimates=False,
+        replan=True,
+        **kwargs,
+    )
+
+
+def _mapped_plan(bundle, source=None):
+    """The misestimate plan with the map moved ahead of the filters: its
+    prefix is a costly, capturable boundary in front of a commuting run."""
+    return (
+        Dataset.from_source(source or bundle.source())
+        .where("priority >= 1")
+        .sem_map(Field("declared_value", float, "declared value"), AMOUNT)
+        .sem_filter(COMMON)
+        .sem_filter(RARE)
+    )
+
+
+class TestReplanUnderSharding:
+    @pytest.mark.parametrize("partitioner", ["hash", "range", "round_robin"])
+    @pytest.mark.parametrize("shards", [3, 4])
+    def test_sharded_plan_replans_bit_identically(
+        self, rp_bundle, shards, partitioner
     ):
         from repro.sem.explain import explain_analyze
-        from repro.sem.materialize import MaterializationStore
 
-        store = _warm_store(rp_bundle)
-        baseline, _ = _run(rp_bundle, _misestimate_plan)
-        kwargs = {}
-        if with_materialization:
-            kwargs["materialization_store"] = MaterializationStore()
+        sharding = dict(shards=shards, partitioner=partitioner)
+        off, _ = _run(rp_bundle, _misestimate_plan, **sharding)
         result, report = _run(
-            rp_bundle,
-            _misestimate_plan,
-            stats_store=store,
-            stats_estimates=False,
-            replan=True,
-            shards=4,
-            **kwargs,
+            rp_bundle, _misestimate_plan, **_replanning(rp_bundle, **sharding)
         )
-        assert report.replanner is None and report.replans == []
-        assert self.NOTE in report.note
-        assert f"NOTE: {self.NOTE}" in explain_analyze(result, report)
-        assert _normalized(result) == _normalized(baseline)
+        assert report.replanner is not None and len(report.replans) == 1
+        assert "replan: at boundary 1" in explain_analyze(result, report)
+        assert _normalized(result) == _normalized(off)
+        assert _normalized(result) == _normalized(
+            _reference(rp_bundle, _misestimate_plan)
+        )
+        # The rare filter now runs first on every shard.
+        assert result.total_cost_usd < off.total_cost_usd
 
     def test_note_is_absent_when_replan_can_apply_or_is_off(self, rp_bundle):
         from repro.sem.explain import explain_analyze
 
         store = _warm_store(rp_bundle)
-        for kwargs in (dict(replan=True), dict(replan=False, shards=4)):
+        for kwargs in (
+            dict(replan=True),
+            dict(replan=True, shards=4),
+            dict(replan=False, shards=4),
+        ):
             result, report = _run(
                 rp_bundle, _misestimate_plan, stats_store=store, **kwargs
             )
-            assert self.NOTE not in report.note
-            assert self.NOTE not in explain_analyze(result, report)
+            assert "replan disabled" not in report.note
+            assert "NOTE:" not in explain_analyze(result, report)
+
+
+class TestReplanBehindAReplay:
+    """A replay carries its prefix's estimate and boundary, so the
+    re-planner reads the one and re-stamps the other like any operator's."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_partial_exact_replay(self, rp_bundle, shards):
+        from repro.sem.materialize import MaterializationStore
+
+        def prefix_plan(bundle, source=None):
+            return (
+                Dataset.from_source(source or bundle.source())
+                .where("priority >= 1")
+                .sem_map(Field("declared_value", float, "declared value"), AMOUNT)
+            )
+
+        cold, _ = _run(rp_bundle, _mapped_plan, shards=shards)
+        options = _replanning(
+            rp_bundle, shards=shards, materialization_store=MaterializationStore()
+        )
+        _run(rp_bundle, prefix_plan, **options)  # captures the map's boundary
+        result, report = _run(rp_bundle, _mapped_plan, **options)
+        assert report.reuse_kind == "exact" and report.reused_prefix == 2
+        assert report.replanner is not None and len(report.replans) == 1
+        assert report.replans[0]["boundary"] == 1  # right behind the replay
+        assert _normalized(result) == _normalized(cold)
+        assert _normalized(result) == _normalized(
+            _reference(rp_bundle, _mapped_plan)
+        )
+        # The re-ordered suffix captured the written plan's boundary.
+        again, again_report = _run(rp_bundle, _mapped_plan, **options)
+        assert again_report.reused_prefix == 4
+        assert _normalized(again) == _normalized(cold)
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_appended_source_delta_replay(self, rp_bundle, shards):
+        from repro.data.sources import MemorySource
+        from repro.sem.materialize import MaterializationStore
+
+        records = rp_bundle.records()
+        source = MemorySource(records[:18], rp_bundle.schema, source_id=rp_bundle.name)
+
+        def live_plan(bundle):
+            return _misestimate_plan(bundle, source)
+
+        options = _replanning(
+            rp_bundle, shards=shards, materialization_store=MaterializationStore()
+        )
+        _run(rp_bundle, live_plan, **options)
+        source.append(records[18:])
+        result, report = _run(rp_bundle, live_plan, **options)
+        assert report.reuse_kind == "delta" and report.reuse_delta_records == 6
+        assert report.replanner is not None
+        # Unsharded, the whole plan is one compact replay with no boundary
+        # behind it.  Sharded, the prefix scans the 6 appended records: a
+        # 2.0x miss of the scan's estimate re-orders the filters over them.
+        assert len(report.replans) == (shards > 1)
+        cold, _ = _run(rp_bundle, _misestimate_plan, shards=shards)
+        assert _normalized(result) == _normalized(cold)
+        assert _normalized(result) == _normalized(
+            _reference(rp_bundle, _misestimate_plan)
+        )
+        # The operators ahead of an expanded replay saw only the delta, and
+        # a re-stamp after the reorder must not let them capture it.
+        again, again_report = _run(rp_bundle, live_plan, **options)
+        assert again_report.reuse_kind == "exact"
+        assert _normalized(again) == _normalized(cold)
 
 
 class TestReplanThatCannotArm:
-    """``replan=True`` is never dropped silently: every cause has its note."""
+    """``replan=True`` is never dropped silently: the one cause has its note."""
 
     def _assert_noted(self, result, report, note):
         from repro.sem.explain import explain_analyze
@@ -571,31 +668,21 @@ class TestReplanThatCannotArm:
             result, report, "replan disabled: no stats_store to re-plan from"
         )
 
-    def test_replayed_prefix_is_reported(self, rp_bundle):
+    def test_every_applicable_cause_is_listed(self, rp_bundle):
+        # Neither shards nor a replayed prefix is a cause: a missing
+        # stats_store is the only one, and the only note.
         from repro.sem.materialize import MaterializationStore
 
-        kwargs = dict(
-            stats_store=_warm_store(rp_bundle),
-            replan=True,
-            materialization_store=MaterializationStore(),
+        options = dict(
+            replan=True, shards=4, materialization_store=MaterializationStore()
         )
-        _cold, cold_report = _run(rp_bundle, _misestimate_plan, **kwargs)
-        assert "replan disabled" not in cold_report.note
-        warm, warm_report = _run(rp_bundle, _misestimate_plan, **kwargs)
-        assert warm_report.reused_prefix > 0
+        _run(rp_bundle, _misestimate_plan, **options)
+        result, report = _run(rp_bundle, _misestimate_plan, **options)
+        assert report.reused_prefix > 0
         self._assert_noted(
-            warm,
-            warm_report,
-            "replan disabled: the plan replays a materialized prefix",
+            result, report, "replan disabled: no stats_store to re-plan from"
         )
-
-    def test_every_applicable_cause_is_listed(self, rp_bundle):
-        result, report = _run(rp_bundle, _misestimate_plan, replan=True, shards=4)
-        for note in (
-            "replan disabled: no stats_store to re-plan from",
-            TestReplanUnderSharding.NOTE,
-        ):
-            self._assert_noted(result, report, note)
+        assert report.note.count("replan disabled") == 1
 
     def test_replan_off_never_notes(self, rp_bundle):
         _result, report = _run(rp_bundle, _misestimate_plan, shards=4)
@@ -627,8 +714,8 @@ class TestReplanWithMaterialization:
         assert len(mat) > 0
 
         # Same query again: fingerprint canonicalization makes the
-        # replanned capture match the written plan, so the whole prefix
-        # replays and the (reuse-incompatible) replanner stays disarmed.
+        # replanned capture match the written plan, so the whole plan
+        # replays and the armed re-planner has no boundary to consider.
         second, second_report = _run(
             rp_bundle,
             _misestimate_plan,

@@ -214,31 +214,6 @@ def test_register_requires_subscribable_source(qa_bundle):
         manager.register("dead", dataset, _config(qa_bundle))
 
 
-def test_register_requires_config_or_runner(qa_bundle):
-    source = MemorySource(qa_bundle.records(), qa_bundle.schema)
-    manager = StandingQueryManager()
-    with pytest.raises(StreamingError, match="needs a QueryProcessorConfig"):
-        manager.register("bare", Dataset.from_source(source))
-
-
-def test_runner_only_registration_needs_manager_substrate(qa_bundle):
-    source = MemorySource(qa_bundle.records()[:4], qa_bundle.schema)
-
-    def runner(query, tag):
-        return source.records(), 0.0, 0.0, None
-
-    with pytest.raises(StreamingError, match="clock, tracer and metrics"):
-        StandingQueryManager().register(
-            "bare", Dataset.from_source(source), runner=runner
-        )
-    llm = _config(qa_bundle).llm
-    manager = StandingQueryManager(
-        clock=llm.clock, tracer=llm.tracer, metrics=llm.metrics
-    )
-    query = manager.register("bare", Dataset.from_source(source), runner=runner)
-    assert [r.uid for r in query.records] == list(source.uids())
-
-
 def test_register_rejects_duplicate_names(qa_bundle):
     manager, _query, source = _standing(qa_bundle, qa_bundle.records()[:4])
     with pytest.raises(StreamingError, match="already registered"):
@@ -727,7 +702,7 @@ def test_quota_rejection_defers_and_retains_pending(qa_bundle):
         attempts.append(tag)
         if len(attempts) == 1:
             raise QuotaExceededError("budget spent", tenant="t", reason="budget")
-        return list(records[:3]), 0.01, 0.1, None
+        return query.dataset.run_with_report(query.config)
 
     source = MemorySource(records[:6], qa_bundle.schema)
     manager = StandingQueryManager()
@@ -764,7 +739,7 @@ def test_standing_spans_validate_and_carry_tick_attributes(qa_bundle):
     config = QueryProcessorConfig(
         llm=llm, seed=19, optimize=False
     )
-    manager = StandingQueryManager(tracer=tracer)
+    manager = StandingQueryManager()
     manager.register("traced", _sem_plan(source), config)
     source.append(records[8:10])
     manager.pump()
@@ -781,9 +756,11 @@ def test_standing_spans_validate_and_carry_tick_attributes(qa_bundle):
 def test_streaming_metrics_counters(qa_bundle):
     records = qa_bundle.records()
     metrics = MetricsRegistry()
-    manager, _query, source = _standing(
-        qa_bundle, records[:8], metrics=metrics
+    llm = SimulatedLLM(
+        oracle=SemanticOracle(qa_bundle.registry), seed=19, metrics=metrics
     )
+    config = QueryProcessorConfig(llm=llm, seed=19, optimize=False)
+    manager, _query, source = _standing(qa_bundle, records[:8], config=config)
     source.append(records[8:10])
     manager.pump()
     assert metrics.counters["streaming.queries"].value == 1

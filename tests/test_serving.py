@@ -559,6 +559,50 @@ def test_served_standing_tick_reports_its_reuse(qa_bundle):
     assert "MaterializedScan" in query.explain()
 
 
+def test_served_and_direct_standing_ticks_agree(qa_bundle):
+    """One standing plan ticked through ``serving.register_standing`` and
+    through ``runtime.standing()``: the served query is registered on its
+    tenant's derivation of the runtime's config, the direct one on the same
+    derivation, and the manager measures both ticks the same way."""
+
+    def served(runtime, dataset):
+        serving = runtime.serving()
+        query = serving.register_standing("live", "feed", dataset)
+        assert query.config.scope == "live" and query.config.llm is runtime.llm
+        return query, serving.pump_standing
+
+    def direct(runtime, dataset):
+        manager = runtime.standing()
+        config = runtime.program_config(
+            "feed", optimize=False, parallelism=4, scope="live"
+        )
+        return manager.register("live:feed", dataset, config), manager.pump
+
+    def ticks(register):
+        runtime = make_runtime(qa_bundle)
+        records, source, dataset = _standing_feed(qa_bundle, 6)
+        query, pump = register(runtime, dataset)
+        source.append(records[6:9])
+        pump()
+        source.update(query.records[0].parent_uids[0], {"priority": 9})
+        pump()
+        source.append(records[9:11])
+        pump()
+        return [
+            (
+                tick.fired,
+                tick.cost_usd,
+                (tick.reuse_kind, tick.reused_prefix, tick.delta_records),
+                [(entry.kind, entry.position, entry.uid) for entry in tick.changelog],
+            )
+            for tick in query.ticks
+        ]
+
+    served_ticks = ticks(served)
+    assert [tick[0] for tick in served_ticks] == ["register", "count", "update", "count"]
+    assert served_ticks == ticks(direct)
+
+
 def test_served_governor_prices_the_pending_delta(qa_bundle):
     """With the report in hand the governor can estimate a served refresh:
     a batch worth far less than ``min_batch_usd`` is deferred, not fired
