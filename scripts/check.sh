@@ -35,6 +35,18 @@ if [[ "${1:-}" == "--fast" ]]; then
     echo "== fast lane: warm re-scan perf smoke (warm digest == cold fill's, \$0 and 0 virtual s per warm pass: the key written on a miss is the key probed on a hit) =="
     python3 -m benchmarks.perf bench --workload rescan_warm --smoke
     echo
+    echo "== fast lane: text-kernel equivalence (ASCII tokenizer pass == the regex; bincount embedding == the per-token loop, byte for byte) =="
+    python -m pytest -q \
+        tests/test_utils_text.py::test_ascii_tokenize_equals_match_by_match_formula \
+        tests/test_utils_text.py::test_ascii_separators_are_exactly_the_non_word_characters \
+        tests/test_utils_text.py::test_extract_keywords_equals_first_position_ranking \
+        tests/test_llm_embeddings.py::test_ascii_embed_is_byte_identical_to_reference \
+        tests/test_llm_embeddings.py::test_summation_order_is_first_seen_token_order \
+        tests/test_llm_embeddings.py::test_corpus_records_embed_byte_identically
+    echo
+    echo "== fast lane: agent-queries perf smoke (the paper's search/compute/answer path: digest == expected.json smoke seed 0) =="
+    python3 -m benchmarks.perf bench --workload agent_queries --smoke
+    echo
     echo "check.sh --fast: all green"
     exit 0
 fi

@@ -10,6 +10,7 @@ vocabulary land near each other — while being exactly reproducible offline.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -55,35 +56,24 @@ class EmbeddingModel:
     def embed(self, text: str) -> np.ndarray:
         """Embed ``text`` into a unit-norm float32 vector.
 
-        Empty or all-stopword texts map to the zero vector.
+        Empty or all-stopword texts map to the zero vector.  ``bincount``
+        adds the weights in list order — first-seen token order, as
+        ``Counter`` keeps it — which is the float64 summation order of
+        adding them one token at a time, so the bytes are that loop's.
         """
-        vector = np.zeros(self.dim, dtype=np.float64)
-        counts: dict[str, int] = {}
-        for token in tokenize(text):
+        buckets: list[int] = []
+        weights: list[float] = []
+        for token, count in Counter(tokenize(text)).items():
             if token in STOPWORDS:
                 continue
-            counts[token] = counts.get(token, 0) + 1
-        for token, count in counts.items():
             bucket_hash, sign = _TOKEN_TABLE.get(token) or _token_entry(token)
-            vector[bucket_hash % self.dim] += sign * (1.0 + math.log(count))
+            buckets.append(bucket_hash % self.dim)
+            weights.append(sign * (1.0 + math.log(count)))
+        vector = np.bincount(buckets, weights=weights, minlength=self.dim)
         norm = float(np.linalg.norm(vector))
         if norm > 0:
             vector /= norm
         return vector.astype(np.float32)
-
-    def embed_many(self, texts: list[str]) -> np.ndarray:
-        """Embed a batch of texts into an ``(n, dim)`` matrix.
-
-        Duplicate texts are embedded once and the vector reused, so the
-        vectorized operators can pass raw record text without pre-deduping.
-        """
-        if not texts:
-            return np.zeros((0, self.dim), dtype=np.float32)
-        unique: dict[str, np.ndarray] = {}
-        for text in texts:
-            if text not in unique:
-                unique[text] = self.embed(text)
-        return np.stack([unique[text] for text in texts])
 
 
 def cosine_similarity(vec_a: np.ndarray, vec_b: np.ndarray) -> float:

@@ -593,15 +593,6 @@ class LogicalPlan:
         visit(self.root, 0)
         return "\n".join(lines)
 
-    def replace_chain(self, new_chain: list[LogicalOperator]) -> "LogicalPlan":
-        """Rebuild a linear plan from a leaves-first operator list."""
-        if not new_chain:
-            raise PlanError("cannot build a plan from an empty chain")
-        current: LogicalOperator | None = None
-        for op in new_chain:
-            current = op.with_child(current)
-        return LogicalPlan(root=current, metadata=dict(self.metadata))
-
     def is_linear(self) -> bool:
         return not any(isinstance(op, SemJoinOp) for op in self.operators())
 

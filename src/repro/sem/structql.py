@@ -124,15 +124,6 @@ def walk_expression(expr: Expr):
             yield from walk_expression(expr.otherwise)
 
 
-def referenced_columns(condition: str) -> tuple[str, ...]:
-    """Sorted field names a predicate reads."""
-    expr = compile_predicate(condition)
-    names = {
-        node.name for node in walk_expression(expr) if isinstance(node, ColumnRef)
-    }
-    return tuple(sorted(names))
-
-
 def normalized_condition(condition: str) -> str:
     """Whitespace/case-insensitive canonical form for fingerprinting.
 

@@ -11,6 +11,12 @@ from collections import Counter
 
 _WORD_RE = re.compile(r"[A-Za-z0-9_']+")
 
+#: Every ASCII character outside ``_WORD_RE``'s class becomes a space, so on
+#: ASCII text ``split`` yields exactly the pattern's runs.
+_ASCII_SEPARATORS = str.maketrans(
+    {chr(code): " " for code in range(128) if not _WORD_RE.match(chr(code))}
+)
+
 # Small stopword list: enough to make keyword extraction and embeddings
 # discriminative without shipping a full NLP stack.
 STOPWORDS = frozenset(
@@ -23,7 +29,14 @@ STOPWORDS = frozenset(
 
 
 def tokenize(text: str) -> list[str]:
-    """Split ``text`` into lowercase word tokens."""
+    """Split ``text`` into lowercase word tokens.
+
+    ``_WORD_RE`` is the definition: runs are matched before lowercasing,
+    so a non-ASCII letter that lowercases to ASCII (the Kelvin sign)
+    still separates.  ASCII text takes the equivalent one-pass form.
+    """
+    if text.isascii():
+        return text.lower().translate(_ASCII_SEPARATORS).split()
     return [word.lower() for word in _WORD_RE.findall(text)]
 
 
@@ -49,15 +62,10 @@ def extract_keywords(text: str, limit: int = 12) -> list[str]:
     """Return up to ``limit`` informative tokens from ``text``.
 
     Stopwords are removed and remaining tokens ranked by frequency then by
-    first appearance (stable, deterministic ordering).
+    first appearance (``most_common`` is stable on ties).
     """
     tokens = [tok for tok in tokenize(text) if tok not in STOPWORDS and len(tok) > 1]
-    counts = Counter(tokens)
-    first_pos = {}
-    for pos, tok in enumerate(tokens):
-        first_pos.setdefault(tok, pos)
-    ranked = sorted(counts, key=lambda tok: (-counts[tok], first_pos[tok]))
-    return ranked[:limit]
+    return [tok for tok, _ in Counter(tokens).most_common(limit)]
 
 
 def snippet(text: str, max_chars: int = 200) -> str:

@@ -41,21 +41,6 @@ def test_explain_renders_root_first():
     assert lines[-1].strip().startswith("Scan")
 
 
-def test_replace_chain_rebuilds_links():
-    plan = _plan()
-    chain = plan.operators()
-    rebuilt = plan.replace_chain([chain[0], chain[2], chain[1]])
-    ops = rebuilt.operators()
-    assert isinstance(ops[1], L.LimitOp)
-    assert isinstance(ops[2], L.SemFilterOp)
-    assert ops[1].child is ops[0]
-
-
-def test_replace_chain_empty_rejected():
-    with pytest.raises(PlanError):
-        _plan().replace_chain([])
-
-
 def test_validate_accepts_good_plan():
     L.validate_plan(_plan())  # no raise
 

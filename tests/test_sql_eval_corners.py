@@ -17,7 +17,6 @@ from repro.sem.structql import (
     compile_predicate,
     normalized_condition,
     predicate_holds,
-    referenced_columns,
     run_aggregation,
     validate_aggregation,
 )
@@ -98,9 +97,6 @@ class TestPredicateValidation:
     def test_qualified_column_rejected(self):
         with pytest.raises(PlanError, match="single scope"):
             compile_predicate("t.priority > 3")
-
-    def test_referenced_columns_sorted_and_deduped(self):
-        assert referenced_columns("b = 1 AND a = 2 OR b = 3") == ("a", "b")
 
     def test_normalized_condition_ignores_spelling(self):
         # Whitespace and keyword case are normalized away; identifiers are

@@ -1,10 +1,13 @@
 """Tests for text utilities."""
 
-from hypothesis import given
+from collections import Counter
+
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.utils.text import (
     _WORD_RE,
+    STOPWORDS,
     approx_token_count,
     extract_keywords,
     jaccard_similarity,
@@ -29,6 +32,54 @@ def test_tokenize_empty():
 @given(st.text(max_size=200))
 def test_tokenize_equals_match_by_match_formula(text):
     assert tokenize(text) == [m.group(0).lower() for m in _WORD_RE.finditer(text)]
+
+
+#: Every ASCII character between two word characters (so each one either
+#: splits a token or joins one), whitespace runs, and ``'``/``_`` runs.
+EVERY_ASCII = (
+    "".join(f"Tok{chr(code)}en " for code in range(128))
+    + " \t\n\r\x0b\x0c  x_y don't ''' ___ _'_ \x1c\x1d\x1e\x1f end"
+)
+
+
+@given(st.text(alphabet=st.characters(max_codepoint=127), max_size=3000))
+@example(EVERY_ASCII)
+def test_ascii_tokenize_equals_match_by_match_formula(text):
+    assert tokenize(text) == [m.group(0).lower() for m in _WORD_RE.finditer(text)]
+
+
+def test_ascii_separators_are_exactly_the_non_word_characters():
+    expected = []
+    for code in range(128):
+        char = chr(code)
+        joins = char.isalnum() or char in "_'"
+        expected += [f"tok{char.lower()}en"] if joins else ["tok", "en"]
+    expected += ["x_y", "don't", "'''", "___", "_'_", "end"]
+    assert EVERY_ASCII.isascii()
+    assert tokenize(EVERY_ASCII) == expected
+
+
+def _keywords_by_first_position(text: str, limit: int) -> list[str]:
+    """The ranking as first written: frequency, then first position."""
+    tokens = [tok for tok in tokenize(text) if tok not in STOPWORDS and len(tok) > 1]
+    counts = Counter(tokens)
+    first_pos = {}
+    for pos, tok in enumerate(tokens):
+        first_pos.setdefault(tok, pos)
+    ranked = sorted(counts, key=lambda tok: (-counts[tok], first_pos[tok]))
+    return ranked[:limit]
+
+
+@given(
+    st.lists(
+        st.sampled_from(["apple", "banana", "cherry", "the", "a", "x", "Date", "date"]),
+        max_size=60,
+    ).map(" ".join)
+    | st.text(max_size=300),
+    st.integers(min_value=0, max_value=30),
+)
+def test_extract_keywords_equals_first_position_ranking(text, limit):
+    assert extract_keywords(text, limit) == _keywords_by_first_position(text, limit)
 
 
 def test_tokenize_matches_before_lowercasing():
