@@ -18,9 +18,11 @@ filters + a summary map, delta-safe end to end) over a base of
 - **bit-identical at every tick**: the standing view equals a from-scratch
   run over the same records, uid for uid, field for field — and the
   changelog folded from empty reproduces the view exactly, every tick.
-- **update convergence**: an in-place source rewrite forces invalidation
-  past the delta-safe prefix (bumped ``content_version``), the next tick
-  recomputes, and the view converges to the from-scratch result again.
+- **update convergence**: an in-place source rewrite is a delta too — the
+  next tick replays the materialized prefix and re-runs only the rewritten
+  record through it (``reuse_kind == "delta"``, ``delta_records == 1``),
+  merged back by source position — and the view converges to the
+  from-scratch result again, its changelog fold included.
 
 Run standalone for a quick check::
 
@@ -148,9 +150,9 @@ def _run_seed(bundle, seed: int) -> dict:
             }
         )
 
-    # Update convergence: rewrite one base email in place; the bumped
-    # content_version must invalidate the delta-safe prefix, and the next
-    # tick must converge on the from-scratch view of the updated source.
+    # Update convergence: rewrite one base email in place; the next tick
+    # must patch it into the replayed prefix (a one-record delta) and
+    # converge on the from-scratch view of the updated source.
     victim = base[0]
     source.update(victim.uid, {"body": victim.fields["body"] + "\n[amended]"})
     update_ticks = manager.pump()
@@ -184,11 +186,8 @@ def _run_seed(bundle, seed: int) -> dict:
             "retracts": update_ticks[0].retracts,
             "identical": update_identical,
             "fold_identical": update_fold_identical,
-            "store_update_invalidations": (
-                query.config.materialization_store.stats()[
-                    "update_invalidations"
-                ]
-            ),
+            "reuse_kind": update_ticks[0].reuse_kind,
+            "delta_records": update_ticks[0].delta_records,
         },
     }
 
@@ -263,8 +262,10 @@ def _check_contract(results) -> None:
         assert update["fold_identical"], (
             f"seed {seed}: changelog fold broken after the update tick"
         )
-        assert update["store_update_invalidations"] >= 1, (
-            f"seed {seed}: content-version drift never invalidated an entry"
+        assert (update["reuse_kind"], update["delta_records"]) == ("delta", 1), (
+            f"seed {seed}: the update tick was not a one-record delta "
+            f"({update['reuse_kind'] or 'recompute'}, "
+            f"{update['delta_records']} delta records)"
         )
 
 

@@ -26,7 +26,17 @@ if [[ "${1:-}" == "--fast" ]]; then
         tests/test_replan.py::TestReplanBehindAReplay \
         tests/test_serving.py::test_served_and_direct_standing_ticks_agree
     echo
-    echo "== fast lane: standing-tick perf smoke (fold == view == from-scratch, ledger stable) =="
+    echo "== fast lane: patch replay (an in-place rewrite re-runs alone through the materialized prefix, merged by source position, at shards 1 and 4) =="
+    python -m pytest -q tests/test_patch_replay.py tests/test_sem_streaming.py::test_update_event_invalidates_and_converges
+    echo
+    echo "== fast lane: no eager eviction (sem/streaming.py leaves the store to the lazy probe: no invalidate_sources call) =="
+    if grep -n 'invalidate_sources' src/repro/sem/streaming.py; then
+        echo "an update is a delta: the next probe patches or evicts exactly"
+        exit 1
+    fi
+    echo "sem/streaming.py calls no invalidate_sources"
+    echo
+    echo "== fast lane: standing-tick perf smoke (fold == view == from-scratch, digest == expected.json smoke seed 0 through two in-place updates) =="
     python3 -m benchmarks.perf bench --workload standing_ticks --smoke
     echo
     echo "== fast lane: hybrid-sharded perf smoke (shard workers run the engine's one section loop: shards=4 digests == shards=1 re-run) =="

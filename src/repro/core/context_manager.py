@@ -183,13 +183,14 @@ class ContextManager:
 
         When the records behind a Context change, every view built on it is
         stale: entries whose lineage includes ``base`` (a Context or its
-        name) are evicted, their answers with them, and so — as ``kind``,
-        ``"update"`` for an in-place rewrite — are the store's sub-plan
-        prefixes materialized from the base or from an evicted view.
-        Returns the number of evicted entries.
+        name) are evicted, their answers with them, and so are the store's
+        sub-plan prefixes materialized from an evicted view.  The base's own
+        prefixes are evicted too, except on ``kind="update"``: an in-place
+        rewrite is recorded by the source, so the store's next probe patches
+        those entries instead.  Returns the number of evicted entries.
         """
         base_name = base if isinstance(base, str) else base.name
-        stale_sources = {base_name}
+        stale_sources = set() if kind == "update" else {base_name}
         doomed = []
         for key, entry in self._entries.items():
             if base_name in entry.lineage:

@@ -16,7 +16,8 @@ materialization layer needs:
   sequence, so the :class:`~repro.sem.materialize.MaterializationStore`
   catches them with its source-uid prefix check; updates keep the uids and
   would silently replay stale records — the store compares
-  ``content_version`` to catch exactly that case.
+  ``content_version`` to catch exactly that case, and
+  :meth:`DataSource.rewritten_since` names the uids to re-derive.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ class DataSource(abc.ABC):
         self.version = 0
         #: Monotonic in-place-update counter (see module docstring).
         self.content_version = 0
+        #: uid -> the ``content_version`` of its last in-place rewrite (one
+        #: entry per rewritten uid, so bounded by the source's size).
+        self._rewritten: dict[str, int] = {}
         self._subscribers: list[Callable[[SourceEvent], None]] = []
 
     @abc.abstractmethod
@@ -73,6 +77,14 @@ class DataSource(abc.ABC):
     def uids(self) -> tuple[str, ...]:
         """The uids of :meth:`iterate`'s records, in order."""
         return tuple(record.uid for record in self.iterate())
+
+    def rewritten_since(self, content_version: int) -> list[str]:
+        """The uids rewritten in place after ``content_version``."""
+        return [
+            uid
+            for uid, version in self._rewritten.items()
+            if version > content_version
+        ]
 
     def subscribe(self, callback: Callable[[SourceEvent], None]) -> None:
         """Register a listener invoked synchronously on every mutation."""
@@ -160,8 +172,9 @@ class MemorySource(DataSource):
         a changelog entry, a materialized entry — never changes content.
 
         Updates keep the record's uid, so prefix-matching alone cannot see
-        them — the bumped ``content_version`` is what invalidates
-        materialized entries built on the old contents.
+        them — the bumped ``content_version``, recorded against the uid, is
+        what tells a materialized entry built on the old contents which of
+        its records to re-derive.
         """
         for index, record in enumerate(self._records):
             if record.uid == uid:
@@ -179,6 +192,7 @@ class MemorySource(DataSource):
             )
         self.version += 1
         self.content_version += 1
+        self._rewritten[uid] = self.content_version
         return self._publish(
             SourceEvent(
                 kind="update",

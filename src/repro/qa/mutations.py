@@ -125,6 +125,30 @@ def _replay_after_delta() -> Iterator[None]:
         PhysMaterializedScan.execute = original
 
 
+@contextlib.contextmanager
+def _patch_keeps_stale() -> Iterator[None]:
+    """Keep a rewritten record's stored outputs beside its re-derived ones.
+
+    Only a patched replay can show it: the streaming class rewrites a base
+    record in place before its second append, and the view then holds that
+    record's outputs twice — unsharded and sharded alike.
+    """
+    from dataclasses import replace
+
+    from repro.sem.materialize import Rewrites
+
+    original = Rewrites.apply
+
+    def stale(self, stored, rederived):
+        return original(replace(self, rewritten=frozenset()), stored, rederived)
+
+    Rewrites.apply = stale
+    try:
+        yield
+    finally:
+        Rewrites.apply = original
+
+
 MUTATIONS: dict[str, Mutation] = {
     mutation.name: mutation
     for mutation in (
@@ -156,6 +180,13 @@ MUTATIONS: dict[str, Mutation] = {
             description="materialized replay appends its base after the delta",
             expected_oracle="streaming-equivalence",
             _apply=_replay_after_delta,
+            killed_in_specs=("standing", "standing-sharded-4"),
+        ),
+        Mutation(
+            name="patch-keeps-stale",
+            description="a patched replay keeps the rewritten records' stale outputs",
+            expected_oracle="streaming-equivalence",
+            _apply=_patch_keeps_stale,
             killed_in_specs=("standing", "standing-sharded-4"),
         ),
     )

@@ -136,8 +136,9 @@ def run_spec(
             if spec.streaming:
                 # Standing query over the first two-thirds of the corpus;
                 # the rest arrives as three append chunks, each refreshed
-                # incrementally.  Record objects are shared with the full
-                # corpus, so derived uids line up with the baseline's.
+                # incrementally, the second behind an in-place rewrite.
+                # Record objects are shared with the full corpus, so derived
+                # uids line up with the baseline's.
                 from repro.data.sources import MemorySource
                 from repro.sem.streaming import RefreshPolicy, StandingQueryManager
 
@@ -167,6 +168,11 @@ def run_spec(
                 )
                 chunk = max(1, (len(rest) + 2) // 3)
                 for start in range(0, len(rest), chunk):
+                    if start == chunk:
+                        # An in-place rewrite with the record's own fields:
+                        # the contents (and so the reference) stay the same,
+                        # but the next tick must patch it in.
+                        source.update(base[0].uid, dict(base[0].fields))
                     source.append(rest[start : start + chunk])
                     manager.pump()
                     if normalized_records(query.folded()) != (

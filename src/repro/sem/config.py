@@ -109,8 +109,8 @@ class QueryProcessorConfig:
     shards: int = 1
     #: How records are assigned to shards: "hash" keys on the lineage
     #: uid, "range" cuts contiguous position chunks, "round_robin" deals
-    #: positions out cyclically.  Reuse does not depend on the choice: an
-    #: appended-source delta scatters only the appended tail.
+    #: positions out cyclically.  Reuse does not depend on the choice: a
+    #: delta replay scatters only the appended and rewritten records.
     partitioner: str = "hash"
 
     def __post_init__(self) -> None:

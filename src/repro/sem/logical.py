@@ -45,8 +45,9 @@ class LogicalOperator:
     charges: ClassVar[str]
     #: Spends LLM calls or embeddings: worth materializing behind.
     costly: ClassVar[bool] = False
-    #: Record-local and order-preserving: its output on an appended delta
-    #: is the tail of a full recompute (else exact-reuse only).
+    #: Record-local and order-preserving: its output on a delta (appended
+    #: or rewritten records) merges into a full recompute's by source
+    #: position (else exact-reuse only).
     incremental_safe: ClassVar[bool] = False
     #: A record filter: adjacent runs commute (each only selects records),
     #: so reordering, hoisting, fingerprints and the re-planner may permute.
@@ -503,8 +504,9 @@ class MaterializedScanOp(LogicalOperator):
 
     Never written by users — the reuse-aware optimizer substitutes one for
     a fingerprint-matched prefix (see :mod:`repro.sem.materialize`).  When
-    the source grew by an appended delta, ``delta_records`` counts the new
-    source records the physical operator runs through the reused prefix.
+    the source saw appends or in-place rewrites since capture,
+    ``delta_records`` counts the source records run through the reused
+    prefix.
     """
 
     source_id: str = ""

@@ -9,10 +9,12 @@ digest of its operators' tokens (each class declares its own:
 the substrate seed — and the engine stores the records flowing across each
 fingerprintable boundary.  A later query whose
 prefix hashes to the same fingerprint replays the stored records instead of
-recomputing them; if the source has *appended* records since, only the
-delta runs through the prefix (incremental execution).
+recomputing them; if the source has *appended* records or *rewritten* some
+in place since, only that delta runs through the prefix (incremental
+execution): the stored records the rewrites invalidate are dropped and the
+delta's output is merged in by source position.
 
-Soundness rests on three facts established by earlier PRs:
+Soundness rests on four facts established by earlier PRs:
 
 - simulated answers are a pure function of (seed, model, instruction,
   record uid) — never of call order — so a fingerprint match implies the
@@ -20,7 +22,13 @@ Soundness rests on three facts established by earlier PRs:
 - tokens normalize instructions the way the noise key does, so
   semantically identical whitespace/case variants share entries;
 - derived-record uids are lineage-deterministic, so records computed from
-  an appended delta are identical to the ones a full recompute would make.
+  a delta are identical to the ones a full recompute would make;
+- :meth:`~repro.data.records.DataRecord.derive` names a child
+  ``parent.uid + "." + 6 hex``, so a record's *root* — the source record it
+  descends from through a record-local prefix — is the longest
+  ``.``-truncation of its uid that is a source uid
+  (:func:`root_positions`).  A stored record whose root does not resolve
+  cannot be placed, and the probe is a miss.
 
 Commuting filter runs (see :func:`repro.sem.logical.commuting_runs`)
 are canonicalized by sorting their tokens: filters only remove records and
@@ -31,12 +39,15 @@ fingerprints.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from repro.data.records import DataRecord
+from repro.errors import ExecutionError
 from repro.sem import logical as L
 from repro.utils.hashing import stable_digest
 from repro.utils.persist import load_json, save_json
@@ -116,7 +127,7 @@ def stamp_fingerprints(operators: list, llm_seed: int, scope: str = "") -> None:
     A replay's boundary is that of the prefix it stands for, in either shape
     :class:`~repro.sem.physical.PhysMaterializedScan` documents: compact, the
     prefix rides on it; expanded, the prefix is the operators bound ahead of
-    it, which scan only an appended tail and so capture nothing.
+    it, which scan only the delta and so capture nothing.
     """
     planned, owners = [], []
     for operator in operators:
@@ -139,7 +150,7 @@ def stamp_fingerprints(operators: list, llm_seed: int, scope: str = "") -> None:
 
 
 def incremental_safe_prefix(chain: list[L.LogicalOperator]) -> list[bool]:
-    """Whether ``chain[:p]`` can merge an appended delta, indexed ``p - 1``.
+    """Whether ``chain[:p]`` can merge a delta, indexed ``p - 1``.
 
     Every operator must be record-local and order-preserving
     (``incremental_safe``): a scan trivially is, a pushed-down leaf only
@@ -154,6 +165,92 @@ def incremental_safe_prefix(chain: list[L.LogicalOperator]) -> list[bool]:
     return safe
 
 
+def root_positions(
+    records: list[DataRecord], positions: dict[str, int]
+) -> list[int] | None:
+    """Source position of each record's root uid; None if one does not resolve.
+
+    The root is the longest ``.``-truncation of the uid found in
+    ``positions`` (source uid -> position): a source record itself, or its
+    descendant through :meth:`DataRecord.derive`.
+    """
+    roots = []
+    for record in records:
+        uid = record.uid
+        while uid not in positions:
+            uid, dot, _ = uid.rpartition(".")
+            if not dot:
+                return None
+        roots.append(positions[uid])
+    return roots
+
+
+@dataclass(frozen=True)
+class Rewrites:
+    """In-place rewrites a delta replay folds into its stored records."""
+
+    #: Source uid -> position in the source's scan order.
+    positions: dict[str, int]
+    #: Positions inside the stored prefix rewritten since capture.
+    rewritten: frozenset[int]
+    #: Root position of each stored record, in stored order.
+    roots: list[int]
+
+    def apply(
+        self, stored: list[DataRecord], rederived: list[DataRecord]
+    ) -> list[DataRecord]:
+        """``stored`` without the rewritten records' outputs, merged with
+        ``rederived`` — the delta's output — by root position.
+
+        Both inputs are in source order (the prefix is order-preserving)
+        and their roots are disjoint, so the merge is a full recompute's
+        order.
+        """
+        placed = root_positions(rederived, self.positions)
+        if placed is None:
+            raise ExecutionError(
+                "an incremental-safe operator emitted a record whose uid does "
+                "not descend from a source uid; derive records with "
+                "DataRecord.derive"
+            )
+        kept = [
+            (root, record)
+            for root, record in zip(self.roots, stored)
+            if root not in self.rewritten
+        ]
+        merged = heapq.merge(kept, zip(placed, rederived), key=itemgetter(0))
+        return [record for _, record in merged]
+
+
+def delta_since(
+    entry: "MaterializedEntry", source, records: list[DataRecord]
+) -> tuple[list[DataRecord], Rewrites | None] | None:
+    """The source records a delta hit on ``entry`` runs through its prefix.
+
+    That is every record rewritten in place since the entry's
+    ``content_version`` plus the appended tail, in source order
+    (``records`` is the source's scan).  Rewrites inside the stored prefix
+    come back as :class:`Rewrites` for the replay to fold in; None means
+    only the tail changed, so the replay concatenates.  Returns None when
+    a stored record's root does not resolve: the replay could not place
+    the re-derived records, so the probe is a miss.
+    """
+    base = len(entry.source_uids)
+    tail = records[base:]
+    if entry.content_version == source.content_version:
+        return tail, None
+    positions = {uid: at for at, uid in enumerate(source.uids())}
+    since = source.rewritten_since(entry.content_version)
+    rewritten = sorted(at for at in map(positions.__getitem__, since) if at < base)
+    if not rewritten:
+        return tail, None
+    roots = root_positions(entry.records, positions)
+    if roots is None:
+        return None
+    delta = [records[at] for at in rewritten] + tail
+    return delta, Rewrites(positions, frozenset(rewritten), roots)
+
+
 @dataclass
 class MaterializedEntry:
     """Records captured at one fingerprinted operator boundary."""
@@ -165,7 +262,7 @@ class MaterializedEntry:
     source_id: str
     #: Source update-generation at capture time.  In-place updates keep
     #: uids, so the prefix check alone would misclassify them as "exact";
-    #: a probe with a different content_version invalidates the entry.
+    #: a probe at a later content_version is a delta over the rewrites.
     content_version: int = 0
     #: Measured cumulative spend of producing these records (full-recompute
     #: equivalent: delta-merged updates carry the prior entry's cost).
@@ -203,7 +300,7 @@ class MaterializationStore:
     Keys are canonical prefix fingerprints; values are the records at that
     operator boundary plus enough provenance (source uids, measured cost)
     for the optimizer to cost reuse against recompute and for the engine to
-    run append-only deltas.  Counters mirror into an attached
+    run appended and rewritten deltas.  Counters mirror into an attached
     :class:`~repro.obs.metrics.MetricsRegistry` as ``materialization.*``.
     """
 
@@ -218,8 +315,10 @@ class MaterializationStore:
         self.stores = 0
         self.evictions = 0
         self.invalidations = 0
-        #: Invalidations caused specifically by in-place source updates
-        #: (content_version drift); a subset of ``invalidations``.
+        #: Invalidations an in-place source update caused, a subset of
+        #: ``invalidations``: an entry stamped with a version its source has
+        #: not reached, a rewrite a prefix could not absorb, or an update
+        #: cascade through a derived Context (:meth:`invalidate_sources`).
         self.update_invalidations = 0
         self.delta_records = 0
         #: Truncated / non-JSON files :meth:`load` refused (loaded as empty).
@@ -267,35 +366,44 @@ class MaterializationStore:
         fingerprint: str,
         source_uids: tuple[str, ...],
         content_version: int = 0,
+        incremental: bool = True,
     ) -> tuple[str, MaterializedEntry | None]:
         """Classify a probe: ``("exact"|"delta"|"update"|"stale"|"miss", entry)``.
 
         Exact: the source is unchanged.  Delta: the stored uids are a
-        proper prefix of the current ones (append-only growth).  Update:
-        the source saw an in-place rewrite since capture (uids may still
-        match, but the contents don't) — the entry is evicted so standing
-        queries recompute instead of replaying stale records.  Anything
-        else — shrinkage, reordering — invalidates the entry as "stale".
+        prefix of the current ones and the source's ``content_version`` is
+        at or past the entry's — it saw appends, in-place rewrites or both
+        since capture (:func:`delta_since` says which records).  Update: the
+        entry is stamped with a version the source has not reached, or a
+        rewrite hit a prefix that cannot absorb it (``incremental=False``)
+        — the entry is evicted and counted in ``update_invalidations``.
+        Anything else — shrinkage, reordering — invalidates the entry as
+        "stale".
         """
         entry = self._entries.get(fingerprint)
         if entry is None:
             return "miss", None
-        if entry.content_version != content_version:
-            del self._entries[fingerprint]
-            self.invalidations += 1
-            self.update_invalidations += 1
-            self._count("materialization.invalidations")
-            self._count("materialization.update_invalidations")
+        stored = entry.content_version
+        if stored > content_version or (
+            stored < content_version and not incremental
+        ):
+            self._evict(fingerprint, update=True)
             return "update", None
-        if entry.source_uids == source_uids:
+        if stored == content_version and entry.source_uids == source_uids:
             return "exact", entry
         base = len(entry.source_uids)
-        if len(source_uids) > base and source_uids[:base] == entry.source_uids:
+        if len(source_uids) >= base and source_uids[:base] == entry.source_uids:
             return "delta", entry
+        self._evict(fingerprint, update=False)
+        return "stale", None
+
+    def _evict(self, fingerprint: str, update: bool) -> None:
         del self._entries[fingerprint]
         self.invalidations += 1
         self._count("materialization.invalidations")
-        return "stale", None
+        if update:
+            self.update_invalidations += 1
+            self._count("materialization.update_invalidations")
 
     def note_hit(
         self, entry: MaterializedEntry, kind: str, delta_records: int = 0
@@ -322,9 +430,9 @@ class MaterializationStore:
         """Evict every entry built on one of ``source_ids``; returns count.
 
         ``kind="update"`` marks the eviction as caused by an in-place
-        source rewrite (the standing-query cascade), mirroring what the
-        lazy ``content_version`` check in :meth:`match` would have
-        classified, so update provenance survives eager invalidation.
+        source rewrite: the catalog's cascade evicts entries built on
+        Contexts derived from the rewritten base, whose own entries the
+        lazy check in :meth:`match` patches instead.
         """
         names = set(source_ids)
         doomed = [

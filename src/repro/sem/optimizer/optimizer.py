@@ -36,6 +36,7 @@ if TYPE_CHECKING:
     from repro.sem.config import QueryProcessorConfig
 from repro.sem.materialize import (
     CapturePlan,
+    delta_since,
     incremental_safe_prefix,
     stamp_fingerprints,
 )
@@ -395,26 +396,28 @@ class Optimizer:
         boundary fingerprint and leaves a :class:`CapturePlan` on the
         report so the engine materializes this run's own boundaries, then
         probes the store longest-prefix first.  An exact hit replays for
-        free; a delta hit also runs the appended records through the
-        matched prefix, which can never cost more than recomputing (the
-        delta is a subset of the source).  ``bound`` is edited in place —
-        the sharding pass sees the spliced list — in one of the two shapes
-        :class:`~repro.sem.physical.PhysMaterializedScan` documents: the
-        compact replay leaf, or, for a delta that will be sharded, the
-        prefix kept in the plan over the appended tail with the replay
-        gathering behind it.
+        free; a delta hit also runs the records appended or rewritten since
+        capture through the matched prefix, which can never cost more than
+        recomputing (the delta is a subset of the source).  ``bound`` is
+        edited in place — the sharding pass sees the spliced list — in one
+        of the two shapes :class:`~repro.sem.physical.PhysMaterializedScan`
+        documents: the compact replay leaf, or, for a delta that will be
+        sharded, the prefix kept in the plan over the delta with the replay
+        gathering behind it.  Either way the prefix's leaf scans exactly
+        the delta.
         """
         config = self.config
         store = config.materialization_store
         leaf = bound[0].logical_op
-        if store is None or getattr(leaf, "source", None) is None:
+        source = getattr(leaf, "source", None)
+        if store is None or source is None:
             return
         store.metrics = config.llm.metrics if config.llm.metrics.enabled else None
         if source_records is None:
-            source_records = list(leaf.source.iterate())
-        source_uids = leaf.source.uids()
-        source_id = leaf.source.source_id
-        content_version = getattr(leaf.source, "content_version", 0)
+            source_records = list(source.iterate())
+        source_uids = source.uids()
+        source_id = source.source_id
+        content_version = source.content_version
         stamp_fingerprints(bound, config.llm.seed, config.scope)
         capture = CapturePlan(
             store=store,
@@ -429,13 +432,17 @@ class Optimizer:
             fingerprint = bound[length - 1].fingerprint
             if fingerprint is None:
                 continue
-            kind, entry = store.match(fingerprint, source_uids, content_version)
+            kind, entry = store.match(
+                fingerprint, source_uids, content_version, safe[length - 1]
+            )
             if kind == "exact":
-                delta = []
+                delta, rewrites = [], None
                 break
             if kind == "delta" and safe[length - 1]:
-                delta = source_records[len(entry.source_uids):]
-                break
+                changed = delta_since(entry, source, source_records)
+                if changed is not None:
+                    delta, rewrites = changed
+                    break
         else:
             store.note_miss()
             return
@@ -449,19 +456,20 @@ class Optimizer:
             delta_records=len(delta),
         )
         replaced = bound[length - 1]
+        if delta:
+            bound[0].delta = delta
         if delta and config.shards > 1:
-            # Expanded: the prefix scans only the appended tail, which the
-            # sharding pass scatters like any other input; its own
-            # boundaries now carry delta-only records, so none may capture.
-            replay = P.PhysMaterializedScan(materialized, entry=entry)
+            # Expanded: the sharding pass scatters the delta like any other
+            # input; the prefix's own boundaries now carry delta-only
+            # records, so none may capture.
+            replay = P.PhysMaterializedScan(materialized, entry=entry, rewrites=rewrites)
             replay.exchange = "gather"
-            bound[0].skip = len(entry.source_uids)
             for operator in bound[:length]:
                 operator.fingerprint = None
             bound.insert(length, replay)
         else:
             replay = P.PhysMaterializedScan(
-                materialized, entry=entry, prefix=bound[:length], delta_records=delta
+                materialized, entry=entry, prefix=bound[:length], rewrites=rewrites
             )
             bound[:length] = [replay]
         # The replay boundary keeps the prefix's fingerprint and estimate: a

@@ -404,37 +404,42 @@ class PhysScan(PhysicalOperator):
     implements = L.ScanOp
     exchange = "source"
 
-    #: Leading source records to leave out: an expanded delta replay (see
-    #: :class:`PhysMaterializedScan`) scans only the appended tail.
-    skip = 0
+    #: The records to scan instead of the source: a delta replay's prefix
+    #: (see :class:`PhysMaterializedScan`) scans only what changed.
+    delta: list[DataRecord] | None = None
 
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
         if records:
             raise ExecutionError("scan is a leaf; it takes no input records")
-        return list(self.logical_op.source.iterate())[self.skip :]
+        if self.delta is not None:
+            return list(self.delta)
+        return list(self.logical_op.source.iterate())
 
 
 class PhysMaterializedScan(PhysicalOperator):
-    """Replay a materialized prefix; merge an appended source delta.
+    """Replay a materialized prefix; merge the source's delta into it.
 
-    The stored records come first, as-is (zero LLM cost), and the appended
-    delta's survivors follow.  This matches a full recompute exactly
-    because delta merging is only offered for order-preserving record-local
-    prefixes (``LogicalOperator.incremental_safe``) and
-    appended source records sit at the tail of the scan order.  The
-    optimizer binds it in one of two shapes:
+    The stored records are replayed as-is (zero LLM cost) and the delta —
+    the records appended or rewritten in place since capture — runs
+    through the prefix, its leaf scanning exactly the delta.  With nothing
+    rewritten the delta's survivors follow the stored records; otherwise
+    ``rewrites`` (:class:`~repro.sem.materialize.Rewrites`) drops the stored
+    records descending from a rewritten record and merges the rest with
+    the delta's survivors by the source position of each record's root.
+    This matches a full recompute exactly because delta merging is only
+    offered for order-preserving record-local prefixes
+    (``LogicalOperator.incremental_safe``).  The optimizer binds it in one
+    of two shapes:
 
     - *compact* (every exact hit, and an unsharded delta): a leaf standing
-      in for the whole prefix; ``delta_records`` run through ``prefix`` —
-      the bound operators it replaced, the leaf's scan excluded — right
-      here.  The unsharded engine keeps it because a standing tick is too
-      small to pay for extra cells (``standing_ticks`` ``op_ms_p50`` +19 %
-      when expanded).
+      in for the whole prefix — the bound operators it replaced, in
+      ``prefix`` — which it runs over the delta right here.  The unsharded
+      engine keeps it because a standing tick is too small to pay for
+      extra cells (``standing_ticks`` ``op_ms_p50`` +19 % when expanded).
     - *expanded* (a sharded delta): the prefix stays in the plan ahead of
-      it, its leaf scanning only the appended tail (``skip``), so the
-      sharding pass scatters the delta like any other input and this
-      operator — ``exchange = "gather"`` on the instance — prepends the
-      stored records to whatever arrives.
+      it, so the sharding pass scatters the delta like any other input,
+      and this operator — ``exchange = "gather"`` on the instance — folds
+      whatever arrives into the stored records.
     """
 
     reused = True
@@ -447,27 +452,20 @@ class PhysMaterializedScan(PhysicalOperator):
         logical_op: L.MaterializedScanOp,
         entry,
         prefix=(),
-        delta_records=(),
+        rewrites=None,
     ) -> None:
         super().__init__(logical_op, None)
         self.entry = entry
         self.prefix = list(prefix)
-        self.delta_records = list(delta_records)
+        self.rewrites = rewrites
 
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
-        output = list(self.entry.records)
-        if self.delta_records:
-            delta = list(self.delta_records)
-            leaf, *rest = self.prefix
-            # Raw delta source records must pass through a SqlScan leaf's
-            # pushed structured prefix before the rest of the reused chain
-            # (delta reuse is only offered when every pushed op is
-            # incremental-safe, so these are all per-record ops).
-            for op in [*getattr(leaf, "pushed", ()), *rest]:
-                delta = op.execute(delta, ctx)
-            output.extend(delta)
-        output.extend(records)
-        return output
+        if self.prefix and self.prefix[0].delta:
+            for operator in self.prefix:
+                records = operator.execute(records, ctx)
+        if self.rewrites is None:
+            return [*self.entry.records, *records]
+        return self.rewrites.apply(self.entry.records, records)
 
 
 class PhysRetrieve(PhysicalOperator):
@@ -1025,8 +1023,8 @@ class PhysSqlScan(PhysicalOperator):
     implements = L.SqlScanOp
     exchange = "source"
     pushed_down = True
-    #: As :attr:`PhysScan.skip`; ``scanned`` then counts the tail only.
-    skip = 0
+    #: As :attr:`PhysScan.delta`; ``scanned`` then counts the delta only.
+    delta: list[DataRecord] | None = None
 
     def __init__(self, logical_op: L.SqlScanOp, model: str | None = None) -> None:
         super().__init__(logical_op, model)
@@ -1041,7 +1039,10 @@ class PhysSqlScan(PhysicalOperator):
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
         if records:
             raise ExecutionError("sql scan is a leaf; it takes no input records")
-        current = list(self.logical_op.source.iterate())[self.skip :]
+        if self.delta is not None:
+            current = list(self.delta)
+        else:
+            current = list(self.logical_op.source.iterate())
         self.scanned = len(current)
         for operator in self.pushed:
             current = operator.execute(current, ctx)

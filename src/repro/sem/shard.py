@@ -61,11 +61,12 @@ different records.
 
 Materialization is not this module's business: the optimizer decides
 reuse once, before the sharding pass, and executors never probe the
-store.  An exact hit arrives as a replay leaf (a global segment); an
-appended-source delta arrives *expanded* — the prefix operators still in
-the plan, their leaf scanning only the appended tail, followed by a
-gather-side replay that prepends the stored records — so the tail is
-scattered like any other input, under every partitioner, and the
+store.  An exact hit arrives as a replay leaf (a global segment); a
+delta — the records appended or rewritten in place since capture —
+arrives *expanded*: the prefix operators still in the plan, their leaf
+scanning only the delta, followed by a gather-side replay that folds
+what arrives into the stored records by source position — so the delta
+is scattered like any other input, under every partitioner, and the
 engine's driver loop captures the merged boundary whole.
 
 ``shards=1`` never constructs any of this — the config gates the pass,

@@ -14,7 +14,7 @@ How a tick works:
    :class:`StandingQueryManager`, which accumulates them as *pending* work
    per standing query (updates additionally cascade an invalidation
    through :meth:`~repro.core.context_manager.ContextManager.invalidate`
-   and the source's bumped ``content_version``).
+   to the Contexts derived from the source).
 2. :meth:`StandingQueryManager.pump` evaluates each query's
    :class:`RefreshPolicy` — count / interval / watermark triggers, or the
    freshness-vs-cost *governor* that consults
@@ -22,12 +22,14 @@ How a tick works:
    vs batch more appends".
 3. A due refresh re-runs the plan.  The shared
    :class:`~repro.sem.materialize.MaterializationStore` classifies each
-   fingerprinted prefix as a delta hit, so only the appended records flow
-   through the delta-safe prefix; past unsafe boundaries (group-by, join,
-   top-k, limit) execution falls back to a scoped recompute over the
-   merged record set.  Because simulated answers and derived uids are pure
-   functions of lineage, the tick's result is bit-identical to a
-   from-scratch run.
+   fingerprinted prefix as a delta hit — appends and in-place rewrites
+   alike — so only the appended and rewritten records flow through the
+   delta-safe prefix, merged into the stored records by source position;
+   past unsafe boundaries (group-by, join, top-k, limit) execution falls
+   back to a scoped recompute over the merged record set, and an entry
+   behind such a boundary is evicted on a rewrite.  Because simulated
+   answers and derived uids are pure functions of lineage, the tick's
+   result is bit-identical to a from-scratch run.
 4. The tick emits a **changelog** of result deltas — insert/retract
    entries carrying the affected records (and through them the lineage
    uids) — computed as a minimal sequence diff against the previous view.
@@ -481,8 +483,13 @@ class StandingQueryManager:
             self.stats_store.note_dataset_version(
                 event.source_id, event.version, change=event.kind
             )
-        if event.kind == "update":
-            self._invalidate_for_update(event, watchers)
+        if event.kind == "update" and self.context_manager is not None:
+            # Contexts derived from the source go stale, and take their own
+            # store entries with them.  Entries built on the source itself
+            # stay: the source records the rewrite, so their next probe
+            # patches the rewritten records in (or evicts what cannot
+            # absorb them).
+            self.context_manager.invalidate(event.source_id, kind="update")
         for query in watchers:
             if event.kind == "append":
                 rows = len(event.uids)
@@ -506,25 +513,6 @@ class StandingQueryManager:
             else:
                 query.pending_updates += len(event.uids)
                 self._count(query, "streaming.updates")
-
-    def _invalidate_for_update(self, event: SourceEvent, queries) -> None:
-        """Cascade an in-place update into every reuse layer.
-
-        The bumped ``content_version`` already guarantees the next match
-        classifies stale entries as ``update``; the eager eviction here
-        (through :meth:`ContextManager.invalidate` when wired) keeps the
-        shared stores honest for *other* consumers between pumps.
-        """
-        stores = [self.store] + [
-            query.config.materialization_store for query in queries
-        ]
-        distinct = {id(store): store for store in stores if store is not None}
-        for store in distinct.values():
-            store.invalidate_sources([event.source_id], kind="update")
-        # Context-level cascade after the stores: evicted contexts built on
-        # the source go stale too, and take the catalog's own store with them.
-        if self.context_manager is not None:
-            self.context_manager.invalidate(event.source_id, kind="update")
 
     # -- trigger evaluation ---------------------------------------------
 

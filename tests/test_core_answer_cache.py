@@ -113,10 +113,12 @@ def test_source_update_reaches_the_store_as_an_update_through_the_one_walk(legal
     result = runtime.answer(context, kb.QUERY_RATIO)
     # A sub-plan materialized over the *derived* Context: only the catalog's
     # lineage walk knows it is built on the updated source.
-    runtime.materialization_store.put(
-        "fp", [], (), result.output_context.name, cost_usd=0.0, time_s=0.0
-    )
+    store = runtime.materialization_store
+    store.put("fp", [], (), result.output_context.name, cost_usd=0.0, time_s=0.0)
     source = context.source()
+    # One over the base itself: the source records the rewrite, so the
+    # store's next probe patches it and the walk leaves it alone.
+    store.put("fp-base", [], source.uids(), source.source_id, cost_usd=0.0, time_s=0.0)
     runtime.standing().register(
         "watch",
         Dataset.from_source(source),
@@ -124,7 +126,39 @@ def test_source_update_reaches_the_store_as_an_update_through_the_one_walk(legal
         prime=False,
     )
     source.update(source.uids()[0], {"note": "amended"})
-    assert len(runtime.materialization_store) == 0
-    assert runtime.materialization_store.stats()["update_invalidations"] == 1
+    assert store.get("fp") is None
+    assert store.get("fp-base") is not None
+    assert store.stats()["update_invalidations"] == 1
     assert runtime.metrics.snapshot()["counters"]["answers.evictions"] == 1
     assert not runtime.answer(context, kb.QUERY_RATIO).reused
+
+
+def test_runtime_standing_query_patches_on_update_while_derived_entries_go(legal_bundle):
+    runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=55)
+    context = runtime.make_context(legal_bundle)
+    result = runtime.answer(context, kb.QUERY_RATIO)
+    derived = result.output_context.name
+    store = runtime.materialization_store
+    store.put("fp-derived", [], (), derived, cost_usd=0.0, time_s=0.0)
+    source = context.source()
+    manager = runtime.standing()
+    plan = Dataset.from_source(source).sem_filter(kb.FILTER_MENTIONS)
+    # Unoptimized, so every tick binds the same model and fingerprints.
+    query = manager.register(
+        "watch", plan, runtime.program_config("watch", optimize=False)
+    )
+    victim = source.records()[0]
+    source.update(victim.uid, {"contents": victim["contents"] + " Amended."})
+    # The derived Context's entry went with its answer; the query's didn't.
+    assert store.get("fp-derived") is None
+    assert store.stats()["update_invalidations"] == 1
+    assert runtime.context_manager.stats()["answers"]["evictions"] == 1
+    (tick,) = manager.pump()
+    assert (tick.fired, tick.reuse_kind, tick.delta_records) == ("update", "delta", 1)
+    assert store.stats()["update_invalidations"] == 1
+    fresh = AnalyticsRuntime.for_bundle(legal_bundle, seed=55)
+    scratch = plan.run(fresh.program_config("scratch", optimize=False)).records
+    assert [(r.uid, r.fields) for r in query.records] == [
+        (r.uid, r.fields) for r in scratch
+    ]
+    assert [r.uid for r in query.folded()] == [r.uid for r in query.records]

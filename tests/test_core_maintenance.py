@@ -61,11 +61,17 @@ def test_invalidate_cascades_to_materialization_store():
         )
 
     assert manager.invalidate(base, kind="update") == 1
-    assert store.get("fp-lake") is None
+    # The base's own prefix stays: the source records an in-place rewrite,
+    # and the store's next probe patches the entry instead.
+    assert store.get("fp-lake") is not None
     assert store.get("fp-view-1") is None
     assert store.get("fp-other") is not None
     # The cause rides the one walk into the store's provenance counters.
-    assert store.update_invalidations == 2
+    assert store.update_invalidations == 1
+    # Any other change to the base's records leaves nothing to patch from.
+    manager.invalidate(base)
+    assert store.get("fp-lake") is None
+    assert store.update_invalidations == 1
 
 
 def test_invalidate_by_name_cascades_without_cached_entries():

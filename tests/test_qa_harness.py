@@ -228,7 +228,7 @@ def test_check_budget_flags_overshoot_beyond_the_saga_allowance():
 def test_mutation_registry_and_lookup():
     assert set(MUTATIONS) == {
         "drop-budget-check", "scramble-cell-order", "filter-drops-kept",
-        "replay-after-delta",
+        "replay-after-delta", "patch-keeps-stale",
     }
     assert mutation_by_name("drop-budget-check").expected_oracle == "budget-cap"
     with pytest.raises(ValueError):
@@ -287,6 +287,17 @@ def test_replay_order_bug_is_killed_in_both_standing_shapes():
     assert evaluate(run_case(case)) == []
 
 
+def test_stale_patch_is_killed_in_both_standing_shapes():
+    # The streaming class rewrites a base record in place with its own
+    # fields: the reference is unchanged, but the tick after it must patch,
+    # and a patch that keeps the stale outputs doubles the record.
+    mutation = mutation_by_name("patch-keeps-stale")
+    case = PlanFuzzer(seed=0).case(0)
+    violations = evaluate(run_case(case, mutation=mutation))
+    assert {v.oracle for v in violations} == {"streaming-equivalence"}
+    assert set(mutation.killed_in_specs) <= {v.spec for v in violations}
+
+
 def test_streaming_oracle_flags_a_silent_full_recompute():
     # Records cannot show a standing query that quietly recomputes every
     # tick; the delta-tick count can.
@@ -304,6 +315,9 @@ def test_streaming_oracle_flags_a_silent_full_recompute():
     assert violation.oracle == "streaming-equivalence"
     assert "no delta tick" in violation.message
     assert check_streaming_equivalence(observed(3, owed=True)) == []
+    # The rewrite's tick owes a delta too: one recompute of three is a bug.
+    (violation,) = check_streaming_equivalence(observed(2, owed=True))
+    assert "1 of 3" in violation.message
     # A plan past an unsafe boundary (group-by, limit) legally recomputes.
     assert check_streaming_equivalence(observed(0, owed=False)) == []
 

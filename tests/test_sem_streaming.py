@@ -611,8 +611,11 @@ def test_update_event_invalidates_and_converges(qa_bundle):
     # Updates force the refresh regardless of the count trigger...
     assert tick.fired == "update"
     assert tick.pending_updates == 1
-    # ...the eager cascade recorded update provenance on the store...
-    assert store.stats()["update_invalidations"] >= 1
+    # ...the rewritten record alone re-ran through the replayed prefix: its
+    # stored outputs were invalidated, nothing was evicted...
+    assert (tick.reuse_kind, tick.reused_prefix, tick.delta_records) == ("delta", 3, 1)
+    assert store.stats()["update_invalidations"] == 0
+    assert store.stats()["delta_records"] == 1
     # ...and the rewritten record's judgments were re-derived, not reused.
     assert _normalized(query.records) == _normalized(
         _full_run_current(qa_bundle, source)
