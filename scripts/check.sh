@@ -119,7 +119,7 @@ fi
 echo "all BENCH_*.json artifacts under benchmarks/results/"
 
 echo
-echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= / answer_cache_size= config keyword; no optimize= / replan= / shards= / partitioner= on serving; no clock= / tracer= / metrics= on StandingQueryManager; no threshold= on the catalog; no similarity_floor= / max_candidates_per_left= / reset_stats= anywhere) =="
+echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= / answer_cache_size= config keyword; no optimize= / replan= / shards= / partitioner= on serving; no clock= / tracer= / metrics= on StandingQueryManager; no interval/watermark/governor knob on RefreshPolicy, event_time_s= on append/update or now_s= on pump/pump_standing; no use_cache= on SimulatedLLM; no threshold= on the catalog; no similarity_floor= / max_candidates_per_left= / reset_stats= anywhere) =="
 python - <<'PY'
 import ast
 import pathlib
@@ -142,6 +142,13 @@ RETIRED = {
     **dict.fromkeys(SERVING, {"optimize", "replan", "shards", "partitioner"}),
     # A standing query's clock, tracer and metrics are its config's LLM's.
     "StandingQueryManager": {"clock", "tracer", "metrics"},
+    # A standing query refreshes on a count: no clock, event-time or
+    # spend-estimate trigger, so nothing carries their knobs.
+    "RefreshPolicy": {"interval_s", "lateness_s", "min_batch_usd", "max_staleness_s"},
+    **dict.fromkeys(("append", "update"), {"event_time_s"}),
+    **dict.fromkeys(("pump", "pump_standing"), {"now_s"}),
+    # The generation cache is always on.
+    "SimulatedLLM": {"use_cache"},
     "ContextManager": {"threshold"},
     "find_similar": {"threshold"},
 }
@@ -168,11 +175,18 @@ if offenders:
     print("retired options: execution mechanics are derived (a baseline mode "
           "belongs in repro.qa.reference), a query option is declared "
           "once, on QueryProcessorConfig, a standing query runs on its "
-          "config's substrate, and floors and bounds are class constants:")
+          "config's substrate and refreshes on a count, and floors and "
+          "bounds are class constants:")
     print("\n".join(offenders))
     sys.exit(1)
 print(f"{len(files)} files: no retired keyword on a config, serving or standing constructor")
 PY
+retired_names='governor|watermark|lateness|event_time|max_staleness|min_batch_usd|now_s|last_refresh_s|use_cache|compile_operator|LogicalAgentOp|CompiledAgentOp|cheapest_model'
+if grep -rnE "$retired_names" src/; then
+    echo "retired triggers, the event-time/staleness/prior-pricing state only they read, the cache switch and the agent-op IR are back under src/ (the policy declares agent_model())"
+    exit 1
+fi
+echo "no retired trigger, cache switch or agent-op name under src/"
 
 echo
 echo "== composition guard (replan arms under shards and behind replays: no exclusion cause under src/) =="
@@ -260,7 +274,7 @@ print(f"{len(files)} files: store probes only in the optimizer, writes only in E
 PY
 
 echo
-echo "== one-estimator guard (believe() is the only reader of learned priors under sem/, the sampler runs bound operators and names none) =="
+echo "== one-estimator guard (believe() is the only reader of learned priors under sem/, the sampler asks bound operators for sample_answer and names no operator kind) =="
 python - <<'PY'
 import ast
 import pathlib
@@ -279,9 +293,16 @@ for path in files:
             offenders.append(f"{path}:{node.lineno}: usable_prior(...) outside believe()")
         if callee == "isinstance" and path.as_posix() == SAMPLER:
             offenders.append(f"{path}:{node.lineno}: isinstance(...) in the sampler")
+    if path.as_posix() == SAMPLER:
+        offenders += [
+            f"{path}:{node.lineno}: .{node.attr} in the sampler"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("streamable", "classify_partition")
+        ]
 if offenders:
     print("one belief rule (cost_model.believe) and one sampling path "
-          "(the bound operator's own per-record entry point):")
+          "(the bound operator's own sample_answer):")
     print("\n".join(offenders))
     sys.exit(1)
 print(f"{len(files)} files: priors read only in believe(), no per-operator dispatch in the sampler")

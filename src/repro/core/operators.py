@@ -1,10 +1,10 @@
 """The ``search`` and ``compute`` semantic operators (paper Section 2.3).
 
 Both are *logical* operators over a Context, physically implemented with a
-CodeAgent that holds the optimized-semantic-program tool.  The logical /
-physical split is explicit: :func:`compile_operator` performs the physical
-decision the paper describes (which model drives the operator's agent),
-then the physical operator runs the agent episode.
+CodeAgent that holds the optimized-semantic-program tool.  The physical
+decision the paper describes — which model drives the operator's agent —
+is the optimization policy's
+(:meth:`~repro.sem.optimizer.policies.OptimizationPolicy.agent_model`).
 
 Semantics (paper §2.3):
 
@@ -29,31 +29,11 @@ from repro.core.agent_policies import ComputeAgentPolicy, SearchAgentPolicy
 from repro.core.context import Context
 from repro.core.program_tool import build_context_tools
 from repro.data.records import DataRecord
-from repro.sem.config import DEFAULT_FALLBACK_MODEL
-from repro.sem.optimizer.policies import MinCost
 from repro.utils.seeding import derive_seed
 from repro.utils.text import snippet
 
 if TYPE_CHECKING:
     from repro.core.runtime import AnalyticsRuntime
-
-
-@dataclass(frozen=True)
-class LogicalAgentOp:
-    """Logical description of a compute/search operator invocation."""
-
-    kind: str  # "compute" | "search"
-    instruction: str
-    context_name: str
-
-
-@dataclass
-class CompiledAgentOp:
-    """Physical decision for one agent operator: which model plans it."""
-
-    logical: LogicalAgentOp
-    agent_model: str
-    max_steps: int
 
 
 @dataclass
@@ -84,39 +64,24 @@ class SearchResult:
     time_s: float = 0.0
 
 
-def compile_operator(
-    logical: LogicalAgentOp, runtime: "AnalyticsRuntime", max_steps: int
-) -> CompiledAgentOp:
-    """Choose the physical agent model for a logical compute/search op.
-
-    This is the paper's §3 physical optimization hook: under a MinCost
-    policy the agent itself runs on the cheapest tier; otherwise agents
-    plan with the champion model (their per-step cost is small relative to
-    the programs they launch).
-    """
-    model = DEFAULT_FALLBACK_MODEL
-    if isinstance(runtime.config.policy, MinCost):
-        model = runtime.cheapest_model()
-    return CompiledAgentOp(logical=logical, agent_model=model, max_steps=max_steps)
-
-
-def _run_agent_op(
-    compiled: CompiledAgentOp,
+def _run_agent(
+    kind: str,
+    instruction: str,
     context: Context,
     runtime: "AnalyticsRuntime",
     policy: AgentPolicy,
+    max_steps: int,
 ) -> AgentResult:
-    tools = build_context_tools(context, runtime)
     agent = CodeAgent(
         llm=runtime.llm,
-        tools=tools,
+        tools=build_context_tools(context, runtime),
         policy=policy,
-        model=compiled.agent_model,
-        max_steps=compiled.max_steps,
-        name=compiled.logical.kind,
-        seed=derive_seed(runtime.seed, compiled.logical.kind, compiled.logical.instruction),
+        model=runtime.config.policy.agent_model(),
+        max_steps=max_steps,
+        name=kind,
+        seed=derive_seed(runtime.seed, kind, instruction),
     )
-    return agent.run(compiled.logical.instruction, context_note=context.desc)
+    return agent.run(instruction, context_note=context.desc)
 
 
 def _seed_context(
@@ -142,9 +107,9 @@ def compute(
 ) -> ComputeResult:
     """Execute a compute operator: agent + optimized semantic programs."""
     context, seed_note = _seed_context(context, instruction, runtime)
-    logical = LogicalAgentOp("compute", instruction, context.name)
-    compiled = compile_operator(logical, runtime, max_steps)
-    agent_result = _run_agent_op(compiled, context, runtime, policy or ComputeAgentPolicy())
+    agent_result = _run_agent(
+        "compute", instruction, context, runtime, policy or ComputeAgentPolicy(), max_steps
+    )
 
     answer = agent_result.answer
     output_records = _records_from_answer(answer, context)
@@ -175,9 +140,9 @@ def search(
 ) -> SearchResult:
     """Execute a search operator: enrich the Context's description."""
     context, seed_note = _seed_context(context, instruction, runtime)
-    logical = LogicalAgentOp("search", instruction, context.name)
-    compiled = compile_operator(logical, runtime, max_steps)
-    agent_result = _run_agent_op(compiled, context, runtime, policy or SearchAgentPolicy())
+    agent_result = _run_agent(
+        "search", instruction, context, runtime, policy or SearchAgentPolicy(), max_steps
+    )
 
     findings = agent_result.answer if isinstance(agent_result.answer, dict) else {}
     relevant_keys = findings.get("relevant_items") or []

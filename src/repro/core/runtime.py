@@ -27,7 +27,6 @@ from repro.data.datasets.base import DatasetBundle
 from repro.data.records import DataRecord
 from repro.data.schemas import Schema
 from repro.llm.faults import FaultConfig, FaultInjector, RetryPolicy
-from repro.llm.models import completion_models_by_cost
 from repro.llm.oracle import IntentRegistry, SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.usage import Usage
@@ -179,9 +178,6 @@ class AnalyticsRuntime:
         """The runtime's template under ``tag``, with ``overrides`` applied."""
         return dataclasses.replace(self.config, tag=tag, **overrides)
 
-    def cheapest_model(self) -> str:
-        return completion_models_by_cost()[0].name
-
     # ------------------------------------------------------------------
     # SQL materialization
     # ------------------------------------------------------------------
@@ -268,7 +264,7 @@ class AnalyticsRuntime:
         Standing queries registered through it (on :meth:`program_config`
         derivations, whose LLM is this runtime's) share this runtime's
         materialization store (delta reuse across ticks), statistics store
-        (governor estimates + version-aware prior decay), and context
+        (version-aware prior decay), and context
         manager (update-event invalidation cascade, which also evicts cached
         :meth:`answer` results).
         """

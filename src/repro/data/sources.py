@@ -34,12 +34,7 @@ from repro.errors import DataSourceError
 
 @dataclass(frozen=True)
 class SourceEvent:
-    """One published mutation of a :class:`DataSource`.
-
-    ``event_time_s`` is the *event time* the producer stamped on the
-    change (watermark triggers compare it against allowed lateness); None
-    means unstamped, which downstream triggers treat as immediately ripe.
-    """
+    """One published mutation of a :class:`DataSource`."""
 
     kind: str  # "append" | "update"
     source_id: str
@@ -48,7 +43,6 @@ class SourceEvent:
     version: int
     #: Update-generation after this event (bumped by updates only).
     content_version: int
-    event_time_s: float | None = None
 
 
 class DataSource(abc.ABC):
@@ -130,11 +124,7 @@ class MemorySource(DataSource):
 
     # -- mutations (the standing-query change feed) ---------------------
 
-    def append(
-        self,
-        records: Iterable[DataRecord],
-        event_time_s: float | None = None,
-    ) -> SourceEvent:
+    def append(self, records: Iterable[DataRecord]) -> SourceEvent:
         """Append records at the end of the source and publish the event.
 
         Append-only growth preserves the existing uid prefix, so
@@ -155,16 +145,10 @@ class MemorySource(DataSource):
                 uids=uids,
                 version=self.version,
                 content_version=self.content_version,
-                event_time_s=event_time_s,
             )
         )
 
-    def update(
-        self,
-        uid: str,
-        fields: dict,
-        event_time_s: float | None = None,
-    ) -> SourceEvent:
+    def update(self, uid: str, fields: dict) -> SourceEvent:
         """Replace an existing record's fields and publish the event.
 
         Copy-on-write: the slot gets a new :class:`DataRecord` (same uid,
@@ -200,7 +184,6 @@ class MemorySource(DataSource):
                 uids=(uid,),
                 version=self.version,
                 content_version=self.content_version,
-                event_time_s=event_time_s,
             )
         )
 

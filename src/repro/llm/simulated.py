@@ -136,7 +136,6 @@ class SimulatedLLM:
         cache: GenerationCache | None = None,
         embedding_model: EmbeddingModel | None = None,
         seed: int = 0,
-        use_cache: bool = True,
         faults: FaultInjector | None = None,
         retry: RetryPolicy | None = None,
         tracer: "Tracer | NoopTracer | None" = None,
@@ -148,7 +147,6 @@ class SimulatedLLM:
         self.cache = cache or GenerationCache()
         self.embedding_model = embedding_model or EmbeddingModel()
         self.seed = seed
-        self.use_cache = use_cache
         self.faults = faults
         self.retry = retry or RetryPolicy()
         # Observability: adopt the process defaults (no-op singletons unless
@@ -539,12 +537,11 @@ class SimulatedLLM:
         call = self._prepared("filter", instruction, model)
         card = call.card
         cache_key = call.key.digest(record.uid)
-        if self.use_cache:
-            hit, value = self.cache.get(cache_key)
-            if hit:
-                event = self._charge(card, 0, 0, tag, cached=True)
-                answer, resolved, intent_key = value
-                return FilterJudgment(answer, resolved, intent_key, event)
+        hit, value = self.cache.get(cache_key)
+        if hit:
+            event = self._charge(card, 0, 0, tag, cached=True)
+            answer, resolved, intent_key = value
+            return FilterJudgment(answer, resolved, intent_key, event)
 
         judgment = self.oracle.judge_filter(instruction, record)
         noise_key = judgment.intent_key or call.normalized
@@ -553,8 +550,7 @@ class SimulatedLLM:
 
         input_tokens = self._prompt_tokens(call.instruction_tokens, record)
         event = self._charge(card, input_tokens, JUDGMENT_OUTPUT_TOKENS, tag)
-        if self.use_cache:
-            self.cache.put(cache_key, (answer, judgment.resolved, judgment.intent_key))
+        self.cache.put(cache_key, (answer, judgment.resolved, judgment.intent_key))
         return FilterJudgment(answer, judgment.resolved, judgment.intent_key, event)
 
     def judge_join(
@@ -569,12 +565,11 @@ class SimulatedLLM:
         call = self._prepared("join", instruction, model)
         card = call.card
         cache_key = call.key.digest(left.uid, right.uid)
-        if self.use_cache:
-            hit, value = self.cache.get(cache_key)
-            if hit:
-                event = self._charge(card, 0, 0, tag, cached=True)
-                answer, resolved, intent_key = value
-                return FilterJudgment(answer, resolved, intent_key, event)
+        hit, value = self.cache.get(cache_key)
+        if hit:
+            event = self._charge(card, 0, 0, tag, cached=True)
+            answer, resolved, intent_key = value
+            return FilterJudgment(answer, resolved, intent_key, event)
 
         judgment = self.oracle.judge_join(instruction, left, right)
         noise_key = judgment.intent_key or call.normalized
@@ -590,8 +585,7 @@ class SimulatedLLM:
             + approx_token_count(right.as_text())
         )
         event = self._charge(card, input_tokens, JUDGMENT_OUTPUT_TOKENS, tag)
-        if self.use_cache:
-            self.cache.put(cache_key, (answer, judgment.resolved, judgment.intent_key))
+        self.cache.put(cache_key, (answer, judgment.resolved, judgment.intent_key))
         return FilterJudgment(answer, judgment.resolved, judgment.intent_key, event)
 
     def extract(
@@ -605,12 +599,11 @@ class SimulatedLLM:
         call = self._prepared("extract", instruction, model)
         card = call.card
         cache_key = call.key.digest(record.uid)
-        if self.use_cache:
-            hit, value = self.cache.get(cache_key)
-            if hit:
-                event = self._charge(card, 0, 0, tag, cached=True)
-                extracted, resolved, intent_key = value
-                return ExtractionResult(extracted, resolved, intent_key, event)
+        hit, value = self.cache.get(cache_key)
+        if hit:
+            event = self._charge(card, 0, 0, tag, cached=True)
+            extracted, resolved, intent_key = value
+            return ExtractionResult(extracted, resolved, intent_key, event)
 
         judgment = self.oracle.extract_value(instruction, record)
         value = judgment.truth
@@ -623,8 +616,7 @@ class SimulatedLLM:
         input_tokens = self._prompt_tokens(call.instruction_tokens, record)
         output_tokens = max(8, approx_token_count(str(value)))
         event = self._charge(card, input_tokens, output_tokens, tag)
-        if self.use_cache:
-            self.cache.put(cache_key, (value, judgment.resolved, judgment.intent_key))
+        self.cache.put(cache_key, (value, judgment.resolved, judgment.intent_key))
         return ExtractionResult(value, judgment.resolved, judgment.intent_key, event)
 
     def classify(
@@ -689,15 +681,13 @@ class SimulatedLLM:
         call = self._prepared("embed", None, EMBEDDING_MODEL)
         card = call.card
         cache_key = call.key.digest(text)
-        if self.use_cache:
-            hit, value = self.cache.get(cache_key)
-            if hit:
-                self._charge(card, 0, 0, tag, cached=True)
-                return value
+        hit, value = self.cache.get(cache_key)
+        if hit:
+            self._charge(card, 0, 0, tag, cached=True)
+            return value
         vector = self.embedding_model.embed(text)
         self._charge(card, approx_token_count(text), 0, tag)
-        if self.use_cache:
-            self.cache.put(cache_key, vector)
+        self.cache.put(cache_key, vector)
         return vector
 
     def embed_batch(
@@ -727,14 +717,12 @@ class SimulatedLLM:
         for text in texts:
             if text in vectors or text in misses:
                 continue
-            cache_key = ""
-            if self.use_cache:
-                cache_key = call.key.digest(text)
-                hit, value = self.cache.get(cache_key)
-                if hit:
-                    self._charge(card, 0, 0, tag, cached=True)
-                    vectors[text] = value
-                    continue
+            cache_key = call.key.digest(text)
+            hit, value = self.cache.get(cache_key)
+            if hit:
+                self._charge(card, 0, 0, tag, cached=True)
+                vectors[text] = value
+                continue
             misses[text] = cache_key
         pending = list(misses)
         for start in range(0, len(pending), batch_size):
@@ -743,8 +731,7 @@ class SimulatedLLM:
             for text in chunk:
                 vector = self.embedding_model.embed(text)
                 vectors[text] = vector
-                if self.use_cache:
-                    self.cache.put(misses[text], vector)
+                self.cache.put(misses[text], vector)
         return [vectors[text] for text in texts]
 
     # ------------------------------------------------------------------

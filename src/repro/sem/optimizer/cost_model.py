@@ -5,8 +5,8 @@ selectivity, cost, latency — and where they came from.  :func:`believe`
 is the only rule that resolves them (a usable learned prior, else what the
 operator already carries from sampling, else the static formula) and
 :func:`estimate_chain_steps` the only loop that prices a chain with them;
-the optimizer's binder, the mid-query re-planner, the standing-query
-governor and EXPLAIN all read the same record.
+the optimizer's binder and the mid-query re-planner are the only callers
+of both, and EXPLAIN reads the record they leave on each operator.
 
 The loop chains per-operator estimates — each operator class declares its
 own rule (``charges`` and ``rows_out`` in :mod:`repro.sem.logical`): a
@@ -115,9 +115,9 @@ def estimate_chain_steps(
 
     ``beliefs[i]`` is what to believe about ``operators[i]`` — passed
     beside the operators, not read off them, so a caller can price a
-    hypothetical (the re-planner's candidate order, the governor's pending
-    delta) without touching the plan.  Returns the plan total and the
-    per-operator steps: ``steps[i].cardinality`` is the estimated *output*
+    hypothetical (the re-planner's candidate order) without touching the
+    plan.  Returns the plan total and the per-operator steps:
+    ``steps[i].cardinality`` is the estimated *output*
     cardinality of ``operators[i]`` — what EXPLAIN's drift column and the
     mid-query re-planner compare against observed row counts.
 

@@ -3,13 +3,16 @@
 A policy picks the physical model for an operator given sampled profiles.
 Quality is measured as *agreement with the champion model* on the sample —
 the same reference-model trick LOTUS uses — because ground truth is not
-available to the optimizer.
+available to the optimizer.  It also picks the model the ``compute`` and
+``search`` agents plan with (the paper's §3 physical optimization).
 """
 
 from __future__ import annotations
 
 import abc
 from typing import TYPE_CHECKING
+
+from repro.llm.models import DEFAULT_MODEL, completion_models_by_cost
 
 if TYPE_CHECKING:
     from repro.sem.optimizer.sampler import OperatorProfile
@@ -25,6 +28,11 @@ class OptimizationPolicy(abc.ABC):
         self, profiles: dict[str, "OperatorProfile"], champion: str
     ) -> str:
         """Return the model to use; ``profiles`` maps model name to profile."""
+
+    def agent_model(self) -> str:
+        """The model a ``compute``/``search`` agent plans with: the champion,
+        whose per-step cost is small beside the programs the agent launches."""
+        return DEFAULT_MODEL
 
 
 class MaxQuality(OptimizationPolicy):
@@ -65,6 +73,10 @@ class MinCost(_CheapestAboveFloor):
 
     name = "min-cost"
     default_floor = 0.5
+
+    def agent_model(self) -> str:
+        """The cheapest completion model: the agent itself runs on the lowest tier."""
+        return completion_models_by_cost()[0].name
 
 
 class Balanced(_CheapestAboveFloor):

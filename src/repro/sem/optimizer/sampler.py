@@ -3,9 +3,10 @@
 For each semantic operator the optimizer must estimate, per candidate
 model: quality (agreement with the champion), selectivity, and per-record
 cost/latency.  A sample *is* the operator, run on the sample: the sampler
-is handed a binder (model -> bound physical operator) and calls that
-operator's own per-record entry point on a small sample of input records
-through the real LLM client, so no operator body is re-implemented here.
+is handed a binder (model -> bound physical operator) and asks that
+operator's own ``sample_answer`` for each record of a small sample through
+the real LLM client, so no operator body is re-implemented here and no
+operator kind is named.
 Sampling costs real (simulated) dollars, exactly as in Palimpzest/Abacus,
 and thanks to the generation cache the sampled judgments are free to reuse
 at execution time.
@@ -88,7 +89,7 @@ class Sampler:
             models = [champion] + list(models)
         first, rest = sample[:FIRST_ROUND], sample[FIRST_ROUND:]
 
-        ask = {model: _entry_point(bind(model), ctx) for model in models}
+        bound = {model: bind(model) for model in models}
         answers: dict = {model: [] for model in models}
         costs: dict = {model: 0.0 for model in models}
         latencies: dict = {model: 0.0 for model in models}
@@ -96,11 +97,11 @@ class Sampler:
 
         def run_round(round_models: list, records: list[DataRecord]) -> None:
             for model in round_models:
-                ask_model, model_answers = ask[model], answers[model]
+                operator, model_answers = bound[model], answers[model]
                 for record in records:
                     checkpoint = len(events)
                     try:
-                        answer = ask_model(record)
+                        answer = operator.sample_answer(record, ctx)
                     except TransientLLMError:
                         # A sample lost to faults counts as disagreement; the
                         # optimizer must keep profiling, not crash.
@@ -152,21 +153,6 @@ class Sampler:
                 sample_size=n_seen,
             )
         return profiles
-
-
-def _entry_point(
-    operator: PhysicalOperator, ctx: ExecutionContext
-) -> Callable[[DataRecord], list]:
-    """``operator``'s own per-record entry point: record -> what it emits.
-
-    A streamable operator answers with the fields of the records
-    ``process_record`` emits; the group-by, which is not streamable, with
-    the label ``classify_partition`` gives a partition of one.
-    """
-    if not operator.streamable:
-        return lambda record: operator.classify_partition([record], ctx)
-    process, state = operator.process_record, operator.new_state(ctx)
-    return lambda record: [out.fields for out in process(record, ctx, state)]
 
 
 def _agreement(answers: list, reference: list) -> float:

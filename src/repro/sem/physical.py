@@ -283,6 +283,12 @@ class PhysicalOperator(abc.ABC):
         suffix = f" [{self.model}]" if self.model else ""
         return self.logical_op.label() + suffix
 
+    def sample_answer(self, record: DataRecord, ctx: ExecutionContext) -> list:
+        """This operator's answer for one record, as the optimizer's sampler
+        compares it across models.  Streamable operators answer; a profiled
+        operator that is not streamable overrides this."""
+        raise ExecutionError(f"{self.label()} has no per-record answer to sample")
+
 
 class StreamingOperator(PhysicalOperator):
     """Batch-at-a-time operator the engine can fuse into pipelined sections.
@@ -299,6 +305,12 @@ class StreamingOperator(PhysicalOperator):
         state = self.new_state(ctx)
         output = self.process_batch(RecordBatch(records), ctx, state)
         return output.records + self.finalize(ctx, state)
+
+    def sample_answer(self, record: DataRecord, ctx: ExecutionContext) -> list:
+        """The fields of the records :meth:`process_record` emits from a
+        fresh state."""
+        emitted = self.process_record(record, ctx, self.new_state(ctx))
+        return [out.fields for out in emitted]
 
     def new_state(self, ctx: ExecutionContext) -> dict:
         """Fresh per-execution mutable state."""
@@ -595,6 +607,10 @@ class PhysSemGroupBy(PhysicalOperator):
                 )
                 labels.append(None if result is None else str(result.value))
         return labels
+
+    def sample_answer(self, record: DataRecord, ctx: ExecutionContext) -> list:
+        """The label :meth:`classify_partition` gives a partition of one."""
+        return self.classify_partition([record], ctx)
 
     def build_groups(
         self, members: dict[str, list[DataRecord]], ctx: ExecutionContext

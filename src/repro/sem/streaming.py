@@ -15,12 +15,10 @@ How a tick works:
    per standing query (updates additionally cascade an invalidation
    through :meth:`~repro.core.context_manager.ContextManager.invalidate`
    to the Contexts derived from the source).
-2. :meth:`StandingQueryManager.pump` evaluates each query's
-   :class:`RefreshPolicy` — count / interval / watermark triggers, or the
-   freshness-vs-cost *governor* that consults
-   :class:`~repro.obs.stats.StatisticsStore` priors to decide "refresh now
-   vs batch more appends".
-3. A due refresh re-runs the plan.  The shared
+2. :meth:`StandingQueryManager.pump` refreshes each query that has an
+   update pending, or at least its :class:`RefreshPolicy`'s ``count``
+   appended records; :meth:`StandingQueryManager.refresh` forces one.
+3. A refresh re-runs the plan.  The shared
    :class:`~repro.sem.materialize.MaterializationStore` classifies each
    fingerprinted prefix as a delta hit — appends and in-place rewrites
    alike — so only the appended and rewritten records flow through the
@@ -36,8 +34,10 @@ How a tick works:
    :func:`fold_changelog` replays a changelog onto any prior state and
    reproduces the current view exactly.
 
-Empty-delta ticks are zero-cost no-ops: a trigger that fires with nothing
+Empty-delta ticks are zero-cost no-ops: a forced refresh with nothing
 pending records a skipped tick without touching the engine or the clock.
+A refresh the serving layer's admission control rejects is a deferred
+tick: the pending work stays queued for the next pump.
 
 Observability: ``standing-query`` (registration), ``standing-tick`` (one
 refresh) and ``changelog`` (the emitted deltas) span kinds, plus
@@ -55,13 +55,10 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.data.records import DataRecord
 from repro.data.sources import DataSource, SourceEvent
 from repro.errors import QuotaExceededError, StreamingError
-from repro.sem.optimizer.cost_model import believe, estimate_chain_steps
 
 if TYPE_CHECKING:
     from repro.sem.config import QueryProcessorConfig
     from repro.sem.dataset import Dataset
-
-_TRIGGERS = ("count", "interval", "watermark", "governor")
 
 #: How a refresh executes: ``(query, tag) -> (result, report)``, the
 #: :class:`~repro.sem.execution.ExecutionResult` and its optimizer report.
@@ -75,47 +72,23 @@ RefreshRunner = Callable[["StandingQuery", str], tuple]
 class RefreshPolicy:
     """When a standing query's pending events justify a refresh.
 
-    - ``count`` — refresh once ``count`` appended records are pending.
-    - ``interval`` — refresh every ``interval_s`` virtual seconds (fires
-      even with an empty delta; the tick is then a zero-cost no-op).
-    - ``watermark`` — refresh when a pending event's event time falls at
-      or below the watermark (max event time seen minus ``lateness_s``).
-      Events arriving already below the watermark are *late*: counted,
-      immediately ripe, never regressing the watermark.
-    - ``governor`` — the freshness-vs-cost budget governor: estimate the
-      pending delta's refresh cost from learned priors and batch more
-      appends until it clears ``min_batch_usd`` (amortizing per-refresh
-      overhead), unless ``max_staleness_s`` forces the issue first.
-
-    Update events always force a refresh at the next pump regardless of
-    the trigger — an in-place rewrite makes the standing view stale in a
-    way batching cannot excuse.
+    The query refreshes once ``count`` appended records are pending.  An
+    update event forces the next pump's refresh regardless — an in-place
+    rewrite makes the standing view stale in a way batching cannot excuse.
+    ``trigger`` names that rule; ``"count"`` is its only legal value.
     """
 
     trigger: str = "count"
     count: int = 1
-    interval_s: float = 60.0
-    lateness_s: float = 0.0
-    #: Governor: defer until the estimated refresh spend reaches this.
-    min_batch_usd: float = 0.0
-    #: Governor: refresh regardless once the view is this stale (None =
-    #: batch indefinitely while the estimate stays under the floor).
-    max_staleness_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.trigger not in _TRIGGERS:
+        if self.trigger != "count":
             raise StreamingError(
                 f"unknown refresh trigger {self.trigger!r}; "
-                f"expected one of {_TRIGGERS}"
+                "the only trigger is 'count'"
             )
         if self.count < 1:
             raise StreamingError(f"count must be >= 1, got {self.count}")
-        if self.interval_s < 0 or self.lateness_s < 0 or self.min_batch_usd < 0:
-            raise StreamingError("policy intervals and budgets must be >= 0")
-        if self.max_staleness_s is not None and self.max_staleness_s < 0:
-            raise StreamingError(
-                f"max_staleness_s must be >= 0, got {self.max_staleness_s}"
-            )
 
 
 @dataclass(frozen=True)
@@ -145,25 +118,23 @@ class ChangeEntry:
 
 @dataclass
 class TickResult:
-    """What one evaluated trigger firing produced."""
+    """What one refresh produced."""
 
     name: str
     tick: int
-    #: What fired: register|count|interval|watermark|governor|staleness|
-    #: update|forced (deferred quota rejections keep their firing cause).
+    #: What fired: register|count|update|forced (deferred quota rejections
+    #: keep their firing cause).
     fired: str
+    #: The query's clock when the refresh started.
     at_s: float
-    #: Empty-delta no-op: the trigger fired but nothing was pending, so no
-    #: execution happened (zero cost, zero clock).
+    #: Empty-delta no-op: the refresh was forced with nothing pending, so
+    #: no execution happened (zero cost, zero clock).
     skipped: bool = False
     #: Admission control rejected the refresh; pending events are retained
     #: and the next pump retries.
     deferred: bool = False
     pending_appends: int = 0
     pending_updates: int = 0
-    #: Governor's prior-based spend estimate for this refresh (None = no
-    #: usable priors / non-governor trigger).
-    est_cost_usd: float | None = None
     cost_usd: float = 0.0
     time_s: float = 0.0
     reused_prefix: int = 0
@@ -292,25 +263,13 @@ class StandingQuery:
         #: Every evaluated firing (refreshes, no-ops, and deferrals).
         self.ticks: list[TickResult] = []
         self.tick_count = 0
-        self.last_refresh_s = 0.0
         self.cumulative_cost_usd = 0.0
         # Pending-event accounting since the last completed refresh.
         self.pending_appends = 0
         self.pending_updates = 0
-        self.pending_event_times: list[float | None] = []
-        self.max_event_time_s: float | None = None
-        self.late_events = 0
-        self.governor_deferrals = 0
-        # Last completed run's artifacts (refresh provenance + governor).
+        # Last completed run's artifacts (what :meth:`explain` renders).
         self.last_result = None
         self.last_report = None
-
-    @property
-    def watermark_s(self) -> float | None:
-        """Max event time seen minus allowed lateness (None = no events)."""
-        if self.max_event_time_s is None:
-            return None
-        return self.max_event_time_s - self.policy.lateness_s
 
     def folded(self) -> list[DataRecord]:
         """The changelog folded from empty — must equal :attr:`records`."""
@@ -352,22 +311,7 @@ class StandingQuery:
                     f", {reuse}, changelog +{tick.inserts}/-{tick.retracts}, "
                     f"cost ${tick.cost_usd:.4f}"
                 )
-            if tick.est_cost_usd is not None:
-                line += f", governor est ${tick.est_cost_usd:.4f}"
             lines.append(line)
-        if self.policy.trigger == "watermark":
-            watermark = self.watermark_s
-            lines.append(
-                "watermark: "
-                + (f"{watermark:.1f}s" if watermark is not None else "unset")
-                + (
-                    f" (max event time {self.max_event_time_s:.1f}s, "
-                    if self.max_event_time_s is not None
-                    else " ("
-                )
-                + f"lateness {self.policy.lateness_s:.1f}s, "
-                f"{self.late_events} late events)"
-            )
         return "\n".join(lines)
 
     def explain(self) -> str:
@@ -452,8 +396,6 @@ class StandingQueryManager:
             sources=sources,
             runner=runner or _default_runner,
         )
-        clock, tracer = config.llm.clock, config.llm.tracer
-        query.last_refresh_s = clock.elapsed
         self.queries[name] = query
         for source_id in dict.fromkeys(source.source_id for source in sources):
             self._watchers.setdefault(source_id, []).append(query)
@@ -461,6 +403,7 @@ class StandingQueryManager:
             if id(source) not in self._subscribed:
                 self._subscribed.add(id(source))
                 source.subscribe(self._on_event)
+        tracer = config.llm.tracer
         if tracer.enabled:
             with tracer.span(
                 f"standing:{name}",
@@ -471,7 +414,7 @@ class StandingQueryManager:
                 pass
         self._count(query, "streaming.queries")
         if prime:
-            self._refresh(query, "register", clock.elapsed)
+            self._refresh(query, "register")
         return query
 
     # -- event intake ---------------------------------------------------
@@ -494,129 +437,45 @@ class StandingQueryManager:
             if event.kind == "append":
                 rows = len(event.uids)
                 query.pending_appends += rows
-                query.pending_event_times.append(event.event_time_s)
-                if event.event_time_s is not None:
-                    watermark = query.watermark_s
-                    if (
-                        watermark is not None
-                        and event.event_time_s <= watermark
-                    ):
-                        query.late_events += 1
-                        self._count(query, "streaming.late_events")
-                    if (
-                        query.max_event_time_s is None
-                        or event.event_time_s > query.max_event_time_s
-                    ):
-                        query.max_event_time_s = event.event_time_s
                 self._count(query, "streaming.appends")
                 self._count(query, "streaming.appended_records", rows)
             else:
                 query.pending_updates += len(event.uids)
                 self._count(query, "streaming.updates")
 
-    # -- trigger evaluation ---------------------------------------------
+    # -- refresh triggers -----------------------------------------------
 
-    def pump(self, now_s: float | None = None) -> list[TickResult]:
-        """Evaluate every query's trigger; run the due refreshes."""
+    def pump(self) -> list[TickResult]:
+        """Refresh every query with an update or its ``count`` of appends
+        pending; the others keep batching."""
         results = []
         for query in list(self.queries.values()):
-            now = now_s if now_s is not None else query.config.llm.clock.elapsed
-            cause = self._due(query, now)
-            if cause is None:
-                continue
-            results.append(self._refresh(query, cause, now))
+            if query.pending_updates:
+                results.append(self._refresh(query, "update"))
+            elif query.pending_appends >= query.policy.count:
+                results.append(self._refresh(query, "count"))
         return results
 
     def refresh(self, name: str, cause: str = "forced") -> TickResult:
-        """Force one query's refresh regardless of its trigger."""
+        """Force one query's refresh, however little is pending."""
         query = self.queries.get(name)
         if query is None:
             raise StreamingError(f"no standing query named {name!r}")
-        return self._refresh(query, cause, query.config.llm.clock.elapsed)
-
-    def _due(self, query: StandingQuery, now: float) -> str | None:
-        """The cause firing ``query`` now, or None to keep batching."""
-        if query.pending_updates:
-            return "update"
-        policy = query.policy
-        pending = query.pending_appends
-        if policy.trigger == "count":
-            return "count" if pending >= policy.count else None
-        if policy.trigger == "interval":
-            due = now - query.last_refresh_s >= policy.interval_s
-            return "interval" if due else None
-        if policy.trigger == "watermark":
-            if not pending:
-                return None
-            watermark = query.watermark_s
-            ripe = any(
-                event_time is None
-                or (watermark is not None and event_time <= watermark)
-                for event_time in query.pending_event_times
-            )
-            return "watermark" if ripe else None
-        # governor: freshness vs cost.
-        if not pending:
-            return None
-        if (
-            policy.max_staleness_s is not None
-            and now - query.last_refresh_s >= policy.max_staleness_s
-        ):
-            return "staleness"
-        estimate = self._estimate_refresh_cost(query, pending)
-        if estimate is None or estimate >= policy.min_batch_usd:
-            return "governor"
-        query.governor_deferrals += 1
-        self._count(query, "streaming.governor_deferrals")
-        return None
-
-    def _estimate_refresh_cost(
-        self, query: StandingQuery, pending_rows: int
-    ) -> float | None:
-        """Spend estimate for refreshing the pending delta.
-
-        The cost model's price (:func:`estimate_chain_steps`) of the
-        pending rows through the plan above its leaf — the leaf only
-        admits the appended rows — under what :func:`believe` believes
-        now; None (no usable priors yet) means the governor cannot
-        justify deferring and refreshes immediately.
-        """
-        # register() already gave the config the manager's store to fall back on.
-        stats_store = query.config.stats_store
-        if stats_store is None or query.last_report is None:
-            return None
-        # ``planned``, not ``bound``: the pending delta runs through the
-        # prefix a replay stands in for, so those operators price it.
-        operators = query.last_report.planned[1:]
-        beliefs = [believe(operator, stats_store) for operator in operators]
-        if not any(belief.source == "prior" for belief in beliefs):
-            return None
-        total, _ = estimate_chain_steps(
-            operators, beliefs, input_cardinality=float(pending_rows)
-        )
-        return total.cost_usd
+        return self._refresh(query, cause)
 
     # -- refresh execution ----------------------------------------------
 
-    def _refresh(
-        self, query: StandingQuery, cause: str, now: float
-    ) -> TickResult:
+    def _refresh(self, query: StandingQuery, cause: str) -> TickResult:
         tick_index = query.tick_count
         pending_appends = query.pending_appends
         pending_updates = query.pending_updates
-        estimate = (
-            self._estimate_refresh_cost(query, pending_appends)
-            if query.policy.trigger == "governor"
-            else None
-        )
         tick = TickResult(
             name=query.name,
             tick=tick_index,
             fired=cause,
-            at_s=now,
+            at_s=query.config.llm.clock.elapsed,
             pending_appends=pending_appends,
             pending_updates=pending_updates,
-            est_cost_usd=estimate,
         )
 
         # Empty-delta no-op: nothing pending, nothing to run, zero cost.
@@ -624,7 +483,6 @@ class StandingQueryManager:
             tick.skipped = True
             query.tick_count += 1
             query.ticks.append(tick)
-            query.last_refresh_s = now
             tracer = query.config.llm.tracer
             if tracer.enabled:
                 with tracer.span(
@@ -680,8 +538,6 @@ class StandingQueryManager:
             query.ticks.append(tick)
             query.pending_appends = 0
             query.pending_updates = 0
-            query.pending_event_times = []
-            query.last_refresh_s = llm.clock.elapsed
             tick_span.attributes.update(
                 cost_usd=round(cost_usd, 6),
                 inserts=tick.inserts,

@@ -285,11 +285,11 @@ class ServingRuntime:
             prime=prime,
         )
 
-    def pump_standing(self, now_s: float | None = None):
-        """Evaluate standing-query triggers; due ticks submit as tenants."""
+    def pump_standing(self):
+        """Pump the standing queries; due ticks submit as tenants."""
         if self._standing is None:
             return []
-        return self._standing.pump(now_s)
+        return self._standing.pump()
 
     # -- scheduling -----------------------------------------------------
 

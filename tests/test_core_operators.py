@@ -2,17 +2,12 @@
 
 import pytest
 
-from repro.core.operators import (
-    LogicalAgentOp,
-    compile_operator,
-    compute,
-    search,
-)
+from repro.core.operators import compute, search
 from repro.core.runtime import AnalyticsRuntime
 from repro.data.datasets import enron as en
 from repro.data.datasets import kramabench as kb
-from repro.sem.config import DEFAULT_FALLBACK_MODEL
-from repro.sem.optimizer.policies import MinCost
+from repro.llm.models import DEFAULT_MODEL, completion_models_by_cost
+from repro.sem.optimizer.policies import Balanced, MaxQuality, MinCost
 
 
 @pytest.fixture
@@ -80,15 +75,21 @@ def test_search_then_compute_chain(legal_runtime, legal_bundle):
     assert result.answer["ratio"] == pytest.approx(truth, rel=0.02)
 
 
-def test_compile_operator_model_selection(legal_runtime, legal_bundle):
-    runtime, _context = legal_runtime
-    logical = LogicalAgentOp("compute", "instruction", "ctx")
-    compiled = compile_operator(logical, runtime, max_steps=5)
-    assert compiled.agent_model == DEFAULT_FALLBACK_MODEL
+def test_policy_declares_the_agent_model():
+    cheapest = completion_models_by_cost()[0].name
+    assert cheapest != DEFAULT_MODEL
+    assert MaxQuality().agent_model() == DEFAULT_MODEL
+    assert Balanced().agent_model() == DEFAULT_MODEL
+    assert MinCost().agent_model() == cheapest
 
-    runtime = AnalyticsRuntime.for_bundle(legal_bundle, policy=MinCost())
-    compiled_cheap = compile_operator(logical, runtime, max_steps=5)
-    assert compiled_cheap.agent_model == runtime.cheapest_model()
+
+def test_compute_under_min_cost_plans_on_the_cheapest_model(legal_bundle):
+    runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=42, policy=MinCost())
+    context = runtime.make_context(legal_bundle)
+    compute(context, kb.QUERY_RATIO, runtime)
+    steps = [e for e in runtime.llm.tracker.events if e.tag == "compute:step"]
+    assert steps
+    assert {e.model for e in steps} == {completion_models_by_cost()[0].name}
 
 
 def test_compute_deterministic_per_seed(legal_bundle):

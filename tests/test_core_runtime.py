@@ -79,8 +79,10 @@ def test_usage_and_elapsed_track_llm(legal_bundle):
 
 def test_cheapest_model_is_in_catalog():
     from repro.llm.models import MODEL_CATALOG
+    from repro.sem.optimizer.policies import MinCost
 
-    assert AnalyticsRuntime(seed=0).cheapest_model() in MODEL_CATALOG
+    runtime = AnalyticsRuntime(seed=0, policy=MinCost())
+    assert runtime.config.policy.agent_model() in MODEL_CATALOG
 
 
 def test_compute_and_search_methods_delegate(legal_bundle):

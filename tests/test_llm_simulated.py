@@ -36,15 +36,6 @@ def test_judgment_cached_second_call_free(make_toy_llm, toy_record):
     assert first.answer == second.answer
 
 
-def test_cache_can_be_disabled(make_toy_llm, toy_record):
-    llm = make_toy_llm(use_cache=False)
-    record = toy_record()
-    llm.judge_filter("special flag", record)
-    second = llm.judge_filter("special flag", record)
-    assert not second.event.cached
-    assert second.event.cost_usd > 0
-
-
 def test_same_seed_same_answers_across_instances(make_toy_llm, toy_record):
     answers1 = [
         make_toy_llm(seed=5).judge_filter(

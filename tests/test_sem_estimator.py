@@ -1,7 +1,7 @@
 """One estimator: a sample is the bound operator run on the sample, and
 one belief rule + one pricing loop serve every consumer.
 
-Four contracts, each pinned below the BENCH level:
+Five contracts, each pinned below the BENCH level:
 
 - *sampler equivalence* — auditioning a model by calling the bound
   operator's own per-record entry point makes the same LLM calls, in the
@@ -10,6 +10,8 @@ Four contracts, each pinned below the BENCH level:
 - *free filters* — selectivity over the records a free filter could
   answer, no profile when it answered none;
 - *believe* — the precedence table, and that a prior is snapshotted;
+- *pricing* — the chain loop is the closed form under believed priors,
+  and a limit caps the rows that reach the next operator;
 - *structure* — the duplicates this design removed stay removed.
 """
 
@@ -33,7 +35,11 @@ from repro.sem import physical as P
 from repro.sem.config import DEFAULT_FALLBACK_MODEL, QueryProcessorConfig
 from repro.sem.dataset import Dataset
 from repro.sem.explain import explain_analyze
-from repro.sem.optimizer.cost_model import OperatorEstimate, believe
+from repro.sem.optimizer.cost_model import (
+    OperatorEstimate,
+    believe,
+    estimate_chain_steps,
+)
 from repro.sem.optimizer.optimizer import Optimizer
 from repro.sem.optimizer.sampler import OperatorProfile, Sampler
 from repro.utils.seeding import SeededRng
@@ -481,6 +487,74 @@ def test_explain_analyze_reads_the_estimate_the_run_was_planned_with(bundle):
 
 
 # ---------------------------------------------------------------------------
+# (d) One pricing loop: what it charges a chain under believed priors
+# ---------------------------------------------------------------------------
+
+
+def _believed_chain(bundle, chain, per_operator):
+    """The operators above the leaf of ``chain(scan)`` as the binder planned
+    them, with a store holding one ``(cost_per_record, selectivity)`` prior
+    each, and what :func:`believe` makes of them."""
+    reset_uid_counter()
+    stats = StatisticsStore()
+    llm = SimulatedLLM(oracle=SemanticOracle(bundle.registry), seed=23)
+    config = QueryProcessorConfig(llm=llm, seed=23, optimize=False, stats_store=stats)
+    _result, report = chain(Dataset.from_source(bundle.source())).run_with_report(config)
+    operators = report.planned[1:]
+    assert len(operators) == len(per_operator)
+    stats.clear()
+    for operator, (cost_per_record, selectivity) in zip(operators, per_operator):
+        entry = operator.stats_entry
+        stats.observe(
+            entry["key"], entry["kind"], entry["model"], entry["dataset"], entry["scope"],
+            records_in=100,
+            records_out=round(100 * selectivity),
+            cost_usd=100 * cost_per_record,
+        )
+    beliefs = [believe(operator, stats) for operator in operators]
+    assert {belief.source for belief in beliefs} == {"prior"}
+    return operators, beliefs, stats
+
+
+def test_chain_price_is_the_closed_form_on_llm_operators(bundle):
+    def chain(scan):
+        return (
+            scan.sem_filter(instruction_for("qa.flag_urgent"))
+            .sem_filter(instruction_for("qa.flag_refund"))
+            .sem_map(Field("customer", str, "customer name"), instruction_for("qa.customer"))
+        )
+
+    priors = [(0.00031, 0.37), (0.00047, 0.59), (0.00113, 1.0)]
+    operators, beliefs, stats = _believed_chain(bundle, chain, priors)
+    total, _ = estimate_chain_steps(operators, beliefs, input_cardinality=20.0)
+    # Bit for bit: the sum of rows-in times cost-per-record, rows shrinking
+    # by each filter's selectivity.
+    rows, closed_form = 20.0, 0.0
+    for operator in operators:
+        prior = stats.usable_prior(operator.stats_entry["key"])
+        closed_form += rows * prior.cost_per_record
+        rows *= prior.selectivity
+    assert total.cost_usd == closed_form
+
+
+def test_chain_price_caps_rows_at_a_limit(bundle):
+    # The learned 0.25 ratio of a limit(2) does not scale 20 rows to 5:
+    # only 2 rows reach the map.
+    def chain(scan):
+        return (
+            scan.sem_filter(instruction_for("qa.flag_urgent"))
+            .limit(2)
+            .sem_map(Field("customer", str, "customer name"), instruction_for("qa.customer"))
+        )
+
+    priors = [(0.0003, 0.5), (0.0, 0.25), (0.001, 1.0)]
+    operators, beliefs, _stats = _believed_chain(bundle, chain, priors)
+    total, steps = estimate_chain_steps(operators, beliefs, input_cardinality=20.0)
+    assert steps[1].cardinality == 2.0
+    assert total.cost_usd == 20 * 0.0003 + 2 * 0.001
+
+
+# ---------------------------------------------------------------------------
 # (f) Structure: the duplicates stay removed
 # ---------------------------------------------------------------------------
 
@@ -548,6 +622,7 @@ def test_one_belief_rule_and_one_pricing_loop():
         "_COMMUTING", "_HOISTABLE_ACROSS",
     ):
         assert gone not in defined, gone
-    # The governor prices through the cost model, not a loop of its own.
+    # Standing queries refresh on a count: they neither believe nor price.
     streaming_calls = _calls(_tree(SEM / "streaming.py"))
-    assert "estimate_chain_steps" in streaming_calls and "believe" in streaming_calls
+    assert "estimate_chain_steps" not in streaming_calls
+    assert "believe" not in streaming_calls

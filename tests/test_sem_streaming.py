@@ -4,7 +4,7 @@ The tentpole contract: a registered standing query, refreshed tick by
 tick as its sources receive appends and updates, must always hold the
 exact view a from-scratch run over the full stream would produce — and
 its changelog, folded from empty, must reproduce that view at every
-tick.  Triggers (count / interval / watermark / governor) only decide
+tick.  The count trigger, update-forced and forced refreshes only decide
 *when* work happens, never *what* the answer is.
 """
 
@@ -94,19 +94,16 @@ def test_policy_rejects_unknown_trigger():
         RefreshPolicy(trigger="cron")
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"count": 0},
-        {"interval_s": -1.0},
-        {"lateness_s": -0.5},
-        {"min_batch_usd": -0.01},
-        {"max_staleness_s": -1.0},
-    ],
-)
+@pytest.mark.parametrize("kwargs", [{"count": 0}])
 def test_policy_rejects_negative_knobs(kwargs):
     with pytest.raises(StreamingError):
         RefreshPolicy(**kwargs)
+
+
+@pytest.mark.parametrize("trigger", ["interval", "watermark", "governor"])
+def test_policy_names_count_as_the_only_trigger(trigger):
+    with pytest.raises(StreamingError, match="'count'"):
+        RefreshPolicy(trigger=trigger)
 
 
 # ---------------------------------------------------------------------------
@@ -331,265 +328,6 @@ def test_append_tick_renders_no_record_update_tick_does(qa_bundle, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Interval trigger + empty-delta no-ops
-# ---------------------------------------------------------------------------
-
-
-def test_interval_trigger_and_empty_ticks_are_zero_cost(qa_bundle):
-    records = qa_bundle.records()
-    manager, query, _source = _standing(
-        qa_bundle,
-        records[:6],
-        policy=RefreshPolicy(trigger="interval", interval_s=30.0),
-    )
-    usage_before = query.config.llm.tracker.checkpoint()
-    cost_before = query.cumulative_cost_usd
-    view_before = _normalized(query.records)
-
-    assert manager.pump(now_s=query.last_refresh_s + 10.0) == []
-    (tick,) = manager.pump(now_s=query.last_refresh_s + 30.5)
-    assert tick.fired == "interval"
-    assert tick.skipped is True
-    assert tick.cost_usd == 0.0
-    assert tick.changelog == []
-    # Nothing touched the engine: no usage events, no view change.
-    assert query.config.llm.tracker.since(usage_before).calls == 0
-    assert query.cumulative_cost_usd == cost_before
-    assert _normalized(query.records) == view_before
-    assert query.folded() is not None  # changelog untouched and foldable
-
-
-# ---------------------------------------------------------------------------
-# Watermark trigger: out-of-order event times
-# ---------------------------------------------------------------------------
-
-
-def test_watermark_holds_back_in_order_events(qa_bundle):
-    records = qa_bundle.records()
-    manager, query, source = _standing(
-        qa_bundle,
-        records[:8],
-        policy=RefreshPolicy(trigger="watermark", lateness_s=10.0),
-    )
-    source.append(records[8:9], event_time_s=100.0)
-    # Watermark = 100 - 10 = 90; the only pending event sits above it.
-    assert query.watermark_s == 90.0
-    assert manager.pump() == []
-
-    # A later event advances the watermark past the first event's stamp.
-    source.append(records[9:10], event_time_s=115.0)
-    assert query.watermark_s == 105.0
-    (tick,) = manager.pump()
-    assert tick.fired == "watermark"
-    assert tick.pending_appends == 2
-    assert _normalized(query.records) == _normalized(
-        _full_run(qa_bundle, records[:10])
-    )
-
-
-def test_watermark_counts_late_events_and_fires_immediately(qa_bundle):
-    records = qa_bundle.records()
-    manager, query, source = _standing(
-        qa_bundle,
-        records[:8],
-        policy=RefreshPolicy(trigger="watermark", lateness_s=5.0),
-    )
-    source.append(records[8:9], event_time_s=200.0)
-    source.append(records[9:10], event_time_s=100.0)  # far below watermark
-    assert query.late_events == 1
-    assert query.max_event_time_s == 200.0  # late data never regresses it
-    (tick,) = manager.pump()
-    assert tick.fired == "watermark"
-    assert "late events" in query.refresh_footer()
-
-
-def test_watermark_treats_unstamped_events_as_ripe(qa_bundle):
-    records = qa_bundle.records()
-    manager, query, source = _standing(
-        qa_bundle,
-        records[:8],
-        policy=RefreshPolicy(trigger="watermark", lateness_s=60.0),
-    )
-    source.append(records[8:10])  # no event_time_s
-    (tick,) = manager.pump()
-    assert tick.fired == "watermark"
-    assert query.watermark_s is None
-
-
-# ---------------------------------------------------------------------------
-# Governor trigger: freshness vs cost
-# ---------------------------------------------------------------------------
-
-
-def _seed_priors(stats, query, per_operator):
-    """Replace what the register run taught ``stats`` with chosen priors,
-    observed on the statistics keys of the real plan above its leaf:
-    one ``(cost_per_record, selectivity)`` per operator."""
-    operators = query.last_report.planned[1:]
-    assert len(operators) == len(per_operator)
-    stats.clear()
-    for operator, (cost_per_record, selectivity) in zip(operators, per_operator):
-        entry = operator.stats_entry
-        stats.observe(
-            entry["key"], entry["kind"], entry["model"], entry["dataset"],
-            entry["scope"],
-            records_in=100,
-            records_out=round(100 * selectivity),
-            cost_usd=100 * cost_per_record,
-        )
-
-
-def test_governor_defers_until_the_batch_is_worth_it(qa_bundle):
-    records = qa_bundle.records()
-    stats = StatisticsStore()
-    manager, query, source = _standing(
-        qa_bundle,
-        records[:8],
-        policy=RefreshPolicy(trigger="governor", min_batch_usd=0.025),
-        stats_store=stats,
-    )
-    _seed_priors(stats, query, [(0.01, 1.0), (0.0, 1.0)])  # filter, map
-    source.append(records[8:10])  # estimate 2 * 0.01 = 0.02 < 0.025
-    assert manager.pump() == []
-    assert query.governor_deferrals == 1
-    source.append(records[10:11])  # estimate 3 * 0.01 = 0.03 >= 0.025
-    (tick,) = manager.pump()
-    assert tick.fired == "governor"
-    assert tick.est_cost_usd == pytest.approx(0.03)
-    assert _normalized(query.records) == _normalized(
-        _full_run(qa_bundle, records[:11])
-    )
-
-
-def test_governor_estimate_prices_the_prefix_behind_a_replay(qa_bundle):
-    # After a delta tick the bound plan starts with a MaterializedScan, but
-    # pending records still run through the operators it stands in for:
-    # the estimate must keep composing their priors.
-    records = qa_bundle.records()
-    stats = StatisticsStore(min_observations=1)
-    manager, query, source = _standing(
-        qa_bundle,
-        records[:8],
-        policy=RefreshPolicy(trigger="count", count=1),
-        store=MaterializationStore(),
-        stats_store=stats,
-    )
-    assert query.last_report.reused_prefix == 0  # the register run was full
-    full_plan = manager._estimate_refresh_cost(query, 4)
-    source.append(records[8:10])
-    (tick,) = manager.pump()
-    assert tick.reuse_kind == "delta" and query.last_report.reused_prefix > 1
-    assert full_plan is not None and full_plan > 0
-    assert manager._estimate_refresh_cost(query, 4) == pytest.approx(full_plan)
-
-
-def _governed(bundle, plan_fn, per_operator):
-    """A standing query over ``plan_fn(source)`` with seeded priors."""
-    source = MemorySource(bundle.records()[:8], bundle.schema, source_id=bundle.name)
-    stats = StatisticsStore()
-    manager = StandingQueryManager(stats_store=stats)
-    query = manager.register(
-        "live",
-        plan_fn(source),
-        _config(bundle),
-        policy=RefreshPolicy(trigger="governor", min_batch_usd=100.0),
-    )
-    _seed_priors(stats, query, per_operator)
-    return manager, query, stats
-
-
-def _cost_model_price(query, stats, pending_rows):
-    from repro.sem.optimizer.cost_model import believe, estimate_chain_steps
-
-    operators = query.last_report.planned[1:]
-    beliefs = [believe(operator, stats) for operator in operators]
-    assert {belief.source for belief in beliefs} == {"prior"}
-    total, _ = estimate_chain_steps(
-        operators, beliefs, input_cardinality=float(pending_rows)
-    )
-    return total.cost_usd
-
-
-def test_governor_price_is_the_cost_models_price(qa_bundle):
-    def plan(source):
-        return (
-            Dataset.from_source(source)
-            .sem_filter(instruction_for("qa.flag_urgent"))
-            .sem_filter(instruction_for("qa.flag_refund"))
-            .sem_map(
-                Field("customer", str, "customer name"),
-                instruction_for("qa.customer"),
-            )
-        )
-
-    priors = [(0.00031, 0.37), (0.00047, 0.59), (0.00113, 1.0)]
-    manager, query, stats = _governed(qa_bundle, plan, priors)
-    price = manager._estimate_refresh_cost(query, 20)
-    assert price == _cost_model_price(query, stats, 20)
-    # ...which on an all-LLM plan is the closed form the governor used to
-    # compute on its own, bit for bit: sum of rows-in times cost-per-record.
-    rows, closed_form = 20.0, 0.0
-    for operator in query.last_report.planned[1:]:
-        prior = stats.usable_prior(operator.stats_entry["key"])
-        closed_form += rows * prior.cost_per_record
-        rows *= prior.selectivity
-    assert price == closed_form
-
-
-def test_governor_price_respects_a_limit(qa_bundle):
-    # The governor's own loop ignored the cap the cost model applies: it
-    # let the learned 0.25 ratio of a limit(2) scale 20 pending rows to 5.
-    def plan(source):
-        return (
-            Dataset.from_source(source)
-            .sem_filter(instruction_for("qa.flag_urgent"))
-            .limit(2)
-            .sem_map(
-                Field("customer", str, "customer name"),
-                instruction_for("qa.customer"),
-            )
-        )
-
-    priors = [(0.0003, 0.5), (0.0, 0.25), (0.001, 1.0)]
-    manager, query, stats = _governed(qa_bundle, plan, priors)
-    price = manager._estimate_refresh_cost(query, 20)
-    assert price == _cost_model_price(query, stats, 20)
-    assert price == 20 * 0.0003 + 2 * 0.001  # 2 rows reach the map, not 2.5
-
-
-def test_governor_without_priors_refreshes_immediately(qa_bundle):
-    records = qa_bundle.records()
-    manager, query, source = _standing(
-        qa_bundle,
-        records[:8],
-        policy=RefreshPolicy(trigger="governor", min_batch_usd=100.0),
-    )
-    source.append(records[8:9])
-    (tick,) = manager.pump()
-    # No usable priors: the governor cannot justify deferring.
-    assert tick.fired == "governor"
-    assert tick.est_cost_usd is None
-
-
-def test_governor_staleness_floor_forces_a_refresh(qa_bundle):
-    records = qa_bundle.records()
-    stats = StatisticsStore()
-    manager, query, source = _standing(
-        qa_bundle,
-        records[:8],
-        policy=RefreshPolicy(
-            trigger="governor", min_batch_usd=50.0, max_staleness_s=20.0
-        ),
-        stats_store=stats,
-    )
-    _seed_priors(stats, query, [(0.001, 1.0), (0.0, 1.0)])
-    source.append(records[8:9])
-    assert manager.pump(now_s=query.last_refresh_s + 5.0) == []
-    (tick,) = manager.pump(now_s=query.last_refresh_s + 20.0)
-    assert tick.fired == "staleness"
-
-
-# ---------------------------------------------------------------------------
 # Update events: forced invalidation past delta-safe prefixes
 # ---------------------------------------------------------------------------
 
@@ -789,10 +527,26 @@ def test_explain_appends_refresh_provenance_footer(qa_bundle):
 
 def test_forced_refresh_by_name(qa_bundle):
     records = qa_bundle.records()
-    manager, _query, _source = _standing(qa_bundle, records[:6])
+    manager, query, _source = _standing(qa_bundle, records[:6])
+    llm = query.config.llm
+    usage_before = llm.tracker.checkpoint()
+    clock_before = llm.clock.elapsed
+    cost_before = query.cumulative_cost_usd
+    view_before = _normalized(query.records)
+    changelog_before = list(query.changelog)
+
     tick = manager.refresh("live")
     assert tick.fired == "forced"
-    assert tick.skipped is True  # nothing pending
+    assert tick.at_s == clock_before
+    # Nothing pending: a skipped tick at $0 and 0 s that never reached the engine.
+    assert tick.skipped is True
+    assert (tick.cost_usd, tick.time_s) == (0.0, 0.0)
+    assert tick.changelog == []
+    assert llm.tracker.since(usage_before).calls == 0
+    assert llm.clock.elapsed == clock_before
+    assert query.cumulative_cost_usd == cost_before
+    assert _normalized(query.records) == view_before
+    assert query.changelog == changelog_before
     with pytest.raises(StreamingError, match="no standing query"):
         manager.refresh("ghost")
 

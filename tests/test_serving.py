@@ -603,21 +603,26 @@ def test_served_and_direct_standing_ticks_agree(qa_bundle):
     assert served_ticks == ticks(direct)
 
 
-def test_served_governor_prices_the_pending_delta(qa_bundle):
-    """With the report in hand the governor can estimate a served refresh:
-    a batch worth far less than ``min_batch_usd`` is deferred, not fired
-    blind (``est_cost_usd=None``) on every append."""
+def test_served_standing_query_explains_its_last_served_run(qa_bundle):
+    """Under a count trigger a served refresh keeps the served run's report,
+    and ``explain()`` renders that run's EXPLAIN ANALYZE above the footer."""
+    from repro.sem.explain import explain_analyze
+
     runtime = make_runtime(qa_bundle)
     serving = runtime.serving()
     records, source, dataset = _standing_feed(qa_bundle, 6)
     query = serving.register_standing(
-        "live",
-        "feed",
-        dataset,
-        policy=RefreshPolicy(trigger="governor", min_batch_usd=1.0),
+        "live", "feed", dataset, policy=RefreshPolicy(trigger="count", count=5)
     )
-    source.append(records[6:11])
-    assert serving.pump_standing() == []
-    assert query.governor_deferrals == 1
-    tick = serving.standing_manager().refresh("live:feed")
-    assert tick.est_cost_usd is not None and 0.0 < tick.est_cost_usd < 1.0
+    source.append(records[6:9])
+    assert serving.pump_standing() == []  # 3 pending < 5: keep batching
+    source.append(records[9:11])
+    (tick,) = serving.pump_standing()
+    assert tick.fired == "count" and not tick.deferred
+    report = query.last_report
+    assert (report.reuse_kind, report.reuse_delta_records) == ("delta", 5)
+    assert query.last_result.records == query.records
+    body = explain_analyze(query.last_result, report)
+    assert "MaterializedScan" in body
+    assert query.explain() == body + "\n\n" + query.refresh_footer()
+    assert "fired by count" in query.explain()
