@@ -10,9 +10,11 @@ commute — so the win is pure cost/latency.
 Three scenarios per seed over a parcel-manifest corpus whose written plan
 runs a ~90%-selective filter before a ~12%-selective one:
 
-- ``misestimate``: a pushed-down WHERE keeps every record while the
-  static estimate halves it — a free 2x divergence trigger.  With a
-  warmed store the re-planner flips the filters; contract: >= 1.3x cost
+- ``misestimate``: a pushed-down WHERE keeps every record while its
+  estimate halves it — a free 2x divergence trigger.  The store is warmed
+  on the same plan without the WHERE, so it holds priors for the filters
+  and the map but no evidence for the SqlScan, whose estimate stays
+  static.  The re-planner flips the filters; contract: >= 1.3x cost
   reduction, records bit-identical to the static plan, exactly one
   validated ``replan`` span with cause + before/after plan fingerprints.
 - ``cold``: same query, empty store — the re-planner must do nothing.
@@ -112,7 +114,8 @@ def build_replan_corpus(seed: int, n: int = N_RECORDS) -> DatasetBundle:
 def _misestimate_plan(bundle):
     # The WHERE keeps every record (priority is always >= 1) but the
     # pushed SqlScan's static estimate halves the cardinality: observed
-    # vs estimated rows diverge 2x at the first boundary for free.
+    # vs estimated rows diverge 2x at the first boundary for free, as long
+    # as the store has never seen this SqlScan run.
     return (
         Dataset.from_source(bundle.source())
         .where("priority >= 1")
@@ -168,16 +171,10 @@ def _measure_seed(seed: int) -> dict:
 
     # -- misestimate: static plan vs warmed-store replanned plan --------
     static = _run(bundle, seed, _misestimate_plan)
-    warm = _warm_store(bundle, seed, _misestimate_plan)
+    warm = _warm_store(bundle, seed, _plain_plan)
     tracer = Tracer()
     replanned = _run(
-        bundle,
-        seed,
-        _misestimate_plan,
-        store=warm,
-        tracer=tracer,
-        stats_estimates=False,
-        replan=True,
+        bundle, seed, _misestimate_plan, store=warm, tracer=tracer, replan=True
     )
     validate_spans(tracer.spans)
     replan_spans = tracer.by_kind("replan")

@@ -89,8 +89,9 @@ echo "== sql-pushdown smoke sweep =="
 python benchmarks/bench_pushdown.py --smoke
 
 echo
-echo "== mid-query replan smoke sweep =="
+echo "== mid-query replan smoke sweep (the misestimate is a store warmed without the where: BENCH_replan.json must not drift) =="
 python benchmarks/bench_replan.py --smoke
+git diff --exit-code -- benchmarks/results/BENCH_replan.json
 
 echo
 echo "== sharded-execution smoke sweep =="
@@ -119,7 +120,7 @@ fi
 echo "all BENCH_*.json artifacts under benchmarks/results/"
 
 echo
-echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= / answer_cache_size= config keyword; no optimize= / replan= / shards= / partitioner= on serving; no clock= / tracer= / metrics= on StandingQueryManager; no interval/watermark/governor knob on RefreshPolicy, event_time_s= on append/update or now_s= on pump/pump_standing; no use_cache= on SimulatedLLM; no threshold= on the catalog; no similarity_floor= / max_candidates_per_left= / reset_stats= anywhere) =="
+echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= / answer_cache_size= config keyword; no optimize= / replan= / shards= / partitioner= on serving; no clock= / tracer= / metrics= on StandingQueryManager; no interval/watermark/governor knob on RefreshPolicy, event_time_s= on append/update or now_s= on pump/pump_standing; no use_cache= on SimulatedLLM; no threshold= on the catalog or compute_batch; no stats_estimates= / fallback_model= config keyword; no decay= / min_observations= / max_entries= on a store or the generation cache; no similarity_floor= / max_candidates_per_left= / reset_stats= anywhere) =="
 python - <<'PY'
 import ast
 import pathlib
@@ -137,6 +138,9 @@ RETIRED = {
         "select_models", "materialization_scope", "stats_scope", "champion_model",
         # The similarity catalog's bound and floors are ContextManager constants.
         "answer_cache_size",
+        # A misestimate is missing evidence in the stats store, not a mode;
+        # on_failure="fallback" re-asks the cheapest chat model.
+        "stats_estimates", "fallback_model",
     }),
     # Served queries inherit these from the runtime's config.
     **dict.fromkeys(SERVING, {"optimize", "replan", "shards", "partitioner"}),
@@ -151,6 +155,14 @@ RETIRED = {
     "SimulatedLLM": {"use_cache"},
     "ContextManager": {"threshold"},
     "find_similar": {"threshold"},
+    # Merging is the catalog's answer floor.
+    "compute_batch": {"threshold"},
+    # Every store declares its bound (and the stats store its blend
+    # weight) as a class constant; one observation is evidence enough.
+    **dict.fromkeys(
+        ("StatisticsStore", "MaterializationStore", "GenerationCache"),
+        {"decay", "min_observations", "max_entries"},
+    ),
 }
 # Class constants (similarity floors, the blocked join's fan-out) and
 # lifetime-only counters: no call takes these.
@@ -175,18 +187,19 @@ if offenders:
     print("retired options: execution mechanics are derived (a baseline mode "
           "belongs in repro.qa.reference), a query option is declared "
           "once, on QueryProcessorConfig, a standing query runs on its "
-          "config's substrate and refreshes on a count, and floors and "
-          "bounds are class constants:")
+          "config's substrate and refreshes on a count, a misestimate is "
+          "missing evidence, and floors, bounds and blend weights are class "
+          "constants:")
     print("\n".join(offenders))
     sys.exit(1)
 print(f"{len(files)} files: no retired keyword on a config, serving or standing constructor")
 PY
-retired_names='governor|watermark|lateness|event_time|max_staleness|min_batch_usd|now_s|last_refresh_s|use_cache|compile_operator|LogicalAgentOp|CompiledAgentOp|cheapest_model'
+retired_names='governor|watermark|lateness|event_time|max_staleness|min_batch_usd|now_s|last_refresh_s|use_cache|compile_operator|LogicalAgentOp|CompiledAgentOp|cheapest_model|usable_prior|note_dataset_version|decay_dataset|dataset_decays|_dataset_versions|use_priors|merge_similar_instructions|InstructionGroup'
 if grep -rnE "$retired_names" src/; then
-    echo "retired triggers, the event-time/staleness/prior-pricing state only they read, the cache switch and the agent-op IR are back under src/ (the policy declares agent_model())"
+    echo "retired triggers, the event-time/staleness/prior-pricing state only they read, the cache switch, the agent-op IR, the stats store's evidence floor and append decay, and the token-Jaccard merge are back under src/ (the policy declares agent_model(); compute_batch merges through the catalog)"
     exit 1
 fi
-echo "no retired trigger, cache switch or agent-op name under src/"
+echo "no retired trigger, cache switch, agent-op, evidence-floor, append-decay or merge-group name under src/"
 
 echo
 echo "== composition guard (replan arms under shards and behind replays: no exclusion cause under src/) =="
@@ -289,8 +302,8 @@ for path in files:
         if not isinstance(node, ast.Call):
             continue
         callee = getattr(node.func, "attr", getattr(node.func, "id", None))
-        if callee == "usable_prior" and path.as_posix() != BELIEVE:
-            offenders.append(f"{path}:{node.lineno}: usable_prior(...) outside believe()")
+        if callee == "prior" and path.as_posix() != BELIEVE:
+            offenders.append(f"{path}:{node.lineno}: .prior(...) outside believe()")
         if callee == "isinstance" and path.as_posix() == SAMPLER:
             offenders.append(f"{path}:{node.lineno}: isinstance(...) in the sampler")
     if path.as_posix() == SAMPLER:

@@ -7,8 +7,9 @@ we implement working versions of each:
   decomposed into smaller sequential operations.  An (simulated) LLM judge
   decides *whether* to split; deterministic sentence/conjunction analysis
   decides *where*.
-- **Merging**: compute/search instructions that are near-duplicates of one
-  another are grouped, executed once per group, and the result shared.
+- **Merging**: a compute instruction that is a near-duplicate of one
+  already answered against the same Context reuses that answer, through
+  the runtime's one similarity catalog.
 - **Dynamic search insertion**: when a compute operator's answer fails
   validation, the optimizer inserts a logical ``search`` before it and
   retries the compute against the enriched Context.
@@ -17,14 +18,12 @@ we implement working versions of each:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.agent_policies import DescGuidedComputePolicy
 from repro.core.context import Context
 from repro.core.operators import ComputeResult
 from repro.llm.models import DEFAULT_MODEL
-from repro.utils.text import jaccard_similarity
 
 if TYPE_CHECKING:
     from repro.core.runtime import AnalyticsRuntime
@@ -78,56 +77,19 @@ def split_instruction(instruction: str) -> list[str]:
     return [piece if piece.endswith(".") else piece + "." for piece in final if piece]
 
 
-@dataclass
-class InstructionGroup:
-    """A merged group of near-duplicate instructions."""
-
-    representative: str
-    member_indexes: list[int] = field(default_factory=list)
-
-
-def merge_similar_instructions(
-    instructions: Sequence[str], threshold: float = 0.7
-) -> list[InstructionGroup]:
-    """Group instructions whose token Jaccard similarity clears ``threshold``.
-
-    The first member of each group is its representative (executed once on
-    behalf of the whole group).
-    """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    groups: list[InstructionGroup] = []
-    for index, instruction in enumerate(instructions):
-        placed = False
-        for group in groups:
-            if jaccard_similarity(group.representative, instruction) >= threshold:
-                group.member_indexes.append(index)
-                placed = True
-                break
-        if not placed:
-            groups.append(InstructionGroup(instruction, [index]))
-    return groups
-
-
 def compute_batch(
     context: Context,
     instructions: Sequence[str],
     runtime: "AnalyticsRuntime",
-    threshold: float = 0.7,
 ) -> list[ComputeResult]:
     """Execute a batch of compute instructions with merge optimization.
 
-    Near-duplicate instructions run once; every member of a group receives
-    the group's result.  Returns one result per input instruction, in
-    order.
+    Every instruction goes through :meth:`AnalyticsRuntime.answer`, so a
+    near-duplicate of one already answered against the same Context is
+    served by the similarity catalog at zero marginal LLM cost.  Returns
+    one result per input instruction, in order.
     """
-    groups = merge_similar_instructions(instructions, threshold)
-    results: list[ComputeResult | None] = [None] * len(instructions)
-    for group in groups:
-        outcome = runtime.compute(context, group.representative)
-        for index in group.member_indexes:
-            results[index] = outcome
-    return [result for result in results if result is not None]
+    return [runtime.answer(context, instruction) for instruction in instructions]
 
 
 def compute_with_recovery(

@@ -5,19 +5,15 @@ cardinality when known; the optimizer uses cardinalities for cost estimates.
 
 Sources are also the *change feed* for standing queries (see
 :mod:`repro.sem.streaming`): every mutation — an append of new records or
-an in-place update of an existing one — bumps the source's version
-counters and is pushed to any subscribed listeners as a
-:class:`SourceEvent`; the source keeps no log of them.  Two counters make
-the distinction the
-materialization layer needs:
-
-- ``version`` counts *every* mutation (appends and updates);
-- ``content_version`` counts only in-place updates.  Appends grow the uid
-  sequence, so the :class:`~repro.sem.materialize.MaterializationStore`
-  catches them with its source-uid prefix check; updates keep the uids and
-  would silently replay stale records — the store compares
-  ``content_version`` to catch exactly that case, and
-  :meth:`DataSource.rewritten_since` names the uids to re-derive.
+an in-place update of an existing one — is pushed to any subscribed
+listeners as a :class:`SourceEvent`; the source keeps no log of them.
+One counter makes the distinction the materialization layer needs:
+``content_version`` counts in-place updates.  Appends grow the uid
+sequence, so the :class:`~repro.sem.materialize.MaterializationStore`
+catches them with its source-uid prefix check; updates keep the uids and
+would silently replay stale records — the store compares
+``content_version`` to catch exactly that case, and
+:meth:`DataSource.rewritten_since` names the uids to re-derive.
 """
 
 from __future__ import annotations
@@ -39,8 +35,6 @@ class SourceEvent:
     kind: str  # "append" | "update"
     source_id: str
     uids: tuple[str, ...]
-    #: Source version *after* this event (monotonic, counts all mutations).
-    version: int
     #: Update-generation after this event (bumped by updates only).
     content_version: int
 
@@ -51,8 +45,6 @@ class DataSource(abc.ABC):
     def __init__(self, source_id: str, schema: Schema) -> None:
         self.source_id = source_id
         self.schema = schema
-        #: Monotonic mutation counter (appends and updates).
-        self.version = 0
         #: Monotonic in-place-update counter (see module docstring).
         self.content_version = 0
         #: uid -> the ``content_version`` of its last in-place rewrite (one
@@ -137,13 +129,11 @@ class MemorySource(DataSource):
         uids = tuple(record.uid for record in appended)
         self._records.extend(appended)
         self._uids += uids
-        self.version += 1
         return self._publish(
             SourceEvent(
                 kind="append",
                 source_id=self.source_id,
                 uids=uids,
-                version=self.version,
                 content_version=self.content_version,
             )
         )
@@ -174,7 +164,6 @@ class MemorySource(DataSource):
             raise DataSourceError(
                 f"source {self.source_id!r} has no record with uid {uid!r}"
             )
-        self.version += 1
         self.content_version += 1
         self._rewritten[uid] = self.content_version
         return self._publish(
@@ -182,7 +171,6 @@ class MemorySource(DataSource):
                 kind="update",
                 source_id=self.source_id,
                 uids=(uid,),
-                version=self.version,
                 content_version=self.content_version,
             )
         )

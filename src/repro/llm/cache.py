@@ -15,12 +15,12 @@ from repro.utils.hashing import StablePrefix, stable_digest
 
 
 class GenerationCache:
-    """A bounded LRU cache keyed by (model, request payload)."""
+    """An LRU cache keyed by (model, request payload), bounded at
+    :attr:`MAX_ENTRIES` entries."""
 
-    def __init__(self, max_entries: int = 100_000) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
+    MAX_ENTRIES = 100_000
+
+    def __init__(self) -> None:
         self._entries: OrderedDict[str, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -71,7 +71,7 @@ class GenerationCache:
                 self.metrics.counter("cache.updates").inc()
         self._entries[key] = value
         self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
+        while len(self._entries) > self.MAX_ENTRIES:
             self._entries.popitem(last=False)
             self.evictions += 1
             if self.metrics is not None:

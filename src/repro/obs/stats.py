@@ -23,17 +23,17 @@ Keys are opaque stable digests computed by the optimizer layer (see
 
 Updates are **decayed online means** (exponentially weighted): the first
 observation sets each statistic, later ones blend in with weight
-``decay``, so priors track drift without unbounded state.  Counters mirror
-into an attached :class:`~repro.obs.metrics.MetricsRegistry` as
-``stats.observations`` / ``stats.lookups`` / ``stats.hits``.
+:attr:`StatisticsStore.DECAY`, so priors track drift without unbounded
+state.  Counters mirror into an attached
+:class:`~repro.obs.metrics.MetricsRegistry` as ``stats.observations`` /
+``stats.lookups`` / ``stats.hits``.
 
-Priors are also keyed to a ``dataset`` (source id), and sources version
-themselves on mutation (see :mod:`repro.data.sources`).  The standing
-query layer calls :meth:`note_dataset_version` on every source event:
-appends *decay* the affected priors (halved observation confidence — the
-distribution likely still holds, the cardinalities may not) while in-place
-updates *invalidate* them outright (the content the selectivities were
-learned on no longer exists).
+Priors are also keyed to a ``dataset`` (source id).  An in-place update
+of a source drops that dataset's priors (:meth:`invalidate_dataset`, called
+by the standing-query layer): the content the selectivities were learned
+on no longer exists.  An append changes nothing here — new rows from the
+same source usually look like old rows, and every stored prior is already
+evidence enough to be believed.
 """
 
 from __future__ import annotations
@@ -89,36 +89,21 @@ _PRIOR_FIELDS = tuple(field.name for field in fields(OperatorPrior))
 class StatisticsStore:
     """LRU-bounded accumulator of per-operator execution priors.
 
-    ``decay`` is the weight of each new observation after the first
-    (``value += decay * (new - value)``); ``min_observations`` is the
-    evidence floor consumers should require before trusting a prior
-    (exposed here so the optimizer and re-planner agree on it).
+    Each new observation after the first blends in with weight
+    :attr:`DECAY` (``value += DECAY * (new - value)``); at most
+    :attr:`MAX_ENTRIES` priors are kept.  One observation is evidence
+    enough: :meth:`prior` returns every stored prior.
     """
 
-    def __init__(
-        self,
-        decay: float = 0.3,
-        min_observations: int = 1,
-        max_entries: int = 4096,
-    ) -> None:
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
-        if min_observations < 1:
-            raise ValueError(
-                f"min_observations must be >= 1, got {min_observations}"
-            )
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.decay = decay
-        self.min_observations = min_observations
-        self.max_entries = max_entries
+    DECAY = 0.3
+    MAX_ENTRIES = 4096
+
+    def __init__(self) -> None:
         self._priors: "OrderedDict[str, OperatorPrior]" = OrderedDict()
-        self._dataset_versions: dict[str, int] = {}
         self.observations = 0
         self.lookups = 0
         self.hits = 0
         self.evictions = 0
-        self.dataset_decays = 0
         self.dataset_invalidations = 0
         #: Files :meth:`load` could not parse (each loaded as empty).
         self.load_errors = 0
@@ -166,11 +151,11 @@ class StatisticsStore:
         else:
             for name in _BLENDED_FIELDS:
                 old = getattr(prior, name)
-                setattr(prior, name, old + self.decay * (observed[name] - old))
+                setattr(prior, name, old + self.DECAY * (observed[name] - old))
         prior.observations += 1
         self.observations += 1
         self._count("stats.observations")
-        while len(self._priors) > self.max_entries:
+        while len(self._priors) > self.MAX_ENTRIES:
             self._priors.popitem(last=False)
             self.evictions += 1
             self._count("stats.evictions")
@@ -190,13 +175,6 @@ class StatisticsStore:
         self._priors.move_to_end(key)
         self.hits += 1
         self._count("stats.hits")
-        return prior
-
-    def usable_prior(self, key: "str | None") -> "OperatorPrior | None":
-        """Like :meth:`prior` but None below the ``min_observations`` floor."""
-        prior = self.prior(key)
-        if prior is None or prior.observations < self.min_observations:
-            return None
         return prior
 
     # -- ingestion ------------------------------------------------------
@@ -233,44 +211,7 @@ class StatisticsStore:
                 pass
         return ingested
 
-    # -- dataset versioning ---------------------------------------------
-
-    def note_dataset_version(
-        self, dataset: str, version: int, change: str = "append"
-    ) -> int:
-        """React to a source-version bump for ``dataset``.
-
-        Appends decay the dataset's priors; in-place updates invalidate
-        them.  Returns how many priors were touched.  Repeats of an
-        already-seen version are no-ops, so callers can forward every
-        source event without double-penalizing priors.
-        """
-        if not dataset:
-            return 0
-        previous = self._dataset_versions.get(dataset)
-        self._dataset_versions[dataset] = version
-        if previous is not None and version == previous:
-            return 0
-        if change == "update":
-            return self.invalidate_dataset(dataset)
-        return self.decay_dataset(dataset)
-
-    def decay_dataset(self, dataset: str) -> int:
-        """Halve the observation confidence of every prior on ``dataset``.
-
-        The learned per-record statistics stay (new rows from the same
-        source usually look like old rows) but consumers with a
-        ``min_observations`` floor above 1 stop trusting them until fresh
-        evidence re-accumulates.
-        """
-        touched = 0
-        for prior in self._priors.values():
-            if prior.dataset == dataset and prior.observations > 1:
-                prior.observations = max(1, prior.observations // 2)
-                touched += 1
-        self.dataset_decays += touched
-        self._count("stats.dataset_decays", touched)
-        return touched
+    # -- dataset invalidation -------------------------------------------
 
     def invalidate_dataset(self, dataset: str) -> int:
         """Drop every prior learned on ``dataset`` (in-place rewrite)."""
@@ -303,7 +244,6 @@ class StatisticsStore:
             "lookups": self.lookups,
             "hits": self.hits,
             "evictions": self.evictions,
-            "dataset_decays": self.dataset_decays,
             "dataset_invalidations": self.dataset_invalidations,
             "load_errors": self.load_errors,
         }
@@ -318,7 +258,6 @@ class StatisticsStore:
         """
         payload = {
             "version": STATS_VERSION,
-            "decay": self.decay,
             "priors": [prior.to_dict() for prior in self._priors.values()],
         }
         save_json(path, payload)
@@ -331,8 +270,8 @@ class StatisticsStore:
         feed estimates), and so does a truncated, non-JSON or
         checksum-failing file, counted in ``load_errors`` — a corrupt
         statistics file costs the learned priors, never the query.
-        ``max_entries`` is enforced before insertion: oldest overflow (save
-        order = LRU order) is dropped and counted as evictions.
+        :attr:`MAX_ENTRIES` is enforced before insertion: oldest overflow
+        (save order = LRU order) is dropped and counted as evictions.
         """
         payload = load_json(path)
         if payload is None:
@@ -342,7 +281,7 @@ class StatisticsStore:
         if payload.get("version") != STATS_VERSION:
             return 0
         priors = payload.get("priors", [])
-        overflow = max(0, len(priors) - self.max_entries)
+        overflow = max(0, len(priors) - self.MAX_ENTRIES)
         if overflow:
             self.evictions += overflow
             self._count("stats.evictions", overflow)
@@ -352,7 +291,7 @@ class StatisticsStore:
             self._priors[prior.key] = prior
             self._priors.move_to_end(prior.key)
             loaded += 1
-        while len(self._priors) > self.max_entries:
+        while len(self._priors) > self.MAX_ENTRIES:
             self._priors.popitem(last=False)
             self.evictions += 1
             self._count("stats.evictions")

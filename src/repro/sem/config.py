@@ -63,11 +63,9 @@ class QueryProcessorConfig:
     max_cost_usd: float | None = None
     #: Per-record degradation when a semantic call exhausts the LLM
     #: substrate's retry policy: "skip" flags the record and continues,
-    #: "fallback" re-asks ``fallback_model`` once, "raise" propagates.
+    #: "fallback" re-asks the cheapest chat model once (see
+    #: :meth:`resolved_fallback_model`), "raise" propagates.
     on_failure: str = "skip"
-    #: Cheaper tier used by ``on_failure="fallback"`` (None = auto: the
-    #: cheapest chat model in the catalog).
-    fallback_model: str | None = None
     #: Records per streamed batch (None = ``max(2 * parallelism, 16)``).
     batch_size: int | None = None
     #: Cross-query sub-plan reuse: a shared
@@ -87,11 +85,6 @@ class QueryProcessorConfig:
     #: that estimates and mid-query re-planning consult.  None disables
     #: both ingestion and consultation.
     stats_store: "StatisticsStore | None" = None
-    #: Let plan estimates use learned priors when available (falling back
-    #: to sampled profiles / static formulas).  Off = priors are still
-    #: collected but estimates stay static — the misestimate-injection
-    #: lever the replan bench uses.
-    stats_estimates: bool = True
     #: Adaptive mid-query re-optimization: at operator/section boundaries
     #: compare observed cardinality with the plan estimate and, past the
     #: divergence threshold, re-plan the remaining suffix using learned
@@ -172,7 +165,8 @@ class QueryProcessorConfig:
         return [card.name for card in completion_models_by_cost()]
 
     def resolved_fallback_model(self) -> str | None:
-        """The tier used by ``on_failure='fallback'`` (cheapest chat model)."""
+        """The tier ``on_failure='fallback'`` re-asks: the cheapest chat
+        model (None under the other failure modes)."""
         if self.on_failure != "fallback":
-            return self.fallback_model
-        return self.fallback_model or completion_models_by_cost()[0].name
+            return None
+        return completion_models_by_cost()[0].name

@@ -300,14 +300,14 @@ class MaterializationStore:
     Keys are canonical prefix fingerprints; values are the records at that
     operator boundary plus enough provenance (source uids, measured cost)
     for the optimizer to cost reuse against recompute and for the engine to
-    run appended and rewritten deltas.  Counters mirror into an attached
+    run appended and rewritten deltas.  At most :attr:`MAX_ENTRIES` entries
+    are kept.  Counters mirror into an attached
     :class:`~repro.obs.metrics.MetricsRegistry` as ``materialization.*``.
     """
 
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
+    MAX_ENTRIES = 256
+
+    def __init__(self) -> None:
         self._entries: OrderedDict[str, MaterializedEntry] = OrderedDict()
         self.hits = 0
         self.delta_hits = 0
@@ -353,7 +353,7 @@ class MaterializationStore:
         self._entries[fingerprint] = entry
         self.stores += 1
         self._count("materialization.stores")
-        while len(self._entries) > self.max_entries:
+        while len(self._entries) > self.MAX_ENTRIES:
             self._entries.popitem(last=False)
             self.evictions += 1
             self._count("materialization.evictions")
@@ -510,8 +510,8 @@ class MaterializationStore:
     def load(self, path: str | Path) -> int:
         """Load entries saved by :meth:`save`; returns how many were loaded.
 
-        ``max_entries`` is enforced *before* materialization: when the file
-        holds more entries than this store's capacity, the oldest overflow
+        :attr:`MAX_ENTRIES` is enforced *before* materialization: when the
+        file holds more entries than the store's capacity, the oldest overflow
         (save order = LRU order, last entry most recent) is dropped on the
         floor and counted as evictions — the bound is never exceeded, even
         transiently, and doomed records are never deserialized.
@@ -533,7 +533,7 @@ class MaterializationStore:
             return 0
         saved = payload.get("entries", [])
         entries = [raw for raw in saved if "emit_counts" not in raw]
-        entries = entries[max(0, len(entries) - self.max_entries) :]
+        entries = entries[max(0, len(entries) - self.MAX_ENTRIES) :]
         dropped = len(saved) - len(entries)
         if dropped:
             self.evictions += dropped

@@ -2,7 +2,7 @@
 
 What the plan believes about an operator is three per-record numbers —
 selectivity, cost, latency — and where they came from.  :func:`believe`
-is the only rule that resolves them (a usable learned prior, else what the
+is the only rule that resolves them (a learned prior, else what the
 operator already carries from sampling, else the static formula) and
 :func:`estimate_chain_steps` the only loop that prices a chain with them;
 the optimizer's binder and the mid-query re-planner are the only callers
@@ -78,21 +78,21 @@ class OperatorEstimate:
 
 
 def believe(
-    operator: "PhysicalOperator",
-    store: "StatisticsStore | None",
-    use_priors: bool = True,
+    operator: "PhysicalOperator", store: "StatisticsStore | None"
 ) -> OperatorEstimate:
     """What to believe about ``operator`` now — the one precedence rule.
 
-    A usable learned prior beats what the operator already carries (its
-    sampled profile, or an earlier belief) beats the static formula.  The
-    prior is *snapshotted*: the store keeps blending observations into the
-    live object, and EXPLAIN ANALYZE reads the estimate after ingestion.
+    A learned prior beats what the operator already carries (its sampled
+    profile, or an earlier belief) beats the static formula, so an
+    estimate is static only when nothing was sampled and the store holds
+    no evidence for the operator.  The prior is *snapshotted*: the store
+    keeps blending observations into the live object, and EXPLAIN ANALYZE
+    reads the estimate after ingestion.
     """
     carried = operator.estimate
     entry = operator.stats_entry
-    if use_priors and store is not None and entry is not None:
-        prior = store.usable_prior(entry["key"])
+    if store is not None and entry is not None:
+        prior = store.prior(entry["key"])
         if prior is not None:
             return OperatorEstimate(
                 prior.selectivity,

@@ -347,7 +347,7 @@ class Optimizer:
                     "sampled",
                     candidates=candidates,
                 )
-            op.estimate = believe(op, store, config.stats_estimates)
+            op.estimate = believe(op, store)
 
         input_cardinality = (
             float(len(source_records)) if source_records is not None else None

@@ -14,7 +14,8 @@ How a tick works:
    :class:`StandingQueryManager`, which accumulates them as *pending* work
    per standing query (updates additionally cascade an invalidation
    through :meth:`~repro.core.context_manager.ContextManager.invalidate`
-   to the Contexts derived from the source).
+   to the Contexts derived from the source, and drop the learned priors
+   on it; appends leave the priors as they are).
 2. :meth:`StandingQueryManager.pump` refreshes each query that has an
    update pending, or at least its :class:`RefreshPolicy`'s ``count``
    appended records; :meth:`StandingQueryManager.refresh` forces one.
@@ -333,9 +334,8 @@ class StandingQueryManager:
     ``stats_store`` fill in for a registered config that lacks one — on a
     derived copy, the caller's object is never written — so delta reuse
     works out of the box; ``context_manager`` receives the invalidation
-    cascade on update events; ``stats_store`` is told about source-version
-    changes so selectivity priors decay instead of serving stale
-    cardinalities.
+    cascade on update events, and an update drops the ``stats_store``'s
+    priors on the rewritten source, whose content they were learned on.
     """
 
     def __init__(
@@ -422,17 +422,18 @@ class StandingQueryManager:
     def _on_event(self, event: SourceEvent) -> None:
         """Source callback: accumulate pending work, cascade invalidation."""
         watchers = self._watchers.get(event.source_id, [])
-        if self.stats_store is not None:
-            self.stats_store.note_dataset_version(
-                event.source_id, event.version, change=event.kind
-            )
-        if event.kind == "update" and self.context_manager is not None:
+        if event.kind == "update":
+            # The priors were learned on content that no longer exists; an
+            # append leaves them be.
+            if self.stats_store is not None:
+                self.stats_store.invalidate_dataset(event.source_id)
             # Contexts derived from the source go stale, and take their own
             # store entries with them.  Entries built on the source itself
             # stay: the source records the rewrite, so their next probe
             # patches the rewritten records in (or evicts what cannot
             # absorb them).
-            self.context_manager.invalidate(event.source_id, kind="update")
+            if self.context_manager is not None:
+                self.context_manager.invalidate(event.source_id, kind="update")
         for query in watchers:
             if event.kind == "append":
                 rows = len(event.uids)

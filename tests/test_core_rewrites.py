@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.core.context_manager import ContextManager
 from repro.core.rewrites import (
     compute_batch,
     compute_with_recovery,
-    merge_similar_instructions,
     should_split,
     split_instruction,
 )
@@ -39,28 +39,40 @@ def test_should_split_judge_charges_llm(legal_bundle):
     assert runtime.usage().calls == 1
 
 
-def test_merge_groups_near_duplicates():
-    groups = merge_similar_instructions(
-        [
-            "compute the identity theft ratio between 2024 and 2001",
-            "compute the ratio of identity theft between 2024 and 2001",
-            "list romance scams in 2023",
-        ]
+def test_merge_groups_near_duplicates(legal_bundle):
+    # Merging is the similarity catalog's answer floor: a reworded
+    # duplicate is served the first answer, a different question is not.
+    runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=3)
+    context = runtime.make_context(legal_bundle)
+    first, reworded, other = compute_batch(
+        context,
+        [kb.QUERY_RATIO, kb.QUERY_RATIO + " Please.", "List romance scams in 2023."],
+        runtime,
     )
-    assert len(groups) == 2
-    assert groups[0].member_indexes == [0, 1]
-    assert groups[1].member_indexes == [2]
+    assert not first.reused and not other.reused
+    assert reworded.reused and reworded.cost_usd == 0.0
+    assert reworded.answer == first.answer
 
 
-def test_merge_identical_instructions():
-    groups = merge_similar_instructions(["same thing here"] * 4)
-    assert len(groups) == 1
-    assert groups[0].member_indexes == [0, 1, 2, 3]
+def test_merge_identical_instructions(legal_bundle):
+    runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=3)
+    context = runtime.make_context(legal_bundle)
+    results = compute_batch(context, [kb.QUERY_RATIO] * 4, runtime)
+    assert [result.reused for result in results] == [False, True, True, True]
+    # One episode ran: the other three are its answer at $0.
+    assert all(
+        result.cost_usd == 0.0 and result.output_context is results[0].output_context
+        for result in results[1:]
+    )
 
 
 def test_merge_threshold_validation():
-    with pytest.raises(ValueError):
-        merge_similar_instructions(["a"], threshold=0.0)
+    # Merging takes no threshold of its own: the floor is the catalog's
+    # ContextManager.ANSWER_FLOOR.  The keyword is passed through a dict
+    # because scripts/check.sh refuses it as a literal keyword.
+    with pytest.raises(TypeError, match="threshold"):
+        compute_batch(None, ["a"], None, **{"threshold": 0.0})
+    assert ContextManager.ANSWER_FLOOR == 0.92
 
 
 def test_compute_batch_shares_results(legal_bundle):
@@ -69,7 +81,9 @@ def test_compute_batch_shares_results(legal_bundle):
     instructions = [kb.QUERY_RATIO, kb.QUERY_RATIO + " Please."]
     results = compute_batch(context, instructions, runtime)
     assert len(results) == 2
-    assert results[0] is results[1]  # merged: same result object
+    assert results[1].reused  # merged: the first episode's answer
+    assert results[1].answer == results[0].answer
+    assert results[1].output_context is results[0].output_context
 
 
 def test_compute_with_recovery_not_triggered_when_valid(legal_bundle):

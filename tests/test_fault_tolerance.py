@@ -272,7 +272,6 @@ def test_fallback_mode_reroutes_to_healthy_model(make_config, enron_bundle):
         retry=NO_RETRY,
         optimize=False,
         on_failure="fallback",
-        fallback_model="gpt-4o-mini",
     )
     result = _filter_run(config, enron_bundle)
     assert result.failed_records == 0
@@ -353,8 +352,9 @@ def test_fallback_run_degrades_the_records_it_always_did(make_llm, enron_bundle)
     )
     config = QueryProcessorConfig(
         llm=llm, policy=MaxQuality(), seed=5, optimize=False, parallelism=4,
-        on_failure="fallback", fallback_model="gpt-4o-mini",
+        on_failure="fallback",
     )
+    assert config.resolved_fallback_model() == "gpt-4o-mini"
     plan = (
         Dataset.from_source(enron_bundle.source())
         .sem_filter(en.FILTER_RELEVANT)

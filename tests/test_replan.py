@@ -131,9 +131,14 @@ def _normalized(result):
     return [(r.uid, tuple(sorted(r.fields.items()))) for r in result.records]
 
 
-def _warm_store(bundle, plan_fn=_misestimate_plan, **store_kwargs) -> StatisticsStore:
-    """One full run with ingestion on — the priors later queries consult."""
-    store = StatisticsStore(**store_kwargs)
+def _warm_store(bundle, plan_fn=_plain_plan) -> StatisticsStore:
+    """One full run with ingestion on — the priors later queries consult.
+
+    Warmed on the plan without its where(), the store holds priors for
+    the filters and the map but no evidence for the misestimate plan's
+    SqlScan, whose estimate therefore stays static.
+    """
+    store = StatisticsStore()
     reset_uid_counter()
     plan_fn(bundle).run(_config(bundle, stats_store=store))
     assert len(store) > 0
@@ -160,7 +165,6 @@ def _armed(bundle, **gates):
     config = _config(
         bundle,
         stats_store=_warm_store(bundle),
-        stats_estimates=False,
         replan=True,
     )
     bound, report = Optimizer(config).optimize(_misestimate_plan(bundle).plan())
@@ -222,15 +226,21 @@ class TestEstimateSources:
         _result, report = _run(rp_bundle, _misestimate_plan, stats_store=store)
         assert "prior" in _est_sources(report)
 
-    def test_stats_estimates_off_keeps_static_sources(self, rp_bundle):
-        store = _warm_store(rp_bundle)
-        _result, report = _run(
+    def test_missing_evidence_keeps_the_scan_static(self, rp_bundle):
+        # The misestimate is missing evidence, not a mode: the store never
+        # saw the SqlScan run, so only its estimate is static, boundary 1
+        # diverges 2x and the filters' priors drive one reorder.
+        baseline, _ = _run(rp_bundle, _misestimate_plan)
+        result, report = _run(
             rp_bundle,
             _misestimate_plan,
-            stats_store=store,
-            stats_estimates=False,
+            stats_store=_warm_store(rp_bundle),
+            replan=True,
         )
-        assert "prior" not in _est_sources(report)
+        assert _est_sources(report) == ["static", "prior", "prior", "prior"]
+        assert len(report.replans) == 1
+        assert report.replans[0]["boundary"] == 1
+        assert _normalized(result) == _normalized(baseline)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +266,6 @@ class TestReplanTrigger:
             rp_bundle,
             _misestimate_plan,
             stats_store=store,
-            stats_estimates=False,
             replan=True,
         )
         assert len(report.replans) == 1
@@ -274,7 +283,6 @@ class TestReplanTrigger:
             rp_bundle,
             _misestimate_plan,
             stats_store=store,
-            stats_estimates=False,
             replan=True,
         )
         assert len(report.replans) == 1
@@ -333,7 +341,6 @@ class TestReplanTrigger:
             config = _config(
                 rp_bundle,
                 stats_store=_warm_store(rp_bundle),
-                stats_estimates=False,
                 replan=True,
                 materialization_store=MaterializationStore(),
             )
@@ -353,7 +360,7 @@ class TestReplanTrigger:
         for op in bound:
             assert (op.stats_entry, op.model) == facts[id(op)]
             learned = op in bound[1:] and (
-                store.usable_prior(op.stats_entry["key"]) is not None
+                store.prior(op.stats_entry["key"]) is not None
             )
             assert op.estimate.source == ("prior" if learned else sources[id(op)])
 
@@ -377,7 +384,6 @@ class TestReplanTrigger:
             rp_bundle,
             _misestimate_plan,
             stats_store=store,
-            stats_estimates=False,
             replan=True,
         )
         assert len(report.replans) == 1
@@ -409,7 +415,6 @@ class TestDeterminism:
                 rp_bundle,
                 _misestimate_plan,
                 stats_store=store,
-                stats_estimates=False,
                 replan=True,
             )
             outcomes.append((_normalized(result), report.replans))
@@ -430,7 +435,6 @@ class TestReplanObservability:
             rp_bundle,
             tracer=tracer,
             stats_store=store,
-            stats_estimates=False,
             replan=True,
         )
         _result, report = _misestimate_plan(rp_bundle).run_with_report(config)
@@ -452,7 +456,6 @@ class TestReplanObservability:
         config = _config(
             rp_bundle,
             stats_store=store,
-            stats_estimates=False,
             replan=True,
         )
         text = _misestimate_plan(rp_bundle).explain(analyze=True, config=config)
@@ -482,7 +485,6 @@ class TestReplanObservability:
             seed=7,
             optimize=False,
             stats_store=store,
-            stats_estimates=False,
             replan=True,
         )
         _misestimate_plan(rp_bundle).run(config)
@@ -524,11 +526,10 @@ def _reference(bundle, plan_fn, source=None):
 
 
 def _replanning(bundle, **kwargs):
-    """Options of an armed re-planner over a store warmed on the
-    misestimate plan (whose priors key every operator of these plans)."""
+    """Options of an armed re-planner over a store warmed on the plain
+    plan (priors for every operator of these plans but the SqlScan)."""
     return dict(
         stats_store=_warm_store(bundle),
-        stats_estimates=False,
         replan=True,
         **kwargs,
     )
@@ -705,7 +706,6 @@ class TestReplanWithMaterialization:
             rp_bundle,
             _misestimate_plan,
             stats_store=stats,
-            stats_estimates=False,
             replan=True,
             materialization_store=mat,
         )
@@ -720,7 +720,6 @@ class TestReplanWithMaterialization:
             rp_bundle,
             _misestimate_plan,
             stats_store=stats,
-            stats_estimates=False,
             replan=True,
             materialization_store=mat,
         )

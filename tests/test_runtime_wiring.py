@@ -5,7 +5,7 @@
 wires them onto the provided client when the client has nothing configured
 there, and raises on genuine conflicts.  Alongside: the similarity
 catalog's counters mirror into the metrics registry, and
-``MaterializationStore.load`` enforces ``max_entries`` before materializing
+``MaterializationStore.load`` enforces ``MAX_ENTRIES`` before materializing
 anything.
 """
 
@@ -144,8 +144,8 @@ def _entry_records(tag: str) -> list[DataRecord]:
     return [DataRecord({"body": tag}, uid=f"{tag}-rec")]
 
 
-def test_load_enforces_max_entries(tmp_path):
-    big = MaterializationStore(max_entries=8)
+def test_load_enforces_max_entries(tmp_path, monkeypatch):
+    big = MaterializationStore()
     for index in range(4):
         big.put(
             f"fp-{index}",
@@ -158,7 +158,8 @@ def test_load_enforces_max_entries(tmp_path):
     path = tmp_path / "store.json"
     assert big.save(path) == 4
 
-    small = MaterializationStore(max_entries=2)
+    monkeypatch.setattr(MaterializationStore, "MAX_ENTRIES", 2)
+    small = MaterializationStore()
     assert small.load(path) == 2
     assert len(small) == 2
     # Save order is LRU order (last = most recent): the newest two survive.
@@ -173,6 +174,6 @@ def test_load_within_capacity_evicts_nothing(tmp_path):
     path = tmp_path / "store.json"
     big.save(path)
 
-    fresh = MaterializationStore(max_entries=4)
+    fresh = MaterializationStore()
     assert fresh.load(path) == 1
     assert fresh.evictions == 0

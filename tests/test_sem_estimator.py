@@ -410,26 +410,27 @@ SAMPLED = OperatorEstimate(0.7, 0.002, 0.3, "sampled", candidates={"gpt-4o": obj
     [
         ("usable prior", SAMPLED, (0.2, 0.005, 0.4, "prior")),
         ("usable prior, nothing carried", None, (0.2, 0.005, 0.4, "prior")),
-        ("below min_observations", SAMPLED, (0.7, 0.002, 0.3, "sampled")),
-        ("stats_estimates off", SAMPLED, (0.7, 0.002, 0.3, "sampled")),
+        ("blended prior", SAMPLED, (0.35, 0.005, 0.4, "prior")),
+        ("prior for another operator", SAMPLED, (0.7, 0.002, 0.3, "sampled")),
         ("no stats entry", SAMPLED, (0.7, 0.002, 0.3, "sampled")),
         ("no store", SAMPLED, (0.7, 0.002, 0.3, "sampled")),
         ("nothing carried, nothing learned", None, (0.5, 0.0, 0.0, "static")),
     ],
 )
 def test_believe_precedence(case, carried, expected):
-    store = StatisticsStore(
-        min_observations=2 if case == "below min_observations" else 1
+    # An estimate is static only when nothing was sampled and the store has
+    # no evidence for this operator; one observation is evidence enough.
+    store = StatisticsStore()
+    learned_elsewhere = case in (
+        "prior for another operator", "nothing carried, nothing learned"
     )
-    _observe(store, key="other" if case.startswith("nothing carried") else "k1")
+    _observe(store, key="other" if learned_elsewhere else "k1")
+    if case == "blended prior":
+        _observe(store, records_out=7)  # 0.2 + DECAY * (0.7 - 0.2)
     operator = _keyed_operator(carried)
     if case == "no stats entry":
         operator.stats_entry = None
-    belief = believe(
-        operator,
-        None if case == "no store" else store,
-        use_priors=case != "stats_estimates off",
-    )
+    belief = believe(operator, None if case == "no store" else store)
     assert (
         belief.selectivity, belief.cost_per_record, belief.latency_per_record
     ) == pytest.approx(expected[:3])
@@ -440,17 +441,19 @@ def test_believe_precedence(case, carried, expected):
 
 
 def test_a_prior_is_snapshotted_into_the_estimate():
-    store = StatisticsStore(decay=1.0)
+    store = StatisticsStore()
     _observe(store, records_out=2)
     operator = _keyed_operator(None)
     operator.estimate = believe(operator, store)
     assert operator.estimate.selectivity == pytest.approx(0.2)
-    _observe(store, records_out=9)  # decay=1.0: the live prior now reads 0.9
-    assert store.usable_prior("k1").selectivity == pytest.approx(0.9)
+    _observe(store, records_out=9)  # the live prior now reads 0.2 + 0.3 * 0.7
+    assert store.prior("k1").selectivity == pytest.approx(0.41)
     assert operator.estimate.selectivity == pytest.approx(0.2)
 
 
-def test_explain_analyze_reads_the_estimate_the_run_was_planned_with(bundle):
+def test_explain_analyze_reads_the_estimate_the_run_was_planned_with(
+    bundle, monkeypatch
+):
     # The run ingests its own measurements before EXPLAIN renders: "Est.
     # out" must show what the plan believed, not what the run then taught.
     def run(store):
@@ -464,7 +467,9 @@ def test_explain_analyze_reads_the_estimate_the_run_was_planned_with(bundle):
         )
         return dataset.run_with_report(config)
 
-    store = StatisticsStore(decay=1.0)
+    # Each observation replaces the last, so a taught value is read as is.
+    monkeypatch.setattr(StatisticsStore, "DECAY", 1.0)
+    store = StatisticsStore()
     result, report = run(store)
     key = report.bound[1].stats_entry["key"]
     entry = report.bound[1].stats_entry
@@ -477,7 +482,7 @@ def test_explain_analyze_reads_the_estimate_the_run_was_planned_with(bundle):
     result, report = run(store)
     stats = result.operator_stats[1]
     assert stats.estimate.source == "prior" and stats.estimate.selectivity == 1.0
-    assert store.usable_prior(key).selectivity == stats.selectivity < 1.0
+    assert store.prior(key).selectivity == stats.selectivity < 1.0
     (row,) = [
         line for line in explain_analyze(result, report).splitlines()
         if line.startswith("| SemFilter")
@@ -531,7 +536,7 @@ def test_chain_price_is_the_closed_form_on_llm_operators(bundle):
     # by each filter's selectivity.
     rows, closed_form = 20.0, 0.0
     for operator in operators:
-        prior = stats.usable_prior(operator.stats_entry["key"])
+        prior = stats.prior(operator.stats_entry["key"])
         closed_form += rows * prior.cost_per_record
         rows *= prior.selectivity
     assert total.cost_usd == closed_form
@@ -603,7 +608,7 @@ def test_one_belief_rule_and_one_pricing_loop():
     sites = {
         path.relative_to(SEM).as_posix()
         for path in SEM.rglob("*.py")
-        if "usable_prior" in _calls(_tree(path))
+        if "prior" in _calls(_tree(path))
     }
     assert sites == {"optimizer/cost_model.py"}
     defined = set()

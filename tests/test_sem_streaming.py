@@ -410,23 +410,40 @@ def test_update_event_cascades_to_context_manager(qa_bundle):
     assert query.pending_updates == 1
 
 
-def test_update_decays_statistics_priors(qa_bundle):
+def _seeded_priors(qa_bundle):
+    """A standing query whose store holds a well-observed prior on its own
+    dataset and one on another dataset."""
     records = qa_bundle.records()
     stats = StatisticsStore()
-    manager, query, source = _standing(
-        qa_bundle, records[:8], stats_store=stats
-    )
-    # Seed a well-observed prior keyed to this dataset.
+    _manager, _query, source = _standing(qa_bundle, records[:8], stats_store=stats)
     for _ in range(8):
-        prior = stats.observe(
+        stats.observe(
             "k1", "sem_filter", "m", source.source_id, "run",
             records_in=10, records_out=5, cost_usd=0.01,
         )
-    assert prior.observations == 8
-    source.append(records[8:9])  # append: halve confidence
-    assert stats.usable_prior("k1").observations == 4
-    source.update(records[0].uid, {"priority": 1})  # update: drop priors
-    assert stats.usable_prior("k1") is None
+    stats.observe(
+        "elsewhere", "sem_filter", "m", "another-source", "run",
+        records_in=10, records_out=5,
+    )
+    before = {prior.key: prior.to_dict() for prior in stats.priors()}
+    return records, stats, source, before
+
+
+def test_append_keeps_every_prior(qa_bundle):
+    records, stats, source, before = _seeded_priors(qa_bundle)
+    assert before["k1"]["observations"] == 8
+    source.append(records[8:9])  # an append leaves every prior as it was
+    assert {prior.key: prior.to_dict() for prior in stats.priors()} == before
+    assert stats.dataset_invalidations == 0
+
+
+def test_update_decays_statistics_priors(qa_bundle):
+    # An in-place update decays the dataset's priors all the way: they are
+    # dropped, and other datasets keep theirs.
+    records, stats, source, before = _seeded_priors(qa_bundle)
+    source.update(records[0].uid, {"priority": 1})
+    assert stats.prior("k1") is None
+    assert stats.prior("elsewhere").to_dict() == before["elsewhere"]
     assert stats.dataset_invalidations >= 1
 
 
