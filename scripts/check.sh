@@ -54,6 +54,16 @@ if [[ "${1:-}" == "--fast" ]]; then
         tests/test_llm_embeddings.py::test_summation_order_is_first_seen_token_order \
         tests/test_llm_embeddings.py::test_corpus_records_embed_byte_identically
     echo
+    echo "== fast lane: call keys and records (a cache key is the call's tuple and shares entries exactly as the digest formula; an embed key ends in the text's digest; every per-call record is an immutable tuple) =="
+    python -m pytest -q \
+        "tests/test_llm_prepared_calls.py::test_cache_keys_equal_the_written_out_formula" \
+        tests/test_llm_prepared_calls.py::test_scope_flip_between_calls_never_reuses_the_other_scopes_hasher \
+        tests/test_llm_prepared_calls.py::test_embed_keys_end_in_the_texts_digest_never_the_text \
+        tests/test_llm_records.py
+    echo
+    echo "== fast lane: cold scan perf smoke (the miss path: every call a cache miss + put, digest == expected.json smoke seed 0) =="
+    python3 -m benchmarks.perf bench --workload scan_cold --smoke
+    echo
     echo "== fast lane: agent-queries perf smoke (the paper's search/compute/answer path: digest == expected.json smoke seed 0) =="
     python3 -m benchmarks.perf bench --workload agent_queries --smoke
     echo
@@ -194,12 +204,12 @@ if offenders:
     sys.exit(1)
 print(f"{len(files)} files: no retired keyword on a config, serving or standing constructor")
 PY
-retired_names='governor|watermark|lateness|event_time|max_staleness|min_batch_usd|now_s|last_refresh_s|use_cache|compile_operator|LogicalAgentOp|CompiledAgentOp|cheapest_model|usable_prior|note_dataset_version|decay_dataset|dataset_decays|_dataset_versions|use_priors|merge_similar_instructions|InstructionGroup'
+retired_names='governor|watermark|lateness|event_time|max_staleness|min_batch_usd|now_s|last_refresh_s|use_cache|compile_operator|LogicalAgentOp|CompiledAgentOp|cheapest_model|usable_prior|note_dataset_version|decay_dataset|dataset_decays|_dataset_versions|use_priors|merge_similar_instructions|InstructionGroup|key_prefix|GenerationCache\.key\(|\.key\.digest\('
 if grep -rnE "$retired_names" src/; then
-    echo "retired triggers, the event-time/staleness/prior-pricing state only they read, the cache switch, the agent-op IR, the stats store's evidence floor and append decay, and the token-Jaccard merge are back under src/ (the policy declares agent_model(); compute_batch merges through the catalog)"
+    echo "retired triggers, the event-time/staleness/prior-pricing state only they read, the cache switch, the agent-op IR, the stats store's evidence floor and append decay, the token-Jaccard merge, and digested generation-cache keys are back under src/ (the policy declares agent_model(); compute_batch merges through the catalog; a cache key is the call's tuple)"
     exit 1
 fi
-echo "no retired trigger, cache switch, agent-op, evidence-floor, append-decay or merge-group name under src/"
+echo "no retired trigger, cache switch, agent-op, evidence-floor, append-decay, merge-group or cache-key-digest name under src/"
 
 echo
 echo "== composition guard (replan arms under shards and behind replays: no exclusion cause under src/) =="

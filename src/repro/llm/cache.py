@@ -4,24 +4,30 @@ Mirrors the reuse-of-previous-results optimization the paper cites (SGLang
 [30]): repeated identical requests hit the cache and incur neither cost nor
 latency.  The semantic-operator executor relies on this when the optimizer's
 sampling phase re-executes operators on already-seen records.
+
+A key is the request itself, as a tuple of strings: the prepared call's
+``(model, *scope, kind, normalized instruction)`` followed by the record
+uid(s), or by the :func:`~repro.utils.hashing.stable_digest` of an embedded
+text (a key never holds a text the size of a prompt).  Two requests share
+an entry exactly when their keys are equal; a uid-keyed lookup takes no
+digest.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Hashable
 from typing import Any
-
-from repro.utils.hashing import StablePrefix, stable_digest
 
 
 class GenerationCache:
-    """An LRU cache keyed by (model, request payload), bounded at
-    :attr:`MAX_ENTRIES` entries."""
+    """An LRU cache keyed by the request, bounded at :attr:`MAX_ENTRIES`
+    entries."""
 
     MAX_ENTRIES = 100_000
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[str, Any] = OrderedDict()
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
         #: Entries dropped from the LRU end because the cache was full.
@@ -37,21 +43,7 @@ class GenerationCache:
         #: are mirrored into the shared registry.
         self.metrics = None
 
-    @staticmethod
-    def key(model: str, *payload: Any) -> str:
-        return stable_digest("gen-cache", model, *payload)
-
-    @staticmethod
-    def key_prefix(model: str, *payload: Any) -> StablePrefix:
-        """:meth:`key` with its leading payload hashed once.
-
-        ``key_prefix(model, *head).digest(*tail) == key(model, *head, *tail)``:
-        a caller whose keys differ only in their last parts (a record uid, a
-        text) keeps the prefix and digests the rest per call.
-        """
-        return StablePrefix("gen-cache", model, *payload)
-
-    def get(self, key: str) -> tuple[bool, Any]:
+    def get(self, key: Hashable) -> tuple[bool, Any]:
         """Return ``(hit, value)``; moves the entry to most-recently-used."""
         if key in self._entries:
             self._entries.move_to_end(key)
@@ -64,7 +56,7 @@ class GenerationCache:
             self.metrics.counter("cache.misses").inc()
         return False, None
 
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         if key in self._entries:
             self.updates += 1
             if self.metrics is not None:

@@ -2,27 +2,25 @@
 
 :class:`repro.llm.simulated.SimulatedLLM` is the only implementation
 shipped (the sandbox has no network access); a real API-backed client
-would return these same records.
+would return these same records.  Each is an immutable
+:class:`typing.NamedTuple`, as is the :class:`UsageEvent` it carries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.llm.usage import UsageEvent
 
 
-@dataclass(frozen=True)
-class CompletionResult:
+class CompletionResult(NamedTuple):
     """Free-text completion plus its accounting record."""
 
     text: str
     event: UsageEvent
 
 
-@dataclass(frozen=True)
-class FilterJudgment:
+class FilterJudgment(NamedTuple):
     """Boolean semantic judgment plus provenance."""
 
     answer: bool
@@ -32,8 +30,7 @@ class FilterJudgment:
     event: UsageEvent
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     """Value extracted for a natural-language instruction."""
 
     value: Any

@@ -15,7 +15,7 @@ the oracle itself is always right; models are not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Protocol, runtime_checkable
+from typing import Any, Iterable, NamedTuple, Protocol, runtime_checkable
 
 from repro.utils.text import jaccard_similarity, tokenize
 
@@ -125,9 +125,8 @@ class IntentRegistry:
         return sorted(self._intents)
 
 
-@dataclass
-class JudgeResult:
-    """Outcome of resolving a task against ground truth."""
+class JudgeResult(NamedTuple):
+    """Outcome of resolving a task against ground truth (an immutable tuple)."""
 
     #: Ground-truth value, or None if the oracle could not resolve the task.
     truth: Any

@@ -44,7 +44,7 @@ from repro.llm.usage import UsageEvent, UsageTracker
 from repro.obs.metrics import MetricsRegistry, NullMetrics, get_default_metrics
 from repro.obs.tracer import NoopTracer, Tracer, get_default_tracer
 from repro.utils.clock import VirtualClock
-from repro.utils.hashing import StablePrefix, stable_hash
+from repro.utils.hashing import StablePrefix, stable_digest, stable_hash
 from repro.utils.text import approx_token_count, extract_keywords, normalize_text
 
 #: Tokens charged for the fixed system/instruction scaffolding of each call.
@@ -86,10 +86,12 @@ class _PreparedCall:
     An operator sends one instruction to one model with every record, so
     everything here is computed for the first record and read for the
     rest: the model card, the normalised instruction and its token count,
-    the generation-cache key with all but its per-record parts hashed
-    (:meth:`GenerationCache.key_prefix`), and the noise draw likewise.
-    Nothing here changes an answer, a key, a draw or a charge — each is
-    the value the per-call computation would produce.
+    the head of every generation-cache key — the tuple ``(model, *scope,
+    kind, normalized)`` that a call's key extends with its record uid(s)
+    or text digest — and the noise draw with all but its per-record parts
+    hashed.  Nothing here changes an answer, which calls share a cache
+    entry, a draw or a charge — each is the value the per-call
+    computation would produce.
     """
 
     __slots__ = (
@@ -113,10 +115,10 @@ class _PreparedCall:
             self.normalized = normalize_text(instruction)
             self.instruction_tokens = approx_token_count(instruction)
             payload = (kind, self.normalized)
-        # Empty scope preserves historical key digests exactly.
+        # A scoped key names its tenant between the model and the kind.
         scoped = ("scope", scope) if scope else ()
-        #: ``key.digest(uid, ...)`` is the call's generation-cache key.
-        self.key = GenerationCache.key_prefix(model, *scoped, *payload)
+        #: ``(key, uid, ...)`` is the call's generation-cache key.
+        self.key = (model, *scoped, *payload)
         self.task_kind = _NOISE_KIND.get(kind, "")
         #: ``noise.uniform(noise_key, uid)`` is the call's error draw.
         self.noise = StablePrefix(seed, "llm-noise", self.card.name, self.task_kind)
@@ -168,10 +170,9 @@ class SimulatedLLM:
         #: its own cross-query schedule.  Body execution stays eager and
         #: ordered, so cache evolution is identical with or without a sink.
         self.serve_sink: Any | None = None
-        #: Tenant namespace prefixed into generation-cache keys.  Empty
-        #: (the default) preserves historical key digests exactly; serving
-        #: sessions set it per tenant so one tenant's cached generations
-        #: are invisible to another's accounting.
+        #: Tenant namespace in generation-cache keys.  Empty (the default)
+        #: leaves it out; serving sessions set it per tenant so one
+        #: tenant's cached generations are invisible to another's accounting.
         self.cache_scope: str = ""
         #: Depth of enclosing ``measure`` sections: cell-level spans replace
         #: per-call spans there (the engine re-times cells on the schedule).
@@ -314,7 +315,8 @@ class SimulatedLLM:
                 tag = current.name
         if cached:
             # Every field of a hit's event is fixed by (model, tag) and the
-            # event is frozen, so all such hits record the same object.
+            # event is an immutable tuple, so all such hits record the same
+            # object.
             event = self._hit_events.get((card.name, tag))
             if event is None:
                 if len(self._hit_events) >= _CALL_MEMO_CAP:
@@ -536,7 +538,7 @@ class SimulatedLLM:
         """Answer "does ``record`` satisfy ``instruction``?" as ``model`` would."""
         call = self._prepared("filter", instruction, model)
         card = call.card
-        cache_key = call.key.digest(record.uid)
+        cache_key = (call.key, record.uid)
         hit, value = self.cache.get(cache_key)
         if hit:
             event = self._charge(card, 0, 0, tag, cached=True)
@@ -564,7 +566,7 @@ class SimulatedLLM:
         """Answer "do ``left`` and ``right`` jointly satisfy ``instruction``?"."""
         call = self._prepared("join", instruction, model)
         card = call.card
-        cache_key = call.key.digest(left.uid, right.uid)
+        cache_key = (call.key, left.uid, right.uid)
         hit, value = self.cache.get(cache_key)
         if hit:
             event = self._charge(card, 0, 0, tag, cached=True)
@@ -598,7 +600,7 @@ class SimulatedLLM:
         """Extract the value ``instruction`` asks for from ``record``."""
         call = self._prepared("extract", instruction, model)
         card = call.card
-        cache_key = call.key.digest(record.uid)
+        cache_key = (call.key, record.uid)
         hit, value = self.cache.get(cache_key)
         if hit:
             event = self._charge(card, 0, 0, tag, cached=True)
@@ -680,7 +682,7 @@ class SimulatedLLM:
         """Embed ``text``, charging the embedding model's price and latency."""
         call = self._prepared("embed", None, EMBEDDING_MODEL)
         card = call.card
-        cache_key = call.key.digest(text)
+        cache_key = (call.key, stable_digest(text))
         hit, value = self.cache.get(cache_key)
         if hit:
             self._charge(card, 0, 0, tag, cached=True)
@@ -713,11 +715,11 @@ class SimulatedLLM:
         vectors: dict[str, np.ndarray] = {}
         # Unique uncached texts in first-seen order -> cache key: one digest
         # per unique text, shared by the probe and the put.
-        misses: dict[str, str] = {}
+        misses: dict[str, tuple] = {}
         for text in texts:
             if text in vectors or text in misses:
                 continue
-            cache_key = call.key.digest(text)
+            cache_key = (call.key, stable_digest(text))
             hit, value = self.cache.get(cache_key)
             if hit:
                 self._charge(card, 0, 0, tag, cached=True)

@@ -8,6 +8,7 @@ virtual clock) Time (s) columns of the paper's tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import BudgetExceededError
 
@@ -32,9 +33,8 @@ class Usage:
         return self.input_tokens + self.output_tokens
 
 
-@dataclass(frozen=True)
-class UsageEvent:
-    """One simulated LLM call attempt."""
+class UsageEvent(NamedTuple):
+    """One simulated LLM call attempt (an immutable tuple)."""
 
     model: str
     input_tokens: int

@@ -24,11 +24,11 @@ batched vs. serial serving follows directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CallRequest:
+class CallRequest(NamedTuple):
     """One successful (or exhausted-retry) LLM call saga.
 
     ``model`` is ``None`` when the call's metadata could not be paired with

@@ -61,10 +61,10 @@ def stable_digest(*parts: Any) -> str:
 class StablePrefix:
     """The leading parts of a ``stable_*`` call, hashed once.
 
-    ``StablePrefix(*head).digest(*tail) == stable_digest(*head, *tail)``,
-    and likewise :meth:`hash` / :meth:`uniform`, for every split of every
-    part tuple — either side may be empty.  Per call only the tail is
-    serialised: the hasher that already absorbed the head is copied.
+    ``StablePrefix(*head).hash(*tail) == stable_hash(*head, *tail)``, and
+    likewise :meth:`uniform`, for every split of every part tuple — either
+    side may be empty.  Per call only the tail is serialised: the hasher
+    that already absorbed the head is copied.
     """
 
     __slots__ = ("_hasher", "_joint")
@@ -81,9 +81,6 @@ class StablePrefix:
             hasher.update((joint + repr(part)).encode("utf-8"))
             joint = PART_SEPARATOR
         return hasher
-
-    def digest(self, *tail: Any) -> str:
-        return self._absorbed(tail).hexdigest()[:16]
 
     def hash(self, *tail: Any) -> int:
         return int.from_bytes(self._absorbed(tail).digest()[:8], "big")

@@ -12,7 +12,7 @@ def _bounded(monkeypatch, max_entries):
 
 def test_miss_then_hit():
     cache = GenerationCache()
-    key = GenerationCache.key("gpt-4o", "prompt")
+    key = (("gpt-4o", "filter", "prompt"), "uid-1")
     hit, _ = cache.get(key)
     assert not hit
     cache.put(key, "answer")
@@ -22,7 +22,10 @@ def test_miss_then_hit():
 
 
 def test_keys_differ_by_model():
-    assert GenerationCache.key("a", "p") != GenerationCache.key("b", "p")
+    cache = GenerationCache()
+    cache.put((("a", "filter", "p"), "u"), 1)
+    assert not cache.get((("b", "filter", "p"), "u"))[0]
+    assert cache.get((("a", "filter", "p"), "u")) == (True, 1)
 
 
 def test_lru_eviction(monkeypatch):

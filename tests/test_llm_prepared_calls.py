@@ -1,26 +1,50 @@
 """A cache hit does only per-record work — and nothing else changes.
 
-``SimulatedLLM`` hashes the per-plan-constant head of every generation-cache
+``SimulatedLLM`` builds the per-plan-constant head of every generation-cache
 key once (a *prepared call* per endpoint kind, instruction, model and cache
-scope) and hands every hit of a ``(model, tag)`` the same frozen event.
-These tests pin what that must not move: the keys, the accounting, and the
-batched embedding path's events.  Toy-world fixtures come from ``conftest.py``.
+scope) and hands every hit of a ``(model, tag)`` the same immutable event.
+A key is the request itself — the head tuple plus the record uid(s) or the
+digest of an embedded text — so a uid-keyed lookup takes no digest.  These
+tests pin what that must not move: which calls share a cache entry, the
+accounting, and the batched embedding path's events.  Toy-world fixtures
+come from ``conftest.py``.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.llm import simulated
-from repro.llm.cache import GenerationCache
 from repro.llm.models import DEFAULT_MODEL, EMBEDDING_MODEL
 from repro.llm.usage import UsageEvent, UsageTracker
 from repro.obs import Tracer
-from repro.utils.hashing import StablePrefix
+from repro.utils.hashing import stable_digest
 from repro.utils.text import normalize_text
 
 FLAG = "  Has the SPECIAL  flag? "
 SAME = "same special flag"
 COUNT = "extract the number of widgets"
+
+#: Instructions that differ as written but normalise alike: each is its own
+#: prepared call, and all of one pair must land on one cache entry.
+FLAG_VARIANTS = (FLAG, "has the special flag?")
+COUNT_VARIANTS = (COUNT, "Extract  the NUMBER of widgets")
+
+
+def _namespace(scope):
+    # The scoped layout: "scope", <scope> sit between the model and the kind.
+    return ("scope", scope) if scope else ()
+
+
+def _digest_key(model, scope, *payload):
+    """The reference: a request's identity as a digest of its serialised parts.
+
+    ``stable_digest("gen-cache", model, *scope, kind, normalized, *uids)``
+    (an embedding: ``kind, text``) — two requests must share a cache entry
+    exactly when this formula gives them the same value.
+    """
+    return stable_digest("gen-cache", model, *_namespace(scope), *payload)
 
 
 # ---------------------------------------------------------------------------
@@ -33,11 +57,7 @@ def test_cache_keys_equal_the_written_out_formula(make_toy_llm, toy_record, scop
     llm = make_toy_llm()
     llm.cache_scope = scope
     a, b = toy_record(uid="a"), toy_record(uid="b")
-    # The scoped layout: "scope", <scope> sit between the model and the kind.
-    namespace = ("scope", scope) if scope else ()
-
-    def key(model, *payload):
-        return GenerationCache.key(model, *namespace, *payload)
+    namespace = _namespace(scope)
 
     expected = []
 
@@ -49,22 +69,65 @@ def test_cache_keys_equal_the_written_out_formula(make_toy_llm, toy_record, scop
 
     call_adds(
         lambda: llm.judge_filter(FLAG, a),
-        key(DEFAULT_MODEL, "filter", normalize_text(FLAG), "a"),
+        ((DEFAULT_MODEL, *namespace, "filter", normalize_text(FLAG)), "a"),
     )
     call_adds(
         lambda: llm.judge_join(SAME, a, b, model="gpt-4o-mini"),
-        key("gpt-4o-mini", "join", normalize_text(SAME), "a", "b"),
+        (("gpt-4o-mini", *namespace, "join", normalize_text(SAME)), "a", "b"),
     )
     call_adds(
         lambda: llm.extract(COUNT, b),
-        key(DEFAULT_MODEL, "extract", normalize_text(COUNT), "b"),
+        ((DEFAULT_MODEL, *namespace, "extract", normalize_text(COUNT)), "b"),
     )
-    call_adds(lambda: llm.embed("some text"), key(EMBEDDING_MODEL, "embed", "some text"))
+    embed_head = (EMBEDDING_MODEL, *namespace, "embed")
+    call_adds(lambda: llm.embed("some text"), (embed_head, stable_digest("some text")))
     call_adds(
         lambda: llm.embed_batch(["some text", "other text", "third"]),
-        key(EMBEDDING_MODEL, "embed", "other text"),
-        key(EMBEDDING_MODEL, "embed", "third"),
+        (embed_head, stable_digest("other text")),
+        (embed_head, stable_digest("third")),
     )
+
+    # Sharing: over model x scope x kind x instructions that normalise alike
+    # x uid/text, a call hits exactly when an earlier call's digest formula
+    # gave the same value, and the cache holds one entry per distinct value.
+    grid, seen = make_toy_llm(), set()
+
+    def shares(reference, cached, label):
+        assert cached == (reference in seen), label
+        seen.add(reference)
+        assert len(grid.cache) == len(seen)
+
+    for model, grid_scope, (kind, instructions), uids in itertools.product(
+        (DEFAULT_MODEL, "gpt-4o-mini"),
+        (scope, "tenant-b"),
+        (("filter", FLAG_VARIANTS), ("extract", COUNT_VARIANTS), ("join", FLAG_VARIANTS)),
+        (("a", "b"), ("b", "a"), ("a", "a")),
+    ):
+        grid.cache_scope = grid_scope
+        for instruction in instructions:
+            records = [toy_record(uid=uid) for uid in uids]
+            if kind == "join":
+                event = grid.judge_join(instruction, *records, model=model).event
+                tail = uids
+            else:
+                endpoint = grid.judge_filter if kind == "filter" else grid.extract
+                event = endpoint(instruction, records[0], model=model).event
+                tail = uids[:1]
+            shares(
+                _digest_key(model, grid_scope, kind, normalize_text(instruction), *tail),
+                event.cached,
+                (model, grid_scope, kind, instruction, uids),
+            )
+    for grid_scope, text in itertools.product(
+        (scope, "tenant-b"), ("some text", "other text", "some text")
+    ):
+        grid.cache_scope = grid_scope
+        grid.embed(text)
+        shares(
+            _digest_key(EMBEDDING_MODEL, grid_scope, "embed", text),
+            grid.tracker.events[-1].cached,
+            (grid_scope, text),
+        )
 
 
 def test_scope_flip_between_calls_never_reuses_the_other_scopes_hasher(
@@ -82,13 +145,33 @@ def test_scope_flip_between_calls_never_reuses_the_other_scopes_hasher(
     llm.embed("t")  # a miss again: the unscoped key is a different key
     assert len(llm.cache) == 4
     normalized = normalize_text(FLAG)
+    text = stable_digest("t")
     for expected in (
-        GenerationCache.key(DEFAULT_MODEL, "filter", normalized, "r"),
-        GenerationCache.key(DEFAULT_MODEL, "scope", "tenant-a", "filter", normalized, "r"),
-        GenerationCache.key(EMBEDDING_MODEL, "scope", "tenant-a", "embed", "t"),
-        GenerationCache.key(EMBEDDING_MODEL, "embed", "t"),
+        ((DEFAULT_MODEL, "filter", normalized), "r"),
+        ((DEFAULT_MODEL, "scope", "tenant-a", "filter", normalized), "r"),
+        ((EMBEDDING_MODEL, "scope", "tenant-a", "embed"), text),
+        ((EMBEDDING_MODEL, "embed"), text),
     ):
         assert llm.cache.get(expected)[0]
+    # Each scope keeps its own entries: flipping back hits the tenant's.
+    llm.cache_scope = "tenant-a"
+    assert llm.judge_filter(FLAG, record).event.cached
+    llm.embed("t")
+    assert llm.tracker.events[-1].cached and len(llm.cache) == 4
+
+
+def test_embed_keys_end_in_the_texts_digest_never_the_text(make_toy_llm):
+    llm = make_toy_llm()
+    long_text = "a prompt-sized text " * 200
+    llm.embed(long_text)
+    llm.embed_batch(["short", long_text, "other"])
+    texts = [long_text, "short", "other"]
+    keys = list(llm.cache._entries)
+    assert {tail for _, tail in keys} == {stable_digest(text) for text in texts}
+    for head, tail in keys:
+        assert head == (EMBEDDING_MODEL, "embed")
+        assert len(tail) == 16 and int(tail, 16) >= 0 and tail not in texts
+        assert all(isinstance(part, str) for part in (*head, tail))
 
 
 def test_unknown_model_is_refused_before_anything_is_memoised(make_toy_llm, toy_record):
@@ -232,13 +315,13 @@ def test_embed_batch_digests_one_key_per_unique_text(make_toy_llm, monkeypatch):
     llm = _warm_llm(make_toy_llm)
     texts = ["warm one", "miss a", "miss a", "warm two", "miss b", "warm one", "miss a"]
     digested = []
-    original = StablePrefix.digest
+    original = simulated.stable_digest
 
-    def counting(self, *tail):
-        digested.append(tail)
-        return original(self, *tail)
+    def counting(*parts):
+        digested.append(parts)
+        return original(*parts)
 
-    monkeypatch.setattr(StablePrefix, "digest", counting)
+    monkeypatch.setattr(simulated, "stable_digest", counting)
     llm.embed_batch(texts)
     assert sorted(digested) == sorted((text,) for text in set(texts))
 
@@ -270,5 +353,6 @@ def test_embed_batch_events_and_vectors_equal_the_per_text_paths(make_toy_llm, b
         assert chunks == misses
     # Both paths left the same entries in the cache, under the same keys.
     assert len(batched_llm.cache) == len(single_llm.cache) == 5
-    for text in unique:
-        assert batched_llm.cache.get(GenerationCache.key(EMBEDDING_MODEL, "embed", text))[0]
+    assert set(batched_llm.cache._entries) == set(single_llm.cache._entries) == {
+        ((EMBEDDING_MODEL, "embed"), stable_digest(text)) for text in unique
+    }

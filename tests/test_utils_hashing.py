@@ -82,18 +82,18 @@ def test_prefix_form_equals_plain_call_at_every_split(parts):
     for split in range(len(parts) + 1):  # 0 = empty prefix, len = empty tail
         prefix = StablePrefix(*parts[:split])
         tail = parts[split:]
-        assert prefix.digest(*tail) == stable_digest(*parts)
         assert prefix.hash(*tail) == stable_hash(*parts)
         assert prefix.uniform(*tail) == stable_uniform(*parts)
 
 
 def test_prefix_is_reusable_and_keeps_part_boundaries():
-    prefix = StablePrefix("gen-cache", "gpt-4o")
-    first = prefix.digest("filter", "u1")
-    assert prefix.digest("filter", "u2") != first
-    assert prefix.digest("filter", "u1") == first  # the copy absorbed the tail, not the prefix
-    assert StablePrefix("ab").digest("c") != StablePrefix("a").digest("bc")
-    assert StablePrefix("a\x1fb").digest() == stable_digest("a\x1fb")
+    prefix = StablePrefix(0, "llm-noise", "gpt-4o")
+    first = prefix.hash("filter", "u1")
+    assert prefix.hash("filter", "u2") != first
+    assert prefix.hash("filter", "u1") == first  # the copy absorbed the tail, not the prefix
+    assert prefix.uniform("filter", "u1") == stable_uniform(0, "llm-noise", "gpt-4o", "filter", "u1")
+    assert StablePrefix("ab").hash("c") != StablePrefix("a").hash("bc")
+    assert StablePrefix("a\x1fb").hash() == stable_hash("a\x1fb")
 
 
 @given(_PARTS, _PARTS)
