@@ -10,6 +10,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
+echo "== per-cell guard (parallel/measure return a section object and measured_step is a class: no generator context manager on the per-cell path) =="
+if grep -n 'contextmanager' src/repro/llm/simulated.py src/repro/sem/execution.py; then
+    echo "a fused cell pays for its records, not a generator per block: use a class with __enter__/__exit__"
+    exit 1
+fi
+echo "no contextlib.contextmanager in llm/simulated.py or sem/execution.py"
+echo
+
 if [[ "${1:-}" == "--fast" ]]; then
     echo "== fast lane: tier-1 tests (-m 'not slow') =="
     python -m pytest -x -q -m "not slow"
@@ -44,6 +52,13 @@ if [[ "${1:-}" == "--fast" ]]; then
     echo
     echo "== fast lane: warm re-scan perf smoke (warm digest == cold fill's, \$0 and 0 virtual s per warm pass: the key written on a miss is the key probed on a hit) =="
     python3 -m benchmarks.perf bench --workload rescan_warm --smoke
+    echo
+    echo "== fast lane: per-cell path (storm accounting pinned and conserved through a mid-batch budget cut; the section-makespan metric is the schedule's; the predicate kernel keeps the bool and 2**53 rules) =="
+    python -m pytest -q \
+        tests/test_pipeline_execution.py::test_storm_accounting_is_pinned_and_conserved \
+        tests/test_pipeline_execution.py::test_section_makespan_metric_is_the_schedules_makespan \
+        tests/test_record_batch.py::test_mask_matches_row_semantics \
+        tests/test_record_batch.py::TestExactFloatColumn
     echo
     echo "== fast lane: text-kernel equivalence (ASCII tokenizer pass == the regex; bincount embedding == the per-token loop, byte for byte) =="
     python -m pytest -q \

@@ -26,8 +26,7 @@ matter for fidelity to the paper:
 
 from __future__ import annotations
 
-import contextlib
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -71,13 +70,47 @@ _NOISE_KIND = {
 }
 
 
-class MeasuredTime:
-    """Mutable holder filled in when a :meth:`SimulatedLLM.measure` block exits."""
+class _Section:
+    """One :meth:`SimulatedLLM.parallel` or :meth:`SimulatedLLM.measure` block:
+    calls inside append their latencies to the innermost open section."""
 
-    __slots__ = ("seconds",)
+    __slots__ = ("llm", "width", "measuring", "latencies", "seconds")
 
-    def __init__(self) -> None:
+    def __init__(self, llm: "SimulatedLLM", width: int, measuring: bool) -> None:
+        self.llm = llm
+        self.width = width
+        self.measuring = measuring
+        self.latencies: list[float] = []
         self.seconds = 0.0
+
+    def __enter__(self) -> "_Section":
+        self.llm._parallel_stack.append(self)
+        if self.measuring:
+            self.llm._measure_depth += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        llm = self.llm
+        llm._parallel_stack.pop()
+        latencies = self.latencies
+        if self.measuring:
+            llm._measure_depth -= 1
+            # Width 1: sequential sub-sections within one cell add up, left
+            # to right from 0.0 — ``_makespan(latencies, 1)``, bit for bit.
+            self.seconds = sum(latencies)
+        elif latencies:
+            if not llm._parallel_stack and llm.serve_sink is not None:
+                # Serving capture: the outermost section's items form one
+                # precedence step in the query's call timeline; no clock
+                # time passes during body execution.
+                llm.serve_sink.end_step(self.width, latencies)
+            else:
+                # The section's makespan is one unit of work in the
+                # enclosing section (if any); only at the outermost level
+                # does it reach the clock.  Advancing directly here would
+                # double-schedule nested sections against their parent's
+                # waves.
+                llm._advance_latency(_makespan(latencies, self.width))
 
 
 class _PreparedCall:
@@ -163,7 +196,7 @@ class SimulatedLLM:
             if self.faults is not None:
                 self.faults.metrics = self.metrics
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._parallel_stack: list[tuple[int, list[float]]] = []
+        self._parallel_stack: list[_Section] = []
         #: Serving-layer hook: when set (see ``repro.serve``), outermost
         #: latency charges are diverted to the sink as *call steps* instead
         #: of advancing the clock — the serving scheduler replays them on
@@ -203,52 +236,24 @@ class SimulatedLLM:
     # Accounting
     # ------------------------------------------------------------------
 
-    @contextlib.contextmanager
-    def parallel(self, parallelism: int) -> Iterator[None]:
+    def parallel(self, parallelism: int) -> "_Section":
         """Charge calls inside the block as waves of ``parallelism`` calls."""
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-        self._parallel_stack.append((parallelism, []))
-        try:
-            yield
-        finally:
-            width, latencies = self._parallel_stack.pop()
-            if latencies:
-                if not self._parallel_stack and self.serve_sink is not None:
-                    # Serving capture: the outermost section's items form one
-                    # precedence step in the query's call timeline; no clock
-                    # time passes during body execution.
-                    self.serve_sink.end_step(width, latencies)
-                else:
-                    # The section's makespan is one unit of work in the
-                    # enclosing section (if any); only at the outermost level
-                    # does it reach the clock.  Advancing directly here would
-                    # double-schedule nested sections against their parent's
-                    # waves.
-                    self._advance_latency(_makespan(latencies, width))
+        return _Section(self, parallelism, measuring=False)
 
-    @contextlib.contextmanager
-    def measure(self) -> Iterator[MeasuredTime]:
+    def measure(self) -> "_Section":
         """Capture seconds charged inside the block instead of spending them.
 
         The pipelined executor wraps each (batch, stage) cell in a measure
         section: inner ``parallel`` waves resolve to their makespans as
-        usual, but the cell's total duration lands in the returned
-        :class:`MeasuredTime` rather than on the clock (or a parent
-        section).  The engine then advances the clock by the *pipeline*
-        critical path those cells form — overlapping stages that a direct
-        charge would serialize.
+        usual, but the cell's total duration lands in the section's
+        ``seconds`` rather than on the clock (or a parent section).  The
+        engine then advances the clock by the *pipeline* critical path
+        those cells form — overlapping stages that a direct charge would
+        serialize.
         """
-        holder = MeasuredTime()
-        self._parallel_stack.append((1, []))
-        self._measure_depth += 1
-        try:
-            yield holder
-        finally:
-            self._measure_depth -= 1
-            _, latencies = self._parallel_stack.pop()
-            # Width 1: sequential sub-sections within one cell add up.
-            holder.seconds = sum(latencies)
+        return _Section(self, 1, measuring=True)
 
     def _advance_latency(self, seconds: float) -> None:
         if self._parallel_stack:
@@ -256,7 +261,7 @@ class SimulatedLLM:
             # return instantly and must not displace real calls in the
             # positional chunking of ``_makespan``.
             if seconds > 0.0:
-                self._parallel_stack[-1][1].append(seconds)
+                self._parallel_stack[-1].latencies.append(seconds)
         elif self.serve_sink is not None:
             # A bare sequential call is its own single-item step.
             if seconds > 0.0:
@@ -371,7 +376,7 @@ class SimulatedLLM:
         is_embedding = card.usd_per_1m_output <= 0.0
         # Innermost section width: storms throttle wide fan-out, and retries
         # stay in their slot, so they keep the width they were issued at.
-        width = self._parallel_stack[-1][0] if self._parallel_stack else 1
+        width = self._parallel_stack[-1].width if self._parallel_stack else 1
         latency_total = 0.0
         retries = 0
         while True:
@@ -493,7 +498,8 @@ class SimulatedLLM:
         """
         if not self._parallel_stack:
             return self.clock.elapsed, None
-        width, latencies = self._parallel_stack[-1]
+        section = self._parallel_stack[-1]
+        width, latencies = section.width, section.latencies
         index = len(latencies)
         if width <= 1:
             return self.clock.elapsed + sum(latencies), None

@@ -70,9 +70,8 @@ class RecordBatch:
         """Field values as an object array; missing fields read as None."""
         cached = self._columns.get(name)
         if cached is None:
-            cached = np.empty(len(self.records), dtype=object)
-            for position, record in enumerate(self.records):
-                cached[position] = record.fields.get(name)
+            values = [record.fields.get(name) for record in self.records]
+            cached = np.fromiter(values, dtype=object, count=len(values))
             self._columns[name] = cached
         return cached
 
@@ -80,15 +79,16 @@ class RecordBatch:
         """True where the field is present and not NULL."""
         cached = self._validity.get(name)
         if cached is None:
-            column = self.column(name)
-            cached = np.fromiter(
-                (value is not None for value in column), dtype=bool, count=len(column)
+            cached = np.array(
+                [value is not None for value in self.column(name).tolist()], dtype=bool
             )
             self._validity[name] = cached
         return cached
 
-    def take(self, mask: np.ndarray) -> "RecordBatch":
-        """Rows where ``mask`` is True, as a new batch (records shared)."""
+    def take(self, mask: "np.ndarray | list") -> "RecordBatch":
+        """Rows where ``mask`` is true, as a new batch (records shared)."""
+        if isinstance(mask, np.ndarray):
+            mask = mask.tolist()  # Python bools: no numpy scalar per row
         kept = [record for record, keep in zip(self.records, mask) if keep]
         positions = self.positions
         if positions is not None:
@@ -293,13 +293,14 @@ def _vector_eval(expr: Expr, batch: RecordBatch) -> tuple[np.ndarray, np.ndarray
         false_mask = valid & ~true_mask
         return (false_mask, true_mask) if expr.negated else (true_mask, false_mask)
     if isinstance(expr, ColumnRef):
-        column = batch.column(expr.name)
+        values = batch.column(expr.name).tolist()
         valid = batch.validity(expr.name)
-        if any(valid[i] and not isinstance(column[i], bool) for i in range(len(column))):
+        if any(
+            present and not isinstance(value, bool)
+            for value, present in zip(values, valid.tolist())
+        ):
             raise _Fallback  # numeric truthiness: leave it to the executor
-        true_mask = np.fromiter(
-            (value is True for value in column), dtype=bool, count=len(column)
-        )
+        true_mask = np.array([value is True for value in values], dtype=bool)
         return true_mask, valid & ~true_mask
     raise _Fallback
 
@@ -364,13 +365,11 @@ def _vector_compare_leaf(
         scalar, negate = lambda value: _sql_less(literal, value), False
     else:
         scalar, negate = lambda value: _sql_lte(literal, value), False
-    true_mask = np.zeros(size, dtype=bool)
-    for position in range(size):
-        if not valid[position]:
-            continue
-        outcome = scalar(column[position])
-        if outcome is not None and (outcome != negate):
-            true_mask[position] = True
+    hits = []
+    for value, present in zip(column.tolist(), valid.tolist()):
+        outcome = scalar(value) if present else None
+        hits.append(outcome is not None and outcome != negate)
+    true_mask = np.array(hits, dtype=bool)
     return true_mask, valid & ~true_mask
 
 
@@ -388,14 +387,14 @@ def _exact_float_column(
         return None
     if isinstance(literal, int) and abs(literal) > _EXACT_FLOAT_INT:
         return None
-    floats = np.full(len(column), np.nan)
-    for position in range(len(column)):
-        if not valid[position]:
+    floats = []
+    for value, present in zip(column.tolist(), valid.tolist()):
+        if not present:
+            floats.append(np.nan)
             continue
-        value = column[position]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             return None
         if isinstance(value, int) and abs(value) > _EXACT_FLOAT_INT:
             return None
-        floats[position] = float(value)
-    return floats
+        floats.append(float(value))
+    return np.array(floats, dtype=float)

@@ -12,7 +12,7 @@ seconds.  Four pieces exist exactly once:
   sink owns time — ``SimulatedLLM.sink_owns_time``), or —
   supplied by :mod:`repro.sem.shard` — an *exchange segment* across
   simulated workers.
-- **The measured step** (:func:`measured_step`) attributes everything a
+- **The measured step** (:class:`measured_step`) attributes everything a
   piece of work spent — dollars, calls, tokens, cache hits, retries,
   degraded records, seconds, a budget cut — to an :class:`OperatorStats`.
 - **The cell runner** (:meth:`Engine.run_cell`) puts one record batch
@@ -39,9 +39,7 @@ accounting differs.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.data.records import DataRecord
 from repro.errors import BudgetExceededError
@@ -281,19 +279,7 @@ def _stats_attrs(stats: OperatorStats) -> dict:
     return attrs
 
 
-@dataclass
-class StepOutcome:
-    """What one :func:`measured_step` observed (filled when the block exits)."""
-
-    seconds: float = 0.0
-    #: The body was cut short by the spend cap (its spend is still counted).
-    truncated: bool = False
-
-
-@contextlib.contextmanager
-def measured_step(
-    ctx: ExecutionContext, stats: OperatorStats, cell: bool = True
-) -> Iterator[StepOutcome]:
+class measured_step:
     """Run the block as one measured unit of work, accumulated into ``stats``.
 
     The single place usage is attributed to an operator: dollars, calls,
@@ -304,45 +290,63 @@ def measured_step(
     with ``cell=False`` the block spends time on the clock as it goes and
     the elapsed delta is read back — operator steps and coordinator-side
     work.  A :class:`BudgetExceededError` from the block is absorbed: what
-    it burned before the cut is accounted, and the outcome says
-    ``truncated`` so the caller can still schedule the partial seconds.
+    it burned before the cut is accounted, and :attr:`truncated` says so
+    the caller can still schedule the partial :attr:`seconds`.
     """
-    llm = ctx.llm
-    tracker = llm.tracker
-    checkpoint = tracker.checkpoint()
-    failures_before = len(ctx.failures)
-    time_before = llm.clock.elapsed
-    outcome = StepOutcome()
-    with (llm.measure() if cell else contextlib.nullcontext()) as measured:
-        try:
-            yield outcome
-        except BudgetExceededError:
-            outcome.truncated = True
-    # One walk of the block's events.  Dollars are summed left to right
-    # from 0.0 and only then added to ``stats`` — the float result of
-    # ``tracker.since(checkpoint).cost_usd``, bit for bit.
-    events = tracker.events[checkpoint:]
-    cost_usd = 0.0
-    input_tokens = output_tokens = cached = failed = 0
-    for event in events:
-        cost_usd += event.cost_usd
-        input_tokens += event.input_tokens
-        output_tokens += event.output_tokens
-        if event.cached:
-            cached += 1
-        if event.failed:
-            failed += 1
-    stats.cost_usd += cost_usd
-    stats.llm_calls += len(events)
-    stats.input_tokens += input_tokens
-    stats.output_tokens += output_tokens
-    stats.cached_calls += cached
-    stats.retried_calls += failed
-    stats.failed_records += len(ctx.failures) - failures_before
-    outcome.seconds = (
-        measured.seconds if cell else llm.clock.elapsed - time_before
-    )
-    stats.time_s += outcome.seconds
+
+    __slots__ = ("ctx", "stats", "section", "checkpoint", "failures_before",
+                 "time_before", "seconds", "truncated")
+
+    def __init__(self, ctx: ExecutionContext, stats: OperatorStats, cell: bool = True):
+        self.ctx = ctx
+        self.stats = stats
+        self.section = ctx.llm.measure() if cell else None
+        self.seconds = 0.0
+        self.truncated = False
+
+    def __enter__(self) -> "measured_step":
+        llm = self.ctx.llm
+        self.checkpoint = len(llm.tracker.events)
+        self.failures_before = len(self.ctx.failures)
+        self.time_before = llm.clock.elapsed
+        if self.section is not None:
+            self.section.__enter__()
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        if self.section is not None:
+            self.section.__exit__(exc_type, exc, traceback)
+        if exc_type is not None and not issubclass(exc_type, BudgetExceededError):
+            return False
+        self.truncated = exc_type is not None
+        llm = self.ctx.llm
+        stats = self.stats
+        # One walk of the block's events.  Dollars are summed left to right
+        # from 0.0 and only then added to ``stats`` — the float result of
+        # ``tracker.since(checkpoint).cost_usd``, bit for bit.
+        events = llm.tracker.events[self.checkpoint:]
+        cost_usd = 0.0
+        input_tokens = output_tokens = cached = failed = 0
+        for event in events:
+            cost_usd += event.cost_usd
+            input_tokens += event.input_tokens
+            output_tokens += event.output_tokens
+            if event.cached:
+                cached += 1
+            if event.failed:
+                failed += 1
+        stats.cost_usd += cost_usd
+        stats.llm_calls += len(events)
+        stats.input_tokens += input_tokens
+        stats.output_tokens += output_tokens
+        stats.cached_calls += cached
+        stats.retried_calls += failed
+        stats.failed_records += len(self.ctx.failures) - self.failures_before
+        self.seconds = (
+            self.section.seconds if self.section else llm.clock.elapsed - self.time_before
+        )
+        stats.time_s += self.seconds
+        return True
 
 
 class Engine:
@@ -581,7 +585,7 @@ class Engine:
             )
         if metrics.enabled:
             metrics.histogram("engine.section_makespan_s").observe(
-                section_span.duration_s
+                schedule.makespan
             )
         return outputs, stats, truncated
 
@@ -654,12 +658,16 @@ class Engine:
                     return
             emitted.append(batch)
 
+        # Early-exit pushdown: a sated stage (a filled limit) means no
+        # further input batch can change the output — stop scanning.  Only
+        # stages that can ever be sated are asked.
+        satable = [
+            (op, state)
+            for op, state in zip(section, states)
+            if type(op).sated is not StreamingOperator.sated
+        ]
         for start in range(0, len(batch), batch_size):
-            # Early-exit pushdown: a sated stage (a filled limit) means no
-            # further input batch can change the output — stop scanning.
-            if truncated or any(
-                op.sated(state) for op, state in zip(section, states)
-            ):
+            if truncated or any(op.sated(state) for op, state in satable):
                 break
             run_stages(batch.slice(start, start + batch_size), 0)
 
@@ -689,15 +697,14 @@ class Engine:
 
         Returns (emitted batch, cell seconds, truncated); pipelined
         sections and shard workers both schedule cells from here.  On a
-        budget cut the emitted batch is empty and the seconds are what the
-        cell burned before the cut.
+        budget cut the batch is the cell's input, which the caller drops,
+        and the seconds are what the cell burned before the cut.
         """
         metrics = self.ctx.llm.metrics
         stats.records_in += len(batch)
-        output = RecordBatch([])
         with measured_step(self.ctx, stats) as step:
-            output = operator.process_batch(batch, self.ctx, state)
-            stats.records_out += len(output)
+            batch = operator.process_batch(batch, self.ctx, state)
+            stats.records_out += len(batch)
         if metrics.enabled and not step.truncated:
             metrics.histogram("engine.cell_s").observe(step.seconds)
-        return output, step.seconds, step.truncated
+        return batch, step.seconds, step.truncated

@@ -353,21 +353,26 @@ class StreamingOperator(PhysicalOperator):
         tracker = ctx.llm.tracker
         metrics = ctx.llm.metrics
         self.prepare_batch(batch, ctx, state)
-        emitted: list[list[DataRecord]] = [[] for _ in rows]
-        pending = list(enumerate(rows))
+        emitted: list[list[DataRecord]] = []
         for attempt in range(2):
             width = ctx.wave_width()
             if metrics.enabled:
                 metrics.histogram("engine.wave_width").observe(width)
             wave_checkpoint = tracker.checkpoint()
+            wave_faults = tracker.failed_attempts
             wave_failures = len(ctx.failures)
             with ctx.llm.parallel(width):
-                for row, record in pending:
-                    emitted[row] = self.process_record(record, ctx, state)
+                if attempt:
+                    for row in resubmitted:
+                        emitted[row] = self.process_record(rows[row], ctx, state)
+                else:
+                    emitted = [self.process_record(record, ctx, state) for record in rows]
             if ctx.adaptive is None:
                 break
+            # A wave that moved no failed-attempt count drew no rate limit.
             ctx.adaptive.observe(
-                any(
+                tracker.failed_attempts > wave_faults
+                and any(
                     event.failed and event.error == "rate_limit"
                     for event in tracker.events[wave_checkpoint:]
                 )
@@ -386,10 +391,8 @@ class StreamingOperator(PhysicalOperator):
                 for entry in ctx.failures[wave_failures:]
                 if entry[0] not in throttled_uids
             ]
-            pending = [
-                (row, record)
-                for row, record in pending
-                if record.uid in throttled_uids
+            resubmitted = [
+                row for row, record in enumerate(rows) if record.uid in throttled_uids
             ]
         return batch.expand(emitted)
 

@@ -18,6 +18,7 @@ from repro.llm.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.llm.models import EMBEDDING_MODEL
 from repro.llm.simulated import SimulatedLLM
 from repro.obs import Tracer
+from repro.obs.metrics import MetricsRegistry
 from repro.qa.reference import ReferenceInterpreter
 from repro.sem.config import QueryProcessorConfig
 from repro.sem.dataset import Dataset
@@ -228,6 +229,28 @@ def test_flushed_topk_winners_are_scheduled_after_the_topk(make_llm, enron_bundl
     assert result.total_time_s == pytest.approx(section.attributes["makespan_s"])
 
 
+@pytest.mark.parametrize("traced", [False, True])
+def test_section_makespan_metric_is_the_schedules_makespan(make_llm, enron_bundle, traced):
+    # The histogram observes the section's pipelined makespan: what the
+    # clock was charged, whether or not a tracer records the section span
+    # (untraced, that span is the null span and lasts 0.0 s).
+    reset_uid_counter()
+    metrics = MetricsRegistry()
+    llm = make_llm(enron_bundle, metrics=metrics, tracer=Tracer() if traced else None)
+    result = (
+        Dataset.from_records(
+            enron_bundle.records()[:64], enron_bundle.schema, source_id="makespan"
+        )
+        .sem_filter(en.FILTER_MENTIONS)
+        .sem_map(Field("summary", str), en.MAP_SUMMARY)
+        .run(QueryProcessorConfig(llm=llm, optimize=False, parallelism=PARALLELISM))
+    )
+    histogram = metrics.histogram("engine.section_makespan_s")
+    assert histogram.count == 1
+    assert result.total_time_s > 1.0
+    assert histogram.total == pytest.approx(result.total_time_s)
+
+
 # ---------------------------------------------------------------------------
 # Adaptive parallelism under rate-limit bursts
 # ---------------------------------------------------------------------------
@@ -236,7 +259,9 @@ def test_flushed_topk_winners_are_scheduled_after_the_topk(make_llm, enron_bundl
 STORMS = ((0.0, 2.5), (8.0, 10.0))
 
 
-def _run_bursty(make_llm, bundle, storms, run_static_width=None, seed=0):
+def _run_bursty(
+    make_llm, bundle, storms, run_static_width=None, seed=0, max_cost_usd=None
+):
     """Storm run; ``run_static_width`` (the fixture) drops the controller."""
     reset_uid_counter()
     faults = None
@@ -254,7 +279,11 @@ def _run_bursty(make_llm, bundle, storms, run_static_width=None, seed=0):
         retry=RetryPolicy(max_attempts=1, base_backoff_s=0.5),
     )
     config = QueryProcessorConfig(
-        llm=llm, optimize=False, parallelism=PARALLELISM, seed=seed
+        llm=llm,
+        optimize=False,
+        parallelism=PARALLELISM,
+        seed=seed,
+        max_cost_usd=max_cost_usd,
     )
     plan = (
         Dataset.from_source(bundle.source())
@@ -282,6 +311,88 @@ def test_adaptive_parallelism_recovers_within_ten_percent(make_llm, enron_bundle
         (r.uid, r.fields) for r in fault_free.records
     ]
     assert stormy.total_time_s <= 1.1 * fault_free.total_time_s
+
+
+def _recorded_contexts(monkeypatch) -> list:
+    """Keep the :class:`ExecutionContext` of every engine ``Dataset.run`` builds."""
+    import repro.sem.dataset as dataset_module
+
+    contexts = []
+
+    class RecordingEngine(dataset_module.Engine):
+        def __init__(self, ctx, *args, **kwargs):
+            super().__init__(ctx, *args, **kwargs)
+            contexts.append(ctx)
+
+    monkeypatch.setattr(dataset_module, "Engine", RecordingEngine)
+    return contexts
+
+
+#: The storm run's accounting, pinned: the controller's moves, degraded
+#: records, per-operator (cost_usd, llm_calls, retried_calls, time_s) and
+#: the run's total_time_s.  The per-cell path (measured steps, measure and
+#: parallel sections, the wave loop) may get cheaper, never different.
+#: ``None`` is the uncapped run; 0.05 cuts a SemMap cell mid-batch.
+STORM_ACCOUNTING = {
+    None: {
+        "controller": (2, 1, 8),
+        "operators": [
+            (0.0, 0, 0, 0.0),
+            (0.20748, 266, 16, 30.602799999999995),
+            (0.281215, 252, 0, 78.81559999999999),
+        ],
+        "total_time_s": 83.36479999999999,
+        "records": 84,
+    },
+    0.05: {
+        "controller": (1, 1, 7),
+        "operators": [
+            (0.0, 0, 0, 0.0),
+            (0.02681, 48, 16, 7.0512),
+            (0.023677499999999997, 21, 0, 7.965999999999999),
+        ],
+        "total_time_s": 12.5152,
+        "records": 5,
+    },
+}
+
+
+@pytest.mark.parametrize("max_cost_usd", list(STORM_ACCOUNTING))
+def test_storm_accounting_is_pinned_and_conserved(
+    make_llm, enron_bundle, monkeypatch, max_cost_usd
+):
+    contexts = _recorded_contexts(monkeypatch)
+    result, llm = _run_bursty(
+        make_llm, enron_bundle, STORMS, max_cost_usd=max_cost_usd
+    )
+    expected = STORM_ACCOUNTING[max_cost_usd]
+    (ctx,) = contexts
+    controller = ctx.adaptive
+    assert (controller.widenings, controller.backoffs, controller.width) == (
+        expected["controller"]
+    )
+    assert ctx.failures == []
+    assert [
+        (s.cost_usd, s.llm_calls, s.retried_calls, s.time_s)
+        for s in result.operator_stats
+    ] == expected["operators"]
+    assert result.total_time_s == expected["total_time_s"]
+    assert len(result.records) == expected["records"]
+    # Conservation: every tracked event and dollar is attributed to exactly
+    # one operator (per-cell partial sums round differently, hence approx).
+    events = llm.tracker.events
+    assert sum(s.llm_calls for s in result.operator_stats) == len(events)
+    assert sum(s.cost_usd for s in result.operator_stats) == pytest.approx(
+        llm.tracker.spent_usd, rel=1e-12
+    )
+    assert result.total_cost_usd == llm.tracker.spent_usd
+    assert result.truncated == (max_cost_usd is not None)
+    if max_cost_usd is not None:
+        # The cut SemMap cell's calls stay on the books — more than its
+        # emitted records account for (3 fields each) — and so do its
+        # seconds: they are in the pinned time_s and total_time_s above.
+        semmap = result.operator_stats[-1]
+        assert semmap.llm_calls > 3 * semmap.records_out
 
 
 def test_static_width_degrades_under_bursts(make_llm, enron_bundle, run_static_width):

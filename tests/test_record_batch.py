@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.data.records import DataRecord
+from repro.errors import SQLExecutionError
 from repro.llm.oracle import SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 from repro.qa.corpus import CorpusSpec, build_corpus
@@ -38,6 +39,10 @@ MIXED = _records(
         {"amount": 7.0, "name": "stark"},  # priority/flag missing
         {"priority": 3, "amount": None, "name": "acme", "flag": True},
         {"priority": 2, "amount": 2**60, "name": "wayne", "flag": False},
+        # A bool is an int to isinstance, and 2**53 + 1 is not a float64:
+        # neither may ride the float fast path.
+        {"priority": True, "amount": 3.0, "name": "oscorp", "flag": True},
+        {"priority": 2**53 + 1, "amount": 1.0, "name": "acme", "flag": False},
     ]
 )
 
@@ -56,13 +61,17 @@ class TestRecordBatch:
     def test_column_reads_missing_as_none_and_caches(self):
         batch = RecordBatch(MIXED)
         column = batch.column("priority")
-        assert list(column) == [1, 4, None, None, 3, 2]
+        assert list(column) == [1, 4, None, None, 3, 2, True, 2**53 + 1]
         assert batch.column("priority") is column
 
     def test_validity_tracks_presence(self):
         batch = RecordBatch(MIXED)
-        assert list(batch.validity("priority")) == [True, True, False, False, True, True]
-        assert list(batch.validity("amount")) == [True, True, True, True, False, True]
+        assert list(batch.validity("priority")) == [
+            True, True, False, False, True, True, True, True,
+        ]
+        assert list(batch.validity("amount")) == [
+            True, True, True, True, False, True, True, True,
+        ]
 
     def test_take_shares_record_objects(self):
         batch = RecordBatch(MIXED)
@@ -99,6 +108,7 @@ PREDICATES = [
     "name LIKE 'a%'",           # no vector path: per-row fallback
     "flag",                     # bare boolean column
     "amount = 1152921504606846976",  # beyond float64-exact: scalar loop
+    "priority = 9007199254740992",   # 2**53: 2**53 + 1 must not round to it
     "priority = NULL",
     "length(name) > 4",         # scalar function: per-row fallback
     "priority < 3",
@@ -113,12 +123,30 @@ PREDICATES = [
 ]
 
 
+def _outcome(evaluate):
+    """``evaluate()``, or :class:`SQLExecutionError` if it raised one."""
+    try:
+        return evaluate()
+    except SQLExecutionError:
+        return SQLExecutionError
+
+
 @pytest.mark.parametrize("condition", PREDICATES)
 def test_mask_matches_row_semantics(condition):
-    batch = RecordBatch(MIXED)
-    mask = struct_filter_mask(compile_predicate(condition), batch)
-    expected = [predicate_holds(condition, record.fields) for record in MIXED]
-    assert list(mask) == expected, condition
+    expr = compile_predicate(condition)
+
+    def vector(records):
+        return _outcome(lambda: list(struct_filter_mask(expr, RecordBatch(records))))
+
+    def scalar(records):
+        return _outcome(lambda: [predicate_holds(condition, r.fields) for r in records])
+
+    # Every row alone, the rows that evaluate, and the whole batch (which
+    # raises when a row does): a row that sends the batch off the float
+    # path — a bool, an inexact int — must not hide another row's trap.
+    evaluable = [r for r in MIXED if scalar([r]) is not SQLExecutionError]
+    for records in [[r] for r in MIXED] + [evaluable, MIXED]:
+        assert vector(records) == scalar(records), (condition, records)
 
 
 def test_numeric_truthiness_falls_back_to_executor():
@@ -128,7 +156,10 @@ def test_numeric_truthiness_falls_back_to_executor():
     batch = RecordBatch(MIXED)
     mask = struct_filter_mask(compile_predicate("priority"), batch)
     expected = [predicate_holds("priority", record.fields) for record in MIXED]
-    assert list(mask) == expected == [False] * len(MIXED)
+    # Only the bool row is TRUE.
+    assert list(mask) == expected == [
+        record.fields.get("priority") is True for record in MIXED
+    ]
 
 
 class TestExactFloatColumn:
@@ -138,6 +169,12 @@ class TestExactFloatColumn:
         assert _exact_float_column(column, valid, True) is None
         assert _exact_float_column(column, valid, "x") is None
 
+    def test_rejects_bool_values(self):
+        # ``priority=True`` is an int to isinstance, never a float64 value.
+        batch = RecordBatch(MIXED[:7])
+        column, valid = batch.column("priority"), batch.validity("priority")
+        assert _exact_float_column(column, valid, 2) is None
+
     def test_rejects_huge_int_literal_and_values(self):
         batch = RecordBatch(MIXED)
         column, valid = batch.column("priority"), batch.validity("priority")
@@ -145,6 +182,14 @@ class TestExactFloatColumn:
         # The "amount" column contains a 2**60 value.
         assert (
             _exact_float_column(batch.column("amount"), batch.validity("amount"), 1)
+            is None
+        )
+        # 2**53 + 1 is one past the float64-exact range.
+        inexact = RecordBatch(MIXED[-1:])
+        assert (
+            _exact_float_column(
+                inexact.column("priority"), inexact.validity("priority"), 1
+            )
             is None
         )
 
@@ -156,7 +201,7 @@ class TestExactFloatColumn:
         )
 
     def test_accepts_mixed_int_float_with_nan_nulls(self):
-        batch = RecordBatch(MIXED)
+        batch = RecordBatch(MIXED[:6])  # before the bool and the inexact int
         floats = _exact_float_column(
             batch.column("priority"), batch.validity("priority"), 2
         )
