@@ -17,6 +17,13 @@ if grep -n 'contextmanager' src/repro/llm/simulated.py src/repro/sem/execution.p
 fi
 echo "no contextlib.contextmanager in llm/simulated.py or sem/execution.py"
 echo
+echo "== untraced-engine guard (the step budget is compiled into agent code: no settrace or setprofile under src/repro) =="
+if grep -rnE 'settrace|setprofile' src/repro; then
+    echo "meter the agent's code, not the engine: a trace or profile hook slows every tool call"
+    exit 1
+fi
+echo "no settrace or setprofile under src/repro"
+echo
 
 if [[ "${1:-}" == "--fast" ]]; then
     echo "== fast lane: tier-1 tests (-m 'not slow') =="
@@ -78,6 +85,17 @@ if [[ "${1:-}" == "--fast" ]]; then
     echo
     echo "== fast lane: cold scan perf smoke (the miss path: every call a cache miss + put, digest == expected.json smoke seed 0) =="
     python3 -m benchmarks.perf bench --workload scan_cold --smoke
+    echo
+    echo "== fast lane: step budget (agent code metered wherever it runs, a caught budget error cannot resume, tools run untraced under the caller's trace function) =="
+    python -m pytest -q \
+        tests/test_agents_sandbox.py::test_runaway_agent_code_hits_the_budget \
+        tests/test_agents_sandbox.py::test_function_defined_in_one_step_is_metered_in_the_next \
+        tests/test_agents_sandbox.py::test_caught_budget_error_cannot_resume \
+        tests/test_agents_sandbox.py::test_budget_hit_inside_a_traced_tool_is_not_a_tool_error \
+        tests/test_agents_sandbox.py::test_a_line_is_one_executed_statement \
+        tests/test_agents_sandbox.py::test_every_statement_list_item_and_lambda_call_is_a_line \
+        tests/test_agents_sandbox.py::test_trusted_code_is_never_metered \
+        tests/test_agents_sandbox.py::test_tools_run_under_the_callers_trace_function
     echo
     echo "== fast lane: agent-queries perf smoke (the paper's search/compute/answer path: digest == expected.json smoke seed 0) =="
     python3 -m benchmarks.perf bench --workload agent_queries --smoke

@@ -7,7 +7,9 @@ Code written by agents executes here with:
   restricted to an allowlist of stdlib modules);
 - **restricted builtins**: a fixed allowlist, no ``open``/``eval``/
   ``__import__``;
-- **a step budget**: a trace-based line counter aborts runaway loops;
+- **a step budget**: validation compiles a step counter into the agent's
+  own code (one tick per executed statement, comprehension item and lambda
+  call), so runaway agent loops abort while tools run untraced;
 - **captured stdout**: ``print`` output becomes the agent's observation.
 
 The namespace persists across steps of one agent episode, as in SmolAgents'
@@ -25,7 +27,6 @@ import json
 import math
 import re
 import statistics
-import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -87,6 +88,17 @@ def _safe_import(name, globals=None, locals=None, fromlist=(), level=0):  # noqa
     return ALLOWED_MODULES[root]
 
 
+#: Metered agent code calls this once per step. It is not an identifier, so
+#: no agent source can reference, bind or shadow it.
+_STEP = "<step>"
+
+
+def _tick(at: ast.AST) -> ast.Call:
+    """A ``<step>()`` call carrying ``at``'s source location."""
+    name = ast.copy_location(ast.Name(_STEP, ast.Load()), at)
+    return ast.copy_location(ast.Call(name, [], []), at)
+
+
 _FORBIDDEN_NODES = (
     ast.ClassDef,
     ast.AsyncFunctionDef,
@@ -117,7 +129,13 @@ class SandboxResult:
 
 
 def validate_code(code: str) -> ast.Module:
-    """Parse and security-check ``code``; raises on violations."""
+    """Parse, security-check and meter ``code``; raises on violations.
+
+    A ``<step>()`` tick goes before every statement, first in every
+    comprehension's ``ifs`` (a dropped item counts too) and ahead of every
+    lambda body. ``ast.walk`` queues a node's children before yielding it,
+    so no tick is itself checked.
+    """
     try:
         tree = ast.parse(code)
     except SyntaxError as exc:
@@ -145,11 +163,23 @@ def validate_code(code: str) -> ast.Module:
             raise SandboxSecurityError(
                 f"use of dunder name {node.id!r} is not allowed"
             )
+        for field in ("body", "orelse", "finalbody"):
+            stmts = getattr(node, field, None)
+            if isinstance(stmts, list):
+                ticked = (ast.copy_location(ast.Expr(_tick(stmt)), stmt) for stmt in stmts)
+                setattr(node, field, [part for pair in zip(ticked, stmts) for part in pair])
+        if isinstance(node, ast.comprehension):
+            node.ifs.insert(0, _tick(node.target))
+        elif isinstance(node, ast.Lambda):
+            tick_and = ast.BoolOp(ast.And(), [_tick(node.body), node.body])
+            node.body = ast.copy_location(tick_and, node.body)
     return tree
 
 
 class Sandbox:
-    """Executes validated agent code with a persistent namespace."""
+    """Executes validated agent code with a persistent namespace; ``max_lines``
+    bounds the statements, comprehension items and lambda calls one step of
+    agent code executes (tools are never metered)."""
 
     def __init__(self, tools: dict[str, Callable] | None = None, max_lines: int = 200_000) -> None:
         self.max_lines = max_lines
@@ -173,30 +203,23 @@ class Sandbox:
         globals_dict = self.namespace
         globals_dict["__builtins__"] = dict(_ALLOWED_BUILTINS)
 
+        lines = 0
+
+        def step() -> bool:
+            # Past the budget every tick raises, so a caught error cannot resume.
+            nonlocal lines
+            lines += 1
+            if lines > self.max_lines:
+                raise SandboxTimeoutError(
+                    f"agent code exceeded the step budget of {self.max_lines} lines"
+                )
+            return True
+
+        globals_dict[_STEP] = step
         buffer = io.StringIO()
-        counter = {"lines": 0}
-
-        def tracer(frame, event, arg):  # noqa: ANN001 - trace protocol
-            # Only meter the agent's own code: tools and library calls may
-            # legitimately do heavy work (index builds, semantic programs).
-            if frame.f_code.co_filename != "<agent>":
-                return None
-            if event == "line":
-                counter["lines"] += 1
-                if counter["lines"] > self.max_lines:
-                    raise SandboxTimeoutError(
-                        f"agent code exceeded the step budget of {self.max_lines} lines"
-                    )
-            return tracer
-
-        old_trace = sys.gettrace()
         try:
             with contextlib.redirect_stdout(buffer):
-                sys.settrace(tracer)
-                try:
-                    exec(compiled, globals_dict)  # noqa: S102 - sandboxed
-                finally:
-                    sys.settrace(old_trace)
+                exec(compiled, globals_dict)  # noqa: S102 - sandboxed
         except FinalAnswerSignal as signal:
             return SandboxResult(
                 stdout=buffer.getvalue(), final_answer=signal.value, finished=True

@@ -11,7 +11,7 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import ToolError
+from repro.errors import SandboxError, ToolError
 
 
 @dataclass
@@ -32,7 +32,7 @@ class Tool:
             with self.tracer.span(f"tool:{self.name}", kind="tool-call") as span:
                 try:
                     result = self.fn(*args, **kwargs)
-                except ToolError:
+                except (ToolError, SandboxError):
                     span.attributes["error"] = True
                     raise
                 except Exception as exc:
@@ -41,7 +41,7 @@ class Tool:
             return result
         try:
             return self.fn(*args, **kwargs)
-        except ToolError:
+        except (ToolError, SandboxError):
             raise
         except Exception as exc:
             raise ToolError(f"tool {self.name!r} failed: {exc}") from exc

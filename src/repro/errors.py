@@ -115,7 +115,8 @@ class SandboxSecurityError(SandboxError):
 
 
 class SandboxTimeoutError(SandboxError):
-    """Raised when sandboxed code exceeds its step budget."""
+    """Raised when one step of agent code executes more than ``max_lines``
+    statements, comprehension items and lambda calls (its step budget)."""
 
 
 class AgentError(ReproError):

@@ -1,8 +1,12 @@
 """Tests for the sandboxed interpreter."""
 
+import sys
+
 import pytest
 
 from repro.agents.sandbox import Sandbox, validate_code
+from repro.agents.tools import Tool, ToolRegistry
+from repro.obs import Tracer
 from repro.errors import SandboxSecurityError
 
 
@@ -114,3 +118,145 @@ def test_validate_code_returns_tree():
 def test_modules_preloaded_without_import():
     result = Sandbox().execute("print(math.sqrt(16))")
     assert result.stdout.strip() == "4.0"
+
+
+# --- the step budget: agent code is metered wherever it runs, tools never ---
+
+BUDGET = 1000
+BUDGET_ERROR = f"agent code exceeded the step budget of {BUDGET} lines"
+
+
+def _consume(iterable):
+    return sum(1 for _ in iterable)
+
+
+def _apply(fn, n):
+    return [fn(i) for i in range(n)][-1]
+
+
+def _budgeted() -> Sandbox:
+    """A sandbox with real tools that run agent generators and callbacks."""
+    tools = [
+        Tool(name="consume", description="count an iterable", fn=_consume),
+        Tool(name="apply", description="call fn on 0..n-1", fn=_apply),
+    ]
+    return Sandbox(tools=ToolRegistry(tools).as_namespace(), max_lines=BUDGET)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "while True:\n    pass",
+        "n = 0\nfor i in range(10**6):\n    n += i",
+        "print(len([i for i in range(10**6)]))",
+        "print(len([0 for i in range(10**6) if i < 0]))",
+        "print(sum(map(lambda v: v, range(10**6))))",
+        "def gen(n):\n    for i in range(n):\n        yield i\nprint(sum(gen(10**6)))",
+        "print(consume(i for i in range(10**6)))",
+        "def cb(v):\n    return v\nprint(apply(cb, 10**6))",
+        # Rebinding attempts: none of them can reach the step counter.
+        "def __step__():\n    return True\nwhile True:\n    pass",
+        "def f(__step__=bool):\n    while True:\n        pass\nf()",
+        "from collections import Counter as __step__\nwhile True:\n    pass",
+    ],
+    ids=[
+        "while", "for", "listcomp", "listcomp-filtered-out", "map-lambda",
+        "generator-function", "genexp-consumed-by-tool", "callback-called-by-tool",
+        "def-__step__", "default-arg-__step__", "import-as-__step__",
+    ],
+)
+def test_runaway_agent_code_hits_the_budget(code):
+    result = _budgeted().execute(code)
+    assert result.error == BUDGET_ERROR
+
+
+def test_function_defined_in_one_step_is_metered_in_the_next():
+    sandbox = _budgeted()
+    defined = sandbox.execute(
+        "def spin(n):\n    t = 0\n    for i in range(n):\n        t += i\n    return t"
+    )
+    assert defined.error is None
+    assert sandbox.execute("print(spin(10))").stdout == "45\n"
+    assert sandbox.execute("print(spin(10**6))").error == BUDGET_ERROR
+
+
+@pytest.mark.parametrize(
+    "tail", ["for i in range(300000):\n    n += 1\nprint(n)\n", "print(n)\n"],
+    ids=["long-tail", "short-tail"],
+)
+def test_caught_budget_error_cannot_resume(tail):
+    # A runaway loop inside try/except Exception: the handler's own first
+    # statement ticks past the budget, so the rest of the step never runs.
+    code = "n = 0\ntry:\n    while True:\n        n += 1\nexcept Exception:\n    pass\n" + tail
+    result = Sandbox(max_lines=BUDGET).execute(code)
+    assert result.error == BUDGET_ERROR
+    assert result.stdout == ""
+
+
+def test_budget_hit_inside_a_traced_tool_is_not_a_tool_error():
+    tracer = Tracer()
+    tools = ToolRegistry([Tool(name="consume", description="count", fn=_consume)])
+    tools.instrument(tracer)
+    sandbox = Sandbox(tools=tools.as_namespace(), max_lines=BUDGET)
+    result = sandbox.execute("consume(i for i in range(10**6))")
+    assert result.error == BUDGET_ERROR
+    (span,) = tracer.spans
+    assert span.name == "tool:consume" and span.attributes["error"] is True
+
+
+@pytest.mark.parametrize("n", [1, 50])
+def test_a_line_is_one_executed_statement(n):
+    code = "x = 1\n" * n
+    assert Sandbox(max_lines=n).execute(code).error is None
+    assert Sandbox(max_lines=n - 1).execute(code).error == (
+        f"agent code exceeded the step budget of {n - 1} lines"
+    )
+
+
+@pytest.mark.parametrize(
+    "code, lines",
+    [
+        ("for i in range(2):\n    pass\nelse:\n    y = 1\n", 4),
+        ("try:\n    1 / 0\nexcept ZeroDivisionError:\n    y = 1\nfinally:\n    y = 2\n", 4),
+        ("match 1:\n    case 1:\n        y = 1\n", 2),
+        ("print([i for i in range(3) if i])\n", 4),
+        ("print(list(map(lambda v: v, range(3))))\n", 4),
+    ],
+    ids=["for-else", "try-except-finally", "match-case", "comprehension", "lambda"],
+)
+def test_every_statement_list_item_and_lambda_call_is_a_line(code, lines):
+    assert Sandbox(max_lines=lines).execute(code).error is None
+    assert Sandbox(max_lines=lines - 1).execute(code).error == (
+        f"agent code exceeded the step budget of {lines - 1} lines"
+    )
+
+
+def test_trusted_code_is_never_metered():
+    def busy(n):
+        total = 0
+        for i in range(n):
+            total += i
+        return total
+
+    sandbox = Sandbox(tools={"busy": busy}, max_lines=BUDGET)
+    result = sandbox.execute(f"print(busy({10 * BUDGET}))")
+    assert result.error is None
+    assert result.stdout == f"{sum(range(10 * BUDGET))}\n"
+
+
+def test_tools_run_under_the_callers_trace_function():
+    def outer(frame, event, arg):
+        return None
+
+    seen = []
+    sandbox = Sandbox(tools={"probe": lambda: seen.append(sys.gettrace())})
+    previous = sys.gettrace()
+    sys.settrace(outer)
+    try:
+        result = sandbox.execute("probe()")
+        after = sys.gettrace()
+    finally:
+        sys.settrace(previous)
+    assert result.error is None
+    assert seen == [outer]
+    assert after is outer
