@@ -41,6 +41,15 @@ if [[ "${1:-}" == "--fast" ]]; then
         tests/test_replan.py::TestReplanBehindAReplay \
         tests/test_serving.py::test_served_and_direct_standing_ticks_agree
     echo
+    echo "== fast lane: served == direct (records, dollars, standalone time and captured boundaries, at 1/3/4 shards and under a spend cap; the step graph replays as recorded) =="
+    python -m pytest -q \
+        tests/test_serving.py::test_served_query_runs_the_engines_schedule \
+        tests/test_serving.py::test_served_alone_equals_direct \
+        tests/test_serving.py::test_served_query_under_a_spend_cap_matches_direct \
+        tests/test_serving.py::test_diamond_step_never_starts_before_its_after_steps \
+        tests/test_serving.py::test_linear_timeline_replays_as_a_step_cursor \
+        tests/test_serving.py::test_flushed_topk_batch_waits_for_the_whole_topk_stage
+    echo
     echo "== fast lane: patch replay (an in-place rewrite re-runs alone through the materialized prefix, merged by source position, at shards 1 and 4) =="
     python -m pytest -q tests/test_patch_replay.py tests/test_sem_streaming.py::test_update_event_invalidates_and_converges
     echo
@@ -124,8 +133,9 @@ echo "== materialization-reuse smoke sweep =="
 python benchmarks/bench_context_reuse.py --smoke
 
 echo
-echo "== multi-tenant serving smoke sweep =="
+echo "== multi-tenant serving smoke sweep (a served query runs the engine's own schedule: BENCH_serving.json must not drift) =="
 python benchmarks/bench_serving.py --smoke
+git diff --exit-code -- benchmarks/results/BENCH_serving.json
 
 echo
 echo "== sql-pushdown smoke sweep =="
@@ -237,12 +247,20 @@ if offenders:
     sys.exit(1)
 print(f"{len(files)} files: no retired keyword on a config, serving or standing constructor")
 PY
-retired_names='governor|watermark|lateness|event_time|max_staleness|min_batch_usd|now_s|last_refresh_s|use_cache|compile_operator|LogicalAgentOp|CompiledAgentOp|cheapest_model|usable_prior|note_dataset_version|decay_dataset|dataset_decays|_dataset_versions|use_priors|merge_similar_instructions|InstructionGroup|key_prefix|GenerationCache\.key\(|\.key\.digest\('
+retired_names='governor|watermark|lateness|event_time|max_staleness|min_batch_usd|now_s|last_refresh_s|use_cache|compile_operator|LogicalAgentOp|CompiledAgentOp|cheapest_model|usable_prior|note_dataset_version|decay_dataset|dataset_decays|_dataset_versions|use_priors|merge_similar_instructions|InstructionGroup|key_prefix|GenerationCache\.key\(|\.key\.digest\(|sink_owns_time|fused_batch_size'
 if grep -rnE "$retired_names" src/; then
-    echo "retired triggers, the event-time/staleness/prior-pricing state only they read, the cache switch, the agent-op IR, the stats store's evidence floor and append decay, the token-Jaccard merge, and digested generation-cache keys are back under src/ (the policy declares agent_model(); compute_batch merges through the catalog; a cache key is the call's tuple)"
+    echo "retired triggers, the event-time/staleness/prior-pricing state only they read, the cache switch, the agent-op IR, the stats store's evidence floor and append decay, the token-Jaccard merge, digested generation-cache keys and the serving mode split are back under src/ (the policy declares agent_model(); compute_batch merges through the catalog; a cache key is the call's tuple; a served query runs the engine's own schedule)"
     exit 1
 fi
-echo "no retired trigger, cache switch, agent-op, evidence-floor, append-decay, merge-group or cache-key-digest name under src/"
+echo "no retired trigger, cache switch, agent-op, evidence-floor, append-decay, merge-group, cache-key-digest or serving-mode name under src/"
+
+echo
+echo "== one-schedule guard (the engine never names the serving sink: time goes through llm.spend, dependencies through llm.mark / measure(after)) =="
+if grep -rn 'serve_sink' src/repro/sem/; then
+    echo "a served query runs the engine's own schedule: sem/ spends and passes tokens, it never asks for the sink"
+    exit 1
+fi
+echo "no serve_sink under src/repro/sem/"
 
 echo
 echo "== composition guard (replan arms under shards and behind replays: no exclusion cause under src/) =="

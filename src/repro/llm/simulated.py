@@ -16,12 +16,20 @@ matter for fidelity to the paper:
   must navigate — while genuinely ambiguous records trip up even strong
   models some of the time.
 - **Parallel sections**: callers batching concurrent calls wrap them in
-  :meth:`SimulatedLLM.parallel`, which charges the virtual clock the
-  *makespan* of the batch rather than the sum.  The pipelined executor
-  instead wraps each (batch, stage) cell in :meth:`SimulatedLLM.measure`,
-  which captures the cell's duration without advancing the clock so the
-  engine can charge the cross-operator critical path
+  :meth:`SimulatedLLM.parallel`, which charges the *makespan* of the batch
+  rather than the sum.  The pipelined executor instead wraps each (batch,
+  stage) cell in :meth:`SimulatedLLM.measure`, which captures the cell's
+  duration without spending it so the engine can charge the
+  cross-operator critical path
   (:class:`repro.utils.clock.PipelineSchedule`) instead of the stage sum.
+
+Who receives spent seconds is one rule, :meth:`SimulatedLLM.spend`: the
+serving sink when one is installed (``repro.serve``), else the clock.  A
+sink also records every wave, and every bare call, made while no
+``parallel`` section is open as one *call step* of the query's timeline,
+waiting for what the engine says it waits for: a cell's step waits for the
+cell's ``after`` token (:meth:`SimulatedLLM.measure`), any other step for
+everything recorded so far.  The engine runs the same schedule either way.
 """
 
 from __future__ import annotations
@@ -74,14 +82,19 @@ class _Section:
     """One :meth:`SimulatedLLM.parallel` or :meth:`SimulatedLLM.measure` block:
     calls inside append their latencies to the innermost open section."""
 
-    __slots__ = ("llm", "width", "measuring", "latencies", "seconds")
+    __slots__ = ("llm", "width", "measuring", "latencies", "seconds", "tail")
 
-    def __init__(self, llm: "SimulatedLLM", width: int, measuring: bool) -> None:
+    def __init__(
+        self, llm: "SimulatedLLM", width: int, measuring: bool, tail: tuple = ()
+    ) -> None:
         self.llm = llm
         self.width = width
         self.measuring = measuring
         self.latencies: list[float] = []
         self.seconds = 0.0
+        #: A measure cell's token for its last call step (its ``after``
+        #: until it records one); what the cell's next step waits for.
+        self.tail = tail
 
     def __enter__(self) -> "_Section":
         self.llm._parallel_stack.append(self)
@@ -99,18 +112,19 @@ class _Section:
             # to right from 0.0 — ``_makespan(latencies, 1)``, bit for bit.
             self.seconds = sum(latencies)
         elif latencies:
-            if not llm._parallel_stack and llm.serve_sink is not None:
-                # Serving capture: the outermost section's items form one
-                # precedence step in the query's call timeline; no clock
-                # time passes during body execution.
-                llm.serve_sink.end_step(self.width, latencies)
+            stack = llm._parallel_stack
+            if llm.serve_sink is not None and len(stack) == llm._measure_depth:
+                # No parallel section is still open: the wave is one step.
+                llm._record_step(self.width, latencies)
+            # The section's makespan is one unit of work in the enclosing
+            # section (if any); only at the outermost level is it spent.
+            # Spending directly here would double-schedule nested sections
+            # against their parent's waves.
+            makespan = _makespan(latencies, self.width)
+            if stack:
+                stack[-1].latencies.append(makespan)
             else:
-                # The section's makespan is one unit of work in the
-                # enclosing section (if any); only at the outermost level
-                # does it reach the clock.  Advancing directly here would
-                # double-schedule nested sections against their parent's
-                # waves.
-                llm._advance_latency(_makespan(latencies, self.width))
+                llm.spend(makespan)
 
 
 class _PreparedCall:
@@ -197,10 +211,11 @@ class SimulatedLLM:
                 self.faults.metrics = self.metrics
         self._breakers: dict[str, CircuitBreaker] = {}
         self._parallel_stack: list[_Section] = []
-        #: Serving-layer hook: when set (see ``repro.serve``), outermost
-        #: latency charges are diverted to the sink as *call steps* instead
-        #: of advancing the clock — the serving scheduler replays them on
-        #: its own cross-query schedule.  Body execution stays eager and
+        #: Serving-layer hook (see ``repro.serve``): when set, spent
+        #: seconds go to the sink instead of the clock (:meth:`spend`) and
+        #: every wave or bare call made outside a ``parallel`` section is
+        #: recorded as a *call step*, which the serving scheduler replays
+        #: on its cross-query schedule.  Body execution stays eager and
         #: ordered, so cache evolution is identical with or without a sink.
         self.serve_sink: Any | None = None
         #: Tenant namespace in generation-cache keys.  Empty (the default)
@@ -217,21 +232,6 @@ class SimulatedLLM:
         #: (model, resolved tag) -> the one zero-cost event its cache hits share.
         self._hit_events: dict[tuple[str, str], UsageEvent] = {}
 
-    @property
-    def sink_owns_time(self) -> bool:
-        """The engine's one unfused case, decided here and nowhere else.
-
-        A serving sink (:attr:`serve_sink`, see :mod:`repro.serve`) collects
-        a query's calls as precedence steps and replays them on its own
-        cross-query schedule, so the engine must neither schedule cells on
-        the clock nor merge calls the sink wants to see one by one: it runs
-        operator steps (capturing every operator boundary), per-text embeds
-        and static wave width.  Everywhere else the engine fuses streamable
-        runs into sections, batches embeds and adapts the wave width.
-        Nothing else selects between the two — there is no option.
-        """
-        return self.serve_sink is not None
-
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
@@ -242,32 +242,61 @@ class SimulatedLLM:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         return _Section(self, parallelism, measuring=False)
 
-    def measure(self) -> "_Section":
+    def measure(self, after: tuple = ()) -> "_Section":
         """Capture seconds charged inside the block instead of spending them.
 
         The pipelined executor wraps each (batch, stage) cell in a measure
         section: inner ``parallel`` waves resolve to their makespans as
         usual, but the cell's total duration lands in the section's
-        ``seconds`` rather than on the clock (or a parent section).  The
-        engine then advances the clock by the *pipeline* critical path
-        those cells form — overlapping stages that a direct charge would
-        serialize.
+        ``seconds`` rather than being spent (or going to a parent section).
+        The engine then spends the *pipeline* critical path those cells
+        form — overlapping stages that a direct charge would serialize.
+
+        ``after`` is a :meth:`mark` token: under a serving sink the cell's
+        first call step waits for it and each later one for the step
+        before; the section's ``tail`` names the cell's last step.
         """
-        return _Section(self, 1, measuring=True)
+        return _Section(self, 1, measuring=True, tail=after)
+
+    def mark(self) -> tuple:
+        """A token for every call step recorded so far (``()`` off serving)."""
+        if self.serve_sink is None:
+            return ()
+        return self.serve_sink.mark()
+
+    def spend(self, seconds: float) -> None:
+        """Spend ``seconds``: the serving sink's time when one is installed,
+        the clock's otherwise — the one rule for who receives seconds."""
+        (self.serve_sink or self.clock).advance(seconds)
 
     def _advance_latency(self, seconds: float) -> None:
-        if self._parallel_stack:
+        """One call's latency into the innermost open section, else spent;
+        a step of its own when a sink is installed and no ``parallel``
+        section is open."""
+        stack = self._parallel_stack
+        if (
+            self.serve_sink is not None
+            and seconds > 0.0
+            and len(stack) == self._measure_depth
+        ):
+            self._record_step(1, [seconds])
+        if stack:
             # Zero-latency (cached) calls never occupy a wave slot: they
             # return instantly and must not displace real calls in the
             # positional chunking of ``_makespan``.
             if seconds > 0.0:
-                self._parallel_stack[-1].latencies.append(seconds)
-        elif self.serve_sink is not None:
-            # A bare sequential call is its own single-item step.
-            if seconds > 0.0:
-                self.serve_sink.end_step(1, [seconds])
+                stack[-1].latencies.append(seconds)
         else:
-            self.clock.advance(seconds)
+            self.spend(seconds)
+
+    def _record_step(self, width: int, latencies: list[float]) -> None:
+        """Hand one wave to the sink: inside a measure cell it chains after
+        the cell's tail, elsewhere it waits for every step so far."""
+        if self._parallel_stack:
+            cell = self._parallel_stack[-1]  # a measure: no parallel is open
+            cell.tail = self.serve_sink.end_step(width, latencies, cell.tail)
+        else:
+            self.serve_sink.end_step(width, latencies)
 
     def _prepared(self, kind: str, instruction: str | None, model: str) -> _PreparedCall:
         """The :class:`_PreparedCall` of this endpoint call, built once.

@@ -35,10 +35,12 @@ cannot see a bug every engine mode shares.
   cold run's (and to the reference's), and the warm run never costs more
   than the cold run.
 - ``serve`` — the plan submitted by two tenant sessions through the
-  multi-tenant serving layer (cross-query batching on; the serve sink
-  makes the engine run operator steps).  Contract: both tenants' records
-  are bit-identical to the reference's — the cross-query schedule and
-  tenant-scoped caches must never change an answer.
+  multi-tenant serving layer (cross-query batching on; a served body runs
+  the engine's own schedule).  Contract: both tenants' records are
+  bit-identical to the reference's — the cross-query schedule and
+  tenant-scoped caches must never change an answer — the jobs' dollars
+  sum to the tracker's delta, and each job's standalone time is the
+  direct baseline's ``total_time_s``.
 - ``sharded`` — the plan executed across N simulated workers via the
   scale-out exchange planner (``repro.sem.shard``), sweeping shard count
   and partitioner.  Contract: bit-identical records at every shard
@@ -214,8 +216,8 @@ def config_matrix(plan, case_seed: int = 0) -> list[ConfigSpec]:
             replace(BASELINE, name="warm-reuse", answer_class="reuse", reuse=True)
         )
         # serve class: the plan submitted by two tenants through the
-        # serving layer (cross-query batching on, operator steps) must
-        # reproduce the reference answer for both tenants.
+        # serving layer (cross-query batching on) must reproduce the
+        # reference answer, and the direct baseline's time, for both.
         specs.append(
             replace(BASELINE, name="served", answer_class="serve", serve=True)
         )

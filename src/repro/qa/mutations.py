@@ -64,9 +64,11 @@ def _scramble_cell_order() -> Iterator[None]:
 
     original = Engine.run_cell
 
-    def scrambled(self, operator, batch, state, stats):
-        out, seconds, truncated = original(self, operator, batch, state, stats)
-        return RecordBatch(out.records[::-1], out.positions), seconds, truncated
+    def scrambled(self, operator, batch, state, stats, after):
+        out, seconds, truncated, tail = original(
+            self, operator, batch, state, stats, after
+        )
+        return RecordBatch(out.records[::-1], out.positions), seconds, truncated, tail
 
     Engine.run_cell = scrambled
     try:
@@ -149,6 +151,36 @@ def _patch_keeps_stale() -> Iterator[None]:
         Rewrites.apply = original
 
 
+@contextlib.contextmanager
+def _sink_drops_section_time() -> Iterator[None]:
+    """Under a serving sink, ``spend`` drops a pipelined section's makespan
+    growth.
+
+    Records and dollars are untouched and a direct run is unchanged: only
+    serving's time conservation (a served job's standalone time is the
+    direct run's ``total_time_s``) can see it.
+    """
+    from repro.sem.execution import Engine
+
+    original = Engine._section_step
+
+    def leaky(self, operators, index, end, records):
+        llm = self.ctx.llm
+        if llm.serve_sink is None:
+            return original(self, operators, index, end, records)
+        llm.spend = lambda seconds: None
+        try:
+            return original(self, operators, index, end, records)
+        finally:
+            del llm.spend
+
+    Engine._section_step = leaky
+    try:
+        yield
+    finally:
+        Engine._section_step = original
+
+
 MUTATIONS: dict[str, Mutation] = {
     mutation.name: mutation
     for mutation in (
@@ -163,9 +195,9 @@ MUTATIONS: dict[str, Mutation] = {
             description="cells emit records in reversed order",
             expected_oracle="exec-equivalence",
             _apply=_scramble_cell_order,
-            # Shard workers run the same cell runner, so the sharded class
-            # must see the defect too.
-            also_killed_by=("shard-equivalence",),
+            # Shard workers and served queries run the same cell runner, so
+            # the sharded and serve classes must see the defect too.
+            also_killed_by=("shard-equivalence", "serve-equivalence"),
         ),
         Mutation(
             name="filter-drops-kept",
@@ -188,6 +220,12 @@ MUTATIONS: dict[str, Mutation] = {
             expected_oracle="streaming-equivalence",
             _apply=_patch_keeps_stale,
             killed_in_specs=("standing", "standing-sharded-4"),
+        ),
+        Mutation(
+            name="sink-drops-section-time",
+            description="a served pipelined section's makespan growth is not spent",
+            expected_oracle="serve-equivalence",
+            _apply=_sink_drops_section_time,
         ),
     )
 }

@@ -10,7 +10,7 @@ tendency — a violation is a bug, never noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import isclose, isfinite
 
 from repro.sem.config import DEFAULT_FALLBACK_MODEL
 
@@ -274,19 +274,51 @@ def check_serve_equivalence(run) -> list[Violation]:
     tenant's records are bit-identical to the reference's, and the peer
     tenant's records are bit-identical to the first tenant's — neither the
     cross-query schedule nor tenant-scoped caching may leak into answers.
+
+    Serving also conserves both ledgers: the jobs' ``raw_cost_usd`` sum to
+    the tracker's delta over the submits, and — a served body runs the
+    engine's own schedule — on a fault-free spec each job's standalone
+    time is the direct baseline's ``total_time_s``.
     """
     violations = _against_reference(run, "serve", "serve-equivalence")
+    baseline = run.first("baseline")
     for observation in run.by_class("serve"):
+        name = observation.spec.name
         if observation.error or observation.serve_peer_records is None:
             continue
         if observation.serve_peer_records != observation.records:
             detail = _first_diff(observation.records, observation.serve_peer_records)
             violations.append(
                 Violation(
-                    "serve-equivalence", observation.spec.name,
+                    "serve-equivalence", name,
                     f"peer tenant records differ: {detail}",
                 )
             )
+        if not isclose(
+            observation.serve_jobs_cost_usd,
+            observation.serve_tracker_cost_usd,
+            rel_tol=1e-9, abs_tol=COST_EPS,
+        ):
+            violations.append(
+                Violation(
+                    "serve-equivalence", name,
+                    f"jobs billed ${observation.serve_jobs_cost_usd} but the "
+                    f"tracker moved ${observation.serve_tracker_cost_usd}",
+                )
+            )
+        if observation.spec.fault or baseline is None or baseline.error:
+            continue
+        for standalone_s in observation.serve_standalone_s:
+            if not isclose(
+                standalone_s, baseline.total_time_s, rel_tol=1e-9, abs_tol=1e-12
+            ):
+                violations.append(
+                    Violation(
+                        "serve-equivalence", name,
+                        f"standalone {standalone_s}s differs from the direct "
+                        f"baseline's {baseline.total_time_s}s",
+                    )
+                )
     return violations
 
 

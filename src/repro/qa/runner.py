@@ -66,6 +66,11 @@ class Observation:
     #: Second tenant's normalized records for the serve class (must match
     #: the recorded first tenant's and the baseline's).
     serve_peer_records: list | None = None
+    #: Serve class: the jobs' summed ``raw_cost_usd``, the tracker's
+    #: delta over both submits, and each job's ``standalone_s``.
+    serve_jobs_cost_usd: float = 0.0
+    serve_tracker_cost_usd: float = 0.0
+    serve_standalone_s: list = field(default_factory=list)
     #: Streaming class: did the changelog folded from empty match the live
     #: standing view at every refresh tick (None = not a streaming run).
     streaming_fold_identical: bool | None = None
@@ -212,9 +217,19 @@ def run_spec(
                     batching=True,
                     parallelism=spec.parallelism,
                 )
+                checkpoint = llm.tracker.checkpoint()
                 job_a = serving.submit("qa-a", dataset, arrival_s=0.0)
                 job_b = serving.submit("qa-b", dataset, arrival_s=1.0)
+                observation.serve_tracker_cost_usd = llm.tracker.since(
+                    checkpoint
+                ).cost_usd
                 serving.drain()
+                observation.serve_jobs_cost_usd = (
+                    job_a.raw_cost_usd + job_b.raw_cost_usd
+                )
+                observation.serve_standalone_s = [
+                    job_a.standalone_s, job_b.standalone_s
+                ]
                 observation.records = normalized_records(job_a.records)
                 observation.serve_peer_records = normalized_records(
                     job_b.records

@@ -32,10 +32,9 @@ class QueryProcessorConfig:
     Defaults mirror Palimpzest's: optimization on, champion model GPT-4o,
     sequential (iterator-semantics) execution.  Execution *mechanics* are
     not fields: structured prefixes are always pushed into the scan, and
-    whether streamable runs fuse (with batched embeds and adaptive wave
-    width) is derived by ``SimulatedLLM.sink_owns_time``.  A mode that
-    exists to be diffed against lives in :mod:`repro.qa.reference`, never
-    here.
+    streamable runs always fuse, with batched embeds and an adaptive wave
+    width — served or not.  A mode that exists to be diffed against lives
+    in :mod:`repro.qa.reference`, never here.
     """
 
     llm: SimulatedLLM
@@ -150,14 +149,6 @@ class QueryProcessorConfig:
         if self.batch_size is not None:
             return self.batch_size
         return max(2 * self.parallelism, 16)
-
-    def fused_batch_size(self) -> int | None:
-        """The batch size fused sections stream at, None when nothing fuses.
-
-        What the cost model prices time with: a pipelined makespan while
-        the engine fuses, the operator-at-a-time sum under a serve sink.
-        """
-        return None if self.llm.sink_owns_time else self.resolved_batch_size()
 
     def candidate_models(self) -> list[str]:
         if self.available_models is not None:

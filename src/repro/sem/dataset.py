@@ -262,13 +262,7 @@ class Dataset:
         """Like :meth:`run` but also returns the optimizer's report."""
         plan = self.plan()
         tracer = config.llm.tracer
-        # Mechanics are derived, never configured: batched embeds and the
-        # adaptive wave width ride with fusion, which only a serve sink
-        # turns off (it wants every call as its own timeline step).
-        fused = not config.llm.sink_owns_time
-        with tracer.span(
-            f"query:{config.tag}", kind="query", pipeline=fused
-        ) as query_span:
+        with tracer.span(f"query:{config.tag}", kind="query") as query_span:
             operators, report = Optimizer(config).optimize(plan)
             engine = Engine(
                 ExecutionContext(
@@ -278,12 +272,8 @@ class Dataset:
                     on_failure=config.on_failure,
                     fallback_model=config.resolved_fallback_model(),
                     max_cost_usd=config.max_cost_usd,
-                    embed_batch_size=DEFAULT_EMBED_BATCH if fused else 1,
-                    adaptive=(
-                        AdaptiveParallelism(cap=config.parallelism)
-                        if fused
-                        else None
-                    ),
+                    embed_batch_size=DEFAULT_EMBED_BATCH,
+                    adaptive=AdaptiveParallelism(cap=config.parallelism),
                 ),
                 batch_size=config.resolved_batch_size(),
                 capture=report.capture,

@@ -7,9 +7,8 @@ seconds.  Four pieces exist exactly once:
 - **The driver loop** (:meth:`Engine.drive`) walks the plan a *step* at a
   time and owns the spend-cap check, truncation, boundary capture,
   re-planning and result assembly.  A step is one whole-input *operator*
-  (a barrier: the clock is charged as the operator spends), a *pipelined
-  section* (a maximal run of streamable operators, fused unless a serve
-  sink owns time — ``SimulatedLLM.sink_owns_time``), or —
+  (a barrier: time is spent as the operator spends it), a *pipelined
+  section* (a maximal run of streamable operators, always fused), or —
   supplied by :mod:`repro.sem.shard` — an *exchange segment* across
   simulated workers.
 - **The measured step** (:class:`measured_step`) attributes everything a
@@ -24,12 +23,19 @@ seconds.  Four pieces exist exactly once:
   are captured via :meth:`SimulatedLLM.measure` and fed to a
   :class:`~repro.utils.clock.PipelineSchedule`, and a per-cell callback
   says what the schedule means to the caller.  A pipelined section
-  advances the clock online by the growth of its critical-path makespan,
-  so the charged time is the pipeline's makespan, not the stage sum; a
-  shard worker (:mod:`repro.sem.shard`) only files its cells, and its
-  segment charges the slowest worker.  A sated downstream limit stops
-  upstream batches (early-exit pushdown), the spend cap truncates
-  mid-batch, and held-back records (top-k winners) flush at stream end.
+  spends online the growth of its critical-path makespan, so the charged
+  time is the pipeline's makespan, not the stage sum; a shard worker
+  (:mod:`repro.sem.shard`) only files its cells, and its segment charges
+  the slowest worker.  A sated downstream limit stops upstream batches
+  (early-exit pushdown), the spend cap truncates mid-batch, and held-back
+  records (top-k winners) flush at stream end.
+
+Time is spent through ``SimulatedLLM.spend``, so a query served through
+``repro.serve`` runs exactly this schedule, with the serving timeline in
+place of the clock.  The engine only passes dependency tokens for it: a
+section takes ``llm.mark()`` as its entry, each cell's measure section
+waits for its ``after`` token, and a cell returns its ``tail`` for the
+batch's next cell — a no-op ``()`` off serving.
 
 Answers from the simulated LLM are a pure function of the input, never of
 call order, so operator-step, fused and sharded runs produce
@@ -289,18 +295,21 @@ class measured_step:
     for the caller to place on a schedule — pipelined and shard cells;
     with ``cell=False`` the block spends time on the clock as it goes and
     the elapsed delta is read back — operator steps and coordinator-side
-    work.  A :class:`BudgetExceededError` from the block is absorbed: what
-    it burned before the cut is accounted, and :attr:`truncated` says so
-    the caller can still schedule the partial :attr:`seconds`.
+    work.  A cell's call steps wait for its ``after`` token (its measure
+    section's ``tail`` names the last one).  A
+    :class:`BudgetExceededError` from the block is absorbed: what it burned
+    before the cut is accounted, and :attr:`truncated` says so the caller
+    can still schedule the partial :attr:`seconds`.
     """
 
     __slots__ = ("ctx", "stats", "section", "checkpoint", "failures_before",
                  "time_before", "seconds", "truncated")
 
-    def __init__(self, ctx: ExecutionContext, stats: OperatorStats, cell: bool = True):
+    def __init__(self, ctx: ExecutionContext, stats: OperatorStats,
+                 cell: bool = True, after: tuple = ()):
         self.ctx = ctx
         self.stats = stats
-        self.section = ctx.llm.measure() if cell else None
+        self.section = ctx.llm.measure(after) if cell else None
         self.seconds = 0.0
         self.truncated = False
 
@@ -448,14 +457,11 @@ class Engine:
 
         A section is a maximal run of streamable operators; a run of one
         gains nothing from pipelining and runs as an operator step
-        (identical wave structure either way).  Under a serve sink every
-        step is an operator step: the sink schedules the calls, and every
-        operator boundary is captured for later replay.
+        (identical wave structure either way).
         """
         end = index
-        if not self.ctx.llm.sink_owns_time:
-            while end < len(operators) and operators[end].streamable:
-                end += 1
+        while end < len(operators) and operators[end].streamable:
+            end += 1
         if end - index >= 2:
             return end, self._section_step
         return index + 1, self.operator_step
@@ -537,23 +543,23 @@ class Engine:
     ) -> tuple[list[DataRecord], list[OperatorStats], bool]:
         """``operators[index:end]`` fused into one pipelined section.
 
-        The clock advances online by the growth of the section's pipelined
-        makespan after every cell, and each cell is exported as a span at
+        The growth of the section's pipelined makespan is spent online
+        after every cell, and each cell is exported as a span at
         its *scheduled* position (section origin + the
         :class:`PipelineSchedule` placement) on a per-stage track, so a
         trace shows the overlap the makespan accounting charges for.
         """
         section = operators[index:end]
         ctx = self.ctx
-        clock = ctx.llm.clock
-        tracer = ctx.llm.tracer
-        metrics = ctx.llm.metrics
+        llm = ctx.llm
+        tracer = llm.tracer
+        metrics = llm.metrics
         name = ""
         if tracer.enabled:
             name = f"pipeline[{' | '.join(op.label() for op in section)}]"
         states = [operator.new_state(ctx) for operator in section]
         stats = [OperatorStats.start(operator) for operator in section]
-        origin = clock.elapsed
+        origin = llm.clock.elapsed
         charged = 0.0
 
         def on_cell(stage: int, n_records: int, schedule: PipelineSchedule) -> None:
@@ -565,14 +571,15 @@ class Engine:
                     batch=schedule.batches, records=n_records,
                 )
             if schedule.makespan > charged:
-                clock.advance(schedule.makespan - charged)
+                llm.spend(schedule.makespan - charged)
                 charged = schedule.makespan
 
         with tracer.span(
             name, kind="pipeline-section", stages=len(section)
         ) as section_span:
             emitted, schedule, truncated = self.run_section(
-                section, states, stats, RecordBatch(records), self.batch_size, on_cell
+                section, states, stats, RecordBatch(records), self.batch_size,
+                on_cell, llm.mark(),
             )
         outputs = [record for batch in emitted for record in batch.records]
         if tracer.enabled:
@@ -623,6 +630,7 @@ class Engine:
         batch: RecordBatch,
         batch_size: int,
         on_cell,
+        entry: tuple,
     ) -> tuple[list[RecordBatch], PipelineSchedule, bool]:
         """The one input-batch loop: stream ``batch`` through fused stages.
 
@@ -630,8 +638,11 @@ class Engine:
         sidecar, if any, rides along) and cells run depth-first per batch
         on a fresh :class:`PipelineSchedule`; after every cell
         ``on_cell(stage, records_in, schedule)`` lets the caller place it —
-        a fused section advances the clock and draws the span, a shard
-        worker files it for its segment's ``max(makespans)`` charge.
+        a fused section spends the makespan growth and draws the span, a
+        shard worker files it for its segment's ``max(makespans)`` charge.
+        Each input batch's first cell waits for ``entry`` and each later
+        cell for the one before; a flushed holdback batch waits for
+        everything recorded when it is flushed (``llm.mark()``).
         Returns (emitted batches in order, the schedule, truncated); on a
         budget cut the batch in flight is dropped and the rest kept.
         """
@@ -640,17 +651,19 @@ class Engine:
         emitted: list[RecordBatch] = []
         truncated = False
 
-        def run_stages(batch: RecordBatch, first_stage: int, ready: float = 0.0) -> None:
-            """One batch, available at ``ready``, through stages
-            ``first_stage``.. — emits the survivors."""
+        def run_stages(
+            batch: RecordBatch, first_stage: int, ready: float, after: tuple
+        ) -> None:
+            """One batch, available at ``ready`` and waiting for ``after``,
+            through stages ``first_stage``.. — emits the survivors."""
             nonlocal truncated
             schedule.start_batch(ready)
             for stage in range(first_stage, len(section)):
                 if not len(batch):
                     break
                 n_records = len(batch)
-                batch, seconds, truncated = self.run_cell(
-                    section[stage], batch, states[stage], stats[stage]
+                batch, seconds, truncated, after = self.run_cell(
+                    section[stage], batch, states[stage], stats[stage], after
                 )
                 schedule.record(stage, seconds)
                 on_cell(stage, n_records, schedule)
@@ -669,7 +682,7 @@ class Engine:
         for start in range(0, len(batch), batch_size):
             if truncated or any(op.sated(state) for op, state in satable):
                 break
-            run_stages(batch.slice(start, start + batch_size), 0)
+            run_stages(batch.slice(start, start + batch_size), 0, 0.0, entry)
 
         # Flush held-back records (e.g. top-k winners) downstream, in stage
         # order so later holdbacks see everything emitted before them.  A
@@ -681,7 +694,10 @@ class Engine:
                 if not held:
                     continue
                 stats[stage].records_out += len(held)
-                run_stages(RecordBatch(held), stage + 1, schedule.stage_finish(stage))
+                run_stages(
+                    RecordBatch(held), stage + 1, schedule.stage_finish(stage),
+                    ctx.llm.mark(),
+                )
                 if truncated:
                     break
         return emitted, schedule, truncated
@@ -692,19 +708,22 @@ class Engine:
         batch: RecordBatch,
         state: dict,
         stats: OperatorStats,
-    ) -> tuple[RecordBatch, float, bool]:
+        after: tuple,
+    ) -> tuple[RecordBatch, float, bool, tuple]:
         """One batch through one stage, measured: the only cell runner.
 
-        Returns (emitted batch, cell seconds, truncated); pipelined
-        sections and shard workers both schedule cells from here.  On a
-        budget cut the batch is the cell's input, which the caller drops,
-        and the seconds are what the cell burned before the cut.
+        Returns (emitted batch, cell seconds, truncated, tail); pipelined
+        sections and shard workers both schedule cells from here.  The
+        cell's call steps wait for ``after``; ``tail`` is what the batch's
+        next cell waits for.  On a budget cut the batch is the cell's
+        input, which the caller drops, and the seconds are what the cell
+        burned before the cut.
         """
         metrics = self.ctx.llm.metrics
         stats.records_in += len(batch)
-        with measured_step(self.ctx, stats) as step:
+        with measured_step(self.ctx, stats, after=after) as step:
             batch = operator.process_batch(batch, self.ctx, state)
             stats.records_out += len(batch)
         if metrics.enabled and not step.truncated:
             metrics.histogram("engine.cell_s").observe(step.seconds)
-        return batch, step.seconds, step.truncated
+        return batch, step.seconds, step.truncated, step.section.tail

@@ -15,13 +15,12 @@ operators are charged only for the surviving records.  This is what makes
 filter reordering and pushdown worthwhile — exactly the effect the paper
 credits for ``PZ compute``'s savings over ``CodeAgent+``.
 
-When the engine fuses streamable runs (always, unless a serve sink owns
-time), the time estimate must predict the *critical-path makespan* of the
-fused sections — not the per-operator sum — or plan choice regresses
-toward plans that only look good operator-at-a-time.
-``estimate_chain_steps`` therefore accepts the engine's ``parallelism``
-and the resolved ``fused_batch_size``; with the defaults it is the
-sequential-sum estimate.
+The engine always fuses streamable runs, so the time estimate must
+predict the *critical-path makespan* of the fused sections — not the
+per-operator sum — or plan choice regresses toward plans that only look
+good operator-at-a-time.  ``estimate_chain_steps`` therefore accepts the
+engine's ``parallelism`` and resolved ``batch_size``; with the defaults it
+is the sequential-sum estimate.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ def estimate_chain_steps(
     beliefs: list[OperatorEstimate],
     input_cardinality: float | None = None,
     parallelism: int = 1,
-    fused_batch_size: int | None = None,
+    batch_size: int | None = None,
 ) -> tuple[PlanEstimate, list[PlanEstimate]]:
     """Price a leaves-first chain of bound operators under ``beliefs``.
 
@@ -122,9 +121,9 @@ def estimate_chain_steps(
     mid-query re-planner compare against observed row counts.
 
     Cost and cardinality are mode-independent; ``parallelism`` divides
-    per-operator latency into wave time, and ``fused_batch_size`` — the
-    engine's resolved records-per-batch when it fuses streamable runs,
-    None when it runs operator steps — replaces the per-operator time sum
+    per-operator latency into wave time, and ``batch_size`` — the engine's
+    resolved records per fused batch, None for the operator-at-a-time
+    sum — replaces the per-operator time sum
     of each fused streamable section with its pipelined makespan:
     ``fill + (B - 1) * bottleneck`` for ``B`` batches — the first batch
     crosses every stage, then the slowest stage paces the rest.
@@ -144,7 +143,7 @@ def estimate_chain_steps(
         )
         steps.append(step)
         total = total + step
-    if fused_batch_size is None:
+    if batch_size is None:
         return total, steps
 
     time_s = 0.0
@@ -159,7 +158,7 @@ def estimate_chain_steps(
             end += 1
         section = steps[index:end]
         section_input = steps[index - 1].cardinality if index > 0 else cardinality
-        n_batches = max(1, math.ceil(section_input / fused_batch_size))
+        n_batches = max(1, math.ceil(section_input / batch_size))
         stage_times = [step.time_s for step in section]
         if len(section) < 2:
             time_s += sum(stage_times)

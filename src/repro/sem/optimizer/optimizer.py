@@ -360,7 +360,7 @@ class Optimizer:
             [op.estimate for op in bound],
             input_cardinality=input_cardinality,
             parallelism=config.parallelism,
-            fused_batch_size=config.fused_batch_size(),
+            batch_size=config.resolved_batch_size(),
         )
         for op, step in zip(bound, steps):
             op.estimate.rows = step.cardinality

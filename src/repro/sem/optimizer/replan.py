@@ -162,7 +162,7 @@ class Replanner:
                 [beliefs[offset] for offset in offsets],
                 input_cardinality=float(observed_rows),
                 parallelism=config.parallelism,
-                fused_batch_size=config.fused_batch_size(),
+                batch_size=config.resolved_batch_size(),
             )
 
         old_total, _ = estimate(written)

@@ -39,13 +39,12 @@ joins' own per-partition phases (``classify_partition`` / ``build_groups``,
 Workers are *simulated*: each shard's cells are measured steps (seconds
 captured, not spent) on its own
 :class:`~repro.utils.clock.PipelineSchedule`, so no virtual time passes
-while a shard runs; after all shards of a segment finish, the clock is
-charged ``max(shard makespans)`` — N workers in parallel — and the gap
-``max - min`` is the segment's measurable straggler cost.  Under a
-serving sink (``SimulatedLLM.sink_owns_time``) each worker runs
-its partition as one batch per stage, and the same charge is routed
-through ``serve_sink.end_step(width, busy)`` so the shared clock is never
-touched directly (the serving invariant).
+while a shard runs; after all shards of a segment finish,
+``max(shard makespans)`` is spent (``SimulatedLLM.spend``) — N workers in
+parallel — and the gap ``max - min`` is the segment's measurable
+straggler cost.  Every worker's cells wait for the segment's (or phase's)
+entry token, ``llm.mark()`` when it starts, so a serving timeline records
+the workers as independent chains.
 
 Determinism and bit-identity: partitioners are pure functions of record
 uid / position; simulated answers are pure functions of (seed, model,
@@ -398,26 +397,13 @@ class ShardedExecutor:
         return sorted(rows, key=itemgetter(0))
 
     def _charge(self, segment: ShardSegment, shard_seconds: list[float]) -> None:
-        """Advance time as if the shards had run on N parallel workers.
-
-        Off serving, the clock moves by the slowest shard's makespan.
-        Under a serving sink the busy shards' makespans are handed to
-        ``end_step`` as one wave (its standalone makespan is the same
-        max), so the shared clock is never advanced during body execution
-        — the serving invariant the runtime asserts.  The seconds are also
-        booked on the segment, shard by shard across its phases.
-        """
+        """Spend time as if the shards had run on N parallel workers: the
+        slowest shard's makespan.  The seconds are also booked on the
+        segment, shard by shard across its phases."""
         booked = zip_longest(segment.shard_makespans, shard_seconds, fillvalue=0.0)
         segment.shard_makespans = makespans = [a + b for a, b in booked]
         segment.straggler_gap_s = max(makespans) - min(makespans)
-        llm = self.ctx.llm
-        busy = [seconds for seconds in shard_seconds if seconds > 0]
-        if not busy:
-            return
-        if llm.sink_owns_time:
-            llm.serve_sink.end_step(len(busy), busy)
-        else:
-            llm.clock.advance(max(shard_seconds))
+        self.ctx.llm.spend(max(shard_seconds))
 
     def _run_phase(
         self, segment: ShardSegment, name: str, stage: int, parts: list, work,
@@ -425,23 +411,24 @@ class ShardedExecutor:
     ) -> tuple[list, bool]:
         """One shard-parallel phase of a whole-input operator.
 
-        ``work(part)`` runs once per shard as a measured cell; the phase
-        stops at a budget cut, charges the clock for N parallel workers
-        and exports one cell span per busy shard.  Returns (per-shard
-        results, truncated).
+        ``work(part)`` runs once per shard as a measured cell waiting for
+        the phase's entry; the phase stops at a budget cut, spends time
+        for N parallel workers and exports one cell span per busy shard.
+        Returns (per-shard results, truncated).
         """
         llm = self.ctx.llm
         origin = llm.clock.elapsed
+        entry = llm.mark()
         results: list = []
         seconds: list[float] = []
         for part in parts:
-            with measured_step(self.ctx, stats) as step:
+            with measured_step(self.ctx, stats, after=entry) as step:
                 results.append(work(part))
             seconds.append(step.seconds)
             if step.truncated:
                 break
         self._charge(segment, seconds)
-        if llm.tracer.enabled and not llm.sink_owns_time:
+        if llm.tracer.enabled:
             for shard, busy in enumerate(seconds):
                 if busy > 0:
                     self.engine.cell_span(
@@ -471,7 +458,8 @@ class ShardedExecutor:
         # Workers are measured, never spent: the clock stands at ``origin``
         # until the segment is charged, so cells can be drawn as they run.
         origin = llm.clock.elapsed
-        draw_cells = llm.tracer.enabled and not llm.sink_owns_time
+        entry = llm.mark()
+        draw_cells = llm.tracer.enabled
 
         def on_cell(stage, n_records, schedule):
             if draw_cells:  # ``shard``: the worker running right now
@@ -487,10 +475,7 @@ class ShardedExecutor:
         for shard, part in enumerate(parts):
             states = [op.new_state(ctx) for op in section]
             emitted, schedule, truncated = engine.run_section(
-                section, states, stats, part,
-                # Under a serve sink a worker is one operator-at-a-time pass.
-                max(len(part), 1) if llm.sink_owns_time else engine.batch_size,
-                on_cell,
+                section, states, stats, part, engine.batch_size, on_cell, entry
             )
             shard_seconds.append(schedule.makespan)
             if truncated:

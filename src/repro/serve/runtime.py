@@ -7,7 +7,9 @@ The lifecycle per drain window:
 1. :meth:`submit` — admission control (typed, *schedule-independent*
    rejections: per-tenant budget and arrival-rate quotas), then eager body
    execution on the shared runtime with a :class:`~repro.serve.timeline.CallTimeline`
-   sink installed.  No virtual time passes; spend, cache, and
+   sink installed.  The body runs the engine's own schedule, exactly as a
+   direct run; the sink receives the seconds it spends and records its
+   call steps, so no time passes on the shared clock.  Spend, cache, and
    materialization deltas are attributed exactly to the submitting tenant
    because execution is serialized in admission order.
 2. :meth:`drain` — replay all admitted timelines through the
@@ -187,10 +189,8 @@ class ServingRuntime:
         cache_hits = llm.cache.hits
         cache_misses = llm.cache.misses
         mat_hits = store.hits
-        # Installing the sink is what makes the engine run operator steps
-        # (SimulatedLLM.sink_owns_time): a fused section would advance
-        # the clock from its own cell schedule, and serving owns
-        # cross-query overlap instead.
+        # The body runs the engine's own schedule; the sink receives the
+        # seconds it spends and records its call steps for the replay.
         llm.serve_sink = timeline
         llm.cache_scope = tenant
         try:
@@ -214,6 +214,7 @@ class ServingRuntime:
             records=result.records,
             fingerprint=result.fingerprint(),
             raw_cost_usd=usage.cost_usd,
+            truncated=result.truncated,
             cache_hits=llm.cache.hits - cache_hits,
             cache_misses=llm.cache.misses - cache_misses,
             materialization_hits=store.hits - mat_hits,
@@ -235,9 +236,6 @@ class ServingRuntime:
 
     def _tenant_config(self, tenant: str, tag: str):
         """The runtime's template as ``tenant``'s served queries run it."""
-        # Sharded queries route shard time through the sink as parallel
-        # waves, so per-tenant attribution and the shared-clock invariant
-        # survive; they forfeit overlap rebates (whole-wave call notes).
         return self.runtime.program_config(
             tag, optimize=False, parallelism=self.parallelism, scope=tenant,
             materialization_store=self.runtime.materialization_store,

@@ -8,7 +8,11 @@ structures on the virtual clock in one of two modes:
   queue wait plus standalone duration — classic head-of-line blocking.
 - **batched** (cross-query batching): a discrete-event loop forms *shared
   provider waves* of up to ``provider_width`` call slots, filled from every
-  in-flight query's current step.  Slots are granted by stride scheduling
+  in-flight query's ready calls.  Each query keeps one queue (a
+  :class:`StepReplay`): the calls of its ready steps, in the order the
+  steps became ready; a step becomes ready once every step it waits for
+  (``CallStep.after``) has finished, so a query's cells overlap exactly as
+  its dependency graph allows.  Slots are granted by stride scheduling
   (inverse-weight virtual passes), so tenants share capacity proportionally
   to their weights regardless of how many queries each has in flight.
 
@@ -56,6 +60,8 @@ class QueryJob:
     fingerprint: str = ""
     #: Raw substrate spend attributed to this query (tracker diff).
     raw_cost_usd: float = 0.0
+    #: True when the query's spend cap cut its plan short.
+    truncated: bool = False
     #: Per-tenant shared-cache accounting deltas for this query.
     cache_hits: int = 0
     cache_misses: int = 0
@@ -209,6 +215,51 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[min(rank, len(ordered)) - 1]
 
 
+class StepReplay:
+    """One job's ready queue over its timeline's step graph.
+
+    :attr:`queue` holds ``(step index, call)`` for every call of a ready
+    step not yet completed, in the order the steps became ready; waves
+    take calls from the front.  :meth:`complete` finishes the first
+    ``count`` calls and releases each step whose ``after`` steps have all
+    finished.  On a linear timeline the queue is always the current
+    step's remaining calls.
+    """
+
+    __slots__ = ("steps", "queue", "_left", "_waiting", "_successors")
+
+    def __init__(self, timeline: CallTimeline) -> None:
+        self.steps = timeline.steps
+        self.queue: list[tuple[int, CallRequest]] = []
+        #: Uncompleted calls per step; steps still waited on per step.
+        self._left = [len(step.calls) for step in self.steps]
+        self._waiting = [len(step.after) for step in self.steps]
+        self._successors: list[list[int]] = [[] for _ in self.steps]
+        for index, step in enumerate(self.steps):
+            for before in step.after:
+                self._successors[before].append(index)
+        for index, step in enumerate(self.steps):
+            if not step.after:
+                self._release(index)
+
+    def _release(self, index: int) -> None:
+        self.queue.extend((index, call) for call in self.steps[index].calls)
+
+    def _finish(self, index: int) -> None:
+        for successor in self._successors[index]:
+            self._waiting[successor] -= 1
+            if not self._waiting[successor]:
+                self._release(successor)
+
+    def complete(self, count: int) -> None:
+        """The first ``count`` queued calls have finished."""
+        done, self.queue = self.queue[:count], self.queue[count:]
+        for index, _call in done:
+            self._left[index] -= 1
+            if not self._left[index]:
+                self._finish(index)
+
+
 class CrossQueryScheduler:
     """Deterministic discrete-event scheduler over captured timelines."""
 
@@ -258,8 +309,8 @@ class CrossQueryScheduler:
         pending = sorted(
             (job for job in jobs), key=lambda job: job.arrival_s
         )
-        # Per-job cursor: (step index, calls not yet scheduled in that step).
-        cursor: dict[int, tuple[int, list[CallRequest]]] = {}
+        # Per-job ready queue over its step graph.
+        replays: dict[int, StepReplay] = {}
         active: list[QueryJob] = []
         passes: dict[str, float] = {}
 
@@ -267,11 +318,12 @@ class CrossQueryScheduler:
             nonlocal pending
             while pending and pending[0].arrival_s <= now + 1e-12:
                 job = pending.pop(0)
-                if not job.timeline.steps:
+                replay = StepReplay(job.timeline)
+                if not replay.queue:
                     job.finish_s = job.arrival_s
                     job.latency_s = 0.0
                     continue
-                cursor[id(job)] = (0, list(job.timeline.steps[0].calls))
+                replays[id(job)] = replay
                 active.append(job)
 
         admit()
@@ -301,7 +353,7 @@ class CrossQueryScheduler:
                     tenant
                     for tenant, tenant_jobs in queues.items()
                     if any(
-                        taken.get(id(job), 0) < len(cursor[id(job)][1])
+                        taken.get(id(job), 0) < len(replays[id(job)].queue)
                         for job in tenant_jobs
                     )
                 ]
@@ -310,9 +362,9 @@ class CrossQueryScheduler:
                 tenant = min(candidates, key=lambda t: (passes.get(t, 0.0), t))
                 for job in queues[tenant]:
                     count = taken.get(id(job), 0)
-                    remaining = cursor[id(job)][1]
-                    if count < len(remaining):
-                        selected.append((job, remaining[count]))
+                    queue = replays[id(job)].queue
+                    if count < len(queue):
+                        selected.append((job, queue[count][1]))
                         taken[id(job)] = count + 1
                         break
                 passes[tenant] = passes.get(tenant, 0.0) + 1.0 / max(
@@ -334,24 +386,16 @@ class CrossQueryScheduler:
             report.filled_slots += len(selected)
             now += duration
 
-            # Complete the wave: drop scheduled calls, advance step cursors.
+            # Complete the wave: finish the scheduled calls, release the
+            # steps that were waiting on them.
             for job in list(active):
                 count = taken.get(id(job), 0)
                 if not count:
                     continue
-                step_index, remaining = cursor[id(job)]
-                remaining = remaining[count:]
-                if remaining:
-                    cursor[id(job)] = (step_index, remaining)
-                    continue
-                step_index += 1
-                if step_index < len(job.timeline.steps):
-                    cursor[id(job)] = (
-                        step_index,
-                        list(job.timeline.steps[step_index].calls),
-                    )
-                else:
-                    del cursor[id(job)]
+                replay = replays[id(job)]
+                replay.complete(count)
+                if not replay.queue:
+                    del replays[id(job)]
                     active.remove(job)
                     job.finish_s = now
                     job.latency_s = now - job.arrival_s

@@ -2,19 +2,27 @@
 
 The serving runtime executes each admitted query's body *eagerly* on the
 shared substrate — in strict admission order, so cache evolution is
-identical whether or not cross-query batching is later applied — while a
-:class:`CallTimeline` installed as ``SimulatedLLM.serve_sink`` intercepts
-every outermost latency charge.  No virtual-clock time passes during body
-execution; the timeline records the query's *call structure* instead:
+identical whether or not cross-query batching is later applied — with a
+:class:`CallTimeline` installed as ``SimulatedLLM.serve_sink``.  The body
+runs the engine's own schedule, exactly as a direct run does; the
+timeline is that run's clock and a record of its call structure:
 
-- one :class:`CallStep` per outermost ``parallel`` section (its calls are
-  mutually independent and may be co-scheduled freely), and
-- one single-call step per bare sequential call.
+- :meth:`CallTimeline.advance` receives every second the body spends
+  (``SimulatedLLM.spend``), so :meth:`CallTimeline.standalone_duration` is
+  the direct run's ``total_time_s`` by construction, and the shared
+  virtual clock never moves during body execution;
+- one :class:`CallStep` per wave (or bare call) made while no ``parallel``
+  section is open: its calls are mutually independent and may be
+  co-scheduled freely.
 
-Steps are totally ordered within a query (step *k* must finish before any
-call of step *k+1* starts).  The cross-query scheduler then replays these
-timelines — serially or as shared provider waves — to produce latencies on
-the virtual clock.
+Each step names the steps it waits for (``after``).  A step made inside a
+pipelined or shard cell chains after the cell's previous step, and the
+cell's first step waits for what the engine passed the cell (its batch's
+previous cell, the section's entry, or a holdback's flush point); any
+other step waits for the timeline's *frontier*, every step nothing waits
+for yet.  With no cells that is a linear chain.  Only data dependencies
+are recorded: the cross-query scheduler then replays the graph — serially
+or as shared provider waves — to produce latencies on the virtual clock.
 
 Soundness: simulated answers are pure functions of (seed, model,
 instruction, record uid), never of call order or wall time, so deferring
@@ -46,35 +54,42 @@ class CallRequest(NamedTuple):
 
 @dataclass
 class CallStep:
-    """Calls that may run concurrently, issued at client width ``width``."""
+    """Calls that may run concurrently, issued at client width ``width``,
+    once every step in ``after`` (indices into the timeline) has finished."""
 
     width: int
     calls: list[CallRequest]
-
-    def standalone_makespan(self) -> float:
-        """Seconds this step takes alone, in waves of ``width`` calls."""
-        total = 0.0
-        seconds = [call.seconds for call in self.calls]
-        for start in range(0, len(seconds), self.width):
-            total += max(seconds[start : start + self.width])
-        return total
+    after: tuple[int, ...] = ()
 
 
 class CallTimeline:
-    """The ``serve_sink`` protocol: collects a query body's call steps.
+    """The ``serve_sink`` protocol: a query body's clock and call steps.
 
     :meth:`note_call` fires once per completed call saga (with metadata);
-    :meth:`end_step` fires when an outermost parallel section exits (or a
-    bare call charges), carrying the authoritative latency list.  Notes
-    are paired with latencies positionally — both sides append in issue
-    order and skip zero-latency (cached) calls — and dropped wholesale if
-    the counts disagree (nested sections fold inner calls into composite
-    items), which costs only rebate eligibility, never schedule accuracy.
+    :meth:`end_step` fires when a wave ends (or a bare call charges)
+    outside any ``parallel`` section, carrying the authoritative latency
+    list.  Notes are paired with latencies positionally — both sides
+    append in issue order and skip zero-latency (cached) calls — and
+    dropped wholesale if the counts disagree (nested sections fold inner
+    calls into composite items), which costs only rebate eligibility,
+    never schedule accuracy.
     """
 
     def __init__(self) -> None:
         self.steps: list[CallStep] = []
+        #: Seconds the body spent: its standalone duration.
+        self.elapsed = 0.0
         self._notes: list[CallRequest] = []
+        #: Steps nothing waits for yet, in the order they were recorded.
+        self._frontier: dict[int, None] = {}
+
+    def advance(self, seconds: float) -> None:
+        """Receive spent seconds (the clock protocol ``spend`` uses)."""
+        self.elapsed += seconds
+
+    def mark(self) -> tuple[int, ...]:
+        """A token for everything recorded so far: the frontier."""
+        return tuple(self._frontier)
 
     def note_call(
         self,
@@ -95,14 +110,27 @@ class CallTimeline:
                 )
             )
 
-    def end_step(self, width: int, latencies: list[float]) -> None:
+    def end_step(
+        self,
+        width: int,
+        latencies: list[float],
+        after: tuple[int, ...] | None = None,
+    ) -> tuple[int, ...]:
+        """Record one step waiting for ``after`` (None: the frontier);
+        returns the token naming it."""
         if len(self._notes) == len(latencies):
             calls = list(self._notes)
         else:
             calls = [CallRequest(seconds=seconds) for seconds in latencies]
         self._notes.clear()
-        if calls:
-            self.steps.append(CallStep(width=width, calls=calls))
+        if after is None:
+            after = self.mark()
+        index = len(self.steps)
+        self.steps.append(CallStep(width=width, calls=calls, after=after))
+        for before in after:
+            self._frontier.pop(before, None)
+        self._frontier[index] = None
+        return (index,)
 
     # -- derived --------------------------------------------------------
 
@@ -110,5 +138,5 @@ class CallTimeline:
         return sum(len(step.calls) for step in self.steps)
 
     def standalone_duration(self) -> float:
-        """Seconds the query takes executed alone (per-step makespans sum)."""
-        return sum(step.standalone_makespan() for step in self.steps)
+        """Seconds the query takes executed alone: what its body spent."""
+        return self.elapsed

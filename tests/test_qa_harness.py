@@ -228,7 +228,7 @@ def test_check_budget_flags_overshoot_beyond_the_saga_allowance():
 def test_mutation_registry_and_lookup():
     assert set(MUTATIONS) == {
         "drop-budget-check", "scramble-cell-order", "filter-drops-kept",
-        "replay-after-delta", "patch-keeps-stale",
+        "replay-after-delta", "patch-keeps-stale", "sink-drops-section-time",
     }
     assert mutation_by_name("drop-budget-check").expected_oracle == "budget-cap"
     with pytest.raises(ValueError):
@@ -246,6 +246,21 @@ def test_scramble_mutation_reaches_shard_cells():
     broken = run_spec(case, spec, mutation=mutation)
     assert clean.error is None and broken.error is None
     assert broken.records != clean.records
+
+
+def test_dropped_section_time_is_seen_only_by_serving_conservation():
+    # Served records and dollars are untouched; only the job's standalone
+    # time stops matching the direct baseline's total time.
+    mutation = mutation_by_name("sink-drops-section-time")
+    case = PlanFuzzer(seed=0).case(0)
+    specs = {s.name: s for s in config_matrix(case.plan)}
+    baseline = run_spec(case, specs["baseline"], mutation=mutation)
+    clean = run_spec(case, specs["served"])
+    broken = run_spec(case, specs["served"], mutation=mutation)
+    assert broken.records == clean.records
+    assert broken.total_cost_usd == clean.total_cost_usd
+    assert clean.serve_standalone_s == [baseline.total_time_s] * 2
+    assert broken.serve_standalone_s[0] < baseline.total_time_s
 
 
 def test_shared_operator_bug_is_killed_only_through_the_reference():

@@ -176,14 +176,14 @@ def test_estimate_fuses_what_the_bound_operators_say_streams():
     beliefs = [OperatorEstimate(), _belief(1.0, 0.0), _belief(1.0, 0.0)]
     operators = _bound_filters("a", "b")
     fused, _ = estimate_chain_steps(
-        operators, beliefs, input_cardinality=100, fused_batch_size=25
+        operators, beliefs, input_cardinality=100, batch_size=25
     )
     summed, _ = estimate_chain_steps(operators, beliefs, input_cardinality=100)
     assert summed.time_s == pytest.approx(100.0)
     assert fused.time_s == pytest.approx(100.0 / 4 + 3 * 50.0 / 4)
     operators[2].streamable = False  # e.g. a whole-input operator
     unfused, _ = estimate_chain_steps(
-        operators, beliefs, input_cardinality=100, fused_batch_size=25
+        operators, beliefs, input_cardinality=100, batch_size=25
     )
     assert unfused.time_s == pytest.approx(summed.time_s)
 

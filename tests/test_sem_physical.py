@@ -263,9 +263,9 @@ MECHANICS = ("pipeline", "pushdown", "embed_batch_size", "adaptive_parallelism")
 
 
 def test_execution_mechanics_are_not_options():
-    # Fusion, batched embeds, adaptive width and pushdown are derived
-    # (SimulatedLLM.sink_owns_time) or unconditional; a mode that
-    # exists to be diffed against lives in repro.qa.reference.
+    # Fusion, batched embeds, adaptive width and pushdown are
+    # unconditional, served or not; a mode that exists to be diffed
+    # against lives in repro.qa.reference.
     from repro.core.runtime import AnalyticsRuntime
     from repro.qa.configs import ConfigSpec
     from repro.sem.config import QueryProcessorConfig

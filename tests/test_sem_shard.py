@@ -745,27 +745,27 @@ class TestReuseComposition:
         assert report.reused_prefix > 0 and report.reuse_kind == "exact"
 
     def test_unsharded_barrier_capture_replays_mid_segment(self, qa_bundle):
-        # A served run is operator steps, so it captures after every
-        # operator, and a sharded query sharing only where+filter replays a
-        # boundary that sits inside its own scatter segment; the sharding
-        # pass plans what is left.
-        def plan(map_intent):
+        # A direct unsharded run of where+filter captures that boundary, and
+        # a sharded query sharing only where+filter replays a boundary that
+        # sits inside its own scatter segment; the sharding pass plans what
+        # is left.
+        def where_filter():
             return (
                 Dataset.from_source(qa_bundle.source())
                 .where("priority >= 1")
                 .sem_filter(instruction_for("qa.flag_urgent"))
-                .sem_map(
-                    Field("extracted", str, "extracted value"),
-                    instruction_for(map_intent),
-                )
             )
 
-        runtime = AnalyticsRuntime(
-            llm=SimulatedLLM(oracle=SemanticOracle(qa_bundle.registry), seed=13),
-            seed=13,
+        def plan(map_intent):
+            return where_filter().sem_map(
+                Field("extracted", str, "extracted value"),
+                instruction_for(map_intent),
+            )
+
+        store = MaterializationStore()
+        where_filter().run(
+            _config(qa_bundle, materialization_store=store, scope="tenant")
         )
-        runtime.serving().submit("tenant", plan("qa.customer"))
-        store = runtime.materialization_store
         warm, report = plan("qa.amount").run_with_report(
             _config(
                 qa_bundle, shards=4,

@@ -24,6 +24,8 @@ from repro.serve import (
     submit_workload,
     zipf_rates,
 )
+from repro.serve.scheduler import CrossQueryScheduler, QueryJob, StepReplay
+from repro.serve.workload import _template_builders
 
 
 @pytest.fixture(scope="module")
@@ -79,10 +81,11 @@ def test_submit_captures_timeline_without_advancing_clock(qa_bundle):
     )
 
 
-def test_serve_sink_alone_selects_operator_steps(qa_bundle):
-    """The engine's one unfused case is derived, never configured: a
-    submit leaves the clock untouched, runs no fused section and captures
-    every operator boundary; the same plan off the sink fuses."""
+def test_served_query_runs_the_engines_schedule(qa_bundle):
+    """A served query fuses exactly as the same plan run directly: the
+    submit leaves the clock untouched, runs one pipelined section, captures
+    the section's last boundary only, and its standalone time is the
+    direct run's total time."""
     from repro.data.schemas import Field
     from repro.sem.config import QueryProcessorConfig
 
@@ -97,14 +100,11 @@ def test_serve_sink_alone_selects_operator_steps(qa_bundle):
     runtime = make_runtime(qa_bundle, tracer=tracer)
     job = runtime.serving().submit("alice", three_stage())
     assert runtime.llm.clock.elapsed == 0.0
-    assert tracer.by_kind("pipeline-section") == []
-    assert len(tracer.by_kind("operator")) == 4  # scan + three operator steps
-    assert tracer.by_kind("query")[0].attributes["pipeline"] is False
-    # One store entry per costly boundary: what serve_mix replays from.
-    assert len(runtime.materialization_store) == 3
+    assert len(tracer.by_kind("pipeline-section")) == 1
+    assert "pipeline" not in tracer.by_kind("query")[0].attributes
+    assert len(runtime.materialization_store) == 1
 
-    tracer = Tracer()
-    direct = make_runtime(qa_bundle, tracer=tracer)
+    direct = make_runtime(qa_bundle)
     result = three_stage().run(
         QueryProcessorConfig(
             llm=direct.llm, seed=7, optimize=False, parallelism=4,
@@ -112,11 +112,66 @@ def test_serve_sink_alone_selects_operator_steps(qa_bundle):
         )
     )
     assert normalized_records(result.records) == normalized_records(job.records)
-    assert len(tracer.by_kind("pipeline-section")) == 1
-    assert tracer.by_kind("query")[0].attributes["pipeline"] is True
-    assert direct.llm.clock.elapsed == pytest.approx(result.total_time_s)
+    assert job.raw_cost_usd == result.total_cost_usd
     assert result.total_time_s > 0.0
-    assert len(direct.materialization_store) == 1  # the section's last boundary
+    assert job.timeline.standalone_duration() == result.total_time_s
+    assert len(direct.materialization_store) == 1
+
+
+TEMPLATES = (
+    "filter-urgent", "filter-security", "filter-refund",
+    "classify-dept", "extract-amount", "triage-heavy",
+)
+
+
+def served_and_direct(template, n_records, **options):
+    """``template`` over ``n_records`` run directly and served alone, each
+    on a fresh runtime with ``options``: (direct result, its store, job,
+    its store)."""
+    bundle = build_corpus(CorpusSpec(seed=7171, n_records=n_records))
+    direct_runtime = AnalyticsRuntime.for_bundle(bundle, seed=7171, **options)
+    direct = _template_builders(bundle)[template]().run(
+        direct_runtime.program_config(
+            "direct", optimize=False, parallelism=4,
+            materialization_store=direct_runtime.materialization_store,
+        )
+    )
+    runtime = AnalyticsRuntime.for_bundle(bundle, seed=7171, **options)
+    serving = runtime.serving(tenants=[TenantSpec("solo")], parallelism=4)
+    job = serving.submit("solo", _template_builders(bundle)[template]())
+    serving.drain()
+    return (
+        direct, direct_runtime.materialization_store,
+        job, runtime.materialization_store,
+    )
+
+
+@pytest.mark.parametrize(
+    "n_records, shards", [(10, 1), (10, 4), (24, 1), (24, 4), (64, 3), (64, 4)]
+)
+@pytest.mark.parametrize("template", TEMPLATES)
+def test_served_alone_equals_direct(template, n_records, shards):
+    # Served, a query runs the engine's own schedule: same records, same
+    # dollars to the bit, standalone time == the direct total time and the
+    # same captured boundaries, at every batch count and shard count.
+    direct, direct_store, job, store = served_and_direct(
+        template, n_records, shards=shards
+    )
+    assert normalized_records(job.records) == normalized_records(direct.records)
+    assert job.raw_cost_usd == direct.total_cost_usd
+    assert job.standalone_s == direct.total_time_s
+    assert len(store) == len(direct_store)
+
+
+@pytest.mark.parametrize("cap", [0.004, 0.01, 0.02])
+@pytest.mark.parametrize("template", ["classify-dept", "triage-heavy"])
+def test_served_query_under_a_spend_cap_matches_direct(template, cap):
+    # A cut section salvages the same batches served as direct, and the
+    # job says it was cut.
+    direct, _, job, _ = served_and_direct(template, 64, max_cost_usd=cap)
+    assert direct.truncated and job.truncated
+    assert [r.uid for r in job.records] == [r.uid for r in direct.records]
+    assert job.raw_cost_usd == direct.total_cost_usd
 
 
 def test_submit_resets_sink_and_scope(qa_bundle):
@@ -134,6 +189,98 @@ def test_timeline_drops_metadata_on_count_mismatch():
     (step,) = timeline.steps
     assert [call.seconds for call in step.calls] == [1.0, 2.0]
     assert all(call.model is None for call in step.calls)
+
+
+def diamond_timeline() -> CallTimeline:
+    """A root step, two branches waiting for it, and a join step."""
+    timeline = CallTimeline()
+    root = timeline.end_step(2, [1.0, 1.0])
+    timeline.end_step(2, [2.0, 2.0, 2.0], root)
+    timeline.end_step(1, [5.0], root)
+    timeline.end_step(1, [1.0])  # outside a cell: waits for the frontier
+    return timeline
+
+
+def test_timeline_records_what_each_step_waits_for():
+    timeline = diamond_timeline()
+    assert [step.after for step in timeline.steps] == [(), (0,), (0,), (1, 2)]
+    assert timeline.mark() == (3,)
+
+
+@pytest.mark.parametrize("width", [1, 2, 16])
+def test_diamond_step_never_starts_before_its_after_steps(width):
+    timeline = diamond_timeline()
+    replay = StepReplay(timeline)
+    finished = [0] * len(timeline.steps)
+    while replay.queue:
+        wave = replay.queue[:width]
+        for index, _call in wave:
+            for before in timeline.steps[index].after:
+                assert finished[before] == len(timeline.steps[before].calls)
+        replay.complete(len(wave))
+        for index, _call in wave:
+            finished[index] += 1
+    assert finished == [len(step.calls) for step in timeline.steps]
+
+
+def test_diamond_branches_share_waves():
+    # Root wave (1 s), both branches in one wave (5 s), the join (1 s):
+    # the linear order of the same steps would take 1 + 2 + 5 + 1 s.
+    job = QueryJob(
+        tenant="t", query_id=0, tag="q", arrival_s=0.0,
+        timeline=diamond_timeline(),
+    )
+    report = CrossQueryScheduler(provider_width=16).run([job])
+    assert job.latency_s == 7.0
+    assert [wave.slots for wave in report.waves] == [2, 4, 1]
+
+
+def test_linear_timeline_replays_as_a_step_cursor():
+    # With no cells every step waits for the one before, and the ready
+    # queue is always the current step's remaining calls, call for call.
+    timeline = CallTimeline()
+    for index, size in enumerate([3, 1, 4, 1, 5]):
+        timeline.end_step(2, [float(index + 1)] * size)
+    steps = timeline.steps
+    assert [step.after for step in steps] == [(), (0,), (1,), (2,), (3,)]
+    replay = StepReplay(timeline)
+    current, remaining = 0, list(steps[0].calls)
+    counts = iter([2, 1, 1, 3, 1, 1, 2, 2, 1, 1, 1])
+    while remaining:
+        assert [call for _index, call in replay.queue] == remaining
+        count = min(next(counts), len(remaining))
+        replay.complete(count)
+        remaining = remaining[count:]
+        if not remaining and current + 1 < len(steps):
+            current += 1
+            remaining = list(steps[current].calls)
+    assert replay.queue == []
+
+
+def test_flushed_topk_batch_waits_for_the_whole_topk_stage(qa_bundle):
+    # Three input batches score independently; the top-k winners flush
+    # only once every batch was scored, so the map over them waits for
+    # every step of the top-k stage.
+    runtime = make_runtime(qa_bundle, batch_size=4)
+    job = runtime.serving().submit(
+        "alice",
+        Dataset.from_source(qa_bundle.source())
+        .sem_topk("urgent billing problems", k=5)
+        .sem_map(Field("amount", float, "amount"), instruction_for("qa.amount")),
+    )
+    steps = job.timeline.steps
+    topk = {i for i, step in enumerate(steps) if step.calls[0].is_embedding}
+    mapped = [i for i, step in enumerate(steps) if i not in topk]
+    assert len([i for i in topk if not steps[i].after]) == 3
+    assert mapped and min(mapped) > max(topk)
+    waits_for: set[int] = set()
+    pending = list(steps[min(mapped)].after)
+    while pending:
+        index = pending.pop()
+        if index not in waits_for:
+            waits_for.add(index)
+            pending.extend(steps[index].after)
+    assert topk <= waits_for
 
 
 def test_drain_advances_clock_by_makespan(qa_bundle):
