@@ -17,11 +17,7 @@ from conftest import save_report
 
 from repro.bench.metrics import set_metrics
 from repro.core.program_tool import build_program_tool
-from repro.core.rewrites import (
-    compute_batch,
-    compute_with_recovery,
-    split_instruction,
-)
+from repro.core.rewrites import compute_with_recovery, split_instruction
 from repro.core.runtime import AnalyticsRuntime
 from repro.data.datasets import enron as en
 from repro.data.datasets import kramabench as kb
@@ -72,7 +68,9 @@ def _merge_experiment(legal_bundle) -> dict:
 
     runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=SEED)
     context = runtime.make_context(legal_bundle)
-    merged_results = compute_batch(context, instructions, runtime)
+    merged_results = [
+        runtime.answer(context, instruction) for instruction in instructions
+    ]
     merged_cost = runtime.usage().cost_usd
 
     runtime2 = AnalyticsRuntime.for_bundle(legal_bundle, seed=SEED)

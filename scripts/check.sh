@@ -173,7 +173,7 @@ fi
 echo "all BENCH_*.json artifacts under benchmarks/results/"
 
 echo
-echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= / answer_cache_size= config keyword; no optimize= / replan= / shards= / partitioner= on serving; no clock= / tracer= / metrics= on StandingQueryManager; no interval/watermark/governor knob on RefreshPolicy, event_time_s= on append/update or now_s= on pump/pump_standing; no use_cache= on SimulatedLLM; no threshold= on the catalog or compute_batch; no stats_estimates= / fallback_model= config keyword; no decay= / min_observations= / max_entries= on a store or the generation cache; no similarity_floor= / max_candidates_per_left= / reset_stats= anywhere) =="
+echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= / answer_cache_size= config keyword; no optimize= / replan= / shards= / partitioner= on serving; no clock= / tracer= / metrics= on StandingQueryManager; no interval/watermark/governor knob on RefreshPolicy, event_time_s= on append/update or now_s= on pump/pump_standing; no use_cache= on SimulatedLLM; no threshold= on the catalog; no embed_batch_size= on ExecutionContext, min_width= / widen_after= on AdaptiveParallelism or budget_usd= on UsageTracker; no stats_estimates= / fallback_model= config keyword; no decay= / min_observations= / max_entries= on a store or the generation cache; no similarity_floor= / max_candidates_per_left= / reset_stats= anywhere) =="
 python - <<'PY'
 import ast
 import pathlib
@@ -208,8 +208,12 @@ RETIRED = {
     "SimulatedLLM": {"use_cache"},
     "ContextManager": {"threshold"},
     "find_similar": {"threshold"},
-    # Merging is the catalog's answer floor.
-    "compute_batch": {"threshold"},
+    # The execution path runs production's one value of each mechanic:
+    # batched embeds, a floor of one wave slot, WIDEN_AFTER clean waves,
+    # and no spend cap on the tracker (the run's cap is max_cost_usd).
+    "ExecutionContext": {"embed_batch_size"},
+    "AdaptiveParallelism": {"min_width", "widen_after"},
+    "UsageTracker": {"budget_usd"},
     # Every store declares its bound (and the stats store its blend
     # weight) as a class constant; one observation is evidence enough.
     **dict.fromkeys(
@@ -241,18 +245,18 @@ if offenders:
           "belongs in repro.qa.reference), a query option is declared "
           "once, on QueryProcessorConfig, a standing query runs on its "
           "config's substrate and refreshes on a count, a misestimate is "
-          "missing evidence, and floors, bounds and blend weights are class "
-          "constants:")
+          "missing evidence, floors, bounds and blend weights are class "
+          "constants, and the execution path takes no mechanics option:")
     print("\n".join(offenders))
     sys.exit(1)
 print(f"{len(files)} files: no retired keyword on a config, serving or standing constructor")
 PY
-retired_names='governor|watermark|lateness|event_time|max_staleness|min_batch_usd|now_s|last_refresh_s|use_cache|compile_operator|LogicalAgentOp|CompiledAgentOp|cheapest_model|usable_prior|note_dataset_version|decay_dataset|dataset_decays|_dataset_versions|use_priors|merge_similar_instructions|InstructionGroup|key_prefix|GenerationCache\.key\(|\.key\.digest\(|sink_owns_time|fused_batch_size'
+retired_names='governor|watermark|lateness|event_time|max_staleness|min_batch_usd|now_s|last_refresh_s|use_cache|compile_operator|LogicalAgentOp|CompiledAgentOp|cheapest_model|usable_prior|note_dataset_version|decay_dataset|dataset_decays|_dataset_versions|use_priors|merge_similar_instructions|InstructionGroup|key_prefix|GenerationCache\.key\(|\.key\.digest\(|sink_owns_time|fused_batch_size|_wire_explicit_llm'
 if grep -rnE "$retired_names" src/; then
-    echo "retired triggers, the event-time/staleness/prior-pricing state only they read, the cache switch, the agent-op IR, the stats store's evidence floor and append decay, the token-Jaccard merge, digested generation-cache keys and the serving mode split are back under src/ (the policy declares agent_model(); compute_batch merges through the catalog; a cache key is the call's tuple; a served query runs the engine's own schedule)"
+    echo "retired triggers, the event-time/staleness/prior-pricing state only they read, the cache switch, the agent-op IR, the stats store's evidence floor and append decay, the token-Jaccard merge, digested generation-cache keys, the serving mode split and the explicit-LLM re-wiring are back under src/ (the policy declares agent_model(); runtime.answer merges through the catalog; a cache key is the call's tuple; a served query runs the engine's own schedule; an explicit llm= is used as given)"
     exit 1
 fi
-echo "no retired trigger, cache switch, agent-op, evidence-floor, append-decay, merge-group, cache-key-digest or serving-mode name under src/"
+echo "no retired trigger, cache switch, agent-op, evidence-floor, append-decay, merge-group, cache-key-digest, serving-mode or explicit-LLM re-wiring name under src/"
 
 echo
 echo "== one-schedule guard (the engine never names the serving sink: time goes through llm.spend, dependencies through llm.mark / measure(after)) =="

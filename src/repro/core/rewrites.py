@@ -8,8 +8,9 @@ we implement working versions of each:
   decides *whether* to split; deterministic sentence/conjunction analysis
   decides *where*.
 - **Merging**: a compute instruction that is a near-duplicate of one
-  already answered against the same Context reuses that answer, through
-  the runtime's one similarity catalog.
+  already answered against the same Context reuses that answer:
+  :meth:`AnalyticsRuntime.answer` looks it up in the runtime's one
+  similarity catalog.
 - **Dynamic search insertion**: when a compute operator's answer fails
   validation, the optimizer inserts a logical ``search`` before it and
   retries the compute against the enriched Context.
@@ -18,7 +19,7 @@ we implement working versions of each:
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.agent_policies import DescGuidedComputePolicy
 from repro.core.context import Context
@@ -75,21 +76,6 @@ def split_instruction(instruction: str) -> list[str]:
     for piece in pieces:
         final.extend(s.strip() for s in _SENTENCE_RE.split(piece) if s.strip())
     return [piece if piece.endswith(".") else piece + "." for piece in final if piece]
-
-
-def compute_batch(
-    context: Context,
-    instructions: Sequence[str],
-    runtime: "AnalyticsRuntime",
-) -> list[ComputeResult]:
-    """Execute a batch of compute instructions with merge optimization.
-
-    Every instruction goes through :meth:`AnalyticsRuntime.answer`, so a
-    near-duplicate of one already answered against the same Context is
-    served by the similarity catalog at zero marginal LLM cost.  Returns
-    one result per input instruction, in order.
-    """
-    return [runtime.answer(context, instruction) for instruction in instructions]
 
 
 def compute_with_recovery(

@@ -26,6 +26,7 @@ from repro.core.operators import ComputeResult, SearchResult, compute, search
 from repro.data.datasets.base import DatasetBundle
 from repro.data.records import DataRecord
 from repro.data.schemas import Schema
+from repro.errors import ConfigurationError
 from repro.llm.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.llm.oracle import IntentRegistry, SemanticOracle
 from repro.llm.simulated import SimulatedLLM
@@ -39,7 +40,14 @@ from repro.sql.executor import ResultSet
 
 
 class AnalyticsRuntime:
-    """One user-facing runtime instance (paper's envisioned system)."""
+    """One user-facing runtime instance (paper's envisioned system).
+
+    The runtime builds its LLM substrate from ``registry``, ``seed``,
+    ``fault_config``, ``retry_policy``, ``tracer`` and ``metrics``.  An
+    explicit ``llm=`` is used as given: passing it together with any of
+    those substrate arguments raises :class:`~repro.errors.ConfigurationError`
+    (configure them on the :class:`SimulatedLLM` instead).
+    """
 
     def __init__(
         self,
@@ -53,7 +61,25 @@ class AnalyticsRuntime:
         metrics: Any = None,
         **query_options: Any,
     ) -> None:
-        if llm is None:
+        if llm is not None:
+            given = [
+                name
+                for name, value in (
+                    ("registry", registry),
+                    ("fault_config", fault_config),
+                    ("retry_policy", retry_policy),
+                    ("tracer", tracer),
+                    ("metrics", metrics),
+                )
+                if value is not None
+            ]
+            if given:
+                raise ConfigurationError(
+                    f"an explicit llm= is used as given; configure "
+                    f"{', '.join(given)} on the SimulatedLLM instead"
+                )
+            self.llm = llm
+        else:
             self.llm = SimulatedLLM(
                 oracle=SemanticOracle(registry or IntentRegistry()),
                 seed=seed,
@@ -62,9 +88,6 @@ class AnalyticsRuntime:
                 tracer=tracer,
                 metrics=metrics,
             )
-        else:
-            self.llm = llm
-            _wire_explicit_llm(llm, fault_config, retry_policy, tracer, metrics)
         self.seed = seed
         self.reuse_contexts = reuse_contexts
         #: Runtime-wide sub-plan materialization store.  Semantic programs
@@ -276,57 +299,3 @@ class AnalyticsRuntime:
             context_manager=self.context_manager,
         )
 
-
-def _wire_explicit_llm(
-    llm: SimulatedLLM,
-    fault_config: FaultConfig | None,
-    retry_policy: RetryPolicy | None,
-    tracer: Any,
-    metrics: Any,
-) -> None:
-    """Wire constructor kwargs onto an explicitly provided LLM substrate.
-
-    Historically ``AnalyticsRuntime(llm=..., tracer=...)`` silently dropped
-    ``fault_config`` / ``retry_policy`` / ``tracer`` / ``metrics``.  Each is
-    now applied to the client when the client has nothing configured there;
-    a *genuine conflict* — the client already carries a different value —
-    raises ``ValueError`` instead of guessing which one the caller meant.
-    """
-    if fault_config is not None:
-        if llm.faults is None:
-            llm.faults = FaultInjector(fault_config, seed=llm.seed)
-            if llm.metrics.enabled:
-                llm.faults.metrics = llm.metrics
-        elif llm.faults.config != fault_config:
-            raise ValueError(
-                "conflicting fault configuration: the provided llm already "
-                "carries a different FaultConfig; configure one or the other"
-            )
-    if retry_policy is not None and llm.retry != retry_policy:
-        if llm.retry == RetryPolicy():
-            llm.retry = retry_policy
-        else:
-            raise ValueError(
-                "conflicting retry policy: the provided llm already carries "
-                "a non-default RetryPolicy; configure one or the other"
-            )
-    if tracer is not None and tracer is not llm.tracer:
-        if llm.tracer.enabled:
-            raise ValueError(
-                "conflicting tracer: the provided llm already carries an "
-                "enabled tracer; configure one or the other"
-            )
-        llm.tracer = tracer
-        if tracer.enabled and tracer.clock is None:
-            tracer.clock = llm.clock
-    if metrics is not None and metrics is not llm.metrics:
-        if llm.metrics.enabled:
-            raise ValueError(
-                "conflicting metrics registry: the provided llm already "
-                "carries an enabled registry; configure one or the other"
-            )
-        llm.metrics = metrics
-        if metrics.enabled:
-            llm.cache.metrics = metrics
-            if llm.faults is not None:
-                llm.faults.metrics = metrics

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.errors import BudgetExceededError
-
 
 @dataclass
 class Usage:
@@ -61,11 +59,15 @@ def _accumulate(usage: Usage, event: UsageEvent) -> None:
 
 
 class UsageTracker:
-    """Accumulates :class:`UsageEvent` records with optional budget limits."""
+    """Accumulates :class:`UsageEvent` records.
 
-    def __init__(self, budget_usd: float | None = None) -> None:
+    It records and never refuses: the spend caps are a run's
+    ``max_cost_usd`` (checked against :attr:`spent_usd`) and a serving
+    tenant's ``TenantSpec.budget_usd``.
+    """
+
+    def __init__(self) -> None:
         self.events: list[UsageEvent] = []
-        self.budget_usd = budget_usd
         #: Running sum of event costs — O(1) spend checks for budget guards
         #: that fire on every call (the pipelined executor checks mid-batch).
         self.spent_usd: float = 0.0
@@ -73,14 +75,7 @@ class UsageTracker:
         self.failed_attempts: int = 0
 
     def record(self, event: UsageEvent) -> None:
-        """Record ``event``, enforcing the spend budget if one is set."""
-        if self.budget_usd is not None:
-            projected = self.spent_usd + event.cost_usd
-            if projected > self.budget_usd:
-                raise BudgetExceededError(
-                    f"call to {event.model} for ${event.cost_usd:.4f} would bring "
-                    f"spend to ${projected:.4f}, over budget ${self.budget_usd:.4f}"
-                )
+        """Record ``event``."""
         self.events.append(event)
         self.spent_usd += event.cost_usd
         if event.failed:

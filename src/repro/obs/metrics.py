@@ -20,6 +20,15 @@ from repro.utils.formatting import format_table
 SAMPLE_CAP = 2048
 
 
+def percentile(values: list[float], q: float) -> float:
+    """Nearest-rank percentile (``q`` in [0, 100]); 0.0 for an empty list."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
 class Counter:
     """A monotonically increasing named value."""
 
@@ -76,11 +85,7 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile (``q`` in [0, 100]) over kept samples."""
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        return ordered[min(rank, len(ordered)) - 1]
+        return percentile(self._samples, q)
 
 
 class MetricsRegistry:

@@ -208,9 +208,7 @@ def run_spec(
                 from repro.core.runtime import AnalyticsRuntime
                 from repro.serve import ServingRuntime, TenantSpec
 
-                runtime = AnalyticsRuntime(
-                    llm=llm, registry=bundle.registry, seed=spec.llm_seed
-                )
+                runtime = AnalyticsRuntime(llm=llm, seed=spec.llm_seed)
                 serving = ServingRuntime(
                     runtime,
                     tenants=[TenantSpec("qa-a"), TenantSpec("qa-b")],

@@ -24,7 +24,6 @@ from repro.data.records import DataRecord
 from repro.data.schemas import Field, Schema
 from repro.data.sources import DataSource, MemorySource
 from repro.errors import PlanError
-from repro.llm.embeddings import DEFAULT_EMBED_BATCH
 from repro.sem import logical as L
 from repro.sem.config import QueryProcessorConfig
 from repro.sem.execution import Engine, ExecutionResult
@@ -272,7 +271,6 @@ class Dataset:
                     on_failure=config.on_failure,
                     fallback_model=config.resolved_fallback_model(),
                     max_cost_usd=config.max_cost_usd,
-                    embed_batch_size=DEFAULT_EMBED_BATCH,
                     adaptive=AdaptiveParallelism(cap=config.parallelism),
                 ),
                 batch_size=config.resolved_batch_size(),

@@ -56,7 +56,6 @@ from repro.sem.physical import (
     StreamingOperator,
 )
 from repro.utils.clock import PipelineSchedule
-from repro.utils.formatting import format_table
 
 
 @dataclass
@@ -174,76 +173,6 @@ class ExecutionResult:
             for record in self.records
         ]
         return stable_digest(rows, round(self.total_cost_usd, 9), self.truncated)
-
-    def summary(self) -> str:
-        lines = [
-            f"records: {len(self.records)}  cost: ${self.total_cost_usd:.4f}  "
-            f"time: {self.total_time_s:.1f}s"
-        ]
-        if self.retried_calls or self.failed_records:
-            lines[0] += (
-                f"  retried: {self.retried_calls}  failed records: {self.failed_records}"
-            )
-        for stats in self.operator_stats:
-            extra = ""
-            if stats.retried_calls or stats.failed_records:
-                extra = (
-                    f", {stats.retried_calls} retried, "
-                    f"{stats.failed_records} failed records"
-                )
-            lines.append(
-                f"  {stats.label}: {stats.records_in} -> {stats.records_out} "
-                f"(${stats.cost_usd:.4f}, {stats.time_s:.1f}s, "
-                f"{stats.llm_calls} calls, {stats.cached_calls} cached{extra})"
-            )
-        return "\n".join(lines)
-
-    def report(self) -> str:
-        """Post-run EXPLAIN ANALYZE: the measured per-operator table.
-
-        Unlike :func:`repro.sem.explain.explain_analyze` this needs no
-        optimizer report — it renders exactly what was measured: wall time,
-        dollars, tokens, cache-hit ratio, retries, and records in/out.
-        """
-        rows = []
-        for stats in self.operator_stats:
-            rows.append(
-                [
-                    stats.label,
-                    stats.records_in,
-                    stats.records_out,
-                    f"{stats.time_s:.1f}",
-                    f"{stats.cost_usd:.4f}",
-                    stats.total_tokens,
-                    stats.llm_calls,
-                    f"{stats.cache_hit_ratio * 100:.0f}%",
-                    stats.retried_calls,
-                    stats.failed_records,
-                    "yes" if stats.reused else "-",
-                    "yes" if stats.sql_pushdown else "-",
-                ]
-            )
-        table = format_table(
-            [
-                "Operator", "In", "Out", "Time (s)", "Cost ($)",
-                "Tokens", "Calls", "Cache", "Retried", "Failed", "Reused", "SQL",
-            ],
-            rows,
-            title="EXECUTION REPORT",
-        )
-        footer = (
-            f"\ntotals: {len(self.records)} records, "
-            f"${self.total_cost_usd:.4f} in {self.total_time_s:.1f}s"
-        )
-        footer += pushdown_footer(self.operator_stats)
-        if self.retried_calls or self.failed_records:
-            footer += (
-                f"  ({self.retried_calls} retried calls, "
-                f"{self.failed_records} failed records)"
-            )
-        if self.truncated:
-            footer += "\nNOTE: execution truncated by the spend cap"
-        return table + footer
 
 
 def pushdown_footer(operator_stats: list[OperatorStats]) -> str:

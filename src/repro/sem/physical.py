@@ -63,7 +63,7 @@ class AdaptiveParallelism:
     halves the width (multiplicative decrease).  Recovery is two-phase:
     clean waves *double* the width back toward the last level that worked
     (fast recovery after a burst passes), then probe one slot at a time
-    beyond it every ``widen_after`` consecutive clean waves (additive
+    beyond it every :attr:`WIDEN_AFTER` consecutive clean waves (additive
     increase).  Each fault also lowers the fast-recovery ceiling just
     below the width that faulted, so a persistent throttle converges to
     the safe width instead of re-probing the cap every round.  A
@@ -71,10 +71,10 @@ class AdaptiveParallelism:
     until the substrate actually throttles.
     """
 
-    cap: int
-    min_width: int = 1
     #: Consecutive clean waves required before probing one slot wider.
-    widen_after: int = 3
+    WIDEN_AFTER = 3
+
+    cap: int
     width: int = 0
     #: Waves that saw at least one rate-limit fault.
     backoffs: int = 0
@@ -86,7 +86,6 @@ class AdaptiveParallelism:
     def __post_init__(self) -> None:
         if self.cap < 1:
             raise ValueError(f"parallelism cap must be >= 1, got {self.cap}")
-        self.min_width = max(1, min(self.min_width, self.cap))
         if self.width < 1:
             self.width = self.cap
         if self._recover_target < 1:
@@ -95,8 +94,8 @@ class AdaptiveParallelism:
     def observe(self, rate_limited: bool) -> None:
         """Feed back one wave's outcome; adjusts :attr:`width`."""
         if rate_limited:
-            self._recover_target = max(self.min_width, self.width - 1)
-            self.width = max(self.min_width, self.width // 2)
+            self._recover_target = max(1, self.width - 1)
+            self.width = max(1, self.width // 2)
             self.backoffs += 1
             self._clean_streak = 0
             return
@@ -105,7 +104,7 @@ class AdaptiveParallelism:
             self.width = min(self._recover_target, self.width * 2)
             self.widenings += 1
             self._clean_streak = 0
-        elif self.width < self.cap and self._clean_streak >= self.widen_after:
+        elif self.width < self.cap and self._clean_streak >= self.WIDEN_AFTER:
             self.width += 1
             self.widenings += 1
             self._clean_streak = 0
@@ -132,8 +131,6 @@ class ExecutionContext:
     #: Spend already on the tracker when this execution began; the cap
     #: applies to the delta.
     cost_baseline_usd: float = 0.0
-    #: Texts per batched embedding request; 1 = one call per text.
-    embed_batch_size: int = 1
     #: Live wave-width controller (None = static ``parallelism``).
     adaptive: AdaptiveParallelism | None = None
     #: kind -> ``f"{tag}:{kind}"``, the usage tag of each kind of guarded
@@ -190,18 +187,6 @@ class ExecutionContext:
                     exc = fallback_exc
             self.failures.append((uid, type(exc).__name__))
             return None
-
-
-def _embed_texts(texts: list[str], ctx: ExecutionContext, tag: str) -> list[np.ndarray]:
-    """Embed ``texts`` one batched request per chunk, or one call per text.
-
-    ``ctx.embed_batch_size > 1`` selects the batched path (fused
-    execution); 1 issues one call per text, each its own step on a serving
-    timeline.
-    """
-    if ctx.embed_batch_size > 1:
-        return ctx.llm.embed_batch(texts, tag=tag, batch_size=ctx.embed_batch_size)
-    return [ctx.llm.embed(text, tag=tag) for text in texts]
 
 
 #: Logical class -> the physical class that runs it: the one table the
@@ -489,8 +474,7 @@ class PhysRetrieve(PhysicalOperator):
     If the scan's source exposes a prebuilt vector index (a Context with a
     registered index), retrieval delegates to it; otherwise records are
     embedded on the fly (embeddings are cached, so this cost is paid once),
-    one batched request per ``ctx.embed_batch_size`` texts on the
-    vectorized path.
+    one batched request per ``DEFAULT_EMBED_BATCH`` texts.
     """
 
     implements = L.RetrieveOp
@@ -515,7 +499,7 @@ class PhysRetrieve(PhysicalOperator):
         tag = f"{ctx.tag}:retrieve"
         query_vec = ctx.llm.embed(op.query, tag=tag)
         matrix = np.stack(
-            _embed_texts([record.as_text() for record in records], ctx, tag)
+            ctx.llm.embed_batch([record.as_text() for record in records], tag=tag)
         )
         hits = top_k_similar(query_vec, matrix, op.k)
         return [records[index] for index, _ in hits]
@@ -753,9 +737,9 @@ class PhysSemJoinBlocked(PhysSemJoin):
         state["right_matrix"] = None
         if have_left and right_records:
             state["right_matrix"] = np.stack(
-                _embed_texts(
+                ctx.llm.embed_batch(
                     [record.as_text() for record in right_records],
-                    ctx, f"{ctx.tag}:join",
+                    tag=f"{ctx.tag}:join",
                 )
             )
         return state
@@ -765,12 +749,10 @@ class PhysSemJoinBlocked(PhysSemJoin):
         left: DataRecord,
         ctx: ExecutionContext,
         right_state: dict,
-        left_vec=None,
+        left_vec: np.ndarray,
     ) -> list[DataRecord]:
         """Judge one left record against its blocked candidates."""
         right_records = right_state["right_records"]
-        if left_vec is None:
-            left_vec = ctx.llm.embed(left.as_text(), tag=f"{ctx.tag}:join")
         hits = top_k_similar(
             left_vec, right_state["right_matrix"], self.MAX_CANDIDATES_PER_LEFT
         )
@@ -786,14 +768,10 @@ class PhysSemJoinBlocked(PhysSemJoin):
     ) -> list[list[DataRecord]]:
         if not records or right_state["right_matrix"] is None:
             return [[] for _ in records]
-        # Vectorized path: one batched request for every left vector before
-        # the judgment waves, instead of one embed call inside each slot.
-        left_vectors = (
-            _embed_texts(
-                [left.as_text() for left in records], ctx, f"{ctx.tag}:join"
-            )
-            if ctx.embed_batch_size > 1
-            else [None] * len(records)
+        # One batched request for every left vector before the judgment
+        # waves, instead of one embed call inside each slot.
+        left_vectors = ctx.llm.embed_batch(
+            [left.as_text() for left in records], tag=f"{ctx.tag}:join"
         )
         with ctx.llm.parallel(ctx.wave_width()):
             return [
@@ -863,7 +841,7 @@ class PhysSemTopK(StreamingOperator):
         tag = f"{ctx.tag}:topk"
         if "query_vec" not in state:
             state["query_vec"] = ctx.llm.embed(self.logical_op.query, tag=tag)
-        vectors = _embed_texts([record.as_text() for record in records], ctx, tag)
+        vectors = ctx.llm.embed_batch([record.as_text() for record in records], tag=tag)
         # A record's place in the input: its tracked (global) position when
         # the batch carries one, else its arrival slot.
         positions = batch.positions

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 from repro.llm.models import get_model
 from repro.llm.simulated import SYSTEM_PROMPT_TOKENS
+from repro.obs.metrics import percentile
 from repro.serve.timeline import CallRequest, CallTimeline
 
 
@@ -204,15 +205,6 @@ class ServingReport:
                 f"{entry['materialization_hits']:>8}"
             )
         return "\n".join(lines)
-
-
-def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]); 0.0 for an empty list."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 class StepReplay:

@@ -51,7 +51,6 @@ def run_static_width():
     storm comparisons is the same optimizer and engine over an
     ``ExecutionContext`` built without one.
     """
-    from repro.llm.embeddings import DEFAULT_EMBED_BATCH
     from repro.sem.execution import Engine
     from repro.sem.optimizer.optimizer import Optimizer
     from repro.sem.physical import ExecutionContext
@@ -62,7 +61,6 @@ def run_static_width():
             llm=config.llm,
             parallelism=config.parallelism,
             tag=config.tag,
-            embed_batch_size=DEFAULT_EMBED_BATCH,
             adaptive=None,
         )
         engine = Engine(

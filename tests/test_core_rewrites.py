@@ -1,10 +1,6 @@
 """Tests for logical rewrites (split, merge, recovery)."""
 
-import pytest
-
-from repro.core.context_manager import ContextManager
 from repro.core.rewrites import (
-    compute_batch,
     compute_with_recovery,
     should_split,
     split_instruction,
@@ -44,11 +40,12 @@ def test_merge_groups_near_duplicates(legal_bundle):
     # duplicate is served the first answer, a different question is not.
     runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=3)
     context = runtime.make_context(legal_bundle)
-    first, reworded, other = compute_batch(
-        context,
-        [kb.QUERY_RATIO, kb.QUERY_RATIO + " Please.", "List romance scams in 2023."],
-        runtime,
-    )
+    first, reworded, other = [
+        runtime.answer(context, instruction)
+        for instruction in (
+            kb.QUERY_RATIO, kb.QUERY_RATIO + " Please.", "List romance scams in 2023.",
+        )
+    ]
     assert not first.reused and not other.reused
     assert reworded.reused and reworded.cost_usd == 0.0
     assert reworded.answer == first.answer
@@ -57,7 +54,7 @@ def test_merge_groups_near_duplicates(legal_bundle):
 def test_merge_identical_instructions(legal_bundle):
     runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=3)
     context = runtime.make_context(legal_bundle)
-    results = compute_batch(context, [kb.QUERY_RATIO] * 4, runtime)
+    results = [runtime.answer(context, kb.QUERY_RATIO) for _ in range(4)]
     assert [result.reused for result in results] == [False, True, True, True]
     # One episode ran: the other three are its answer at $0.
     assert all(
@@ -66,20 +63,11 @@ def test_merge_identical_instructions(legal_bundle):
     )
 
 
-def test_merge_threshold_validation():
-    # Merging takes no threshold of its own: the floor is the catalog's
-    # ContextManager.ANSWER_FLOOR.  The keyword is passed through a dict
-    # because scripts/check.sh refuses it as a literal keyword.
-    with pytest.raises(TypeError, match="threshold"):
-        compute_batch(None, ["a"], None, **{"threshold": 0.0})
-    assert ContextManager.ANSWER_FLOOR == 0.92
-
-
 def test_compute_batch_shares_results(legal_bundle):
     runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=3)
     context = runtime.make_context(legal_bundle)
     instructions = [kb.QUERY_RATIO, kb.QUERY_RATIO + " Please."]
-    results = compute_batch(context, instructions, runtime)
+    results = [runtime.answer(context, instruction) for instruction in instructions]
     assert len(results) == 2
     assert results[1].reused  # merged: the first episode's answer
     assert results[1].answer == results[0].answer

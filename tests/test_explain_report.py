@@ -7,6 +7,7 @@ from repro.data.datasets import enron as en
 from repro.errors import PlanError
 from repro.llm.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.sem import Dataset, QueryProcessorConfig
+from repro.sem.explain import explain_analyze
 
 
 def _dataset(bundle):
@@ -65,22 +66,22 @@ def test_explain_analyze_surfaces_faults(make_llm, enron_bundle):
 
 
 # ---------------------------------------------------------------------------
-# ExecutionResult.report()
+# One operator-table renderer: EXPLAIN ANALYZE
 # ---------------------------------------------------------------------------
 
 
 def test_execution_report_renders_per_operator_rows(make_llm, enron_bundle):
     llm = make_llm(enron_bundle, seed=2)
     config = QueryProcessorConfig(llm=llm, seed=2)
-    result = _dataset(enron_bundle).run(config)
-    report = result.report()
-    assert "EXECUTION REPORT" in report
-    for column in ("Operator", "Tokens", "Cache", "Retried", "Failed"):
-        assert column in report
-    body = [line for line in report.splitlines() if line.startswith("|")]
-    # header + separator + one row per operator + totals
-    assert len(body) >= 2 + len(result.operator_stats)
-    assert "total" in report
+    result, report = _dataset(enron_bundle).run_with_report(config)
+    text = explain_analyze(result, report)
+    header, *rows = [line for line in text.splitlines() if line.startswith("| ")]
+    for column in ("Operator", "Tokens", "Cache", "Retried", "Failed", "Reused", "SQL"):
+        assert f" {column} " in header, column
+    # One row per measured operator, in execution order.
+    assert len(rows) == len(result.operator_stats)
+    for row, stats in zip(rows, result.operator_stats):
+        assert row.startswith(f"| {stats.label}")
 
 
 def test_operator_stats_track_tokens_and_cache(make_llm, enron_bundle):

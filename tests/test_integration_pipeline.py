@@ -68,18 +68,25 @@ def test_accounting_is_consistent_end_to_end(enron_bundle):
 
 
 def test_same_llm_shared_across_operators(legal_bundle):
-    """All operators bill one tracker, so budgets can span a session."""
-    from repro.errors import BudgetExceededError
+    """All operators bill one tracker, so accounting spans a session."""
     from repro.llm.oracle import SemanticOracle
     from repro.llm.simulated import SimulatedLLM
     from repro.llm.usage import UsageTracker
 
+    tracker = UsageTracker()
     llm = SimulatedLLM(
-        oracle=SemanticOracle(legal_bundle.registry),
-        tracker=UsageTracker(budget_usd=0.001),
-        seed=0,
+        oracle=SemanticOracle(legal_bundle.registry), tracker=tracker, seed=0
     )
     runtime = AnalyticsRuntime(llm=llm, seed=0)
     context = runtime.make_context(legal_bundle)
-    with pytest.raises(BudgetExceededError):
-        runtime.compute(context, kb.QUERY_RATIO)
+    found = runtime.search(context, "identity theft report statistics")
+    mark = tracker.checkpoint()
+    result = runtime.compute(found.output_context, kb.QUERY_RATIO)
+    # The search agent, the compute agent and the semantic program it
+    # launched all billed the one tracker the explicit LLM carries.
+    assert runtime.llm.tracker is tracker
+    stages = {event.tag.split(":")[0] for event in tracker.events}
+    assert {"search", "compute", "program"} <= stages
+    assert tracker.since(mark).cost_usd == pytest.approx(result.cost_usd)
+    assert tracker.spent_usd == pytest.approx(found.cost_usd + result.cost_usd)
+    assert runtime.usage().cost_usd == pytest.approx(tracker.spent_usd)

@@ -1,8 +1,7 @@
-"""Tests for usage tracking and budgets."""
+"""Tests for usage tracking."""
 
 import pytest
 
-from repro.errors import BudgetExceededError
 from repro.llm.usage import Usage, UsageEvent, UsageTracker
 
 
@@ -52,20 +51,6 @@ def test_checkpoint_and_since():
     tracker.record(_event(cost=0.05))
     assert tracker.since(mark).cost_usd == pytest.approx(0.05)
     assert tracker.since(mark).calls == 1
-
-
-def test_budget_enforced():
-    tracker = UsageTracker(budget_usd=0.015)
-    tracker.record(_event(cost=0.01))
-    with pytest.raises(BudgetExceededError):
-        tracker.record(_event(cost=0.01))
-
-
-def test_budget_allows_exact_spend():
-    tracker = UsageTracker(budget_usd=0.02)
-    tracker.record(_event(cost=0.01))
-    tracker.record(_event(cost=0.01))
-    assert tracker.total().calls == 2
 
 
 def test_usage_add():

@@ -405,8 +405,9 @@ def test_static_width_degrades_under_bursts(make_llm, enron_bundle, run_static_w
     assert len(stormy.records) < len(fault_free.records)
 
 
-def test_adaptive_controller_fast_recovery_dynamics():
-    controller = AdaptiveParallelism(cap=8, widen_after=3)
+def test_adaptive_controller_fast_recovery_dynamics(monkeypatch):
+    monkeypatch.setattr(AdaptiveParallelism, "WIDEN_AFTER", 3)
+    controller = AdaptiveParallelism(cap=8)
     assert controller.width == 8
 
     controller.observe(rate_limited=True)
@@ -414,7 +415,7 @@ def test_adaptive_controller_fast_recovery_dynamics():
     # Fast recovery: one clean wave doubles back toward the pre-fault level.
     controller.observe(rate_limited=False)
     assert controller.width == 7
-    # Beyond the recovery ceiling, probing is additive every widen_after.
+    # Beyond the recovery ceiling, probing is additive every WIDEN_AFTER.
     for _ in range(3):
         controller.observe(rate_limited=False)
     assert controller.width == 8
@@ -427,8 +428,9 @@ def test_adaptive_controller_fast_recovery_dynamics():
     assert controller.width == 3
 
 
-def test_adaptive_controller_floor_and_cap():
-    controller = AdaptiveParallelism(cap=2, min_width=1, widen_after=1)
+def test_adaptive_controller_floor_and_cap(monkeypatch):
+    monkeypatch.setattr(AdaptiveParallelism, "WIDEN_AFTER", 1)
+    controller = AdaptiveParallelism(cap=2)
     for _ in range(5):
         controller.observe(rate_limited=True)
     assert controller.width == 1

@@ -1,9 +1,9 @@
 """Regression tests: explicit-LLM constructor wiring and cache bounds.
 
-``AnalyticsRuntime(llm=...)`` historically dropped ``fault_config`` /
-``retry_policy`` / ``tracer`` / ``metrics`` on the floor; the runtime now
-wires them onto the provided client when the client has nothing configured
-there, and raises on genuine conflicts.  Alongside: the similarity
+``AnalyticsRuntime(llm=...)`` uses the client as given: a substrate
+argument passed alongside it (``registry`` / ``fault_config`` /
+``retry_policy`` / ``tracer`` / ``metrics``) is a ``ConfigurationError``,
+never silently dropped or merged onto the client.  Alongside: the similarity
 catalog's counters mirror into the metrics registry, and
 ``MaterializationStore.load`` enforces ``MAX_ENTRIES`` before materializing
 anything.
@@ -16,88 +16,36 @@ import pytest
 from repro.core.runtime import AnalyticsRuntime
 from repro.data.datasets import kramabench as kb
 from repro.data.records import DataRecord
-from repro.llm.faults import FaultConfig, FaultInjector, RetryPolicy
+from repro.errors import ConfigurationError
+from repro.llm.faults import FaultConfig, RetryPolicy
+from repro.llm.oracle import IntentRegistry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.sem.materialize import MaterializationStore
 
 
 # ---------------------------------------------------------------------------
-# _wire_explicit_llm: kwargs reach an explicitly provided substrate
+# An explicit LLM is used as given
 # ---------------------------------------------------------------------------
 
+#: Each argument the runtime would build its own substrate from.
+SUBSTRATE_ARGUMENTS = {
+    "registry": IntentRegistry,
+    "fault_config": lambda: FaultConfig(rate=0.2),
+    "retry_policy": lambda: RetryPolicy(max_attempts=5),
+    "tracer": Tracer,
+    "metrics": MetricsRegistry,
+}
 
-def test_tracer_wired_onto_explicit_llm(make_toy_llm):
+
+@pytest.mark.parametrize("argument", sorted(SUBSTRATE_ARGUMENTS))
+def test_explicit_llm_refuses_substrate_argument(make_toy_llm, argument):
     llm = make_toy_llm()
-    tracer = Tracer()
-    runtime = AnalyticsRuntime(llm=llm, tracer=tracer)
-    assert runtime.llm.tracer is tracer
-    assert tracer.clock is llm.clock
-
-
-def test_metrics_wired_onto_explicit_llm(make_toy_llm):
-    llm = make_toy_llm()
-    metrics = MetricsRegistry()
-    runtime = AnalyticsRuntime(llm=llm, metrics=metrics)
-    assert llm.metrics is metrics
-    assert llm.cache.metrics is metrics
-    assert runtime.context_manager.llm.metrics is metrics
-
-
-def test_retry_policy_wired_when_default(make_toy_llm):
-    llm = make_toy_llm()
-    policy = RetryPolicy(max_attempts=5)
-    AnalyticsRuntime(llm=llm, retry_policy=policy)
-    assert llm.retry is policy
-
-
-def test_fault_config_wired_when_unset(make_toy_llm):
-    llm = make_toy_llm()
-    config = FaultConfig(rate=0.2)
-    AnalyticsRuntime(llm=llm, fault_config=config)
-    assert llm.faults is not None
-    assert llm.faults.config == config
-    assert llm.faults.seed == llm.seed
-
-
-def test_conflicting_tracer_raises(make_toy_llm):
-    llm = make_toy_llm(tracer=Tracer())
-    with pytest.raises(ValueError, match="tracer"):
-        AnalyticsRuntime(llm=llm, tracer=Tracer())
-
-
-def test_same_tracer_is_not_a_conflict(make_toy_llm):
-    tracer = Tracer()
-    llm = make_toy_llm(tracer=tracer)
-    runtime = AnalyticsRuntime(llm=llm, tracer=tracer)
-    assert runtime.llm.tracer is tracer
-
-
-def test_conflicting_retry_policy_raises(make_toy_llm):
-    llm = make_toy_llm(retry=RetryPolicy(max_attempts=7))
-    with pytest.raises(ValueError, match="retry"):
-        AnalyticsRuntime(llm=llm, retry_policy=RetryPolicy(max_attempts=2))
-
-
-def test_conflicting_fault_config_raises(make_toy_llm):
-    llm = make_toy_llm(
-        faults=FaultInjector(FaultConfig(rate=0.5), seed=0)
-    )
-    with pytest.raises(ValueError, match="fault"):
-        AnalyticsRuntime(llm=llm, fault_config=FaultConfig(rate=0.1))
-
-
-def test_matching_fault_config_is_not_a_conflict(make_toy_llm):
-    config = FaultConfig(rate=0.5)
-    llm = make_toy_llm(faults=FaultInjector(config, seed=0))
-    runtime = AnalyticsRuntime(llm=llm, fault_config=FaultConfig(rate=0.5))
-    assert runtime.llm.faults is llm.faults
-
-
-def test_conflicting_metrics_raises(make_toy_llm):
-    llm = make_toy_llm(metrics=MetricsRegistry())
-    with pytest.raises(ValueError, match="metrics"):
-        AnalyticsRuntime(llm=llm, metrics=MetricsRegistry())
+    wiring = (llm.oracle, llm.faults, llm.retry, llm.tracer, llm.metrics)
+    with pytest.raises(ConfigurationError, match=argument):
+        AnalyticsRuntime(llm=llm, **{argument: SUBSTRATE_ARGUMENTS[argument]()})
+    assert (llm.oracle, llm.faults, llm.retry, llm.tracer, llm.metrics) == wiring
+    assert AnalyticsRuntime(llm=llm).llm is llm
 
 
 # ---------------------------------------------------------------------------

@@ -202,11 +202,8 @@ def test_groupby_partitions_match_one_partition(bundle, split, summarize):
 
 
 @pytest.mark.parametrize("split", sorted(SPLITS))
-@pytest.mark.parametrize(
-    "join, embed_batch_size",
-    [(P.PhysSemJoin, 1), (P.PhysSemJoinBlocked, 1), (P.PhysSemJoinBlocked, 8)],
-)
-def test_join_partitions_match_one_partition(bundle, split, join, embed_batch_size):
+@pytest.mark.parametrize("join", [P.PhysSemJoin, P.PhysSemJoinBlocked])
+def test_join_partitions_match_one_partition(bundle, split, join):
     records = bundle.records()
     left = [r for r in records if r.fields["priority"] >= 3]
     right = [r for r in records if r.fields["priority"] <= 1]
@@ -222,11 +219,11 @@ def test_join_partitions_match_one_partition(bundle, split, join, embed_batch_si
         [right_scan],
         "gpt-4o",
     )
-    whole_ctx = _ctx(bundle, embed_batch_size=embed_batch_size)
+    whole_ctx = _ctx(bundle)
     expected = operator.execute(left, whole_ctx)
     assert expected  # some pairs join
 
-    ctx = _ctx(bundle, embed_batch_size=embed_batch_size)
+    ctx = _ctx(bundle)
     right_state = operator.prepare_right(ctx)
     joined = [None] * len(left)
     for part in SPLITS[split](len(left)):

@@ -94,13 +94,6 @@ def test_limit_truncates_output(enron_bundle):
     assert len(result.records) == 5
 
 
-def test_summary_renders(enron_bundle):
-    config = _config(enron_bundle)
-    result = Dataset.from_source(enron_bundle.source()).limit(3).run(config)
-    text = result.summary()
-    assert "records: 3" in text
-
-
 def test_run_with_report_exposes_choices(enron_bundle):
     config = _config(enron_bundle)
     _result, report = (

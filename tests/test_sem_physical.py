@@ -259,6 +259,19 @@ def test_config_field_count_only_ratchets_down():
     assert len(dataclasses.fields(QueryProcessorConfig)) <= 19
 
 
+def test_execution_path_option_count_only_ratchets_down():
+    # The same rule one layer down: production runs one value of each
+    # mechanic, so no constructor on the execution path takes it.
+    from repro.llm.usage import UsageTracker
+
+    def init_fields(cls) -> list[str]:
+        return [f.name for f in dataclasses.fields(cls) if f.init]
+
+    assert len(init_fields(P.ExecutionContext)) <= 9
+    assert len(init_fields(P.AdaptiveParallelism)) <= 6
+    assert list(inspect.signature(UsageTracker.__init__).parameters) == ["self"]
+
+
 MECHANICS = ("pipeline", "pushdown", "embed_batch_size", "adaptive_parallelism")
 
 
