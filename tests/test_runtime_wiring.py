@@ -48,6 +48,61 @@ def test_explicit_llm_refuses_substrate_argument(make_toy_llm, argument):
     assert AnalyticsRuntime(llm=llm).llm is llm
 
 
+def test_tracer_wired_onto_explicit_llm(make_toy_llm):
+    tracer = Tracer()
+    llm = make_toy_llm(tracer=tracer)
+    runtime = AnalyticsRuntime(llm=llm)
+    assert runtime.llm.tracer is tracer
+    assert tracer.clock is llm.clock
+
+
+def test_metrics_wired_onto_explicit_llm(make_toy_llm):
+    metrics = MetricsRegistry()
+    llm = make_toy_llm(metrics=metrics)
+    runtime = AnalyticsRuntime(llm=llm)
+    assert llm.cache.metrics is metrics
+    assert runtime.context_manager.llm.metrics is metrics
+    assert runtime.config.stats_store.metrics is metrics
+
+
+def test_retry_policy_wired_when_default():
+    policy = RetryPolicy(max_attempts=5)
+    runtime = AnalyticsRuntime(retry_policy=policy)
+    assert runtime.llm.retry is policy
+
+
+def test_fault_config_wired_when_unset():
+    config = FaultConfig(rate=0.2)
+    runtime = AnalyticsRuntime(seed=7, fault_config=config)
+    assert runtime.llm.faults is not None
+    assert runtime.llm.faults.config == config
+    assert runtime.llm.faults.seed == runtime.llm.seed == 7
+
+
+def test_conflicting_tracer_raises(make_toy_llm):
+    llm = make_toy_llm(tracer=Tracer())
+    with pytest.raises(ConfigurationError, match="tracer"):
+        AnalyticsRuntime(llm=llm, tracer=Tracer())
+
+
+def test_conflicting_retry_policy_raises(make_toy_llm):
+    llm = make_toy_llm(retry=RetryPolicy(max_attempts=7))
+    with pytest.raises(ConfigurationError, match="retry"):
+        AnalyticsRuntime(llm=llm, retry_policy=RetryPolicy(max_attempts=2))
+
+
+def test_conflicting_fault_config_raises(make_faulty_llm):
+    llm = make_faulty_llm(rate=0.5)
+    with pytest.raises(ConfigurationError, match="fault"):
+        AnalyticsRuntime(llm=llm, fault_config=FaultConfig(rate=0.1))
+
+
+def test_conflicting_metrics_raises(make_toy_llm):
+    llm = make_toy_llm(metrics=MetricsRegistry())
+    with pytest.raises(ConfigurationError, match="metrics"):
+        AnalyticsRuntime(llm=llm, metrics=MetricsRegistry())
+
+
 # ---------------------------------------------------------------------------
 # The similarity catalog: one counter set, mirrored as contexts.* / answers.*
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ def bundle():
     return build_corpus(CorpusSpec(seed=9, n_records=20))
 
 
-def _ctx(bundle, degraded=(), **kwargs) -> P.ExecutionContext:
+def _ctx(bundle, degraded=(), parallelism=4, **kwargs) -> P.ExecutionContext:
     """Fresh substrate; ``degraded`` uids fail their relevance judgment.
 
     The failure is a pure function of the record (injected faults are not:
@@ -53,7 +53,7 @@ def _ctx(bundle, degraded=(), **kwargs) -> P.ExecutionContext:
         return judge(instruction, record, **call)
 
     llm.judge_filter = flaky
-    return P.ExecutionContext(llm=llm, parallelism=4, **kwargs)
+    return P.ExecutionContext(llm=llm, parallelism=parallelism, **kwargs)
 
 
 def _uids(records) -> list[str]:
@@ -202,8 +202,14 @@ def test_groupby_partitions_match_one_partition(bundle, split, summarize):
 
 
 @pytest.mark.parametrize("split", sorted(SPLITS))
-@pytest.mark.parametrize("join", [P.PhysSemJoin, P.PhysSemJoinBlocked])
-def test_join_partitions_match_one_partition(bundle, split, join):
+@pytest.mark.parametrize(
+    "join, parallelism",
+    [
+        (P.PhysSemJoin, 1), (P.PhysSemJoin, 8),
+        (P.PhysSemJoinBlocked, 1), (P.PhysSemJoinBlocked, 8),
+    ],
+)
+def test_join_partitions_match_one_partition(bundle, split, join, parallelism):
     records = bundle.records()
     left = [r for r in records if r.fields["priority"] >= 3]
     right = [r for r in records if r.fields["priority"] <= 1]
@@ -219,11 +225,11 @@ def test_join_partitions_match_one_partition(bundle, split, join):
         [right_scan],
         "gpt-4o",
     )
-    whole_ctx = _ctx(bundle)
+    whole_ctx = _ctx(bundle, parallelism=parallelism)
     expected = operator.execute(left, whole_ctx)
     assert expected  # some pairs join
 
-    ctx = _ctx(bundle)
+    ctx = _ctx(bundle, parallelism=parallelism)
     right_state = operator.prepare_right(ctx)
     joined = [None] * len(left)
     for part in SPLITS[split](len(left)):
