@@ -24,6 +24,13 @@ if grep -rnE 'settrace|setprofile' src/repro; then
 fi
 echo "no settrace or setprofile under src/repro"
 echo
+echo "== priced-once guard (the substrate prices a record with record.text_tokens(): no approx_token_count over an as_text() under src/repro/llm) =="
+if grep -rnE 'approx_token_count\([^)]*as_text\(' src/repro/llm; then
+    echo "a record's prompt token count is counted once, on the record: call record.text_tokens()"
+    exit 1
+fi
+echo "no approx_token_count(....as_text()) under src/repro/llm"
+echo
 
 if [[ "${1:-}" == "--fast" ]]; then
     echo "== fast lane: tier-1 tests (-m 'not slow') =="
@@ -85,12 +92,16 @@ if [[ "${1:-}" == "--fast" ]]; then
         tests/test_llm_embeddings.py::test_summation_order_is_first_seen_token_order \
         tests/test_llm_embeddings.py::test_corpus_records_embed_byte_identically
     echo
-    echo "== fast lane: call keys and records (a cache key is the call's tuple and shares entries exactly as the digest formula; an embed key ends in the text's digest; every per-call record is an immutable tuple) =="
+    echo "== fast lane: call keys and records (a cache key is the call's tuple and shares entries exactly as the digest formula; an embed key ends in the text's digest; every per-call record is an immutable tuple; a record's prompt token count is its own text's, computed once per record) =="
     python -m pytest -q \
         "tests/test_llm_prepared_calls.py::test_cache_keys_equal_the_written_out_formula" \
         tests/test_llm_prepared_calls.py::test_scope_flip_between_calls_never_reuses_the_other_scopes_hasher \
         tests/test_llm_prepared_calls.py::test_embed_keys_end_in_the_texts_digest_never_the_text \
-        tests/test_llm_records.py
+        tests/test_llm_records.py \
+        tests/test_data_records.py::test_text_tokens_is_the_count_of_the_records_own_text \
+        tests/test_data_records.py::test_derived_and_merged_records_count_their_own_text \
+        tests/test_record_pricing.py::test_filter_then_map_counts_each_priced_record_once \
+        tests/test_record_pricing.py::test_nested_join_counts_each_side_once_not_per_pair
     echo
     echo "== fast lane: cold scan perf smoke (the miss path: every call a cache miss + put, digest == expected.json smoke seed 0) =="
     python3 -m benchmarks.perf bench --workload scan_cold --smoke

@@ -21,6 +21,7 @@ from repro.utils.hashing import (
     serialize_parts,
     stable_digest,
 )
+from repro.utils.text import approx_token_count
 
 _UID_COUNTER = itertools.count()
 
@@ -46,9 +47,17 @@ def reset_uid_counter() -> None:
 
 
 class DataRecord:
-    """A single row flowing through a plan."""
+    """A single row flowing through a plan.
 
-    __slots__ = ("uid", "fields", "annotations", "source_id", "parent_uids")
+    A record is immutable once built: change it with :meth:`derive` (or
+    :meth:`merge`), never by writing ``fields``.  Its prompt token count
+    (:meth:`text_tokens`) is counted on first use and kept, so a write to
+    ``fields`` after pricing would leave the count stale.
+    """
+
+    #: ``_text_tokens`` is filled by :meth:`text_tokens` on first use; no
+    #: constructor sets it, so a derived or merged record counts its own text.
+    __slots__ = ("uid", "fields", "annotations", "source_id", "parent_uids", "_text_tokens")
 
     def __init__(
         self,
@@ -181,6 +190,19 @@ class DataRecord:
             value = self.fields[name]
             parts.append(f"{name}: {value}")
         return "\n".join(parts)
+
+    def text_tokens(self) -> int:
+        """``approx_token_count(self.as_text())``, counted once per record.
+
+        Every LLM call that puts the record in a prompt prices it with this
+        count; the rendered text itself is not kept.
+        """
+        # getattr's default, not try/except: raising on every first read
+        # made workloads that price each record once slower than recounting.
+        count = getattr(self, "_text_tokens", None)
+        if count is None:
+            count = self._text_tokens = approx_token_count(self.as_text())
+        return count
 
     def root_uids(self, resolver: "dict[str, DataRecord] | None" = None) -> tuple[str, ...]:
         """Return source-record uids reachable through lineage.

@@ -29,7 +29,11 @@ _RESOLVE_MEMO_CAP = 1024
 
 @runtime_checkable
 class AnnotatedRecord(Protocol):
-    """Anything the oracle can judge: an id, annotations, and text."""
+    """Anything the oracle can judge: an id, annotations, and text.
+
+    ``text_tokens()`` is the approximate token count of ``as_text()``, the
+    count the simulated LLM prices the record's share of a prompt with.
+    """
 
     @property
     def uid(self) -> str: ...
@@ -38,6 +42,8 @@ class AnnotatedRecord(Protocol):
     def annotations(self) -> dict[str, Any]: ...
 
     def as_text(self) -> str: ...
+
+    def text_tokens(self) -> int: ...
 
 
 @dataclass(frozen=True)

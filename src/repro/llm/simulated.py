@@ -618,8 +618,8 @@ class SimulatedLLM:
         input_tokens = (
             SYSTEM_PROMPT_TOKENS
             + call.instruction_tokens
-            + approx_token_count(left.as_text())
-            + approx_token_count(right.as_text())
+            + left.text_tokens()
+            + right.text_tokens()
         )
         event = self._charge(card, input_tokens, JUDGMENT_OUTPUT_TOKENS, tag)
         self.cache.put(cache_key, (answer, judgment.resolved, judgment.intent_key))
@@ -800,7 +800,7 @@ class SimulatedLLM:
         return call.noise.uniform(noise_key, record_uid) < probability
 
     def _prompt_tokens(self, instruction_tokens: int, record: AnnotatedRecord) -> int:
-        return SYSTEM_PROMPT_TOKENS + instruction_tokens + approx_token_count(record.as_text())
+        return SYSTEM_PROMPT_TOKENS + instruction_tokens + record.text_tokens()
 
     def _corrupt(self, truth: Any, intent_key: str, record: AnnotatedRecord) -> Any:
         """Produce a plausible wrong answer for an extraction error.

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.data.records import DataRecord
 from repro.utils.hashing import stable_digest
+from repro.utils.text import approx_token_count
 
 
 def test_field_access():
@@ -177,7 +178,61 @@ def test_merge_owns_its_dicts():
     left = DataRecord({"a": 1}, uid="l", annotations={"la": 1})
     right = DataRecord({"b": 2}, uid="r", annotations={"ra": 2})
     merged = DataRecord.merge(left, right)
+    # Records are immutable once built; this write only proves ownership
+    # and the record is never priced.
     merged.fields["a"] = 99
     merged.annotations["la"] = 99
     assert left["a"] == 1 and left.annotations == {"la": 1}
     assert merged.uid == f"l*{stable_digest('l', 'r')[:6]}"
+
+
+# -- text_tokens: the record's prompt token count, counted once ---------------
+
+_VALUES = st.one_of(
+    st.none(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=40),  # ASCII and non-ASCII, empty, multi-line
+    st.text(alphabet=" \n\tab", max_size=20),
+)
+_FIELD_DICTS = st.dictionaries(_NAMES, _VALUES, max_size=5)
+
+
+def _counted_right(record):
+    return record.text_tokens() == approx_token_count(record.as_text())
+
+
+@given(
+    fields=_FIELD_DICTS,
+    new_fields=st.one_of(st.none(), _FIELD_DICTS),
+    drop=st.lists(_NAMES, max_size=4),
+    other=_FIELD_DICTS,
+    count_parents_first=st.booleans(),
+)
+def test_text_tokens_is_the_count_of_the_records_own_text(
+    fields, new_fields, drop, other, count_parents_first
+):
+    parent = DataRecord(fields, uid="p")
+    right = DataRecord(other, uid="r")
+    if count_parents_first:
+        # A parent counted before deriving passes nothing on to its children.
+        assert _counted_right(parent) and _counted_right(right)
+    child = parent.derive(new_fields, drop=drop)
+    if count_parents_first:
+        assert _counted_right(child)
+    merged = DataRecord.merge(child, right)
+    for record in (child, merged, parent, right):
+        assert _counted_right(record)
+        assert _counted_right(record)  # the kept count, read again
+
+
+def test_derived_and_merged_records_count_their_own_text():
+    parent = DataRecord({"body": "one two three"}, uid="p")
+    right = DataRecord({"note": "four five six seven eight nine"}, uid="r")
+    assert (parent.text_tokens(), right.text_tokens()) == (5, 9)
+    grown = parent.derive({"summary": "alpha beta gamma delta epsilon"})
+    shrunk = parent.derive(drop=["body"])
+    merged = DataRecord.merge(parent, right)
+    assert grown.text_tokens() == approx_token_count(grown.as_text()) == 15
+    assert shrunk.text_tokens() == 0
+    assert merged.text_tokens() == approx_token_count(merged.as_text()) == 14
