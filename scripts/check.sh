@@ -31,6 +31,13 @@ if grep -rnE 'approx_token_count\([^)]*as_text\(' src/repro/llm; then
 fi
 echo "no approx_token_count(....as_text()) under src/repro/llm"
 echo
+echo "== digest-on-read guard (a served query's answer digest is QueryJob.fingerprint, computed when read: no .fingerprint() call under src/repro/serve) =="
+if grep -rn '\.fingerprint()' src/repro/serve; then
+    echo "submit and drain never digest the answer: a reader reads job.fingerprint"
+    exit 1
+fi
+echo "no .fingerprint() under src/repro/serve"
+echo
 
 if [[ "${1:-}" == "--fast" ]]; then
     echo "== fast lane: tier-1 tests (-m 'not slow') =="
@@ -48,14 +55,18 @@ if [[ "${1:-}" == "--fast" ]]; then
         tests/test_replan.py::TestReplanBehindAReplay \
         tests/test_serving.py::test_served_and_direct_standing_ticks_agree
     echo
-    echo "== fast lane: served == direct (records, dollars, standalone time and captured boundaries, at 1/3/4 shards and under a spend cap; the step graph replays as recorded) =="
+    echo "== fast lane: served == direct (records, dollars, standalone time and captured boundaries, at 1/3/4 shards and under a spend cap; the step graph replays as recorded; the wave heap grants the stride scan's slots; the answer digest is computed when read, equal to the run's) =="
     python -m pytest -q \
         tests/test_serving.py::test_served_query_runs_the_engines_schedule \
         tests/test_serving.py::test_served_alone_equals_direct \
         tests/test_serving.py::test_served_query_under_a_spend_cap_matches_direct \
         tests/test_serving.py::test_diamond_step_never_starts_before_its_after_steps \
         tests/test_serving.py::test_linear_timeline_replays_as_a_step_cursor \
-        tests/test_serving.py::test_flushed_topk_batch_waits_for_the_whole_topk_stage
+        tests/test_serving.py::test_flushed_topk_batch_waits_for_the_whole_topk_stage \
+        tests/test_serving.py::test_heap_wave_fill_replays_the_stride_scan \
+        tests/test_serving.py::test_submit_and_drain_never_digest_the_answer \
+        tests/test_serving.py::test_job_fingerprint_is_the_runs_fingerprint \
+        tests/test_serving.py::test_quota_less_tenant_keeps_no_arrivals
     echo
     echo "== fast lane: patch replay (an in-place rewrite re-runs alone through the materialized prefix, merged by source position, at shards 1 and 4) =="
     python -m pytest -q tests/test_patch_replay.py tests/test_sem_streaming.py::test_update_event_invalidates_and_converges

@@ -158,21 +158,29 @@ class ExecutionResult:
         return [record.get(name) for record in self.records]
 
     def fingerprint(self) -> str:
-        """Stable digest of the *answer* this execution produced.
+        """Stable digest of the *answer* this execution produced
+        (:func:`answer_fingerprint` of its records, dollars and flag)."""
+        return answer_fingerprint(self.records, self.total_cost_usd, self.truncated)
 
-        Covers record uids, field names and values (in record order), the
-        total dollar cost, and the truncation flag — everything the
-        bit-identical equivalence contract promises is mode-independent.
-        Virtual time is deliberately excluded: execution modes are allowed
-        to (and should) differ on time, never on the fingerprint.
-        """
-        from repro.utils.hashing import stable_digest
 
-        rows = [
-            (record.uid, tuple(sorted(record.fields.items(), key=lambda kv: kv[0])))
-            for record in self.records
-        ]
-        return stable_digest(rows, round(self.total_cost_usd, 9), self.truncated)
+def answer_fingerprint(
+    records: list[DataRecord], total_cost_usd: float, truncated: bool
+) -> str:
+    """Stable digest of an answer: its records, dollars and truncation flag.
+
+    Covers record uids, field names and values (in record order), the
+    total dollar cost, and the truncation flag — everything the
+    bit-identical equivalence contract promises is mode-independent.
+    Virtual time is deliberately excluded: execution modes are allowed
+    to (and should) differ on time, never on the fingerprint.
+    """
+    from repro.utils.hashing import stable_digest
+
+    rows = [
+        (record.uid, tuple(sorted(record.fields.items(), key=lambda kv: kv[0])))
+        for record in records
+    ]
+    return stable_digest(rows, round(total_cost_usd, 9), truncated)
 
 
 def pushdown_footer(operator_stats: list[OperatorStats]) -> str:

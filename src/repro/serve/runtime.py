@@ -78,7 +78,8 @@ class TenantState:
     rejected: int = 0
     spent_usd: float = 0.0
     rebate_usd: float = 0.0
-    #: Arrival times of admitted queries (rate-window checks).
+    #: Arrival times of admitted queries, kept only under a rate quota
+    #: (``spec.max_per_window``): the window check is their one reader.
     arrivals: list = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -212,7 +213,7 @@ class ServingRuntime:
             arrival_s=arrival_s,
             timeline=timeline,
             records=result.records,
-            fingerprint=result.fingerprint(),
+            total_cost_usd=result.total_cost_usd,
             raw_cost_usd=usage.cost_usd,
             truncated=result.truncated,
             cache_hits=llm.cache.hits - cache_hits,
@@ -223,15 +224,17 @@ class ServingRuntime:
 
         state.admitted += 1
         state.spent_usd += job.raw_cost_usd
-        state.arrivals.append(arrival_s)
-        self._count(f"serving.tenant.{tenant}.queries")
-        self._count(f"serving.tenant.{tenant}.cost_usd", job.raw_cost_usd)
-        self._count(f"serving.tenant.{tenant}.cache_hits", job.cache_hits)
-        self._count(f"serving.tenant.{tenant}.cache_misses", job.cache_misses)
-        self._count(
-            f"serving.tenant.{tenant}.materialization_hits",
-            job.materialization_hits,
-        )
+        if state.spec.max_per_window is not None:
+            state.arrivals.append(arrival_s)
+        if llm.metrics.enabled:
+            self._count(f"serving.tenant.{tenant}.queries")
+            self._count(f"serving.tenant.{tenant}.cost_usd", job.raw_cost_usd)
+            self._count(f"serving.tenant.{tenant}.cache_hits", job.cache_hits)
+            self._count(f"serving.tenant.{tenant}.cache_misses", job.cache_misses)
+            self._count(
+                f"serving.tenant.{tenant}.materialization_hits",
+                job.materialization_hits,
+            )
         return job, result, report
 
     def _tenant_config(self, tenant: str, tag: str):

@@ -14,7 +14,9 @@ structures on the virtual clock in one of two modes:
   (``CallStep.after``) has finished, so a query's cells overlap exactly as
   its dependency graph allows.  Slots are granted by stride scheduling
   (inverse-weight virtual passes), so tenants share capacity proportionally
-  to their weights regardless of how many queries each has in flight.
+  to their weights regardless of how many queries each has in flight; a
+  wave pops its slots off a heap of ``(pass, tenant)``, O(log tenants)
+  per slot.
 
 Two provider-level effects make shared waves strictly better than serial
 replay, mirroring the batching literature (Sema's cross-request batching,
@@ -37,12 +39,14 @@ from the eager body execution (see :mod:`repro.serve.timeline`).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
 from repro.llm.models import get_model
 from repro.llm.simulated import SYSTEM_PROMPT_TOKENS
 from repro.obs.metrics import percentile
+from repro.sem.execution import answer_fingerprint
 from repro.serve.timeline import CallRequest, CallTimeline
 
 
@@ -58,7 +62,8 @@ class QueryJob:
     #: Output records of the eagerly executed body (bit-identical across
     #: scheduling modes by construction).
     records: list = field(default_factory=list)
-    fingerprint: str = ""
+    #: The run's own ``total_cost_usd`` (what :attr:`fingerprint` digests).
+    total_cost_usd: float = 0.0
     #: Raw substrate spend attributed to this query (tracker diff).
     raw_cost_usd: float = 0.0
     #: True when the query's spend cap cut its plan short.
@@ -72,6 +77,14 @@ class QueryJob:
     latency_s: float = 0.0
     standalone_s: float = 0.0
     rebate_usd: float = 0.0
+
+    @property
+    def fingerprint(self) -> str:
+        """The answer digest of :attr:`records` as held, with the run's dollars
+        and truncation flag; computed on each read, never stored
+        (:func:`~repro.sem.execution.answer_fingerprint`, the digest the
+        run's ``ExecutionResult`` gives for the same records)."""
+        return answer_fingerprint(self.records, self.total_cost_usd, self.truncated)
 
     def effective_cost_usd(self) -> float:
         return max(0.0, self.raw_cost_usd - self.rebate_usd)
@@ -338,30 +351,7 @@ class CrossQueryScheduler:
             queues: dict[str, list[QueryJob]] = {}
             for job in active:  # admission order within each tenant queue
                 queues.setdefault(job.tenant, []).append(job)
-            taken: dict[int, int] = {}
-            selected: list[tuple[QueryJob, CallRequest]] = []
-            while len(selected) < self.provider_width:
-                candidates = [
-                    tenant
-                    for tenant, tenant_jobs in queues.items()
-                    if any(
-                        taken.get(id(job), 0) < len(replays[id(job)].queue)
-                        for job in tenant_jobs
-                    )
-                ]
-                if not candidates:
-                    break
-                tenant = min(candidates, key=lambda t: (passes.get(t, 0.0), t))
-                for job in queues[tenant]:
-                    count = taken.get(id(job), 0)
-                    queue = replays[id(job)].queue
-                    if count < len(queue):
-                        selected.append((job, queue[count][1]))
-                        taken[id(job)] = count + 1
-                        break
-                passes[tenant] = passes.get(tenant, 0.0) + 1.0 / max(
-                    self.weights.get(tenant, 1.0), 1e-9
-                )
+            selected, taken = self._fill_wave(queues, replays, passes)
 
             duration, merged_embeds, rebate = self._wave_outcome(selected)
             report.waves.append(
@@ -395,6 +385,43 @@ class CrossQueryScheduler:
 
         report.makespan_s = now
         return report
+
+    def _fill_wave(
+        self,
+        queues: dict[str, list[QueryJob]],
+        replays: dict[int, StepReplay],
+        passes: dict[str, float],
+    ) -> tuple[list[tuple[QueryJob, CallRequest]], dict[int, int]]:
+        """Grant one wave's slots: (selected calls, calls taken per job id).
+
+        Stride rule: each slot goes to the tenant with the smallest
+        ``(pass, name)`` that still offers a call, which takes the next
+        call of its first job (admission order) with calls not yet taken
+        and adds ``1 / weight`` to its pass.  The tenants sit in a heap
+        keyed ``(pass, name)``, each with a cursor to that job.
+        """
+        taken: dict[int, int] = {}
+        selected: list[tuple[QueryJob, CallRequest]] = []
+        # An active job always has queued calls, so every tenant offers
+        # some and each cursor starts at the tenant's first job.
+        cursors = dict.fromkeys(queues, 0)
+        heap = [(passes[tenant], tenant) for tenant in queues]
+        heapq.heapify(heap)
+        while heap and len(selected) < self.provider_width:
+            _pass, tenant = heapq.heappop(heap)
+            tenant_jobs = queues[tenant]
+            job = tenant_jobs[cursors[tenant]]
+            queue = replays[id(job)].queue
+            count = taken.get(id(job), 0)
+            selected.append((job, queue[count][1]))
+            taken[id(job)] = count = count + 1
+            passes[tenant] += 1.0 / max(self.weights.get(tenant, 1.0), 1e-9)
+            if count == len(queue):
+                cursors[tenant] += 1
+                if cursors[tenant] == len(tenant_jobs):
+                    continue
+            heapq.heappush(heap, (passes[tenant], tenant))
+        return selected, taken
 
     def _wave_outcome(
         self, selected: list[tuple[QueryJob, CallRequest]]

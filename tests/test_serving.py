@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.runtime import AnalyticsRuntime
 from repro.data.schemas import Field
@@ -24,6 +26,7 @@ from repro.serve import (
     submit_workload,
     zipf_rates,
 )
+from repro.serve import scheduler as scheduler_module
 from repro.serve.scheduler import CrossQueryScheduler, QueryJob, StepReplay
 from repro.serve.workload import _template_builders
 
@@ -257,6 +260,117 @@ def test_linear_timeline_replays_as_a_step_cursor():
     assert replay.queue == []
 
 
+class ScanStrideScheduler(CrossQueryScheduler):
+    """The reference wave fill: rescan every tenant's jobs for each slot."""
+
+    def _fill_wave(self, queues, replays, passes):
+        taken: dict[int, int] = {}
+        selected = []
+        while len(selected) < self.provider_width:
+            candidates = [
+                tenant
+                for tenant, tenant_jobs in queues.items()
+                if any(
+                    taken.get(id(job), 0) < len(replays[id(job)].queue)
+                    for job in tenant_jobs
+                )
+            ]
+            if not candidates:
+                break
+            tenant = min(candidates, key=lambda t: (passes.get(t, 0.0), t))
+            for job in queues[tenant]:
+                count = taken.get(id(job), 0)
+                queue = replays[id(job)].queue
+                if count < len(queue):
+                    selected.append((job, queue[count][1]))
+                    taken[id(job)] = count + 1
+                    break
+            passes[tenant] = passes.get(tenant, 0.0) + 1.0 / max(
+                self.weights.get(tenant, 1.0), 1e-9
+            )
+        return selected, taken
+
+
+#: (model, is_embedding) of a generated call; None is an opaque call.
+CALL_KINDS = [
+    (None, False),
+    ("gpt-4o-mini", False),
+    ("gpt-4o", False),
+    ("text-embedding-3-small", True),
+]
+
+step_calls = st.lists(
+    st.tuples(
+        st.sampled_from(CALL_KINDS), st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.5])
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+job_specs = st.lists(
+    st.tuples(
+        st.integers(0, 11),  # tenant index (mod the tenant count)
+        st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 4.0]),  # arrival, with ties
+        st.sampled_from(["linear", "diamond", "empty"]),
+        st.lists(step_calls, min_size=4, max_size=4),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+def generated_timeline(shape, steps) -> CallTimeline:
+    """``steps`` as a chain, a ``diamond_timeline()``-shaped graph, or none."""
+    timeline = CallTimeline()
+    if shape == "empty":
+        return timeline
+    afters = [None, None, None, None]
+    for index, calls in enumerate(steps):
+        for (model, is_embedding), seconds in calls:
+            if model is not None:
+                timeline.note_call(model, is_embedding, 10, 5, seconds)
+        if shape == "diamond" and index in (1, 2):
+            afters[index] = (0,)
+        timeline.end_step(2, [seconds for _kind, seconds in calls], afters[index])
+    return timeline
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    names=st.lists(
+        st.text("abcxyz", min_size=1, max_size=3), min_size=1, max_size=12, unique=True
+    ),
+    weights=st.lists(
+        st.sampled_from([0.5, 1.0, 1.0, 1.5, 2.0, 3.0]), min_size=12, max_size=12
+    ),
+    specs=job_specs,
+    width=st.integers(1, 16),
+)
+def test_heap_wave_fill_replays_the_stride_scan(names, weights, specs, width):
+    # The heap of (pass, tenant) grants every slot the candidate scan
+    # grants: same waves, same finish times, same rebates.
+    tenant_weights = dict(zip(names, weights))
+
+    def jobs():
+        return [
+            QueryJob(
+                tenant=names[tenant % len(names)], query_id=index, tag=f"q{index}",
+                arrival_s=arrival, timeline=generated_timeline(shape, steps),
+            )
+            for index, (tenant, arrival, shape, steps) in enumerate(specs)
+        ]
+
+    heap_jobs, scan_jobs = jobs(), jobs()
+    heap = CrossQueryScheduler(width, True, tenant_weights).run(heap_jobs)
+    scan = ScanStrideScheduler(width, True, tenant_weights).run(scan_jobs)
+    assert heap.waves == scan.waves
+    assert heap.makespan_s == scan.makespan_s
+    for ours, reference in zip(heap_jobs, scan_jobs):
+        assert (ours.finish_s, ours.latency_s, ours.rebate_usd) == (
+            reference.finish_s, reference.latency_s, reference.rebate_usd
+        )
+
+
 def test_flushed_topk_batch_waits_for_the_whole_topk_stage(qa_bundle):
     # Three input batches score independently; the top-k winners flush
     # only once every batch was scored, so the map over them waits for
@@ -304,6 +418,80 @@ def test_batched_records_bit_identical_to_serial(qa_bundle):
             serial.records
         )
         assert batched.raw_cost_usd == pytest.approx(serial.raw_cost_usd)
+
+
+def test_submit_and_drain_never_digest_the_answer(qa_bundle, monkeypatch):
+    from repro.sem import execution
+
+    digests = []
+    digest = execution.answer_fingerprint
+
+    def counted(*args):
+        digests.append(args)
+        return digest(*args)
+
+    monkeypatch.setattr(scheduler_module, "answer_fingerprint", counted)
+    monkeypatch.setattr(execution, "answer_fingerprint", counted)
+    _runtime, jobs, _report = run_workload(qa_bundle, batching=True)
+    assert jobs and digests == []
+    # Reading the digest pays for it, on every read (nothing is memoized).
+    assert jobs[0].fingerprint == jobs[0].fingerprint
+    assert len(digests) == 2
+
+
+def _digest_miss(qa_bundle):
+    serving = make_runtime(qa_bundle).serving()
+    job, result, report = serving._submit("alice", filter_query(qa_bundle), 0.0, "")
+    assert report.reuse_kind == ""
+    return job, result
+
+
+def _digest_exact_replay(qa_bundle):
+    serving = make_runtime(qa_bundle).serving()
+    serving.submit("alice", filter_query(qa_bundle))
+    job, result, report = serving._submit("alice", filter_query(qa_bundle), 0.0, "")
+    assert report.reuse_kind == "exact"
+    return job, result
+
+
+def _digest_delta_replay(qa_bundle):
+    serving = make_runtime(qa_bundle).serving()
+    records, source, dataset = _live_feed(qa_bundle, 8)
+    serving.submit("alice", dataset)
+    source.append(records[8:12])
+    job, result, report = serving._submit("alice", dataset, 0.0, "")
+    assert report.reuse_kind == "delta"
+    return job, result
+
+
+def _digest_spend_capped(_qa_bundle):
+    bundle = build_corpus(CorpusSpec(seed=7171, n_records=64))
+    runtime = AnalyticsRuntime.for_bundle(bundle, seed=7171, max_cost_usd=0.01)
+    serving = runtime.serving()
+    dataset = _template_builders(bundle)["classify-dept"]()
+    job, result, _report = serving._submit("alice", dataset, 0.0, "")
+    assert job.truncated
+    return job, result
+
+
+def _digest_sharded(qa_bundle):
+    serving = make_runtime(qa_bundle, shards=3).serving()
+    job, result, _report = serving._submit("alice", filter_query(qa_bundle), 0.0, "")
+    return job, result
+
+
+@pytest.mark.parametrize(
+    "served",
+    [
+        _digest_miss, _digest_exact_replay, _digest_delta_replay,
+        _digest_spend_capped, _digest_sharded,
+    ],
+    ids=["miss", "exact-replay", "delta-replay", "spend-capped", "shards-3"],
+)
+def test_job_fingerprint_is_the_runs_fingerprint(qa_bundle, served):
+    job, result = served(qa_bundle)
+    assert job.records
+    assert job.fingerprint == result.fingerprint()
 
 
 def test_batching_improves_latency_and_cost(qa_bundle):
@@ -424,6 +612,17 @@ def test_rate_quota_rejects_typed_and_recovers(qa_bundle):
     job = serving.submit("bursty", filter_query(qa_bundle), arrival_s=15.0)
     assert job.tenant == "bursty"
     assert serving.tenant("bursty").rejected == 1
+
+
+def test_quota_less_tenant_keeps_no_arrivals(qa_bundle):
+    runtime = make_runtime(qa_bundle)
+    serving = runtime.serving(tenants=[TenantSpec("steady")])
+    dataset = filter_query(qa_bundle)
+    for index in range(1000):
+        serving.submit("steady", dataset, arrival_s=float(index))
+    state = serving.tenant("steady")
+    assert state.admitted == 1000
+    assert state.arrivals == []
 
 
 def test_unknown_tenant_gets_default_spec(qa_bundle):
