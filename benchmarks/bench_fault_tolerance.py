@@ -40,14 +40,14 @@ N_TRIALS = 3
 BASE_SEED = 20260806
 FAULT_RATES = (0.0, 0.1, 0.3)
 
-RETRY = RetryPolicy(max_attempts=5, base_backoff_s=0.5, jitter=0.25)
-NO_RETRY = RetryPolicy(enabled=False)
+RETRY = RetryPolicy(max_attempts=5)
+NO_RETRY = RetryPolicy(max_attempts=1)
 
 
-def _systems(bundle, rate: float, retry: RetryPolicy, on_failure: str = "skip"):
+def _systems(bundle, rate: float, retry: RetryPolicy):
     fault = FaultConfig(rate=rate) if rate > 0 else None
     return {
-        "Sem. Ops": kramabench_semops_system(bundle, fault, retry, on_failure=on_failure),
+        "Sem. Ops": kramabench_semops_system(bundle, fault, retry),
         "CodeAgent": kramabench_codeagent_system(bundle, fault, retry),
         "PZ compute": kramabench_compute_system(
             bundle, fault_config=fault, retry_policy=retry

@@ -195,7 +195,7 @@ fi
 echo "all BENCH_*.json artifacts under benchmarks/results/"
 
 echo
-echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= / answer_cache_size= config keyword; no optimize= / replan= / shards= / partitioner= on serving; no clock= / tracer= / metrics= on StandingQueryManager; no interval/watermark/governor knob on RefreshPolicy, event_time_s= on append/update or now_s= on pump/pump_standing; no use_cache= on SimulatedLLM; no threshold= on the catalog; no embed_batch_size= on ExecutionContext, min_width= / widen_after= on AdaptiveParallelism or budget_usd= on UsageTracker; no stats_estimates= / fallback_model= config keyword; no decay= / min_observations= / max_entries= on a store or the generation cache; no similarity_floor= / max_candidates_per_left= / reset_stats= anywhere) =="
+echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= / answer_cache_size= config keyword; no optimize= / replan= / shards= / partitioner= on serving; no clock= / tracer= / metrics= on StandingQueryManager; no interval/watermark/governor knob on RefreshPolicy, event_time_s= on append/update or now_s= on pump/pump_standing; no use_cache= on SimulatedLLM; no threshold= on the catalog; no embed_batch_size= on ExecutionContext, min_width= / widen_after= on AdaptiveParallelism or budget_usd= on UsageTracker; no stats_estimates= / fallback_model= / on_failure= config keyword; no per_model_rates= / include_embeddings= / burst_length= / burst_rate= / retry_after_s= on FaultConfig, no enabled= / backoff / jitter= / timeout_s= / breaker knob on RetryPolicy, no step_timeout_s= / max_llm_failures= / max_consecutive_tool_errors= on CodeAgent; no decay= / min_observations= / max_entries= on a store or the generation cache; no similarity_floor= / max_candidates_per_left= / reset_stats= anywhere) =="
 python - <<'PY'
 import ast
 import pathlib
@@ -214,8 +214,8 @@ RETIRED = {
         # The similarity catalog's bound and floors are ContextManager constants.
         "answer_cache_size",
         # A misestimate is missing evidence in the stats store, not a mode;
-        # on_failure="fallback" re-asks the cheapest chat model.
-        "stats_estimates", "fallback_model",
+        # a record whose call fails after the retries is skipped and flagged.
+        "stats_estimates", "fallback_model", "on_failure",
     }),
     # Served queries inherit these from the runtime's config.
     **dict.fromkeys(SERVING, {"optimize", "replan", "shards", "partitioner"}),
@@ -236,6 +236,18 @@ RETIRED = {
     "ExecutionContext": {"embed_batch_size"},
     "AdaptiveParallelism": {"min_width", "widen_after"},
     "UsageTracker": {"budget_usd"},
+    # The fault layer keeps what a workload runs: embeddings never fault,
+    # and the Retry-After hint, backoff curve and agent failure budget are
+    # constants in llm/faults.py and agents/codeagent.py.
+    "FaultConfig": {
+        "per_model_rates", "include_embeddings", "burst_length", "burst_rate",
+        "retry_after_s",
+    },
+    "RetryPolicy": {
+        "enabled", "base_backoff_s", "backoff_multiplier", "max_backoff_s",
+        "jitter", "timeout_s", "breaker_threshold", "breaker_cooldown_s",
+    },
+    "CodeAgent": {"step_timeout_s", "max_llm_failures", "max_consecutive_tool_errors"},
     # Every store declares its bound (and the stats store its blend
     # weight) as a class constant; one observation is evidence enough.
     **dict.fromkeys(
@@ -268,17 +280,18 @@ if offenders:
           "once, on QueryProcessorConfig, a standing query runs on its "
           "config's substrate and refreshes on a count, a misestimate is "
           "missing evidence, floors, bounds and blend weights are class "
-          "constants, and the execution path takes no mechanics option:")
+          "constants, the execution path takes no mechanics option, and "
+          "the fault layer keeps one retry knob and no failure mode:")
     print("\n".join(offenders))
     sys.exit(1)
-print(f"{len(files)} files: no retired keyword on a config, serving or standing constructor")
+print(f"{len(files)} files: no retired keyword on a config, serving, standing, fault or agent constructor")
 PY
-retired_names='governor|watermark|lateness|event_time|max_staleness|min_batch_usd|now_s|last_refresh_s|use_cache|compile_operator|LogicalAgentOp|CompiledAgentOp|cheapest_model|usable_prior|note_dataset_version|decay_dataset|dataset_decays|_dataset_versions|use_priors|merge_similar_instructions|InstructionGroup|key_prefix|GenerationCache\.key\(|\.key\.digest\(|sink_owns_time|fused_batch_size|_wire_explicit_llm'
+retired_names='governor|watermark|lateness|event_time|max_staleness|min_batch_usd|now_s|last_refresh_s|use_cache|compile_operator|LogicalAgentOp|CompiledAgentOp|cheapest_model|usable_prior|note_dataset_version|decay_dataset|dataset_decays|_dataset_versions|use_priors|merge_similar_instructions|InstructionGroup|key_prefix|GenerationCache\.key\(|\.key\.digest\(|sink_owns_time|fused_batch_size|_wire_explicit_llm|CircuitBreaker|CircuitOpenError|resolved_fallback_model|fallback_model|breaker_'
 if grep -rnE "$retired_names" src/; then
-    echo "retired triggers, the event-time/staleness/prior-pricing state only they read, the cache switch, the agent-op IR, the stats store's evidence floor and append decay, the token-Jaccard merge, digested generation-cache keys, the serving mode split and the explicit-LLM re-wiring are back under src/ (the policy declares agent_model(); runtime.answer merges through the catalog; a cache key is the call's tuple; a served query runs the engine's own schedule; an explicit llm= is used as given)"
+    echo "retired triggers, the event-time/staleness/prior-pricing state only they read, the cache switch, the agent-op IR, the stats store's evidence floor and append decay, the token-Jaccard merge, digested generation-cache keys, the serving mode split, the explicit-LLM re-wiring, the circuit breaker or the fallback failure mode are back under src/ (the policy declares agent_model(); runtime.answer merges through the catalog; a cache key is the call's tuple; a served query runs the engine's own schedule; an explicit llm= is used as given; an exhausted call is skipped and flagged)"
     exit 1
 fi
-echo "no retired trigger, cache switch, agent-op, evidence-floor, append-decay, merge-group, cache-key-digest, serving-mode or explicit-LLM re-wiring name under src/"
+echo "no retired trigger, cache switch, agent-op, evidence-floor, append-decay, merge-group, cache-key-digest, serving-mode, explicit-LLM re-wiring, breaker or fallback name under src/"
 
 echo
 echo "== one-schedule guard (the engine never names the serving sink: time goes through llm.spend, dependencies through llm.mark / measure(after)) =="

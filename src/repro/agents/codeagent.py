@@ -41,6 +41,11 @@ REASONING_PREAMBLE = (
     "sufficient. Executing the following code now.\n"
 )
 
+#: Transient LLM failures tolerated per episode before giving up.  Each
+#: failure is a recovery turn: the same step is re-issued rather than
+#: advancing the (stateful) policy, so a blip does not skip work.
+MAX_LLM_FAILURES = 3
+
 
 @dataclass
 class AgentResult:
@@ -56,8 +61,8 @@ class AgentResult:
     llm_failures: int = 0
     #: Sandbox/tool errors observed across the episode.
     tool_errors: int = 0
-    #: Why the episode was cut short, if it was ("llm-unavailable",
-    #: "step-timeout", "tool-errors"); None for a normal ending.
+    #: "llm-unavailable" when the episode was cut short because the LLM
+    #: stayed down past :data:`MAX_LLM_FAILURES`; None for a normal ending.
     aborted: str | None = None
 
     def succeeded(self) -> bool:
@@ -76,14 +81,9 @@ class CodeAgent:
         max_steps: int = 12,
         name: str = "codeagent",
         seed: int = 0,
-        step_timeout_s: float | None = None,
-        max_llm_failures: int = 3,
-        max_consecutive_tool_errors: int | None = None,
     ) -> None:
         if max_steps < 1:
             raise AgentError(f"max_steps must be >= 1, got {max_steps}")
-        if step_timeout_s is not None and step_timeout_s <= 0:
-            raise AgentError(f"step_timeout_s must be positive, got {step_timeout_s}")
         self.llm = llm
         self.tools = tools
         self.policy = policy
@@ -91,14 +91,6 @@ class CodeAgent:
         self.max_steps = max_steps
         self.name = name
         self.seed = seed
-        #: Abort the episode if one step's virtual time exceeds this budget.
-        self.step_timeout_s = step_timeout_s
-        #: Transient LLM failures tolerated per episode before giving up.
-        #: Each failure is a recovery turn: the same step is re-issued rather
-        #: than advancing the (stateful) policy, so a blip does not skip work.
-        self.max_llm_failures = max_llm_failures
-        #: Abort after this many tool-error steps in a row (None = never).
-        self.max_consecutive_tool_errors = max_consecutive_tool_errors
 
     def run(self, task: str, context_note: str = "") -> AgentResult:
         """Execute one episode on ``task``.
@@ -129,7 +121,6 @@ class CodeAgent:
         aborted = None
         llm_failures = 0
         tool_errors = 0
-        consecutive_tool_errors = 0
         pending_code: str | None = None
         with tracer.span(
             f"agent:{self.name}", kind="agent-episode", model=self.model
@@ -168,7 +159,7 @@ class CodeAgent:
                         step_span.attributes["recovery"] = True
                         if metrics.enabled:
                             metrics.counter("agent.recoveries").inc()
-                        if llm_failures > self.max_llm_failures:
+                        if llm_failures > MAX_LLM_FAILURES:
                             aborted = "llm-unavailable"
                             break
                         pending_code = code
@@ -195,20 +186,8 @@ class CodeAgent:
                     break
                 if result.error:
                     tool_errors += 1
-                    consecutive_tool_errors += 1
                     if metrics.enabled:
                         metrics.counter("agent.tool_errors").inc()
-                    if (
-                        self.max_consecutive_tool_errors is not None
-                        and consecutive_tool_errors >= self.max_consecutive_tool_errors
-                    ):
-                        aborted = "tool-errors"
-                        break
-                else:
-                    consecutive_tool_errors = 0
-                if self.step_timeout_s is not None and step.time_s > self.step_timeout_s:
-                    aborted = "step-timeout"
-                    break
 
         if tracer.enabled:
             episode_span.attributes.update(

@@ -59,7 +59,6 @@ def kramabench_semops_system(
     bundle: DatasetBundle,
     fault_config: FaultConfig | None = None,
     retry_policy: RetryPolicy | None = None,
-    on_failure: str = "skip",
 ) -> System:
     """The handcrafted Palimpzest program: filter, filter, map-ratio.
 
@@ -78,11 +77,7 @@ def kramabench_semops_system(
             .sem_filter(kb.FILTER_STATS_BOTH)
             .sem_map(Field("ratio", object, "ratio of identity theft reports"), kb.MAP_RATIO)
         )
-        result = dataset.run(
-            QueryProcessorConfig(
-                llm=llm, policy=MaxQuality(), seed=seed, on_failure=on_failure
-            )
-        )
+        result = dataset.run(QueryProcessorConfig(llm=llm, policy=MaxQuality(), seed=seed))
         ratios = [
             float(value)
             for value in result.field_values("ratio")

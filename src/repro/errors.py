@@ -59,23 +59,16 @@ class RateLimitError(TransientLLMError):
 
 
 class TimeoutError(TransientLLMError):  # noqa: A001 - mirrors SDK naming
-    """Raised when a call exceeds its per-call timeout (injected or real).
+    """Raised when the (simulated) service times out a call.
 
-    The caller has already paid prefill tokens and waited out the timeout by
-    the time this is raised — timeouts are the most expensive fault kind.
+    The caller has already paid prefill tokens and waited out the call's
+    full latency by the time this is raised — timeouts are the most
+    expensive fault kind.
     """
 
 
 class TransientAPIError(TransientLLMError):
     """Raised for generic 5xx-style transient API failures."""
-
-
-class CircuitOpenError(TransientLLMError):
-    """Raised fail-fast when a model's circuit breaker is open.
-
-    No latency is charged: the call never leaves the client.  The breaker
-    half-opens after its cooldown has elapsed on the virtual clock.
-    """
 
 
 class SQLError(ReproError):

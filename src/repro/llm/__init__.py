@@ -15,13 +15,7 @@ evaluation depends on:
 
 from repro.llm.cache import GenerationCache
 from repro.llm.embeddings import EmbeddingModel, cosine_similarity
-from repro.llm.faults import (
-    FAULT_KINDS,
-    CircuitBreaker,
-    FaultConfig,
-    FaultInjector,
-    RetryPolicy,
-)
+from repro.llm.faults import FAULT_KINDS, FaultConfig, FaultInjector, RetryPolicy
 from repro.llm.models import (
     DEFAULT_MODEL,
     EMBEDDING_MODEL,
@@ -35,7 +29,6 @@ from repro.llm.simulated import SimulatedLLM
 from repro.llm.usage import Usage, UsageEvent, UsageTracker
 
 __all__ = [
-    "CircuitBreaker",
     "DEFAULT_MODEL",
     "EMBEDDING_MODEL",
     "EmbeddingModel",

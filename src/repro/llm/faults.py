@@ -4,31 +4,29 @@ The paper's runtime vision assumes flaky, rate-limited LLM APIs; production
 systems in this space treat transient failure as the common case.  This
 module makes that failure mode *simulable and deterministic*:
 
-- :class:`FaultInjector` decides, per call attempt, whether the (simulated)
-  service fails and with which typed error (`RateLimitError`, `TimeoutError`,
-  `TransientAPIError`).  Decisions are a pure function of
-  ``(seed, model, attempt index)`` via :func:`repro.utils.hashing.stable_uniform`,
-  so two runs with the same seed see the identical fault schedule.  A burst
-  mode models correlated failures (rate-limit windows, provider incidents):
-  once a fault fires, the next ``burst_length`` attempts fail with elevated
-  probability.  *Rate-limit storms* add time-windowed, width-sensitive 429s:
-  inside a ``(start_s, end_s)`` window of virtual time, attempts issued at
-  concurrency above ``storm_safe_parallelism`` are throttled — the signal
-  the executor's adaptive parallelism controller backs off from.
-- :class:`RetryPolicy` bounds attempts and computes exponential backoff with
-  seeded jitter.  Backoff waits are *charged to the virtual clock* by the
-  caller (:class:`~repro.llm.simulated.SimulatedLLM`), so benchmarks show the
-  real latency price of resilience.
-- :class:`CircuitBreaker` opens after a run of consecutive exhausted calls
-  and fail-fasts until its cooldown elapses on the virtual clock, then
-  half-opens to probe.
+- :class:`FaultInjector` decides, per chat-call attempt, whether the
+  (simulated) service fails and with which typed error (`RateLimitError`,
+  `TimeoutError`, `TransientAPIError`); embedding calls never fault.
+  Decisions are a pure function of ``(seed, model, attempt index)`` via
+  :func:`repro.utils.hashing.stable_uniform`, so two runs with the same seed
+  see the identical fault schedule.  *Rate-limit storms* add time-windowed,
+  width-sensitive 429s: inside a ``(start_s, end_s)`` window of virtual
+  time, attempts issued at concurrency above ``storm_safe_parallelism`` are
+  throttled — the signal the executor's adaptive parallelism controller
+  backs off from.
+- :class:`RetryPolicy` bounds attempts; :meth:`RetryPolicy.backoff_s` waits
+  exponentially (:data:`BASE_BACKOFF_S` times :data:`BACKOFF_MULTIPLIER`
+  per failure, capped at :data:`MAX_BACKOFF_S`) with a seeded
+  +/- :data:`JITTER` swing.  Backoff waits are *charged to the virtual
+  clock* by the caller (:class:`~repro.llm.simulated.SimulatedLLM`), so
+  benchmarks show the real latency price of resilience.
 
 Nothing here sleeps: faults and waits exist purely in virtual time/money.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import (
     ConfigurationError,
@@ -38,6 +36,7 @@ from repro.errors import (
     TransientLLMError,
 )
 from repro.utils.hashing import stable_hash, stable_uniform
+from repro.utils.persist import check_payload_keys
 
 #: Fault kinds the injector can produce, in rotation order.
 FAULT_KINDS = ("rate_limit", "timeout", "api")
@@ -48,27 +47,26 @@ _KIND_ERRORS = {
     "api": TransientAPIError,
 }
 
+#: ``Retry-After`` hint carried by injected rate-limit errors.
+RETRY_AFTER_S = 2.0
+#: Backoff after the first failed attempt.
+BASE_BACKOFF_S = 0.5
+#: Growth of the backoff per further failed attempt.
+BACKOFF_MULTIPLIER = 2.0
+#: Ceiling on the exponential backoff (before jitter).
+MAX_BACKOFF_S = 30.0
+#: Jitter as a +/- fraction of the backoff, drawn from the seeded stream.
+JITTER = 0.25
+
 
 @dataclass(frozen=True)
 class FaultConfig:
     """Knobs for the seeded fault schedule."""
 
-    #: Base per-attempt fault probability for chat models.
+    #: Per-attempt fault probability for chat models.
     rate: float = 0.0
-    #: Per-model overrides (e.g. a flakier cheap tier).
-    per_model_rates: dict[str, float] = field(default_factory=dict)
-    #: Whether embedding calls can fault too (off by default: embedding
-    #: endpoints are far more reliable and far cheaper to retry silently).
-    include_embeddings: bool = False
-    #: After a fault fires, this many subsequent attempts fail with
-    #: ``burst_rate`` instead of the base rate (0 disables bursts).
-    burst_length: int = 0
-    #: Elevated probability inside a burst window.
-    burst_rate: float = 0.8
     #: Which typed errors to inject (subset of :data:`FAULT_KINDS`).
     kinds: tuple[str, ...] = FAULT_KINDS
-    #: ``Retry-After`` hint carried by injected rate-limit errors.
-    retry_after_s: float = 2.0
     #: Rate-limit *storms*: ``(start_s, end_s)`` windows of virtual time in
     #: which calls issued at high concurrency draw 429s with ``storm_rate``.
     #: Models provider-side throttling that punishes wide fan-out — the
@@ -89,10 +87,6 @@ class FaultConfig:
         if unknown:
             raise ConfigurationError(
                 f"unknown fault kinds {sorted(unknown)}; known: {list(FAULT_KINDS)}"
-            )
-        if self.burst_length < 0:
-            raise ConfigurationError(
-                f"burst_length must be >= 0, got {self.burst_length}"
             )
         if not 0.0 <= self.storm_rate <= 1.0:
             raise ConfigurationError(
@@ -116,12 +110,7 @@ class FaultConfig:
         """JSON-friendly form (tuples become lists); see :meth:`from_dict`."""
         return {
             "rate": self.rate,
-            "per_model_rates": dict(self.per_model_rates),
-            "include_embeddings": self.include_embeddings,
-            "burst_length": self.burst_length,
-            "burst_rate": self.burst_rate,
             "kinds": list(self.kinds),
-            "retry_after_s": self.retry_after_s,
             "rate_limit_storms": [list(window) for window in self.rate_limit_storms],
             "storm_rate": self.storm_rate,
             "storm_safe_parallelism": self.storm_safe_parallelism,
@@ -130,6 +119,7 @@ class FaultConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultConfig":
         """Rebuild a config serialized with :meth:`to_dict` (replay bundles)."""
+        check_payload_keys(cls, payload)
         data = dict(payload)
         if "kinds" in data:
             data["kinds"] = tuple(data["kinds"])
@@ -138,13 +128,6 @@ class FaultConfig:
                 tuple(window) for window in data["rate_limit_storms"]
             )
         return cls(**data)
-
-    def model_rate(self, model: str, is_embedding: bool) -> float:
-        if model in self.per_model_rates:
-            return self.per_model_rates[model]
-        if is_embedding and not self.include_embeddings:
-            return 0.0
-        return self.rate
 
 
 class FaultInjector:
@@ -162,7 +145,6 @@ class FaultInjector:
         self.attempts = 0
         self.injected = 0
         self.injected_by_kind: dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
-        self._burst_remaining = 0
         #: Optional :class:`repro.obs.metrics.MetricsRegistry` mirror.
         self.metrics = None
 
@@ -184,13 +166,15 @@ class FaultInjector:
         ``width`` is the concurrency the attempt was issued at and ``now``
         the virtual time it lands — together they decide whether a
         rate-limit storm window throttles it (wide fan-out inside a storm
-        draws 429s; narrow fan-out is safe).
+        draws 429s; narrow fan-out is safe).  Embedding attempts never
+        fault, though they still advance the attempt counter.
         """
         self.attempts += 1
         index = self.attempts
+        if is_embedding:
+            return None
         if (
-            not is_embedding
-            and width > self.config.storm_safe_parallelism
+            width > self.config.storm_safe_parallelism
             and self.config.in_storm(now)
             and stable_uniform(self.seed, "storm", model, index) < self.config.storm_rate
         ):
@@ -198,13 +182,9 @@ class FaultInjector:
             return RateLimitError(
                 f"simulated 429 storm throttle from {model} "
                 f"(attempt {index}, width {width} at t={now:.1f}s)",
-                retry_after_s=self.config.retry_after_s,
+                retry_after_s=RETRY_AFTER_S,
             )
-        rate = self.config.model_rate(model, is_embedding)
-        if self._burst_remaining > 0:
-            self._burst_remaining -= 1
-            if rate > 0.0:
-                rate = max(rate, self.config.burst_rate)
+        rate = self.config.rate
         if rate <= 0.0:
             return None
         if stable_uniform(self.seed, "fault", model, index) >= rate:
@@ -212,68 +192,40 @@ class FaultInjector:
         kinds = self.config.kinds
         kind = kinds[stable_hash(self.seed, "fault-kind", index) % len(kinds)]
         self._count(kind)
-        if self.config.burst_length and self._burst_remaining == 0:
-            self._burst_remaining = self.config.burst_length
         if kind == "rate_limit":
             return RateLimitError(
                 f"simulated 429 from {model} (attempt {index})",
-                retry_after_s=self.config.retry_after_s,
+                retry_after_s=RETRY_AFTER_S,
             )
         return _KIND_ERRORS[kind](f"simulated {kind} fault from {model} (attempt {index})")
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry/backoff/timeout/breaker policy for simulated LLM calls.
+    """How many attempts a simulated LLM call gets.
 
     The default policy retries but — absent a :class:`FaultInjector` — never
     fires, so a fault-free run is byte-identical with or without it.
+    ``max_attempts=1`` raises the first fault (no retries).
     """
 
-    #: Master switch: False raises on the first fault (no retries).
-    enabled: bool = True
     #: Total attempts per call, including the first.
     max_attempts: int = 4
-    base_backoff_s: float = 0.5
-    backoff_multiplier: float = 2.0
-    max_backoff_s: float = 30.0
-    #: Jitter as a +/- fraction of the backoff, drawn from the seeded stream.
-    jitter: float = 0.25
-    #: Per-call latency cap; a simulated call whose latency would exceed it
-    #: times out (charged ``timeout_s`` plus prefill tokens).  None disables.
-    timeout_s: float | None = None
-    #: Consecutive exhausted calls before the breaker opens (0 disables).
-    breaker_threshold: int = 0
-    #: Virtual seconds the breaker stays open before half-opening.
-    breaker_cooldown_s: float = 30.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.base_backoff_s < 0 or self.max_backoff_s < 0:
-            raise ConfigurationError("backoff seconds must be >= 0")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ConfigurationError(f"timeout_s must be positive, got {self.timeout_s}")
 
     def to_dict(self) -> dict:
         """JSON-friendly form; see :meth:`from_dict`."""
-        return {
-            "enabled": self.enabled,
-            "max_attempts": self.max_attempts,
-            "base_backoff_s": self.base_backoff_s,
-            "backoff_multiplier": self.backoff_multiplier,
-            "max_backoff_s": self.max_backoff_s,
-            "jitter": self.jitter,
-            "timeout_s": self.timeout_s,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_cooldown_s": self.breaker_cooldown_s,
-        }
+        return {"max_attempts": self.max_attempts}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RetryPolicy":
         """Rebuild a policy serialized with :meth:`to_dict` (replay bundles)."""
+        check_payload_keys(cls, payload)
         return cls(**payload)
 
     def backoff_s(
@@ -288,48 +240,11 @@ class RetryPolicy:
         acts as a floor (the server told us when to come back).
         """
         wait = min(
-            self.max_backoff_s,
-            self.base_backoff_s * self.backoff_multiplier ** max(0, failed_attempts - 1),
+            MAX_BACKOFF_S,
+            BASE_BACKOFF_S * BACKOFF_MULTIPLIER ** max(0, failed_attempts - 1),
         )
-        if self.jitter > 0.0:
-            swing = 2.0 * stable_uniform("backoff-jitter", failed_attempts, *jitter_key) - 1.0
-            wait *= 1.0 + self.jitter * swing
+        swing = 2.0 * stable_uniform("backoff-jitter", failed_attempts, *jitter_key) - 1.0
+        wait *= 1.0 + JITTER * swing
         if isinstance(error, RateLimitError):
             wait = max(wait, error.retry_after_s)
-        return max(0.0, wait)
-
-
-class CircuitBreaker:
-    """Consecutive-failure breaker over the virtual clock.
-
-    closed --(threshold consecutive failures)--> open --(cooldown elapses on
-    the virtual clock)--> half-open --(success)--> closed / --(failure)--> open.
-    """
-
-    def __init__(self, threshold: int, cooldown_s: float) -> None:
-        self.threshold = threshold
-        self.cooldown_s = cooldown_s
-        self.state = "closed"
-        self.consecutive_failures = 0
-        self.opened_at = 0.0
-        self.times_opened = 0
-
-    def allow(self, now: float) -> bool:
-        """Whether a call may proceed at virtual time ``now``."""
-        if self.state == "open":
-            if now - self.opened_at >= self.cooldown_s:
-                self.state = "half_open"
-                return True
-            return False
-        return True
-
-    def record_success(self) -> None:
-        self.consecutive_failures = 0
-        self.state = "closed"
-
-    def record_failure(self, now: float) -> None:
-        self.consecutive_failures += 1
-        if self.state == "half_open" or self.consecutive_failures >= self.threshold:
-            self.state = "open"
-            self.opened_at = now
-            self.times_opened += 1
+        return wait

@@ -38,13 +38,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import CircuitOpenError
 from repro.errors import TimeoutError as LLMTimeoutError
 from repro.errors import RateLimitError, TransientLLMError
 from repro.llm.cache import GenerationCache
 from repro.llm.client import CompletionResult, ExtractionResult, FilterJudgment
 from repro.llm.embeddings import DEFAULT_EMBED_BATCH, EmbeddingModel
-from repro.llm.faults import CircuitBreaker, FaultInjector, RetryPolicy
+from repro.llm.faults import FaultInjector, RetryPolicy
 from repro.llm.models import DEFAULT_MODEL, EMBEDDING_MODEL, ModelCard, get_model
 from repro.llm.oracle import AnnotatedRecord, SemanticOracle
 from repro.llm.usage import UsageEvent, UsageTracker
@@ -209,7 +208,6 @@ class SimulatedLLM:
             self.cache.metrics = self.metrics
             if self.faults is not None:
                 self.faults.metrics = self.metrics
-        self._breakers: dict[str, CircuitBreaker] = {}
         self._parallel_stack: list[_Section] = []
         #: Serving-layer hook (see ``repro.serve``): when set, spent
         #: seconds go to the sink instead of the clock (:meth:`spend`) and
@@ -312,17 +310,6 @@ class SimulatedLLM:
             call = self._prepared_calls[memo_key] = _PreparedCall(*memo_key)
         return call
 
-    def _breaker(self, model: str) -> CircuitBreaker | None:
-        if self.retry.breaker_threshold <= 0:
-            return None
-        breaker = self._breakers.get(model)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                self.retry.breaker_threshold, self.retry.breaker_cooldown_s
-            )
-            self._breakers[model] = breaker
-        return breaker
-
     def _charge(
         self,
         card: ModelCard,
@@ -377,15 +364,6 @@ class SimulatedLLM:
             return event
 
         policy = self.retry
-        breaker = self._breaker(card.name)
-        if breaker is not None and not breaker.allow(self.clock.elapsed):
-            if metrics.enabled:
-                metrics.counter("llm.breaker_rejections").inc()
-            raise CircuitOpenError(
-                f"circuit open for {card.name} "
-                f"(cooldown {policy.breaker_cooldown_s}s from t={breaker.opened_at:.1f}s)"
-            )
-
         # Per-call spans are suppressed inside ``measure`` cells (the engine
         # re-times those on the pipeline schedule and emits cell spans) and
         # inside *nested* parallel sections, where a call's absolute start
@@ -422,15 +400,6 @@ class SimulatedLLM:
                 else None
             )
             latency = card.call_latency(input_tokens, output_tokens)
-            if (
-                fault is None
-                and policy.timeout_s is not None
-                and latency > policy.timeout_s
-            ):
-                fault = LLMTimeoutError(
-                    f"simulated {card.name} call would take {latency:.1f}s, "
-                    f"over the per-call timeout of {policy.timeout_s:.1f}s"
-                )
             if fault is None:
                 event = UsageEvent(
                     model=card.name,
@@ -442,8 +411,6 @@ class SimulatedLLM:
                     retries=retries,
                 )
                 self.tracker.record(event)
-                if breaker is not None:
-                    breaker.record_success()
                 if metrics.enabled:
                     metrics.counter("llm.calls").inc()
                     metrics.counter("llm.tokens_in").inc(input_tokens)
@@ -492,12 +459,7 @@ class SimulatedLLM:
                 metrics.counter("llm.cost_usd").inc(fail_cost)
             latency_total += fail_latency
             retries += 1
-            if not policy.enabled or retries >= policy.max_attempts:
-                if breaker is not None:
-                    opened_before = breaker.times_opened
-                    breaker.record_failure(self.clock.elapsed)
-                    if metrics.enabled and breaker.times_opened > opened_before:
-                        metrics.counter("llm.breaker_opens").inc()
+            if retries >= policy.max_attempts:
                 if emit_span:
                     tracer.add_span(
                         f"{card.name} (gave up)", "llm-call",
@@ -547,16 +509,13 @@ class SimulatedLLM:
         """(latency, billed input tokens) burned by one failed attempt.
 
         Rate limits bounce at the door: overhead latency, nothing billed.
-        Timeouts hang for the full timeout with prefill already paid.
+        Timeouts hang for the full latency with prefill already paid.
         Generic API errors die mid-flight: half the latency, prefill paid.
         """
         if isinstance(fault, RateLimitError):
             return card.per_call_overhead_s, 0
         if isinstance(fault, LLMTimeoutError):
-            capped = latency
-            if self.retry.timeout_s is not None:
-                capped = min(latency, self.retry.timeout_s)
-            return capped, input_tokens
+            return latency, input_tokens
         return 0.5 * latency, input_tokens
 
     # ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A :class:`MetricsRegistry` is a flat namespace of named counters and
 histograms, updated at the same instrumentation points the tracer covers:
-LLM calls, cache hits/evictions, retries, circuit-breaker opens, wave
+LLM calls, cache hits/evictions, retries, failed attempts, wave
 widths, cell/section makespans, tokens, and dollars.  Like the tracer, the
 default is a null object (:data:`NULL_METRICS`) whose ``enabled`` flag
 gates every update site, so disabled-mode cost is one attribute check.

@@ -14,12 +14,15 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.errors import ConfigurationError
 from repro.qa.fuzzer import FuzzCase
 from repro.qa.mutations import mutation_by_name
 from repro.qa.oracles import Violation, evaluate
 from repro.qa.runner import run_case
 
-BUNDLE_VERSION = 1
+#: Bumped when the options a case's config matrix can carry change:
+#: version 2 dropped ``on_failure`` and the fault/retry tuning keys.
+BUNDLE_VERSION = 2
 
 
 @dataclass
@@ -46,7 +49,7 @@ class ReplayBundle:
     def from_dict(cls, payload: dict) -> "ReplayBundle":
         version = payload.get("version", BUNDLE_VERSION)
         if version != BUNDLE_VERSION:
-            raise ValueError(
+            raise ConfigurationError(
                 f"unsupported bundle version {version}; expected {BUNDLE_VERSION}"
             )
         return cls(

@@ -67,6 +67,7 @@ from repro.llm.oracle import SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 from repro.sem.config import QueryProcessorConfig
 from repro.sem.optimizer.policies import policy_by_name
+from repro.utils.persist import check_payload_keys
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,6 @@ class ConfigSpec:
     parallelism: int = 4
     batch_size: int | None = None
     join_method: str = "nested"
-    on_failure: str = "skip"
     sample_size: int = 6
     llm_seed: int = 0
     #: Run cold-then-warm against a shared MaterializationStore; the warm
@@ -113,6 +113,7 @@ class ConfigSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ConfigSpec":
+        check_payload_keys(cls, payload)
         return cls(**payload)
 
     # -- realization ----------------------------------------------------
@@ -271,7 +272,7 @@ def config_matrix(plan, case_seed: int = 0) -> list[ConfigSpec]:
                     rate_limit_storms=((5.0, 20.0),),
                     storm_rate=0.5,
                 ).to_dict(),
-                retry=RetryPolicy(max_attempts=3, base_backoff_s=0.5).to_dict(),
+                retry=RetryPolicy(max_attempts=3).to_dict(),
             )
         )
 

@@ -13,6 +13,8 @@ import contextlib
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from repro.errors import ConfigurationError
+
 
 @dataclass(frozen=True)
 class Mutation:
@@ -235,6 +237,6 @@ def mutation_by_name(name: str) -> Mutation:
     try:
         return MUTATIONS[name]
     except KeyError:
-        raise ValueError(
+        raise ConfigurationError(
             f"unknown mutation {name!r}; known: {sorted(MUTATIONS)}"
         ) from None

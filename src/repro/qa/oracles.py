@@ -195,9 +195,9 @@ def check_budget(run) -> list[Violation]:
     """Spend caps bound actual spend up to one guarded call saga.
 
     A guarded call may legally overshoot by its own saga — up to
-    ``max_attempts`` billed attempts plus a fallback re-ask — so the
-    allowance is ``2 * max_attempts * max_event_cost``.  Anything beyond
-    that means a budget check was skipped.
+    ``max_attempts`` billed attempts — and the allowance is twice that,
+    ``2 * max_attempts * max_event_cost``.  Anything beyond it means a
+    budget check was skipped.
     """
     violations = []
     budget_runs = sorted(

@@ -19,11 +19,6 @@ if TYPE_CHECKING:
 #: (unoptimized runs, unsampled operators, agents).
 DEFAULT_FALLBACK_MODEL = DEFAULT_MODEL
 
-#: Valid ``on_failure`` modes: what an operator does with a record whose
-#: call failed even after the LLM substrate's retries (see
-#: ``ExecutionContext.guarded``).
-FAILURE_MODES = ("skip", "fallback", "raise")
-
 
 @dataclass
 class QueryProcessorConfig:
@@ -34,7 +29,9 @@ class QueryProcessorConfig:
     not fields: structured prefixes are always pushed into the scan, and
     streamable runs always fuse, with batched embeds and an adaptive wave
     width — served or not.  A mode that exists to be diffed against lives
-    in :mod:`repro.qa.reference`, never here.
+    in :mod:`repro.qa.reference`, never here.  A record whose semantic
+    call still fails after the LLM substrate's retries is skipped and
+    flagged (``ExecutionResult.failed_records``).
     """
 
     llm: SimulatedLLM
@@ -60,11 +57,6 @@ class QueryProcessorConfig:
     #: engine stops between operators once the cap is reached and returns
     #: the records produced so far, flagged as truncated.
     max_cost_usd: float | None = None
-    #: Per-record degradation when a semantic call exhausts the LLM
-    #: substrate's retry policy: "skip" flags the record and continues,
-    #: "fallback" re-asks the cheapest chat model once (see
-    #: :meth:`resolved_fallback_model`), "raise" propagates.
-    on_failure: str = "skip"
     #: Records per streamed batch (None = ``max(2 * parallelism, 16)``).
     batch_size: int | None = None
     #: Cross-query sub-plan reuse: a shared
@@ -118,11 +110,6 @@ class QueryProcessorConfig:
             raise ConfigurationError(
                 f"max_cost_usd must be positive, got {self.max_cost_usd}"
             )
-        if self.on_failure not in FAILURE_MODES:
-            raise ConfigurationError(
-                f"on_failure must be one of {FAILURE_MODES}, "
-                f"got {self.on_failure!r}"
-            )
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}"
@@ -154,10 +141,3 @@ class QueryProcessorConfig:
         if self.available_models is not None:
             return list(self.available_models)
         return [card.name for card in completion_models_by_cost()]
-
-    def resolved_fallback_model(self) -> str | None:
-        """The tier ``on_failure='fallback'`` re-asks: the cheapest chat
-        model (None under the other failure modes)."""
-        if self.on_failure != "fallback":
-            return None
-        return completion_models_by_cost()[0].name

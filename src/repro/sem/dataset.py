@@ -268,8 +268,6 @@ class Dataset:
                     llm=config.llm,
                     parallelism=config.parallelism,
                     tag=config.tag,
-                    on_failure=config.on_failure,
-                    fallback_model=config.resolved_fallback_model(),
                     max_cost_usd=config.max_cost_usd,
                     adaptive=AdaptiveParallelism(cap=config.parallelism),
                 ),

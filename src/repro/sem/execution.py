@@ -408,10 +408,10 @@ class Engine:
     ) -> None:
         """Materialize the boundary after ``operator`` if eligible.
 
-        Capture is skipped on tainted runs: degraded records (``skip``) or
-        fault-driven fallback answers would poison later reuse, and a
-        faulted call is the only way either happens — so any failed call
-        since the run started vetoes the write.  The stored cost is the
+        Capture is skipped on tainted runs: degraded records (``skip``)
+        would poison later reuse, and a faulted call is the only way one
+        happens — so any failed call since the run started vetoes the
+        write.  The stored cost is the
         cumulative spend up to this boundary plus the cost carried from a
         replayed entry, i.e. an honest full-recompute estimate.
         """

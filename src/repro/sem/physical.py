@@ -118,11 +118,9 @@ class ExecutionContext:
     parallelism: int = 1
     tag: str = "exec"
     #: What an operator does when a semantic call fails even after the LLM
-    #: substrate's retries: "skip" flags the record and moves on, "fallback"
-    #: re-asks ``fallback_model`` once (then skips), "raise" propagates.
+    #: substrate's retries: "skip" (every run) flags the record and moves
+    #: on, "raise" (the optimizer's sampling context) propagates.
     on_failure: str = "skip"
-    #: Cheaper tier used by the "fallback" mode.
-    fallback_model: str | None = None
     #: (record uid, error class name) for every degraded record, in order.
     failures: list[tuple[str, str]] = field(default_factory=list)
     #: The run's one spend cap: the engine stops between steps once it is
@@ -161,10 +159,9 @@ class ExecutionContext:
         ``call`` is a bound :class:`SimulatedLLM` endpoint and ``args`` its
         leading positional arguments: it runs as ``call(*args, model=model,
         tag="<ctx tag>:<kind>")`` — per record the caller builds no closure
-        and no tag.  ``on_failure`` (one of
-        :data:`repro.sem.config.FAILURE_MODES`) decides what a call that
-        failed even after the substrate's retries does; None means the
-        record was degraded and flagged in :attr:`failures`.
+        and no tag.  ``on_failure`` decides what a call that failed even
+        after the substrate's retries does; None means the record was
+        degraded and flagged in :attr:`failures`.
         """
         if self.max_cost_usd is not None:
             self.check_budget()
@@ -176,15 +173,6 @@ class ExecutionContext:
         except TransientLLMError as exc:
             if self.on_failure == "raise":
                 raise
-            if (
-                self.on_failure == "fallback"
-                and self.fallback_model
-                and self.fallback_model != model
-            ):
-                try:
-                    return call(*args, model=self.fallback_model, tag=tag)
-                except TransientLLMError as fallback_exc:
-                    exc = fallback_exc
             self.failures.append((uid, type(exc).__name__))
             return None
 

@@ -1,11 +1,15 @@
-"""Crash-safe, checksummed JSON files for the persisted stores."""
+"""Crash-safe, checksummed JSON files for the persisted stores, and the
+key check every ``from_dict`` of a saved dataclass runs."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 from pathlib import Path
+
+from repro.errors import ConfigurationError
 
 _CHECKSUM = "sha256"
 
@@ -45,3 +49,15 @@ def load_json(path: "str | Path") -> "dict | None":
     if stamp is not None and stamp != _digest(payload):
         return None
     return payload
+
+
+def check_payload_keys(cls: type, payload: dict) -> None:
+    """Raise :class:`ConfigurationError` naming every key of ``payload``
+    that dataclass ``cls`` does not declare (a payload saved by a version
+    that had options this one retired)."""
+    unknown = set(payload) - {field.name for field in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigurationError(
+            f"{cls.__name__} does not take {sorted(unknown)} "
+            "(saved by an older version?)"
+        )

@@ -123,10 +123,10 @@ def test_unknown_query_option_is_a_type_error():
 
 
 def test_program_config_derives_without_touching_the_template(legal_bundle):
-    runtime = AnalyticsRuntime.for_bundle(legal_bundle, on_failure="raise", shards=2)
+    runtime = AnalyticsRuntime.for_bundle(legal_bundle, max_cost_usd=0.5, shards=2)
     derived = runtime.program_config("served", parallelism=3, scope="tenant")
     assert (derived.tag, derived.parallelism, derived.scope) == ("served", 3, "tenant")
-    assert (derived.on_failure, derived.shards) == ("raise", 2)
+    assert (derived.max_cost_usd, derived.shards) == (0.5, 2)
     template = runtime.config
     assert (template.tag, template.parallelism, template.scope) == ("query", 1, "")
     assert derived.stats_store is template.stats_store

@@ -59,7 +59,7 @@ def test_explain_analyze_surfaces_faults(make_llm, enron_bundle):
         faults=FaultInjector(FaultConfig(rate=0.3), seed=5),
         retry=RetryPolicy(max_attempts=8),
     )
-    config = QueryProcessorConfig(llm=llm, seed=5, on_failure="skip")
+    config = QueryProcessorConfig(llm=llm, seed=5)
     text = _dataset(enron_bundle).explain(analyze=True, config=config)
     assert "fault tolerance:" in text
     assert "retried calls" in text

@@ -12,16 +12,17 @@ Toy-world setup (registry, record, LLM factories) comes from
 
 import pytest
 
-from repro.agents.codeagent import CodeAgent
+from repro.agents.codeagent import MAX_LLM_FAILURES, CodeAgent
 from repro.agents.policies.base import ScriptedPolicy
 from repro.agents.tools import ToolRegistry
 from repro.data.datasets import enron as en
-from repro.errors import CircuitOpenError, TransientAPIError, TransientLLMError
+from repro.errors import TransientAPIError, TransientLLMError
+from repro.llm import faults
 from repro.llm.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.llm.simulated import SimulatedLLM
 from repro.sem import Dataset, MaxQuality, QueryProcessorConfig
 
-NO_RETRY = RetryPolicy(enabled=False)
+NO_RETRY = RetryPolicy(max_attempts=1)
 
 
 # ---------------------------------------------------------------------------
@@ -94,32 +95,22 @@ def test_exhausted_attempts_raise_and_charge_every_attempt(make_faulty_llm, toy_
     assert llm.tracker.failed_calls() == 3
 
 
-def test_backoff_waits_reach_the_virtual_clock(make_faulty_llm, toy_record):
-    slow = make_faulty_llm(
-        rate=1.0,
-        seed=0,
-        retry=RetryPolicy(
-            max_attempts=2, base_backoff_s=50.0, max_backoff_s=50.0, jitter=0.0
-        ),
-    )
-    fast = make_faulty_llm(
-        rate=1.0, seed=0, retry=RetryPolicy(max_attempts=2, base_backoff_s=0.0, jitter=0.0)
-    )
-    for llm in (slow, fast):
+def test_backoff_waits_reach_the_virtual_clock(
+    make_faulty_llm, toy_record, monkeypatch
+):
+    def elapsed(base_backoff_s):
+        monkeypatch.setattr(faults, "BASE_BACKOFF_S", base_backoff_s)
+        monkeypatch.setattr(faults, "MAX_BACKOFF_S", base_backoff_s)
+        monkeypatch.setattr(faults, "JITTER", 0.0)
+        llm = make_faulty_llm(rate=1.0, seed=0, retry=RetryPolicy(max_attempts=2))
         with pytest.raises(TransientLLMError):
             llm.judge_filter("special flag", toy_record())
+        return llm.clock.elapsed
+
     # Both runs share the fault schedule and attempt latencies; the fast
     # policy still waits the rate-limit's retry_after_s floor, so the delta
     # is the extra backoff (50s minus that floor).
-    assert slow.clock.elapsed >= fast.clock.elapsed + 40.0
-
-
-def test_per_call_timeout_synthesizes_timeouts(make_toy_llm, toy_record):
-    from repro.errors import TimeoutError as LLMTimeoutError
-
-    llm = make_toy_llm(seed=0, retry=RetryPolicy(max_attempts=2, timeout_s=1e-6, jitter=0.0))
-    with pytest.raises(LLMTimeoutError):
-        llm.judge_filter("special flag", toy_record())
+    assert elapsed(50.0) >= elapsed(0.0) + 40.0
 
 
 def test_embeddings_exempt_from_faults_by_default(make_faulty_llm):
@@ -151,37 +142,6 @@ def test_retry_saga_occupies_one_parallel_slot(make_faulty_llm, toy_record):
     for i in range(4):
         sequential.judge_filter("special flag", toy_record(uid=f"u{i}"))
     assert llm.clock.elapsed < sequential.clock.elapsed
-
-
-# ---------------------------------------------------------------------------
-# Circuit breaker through the substrate
-# ---------------------------------------------------------------------------
-
-
-def test_breaker_trips_then_recovers_after_cooldown(make_toy_llm, toy_record):
-    policy = RetryPolicy(enabled=False, breaker_threshold=2, breaker_cooldown_s=60.0)
-    llm = make_toy_llm(
-        seed=0,
-        faults=FaultInjector(FaultConfig(rate=1.0), seed=0),
-        retry=policy,
-    )
-    for i in range(2):
-        with pytest.raises(TransientLLMError):
-            llm.judge_filter("special flag", toy_record(uid=f"u{i}"))
-    # Breaker is open: fail fast without consuming a fault-schedule draw.
-    attempts = llm.faults.attempts
-    with pytest.raises(CircuitOpenError):
-        llm.judge_filter("special flag", toy_record(uid="u2"))
-    assert llm.faults.attempts == attempts
-
-    # The provider recovers; after the cooldown the half-open probe succeeds.
-    llm.faults = None
-    llm.clock.advance(60.0)
-    judgment = llm.judge_filter("special flag", toy_record(uid="u3"))
-    assert judgment.event.cost_usd > 0
-    breaker = llm._breakers["gpt-4o"]
-    assert breaker.state == "closed"
-    assert breaker.times_opened == 1
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +200,6 @@ def test_skip_mode_flags_records_instead_of_crashing(make_config, enron_bundle):
         fault_config=FaultConfig(rate=0.3),
         retry=NO_RETRY,
         optimize=False,
-        on_failure="skip",
     )
     result = _filter_run(config, enron_bundle)
     assert result.failed_records > 0
@@ -252,51 +211,25 @@ def test_skip_mode_flags_records_instead_of_crashing(make_config, enron_bundle):
 
 
 def test_raise_mode_propagates(make_config, enron_bundle):
+    # "raise" is the optimizer's sampling context's mode: an operator run
+    # under it propagates the exhausted call instead of flagging the record.
+    from repro.sem.execution import Engine
+    from repro.sem.optimizer.optimizer import Optimizer
+    from repro.sem.physical import ExecutionContext
+
     config = make_config(
         enron_bundle,
         fault_config=FaultConfig(rate=1.0),
         retry=NO_RETRY,
         optimize=False,
-        on_failure="raise",
     )
+    operators, _report = Optimizer(config).optimize(
+        Dataset.from_source(enron_bundle.source()).sem_filter(en.FILTER_RELEVANT).plan()
+    )
+    ctx = ExecutionContext(llm=config.llm, tag=config.tag, on_failure="raise")
     with pytest.raises(TransientLLMError):
-        _filter_run(config, enron_bundle)
-
-
-def test_fallback_mode_reroutes_to_healthy_model(make_config, enron_bundle):
-    # The champion model always faults; the cheap tier never does.  Every
-    # record is answered by the fallback, so nothing is dropped.
-    config = make_config(
-        enron_bundle,
-        fault_config=FaultConfig(rate=0.0, per_model_rates={"gpt-4o": 1.0}),
-        retry=NO_RETRY,
-        optimize=False,
-        on_failure="fallback",
-    )
-    result = _filter_run(config, enron_bundle)
-    assert result.failed_records == 0
-    assert len(result.records) > 0
-    assert result.retried_calls > 0
-    models = {e.model for e in config.llm.tracker.events if not e.failed and not e.cached}
-    assert "gpt-4o-mini" in models
-
-
-def test_config_rejects_unknown_failure_mode(make_config, enron_bundle):
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        make_config(enron_bundle, on_failure="explode")
-
-
-def test_failure_modes_have_one_definition_the_config_validates_against():
-    from repro.errors import ConfigurationError
-    from repro.sem import config as sem_config
-    from repro.sem import physical
-
-    assert sem_config.FAILURE_MODES == ("skip", "fallback", "raise")
-    assert not hasattr(physical, "FAILURE_MODES")
-    with pytest.raises(ConfigurationError, match="explode"):
-        QueryProcessorConfig(llm=SimulatedLLM(), on_failure="explode")
+        Engine(ctx, batch_size=config.resolved_batch_size()).execute(operators)
+    assert ctx.failures == []
 
 
 def test_guarded_passes_the_endpoint_its_arguments_model_and_tag():
@@ -311,78 +244,24 @@ def test_guarded_passes_the_endpoint_its_arguments_model_and_tag():
             raise TransientAPIError("down")
         return "answer"
 
-    ctx = ExecutionContext(
-        llm=SimulatedLLM(), tag="q", on_failure="fallback", fallback_model="gpt-4o-mini"
-    )
-    assert ctx.guarded("u1", "gpt-4o", "filter", endpoint, "instr", "rec") == "answer"
-    assert calls == [
-        (("instr", "rec"), "gpt-4o", "q:filter"),
-        (("instr", "rec"), "gpt-4o-mini", "q:filter"),
-    ]
+    ctx = ExecutionContext(llm=SimulatedLLM(), tag="q")
+    assert ctx.guarded("u1", "gpt-4o-mini", "filter", endpoint, "instr", "rec") == "answer"
+    assert calls == [(("instr", "rec"), "gpt-4o-mini", "q:filter")]
     assert ctx.failures == []
-    # The fallback model failing too degrades the record, flagged with the
-    # fallback's error; "skip" never re-asks; "raise" propagates.
-    assert ctx.guarded("u2", "gpt-4o", "map", endpoint) == "answer"
-    assert calls[-1] == ((), "gpt-4o-mini", "q:map")
-    ctx.fallback_model = "gpt-4o"
+    # "skip" degrades the record, flagged with its error, and never
+    # re-asks; "raise" propagates.
+    assert ctx.guarded("u2", "gpt-4o", "map", endpoint) is None
+    assert calls[-1] == ((), "gpt-4o", "q:map")
     assert ctx.guarded("u3", "gpt-4o", "filter", endpoint) is None
-    ctx.on_failure = "skip"
-    assert ctx.guarded("u4", "gpt-4o", "filter", endpoint) is None
-    assert ctx.failures == [("u3", "TransientAPIError"), ("u4", "TransientAPIError")]
+    assert len(calls) == 3
+    assert ctx.failures == [("u2", "TransientAPIError"), ("u3", "TransientAPIError")]
     ctx.on_failure = "raise"
     with pytest.raises(TransientAPIError):
-        ctx.guarded("u5", "gpt-4o", "filter", endpoint)
-
-
-def test_fallback_run_degrades_the_records_it_always_did(make_llm, enron_bundle):
-    """Pinned from the closure-based ``guarded``: a run where the champion
-    *and* the fallback tier fault degrades the same records, in the same
-    order, with the same errors, spend and answer."""
-    from repro.data.schemas import Field
-    from repro.sem.execution import Engine
-    from repro.sem.optimizer.optimizer import Optimizer
-    from repro.sem.physical import ExecutionContext
-    from repro.utils.hashing import stable_digest
-
-    llm = make_llm(
-        enron_bundle,
-        seed=5,
-        faults=FaultInjector(FaultConfig(rate=0.35), seed=5),
-        retry=NO_RETRY,
-    )
-    config = QueryProcessorConfig(
-        llm=llm, policy=MaxQuality(), seed=5, optimize=False, parallelism=4,
-        on_failure="fallback",
-    )
-    assert config.resolved_fallback_model() == "gpt-4o-mini"
-    plan = (
-        Dataset.from_source(enron_bundle.source())
-        .sem_filter(en.FILTER_RELEVANT)
-        .sem_map(Field("sender_name", str, "who sent it"), "extract the name of the sender")
-        .plan()
-    )
-    operators, _report = Optimizer(config).optimize(plan)
-    ctx = ExecutionContext(
-        llm=llm, parallelism=4, tag=config.tag,
-        on_failure="fallback", fallback_model=config.resolved_fallback_model(),
-    )
-    result = Engine(ctx, batch_size=config.resolved_batch_size()).execute(operators)
-
-    assert ctx.failures[:3] == [
-        ("enron:email_007.txt", "RateLimitError"),
-        ("enron:email_009.txt", "TransientAPIError"),
-        ("enron:email_010.txt", "TransientAPIError"),
-    ]
-    assert len(ctx.failures) == result.failed_records == 46
-    assert stable_digest(ctx.failures) == "94e4b5184cccb7cd"
-    assert (len(result.records), result.retried_calls) == (30, 148)
-    assert round(result.total_cost_usd, 9) == 0.2047145
-    assert result.fingerprint() == "c668760bbce13394"
-    assert {event.tag for event in llm.tracker.events} == {"query:filter", "query:map"}
+        ctx.guarded("u4", "gpt-4o", "filter", endpoint)
 
 
 # ---------------------------------------------------------------------------
-# CodeAgent: recovery turns, timeouts, aborts
+# CodeAgent: recovery turns and the abort
 # ---------------------------------------------------------------------------
 
 
@@ -428,41 +307,13 @@ def test_agent_aborts_when_llm_stays_down():
     llm = SimulatedLLM(
         seed=0, faults=FaultInjector(FaultConfig(rate=1.0), seed=0), retry=NO_RETRY
     )
-    agent = CodeAgent(llm, ToolRegistry(), _TwoStep(), max_llm_failures=3)
+    agent = CodeAgent(llm, ToolRegistry(), _TwoStep())
     result = agent.run("compute four")
+    assert MAX_LLM_FAILURES == 3
     assert not result.finished
     assert result.aborted == "llm-unavailable"
     assert result.llm_failures == 4  # three tolerated + the one that broke it
     assert result.steps_used == 0  # no step ever completed
-
-
-def test_agent_step_timeout_aborts_episode():
-    llm = SimulatedLLM(seed=0)
-    agent = CodeAgent(llm, ToolRegistry(), _TwoStep(), step_timeout_s=1e-6)
-    result = agent.run("compute four")
-    assert result.aborted == "step-timeout"
-    assert result.steps_used == 1
-    assert not result.finished
-
-
-def test_agent_consecutive_tool_errors_abort():
-    class AlwaysErrors(ScriptedPolicy):
-        def step_0(self, task, trace, tools):
-            return "1 / 0"
-
-        step_1 = step_0
-        step_2 = step_0
-
-    agent = CodeAgent(
-        SimulatedLLM(seed=0),
-        ToolRegistry(),
-        AlwaysErrors(),
-        max_consecutive_tool_errors=2,
-    )
-    result = agent.run("fail repeatedly")
-    assert result.aborted == "tool-errors"
-    assert result.tool_errors == 2
-    assert result.steps_used == 2
 
 
 def test_agent_faulty_run_is_deterministic():

@@ -276,7 +276,7 @@ def _run_bursty(
         bundle,
         seed=seed,
         faults=faults,
-        retry=RetryPolicy(max_attempts=1, base_backoff_s=0.5),
+        retry=RetryPolicy(max_attempts=1),
     )
     config = QueryProcessorConfig(
         llm=llm,

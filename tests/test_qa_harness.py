@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.qa.bundle import ReplayBundle
+from repro.errors import ConfigurationError
+from repro.qa.bundle import BUNDLE_VERSION, ReplayBundle
 from repro.qa.configs import ConfigSpec, config_matrix
 from repro.qa.corpus import CorpusSpec, build_corpus
 from repro.qa.fuzzer import FuzzCase, PlanFuzzer
@@ -231,7 +232,7 @@ def test_mutation_registry_and_lookup():
         "replay-after-delta", "patch-keeps-stale", "sink-drops-section-time",
     }
     assert mutation_by_name("drop-budget-check").expected_oracle == "budget-cap"
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         mutation_by_name("no-such-mutation")
 
 
@@ -368,6 +369,22 @@ def test_replay_bundle_round_trips_and_reproduces(tmp_path):
     replayed, reproduced = loaded.replay()
     assert reproduced
     assert {v.oracle for v in replayed} & set(loaded.expected_oracles)
+
+
+def test_version_one_bundle_is_a_configuration_error():
+    payload = ReplayBundle.capture(PlanFuzzer(seed=0).case(0), []).to_dict()
+    assert payload["version"] == BUNDLE_VERSION == 2
+    with pytest.raises(ConfigurationError, match="version 1"):
+        ReplayBundle.from_dict({**payload, "version": 1})
+
+
+def test_config_spec_from_dict_names_a_retired_key():
+    payload = {**ConfigSpec(name="faulty").to_dict(), "on_failure": "skip"}
+    with pytest.raises(ConfigurationError, match="on_failure"):
+        ConfigSpec.from_dict(payload)
+    assert ConfigSpec.from_dict(ConfigSpec(name="faulty").to_dict()) == ConfigSpec(
+        name="faulty"
+    )
 
 
 def test_clean_capture_replays_clean():

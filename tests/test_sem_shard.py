@@ -578,7 +578,7 @@ def _run_stormy(bundle, *, run_static_width=None, storm=True, shards=4):
         oracle=SemanticOracle(bundle.registry),
         seed=13,
         faults=FaultInjector(STORM, seed=13) if storm else None,
-        retry=RetryPolicy(max_attempts=2, base_backoff_s=0.5),
+        retry=RetryPolicy(max_attempts=2),
         metrics=metrics,
     )
     config = QueryProcessorConfig(

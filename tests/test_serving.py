@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.runtime import AnalyticsRuntime
 from repro.data.schemas import Field
-from repro.errors import QuotaExceededError, ServingError, TransientLLMError
-from repro.llm.faults import FaultConfig, RetryPolicy
+from repro.errors import QuotaExceededError, ServingError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.qa.corpus import CorpusSpec, build_corpus, instruction_for
@@ -860,15 +859,15 @@ def test_standing_tick_deferred_by_tenant_quota(qa_bundle):
 
 def test_served_query_runs_under_the_runtimes_options(qa_bundle):
     """A served query is a derivation of the runtime's config: the runtime's
-    ``on_failure`` reaches it (a second, from-scratch config ran ``skip``)."""
-    runtime = make_runtime(
-        qa_bundle,
-        on_failure="raise",
-        fault_config=FaultConfig(rate=1.0),
-        retry_policy=RetryPolicy(enabled=False),
+    ``max_cost_usd`` reaches it (a second, from-scratch config ran uncapped)."""
+    uncapped = make_runtime(qa_bundle).serving().submit("alice", filter_query(qa_bundle))
+    assert not uncapped.truncated
+    cap = uncapped.total_cost_usd / 4
+    job = make_runtime(qa_bundle, max_cost_usd=cap).serving().submit(
+        "alice", filter_query(qa_bundle)
     )
-    with pytest.raises(TransientLLMError):
-        runtime.serving().submit("alice", filter_query(qa_bundle))
+    assert job.truncated
+    assert job.total_cost_usd < uncapped.total_cost_usd
 
 
 def _standing_feed(qa_bundle, n_base: int):
