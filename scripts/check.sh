@@ -38,6 +38,13 @@ if grep -rn '\.fingerprint()' src/repro/serve; then
 fi
 echo "no .fingerprint() under src/repro/serve"
 echo
+echo "== embed-once guard (every embedding endpoint reads the process-wide vector memo: no embedding_model.embed( under src/repro outside llm/embeddings.py) =="
+if grep -rn --include='*.py' 'embedding_model\.embed(' src/repro | grep -v '^src/repro/llm/embeddings\.py:'; then
+    echo "a text is embedded once per process: call embedding_model.vector(text, digest)"
+    exit 1
+fi
+echo "no embedding_model.embed( under src/repro outside llm/embeddings.py"
+echo
 
 if [[ "${1:-}" == "--fast" ]]; then
     echo "== fast lane: tier-1 tests (-m 'not slow') =="
@@ -94,14 +101,19 @@ if [[ "${1:-}" == "--fast" ]]; then
         tests/test_record_batch.py::test_mask_matches_row_semantics \
         tests/test_record_batch.py::TestExactFloatColumn
     echo
-    echo "== fast lane: text-kernel equivalence (ASCII tokenizer pass == the regex; bincount embedding == the per-token loop, byte for byte) =="
+    echo "== fast lane: text-kernel equivalence (ASCII tokenizer pass == the regex; bincount embedding == the per-token loop, byte for byte; the vector memo computes a text once per process, charges per LLM and hands out read-only vectors) =="
     python -m pytest -q \
         tests/test_utils_text.py::test_ascii_tokenize_equals_match_by_match_formula \
         tests/test_utils_text.py::test_ascii_separators_are_exactly_the_non_word_characters \
         tests/test_utils_text.py::test_extract_keywords_equals_first_position_ranking \
         tests/test_llm_embeddings.py::test_ascii_embed_is_byte_identical_to_reference \
         tests/test_llm_embeddings.py::test_summation_order_is_first_seen_token_order \
-        tests/test_llm_embeddings.py::test_corpus_records_embed_byte_identically
+        tests/test_llm_embeddings.py::test_corpus_records_embed_byte_identically \
+        tests/test_llm_embeddings.py::test_memoized_vector_is_byte_identical_to_reference \
+        tests/test_llm_embeddings.py::test_llms_share_the_computation_not_the_charges \
+        tests/test_llm_embeddings.py::test_cleared_cache_charges_a_miss_without_recomputing \
+        tests/test_llm_embeddings.py::test_vectors_are_read_only_and_stay_the_reference \
+        tests/test_llm_embeddings.py::test_vector_memo_stays_within_cap
     echo
     echo "== fast lane: call keys and records (a cache key is the call's tuple and shares entries exactly as the digest formula; an embed key ends in the text's digest; every per-call record is an immutable tuple; a record's prompt token count is its own text's, computed once per record) =="
     python -m pytest -q \
@@ -195,7 +207,7 @@ fi
 echo "all BENCH_*.json artifacts under benchmarks/results/"
 
 echo
-echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= / answer_cache_size= config keyword; no optimize= / replan= / shards= / partitioner= on serving; no clock= / tracer= / metrics= on StandingQueryManager; no interval/watermark/governor knob on RefreshPolicy, event_time_s= on append/update or now_s= on pump/pump_standing; no use_cache= on SimulatedLLM; no threshold= on the catalog; no embed_batch_size= on ExecutionContext, min_width= / widen_after= on AdaptiveParallelism or budget_usd= on UsageTracker; no stats_estimates= / fallback_model= / on_failure= config keyword; no per_model_rates= / include_embeddings= / burst_length= / burst_rate= / retry_after_s= on FaultConfig, no enabled= / backoff / jitter= / timeout_s= / breaker knob on RetryPolicy, no step_timeout_s= / max_llm_failures= / max_consecutive_tool_errors= on CodeAgent; no decay= / min_observations= / max_entries= on a store or the generation cache; no similarity_floor= / max_candidates_per_left= / reset_stats= anywhere) =="
+echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= / answer_cache_size= config keyword; no optimize= / replan= / shards= / partitioner= on serving; no clock= / tracer= / metrics= on StandingQueryManager; no interval/watermark/governor knob on RefreshPolicy, event_time_s= on append/update or now_s= on pump/pump_standing; no use_cache= / embedding_model= on SimulatedLLM; no threshold= on the catalog; no embed_batch_size= on ExecutionContext, min_width= / widen_after= on AdaptiveParallelism or budget_usd= on UsageTracker; no stats_estimates= / fallback_model= / on_failure= config keyword; no per_model_rates= / include_embeddings= / burst_length= / burst_rate= / retry_after_s= on FaultConfig, no enabled= / backoff / jitter= / timeout_s= / breaker knob on RetryPolicy, no step_timeout_s= / max_llm_failures= / max_consecutive_tool_errors= on CodeAgent; no decay= / min_observations= / max_entries= on a store or the generation cache; no similarity_floor= / max_candidates_per_left= / reset_stats= anywhere) =="
 python - <<'PY'
 import ast
 import pathlib
@@ -226,8 +238,9 @@ RETIRED = {
     "RefreshPolicy": {"interval_s", "lateness_s", "min_batch_usd", "max_staleness_s"},
     **dict.fromkeys(("append", "update"), {"event_time_s"}),
     **dict.fromkeys(("pump", "pump_standing"), {"now_s"}),
-    # The generation cache is always on.
-    "SimulatedLLM": {"use_cache"},
+    # The generation cache is always on; the embedding model is the
+    # kernel whose outputs the process-wide vector memo keeps.
+    "SimulatedLLM": {"use_cache", "embedding_model"},
     "ContextManager": {"threshold"},
     "find_similar": {"threshold"},
     # The execution path runs production's one value of each mechanic:

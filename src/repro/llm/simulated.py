@@ -182,7 +182,6 @@ class SimulatedLLM:
         tracker: UsageTracker | None = None,
         clock: VirtualClock | None = None,
         cache: GenerationCache | None = None,
-        embedding_model: EmbeddingModel | None = None,
         seed: int = 0,
         faults: FaultInjector | None = None,
         retry: RetryPolicy | None = None,
@@ -193,7 +192,7 @@ class SimulatedLLM:
         self.tracker = tracker or UsageTracker()
         self.clock = clock or VirtualClock()
         self.cache = cache or GenerationCache()
-        self.embedding_model = embedding_model or EmbeddingModel()
+        self.embedding_model = EmbeddingModel()
         self.seed = seed
         self.faults = faults
         self.retry = retry or RetryPolicy()
@@ -673,7 +672,14 @@ class SimulatedLLM:
         return CompletionResult(text, event)
 
     def embed(self, text: str, tag: str = "") -> np.ndarray:
-        """Embed ``text``, charging the embedding model's price and latency."""
+        """Embed ``text``, charging the embedding model's price and latency.
+
+        The charge is this LLM's own: a generation-cache hit is a zero-cost
+        cached event, a miss is priced and put in this LLM's cache.  Only the
+        computation is shared — a miss reads the process-wide vector memo
+        (:meth:`EmbeddingModel.vector`) under the digest the cache key
+        already holds.  The returned vector is read-only.
+        """
         call = self._prepared("embed", None, EMBEDDING_MODEL)
         card = call.card
         cache_key = (call.key, stable_digest(text))
@@ -681,7 +687,7 @@ class SimulatedLLM:
         if hit:
             self._charge(card, 0, 0, tag, cached=True)
             return value
-        vector = self.embedding_model.embed(text)
+        vector = self.embedding_model.vector(text, cache_key[1])
         self._charge(card, approx_token_count(text), 0, tag)
         self.cache.put(cache_key, vector)
         return vector
@@ -700,7 +706,8 @@ class SimulatedLLM:
         priced as a single request carrying the chunk's total tokens.  Token
         pricing is linear, so the dollar cost is identical to the per-record
         path — the win is latency: one per-call overhead per chunk instead
-        of per text.  Returns vectors positionally aligned with ``texts``.
+        of per text.  A miss reads the vector memo as :meth:`embed` does.
+        Returns read-only vectors positionally aligned with ``texts``.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -725,9 +732,10 @@ class SimulatedLLM:
             chunk = pending[start : start + batch_size]
             self._charge(card, sum(approx_token_count(text) for text in chunk), 0, tag)
             for text in chunk:
-                vector = self.embedding_model.embed(text)
+                cache_key = misses[text]
+                vector = self.embedding_model.vector(text, cache_key[1])
                 vectors[text] = vector
-                self.cache.put(misses[text], vector)
+                self.cache.put(cache_key, vector)
         return [vectors[text] for text in texts]
 
     # ------------------------------------------------------------------

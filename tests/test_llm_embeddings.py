@@ -13,8 +13,9 @@ from repro.llm.embeddings import (
     cosine_similarity,
     top_k_similar,
 )
+from repro.llm.simulated import SimulatedLLM
 from repro.qa.corpus import CorpusSpec, build_corpus
-from repro.utils.hashing import stable_hash
+from repro.utils.hashing import stable_digest, stable_hash
 from repro.utils.text import _WORD_RE, STOPWORDS
 from tests.test_utils_text import EVERY_ASCII
 
@@ -200,3 +201,93 @@ def test_token_table_stays_within_cap(monkeypatch):
         text = " ".join(f"tok{i}" for i in range(start, start + 5))
         assert np.array_equal(model.embed(text), _reference_embed(text, 64))
         assert 0 < len(embeddings._TOKEN_TABLE) <= 16
+
+
+@given(st.text(max_size=200), st.sampled_from([8, 64, 256]))
+def test_memoized_vector_is_byte_identical_to_reference(text, dim):
+    vector = EmbeddingModel(dim).vector(text, stable_digest(text))
+    assert vector.tobytes() == _reference_embed(text, dim).tobytes()
+
+
+@pytest.fixture
+def embed_counter(monkeypatch):
+    """An empty vector memo and a count of kernel runs (``calls[0]``)."""
+    monkeypatch.setattr(embeddings, "_VECTOR_MEMO", {})
+    calls = [0]
+    kernel = EmbeddingModel.embed
+
+    def counted(self, text):
+        calls[0] += 1
+        return kernel(self, text)
+
+    monkeypatch.setattr(EmbeddingModel, "embed", counted)
+    return calls
+
+
+#: 50 distinct texts; :func:`_embed_all` embeds 20 one by one, then batches
+#: the rest with duplicates and 10 texts the cache already holds.
+MEMO_TEXTS = [f"memo text {i} about fraud case {i * 7}" for i in range(50)]
+
+
+def _embed_all(llm):
+    singles = [llm.embed(text, tag="single") for text in MEMO_TEXTS[:20]]
+    singles.append(llm.embed(MEMO_TEXTS[5], tag="single"))
+    batch = llm.embed_batch(MEMO_TEXTS[10:] + MEMO_TEXTS[15:30], tag="batch", batch_size=8)
+    return singles + batch
+
+
+def _ledger(llm, vectors):
+    return (
+        llm.tracker.events,
+        llm.clock.elapsed,
+        [(key, value.tobytes()) for key, value in llm.cache._entries.items()],
+        [vector.tobytes() for vector in vectors],
+    )
+
+
+def test_llms_share_the_computation_not_the_charges(embed_counter, monkeypatch):
+    shared = [_ledger(llm, _embed_all(llm)) for llm in (SimulatedLLM(), SimulatedLLM())]
+    assert embed_counter[0] == 50
+
+    # The memo-free run: every miss runs the kernel on the spot.
+    monkeypatch.setattr(EmbeddingModel, "vector", lambda self, text, digest: self.embed(text))
+    alone = [_ledger(llm, _embed_all(llm)) for llm in (SimulatedLLM(), SimulatedLLM())]
+    assert embed_counter[0] == 150
+    assert shared == alone
+    assert shared[0] == shared[1]
+
+
+def test_cleared_cache_charges_a_miss_without_recomputing(embed_counter):
+    llm = SimulatedLLM()
+    first = llm.embed("identity theft reports")
+    llm.cache.clear()
+    again = llm.embed("identity theft reports")
+    assert embed_counter[0] == 1
+    assert again is first
+    assert [event.cached for event in llm.tracker.events] == [False, False]
+    assert llm.tracker.events[1].input_tokens == llm.tracker.events[0].input_tokens > 0
+    assert llm.embed("identity theft reports") is first
+    assert llm.tracker.events[-1].cached
+
+
+def test_vectors_are_read_only_and_stay_the_reference(embed_counter):
+    llm = SimulatedLLM()
+    miss = llm.embed("identity theft reports")
+    [batched] = llm.embed_batch(["fraud case summary"])
+    hit = llm.embed("identity theft reports")
+    for vector in (miss, batched, hit):
+        with pytest.raises(ValueError):
+            vector += 1.0
+    fresh = SimulatedLLM()
+    for text in ("identity theft reports", "fraud case summary"):
+        assert fresh.embed(text).tobytes() == _reference_embed(text, fresh.embedding_model.dim).tobytes()
+
+
+def test_vector_memo_stays_within_cap(monkeypatch):
+    monkeypatch.setattr(embeddings, "_VECTOR_MEMO_CAP", 16)
+    monkeypatch.setattr(embeddings, "_VECTOR_MEMO", {})
+    model = EmbeddingModel(64)
+    for i in range(100):
+        text = f"tok{i} tok{i + 1} tok{i + 2}"
+        assert model.vector(text, stable_digest(text)).tobytes() == _reference_embed(text, 64).tobytes()
+        assert 0 < len(embeddings._VECTOR_MEMO) <= 16
