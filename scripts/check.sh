@@ -101,6 +101,9 @@ if [[ "${1:-}" == "--fast" ]]; then
         tests/test_record_batch.py::test_mask_matches_row_semantics \
         tests/test_record_batch.py::TestExactFloatColumn
     echo
+    echo "== fast lane: sqlite differential oracle (SELECTs, Dataset.where and struct_agg agree with stdlib sqlite3, NULL logic included; smoke count, the full gate runs 2,000 examples per property) =="
+    python -m pytest -q --hypothesis-profile=fast tests/test_sql_differential.py
+    echo
     echo "== fast lane: text-kernel equivalence (ASCII tokenizer pass == the regex; bincount embedding == the per-token loop, byte for byte; the vector memo computes a text once per process, charges per LLM and hands out read-only vectors) =="
     python -m pytest -q \
         tests/test_utils_text.py::test_ascii_tokenize_equals_match_by_match_formula \
@@ -299,12 +302,12 @@ if offenders:
     sys.exit(1)
 print(f"{len(files)} files: no retired keyword on a config, serving, standing, fault or agent constructor")
 PY
-retired_names='governor|watermark|lateness|event_time|max_staleness|min_batch_usd|now_s|last_refresh_s|use_cache|compile_operator|LogicalAgentOp|CompiledAgentOp|cheapest_model|usable_prior|note_dataset_version|decay_dataset|dataset_decays|_dataset_versions|use_priors|merge_similar_instructions|InstructionGroup|key_prefix|GenerationCache\.key\(|\.key\.digest\(|sink_owns_time|fused_batch_size|_wire_explicit_llm|CircuitBreaker|CircuitOpenError|resolved_fallback_model|fallback_model|breaker_'
+retired_names='governor|watermark|lateness|event_time|max_staleness|min_batch_usd|now_s|last_refresh_s|use_cache|compile_operator|LogicalAgentOp|CompiledAgentOp|cheapest_model|usable_prior|note_dataset_version|decay_dataset|dataset_decays|_dataset_versions|use_priors|merge_similar_instructions|InstructionGroup|key_prefix|GenerationCache\.key\(|\.key\.digest\(|sink_owns_time|fused_batch_size|_wire_explicit_llm|CircuitBreaker|CircuitOpenError|resolved_fallback_model|fallback_model|breaker_|CreateTable|InsertInto|DropTable|_execute_insert|_parse_create'
 if grep -rnE "$retired_names" src/; then
-    echo "retired triggers, the event-time/staleness/prior-pricing state only they read, the cache switch, the agent-op IR, the stats store's evidence floor and append decay, the token-Jaccard merge, digested generation-cache keys, the serving mode split, the explicit-LLM re-wiring, the circuit breaker or the fallback failure mode are back under src/ (the policy declares agent_model(); runtime.answer merges through the catalog; a cache key is the call's tuple; a served query runs the engine's own schedule; an explicit llm= is used as given; an exhausted call is skipped and flagged)"
+    echo "retired triggers, the event-time/staleness/prior-pricing state only they read, the cache switch, the agent-op IR, the stats store's evidence floor and append decay, the token-Jaccard merge, digested generation-cache keys, the serving mode split, the explicit-LLM re-wiring, the circuit breaker, the fallback failure mode or SQL write statements are back under src/ (the policy declares agent_model(); runtime.answer merges through the catalog; a cache key is the call's tuple; a served query runs the engine's own schedule; an explicit llm= is used as given; an exhausted call is skipped and flagged; SQL text is read-only and tables enter through Database.create_table)"
     exit 1
 fi
-echo "no retired trigger, cache switch, agent-op, evidence-floor, append-decay, merge-group, cache-key-digest, serving-mode, explicit-LLM re-wiring, breaker or fallback name under src/"
+echo "no retired trigger, cache switch, agent-op, evidence-floor, append-decay, merge-group, cache-key-digest, serving-mode, explicit-LLM re-wiring, breaker, fallback or SQL-write name under src/"
 
 echo
 echo "== one-schedule guard (the engine never names the serving sink: time goes through llm.spend, dependencies through llm.mark / measure(after)) =="

@@ -260,16 +260,16 @@ def _vector_eval(expr: Expr, batch: RecordBatch) -> tuple[np.ndarray, np.ndarray
         null = ~valid
         return (valid, null) if expr.negated else (null, valid)
     if isinstance(expr, Between):
-        # Engine semantics: NULL iff any of the three is NULL, else a bool.
-        # The engine short-circuits its two bound checks, so only the
-        # provably error-free all-numeric path is vectorized.
+        # Engine semantics: ``low <= x AND x <= high`` under three-valued
+        # AND.  A NULL bound goes to the executor; so does anything but the
+        # provably error-free all-numeric path, because the engine
+        # short-circuits its two bound checks.
         if not isinstance(expr.operand, ColumnRef):
             raise _Fallback
         low, high = _literal_value(expr.low), _literal_value(expr.high)
-        valid = batch.validity(expr.operand.name)
         if low is None or high is None:
-            zeros = np.zeros(len(batch), dtype=bool)
-            return zeros, zeros.copy()
+            raise _Fallback
+        valid = batch.validity(expr.operand.name)
         column = batch.column(expr.operand.name)
         floats = _exact_float_column(column, valid, low)
         if floats is None or _exact_float_column(column, valid, high) is None:
@@ -278,16 +278,17 @@ def _vector_eval(expr: Expr, batch: RecordBatch) -> tuple[np.ndarray, np.ndarray
         false_mask = valid & ~true_mask
         return (false_mask, true_mask) if expr.negated else (true_mask, false_mask)
     if isinstance(expr, InList):
-        # Engine semantics: NULL iff the operand is NULL, else membership
-        # (a NULL list element can never match).
+        # Engine semantics over non-NULL elements: NULL iff the operand is
+        # NULL, else membership.  A NULL element makes a miss NULL, not
+        # FALSE; that list goes to the executor.
         if not isinstance(expr.operand, ColumnRef):
+            raise _Fallback
+        values = [_literal_value(option) for option in expr.options]
+        if None in values:
             raise _Fallback
         valid = batch.validity(expr.operand.name)
         true_mask = np.zeros(len(batch), dtype=bool)
-        for option in expr.options:
-            value = _literal_value(option)
-            if value is None:
-                continue
+        for value in values:
             option_t, _ = _vector_compare_leaf(expr.operand, "=", value, batch)
             true_mask = true_mask | option_t
         false_mask = valid & ~true_mask

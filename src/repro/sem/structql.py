@@ -17,6 +17,12 @@ Conventions:
 - A referenced field missing from a record (or explicitly ``None``) reads
   as SQL ``NULL`` — that is what "projection of missing typed fields"
   means for semi-structured records.
+- ``x IN (...)`` is ``TRUE`` on a match, else ``NULL`` if ``x`` or any
+  element is ``NULL``, else ``FALSE``, so ``x NOT IN (1, NULL)`` keeps no
+  record.  ``x BETWEEN lo AND hi`` is ``lo <= x AND x <= hi`` under
+  three-valued AND, so ``5 NOT BETWEEN NULL AND 3`` is ``TRUE``.  These
+  are sqlite's answers too; ``tests/test_sql_differential.py`` checks the
+  engine against ``sqlite3``.
 - Aggregations run through a real ``repro.sql`` table + SELECT, so GROUP
   BY grouping order, NULL handling, and empty-input behaviour are the SQL
   engine's, not a re-implementation.
@@ -48,6 +54,7 @@ from repro.sql.database import Database
 from repro.sql.executor import Executor
 from repro.sql.functions import is_aggregate
 from repro.sql.parser import parse_expression
+from repro.sql.table import Column
 
 #: Binding name records are exposed under when evaluating predicates.
 _ROW_BINDING = "r"
@@ -195,13 +202,16 @@ def validate_aggregation(
 def aggregation_sql(
     table: str, group_by: tuple[str, ...], aggregates: tuple[tuple[str, str], ...]
 ) -> str:
-    """The SELECT a struct_agg runs (also shown by EXPLAIN)."""
-    items = list(group_by) + [
-        f"{expression} AS {alias}" for alias, expression in aggregates
-    ]
+    """The SELECT a struct_agg runs (also shown by EXPLAIN).
+
+    Group-by names and aliases are quoted identifiers, so a field named
+    like a keyword (``order``) stays a column.
+    """
+    keys = [f'"{name}"' for name in group_by]
+    items = keys + [f'{expression} AS "{alias}"' for alias, expression in aggregates]
     sql = f"SELECT {', '.join(items)} FROM {table}"
-    if group_by:
-        sql += f" GROUP BY {', '.join(group_by)}"
+    if keys:
+        sql += f" GROUP BY {', '.join(keys)}"
     return sql
 
 
@@ -237,7 +247,5 @@ def run_aggregation(
     if table_rows:
         database.create_table_from_rows("t", table_rows)
     else:
-        from repro.sql.table import Column, Table
-
-        database._catalog["t"] = Table("t", [Column(name) for name in needed])
+        database.create_table("t", [Column(name) for name in needed])
     return database.query(aggregation_sql("t", group_by, aggregates))

@@ -4,16 +4,16 @@ The paper's vision calls for a runtime that can materialize structured
 tables from unstructured data and query them with SQL so future queries
 reuse earlier work (Section 2.4).  This package implements the substrate:
 a small but real SQL engine — lexer, recursive-descent parser, binder, and
-executor — supporting SELECT (with joins, grouping, ordering, limits),
-CREATE TABLE, and INSERT.
+executor — that runs read-only SELECTs (joins, grouping, ordering, limits,
+uncorrelated subqueries).  Tables enter through the ``Database`` API, not
+through SQL text: any statement other than SELECT is a syntax error.
 
 Quick use::
 
     from repro.sql import Database
 
     db = Database()
-    db.execute("CREATE TABLE emails (sender TEXT, subject TEXT)")
-    db.execute("INSERT INTO emails VALUES ('a@x.com', 'hello')")
+    db.create_table_from_rows("emails", [{"sender": "a@x.com", "subject": "hello"}])
     result = db.execute("SELECT sender, COUNT(*) AS n FROM emails GROUP BY sender")
     print(result.rows)
 """

@@ -134,39 +134,3 @@ class Select:
     order_by: list[tuple[Expr, bool]] = field(default_factory=list)  # (expr, desc)
     limit: int | None = None
     distinct: bool = False
-
-
-@dataclass
-class CreateTable:
-    name: str
-    columns: list[tuple[str, str]]  # (name, type keyword)
-    if_not_exists: bool = False
-
-
-@dataclass
-class InsertInto:
-    table: str
-    columns: list[str] | None
-    rows: list[list[Expr]]
-
-
-@dataclass
-class DropTable:
-    name: str
-    if_exists: bool = False
-
-
-@dataclass
-class Update:
-    table: str
-    assignments: list[tuple[str, Expr]]
-    where: Expr | None = None
-
-
-@dataclass
-class Delete:
-    table: str
-    where: Expr | None = None
-
-
-Statement = Select | CreateTable | InsertInto | DropTable | Update | Delete

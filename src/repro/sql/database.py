@@ -45,6 +45,20 @@ class Database:
     def has_table(self, name: str) -> bool:
         return name in self._catalog
 
+    def create_table(
+        self, name: str, columns: Iterable[Column], replace: bool = False
+    ) -> Table:
+        """Create (or replace) an empty table with explicitly typed columns.
+
+        Fill it with ``Table.insert_row``; SQL text cannot write (every
+        statement but SELECT is a syntax error).
+        """
+        if name in self._catalog and not replace:
+            raise SQLExecutionError(f"table {name!r} already exists")
+        table = Table(name, list(columns))
+        self._catalog[name] = table
+        return table
+
     def create_table_from_rows(
         self,
         name: str,
@@ -53,32 +67,22 @@ class Database:
     ) -> Table:
         """Create (or replace) a table inferred from dictionaries.
 
-        Column types are inferred from the first non-NULL value of each
-        column; columns that never see a value default to TEXT.  This is the
+        Each column takes the widest type consistent with its non-NULL
+        values; columns that never see a value default to TEXT.  This is the
         path used to materialize structured tables out of semantic-operator
         results.
         """
         rows = list(rows)
         if not rows:
             raise SQLExecutionError(f"cannot infer a schema for {name!r} from zero rows")
-        if name in self._catalog:
-            if not replace:
-                raise SQLExecutionError(f"table {name!r} already exists")
-            del self._catalog[name]
-
-        column_order: list[str] = []
+        column_order = list(dict.fromkeys(key for row in rows for key in row))
+        table = self.create_table(
+            name,
+            [Column(column, _infer_type(rows, column)) for column in column_order],
+            replace=replace,
+        )
         for row in rows:
-            for key in row:
-                if key not in column_order:
-                    column_order.append(key)
-        columns = [
-            Column(column_name, _infer_type(rows, column_name))
-            for column_name in column_order
-        ]
-        table = Table(name, columns)
-        for row in rows:
-            table.insert_row([row.get(column_name) for column_name in column_order])
-        self._catalog[name] = table
+            table.insert_row([row.get(column) for column in column_order])
         return table
 
 

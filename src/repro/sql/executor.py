@@ -1,9 +1,10 @@
-"""SQL statement execution.
+"""SELECT execution.
 
-The executor interprets parsed statements against a catalog of tables.
-It implements textbook semantics: nested-loop joins, hash grouping,
-three-valued NULL handling in predicates (comparisons with NULL yield NULL,
-and WHERE keeps only rows where the predicate is exactly TRUE).
+The executor interprets parsed SELECTs against a catalog of tables and
+never writes to it.  It implements textbook semantics: nested-loop joins,
+hash grouping, three-valued NULL handling in predicates (comparisons with
+NULL yield NULL, IN and BETWEEN follow the standard's rules, and WHERE
+keeps only rows where the predicate is exactly TRUE).
 """
 
 from __future__ import annotations
@@ -18,26 +19,20 @@ from repro.sql.ast_nodes import (
     BinaryOp,
     CaseWhen,
     ColumnRef,
-    CreateTable,
-    Delete,
-    DropTable,
     Expr,
     FuncCall,
     InList,
-    InsertInto,
     InSubquery,
     IsNull,
     Like,
     Literal,
     Select,
     Star,
-    Statement,
     Subquery,
     UnaryOp,
-    Update,
 )
 from repro.sql.functions import AGGREGATES, SCALARS, is_aggregate
-from repro.sql.table import Column, Table
+from repro.sql.table import Table
 
 #: An execution row: binding name -> {column -> value}.
 Env = dict[str, dict[str, Any]]
@@ -67,92 +62,10 @@ class ResultSet:
 
 
 class Executor:
-    """Executes statements against a table catalog."""
+    """Executes SELECTs against a table catalog."""
 
     def __init__(self, catalog: dict[str, Table]) -> None:
         self._catalog = catalog
-
-    # -- statement dispatch ----------------------------------------------
-
-    def execute(self, statement: Statement) -> ResultSet:
-        if isinstance(statement, Select):
-            return self._execute_select(statement)
-        if isinstance(statement, CreateTable):
-            return self._execute_create(statement)
-        if isinstance(statement, InsertInto):
-            return self._execute_insert(statement)
-        if isinstance(statement, DropTable):
-            return self._execute_drop(statement)
-        if isinstance(statement, Update):
-            return self._execute_update(statement)
-        if isinstance(statement, Delete):
-            return self._execute_delete(statement)
-        raise SQLPlanError(f"unsupported statement type: {type(statement).__name__}")
-
-    def _execute_update(self, statement: Update) -> ResultSet:
-        table = self._table(statement.table)
-        positions = {
-            column: table.column_position(column)
-            for column, _ in statement.assignments
-        }
-        updated = 0
-        new_rows = []
-        for row in table.rows:
-            env: Env = {statement.table: dict(zip(table.column_names, row))}
-            matches = (
-                statement.where is None or self._eval(statement.where, env) is True
-            )
-            if not matches:
-                new_rows.append(row)
-                continue
-            cells = list(row)
-            for column, expr in statement.assignments:
-                value = self._eval(expr, env)
-                cells[positions[column]] = table.columns[positions[column]].coerce(value)
-            new_rows.append(tuple(cells))
-            updated += 1
-        table.rows = new_rows
-        return ResultSet(["updated"], [(updated,)])
-
-    def _execute_delete(self, statement: Delete) -> ResultSet:
-        table = self._table(statement.table)
-        kept = []
-        deleted = 0
-        for row in table.rows:
-            env: Env = {statement.table: dict(zip(table.column_names, row))}
-            matches = (
-                statement.where is None or self._eval(statement.where, env) is True
-            )
-            if matches:
-                deleted += 1
-            else:
-                kept.append(row)
-        table.rows = kept
-        return ResultSet(["deleted"], [(deleted,)])
-
-    def _execute_create(self, statement: CreateTable) -> ResultSet:
-        if statement.name in self._catalog:
-            if statement.if_not_exists:
-                return ResultSet(["status"], [("ok",)])
-            raise SQLExecutionError(f"table {statement.name!r} already exists")
-        columns = [Column(name, type_name) for name, type_name in statement.columns]
-        self._catalog[statement.name] = Table(statement.name, columns)
-        return ResultSet(["status"], [("ok",)])
-
-    def _execute_drop(self, statement: DropTable) -> ResultSet:
-        if statement.name not in self._catalog:
-            if statement.if_exists:
-                return ResultSet(["status"], [("ok",)])
-            raise SQLExecutionError(f"no table named {statement.name!r}")
-        del self._catalog[statement.name]
-        return ResultSet(["status"], [("ok",)])
-
-    def _execute_insert(self, statement: InsertInto) -> ResultSet:
-        table = self._table(statement.table)
-        for row_exprs in statement.rows:
-            values = [self._eval(expr, {}) for expr in row_exprs]
-            table.insert_row(values, statement.columns)
-        return ResultSet(["inserted"], [(len(statement.rows),)])
 
     def _table(self, name: str) -> Table:
         try:
@@ -165,7 +78,7 @@ class Executor:
 
     # -- SELECT ------------------------------------------------------------
 
-    def _execute_select(self, statement: Select) -> ResultSet:
+    def execute(self, statement: Select) -> ResultSet:
         envs = self._row_stream(statement)
         if statement.where is not None:
             envs = [env for env in envs if self._eval(statement.where, env) is True]
@@ -418,7 +331,7 @@ class Executor:
             return self._apply_scalar(expr, args)
         if isinstance(expr, Subquery):
             # Uncorrelated scalar subquery: no references to the outer row.
-            result = self._execute_select(expr.select)
+            result = self.execute(expr.select)
             if len(result.columns) != 1:
                 raise SQLPlanError("scalar subquery must return exactly one column")
             if len(result.rows) == 0:
@@ -429,33 +342,33 @@ class Executor:
                 )
             return result.rows[0][0]
         if isinstance(expr, InSubquery):
+            # The subquery runs first: IN over no rows is FALSE, even for
+            # a NULL operand.
             value = self._eval(expr.operand, env)
-            if value is None:
-                return None
-            result = self._execute_select(expr.select)
+            result = self.execute(expr.select)
             if len(result.columns) != 1:
                 raise SQLPlanError("IN subquery must return exactly one column")
-            found = any(
-                _sql_equal(value, row[0]) is True for row in result.rows
-            )
-            return (not found) if expr.negated else found
+            found = _sql_in(value, (row[0] for row in result.rows))
+            return self._apply_unary("not", found) if expr.negated else found
         if isinstance(expr, InList):
             value = self._eval(expr.operand, env)
             if value is None:
                 return None
-            found = any(
-                _sql_equal(value, self._eval(option, env)) is True
-                for option in expr.options
-            )
-            return (not found) if expr.negated else found
+            found = _sql_in(value, (self._eval(option, env) for option in expr.options))
+            return self._apply_unary("not", found) if expr.negated else found
         if isinstance(expr, Between):
+            # ``low <= value AND value <= high`` under three-valued AND; a
+            # FALSE first check skips the second, as AND would.
             value = self._eval(expr.operand, env)
             low = self._eval(expr.low, env)
             high = self._eval(expr.high, env)
-            if value is None or low is None or high is None:
-                return None
-            result = (_sql_lte(low, value) is True) and (_sql_lte(value, high) is True)
-            return (not result) if expr.negated else result
+            above = None if value is None or low is None else _sql_lte(low, value)
+            if above is False:
+                inside = False
+            else:
+                below = None if value is None or high is None else _sql_lte(value, high)
+                inside = self._apply_binary("and", above, below)
+            return self._apply_unary("not", inside) if expr.negated else inside
         if isinstance(expr, Like):
             value = self._eval(expr.operand, env)
             pattern = self._eval(expr.pattern, env)
@@ -591,6 +504,18 @@ def _sql_equal(left: Any, right: Any) -> bool | None:
     if _comparable(left, right):
         return left == right
     return False
+
+
+def _sql_in(value: Any, candidates) -> bool | None:
+    """SQL IN: TRUE at the first match, else NULL if any comparison was
+    NULL (a NULL operand or candidate), else FALSE."""
+    unknown = False
+    for candidate in candidates:
+        equal = _sql_equal(value, candidate)
+        if equal:
+            return True
+        unknown = unknown or equal is None
+    return None if unknown else False
 
 
 def _sql_less(left: Any, right: Any) -> bool:

@@ -6,12 +6,13 @@ from dataclasses import dataclass
 
 from repro.errors import SQLSyntaxError
 
+#: The words the SELECT grammar reads; any other word (``table``,
+#: ``text``, ``insert`` ...) is an identifier, as in sqlite.
 KEYWORDS = frozenset(
     """
     select from where group by having order asc desc limit join inner left
     outer on as and or not in between like is null true false distinct
-    create table insert into values integer int real float text varchar
-    boolean bool case when then else end drop if exists update set delete
+    case when then else end
     """.split()
 )
 

@@ -1,4 +1,4 @@
-"""Recursive-descent SQL parser."""
+"""Recursive-descent SQL parser: one read-only SELECT, or one expression."""
 
 from __future__ import annotations
 
@@ -8,13 +8,9 @@ from repro.sql.ast_nodes import (
     BinaryOp,
     CaseWhen,
     ColumnRef,
-    CreateTable,
-    Delete,
-    DropTable,
     Expr,
     FuncCall,
     InList,
-    InsertInto,
     InSubquery,
     IsNull,
     Join,
@@ -23,20 +19,17 @@ from repro.sql.ast_nodes import (
     Select,
     SelectItem,
     Star,
-    Statement,
     Subquery,
     TableRef,
     UnaryOp,
-    Update,
 )
 from repro.sql.lexer import Token, tokenize_sql
 
 _COMPARISON_OPS = ("=", "<>", "!=", "<", "<=", ">", ">=")
-_TYPE_KEYWORDS = ("integer", "int", "real", "float", "text", "varchar", "boolean", "bool")
 
 
 class Parser:
-    """Parses one SQL statement from a token stream."""
+    """Parses one SELECT statement from a token stream."""
 
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
@@ -94,24 +87,14 @@ class Parser:
 
     # -- statements ------------------------------------------------------
 
-    def parse_statement(self) -> Statement:
-        if self._check_keyword("select"):
-            statement: Statement = self._parse_select()
-        elif self._check_keyword("create"):
-            statement = self._parse_create()
-        elif self._check_keyword("insert"):
-            statement = self._parse_insert()
-        elif self._check_keyword("drop"):
-            statement = self._parse_drop()
-        elif self._check_keyword("update"):
-            statement = self._parse_update()
-        elif self._check_keyword("delete"):
-            statement = self._parse_delete()
-        else:
+    def parse_statement(self) -> Select:
+        if not self._check_keyword("select"):
             token = self._peek()
             raise SQLSyntaxError(
-                f"expected a statement but found {token.value!r} at position {token.position}"
+                f"SQL is read-only: expected SELECT but found {token.value!r} "
+                f"at position {token.position}"
             )
+        statement = self._parse_select()
         self._accept_punct(";")
         if self._peek().kind != "eof":
             token = self._peek()
@@ -216,91 +199,6 @@ class Parser:
         elif self._peek().kind == "ident":
             alias = self._expect_ident()
         return TableRef(name, alias)
-
-    def _parse_create(self) -> CreateTable:
-        self._expect_keyword("create")
-        self._expect_keyword("table")
-        if_not_exists = False
-        if self._accept_keyword("if"):
-            self._expect_keyword("not")
-            self._expect_keyword("exists")
-            if_not_exists = True
-        name = self._expect_ident()
-        self._expect_punct("(")
-        columns: list[tuple[str, str]] = []
-        while True:
-            column_name = self._expect_ident()
-            type_token = self._peek()
-            if not (type_token.kind == "keyword" and type_token.value in _TYPE_KEYWORDS):
-                raise SQLSyntaxError(
-                    f"expected a column type, found {type_token.value!r} "
-                    f"at position {type_token.position}"
-                )
-            self._advance()
-            columns.append((column_name, type_token.value))
-            if not self._accept_punct(","):
-                break
-        self._expect_punct(")")
-        return CreateTable(name, columns, if_not_exists)
-
-    def _parse_insert(self) -> InsertInto:
-        self._expect_keyword("insert")
-        self._expect_keyword("into")
-        table = self._expect_ident()
-        columns = None
-        if self._accept_punct("("):
-            columns = [self._expect_ident()]
-            while self._accept_punct(","):
-                columns.append(self._expect_ident())
-            self._expect_punct(")")
-        self._expect_keyword("values")
-        rows: list[list[Expr]] = []
-        while True:
-            self._expect_punct("(")
-            row = [self._parse_expr()]
-            while self._accept_punct(","):
-                row.append(self._parse_expr())
-            self._expect_punct(")")
-            rows.append(row)
-            if not self._accept_punct(","):
-                break
-        return InsertInto(table, columns, rows)
-
-    def _parse_update(self) -> Update:
-        self._expect_keyword("update")
-        table = self._expect_ident()
-        self._expect_keyword("set")
-        assignments: list[tuple[str, Expr]] = []
-        while True:
-            column = self._expect_ident()
-            token = self._peek()
-            if not (token.kind == "op" and token.value == "="):
-                raise SQLSyntaxError(
-                    f"expected '=' in SET clause, found {token.value!r} "
-                    f"at position {token.position}"
-                )
-            self._advance()
-            assignments.append((column, self._parse_expr()))
-            if not self._accept_punct(","):
-                break
-        where = self._parse_expr() if self._accept_keyword("where") else None
-        return Update(table, assignments, where)
-
-    def _parse_delete(self) -> Delete:
-        self._expect_keyword("delete")
-        self._expect_keyword("from")
-        table = self._expect_ident()
-        where = self._parse_expr() if self._accept_keyword("where") else None
-        return Delete(table, where)
-
-    def _parse_drop(self) -> DropTable:
-        self._expect_keyword("drop")
-        self._expect_keyword("table")
-        if_exists = False
-        if self._accept_keyword("if"):
-            self._expect_keyword("exists")
-            if_exists = True
-        return DropTable(self._expect_ident(), if_exists)
 
     # -- expressions -----------------------------------------------------
 
@@ -460,8 +358,8 @@ class Parser:
         return ColumnRef(name)
 
 
-def parse_sql(sql: str) -> Statement:
-    """Parse one SQL statement."""
+def parse_sql(sql: str) -> Select:
+    """Parse one SELECT statement; any other statement is a syntax error."""
     return Parser(tokenize_sql(sql)).parse_statement()
 
 

@@ -67,51 +67,22 @@ class Table:
         self.name = name
         self.columns = list(columns)
         self.rows: list[tuple[Any, ...]] = []
-        self._index = {column.name: position for position, column in enumerate(columns)}
 
     @property
     def column_names(self) -> list[str]:
         return [column.name for column in self.columns]
 
-    def column_position(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise SQLExecutionError(
-                f"table {self.name!r} has no column {name!r}; "
-                f"columns: {self.column_names}"
-            ) from None
-
-    def insert_row(self, values: Iterable[Any], columns: list[str] | None = None) -> None:
-        """Insert one row, coercing values to column types.
-
-        When ``columns`` is given, unnamed columns receive NULL.
-        """
+    def insert_row(self, values: Iterable[Any]) -> None:
+        """Insert one row, coercing each value to its column's type."""
         values = list(values)
-        if columns is None:
-            if len(values) != len(self.columns):
-                raise SQLExecutionError(
-                    f"table {self.name!r} expects {len(self.columns)} values, "
-                    f"got {len(values)}"
-                )
-            row = tuple(
-                column.coerce(value) for column, value in zip(self.columns, values)
+        if len(values) != len(self.columns):
+            raise SQLExecutionError(
+                f"table {self.name!r} expects {len(self.columns)} values, "
+                f"got {len(values)}"
             )
-        else:
-            if len(values) != len(columns):
-                raise SQLExecutionError(
-                    f"INSERT names {len(columns)} columns but supplies {len(values)} values"
-                )
-            by_name = dict(zip(columns, values))
-            unknown = set(by_name) - set(self._index)
-            if unknown:
-                raise SQLExecutionError(
-                    f"table {self.name!r} has no columns {sorted(unknown)}"
-                )
-            row = tuple(
-                column.coerce(by_name.get(column.name)) for column in self.columns
-            )
-        self.rows.append(row)
+        self.rows.append(
+            tuple(column.coerce(value) for column, value in zip(self.columns, values))
+        )
 
     def to_dicts(self) -> list[dict[str, Any]]:
         """Rows as dictionaries keyed by column name."""

@@ -4,6 +4,7 @@ and the toy single-record world is duplicated across substrate tests."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.data.datasets import (
     generate_enron_corpus,
@@ -14,6 +15,10 @@ from repro.data.records import DataRecord
 from repro.llm.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.llm.oracle import DIFFICULTY_PREFIX, IntentRegistry, SemanticOracle
 from repro.llm.simulated import SimulatedLLM
+
+#: ``pytest --hypothesis-profile=fast`` runs the properties that defer to the
+#: loaded profile (the sqlite differential oracle) at a smoke count.
+settings.register_profile("fast", max_examples=60)
 
 
 @pytest.fixture(scope="session")

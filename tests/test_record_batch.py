@@ -100,9 +100,11 @@ PREDICATES = [
     "priority BETWEEN 2 AND 3",
     "priority NOT BETWEEN 2 AND 3",
     "priority BETWEEN 2 AND NULL",
+    "priority NOT BETWEEN NULL AND 3",  # NULL bound: per-row fallback
     "priority IN (1, 3)",
     "priority NOT IN (1, 3)",
-    "priority IN (1, NULL)",
+    "priority IN (1, NULL)",            # NULL element: per-row fallback
+    "priority NOT IN (1, NULL)",
     "name = 'acme'",            # string compare: exact scalar loop
     "name < 'globex'",          # string ordering: exact scalar loop
     "name LIKE 'a%'",           # no vector path: per-row fallback

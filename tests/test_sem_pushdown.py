@@ -200,15 +200,15 @@ class TestCompiledSql:
         )
         sql = compiled_sql("src", (_where("a = 1"), agg))
         assert sql == (
-            "SELECT dept, count(*) AS n FROM "
-            "(SELECT * FROM src WHERE a = 1) GROUP BY dept"
+            'SELECT "dept", count(*) AS "n" FROM '
+            '(SELECT * FROM src WHERE a = 1) GROUP BY "dept"'
         )
 
     def test_bare_aggregation(self):
         agg = L.StructAggOp(
             child=None, group_by=(), aggregates=(("n", "count(*)"),)
         )
-        assert compiled_sql("src", (agg,)) == "SELECT count(*) AS n FROM src"
+        assert compiled_sql("src", (agg,)) == 'SELECT count(*) AS "n" FROM src'
 
     def test_project_after_limit_closes_a_subquery(self):
         sql = compiled_sql(

@@ -1,58 +1,42 @@
-"""Tests for the Database facade and DDL/DML surface."""
+"""Tests for the Database facade: tables enter through its API, not SQL text."""
 
 import pytest
 
 from repro.errors import SQLExecutionError
-from repro.sql import Database
+from repro.sql import Column, Database
 
 
 def test_create_insert_count():
     db = Database()
-    db.execute("CREATE TABLE t (a INTEGER)")
-    result = db.execute("INSERT INTO t VALUES (1), (2), (3)")
-    assert result.rows[0][0] == 3
+    table = db.create_table("t", [Column("a", "integer")])
+    for value in (1, 2, 3):
+        table.insert_row([value])
     assert db.execute("SELECT COUNT(*) FROM t").scalar() == 3
 
 
-def test_create_duplicate_rejected_unless_if_not_exists():
+def test_create_table_rejects_a_duplicate_unless_replace():
     db = Database()
-    db.execute("CREATE TABLE t (a INTEGER)")
-    with pytest.raises(SQLExecutionError):
-        db.execute("CREATE TABLE t (a INTEGER)")
-    db.execute("CREATE TABLE IF NOT EXISTS t (a INTEGER)")  # no error
-
-
-def test_drop_table():
-    db = Database()
-    db.execute("CREATE TABLE t (a INTEGER)")
-    db.execute("DROP TABLE t")
-    assert not db.has_table("t")
-    with pytest.raises(SQLExecutionError):
-        db.execute("DROP TABLE t")
-    db.execute("DROP TABLE IF EXISTS t")  # no error
+    db.create_table("t", [Column("a", "integer")]).insert_row([1])
+    with pytest.raises(SQLExecutionError, match="already exists"):
+        db.create_table("t", [Column("a", "integer")])
+    db.create_table("t", [Column("b", "text")], replace=True)
+    assert db.table("t").column_names == ["b"] and len(db.table("t")) == 0
 
 
 def test_insert_type_coercion_and_enforcement():
     db = Database()
-    db.execute("CREATE TABLE t (a INTEGER, b REAL)")
-    db.execute("INSERT INTO t VALUES (1, 2)")  # int into REAL promotes
+    table = db.create_table("t", [Column("a", "integer"), Column("b", "real")])
+    table.insert_row([1, 2])  # int into REAL promotes
     assert db.query("SELECT * FROM t")[0] == {"a": 1, "b": 2.0}
     with pytest.raises(SQLExecutionError):
-        db.execute("INSERT INTO t VALUES ('not-int', 1.0)")
-
-
-def test_insert_named_columns_fill_null():
-    db = Database()
-    db.execute("CREATE TABLE t (a INTEGER, b TEXT)")
-    db.execute("INSERT INTO t (b) VALUES ('only-b')")
-    assert db.query("SELECT * FROM t")[0] == {"a": None, "b": "only-b"}
+        table.insert_row(["not-int", 1.0])
 
 
 def test_insert_wrong_arity_rejected():
     db = Database()
-    db.execute("CREATE TABLE t (a INTEGER, b TEXT)")
+    table = db.create_table("t", [Column("a", "integer"), Column("b", "text")])
     with pytest.raises(SQLExecutionError):
-        db.execute("INSERT INTO t VALUES (1)")
+        table.insert_row([1])
 
 
 def test_create_table_from_rows_infers_types():
@@ -88,14 +72,13 @@ def test_create_table_from_zero_rows_rejected():
 
 def test_table_names_sorted():
     db = Database()
-    db.execute("CREATE TABLE zeta (a INT)")
-    db.execute("CREATE TABLE alpha (a INT)")
+    db.create_table("zeta", [Column("a", "int")])
+    db.create_table("alpha", [Column("a", "int")])
     assert db.table_names() == ["alpha", "zeta"]
 
 
 def test_result_scalar_requires_1x1():
     db = Database()
-    db.execute("CREATE TABLE t (a INTEGER)")
-    db.execute("INSERT INTO t VALUES (1), (2)")
+    db.create_table_from_rows("t", [{"a": 1}, {"a": 2}])
     with pytest.raises(SQLExecutionError):
         db.execute("SELECT a FROM t").scalar()

@@ -9,9 +9,16 @@ pushed-down and row-at-a-time execution.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.data.records import DataRecord
+from repro.data.schemas import Field, Schema
 from repro.errors import PlanError
+from repro.llm.simulated import SimulatedLLM
+from repro.sem.config import QueryProcessorConfig
+from repro.sem.dataset import Dataset
 from repro.sem.structql import (
     aggregation_sql,
     compile_predicate,
@@ -167,4 +174,44 @@ class TestAggregationExecution:
 
     def test_aggregation_sql_rendering(self):
         sql = aggregation_sql("t", ("dept",), (("n", "count(*)"),))
-        assert sql == "SELECT dept, count(*) AS n FROM t GROUP BY dept"
+        assert sql == 'SELECT "dept", count(*) AS "n" FROM t GROUP BY "dept"'
+
+
+# ---------------------------------------------------------------------------
+# Fields named like keywords
+# ---------------------------------------------------------------------------
+
+
+class TestKeywordNamedFields:
+    """``text`` is an identifier to the lexer; ``order`` is a SELECT keyword,
+    so a predicate quotes it and ``struct_agg`` quotes every name it emits."""
+
+    ROWS = [{"text": "a", "order": 1}, {"text": "b", "order": 2}, {"text": "a", "order": 2}]
+
+    @staticmethod
+    def _run(dataset, optimize):
+        config = QueryProcessorConfig(llm=SimulatedLLM(seed=0), optimize=optimize)
+        return [record.fields for record in dataset.run(config).records]
+
+    def _dataset(self):
+        schema = Schema([Field("text", str), Field("order", int)])
+        return Dataset.from_records([DataRecord(dict(row)) for row in self.ROWS], schema)
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize(
+        "condition, kept",
+        [("text = 'a'", [0, 2]), ('"order" = 2', [1, 2])],
+    )
+    def test_where(self, condition, kept, optimize):
+        got = self._run(self._dataset().where(condition), optimize)
+        assert got == [self.ROWS[index] for index in kept]
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("field", ["text", "order"])
+    def test_struct_agg_groups_by_it(self, field, optimize):
+        other = "order" if field == "text" else "text"
+        dataset = self._dataset().struct_agg([(other, "count(*)")], group_by=[field])
+        counts = Counter(row[field] for row in self.ROWS)  # first-seen order
+        assert self._run(dataset, optimize) == [
+            {field: key, other: n} for key, n in counts.items()
+        ]

@@ -9,11 +9,14 @@ from repro.sql import Database
 @pytest.fixture
 def db():
     database = Database()
-    database.execute("CREATE TABLE people (name TEXT, age INTEGER, city TEXT)")
-    database.execute(
-        "INSERT INTO people VALUES "
-        "('alice', 34, 'boston'), ('bob', 28, 'nyc'), "
-        "('carol', 41, 'boston'), ('dan', NULL, 'nyc')"
+    database.create_table_from_rows(
+        "people",
+        [
+            {"name": "alice", "age": 34, "city": "boston"},
+            {"name": "bob", "age": 28, "city": "nyc"},
+            {"name": "carol", "age": 41, "city": "boston"},
+            {"name": "dan", "age": None, "city": "nyc"},
+        ],
     )
     return database
 
@@ -135,10 +138,10 @@ def test_scalar_functions(db):
 
 def test_inner_join():
     db = Database()
-    db.execute("CREATE TABLE a (id INTEGER, v TEXT)")
-    db.execute("CREATE TABLE b (id INTEGER, w TEXT)")
-    db.execute("INSERT INTO a VALUES (1, 'x'), (2, 'y')")
-    db.execute("INSERT INTO b VALUES (1, 'p'), (1, 'q'), (3, 'r')")
+    db.create_table_from_rows("a", [{"id": 1, "v": "x"}, {"id": 2, "v": "y"}])
+    db.create_table_from_rows(
+        "b", [{"id": 1, "w": "p"}, {"id": 1, "w": "q"}, {"id": 3, "w": "r"}]
+    )
     rows = db.query(
         "SELECT a.v, b.w FROM a JOIN b ON a.id = b.id ORDER BY b.w"
     )
@@ -147,20 +150,16 @@ def test_inner_join():
 
 def test_left_join_null_fills():
     db = Database()
-    db.execute("CREATE TABLE a (id INTEGER)")
-    db.execute("CREATE TABLE b (id INTEGER, w TEXT)")
-    db.execute("INSERT INTO a VALUES (1), (2)")
-    db.execute("INSERT INTO b VALUES (1, 'p')")
+    db.create_table_from_rows("a", [{"id": 1}, {"id": 2}])
+    db.create_table_from_rows("b", [{"id": 1, "w": "p"}])
     rows = db.query("SELECT a.id, b.w FROM a LEFT JOIN b ON a.id = b.id ORDER BY a.id")
     assert rows == [{"id": 1, "w": "p"}, {"id": 2, "w": None}]
 
 
 def test_ambiguous_column_rejected():
     db = Database()
-    db.execute("CREATE TABLE a (id INTEGER)")
-    db.execute("CREATE TABLE b (id INTEGER)")
-    db.execute("INSERT INTO a VALUES (1)")
-    db.execute("INSERT INTO b VALUES (1)")
+    db.create_table_from_rows("a", [{"id": 1}])
+    db.create_table_from_rows("b", [{"id": 1}])
     with pytest.raises(SQLExecutionError):
         db.query("SELECT id FROM a JOIN b ON a.id = b.id")
 

@@ -8,11 +8,8 @@ from repro.sql.ast_nodes import (
     BinaryOp,
     CaseWhen,
     ColumnRef,
-    CreateTable,
-    DropTable,
     FuncCall,
     InList,
-    InsertInto,
     IsNull,
     Like,
     Literal,
@@ -123,27 +120,20 @@ def test_literals():
     assert all(isinstance(item.expr, Literal) for item in stmt.items)
 
 
-def test_create_table():
-    stmt = parse_sql("CREATE TABLE t (a INTEGER, b TEXT, c REAL)")
-    assert isinstance(stmt, CreateTable)
-    assert stmt.columns == [("a", "integer"), ("b", "text"), ("c", "real")]
-
-
-def test_create_table_if_not_exists():
-    stmt = parse_sql("CREATE TABLE IF NOT EXISTS t (a INT)")
-    assert stmt.if_not_exists
-
-
-def test_insert_multi_row_with_columns():
-    stmt = parse_sql("INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')")
-    assert isinstance(stmt, InsertInto)
-    assert stmt.columns == ["a", "b"]
-    assert len(stmt.rows) == 2
-
-
-def test_drop_table_if_exists():
-    stmt = parse_sql("DROP TABLE IF EXISTS t")
-    assert isinstance(stmt, DropTable) and stmt.if_exists
+@pytest.mark.parametrize(
+    "statement",
+    [
+        pytest.param("CREATE TABLE t (a INTEGER, b TEXT, c REAL)", id="create_table"),
+        pytest.param("CREATE TABLE IF NOT EXISTS t (a INT)", id="create_table_if_not_exists"),
+        pytest.param("INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')", id="insert"),
+        pytest.param("UPDATE t SET a = 1 WHERE b = 'x'", id="update"),
+        pytest.param("DELETE FROM t WHERE a > 1", id="delete"),
+        pytest.param("DROP TABLE IF EXISTS t", id="drop_table_if_exists"),
+    ],
+)
+def test_write_statements_are_read_only_syntax_errors(statement):
+    with pytest.raises(SQLSyntaxError, match="read-only: expected SELECT"):
+        parse_sql(statement)
 
 
 def test_trailing_garbage_rejected():

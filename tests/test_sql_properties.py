@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sql import Database
+from repro.sql import Column, Database
 
 pytestmark = pytest.mark.slow
 
@@ -25,9 +25,9 @@ rows_strategy = st.lists(
 
 def _load(rows):
     db = Database()
-    db.execute("CREATE TABLE t (v INTEGER, color TEXT)")
-    for value, color in rows:
-        db.execute(f"INSERT INTO t VALUES ({value}, '{color}')")
+    table = db.create_table("t", [Column("v", "integer"), Column("color", "text")])
+    for row in rows:
+        table.insert_row(row)
     return db
 
 

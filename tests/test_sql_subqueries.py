@@ -9,13 +9,18 @@ from repro.sql import Database
 @pytest.fixture
 def db():
     database = Database()
-    database.execute("CREATE TABLE sales (region TEXT, amount INTEGER)")
-    database.execute(
-        "INSERT INTO sales VALUES ('east', 100), ('east', 300), "
-        "('west', 200), ('north', 50)"
+    database.create_table_from_rows(
+        "sales",
+        [
+            {"region": "east", "amount": 100},
+            {"region": "east", "amount": 300},
+            {"region": "west", "amount": 200},
+            {"region": "north", "amount": 50},
+        ],
     )
-    database.execute("CREATE TABLE big_regions (region TEXT)")
-    database.execute("INSERT INTO big_regions VALUES ('east'), ('west')")
+    database.create_table_from_rows(
+        "big_regions", [{"region": "east"}, {"region": "west"}]
+    )
     return database
 
 
