@@ -132,7 +132,7 @@ if [[ "${1:-}" == "--fast" ]]; then
     echo "== fast lane: cold scan perf smoke (the miss path: every call a cache miss + put, digest == expected.json smoke seed 0) =="
     python3 -m benchmarks.perf bench --workload scan_cold --smoke
     echo
-    echo "== fast lane: step budget (agent code metered wherever it runs, a caught budget error cannot resume, tools run untraced under the caller's trace function) =="
+    echo "== fast lane: step budget (agent code metered wherever it runs, a caught budget error cannot resume, tools run untraced under the caller's trace function, a program compiled once is metered on every run, no str.format, tools described once) =="
     python -m pytest -q \
         tests/test_agents_sandbox.py::test_runaway_agent_code_hits_the_budget \
         tests/test_agents_sandbox.py::test_function_defined_in_one_step_is_metered_in_the_next \
@@ -141,7 +141,15 @@ if [[ "${1:-}" == "--fast" ]]; then
         tests/test_agents_sandbox.py::test_a_line_is_one_executed_statement \
         tests/test_agents_sandbox.py::test_every_statement_list_item_and_lambda_call_is_a_line \
         tests/test_agents_sandbox.py::test_trusted_code_is_never_metered \
-        tests/test_agents_sandbox.py::test_tools_run_under_the_callers_trace_function
+        tests/test_agents_sandbox.py::test_tools_run_under_the_callers_trace_function \
+        tests/test_agents_sandbox.py::test_format_is_rejected_on_every_execution \
+        tests/test_agents_sandbox.py::test_f_string_fields_are_checked_like_any_expression \
+        tests/test_agents_sandbox.py::test_a_program_is_compiled_once_per_process \
+        tests/test_agents_sandbox.py::test_a_memo_hit_is_metered_at_its_own_sandboxs_budget \
+        tests/test_agents_sandbox.py::test_a_memo_hit_runs_in_its_own_sandboxs_namespace \
+        tests/test_agents_sandbox.py::test_a_rejected_program_is_never_stored \
+        tests/test_agents_sandbox.py::test_the_memo_never_holds_more_than_its_cap \
+        tests/test_agents_codeagent.py::test_tools_are_described_once_per_episode
     echo
     echo "== fast lane: agent-queries perf smoke (the paper's search/compute/answer path: digest == expected.json smoke seed 0) =="
     python3 -m benchmarks.perf bench --workload agent_queries --smoke

@@ -100,6 +100,9 @@ class CodeAgent:
         task string policies parse.
         """
         self._context_note = context_note
+        # Tools are fixed for the episode; ``describe`` inspects every
+        # signature, so the prompt's tool list is rendered once.
+        self._tools_text = self.tools.describe()
         trace = AgentTrace(task)
         sandbox = Sandbox(tools=self.tools.as_namespace())
         rng = SeededRng(self.seed).child("agent", self.name)
@@ -214,9 +217,9 @@ class CodeAgent:
             "You are a CodeAgent. Write Python code to make progress on the task.",
             f"Task: {task}",
             "Tools:",
-            self.tools.describe(),
+            self._tools_text,
         ]
-        note = getattr(self, "_context_note", "")
+        note = self._context_note
         if note:
             parts.insert(2, f"Context description: {note}")
         recent = trace.steps[-PROMPT_OBSERVATION_WINDOW:]

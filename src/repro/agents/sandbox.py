@@ -4,7 +4,10 @@ Code written by agents executes here with:
 
 - **AST validation**: only a safe subset of Python parses through
   (no attribute access to underscored names, no class definitions, imports
-  restricted to an allowlist of stdlib modules);
+  restricted to an allowlist of stdlib modules).  ``str.format`` and
+  ``format_map`` are refused too: their ``{0.attr}`` fields read attributes
+  at run time, out of the check's sight, while an f-string's fields are AST
+  nodes the check walks;
 - **restricted builtins**: a fixed allowlist, no ``open``/``eval``/
   ``__import__``;
 - **a step budget**: validation compiles a step counter into the agent's
@@ -14,6 +17,12 @@ Code written by agents executes here with:
 
 The namespace persists across steps of one agent episode, as in SmolAgents'
 CodeAgent, so step 2 can use variables defined in step 1.
+
+A program text is validated and compiled once per process: validation is a
+pure function of the text, a code object is immutable, and the step tick is
+looked up in each execution's own globals, so a memo hit still runs in its
+sandbox's namespace under that execution's own budget.  Only programs that
+compiled are kept; a rejected one is checked again on every execution.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ import json
 import math
 import re
 import statistics
+import types
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -99,6 +109,18 @@ def _tick(at: ast.AST) -> ast.Call:
     return ast.copy_location(ast.Call(name, [], []), at)
 
 
+#: Attributes that hand a string to ``str.format``, whose ``{0.attr}`` fields
+#: are looked up at run time, where the underscore rule cannot see them.
+_FORBIDDEN_ATTRIBUTES = frozenset({"format", "format_map"})
+
+#: Program texts whose code objects are kept; the memo is dropped whole when
+#: full.
+_COMPILED_CAP = 1024
+
+#: program text -> its validated, metered code object, shared by every
+#: :class:`Sandbox` in the process.
+_COMPILED: dict[str, types.CodeType] = {}
+
 _FORBIDDEN_NODES = (
     ast.ClassDef,
     ast.AsyncFunctionDef,
@@ -159,6 +181,11 @@ def validate_code(code: str) -> ast.Module:
             raise SandboxSecurityError(
                 f"access to underscored attribute {node.attr!r} is not allowed"
             )
+        if isinstance(node, ast.Attribute) and node.attr in _FORBIDDEN_ATTRIBUTES:
+            raise SandboxSecurityError(
+                f"access to {node.attr!r} is not allowed: its format fields read "
+                f"attributes unchecked at run time; use an f-string"
+            )
         if isinstance(node, ast.Name) and node.id.startswith("__"):
             raise SandboxSecurityError(
                 f"use of dunder name {node.id!r} is not allowed"
@@ -191,15 +218,19 @@ class Sandbox:
 
     def execute(self, code: str) -> SandboxResult:
         """Run ``code``; never raises — failures land in ``result.error``."""
-        try:
-            tree = validate_code(code)
-            # Some constructs parse but fail at compile time (e.g. a bare
-            # starred expression), so compilation stays inside the guard.
-            compiled = compile(tree, filename="<agent>", mode="exec")
-        except SandboxSecurityError as exc:
-            return SandboxResult(stdout="", error=str(exc))
-        except (SyntaxError, ValueError) as exc:
-            return SandboxResult(stdout="", error=f"syntax error in agent code: {exc}")
+        compiled = _COMPILED.get(code)
+        if compiled is None:
+            try:
+                # Some constructs parse but fail at compile time (e.g. a bare
+                # starred expression), so compilation stays inside the guard.
+                compiled = compile(validate_code(code), filename="<agent>", mode="exec")
+            except SandboxSecurityError as exc:
+                return SandboxResult(stdout="", error=str(exc))
+            except (SyntaxError, ValueError) as exc:
+                return SandboxResult(stdout="", error=f"syntax error in agent code: {exc}")
+            if len(_COMPILED) >= _COMPILED_CAP:
+                _COMPILED.clear()
+            _COMPILED[code] = compiled
         globals_dict = self.namespace
         globals_dict["__builtins__"] = dict(_ALLOWED_BUILTINS)
 

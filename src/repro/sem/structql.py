@@ -189,9 +189,17 @@ def validate_aggregation(
             raise PlanError(
                 f"invalid aggregate expression {expression!r} for {alias!r}: {exc}"
             ) from exc
+        nodes = list(walk_expression(expr))
+        if any(isinstance(node, (Subquery, InSubquery)) for node in nodes):
+            # A subquery would read run_aggregation's private table, not
+            # the records.
+            raise PlanError(
+                f"aggregate expression {expression!r} for {alias!r} may not "
+                f"contain a subquery"
+            )
         if not any(
             isinstance(node, FuncCall) and (is_aggregate(node.name) or node.star)
-            for node in walk_expression(expr)
+            for node in nodes
         ):
             raise PlanError(
                 f"aggregate expression {expression!r} for {alias!r} contains "

@@ -1,5 +1,8 @@
 """Tests for the CodeAgent loop with small scripted policies."""
 
+import inspect
+from types import SimpleNamespace
+
 import pytest
 
 from repro.agents.codeagent import CodeAgent
@@ -130,3 +133,43 @@ def test_observation_truncated():
     from repro.agents.codeagent import OBSERVATION_LIMIT
 
     assert len(result.trace.steps[0].observation) == OBSERVATION_LIMIT
+
+
+def test_tools_are_described_once_per_episode(monkeypatch):
+    from repro.agents import tools as tools_module
+
+    signatures = []
+
+    def counting(fn):
+        signatures.append(fn)
+        return inspect.signature(fn)
+
+    monkeypatch.setattr(tools_module, "inspect", SimpleNamespace(signature=counting))
+    registry = ToolRegistry(
+        [Tool("treble", "triples", lambda v: v * 3), Tool("halve", "halves", lambda v: v / 2)]
+    )
+
+    class ThreeSteps(ScriptedPolicy):
+        def step_0(self, task, trace, tools):
+            return "x = treble(2)"
+
+        def step_1(self, task, trace, tools):
+            return "x = halve(x)"
+
+        def step_2(self, task, trace, tools):
+            return "final_answer(x)"
+
+    llm = SimulatedLLM(seed=0)
+    prompts = []
+    complete = llm.complete
+
+    def recording(prompt, **kwargs):
+        prompts.append(prompt)
+        return complete(prompt, **kwargs)
+
+    monkeypatch.setattr(llm, "complete", recording)
+    result = CodeAgent(llm, registry, ThreeSteps()).run("task")
+    assert result.answer == 3.0 and result.steps_used == 3
+    assert len(signatures) == len(registry)
+    listing = "Tools:\n\n- treble(v): triples\n- halve(v): halves"
+    assert len(prompts) == 3 and all(listing in prompt for prompt in prompts)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from repro.agents import sandbox as sandbox_module
 from repro.agents.sandbox import Sandbox, validate_code
 from repro.agents.tools import Tool, ToolRegistry
 from repro.obs import Tracer
@@ -260,3 +261,110 @@ def test_tools_run_under_the_callers_trace_function():
     assert result.error is None
     assert seen == [outer]
     assert after is outer
+
+
+# --- str.format reads attributes at run time, out of the AST check's sight ---
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        'print("{0.__class__.__mro__}".format(1))',
+        'print("{0.__globals__[Sandbox]}".format(tool))',
+        'x = "{0.__class__}"\nprint(x.format(tool))',
+        'print(str.format("{0.__class__}", tool))',
+        'print("{t.__globals__}".format_map({"t": tool}))',
+    ],
+    ids=["literal", "tool-globals", "through-a-variable", "str.format", "format_map"],
+)
+def test_format_is_rejected_on_every_execution(code):
+    sandbox = Sandbox(tools={"tool": _consume})
+    first = sandbox.execute(code)
+    assert first.error.startswith("access to 'format")
+    assert "f-string" in first.error
+    assert first.stdout == ""
+    assert sandbox.execute(code) == first
+    with pytest.raises(SandboxSecurityError):
+        validate_code(code)
+
+
+def test_f_string_fields_are_checked_like_any_expression():
+    assert Sandbox().execute('print(f"{1 + 1}")').stdout == "2\n"
+    assert "underscored" in Sandbox().execute('print(f"{(1).__class__}")').error
+
+
+# --- the compiled-program memo: shared across sandboxes, metered per run ---
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty memo for this test, with every ``validate_code`` call counted."""
+    fresh: dict = {}
+    calls: list[str] = []
+
+    def counting(code):
+        calls.append(code)
+        return validate_code(code)
+
+    monkeypatch.setattr(sandbox_module, "_COMPILED", fresh)
+    monkeypatch.setattr(sandbox_module, "validate_code", counting)
+    return fresh, calls
+
+
+def test_a_program_is_compiled_once_per_process(memo):
+    compiled, calls = memo
+    code = "print(sum(i * i for i in range(4)))"
+    assert Sandbox().execute(code).stdout == "14\n"
+    assert Sandbox().execute(code).stdout == "14\n"
+    assert calls == [code]
+    assert list(compiled) == [code]
+
+
+def test_a_memo_hit_is_metered_at_its_own_sandboxs_budget(memo):
+    _, calls = memo
+    code = "while True:\n    pass"
+    sandbox = Sandbox(max_lines=BUDGET)
+    assert sandbox.execute(code).error == BUDGET_ERROR
+    assert sandbox.execute(code).error == BUDGET_ERROR
+    small = Sandbox(max_lines=10).execute(code)
+    assert small.error == "agent code exceeded the step budget of 10 lines"
+    assert calls == [code]
+
+
+def test_a_memo_hit_runs_in_its_own_sandboxs_namespace(memo):
+    _, calls = memo
+    code = "value = tool()\nprint(value)"
+    first = Sandbox(tools={"tool": lambda: "a"})
+    second = Sandbox(tools={"tool": lambda: "b"})
+    assert first.execute(code).stdout == "a\n"
+    assert second.execute(code).stdout == "b\n"
+    assert first.execute("print(value)").stdout == "a\n"
+    first.execute("only_first = 1")
+    assert second.execute("print(only_first)").error == (
+        "NameError: name 'only_first' is not defined"
+    )
+    assert calls.count(code) == 1
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import os", "def broken(:", "*a", "(1).__class__", 'print("{0}".format(1))'],
+    ids=["import", "syntax", "compile-time", "underscore", "format"],
+)
+def test_a_rejected_program_is_never_stored(memo, code):
+    compiled, calls = memo
+    first = Sandbox().execute(code)
+    assert first.error
+    assert Sandbox().execute(code) == first
+    assert calls == [code, code]
+    assert compiled == {}
+
+
+def test_the_memo_never_holds_more_than_its_cap(memo, monkeypatch):
+    compiled, _ = memo
+    monkeypatch.setattr(sandbox_module, "_COMPILED_CAP", 3)
+    for n in range(10):
+        code = f"print({n})"
+        assert Sandbox().execute(code).stdout == f"{n}\n"
+        assert len(compiled) <= 3
+        assert code in compiled

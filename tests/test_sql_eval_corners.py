@@ -142,6 +142,30 @@ class TestAggregationValidation:
         with pytest.raises(PlanError, match="no aggregate function"):
             validate_aggregation((), (("n", "priority + 1"),))
 
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize(
+        "expression, group_by",
+        [
+            # Read run_aggregation's private table t (x = 15 when accepted).
+            ("SUM(a) + (SELECT COUNT(*) FROM t)", []),
+            # Raised a raw SQLExecutionError ("no column named 'a'") at run time.
+            ("COUNT(*) + (SELECT MAX(a) FROM t)", ["b"]),
+            # Raised an error naming the private table ("known tables: t").
+            ("(SELECT COUNT(*) FROM nosuch)", []),
+            ("COUNT(*) + (a IN (SELECT a FROM t))", []),
+        ],
+        ids=["scalar-over-private-table", "grouped", "unknown-table", "in-subquery"],
+    )
+    def test_subquery_rejected_when_the_plan_is_built(self, expression, group_by, optimize):
+        schema = Schema([Field("a", int), Field("b", int)])
+        records = [DataRecord({"a": a, "b": a % 2}) for a in range(5)]
+        dataset = Dataset.from_records(records, schema).struct_agg(
+            [("x", expression)], group_by=group_by
+        )
+        config = QueryProcessorConfig(llm=SimulatedLLM(seed=0), optimize=optimize)
+        with pytest.raises(PlanError, match="may not contain a subquery"):
+            dataset.run(config)
+
 
 class TestAggregationExecution:
     def test_global_aggregate_over_empty_input(self):
