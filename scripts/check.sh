@@ -56,13 +56,12 @@ if [[ "${1:-}" == "--fast" ]]; then
     echo "== fast lane: standing-query smoke =="
     python benchmarks/bench_streaming.py --smoke
     echo
-    echo "== fast lane: composition tests (replan under shards and behind replays; a served standing tick == a direct one) =="
+    echo "== fast lane: composition tests (replan under shards and behind replays) =="
     python -m pytest -q \
         tests/test_replan.py::TestReplanUnderSharding \
-        tests/test_replan.py::TestReplanBehindAReplay \
-        tests/test_serving.py::test_served_and_direct_standing_ticks_agree
+        tests/test_replan.py::TestReplanBehindAReplay
     echo
-    echo "== fast lane: served == direct (records, dollars, standalone time and captured boundaries, at 1/3/4 shards and under a spend cap; the step graph replays as recorded; the wave heap grants the stride scan's slots; the answer digest is computed when read, equal to the run's) =="
+    echo "== fast lane: served == direct (records, dollars, standalone time and captured boundaries, at 1/3/4 shards and under a spend cap; the step graph replays as recorded; the wave heap grants the stride scan's slots; the answer digest is computed when read, equal to the run's; a tenant is a name and a budget, slots go at unit strides, a standing query always primes) =="
     python -m pytest -q \
         tests/test_serving.py::test_served_query_runs_the_engines_schedule \
         tests/test_serving.py::test_served_alone_equals_direct \
@@ -73,7 +72,10 @@ if [[ "${1:-}" == "--fast" ]]; then
         tests/test_serving.py::test_heap_wave_fill_replays_the_stride_scan \
         tests/test_serving.py::test_submit_and_drain_never_digest_the_answer \
         tests/test_serving.py::test_job_fingerprint_is_the_runs_fingerprint \
-        tests/test_serving.py::test_quota_less_tenant_keeps_no_arrivals
+        tests/test_serving.py::test_quota_less_tenant_keeps_no_arrivals \
+        tests/test_serving.py::test_budget_quota_rejects_typed \
+        tests/test_serving.py::test_provider_width_below_one_is_a_configuration_error \
+        tests/test_sem_physical.py::test_serving_option_count_only_ratchets_down
     echo
     echo "== fast lane: patch replay (an in-place rewrite re-runs alone through the materialized prefix, merged by source position, at shards 1 and 4) =="
     python -m pytest -q tests/test_patch_replay.py tests/test_sem_streaming.py::test_update_event_invalidates_and_converges
@@ -218,7 +220,7 @@ fi
 echo "all BENCH_*.json artifacts under benchmarks/results/"
 
 echo
-echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= / answer_cache_size= config keyword; no optimize= / replan= / shards= / partitioner= on serving; no clock= / tracer= / metrics= on StandingQueryManager; no interval/watermark/governor knob on RefreshPolicy, event_time_s= on append/update or now_s= on pump/pump_standing; no use_cache= / embedding_model= on SimulatedLLM; no threshold= on the catalog; no embed_batch_size= on ExecutionContext, min_width= / widen_after= on AdaptiveParallelism or budget_usd= on UsageTracker; no stats_estimates= / fallback_model= / on_failure= config keyword; no per_model_rates= / include_embeddings= / burst_length= / burst_rate= / retry_after_s= on FaultConfig, no enabled= / backoff / jitter= / timeout_s= / breaker knob on RetryPolicy, no step_timeout_s= / max_llm_failures= / max_consecutive_tool_errors= on CodeAgent; no decay= / min_observations= / max_entries= on a store or the generation cache; no similarity_floor= / max_candidates_per_left= / reset_stats= anywhere) =="
+echo "== retired-option guard (no mechanics / replan-gate / select_models= / materialization_scope= / stats_scope= / answer_cache_size= config keyword; no optimize= / replan= / shards= / partitioner= on serving; no clock= / tracer= / metrics= on StandingQueryManager; no interval/watermark/governor knob on RefreshPolicy, event_time_s= on append/update or now_s= on pump; no weight= / max_per_window= / window_s= on TenantSpec, weights= on CrossQueryScheduler or runner= / prime= on register; no use_cache= / embedding_model= on SimulatedLLM; no threshold= on the catalog; no embed_batch_size= on ExecutionContext, min_width= / widen_after= on AdaptiveParallelism or budget_usd= on UsageTracker; no stats_estimates= / fallback_model= / on_failure= config keyword; no per_model_rates= / include_embeddings= / burst_length= / burst_rate= / retry_after_s= on FaultConfig, no enabled= / backoff / jitter= / timeout_s= / breaker knob on RetryPolicy, no step_timeout_s= / max_llm_failures= / max_consecutive_tool_errors= on CodeAgent; no decay= / min_observations= / max_entries= on a store or the generation cache; no similarity_floor= / max_candidates_per_left= / reset_stats= anywhere) =="
 python - <<'PY'
 import ast
 import pathlib
@@ -248,7 +250,13 @@ RETIRED = {
     # spend-estimate trigger, so nothing carries their knobs.
     "RefreshPolicy": {"interval_s", "lateness_s", "min_batch_usd", "max_staleness_s"},
     **dict.fromkeys(("append", "update"), {"event_time_s"}),
-    **dict.fromkeys(("pump", "pump_standing"), {"now_s"}),
+    "pump": {"now_s"},
+    # A tenant is a name and a budget: slots go at unit strides and the
+    # budget is the one admission cap.  A standing query registers on its
+    # config, runs it on every refresh and primes at registration.
+    "TenantSpec": {"weight", "max_per_window", "window_s"},
+    "CrossQueryScheduler": {"weights"},
+    "register": {"runner", "prime"},
     # The generation cache is always on; the embedding model is the
     # kernel whose outputs the process-wide vector memo keeps.
     "SimulatedLLM": {"use_cache", "embedding_model"},
@@ -302,20 +310,21 @@ if offenders:
     print("retired options: execution mechanics are derived (a baseline mode "
           "belongs in repro.qa.reference), a query option is declared "
           "once, on QueryProcessorConfig, a standing query runs on its "
-          "config's substrate and refreshes on a count, a misestimate is "
+          "config's substrate, primes and refreshes on a count, a tenant "
+          "is a name and a budget, a misestimate is "
           "missing evidence, floors, bounds and blend weights are class "
           "constants, the execution path takes no mechanics option, and "
           "the fault layer keeps one retry knob and no failure mode:")
     print("\n".join(offenders))
     sys.exit(1)
-print(f"{len(files)} files: no retired keyword on a config, serving, standing, fault or agent constructor")
+print(f"{len(files)} files: no retired keyword on a config, serving, standing, tenant, scheduler, fault or agent constructor")
 PY
-retired_names='governor|watermark|lateness|event_time|max_staleness|min_batch_usd|now_s|last_refresh_s|use_cache|compile_operator|LogicalAgentOp|CompiledAgentOp|cheapest_model|usable_prior|note_dataset_version|decay_dataset|dataset_decays|_dataset_versions|use_priors|merge_similar_instructions|InstructionGroup|key_prefix|GenerationCache\.key\(|\.key\.digest\(|sink_owns_time|fused_batch_size|_wire_explicit_llm|CircuitBreaker|CircuitOpenError|resolved_fallback_model|fallback_model|breaker_|CreateTable|InsertInto|DropTable|_execute_insert|_parse_create'
+retired_names='governor|watermark|lateness|event_time|max_staleness|min_batch_usd|now_s|last_refresh_s|use_cache|compile_operator|LogicalAgentOp|CompiledAgentOp|cheapest_model|usable_prior|note_dataset_version|decay_dataset|dataset_decays|_dataset_versions|use_priors|merge_similar_instructions|InstructionGroup|key_prefix|GenerationCache\.key\(|\.key\.digest\(|sink_owns_time|fused_batch_size|_wire_explicit_llm|CircuitBreaker|CircuitOpenError|resolved_fallback_model|fallback_model|breaker_|CreateTable|InsertInto|DropTable|_execute_insert|_parse_create|register_standing|pump_standing|standing_manager|RefreshRunner|max_per_window|GenericResearchPolicy'
 if grep -rnE "$retired_names" src/; then
-    echo "retired triggers, the event-time/staleness/prior-pricing state only they read, the cache switch, the agent-op IR, the stats store's evidence floor and append decay, the token-Jaccard merge, digested generation-cache keys, the serving mode split, the explicit-LLM re-wiring, the circuit breaker, the fallback failure mode or SQL write statements are back under src/ (the policy declares agent_model(); runtime.answer merges through the catalog; a cache key is the call's tuple; a served query runs the engine's own schedule; an explicit llm= is used as given; an exhausted call is skipped and flagged; SQL text is read-only and tables enter through Database.create_table)"
+    echo "retired triggers, the event-time/staleness/prior-pricing state only they read, the cache switch, the agent-op IR, the stats store's evidence floor and append decay, the token-Jaccard merge, digested generation-cache keys, the serving mode split, the explicit-LLM re-wiring, the circuit breaker, the fallback failure mode, SQL write statements, the served standing-query fork, the tenant rate quota or the test-only research policy are back under src/ (the policy declares agent_model(); runtime.answer merges through the catalog; a cache key is the call's tuple; a served query runs the engine's own schedule; an explicit llm= is used as given; an exhausted call is skipped and flagged; SQL text is read-only and tables enter through Database.create_table; a standing query registers on runtime.standing(); a tenant's one cap is its budget)"
     exit 1
 fi
-echo "no retired trigger, cache switch, agent-op, evidence-floor, append-decay, merge-group, cache-key-digest, serving-mode, explicit-LLM re-wiring, breaker, fallback or SQL-write name under src/"
+echo "no retired trigger, cache switch, agent-op, evidence-floor, append-decay, merge-group, cache-key-digest, serving-mode, explicit-LLM re-wiring, breaker, fallback, SQL-write, served-standing, rate-quota or generic-policy name under src/"
 
 echo
 echo "== one-schedule guard (the engine never names the serving sink: time goes through llm.spend, dependencies through llm.mark / measure(after)) =="

@@ -5,13 +5,11 @@ from repro.agents.policies.deep_research import (
     EnronCodeAgentPolicy,
     KramabenchCodeAgentPolicy,
 )
-from repro.agents.policies.generic_research import GenericResearchPolicy
 from repro.agents.policies.semantic_tools import SemanticToolsCodeAgentPolicy
 
 __all__ = [
     "AgentPolicy",
     "EnronCodeAgentPolicy",
-    "GenericResearchPolicy",
     "KramabenchCodeAgentPolicy",
     "ScriptedPolicy",
     "SemanticToolsCodeAgentPolicy",

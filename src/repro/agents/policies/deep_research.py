@@ -255,10 +255,11 @@ class EnronCodeAgentPolicy(AgentPolicy):
         "valuation", "collateral", "unwind", "mark-to-market", "funding schedule",
     )
 
-    def __init__(self, diligence: int = 42, batch_size: int = 8, mistake_rate: float = 0.08) -> None:
-        self.diligence = diligence
-        self.batch_size = batch_size
-        self.mistake_rate = mistake_rate
+    #: Candidates read at most, files per read step, and the chance of a
+    #: verification mistake per read candidate.
+    DILIGENCE = 42
+    BATCH_SIZE = 8
+    MISTAKE_RATE = 0.08
 
     def reset(self, task, rng):
         super().reset(task, rng)
@@ -283,13 +284,13 @@ class EnronCodeAgentPolicy(AgentPolicy):
         if self.state == "select":
             hits = json.loads(trace.last_observation())
             self.rng.shuffle(hits)
-            self.to_read = hits[: self.diligence]
+            self.to_read = hits[: self.DILIGENCE]
             self.state = "reading"
             self.read_cursor = 0
         if self.state == "reading":
             self._verify_from(trace)
             if self.read_cursor < len(self.to_read):
-                batch = self.to_read[self.read_cursor : self.read_cursor + self.batch_size]
+                batch = self.to_read[self.read_cursor : self.read_cursor + self.BATCH_SIZE]
                 self.read_cursor += len(batch)
                 return read_batch_code(batch, max_chars=500)
             self.state = "final"
@@ -319,7 +320,7 @@ class EnronCodeAgentPolicy(AgentPolicy):
             is_forwarded = any(marker in lowered for marker in self.FORWARD_MARKERS)
             has_business_cue = any(cue in lowered for cue in self.BUSINESS_CUES)
             include = has_business_cue and not is_forwarded
-            if self.rng.chance(self.mistake_rate):
+            if self.rng.chance(self.MISTAKE_RATE):
                 include = not include
             if include:
                 self.included.append(filename)

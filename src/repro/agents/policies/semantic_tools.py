@@ -30,24 +30,21 @@ class SemanticToolsCodeAgentPolicy(ScriptedPolicy):
         full dataset *before* any filtering (the other inefficiency).
     """
 
-    def __init__(
-        self,
-        filters: list[str],
-        maps: list[tuple[str, str]],
-        peek_files: int = 2,
-    ) -> None:
+    #: Files whose head the first step prints.
+    PEEK_FILES = 2
+
+    def __init__(self, filters: list[str], maps: list[tuple[str, str]]) -> None:
         if not filters:
             raise ValueError("CodeAgent+ policy needs at least one filter instruction")
         self.filters = list(filters)
         self.maps = list(maps)
-        self.peek_files = peek_files
 
     def step_0(self, task: str, trace: AgentTrace, tools: ToolRegistry) -> str:
         return (
             "import json\n"
             "files = list_files()\n"
             "print(len(files), 'files')\n"
-            f"for f in files[:{self.peek_files}]:\n"
+            f"for f in files[:{self.PEEK_FILES}]:\n"
             "    print('----', f)\n"
             "    print(read_file(f)[:600])\n"
         )

@@ -315,9 +315,9 @@ class SearchAgentPolicy(AgentPolicy):
     findings into the derived Context's description.
     """
 
-    def __init__(self, k: int = 8, read_top: int = 3) -> None:
-        self.k = k
-        self.read_top = read_top
+    #: Hits the vector search asks for, and how many of them are read.
+    K = 8
+    READ_TOP = 3
 
     def reset(self, task, rng):
         super().reset(task, rng)
@@ -329,7 +329,7 @@ class SearchAgentPolicy(AgentPolicy):
         if step == 0:
             return (
                 "import json\n"
-                f"hits = vector_search({task!r}, {self.k})\n"
+                f"hits = vector_search({task!r}, {self.K})\n"
                 "print(json.dumps(hits))\n"
             )
         if step == 1:
@@ -337,7 +337,7 @@ class SearchAgentPolicy(AgentPolicy):
                 hits = json.loads(trace.last_observation())
             except (ValueError, TypeError):
                 hits = []
-            keys = [hit["key"] for hit in hits[: self.read_top] if isinstance(hit, dict)]
+            keys = [hit["key"] for hit in hits[: self.READ_TOP] if isinstance(hit, dict)]
             self._top_keys = keys
             return (
                 f"for k in {json.dumps(keys)}:\n"

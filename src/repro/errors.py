@@ -134,15 +134,12 @@ class ServingError(ReproError):
 
 
 class QuotaExceededError(ServingError):
-    """Raised when a tenant's submission is rejected by admission control.
+    """Raised when a tenant whose budget is spent submits another query.
 
-    Carries ``tenant`` and ``reason`` (``"budget"`` or ``"rate"``) so
-    callers can distinguish a spent budget from a burst over the tenant's
-    admission-rate window.  Rejection happens *before* the query touches
-    the shared substrate: a rejected query perturbs no cache state.
+    Carries the rejected ``tenant``.  Rejection happens *before* the query
+    touches the shared substrate: a rejected query perturbs no cache state.
     """
 
-    def __init__(self, message: str, tenant: str = "", reason: str = "") -> None:
+    def __init__(self, message: str, tenant: str = "") -> None:
         super().__init__(message)
         self.tenant = tenant
-        self.reason = reason

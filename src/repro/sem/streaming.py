@@ -37,8 +37,6 @@ How a tick works:
 
 Empty-delta ticks are zero-cost no-ops: a forced refresh with nothing
 pending records a skipped tick without touching the engine or the clock.
-A refresh the serving layer's admission control rejects is a deferred
-tick: the pending work stays queued for the next pump.
 
 Observability: ``standing-query`` (registration), ``standing-tick`` (one
 refresh) and ``changelog`` (the emitted deltas) span kinds, plus
@@ -51,23 +49,15 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, field, replace
 from itertools import groupby
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.data.records import DataRecord
 from repro.data.sources import DataSource, SourceEvent
-from repro.errors import QuotaExceededError, StreamingError
+from repro.errors import StreamingError
 
 if TYPE_CHECKING:
     from repro.sem.config import QueryProcessorConfig
     from repro.sem.dataset import Dataset
-
-#: How a refresh executes: ``(query, tag) -> (result, report)``, the
-#: :class:`~repro.sem.execution.ExecutionResult` and its optimizer report.
-#: The default runs the plan on the query's config; the serving layer
-#: substitutes admission-controlled submission.  The manager measures the
-#: tick's spend and time around it either way.
-RefreshRunner = Callable[["StandingQuery", str], tuple]
-
 
 @dataclass(frozen=True)
 class RefreshPolicy:
@@ -123,17 +113,13 @@ class TickResult:
 
     name: str
     tick: int
-    #: What fired: register|count|update|forced (deferred quota rejections
-    #: keep their firing cause).
+    #: What fired: register|count|update|forced.
     fired: str
     #: The query's clock when the refresh started.
     at_s: float
     #: Empty-delta no-op: the refresh was forced with nothing pending, so
     #: no execution happened (zero cost, zero clock).
     skipped: bool = False
-    #: Admission control rejected the refresh; pending events are retained
-    #: and the next pump retries.
-    deferred: bool = False
     pending_appends: int = 0
     pending_updates: int = 0
     cost_usd: float = 0.0
@@ -247,7 +233,6 @@ class StandingQuery:
         config: "QueryProcessorConfig",
         policy: RefreshPolicy,
         sources: list[DataSource],
-        runner: RefreshRunner,
     ) -> None:
         self.name = name
         self.dataset = dataset
@@ -256,12 +241,11 @@ class StandingQuery:
         self.config = config
         self.policy = policy
         self.sources = sources
-        self.runner = runner
         #: The current standing view (last refresh's result records).
         self.records: list[DataRecord] = []
         #: Full changelog across all ticks, in emission order.
         self.changelog: list[ChangeEntry] = []
-        #: Every evaluated firing (refreshes, no-ops, and deferrals).
+        #: Every evaluated firing (refreshes and no-ops).
         self.ticks: list[TickResult] = []
         self.tick_count = 0
         self.cumulative_cost_usd = 0.0
@@ -280,15 +264,11 @@ class StandingQuery:
 
     def refresh_footer(self) -> str:
         """Render the refresh-provenance footer for EXPLAIN output."""
-        refreshes = sum(
-            1 for tick in self.ticks if not tick.skipped and not tick.deferred
-        )
         skipped = sum(1 for tick in self.ticks if tick.skipped)
-        deferred = sum(1 for tick in self.ticks if tick.deferred)
         lines = [
             f"standing query {self.name!r}: {len(self.ticks)} ticks "
-            f"({refreshes} refreshes, {skipped} empty no-ops, "
-            f"{deferred} deferred), trigger={self.policy.trigger}, "
+            f"({len(self.ticks) - skipped} refreshes, {skipped} empty no-ops), "
+            f"trigger={self.policy.trigger}, "
             f"cumulative cost ${self.cumulative_cost_usd:.4f}"
         ]
         if self.ticks:
@@ -299,8 +279,6 @@ class StandingQuery:
             )
             if tick.skipped:
                 line += ", empty delta (zero-cost no-op)"
-            elif tick.deferred:
-                line += ", deferred by admission control"
             else:
                 reuse = (
                     f"{tick.reuse_kind} prefix={tick.reused_prefix} "
@@ -360,14 +338,12 @@ class StandingQueryManager:
         dataset: "Dataset",
         config: "QueryProcessorConfig",
         policy: RefreshPolicy | None = None,
-        runner: RefreshRunner | None = None,
-        prime: bool = True,
     ) -> StandingQuery:
         """Register ``dataset`` as a standing query named ``name``.
 
-        With ``prime=True`` (default) the plan runs once immediately
-        (tick 0, cause ``register``) to establish the base view and warm
-        the materialized prefixes that later ticks replay.
+        The plan runs once immediately (tick 0, cause ``register``) to
+        establish the base view and warm the materialized prefixes that
+        later ticks replay.
         """
         if name in self.queries:
             raise StreamingError(f"standing query {name!r} already registered")
@@ -394,7 +370,6 @@ class StandingQueryManager:
             config=config,
             policy=policy or RefreshPolicy(),
             sources=sources,
-            runner=runner or _default_runner,
         )
         self.queries[name] = query
         for source_id in dict.fromkeys(source.source_id for source in sources):
@@ -413,8 +388,7 @@ class StandingQueryManager:
             ):
                 pass
         self._count(query, "streaming.queries")
-        if prime:
-            self._refresh(query, "register")
+        self._refresh(query, "register")
         return query
 
     # -- event intake ---------------------------------------------------
@@ -508,17 +482,9 @@ class StandingQueryManager:
         ) as tick_span:
             checkpoint = llm.tracker.checkpoint()
             time_before = llm.clock.elapsed
-            try:
-                result, report = query.runner(query, tag)
-            except QuotaExceededError:
-                tick.deferred = True
-                query.tick_count += 1
-                query.ticks.append(tick)
-                tick_span.attributes["deferred"] = True
-                self._count(query, "streaming.ticks")
-                self._count(query, "streaming.deferred")
-                return tick
-
+            result, report = query.dataset.run_with_report(
+                replace(query.config, tag=tag)
+            )
             cost_usd = llm.tracker.since(checkpoint).cost_usd
             tick.time_s = llm.clock.elapsed - time_before
             records = result.records
@@ -568,8 +534,3 @@ class StandingQueryManager:
         metrics = query.config.llm.metrics
         if metrics.enabled and amount:
             metrics.counter(name).inc(amount)
-
-
-def _default_runner(query: StandingQuery, tag: str) -> tuple:
-    """Run the plan directly on the registered config."""
-    return query.dataset.run_with_report(replace(query.config, tag=tag))

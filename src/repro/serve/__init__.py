@@ -2,7 +2,7 @@
 
 Layers an async-style query scheduler on the virtual clock so many tenant
 sessions share one :class:`~repro.core.runtime.AnalyticsRuntime`: typed
-admission control (budgets, rate windows), stride-fair slot scheduling,
+admission control (per-tenant budgets), stride-fair slot scheduling,
 cross-query batching of LLM generate / embed calls into shared provider
 waves, and per-tenant isolation + accounting on the shared caches.
 """

@@ -4,8 +4,8 @@ A :class:`ServingRuntime` admits queries from many tenant sessions into a
 single shared substrate (LLM + generation cache + materialization store).
 The lifecycle per drain window:
 
-1. :meth:`submit` — admission control (typed, *schedule-independent*
-   rejections: per-tenant budget and arrival-rate quotas), then eager body
+1. :meth:`submit` — admission control (a typed, *schedule-independent*
+   rejection once a tenant's budget is spent), then eager body
    execution on the shared runtime with a :class:`~repro.serve.timeline.CallTimeline`
    sink installed.  The body runs the engine's own schedule, exactly as a
    direct run; the sink receives the seconds it spends and records its
@@ -25,9 +25,9 @@ still sharing one bounded store.  Every other query option is the shared
 runtime's: a served query runs ``runtime.program_config(...)``, so a sharded
 or re-planning serving layer is ``AnalyticsRuntime(shards=4).serving()``.
 
-Admission decisions depend only on arrival times and previously admitted
-spend, never on the schedule, so the admitted set — and therefore every
-record — is bit-identical between batched and serial modes.
+Admission decisions depend only on previously admitted spend, never on
+the schedule, so the admitted set — and therefore every record — is
+bit-identical between batched and serial modes.
 """
 
 from __future__ import annotations
@@ -53,20 +53,8 @@ class TenantSpec:
     """Admission-control contract for one tenant session."""
 
     name: str
-    #: Stride-scheduling share (2.0 gets twice the slots of 1.0 under load).
-    weight: float = 1.0
     #: Cumulative raw-spend quota; admissions stop once reached (None = ∞).
     budget_usd: float | None = None
-    #: Max admitted queries per sliding ``window_s`` of arrival time
-    #: (None = unlimited).
-    max_per_window: int | None = None
-    window_s: float = 60.0
-
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError(f"tenant weight must be > 0, got {self.weight}")
-        if self.window_s <= 0:
-            raise ValueError(f"window_s must be > 0, got {self.window_s}")
 
 
 @dataclass
@@ -78,12 +66,6 @@ class TenantState:
     rejected: int = 0
     spent_usd: float = 0.0
     rebate_usd: float = 0.0
-    #: Arrival times of admitted queries, kept only under a rate quota
-    #: (``spec.max_per_window``): the window check is their one reader.
-    arrivals: list = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        self.arrivals = []
 
 
 class ServingRuntime:
@@ -108,7 +90,6 @@ class ServingRuntime:
         self._pending: list[QueryJob] = []
         self._next_query_id = 0
         self.reports: list[ServingReport] = []
-        self._standing = None
 
     # -- admission ------------------------------------------------------
 
@@ -119,12 +100,12 @@ class ServingRuntime:
             self.tenants[name] = state
         return state
 
-    def _admit(self, state: TenantState, arrival_s: float) -> None:
-        """Raise :class:`QuotaExceededError` if admission control says no.
+    def _admit(self, state: TenantState) -> None:
+        """Raise :class:`QuotaExceededError` once the tenant's budget is spent.
 
-        Checks depend only on arrival times and *previously admitted* spend
-        — never on the schedule — so serial and batched modes admit the
-        identical query set.
+        The check depends only on *previously admitted* spend — never on
+        the schedule — so serial and batched modes admit the identical
+        query set.
         """
         spec = state.spec
         name = spec.name
@@ -135,20 +116,7 @@ class ServingRuntime:
                 f"tenant {name!r} exhausted its budget "
                 f"(${state.spent_usd:.4f} of ${spec.budget_usd:.4f})",
                 tenant=name,
-                reason="budget",
             )
-        if spec.max_per_window is not None:
-            window_start = arrival_s - spec.window_s
-            recent = sum(1 for t in state.arrivals if t > window_start)
-            if recent >= spec.max_per_window:
-                state.rejected += 1
-                self._count(f"serving.tenant.{name}.rejected")
-                raise QuotaExceededError(
-                    f"tenant {name!r} exceeded {spec.max_per_window} "
-                    f"queries per {spec.window_s:.0f}s window",
-                    tenant=name,
-                    reason="rate",
-                )
 
     # -- submission -----------------------------------------------------
 
@@ -166,23 +134,18 @@ class ServingRuntime:
         :class:`~repro.errors.QuotaExceededError` on rejection — rejected
         queries never touch the shared substrate.
         """
-        return self._submit(tenant, dataset, arrival_s, tag)[0]
-
-    def _submit(self, tenant: str, dataset: "Dataset", arrival_s: float, tag: str):
-        """:meth:`submit`, also handing back the result and optimizer report.
-
-        Jobs outlive their drain window in callers' hands, so the report
-        (bound operators, capture plan) rides beside the job, not on it.
-        """
         state = self.tenant(tenant)
-        self._admit(state, arrival_s)
+        self._admit(state)
 
         llm = self.llm
         query_id = self._next_query_id
         self._next_query_id += 1
         tag = tag or f"serve:{tenant}:q{query_id}"
         store = self.runtime.materialization_store
-        config = self._tenant_config(tenant, tag)
+        config = self.runtime.program_config(
+            tag, optimize=False, parallelism=self.parallelism, scope=tenant,
+            materialization_store=store,
+        )
 
         timeline = CallTimeline()
         checkpoint = llm.tracker.checkpoint()
@@ -195,7 +158,7 @@ class ServingRuntime:
         llm.serve_sink = timeline
         llm.cache_scope = tenant
         try:
-            result, report = dataset.run_with_report(config)
+            result = dataset.run(config)
         finally:
             llm.serve_sink = None
             llm.cache_scope = ""
@@ -224,8 +187,6 @@ class ServingRuntime:
 
         state.admitted += 1
         state.spent_usd += job.raw_cost_usd
-        if state.spec.max_per_window is not None:
-            state.arrivals.append(arrival_s)
         if llm.metrics.enabled:
             self._count(f"serving.tenant.{tenant}.queries")
             self._count(f"serving.tenant.{tenant}.cost_usd", job.raw_cost_usd)
@@ -235,62 +196,7 @@ class ServingRuntime:
                 f"serving.tenant.{tenant}.materialization_hits",
                 job.materialization_hits,
             )
-        return job, result, report
-
-    def _tenant_config(self, tenant: str, tag: str):
-        """The runtime's template as ``tenant``'s served queries run it."""
-        return self.runtime.program_config(
-            tag, optimize=False, parallelism=self.parallelism, scope=tenant,
-            materialization_store=self.runtime.materialization_store,
-        )
-
-    # -- standing queries -----------------------------------------------
-
-    def standing_manager(self):
-        """The lazily built standing-query manager over this serving layer.
-
-        Shares the serving runtime's materialization store, statistics
-        store and context manager, so standing-query ticks hit the same
-        caches tenants do.
-        """
-        if self._standing is None:
-            self._standing = self.runtime.standing()
-        return self._standing
-
-    def register_standing(
-        self,
-        tenant: str,
-        name: str,
-        dataset: "Dataset",
-        policy=None,
-        prime: bool = True,
-    ):
-        """Register ``dataset`` as a standing query served for ``tenant``.
-
-        Each refresh tick goes through :meth:`submit`, so admission
-        control applies (a quota rejection defers the tick, keeping the
-        pending delta queued for the next pump) and the tick's calls join
-        the pending drain window for cross-query batching.  The query is
-        namespaced ``tenant:name`` and registered on the tenant's config.
-        """
-
-        def runner(query, tag):
-            return self._submit(tenant, query.dataset, self.llm.clock.elapsed, tag)[1:]
-
-        return self.standing_manager().register(
-            f"{tenant}:{name}",
-            dataset,
-            self._tenant_config(tenant, f"standing:{tenant}:{name}"),
-            policy=policy,
-            runner=runner,
-            prime=prime,
-        )
-
-    def pump_standing(self):
-        """Pump the standing queries; due ticks submit as tenants."""
-        if self._standing is None:
-            return []
-        return self._standing.pump()
+        return job
 
     # -- scheduling -----------------------------------------------------
 
@@ -303,13 +209,8 @@ class ServingRuntime:
         """
         jobs = self._pending
         self._pending = []
-        weights = {
-            name: state.spec.weight for name, state in self.tenants.items()
-        }
         scheduler = CrossQueryScheduler(
-            provider_width=self.provider_width,
-            batching=self.batching,
-            weights=weights,
+            provider_width=self.provider_width, batching=self.batching
         )
         report = scheduler.run(jobs)
 

@@ -13,10 +13,10 @@ structures on the virtual clock in one of two modes:
   steps became ready; a step becomes ready once every step it waits for
   (``CallStep.after``) has finished, so a query's cells overlap exactly as
   its dependency graph allows.  Slots are granted by stride scheduling
-  (inverse-weight virtual passes), so tenants share capacity proportionally
-  to their weights regardless of how many queries each has in flight; a
-  wave pops its slots off a heap of ``(pass, tenant)``, O(log tenants)
-  per slot.
+  (each granted slot adds one to its tenant's virtual pass), so tenants
+  share capacity equally regardless of how many queries each has in
+  flight; a wave pops its slots off a heap of ``(pass, tenant)``,
+  O(log tenants) per slot.
 
 Two provider-level effects make shared waves strictly better than serial
 replay, mirroring the batching literature (Sema's cross-request batching,
@@ -43,6 +43,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigurationError
 from repro.llm.models import get_model
 from repro.llm.simulated import SYSTEM_PROMPT_TOKENS
 from repro.obs.metrics import percentile
@@ -268,17 +269,13 @@ class StepReplay:
 class CrossQueryScheduler:
     """Deterministic discrete-event scheduler over captured timelines."""
 
-    def __init__(
-        self,
-        provider_width: int = 16,
-        batching: bool = True,
-        weights: dict[str, float] | None = None,
-    ) -> None:
+    def __init__(self, provider_width: int = 16, batching: bool = True) -> None:
         if provider_width < 1:
-            raise ValueError(f"provider_width must be >= 1, got {provider_width}")
+            raise ConfigurationError(
+                f"provider_width must be >= 1, got {provider_width}"
+            )
         self.provider_width = provider_width
         self.batching = batching
-        self.weights = dict(weights or {})
 
     def run(self, jobs: list[QueryJob]) -> ServingReport:
         for job in jobs:
@@ -317,7 +314,7 @@ class CrossQueryScheduler:
         # Per-job ready queue over its step graph.
         replays: dict[int, StepReplay] = {}
         active: list[QueryJob] = []
-        passes: dict[str, float] = {}
+        passes: dict[str, int] = {}
 
         def admit() -> None:
             nonlocal pending
@@ -342,11 +339,10 @@ class CrossQueryScheduler:
             # time never banks into a capacity burst).
             ready_tenants = {job.tenant for job in active}
             floor = min(
-                (passes.get(tenant, 0.0) for tenant in ready_tenants),
-                default=0.0,
+                (passes.get(tenant, 0) for tenant in ready_tenants), default=0
             )
             for tenant in ready_tenants:
-                passes[tenant] = max(passes.get(tenant, 0.0), floor)
+                passes[tenant] = max(passes.get(tenant, 0), floor)
 
             queues: dict[str, list[QueryJob]] = {}
             for job in active:  # admission order within each tenant queue
@@ -390,15 +386,15 @@ class CrossQueryScheduler:
         self,
         queues: dict[str, list[QueryJob]],
         replays: dict[int, StepReplay],
-        passes: dict[str, float],
+        passes: dict[str, int],
     ) -> tuple[list[tuple[QueryJob, CallRequest]], dict[int, int]]:
         """Grant one wave's slots: (selected calls, calls taken per job id).
 
         Stride rule: each slot goes to the tenant with the smallest
         ``(pass, name)`` that still offers a call, which takes the next
         call of its first job (admission order) with calls not yet taken
-        and adds ``1 / weight`` to its pass.  The tenants sit in a heap
-        keyed ``(pass, name)``, each with a cursor to that job.
+        and adds one to its pass.  The tenants sit in a heap keyed
+        ``(pass, name)``, each with a cursor to that job.
         """
         taken: dict[int, int] = {}
         selected: list[tuple[QueryJob, CallRequest]] = []
@@ -415,7 +411,7 @@ class CrossQueryScheduler:
             count = taken.get(id(job), 0)
             selected.append((job, queue[count][1]))
             taken[id(job)] = count = count + 1
-            passes[tenant] += 1.0 / max(self.weights.get(tenant, 1.0), 1e-9)
+            passes[tenant] += 1
             if count == len(queue):
                 cursors[tenant] += 1
                 if cursors[tenant] == len(tenant_jobs):

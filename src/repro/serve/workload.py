@@ -147,8 +147,9 @@ def submit_workload(
 ) -> tuple[list, list[Arrival]]:
     """Submit ``arrivals`` to a :class:`~repro.serve.runtime.ServingRuntime`.
 
-    Returns ``(admitted jobs, rejected arrivals)``; quota rejections are
-    collected rather than raised so open-loop drivers keep going.
+    Returns ``(admitted jobs, rejected arrivals)``; budget rejections
+    (:class:`~repro.errors.QuotaExceededError`) are collected rather than
+    raised so open-loop drivers keep going.
     """
     from repro.errors import QuotaExceededError
 

@@ -98,7 +98,6 @@ def test_source_update_seen_by_a_standing_query_evicts_answers(runtime_ctx):
         "watch",
         Dataset.from_source(source),
         runtime.program_config("watch"),
-        prime=False,
     )
     source.update(source.uids()[0], {"note": "amended"})
     assert runtime.context_manager.stats()["answers"]["evictions"] == 1
@@ -123,7 +122,6 @@ def test_source_update_reaches_the_store_as_an_update_through_the_one_walk(legal
         "watch",
         Dataset.from_source(source),
         runtime.program_config("watch"),
-        prime=False,
     )
     source.update(source.uids()[0], {"note": "amended"})
     assert store.get("fp") is None

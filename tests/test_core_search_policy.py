@@ -4,15 +4,13 @@ from repro.core.agent_policies import SearchAgentPolicy
 from repro.core.runtime import AnalyticsRuntime
 
 
-def test_search_respects_k_and_read_top(legal_bundle):
+def test_search_respects_k_and_read_top(legal_bundle, monkeypatch):
+    monkeypatch.setattr(SearchAgentPolicy, "K", 4)
+    monkeypatch.setattr(SearchAgentPolicy, "READ_TOP", 2)
     runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=6)
     context = runtime.make_context(legal_bundle, build_index=True)
-    result = runtime.search(
-        context,
-        "identity theft statistics",
-        policy=SearchAgentPolicy(k=4, read_top=2),
-    )
-    # Step 0's vector_search asked for 4; findings keep the read_top=2.
+    result = runtime.search(context, "identity theft statistics")
+    # Step 0's vector_search asked for K=4; findings keep READ_TOP=2.
     assert len(result.findings["relevant_items"]) == 2
     step0 = result.agent.trace.steps[0]
     assert ", 4)" in step0.code

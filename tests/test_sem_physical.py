@@ -284,6 +284,22 @@ def test_fault_layer_option_count_only_ratchets_down():
     assert len(inspect.signature(CodeAgent.__init__).parameters) - 1 <= 7
 
 
+def test_serving_option_count_only_ratchets_down():
+    # Serving and standing queries keep what a workload runs: a tenant is
+    # a name and a budget, slots are shared at unit strides, and every
+    # standing query registers on its config and primes.
+    from repro.sem.streaming import StandingQueryManager
+    from repro.serve import TenantSpec
+    from repro.serve.scheduler import CrossQueryScheduler
+
+    def options(function) -> int:
+        return len(inspect.signature(function).parameters) - 1  # self
+
+    assert len(dataclasses.fields(TenantSpec)) <= 2
+    assert options(CrossQueryScheduler.__init__) <= 2
+    assert options(StandingQueryManager.register) <= 4
+
+
 MECHANICS = ("pipeline", "pushdown", "embed_batch_size", "adaptive_parallelism")
 
 

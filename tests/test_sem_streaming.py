@@ -21,7 +21,7 @@ from repro.core.context_manager import ContextManager
 from repro.data.records import DataRecord, reset_uid_counter
 from repro.data.schemas import Field
 from repro.data.sources import MemorySource
-from repro.errors import QuotaExceededError, StreamingError
+from repro.errors import StreamingError
 from repro.llm.oracle import SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 from repro.obs import Tracer, validate_spans
@@ -445,41 +445,6 @@ def test_update_decays_statistics_priors(qa_bundle):
     assert stats.prior("k1") is None
     assert stats.prior("elsewhere").to_dict() == before["elsewhere"]
     assert stats.dataset_invalidations >= 1
-
-
-# ---------------------------------------------------------------------------
-# Deferral under admission control
-# ---------------------------------------------------------------------------
-
-
-def test_quota_rejection_defers_and_retains_pending(qa_bundle):
-    records = qa_bundle.records()
-    attempts = []
-
-    def flaky_runner(query, tag):
-        attempts.append(tag)
-        if len(attempts) == 1:
-            raise QuotaExceededError("budget spent", tenant="t", reason="budget")
-        return query.dataset.run_with_report(query.config)
-
-    source = MemorySource(records[:6], qa_bundle.schema)
-    manager = StandingQueryManager()
-    config = _config(qa_bundle)
-    query = manager.register(
-        "guarded",
-        Dataset.from_source(source),
-        config,
-        runner=flaky_runner,
-        prime=False,
-    )
-    source.append(records[6:8])
-    (tick,) = manager.pump()
-    assert tick.deferred is True
-    assert query.pending_appends == 2  # retained for the retry
-    (tick,) = manager.pump()
-    assert tick.deferred is False
-    assert query.pending_appends == 0
-    assert len(attempts) == 2
 
 
 # ---------------------------------------------------------------------------
