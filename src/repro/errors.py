@@ -124,6 +124,15 @@ class ContextError(ReproError):
     """Raised for invalid Context operations (bad index, missing tool...)."""
 
 
+class TraceValidationError(ReproError, ValueError):
+    """Raised when a span tree or an exported Chrome trace is malformed
+    (an unclosed, unknown-kind or orphaned span, a span that escapes its
+    parent or partially overlaps a sibling, a drifted trace end).
+
+    Also a :class:`ValueError`, which is what the validators raised
+    before the type existed."""
+
+
 class StreamingError(ReproError):
     """Raised for invalid standing-query operations (bad refresh policy,
     unregisterable plan, source without a change feed)."""

@@ -25,6 +25,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.errors import TraceValidationError
 from repro.obs.tracer import Span, Tracer
 
 if TYPE_CHECKING:
@@ -205,7 +206,7 @@ def write_jsonl(
 
 
 def validate_spans(spans: list[Span]) -> None:
-    """Structural checks on a span tree; raises ValueError on violation.
+    """Structural checks on a span tree; raises TraceValidationError on violation.
 
     Every span must be closed, carry a known kind, know its parent (or be
     a root), and lie within its parent's interval (small float slack).
@@ -219,11 +220,13 @@ def validate_spans(spans: list[Span]) -> None:
     eps = 1e-6
     for span in spans:
         if span.end_s is None:
-            raise ValueError(f"span {span.span_id} ({span.name!r}) never closed")
+            raise TraceValidationError(f"span {span.span_id} ({span.name!r}) never closed")
         if span.end_s < span.start_s:
-            raise ValueError(f"span {span.span_id} ({span.name!r}) ends before it starts")
+            raise TraceValidationError(
+                f"span {span.span_id} ({span.name!r}) ends before it starts"
+            )
         if span.kind not in KNOWN_SPAN_KINDS:
-            raise ValueError(
+            raise TraceValidationError(
                 f"span {span.span_id} ({span.name!r}) has unknown kind "
                 f"{span.kind!r}; known kinds: {sorted(KNOWN_SPAN_KINDS)}"
             )
@@ -231,11 +234,11 @@ def validate_spans(spans: list[Span]) -> None:
             continue
         parent = by_id.get(span.parent_id)
         if parent is None:
-            raise ValueError(f"span {span.span_id} has unknown parent {span.parent_id}")
+            raise TraceValidationError(f"span {span.span_id} has unknown parent {span.parent_id}")
         if parent.end_s is None:
             continue
         if span.start_s < parent.start_s - eps or span.end_s > parent.end_s + eps:
-            raise ValueError(
+            raise TraceValidationError(
                 f"span {span.span_id} ({span.name!r}) "
                 f"[{span.start_s:.6f}, {span.end_s:.6f}] escapes parent "
                 f"{parent.span_id} ({parent.name!r}) "
@@ -257,7 +260,7 @@ def validate_spans(spans: list[Span]) -> None:
                 stack.pop()
             if stack and span.end_s > stack[-1].end_s + eps:
                 top = stack[-1]
-                raise ValueError(
+                raise TraceValidationError(
                     f"span {span.span_id} ({span.name!r}) "
                     f"[{span.start_s:.6f}, {span.end_s:.6f}] partially overlaps "
                     f"sibling {top.span_id} ({top.name!r}) "
@@ -273,17 +276,17 @@ def validate_chrome_trace(path: str | Path, tolerance: float = 0.01) -> dict:
     event; on every track, events nest or abut without partial overlap
     (balanced spans); and, when ``otherData.clock_elapsed_s`` is present,
     the last event ends within ``tolerance`` of the clock's elapsed time.
-    Raises ValueError on any violation.
+    Raises TraceValidationError on any violation.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     events = [e for e in payload.get("traceEvents", []) if e.get("ph") == "X"]
     if not events:
-        raise ValueError(f"{path}: no complete ('X') trace events")
+        raise TraceValidationError(f"{path}: no complete ('X') trace events")
 
     by_track: dict[int, list[dict]] = {}
     for event in events:
         if event["dur"] < 0:
-            raise ValueError(f"{path}: negative duration on {event['name']!r}")
+            raise TraceValidationError(f"{path}: negative duration on {event['name']!r}")
         by_track.setdefault(event["tid"], []).append(event)
     for tid, track_events in by_track.items():
         track_events.sort(key=lambda e: (e["ts"], -e["dur"]))
@@ -297,7 +300,7 @@ def validate_chrome_trace(path: str | Path, tolerance: float = 0.01) -> dict:
             if stack:
                 parent_end = stack[-1]["ts"] + stack[-1]["dur"]
                 if end > parent_end + _NEST_EPS_US:
-                    raise ValueError(
+                    raise TraceValidationError(
                         f"{path}: unbalanced spans on track {tid}: "
                         f"{event['name']!r} ends at {end:.1f}us, past "
                         f"{stack[-1]['name']!r} at {parent_end:.1f}us"
@@ -317,7 +320,7 @@ def validate_chrome_trace(path: str | Path, tolerance: float = 0.01) -> dict:
             drift = abs(trace_end_s - clock_elapsed) / clock_elapsed
             summary["drift"] = drift
             if drift > tolerance:
-                raise ValueError(
+                raise TraceValidationError(
                     f"{path}: trace ends at {trace_end_s:.3f}s but the virtual "
                     f"clock elapsed {clock_elapsed:.3f}s ({drift:.1%} > {tolerance:.0%})"
                 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isclose, isfinite
 
+from repro.errors import TraceValidationError
 from repro.sem.config import DEFAULT_FALLBACK_MODEL
 
 #: Slack for float comparisons on dollar totals.
@@ -398,7 +399,7 @@ def check_trace(run) -> list[Violation]:
         return [Violation("trace", "baseline", "traced run produced no spans")]
     try:
         validate_spans(traced.spans)
-    except ValueError as exc:
+    except TraceValidationError as exc:
         return [Violation("trace", "baseline", str(exc))]
     if not any(span.kind == "query" for span in traced.spans):
         return [Violation("trace", "baseline", "no query span recorded")]

@@ -49,7 +49,8 @@ def test_put_same_key_overwrites():
 
 def test_rejects_nonpositive_capacity():
     # The bound is the class constant, not a knob.  The knob is passed
-    # through a dict because scripts/check.sh refuses it as a literal keyword.
+    # through a dict because the retired-keywords rule in
+    # tests/test_architecture.py refuses it as a literal keyword.
     with pytest.raises(TypeError, match="max_entries"):
         GenerationCache(**{"max_entries": 0})
     assert GenerationCache.MAX_ENTRIES == 100_000

@@ -2,10 +2,12 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.data.datasets import enron as en
+from repro.errors import ReproError, TraceValidationError
 from repro.llm.oracle import SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 from repro.obs import (
@@ -17,6 +19,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.qa.oracles import check_trace
 from repro.sem import Dataset, QueryProcessorConfig
 from repro.utils.clock import VirtualClock
 
@@ -110,6 +113,20 @@ def test_validate_spans_rejects_escaping_child():
         tracer.add_span("child", "cell", 0.5, 5.0)
     with pytest.raises(ValueError, match="escapes parent"):
         validate_spans(tracer.spans)
+
+
+def test_trace_violations_are_typed_and_the_qa_oracle_reports_them():
+    clock = VirtualClock()
+    tracer = Tracer(clock)
+    with tracer.span("parent", kind="query"):
+        clock.advance(1.0)
+        tracer.add_span("child", "cell", 0.5, 5.0)
+    with pytest.raises(TraceValidationError) as caught:
+        validate_spans(tracer.spans)
+    assert isinstance(caught.value, ReproError) and isinstance(caught.value, ValueError)
+    baseline = [SimpleNamespace(spans=tracer.spans, error=None)]
+    [violation] = check_trace(SimpleNamespace(observations={"baseline": baseline}))
+    assert "escapes parent" in str(violation)
 
 
 def test_write_jsonl_roundtrip(tmp_path):

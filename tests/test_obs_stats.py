@@ -29,7 +29,8 @@ def _observe(store, key="k1", records_in=10, records_out=5, **kwargs):
 def _refuses_knob(knob, value):
     # Ratchet: the store takes no knobs.  Its blend weight and its bound are
     # class constants, as ContextManager.MAX_ENTRIES is.  The knob is passed
-    # through a dict because scripts/check.sh refuses it as a literal keyword.
+    # through a dict because the retired-keywords rule in
+    # tests/test_architecture.py refuses it as a literal keyword.
     with pytest.raises(TypeError, match=knob):
         StatisticsStore(**{knob: value})
 

@@ -17,9 +17,6 @@ Five contracts, each pinned below the BENCH level:
 
 from __future__ import annotations
 
-import ast
-import pathlib
-
 import pytest
 
 from repro.data.records import DataRecord, reset_uid_counter
@@ -43,6 +40,7 @@ from repro.sem.optimizer.cost_model import (
 from repro.sem.optimizer.optimizer import Optimizer
 from repro.sem.optimizer.sampler import OperatorProfile, Sampler
 from repro.utils.seeding import SeededRng
+from tests.test_architecture import RULE, violations
 
 MODELS = ["gpt-4o-mini", "gpt-4o", "gpt-3.5-turbo"]
 CHAMPION = "gpt-4o"
@@ -563,71 +561,11 @@ def test_chain_price_caps_rows_at_a_limit(bundle):
 # (f) Structure: the duplicates stay removed
 # ---------------------------------------------------------------------------
 
-SEM = pathlib.Path(P.__file__).parent
-
-
-def _tree(path: pathlib.Path) -> ast.AST:
-    return ast.parse(path.read_text(encoding="utf-8"))
-
-
-def _calls(tree: ast.AST) -> list[str]:
-    """Name of every called function/method in ``tree`` (prose not counted)."""
-    return [
-        getattr(node.func, "attr", getattr(node.func, "id", ""))
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-    ]
-
 
 def test_the_sampler_names_no_logical_operator():
-    tree = _tree(SEM / "optimizer" / "sampler.py")
-    assert "isinstance" not in _calls(tree)
-    imported = [
-        (node.module or "") + "." + alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ] + [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        for alias in node.names
-    ]
-    assert not [name for name in imported if "sem.logical" in name], imported
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
-        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-    }
-    logical = {
-        name for name, value in vars(L).items()
-        if isinstance(value, type) and issubclass(value, L.LogicalOperator)
-    }
-    assert not names & logical
+    assert violations(RULE["one-estimator"]) == []
 
 
 def test_one_belief_rule_and_one_pricing_loop():
-    sites = {
-        path.relative_to(SEM).as_posix()
-        for path in SEM.rglob("*.py")
-        if "prior" in _calls(_tree(path))
-    }
-    assert sites == {"optimizer/cost_model.py"}
-    defined = set()
-    for path in SEM.rglob("*.py"):
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            elif isinstance(node, ast.Assign):
-                defined.update(
-                    target.id for target in node.targets if isinstance(target, ast.Name)
-                )
-    for gone in (
-        "STREAMABLE_OPS", "profile_from_prior", "estimate_chain",
-        "profile_filter", "profile_map", "profile_classify",
-        "_python_filter_profile", "_struct_filter_profile",
-        "_COMMUTING", "_HOISTABLE_ACROSS",
-    ):
-        assert gone not in defined, gone
-    # Standing queries refresh on a count: they neither believe nor price.
-    streaming_calls = _calls(_tree(SEM / "streaming.py"))
-    assert "estimate_chain_steps" not in streaming_calls
-    assert "believe" not in streaming_calls
+    assert violations(RULE["one-estimator"]) == []
+    assert violations(RULE["retired-ladders"]) == []

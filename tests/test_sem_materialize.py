@@ -413,7 +413,8 @@ def test_store_load_drops_legacy_per_shard_entries(tmp_path, monkeypatch):
 
 def test_store_validates_capacity():
     # The bound is the class constant, not a knob.  The knob is passed
-    # through a dict because scripts/check.sh refuses it as a literal keyword.
+    # through a dict because the retired-keywords rule in
+    # tests/test_architecture.py refuses it as a literal keyword.
     with pytest.raises(TypeError, match="max_entries"):
         MaterializationStore(**{"max_entries": 0})
     assert MaterializationStore.MAX_ENTRIES == 256

@@ -1,6 +1,5 @@
 """Tests for physical operators over a small annotated dataset."""
 
-import ast
 import dataclasses
 import inspect
 
@@ -14,6 +13,7 @@ from repro.llm.oracle import DIFFICULTY_PREFIX, IntentRegistry, SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 from repro.sem import logical as L
 from repro.sem import physical as P
+from tests.test_architecture import RULE, violations
 
 SCHEMA = Schema([Field("name", str), Field("topic", str)])
 
@@ -211,45 +211,11 @@ def test_streamable_operators_define_exactly_one_entry_point():
 
 
 def test_executors_only_call_the_batch_entry_point():
-    from repro.sem import execution, shard
-
-    for module in (execution, shard):
-        assert "process_record" not in inspect.getsource(module), module.__name__
-
-
-def _sem_call_sites(attr: str) -> list[str]:
-    """``module:line`` of every ``<expr>.<attr>(...)`` call under repro/sem."""
-    import pathlib
-
-    import repro.sem
-
-    sites = []
-    for path in sorted(pathlib.Path(repro.sem.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == attr
-            ):
-                sites.append(f"{path.name}:{node.lineno}")
-    return sites
+    assert violations(RULE["batch-entry-point"]) == []
 
 
 def test_one_section_loop():
-    # Cells are scheduled, the early exit is checked and input batches are
-    # cut in one place: Engine.run_section.  A shard worker is that loop
-    # with another per-cell callback, not a copy of it.
-    from repro.sem.execution import Engine
-
-    source = inspect.getsource(Engine.run_section)
-    for attr in ("record", "sated", "start_batch"):
-        sites = _sem_call_sites(attr)
-        assert len(sites) == 1 and sites[0].startswith("execution.py"), (attr, sites)
-        assert f".{attr}(" in source, attr
-    # finalize: the loop's flush and the derived whole-input entry point.
-    assert [site.split(":")[0] for site in _sem_call_sites("finalize")] == [
-        "execution.py", "physical.py",
-    ]
+    assert violations(RULE["one-section-loop"]) == []
 
 
 def test_config_field_count_only_ratchets_down():
@@ -323,21 +289,8 @@ def test_execution_mechanics_are_not_options():
 def test_reference_interpreter_stays_small_and_independent():
     from repro.qa import reference
 
-    source = inspect.getsource(reference)
-    assert len(source.splitlines()) <= 200
-    imported = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module)
-            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
-    for module in ("physical", "execution", "shard", "batch", "optimizer"):
-        engine_module = f"repro.sem.{module}"
-        assert not any(
-            name == engine_module or name.startswith(engine_module + ".")
-            for name in imported
-        ), module
+    assert len(inspect.getsource(reference).splitlines()) <= 200
+    assert violations(RULE["reference-interpreter-independent"]) == []
 
 
 def test_sql_scan_runs_pushed_ops_as_their_physical_classes(ctx):

@@ -10,9 +10,7 @@ unsharded path in records, cost, time, and spans.
 
 from __future__ import annotations
 
-import ast
 import inspect
-import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +41,7 @@ from repro.sem.shard import (
     shard_of,
 )
 from repro.utils.hashing import stable_hash
+from tests.test_architecture import RULE, violations
 
 
 @pytest.fixture(scope="module")
@@ -256,83 +255,16 @@ class TestPlanShards:
 
 
 class TestStructure:
-    """``shard.py`` places, measures and charges — nothing else.
-
-    Checked on the AST, so prose in docstrings does not count.
-    """
-
-    @staticmethod
-    def _tree(obj):
-        return ast.parse(textwrap.dedent(inspect.getsource(obj)))
+    """``shard.py`` places, measures and charges — nothing else."""
 
     def test_executor_never_touches_the_store(self):
-        # Reuse is one optimizer decision; capture is the driver loop's.
-        from repro.sem import shard
-
-        tree = self._tree(shard)
-        store_words = {
-            "capture", "store", "materialization_store", "match", "put",
-            "note_hit", "note_miss", "fingerprint", "source_uids",
-        }
-        touched = [
-            f"{node.attr}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in store_words
-        ]
-        assert not touched, touched
-        imported = {
-            node.module
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-        }
-        assert "repro.sem.materialize" not in imported
+        assert violations(RULE["one-reuse-decision"]) == []
 
     def test_exchange_behaviour_is_asked_of_the_operator(self):
-        # No operator class is special-cased and no operator state is read:
-        # the only name taken from physical.py is the base type.
-        from repro.sem import shard
-
-        tree = self._tree(shard)
-        from_physical = [
-            alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            and node.module == "repro.sem.physical"
-            for alias in node.names
-        ]
-        assert from_physical == ["PhysicalOperator"]
-        calls = {
-            node.func.id
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        }
-        assert "isinstance" not in calls
-        constants = {
-            node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
-        }
-        assert "scored" not in constants
-        assert not [
-            node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and node.attr in ("join_left", "classify_label", "build_group")
-        ]
+        assert violations(RULE["shard-asks-the-operator"]) == []
 
     def test_replay_splice_does_not_fork_on_unsharded(self):
-        from repro.sem.optimizer.optimizer import Optimizer
-
-        tree = self._tree(Optimizer._splice_replay)
-        forks = [
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Compare)
-            and isinstance(node.ops[0], ast.Eq)
-            and any(
-                isinstance(side, ast.Attribute) and side.attr == "shards"
-                for side in (node.left, *node.comparators)
-            )
-        ]
-        assert not forks
+        assert violations(RULE["one-replay-splice"]) == []
 
     def test_shard_module_stays_small(self):
         from repro.sem import shard
