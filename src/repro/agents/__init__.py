@@ -11,7 +11,7 @@ accounting matches the paper's.
 from repro.agents.codeagent import AgentResult, CodeAgent
 from repro.agents.policies.base import AgentPolicy
 from repro.agents.sandbox import Sandbox, SandboxResult
-from repro.agents.tools import Tool, ToolRegistry, tool_from_function
+from repro.agents.tools import Tool, ToolRegistry
 from repro.agents.trace import AgentStep, AgentTrace
 
 __all__ = [
@@ -24,5 +24,4 @@ __all__ = [
     "SandboxResult",
     "Tool",
     "ToolRegistry",
-    "tool_from_function",
 ]

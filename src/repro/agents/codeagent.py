@@ -65,9 +65,6 @@ class AgentResult:
     #: stayed down past :data:`MAX_LLM_FAILURES`; None for a normal ending.
     aborted: str | None = None
 
-    def succeeded(self) -> bool:
-        return self.finished
-
 
 class CodeAgent:
     """An agent that iteratively writes and executes Python code."""

@@ -53,15 +53,6 @@ class Tool:
             return f"{self.name}(...)"
 
 
-def tool_from_function(fn: Callable[..., Any], name: str | None = None, description: str | None = None) -> Tool:
-    """Wrap ``fn`` as a tool, defaulting name/description from the function."""
-    return Tool(
-        name=name or fn.__name__,
-        description=description or (fn.__doc__ or "").strip().split("\n")[0],
-        fn=fn,
-    )
-
-
 class ToolRegistry:
     """An ordered collection of tools with unique names."""
 

@@ -54,9 +54,6 @@ class AgentTrace:
     def observations(self) -> list[str]:
         return [step.observation for step in self.steps]
 
-    def total_cost(self) -> float:
-        return sum(step.cost_usd for step in self.steps)
-
     def render(self) -> str:
         header = f"task: {snippet(self.task, 200)}"
         return "\n".join([header] + [step.render() for step in self.steps])

@@ -152,10 +152,6 @@ class Context(Dataset):
             self._key_indexes[key_field] = key_index
         return self
 
-    @property
-    def has_vector_index(self) -> bool:
-        return self._vector_index is not None
-
     def vector_search(
         self, query: str, k: int, llm: SimulatedLLM
     ) -> list[tuple[DataRecord, float]]:

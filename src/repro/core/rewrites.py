@@ -4,9 +4,9 @@ The paper sketches three logical optimizations and marks them future work;
 we implement working versions of each:
 
 - **Splitting** (DocETL-style): an over-complex compute/search directive is
-  decomposed into smaller sequential operations.  An (simulated) LLM judge
-  decides *whether* to split; deterministic sentence/conjunction analysis
-  decides *where*.
+  decomposed into smaller sequential operations: deterministic
+  sentence/conjunction analysis decides where to cut, and a single
+  directive stays whole.
 - **Merging**: a compute instruction that is a near-duplicate of one
   already answered against the same Context reuses that answer:
   :meth:`AnalyticsRuntime.answer` looks it up in the runtime's one
@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.core.agent_policies import DescGuidedComputePolicy
 from repro.core.context import Context
 from repro.core.operators import ComputeResult
-from repro.llm.models import DEFAULT_MODEL
 
 if TYPE_CHECKING:
     from repro.core.runtime import AnalyticsRuntime
@@ -33,33 +32,6 @@ if TYPE_CHECKING:
 _SEQUENCE_MARKERS = ("; then ", ". then ", " and then ", "; ")
 
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+(?=[A-Z])")
-
-
-def should_split(instruction: str, runtime: "AnalyticsRuntime | None" = None) -> bool:
-    """Judge whether ``instruction`` should be decomposed.
-
-    When a runtime is supplied, a short LLM-judge call is charged (as
-    DocETL pays for its rewrite judges); the decision itself is the
-    deterministic part of the judge: multiple sentences or sequence
-    markers mean the directive bundles several operations.
-    """
-    if runtime is not None:
-        runtime.llm.complete(
-            "Decide whether this analytics directive should be split into "
-            f"smaller operations: {instruction}",
-            model=DEFAULT_MODEL,
-            max_output_tokens=8,
-            tag="rewrite:judge",
-            expected_output="yes" if _split_points(instruction) > 0 else "no",
-        )
-    return _split_points(instruction) > 0
-
-
-def _split_points(instruction: str) -> int:
-    lowered = instruction.lower()
-    marker_hits = sum(lowered.count(marker) for marker in _SEQUENCE_MARKERS)
-    sentences = [s for s in _SENTENCE_RE.split(instruction.strip()) if s.strip()]
-    return marker_hits + max(0, len(sentences) - 1)
 
 
 def split_instruction(instruction: str) -> list[str]:

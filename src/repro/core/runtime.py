@@ -238,12 +238,6 @@ class AnalyticsRuntime:
     def usage(self) -> Usage:
         return self.llm.tracker.total()
 
-    def usage_report(self) -> str:
-        """Render a spend breakdown (per model, per pipeline stage)."""
-        return self.llm.tracker.render_report(
-            title=f"LLM usage (simulated) — elapsed {self.elapsed_s:.1f}s"
-        )
-
     @property
     def tracer(self) -> Any:
         """The span tracer the LLM substrate (and everything above) uses."""
@@ -253,10 +247,6 @@ class AnalyticsRuntime:
     def metrics(self) -> Any:
         """The runtime-wide metrics registry."""
         return self.llm.metrics
-
-    def metrics_report(self) -> str:
-        """Render the counters/histograms collected so far."""
-        return self.llm.metrics.render(title="RUNTIME METRICS")
 
     @property
     def elapsed_s(self) -> float:

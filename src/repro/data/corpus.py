@@ -1,19 +1,14 @@
-"""In-memory file corpus with an optional on-disk mirror.
+"""In-memory file corpus.
 
 Agents interact with data lakes through file tools (``list_files``,
 ``read_file``).  A :class:`FileCorpus` backs those tools with an in-memory
-mapping so benchmarks are hermetic, while :meth:`dump` can write the corpus
-to disk for inspection or for the :class:`~repro.data.sources.DirectorySource`
-path.
+mapping, so benchmarks are hermetic: nothing is read from or written to
+disk.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.data.records import DataRecord
-from repro.data.schemas import TEXT_FILE_SCHEMA
-from repro.data.sources import MemorySource
 from repro.errors import DataSourceError
 
 
@@ -72,24 +67,3 @@ class FileCorpus:
             )
         return records
 
-    def to_source(self) -> MemorySource:
-        return MemorySource(self.to_records(), TEXT_FILE_SCHEMA, source_id=self.name)
-
-    def dump(self, directory: str | Path) -> Path:
-        """Write every file under ``directory`` and return the path."""
-        root = Path(directory)
-        root.mkdir(parents=True, exist_ok=True)
-        for filename, contents in self._files.items():
-            (root / filename).write_text(contents, encoding="utf-8")
-        return root
-
-    @classmethod
-    def from_directory(cls, directory: str | Path, name: str | None = None) -> "FileCorpus":
-        root = Path(directory)
-        if not root.is_dir():
-            raise DataSourceError(f"not a directory: {root}")
-        corpus = cls(name or root.name)
-        for path in sorted(root.iterdir()):
-            if path.is_file():
-                corpus.add(path.name, path.read_text(encoding="utf-8"))
-        return corpus

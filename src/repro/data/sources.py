@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.data.records import DataRecord
-from repro.data.schemas import TEXT_FILE_SCHEMA, Schema
+from repro.data.schemas import Schema
 from repro.errors import DataSourceError
 
 
@@ -175,38 +174,3 @@ class MemorySource(DataSource):
             )
         )
 
-
-class DirectorySource(DataSource):
-    """A source that wraps each file in a directory as one record.
-
-    Used when a corpus has been dumped to disk; the synthetic benchmarks
-    normally stay in memory via :class:`MemorySource`.
-    """
-
-    def __init__(self, root: str | Path, source_id: str | None = None) -> None:
-        self.root = Path(root)
-        if not self.root.is_dir():
-            raise DataSourceError(f"not a directory: {self.root}")
-        super().__init__(source_id or str(self.root), TEXT_FILE_SCHEMA)
-
-    def _paths(self) -> list[Path]:
-        return sorted(path for path in self.root.iterdir() if path.is_file())
-
-    def iterate(self) -> Iterator[DataRecord]:
-        for path in self._paths():
-            try:
-                contents = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
-                raise DataSourceError(f"cannot read {path}: {exc}") from exc
-            yield DataRecord(
-                fields={
-                    "filename": path.name,
-                    "contents": contents,
-                    "format": path.suffix.lstrip(".").lower() or "txt",
-                },
-                uid=f"file:{path.name}",
-                source_id=self.source_id,
-            )
-
-    def cardinality(self) -> int:
-        return len(self._paths())

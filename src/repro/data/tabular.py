@@ -1,9 +1,9 @@
 """Parsing helpers for the two file formats in the synthetic data lakes.
 
-Agents' sandboxed Python and the dataset generators both need to read and
-write small CSV files and extract tables from simple HTML reports.  The CSV
-side wraps the stdlib; the HTML side is a minimal ``html.parser`` walk that
-collects ``<table>`` rows.
+The dataset generators write small CSV files and simple HTML reports; the
+SQL tools and agent policies read tables and numbers back out of them.  The
+CSV side wraps the stdlib writer; the HTML side is a minimal
+``html.parser`` walk that collects ``<table>`` rows.
 """
 
 from __future__ import annotations
@@ -12,12 +12,6 @@ import csv
 import io
 import re
 from html.parser import HTMLParser
-
-
-def parse_csv(text: str) -> list[dict[str, str]]:
-    """Parse CSV ``text`` into a list of header-keyed row dicts."""
-    reader = csv.DictReader(io.StringIO(text))
-    return [dict(row) for row in reader]
 
 
 def render_csv(headers: list[str], rows: list[list[object]]) -> str:

@@ -117,30 +117,3 @@ class UsageTracker:
         self.events.clear()
         self.spent_usd = 0.0
         self.failed_attempts = 0
-
-    def render_report(self, title: str = "LLM usage") -> str:
-        """Human-readable spend breakdown by model and by tag prefix."""
-        lines = [title]
-        total = self.total()
-        lines.append(
-            f"  total: {total.calls} calls, {total.input_tokens:,} in / "
-            f"{total.output_tokens:,} out tokens, ${total.cost_usd:.4f}"
-        )
-        for model, usage in sorted(self.by_model().items()):
-            lines.append(
-                f"  {model}: {usage.calls} calls, ${usage.cost_usd:.4f}"
-            )
-        by_prefix: dict[str, Usage] = {}
-        for event in self.events:
-            prefix = event.tag.split(":")[0] if event.tag else "(untagged)"
-            usage = by_prefix.setdefault(prefix, Usage())
-            _accumulate(usage, event)
-        for prefix, usage in sorted(by_prefix.items()):
-            lines.append(f"  [{prefix}] {usage.calls} calls, ${usage.cost_usd:.4f}")
-        cached = sum(1 for event in self.events if event.cached)
-        lines.append(f"  cache hits: {cached}")
-        failed = self.failed_calls()
-        if failed:
-            wasted = sum(event.cost_usd for event in self.events if event.failed)
-            lines.append(f"  failed attempts: {failed} (${wasted:.4f} burned)")
-        return "\n".join(lines)

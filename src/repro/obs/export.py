@@ -269,17 +269,53 @@ def validate_spans(spans: list[Span]) -> None:
             stack.append(span)
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _complete_events(path: str | Path) -> tuple[list[dict], dict]:
+    """The trace's complete (``"X"``) events and its ``otherData``, each
+    event checked to carry a ``name``, a ``tid`` and a numeric ``ts`` and
+    ``dur``: a malformed file raises TraceValidationError, never the
+    error of whatever first trips over it."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise TraceValidationError(f"{path}: not JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise TraceValidationError(f"{path}: the trace is a {type(payload).__name__}, not an object")
+    events, other = payload.get("traceEvents", []), payload.get("otherData", {})
+    if not isinstance(events, list) or not all(isinstance(e, dict) for e in events):
+        raise TraceValidationError(f"{path}: traceEvents is not a list of objects")
+    if not isinstance(other, dict):
+        raise TraceValidationError(f"{path}: otherData is not an object")
+    events = [e for e in events if e.get("ph") == "X"]
+    for event in events:
+        missing = [key for key in ("name", "ts", "dur", "tid") if key not in event]
+        if missing:
+            raise TraceValidationError(f"{path}: complete event lacks {', '.join(missing)}: {event}")
+        if not (_is_number(event["ts"]) and _is_number(event["dur"])):
+            raise TraceValidationError(f"{path}: non-numeric ts or dur on {event['name']!r}")
+        if not isinstance(event["tid"], (int, str)):
+            raise TraceValidationError(f"{path}: tid {event['tid']!r} is not an int or a string")
+    clock_elapsed = other.get("clock_elapsed_s")
+    if clock_elapsed is not None and not _is_number(clock_elapsed):
+        raise TraceValidationError(f"{path}: non-numeric clock_elapsed_s {clock_elapsed!r}")
+    return events, other
+
+
 def validate_chrome_trace(path: str | Path, tolerance: float = 0.01) -> dict:
     """Parse and check an exported Chrome trace; returns a summary dict.
 
-    Checks: the JSON parses; there is at least one complete (``"X"``)
-    event; on every track, events nest or abut without partial overlap
-    (balanced spans); and, when ``otherData.clock_elapsed_s`` is present,
-    the last event ends within ``tolerance`` of the clock's elapsed time.
-    Raises TraceValidationError on any violation.
+    Checks: the file is a JSON object whose complete (``"X"``) events each
+    carry a name, a track and a numeric start and duration; there is at
+    least one such event; on every track, events nest or abut without
+    partial overlap (balanced spans); and, when
+    ``otherData.clock_elapsed_s`` is present, the last event ends within
+    ``tolerance`` of the clock's elapsed time.  Raises
+    TraceValidationError on any violation.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    events = [e for e in payload.get("traceEvents", []) if e.get("ph") == "X"]
+    events, other = _complete_events(path)
     if not events:
         raise TraceValidationError(f"{path}: no complete ('X') trace events")
 
@@ -313,7 +349,7 @@ def validate_chrome_trace(path: str | Path, tolerance: float = 0.01) -> dict:
         "tracks": len(by_track),
         "trace_end_s": trace_end_s,
     }
-    clock_elapsed = payload.get("otherData", {}).get("clock_elapsed_s")
+    clock_elapsed = other.get("clock_elapsed_s")
     if clock_elapsed is not None:
         summary["clock_elapsed_s"] = clock_elapsed
         if clock_elapsed > 0:

@@ -151,15 +151,8 @@ class Tracer:
         self.spans.append(span)
         return span
 
-    def open_spans(self) -> list[Span]:
-        """Spans started but not yet finished (should be empty at export)."""
-        return [span for span in self.spans if span.end_s is None]
-
     def by_kind(self, kind: str) -> list[Span]:
         return [span for span in self.spans if span.kind == kind]
-
-    def children(self, span: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
 
 
 class _NullSpan:
@@ -211,13 +204,7 @@ class NoopTracer:
     def add_span(self, *args: Any, **kwargs: Any) -> _NullSpan:
         return _NULL_SPAN
 
-    def open_spans(self) -> list:
-        return []
-
     def by_kind(self, kind: str) -> list:
-        return []
-
-    def children(self, span: Any) -> list:
         return []
 
 

@@ -78,9 +78,6 @@ class PlanFuzzer:
             case_seed=rng.randrange(1_000_000),
         )
 
-    def cases(self, n: int) -> list[FuzzCase]:
-        return [self.case(index) for index in range(n)]
-
     # ------------------------------------------------------------------
     # Plan generation
     # ------------------------------------------------------------------

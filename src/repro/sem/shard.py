@@ -133,25 +133,14 @@ def key_shard(key, n_shards: int) -> int:
 
     NULL keys route deterministically to shard 0 so NULL-keyed records
     still land *somewhere*, but routing is not matching: under SQL
-    three-valued semantics (see :func:`keys_match`, mirroring
-    ``structql``'s evaluator) NULL never equi-matches anything — not even
-    another NULL — so co-locating NULLs can never manufacture a match
-    that the unsharded evaluator would reject.
+    three-valued semantics (``structql``'s ``evaluate_predicate`` on
+    ``a = b``) NULL never equi-matches anything — not even another NULL —
+    so co-locating NULLs can never manufacture a match that the unsharded
+    evaluator would reject.
     """
     if key is None:
         return 0
     return stable_hash("shard-key", str(key)) % n_shards
-
-
-def keys_match(a, b) -> bool:
-    """Three-valued equi-match: NULL = anything is unknown, i.e. no match.
-
-    Matches ``structql``'s ``evaluate_predicate`` on ``a = b``: a NULL on
-    either side yields NULL, and only TRUE joins.
-    """
-    if a is None or b is None:
-        return False
-    return a == b
 
 
 @dataclass

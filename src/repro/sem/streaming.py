@@ -18,7 +18,7 @@ How a tick works:
    on it; appends leave the priors as they are).
 2. :meth:`StandingQueryManager.pump` refreshes each query that has an
    update pending, or at least its :class:`RefreshPolicy`'s ``count``
-   appended records; :meth:`StandingQueryManager.refresh` forces one.
+   appended records.
 3. A refresh re-runs the plan.  The shared
    :class:`~repro.sem.materialize.MaterializationStore` classifies each
    fingerprinted prefix as a delta hit — appends and in-place rewrites
@@ -34,9 +34,6 @@ How a tick works:
    uids) — computed as a minimal sequence diff against the previous view.
    :func:`fold_changelog` replays a changelog onto any prior state and
    reproduces the current view exactly.
-
-Empty-delta ticks are zero-cost no-ops: a forced refresh with nothing
-pending records a skipped tick without touching the engine or the clock.
 
 Observability: ``standing-query`` (registration), ``standing-tick`` (one
 refresh) and ``changelog`` (the emitted deltas) span kinds, plus
@@ -113,13 +110,10 @@ class TickResult:
 
     name: str
     tick: int
-    #: What fired: register|count|update|forced.
+    #: What fired: register|count|update.
     fired: str
     #: The query's clock when the refresh started.
     at_s: float
-    #: Empty-delta no-op: the refresh was forced with nothing pending, so
-    #: no execution happened (zero cost, zero clock).
-    skipped: bool = False
     pending_appends: int = 0
     pending_updates: int = 0
     cost_usd: float = 0.0
@@ -264,33 +258,24 @@ class StandingQuery:
 
     def refresh_footer(self) -> str:
         """Render the refresh-provenance footer for EXPLAIN output."""
-        skipped = sum(1 for tick in self.ticks if tick.skipped)
         lines = [
-            f"standing query {self.name!r}: {len(self.ticks)} ticks "
-            f"({len(self.ticks) - skipped} refreshes, {skipped} empty no-ops), "
+            f"standing query {self.name!r}: {len(self.ticks)} ticks, "
             f"trigger={self.policy.trigger}, "
             f"cumulative cost ${self.cumulative_cost_usd:.4f}"
         ]
         if self.ticks:
             tick = self.ticks[-1]
-            line = (
-                f"last tick {tick.tick}: fired by {tick.fired} at "
-                f"{tick.at_s:.1f}s"
+            reuse = (
+                f"{tick.reuse_kind} prefix={tick.reused_prefix} "
+                f"({tick.delta_records} delta records)"
+                if tick.reused_prefix
+                else "full recompute"
             )
-            if tick.skipped:
-                line += ", empty delta (zero-cost no-op)"
-            else:
-                reuse = (
-                    f"{tick.reuse_kind} prefix={tick.reused_prefix} "
-                    f"({tick.delta_records} delta records)"
-                    if tick.reused_prefix
-                    else "full recompute"
-                )
-                line += (
-                    f", {reuse}, changelog +{tick.inserts}/-{tick.retracts}, "
-                    f"cost ${tick.cost_usd:.4f}"
-                )
-            lines.append(line)
+            lines.append(
+                f"last tick {tick.tick}: fired by {tick.fired} at "
+                f"{tick.at_s:.1f}s, {reuse}, changelog "
+                f"+{tick.inserts}/-{tick.retracts}, cost ${tick.cost_usd:.4f}"
+            )
         return "\n".join(lines)
 
     def explain(self) -> str:
@@ -431,13 +416,6 @@ class StandingQueryManager:
                 results.append(self._refresh(query, "count"))
         return results
 
-    def refresh(self, name: str, cause: str = "forced") -> TickResult:
-        """Force one query's refresh, however little is pending."""
-        query = self.queries.get(name)
-        if query is None:
-            raise StreamingError(f"no standing query named {name!r}")
-        return self._refresh(query, cause)
-
     # -- refresh execution ----------------------------------------------
 
     def _refresh(self, query: StandingQuery, cause: str) -> TickResult:
@@ -452,24 +430,6 @@ class StandingQueryManager:
             pending_appends=pending_appends,
             pending_updates=pending_updates,
         )
-
-        # Empty-delta no-op: nothing pending, nothing to run, zero cost.
-        if cause != "register" and not pending_appends and not pending_updates:
-            tick.skipped = True
-            query.tick_count += 1
-            query.ticks.append(tick)
-            tracer = query.config.llm.tracer
-            if tracer.enabled:
-                with tracer.span(
-                    f"standing:{query.name}:tick{tick_index}",
-                    kind="standing-tick",
-                    fired=cause,
-                    skipped=True,
-                ):
-                    pass
-            self._count(query, "streaming.ticks")
-            self._count(query, "streaming.empty_ticks")
-            return tick
 
         tag = f"standing:{query.name}:t{tick_index}"
         llm = query.config.llm

@@ -134,9 +134,6 @@ class CallTimeline:
 
     # -- derived --------------------------------------------------------
 
-    def total_calls(self) -> int:
-        return sum(len(step.calls) for step in self.steps)
-
     def standalone_duration(self) -> float:
         """Seconds the query takes executed alone: what its body spent."""
         return self.elapsed

@@ -42,9 +42,6 @@ class Database:
                 f"no table named {name!r}; known tables: {known}"
             ) from None
 
-    def has_table(self, name: str) -> bool:
-        return name in self._catalog
-
     def create_table(
         self, name: str, columns: Iterable[Column], replace: bool = False
     ) -> Table:

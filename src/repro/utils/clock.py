@@ -11,8 +11,7 @@ clock supports two overlap models:
   chain of operator stages; batch *b* can occupy stage *s* while batch
   *b+1* is still in stage *s-1*.  The charged time is the critical-path
   makespan of the (batch, stage) grid — not the per-stage sum — computed by
-  :func:`pipeline_makespan` / :class:`PipelineSchedule` under the classic
-  recurrence ``finish[b][s] = max(finish[b][s-1], finish[b-1][s]) + t[b][s]``
+  :class:`PipelineSchedule` under the classic recurrence ``finish[b][s] = max(finish[b][s-1], finish[b-1][s]) + t[b][s]``
   (a stage processes one batch at a time, a batch visits stages in order).
 """
 
@@ -94,16 +93,3 @@ class PipelineSchedule:
         self.last_cell = (start, end)
         return self.makespan
 
-
-def pipeline_makespan(cells: list[list[float]]) -> float:
-    """Critical-path makespan of a batch-major (batch, stage) duration grid.
-
-    Equivalent to replaying ``cells`` through a :class:`PipelineSchedule`.
-    An empty grid (or one of empty rows) has makespan 0.
-    """
-    schedule = PipelineSchedule()
-    for row in cells:
-        schedule.start_batch()
-        for stage, seconds in enumerate(row):
-            schedule.record(stage, seconds)
-    return schedule.makespan

@@ -43,13 +43,3 @@ def _cell(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.2f}"
     return str(value)
-
-
-def format_money(dollars: float) -> str:
-    """Format a dollar amount the way the paper's tables do."""
-    return f"{dollars:.2f}"
-
-
-def format_percent(fraction: float, decimals: int = 2) -> str:
-    """Format a 0..1 fraction as a percentage string."""
-    return f"{fraction * 100:.{decimals}f}%"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.agents.tools import Tool, ToolRegistry, tool_from_function
+from repro.agents.tools import Tool, ToolRegistry
 from repro.errors import ToolError
 
 
@@ -28,19 +28,8 @@ def test_tool_passes_through_tool_errors():
         Tool("t", "d", fails)()
 
 
-def test_tool_from_function_uses_docstring():
-    def my_tool(x: int) -> int:
-        """Doubles the input value."""
-        return x * 2
-
-    tool = tool_from_function(my_tool)
-    assert tool.name == "my_tool"
-    assert tool.description == "Doubles the input value."
-    assert tool(3) == 6
-
-
 def test_signature_rendered():
-    tool = tool_from_function(lambda a, b=2: a + b, name="add")
+    tool = Tool("add", "d", lambda a, b=2: a + b)
     assert tool.signature().startswith("add(")
 
 

@@ -23,7 +23,7 @@ def test_last_observation_empty_trace():
 
 
 def test_total_cost_sums_steps():
-    assert _trace().total_cost() == 0.06
+    assert sum(step.cost_usd for step in _trace().steps) == 0.06
 
 
 def test_render_contains_all_steps():

@@ -5,9 +5,9 @@ prefixes), a node test and where a hit is allowed.  A node test reads code
 (a call, keyword, attribute, identifier or import), never text: prose that
 mentions a name passes, and a call split across lines still fires.
 :func:`violations` runs a rule over a ``{path: source}`` mapping (the
-checked-out :func:`tree` by default, so a test can overlay one planted
-file); each source is parsed and walked once, and that walk feeds every
-rule whose scope holds the file.
+checked-out :func:`tree` by default, so a test can overlay planted files);
+each source is parsed and walked once, and that walk feeds every rule
+whose scope holds the file and collects the names the file uses.
 
 To add a rule, write its row in :data:`RULES`, then its plant in
 :data:`PLANTS`: the violation it exists to catch, appended to one file.
@@ -21,7 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Collection, Mapping
+from typing import Callable, Collection, Mapping, NamedTuple
 
 import pytest
 
@@ -30,14 +30,22 @@ from repro.sem import logical as L
 ROOT = Path(__file__).resolve().parents[1]
 
 
+#: Read for the names they use only: no rule scans them for hits.
+NAMES_ONLY = ("benchmarks/perf/", "scripts/", "README.md", "docs/")
+
+
 @functools.cache
 def tree() -> dict[str, str]:
-    """The library, its tests, the examples and the top-level benchmark
-    scripts (``benchmarks/perf`` is the harness, not scanned)."""
+    """The library, its tests, the examples and the benchmarks, plus the
+    :data:`NAMES_ONLY` inputs."""
     return {
         path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
-        for pattern in ("src/**/*.py", "tests/**/*.py", "examples/**/*.py", "benchmarks/*.py")
+        for pattern in (
+            "src/**/*.py", "tests/**/*.py", "examples/**/*.py", "benchmarks/**/*.py",
+            "scripts/*", "README.md", "docs/**/*.md",
+        )
         for path in sorted(ROOT.glob(pattern))
+        if path.is_file()
     }
 
 
@@ -56,7 +64,8 @@ class Rule:
     """A hit passes when ``allowed`` maps a prefix of its ``where`` to
     texts that hold it (``None``: any text).  ``once``: each allowed text
     is hit exactly once at its location.  ``tolerate``: a ratchet passes
-    that many hits."""
+    that many hits.  ``callers``: a hit passes when a file under one of
+    these prefixes names it (:data:`_NAMED`)."""
 
     name: str
     scope: tuple[str, ...]
@@ -64,6 +73,7 @@ class Rule:
     allowed: Mapping[str, Collection[str] | None] = field(default_factory=dict)
     once: bool = False
     tolerate: int = 0
+    callers: tuple[str, ...] = ()
 
 
 # -- node tests ---------------------------------------------------------------
@@ -80,6 +90,21 @@ _IDENTIFIERS: dict[type, Callable[[ast.AST], tuple[str, ...]]] = {
     ast.alias: lambda node: (node.name, node.asname or ""),
     ast.ImportFrom: lambda node: (node.module or "",),
     ast.ExceptHandler: lambda node: (node.name or "",),
+}
+
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+").fullmatch
+
+#: What a node of each kind names for ``Rule.callers``: an identifier, an
+#: attribute, or each part of a dotted string (``"Engine.execute"``).  A
+#: definition, an import (a package ``__init__`` re-export) and prose name
+#: nothing.
+_NAMED: dict[type, Callable[[ast.AST], tuple[str, ...]]] = {
+    ast.Name: lambda node: (node.id,),
+    ast.Attribute: lambda node: (node.attr,),
+    ast.Constant: lambda node: (
+        tuple(node.value.split(".")) if isinstance(node.value, str) and _DOTTED(node.value) else ()
+    ),
 }
 
 
@@ -168,6 +193,20 @@ def _untyped_raise(node: ast.Raise, where: str) -> str | None:
 
 
 UNTYPED = ("ValueError", "KeyError", "TypeError", "RuntimeError")
+
+
+def _definition(node: ast.FunctionDef | ast.ClassDef, where: str) -> str | None:
+    """A function's or class's name; dunders and a class that declares
+    ``implements =`` (the operator registry reaches it) are exempt."""
+    if node.name.startswith("__") and node.name.endswith("__"):
+        return None
+    if isinstance(node, ast.ClassDef) and any(
+        isinstance(target, ast.Name) and target.id == "implements"
+        for statement in node.body if isinstance(statement, ast.Assign)
+        for target in statement.targets
+    ):
+        return None
+    return node.name
 
 
 # -- retired keywords and names -----------------------------------------------
@@ -404,33 +443,74 @@ RULES = (
     ),
     # A ratchet: lower it when an untyped raise becomes a ReproError.
     Rule("untyped-raises", ("src/",), NodeTest((ast.Raise,), _untyped_raise), tolerate=18),
+    # A src/ definition has a caller outside tests/: a test-only helper
+    # lives in tests/.  Names match by identifier, so a method that shares
+    # its name with a used definition passes.
+    Rule(
+        "test-only-definitions", (SRC,),
+        NodeTest((ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef), _definition),
+        {
+            # BaseCodeAgentPolicy.next_code calls getattr(self, f"step_{n}").
+            SRC + "agents/policies/semantic_tools.py::SemanticToolsCodeAgentPolicy": {
+                f"step_{n}" for n in range(5)
+            },
+            # ComputeAgentPolicy.next_code calls getattr(self, f"_{flow}_{n}").
+            SRC + "core/agent_policies.py::ComputeAgentPolicy": {
+                f"_{flow}_{n}" for flow in ("argmax", "filter", "generic", "ratio") for n in range(3)
+            },
+            # ShardedExecutor runs a segment with getattr(self, f"_run_{kind}").
+            SHARD + "::ShardedExecutor": {"_run_scatter", "_run_shuffle", "_run_broadcast"},
+            # html.parser.HTMLParser calls its subclass's handle_* callbacks.
+            SRC + "data/tabular.py::_TableCollector": {
+                "handle_starttag", "handle_endtag", "handle_data",
+            },
+        },
+        once=True,
+        callers=("src/", "benchmarks/", "examples/", "scripts/", "README.md", "docs/"),
+    ),
 )
 RULE = {rule.name: rule for rule in RULES}
+#: Every file whose names some rule's ``callers`` reads.
+CALLERS = tuple({prefix: None for rule in RULES for prefix in rule.callers})
 
 # -- the helper ---------------------------------------------------------------
 
 
+class Scan(NamedTuple):
+    #: ``rule name -> [(where, line, what)]`` for every rule scanning the file.
+    hits: dict[str, list[tuple[str, int, str]]]
+    #: What the file names, when it is one of :data:`CALLERS`.
+    names: frozenset[str]
+
+
 @functools.cache
-def _hits(path: str, source: str) -> dict[str, list[tuple[str, int, str]]]:
-    """``rule name -> [(where, line, what)]`` for every rule scanning
-    ``path``: one parse and one walk of ``source``."""
+def _hits(path: str, source: str) -> Scan:
+    """One parse and one walk of ``source`` (a text file is read for the
+    words it names)."""
+    collect = path.startswith(CALLERS)
+    if not path.endswith(".py"):
+        return Scan({}, frozenset(re.findall(r"[A-Za-z_]\w*", source) if collect else ()))
     dispatch: dict[type, list[Rule]] = {}
     for rule in RULES:
-        if path.startswith(rule.scope):
+        if path.startswith(rule.scope) and not path.startswith(NAMES_ONLY):
             for node_type in rule.test.nodes:
                 dispatch.setdefault(node_type, []).append(rule)
     hits: dict[str, list[tuple[str, int, str]]] = {}
-    stack: list[tuple[ast.AST, str]] = [(ast.parse(source, path), path)] if dispatch else []
+    names: set[str] = set()
+    named = _NAMED if collect else {}
+    stack = [(ast.parse(source, path), path)] if dispatch or collect else []
     while stack:
         node, where = stack.pop()
         for rule in dispatch.get(type(node), ()):
             what = rule.test.check(node, where)
             if what:
                 hits.setdefault(rule.name, []).append((where, node.lineno, what))
+        if type(node) in named:
+            names.update(named[type(node)](node))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}{'.' if '::' in where else '::'}{node.name}"
         stack.extend((child, where) for child in ast.iter_child_nodes(node))
-    return hits
+    return Scan(hits, frozenset(names))
 
 
 def _within(where: str, location: str) -> bool:
@@ -438,17 +518,35 @@ def _within(where: str, location: str) -> bool:
     return where.startswith(location) and (not rest or location.endswith("/") or rest[0] in ":.")
 
 
+def _scans(
+    prefixes: tuple[str, ...], sources: Mapping[str, str | tuple[str, ...]] | None,
+) -> list[tuple[str, Scan]]:
+    """``(path, scan)`` of every chunk of the files under ``prefixes``.  A
+    tuple of module-level chunks reads as one file, so a plant appended to
+    a file re-reads only the plant."""
+    return [
+        (path, _hits(path, chunk))
+        for path, source in (tree() if sources is None else sources).items()
+        if path.startswith(prefixes)
+        for chunk in ((source,) if isinstance(source, str) else source)
+    ]
+
+
+def _rule_hits(rule: Rule, sources: Mapping[str, str | tuple[str, ...]] | None = None) -> list:
+    """Every ``(where, line, what)`` of ``rule`` in ``sources`` (default:
+    :func:`tree`) that no caller names, before the allow list."""
+    named = frozenset().union(*(scan.names for _, scan in _scans(rule.callers, sources)))
+    return sorted(
+        hit for _, scan in _scans(rule.scope, sources)
+        for hit in scan.hits.get(rule.name, ()) if hit[2] not in named
+    )
+
+
 def violations(rule: Rule, sources: Mapping[str, str | tuple[str, ...]] | None = None) -> list[str]:
     """What ``rule`` rejects in ``sources`` (default: :func:`tree`); empty
-    when it passes.  A tuple of module-level chunks reads as one file, so
-    a plant appended to a file re-reads only the plant."""
+    when it passes."""
     rejected, counts = [], Counter()
-    for where, line, what in sorted(
-        hit for path, source in (tree() if sources is None else sources).items()
-        if path.startswith(rule.scope)
-        for chunk in ((source,) if isinstance(source, str) else source)
-        for hit in _hits(path, chunk).get(rule.name, ())
-    ):
+    for where, line, what in _rule_hits(rule, sources):
         allowed = [
             location for location, texts in rule.allowed.items()
             if _within(where, location) and (texts is None or what in texts)
@@ -467,6 +565,7 @@ def violations(rule: Rule, sources: Mapping[str, str | tuple[str, ...]] | None =
 
 
 # -- plants: (rule, path, code appended to that file) -------------------------
+# A plant that spans files zips a tuple of paths with a tuple of codes.
 
 TOOLS, SERVE, CACHE = SRC + "agents/tools.py", SRC + "serve/runtime.py", SRC + "llm/cache.py"
 COST_MODEL, REFERENCE = SEM + "optimizer/cost_model.py", SRC + "qa/reference.py"
@@ -552,6 +651,21 @@ PLANTS = [
     ("reference-interpreter-independent", REFERENCE, "from repro.sem import shard"),
     ("reference-interpreter-independent", REFERENCE, "from repro.sem.optimizer import rules"),
     ("untyped-raises", SRC + "errors.py", "def fail():\n    raise ValueError('untyped')"),
+    (
+        "test-only-definitions", (SRC + "utils/clock.py", "tests/test_plant.py"),
+        ("def tested_only(cells): return 0", "from repro.utils.clock import tested_only\ntested_only([])"),
+    ),
+    (
+        "test-only-definitions", (TOOLS, SRC + "agents/__init__.py"),
+        (
+            "def reexported_only(fn): return fn",
+            "from repro.agents.tools import reexported_only\n__all__ += ['reexported_only']",
+        ),
+    ),
+    (
+        "test-only-definitions", SRC + "core/runtime.py",
+        'def prose_only(): pass\n\ndef compute():\n    """Runs prose_only, then repro.core.runtime."""',
+    ),
 ]
 
 #: Prose is not code, and an option's current spelling is fine: the rule passes.
@@ -563,15 +677,26 @@ PASSES = [
     ("retired-keywords", "tests/test_plant.py", "RetryPolicy(max_attempts=1)"),
     ("retired-keywords", "tests/test_plant.py", "StatisticsStore(**{'decay': 0.5})"),
     ("one-reuse-decision", CACHE, "self.cache.put(key, value)"),
+    # The perf harness resolves its trace targets by dotted name.
+    (
+        "test-only-definitions", (STREAMING, "benchmarks/perf/trace.py"),
+        (
+            "class StandingQueryManager:\n    def traced_only(self): pass",
+            "TARGETS += (('x', 'repro.sem.streaming', 'StandingQueryManager.traced_only', None),)",
+        ),
+    ),
+    ("test-only-definitions", PHYSICAL, "class PhysPlanted(PhysicalOperator):\n    implements = L.ScanOp"),
 ]
 
 
-def _planted(path: str, code: str) -> dict[str, str | tuple[str, ...]]:
-    return {**tree(), path: (tree().get(path, ""), code)}
+def _planted(path: str | tuple[str, ...], code: str | tuple[str, ...]) -> dict:
+    paths, codes = (path, code) if isinstance(path, tuple) else ((path,), (code,))
+    return {**tree(), **{p: (tree().get(p, ""), c) for p, c in zip(paths, codes)}}
 
 
-def _case_id(case: tuple[str, str, str]) -> str:
+def _case_id(case: tuple) -> str:
     rule, path, code = case
+    path, code = (path[0], code[0]) if isinstance(path, tuple) else (path, code)
     return f"{rule}:{path.rsplit('/', 1)[-1]}:{code.splitlines()[0][:40]}"
 
 
@@ -590,6 +715,15 @@ def test_plant_fires(case):
 def test_prose_and_current_spellings_pass(case):
     rule, path, code = case
     assert violations(RULE[rule], _planted(path, code)) == []
+
+
+def test_names_only_inputs_change_no_rule_hits():
+    """The perf harness, the scripts and the docs feed ``callers`` only."""
+    narrow = {path: source for path, source in tree().items() if not path.startswith(NAMES_ONLY)}
+    assert len(narrow) < len(tree())
+    for rule in RULES:
+        if not rule.callers:
+            assert _rule_hits(rule) == _rule_hits(rule, narrow), rule.name
 
 
 def test_every_rule_has_a_plant():

@@ -64,7 +64,7 @@ def test_lookup_without_index_raises():
 def test_index_prebuild_with_llm():
     llm = SimulatedLLM(seed=0)
     context = _context().index(llm=llm)
-    assert context.has_vector_index
+    assert context._vector_index is not None
     cost_after_build = llm.tracker.total().cost_usd
     context.vector_search("fraud", 1, llm=llm)
     # Only the query embedding is charged; corpus embeddings were cached.

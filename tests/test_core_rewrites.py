@@ -2,7 +2,6 @@
 
 from repro.core.rewrites import (
     compute_with_recovery,
-    should_split,
     split_instruction,
 )
 from repro.core.runtime import AnalyticsRuntime
@@ -22,17 +21,6 @@ def test_split_on_markers():
 
 def test_split_single_directive_unchanged():
     assert split_instruction("Just one directive") == ["Just one directive."]
-
-
-def test_should_split_heuristic():
-    assert should_split("Do A. Do B.")
-    assert not should_split("Only one thing to do here")
-
-
-def test_should_split_judge_charges_llm(legal_bundle):
-    runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=0)
-    should_split("Do A. Do B.", runtime)
-    assert runtime.usage().calls == 1
 
 
 def test_merge_groups_near_duplicates(legal_bundle):

@@ -36,7 +36,7 @@ def test_make_context_from_records_requires_schema_desc():
 def test_make_context_with_index(legal_bundle):
     runtime = AnalyticsRuntime.for_bundle(legal_bundle, seed=0)
     context = runtime.make_context(legal_bundle, build_index=True)
-    assert context.has_vector_index
+    assert context._vector_index is not None
 
 
 def test_program_config_carries_settings(legal_bundle):

@@ -129,4 +129,4 @@ def test_sql_tool_refuses_writes_from_inside_a_sandboxed_episode(legal_bundle):
     tools = build_context_tools(context, runtime)
     result = Sandbox(tools=tools.as_namespace()).execute('sql("DROP TABLE answers")')
     assert result.error is not None and "read-only" in result.error
-    assert runtime.db.has_table("answers")
+    assert "answers" in runtime.db.table_names()

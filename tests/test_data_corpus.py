@@ -50,15 +50,3 @@ def test_annotations_for_copy_is_isolated():
     annotations = corpus.annotations_for("b.txt")
     annotations["mutated"] = True
     assert "mutated" not in corpus.annotations_for("b.txt")
-
-
-def test_dump_and_from_directory_roundtrip(tmp_path):
-    corpus = _corpus()
-    corpus.dump(tmp_path / "lake")
-    loaded = FileCorpus.from_directory(tmp_path / "lake")
-    assert loaded.list_files() == corpus.list_files()
-    assert loaded.read_file("a.csv") == corpus.read_file("a.csv")
-
-
-def test_to_source_cardinality():
-    assert _corpus().to_source().cardinality() == 2

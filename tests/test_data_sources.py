@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.records import DataRecord
-from repro.data.schemas import TEXT_FILE_SCHEMA, Field, Schema
-from repro.data.sources import DirectorySource, MemorySource
+from repro.data.schemas import Field, Schema
+from repro.data.sources import MemorySource
 from repro.errors import DataSourceError
 
 
@@ -28,23 +28,6 @@ def test_memory_source_stamps_source_id():
 def test_memory_source_reiterable():
     source = MemorySource(_records(2), Schema([Field("i", int)]))
     assert len(list(source)) == len(list(source)) == 2
-
-
-def test_directory_source_reads_files(tmp_path):
-    (tmp_path / "b.csv").write_text("x,y\n1,2\n", encoding="utf-8")
-    (tmp_path / "a.html").write_text("<html></html>", encoding="utf-8")
-    source = DirectorySource(tmp_path)
-    records = list(source.iterate())
-    assert [record["filename"] for record in records] == ["a.html", "b.csv"]
-    assert records[0]["format"] == "html"
-    assert records[1]["contents"].startswith("x,y")
-    assert source.cardinality() == 2
-    assert source.schema is TEXT_FILE_SCHEMA
-
-
-def test_directory_source_missing_dir():
-    with pytest.raises(DataSourceError):
-        DirectorySource("/nonexistent/path/xyz")
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +60,6 @@ def test_memory_source_uids_track_any_append_update_interleaving(base, steps):
             victim = source.uids()[amount % source.cardinality()]
             source.update(victim, {"i": -amount})
         assert source.uids() == _iterated_uids(source)
-
-
-def test_directory_source_uids_come_from_iterate(tmp_path):
-    (tmp_path / "b.csv").write_text("x\n", encoding="utf-8")
-    (tmp_path / "a.txt").write_text("y", encoding="utf-8")
-    source = DirectorySource(tmp_path)
-    assert source.uids() == ("file:a.txt", "file:b.csv") == _iterated_uids(source)
 
 
 def test_memory_source_update_is_copy_on_write():

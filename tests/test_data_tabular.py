@@ -1,8 +1,10 @@
 """Tests for CSV/HTML parsing helpers."""
 
+import csv
+import io
+
 from repro.data.tabular import (
     extract_numbers,
-    parse_csv,
     parse_html_tables,
     render_csv,
     render_html_report,
@@ -11,13 +13,13 @@ from repro.data.tabular import (
 
 def test_csv_roundtrip():
     text = render_csv(["a", "b"], [[1, "x"], [2, "y"]])
-    rows = parse_csv(text)
+    rows = list(csv.DictReader(io.StringIO(text)))
     assert rows == [{"a": "1", "b": "x"}, {"a": "2", "b": "y"}]
 
 
 def test_render_csv_quotes_commas():
     text = render_csv(["a"], [["has, comma"]])
-    assert parse_csv(text)[0]["a"] == "has, comma"
+    assert next(csv.DictReader(io.StringIO(text)))["a"] == "has, comma"
 
 
 def test_parse_html_tables_extracts_cells():

@@ -1,10 +1,12 @@
 """Tests for the synthetic Kramabench legal corpus."""
 
+import csv
+import io
+
 import pytest
 
 from repro.data.datasets import generate_legal_corpus
 from repro.data.datasets import kramabench as kb
-from repro.data.tabular import parse_csv
 from repro.llm.oracle import SemanticOracle
 
 
@@ -31,7 +33,7 @@ def test_different_seed_changes_distractors_not_ground_truth():
 
 def test_ground_truth_file_contents(legal_bundle):
     text = legal_bundle.corpus.read_file(legal_bundle.ground_truth["ground_truth_file"])
-    rows = parse_csv(text)
+    rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 24
     by_year = {row["Year"]: row for row in rows}
     assert int(by_year["2001"]["Identity Theft Reports"]) == kb.IT_2001

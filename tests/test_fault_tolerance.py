@@ -30,7 +30,6 @@ NO_RETRY = RetryPolicy(max_attempts=1)
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.smoke
 def test_retries_recover_with_identical_answers_at_a_cost(
     make_toy_llm, make_faulty_llm, toy_record
 ):
@@ -59,7 +58,6 @@ def test_success_events_carry_retry_count(make_faulty_llm, toy_record):
     assert any(e.retries > 0 for e in succeeded)
 
 
-@pytest.mark.smoke
 def test_same_seed_identical_faulty_runs(make_faulty_llm, toy_record):
     def run():
         llm = make_faulty_llm(rate=0.4, seed=11)

@@ -54,7 +54,6 @@ def test_fault_config_embeddings_excluded_by_default():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.smoke
 def test_injector_same_seed_same_schedule():
     def schedule(seed):
         injector = FaultInjector(FaultConfig(rate=0.3), seed=seed)
@@ -110,7 +109,6 @@ def test_retry_policy_validates():
         RetryPolicy(max_attempts=0)
 
 
-@pytest.mark.smoke
 def test_backoff_grows_exponentially_and_caps(monkeypatch):
     assert (BASE_BACKOFF_S, BACKOFF_MULTIPLIER, MAX_BACKOFF_S) == (0.5, 2.0, 30.0)
     monkeypatch.setattr(faults, "JITTER", 0.0)

@@ -240,8 +240,11 @@ def test_n_hits_append_n_events_and_every_reader_agrees(make_toy_llm, toy_record
     assert tracker.total() == reference.total()
     assert tracker.total("q:") == reference.total("q:")
     assert tracker.by_model() == reference.by_model()
-    assert tracker.render_report() == reference.render_report()
-    assert "cache hits: 8" in tracker.render_report()
+    prefixes = {event.tag.split(":")[0] for event in reference.events}
+    assert prefixes == {"q", "other"}
+    assert {p: tracker.total(p) for p in prefixes} == {p: reference.total(p) for p in prefixes}
+    assert tracker.failed_calls() == reference.failed_calls() == 0
+    assert sum(event.cached for event in tracker.events) == 8
     assert tracker.spent_usd == reference.spent_usd
 
 

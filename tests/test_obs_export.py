@@ -105,6 +105,41 @@ def test_validate_chrome_trace_rejects_unbalanced_spans(tmp_path):
         validate_chrome_trace(path)
 
 
+_EVENT = {"name": "a", "ph": "X", "ts": 0.0, "dur": 10.0, "pid": 1, "tid": 0}
+#: A malformed trace file and what it breaks: each is a TraceValidationError.
+MALFORMED_TRACES = {
+    "truncated": json.dumps({"traceEvents": [_EVENT]})[:30],
+    "not-json": "traceEvents: []",
+    "not-utf8": b"\xff\xfe{}",
+    "array": json.dumps([_EVENT]),
+    "string": json.dumps("trace"),
+    "events-not-a-list": json.dumps({"traceEvents": {"a": _EVENT}}),
+    "event-not-an-object": json.dumps({"traceEvents": [_EVENT, 3]}),
+    "otherdata-not-an-object": json.dumps({"traceEvents": [_EVENT], "otherData": []}),
+    **{
+        f"no-{key}": json.dumps({"traceEvents": [{k: v for k, v in _EVENT.items() if k != key}]})
+        for key in ("dur", "ts", "tid", "name")
+    },
+    "string-dur": json.dumps({"traceEvents": [{**_EVENT, "dur": "10"}]}),
+    "string-ts": json.dumps({"traceEvents": [{**_EVENT, "ts": "0"}]}),
+    "null-dur": json.dumps({"traceEvents": [{**_EVENT, "dur": None}]}),
+    "list-tid": json.dumps({"traceEvents": [{**_EVENT, "tid": [0]}]}),
+    "string-clock": json.dumps({"traceEvents": [_EVENT], "otherData": {"clock_elapsed_s": "1"}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TRACES))
+def test_malformed_trace_files_raise_trace_validation_error(tmp_path, name):
+    content = MALFORMED_TRACES[name]
+    path = tmp_path / "trace.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    with pytest.raises(TraceValidationError, match=r"trace\.json: "):
+        validate_chrome_trace(path)
+
+
 def test_validate_spans_rejects_escaping_child():
     clock = VirtualClock()
     tracer = Tracer(clock)

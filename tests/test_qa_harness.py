@@ -27,14 +27,14 @@ from repro.qa.shrinker import shrink
 
 
 def test_fuzzer_is_a_pure_function_of_seed_and_index():
-    first = [case.to_dict() for case in PlanFuzzer(seed=7).cases(6)]
-    second = [case.to_dict() for case in PlanFuzzer(seed=7).cases(6)]
+    first = [PlanFuzzer(seed=7).case(i).to_dict() for i in range(6)]
+    second = [PlanFuzzer(seed=7).case(i).to_dict() for i in range(6)]
     assert first == second
 
 
 def test_fuzzer_seeds_explore_different_plan_spaces():
-    plans_a = [case.plan.to_dict() for case in PlanFuzzer(seed=0).cases(8)]
-    plans_b = [case.plan.to_dict() for case in PlanFuzzer(seed=1).cases(8)]
+    plans_a = [PlanFuzzer(seed=0).case(i).plan.to_dict() for i in range(8)]
+    plans_b = [PlanFuzzer(seed=1).case(i).plan.to_dict() for i in range(8)]
     assert plans_a != plans_b
 
 
@@ -46,7 +46,7 @@ def test_case_serde_round_trips_through_json():
 
 def test_generated_plans_respect_structural_invariants():
     fuzzer = PlanFuzzer(seed=1, max_ops=4)
-    for case in fuzzer.cases(25):
+    for case in [fuzzer.case(i) for i in range(25)]:
         ops = case.plan.ops
         assert ops, "plans are never empty"
         joins = [op for op in ops if op["op"] == "sem_join"]
@@ -272,7 +272,7 @@ def test_shared_operator_bug_is_killed_only_through_the_reference():
     assert mutation.only_via_reference
     case = next(
         case
-        for case in PlanFuzzer(seed=0).cases(10)
+        for case in map(PlanFuzzer(seed=0).case, range(10))
         if any(op["op"] == "sem_filter" for op in case.plan.ops)
         and not case.plan.has_join()
     )

@@ -83,7 +83,8 @@ def _assert_engine_matches_reference(case):
 
 
 def test_every_operator_kind_matches_the_reference_in_every_mode():
-    cases = PlanFuzzer(seed=11).cases(40)
+    fuzzer = PlanFuzzer(seed=11)
+    cases = [fuzzer.case(i) for i in range(40)]
     seen = set()
     for case in cases:
         for op in case.plan.ops:
@@ -107,7 +108,7 @@ def test_sharded_limit_overfetch_stays_under_the_reference():
     # but not the reference, which judges every record.
     case = next(
         case
-        for case in PlanFuzzer(seed=11).cases(200)
+        for case in map(PlanFuzzer(seed=11).case, range(200))
         if [op["op"] for op in case.plan.ops][:2] == ["sem_filter", "limit"]
     )
     _, reference_cost = _reference(case)

