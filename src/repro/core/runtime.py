@@ -35,8 +35,7 @@ from repro.obs.stats import StatisticsStore
 from repro.sem.config import QueryProcessorConfig
 from repro.sem.materialize import MaterializationStore
 from repro.sem.optimizer.policies import Balanced
-from repro.sql.database import Database
-from repro.sql.executor import ResultSet
+from repro.sql.database import Database, ResultSet
 
 
 class AnalyticsRuntime:

@@ -1,7 +1,8 @@
 """Data sources: where plans get their records.
 
 A :class:`DataSource` yields :class:`DataRecord` objects and reports its
-cardinality when known; the optimizer uses cardinalities for cost estimates.
+cardinality and uids without a scan; the optimizer uses cardinalities for
+cost estimates.
 
 Sources are also the *change feed* for standing queries (see
 :mod:`repro.sem.streaming`): every mutation — an append of new records or
@@ -39,7 +40,7 @@ class SourceEvent:
 
 
 class DataSource(abc.ABC):
-    """Abstract record source with a schema and optional cardinality."""
+    """Abstract record source with a schema, a cardinality and uids."""
 
     def __init__(self, source_id: str, schema: Schema) -> None:
         self.source_id = source_id
@@ -55,13 +56,13 @@ class DataSource(abc.ABC):
     def iterate(self) -> Iterator[DataRecord]:
         """Yield the source's records."""
 
-    def cardinality(self) -> int | None:
-        """Number of records, or None if unknown without scanning."""
-        return None
+    @abc.abstractmethod
+    def cardinality(self) -> int:
+        """Number of records."""
 
+    @abc.abstractmethod
     def uids(self) -> tuple[str, ...]:
         """The uids of :meth:`iterate`'s records, in order."""
-        return tuple(record.uid for record in self.iterate())
 
     def rewritten_since(self, content_version: int) -> list[str]:
         """The uids rewritten in place after ``content_version``."""

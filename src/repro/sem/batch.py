@@ -11,24 +11,26 @@ transform carries it, which is how the sharded executor re-places shard
 outputs at their global positions.
 
 Vectorized predicate evaluation (:func:`struct_filter_mask`) mirrors the
-``repro.sql`` executor's three-valued logic exactly.  Internally a boolean
+SQL dialect's three-valued logic exactly.  Internally a boolean
 expression is a pair of masks ``(true, false)`` with NULL = neither;
 comparisons against numeric literals ride numpy float arrays when that is
-provably lossless, and every other leaf falls back to the executor's own
-scalar helpers looped once per batch — so the vector path and the scalar
-definition can only ever disagree by raising the same error from a
-different row.
+provably lossless, other column-to-literal comparisons loop the exact
+scalar comparison (:func:`_comparable`) once per batch, and any other
+shape falls back to sqlite (:func:`repro.sem.structql.predicate_mask`) —
+so the vector path and the scalar definition can only ever disagree by
+raising the same error from a different row.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from repro.data.records import DataRecord
-from repro.errors import ExecutionError
-from repro.sem.structql import evaluate_predicate
+from repro.errors import ExecutionError, SQLExecutionError
+from repro.sem.structql import predicate_mask
 from repro.sql.ast_nodes import (
     Between,
     BinaryOp,
@@ -39,11 +41,15 @@ from repro.sql.ast_nodes import (
     Literal,
     UnaryOp,
 )
-from repro.sql.executor import _sql_equal, _sql_less, _sql_lte
 
 #: Integers with magnitude at or below this are exact in float64, so a
 #: numpy float compare cannot diverge from Python int comparison.
 _EXACT_FLOAT_INT = 2**53
+
+_COMPARE = {
+    "=": operator.eq, "<>": operator.ne, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
 
 class RecordBatch:
@@ -76,11 +82,16 @@ class RecordBatch:
         return cached
 
     def validity(self, name: str) -> np.ndarray:
-        """True where the field is present and not NULL."""
+        """True where the field is present and not NULL.  A float NaN is
+        NULL, as sqlite stores it."""
         cached = self._validity.get(name)
         if cached is None:
             cached = np.array(
-                [value is not None for value in self.column(name).tolist()], dtype=bool
+                [
+                    value is not None and (value.__class__ is not float or value == value)
+                    for value in self.column(name).tolist()
+                ],
+                dtype=bool,
             )
             self._validity[name] = cached
         return cached
@@ -214,28 +225,22 @@ def struct_filter_mask(expr: Expr, batch: RecordBatch) -> np.ndarray:
     """Keep-mask for a compiled predicate: True where it evaluates TRUE.
 
     Identical to evaluating the predicate row-at-a-time (FALSE and NULL
-    both drop the row); unsupported shapes fall back to per-row evaluation
-    through the shared ``repro.sql`` executor.
+    both drop the row); unsupported shapes fall back to sqlite over the
+    whole batch (:func:`~repro.sem.structql.predicate_mask`).
     """
     try:
         true_mask, _ = _vector_eval(expr, batch)
         return true_mask
     except _Fallback:
-        return np.fromiter(
-            (
-                evaluate_predicate(expr, record.fields) is True
-                for record in batch.records
-            ),
-            dtype=bool,
-            count=len(batch),
-        )
+        fields = [record.fields for record in batch.records]
+        return np.array(predicate_mask(expr, fields), dtype=bool)
 
 
 def _vector_eval(expr: Expr, batch: RecordBatch) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a boolean expression to ``(true, false)`` masks.
 
     NULL is represented as neither mask set; the algebra below is exactly
-    the executor's: AND is TRUE iff both TRUE and FALSE iff either FALSE,
+    the dialect's: AND is TRUE iff both TRUE and FALSE iff either FALSE,
     OR dually, NOT swaps the masks.
     """
     if isinstance(expr, BinaryOp):
@@ -261,9 +266,9 @@ def _vector_eval(expr: Expr, batch: RecordBatch) -> tuple[np.ndarray, np.ndarray
         return (valid, null) if expr.negated else (null, valid)
     if isinstance(expr, Between):
         # Engine semantics: ``low <= x AND x <= high`` under three-valued
-        # AND.  A NULL bound goes to the executor; so does anything but the
-        # provably error-free all-numeric path, because the engine
-        # short-circuits its two bound checks.
+        # AND.  A NULL bound goes to sqlite; so does anything but the
+        # provably error-free all-numeric path, because the static pass
+        # types both bounds against the operand.
         if not isinstance(expr.operand, ColumnRef):
             raise _Fallback
         low, high = _literal_value(expr.low), _literal_value(expr.high)
@@ -280,7 +285,7 @@ def _vector_eval(expr: Expr, batch: RecordBatch) -> tuple[np.ndarray, np.ndarray
     if isinstance(expr, InList):
         # Engine semantics over non-NULL elements: NULL iff the operand is
         # NULL, else membership.  A NULL element makes a miss NULL, not
-        # FALSE; that list goes to the executor.
+        # FALSE; that list goes to sqlite.
         if not isinstance(expr.operand, ColumnRef):
             raise _Fallback
         values = [_literal_value(option) for option in expr.options]
@@ -300,7 +305,7 @@ def _vector_eval(expr: Expr, batch: RecordBatch) -> tuple[np.ndarray, np.ndarray
             present and not isinstance(value, bool)
             for value, present in zip(values, valid.tolist())
         ):
-            raise _Fallback  # numeric truthiness: leave it to the executor
+            raise _Fallback  # numeric truthiness: leave it to sqlite
         true_mask = np.array([value is True for value in values], dtype=bool)
         return true_mask, valid & ~true_mask
     raise _Fallback
@@ -337,39 +342,23 @@ def _vector_compare_leaf(
 
     floats = _exact_float_column(column, valid, literal)
     if floats is not None:
-        target = float(literal)
-        if op in ("=", "<>", "!="):
-            hits = floats == target
-        elif op == "<":
-            hits = floats < target
-        elif op == "<=":
-            hits = floats <= target
-        elif op == ">":
-            hits = floats > target
-        else:
-            hits = floats >= target
-        if op in ("<>", "!="):
-            hits = ~hits
-        true_mask = hits & valid
+        true_mask = _COMPARE[op](floats, float(literal)) & valid
         return true_mask, valid & ~true_mask
 
-    # Exact scalar helpers, looped once per batch.  Equality never raises;
-    # ordering raises on mismatched types exactly like row mode.
-    if op in ("=", "<>", "!="):
-        scalar: Callable[[Any], Any] = lambda value: _sql_equal(value, literal)
-        negate = op != "="
-    elif op == "<":
-        scalar, negate = lambda value: _sql_less(value, literal), False
-    elif op == "<=":
-        scalar, negate = lambda value: _sql_lte(value, literal), False
-    elif op == ">":
-        scalar, negate = lambda value: _sql_less(literal, value), False
-    else:
-        scalar, negate = lambda value: _sql_lte(literal, value), False
-    hits = []
+    # Exact scalar semantics, looped once per batch: equality across types
+    # is FALSE (inequality TRUE); ordering across types raises.
+    compare, hits = _COMPARE[op], []
     for value, present in zip(column.tolist(), valid.tolist()):
-        outcome = scalar(value) if present else None
-        hits.append(outcome is not None and outcome != negate)
+        if not present:
+            hits.append(False)
+        elif _comparable(value, literal):
+            hits.append(compare(value, literal))
+        elif op in ("=", "<>", "!="):
+            hits.append(op != "=")
+        else:
+            raise SQLExecutionError(
+                f"cannot compare {value!r} {op} {literal!r} (mismatched types)"
+            )
     true_mask = np.array(hits, dtype=bool)
     return true_mask, valid & ~true_mask
 
@@ -399,3 +388,13 @@ def _exact_float_column(
             return None
         floats.append(float(value))
     return np.array(floats, dtype=float)
+
+
+def _comparable(left: Any, right: Any) -> bool:
+    """A bool compares only with a bool, a number with a number, any other
+    value with its own type."""
+    if isinstance(left, bool) or isinstance(right, bool):
+        return isinstance(left, bool) and isinstance(right, bool)
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+        return True
+    return type(left) is type(right)

@@ -107,8 +107,7 @@ class LogicalOperator:
 
 
 def _source_rows(source: DataSource | None, rows_in: float) -> float:
-    size = source.cardinality() if source is not None else None
-    return float(size) if size is not None else rows_in
+    return float(source.cardinality()) if source is not None else rows_in
 
 
 @dataclass(frozen=True)

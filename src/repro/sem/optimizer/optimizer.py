@@ -353,8 +353,7 @@ class Optimizer:
             float(len(source_records)) if source_records is not None else None
         )
         if input_cardinality is None and has_source:
-            size = leaf.source.cardinality()
-            input_cardinality = float(size) if size is not None else None
+            input_cardinality = float(leaf.source.cardinality())
         report.estimate, steps = estimate_chain_steps(
             bound,
             [op.estimate for op in bound],

@@ -947,8 +947,8 @@ class PhysStructFilter(StreamingOperator):
 
     The compiled expression is evaluated once per batch with vectorized
     masks (:func:`repro.sem.batch.struct_filter_mask`, which falls back to
-    the ``repro.sql`` executor per row wherever a vector path is not
-    provably exact).  It only *selects* rows, so the surviving record
+    sqlite, one statement per type signature, wherever a vector path is
+    not provably exact).  It only *selects* rows, so the surviving record
     objects — and their uids — are untouched.
     """
 

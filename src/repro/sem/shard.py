@@ -133,10 +133,10 @@ def key_shard(key, n_shards: int) -> int:
 
     NULL keys route deterministically to shard 0 so NULL-keyed records
     still land *somewhere*, but routing is not matching: under SQL
-    three-valued semantics (``structql``'s ``evaluate_predicate`` on
-    ``a = b``) NULL never equi-matches anything — not even another NULL —
-    so co-locating NULLs can never manufacture a match that the unsharded
-    evaluator would reject.
+    three-valued semantics (``structql.predicate_holds("a = b", ...)``,
+    run by sqlite) NULL never equi-matches anything — not even another
+    NULL — so co-locating NULLs can never manufacture a match that the
+    unsharded evaluator would reject.
     """
     if key is None:
         return 0

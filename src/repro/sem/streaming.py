@@ -239,7 +239,7 @@ class StandingQuery:
         self.records: list[DataRecord] = []
         #: Full changelog across all ticks, in emission order.
         self.changelog: list[ChangeEntry] = []
-        #: Every evaluated firing (refreshes and no-ops).
+        #: Every tick, the priming one first.
         self.ticks: list[TickResult] = []
         self.tick_count = 0
         self.cumulative_cost_usd = 0.0
@@ -482,7 +482,6 @@ class StandingQueryManager:
             ):
                 pass
         self._count(query, "streaming.ticks")
-        self._count(query, "streaming.refreshes")
         self._count(query, "streaming.inserts", tick.inserts)
         self._count(query, "streaming.retracts", tick.retracts)
         self._count(query, "streaming.delta_records", pending_appends)

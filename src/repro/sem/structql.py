@@ -6,8 +6,11 @@ that runs before any LLM operator.  Structured operators left above the
 scan (``PhysStructFilter`` / ``PhysStructAgg``) and the reference
 interpreter (:mod:`repro.qa.reference`) must agree with the pushed-down
 path bit-for-bit — including SQL three-valued NULL logic — so all of them
-funnel through this module: one parse (``repro.sql.parser``), one
-evaluator (``repro.sql.executor``), one semantics.
+funnel through this module: one parse (``repro.sql.parser``), one engine
+(stdlib ``sqlite3``, behind ``repro.sql.Database``), one semantics.  A
+predicate over records runs as one sqlite SELECT per Python type
+signature of the fields it reads (:func:`predicate_mask`);
+:func:`predicate_holds` is its one-row case.
 
 Conventions:
 
@@ -31,38 +34,24 @@ Conventions:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
-from repro.errors import PlanError
+from repro.errors import PlanError, SQLSyntaxError
 from repro.sql.ast_nodes import (
-    Between,
-    BinaryOp,
-    CaseWhen,
     ColumnRef,
     Expr,
     FuncCall,
-    InList,
     InSubquery,
-    IsNull,
-    Like,
-    Literal,
+    Select,
+    SelectItem,
     Star,
     Subquery,
-    UnaryOp,
+    TableRef,
+    walk_expression,
 )
 from repro.sql.database import Database
-from repro.sql.executor import Executor
-from repro.sql.functions import is_aggregate
-from repro.sql.parser import parse_expression
+from repro.sql.parser import AGGREGATE_FUNCTIONS, parse_expression
 from repro.sql.table import Column
-
-#: Binding name records are exposed under when evaluating predicates.
-_ROW_BINDING = "r"
-
-#: One stateless evaluator is enough: predicates reject subqueries, the
-#: only construct that reads the catalog.
-_EVALUATOR = Executor({})
-
 
 @lru_cache(maxsize=512)
 def compile_predicate(condition: str) -> Expr:
@@ -71,8 +60,6 @@ def compile_predicate(condition: str) -> Expr:
     Raises :class:`~repro.errors.PlanError` on syntax errors, aggregates,
     subqueries, or ``*`` — a predicate must be evaluable per record.
     """
-    from repro.errors import SQLSyntaxError
-
     try:
         expr = parse_expression(condition)
     except SQLSyntaxError as exc:
@@ -84,7 +71,7 @@ def compile_predicate(condition: str) -> Expr:
             )
         if isinstance(node, Star):
             raise PlanError(f"structured predicate {condition!r} may not contain '*'")
-        if isinstance(node, FuncCall) and (is_aggregate(node.name) or node.star):
+        if isinstance(node, FuncCall) and (node.name in AGGREGATE_FUNCTIONS or node.star):
             raise PlanError(
                 f"structured predicate {condition!r} may not aggregate "
                 f"({node.name.upper()})"
@@ -95,40 +82,6 @@ def compile_predicate(condition: str) -> Expr:
                 f"({node.display()!r}); records have a single scope"
             )
     return expr
-
-
-def walk_expression(expr: Expr):
-    """Yield every node of an expression tree, root first."""
-    yield expr
-    if isinstance(expr, BinaryOp):
-        yield from walk_expression(expr.left)
-        yield from walk_expression(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from walk_expression(expr.operand)
-    elif isinstance(expr, FuncCall):
-        for arg in expr.args:
-            yield from walk_expression(arg)
-    elif isinstance(expr, InList):
-        yield from walk_expression(expr.operand)
-        for option in expr.options:
-            yield from walk_expression(option)
-    elif isinstance(expr, InSubquery):
-        yield from walk_expression(expr.operand)
-    elif isinstance(expr, Between):
-        yield from walk_expression(expr.operand)
-        yield from walk_expression(expr.low)
-        yield from walk_expression(expr.high)
-    elif isinstance(expr, Like):
-        yield from walk_expression(expr.operand)
-        yield from walk_expression(expr.pattern)
-    elif isinstance(expr, IsNull):
-        yield from walk_expression(expr.operand)
-    elif isinstance(expr, CaseWhen):
-        for condition, outcome in expr.whens:
-            yield from walk_expression(condition)
-            yield from walk_expression(outcome)
-        if expr.otherwise is not None:
-            yield from walk_expression(expr.otherwise)
 
 
 def normalized_condition(condition: str) -> str:
@@ -142,24 +95,38 @@ def normalized_condition(condition: str) -> str:
     return repr(compile_predicate(condition))
 
 
-def evaluate_predicate(expr: Expr, fields: Mapping[str, Any]):
-    """Three-valued evaluation of a compiled predicate over record fields.
+def predicate_mask(expr: Expr, rows: Sequence[Mapping[str, Any]]) -> list[bool]:
+    """Per row, whether a compiled predicate is exactly TRUE over its fields.
 
-    Returns ``True`` / ``False`` / ``None`` with exact SQL semantics —
-    this is the ``repro.sql`` executor's own ``_eval``, handed an
-    environment where every referenced-but-missing field is NULL.
+    Rows are grouped by the Python types of the referenced fields (``None``
+    is a type of its own), and each group runs as one sqlite SELECT of the
+    predicate over a table of its rows, so the static types inside a group
+    are exact: a type error raises if, and only if, a row holds the values
+    that commit it.
     """
-    scope = {
-        node.name: fields.get(node.name)
-        for node in walk_expression(expr)
-        if isinstance(node, ColumnRef)
-    }
-    return _EVALUATOR._eval(expr, {_ROW_BINDING: scope})
+    names = list(
+        dict.fromkeys(node.name for node in walk_expression(expr) if isinstance(node, ColumnRef))
+    )
+    groups: dict[tuple[type, ...], list[int]] = {}
+    for position, fields in enumerate(rows):
+        signature = tuple(type(fields.get(name)) for name in names)
+        groups.setdefault(signature, []).append(position)
+    keep = [False] * len(rows)
+    database = Database()
+    for index, members in enumerate(groups.values()):
+        table = f"group{index}"
+        database.create_table_from_rows(
+            table, [{name: rows[at].get(name) for name in names} for at in members]
+        )
+        statement = Select([SelectItem(expr)], table=TableRef(table))
+        for at, (value,) in zip(members, database.select(statement).rows):
+            keep[at] = value is True
+    return keep
 
 
 def predicate_holds(condition: str, fields: Mapping[str, Any]) -> bool:
     """SQL WHERE semantics: keep only rows where the predicate is TRUE."""
-    return evaluate_predicate(compile_predicate(condition), fields) is True
+    return predicate_mask(compile_predicate(condition), [fields])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +138,6 @@ def validate_aggregation(
     group_by: tuple[str, ...], aggregates: tuple[tuple[str, str], ...]
 ) -> None:
     """Fail fast on malformed struct_agg specs (at plan-build time)."""
-    from repro.errors import SQLSyntaxError
-
     if not aggregates:
         raise PlanError("struct_agg needs at least one aggregate expression")
     seen: set[str] = set()
@@ -198,7 +163,7 @@ def validate_aggregation(
                 f"contain a subquery"
             )
         if not any(
-            isinstance(node, FuncCall) and (is_aggregate(node.name) or node.star)
+            isinstance(node, FuncCall) and (node.name in AGGREGATE_FUNCTIONS or node.star)
             for node in nodes
         ):
             raise PlanError(

@@ -2,11 +2,14 @@
 
 The paper's vision calls for a runtime that can materialize structured
 tables from unstructured data and query them with SQL so future queries
-reuse earlier work (Section 2.4).  This package implements the substrate:
-a small but real SQL engine — lexer, recursive-descent parser, binder, and
-executor — that runs read-only SELECTs (joins, grouping, ordering, limits,
-uncorrelated subqueries).  Tables enter through the ``Database`` API, not
-through SQL text: any statement other than SELECT is a syntax error.
+reuse earlier work (Section 2.4).  This package is that substrate: a
+lexer and recursive-descent parser for read-only SELECTs (joins,
+grouping, ordering, limits, uncorrelated subqueries), one static pass
+that types the AST and renders it to sqlite's dialect
+(:mod:`repro.sql.render`), and stdlib ``sqlite3``, which executes it on
+one in-memory connection per ``Database``.  Tables enter through the
+``Database`` API, not through SQL text: any statement other than SELECT
+is a syntax error.
 
 Quick use::
 

@@ -134,3 +134,14 @@ class Select:
     order_by: list[tuple[Expr, bool]] = field(default_factory=list)  # (expr, desc)
     limit: int | None = None
     distinct: bool = False
+
+
+def walk_expression(expr: Expr):
+    """Yield every node of an expression tree, root first, children in
+    field order (a subquery's SELECT is not entered)."""
+    yield expr
+    for value in vars(expr).values():
+        for child in value if isinstance(value, tuple) else (value,):
+            for node in child if isinstance(child, tuple) else (child,):
+                if isinstance(node, Expr):
+                    yield from walk_expression(node)

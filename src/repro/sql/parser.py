@@ -27,6 +27,9 @@ from repro.sql.lexer import Token, tokenize_sql
 
 _COMPARISON_OPS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 
+#: Function names that aggregate a group rather than read one row.
+AGGREGATE_FUNCTIONS = frozenset({"count", "sum", "avg", "min", "max"})
+
 
 class Parser:
     """Parses one SELECT statement from a token stream."""

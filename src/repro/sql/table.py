@@ -84,11 +84,6 @@ class Table:
             tuple(column.coerce(value) for column, value in zip(self.columns, values))
         )
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """Rows as dictionaries keyed by column name."""
-        names = self.column_names
-        return [dict(zip(names, row)) for row in self.rows]
-
     def __len__(self) -> int:
         return len(self.rows)
 

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import ast
 import functools
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -286,6 +289,10 @@ RETIRED_NAMES = (
     "register_standing", "pump_standing", "standing_manager", "RefreshRunner",
     "max_per_window", "GenericResearchPolicy",
 )
+#: The hand-written SQL executor, its function table and the record
+#: evaluator over it (sqlite runs SQL), matched as whole names so
+#: ``ShardedExecutor`` stays.
+RETIRED_SQL = ("Executor", "_EVALUATOR", "evaluate_predicate", "SCALARS", "AGGREGATES")
 #: Per-operator ladders and tuples the operator classes' declarations
 #: replaced, and the champion option.
 RETIRED_LADDERS = (
@@ -333,8 +340,11 @@ RULES = (
     Rule("no-eager-eviction", (STREAMING,), identifier("invalidate_sources")),
     # ... and a generation-cache key is the call's tuple: nothing digests one.
     Rule("retired-names", ("src/",), any_of(
-        identifier("|".join(RETIRED_NAMES)), call(r"GenerationCache\.key$|\.key\.digest$"),
+        identifier("|".join(RETIRED_NAMES) + f"|^({'|'.join(RETIRED_SQL)})$"),
+        call(r"GenerationCache\.key$|\.key\.digest$"),
     )),
+    # One SQL engine: stdlib sqlite3 runs every SELECT and record predicate.
+    Rule("one-sql-engine", ("src/",), imports(r"^sqlite3(\.|$)"), {SRC + "sql/": None}),
     # Time goes through llm.spend, dependencies through llm.mark / measure(after).
     Rule("one-schedule", (SEM,), identifier("serve_sink")),
     # Replan x shards and replan x reuse are compositions, not exclusions.
@@ -592,9 +602,13 @@ PLANTS = [
     ("retired-names", SRC + "core/runtime.py", "def _wire_explicit_llm(self, llm): pass"),
     ("retired-names", SEM + "config.py", "fused = llm.sink_owns_time"),
     ("retired-names", COST_MODEL, "size = config.fused_batch_size()"),
-    *(("retired-names", SRC + "plant.py", f"x = owner.{name}") for name in RETIRED_NAMES),
+    *(
+        ("retired-names", SRC + "plant.py", f"x = owner.{name}")
+        for name in RETIRED_NAMES + RETIRED_SQL
+    ),
     ("retired-names", CACHE, "key = GenerationCache.key(model, prompt)"),
     ("retired-names", CACHE, "key = (self.call.key\n    .digest(\n    ))"),
+    ("one-sql-engine", SEM + "batch.py", "def fallback(expr):\n    import sqlite3"),
     ("one-schedule", SHARD, "sink = llm.serve_sink"),
     ("one-schedule", SHARD, "sink = (llm\n    .serve_sink)"),
     ("composition", OPTIMIZER, "note = REPLAN_DISABLED_SHARDED"),
@@ -673,6 +687,7 @@ PASSES = [
     ("batch-entry-point", EXECUTION, 'def f():\n    """process_record"""  # op.process_record(r)'),
     ("replan-without-optimizer", REPLAN, '"""Permutes what Optimizer bound, not _bind_one."""'),
     ("retired-names", COST_MODEL, "x = 'governor', DEFAULT_FALLBACK_MODEL  # sink_owns_time"),
+    ("retired-names", SHARD, "runner = ShardedExecutor(engine, plan)"),
     ("retired-keywords", "tests/test_plant.py", "ExecutionContext(llm, on_failure='raise')"),
     ("retired-keywords", "tests/test_plant.py", "RetryPolicy(max_attempts=1)"),
     ("retired-keywords", "tests/test_plant.py", "StatisticsStore(**{'decay': 0.5})"),
@@ -729,3 +744,29 @@ def test_names_only_inputs_change_no_rule_hits():
 def test_every_rule_has_a_plant():
     assert [rule.name for rule in RULES] == list(dict.fromkeys(rule for rule, _, _ in PLANTS))
 
+
+def test_sqlite3_is_imported_on_first_use():
+    """``import repro`` and a ``where`` plan the kernel runs on its float
+    path leave ``sqlite3`` unimported: no workload pays for it at set-up."""
+    code = "\n".join([
+        "import sys",
+        "import repro",
+        "from repro.data.records import DataRecord",
+        "from repro.data.schemas import Field, Schema",
+        "from repro.llm.simulated import SimulatedLLM",
+        "from repro.sem.config import QueryProcessorConfig",
+        "from repro.sem.dataset import Dataset",
+        "records = [DataRecord({'priority': p}) for p in (1, 2, 3)]",
+        "plan = Dataset.from_records(records, Schema([Field('priority', int)]))",
+        "result = plan.where('priority >= 2').run(QueryProcessorConfig(llm=SimulatedLLM(seed=0)))",
+        "assert [r.fields['priority'] for r in result.records] == [2, 3]",
+        "print('sqlite3' in sys.modules)",
+        "repro.Database().execute('SELECT 1')",
+        "print('sqlite3' in sys.modules)",
+    ])
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "True"]

@@ -47,7 +47,7 @@ from tests.test_architecture import RULE, violations
 def keys_match(a, b) -> bool:
     """Three-valued equi-match: NULL = anything is unknown, i.e. no match.
 
-    The reference for ``structql``'s ``evaluate_predicate`` on ``a = b``:
+    The reference for ``structql.predicate_holds("a = b", ...)``:
     a NULL on either side yields NULL, and only TRUE joins.
     """
     if a is None or b is None:

@@ -490,7 +490,7 @@ def test_streaming_metrics_counters(qa_bundle):
     assert metrics.counters["streaming.appends"].value == 1
     assert metrics.counters["streaming.appended_records"].value == 2
     assert metrics.counters["streaming.ticks"].value == 2
-    assert metrics.counters["streaming.refreshes"].value == 2
+    assert "streaming.refreshes" not in metrics.counters  # ticks counts every refresh
 
 
 def test_explain_appends_refresh_provenance_footer(qa_bundle):
