@@ -29,7 +29,7 @@ from repro.llm.embeddings import cosine_similarity, top_k_similar
 from repro.llm.models import DEFAULT_MODEL
 from repro.llm.simulated import SimulatedLLM
 from repro.sem import logical as L
-from repro.sem.structql import predicate_holds, run_aggregation
+from repro.sem.structql import compile_predicate, predicate_mask, run_aggregation
 from repro.utils.hashing import stable_digest
 
 
@@ -139,7 +139,8 @@ class ReferenceInterpreter:
         if isinstance(op, L.PyMapOp):
             return [r.derive(op.fn(r)) for r in records]
         if isinstance(op, L.StructFilterOp):
-            return [r for r in records if predicate_holds(op.condition, r.fields)]
+            keep = predicate_mask(compile_predicate(op.condition), [r.fields for r in records])
+            return [r for r, kept in zip(records, keep) if kept]
         if isinstance(op, L.StructAggOp):
             fields, output = [r.fields for r in records], []
             for row in run_aggregation(fields, op.group_by, op.aggregates):
@@ -194,7 +195,5 @@ class ReferenceInterpreter:
         if op.method == "llm":
             ask = f"The record is relevant to: {op.query}"
             relevant = self._each(records, lambda r: self._judge(ask, r, model))
-        order = sorted(
-            range(len(records)), key=lambda i: (not relevant[i], -sims[i], i)
-        )
+        order = sorted(range(len(records)), key=lambda i: (not relevant[i], -sims[i], i))
         return [records[i] for i in order[: op.k]]

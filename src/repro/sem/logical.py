@@ -501,11 +501,10 @@ class LimitOp(LogicalOperator):
 class MaterializedScanOp(LogicalOperator):
     """Leaf: replay a materialized sub-plan prefix from the store.
 
-    Never written by users — the reuse-aware optimizer substitutes one for
-    a fingerprint-matched prefix (see :mod:`repro.sem.materialize`).  When
-    the source saw appends or in-place rewrites since capture,
-    ``delta_records`` counts the source records run through the reused
-    prefix.
+    Never written by users — the reuse-aware optimizer binds one instead
+    of a fingerprint-matched prefix (see :mod:`repro.sem.materialize`).
+    It emits the ``base_records`` the store measured plus, when the source
+    saw appends or in-place rewrites since capture, ``delta_records``.
     """
 
     source_id: str = ""
@@ -521,6 +520,9 @@ class MaterializedScanOp(LogicalOperator):
     def label(self) -> str:
         suffix = f", delta={self.delta_records}" if self.delta_records else ""
         return f"MaterializedScan({self.source_id}, fp={self.fingerprint[:8]}{suffix})"
+
+    def rows_out(self, rows_in: float, selectivity: float) -> float:
+        return float(self.base_records + self.delta_records)
 
 
 @dataclass(frozen=True)

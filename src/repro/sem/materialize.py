@@ -122,28 +122,28 @@ def prefix_fingerprints(
 
 
 def stamp_fingerprints(operators: list, llm_seed: int, scope: str = "") -> None:
-    """Set each bound operator's ``fingerprint`` to its boundary's digest.
+    """Re-set each bound operator's ``fingerprint`` after a reorder.
 
-    A replay's boundary is that of the prefix it stands for, in either shape
-    :class:`~repro.sem.physical.PhysMaterializedScan` documents: compact, the
-    prefix rides on it; expanded, the prefix is the operators bound ahead of
-    it, which scan only the delta and so capture nothing.
+    The optimizer stamps every operator as it binds it; the mid-query
+    re-planner calls this after it permutes a suffix.  A replay's boundary
+    is that of the prefix it ``covers``, whatever its shape
+    (:class:`~repro.sem.physical.PhysMaterializedScan`): an exact hit's
+    prefix was never bound, a compact delta's rides on the replay, and an
+    expanded delta's is bound ahead of it over the delta only, so those
+    operators capture nothing.
     """
-    planned, owners = [], []
+    chain, models, owners = [], [], []
     for operator in operators:
         operator.fingerprint = None
         if operator.reused:
-            planned += operator.prefix
-            owners = [None] * (len(planned) - 1) + [operator]
+            chain = [op for op, _ in operator.covers]
+            models = [model for _, model in operator.covers]
+            owners = [None] * (len(chain) - 1) + [operator]
         else:
-            planned.append(operator)
+            chain.append(operator.logical_op)
+            models.append(operator.model)
             owners.append(operator)
-    fingerprints = prefix_fingerprints(
-        [operator.logical_op for operator in planned],
-        [operator.model for operator in planned],
-        llm_seed,
-        scope=scope,
-    )
+    fingerprints = prefix_fingerprints(chain, models, llm_seed, scope=scope)
     for owner, fingerprint in zip(owners, fingerprints):
         if owner is not None:
             owner.fingerprint = fingerprint
@@ -277,8 +277,8 @@ class CapturePlan:
     """How the engine should capture this run's boundaries.
 
     *Where* lives on the bound operators: each carries the ``fingerprint``
-    of the boundary after it (None = don't capture), so a splice or a
-    re-planned reorder moves the fingerprints with the operators.  When
+    of the boundary after it (None = don't capture), so a re-planned
+    reorder moves the fingerprints with the operators.  When
     the run itself replays a materialized prefix, the carried cost is
     folded into re-captures so updated entries keep honest full-recompute
     cost estimates.

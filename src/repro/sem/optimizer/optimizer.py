@@ -10,13 +10,12 @@ For linear plans the optimizer:
 3. lets the configured policy choose each operator's physical model;
 4. reorders commuting filters by cost/selectivity rank and pushes free
    Python filters first;
-5. binds logical operators to physical operators and hangs every
-   per-position plan fact on them — statistics-key entry, estimate record,
-   boundary fingerprint — so the bound list is the plan's only
-   position-indexed table and a splice or reorder moves the facts along;
-6. swaps the longest fingerprint-matched prefix for a materialized replay
-   — the one whole-boundary replay decision, at every shard count (the
-   sharding pass runs after it, over the spliced list).
+5. decides reuse on the logical chain — the one reuse decision, at every
+   shard count — and binds only what will run (a hit's prefix is a
+   replay), stamping each operator with its boundary fingerprint and
+   hanging its statistics-key entry and estimate record on it, so the
+   bound list is the plan's only position-indexed table and a reorder
+   moves the facts along (the sharding pass runs last, over that list).
 
 Plans containing joins are bound without sampling (the champion model runs
 every semantic operator) — mirroring the prototype status of join
@@ -30,16 +29,11 @@ from typing import TYPE_CHECKING
 
 from repro.errors import OptimizationError
 from repro.sem import logical as L
+from repro.sem import materialize
 from repro.sem import physical as P
 
 if TYPE_CHECKING:
     from repro.sem.config import QueryProcessorConfig
-from repro.sem.materialize import (
-    CapturePlan,
-    delta_since,
-    incremental_safe_prefix,
-    stamp_fingerprints,
-)
 from repro.sem.optimizer.cost_model import (
     OperatorEstimate,
     PlanEstimate,
@@ -78,7 +72,7 @@ class OptimizationReport:
     #: Store-wide hit count after this decision (exact + delta).
     reuse_store_hits: int = 0
     #: Engine-side capture instructions (None = no store configured).
-    capture: "CapturePlan | None" = field(default=None, repr=False)
+    capture: "materialize.CapturePlan | None" = field(default=None, repr=False)
     #: Structured operators compiled into the SqlScan leaf (0 = no pushdown).
     pushdown_ops: int = 0
     #: Display-form SELECT the pushed prefix compiles to.
@@ -98,7 +92,8 @@ class OptimizationReport:
 
     @property
     def planned(self) -> list:
-        """``bound`` with a replay expanded into the prefix it stands in for."""
+        """``bound`` with a compact delta replay expanded into the prefix it
+        runs; an exact hit never binds its prefix, so ``planned == bound``."""
         return [
             planned
             for op in self.bound
@@ -152,7 +147,7 @@ class Optimizer:
         if shards > 1:
             # The sharding pass runs last, over the bound operators, so the
             # exchange segments line up with whatever rewrites, model
-            # choices and replay splice were made above.  shards=1 never
+            # choices and reuse were decided above.  shards=1 never
             # reaches this — report.shard_plan stays None and the engine
             # path is untouched.
             from repro.sem.shard import plan_shards
@@ -168,7 +163,7 @@ class Optimizer:
                 if self.config.optimize
                 else "optimization disabled"
             )
-            return self._bind_spine(plan.root, {}), OptimizationReport(
+            return self._bind_spine(plan.root), OptimizationReport(
                 optimized=False, note=note
             )
         if not self.config.optimize:
@@ -244,7 +239,9 @@ class Optimizer:
                     continue
 
                 def bind(model: str | None) -> P.PhysicalOperator:
-                    return self._bind_one(op, chain, position, {id(op): model})
+                    return self._bind_one(
+                        op, chain, position, self._model(op, {id(op): model})
+                    )
 
                 with tracer.span(f"profile:{op.label()}", kind="profile"):
                     profiles[id(op)] = sampler.profile(
@@ -280,9 +277,7 @@ class Optimizer:
             sampling_time_s=sampling_time,
         )
         new_chain = self._push_down(new_chain, report)
-        return self._reuse_and_bind(
-            new_chain, chosen, report, source_records, profiles
-        ), report
+        return self._reuse_and_bind(new_chain, chosen, report, profiles), report
 
     # ------------------------------------------------------------------
     # Plan facts, sub-plan reuse (materialization), re-plan arming
@@ -293,13 +288,12 @@ class Optimizer:
         chain: list[L.LogicalOperator],
         chosen: dict[int, str],
         report: OptimizationReport,
-        source_records: list | None = None,
         profiles: dict[int, dict[str, OperatorProfile]] | None = None,
     ) -> list[P.PhysicalOperator]:
-        """Bind ``chain``, annotate it, and swap a matched prefix for a replay."""
-        bound = self._bind_chain(chain, chosen)
-        self._annotate(bound, report, source_records, profiles or {})
-        self._splice_replay(bound, report, source_records)
+        """Decide reuse on ``chain``, bind what will run, and annotate it."""
+        models = [self._model(op, chosen) for op in chain]
+        bound = self._bind_reusing(chain, models, report)
+        self._annotate(bound, report, getattr(chain[0], "source", None), profiles or {})
         self._arm_replanner(report)
         return bound
 
@@ -307,26 +301,25 @@ class Optimizer:
         self,
         bound: list[P.PhysicalOperator],
         report: OptimizationReport,
-        source_records: list | None,
+        source,
         profiles: dict[int, dict[str, OperatorProfile]],
     ) -> None:
-        """Hang the statistics entry and estimate record on each operator.
+        """Hang the statistics entry and estimate record on each operator
+        the engine runs.
 
-        The entry is what ingestion and :func:`believe` key priors with;
-        the estimate is what ``believe`` makes of the chosen model's
-        sampled profile, plus the operator's estimated cardinality/cost;
-        the plan total lands on the report.  With a cold store and sampled
-        ``profiles`` this reproduces the historical plan estimate exactly.
+        The entry is what ingestion and :func:`believe` key priors with,
+        under the plan's ``source``; the estimate is what ``believe`` makes
+        of the chosen model's sampled profile, plus the operator's
+        estimated cardinality/cost; the plan total lands on the report.  A
+        replay leaf declares the rows the store measured, so a suffix is
+        priced from real cardinality.
         """
         config = self.config
         store = config.stats_store
         if store is not None:
             store.metrics = config.llm.metrics if config.llm.metrics.enabled else None
         scope = config.scope
-        chain = [op.logical_op for op in bound]
-        leaf = chain[0]
-        has_source = getattr(leaf, "source", None) is not None
-        dataset = leaf.source.source_id if has_source else ""
+        dataset = source.source_id if source is not None else ""
         for op in bound:
             key = stats_key(op.logical_op, op.model, dataset, scope, config.llm.seed)
             if key is not None:
@@ -349,15 +342,10 @@ class Optimizer:
                 )
             op.estimate = believe(op, store)
 
-        input_cardinality = (
-            float(len(source_records)) if source_records is not None else None
-        )
-        if input_cardinality is None and has_source:
-            input_cardinality = float(leaf.source.cardinality())
         report.estimate, steps = estimate_chain_steps(
             bound,
             [op.estimate for op in bound],
-            input_cardinality=input_cardinality,
+            input_cardinality=float(source.cardinality()) if source is not None else None,
             parallelism=config.parallelism,
             batch_size=config.resolved_batch_size(),
         )
@@ -369,8 +357,8 @@ class Optimizer:
         """Attach a re-planner when config + store allow it, else say why not.
 
         Any plan can carry one: every fact moves with its operator, a replay
-        carries the estimate of the prefix it stands for, and a commuting
-        run never straddles an exchange segment.
+        declares the rows the store measured, and a commuting run never
+        straddles an exchange segment.
         """
         config = self.config
         if not config.replan:
@@ -382,107 +370,95 @@ class Optimizer:
             return
         report.replanner = Replanner(config, report)
 
-    def _splice_replay(
+    def _bind_reusing(
         self,
-        bound: list[P.PhysicalOperator],
+        chain: list[L.LogicalOperator],
+        models: list[str | None],
         report: OptimizationReport,
-        source_records: list | None,
-    ) -> None:
-        """Swap the longest fingerprint-matched prefix of ``bound`` for a replay.
+    ) -> list[P.PhysicalOperator]:
+        """Probe the store on ``chain`` longest prefix first, then bind.
 
         The one reuse decision, at every shard count and partitioner: no
-        executor probes the store.  Stamps every operator with its
-        boundary fingerprint and leaves a :class:`CapturePlan` on the
-        report so the engine materializes this run's own boundaries, then
-        probes the store longest-prefix first.  An exact hit replays for
-        free; a delta hit also runs the records appended or rewritten since
-        capture through the matched prefix, which can never cost more than
-        recomputing (the delta is a subset of the source).  ``bound`` is
-        edited in place — the sharding pass sees the spliced list — in one
-        of the two shapes :class:`~repro.sem.physical.PhysMaterializedScan`
-        documents: the compact replay leaf, or, for a delta that will be
-        sharded, the prefix kept in the plan over the delta with the replay
-        gathering behind it.  Either way the prefix's leaf scans exactly
-        the delta.
+        executor probes the store.  ``chain`` is fingerprinted once, and a
+        :class:`~repro.sem.materialize.CapturePlan` on the report has the
+        engine materialize this run's boundaries.  A miss binds the whole
+        chain; a hit binds a :class:`~repro.sem.physical.PhysMaterializedScan`
+        and the suffix, in the shape the replay documents: an exact hit
+        never binds its prefix, and a delta hit binds it over the records
+        appended or rewritten since capture — a subset of the source, so
+        a replay never costs more than recomputing.
         """
         config = self.config
         store = config.materialization_store
-        leaf = bound[0].logical_op
-        source = getattr(leaf, "source", None)
+        source = getattr(chain[0], "source", None)
+        everything = range(len(chain))
         if store is None or source is None:
-            return
+            return self._bind_positions(chain, models, everything)
         store.metrics = config.llm.metrics if config.llm.metrics.enabled else None
-        if source_records is None:
-            source_records = list(source.iterate())
         source_uids = source.uids()
-        source_id = source.source_id
-        content_version = source.content_version
-        stamp_fingerprints(bound, config.llm.seed, config.scope)
-        capture = CapturePlan(
-            store=store,
-            source_id=source_id,
-            source_uids=source_uids,
-            content_version=content_version,
+        fingerprints = materialize.prefix_fingerprints(
+            chain, models, config.llm.seed, config.scope
         )
-        report.capture = capture
+        report.capture = capture = materialize.CapturePlan(
+            store=store,
+            source_id=source.source_id,
+            source_uids=source_uids,
+            content_version=source.content_version,
+        )
 
-        safe = incremental_safe_prefix([op.logical_op for op in bound])
-        for length in range(len(bound), 1, -1):
-            fingerprint = bound[length - 1].fingerprint
+        safe = materialize.incremental_safe_prefix(chain)
+        for length in range(len(chain), 1, -1):
+            fingerprint = fingerprints[length - 1]
             if fingerprint is None:
                 continue
             kind, entry = store.match(
-                fingerprint, source_uids, content_version, safe[length - 1]
+                fingerprint, source_uids, capture.content_version, safe[length - 1]
             )
             if kind == "exact":
                 delta, rewrites = [], None
                 break
             if kind == "delta" and safe[length - 1]:
-                changed = delta_since(entry, source, source_records)
+                changed = materialize.delta_since(entry, source, list(source.iterate()))
                 if changed is not None:
                     delta, rewrites = changed
                     break
         else:
             store.note_miss()
-            return
+            return self._bind_positions(chain, models, everything, fingerprints)
         store.note_hit(entry, kind, delta_records=len(delta))
 
-        materialized = L.MaterializedScanOp(
-            child=None,
-            source_id=source_id,
-            fingerprint=fingerprint,
-            base_records=len(entry.records),
-            delta_records=len(delta),
+        # The suffix keeps its boundaries; the prefix's operators, when a
+        # delta binds them, scan only the delta, so none may capture.
+        suffix = self._bind_positions(
+            chain, models, range(length, len(chain)), fingerprints
         )
-        replaced = bound[length - 1]
-        if delta:
-            bound[0].delta = delta
-        if delta and config.shards > 1:
-            # Expanded: the sharding pass scatters the delta like any other
-            # input; the prefix's own boundaries now carry delta-only
-            # records, so none may capture.
-            replay = P.PhysMaterializedScan(materialized, entry=entry, rewrites=rewrites)
-            replay.exchange = "gather"
-            for operator in bound[:length]:
-                operator.fingerprint = None
-            bound.insert(length, replay)
-        else:
-            replay = P.PhysMaterializedScan(
-                materialized, entry=entry, prefix=bound[:length], rewrites=rewrites
-            )
-            bound[:length] = [replay]
-        # The replay boundary keeps the prefix's fingerprint and estimate: a
-        # fault-free run re-puts the (possibly delta-merged) records, carrying
-        # the entry's measured cost so the updated entry stays an honest
-        # recompute estimate, and a re-planner compares what crosses it with
-        # what the prefix was expected to emit.
+        prefix = self._bind_positions(chain, models, range(length)) if delta else []
+        if prefix:
+            prefix[0].delta = delta
+        expanded = bool(prefix) and config.shards > 1
+        replay = P.PhysMaterializedScan(
+            L.MaterializedScanOp(
+                child=None,
+                source_id=source.source_id,
+                fingerprint=fingerprint,
+                base_records=len(entry.records),
+                delta_records=len(delta),
+            ),
+            entry=entry,
+            covers=tuple(zip(chain[:length], models[:length])),
+            prefix=() if expanded else prefix,
+            rewrites=rewrites,
+        )
+        # The replay boundary keeps the prefix's fingerprint: a fault-free
+        # run re-puts the (possibly delta-merged) records, carrying the
+        # entry's measured cost so the updated entry stays an honest
+        # recompute estimate.
         replay.fingerprint = fingerprint
-        replay.estimate = replaced.estimate
         capture.carried_cost_usd = entry.cost_usd
         capture.carried_time_s = entry.time_s
 
         base_cardinality = max(1, len(entry.source_uids))
-        recompute_est = entry.cost_usd * (len(source_records) / base_cardinality)
+        recompute_est = entry.cost_usd * (len(source_uids) / base_cardinality)
         reuse_est = entry.cost_usd * (len(delta) / base_cardinality)
         report.reused_prefix = length
         report.reuse_kind = kind
@@ -502,22 +478,34 @@ class Optimizer:
                 saved_est_usd=round(report.reuse_saved_est_usd, 6),
             ):
                 pass
+        if expanded:
+            # The sharding pass scatters the delta like any other input.
+            replay.exchange = "gather"
+            return [*prefix, replay, *suffix]
+        return [replay, *suffix]
 
     # ------------------------------------------------------------------
     # Binding
     # ------------------------------------------------------------------
 
-    def _bind_chain(
-        self, chain: list[L.LogicalOperator], chosen: dict[int, str]
+    def _bind_positions(
+        self,
+        chain: list[L.LogicalOperator],
+        models: list[str | None],
+        positions: range,
+        fingerprints: list[str | None] | None = None,
     ) -> list[P.PhysicalOperator]:
+        """Bind ``chain[positions]``, each stamped with its boundary's
+        fingerprint when ``fingerprints`` are given."""
         bound: list[P.PhysicalOperator] = []
-        for position, op in enumerate(chain):
-            bound.append(self._bind_one(op, chain, position, chosen))
+        for position in positions:
+            operator = self._bind_one(chain[position], chain, position, models[position])
+            if fingerprints is not None:
+                operator.fingerprint = fingerprints[position]
+            bound.append(operator)
         return bound
 
-    def _bind_spine(
-        self, root: L.LogicalOperator, chosen: dict[int, str]
-    ) -> list[P.PhysicalOperator]:
+    def _bind_spine(self, root: L.LogicalOperator) -> list[P.PhysicalOperator]:
         """Bind the left spine of a (possibly join-bearing) plan.
 
         Only ``child`` edges are followed; a join's right subtree is bound
@@ -530,25 +518,31 @@ class Optimizer:
             spine.append(node)
             node = node.child
         spine.reverse()
-        return self._bind_chain(spine, chosen)
+        return self._bind_positions(
+            spine, [self._model(op, {}) for op in spine], range(len(spine))
+        )
+
+    def _model(self, op: L.LogicalOperator, chosen: dict[int, str]) -> str | None:
+        """The model ``op`` binds under: what the policy chose, else the
+        operator's own pin, else the champion (None: ``op`` takes none)."""
+        if not hasattr(op, "model"):
+            return None
+        return chosen.get(id(op)) or op.model or self.champion
 
     def _bind_one(
         self,
         op: L.LogicalOperator,
         chain: list[L.LogicalOperator],
         position: int,
-        chosen: dict[int, str],
+        model: str | None,
     ) -> P.PhysicalOperator:
         """Bind through :data:`~repro.sem.physical.IMPLEMENTATIONS`; the two
         constructors that take more than ``(op, model)`` stay explicit."""
         physical = P.implementation(op)
-        model = None
-        if hasattr(op, "model"):
-            model = chosen.get(id(op)) or op.model or self.champion
         if physical is P.PhysSemJoin:
             if self.config.join_method == "blocked":
                 physical = P.PhysSemJoinBlocked
-            return physical(op, self._bind_spine(op.right, chosen), model)
+            return physical(op, self._bind_spine(op.right), model)
         if physical is P.PhysRetrieve:
             source = None
             if position > 0 and isinstance(chain[position - 1], L.ScanOp):

@@ -59,11 +59,11 @@ overfetch), so such plans may spend more when sharded — never produce
 different records.
 
 Materialization is not this module's business: the optimizer decides
-reuse once, before the sharding pass, and executors never probe the
-store.  An exact hit arrives as a replay leaf (a global segment); a
-delta — the records appended or rewritten in place since capture —
-arrives *expanded*: the prefix operators still in the plan, their leaf
-scanning only the delta, followed by a gather-side replay that folds
+reuse once, on the logical plan before it binds anything, and executors
+never probe the store.  An exact hit arrives as a replay leaf (a global
+segment); a delta — the records appended or rewritten in place since
+capture — arrives *expanded*: the prefix operators bound over the delta,
+their leaf scanning only it, followed by a gather-side replay that folds
 what arrives into the stored records by source position — so the delta
 is scattered like any other input, under every partitioner, and the
 engine's driver loop captures the merged boundary whole.
@@ -133,7 +133,7 @@ def key_shard(key, n_shards: int) -> int:
 
     NULL keys route deterministically to shard 0 so NULL-keyed records
     still land *somewhere*, but routing is not matching: under SQL
-    three-valued semantics (``structql.predicate_holds("a = b", ...)``,
+    three-valued semantics (``a = b`` through ``structql.predicate_mask``,
     run by sqlite) NULL never equi-matches anything — not even another
     NULL — so co-locating NULLs can never manufacture a match that the
     unsharded evaluator would reject.

@@ -9,8 +9,8 @@ path bit-for-bit — including SQL three-valued NULL logic — so all of them
 funnel through this module: one parse (``repro.sql.parser``), one engine
 (stdlib ``sqlite3``, behind ``repro.sql.Database``), one semantics.  A
 predicate over records runs as one sqlite SELECT per Python type
-signature of the fields it reads (:func:`predicate_mask`);
-:func:`predicate_holds` is its one-row case.
+signature of the fields it reads (:func:`predicate_mask`), once per
+operator input wherever it runs.
 
 Conventions:
 
@@ -122,11 +122,6 @@ def predicate_mask(expr: Expr, rows: Sequence[Mapping[str, Any]]) -> list[bool]:
         for at, (value,) in zip(members, database.select(statement).rows):
             keep[at] = value is True
     return keep
-
-
-def predicate_holds(condition: str, fields: Mapping[str, Any]) -> bool:
-    """SQL WHERE semantics: keep only rows where the predicate is TRUE."""
-    return predicate_mask(compile_predicate(condition), [fields])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,12 @@ def tree() -> dict[str, str]:
 class NodeTest:
     """``check(node, where)`` returns what a node of one of ``nodes`` does
     wrong, or ``None``; ``where`` is ``path`` or ``path::Qual.name`` of the
-    enclosing definition."""
+    enclosing definition.  ``locations``: what its :func:`within` scopes
+    name, each of which must exist (:func:`stale_locations`)."""
 
     nodes: tuple[type, ...]
     check: Callable[[ast.AST, str], str | None]
+    locations: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ def within(location: str, test: NodeTest) -> NodeTest:
     def check(node: ast.AST, where: str) -> str | None:
         return test.check(node, where) if where.startswith(location) else None
 
-    return NodeTest(test.nodes, check)
+    return NodeTest(test.nodes, check, (location, *test.locations))
 
 
 def any_of(*tests: NodeTest) -> NodeTest:
@@ -171,7 +173,11 @@ def any_of(*tests: NodeTest) -> NodeTest:
         hits = (test.check(node, where) for test in tests if isinstance(node, test.nodes))
         return next(filter(None, hits), None)
 
-    return NodeTest(tuple({node: 0 for test in tests for node in test.nodes}), check)
+    return NodeTest(
+        tuple({node: 0 for test in tests for node in test.nodes}),
+        check,
+        tuple(location for test in tests for location in test.locations),
+    )
 
 
 def _priced_twice(node: ast.Call, where: str) -> str | None:
@@ -426,10 +432,10 @@ RULES = (
         ),
         {SHARD: {"repro.sem.physical.PhysicalOperator"}}, once=True,
     ),
-    # One replay splice at every shard count.
+    # The replay is bound one way at every shard count: no unsharded fork.
     Rule(
         "one-replay-splice", (OPTIMIZER,),
-        within(OPTIMIZER + "::Optimizer._splice_replay", NodeTest((ast.Compare,), _shard_fork)),
+        within(OPTIMIZER + "::Optimizer._bind_reusing", NodeTest((ast.Compare,), _shard_fork)),
     ),
     # Cells are scheduled, sated and cut in Engine.run_section only; a shard
     # worker is that loop with another per-cell callback.
@@ -574,6 +580,40 @@ def violations(rule: Rule, sources: Mapping[str, str | tuple[str, ...]] | None =
     return rejected if len(rejected) > rule.tolerate else []
 
 
+@functools.cache
+def _definitions(path: str, source: str) -> frozenset[str]:
+    """``path::Qual.name`` of every function and class ``source`` defines."""
+    found, stack = set(), [(ast.parse(source, path), path)]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}{'.' if '::' in where else '::'}{node.name}"
+            found.add(where)
+        stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    return frozenset(found)
+
+
+def stale_locations(
+    rule: Rule, sources: Mapping[str, str | tuple[str, ...]] | None = None,
+) -> list[str]:
+    """The :func:`within` locations of ``rule`` that name no file or
+    definition in ``sources`` (default: :func:`tree`): a rule scoped to a
+    deleted function would pass vacuously."""
+    files = tree() if sources is None else sources
+
+    def exists(location: str) -> bool:
+        path, _, name = location.partition("::")
+        if not name:
+            return any(candidate.startswith(path) for candidate in files)
+        chunks = files.get(path, ())
+        return any(
+            location in _definitions(path, chunk)
+            for chunk in ((chunks,) if isinstance(chunks, str) else chunks)
+        )
+
+    return [location for location in rule.test.locations if not exists(location)]
+
+
 # -- plants: (rule, path, code appended to that file) -------------------------
 # A plant that spans files zips a tuple of paths with a tuple of codes.
 
@@ -650,7 +690,7 @@ PLANTS = [
     ("shard-asks-the-operator", SHARD, "joins = isinstance(op, object)"),
     ("shard-asks-the-operator", SHARD, "order = 'scored'"),
     ("shard-asks-the-operator", SHARD, "pairs = op.join_left(record)"),
-    ("one-replay-splice", OPTIMIZER, "class Optimizer:\n    def _splice_replay(c): c.shards == 1"),
+    ("one-replay-splice", OPTIMIZER, "class Optimizer:\n    def _bind_reusing(c): c.shards == 1"),
     ("one-section-loop", SHARD, "schedule.record(stage, seconds)"),
     ("one-section-loop", EXECUTION, "def drain(ops, s):\n    any(o.sated(s) for o in ops)"),
     ("one-section-loop", EXECUTION, "class Engine:\n    def run_section(s): s.start_batch()"),
@@ -730,6 +770,23 @@ def test_plant_fires(case):
 def test_prose_and_current_spellings_pass(case):
     rule, path, code = case
     assert violations(RULE[rule], _planted(path, code)) == []
+
+
+def test_every_scoped_location_exists():
+    stale = {rule.name: stale_locations(rule) for rule in RULES}
+    assert {name: gone for name, gone in stale.items() if gone} == {}
+
+
+def test_a_stale_location_fires():
+    """A rule scoped to a function that is gone passes on every tree, so
+    the location itself is checked: here, the replay splice this rule
+    once guarded."""
+    gone = OPTIMIZER + "::Optimizer._splice_replay"
+    rule = Rule("stale", (OPTIMIZER,), within(gone, NodeTest((ast.Compare,), _shard_fork)))
+    assert violations(rule) == []
+    assert stale_locations(rule) == [gone]
+    planted = _planted(OPTIMIZER, "class Optimizer:\n    def _splice_replay(c): pass")
+    assert stale_locations(rule, planted) == []
 
 
 def test_names_only_inputs_change_no_rule_hits():

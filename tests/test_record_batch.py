@@ -24,7 +24,16 @@ from repro.sem.batch import (
     _exact_float_column,
     struct_filter_mask,
 )
-from repro.sem.structql import compile_predicate, predicate_holds
+from repro.sem.structql import compile_predicate, predicate_mask
+
+
+def predicate_holds(condition: str, fields: dict) -> bool:
+    """SQL WHERE semantics on one row: the predicate is exactly TRUE.
+
+    The row-at-a-time reference the kernel and its sqlite fallback are
+    checked against: :func:`predicate_mask` over a batch of one.
+    """
+    return predicate_mask(compile_predicate(condition), [fields])[0]
 
 
 def _records(rows: list[dict]) -> list[DataRecord]:

@@ -586,11 +586,20 @@ class TestReplanUnderSharding:
 
 
 class TestReplanBehindAReplay:
-    """A replay carries its prefix's estimate and boundary, so the
-    re-planner reads the one and re-stamps the other like any operator's."""
+    """A replay declares the rows the store measured and the boundary of
+    the prefix it covers, so the re-planner re-stamps the suffix behind it
+    like any operator's."""
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_partial_exact_replay(self, rp_bundle, shards):
+        """The replay's boundary is measured, so the misestimate sits in the
+        suffix: a filter with a wrong prior.  The engine consults the
+        re-planner between steps, and a fused run of filters is one step,
+        so the filter ends a step of its own in front of a struct_agg that
+        keeps every record; the commuting pair behind it is re-ordered
+        (the aggregated records carry no annotations, so it judges them
+        lexically: one parcel passes)."""
+        from repro.data.sources import MemorySource
         from repro.sem.materialize import MaterializationStore
 
         def prefix_plan(bundle, source=None):
@@ -600,22 +609,41 @@ class TestReplanBehindAReplay:
                 .sem_map(Field("declared_value", float, "declared value"), AMOUNT)
             )
 
-        cold, _ = _run(rp_bundle, _mapped_plan, shards=shards)
-        options = _replanning(
-            rp_bundle, shards=shards, materialization_store=MaterializationStore()
+        def grouped(dataset):
+            every_field = ("title", "body", "priority", "declared_value")
+            return (
+                dataset.struct_agg((("copies", "count(*)"),), group_by=every_field)
+                .sem_filter("Parcel priority routing slip attached.")
+                .sem_filter("Parcel 7")
+            )
+
+        def plan(bundle, source=None):
+            return grouped(prefix_plan(bundle, source).where("priority >= 2"))
+
+        cold, _ = _run(rp_bundle, plan, shards=shards)
+        assert [record.fields["title"] for record in cold.records] == ["parcel-7"]
+        # Priors for the pair, then a wrong one for the where(): learned
+        # on priority-1 records alone, where it keeps nothing.
+        stats = _warm_store(rp_bundle, lambda bundle: grouped(prefix_plan(bundle)))
+        low = [r for r in rp_bundle.records() if r.fields["priority"] == 1]
+        low_source = MemorySource(low, rp_bundle.schema, source_id=rp_bundle.name)
+        _run(rp_bundle, lambda bundle: plan(bundle, low_source), stats_store=stats)
+        options = dict(
+            stats_store=stats,
+            replan=True,
+            shards=shards,
+            materialization_store=MaterializationStore(),
         )
         _run(rp_bundle, prefix_plan, **options)  # captures the map's boundary
-        result, report = _run(rp_bundle, _mapped_plan, **options)
+        result, report = _run(rp_bundle, plan, **options)
         assert report.reuse_kind == "exact" and report.reused_prefix == 2
         assert report.replanner is not None and len(report.replans) == 1
-        assert report.replans[0]["boundary"] == 1  # right behind the replay
+        assert report.replans[0]["boundary"] == 2  # behind the wrong prior
         assert _normalized(result) == _normalized(cold)
-        assert _normalized(result) == _normalized(
-            _reference(rp_bundle, _mapped_plan)
-        )
+        assert _normalized(result) == _normalized(_reference(rp_bundle, plan))
         # The re-ordered suffix captured the written plan's boundary.
-        again, again_report = _run(rp_bundle, _mapped_plan, **options)
-        assert again_report.reused_prefix == 4
+        again, again_report = _run(rp_bundle, plan, **options)
+        assert again_report.reused_prefix == 6
         assert _normalized(again) == _normalized(cold)
 
     @pytest.mark.parametrize("shards", [1, 4])

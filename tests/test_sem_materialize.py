@@ -12,6 +12,7 @@ from repro.llm.simulated import SimulatedLLM
 from repro.obs.metrics import MetricsRegistry
 from repro.sem.config import QueryProcessorConfig
 from repro.sem.dataset import Dataset
+from repro.sem.explain import explain_analyze
 from repro.sem.materialize import (
     FINGERPRINT_VERSION,
     MaterializationStore,
@@ -503,11 +504,42 @@ def test_reuse_works_with_optimizer_on():
             materialization_store=store,
         )
 
-    cold, _ = _plan(records).run_with_report(config())
+    cold, cold_report = _plan(records).run_with_report(config())
     warm, report = _plan(records).run_with_report(config())
     assert report.reused_prefix == 3 and report.reuse_kind == "exact"
     assert _normalized(warm) == _normalized(cold)
     assert warm.total_cost_usd == 0.0  # sampling is accounted separately
+    # The replay is priced from what the store measured, not from the
+    # sampled prefix it stands for: it emits the stored records and
+    # charges nothing, so the plan estimate of a full replay is $0.
+    assert cold_report.estimate.cost_usd > 0.0
+    (replay,) = report.bound
+    stored = store.get(report.reuse_fingerprint).records
+    assert replay.estimate.rows == len(stored) == len(warm.records)
+    assert "plan estimate: $0.0000, 0.0s" in explain_analyze(warm, report)
+
+
+def test_exact_hit_binds_only_the_suffix(monkeypatch):
+    """Reuse is decided on the logical chain: an exact hit never binds or
+    annotates the prefix, so the replay and the suffix are all there is."""
+    from repro.sem.optimizer.optimizer import Optimizer
+
+    records = _records(30)
+    store = MaterializationStore()
+    _plan(records).run(_config(store))
+    bound_labels = []
+    bind_one = Optimizer._bind_one
+
+    def spy(self, op, *args):
+        bound_labels.append(op.label())
+        return bind_one(self, op, *args)
+
+    monkeypatch.setattr(Optimizer, "_bind_one", spy)
+    _, report = _plan(records).sem_filter(FILTER_C).run_with_report(_config(store))
+    assert report.reuse_kind == "exact" and report.reused_prefix == 3
+    assert bound_labels == [report.bound[1].logical_op.label()]
+    assert report.planned == report.bound
+    assert [op.reused for op in report.bound] == [True, False]
 
 
 def test_explain_analyze_reports_reuse():

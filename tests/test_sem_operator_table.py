@@ -203,8 +203,8 @@ def test_every_logical_class_answers_every_declaration():
 def test_every_logical_class_has_exactly_one_physical_class():
     for cls in _logical_classes():
         if cls is L.MaterializedScanOp:
-            # Built with its store entry by the optimizer's replay splice,
-            # never bound from a written plan.
+            # Bound with its store entry by the optimizer's reuse decision,
+            # never from a written plan.
             assert cls not in P.IMPLEMENTATIONS
             continue
         physical = P.IMPLEMENTATIONS[cls]

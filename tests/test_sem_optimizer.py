@@ -349,7 +349,7 @@ def test_driver_loop_takes_no_replayed_prefix_seed():
 
     from repro.sem.execution import Engine
 
-    # Whole-boundary replay is spliced into the operators by the optimizer.
+    # Whole-boundary replay is bound into the operators by the optimizer.
     assert list(inspect.signature(Engine.drive).parameters) == [
         "self", "operators", "step_at",
     ]

@@ -29,7 +29,6 @@ from repro.sem import physical as P
 from repro.sem.config import QueryProcessorConfig
 from repro.sem.dataset import Dataset
 from repro.sem.materialize import MaterializationStore
-from repro.sem.structql import predicate_holds
 from repro.sem.shard import (
     PARTITIONERS,
     ShardPlan,
@@ -42,12 +41,13 @@ from repro.sem.shard import (
 )
 from repro.utils.hashing import stable_hash
 from tests.test_architecture import RULE, violations
+from tests.test_record_batch import predicate_holds
 
 
 def keys_match(a, b) -> bool:
     """Three-valued equi-match: NULL = anything is unknown, i.e. no match.
 
-    The reference for ``structql.predicate_holds("a = b", ...)``:
+    The reference for ``predicate_holds("a = b", ...)`` (sqlite):
     a NULL on either side yields NULL, and only TRUE joins.
     """
     if a is None or b is None:

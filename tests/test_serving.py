@@ -661,8 +661,8 @@ def test_same_tenant_reuse_holds_when_served_queries_are_sharded(qa_bundle):
     serving = runtime.serving()
     first = serving.submit("alice", filter_query(qa_bundle))
     second = serving.submit("alice", filter_query(qa_bundle))
-    # One replay decision at every shard count: the optimizer splices the
-    # tenant's materialized boundary in before the sharding pass.
+    # One replay decision at every shard count: the optimizer binds the
+    # tenant's materialized boundary before the sharding pass.
     assert first.materialization_hits == 0
     assert second.materialization_hits == 1
     assert second.raw_cost_usd == 0.0

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from repro.data.records import DataRecord
 from repro.errors import SQLError, SQLExecutionError, SQLPlanError
 from repro.sem.batch import RecordBatch, struct_filter_mask
-from repro.sem.structql import compile_predicate, predicate_holds
+from repro.sem.structql import compile_predicate
 from repro.sql import Column, Database
+from tests.test_record_batch import predicate_holds
 
 
 @pytest.fixture

@@ -23,10 +23,10 @@ from repro.sem.structql import (
     aggregation_sql,
     compile_predicate,
     normalized_condition,
-    predicate_holds,
     run_aggregation,
     validate_aggregation,
 )
+from tests.test_record_batch import predicate_holds
 
 
 # ---------------------------------------------------------------------------
