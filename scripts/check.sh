@@ -54,7 +54,7 @@ git diff --exit-code -- benchmarks/results/BENCH_replan.json
 step "sharded-execution smoke sweep" python benchmarks/bench_sharding.py --smoke
 step "hybrid-sharded perf smoke (shards=4 digests == shards=1 re-run: global order restored)" \
     python3 -m benchmarks.perf bench --workload hybrid_sharded --smoke
-step "serve-mix perf smoke (every submit crosses statistics annotation + the replay splice; ~5 in 6 replay)" \
+step "serve-mix perf smoke (every submit crosses the optimizer's reuse decision on the logical chain + statistics annotation; ~5 in 6 are exact replays that bind only their suffix)" \
     python3 -m benchmarks.perf bench --workload serve_mix --smoke
 step "standing-query smoke sweep" python benchmarks/bench_streaming.py --smoke
 

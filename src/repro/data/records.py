@@ -12,12 +12,12 @@ A record is a bag of named fields plus two pieces of machinery:
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from typing import Any, Iterable
 
 from repro.utils.hashing import (
     PART_SEPARATOR,
-    digest_serialized,
     serialize_parts,
     stable_digest,
 )
@@ -131,7 +131,8 @@ class DataRecord:
         The uid suffix is ``stable_digest(uid, sorted added names, sorted
         dropped names)[:6]``.  The shape's share of that payload is
         serialised once per shape (:data:`_SHAPES`); per record only
-        ``repr(uid)`` is put in front of it and the whole hashed.
+        ``repr(uid)`` is put in front of it and the whole hashed, three
+        digest bytes read as the six hex digits.
         """
         shape = (tuple(new_fields) if new_fields else (), tuple(drop))
         memo = _SHAPES.get(shape)
@@ -156,9 +157,10 @@ class DataRecord:
         if new_fields:
             fields.update(new_fields)
         uid = self.uid
+        digest = hashlib.sha256((repr(uid) + tail).encode("utf-8")).digest()
         return DataRecord._owning(
             fields,
-            f"{uid}.{digest_serialized(repr(uid) + tail)[:6]}",
+            f"{uid}.{digest[:3].hex()}",
             self.annotations.copy(),
             self.source_id,
             (uid,),

@@ -132,7 +132,8 @@ class IntentRegistry:
 
 
 class JudgeResult(NamedTuple):
-    """Outcome of resolving a task against ground truth (an immutable tuple)."""
+    """Outcome of resolving a task against ground truth (an immutable tuple,
+    built positionally on the per-record path)."""
 
     #: Ground-truth value, or None if the oracle could not resolve the task.
     truth: Any
@@ -156,10 +157,10 @@ class SemanticOracle:
         intent = self.registry.resolve(instruction)
         if intent is not None and intent.key in record.annotations:
             return JudgeResult(
-                truth=bool(record.annotations[intent.key]),
-                intent_key=intent.key,
-                difficulty=self._difficulty(record, intent.key),
-                resolved=True,
+                bool(record.annotations[intent.key]),
+                intent.key,
+                self._difficulty(record, intent.key),
+                True,
             )
         return self._heuristic_filter(instruction, record)
 
@@ -184,39 +185,29 @@ class SemanticOracle:
             and intent.key in right.annotations
         ):
             return JudgeResult(
-                truth=left.annotations[intent.key] == right.annotations[intent.key],
-                intent_key=intent.key,
-                difficulty=max(
+                left.annotations[intent.key] == right.annotations[intent.key],
+                intent.key,
+                max(
                     self._difficulty(left, intent.key),
                     self._difficulty(right, intent.key),
                 ),
-                resolved=True,
+                True,
             )
         merged_text = left.as_text() + "\n" + right.as_text()
         similarity = jaccard_similarity(instruction, merged_text)
-        return JudgeResult(
-            truth=similarity >= 0.08,
-            intent_key="",
-            difficulty=0.9,
-            resolved=False,
-        )
+        return JudgeResult(similarity >= 0.08, "", 0.9, False)
 
     def extract_value(self, instruction: str, record: AnnotatedRecord) -> JudgeResult:
         """Ground truth for "extract the value ``instruction`` asks for"."""
         intent = self.registry.resolve(instruction)
         if intent is not None and intent.key in record.annotations:
             return JudgeResult(
-                truth=record.annotations[intent.key],
-                intent_key=intent.key,
-                difficulty=self._difficulty(record, intent.key),
-                resolved=True,
+                record.annotations[intent.key],
+                intent.key,
+                self._difficulty(record, intent.key),
+                True,
             )
-        return JudgeResult(
-            truth=None,
-            intent_key="",
-            difficulty=self.DEFAULT_DIFFICULTY,
-            resolved=False,
-        )
+        return JudgeResult(None, "", self.DEFAULT_DIFFICULTY, False)
 
     def _difficulty(self, record: AnnotatedRecord, intent_key: str) -> float:
         raw = record.annotations.get(DIFFICULTY_PREFIX + intent_key, self.DEFAULT_DIFFICULTY)
@@ -229,9 +220,4 @@ class SemanticOracle:
         The guess is marked unresolved so callers know quality is degraded.
         """
         similarity = jaccard_similarity(instruction, record.as_text())
-        return JudgeResult(
-            truth=similarity >= 0.08,
-            intent_key="",
-            difficulty=0.9,
-            resolved=False,
-        )
+        return JudgeResult(similarity >= 0.08, "", 0.9, False)

@@ -39,7 +39,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import TimeoutError as LLMTimeoutError
-from repro.errors import RateLimitError, TransientLLMError
+from repro.errors import ConfigurationError, RateLimitError, TransientLLMError
 from repro.llm.cache import GenerationCache
 from repro.llm.client import CompletionResult, ExtractionResult, FilterJudgment
 from repro.llm.embeddings import DEFAULT_EMBED_BATCH, EmbeddingModel
@@ -134,15 +134,16 @@ class _PreparedCall:
     rest: the model card, the normalised instruction and its token count,
     the head of every generation-cache key — the tuple ``(model, *scope,
     kind, normalized)`` that a call's key extends with its record uid(s)
-    or text digest — and the noise draw with all but its per-record parts
-    hashed.  Nothing here changes an answer, which calls share a cache
-    entry, a draw or a charge — each is the value the per-call
-    computation would produce.
+    or text digest — the model's error rate on the task, and one noise
+    head per noise key with every part but the record's uid hashed.
+    Nothing here changes an answer, which calls share a cache entry, a
+    draw or a charge — each is the value the per-call computation would
+    produce.
     """
 
     __slots__ = (
-        "card", "normalized", "instruction_tokens", "key", "task_kind", "noise",
-        "options", "options_tokens",
+        "card", "normalized", "instruction_tokens", "key", "task_kind",
+        "error_rate", "noise", "noise_heads", "options", "options_tokens",
     )
 
     def __init__(
@@ -166,8 +167,12 @@ class _PreparedCall:
         #: ``(key, uid, ...)`` is the call's generation-cache key.
         self.key = (model, *scoped, *payload)
         self.task_kind = _NOISE_KIND.get(kind, "")
-        #: ``noise.uniform(noise_key, uid)`` is the call's error draw.
+        self.error_rate = self.card.error_rate(self.task_kind)
         self.noise = StablePrefix(seed, "llm-noise", self.card.name, self.task_kind)
+        #: noise key -> ``noise.child(noise_key)``; ``.uniform(uid)`` is the
+        #: call's error draw.  The keys are the intents the instruction
+        #: resolves to and ``normalized``.
+        self.noise_heads: dict[str, StablePrefix] = {}
         #: ``classify`` only: the last option list seen and its token count.
         self.options: list[str] = []
         self.options_tokens = 0
@@ -236,7 +241,7 @@ class SimulatedLLM:
     def parallel(self, parallelism: int) -> "_Section":
         """Charge calls inside the block as waves of ``parallelism`` calls."""
         if parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+            raise ConfigurationError(f"parallelism must be >= 1, got {parallelism}")
         return _Section(self, parallelism, measuring=False)
 
     def measure(self, after: tuple = ()) -> "_Section":
@@ -400,14 +405,12 @@ class SimulatedLLM:
             )
             latency = card.call_latency(input_tokens, output_tokens)
             if fault is None:
+                # Positional: model, tokens in/out, cost, latency, tag,
+                # cached, failed, retries.
                 event = UsageEvent(
-                    model=card.name,
-                    input_tokens=input_tokens,
-                    output_tokens=output_tokens,
-                    cost_usd=card.call_cost(input_tokens, output_tokens),
-                    latency_s=latency,
-                    tag=tag,
-                    retries=retries,
+                    card.name, input_tokens, output_tokens,
+                    card.call_cost(input_tokens, output_tokens), latency, tag,
+                    False, False, retries,
                 )
                 self.tracker.record(event)
                 if metrics.enabled:
@@ -624,7 +627,7 @@ class SimulatedLLM:
     ) -> ExtractionResult:
         """Pick one of ``options`` for ``record`` according to ``instruction``."""
         if not options:
-            raise ValueError("classify requires at least one option")
+            raise ConfigurationError("classify requires at least one option")
         call = self._prepared("classify", instruction, model)
         judgment = self.oracle.extract_value(instruction, record)
         truth = judgment.truth if judgment.truth in options else options[0]
@@ -710,7 +713,7 @@ class SimulatedLLM:
         Returns read-only vectors positionally aligned with ``texts``.
         """
         if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         call = self._prepared("embed", None, EMBEDDING_MODEL)
         card = call.card
         vectors: dict[str, np.ndarray] = {}
@@ -760,11 +763,15 @@ class SimulatedLLM:
         reproducing the paper's observation that two of three
         semantic-operator trials admitted an errant file.
         """
-        base = call.card.error_rate(call.task_kind)
         ambiguity_boost = max(0.0, difficulty - 0.7)
-        probability = min(0.95, base * 2.0 * difficulty * difficulty + ambiguity_boost)
+        probability = min(
+            0.95, call.error_rate * 2.0 * difficulty * difficulty + ambiguity_boost
+        )
+        head = call.noise_heads.get(noise_key)
+        if head is None:
+            head = call.noise_heads[noise_key] = call.noise.child(noise_key)
         # stable_uniform(seed, "llm-noise", model, task kind, noise_key, uid)
-        return call.noise.uniform(noise_key, record_uid) < probability
+        return head.uniform(record_uid) < probability
 
     def _prompt_tokens(self, instruction_tokens: int, record: AnnotatedRecord) -> int:
         return SYSTEM_PROMPT_TOKENS + instruction_tokens + record.text_tokens()

@@ -371,14 +371,20 @@ def _exact_float_column(
     Requires the literal and every present value to be non-bool ints or
     floats, with ints small enough to be exact in float64.  NULL slots
     carry NaN, which compares False against everything — and the caller
-    masks them out anyway.
+    masks them out anyway.  An all-``int`` column (no NULL, no bool) is
+    checked by its bounds and converted in C; any other goes value by value.
     """
     if isinstance(literal, bool) or not isinstance(literal, (int, float)):
         return None
     if isinstance(literal, int) and abs(literal) > _EXACT_FLOAT_INT:
         return None
+    values = column.tolist()
+    if values and set(map(type, values)) == {int}:
+        if min(values) < -_EXACT_FLOAT_INT or max(values) > _EXACT_FLOAT_INT:
+            return None
+        return np.array(values, dtype=float)
     floats = []
-    for value, present in zip(column.tolist(), valid.tolist()):
+    for value, present in zip(values, valid.tolist()):
         if not present:
             floats.append(np.nan)
             continue

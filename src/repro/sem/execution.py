@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.data.records import DataRecord
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, ConfigurationError
 from repro.sem.batch import RecordBatch
 from repro.sem.physical import (
     ExecutionContext,
@@ -311,7 +311,7 @@ class Engine:
         #: (``QueryProcessorConfig.resolved_batch_size``).
         self.batch_size = batch_size
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         #: Optional :class:`repro.sem.materialize.CapturePlan`: the store
         #: that boundaries of operators carrying a ``fingerprint`` are
         #: materialized into after they complete.

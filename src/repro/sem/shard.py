@@ -83,10 +83,20 @@ from repro.errors import OptimizationError
 from repro.sem.batch import RecordBatch
 from repro.sem.execution import OperatorStats, measured_step
 from repro.sem.physical import PhysicalOperator
-from repro.utils.hashing import stable_hash
+from repro.utils.hashing import StablePrefix, stable_hash
 
 #: Supported partitioning strategies for scatter/shuffle exchanges.
 PARTITIONERS = ("hash", "range", "round_robin")
+
+#: ``_SHARD_HEAD.hash(uid) == stable_hash("shard", uid)``: the ``hash``
+#: partitioner's head, absorbed once per process.
+_SHARD_HEAD = StablePrefix("shard")
+
+
+def _unknown_partitioner(partitioner: str) -> OptimizationError:
+    return OptimizationError(
+        f"unknown partitioner {partitioner!r}; expected one of {PARTITIONERS}"
+    )
 
 
 def shard_of(
@@ -99,14 +109,12 @@ def shard_of(
     ``round_robin`` deals positions out cyclically.
     """
     if partitioner == "hash":
-        return stable_hash("shard", uid) % n_shards
+        return _SHARD_HEAD.hash(uid) % n_shards
     if partitioner == "range":
         return position * n_shards // max(total, 1)
     if partitioner == "round_robin":
         return position % n_shards
-    raise OptimizationError(
-        f"unknown partitioner {partitioner!r}; expected one of {PARTITIONERS}"
-    )
+    raise _unknown_partitioner(partitioner)
 
 
 def partition_records(
@@ -114,17 +122,27 @@ def partition_records(
 ) -> list[list[tuple[int, DataRecord]]]:
     """Split ``(position, record)`` pairs into ``n_shards`` ordered lists.
 
+    Item ``index`` lands on ``shard_of(record.uid, index, len(items),
+    n_shards, partitioner)``, placed by one loop per partitioner.
     Positions are global segment-input positions (what the merge restores
     order by); the ``range``/``round_robin`` strategies key on the local
     index within ``items`` so partitions stay balanced even when an
     upstream filter left position gaps.
     """
     shards: list[list[tuple[int, DataRecord]]] = [[] for _ in range(n_shards)]
-    total = len(items)
-    for index, (position, record) in enumerate(items):
-        shards[shard_of(record.uid, index, total, n_shards, partitioner)].append(
-            (position, record)
-        )
+    if partitioner == "hash":
+        place = _SHARD_HEAD.hash
+        for item in items:
+            shards[place(item[1].uid) % n_shards].append(item)
+    elif partitioner == "range":
+        total = max(len(items), 1)
+        for index, item in enumerate(items):
+            shards[index * n_shards // total].append(item)
+    elif partitioner == "round_robin":
+        for index, item in enumerate(items):
+            shards[index % n_shards].append(item)
+    else:
+        raise _unknown_partitioner(partitioner)
     return shards
 
 

@@ -63,8 +63,10 @@ class StablePrefix:
 
     ``StablePrefix(*head).hash(*tail) == stable_hash(*head, *tail)``, and
     likewise :meth:`uniform`, for every split of every part tuple — either
-    side may be empty.  Per call only the tail is serialised: the hasher
-    that already absorbed the head is copied.
+    side may be empty.  ``StablePrefix(*head).child(*parts)`` is
+    ``StablePrefix(*head, *parts)``, built from the absorbed head.  Per
+    call only the tail is serialised: the hasher that already absorbed the
+    head is copied, updated once and digested.
     """
 
     __slots__ = ("_hasher", "_joint")
@@ -74,16 +76,28 @@ class StablePrefix:
         #: What separates the head's payload from the first tail part.
         self._joint = PART_SEPARATOR if head else ""
 
-    def _absorbed(self, tail: tuple) -> "hashlib._Hash":
-        hasher = self._hasher.copy()
-        joint = self._joint
-        for part in tail:
-            hasher.update((joint + repr(part)).encode("utf-8"))
-            joint = PART_SEPARATOR
-        return hasher
+    def child(self, *parts: Any) -> "StablePrefix":
+        """This head extended by ``parts``, absorbed once."""
+        child = StablePrefix.__new__(StablePrefix)
+        child._hasher = self._hasher.copy()
+        child._joint = self._joint
+        if parts:
+            child._hasher.update((self._joint + serialize_parts(*parts)).encode("utf-8"))
+            child._joint = PART_SEPARATOR
+        return child
 
     def hash(self, *tail: Any) -> int:
-        return int.from_bytes(self._absorbed(tail).digest()[:8], "big")
+        hasher = self._hasher.copy()
+        if len(tail) == 1:  # a per-record draw: one part, no join
+            hasher.update((self._joint + repr(tail[0])).encode("utf-8"))
+        elif tail:
+            hasher.update((self._joint + PART_SEPARATOR.join(map(repr, tail))).encode("utf-8"))
+        return int.from_bytes(hasher.digest()[:8], "big")
 
     def uniform(self, *tail: Any) -> float:
-        return self.hash(*tail) / _MAX_64
+        hasher = self._hasher.copy()
+        if len(tail) == 1:
+            hasher.update((self._joint + repr(tail[0])).encode("utf-8"))
+        elif tail:
+            hasher.update((self._joint + PART_SEPARATOR.join(map(repr, tail))).encode("utf-8"))
+        return int.from_bytes(hasher.digest()[:8], "big") / _MAX_64

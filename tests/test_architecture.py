@@ -458,7 +458,7 @@ RULES = (
         imports(r"^repro\.sem\.(physical|execution|shard|batch|optimizer)(\.|$)"),
     ),
     # A ratchet: lower it when an untyped raise becomes a ReproError.
-    Rule("untyped-raises", ("src/",), NodeTest((ast.Raise,), _untyped_raise), tolerate=18),
+    Rule("untyped-raises", ("src/",), NodeTest((ast.Raise,), _untyped_raise), tolerate=14),
     # A src/ definition has a caller outside tests/: a test-only helper
     # lives in tests/.  Names match by identifier, so a method that shares
     # its name with a used definition passes.

@@ -7,6 +7,7 @@ The toy registry/record/LLM setup lives in ``conftest.py`` as the
 import pytest
 
 from repro.data.records import DataRecord
+from repro.errors import ConfigurationError
 from repro.llm.oracle import DIFFICULTY_PREFIX, SemanticOracle
 
 
@@ -112,7 +113,7 @@ def test_classify_picks_among_options(make_toy_llm, toy_registry):
 
 def test_classify_requires_options(make_toy_llm, toy_record):
     llm = make_toy_llm()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         llm.classify("anything", [], toy_record())
 
 
@@ -148,7 +149,7 @@ def test_parallel_section_charges_makespan(make_toy_llm, toy_record):
 
 def test_parallel_rejects_bad_width(make_toy_llm):
     llm = make_toy_llm()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         with llm.parallel(0):
             pass
 
