@@ -4,7 +4,7 @@
 #
 #   scripts/check.sh          full gate (CI): tier-1, perf harness tests,
 #                             smoke sweeps, perf smokes, BENCH_*.json
-#                             placement, paper tables, fuzz, trace smoke
+#                             placement, paper tables, fuzz, trace smokes
 #   scripts/check.sh --fast   tier-1 minus slow tests, the slow tests with
 #                             a cheap lane, and the perf smokes
 set -euo pipefail
@@ -87,6 +87,20 @@ from repro.obs import validate_chrome_trace
 summary = validate_chrome_trace(sys.argv[1])
 print(f"trace ok: {summary['events']} events, "
       f"end={summary['trace_end_s']:.2f}s, drift={summary.get('drift', 0.0):.2%}")
+PY
+
+echo
+echo "== traced perf smoke (every dotted name benchmarks/perf/trace.py wraps resolves: trace.missing_targets == 0) =="
+python3 -m benchmarks.perf bench --workload rescan_warm --smoke --trace 1 \
+    | tail -1 > "$TRACE_TMP/rescan_warm.json"
+python - "$TRACE_TMP/rescan_warm.json" <<'PY'
+import json
+import sys
+
+result = json.load(open(sys.argv[1]))
+missing = result["metrics"]["trace.missing_targets"]["value"]
+print(f"trace.missing_targets = {missing}")
+sys.exit(0 if result["correct"] and missing == 0 else 1)
 PY
 
 echo

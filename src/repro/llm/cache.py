@@ -19,6 +19,10 @@ from collections import OrderedDict
 from collections.abc import Hashable
 from typing import Any
 
+#: What :meth:`GenerationCache.get` reads for an absent key (a stored value
+#: may be None).
+_ABSENT = object()
+
 
 class GenerationCache:
     """An LRU cache keyed by the request, bounded at :attr:`MAX_ENTRIES`
@@ -45,12 +49,13 @@ class GenerationCache:
 
     def get(self, key: Hashable) -> tuple[bool, Any]:
         """Return ``(hit, value)``; moves the entry to most-recently-used."""
-        if key in self._entries:
+        value = self._entries.get(key, _ABSENT)
+        if value is not _ABSENT:
             self._entries.move_to_end(key)
             self.hits += 1
             if self.metrics is not None:
                 self.metrics.counter("cache.hits").inc()
-            return True, self._entries[key]
+            return True, value
         self.misses += 1
         if self.metrics is not None:
             self.metrics.counter("cache.misses").inc()

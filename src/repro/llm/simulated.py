@@ -34,7 +34,8 @@ everything recorded so far.  The engine runs the same schedule either way.
 
 from __future__ import annotations
 
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
@@ -66,6 +67,13 @@ DISTRACTOR_PREFIX = "_distractor:"
 #: (prepared calls, shared cache-hit events); a memo is dropped whole when
 #: full (a plan has a handful of either).
 _CALL_MEMO_CAP = 1024
+
+#: ``_new(NamedTupleClass, fields)``: the tuple without a Python-level call.
+_new = tuple.__new__
+
+#: A batch endpoint's ``before`` and ``on_error`` hooks (see the endpoints).
+Before = Callable[[], None] | None
+OnError = Callable[[str, TransientLLMError], None] | None
 
 #: Task kind whose error rate and noise stream each endpoint kind draws on
 #: (a join judgment errs like a filter judgment; embeddings never err).
@@ -142,8 +150,8 @@ class _PreparedCall:
     """
 
     __slots__ = (
-        "card", "normalized", "instruction_tokens", "key", "task_kind",
-        "error_rate", "noise", "noise_heads", "options", "options_tokens",
+        "card", "instruction", "normalized", "instruction_tokens", "key",
+        "task_kind", "error_rate", "noise", "noise_heads",
     )
 
     def __init__(
@@ -155,6 +163,7 @@ class _PreparedCall:
         seed: int,
     ) -> None:
         self.card = get_model(model)
+        self.instruction = instruction
         payload: tuple[str, ...] = (kind,)
         self.normalized = ""
         self.instruction_tokens = 0
@@ -173,9 +182,6 @@ class _PreparedCall:
         #: call's error draw.  The keys are the intents the instruction
         #: resolves to and ``normalized``.
         self.noise_heads: dict[str, StablePrefix] = {}
-        #: ``classify`` only: the last option list seen and its token count.
-        self.options: list[str] = []
-        self.options_tokens = 0
 
 
 class SimulatedLLM:
@@ -314,59 +320,54 @@ class SimulatedLLM:
             call = self._prepared_calls[memo_key] = _PreparedCall(*memo_key)
         return call
 
+    def _span_tag(self) -> str:
+        """An untagged call's tag: inside an instrumented scope, the
+        enclosing span's name, so per-operator cost accounting stays whole."""
+        current = self.tracer.current if self.tracer.enabled else None
+        return "" if current is None else current.name
+
+    def _hit(self, card: ModelCard, tag: str) -> UsageEvent:
+        """Account for one generation-cache hit: no cost, no latency, no
+        fault — a cached response involves no API round trip.
+
+        Every field of a hit's event is fixed by (model, tag) and the event
+        is an immutable tuple, so all such hits record the same object: a
+        batch with no metrics or tracer to feed records the event its first
+        hit returned for the rest.
+        """
+        tag = tag or self._span_tag()
+        event = self._hit_events.get((card.name, tag))
+        if event is None:
+            if len(self._hit_events) >= _CALL_MEMO_CAP:
+                self._hit_events.clear()
+            event = self._hit_events[card.name, tag] = UsageEvent(
+                card.name, 0, 0, 0.0, 0.0, tag, True
+            )
+        self.tracker.record(event)
+        if self.metrics.enabled:
+            self.metrics.counter("llm.calls").inc()
+            self.metrics.counter("llm.cached_calls").inc()
+        if self.tracer.enabled and self._measure_depth == 0:
+            now = self.clock.elapsed
+            self.tracer.add_span(
+                f"{card.name} (cached)", "llm-call", now, now,
+                track="llm cached", tag=tag,
+            )
+        return event
+
     def _charge(
-        self,
-        card: ModelCard,
-        input_tokens: int,
-        output_tokens: int,
-        tag: str,
-        cached: bool = False,
+        self, card: ModelCard, input_tokens: int, output_tokens: int, tag: str
     ) -> UsageEvent:
-        """Account for one logical call, retrying injected faults per policy.
+        """Account for one uncached call, retrying injected faults per policy.
 
         A successful call charges its full latency (plus any failed-attempt
         latencies and backoff waits accrued on the way) as a *single* item in
         the enclosing parallel section — the slot is occupied for the whole
-        retry saga.  Cache hits cost nothing and never reach the fault path:
-        a cached response involves no API round trip.
+        retry saga.
         """
         tracer = self.tracer
         metrics = self.metrics
-        if tracer.enabled and not tag:
-            # Untagged call inside an instrumented scope: attribute it to the
-            # enclosing span so per-operator cost accounting stays whole.
-            current = tracer.current
-            if current is not None:
-                tag = current.name
-        if cached:
-            # Every field of a hit's event is fixed by (model, tag) and the
-            # event is an immutable tuple, so all such hits record the same
-            # object.
-            event = self._hit_events.get((card.name, tag))
-            if event is None:
-                if len(self._hit_events) >= _CALL_MEMO_CAP:
-                    self._hit_events.clear()
-                event = self._hit_events[card.name, tag] = UsageEvent(
-                    model=card.name,
-                    input_tokens=0,
-                    output_tokens=0,
-                    cost_usd=0.0,
-                    latency_s=0.0,
-                    tag=tag,
-                    cached=True,
-                )
-            self.tracker.record(event)
-            if metrics.enabled:
-                metrics.counter("llm.calls").inc()
-                metrics.counter("llm.cached_calls").inc()
-            if tracer.enabled and self._measure_depth == 0:
-                now = self.clock.elapsed
-                tracer.add_span(
-                    f"{card.name} (cached)", "llm-call", now, now,
-                    track="llm cached", tag=tag,
-                )
-            return event
-
+        tag = tag or self._span_tag()
         policy = self.retry
         # Per-call spans are suppressed inside ``measure`` cells (the engine
         # re-times those on the pipeline schedule and emits cell spans) and
@@ -407,11 +408,11 @@ class SimulatedLLM:
             if fault is None:
                 # Positional: model, tokens in/out, cost, latency, tag,
                 # cached, failed, retries.
-                event = UsageEvent(
+                event = _new(UsageEvent, (
                     card.name, input_tokens, output_tokens,
                     card.call_cost(input_tokens, output_tokens), latency, tag,
-                    False, False, retries,
-                )
+                    False, False, retries, "",
+                ))
                 self.tracker.record(event)
                 if metrics.enabled:
                     metrics.counter("llm.calls").inc()
@@ -523,33 +524,31 @@ class SimulatedLLM:
     # ------------------------------------------------------------------
     # Semantic task endpoints
     # ------------------------------------------------------------------
+    #
+    # ``judge_filter``, ``extract`` and ``classify`` are each their batch
+    # endpoint on a batch of one, and :meth:`_batch` is the one definition
+    # of what a batch call does.  ``before()`` runs ahead of every call (a
+    # spend-cap check may raise there); a call that exhausts its retries
+    # raises, unless ``on_error(uid, error)`` is given: then its result is
+    # None and the batch goes on.
 
     def judge_filter(
-        self,
-        instruction: str,
-        record: AnnotatedRecord,
-        model: str = DEFAULT_MODEL,
+        self, instruction: str, record: AnnotatedRecord, model: str = DEFAULT_MODEL,
         tag: str = "",
     ) -> FilterJudgment:
         """Answer "does ``record`` satisfy ``instruction``?" as ``model`` would."""
+        return self.judge_filter_batch(instruction, [record], model, tag)[0]
+
+    def judge_filter_batch(
+        self, instruction: str, records: list[AnnotatedRecord],
+        model: str = DEFAULT_MODEL, tag: str = "", before: Before = None,
+        on_error: OnError = None,
+    ) -> list[FilterJudgment | None]:
+        """:meth:`judge_filter` on each of ``records``, in order."""
         call = self._prepared("filter", instruction, model)
-        card = call.card
-        cache_key = (call.key, record.uid)
-        hit, value = self.cache.get(cache_key)
-        if hit:
-            event = self._charge(card, 0, 0, tag, cached=True)
-            answer, resolved, intent_key = value
-            return FilterJudgment(answer, resolved, intent_key, event)
-
-        judgment = self.oracle.judge_filter(instruction, record)
-        noise_key = judgment.intent_key or call.normalized
-        erred = self._errs(call, noise_key, record.uid, judgment.difficulty)
-        answer = bool(judgment.truth) != erred
-
-        input_tokens = self._prompt_tokens(call.instruction_tokens, record)
-        event = self._charge(card, input_tokens, JUDGMENT_OUTPUT_TOKENS, tag)
-        self.cache.put(cache_key, (answer, judgment.resolved, judgment.intent_key))
-        return FilterJudgment(answer, judgment.resolved, judgment.intent_key, event)
+        return self._batch(
+            [call], records, tag, before, on_error, self._judge, FilterJudgment
+        )
 
     def judge_join(
         self,
@@ -565,9 +564,7 @@ class SimulatedLLM:
         cache_key = (call.key, left.uid, right.uid)
         hit, value = self.cache.get(cache_key)
         if hit:
-            event = self._charge(card, 0, 0, tag, cached=True)
-            answer, resolved, intent_key = value
-            return FilterJudgment(answer, resolved, intent_key, event)
+            return FilterJudgment(*value, self._hit(card, tag))
 
         judgment = self.oracle.judge_join(instruction, left, right)
         noise_key = judgment.intent_key or call.normalized
@@ -587,67 +584,44 @@ class SimulatedLLM:
         return FilterJudgment(answer, judgment.resolved, judgment.intent_key, event)
 
     def extract(
-        self,
-        instruction: str,
-        record: AnnotatedRecord,
-        model: str = DEFAULT_MODEL,
+        self, instruction: str, record: AnnotatedRecord, model: str = DEFAULT_MODEL,
         tag: str = "",
     ) -> ExtractionResult:
         """Extract the value ``instruction`` asks for from ``record``."""
-        call = self._prepared("extract", instruction, model)
-        card = call.card
-        cache_key = (call.key, record.uid)
-        hit, value = self.cache.get(cache_key)
-        if hit:
-            event = self._charge(card, 0, 0, tag, cached=True)
-            extracted, resolved, intent_key = value
-            return ExtractionResult(extracted, resolved, intent_key, event)
+        return self.extract_batch([instruction], [record], model, tag)[0]
 
-        judgment = self.oracle.extract_value(instruction, record)
-        value = judgment.truth
-        if judgment.resolved:
-            erred = self._errs(
-                call, judgment.intent_key, record.uid, judgment.difficulty
-            )
-            if erred:
-                value = self._corrupt(judgment.truth, judgment.intent_key, record)
-        input_tokens = self._prompt_tokens(call.instruction_tokens, record)
-        output_tokens = max(8, approx_token_count(str(value)))
-        event = self._charge(card, input_tokens, output_tokens, tag)
-        self.cache.put(cache_key, (value, judgment.resolved, judgment.intent_key))
-        return ExtractionResult(value, judgment.resolved, judgment.intent_key, event)
+    def extract_batch(
+        self, instructions: list[str], records: list[AnnotatedRecord],
+        model: str = DEFAULT_MODEL, tag: str = "", before: Before = None,
+        on_error: OnError = None,
+    ) -> list[ExtractionResult | None]:
+        """:meth:`extract` of each of ``instructions`` from each of
+        ``records``, record-major (one record's fields, then the next's)."""
+        calls = [self._prepared("extract", text, model) for text in instructions]
+        return self._batch(
+            calls, records, tag, before, on_error, self._extract, ExtractionResult
+        )
 
     def classify(
-        self,
-        instruction: str,
-        options: list[str],
-        record: AnnotatedRecord,
-        model: str = DEFAULT_MODEL,
-        tag: str = "",
+        self, instruction: str, options: list[str], record: AnnotatedRecord,
+        model: str = DEFAULT_MODEL, tag: str = "",
     ) -> ExtractionResult:
         """Pick one of ``options`` for ``record`` according to ``instruction``."""
-        if not options:
+        return self.classify_batch(instruction, options, [record], model, tag)[0]
+
+    def classify_batch(
+        self, instruction: str, options: list[str], records: list[AnnotatedRecord],
+        model: str = DEFAULT_MODEL, tag: str = "", before: Before = None,
+        on_error: OnError = None,
+    ) -> list[ExtractionResult | None]:
+        """:meth:`classify` of each of ``records``, in order (uncached)."""
+        if records and not options:  # a per-record loop raises at its first call
             raise ConfigurationError("classify requires at least one option")
         call = self._prepared("classify", instruction, model)
-        judgment = self.oracle.extract_value(instruction, record)
-        truth = judgment.truth if judgment.truth in options else options[0]
-        erred = judgment.resolved and self._errs(
-            call, judgment.intent_key, record.uid, judgment.difficulty
+        miss = partial(self._classify, options, approx_token_count(" ".join(options)))
+        return self._batch(
+            [call], records, tag, before, on_error, miss, ExtractionResult, cached=False
         )
-        value = truth
-        if erred and len(options) > 1:
-            alternatives = [option for option in options if option != truth]
-            pick = stable_hash(self.seed, "classify-pick", record.uid) % len(alternatives)
-            value = alternatives[pick]
-        if call.options != options:
-            # An operator passes one option list with every record.
-            call.options = list(options)
-            call.options_tokens = approx_token_count(" ".join(options))
-        input_tokens = (
-            self._prompt_tokens(call.instruction_tokens, record) + call.options_tokens
-        )
-        event = self._charge(call.card, input_tokens, JUDGMENT_OUTPUT_TOKENS, tag)
-        return ExtractionResult(value, judgment.resolved, judgment.intent_key, event)
 
     def complete(
         self,
@@ -688,7 +662,7 @@ class SimulatedLLM:
         cache_key = (call.key, stable_digest(text))
         hit, value = self.cache.get(cache_key)
         if hit:
-            self._charge(card, 0, 0, tag, cached=True)
+            self._hit(card, tag)
             return value
         vector = self.embedding_model.vector(text, cache_key[1])
         self._charge(card, approx_token_count(text), 0, tag)
@@ -726,7 +700,7 @@ class SimulatedLLM:
             cache_key = (call.key, stable_digest(text))
             hit, value = self.cache.get(cache_key)
             if hit:
-                self._charge(card, 0, 0, tag, cached=True)
+                self._hit(card, tag)
                 vectors[text] = value
                 continue
             misses[text] = cache_key
@@ -744,6 +718,90 @@ class SimulatedLLM:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _batch(
+        self, calls: list[_PreparedCall], records: list[AnnotatedRecord], tag: str,
+        before: Before, on_error: OnError, miss: Callable, result: type,
+        cached: bool = True,
+    ) -> list:
+        """The one call loop of the batch endpoints: each of ``calls`` on
+        each of ``records``, record-major.  ``miss(call, record)`` answers
+        an uncached call as ``(answer fields, input tokens, output
+        tokens)``; ``result(*answer fields, event)`` is a call's result."""
+        tag = tag or self._span_tag()
+        cache = self.cache
+        hit_event = record_hit = None
+        results: list = []
+        for record in records:
+            uid = record.uid
+            for call in calls:
+                if before is not None:
+                    before()
+                if cached:
+                    key = (call.key, uid)
+                    hit, value = cache.get(key)
+                    if hit:
+                        if record_hit is None:
+                            hit_event = self._hit(call.card, tag)
+                            if not (self.metrics.enabled or self.tracer.enabled):
+                                record_hit = self.tracker.record
+                        else:  # :meth:`_hit` with nothing to observe
+                            record_hit(hit_event)
+                        results.append(_new(result, (*value, hit_event)))
+                        continue
+                value, input_tokens, output_tokens = miss(call, record)
+                try:
+                    event = self._charge(call.card, input_tokens, output_tokens, tag)
+                except TransientLLMError as error:
+                    if on_error is None:
+                        raise
+                    on_error(uid, error)
+                    results.append(None)
+                    continue
+                if cached:
+                    cache.put(key, value)
+                results.append(_new(result, (*value, event)))
+        return results
+
+    # A miss of each batch endpoint: (answer fields, input tokens, output tokens).
+
+    def _judge(self, call: _PreparedCall, record: AnnotatedRecord) -> tuple:
+        judgment = self.oracle.judge_filter(call.instruction, record)
+        noise_key = judgment.intent_key or call.normalized
+        erred = self._errs(call, noise_key, record.uid, judgment.difficulty)
+        answer = (bool(judgment.truth) != erred, judgment.resolved, judgment.intent_key)
+        input_tokens = self._prompt_tokens(call.instruction_tokens, record)
+        return answer, input_tokens, JUDGMENT_OUTPUT_TOKENS
+
+    def _extract(self, call: _PreparedCall, record: AnnotatedRecord) -> tuple:
+        judgment = self.oracle.extract_value(call.instruction, record)
+        intent_key = judgment.intent_key
+        value = judgment.truth
+        if judgment.resolved and self._errs(
+            call, intent_key, record.uid, judgment.difficulty
+        ):
+            value = self._corrupt(judgment.truth, intent_key, record)
+        input_tokens = self._prompt_tokens(call.instruction_tokens, record)
+        output_tokens = max(8, approx_token_count(str(value)))
+        return (value, judgment.resolved, intent_key), input_tokens, output_tokens
+
+    def _classify(
+        self, options: list[str], options_tokens: int, call: _PreparedCall,
+        record: AnnotatedRecord,
+    ) -> tuple:
+        judgment = self.oracle.extract_value(call.instruction, record)
+        truth = judgment.truth if judgment.truth in options else options[0]
+        erred = judgment.resolved and self._errs(
+            call, judgment.intent_key, record.uid, judgment.difficulty
+        )
+        value = truth
+        if erred and len(options) > 1:
+            alternatives = [option for option in options if option != truth]
+            pick = stable_hash(self.seed, "classify-pick", record.uid) % len(alternatives)
+            value = alternatives[pick]
+        input_tokens = self._prompt_tokens(call.instruction_tokens, record)
+        answer = (value, judgment.resolved, judgment.intent_key)
+        return answer, input_tokens + options_tokens, JUDGMENT_OUTPUT_TOKENS
 
     def _errs(
         self,

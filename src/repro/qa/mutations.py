@@ -91,17 +91,19 @@ def _filter_drops_kept() -> Iterator[None]:
     from repro.sem.physical import PhysSemFilter
     from repro.utils.hashing import stable_hash
 
-    original = PhysSemFilter.process_record
+    original = PhysSemFilter.process_rows
 
-    def lossy(self, record, ctx, state):
-        kept = original(self, record, ctx, state)
-        return [r for r in kept if stable_hash("drop-kept", r.uid) % 2]
+    def lossy(self, records, ctx, state):
+        return [
+            [r for r in kept if stable_hash("drop-kept", r.uid) % 2]
+            for kept in original(self, records, ctx, state)
+        ]
 
-    PhysSemFilter.process_record = lossy
+    PhysSemFilter.process_rows = lossy
     try:
         yield
     finally:
-        PhysSemFilter.process_record = original
+        PhysSemFilter.process_rows = original
 
 
 @contextlib.contextmanager

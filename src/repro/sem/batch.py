@@ -277,7 +277,7 @@ def _vector_eval(expr: Expr, batch: RecordBatch) -> tuple[np.ndarray, np.ndarray
         valid = batch.validity(expr.operand.name)
         column = batch.column(expr.operand.name)
         floats = _exact_float_column(column, valid, low)
-        if floats is None or _exact_float_column(column, valid, high) is None:
+        if floats is None or not _exact_float_literal(high):
             raise _Fallback
         true_mask = (floats >= float(low)) & (floats <= float(high)) & valid
         false_mask = valid & ~true_mask
@@ -374,9 +374,7 @@ def _exact_float_column(
     masks them out anyway.  An all-``int`` column (no NULL, no bool) is
     checked by its bounds and converted in C; any other goes value by value.
     """
-    if isinstance(literal, bool) or not isinstance(literal, (int, float)):
-        return None
-    if isinstance(literal, int) and abs(literal) > _EXACT_FLOAT_INT:
+    if not _exact_float_literal(literal):
         return None
     values = column.tolist()
     if values and set(map(type, values)) == {int}:
@@ -394,6 +392,14 @@ def _exact_float_column(
             return None
         floats.append(float(value))
     return np.array(floats, dtype=float)
+
+
+def _exact_float_literal(literal: Any) -> bool:
+    """A literal :func:`_exact_float_column` accepts: a non-bool int or
+    float, an int small enough to be exact in float64."""
+    if isinstance(literal, bool) or not isinstance(literal, (int, float)):
+        return False
+    return not (isinstance(literal, int) and abs(literal) > _EXACT_FLOAT_INT)
 
 
 def _comparable(left: Any, right: Any) -> bool:

@@ -10,11 +10,12 @@ retrieve, group-by, joins, aggregations) implement ``execute``; the ones
 the sharded executor spreads over workers (group-by, joins) write it as
 their per-partition phases applied to the one whole-input partition.
 *Streamable* operators (:class:`StreamingOperator`) implement exactly one
-of two methods and never ``execute``: LLM operators implement
-``process_record`` and the base class lifts it to a batch once — the
-executor's only wave loop, with the adaptive width and throttled-record
-resubmission — while token-free operators implement ``process_batch``
-directly over a :class:`~repro.sem.batch.RecordBatch`.
+of two methods and never ``execute``: LLM operators implement the row
+kernel ``process_rows`` — one batch-endpoint call over the rows — and the
+base class lifts it to a batch once — the executor's only wave loop, with
+the adaptive width and throttled-row resubmission — while token-free
+operators implement ``process_batch`` directly over a
+:class:`~repro.sem.batch.RecordBatch`.
 Executors call ``process_batch`` (plus ``new_state`` / ``finalize`` /
 ``sated``); ``execute`` on a streamable operator is derived — one
 all-records batch, then ``finalize`` — so operator steps and fused
@@ -31,6 +32,7 @@ from typing import Callable, TypeVar
 from repro.data.records import DataRecord
 from repro.errors import (
     BudgetExceededError,
+    ConfigurationError,
     ExecutionError,
     OptimizationError,
     PlanError,
@@ -85,7 +87,7 @@ class AdaptiveParallelism:
 
     def __post_init__(self) -> None:
         if self.cap < 1:
-            raise ValueError(f"parallelism cap must be >= 1, got {self.cap}")
+            raise ConfigurationError(f"parallelism cap must be >= 1, got {self.cap}")
         if self.width < 1:
             self.width = self.cap
         if self._recover_target < 1:
@@ -151,30 +153,52 @@ class ExecutionContext:
                 f"spent ${spent:.4f} of the ${self.max_cost_usd:.4f} cap"
             )
 
-    def guarded(
-        self, uid: str, model: str, kind: str, call: Callable[..., T], *args
-    ) -> T | None:
-        """Run one tagged endpoint call under the failure policy.
-
-        ``call`` is a bound :class:`SimulatedLLM` endpoint and ``args`` its
-        leading positional arguments: it runs as ``call(*args, model=model,
-        tag="<ctx tag>:<kind>")`` — per record the caller builds no closure
-        and no tag.  ``on_failure`` decides what a call that failed even
-        after the substrate's retries does; None means the record was
-        degraded and flagged in :attr:`failures`.
-        """
-        if self.max_cost_usd is not None:
-            self.check_budget()
+    def _kind_tag(self, kind: str) -> str:
+        """The usage tag of ``kind``: one string per kind, which every usage
+        event of that kind shares."""
         tag = self._tags.get(kind)
         if tag is None:
             tag = self._tags[kind] = f"{self.tag}:{kind}"
+        return tag
+
+    def _flag(self, uid: str, error: TransientLLMError) -> None:
+        """Flag ``uid`` as degraded by ``error`` (the "skip" policy)."""
+        self.failures.append((uid, type(error).__name__))
+
+    def guarded(
+        self, uid: str, model: str, kind: str, call: Callable[..., T], *args
+    ) -> T | None:
+        """Run one call of an endpoint without a batch form (a join pair, a
+        completion) under the spend cap and the failure policy.
+
+        ``call`` is a bound :class:`SimulatedLLM` endpoint and ``args`` its
+        leading positional arguments: it runs as ``call(*args, model=model,
+        tag="<ctx tag>:<kind>")``.  ``on_failure`` decides what a call that
+        failed even after the substrate's retries does; None means the
+        record was degraded and flagged in :attr:`failures`.
+        """
+        if self.max_cost_usd is not None:
+            self.check_budget()
         try:
-            return call(*args, model=model, tag=tag)
+            return call(*args, model=model, tag=self._kind_tag(kind))
         except TransientLLMError as exc:
             if self.on_failure == "raise":
                 raise
-            self.failures.append((uid, type(exc).__name__))
+            self._flag(uid, exc)
             return None
+
+    def guarded_batch(
+        self, records: list[DataRecord], model: str, kind: str, call, *args
+    ) -> list:
+        """:meth:`guarded` for a batch endpoint, run as ``call(*args,
+        records, model, tag, before, on_error)``: the spend cap is checked
+        before every call, and under "skip" a call that exhausts its retries
+        flags its record and returns None while the batch goes on."""
+        return call(
+            *args, records, model, self._kind_tag(kind),
+            None if self.max_cost_usd is None else self.check_budget,
+            None if self.on_failure == "raise" else self._flag,
+        )
 
 
 #: Logical class -> the physical class that runs it: the one table the
@@ -266,9 +290,13 @@ class PhysicalOperator(abc.ABC):
 class StreamingOperator(PhysicalOperator):
     """Batch-at-a-time operator the engine can fuse into pipelined sections.
 
-    Subclasses define exactly one of :meth:`process_record` (LLM
-    operators) or :meth:`process_batch` (token-free operators) and never
-    :meth:`execute` — ``tests/test_sem_physical.py`` enforces it.
+    Subclasses define exactly one of two kernels and never :meth:`execute`
+    (``tests/test_sem_physical.py`` enforces it): an LLM operator defines
+    the row kernel ``process_rows(records, ctx, state)`` — what each
+    record emits (a list of records per record), its calls made through
+    one batch endpoint (:meth:`ExecutionContext.guarded_batch`) — and
+    :meth:`process_batch` lifts it; a token-free operator defines
+    :meth:`process_batch` itself.
     """
 
     streamable = True
@@ -280,9 +308,14 @@ class StreamingOperator(PhysicalOperator):
         return output.records + self.finalize(ctx, state)
 
     def sample_answer(self, record: DataRecord, ctx: ExecutionContext) -> list:
-        """The fields of the records :meth:`process_record` emits from a
-        fresh state."""
-        emitted = self.process_record(record, ctx, self.new_state(ctx))
+        """The fields of the records this operator emits for ``record`` from
+        a fresh state: its row kernel on ``[record]``, in no section (or its
+        batch kernel on a batch of one)."""
+        state = self.new_state(ctx)
+        if type(self).process_batch is StreamingOperator.process_batch:
+            emitted = self.process_rows([record], ctx, state)[0]
+        else:
+            emitted = self.process_batch(RecordBatch([record]), ctx, state).records
         return [out.fields for out in emitted]
 
     def new_state(self, ctx: ExecutionContext) -> dict:
@@ -294,33 +327,19 @@ class StreamingOperator(PhysicalOperator):
     ) -> None:
         """Batch-level vectorized work (e.g. one embedding request per batch)."""
 
-    def process_record(
-        self, record: DataRecord, ctx: ExecutionContext, state: dict
-    ) -> list[DataRecord]:
-        """One record through the operator; may emit zero or more records.
-
-        LLM operators override this.  A token-free operator's is derived:
-        its batch kernel on a batch of one — what the optimizer's sampler
-        calls, so a sampled answer is the operator's own.
-        """
-        if type(self).process_batch is StreamingOperator.process_batch:
-            raise ExecutionError(
-                f"{self.label()} defines neither process_record nor process_batch"
-            )
-        return self.process_batch(RecordBatch([record]), ctx, state).records
-
     def process_batch(
         self, batch: RecordBatch, ctx: ExecutionContext, state: dict
     ) -> RecordBatch:
-        """One batch through the operator: :meth:`process_record`, lifted.
+        """One batch through the operator: the row kernel, lifted.
 
         The only wave loop in the executor.  The wave is issued at
         ``ctx.wave_width()``; when it drew rate-limit faults and the
-        adaptive controller narrowed the width, records whose calls
-        exhausted their retries are resubmitted once at the reduced width
-        (their failure flags are withdrawn; a second exhaustion re-flags
-        them).  Token-free operators override this with a whole-batch
-        kernel and must not open a ``parallel`` section.
+        adaptive controller narrowed the width, the rows whose calls
+        exhausted their retries go through the row kernel once more, as
+        one subset, at the reduced width (their failure flags are
+        withdrawn; a second exhaustion re-flags them).  Token-free
+        operators override this with a whole-batch kernel and must not
+        open a ``parallel`` section.
         """
         rows = batch.records
         tracker = ctx.llm.tracker
@@ -336,10 +355,11 @@ class StreamingOperator(PhysicalOperator):
             wave_failures = len(ctx.failures)
             with ctx.llm.parallel(width):
                 if attempt:
-                    for row in resubmitted:
-                        emitted[row] = self.process_record(rows[row], ctx, state)
+                    again = self.process_rows([rows[row] for row in resubmitted], ctx, state)
+                    for row, out in zip(resubmitted, again):
+                        emitted[row] = out
                 else:
-                    emitted = [self.process_record(record, ctx, state) for record in rows]
+                    emitted = self.process_rows(rows, ctx, state)
             if ctx.adaptive is None:
                 break
             # A wave that moved no failed-attempt count drew no rate limit.
@@ -350,12 +370,14 @@ class StreamingOperator(PhysicalOperator):
                     for event in tracker.events[wave_checkpoint:]
                 )
             )
+            if attempt or len(ctx.failures) == wave_failures:
+                break
             throttled_uids = {
                 uid
                 for uid, error in ctx.failures[wave_failures:]
                 if error == "RateLimitError"
             }
-            if attempt > 0 or not throttled_uids or ctx.adaptive.width >= width:
+            if not throttled_uids or ctx.adaptive.width >= width:
                 break
             # Withdraw the throttled records' failure flags and give them
             # one more pass at the narrowed width.
@@ -500,58 +522,61 @@ class PhysSemFilter(StreamingOperator):
     implements = L.SemFilterOp
     exchange = "scatter"
 
-    def process_record(
-        self, record: DataRecord, ctx: ExecutionContext, state: dict
-    ) -> list[DataRecord]:
+    def process_rows(
+        self, records: list[DataRecord], ctx: ExecutionContext, state: dict
+    ) -> list[list[DataRecord]]:
         op = self.logical_op
-        model = self.model or op.model
-        judgment = ctx.guarded(
-            record.uid, model, "filter", ctx.llm.judge_filter, op.instruction, record
+        judgments = ctx.guarded_batch(
+            records, self.model or op.model, "filter", ctx.llm.judge_filter_batch,
+            op.instruction,
         )
-        if judgment is not None and judgment.answer:
-            return [record]
-        return []
+        emitted = []
+        for record, judgment in zip(records, judgments):
+            emitted.append([record] if judgment is not None and judgment.answer else [])
+        return emitted
 
 
 class PhysSemMap(StreamingOperator):
     implements = L.SemMapOp
     exchange = "scatter"
 
-    def process_record(
-        self, record: DataRecord, ctx: ExecutionContext, state: dict
-    ) -> list[DataRecord]:
+    def process_rows(
+        self, records: list[DataRecord], ctx: ExecutionContext, state: dict
+    ) -> list[list[DataRecord]]:
         op = self.logical_op
-        model = self.model or op.model
-        new_fields = {}
-        for schema_field, instruction in op.outputs:
-            extraction = ctx.guarded(
-                record.uid, model, "map", ctx.llm.extract, instruction, record
-            )
-            # Degraded extractions surface as None (flagged in ctx.failures),
-            # keeping the record and its other fields.
-            new_fields[schema_field.name] = (
-                schema_field.coerce(extraction.value)
-                if extraction is not None
-                else None
-            )
-        return [record.derive(new_fields)]
+        extractions = iter(ctx.guarded_batch(
+            records, self.model or op.model, "map", ctx.llm.extract_batch,
+            [instruction for _, instruction in op.outputs],
+        ))
+        emitted = []
+        for record in records:
+            new_fields = {}
+            for (schema_field, _), extraction in zip(op.outputs, extractions):
+                # A degraded extraction surfaces as None (flagged in
+                # ctx.failures), keeping the record and its other fields.
+                new_fields[schema_field.name] = (
+                    None if extraction is None else schema_field.coerce(extraction.value)
+                )
+            emitted.append([record.derive(new_fields)])
+        return emitted
 
 
 class PhysSemClassify(StreamingOperator):
     implements = L.SemClassifyOp
     exchange = "scatter"
 
-    def process_record(
-        self, record: DataRecord, ctx: ExecutionContext, state: dict
-    ) -> list[DataRecord]:
+    def process_rows(
+        self, records: list[DataRecord], ctx: ExecutionContext, state: dict
+    ) -> list[list[DataRecord]]:
         op = self.logical_op
-        model = self.model or op.model
-        result = ctx.guarded(
-            record.uid, model, "classify", ctx.llm.classify,
-            op.instruction, list(op.options), record,
+        results = ctx.guarded_batch(
+            records, self.model or op.model, "classify", ctx.llm.classify_batch,
+            op.instruction, list(op.options),
         )
-        value = result.value if result is not None else None
-        return [record.derive({op.output_field: value})]
+        return [
+            [record.derive({op.output_field: None if result is None else result.value})]
+            for record, result in zip(records, results)
+        ]
 
 
 class PhysSemGroupBy(PhysicalOperator):
@@ -575,16 +600,12 @@ class PhysSemGroupBy(PhysicalOperator):
         """One label per record of a partition; None means degraded (the
         record is flagged and stays ungrouped)."""
         op = self.logical_op
-        model = self.model or op.model
-        labels: list[str | None] = []
         with ctx.llm.parallel(ctx.wave_width()):
-            for record in records:
-                result = ctx.guarded(
-                    record.uid, model, "groupby", ctx.llm.classify,
-                    op.instruction, list(op.groups), record,
-                )
-                labels.append(None if result is None else str(result.value))
-        return labels
+            results = ctx.guarded_batch(
+                records, self.model or op.model, "groupby", ctx.llm.classify_batch,
+                op.instruction, list(op.groups),
+            )
+        return [None if result is None else str(result.value) for result in results]
 
     def sample_answer(self, record: DataRecord, ctx: ExecutionContext) -> list:
         """The label :meth:`classify_partition` gives a partition of one."""
@@ -844,28 +865,28 @@ class PhysSemTopK(StreamingOperator):
                 cosine_similarity(state["query_vec"], vector), position,
             )
 
-    def process_record(
-        self, record: DataRecord, ctx: ExecutionContext, state: dict
-    ) -> list[DataRecord]:
+    def process_rows(
+        self, records: list[DataRecord], ctx: ExecutionContext, state: dict
+    ) -> list[list[DataRecord]]:
         op = self.logical_op
-        previous = state["scored"].get(record.uid)
-        if previous is None:
-            similarity, position = state["pending"].pop(record.uid)
-        else:
-            # Resubmission after a withdrawn rate-limit failure: replace the
-            # degraded judgment, keeping the original score and position so
-            # the ranking matches a fault-free run.
-            _, similarity, position, _ = previous
-        relevant = 1
+        relevant = [1] * len(records)
         if op.method == "llm":
-            model = self.model or op.model
-            judgment = ctx.guarded(
-                record.uid, model, "topk", ctx.llm.judge_filter, state["ask"], record
+            judgments = ctx.guarded_batch(
+                records, self.model or op.model, "topk", ctx.llm.judge_filter_batch,
+                state["ask"],
             )
             # A degraded judgment falls back to the embedding score.
-            relevant = 1 if (judgment is not None and judgment.answer) else 0
-        state["scored"][record.uid] = (relevant, similarity, position, record)
-        return []
+            relevant = [int(j is not None and j.answer) for j in judgments]
+        scored, pending = state["scored"], state["pending"]
+        for record, is_relevant in zip(records, relevant):
+            # A row resubmitted after a withdrawn rate-limit failure keeps
+            # its first score and position: the ranking of a fault-free run.
+            previous = scored.get(record.uid)
+            similarity, position = (
+                pending.pop(record.uid) if previous is None else previous[1:3]
+            )
+            scored[record.uid] = (is_relevant, similarity, position, record)
+        return [[] for _ in records]
 
     @staticmethod
     def _rank(scored: tuple) -> tuple:

@@ -220,6 +220,32 @@ class TestExactFloatColumn:
         assert floats[0] == 1.0 and np.isnan(floats[2])
 
 
+def test_between_converts_its_column_once(monkeypatch):
+    # Both bounds are vetted, but only the low one through the column
+    # conversion: the high one is a literal check.
+    from repro.sem import batch as B
+
+    conversions = []
+    convert = B._exact_float_column
+
+    def counting(column, valid, literal):
+        conversions.append(literal)
+        return convert(column, valid, literal)
+
+    monkeypatch.setattr(B, "_exact_float_column", counting)
+    rows = _records([{"amount": amount} for amount in (5, 10, 50.5, 200, 250.0, None)])
+    mask = struct_filter_mask(
+        compile_predicate("amount BETWEEN 10 AND 200"), RecordBatch(rows)
+    )
+    assert mask.tolist() == [False, True, True, True, False, False]
+    assert conversions == [10]
+    # A high bound the float path cannot take exactly still goes to sqlite.
+    mask = struct_filter_mask(
+        compile_predicate(f"amount BETWEEN 10 AND {2**60}"), RecordBatch(rows)
+    )
+    assert mask.tolist() == [False, True, True, True, True, False]
+
+
 # ---------------------------------------------------------------------------
 # Token-free operators: ``process_batch`` against its scalar definition
 # ---------------------------------------------------------------------------

@@ -363,7 +363,7 @@ def test_sampler_propagates_a_crash_in_an_llm_operator(bundle):
     # Only user code (a free filter) may crash on a raw record; anything
     # else raising in an LLM operator is a bug the optimizer must not eat.
     class Broken(P.PhysSemFilter):
-        def process_record(self, record, ctx, state):
+        def process_rows(self, records, ctx, state):
             raise RuntimeError("operator bug")
 
     op, _, _ = OPERATORS["sem_filter"]

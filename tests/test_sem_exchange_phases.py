@@ -45,14 +45,22 @@ def _ctx(bundle, degraded=(), parallelism=4, **kwargs) -> P.ExecutionContext:
     whole-input run degrade the same records.
     """
     llm = SimulatedLLM(oracle=SemanticOracle(bundle.registry), seed=9)
-    judge = llm.judge_filter
+    judge = llm.judge_filter_batch
 
-    def flaky(instruction, record, **call):
-        if record.uid in degraded:
-            raise RateLimitError("throttled")
-        return judge(instruction, record, **call)
+    def flaky(instruction, records, model, tag, before=None, on_error=None):
+        results = []
+        for record in records:
+            if record.uid not in degraded:
+                results += judge(instruction, [record], model, tag, before, on_error)
+                continue
+            error = RateLimitError("throttled")
+            if on_error is None:
+                raise error
+            on_error(record.uid, error)
+            results.append(None)
+        return results
 
-    llm.judge_filter = flaky
+    llm.judge_filter_batch = flaky
     return P.ExecutionContext(llm=llm, parallelism=parallelism, **kwargs)
 
 

@@ -71,14 +71,16 @@ class PhysToyTag(P.StreamingOperator):
     implements = ToyTagOp
     exchange = "scatter"
 
-    def process_record(self, record, ctx, state):
+    def process_rows(self, records, ctx, state):
         op = self.logical_op
-        judgment = ctx.guarded(
-            record.uid, self.model or op.model, "toy",
-            ctx.llm.judge_filter, op.instruction, record,
+        judgments = ctx.guarded_batch(
+            records, self.model or op.model, "toy",
+            ctx.llm.judge_filter_batch, op.instruction,
         )
-        tagged = judgment is not None and judgment.answer
-        return [record.derive({"tagged": tagged})]
+        return [
+            [record.derive({"tagged": judgment is not None and judgment.answer})]
+            for record, judgment in zip(records, judgments)
+        ]
 
 
 SCHEMA = Schema([Field("text", str)])

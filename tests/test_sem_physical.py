@@ -203,8 +203,10 @@ def _streamable_operator_classes():
 def test_streamable_operators_define_exactly_one_entry_point():
     classes = _streamable_operator_classes()
     assert len(classes) >= 9
+    for cls in [P.StreamingOperator, *classes]:
+        assert "process_record" not in vars(cls), f"{cls.__name__} defines process_record"
     for cls in classes:
-        defined = {"process_record", "process_batch"} & set(vars(cls))
+        defined = {"process_rows", "process_batch"} & set(vars(cls))
         assert len(defined) == 1, f"{cls.__name__} defines {sorted(defined)}"
         assert "execute" not in vars(cls), f"{cls.__name__} overrides execute"
         assert cls.streamable
