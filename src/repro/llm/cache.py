@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Hashable
+from types import MappingProxyType
 from typing import Any
 
 #: What :meth:`GenerationCache.get` reads for an absent key (a stored value
@@ -32,6 +33,9 @@ class GenerationCache:
 
     def __init__(self) -> None:
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        #: The entries, read-only: reading them counts nothing and moves
+        #: nothing (:meth:`get` is the counted probe).
+        self.entries = MappingProxyType(self._entries)
         self.hits = 0
         self.misses = 0
         #: Entries dropped from the LRU end because the cache was full.
@@ -66,8 +70,8 @@ class GenerationCache:
             self.updates += 1
             if self.metrics is not None:
                 self.metrics.counter("cache.updates").inc()
+            self._entries.move_to_end(key)  # a new key is appended last
         self._entries[key] = value
-        self._entries.move_to_end(key)
         while len(self._entries) > self.MAX_ENTRIES:
             self._entries.popitem(last=False)
             self.evictions += 1

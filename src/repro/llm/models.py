@@ -42,11 +42,13 @@ class ModelCard:
     def input_cost(self, tokens: int) -> float:
         return tokens * self.usd_per_1m_input / 1_000_000
 
-    def output_cost(self, tokens: int) -> float:
-        return tokens * self.usd_per_1m_output / 1_000_000
-
     def call_cost(self, input_tokens: int, output_tokens: int) -> float:
-        return self.input_cost(input_tokens) + self.output_cost(output_tokens)
+        """``input_cost(input_tokens)`` plus the output tokens' price, in one
+        frame: every uncached call prices itself here."""
+        return (
+            input_tokens * self.usd_per_1m_input / 1_000_000
+            + output_tokens * self.usd_per_1m_output / 1_000_000
+        )
 
     def call_latency(self, input_tokens: int, output_tokens: int) -> float:
         return (

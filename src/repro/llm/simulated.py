@@ -34,7 +34,6 @@ everything recorded so far.  The engine runs the same schedule either way.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -68,12 +67,9 @@ DISTRACTOR_PREFIX = "_distractor:"
 #: full (a plan has a handful of either).
 _CALL_MEMO_CAP = 1024
 
-#: ``_new(NamedTupleClass, fields)``: the tuple without a Python-level call.
+#: ``_new(NamedTupleClass, fields)``: the tuple without a Python-level call,
+#: every field given in order (a call's result and a miss's usage event).
 _new = tuple.__new__
-
-#: A batch endpoint's ``before`` and ``on_error`` hooks (see the endpoints).
-Before = Callable[[], None] | None
-OnError = Callable[[str, TransientLLMError], None] | None
 
 #: Task kind whose error rate and noise stream each endpoint kind draws on
 #: (a join judgment errs like a filter judgment; embeddings never err).
@@ -150,8 +146,8 @@ class _PreparedCall:
     """
 
     __slots__ = (
-        "card", "instruction", "normalized", "instruction_tokens", "key",
-        "task_kind", "error_rate", "noise", "noise_heads",
+        "card", "normalized", "instruction_tokens", "key", "task_kind",
+        "error_rate", "noise", "noise_heads", "options", "options_tokens",
     )
 
     def __init__(
@@ -163,7 +159,6 @@ class _PreparedCall:
         seed: int,
     ) -> None:
         self.card = get_model(model)
-        self.instruction = instruction
         payload: tuple[str, ...] = (kind,)
         self.normalized = ""
         self.instruction_tokens = 0
@@ -182,6 +177,9 @@ class _PreparedCall:
         #: call's error draw.  The keys are the intents the instruction
         #: resolves to and ``normalized``.
         self.noise_heads: dict[str, StablePrefix] = {}
+        #: ``classify`` only: the last option list seen and its token count.
+        self.options: list[str] = []
+        self.options_tokens = 0
 
 
 class SimulatedLLM:
@@ -328,13 +326,8 @@ class SimulatedLLM:
 
     def _hit(self, card: ModelCard, tag: str) -> UsageEvent:
         """Account for one generation-cache hit: no cost, no latency, no
-        fault — a cached response involves no API round trip.
-
-        Every field of a hit's event is fixed by (model, tag) and the event
-        is an immutable tuple, so all such hits record the same object: a
-        batch with no metrics or tracer to feed records the event its first
-        hit returned for the rest.
-        """
+        fault.  Every field of its event is fixed by (model, tag) and the
+        event is an immutable tuple, so all such hits record one object."""
         tag = tag or self._span_tag()
         event = self._hit_events.get((card.name, tag))
         if event is None:
@@ -525,29 +518,37 @@ class SimulatedLLM:
     # Semantic task endpoints
     # ------------------------------------------------------------------
     #
-    # ``judge_filter``, ``extract`` and ``classify`` are each their batch
-    # endpoint on a batch of one, and :meth:`_batch` is the one definition
-    # of what a batch call does.  ``before()`` runs ahead of every call (a
-    # spend-cap check may raise there); a call that exhausts its retries
-    # raises, unless ``on_error(uid, error)`` is given: then its result is
-    # None and the batch goes on.
+    # ``judge_filter``, ``extract`` and ``classify`` each make one call;
+    # their batch forms make the same calls, in order, through :meth:`_batch`.
 
     def judge_filter(
         self, instruction: str, record: AnnotatedRecord, model: str = DEFAULT_MODEL,
         tag: str = "",
     ) -> FilterJudgment:
         """Answer "does ``record`` satisfy ``instruction``?" as ``model`` would."""
-        return self.judge_filter_batch(instruction, [record], model, tag)[0]
+        call = self._prepared("filter", instruction, model)
+        key = (call.key, record.uid)
+        hit, value = self.cache.get(key)
+        if hit:
+            return _new(FilterJudgment, (*value, self._hit(call.card, tag)))
+        judgment = self.oracle.judge_filter(instruction, record)
+        noise_key = judgment.intent_key or call.normalized
+        erred = self._errs(call, noise_key, record.uid, judgment.difficulty)
+        answer = (bool(judgment.truth) != erred, judgment.resolved, judgment.intent_key)
+        input_tokens = SYSTEM_PROMPT_TOKENS + call.instruction_tokens + record.text_tokens()
+        event = self._charge(call.card, input_tokens, JUDGMENT_OUTPUT_TOKENS, tag)
+        self.cache.put(key, answer)
+        return _new(FilterJudgment, (*answer, event))
 
     def judge_filter_batch(
-        self, instruction: str, records: list[AnnotatedRecord],
-        model: str = DEFAULT_MODEL, tag: str = "", before: Before = None,
-        on_error: OnError = None,
+        self, instruction: str, records: list[AnnotatedRecord], model: str = DEFAULT_MODEL,
+        tag: str = "", before: Callable | None = None, on_error: Callable | None = None,
     ) -> list[FilterJudgment | None]:
-        """:meth:`judge_filter` on each of ``records``, in order."""
+        """:meth:`judge_filter` on each of ``records`` (see :meth:`_batch`)."""
         call = self._prepared("filter", instruction, model)
         return self._batch(
-            [call], records, tag, before, on_error, self._judge, FilterJudgment
+            self.judge_filter, [((instruction,), call)], records, model, tag, before,
+            on_error, FilterJudgment,
         )
 
     def judge_join(
@@ -588,18 +589,34 @@ class SimulatedLLM:
         tag: str = "",
     ) -> ExtractionResult:
         """Extract the value ``instruction`` asks for from ``record``."""
-        return self.extract_batch([instruction], [record], model, tag)[0]
+        call = self._prepared("extract", instruction, model)
+        key = (call.key, record.uid)
+        hit, value = self.cache.get(key)
+        if hit:
+            return _new(ExtractionResult, (*value, self._hit(call.card, tag)))
+        judgment = self.oracle.extract_value(instruction, record)
+        value = judgment.truth
+        if judgment.resolved and self._errs(
+            call, judgment.intent_key, record.uid, judgment.difficulty
+        ):
+            value = self._corrupt(judgment.truth, judgment.intent_key, record)
+        input_tokens = SYSTEM_PROMPT_TOKENS + call.instruction_tokens + record.text_tokens()
+        output_tokens = max(8, approx_token_count(str(value)))
+        event = self._charge(call.card, input_tokens, output_tokens, tag)
+        answer = (value, judgment.resolved, judgment.intent_key)
+        self.cache.put(key, answer)
+        return _new(ExtractionResult, (*answer, event))
 
     def extract_batch(
         self, instructions: list[str], records: list[AnnotatedRecord],
-        model: str = DEFAULT_MODEL, tag: str = "", before: Before = None,
-        on_error: OnError = None,
+        model: str = DEFAULT_MODEL, tag: str = "", before: Callable | None = None,
+        on_error: Callable | None = None,
     ) -> list[ExtractionResult | None]:
-        """:meth:`extract` of each of ``instructions`` from each of
-        ``records``, record-major (one record's fields, then the next's)."""
-        calls = [self._prepared("extract", text, model) for text in instructions]
+        """:meth:`extract` of each of ``instructions`` from each of ``records``,
+        record-major: one record's fields, then the next's (see :meth:`_batch`)."""
+        calls = [((text,), self._prepared("extract", text, model)) for text in instructions]
         return self._batch(
-            calls, records, tag, before, on_error, self._extract, ExtractionResult
+            self.extract, calls, records, model, tag, before, on_error, ExtractionResult
         )
 
     def classify(
@@ -607,20 +624,39 @@ class SimulatedLLM:
         model: str = DEFAULT_MODEL, tag: str = "",
     ) -> ExtractionResult:
         """Pick one of ``options`` for ``record`` according to ``instruction``."""
-        return self.classify_batch(instruction, options, [record], model, tag)[0]
+        if not options:
+            raise ConfigurationError("classify requires at least one option")
+        call = self._prepared("classify", instruction, model)
+        judgment = self.oracle.extract_value(instruction, record)
+        truth = judgment.truth if judgment.truth in options else options[0]
+        erred = judgment.resolved and self._errs(
+            call, judgment.intent_key, record.uid, judgment.difficulty
+        )
+        value = truth
+        if erred and len(options) > 1:
+            alternatives = [option for option in options if option != truth]
+            pick = stable_hash(self.seed, "classify-pick", record.uid) % len(alternatives)
+            value = alternatives[pick]
+        if call.options != options:
+            # An operator passes one option list with every record.
+            call.options = list(options)
+            call.options_tokens = approx_token_count(" ".join(options))
+        input_tokens = (
+            SYSTEM_PROMPT_TOKENS + call.instruction_tokens + record.text_tokens()
+            + call.options_tokens
+        )
+        event = self._charge(call.card, input_tokens, JUDGMENT_OUTPUT_TOKENS, tag)
+        return ExtractionResult(value, judgment.resolved, judgment.intent_key, event)
 
     def classify_batch(
         self, instruction: str, options: list[str], records: list[AnnotatedRecord],
-        model: str = DEFAULT_MODEL, tag: str = "", before: Before = None,
-        on_error: OnError = None,
+        model: str = DEFAULT_MODEL, tag: str = "", before: Callable | None = None,
+        on_error: Callable | None = None,
     ) -> list[ExtractionResult | None]:
-        """:meth:`classify` of each of ``records``, in order (uncached)."""
-        if records and not options:  # a per-record loop raises at its first call
-            raise ConfigurationError("classify requires at least one option")
-        call = self._prepared("classify", instruction, model)
-        miss = partial(self._classify, options, approx_token_count(" ".join(options)))
+        """:meth:`classify` of each of ``records`` (see :meth:`_batch`)."""
         return self._batch(
-            [call], records, tag, before, on_error, miss, ExtractionResult, cached=False
+            self.classify, [((instruction, options), None)], records, model, tag, before,
+            on_error,
         )
 
     def complete(
@@ -720,88 +756,49 @@ class SimulatedLLM:
     # ------------------------------------------------------------------
 
     def _batch(
-        self, calls: list[_PreparedCall], records: list[AnnotatedRecord], tag: str,
-        before: Before, on_error: OnError, miss: Callable, result: type,
-        cached: bool = True,
+        self, endpoint: Callable, calls: list[tuple], records: list[AnnotatedRecord],
+        model: str, tag: str, before: Callable | None, on_error: Callable | None,
+        result: type | None = None,
     ) -> list:
-        """The one call loop of the batch endpoints: each of ``calls`` on
-        each of ``records``, record-major.  ``miss(call, record)`` answers
-        an uncached call as ``(answer fields, input tokens, output
-        tokens)``; ``result(*answer fields, event)`` is a call's result."""
-        tag = tag or self._span_tag()
-        cache = self.cache
+        """The batch endpoints' one loop: ``endpoint(*head, record, model,
+        tag)`` for each ``(head, call)`` of ``calls`` on each of ``records``,
+        record-major; ``call`` is the prepared call of a cached endpoint,
+        else None.
+
+        ``before()`` runs ahead of every call (a spend-cap check may raise
+        there).  A call that exhausts its retries raises, unless
+        ``on_error`` is given: then ``on_error((uid, error class name))``
+        reports it and its result is None.  A call whose answer is cached
+        is served here as the endpoint would serve it (:meth:`_hit`; with
+        no metrics or tracer to feed, the first hit's event is recorded for
+        the rest).  Every other call goes through ``endpoint`` itself, so
+        a wrapper on a per-call endpoint sees every uncached call.
+        """
+        cache, held = self.cache, self.cache.entries
         hit_event = record_hit = None
         results: list = []
         for record in records:
-            uid = record.uid
-            for call in calls:
+            for head, call in calls:
                 if before is not None:
                     before()
-                if cached:
-                    key = (call.key, uid)
-                    hit, value = cache.get(key)
-                    if hit:
-                        if record_hit is None:
-                            hit_event = self._hit(call.card, tag)
-                            if not (self.metrics.enabled or self.tracer.enabled):
-                                record_hit = self.tracker.record
-                        else:  # :meth:`_hit` with nothing to observe
-                            record_hit(hit_event)
-                        results.append(_new(result, (*value, hit_event)))
-                        continue
-                value, input_tokens, output_tokens = miss(call, record)
+                if call and (call.key, record.uid) in held:
+                    value = cache.get((call.key, record.uid))[1]
+                    if record_hit is None:
+                        hit_event = self._hit(call.card, tag)
+                        if not (self.metrics.enabled or self.tracer.enabled):
+                            record_hit = self.tracker.record
+                    else:
+                        record_hit(hit_event)
+                    results.append(_new(result, (*value, hit_event)))
+                    continue
                 try:
-                    event = self._charge(call.card, input_tokens, output_tokens, tag)
+                    results.append(endpoint(*head, record, model, tag))
                 except TransientLLMError as error:
                     if on_error is None:
                         raise
-                    on_error(uid, error)
+                    on_error((record.uid, type(error).__name__))
                     results.append(None)
-                    continue
-                if cached:
-                    cache.put(key, value)
-                results.append(_new(result, (*value, event)))
         return results
-
-    # A miss of each batch endpoint: (answer fields, input tokens, output tokens).
-
-    def _judge(self, call: _PreparedCall, record: AnnotatedRecord) -> tuple:
-        judgment = self.oracle.judge_filter(call.instruction, record)
-        noise_key = judgment.intent_key or call.normalized
-        erred = self._errs(call, noise_key, record.uid, judgment.difficulty)
-        answer = (bool(judgment.truth) != erred, judgment.resolved, judgment.intent_key)
-        input_tokens = self._prompt_tokens(call.instruction_tokens, record)
-        return answer, input_tokens, JUDGMENT_OUTPUT_TOKENS
-
-    def _extract(self, call: _PreparedCall, record: AnnotatedRecord) -> tuple:
-        judgment = self.oracle.extract_value(call.instruction, record)
-        intent_key = judgment.intent_key
-        value = judgment.truth
-        if judgment.resolved and self._errs(
-            call, intent_key, record.uid, judgment.difficulty
-        ):
-            value = self._corrupt(judgment.truth, intent_key, record)
-        input_tokens = self._prompt_tokens(call.instruction_tokens, record)
-        output_tokens = max(8, approx_token_count(str(value)))
-        return (value, judgment.resolved, intent_key), input_tokens, output_tokens
-
-    def _classify(
-        self, options: list[str], options_tokens: int, call: _PreparedCall,
-        record: AnnotatedRecord,
-    ) -> tuple:
-        judgment = self.oracle.extract_value(call.instruction, record)
-        truth = judgment.truth if judgment.truth in options else options[0]
-        erred = judgment.resolved and self._errs(
-            call, judgment.intent_key, record.uid, judgment.difficulty
-        )
-        value = truth
-        if erred and len(options) > 1:
-            alternatives = [option for option in options if option != truth]
-            pick = stable_hash(self.seed, "classify-pick", record.uid) % len(alternatives)
-            value = alternatives[pick]
-        input_tokens = self._prompt_tokens(call.instruction_tokens, record)
-        answer = (value, judgment.resolved, judgment.intent_key)
-        return answer, input_tokens + options_tokens, JUDGMENT_OUTPUT_TOKENS
 
     def _errs(
         self,
@@ -830,9 +827,6 @@ class SimulatedLLM:
             head = call.noise_heads[noise_key] = call.noise.child(noise_key)
         # stable_uniform(seed, "llm-noise", model, task kind, noise_key, uid)
         return head.uniform(record_uid) < probability
-
-    def _prompt_tokens(self, instruction_tokens: int, record: AnnotatedRecord) -> int:
-        return SYSTEM_PROMPT_TOKENS + instruction_tokens + record.text_tokens()
 
     def _corrupt(self, truth: Any, intent_key: str, record: AnnotatedRecord) -> Any:
         """Produce a plausible wrong answer for an extraction error.

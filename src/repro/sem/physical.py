@@ -153,18 +153,6 @@ class ExecutionContext:
                 f"spent ${spent:.4f} of the ${self.max_cost_usd:.4f} cap"
             )
 
-    def _kind_tag(self, kind: str) -> str:
-        """The usage tag of ``kind``: one string per kind, which every usage
-        event of that kind shares."""
-        tag = self._tags.get(kind)
-        if tag is None:
-            tag = self._tags[kind] = f"{self.tag}:{kind}"
-        return tag
-
-    def _flag(self, uid: str, error: TransientLLMError) -> None:
-        """Flag ``uid`` as degraded by ``error`` (the "skip" policy)."""
-        self.failures.append((uid, type(error).__name__))
-
     def guarded(
         self, uid: str, model: str, kind: str, call: Callable[..., T], *args
     ) -> T | None:
@@ -179,12 +167,13 @@ class ExecutionContext:
         """
         if self.max_cost_usd is not None:
             self.check_budget()
+        tag = self._tags.get(kind) or self._tags.setdefault(kind, f"{self.tag}:{kind}")
         try:
-            return call(*args, model=model, tag=self._kind_tag(kind))
+            return call(*args, model=model, tag=tag)
         except TransientLLMError as exc:
             if self.on_failure == "raise":
                 raise
-            self._flag(uid, exc)
+            self.failures.append((uid, type(exc).__name__))
             return None
 
     def guarded_batch(
@@ -194,10 +183,11 @@ class ExecutionContext:
         records, model, tag, before, on_error)``: the spend cap is checked
         before every call, and under "skip" a call that exhausts its retries
         flags its record and returns None while the batch goes on."""
+        tag = self._tags.get(kind) or self._tags.setdefault(kind, f"{self.tag}:{kind}")
         return call(
-            *args, records, model, self._kind_tag(kind),
+            *args, records, model, tag,
             None if self.max_cost_usd is None else self.check_budget,
-            None if self.on_failure == "raise" else self._flag,
+            None if self.on_failure == "raise" else self.failures.append,
         )
 
 
@@ -290,13 +280,10 @@ class PhysicalOperator(abc.ABC):
 class StreamingOperator(PhysicalOperator):
     """Batch-at-a-time operator the engine can fuse into pipelined sections.
 
-    Subclasses define exactly one of two kernels and never :meth:`execute`
-    (``tests/test_sem_physical.py`` enforces it): an LLM operator defines
-    the row kernel ``process_rows(records, ctx, state)`` — what each
-    record emits (a list of records per record), its calls made through
-    one batch endpoint (:meth:`ExecutionContext.guarded_batch`) — and
-    :meth:`process_batch` lifts it; a token-free operator defines
-    :meth:`process_batch` itself.
+    Subclasses define exactly one of ``process_rows`` (LLM operators: the
+    records each record emits, its calls made through one batch endpoint)
+    or :meth:`process_batch` (token-free operators) and never
+    :meth:`execute` — ``tests/test_sem_physical.py`` enforces it.
     """
 
     streamable = True
@@ -309,8 +296,7 @@ class StreamingOperator(PhysicalOperator):
 
     def sample_answer(self, record: DataRecord, ctx: ExecutionContext) -> list:
         """The fields of the records this operator emits for ``record`` from
-        a fresh state: its row kernel on ``[record]``, in no section (or its
-        batch kernel on a batch of one)."""
+        a fresh state, in no section."""
         state = self.new_state(ctx)
         if type(self).process_batch is StreamingOperator.process_batch:
             emitted = self.process_rows([record], ctx, state)[0]
@@ -330,16 +316,15 @@ class StreamingOperator(PhysicalOperator):
     def process_batch(
         self, batch: RecordBatch, ctx: ExecutionContext, state: dict
     ) -> RecordBatch:
-        """One batch through the operator: the row kernel, lifted.
+        """One batch through the operator: ``process_rows``, lifted.
 
         The only wave loop in the executor.  The wave is issued at
         ``ctx.wave_width()``; when it drew rate-limit faults and the
-        adaptive controller narrowed the width, the rows whose calls
-        exhausted their retries go through the row kernel once more, as
-        one subset, at the reduced width (their failure flags are
-        withdrawn; a second exhaustion re-flags them).  Token-free
-        operators override this with a whole-batch kernel and must not
-        open a ``parallel`` section.
+        adaptive controller narrowed the width, records whose calls
+        exhausted their retries are resubmitted once, as one subset, at the
+        reduced width (their failure flags are withdrawn; a second
+        exhaustion re-flags them).  Token-free operators override this
+        with a whole-batch kernel and must not open a ``parallel`` section.
         """
         rows = batch.records
         tracker = ctx.llm.tracker
@@ -370,14 +355,12 @@ class StreamingOperator(PhysicalOperator):
                     for event in tracker.events[wave_checkpoint:]
                 )
             )
-            if attempt or len(ctx.failures) == wave_failures:
-                break
             throttled_uids = {
                 uid
                 for uid, error in ctx.failures[wave_failures:]
                 if error == "RateLimitError"
             }
-            if not throttled_uids or ctx.adaptive.width >= width:
+            if attempt > 0 or not throttled_uids or ctx.adaptive.width >= width:
                 break
             # Withdraw the throttled records' failure flags and give them
             # one more pass at the narrowed width.
@@ -546,7 +529,7 @@ class PhysSemMap(StreamingOperator):
         op = self.logical_op
         extractions = iter(ctx.guarded_batch(
             records, self.model or op.model, "map", ctx.llm.extract_batch,
-            [instruction for _, instruction in op.outputs],
+            list(map(itemgetter(1), op.outputs)),
         ))
         emitted = []
         for record in records:
@@ -573,10 +556,11 @@ class PhysSemClassify(StreamingOperator):
             records, self.model or op.model, "classify", ctx.llm.classify_batch,
             op.instruction, list(op.options),
         )
-        return [
-            [record.derive({op.output_field: None if result is None else result.value})]
-            for record, result in zip(records, results)
-        ]
+        emitted = []
+        for record, result in zip(records, results):
+            value = None if result is None else result.value
+            emitted.append([record.derive({op.output_field: value})])
+        return emitted
 
 
 class PhysSemGroupBy(PhysicalOperator):

@@ -8,13 +8,15 @@ each endpoint a cache probe — a hit records the shared zero-cost event —
 or the oracle, the noise draw, ``_charge`` and the put.  The per-call
 endpoints are written out below from the substrate's primitives,
 independent of the batch loop, and every scenario runs that loop, the
-batch endpoint and the public per-call endpoints (batches of one) from
-identical fresh substrates, comparing everything a call leaves behind:
-results, tracker events and spend, cache contents in LRU order, the
-clock, the section's latencies, the failure flags, the backoff-jitter
-sequence, the serve sink's steps, the tracer's spans and the metrics.  A batch loop
-that cuts a corner — one hit event per batch, a spend-cap check before
-the first call only, one charge per batch — changes at least one of them."""
+batch endpoint and the public per-call endpoints from identical fresh
+substrates, comparing everything a call leaves behind: results, tracker
+events and spend, cache contents in LRU order, the clock, the section's
+latencies, the failure flags, the backoff-jitter sequence, the serve
+sink's steps, the tracer's spans and the metrics.  A batch loop that cuts
+a corner — one hit event per batch, a spend-cap check before the first
+call only — changes at least one of them (the plants below).  A miss goes
+through the per-call endpoint, the name a benchmark trace wraps, and a
+hit does not."""
 
 from __future__ import annotations
 
@@ -162,7 +164,7 @@ def _batched(ctx, kind, records):
 
 
 def _per_call(ctx, kind, records):
-    """The public per-call endpoints, each a batch of one."""
+    """The public per-call endpoints, one guarded call each."""
     llm = ctx.llm
     endpoint = {
         "filter": llm.judge_filter, "extract": llm.extract, "classify": llm.classify
@@ -267,3 +269,95 @@ def test_scenarios_reach_what_they_exercise(bundle, kind):
         assert any(event.cached for event in served["events"])
     traced = _run(bundle, "traced", kind, _reference)
     assert any(span.kind == "llm-call" for span in traced["spans"])
+
+
+# -- plants: a batch loop that cuts a corner is caught ------------------------
+
+
+def _hits_once_per_batch(original):
+    """Plant: a batch records one cache-hit event however many hits it had."""
+
+    def planted(self, *args, **kwargs):
+        start = len(self.tracker.events)
+        results = original(self, *args, **kwargs)
+        hits = [event for event in self.tracker.events[start:] if event.cached]
+        for event in hits[1:]:
+            self.tracker.events.remove(event)
+        return results
+
+    return planted
+
+
+def _budget_checked_once(original):
+    """Plant: the spend cap is checked before a batch's first call only."""
+
+    def planted(self, endpoint, heads, records, model, tag, before, on_error, *rest):
+        checked = []
+
+        def first_only():
+            if not checked:
+                checked.append(True)
+                before()
+
+        once = None if before is None else first_only
+        return original(self, endpoint, heads, records, model, tag, once, on_error, *rest)
+
+    return planted
+
+
+@pytest.mark.parametrize(
+    "plant, scenario, kind",
+    [
+        (_hits_once_per_batch, "served", "filter"),
+        (_hits_once_per_batch, "served", "extract"),
+        (_budget_checked_once, "budget", "filter"),
+        (_budget_checked_once, "budget", "classify"),
+    ],
+)
+def test_a_planted_batch_loop_differs_from_the_per_record_loop(
+    bundle, monkeypatch, plant, scenario, kind
+):
+    expected = _run(bundle, scenario, kind, _reference)
+    monkeypatch.setattr(SimulatedLLM, "_batch", plant(SimulatedLLM._batch))
+    assert _run(bundle, scenario, kind, _batched) != expected
+
+
+@pytest.mark.parametrize("kind", ["filter", "extract", "classify"])
+def test_a_miss_crosses_the_per_call_endpoint_and_a_hit_does_not(
+    bundle, monkeypatch, kind
+):
+    llm = _llm(bundle, "served")
+    records = bundle.records()
+    _reference(P.ExecutionContext(llm=llm, tag="warm"), kind, records[::3])
+    name = {"filter": "judge_filter", "extract": "extract", "classify": "classify"}[kind]
+    original = getattr(SimulatedLLM, name)
+    crossed = []
+
+    def counted(self, *args, **kwargs):
+        crossed.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimulatedLLM, name, counted)
+    start = len(llm.tracker.events)
+    results = _batched(P.ExecutionContext(llm=llm, tag="q"), kind, records)
+    events = llm.tracker.events[start:]
+    assert len(events) == len(results) == len(crossed) + sum(e.cached for e in events)
+    assert len(crossed) == sum(not event.cached for event in events) > 0
+    if kind != "classify":  # classifications are never cached
+        assert sum(event.cached for event in events) > 0
+
+
+def test_results_and_events_built_without_the_constructor_are_whole(bundle):
+    # Results and miss events are built with ``tuple.__new__``: each must
+    # equal its constructor-built twin field for field.
+    llm = _llm(bundle, "served")
+    records = bundle.records()
+    ctx = P.ExecutionContext(llm=llm, tag="q")
+    results = _batched(ctx, "filter", records[::2]) + _batched(ctx, "filter", records)
+    results += _batched(ctx, "extract", records)
+    assert any(result.event.cached for result in results)
+    assert any(not result.event.cached for result in results)
+    for value in [*results, *llm.tracker.events]:
+        kind = type(value)
+        assert len(value) == len(kind._fields)
+        assert kind(*value) == value

@@ -30,7 +30,7 @@ def test_cost_proportional_to_tokens():
 
 def test_output_tokens_cost_more_than_input():
     card = get_model(DEFAULT_MODEL)
-    assert card.output_cost(1000) > card.input_cost(1000)
+    assert card.call_cost(0, 1000) > card.call_cost(1000, 0) == card.input_cost(1000)
 
 
 def test_latency_includes_overhead_prefill_and_decode():

@@ -45,22 +45,14 @@ def _ctx(bundle, degraded=(), parallelism=4, **kwargs) -> P.ExecutionContext:
     whole-input run degrade the same records.
     """
     llm = SimulatedLLM(oracle=SemanticOracle(bundle.registry), seed=9)
-    judge = llm.judge_filter_batch
+    judge = llm.judge_filter
 
-    def flaky(instruction, records, model, tag, before=None, on_error=None):
-        results = []
-        for record in records:
-            if record.uid not in degraded:
-                results += judge(instruction, [record], model, tag, before, on_error)
-                continue
-            error = RateLimitError("throttled")
-            if on_error is None:
-                raise error
-            on_error(record.uid, error)
-            results.append(None)
-        return results
+    def flaky(instruction, record, *call):
+        if record.uid in degraded:
+            raise RateLimitError("throttled")
+        return judge(instruction, record, *call)
 
-    llm.judge_filter_batch = flaky
+    llm.judge_filter = flaky
     return P.ExecutionContext(llm=llm, parallelism=parallelism, **kwargs)
 
 
