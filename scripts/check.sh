@@ -104,4 +104,19 @@ sys.exit(0 if result["correct"] and missing == 0 else 1)
 PY
 
 echo
+echo "== traced cold-scan perf smoke (every call a miss, observed: the repo's Tracer + MetricsRegistry are on in the observed pass; llm.calls > 0) =="
+python3 -m benchmarks.perf bench --workload scan_cold --smoke --trace 1 \
+    | tail -1 > "$TRACE_TMP/scan_cold.json"
+python - "$TRACE_TMP/scan_cold.json" <<'PY'
+import json
+import sys
+
+result = json.load(open(sys.argv[1]))
+missing = result["metrics"]["trace.missing_targets"]["value"]
+calls = result["metrics"]["llm.calls"]["value"]
+print(f"trace.missing_targets = {missing}, llm.calls = {calls}")
+sys.exit(0 if result["correct"] and missing == 0 and calls else 1)
+PY
+
+echo
 echo "check.sh: all green"

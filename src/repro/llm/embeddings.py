@@ -22,6 +22,7 @@ from collections import Counter
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.utils.hashing import stable_hash
 from repro.utils.text import STOPWORDS, tokenize
 
@@ -67,7 +68,7 @@ class EmbeddingModel:
 
     def __init__(self, dim: int = DEFAULT_DIM) -> None:
         if dim < 8:
-            raise ValueError(f"embedding dim must be >= 8, got {dim}")
+            raise ConfigurationError(f"embedding dim must be >= 8, got {dim}")
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:

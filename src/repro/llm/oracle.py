@@ -14,6 +14,7 @@ the oracle itself is always right; models are not.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple, Protocol, runtime_checkable
 
@@ -25,6 +26,9 @@ DIFFICULTY_PREFIX = "_difficulty:"
 #: Distinct instructions an :class:`IntentRegistry` remembers the resolution
 #: of; the memo is dropped whole when full (a plan has a handful).
 _RESOLVE_MEMO_CAP = 1024
+
+#: Registry versions: no two states of any two registries share one.
+_VERSIONS = itertools.count()
 
 
 @runtime_checkable
@@ -75,6 +79,8 @@ class IntentRegistry:
         #: is a pure function of the instruction and the registered intents,
         #: so ``register`` and ``merge`` clear it.
         self._resolved: dict[str, Intent | None] = {}
+        #: Changes whenever a resolution may (``register``, ``merge``).
+        self.version = next(_VERSIONS)
 
     def register(self, key: str, keywords: Iterable[str], description: str = "") -> Intent:
         """Register (or overwrite) an intent under ``key``."""
@@ -85,12 +91,14 @@ class IntentRegistry:
         )
         self._intents[key] = intent
         self._resolved.clear()
+        self.version = next(_VERSIONS)
         return intent
 
     def merge(self, other: "IntentRegistry") -> None:
         """Add all intents from ``other`` (later registrations win)."""
         self._intents.update(other._intents)
         self._resolved.clear()
+        self.version = next(_VERSIONS)
 
     def get(self, key: str) -> Intent | None:
         return self._intents.get(key)
@@ -144,25 +152,44 @@ class JudgeResult(NamedTuple):
     resolved: bool
 
 
+#: ``_new(JudgeResult, fields)``: the tuple without a Python-level call.
+_new = tuple.__new__
+
+
 class SemanticOracle:
     """Resolves natural-language tasks to ground truth on annotated records."""
 
     DEFAULT_DIFFICULTY = 0.5
 
     def __init__(self, registry: IntentRegistry | None = None) -> None:
-        self.registry = registry or IntentRegistry()
+        self.registry = registry if registry is not None else IntentRegistry()
+
+    def judge(
+        self, intent: Intent | None, record: AnnotatedRecord, difficulty_key: str = ""
+    ) -> JudgeResult | None:
+        """``intent``'s ground truth on ``record`` — the raw annotation, the
+        intent key and the pair's difficulty — or None when there is no
+        intent or ``record`` does not carry it.  ``difficulty_key`` is
+        ``DIFFICULTY_PREFIX + intent.key``, given by a caller that judges
+        many records against one intent."""
+        if intent is None:
+            return None
+        key, annotations = intent.key, record.annotations
+        if key not in annotations:
+            return None
+        difficulty = float(
+            annotations.get(difficulty_key or DIFFICULTY_PREFIX + key, self.DEFAULT_DIFFICULTY)
+        )
+        # min(1.0, max(0.0, difficulty)), NaN to 0.0 included, without the calls.
+        difficulty = (difficulty if difficulty < 1.0 else 1.0) if difficulty > 0.0 else 0.0
+        return _new(JudgeResult, (annotations[key], key, difficulty, True))
 
     def judge_filter(self, instruction: str, record: AnnotatedRecord) -> JudgeResult:
         """Ground truth for "does ``record`` satisfy ``instruction``?"."""
-        intent = self.registry.resolve(instruction)
-        if intent is not None and intent.key in record.annotations:
-            return JudgeResult(
-                bool(record.annotations[intent.key]),
-                intent.key,
-                self._difficulty(record, intent.key),
-                True,
-            )
-        return self._heuristic_filter(instruction, record)
+        judged = self.judge(self.registry.resolve(instruction), record)
+        if judged is None:
+            return self._heuristic_filter(instruction, record)
+        return judged._replace(truth=bool(judged.truth))
 
     def judge_join(
         self,
@@ -179,19 +206,11 @@ class SemanticOracle:
         heuristic over the concatenated pair.
         """
         intent = self.registry.resolve(instruction)
-        if (
-            intent is not None
-            and intent.key in left.annotations
-            and intent.key in right.annotations
-        ):
+        judged, other = self.judge(intent, left), self.judge(intent, right)
+        if judged is not None and other is not None:
             return JudgeResult(
-                left.annotations[intent.key] == right.annotations[intent.key],
-                intent.key,
-                max(
-                    self._difficulty(left, intent.key),
-                    self._difficulty(right, intent.key),
-                ),
-                True,
+                judged.truth == other.truth, judged.intent_key,
+                max(judged.difficulty, other.difficulty), True,
             )
         merged_text = left.as_text() + "\n" + right.as_text()
         similarity = jaccard_similarity(instruction, merged_text)
@@ -199,19 +218,7 @@ class SemanticOracle:
 
     def extract_value(self, instruction: str, record: AnnotatedRecord) -> JudgeResult:
         """Ground truth for "extract the value ``instruction`` asks for"."""
-        intent = self.registry.resolve(instruction)
-        if intent is not None and intent.key in record.annotations:
-            return JudgeResult(
-                record.annotations[intent.key],
-                intent.key,
-                self._difficulty(record, intent.key),
-                True,
-            )
-        return JudgeResult(None, "", self.DEFAULT_DIFFICULTY, False)
-
-    def _difficulty(self, record: AnnotatedRecord, intent_key: str) -> float:
-        raw = record.annotations.get(DIFFICULTY_PREFIX + intent_key, self.DEFAULT_DIFFICULTY)
-        return min(1.0, max(0.0, float(raw)))
+        return self.judge(self.registry.resolve(instruction), record) or UNRESOLVED
 
     def _heuristic_filter(self, instruction: str, record: AnnotatedRecord) -> JudgeResult:
         """Fallback when no intent matches: lexical-overlap guess.
@@ -221,3 +228,7 @@ class SemanticOracle:
         """
         similarity = jaccard_similarity(instruction, record.as_text())
         return JudgeResult(similarity >= 0.08, "", 0.9, False)
+
+
+#: An extraction the oracle cannot resolve: no truth, median difficulty.
+UNRESOLVED = JudgeResult(None, "", SemanticOracle.DEFAULT_DIFFICULTY, False)

@@ -30,6 +30,10 @@ sink also records every wave, and every bare call, made while no
 waiting for what the engine says it waits for: a cell's step waits for the
 cell's ``after`` token (:meth:`SimulatedLLM.measure`), any other step for
 everything recorded so far.  The engine runs the same schedule either way.
+
+A miss pays only for its record: its prepared call fixes the resolved
+intent, its difficulty key and the noise heads, and :meth:`SimulatedLLM._charge`
+is one success path plus, only when needed, the fault/retry saga and the observers.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ from repro.llm.client import CompletionResult, ExtractionResult, FilterJudgment
 from repro.llm.embeddings import DEFAULT_EMBED_BATCH, EmbeddingModel
 from repro.llm.faults import FaultInjector, RetryPolicy
 from repro.llm.models import DEFAULT_MODEL, EMBEDDING_MODEL, ModelCard, get_model
-from repro.llm.oracle import AnnotatedRecord, SemanticOracle
+from repro.llm.oracle import (
+    DIFFICULTY_PREFIX, UNRESOLVED, AnnotatedRecord, Intent, JudgeResult, SemanticOracle,
+)
 from repro.llm.usage import UsageEvent, UsageTracker
 from repro.obs.metrics import MetricsRegistry, NullMetrics, get_default_metrics
 from repro.obs.tracer import NoopTracer, Tracer, get_default_tracer
@@ -138,16 +144,18 @@ class _PreparedCall:
     rest: the model card, the normalised instruction and its token count,
     the head of every generation-cache key — the tuple ``(model, *scope,
     kind, normalized)`` that a call's key extends with its record uid(s)
-    or text digest — the model's error rate on the task, and one noise
-    head per noise key with every part but the record's uid hashed.
-    Nothing here changes an answer, which calls share a cache entry, a
-    draw or a charge — each is the value the per-call computation would
-    produce.
+    or text digest — twice the model's error rate on the task, one noise
+    head per noise key with every part but the record's uid hashed, and
+    the intent the instruction resolves to with that intent's difficulty
+    annotation key.  Nothing here changes an answer, which calls share a
+    cache entry, a draw or a charge — each is the value the per-call
+    computation would produce.
     """
 
     __slots__ = (
-        "card", "normalized", "instruction_tokens", "key", "task_kind",
-        "error_rate", "noise", "noise_heads", "options", "options_tokens",
+        "card", "instruction", "normalized", "instruction_tokens", "key", "task_kind",
+        "doubled_error_rate", "noise", "noise_heads", "options", "options_tokens",
+        "version", "intent", "difficulty_key",
     )
 
     def __init__(
@@ -159,6 +167,7 @@ class _PreparedCall:
         seed: int,
     ) -> None:
         self.card = get_model(model)
+        self.instruction = instruction
         payload: tuple[str, ...] = (kind,)
         self.normalized = ""
         self.instruction_tokens = 0
@@ -171,7 +180,8 @@ class _PreparedCall:
         #: ``(key, uid, ...)`` is the call's generation-cache key.
         self.key = (model, *scoped, *payload)
         self.task_kind = _NOISE_KIND.get(kind, "")
-        self.error_rate = self.card.error_rate(self.task_kind)
+        #: ``error_rate * 2.0``: the left-to-right head of :meth:`SimulatedLLM._errs`'s product.
+        self.doubled_error_rate = self.card.error_rate(self.task_kind) * 2.0
         self.noise = StablePrefix(seed, "llm-noise", self.card.name, self.task_kind)
         #: noise key -> ``noise.child(noise_key)``; ``.uniform(uid)`` is the
         #: call's error draw.  The keys are the intents the instruction
@@ -180,6 +190,10 @@ class _PreparedCall:
         #: ``classify`` only: the last option list seen and its token count.
         self.options: list[str] = []
         self.options_tokens = 0
+        #: The resolved intent at registry ``version`` (-1: none yet; ``_judge``).
+        self.version = -1
+        self.intent: Intent | None = None
+        self.difficulty_key = ""
 
 
 class SimulatedLLM:
@@ -351,126 +365,118 @@ class SimulatedLLM:
     def _charge(
         self, card: ModelCard, input_tokens: int, output_tokens: int, tag: str
     ) -> UsageEvent:
-        """Account for one uncached call, retrying injected faults per policy.
+        """Account for one uncached call: price it, record its event, spend
+        its latency.  The fault/retry saga (:meth:`_retry`) runs only with a
+        fault injector installed, the observers (:meth:`_observe`) only with
+        a tracer, a metrics registry or a serve sink on.
 
         A successful call charges its full latency (plus any failed-attempt
         latencies and backoff waits accrued on the way) as a *single* item in
         the enclosing parallel section — the slot is occupied for the whole
         retry saga.
         """
-        tracer = self.tracer
-        metrics = self.metrics
-        tag = tag or self._span_tag()
-        policy = self.retry
-        # Per-call spans are suppressed inside ``measure`` cells (the engine
-        # re-times those on the pipeline schedule and emits cell spans) and
-        # inside *nested* parallel sections, where a call's absolute start
-        # is only known to the outermost section's scheduler.
-        emit_span = (
-            tracer.enabled
-            and self._measure_depth == 0
-            and len(self._parallel_stack) <= 1
-        )
-        span_start = 0.0
-        span_track: str | None = None
-        if emit_span:
-            span_start, span_track = self._call_span_origin()
-
+        if not tag and self.tracer.enabled:
+            tag = self._span_tag()
         self._call_sequence += 1
-        sequence = self._call_sequence
+        latency = card.call_latency(input_tokens, output_tokens)
+        waited, retries = (
+            (0.0, 0) if self.faults is None else self._retry(card, input_tokens, latency, tag)
+        )
+        # Positional: model, tokens in/out, cost, latency, tag, cached,
+        # failed, retries, error.
+        event = _new(UsageEvent, (
+            card.name, input_tokens, output_tokens,
+            card.call_cost(input_tokens, output_tokens), latency, tag,
+            False, False, retries, "",
+        ))
+        self.tracker.record(event)
+        if self.metrics.enabled or self.tracer.enabled or self.serve_sink is not None:
+            self._observe(card, event, waited + latency)
+        self._advance_latency(waited + latency)
+        return event
+
+    def _retry(
+        self, card: ModelCard, input_tokens: int, latency: float, tag: str
+    ) -> tuple[float, int]:
+        """The fault/retry saga ahead of a call's successful attempt:
+        ``(seconds its failed attempts and backoff waits took, retries)``.
+        Each failed attempt records its own event; a call that exhausts its
+        attempts is observed, spends what it took and raises its last fault.
+        """
+        metrics = self.metrics
         is_embedding = card.usd_per_1m_output <= 0.0
         # Innermost section width: storms throttle wide fan-out, and retries
         # stay in their slot, so they keep the width they were issued at.
         width = self._parallel_stack[-1].width if self._parallel_stack else 1
-        latency_total = 0.0
-        retries = 0
+        waited, retries = 0.0, 0
         while True:
-            fault = (
-                self.faults.draw(
-                    card.name,
-                    is_embedding,
-                    width=width,
-                    # Saga-local time: backoff waits push later attempts
-                    # forward, so a long enough wait rides out a storm window.
-                    now=self.clock.elapsed + latency_total,
-                )
-                if self.faults is not None
-                else None
+            fault = self.faults.draw(
+                card.name, is_embedding, width=width,
+                # Saga-local time: backoff waits push later attempts
+                # forward, so a long enough wait rides out a storm window.
+                now=self.clock.elapsed + waited,
             )
-            latency = card.call_latency(input_tokens, output_tokens)
             if fault is None:
-                # Positional: model, tokens in/out, cost, latency, tag,
-                # cached, failed, retries.
-                event = _new(UsageEvent, (
-                    card.name, input_tokens, output_tokens,
-                    card.call_cost(input_tokens, output_tokens), latency, tag,
-                    False, False, retries, "",
-                ))
-                self.tracker.record(event)
-                if metrics.enabled:
-                    metrics.counter("llm.calls").inc()
-                    metrics.counter("llm.tokens_in").inc(input_tokens)
-                    metrics.counter("llm.tokens_out").inc(output_tokens)
-                    metrics.counter("llm.cost_usd").inc(event.cost_usd)
-                    if retries:
-                        metrics.counter("llm.retries").inc(retries)
-                    metrics.histogram("llm.latency_s").observe(latency_total + latency)
-                if emit_span:
-                    tracer.add_span(
-                        card.name, "llm-call",
-                        span_start, span_start + latency_total + latency,
-                        track=span_track, tag=tag, cost_usd=event.cost_usd,
-                        tokens_in=input_tokens, tokens_out=output_tokens,
-                        retries=retries,
-                    )
-                if self.serve_sink is not None:
-                    self.serve_sink.note_call(
-                        card.name,
-                        is_embedding,
-                        input_tokens,
-                        output_tokens,
-                        latency_total + latency,
-                    )
-                self._advance_latency(latency_total + latency)
-                return event
-
+                return waited, retries
+            kind = _fault_kind(fault)
             fail_latency, fail_tokens = self._fault_price(card, fault, input_tokens, latency)
             fail_cost = card.input_cost(fail_tokens)
-            self.tracker.record(
-                UsageEvent(
-                    model=card.name,
-                    input_tokens=fail_tokens,
-                    output_tokens=0,
-                    cost_usd=fail_cost,
-                    latency_s=fail_latency,
-                    tag=tag,
-                    failed=True,
-                    error=_fault_kind(fault),
-                )
-            )
+            self.tracker.record(UsageEvent(
+                card.name, fail_tokens, 0, fail_cost, fail_latency, tag, failed=True, error=kind,
+            ))
             if metrics.enabled:
                 metrics.counter("llm.failed_attempts").inc()
-                metrics.counter(f"llm.faults.{_fault_kind(fault)}").inc()
+                metrics.counter(f"llm.faults.{kind}").inc()
                 metrics.counter("llm.tokens_in").inc(fail_tokens)
                 metrics.counter("llm.cost_usd").inc(fail_cost)
-            latency_total += fail_latency
+            waited += fail_latency
             retries += 1
-            if retries >= policy.max_attempts:
-                if emit_span:
-                    tracer.add_span(
-                        f"{card.name} (gave up)", "llm-call",
-                        span_start, span_start + latency_total,
-                        track=span_track, tag=tag, retries=retries,
-                        error=_fault_kind(fault),
-                    )
-                if self.serve_sink is not None:
-                    self.serve_sink.note_call(
-                        card.name, is_embedding, input_tokens, 0, latency_total
-                    )
-                self._advance_latency(latency_total)
+            if retries >= self.retry.max_attempts:
+                # What the observers see of a call that gave up: its prompt,
+                # no output, its retries and its last fault.
+                self._observe(card, UsageEvent(
+                    card.name, input_tokens, 0, 0.0, waited, tag, retries=retries, error=kind,
+                ), waited)
+                self._advance_latency(waited)
                 raise fault
-            latency_total += policy.backoff_s(
-                retries, fault, self.seed, card.name, sequence
+            waited += self.retry.backoff_s(
+                retries, fault, self.seed, card.name, self._call_sequence
+            )
+
+    def _observe(self, card: ModelCard, call: UsageEvent, seconds: float) -> None:
+        """Feed one call that took ``seconds`` (its success event, or with
+        ``call.error`` a call that gave up) to the metrics, a call span and
+        the serve sink's note.  No span inside ``measure`` cells (the engine
+        re-times those on the pipeline schedule and emits cell spans) or
+        *nested* parallel sections, where a call's absolute start is only
+        known to the outermost section's scheduler."""
+        metrics, tracer = self.metrics, self.tracer
+        if metrics.enabled and not call.error:
+            metrics.counter("llm.calls").inc()
+            metrics.counter("llm.tokens_in").inc(call.input_tokens)
+            metrics.counter("llm.tokens_out").inc(call.output_tokens)
+            metrics.counter("llm.cost_usd").inc(call.cost_usd)
+            if call.retries:
+                metrics.counter("llm.retries").inc(call.retries)
+            metrics.histogram("llm.latency_s").observe(seconds)
+        if tracer.enabled and self._measure_depth == 0 and len(self._parallel_stack) <= 1:
+            start, track = self._call_span_origin()
+            if call.error:
+                tracer.add_span(
+                    f"{card.name} (gave up)", "llm-call", start, start + seconds,
+                    track=track, tag=call.tag, retries=call.retries, error=call.error,
+                )
+            else:
+                tracer.add_span(
+                    card.name, "llm-call", start, start + seconds,
+                    track=track, tag=call.tag, cost_usd=call.cost_usd,
+                    tokens_in=call.input_tokens, tokens_out=call.output_tokens,
+                    retries=call.retries,
+                )
+        if self.serve_sink is not None:
+            self.serve_sink.note_call(
+                card.name, card.usd_per_1m_output <= 0.0,
+                call.input_tokens, call.output_tokens, seconds,
             )
 
     def _call_span_origin(self) -> tuple[float, str | None]:
@@ -531,7 +537,7 @@ class SimulatedLLM:
         hit, value = self.cache.get(key)
         if hit:
             return _new(FilterJudgment, (*value, self._hit(call.card, tag)))
-        judgment = self.oracle.judge_filter(instruction, record)
+        judgment = self._judge(call, record) or self.oracle._heuristic_filter(instruction, record)
         noise_key = judgment.intent_key or call.normalized
         erred = self._errs(call, noise_key, record.uid, judgment.difficulty)
         answer = (bool(judgment.truth) != erred, judgment.resolved, judgment.intent_key)
@@ -594,7 +600,7 @@ class SimulatedLLM:
         hit, value = self.cache.get(key)
         if hit:
             return _new(ExtractionResult, (*value, self._hit(call.card, tag)))
-        judgment = self.oracle.extract_value(instruction, record)
+        judgment = self._judge(call, record) or UNRESOLVED
         value = judgment.truth
         if judgment.resolved and self._errs(
             call, judgment.intent_key, record.uid, judgment.difficulty
@@ -627,7 +633,7 @@ class SimulatedLLM:
         if not options:
             raise ConfigurationError("classify requires at least one option")
         call = self._prepared("classify", instruction, model)
-        judgment = self.oracle.extract_value(instruction, record)
+        judgment = self._judge(call, record) or UNRESOLVED
         truth = judgment.truth if judgment.truth in options else options[0]
         erred = judgment.resolved and self._errs(
             call, judgment.intent_key, record.uid, judgment.difficulty
@@ -646,7 +652,7 @@ class SimulatedLLM:
             + call.options_tokens
         )
         event = self._charge(call.card, input_tokens, JUDGMENT_OUTPUT_TOKENS, tag)
-        return ExtractionResult(value, judgment.resolved, judgment.intent_key, event)
+        return _new(ExtractionResult, (value, judgment.resolved, judgment.intent_key, event))
 
     def classify_batch(
         self, instruction: str, options: list[str], records: list[AnnotatedRecord],
@@ -800,6 +806,16 @@ class SimulatedLLM:
                     results.append(None)
         return results
 
+    def _judge(self, call: _PreparedCall, record: AnnotatedRecord) -> JudgeResult | None:
+        """:meth:`SemanticOracle.judge` of ``record`` against ``call``'s intent,
+        resolved again whenever the oracle's intent registry has changed."""
+        oracle = self.oracle
+        if call.version != oracle.registry.version:
+            registry = oracle.registry
+            call.version, call.intent = registry.version, registry.resolve(call.instruction)
+            call.difficulty_key = DIFFICULTY_PREFIX + call.intent.key if call.intent else ""
+        return oracle.judge(call.intent, record, call.difficulty_key)
+
     def _errs(
         self,
         call: _PreparedCall,
@@ -818,15 +834,16 @@ class SimulatedLLM:
         reproducing the paper's observation that two of three
         semantic-operator trials admitted an errant file.
         """
-        ambiguity_boost = max(0.0, difficulty - 0.7)
-        probability = min(
-            0.95, call.error_rate * 2.0 * difficulty * difficulty + ambiguity_boost
+        boost = difficulty - 0.7
+        # min(0.95, base * 2 * d * d + max(0.0, boost)), without the calls.
+        probability = call.doubled_error_rate * difficulty * difficulty + (
+            boost if boost > 0.0 else 0.0
         )
         head = call.noise_heads.get(noise_key)
         if head is None:
             head = call.noise_heads[noise_key] = call.noise.child(noise_key)
         # stable_uniform(seed, "llm-noise", model, task kind, noise_key, uid)
-        return head.uniform(record_uid) < probability
+        return head.uniform(record_uid) < (probability if probability < 0.95 else 0.95)
 
     def _corrupt(self, truth: Any, intent_key: str, record: AnnotatedRecord) -> Any:
         """Produce a plausible wrong answer for an extraction error.

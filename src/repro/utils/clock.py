@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ExecutionError
+
 
 @dataclass
 class VirtualClock:
@@ -29,7 +31,7 @@ class VirtualClock:
     def advance(self, seconds: float) -> None:
         """Advance the clock by ``seconds`` (sequential work)."""
         if seconds < 0:
-            raise ValueError(f"cannot advance clock by negative time: {seconds}")
+            raise ExecutionError(f"cannot advance clock by negative time: {seconds}")
         self.elapsed += seconds
 
     def reset(self) -> None:
@@ -80,9 +82,9 @@ class PipelineSchedule:
         Returns the updated section makespan.
         """
         if seconds < 0:
-            raise ValueError(f"cell duration must be >= 0, got {seconds}")
+            raise ExecutionError(f"cell duration must be >= 0, got {seconds}")
         if stage < 0:
-            raise ValueError(f"stage index must be >= 0, got {stage}")
+            raise ExecutionError(f"stage index must be >= 0, got {stage}")
         while len(self._stage_free) <= stage:
             self._stage_free.append(0.0)
         start = max(self._batch_ready, self._stage_free[stage])

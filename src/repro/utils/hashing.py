@@ -18,6 +18,11 @@ from typing import Any
 
 _MAX_64 = 2**64
 
+#: ``2.0 ** -64``: ``n * _INV_MAX_64 == n / _MAX_64`` bit for bit (both round
+#: ``n`` once to a double; scaling by a power of two is exact), without the
+#: big-int division.
+_INV_MAX_64 = 2.0**-64
+
 #: Joins the parts' reprs, so ``("ab", "c")`` and ``("a", "bc")`` differ.
 PART_SEPARATOR = "\x1f"
 
@@ -100,4 +105,4 @@ class StablePrefix:
             hasher.update((self._joint + repr(tail[0])).encode("utf-8"))
         elif tail:
             hasher.update((self._joint + PART_SEPARATOR.join(map(repr, tail))).encode("utf-8"))
-        return int.from_bytes(hasher.digest()[:8], "big") / _MAX_64
+        return int.from_bytes(hasher.digest()[:8], "big") * _INV_MAX_64

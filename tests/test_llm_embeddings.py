@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.llm import embeddings
 from repro.llm.embeddings import (
     EmbeddingModel,
@@ -99,7 +100,7 @@ def test_top_k_zero_query_returns_empty(model):
 
 
 def test_dim_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         EmbeddingModel(dim=4)
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ExecutionError
 from repro.utils.clock import PipelineSchedule, VirtualClock
 
 
@@ -29,7 +30,7 @@ def test_advance_accumulates():
 
 
 def test_advance_rejects_negative():
-    with pytest.raises(ValueError):
+    with pytest.raises(ExecutionError):
         VirtualClock().advance(-1.0)
 
 
@@ -92,9 +93,9 @@ def test_pipeline_schedule_repeat_stage_extends_cell():
 def test_pipeline_schedule_rejects_bad_cells():
     schedule = PipelineSchedule()
     schedule.start_batch()
-    with pytest.raises(ValueError):
+    with pytest.raises(ExecutionError):
         schedule.record(0, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ExecutionError):
         schedule.record(-1, 1.0)
 
 
