@@ -33,6 +33,8 @@ if [[ "${1:-}" == "--fast" ]]; then
         python3 -m benchmarks.perf bench --workload scan_cold --smoke
     step "fast lane: agent-queries perf smoke (the paper's search/compute/answer path: digest == expected.json smoke seed 0)" \
         python3 -m benchmarks.perf bench --workload agent_queries --smoke
+    step "fast lane: serve-mix perf smoke (every submit crosses the optimizer's reuse decision; digest == expected.json smoke seed 0)" \
+        python3 -m benchmarks.perf bench --workload serve_mix --smoke
     echo
     echo "check.sh --fast: all green"
     exit 0

@@ -15,6 +15,7 @@ import json
 from repro.agents.policies.base import ScriptedPolicy
 from repro.agents.tools import ToolRegistry
 from repro.agents.trace import AgentTrace
+from repro.errors import ConfigurationError
 
 
 class SemanticToolsCodeAgentPolicy(ScriptedPolicy):
@@ -35,7 +36,7 @@ class SemanticToolsCodeAgentPolicy(ScriptedPolicy):
 
     def __init__(self, filters: list[str], maps: list[tuple[str, str]]) -> None:
         if not filters:
-            raise ValueError("CodeAgent+ policy needs at least one filter instruction")
+            raise ConfigurationError("CodeAgent+ policy needs at least one filter instruction")
         self.filters = list(filters)
         self.maps = list(maps)
 

@@ -1,14 +1,5 @@
-"""Benchmark harness: metrics, trial running, and report formatting."""
+"""Benchmark harness: metrics, trial running, and report formatting.
 
-from repro.bench.harness import SystemSummary, TrialOutcome, run_trials, summarize
-from repro.bench.metrics import SetMetrics, percent_error, set_metrics
-
-__all__ = [
-    "SetMetrics",
-    "SystemSummary",
-    "TrialOutcome",
-    "percent_error",
-    "run_trials",
-    "set_metrics",
-    "summarize",
-]
+The package re-exports nothing: import the submodule (``repro.bench.metrics``,
+``repro.bench.harness``, ...).
+"""

@@ -106,7 +106,7 @@ class Context(Dataset):
         self._records = list(records)
         self.schema = schema
         self.desc = desc
-        self.tools = tools or ToolRegistry()
+        self.tools = tools if tools is not None else ToolRegistry()
         self.parent = parent
         self._source = MemorySource(self._records, schema, source_id=self.name)
         self._vector_index: VectorIndex | None = None

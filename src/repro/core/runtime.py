@@ -80,7 +80,7 @@ class AnalyticsRuntime:
             self.llm = llm
         else:
             self.llm = SimulatedLLM(
-                oracle=SemanticOracle(registry or IntentRegistry()),
+                oracle=SemanticOracle(registry if registry is not None else IntentRegistry()),
                 seed=seed,
                 faults=FaultInjector(fault_config, seed=seed) if fault_config else None,
                 retry=retry_policy,
@@ -148,7 +148,7 @@ class AnalyticsRuntime:
             )
         else:
             if schema is None or desc is None:
-                raise ValueError("records-based contexts require schema and desc")
+                raise ConfigurationError("records-based contexts require schema and desc")
             context = Context(
                 records=list(bundle_or_records), schema=schema, desc=desc, name=name
             )

@@ -14,6 +14,7 @@ from repro.data.corpus import FileCorpus
 from repro.data.datasets.base import DatasetBundle
 from repro.data.records import DataRecord
 from repro.data.schemas import Field, Schema
+from repro.errors import ConfigurationError
 from repro.llm.oracle import DIFFICULTY_PREFIX, IntentRegistry
 from repro.utils.seeding import SeededRng
 
@@ -80,7 +81,7 @@ def build_intent_registry() -> IntentRegistry:
 def generate_realestate_corpus(seed: int = 23, n_listings: int = 120) -> DatasetBundle:
     """Generate ``n_listings`` listings, roughly 30% modern-and-attractive."""
     if n_listings < 10:
-        raise ValueError(f"need at least 10 listings, got {n_listings}")
+        raise ConfigurationError(f"need at least 10 listings, got {n_listings}")
     rng = SeededRng(seed).child("realestate")
     corpus = FileCorpus("realestate")
     records: list[DataRecord] = []

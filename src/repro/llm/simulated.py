@@ -214,7 +214,7 @@ class SimulatedLLM:
         self.oracle = oracle or SemanticOracle()
         self.tracker = tracker or UsageTracker()
         self.clock = clock or VirtualClock()
-        self.cache = cache or GenerationCache()
+        self.cache = cache if cache is not None else GenerationCache()
         self.embedding_model = EmbeddingModel()
         self.seed = seed
         self.faults = faults

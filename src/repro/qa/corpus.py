@@ -11,7 +11,9 @@ runs that compare uid sequences across executions depend on that.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from typing import Any
 
 from repro.data.datasets.base import DatasetBundle
 from repro.data.corpus import FileCorpus
@@ -19,7 +21,7 @@ from repro.data.records import DataRecord
 from repro.data.schemas import Field, Schema
 from repro.llm.oracle import DIFFICULTY_PREFIX, IntentRegistry
 from repro.llm.simulated import DISTRACTOR_PREFIX
-from repro.utils.hashing import stable_hash, stable_uniform
+from repro.utils.hashing import PART_SEPARATOR, serialize_parts
 
 #: Intent keys -> (keywords, canonical instruction).  Instructions are what
 #: the fuzzer puts on plan operators; every instruction resolves to its
@@ -89,37 +91,61 @@ class CorpusSpec:
         return cls(seed=int(payload["seed"]), n_records=int(payload["n_records"]))
 
 
-def _difficulty(seed: int, index: int, intent: str) -> float:
-    """Mostly easy-to-medium difficulties, occasionally ambiguous."""
-    draw = stable_uniform(seed, "qa-difficulty", index, intent)
-    if draw > 0.9:  # ~10% genuinely ambiguous records per intent
-        return round(0.7 + 0.25 * stable_uniform(seed, "qa-hard", index, intent), 3)
-    return round(0.05 + 0.55 * draw, 3)
+#: The value names a record draws, in draw order.  A draw is
+#: ``stable_hash(seed, name, index)`` (``stable_uniform`` for a float), and a
+#: difficulty draw appends the intent key as a fourth part.
+_VALUES = (
+    "qa-cust", "qa-dept", "qa-region", "qa-priority", "qa-amount", "qa-urgent",
+    "qa-security", "qa-refund", "qa-topic-a", "qa-topic-b", "qa-distract",
+    "qa-difficulty", "qa-hard",
+)
+
+
+#: ``stable_uniform``'s scale: ``n * _UNIT == n / 2**64`` bit for bit.
+_UNIT = 2.0**-64
+
+
+def _draw(head: Any, tail: bytes) -> int:
+    """``stable_hash`` of a head absorbed once, extended by ``tail``'s bytes."""
+    hasher = head.copy()
+    hasher.update(tail)
+    return int.from_bytes(hasher.digest()[:8], "big")
 
 
 def build_corpus(spec: CorpusSpec) -> DatasetBundle:
     """Generate the QA ticket corpus described by ``spec``.
 
     Deterministic: two calls with equal specs produce records with identical
-    uids, fields, and annotations.
+    uids, fields, and annotations.  Each value name's ``(seed, name)`` head
+    is absorbed once per corpus, so a draw hashes only its record's tail.
     """
     seed, n = spec.seed, spec.n_records
     registry = IntentRegistry()
     for key, (keywords, description) in INTENTS.items():
         registry.register(key, keywords, description)
 
+    (cust, dept, reg, prio, amt, urg, sec, ref, top_a, top_b, distract,
+     difficulty, hard) = [
+        hashlib.sha256((serialize_parts(seed, name) + PART_SEPARATOR).encode("utf-8"))
+        for name in _VALUES
+    ]
+    # Each intent's difficulty key, and what its draws append to the index.
+    difficulties = [
+        (DIFFICULTY_PREFIX + intent, (PART_SEPARATOR + repr(intent)).encode("utf-8"))
+        for intent in INTENTS
+    ]
+    distractor_key = DISTRACTOR_PREFIX + "qa.amount"
+    source_id = f"qa-corpus-{seed}"
     records: list[DataRecord] = []
     for index in range(n):
-        customer = CUSTOMERS[stable_hash(seed, "qa-cust", index) % len(CUSTOMERS)]
-        department = DEPARTMENTS[stable_hash(seed, "qa-dept", index) % len(DEPARTMENTS)]
-        region = REGIONS[stable_hash(seed, "qa-region", index) % len(REGIONS)]
-        priority = 1 + stable_hash(seed, "qa-priority", index) % 4
-        amount = round(10.0 + 990.0 * stable_uniform(seed, "qa-amount", index), 2)
-        urgent = stable_uniform(seed, "qa-urgent", index) < 0.4
-        security = stable_uniform(seed, "qa-security", index) < 0.3
-        refund = stable_uniform(seed, "qa-refund", index) < 0.35
-        topic_a = _TOPIC_WORDS[stable_hash(seed, "qa-topic-a", index) % len(_TOPIC_WORDS)]
-        topic_b = _TOPIC_WORDS[stable_hash(seed, "qa-topic-b", index) % len(_TOPIC_WORDS)]
+        at = repr(index).encode("utf-8")
+        customer = CUSTOMERS[_draw(cust, at) % len(CUSTOMERS)]
+        department = DEPARTMENTS[_draw(dept, at) % len(DEPARTMENTS)]
+        region = REGIONS[_draw(reg, at) % len(REGIONS)]
+        priority = 1 + _draw(prio, at) % 4
+        amount = round(10.0 + 990.0 * (_draw(amt, at) * _UNIT), 2)
+        topic_a = _TOPIC_WORDS[_draw(top_a, at) % len(_TOPIC_WORDS)]
+        topic_b = _TOPIC_WORDS[_draw(top_b, at) % len(_TOPIC_WORDS)]
 
         body = (
             f"Ticket {index} from {customer} about {topic_a} and {topic_b}. "
@@ -127,32 +153,29 @@ def build_corpus(spec: CorpusSpec) -> DatasetBundle:
             f"{department}. Invoice total ${amount:.2f}."
         )
         annotations = {
-            "qa.flag_urgent": urgent,
-            "qa.flag_security": security,
-            "qa.flag_refund": refund,
+            "qa.flag_urgent": _draw(urg, at) * _UNIT < 0.4,
+            "qa.flag_security": _draw(sec, at) * _UNIT < 0.3,
+            "qa.flag_refund": _draw(ref, at) * _UNIT < 0.35,
             "qa.amount": amount,
             "qa.customer": customer,
             "qa.department": department,
             "qa.region": region,
             "qa.same_customer": customer,
         }
-        for intent in list(annotations):
-            annotations[DIFFICULTY_PREFIX + intent] = _difficulty(seed, index, intent)
+        # Mostly easy-to-medium difficulties, occasionally ambiguous.
+        for key, tail in difficulties:
+            draw = _draw(difficulty, at + tail) * _UNIT
+            if draw > 0.9:  # ~10% genuinely ambiguous records per intent
+                annotations[key] = round(0.7 + 0.25 * (_draw(hard, at + tail) * _UNIT), 3)
+            else:
+                annotations[key] = round(0.05 + 0.55 * draw, 3)
         # A plausible wrong amount that actually appears in the corpus.
-        if stable_uniform(seed, "qa-distract", index) < 0.5:
-            annotations[DISTRACTOR_PREFIX + "qa.amount"] = round(amount * 0.1, 2)
-        records.append(
-            DataRecord(
-                fields={
-                    "title": f"{topic_a}-{index}",
-                    "body": body,
-                    "priority": priority,
-                },
-                uid=f"qa-{index:04d}",
-                annotations=annotations,
-                source_id=f"qa-corpus-{seed}",
-            )
-        )
+        if _draw(distract, at) * _UNIT < 0.5:
+            annotations[distractor_key] = round(amount * 0.1, 2)
+        records.append(DataRecord._owning(
+            {"title": f"{topic_a}-{index}", "body": body, "priority": priority},
+            f"qa-{index:04d}", annotations, source_id, (),
+        ))
 
     schema = Schema(
         [

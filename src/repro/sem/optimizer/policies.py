@@ -12,6 +12,7 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING
 
+from repro.errors import ConfigurationError
 from repro.llm.models import DEFAULT_MODEL, completion_models_by_cost
 
 if TYPE_CHECKING:
@@ -54,7 +55,7 @@ class _CheapestAboveFloor(OptimizationPolicy):
         if quality_floor is None:
             quality_floor = self.default_floor
         if not 0.0 <= quality_floor <= 1.0:
-            raise ValueError(f"quality_floor must be in [0, 1], got {quality_floor}")
+            raise ConfigurationError(f"quality_floor must be in [0, 1], got {quality_floor}")
         self.quality_floor = quality_floor
 
     def choose_model(self, profiles: dict[str, "OperatorProfile"], champion: str) -> str:
@@ -106,6 +107,6 @@ def policy_by_name(name: str) -> OptimizationPolicy:
     try:
         return POLICIES[name]()
     except KeyError:
-        raise ValueError(
+        raise ConfigurationError(
             f"unknown optimization policy {name!r}; known: {sorted(POLICIES)}"
         ) from None

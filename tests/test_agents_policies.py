@@ -17,6 +17,7 @@ from repro.agents.semtools import build_semantic_tools
 from repro.bench.metrics import set_metrics
 from repro.data.datasets import enron as en
 from repro.data.datasets import kramabench as kb
+from repro.errors import ConfigurationError
 from repro.llm.oracle import SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 
@@ -165,7 +166,7 @@ def test_codeagent_plus_quality_high(enron_bundle):
 def test_semantic_tools_policy_requires_filters():
     import pytest
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         SemanticToolsCodeAgentPolicy(filters=[], maps=[])
 
 

@@ -460,7 +460,7 @@ RULES = (
         imports(r"^repro\.sem\.(physical|execution|shard|batch|optimizer)(\.|$)"),
     ),
     # A ratchet: lower it when an untyped raise becomes a ReproError.
-    Rule("untyped-raises", ("src/",), NodeTest((ast.Raise,), _untyped_raise), tolerate=9),
+    Rule("untyped-raises", ("src/",), NodeTest((ast.Raise,), _untyped_raise), tolerate=4),
     # A src/ definition has a caller outside tests/: a test-only helper
     # lives in tests/.  Names match by identifier, so a method that shares
     # its name with a used definition passes.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.agents.tools import Tool
+from repro.agents.tools import Tool, ToolRegistry
 from repro.core.context import Context, KeyIndex, VectorIndex
 from repro.data.records import DataRecord
 from repro.data.schemas import Field, Schema
@@ -115,3 +115,13 @@ def test_derived_shares_tools():
 
 def test_context_names_unique_by_default():
     assert _context().name != _context().name
+
+
+def test_an_empty_tool_registry_passed_in_is_the_one_used():
+    # ToolRegistry defines __len__, so an empty one is falsy; a tool added
+    # to it after construction must still be the context's.
+    tools = ToolRegistry()
+    context = _context(tools=tools)
+    assert context.tools is tools
+    tools.add(Tool("ping", "answers pong", lambda: "pong"))
+    assert "ping" in context.tools

@@ -6,6 +6,8 @@ from repro.core.runtime import AnalyticsRuntime
 from repro.data.datasets import kramabench as kb
 from repro.data.records import DataRecord
 from repro.data.schemas import Field, Schema
+from repro.errors import ConfigurationError
+from repro.llm.oracle import IntentRegistry
 
 
 def test_for_bundle_wires_oracle(legal_bundle):
@@ -25,7 +27,7 @@ def test_make_context_from_bundle(legal_bundle):
 def test_make_context_from_records_requires_schema_desc():
     runtime = AnalyticsRuntime(seed=0)
     records = [DataRecord({"a": 1})]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         runtime.make_context(records)
     context = runtime.make_context(
         records, schema=Schema([Field("a", int)]), desc="tiny"
@@ -130,3 +132,13 @@ def test_program_config_derives_without_touching_the_template(legal_bundle):
     template = runtime.config
     assert (template.tag, template.parallelism, template.scope) == ("query", 1, "")
     assert derived.stats_store is template.stats_store
+
+
+def test_an_empty_registry_passed_in_is_the_one_used():
+    # IntentRegistry defines __len__, so an empty one is falsy; an intent
+    # registered after construction must still reach the runtime's oracle.
+    registry = IntentRegistry()
+    runtime = AnalyticsRuntime(seed=0, registry=registry)
+    assert runtime.llm.oracle.registry is registry
+    registry.register("demo.flag", ["demo", "flag"], "the demo flag is set")
+    assert runtime.llm.oracle.registry.resolve("the demo flag is set").key == "demo.flag"

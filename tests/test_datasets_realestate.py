@@ -4,6 +4,7 @@ import pytest
 
 from repro.data.datasets import generate_realestate_corpus
 from repro.data.datasets import realestate as re_mod
+from repro.errors import ConfigurationError
 
 
 def test_default_size(realestate_bundle):
@@ -15,7 +16,7 @@ def test_custom_size():
 
 
 def test_minimum_size_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         generate_realestate_corpus(n_listings=5)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.data.records import DataRecord
 from repro.errors import ConfigurationError
+from repro.llm.cache import GenerationCache
 from repro.llm.oracle import DIFFICULTY_PREFIX, SemanticOracle
 
 
@@ -245,3 +246,15 @@ def test_instruction_seen_first_and_nth_time_is_charged_alike(
     nth = [observe(shared, uid) for uid in uids]
     assert nth == first
     assert all(tokens > 0 and cost > 0 for _, tokens, cost in nth)
+
+
+def test_an_empty_cache_passed_in_is_the_one_used(make_toy_llm, toy_record):
+    # GenerationCache defines __len__, so an empty one is falsy; two LLMs
+    # handed the same empty cache must still share it.
+    cache = GenerationCache()
+    first, second = make_toy_llm(cache=cache), make_toy_llm(cache=cache)
+    assert first.cache is cache and second.cache is cache
+    record = toy_record()
+    first.judge_filter("special flag", record)
+    assert len(cache) == 1
+    assert second.judge_filter("special flag", record).event.cached

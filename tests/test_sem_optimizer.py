@@ -6,6 +6,7 @@ from repro.data.datasets import enron as en
 from repro.data.records import DataRecord
 from repro.data.schemas import Field, Schema
 from repro.data.sources import MemorySource
+from repro.errors import ConfigurationError
 from repro.llm.oracle import SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 from repro.sem import logical as L
@@ -67,11 +68,11 @@ def test_balanced_falls_back_to_champion():
 
 
 def test_balanced_rejects_bad_floor():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         Balanced(1.5)
     # One implementation behind both names: the validation covers MinCost,
     # each keeps its own default floor, and neither is the other.
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         MinCost(-0.1)
     assert (MinCost().quality_floor, Balanced().quality_floor) == (0.5, 0.92)
     assert MinCost.choose_model is Balanced.choose_model
