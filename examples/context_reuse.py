@@ -4,7 +4,8 @@ Issues two related queries against the legal data lake.  Without reuse the
 second query's semantic program re-scans the corpus; with the
 ContextManager enabled it retrieves the Context materialized by the first
 query (high description similarity) and runs over the narrowed record set,
-cutting cost and simulated runtime.
+cutting cost and simulated runtime.  Invalidating the lake's Context then
+evicts every view derived from it.
 
 Run:  python examples/context_reuse.py
 """
@@ -43,8 +44,14 @@ def run(reuse: bool) -> None:
           f"(+${total - cost_after_first:.3f})  total=${total:.3f}  "
           f"time={runtime.elapsed_s:.0f}s")
     if reuse:
-        print(f"  cached contexts: {len(runtime.context_manager)}; "
-              f"hits: {sum(e.hits for e in runtime.context_manager.entries())}")
+        manager = runtime.context_manager
+        print(f"  cached contexts: {len(manager.entries())}; "
+              f"hits: {manager.stats()['hits']}")
+        # Maintenance (§2.4): when the lake's records change, every view
+        # derived from it is stale and leaves the cache.
+        evicted = manager.invalidate(context)
+        print(f"  after invalidating {context.name}: {evicted} evicted, "
+              f"{len(manager)} cached")
 
 
 def main() -> None:

@@ -3,7 +3,7 @@
 Builds a Context over the 132-file legal data lake, runs a ``search``
 operator to look for information on identity thefts (producing a derived
 Context with an enriched description), then runs ``compute`` on the
-original evaluation query.  Prints the Context lineage and the compute
+original evaluation query and the state-level argmax query.  Prints the Context lineage and the compute
 agent's execution trace — the iterate-between-programs-and-Python
 behaviour the paper illustrates.
 
@@ -12,7 +12,7 @@ Run:  python examples/kramabench_legal.py
 
 from repro.core import AnalyticsRuntime
 from repro.data.datasets import generate_legal_corpus
-from repro.data.datasets.kramabench import QUERY_RATIO
+from repro.data.datasets.kramabench import QUERY_RATIO, QUERY_TOP_STATE
 
 
 def main() -> None:
@@ -46,6 +46,14 @@ def main() -> None:
 
     print("Compute agent trace:")
     print(result.agent.trace.render())
+    print()
+
+    # compute: the state-level argmax query over the same Context.
+    top = runtime.compute(enriched, QUERY_TOP_STATE)
+    answer = top.answer or {}
+    print(f"Query: {QUERY_TOP_STATE}")
+    print(f"Answer: {answer.get('state')} with {answer.get('reports')} reports "
+          f"(ground truth: {bundle.ground_truth['top_state_2024']})")
     print()
 
     print("Materialized context lineage (newest first):")

@@ -3,7 +3,8 @@
 Runs a small AI-driven analytics pipeline over a synthetic real-estate
 corpus: a semantic filter ("modern and attractive"), a plain Python filter
 (price cap), and a semantic classification, all optimized by the cost-based
-optimizer — then materializes the result into a SQL table and queries it.
+optimizer — prints EXPLAIN ANALYZE (measured against estimated, per
+operator), then materializes the result into a SQL table and queries it.
 
 Run:  python examples/quickstart.py
 """
@@ -12,6 +13,7 @@ from repro.core import AnalyticsRuntime
 from repro.data.datasets import generate_realestate_corpus
 from repro.data.datasets.realestate import FILTER_MODERN, MAP_STYLE, STYLES
 from repro.sem import Dataset
+from repro.sem.explain import explain_analyze
 
 
 def main() -> None:
@@ -36,6 +38,11 @@ def main() -> None:
           f"(+${result.optimization_cost_usd:.4f} optimizer sampling)")
     print(f"Simulated time: {result.total_time_s:.1f}s")
     print(f"Models chosen by the optimizer: {report.chosen_models}")
+    print()
+
+    # EXPLAIN ANALYZE: measured per-operator rows, dollars and cache hits
+    # beside the optimizer's estimates.
+    print(explain_analyze(result, report))
     print()
 
     for record in result.records[:5]:

@@ -32,16 +32,25 @@ Quickstart::
     result = runtime.compute(context, "Return all emails which ...")
 """
 
-from repro.core.context import Context
-from repro.core.context_manager import ContextManager
-from repro.core.operators import compute, search
-from repro.core.runtime import AnalyticsRuntime
-from repro.data.records import DataRecord
-from repro.data.schemas import Field, Schema
-from repro.llm.simulated import SimulatedLLM
-from repro.sem.config import QueryProcessorConfig
-from repro.sem.dataset import Dataset
-from repro.sql.database import Database
+import importlib
+
+#: Each re-export's defining module: resolved on first access (PEP 562), so
+#: importing one submodule (``repro.bench.metrics``, ``repro.qa.corpus``)
+#: does not load the runtime.
+_EXPORTS = {
+    "AnalyticsRuntime": "repro.core.runtime",
+    "Context": "repro.core.context",
+    "ContextManager": "repro.core.context_manager",
+    "DataRecord": "repro.data.records",
+    "Database": "repro.sql.database",
+    "Dataset": "repro.sem.dataset",
+    "Field": "repro.data.schemas",
+    "QueryProcessorConfig": "repro.sem.config",
+    "Schema": "repro.data.schemas",
+    "SimulatedLLM": "repro.llm.simulated",
+    "compute": "repro.core.operators",
+    "search": "repro.core.operators",
+}
 
 __version__ = "1.0.0"
 
@@ -60,3 +69,11 @@ __all__ = [
     "compute",
     "search",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value

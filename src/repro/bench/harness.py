@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
+from repro.errors import BenchmarkError
 from repro.utils.formatting import format_table
 from repro.utils.seeding import derive_seed
 
@@ -94,7 +95,7 @@ def _traced_trial(
 
 def summarize(name: str, outcomes: Sequence[TrialOutcome]) -> SystemSummary:
     if not outcomes:
-        raise ValueError(f"system {name!r} produced no trial outcomes")
+        raise BenchmarkError(f"system {name!r} produced no trial outcomes")
     metric_names = list(outcomes[0].quality)
     quality = {
         metric: statistics.mean(outcome.quality[metric] for outcome in outcomes)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.errors import BenchmarkError
+
 
 @dataclass(frozen=True)
 class SetMetrics:
@@ -47,7 +49,7 @@ def percent_error(value: float | None, truth: float) -> float:
     multiple ratios — use :func:`mean_percent_error` for that case.
     """
     if truth == 0:
-        raise ValueError("truth must be nonzero for percent error")
+        raise BenchmarkError("truth must be nonzero for percent error")
     if value is None:
         return 100.0
     return abs(value - truth) / abs(truth) * 100.0

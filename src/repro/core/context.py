@@ -78,10 +78,8 @@ class KeyIndex:
         self._by_key: dict[Any, DataRecord] = {}
 
     def build(self, records: list[DataRecord]) -> None:
-        self._by_key = {}
-        for record in records:
-            if self.key_field in record:
-                self._by_key[record[self.key_field]] = record
+        key = self.key_field
+        self._by_key = {record.fields[key]: record for record in records if key in record.fields}
 
     def lookup(self, key: Any) -> DataRecord | None:
         return self._by_key.get(key)
@@ -147,9 +145,7 @@ class Context(Dataset):
         if llm is not None:
             self._vector_index.build(self._records, llm, tag=f"{self.name}:index")
         if key_field is not None:
-            key_index = KeyIndex(key_field)
-            key_index.build(self._records)
-            self._key_indexes[key_field] = key_index
+            self.key_index(key_field)
         return self
 
     def vector_search(
@@ -162,14 +158,17 @@ class Context(Dataset):
             self._vector_index.build(self._records, llm, tag=f"{self.name}:index")
         return self._vector_index.search(query, k, llm, tag=f"{self.name}:index")
 
+    def key_index(self, key_field: str) -> KeyIndex:
+        """The point-lookup index on ``key_field`` (built on first use)."""
+        key_index = self._key_indexes.get(key_field)
+        if key_index is None:
+            key_index = self._key_indexes[key_field] = KeyIndex(key_field)
+            key_index.build(self._records)
+        return key_index
+
     def lookup(self, key_field: str, key: Any) -> DataRecord | None:
-        """Exact point lookup on a registered key index."""
-        if key_field not in self._key_indexes:
-            raise ContextError(
-                f"no key index on field {key_field!r}; registered: "
-                f"{sorted(self._key_indexes)}"
-            )
-        return self._key_indexes[key_field].lookup(key)
+        """Exact point lookup (builds the key index on first use)."""
+        return self.key_index(key_field).lookup(key)
 
     # ------------------------------------------------------------------
     # Tools

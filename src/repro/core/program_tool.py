@@ -100,15 +100,14 @@ def build_context_tools(
     optimized-program tool.
     """
     key = key_field or default_key_field(context)
-    by_key = {record.get(key): record for record in context.records()}
 
     def list_items() -> list[str]:
         """List the keys of all items in the context."""
-        return sorted(str(value) for value in by_key)
+        return sorted(str(value) for value in context.key_index(key).keys())
 
     def get_item(item_key: str) -> str:
         """Read one item's full text by key."""
-        record = by_key.get(item_key)
+        record = context.lookup(key, item_key)
         if record is None:
             raise ToolError(f"no item with key {item_key!r}")
         return record.as_text()

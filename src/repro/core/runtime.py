@@ -187,9 +187,6 @@ class AnalyticsRuntime:
         self.context_manager.store_answer(result.output_context, query_vec, result)
         return result
 
-    def clear_answers(self) -> None:
-        self.context_manager.clear_answers()
-
     # ------------------------------------------------------------------
     # Optimizer configuration for semantic programs
     # ------------------------------------------------------------------
@@ -236,16 +233,6 @@ class AnalyticsRuntime:
 
     def usage(self) -> Usage:
         return self.llm.tracker.total()
-
-    @property
-    def tracer(self) -> Any:
-        """The span tracer the LLM substrate (and everything above) uses."""
-        return self.llm.tracer
-
-    @property
-    def metrics(self) -> Any:
-        """The runtime-wide metrics registry."""
-        return self.llm.metrics
 
     @property
     def elapsed_s(self) -> float:

@@ -91,23 +91,16 @@ def rows_from_file(contents: str, fmt: str) -> list[dict]:
 
 def add_sql_tools(context: Context, runtime: "AnalyticsRuntime") -> Context:
     """Register ``materialize_table`` and ``sql`` tools on ``context``."""
-    by_filename = {
-        record.get("filename"): record
-        for record in context.records()
-        if "filename" in record
-    }
 
     def materialize_table(filename: str, table: str) -> str:
         """Parse a CSV/HTML file from the context into a SQL table."""
-        record = by_filename.get(filename)
+        record = context.lookup("filename", filename)
         if record is None:
             raise ToolError(f"no file named {filename!r} in the context")
         rows = rows_from_file(
             record.get("contents", ""), record.get("format", "csv")
         )
-        runtime.db.create_table_from_rows(
-            _sanitize_identifier(table), rows, replace=True
-        )
+        runtime.materialize_rows(_sanitize_identifier(table), rows)
         return (
             f"created table {_sanitize_identifier(table)} with {len(rows)} rows; "
             f"columns: {sorted(rows[0])}"

@@ -34,36 +34,5 @@ class DatasetBundle:
             return list(self.record_list)
         return self.corpus.to_records()
 
-    def validate(self) -> list[str]:
-        """Self-check the bundle; returns a list of problems (empty = ok).
-
-        Checks that every record conforms to the schema, that difficulty
-        annotations are in range, and that every annotation intent key the
-        records reference is actually registered (so the oracle can resolve
-        instructions onto it).
-        """
-        from repro.llm.oracle import DIFFICULTY_PREFIX
-
-        problems: list[str] = []
-        registered = set(self.registry.keys())
-        for record in self.records():
-            for issue in self.schema.validate(record):
-                problems.append(f"{record.uid}: {issue}")
-            for key, value in record.annotations.items():
-                if key.startswith(DIFFICULTY_PREFIX):
-                    if not 0.0 <= float(value) <= 1.0:
-                        problems.append(
-                            f"{record.uid}: difficulty {value!r} for "
-                            f"{key[len(DIFFICULTY_PREFIX):]} out of range"
-                        )
-                    continue
-                if key.startswith("_"):
-                    continue  # auxiliary annotations (distractors, etc.)
-                if key not in registered:
-                    problems.append(
-                        f"{record.uid}: annotation {key!r} has no registered intent"
-                    )
-        return problems
-
     def source(self) -> MemorySource:
         return MemorySource(self.records(), self.schema, source_id=self.name)

@@ -16,6 +16,7 @@ import hashlib
 import itertools
 from typing import Any, Iterable
 
+from repro.errors import FieldNotFoundError
 from repro.utils.hashing import (
     PART_SEPARATOR,
     serialize_parts,
@@ -95,7 +96,7 @@ class DataRecord:
         try:
             return self.fields[name]
         except KeyError:
-            raise KeyError(
+            raise FieldNotFoundError(
                 f"record {self.uid} has no field {name!r}; "
                 f"fields: {sorted(self.fields)}"
             ) from None

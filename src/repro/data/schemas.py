@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.data.records import DataRecord
 from repro.errors import SchemaError
 
 #: ``object`` means "any": no coercion is applied (used by synthesized
@@ -87,33 +86,6 @@ class Schema:
 
     def __iter__(self):
         return iter(self.fields)
-
-    def union(self, other: "Schema", name: str | None = None) -> "Schema":
-        """Schema with this schema's fields plus ``other``'s new fields."""
-        merged = list(self.fields)
-        for field in other.fields:
-            if field.name not in self._by_name:
-                merged.append(field)
-        return Schema(merged, name=name or f"{self.name}+{other.name}")
-
-    def project(self, names: list[str], name: str | None = None) -> "Schema":
-        """Schema restricted to ``names`` (order taken from ``names``)."""
-        return Schema([self[name_] for name_ in names], name=name or f"{self.name}[proj]")
-
-    def validate(self, record: DataRecord) -> list[str]:
-        """Return a list of problems with ``record`` under this schema."""
-        problems = []
-        for field in self.fields:
-            if field.name not in record:
-                problems.append(f"missing field {field.name!r}")
-                continue
-            value = record[field.name]
-            if value is not None and not isinstance(value, field.type):
-                problems.append(
-                    f"field {field.name!r} expected {field.type.__name__}, "
-                    f"got {type(value).__name__}"
-                )
-        return problems
 
     def __repr__(self) -> str:
         return f"Schema({self.name}, fields={self.field_names()})"

@@ -16,6 +16,13 @@ class ConfigurationError(ReproError):
     """Raised when the runtime or an operator is misconfigured."""
 
 
+class FieldNotFoundError(ReproError, KeyError):
+    """Raised when a record is indexed by a field it does not have.
+
+    Also a :class:`KeyError`, which is what ``record[name]`` raised before
+    the type existed (agent code catches it)."""
+
+
 class SchemaError(ReproError):
     """Raised for invalid schema definitions or schema mismatches."""
 
@@ -131,6 +138,11 @@ class TraceValidationError(ReproError, ValueError):
 
     Also a :class:`ValueError`, which is what the validators raised
     before the type existed."""
+
+
+class BenchmarkError(ReproError):
+    """Raised for a benchmark computation that has no answer (a zero
+    ground truth, a system with no trial outcomes)."""
 
 
 class StreamingError(ReproError):

@@ -94,15 +94,3 @@ class GenerationCache:
             self.metrics.counter("cache.clears").inc()
             self.metrics.counter("cache.cleared_entries").inc(len(self._entries))
         self._entries.clear()
-
-    def stats(self) -> dict:
-        """Snapshot of the (lifetime) counters."""
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "updates": self.updates,
-            "clears": self.clears,
-            "cleared_entries": self.cleared_entries,
-        }

@@ -100,9 +100,6 @@ class IntentRegistry:
         self._resolved.clear()
         self.version = next(_VERSIONS)
 
-    def get(self, key: str) -> Intent | None:
-        return self._intents.get(key)
-
     def resolve(self, instruction: str) -> Intent | None:
         """Return the best-matching intent for ``instruction``, if any.
 

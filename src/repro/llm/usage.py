@@ -20,16 +20,6 @@ class Usage:
     cost_usd: float = 0.0
     calls: int = 0
 
-    def add(self, other: "Usage") -> None:
-        self.input_tokens += other.input_tokens
-        self.output_tokens += other.output_tokens
-        self.cost_usd += other.cost_usd
-        self.calls += other.calls
-
-    @property
-    def total_tokens(self) -> int:
-        return self.input_tokens + self.output_tokens
-
 
 class UsageEvent(NamedTuple):
     """One simulated LLM call attempt (an immutable tuple)."""
@@ -89,14 +79,6 @@ class UsageTracker:
                 continue
             _accumulate(usage, event)
         return usage
-
-    def by_model(self) -> dict[str, Usage]:
-        """Aggregate usage grouped by model name."""
-        result: dict[str, Usage] = {}
-        for event in self.events:
-            usage = result.setdefault(event.model, Usage())
-            _accumulate(usage, event)
-        return result
 
     def failed_calls(self, checkpoint: int = 0) -> int:
         """Number of faulted attempts recorded at or after ``checkpoint``."""

@@ -31,7 +31,6 @@ from repro.obs.tracer import (
     Tracer,
     get_default_tracer,
     set_default_tracer,
-    walk,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "set_default_tracer",
     "validate_chrome_trace",
     "validate_spans",
-    "walk",
     "write_chrome_trace",
     "write_jsonl",
 ]

@@ -237,16 +237,6 @@ class StatisticsStore:
     def __len__(self) -> int:
         return len(self._priors)
 
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._priors),
-            "observations": self.observations,
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "evictions": self.evictions,
-            "dataset_invalidations": self.dataset_invalidations,
-            "load_errors": self.load_errors,
-        }
 
     # -- persistence ----------------------------------------------------
 

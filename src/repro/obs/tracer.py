@@ -30,7 +30,7 @@ check per choke point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from repro.utils.clock import VirtualClock
@@ -50,13 +50,6 @@ class Span:
     #: default track ("runtime" for stack spans).
     track: str | None = None
     attributes: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration_s(self) -> float:
-        """Span duration; 0.0 while the span is still open."""
-        if self.end_s is None:
-            return 0.0
-        return self.end_s - self.start_s
 
 
 class _SpanContext:
@@ -224,17 +217,3 @@ def set_default_tracer(tracer: Tracer | NoopTracer | None) -> Tracer | NoopTrace
     previous = _default_tracer
     _default_tracer = tracer if tracer is not None else NOOP_TRACER
     return previous
-
-
-def walk(spans: list[Span]) -> Iterator[tuple[Span, int]]:
-    """Yield ``(span, depth)`` in depth-first start order."""
-    by_parent: dict[int | None, list[Span]] = {}
-    for span in spans:
-        by_parent.setdefault(span.parent_id, []).append(span)
-
-    def _walk(parent_id: int | None, depth: int) -> Iterator[tuple[Span, int]]:
-        for span in by_parent.get(parent_id, []):
-            yield span, depth
-            yield from _walk(span.span_id, depth + 1)
-
-    yield from _walk(None, 0)

@@ -18,6 +18,7 @@ from repro.qa.plans import (
     MAP_FIELDS,
     PY_MAPPERS,
     PY_PREDICATES,
+    STRUCT_AGGREGATES,
     PlanSpec,
     TOPK_QUERIES,
     WHERE_CONDITIONS,
@@ -27,6 +28,18 @@ _FILTER_INTENTS = ("qa.flag_urgent", "qa.flag_security", "qa.flag_refund")
 
 #: Base fields always present on source records.
 _BASE_FIELDS = ("title", "body", "priority")
+
+#: Every operator kind a plan spec can hold, one per ``Dataset`` operator:
+#: case ``i`` of any seed holds ``KINDS[i]``, so the first cases run every
+#: operator against the reference interpreter.  The order is the kinds
+#: seed 0's cases already held, so its cases 0-8 and 13 are unchanged.
+KINDS = (
+    "sem_map", "retrieve", "sem_join", "py_filter", "where", "py_map",
+    "sem_topk", "sem_classify", "sem_filter", "limit", "sem_groupby",
+    "sem_agg", "struct_agg", "project",
+)
+#: Kinds that end a plan (at most one per plan) and the access path.
+_TERMINAL = ("sem_groupby", "sem_agg", "struct_agg", "project")
 
 
 @dataclass(frozen=True)
@@ -73,6 +86,9 @@ class PlanFuzzer:
             n_records=rng.randint(self.min_records, self.max_records),
         )
         plan = self.generate_plan(rng, corpus)
+        if index < len(KINDS):
+            scheduler = random.Random((self.seed, "qa-kind", index).__repr__())
+            plan = _scheduled(plan, KINDS[index], scheduler, corpus)
         return FuzzCase(
             index=index, corpus=corpus, plan=plan,
             case_seed=rng.randrange(1_000_000),
@@ -89,11 +105,7 @@ class PlanFuzzer:
 
         # Access path: occasionally replace the full scan with retrieval.
         if rng.random() < 0.15:
-            ops.append({
-                "op": "retrieve",
-                "query": rng.choice(TOPK_QUERIES),
-                "k": rng.randint(6, max(8, corpus.n_records - 2)),
-            })
+            ops.append(_op("retrieve", rng, corpus, fields))
 
         while len(ops) < length:
             kind = rng.choices(
@@ -101,64 +113,96 @@ class PlanFuzzer:
                  "limit", "py_filter", "py_map", "sem_join", "where"),
                 weights=(30, 18, 12, 10, 8, 8, 6, 8, 10),
             )[0]
-            if kind == "sem_filter":
-                ops.append({"op": "sem_filter", "intent": rng.choice(_FILTER_INTENTS)})
-            elif kind == "sem_map":
-                name = rng.choice(sorted(MAP_FIELDS))
-                ops.append({"op": "sem_map", "field": name})
-                if name not in fields:
-                    fields.append(name)
-            elif kind == "sem_classify":
-                intent, options = rng.choice(
-                    (("qa.department", DEPARTMENTS), ("qa.region", REGIONS))
-                )
-                field = "dept" if intent == "qa.department" else "region_label"
-                ops.append({
-                    "op": "sem_classify", "field": field,
-                    "intent": intent, "options": list(options),
-                })
-                if field not in fields:
-                    fields.append(field)
-            elif kind == "sem_topk":
-                ops.append({
-                    "op": "sem_topk",
-                    "query": rng.choice(TOPK_QUERIES),
-                    "k": rng.randint(2, 10),
-                    "method": rng.choice(("embedding", "llm")),
-                })
-            elif kind == "limit":
-                ops.append({"op": "limit", "n": rng.randint(3, corpus.n_records)})
-            elif kind == "py_filter":
-                ops.append({"op": "py_filter", "name": rng.choice(sorted(PY_PREDICATES))})
-            elif kind == "where":
-                ops.append({"op": "where", "name": rng.choice(sorted(WHERE_CONDITIONS))})
-            elif kind == "py_map":
-                name = rng.choice(sorted(PY_MAPPERS))
-                ops.append({"op": "py_map", "name": name})
-            elif kind == "sem_join":
-                if any(op["op"] == "sem_join" for op in ops):
-                    continue  # at most one join per plan
-                right: list[dict] = []
-                if rng.random() < 0.5:
-                    right.append({"op": "py_filter",
-                                  "name": rng.choice(sorted(PY_PREDICATES))})
-                right.append({"op": "limit", "n": rng.randint(2, 5)})
-                ops.append({"op": "sem_join", "intent": "qa.same_customer",
-                            "right": right})
+            if kind == "sem_join" and any(op["op"] == "sem_join" for op in ops):
+                continue  # at most one join per plan
+            ops.append(_op(kind, rng, corpus, fields))
 
         # Terminal decoration: group-by / aggregate / projection.
         tail = rng.random()
         if tail < 0.12:
-            ops.append({
-                "op": "sem_groupby", "intent": "qa.region",
-                "groups": list(REGIONS), "summarize": rng.random() < 0.5,
-            })
+            ops.append(_op("sem_groupby", rng, corpus, fields))
         elif tail < 0.20:
-            ops.append({"op": "sem_agg",
-                        "instruction": "Summarize the overall ticket workload.",
-                        "field": "answer"})
+            ops.append(_op("sem_agg", rng, corpus, fields))
         elif tail < 0.30:
-            keep = [name for name in fields if rng.random() < 0.7] or ["title"]
-            ops.append({"op": "project", "fields": keep})
+            ops.append(_op("project", rng, corpus, fields))
 
         return PlanSpec(ops=tuple(ops))
+
+
+def _op(kind: str, rng: random.Random, corpus: CorpusSpec, fields: list[str]) -> dict:
+    """One operator spec of ``kind``; ``fields`` gains what it derives."""
+    if kind == "sem_filter":
+        return {"op": "sem_filter", "intent": rng.choice(_FILTER_INTENTS)}
+    if kind == "sem_map":
+        name = rng.choice(sorted(MAP_FIELDS))
+        if name not in fields:
+            fields.append(name)
+        return {"op": "sem_map", "field": name}
+    if kind == "sem_classify":
+        intent, options = rng.choice((("qa.department", DEPARTMENTS), ("qa.region", REGIONS)))
+        field = "dept" if intent == "qa.department" else "region_label"
+        if field not in fields:
+            fields.append(field)
+        return {"op": "sem_classify", "field": field, "intent": intent, "options": list(options)}
+    if kind == "sem_topk":
+        return {
+            "op": "sem_topk",
+            "query": rng.choice(TOPK_QUERIES),
+            "k": rng.randint(2, 10),
+            "method": rng.choice(("embedding", "llm")),
+        }
+    if kind == "limit":
+        return {"op": "limit", "n": rng.randint(3, corpus.n_records)}
+    if kind == "py_filter":
+        return {"op": "py_filter", "name": rng.choice(sorted(PY_PREDICATES))}
+    if kind == "where":
+        return {"op": "where", "name": rng.choice(sorted(WHERE_CONDITIONS))}
+    if kind == "py_map":
+        return {"op": "py_map", "name": rng.choice(sorted(PY_MAPPERS))}
+    if kind == "sem_join":
+        right: list[dict] = []
+        if rng.random() < 0.5:
+            right.append({"op": "py_filter", "name": rng.choice(sorted(PY_PREDICATES))})
+        right.append({"op": "limit", "n": rng.randint(2, 5)})
+        return {"op": "sem_join", "intent": "qa.same_customer", "right": right}
+    if kind == "retrieve":
+        return {
+            "op": "retrieve",
+            "query": rng.choice(TOPK_QUERIES),
+            "k": rng.randint(6, max(8, corpus.n_records - 2)),
+        }
+    if kind == "sem_groupby":
+        return {
+            "op": "sem_groupby", "intent": "qa.region",
+            "groups": list(REGIONS), "summarize": rng.random() < 0.5,
+        }
+    if kind == "sem_agg":
+        return {"op": "sem_agg",
+                "instruction": "Summarize the overall ticket workload.", "field": "answer"}
+    if kind == "struct_agg":
+        return {"op": "struct_agg", "name": rng.choice(sorted(STRUCT_AGGREGATES))}
+    keep = [name for name in fields if rng.random() < 0.7] or ["title"]
+    return {"op": "project", "fields": keep}
+
+
+def _scheduled(plan: PlanSpec, kind: str, rng: random.Random, corpus: CorpusSpec) -> PlanSpec:
+    """``plan`` holding an operator of ``kind``: the access path goes first,
+    a terminal replaces the plan's terminal, anything else goes before it."""
+    ops = list(plan.ops)
+    if any(op["op"] == kind for op in ops):
+        return plan
+    fields = list(_BASE_FIELDS)
+    for op in ops:
+        if op["op"] in ("sem_map", "sem_classify"):
+            fields.append(op["field"])
+    new = _op(kind, rng, corpus, fields)
+    if kind == "retrieve":
+        ops.insert(0, new)
+    elif ops and ops[-1]["op"] in _TERMINAL:
+        if kind in _TERMINAL:
+            ops[-1] = new
+        else:
+            ops.insert(len(ops) - 1, new)
+    else:
+        ops.append(new)
+    return PlanSpec(ops=tuple(ops))

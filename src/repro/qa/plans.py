@@ -45,6 +45,13 @@ WHERE_CONDITIONS = {
     "priority_or_low": "priority >= 3 OR priority <= 1",
 }
 
+#: Named structured aggregations available to fuzzed ``struct_agg`` ops:
+#: name -> ((alias, SQL expression) pairs, group-by fields).
+STRUCT_AGGREGATES = {
+    "count_all": ((("n", "count(*)"), ("top", "max(priority)")), ()),
+    "by_priority": ((("n", "count(*)"),), ("priority",)),
+}
+
 #: Fixed query pool for top-k / retrieve operators (embedding relevance).
 TOPK_QUERIES = (
     "tickets about a service outage",
@@ -155,6 +162,9 @@ def _apply(dataset: Dataset, op: dict, bundle) -> Dataset:
         return dataset.sem_topk(op["query"], op["k"], method=op.get("method", "embedding"))
     if kind == "sem_agg":
         return dataset.sem_agg(op["instruction"], output_field=op.get("field", "answer"))
+    if kind == "struct_agg":
+        aggregates, group_by = STRUCT_AGGREGATES[op["name"]]
+        return dataset.struct_agg(aggregates, group_by=group_by)
     if kind == "sem_join":
         right = Dataset.from_source(bundle.source())
         for sub in op.get("right", []):

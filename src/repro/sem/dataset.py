@@ -311,10 +311,6 @@ class Dataset:
                 )
         return result, report
 
-    def records(self, config: QueryProcessorConfig) -> list[DataRecord]:
-        """Convenience: run and return just the records."""
-        return self.run(config).records
-
 
 def _require_instruction(instruction: Any, operator_name: str) -> None:
     if not isinstance(instruction, str) or not instruction.strip():

@@ -112,13 +112,6 @@ class OperatorStats:
         )
 
     @property
-    def selectivity(self) -> float:
-        """Output/input ratio (1.0 when the operator saw no input)."""
-        if self.records_in == 0:
-            return 1.0
-        return self.records_out / self.records_in
-
-    @property
     def total_tokens(self) -> int:
         return self.input_tokens + self.output_tokens
 
@@ -156,11 +149,6 @@ class ExecutionResult:
 
     def field_values(self, name: str) -> list:
         return [record.get(name) for record in self.records]
-
-    def fingerprint(self) -> str:
-        """Stable digest of the *answer* this execution produced
-        (:func:`answer_fingerprint` of its records, dollars and flag)."""
-        return answer_fingerprint(self.records, self.total_cost_usd, self.truncated)
 
 
 def answer_fingerprint(

@@ -450,13 +450,6 @@ class SqlScanOp(LogicalOperator):
             rows = op.rows_out(rows, STATIC_SELECTIVITY)
         return rows
 
-    def validate(self) -> None:
-        super().validate()
-        if self.source is None:
-            raise PlanError("SqlScanOp requires a source")
-        if not self.pushed:
-            raise PlanError("SqlScanOp requires at least one pushed operator")
-
 
 @dataclass(frozen=True)
 class ProjectOp(LogicalOperator):

@@ -449,9 +449,6 @@ class MaterializationStore:
             self._count("materialization.update_invalidations", len(doomed))
         return len(doomed)
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def entries(self) -> list[MaterializedEntry]:
         return list(self._entries.values())
 

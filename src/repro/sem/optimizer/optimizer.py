@@ -101,20 +101,6 @@ class OptimizationReport:
         ]
 
     @property
-    def profiles(self) -> dict[str, dict[str, OperatorProfile]]:
-        """Label-keyed view of every profiled operator's candidates.
-
-        A convenience for reports and tests: labels truncate instructions,
-        so operators that collide share one entry — per-operator readers
-        use ``bound[i].estimate``.
-        """
-        return {
-            op.logical_op.label(): op.estimate.candidates
-            for op in self.planned
-            if op.estimate is not None and op.estimate.candidates
-        }
-
-    @property
     def chosen_models(self) -> dict[str, str]:
         """Label-keyed view of the model chosen per profiled operator."""
         return {

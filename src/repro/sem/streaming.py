@@ -94,15 +94,6 @@ class ChangeEntry:
     position: int
     record: DataRecord
 
-    @property
-    def uid(self) -> str:
-        return self.record.uid
-
-    @property
-    def lineage(self) -> tuple[str, ...]:
-        """Parent uids of the affected record (provenance)."""
-        return self.record.parent_uids
-
 
 @dataclass
 class TickResult:

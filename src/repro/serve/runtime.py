@@ -239,7 +239,7 @@ class ServingRuntime:
                     base + wave.start_s + wave.duration_s,
                     track="serving waves",
                     slots=wave.slots,
-                    fill=round(wave.fill, 3),
+                    fill=round(wave.slots / wave.width if wave.width else 0.0, 3),
                     merged_embeds=wave.merged_embeds,
                     rebate_usd=round(wave.rebate_usd, 6),
                 )

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 from repro.llm.models import get_model
 from repro.llm.simulated import SYSTEM_PROMPT_TOKENS
-from repro.obs.metrics import percentile
 from repro.sem.execution import answer_fingerprint
 from repro.serve.timeline import CallRequest, CallTimeline
 
@@ -111,10 +110,6 @@ class WaveRecord:
     merged_embeds: int = 0
     rebate_usd: float = 0.0
 
-    @property
-    def fill(self) -> float:
-        return self.slots / self.width if self.width else 0.0
-
 
 @dataclass
 class ServingReport:
@@ -130,15 +125,6 @@ class ServingReport:
     filled_slots: int = 0
 
     # -- aggregates -----------------------------------------------------
-
-    def latencies(self) -> list[float]:
-        return [job.latency_s for job in self.jobs]
-
-    def latency_p50(self) -> float:
-        return percentile(self.latencies(), 50.0)
-
-    def latency_p99(self) -> float:
-        return percentile(self.latencies(), 99.0)
 
     def batch_fill(self) -> float:
         """Fraction of offered wave slots actually filled."""
@@ -183,42 +169,6 @@ class ServingReport:
             entry["mean_latency_s"] = sum(entry["latencies"]) / entry["queries"]
             entry["mean_slowdown"] = sum(entry["slowdowns"]) / entry["queries"]
         return summary
-
-    def fairness(self) -> float:
-        """Max/min ratio of per-tenant mean slowdowns (1.0 = perfectly fair)."""
-        slowdowns = [
-            entry["mean_slowdown"] for entry in self.tenant_summary().values()
-        ]
-        if len(slowdowns) < 2:
-            return 1.0
-        low = min(slowdowns)
-        return max(slowdowns) / max(low, 1e-9)
-
-    def render(self, title: str = "SERVING SCHEDULE") -> str:
-        lines = [
-            f"=== {title} ({self.mode}, width {self.provider_width}) ===",
-            f"queries: {len(self.jobs)}   makespan: {self.makespan_s:.1f}s   "
-            f"waves: {len(self.waves)}   fill: {self.batch_fill():.2f}",
-            f"latency p50/p99: {self.latency_p50():.1f}s / {self.latency_p99():.1f}s   "
-            f"$/query: {self.cost_per_query_usd():.4f}   "
-            f"rebate: ${self.rebate_total_usd():.4f}   "
-            f"fairness (max/min slowdown): {self.fairness():.2f}",
-        ]
-        header = (
-            f"{'tenant':<12} {'queries':>7} {'mean lat':>9} {'slowdown':>9} "
-            f"{'$ raw':>9} {'$ rebate':>9} {'cache h/m':>11} {'mat hits':>8}"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for tenant, entry in sorted(self.tenant_summary().items()):
-            lines.append(
-                f"{tenant:<12} {entry['queries']:>7} "
-                f"{entry['mean_latency_s']:>8.1f}s {entry['mean_slowdown']:>9.2f} "
-                f"{entry['cost_usd']:>9.4f} {entry['rebate_usd']:>9.4f} "
-                f"{entry['cache_hits']:>5}/{entry['cache_misses']:<5} "
-                f"{entry['materialization_hits']:>8}"
-            )
-        return "\n".join(lines)
 
 
 class StepReplay:

@@ -34,9 +34,6 @@ class VirtualClock:
             raise ExecutionError(f"cannot advance clock by negative time: {seconds}")
         self.elapsed += seconds
 
-    def reset(self) -> None:
-        self.elapsed = 0.0
-
 
 class PipelineSchedule:
     """Online pipelined-makespan accounting for one streaming section.

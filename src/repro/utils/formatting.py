@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.errors import SchemaError
+
 
 def format_table(
     headers: Sequence[str],
@@ -20,7 +22,7 @@ def format_table(
     widths = [len(header) for header in headers]
     for row in str_rows:
         if len(row) != len(headers):
-            raise ValueError(
+            raise SchemaError(
                 f"row has {len(row)} cells but table has {len(headers)} columns"
             )
         for idx, cell in enumerate(row):

@@ -34,17 +34,11 @@ class SeededRng:
         """Return an independent RNG for the namespace ``path``."""
         return SeededRng(derive_seed(self.seed, *path))
 
-    def random(self) -> float:
-        return self._rng.random()
-
     def uniform(self, low: float, high: float) -> float:
         return self._rng.uniform(low, high)
 
     def randint(self, low: int, high: int) -> int:
         return self._rng.randint(low, high)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._rng.gauss(mu, sigma)
 
     def choice(self, seq: Sequence):
         return self._rng.choice(seq)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.harness import TrialOutcome, render_report, run_trials, summarize
+from repro.errors import BenchmarkError
 
 
 def _system(seed: int) -> TrialOutcome:
@@ -27,7 +28,7 @@ def test_run_trials_deterministic_seeds():
 
 
 def test_summarize_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(BenchmarkError):
         summarize("x", [])
 
 

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bench.metrics import mean_percent_error, percent_error, set_metrics
+from repro.errors import BenchmarkError
 
 
 def test_set_metrics_perfect():
@@ -46,7 +47,7 @@ def test_percent_error_missing_is_100():
 
 
 def test_percent_error_zero_truth_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(BenchmarkError):
         percent_error(1.0, 0.0)
 
 

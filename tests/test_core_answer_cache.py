@@ -62,7 +62,7 @@ def test_different_base_context_misses_cache(legal_bundle, enron_bundle):
 def test_clear_answers_evicts(runtime_ctx):
     runtime, context = runtime_ctx
     runtime.answer(context, kb.QUERY_RATIO)
-    runtime.clear_answers()
+    runtime.context_manager.clear_answers()
     result = runtime.answer(context, kb.QUERY_RATIO)
     assert not result.reused
 
@@ -87,7 +87,7 @@ def test_invalidating_the_base_context_evicts_its_answers(legal_bundle):
     assert not runtime.answer(context, kb.QUERY_RATIO).reused
     assert runtime.answer(other, kb.QUERY_RATIO).reused  # another root's survive
     assert runtime.context_manager.stats()["answers"]["evictions"] == 2
-    assert runtime.metrics.snapshot()["counters"]["answers.evictions"] == 2
+    assert runtime.llm.metrics.snapshot()["counters"]["answers.evictions"] == 2
 
 
 def test_source_update_seen_by_a_standing_query_evicts_answers(runtime_ctx):
@@ -127,7 +127,7 @@ def test_source_update_reaches_the_store_as_an_update_through_the_one_walk(legal
     assert store.get("fp") is None
     assert store.get("fp-base") is not None
     assert store.stats()["update_invalidations"] == 1
-    assert runtime.metrics.snapshot()["counters"]["answers.evictions"] == 1
+    assert runtime.llm.metrics.snapshot()["counters"]["answers.evictions"] == 1
     assert not runtime.answer(context, kb.QUERY_RATIO).reused
 
 

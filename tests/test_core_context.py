@@ -56,9 +56,11 @@ def test_index_with_key_field_lookup():
     assert context.lookup("name", "missing") is None
 
 
-def test_lookup_without_index_raises():
-    with pytest.raises(ContextError):
-        _context().lookup("name", "doc0")
+def test_lookup_builds_the_key_index_on_first_use():
+    context = _context()
+    assert context.lookup("name", "doc0")["name"] == "doc0"
+    assert context.key_index("name") is context.key_index("name")
+    assert sorted(context.key_index("name").keys()) == ["doc0", "doc1", "doc2", "doc3"]
 
 
 def test_index_prebuild_with_llm():

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.data.records import DataRecord
+from repro.errors import FieldNotFoundError
 from repro.utils.hashing import stable_digest
 from repro.utils.text import approx_token_count
 
@@ -18,8 +19,9 @@ def test_field_access():
 
 def test_missing_field_error_lists_fields():
     record = DataRecord({"alpha": 1})
-    with pytest.raises(KeyError) as excinfo:
+    with pytest.raises(FieldNotFoundError) as excinfo:
         record["beta"]
+    assert isinstance(excinfo.value, KeyError)  # agent code catches KeyError
     assert "alpha" in str(excinfo.value)
 
 

@@ -228,7 +228,7 @@ def _run(bundle, scenario, kind, run):
         "events": list(llm.tracker.events),
         "spent": llm.tracker.spent_usd,
         "cache": list(llm.cache._entries.items()),
-        "cache_stats": llm.cache.stats(),
+        "cache_stats": (llm.cache.hits, llm.cache.misses, llm.cache.evictions, llm.cache.updates),
         "clock": llm.clock.elapsed,
         "latencies": None if scenario == "served" else section.latencies,
         "failures": list(ctx.failures),

@@ -111,7 +111,7 @@ def test_lifetime_stats_survive_clears():
     cache.put("k2", 2)
     cache.get("k2")
     # The counters are the lifetime totals: they keep accumulating.
-    assert cache.stats()["hits"] == 2
+    assert cache.hits == 2
 
 
 def test_clear_accounting_and_stats_snapshot():
@@ -121,11 +121,10 @@ def test_clear_accounting_and_stats_snapshot():
     cache.clear()
     cache.put("k3", 3)
     cache.clear()
-    stats = cache.stats()
-    assert stats["clears"] == 2
-    assert stats["cleared_entries"] == 3
-    assert stats["entries"] == 0
-    assert stats["misses"] == 0
+    assert cache.clears == 2
+    assert cache.cleared_entries == 3
+    assert len(cache) == 0
+    assert cache.misses == 0
 
 
 def test_clear_counters_mirror_into_metrics():
@@ -141,4 +140,4 @@ def test_clear_counters_mirror_into_metrics():
     assert counters["cache.cleared_entries"] == 1
     # Both views are lifetime by construction: clearing the cache rewinds
     # neither, so they cannot disagree.
-    assert counters["cache.hits"] == cache.stats()["hits"] == 1
+    assert counters["cache.hits"] == cache.hits == 1

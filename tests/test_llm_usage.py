@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.llm.usage import Usage, UsageEvent, UsageTracker
+from repro.llm.usage import UsageEvent, UsageTracker
 
 
 def _event(model="gpt-4o", cost=0.01, tag="", cached=False):
@@ -34,16 +34,6 @@ def test_total_filters_by_tag_prefix():
     assert tracker.total(tag_prefix="query").calls == 1
 
 
-def test_by_model_groups():
-    tracker = UsageTracker()
-    tracker.record(_event(model="gpt-4o"))
-    tracker.record(_event(model="gpt-4o-mini"))
-    tracker.record(_event(model="gpt-4o"))
-    grouped = tracker.by_model()
-    assert grouped["gpt-4o"].calls == 2
-    assert grouped["gpt-4o-mini"].calls == 1
-
-
 def test_checkpoint_and_since():
     tracker = UsageTracker()
     tracker.record(_event(cost=0.01))
@@ -51,12 +41,6 @@ def test_checkpoint_and_since():
     tracker.record(_event(cost=0.05))
     assert tracker.since(mark).cost_usd == pytest.approx(0.05)
     assert tracker.since(mark).calls == 1
-
-
-def test_usage_add():
-    total = Usage()
-    total.add(Usage(input_tokens=5, output_tokens=3, cost_usd=0.1, calls=1))
-    assert total.total_tokens == 8
 
 
 def test_reset_clears_events():

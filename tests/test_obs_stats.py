@@ -150,10 +150,9 @@ class TestLookup:
         store = StatisticsStore()
         _observe(store, key="k1")
         store.prior("k1")
-        summary = store.stats()
-        assert summary["entries"] == 1
-        assert summary["observations"] == 1
-        assert summary["hits"] == 1
+        assert len(store) == 1
+        assert store.observations == 1
+        assert store.hits == 1
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +351,7 @@ class TestPersistence:
         fresh.metrics = MetricsRegistry()
         assert fresh.load(path) == 0
         assert len(fresh) == 0
-        assert fresh.load_errors == 1 and fresh.stats()["load_errors"] == 1
+        assert fresh.load_errors == 1
         assert fresh.metrics.snapshot()["counters"]["stats.load_errors"] == 1
 
     def test_flipped_byte_in_a_prior_fails_the_checksum(self, tmp_path):
@@ -426,6 +425,5 @@ class TestDatasetVersioning:
             _observe(store)
         store.invalidate_dataset("corpus-1")
         store.invalidate_dataset("corpus-1")  # nothing left to drop
-        summary = store.stats()
-        assert summary["dataset_invalidations"] == 1
-        assert "dataset_decays" not in summary
+        assert store.dataset_invalidations == 1
+        assert not hasattr(store, "dataset_decays")

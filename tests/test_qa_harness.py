@@ -1,5 +1,6 @@
 """Tests for the plan-space differential-testing harness (``repro.qa``)."""
 
+import inspect
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from repro.errors import ConfigurationError
 from repro.qa.bundle import BUNDLE_VERSION, ReplayBundle
 from repro.qa.configs import ConfigSpec, config_matrix
 from repro.qa.corpus import CorpusSpec, build_corpus
-from repro.qa.fuzzer import FuzzCase, PlanFuzzer
+from repro.qa.fuzzer import KINDS, FuzzCase, PlanFuzzer
 from repro.qa.mutations import MUTATIONS, mutation_by_name
 from repro.qa.oracles import (
     Violation,
@@ -19,6 +20,7 @@ from repro.qa.oracles import (
 )
 from repro.qa.runner import CaseRun, Observation, run_case, run_spec
 from repro.qa.shrinker import shrink
+from repro.sem.dataset import Dataset
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +38,27 @@ def test_fuzzer_seeds_explore_different_plan_spaces():
     plans_a = [PlanFuzzer(seed=0).case(i).plan.to_dict() for i in range(8)]
     plans_b = [PlanFuzzer(seed=1).case(i).plan.to_dict() for i in range(8)]
     assert plans_a != plans_b
+
+
+def test_the_first_cases_run_every_dataset_operator_kind():
+    """Each operator the fluent API exposes is scheduled into one of seed
+    0's first 15 cases, so the fuzz lane diffs all of them against the
+    reference interpreter."""
+    spelled = {"filter": "py_filter", "map": "py_map"}
+    exposed = {
+        spelled.get(name, name)
+        for name, member in vars(Dataset).items()
+        if inspect.isfunction(member) and not name.startswith("_")
+        and inspect.signature(member, eval_str=True).return_annotation in (Dataset, "Dataset")
+    }
+    fuzzer = PlanFuzzer(seed=0)
+    kinds = set()
+    for index in range(15):
+        for op in fuzzer.case(index).plan.ops:
+            kinds.add(op["op"])
+            kinds.update(sub["op"] for sub in op.get("right", ()))
+    assert len(exposed) == 14
+    assert kinds == exposed == set(KINDS)
 
 
 def test_case_serde_round_trips_through_json():

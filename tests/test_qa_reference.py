@@ -34,7 +34,7 @@ MODES = ("default", "sharded", "served", "warm")
 OPERATOR_KINDS = {
     "sem_filter", "sem_map", "sem_classify", "sem_groupby", "sem_topk",
     "sem_agg", "sem_join", "limit", "project", "retrieve", "where",
-    "py_filter", "py_map",
+    "py_filter", "py_map", "struct_agg",
 }
 COST_EPS = 1e-9
 

@@ -89,7 +89,7 @@ def test_colliding_labels_keep_their_own_estimates():
     )
     measured = [s for s in result.operator_stats if s.llm_calls]
     assert len(measured) == 4
-    assert len(report.profiles) == 2  # the label-keyed views do collide
+    assert len(report.chosen_models) == 2  # the label-keyed view does collide
     lines = [
         line
         for line in explain_analyze(result, report).splitlines()

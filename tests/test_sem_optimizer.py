@@ -322,7 +322,9 @@ def test_py_filter_profiled_for_selectivity():
     )
     _ops, report = Optimizer(config).optimize(dataset.plan())
     # A token-free operator is its own only candidate: model None.
-    (profile,) = report.profiles["PyFilter(small)"].values()
+    (op,) = [op for op in report.bound if op.estimate is not None and op.estimate.candidates]
+    assert op.logical_op.label() == "PyFilter(small)"
+    (profile,) = op.estimate.candidates.values()
     assert profile.model is None
     assert profile.selectivity == pytest.approx(0.3)
     assert profile.cost_per_record == 0.0

@@ -136,8 +136,8 @@ def test_changelog_entries_carry_lineage():
     child = parent.derive(new_fields={"w": 2})
     entries = diff_records([], [child], tick=0)
     assert entries[0].kind == "insert"
-    assert entries[0].uid == child.uid
-    assert entries[0].lineage == ("p",)
+    assert entries[0].record.uid == child.uid
+    assert entries[0].record.parent_uids == ("p",)
 
 
 def _reference_diff(before, after, tick):
@@ -377,7 +377,7 @@ def test_update_on_pass_through_plan_reaches_the_changelog(qa_bundle):
     source.update(victim.uid, {"priority": old_priority + 100})
     (tick,) = manager.pump()
     assert query.records[position].uid == victim.uid  # stayed in the view
-    assert [(e.kind, e.position, e.uid) for e in tick.changelog] == [
+    assert [(e.kind, e.position, e.record.uid) for e in tick.changelog] == [
         ("retract", position, victim.uid),
         ("insert", position, victim.uid),
     ]

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from repro.core.runtime import AnalyticsRuntime
 from repro.data.schemas import Field
 from repro.errors import ConfigurationError, QuotaExceededError, ServingError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, percentile
 from repro.obs.tracer import Tracer
 from repro.qa.corpus import CorpusSpec, build_corpus, instruction_for
 from repro.qa.plans import normalized_records
 from repro.sem import logical as L
 from repro.sem.dataset import Dataset
+from repro.sem.execution import answer_fingerprint
 from repro.sem.materialize import prefix_fingerprints
 from repro.serve import (
     CallTimeline,
@@ -513,13 +514,19 @@ def _digest_sharded(qa_bundle):
 def test_job_fingerprint_is_the_runs_fingerprint(qa_bundle, served):
     job, result = served(qa_bundle)
     assert job.records
-    assert job.fingerprint == result.fingerprint()
+    assert job.fingerprint == answer_fingerprint(
+        result.records, result.total_cost_usd, result.truncated
+    )
+
+
+def p99(report) -> float:
+    return percentile([job.latency_s for job in report.jobs], 99.0)
 
 
 def test_batching_improves_latency_and_cost(qa_bundle):
     _rt_b, _jobs_b, batched = run_workload(qa_bundle, batching=True)
     _rt_s, _jobs_s, serial = run_workload(qa_bundle, batching=False)
-    assert batched.latency_p99() < serial.latency_p99()
+    assert p99(batched) < p99(serial)
     assert batched.cost_per_query_usd() < serial.cost_per_query_usd()
     assert batched.makespan_s <= serial.makespan_s + 1e-9
     assert batched.rebate_total_usd() > 0.0
@@ -725,13 +732,6 @@ def test_rejections_counted(qa_bundle):
     with pytest.raises(QuotaExceededError):
         serving.submit("capped", filter_query(qa_bundle))
     assert metrics.snapshot()["counters"]["serving.tenant.capped.rejected"] == 1
-
-
-def test_report_renders(qa_bundle):
-    _rt, _jobs, report = run_workload(qa_bundle, batching=True)
-    text = report.render()
-    assert "SERVING SCHEDULE" in text
-    assert "tenant-00" in text and "tenant-01" in text
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from repro.core.runtime import AnalyticsRuntime
 from repro.data.datasets import kramabench as kb
+from tests.bundle_checks import bundle_problems
 
 
 def test_runtime_usage_report_after_compute(legal_bundle):
@@ -16,7 +17,7 @@ def test_runtime_usage_report_after_compute(legal_bundle):
 
 def test_all_builtin_bundles_validate(legal_bundle, enron_bundle, realestate_bundle):
     for bundle in (legal_bundle, enron_bundle, realestate_bundle):
-        assert bundle.validate() == [], bundle.name
+        assert bundle_problems(bundle) == [], bundle.name
 
 
 def test_validate_reports_unregistered_intents(realestate_bundle):
@@ -34,7 +35,7 @@ def test_validate_reports_unregistered_intents(realestate_bundle):
         description="",
         record_list=[DataRecord({"a": 1}, annotations={"x.unregistered": True})],
     )
-    problems = bundle.validate()
+    problems = bundle_problems(bundle)
     assert any("unregistered" in problem for problem in problems)
 
 
@@ -60,5 +61,5 @@ def test_validate_reports_bad_difficulty():
             )
         ],
     )
-    problems = bundle.validate()
+    problems = bundle_problems(bundle)
     assert any("out of range" in problem for problem in problems)

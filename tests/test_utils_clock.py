@@ -34,13 +34,6 @@ def test_advance_rejects_negative():
         VirtualClock().advance(-1.0)
 
 
-def test_reset_clears_everything():
-    clock = VirtualClock()
-    clock.advance(5.0)
-    clock.reset()
-    assert clock.elapsed == 0.0
-
-
 # ---------------------------------------------------------------------------
 # Pipeline sections
 # ---------------------------------------------------------------------------

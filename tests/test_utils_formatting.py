@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SchemaError
 from repro.utils.formatting import format_table
 
 
@@ -22,5 +23,5 @@ def test_format_table_formats_floats():
 
 
 def test_format_table_rejects_ragged_rows():
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         format_table(["A", "B"], [["only-one"]])

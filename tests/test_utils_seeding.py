@@ -17,16 +17,16 @@ def test_derive_seed_namespaced():
 
 def test_child_streams_are_independent():
     rng = SeededRng(1)
-    a1 = rng.child("a").random()
+    a1 = rng.child("a").uniform(0.0, 1.0)
     # Drawing from a sibling stream must not perturb stream "a".
-    rng.child("b").random()
-    a2 = SeededRng(1).child("a").random()
+    rng.child("b").uniform(0.0, 1.0)
+    a2 = SeededRng(1).child("a").uniform(0.0, 1.0)
     assert a1 == a2
 
 
 def test_same_seed_same_sequence():
     rng1, rng2 = SeededRng(5), SeededRng(5)
-    assert [rng1.random() for _ in range(10)] == [rng2.random() for _ in range(10)]
+    assert [rng1.uniform(0.0, 1.0) for _ in range(10)] == [rng2.uniform(0.0, 1.0) for _ in range(10)]
 
 
 def test_shuffle_is_deterministic():
